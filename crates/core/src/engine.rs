@@ -16,7 +16,7 @@
 //!
 //! Concurrency is sound because every operation's wire traffic is
 //! tagged with a per-operation base (plan slot + start generation, see
-//! `op_base` in `session.rs`), so two live operations on the same
+//! `op_base` in `plan.rs`), so two live operations on the same
 //! communicator can never capture each other's messages — as long as
 //! every rank creates its plans, and starts operations on them, in the
 //! same order (the usual collective-call discipline, now applied to

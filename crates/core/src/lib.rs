@@ -12,6 +12,7 @@
 //! | Collective **data-movement** framework: compress once, relay compressed bytes through every round, decompress once (§III-A1) | [`frameworks::data_movement`] |
 //! | Collective **computation** framework: pipeline chunk-wise compression with communication so transfers hide inside the kernel (§III-A2, §III-E2) | [`frameworks::computation`] |
 //! | Session + persistent-plan API (`MPI_Allreduce_init` shape): C-Allreduce / C-Scatter / C-Bcast with zero steady-state allocations | [`session`] |
+//! | One plan lifecycle — start, progress, complete, poison, reset, recover — that every collective kind plugs its schedule machine into | [`plan`] |
 //! | Nonblocking collectives (`MPI_Iallreduce` shape): `start`/`progress`/`complete` handles over resumable schedule state machines | [`nonblocking`] |
 //! | Multi-algorithm schedule layer (recursive doubling, Rabenseifner, Bruck, binomial reduce) with cost-model-driven `Auto` selection | [`algorithm`] |
 //! | One-shot compatibility facade over the same engine | [`api`] |
@@ -405,6 +406,7 @@ pub mod frameworks;
 pub mod nonblocking;
 pub mod partition;
 pub(crate) mod pipeline;
+pub mod plan;
 pub mod reduce;
 pub mod session;
 pub mod theory;

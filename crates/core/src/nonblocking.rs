@@ -2800,7 +2800,7 @@ pub(crate) enum ReduceMachine {
 
 impl ReduceMachine {
     /// Rebase every wire tag this machine will use (see `op_base` in
-    /// `session.rs`).
+    /// `plan.rs`).
     pub(crate) fn with_base(self, base: Tag) -> Self {
         match self {
             ReduceMachine::Tree(m) => ReduceMachine::Tree(m.with_base(base)),

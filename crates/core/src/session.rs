@@ -17,7 +17,9 @@
 //!    own a [`CollWorkspace`] of reusable buffers. Repeated
 //!    `execute_into` calls at the planned shape perform **zero heap
 //!    allocations** after the first (warm-up) call — the property pinned
-//!    end to end by `tests/collective_alloc.rs`.
+//!    end to end by `tests/collective_alloc.rs`. The plan and handle
+//!    types and their lifecycle live in [`crate::plan`]; this module
+//!    re-exports their names.
 //!
 //! ```
 //! use c_coll::{CCollSession, CodecSpec, ReduceOp};
@@ -48,25 +50,29 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ccoll_comm::{
-    agree_on_failures, Comm, CommError, CostModel, DeadSet, FaultCounters, NetModel, PayloadPool,
-    ShrunkComm, Tag,
+    agree_on_failures, ClusterNet, Comm, CommError, CostModel, DeadSet, FaultCounters, HierNet,
+    NetModel, PayloadPool, ShrunkComm, Topology,
 };
-use ccoll_comm::{ClusterNet, HierNet, Topology};
 
-use crate::algorithm::{allreduce_schedule, reject_unsupported, Algorithm, PlanOptions, SelectCtx};
+use crate::algorithm::{reject_unsupported, Algorithm, PlanOptions, SelectCtx};
 use crate::api::AllreduceVariant;
 use crate::codec::CodecSpec;
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::frameworks::computation::{self, PipelineConfig};
-use crate::nonblocking::{
-    A2aMachine, AgMode, AgPlanMachine, Alltoall, ArMachine, BcMachine, Bcast, BflyMode, BruckA2a,
-    BruckAg, Butterfly, Gather, HierAg, HierAr, HierBc, HierGroups, Poll, ReduceMachine, RingAg,
-    RingRs, RsMode, Scatter, TreeMode, TreeReduce,
-};
+use crate::nonblocking::RsMode;
 use crate::partition::chunk_lengths;
+use crate::plan::{
+    check_world, Allgather, Allreduce, Alltoall, Bcast, Gather, Plan, PlanCore, Reduce,
+    ReduceScatter, RsStage, Scatter,
+};
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
-use ccoll_comm::SimTime;
+
+pub use crate::plan::{
+    AllgatherHandle, AllgatherPlan, AllreduceHandle, AllreducePlan, AlltoallHandle, AlltoallPlan,
+    BcastHandle, BcastPlan, GatherHandle, GatherPlan, ReduceHandle, ReducePlan,
+    ReduceScatterHandle, ReduceScatterPlan, ScatterHandle, ScatterPlan,
+};
 
 /// A per-rank C-Coll handle: codec built exactly once, pipeline
 /// configuration fixed, world size pinned. Create plans from it for
@@ -97,18 +103,18 @@ use ccoll_comm::SimTime;
 pub struct CCollSession {
     spec: CodecSpec,
     pipe_values: usize,
-    world_size: usize,
-    cpr: Option<CprCodec>,
+    pub(crate) world_size: usize,
+    pub(crate) cpr: Option<CprCodec>,
     cost: CostModel,
     net: NetModel,
     /// The physical topology and per-level network model, when attached
     /// via [`CCollSession::with_topology`]. Present: `Auto` selection
     /// prices schedules per level ([`CostModel::estimate_hier`]) and the
     /// two-level hierarchical schedules join the candidate race.
-    cluster: Option<Arc<ClusterNet>>,
-    feedback: Arc<SessionFeedback>,
-    /// Next per-plan tag-space slot (see [`op_base`]). Deliberately a
-    /// `Cell`, not a shared atomic: a clone *copies* the counter, so a
+    pub(crate) cluster: Option<Arc<ClusterNet>>,
+    pub(crate) feedback: Arc<SessionFeedback>,
+    /// Next per-plan tag-space slot (see `op_base` in [`crate::plan`]).
+    /// Deliberately a `Cell`, not a shared atomic: a clone *copies* the counter, so a
     /// session cloned into per-rank closures hands out identical slot
     /// sequences on every rank — which is exactly the cross-rank
     /// agreement concurrent tag spaces need. Plans meant to run
@@ -131,7 +137,7 @@ pub struct CCollSession {
 /// tracks the *measured* ratio of the live workload instead of the
 /// codec's nominal planning figure.
 #[derive(Debug, Default)]
-struct SessionFeedback {
+pub(crate) struct SessionFeedback {
     /// EWMA of observed compression ratios, stored as `f64` bits.
     /// Zero (the bits of `0.0`, never a valid ratio) means "no sample
     /// yet". Plain relaxed atomics: ranks own distinct sessions, and a
@@ -152,7 +158,7 @@ struct SessionFeedback {
     /// (and its clones) created: incremented by each plan `start()`,
     /// decremented when the operation's handle is dropped (whether it
     /// completed, aborted, or was abandoned mid-operation).
-    live_ops: AtomicU64,
+    pub(crate) live_ops: AtomicU64,
     /// Communicator shrinks performed through [`CCollSession::recover`]
     /// (each successful survivor agreement counts once, even when the
     /// agreed dead-set turned out empty — the epoch still advanced).
@@ -188,7 +194,7 @@ impl SessionFeedback {
         self.ratio_bits.store(next.to_bits(), Ordering::Relaxed);
     }
 
-    fn ratio(&self) -> Option<f64> {
+    pub(crate) fn ratio(&self) -> Option<f64> {
         let bits = self.ratio_bits.load(Ordering::Relaxed);
         if bits == 0 {
             None
@@ -197,7 +203,7 @@ impl SessionFeedback {
         }
     }
 
-    fn record_execution(&self, makespan: Duration) {
+    pub(crate) fn record_execution(&self, makespan: Duration) {
         self.executions.fetch_add(1, Ordering::Relaxed);
         let ns = (makespan.as_nanos() as u64).max(1);
         let prev = self.makespan_ewma_nanos.load(Ordering::Relaxed);
@@ -213,14 +219,14 @@ impl SessionFeedback {
         )
     }
 
-    fn store_net_scales(&self, alpha: f64, beta: f64) {
+    pub(crate) fn store_net_scales(&self, alpha: f64, beta: f64) {
         self.alpha_scale_bits
             .store(alpha.to_bits(), Ordering::Relaxed);
         self.beta_scale_bits
             .store(beta.to_bits(), Ordering::Relaxed);
     }
 
-    fn record_faults(&self, delta: FaultCounters) {
+    pub(crate) fn record_faults(&self, delta: FaultCounters) {
         if delta.retries > 0 {
             self.retries.fetch_add(delta.retries, Ordering::Relaxed);
         }
@@ -300,7 +306,7 @@ pub struct PlanStats {
 
 impl PlanStats {
     /// Fold one completed execution into the stats.
-    fn record(&mut self, makespan: Duration) {
+    pub(crate) fn record(&mut self, makespan: Duration) {
         self.executions += 1;
         self.last_makespan = makespan;
         self.ewma_makespan = if self.executions == 1 {
@@ -311,7 +317,7 @@ impl PlanStats {
     }
 
     /// Fold the fault counters one execution accrued into the stats.
-    fn fold_faults(&mut self, delta: FaultCounters) {
+    pub(crate) fn fold_faults(&mut self, delta: FaultCounters) {
         self.retries += delta.retries;
         self.timeouts += delta.timeouts;
         self.aborts += delta.aborts;
@@ -394,7 +400,7 @@ impl CCollSession {
     /// rank that creates its plans in the same order (the usual
     /// collective discipline) assigns matching slots — which is what
     /// keeps two concurrently-running operations' wire tags disjoint.
-    fn alloc_slot(&self) -> u32 {
+    pub(crate) fn alloc_slot(&self) -> u32 {
         let s = self.next_slot.get();
         self.next_slot.set(s.wrapping_add(1));
         s
@@ -607,7 +613,7 @@ impl CCollSession {
 
     /// Drain a workspace's compression-ratio sample into the session
     /// feedback, returning it. Called by every plan after `execute_into`.
-    fn note_execution(&self, ws: &mut CollWorkspace) -> Option<f64> {
+    pub(crate) fn note_execution(&self, ws: &mut CollWorkspace) -> Option<f64> {
         let sample = ws.pool.take_ratio_sample();
         if let Some(r) = sample {
             self.feedback.record_ratio(r);
@@ -622,7 +628,7 @@ impl CCollSession {
     /// selection only through the post-warm-up re-rank, which first
     /// agrees on one value across the communicator
     /// (see [`AllreducePlan`]'s re-rank).
-    fn select_ctx(&self) -> SelectCtx<'_> {
+    pub(crate) fn select_ctx(&self) -> SelectCtx<'_> {
         let (alpha_scale, beta_scale) = self.feedback.net_scales();
         SelectCtx {
             cost: &self.cost,
@@ -638,7 +644,7 @@ impl CCollSession {
 
     /// Selection context with an explicitly agreed measured ratio (the
     /// re-rank path; `ratio` must be identical on every rank).
-    fn select_ctx_with_ratio(&self, ratio: f64) -> SelectCtx<'_> {
+    pub(crate) fn select_ctx_with_ratio(&self, ratio: f64) -> SelectCtx<'_> {
         SelectCtx {
             measured_ratio: Some(ratio),
             ..self.select_ctx()
@@ -708,7 +714,7 @@ impl CCollSession {
     /// The workspace an allreduce plan at `len` values needs for
     /// `algorithm` (shared by plan construction and the post-warm-up
     /// re-rank, which must re-warm when it switches schedules).
-    fn allreduce_workspace(&self, len: usize, algorithm: Algorithm) -> CollWorkspace {
+    pub(crate) fn allreduce_workspace(&self, len: usize, algorithm: Algorithm) -> CollWorkspace {
         match algorithm {
             Algorithm::Ring if self.pipeline_config().is_some() => {
                 self.warmed_workspace(self.pipe_values.min(len.max(1)), self.pipelined_slots(len))
@@ -729,7 +735,11 @@ impl CCollSession {
     /// hierarchical schedule's scratch must fit the largest *node
     /// block* (the inter-node ring moves whole node aggregates), flat
     /// schedules only the largest per-rank chunk.
-    fn allgather_workspace(&self, max_chunk: usize, algorithm: Algorithm) -> CollWorkspace {
+    pub(crate) fn allgather_workspace(
+        &self,
+        max_chunk: usize,
+        algorithm: Algorithm,
+    ) -> CollWorkspace {
         let values = match (algorithm, self.cluster.as_deref()) {
             (Algorithm::Hierarchical, Some(c)) => c.topo.max_node_size() * max_chunk,
             _ => max_chunk,
@@ -796,25 +806,31 @@ impl CCollSession {
         let mut plan = if algorithm == Algorithm::Ring {
             self.plan_allreduce_variant(len, op, AllreduceVariant::Overlapped)
         } else {
-            AllreducePlan {
-                session: self.clone(),
+            let ws = self.allreduce_workspace(len, algorithm);
+            self.allreduce_plan(len, op, AllreduceVariant::Overlapped, algorithm, ws)
+        };
+        plan.kind.auto = opts.algorithm == Algorithm::Auto;
+        plan
+    }
+
+    fn allreduce_plan(
+        &self,
+        len: usize,
+        op: ReduceOp,
+        variant: AllreduceVariant,
+        algorithm: Algorithm,
+        ws: CollWorkspace,
+    ) -> AllreducePlan {
+        Plan {
+            core: PlanCore::new(self, algorithm, ws),
+            kind: Allreduce {
                 len,
                 op,
-                variant: AllreduceVariant::Overlapped,
-                algorithm,
-                slot: self.alloc_slot(),
-                op_seq: 0,
+                variant,
                 auto: false,
                 reranked: false,
-                stats: PlanStats::default(),
-                in_flight: false,
-                poisoned: None,
-                groups: None,
-                ws: self.allreduce_workspace(len, algorithm),
-            }
-        };
-        plan.auto = opts.algorithm == Algorithm::Auto;
-        plan
+            },
+        }
     }
 
     /// Plan a specific step-wise allreduce variant (Table V) — the
@@ -838,22 +854,8 @@ impl CCollSession {
             }
             _ => (max_chunk, 4),
         };
-        AllreducePlan {
-            session: self.clone(),
-            len,
-            op,
-            variant,
-            algorithm: Algorithm::Ring,
-            slot: self.alloc_slot(),
-            op_seq: 0,
-            auto: false,
-            reranked: false,
-            stats: PlanStats::default(),
-            in_flight: false,
-            poisoned: None,
-            groups: None,
-            ws: self.warmed_workspace(values, slots),
-        }
+        let ws = self.warmed_workspace(values, slots);
+        self.allreduce_plan(len, op, variant, Algorithm::Ring, ws)
     }
 
     /// Plan an equal-count allgather (`len_per_rank` values from every
@@ -897,31 +899,19 @@ impl CCollSession {
             self.world_size,
             "counts must have one entry per rank"
         );
-        let max_chunk = counts.iter().copied().max().unwrap_or(0);
-        // The hierarchical layout aggregates per-node blocks, which only
-        // line up when every rank contributes the same count.
-        let uniform = counts.windows(2).all(|w| w[0] == w[1]);
         let algorithm = match opts.algorithm {
-            Algorithm::Auto => {
-                let ctx = self.select_ctx();
-                let ctx = if uniform {
-                    ctx
-                } else {
-                    SelectCtx {
-                        cluster: None,
-                        ..ctx
-                    }
-                };
-                ctx.allgather(max_chunk)
-            }
+            Algorithm::Auto => Allgather::select(counts, self.select_ctx()),
             a @ (Algorithm::Ring | Algorithm::Bruck) => a,
             Algorithm::Hierarchical => {
                 assert!(
                     self.cluster.is_some(),
                     "hierarchical allgather needs a session topology (with_topology)"
                 );
+                // The hierarchical layout aggregates per-node blocks,
+                // which only line up when every rank contributes the
+                // same count.
                 assert!(
-                    uniform,
+                    counts.windows(2).all(|w| w[0] == w[1]),
                     "hierarchical allgather requires equal per-rank counts"
                 );
                 Algorithm::Hierarchical
@@ -932,20 +922,15 @@ impl CCollSession {
                 &[Algorithm::Ring, Algorithm::Bruck, Algorithm::Hierarchical],
             ),
         };
-        AllgatherPlan {
-            session: self.clone(),
-            counts: counts.to_vec(),
-            total: counts.iter().sum(),
-            algorithm,
-            slot: self.alloc_slot(),
-            op_seq: 0,
-            auto: opts.algorithm == Algorithm::Auto,
-            reranked: false,
-            stats: PlanStats::default(),
-            in_flight: false,
-            poisoned: None,
-            groups: None,
-            ws: self.allgather_workspace(max_chunk, algorithm),
+        let ws = self.allgather_workspace(Allgather::max_chunk(counts), algorithm);
+        Plan {
+            core: PlanCore::new(self, algorithm, ws),
+            kind: Allgather {
+                counts: counts.to_vec(),
+                total: counts.iter().sum(),
+                auto: opts.algorithm == Algorithm::Auto,
+                reranked: false,
+            },
         }
     }
 
@@ -953,21 +938,13 @@ impl CCollSession {
     /// chunk `r` of the balanced partition.
     #[must_use]
     pub fn plan_reduce_scatter(&self, len: usize, op: ReduceOp) -> ReduceScatterPlan {
-        let (values, slots) = match self.pipeline_config() {
-            Some(_) => (self.pipe_values.min(len.max(1)), self.pipelined_slots(len)),
-            None => (len.div_ceil(self.world_size), 4),
-        };
-        ReduceScatterPlan {
-            session: self.clone(),
-            len,
-            op,
-            counts: chunk_lengths(len, self.world_size),
-            slot: self.alloc_slot(),
-            op_seq: 0,
-            stats: PlanStats::default(),
-            in_flight: false,
-            poisoned: None,
-            ws: self.warmed_workspace(values, slots),
+        Plan {
+            core: PlanCore::new(self, Algorithm::Ring, self.reduce_scatter_workspace(len)),
+            kind: ReduceScatter {
+                len,
+                op,
+                counts: chunk_lengths(len, self.world_size),
+            },
         }
     }
 
@@ -998,19 +975,13 @@ impl CCollSession {
     #[must_use]
     pub fn plan_bcast(&self, root: usize, len: usize) -> BcastPlan {
         assert!(root < self.world_size, "root {root} out of range");
-        BcastPlan {
-            session: self.clone(),
-            root,
-            len,
-            algorithm: Algorithm::Binomial,
-            root_node: 0,
-            slot: self.alloc_slot(),
-            op_seq: 0,
-            stats: PlanStats::default(),
-            in_flight: false,
-            poisoned: None,
-            groups: None,
-            ws: self.warmed_workspace(len, 4),
+        Plan {
+            core: PlanCore::new(self, Algorithm::Binomial, self.warmed_workspace(len, 4)),
+            kind: Bcast {
+                root,
+                len,
+                root_node: 0,
+            },
         }
     }
 
@@ -1042,10 +1013,10 @@ impl CCollSession {
             ),
         };
         let mut plan = self.plan_bcast(root, len);
-        plan.algorithm = algorithm;
+        plan.core.algorithm = algorithm;
         if algorithm == Algorithm::Hierarchical {
             let cluster = self.cluster.as_ref().expect("checked above");
-            plan.root_node = cluster.topo.node_of(root);
+            plan.kind.root_node = cluster.topo.node_of(root);
         }
         plan
     }
@@ -1058,17 +1029,17 @@ impl CCollSession {
     #[must_use]
     pub fn plan_scatter(&self, root: usize, total_len: usize) -> ScatterPlan {
         assert!(root < self.world_size, "root {root} out of range");
-        ScatterPlan {
-            session: self.clone(),
-            root,
-            total_len,
-            counts: chunk_lengths(total_len, self.world_size),
-            slot: self.alloc_slot(),
-            op_seq: 0,
-            stats: PlanStats::default(),
-            in_flight: false,
-            poisoned: None,
-            ws: self.warmed_workspace(total_len, 4),
+        Plan {
+            core: PlanCore::new(
+                self,
+                Algorithm::Binomial,
+                self.warmed_workspace(total_len, 4),
+            ),
+            kind: Scatter {
+                root,
+                total_len,
+                counts: chunk_lengths(total_len, self.world_size),
+            },
         }
     }
 
@@ -1098,17 +1069,17 @@ impl CCollSession {
     #[must_use]
     pub fn plan_gather(&self, root: usize, total_len: usize) -> GatherPlan {
         assert!(root < self.world_size, "root {root} out of range");
-        GatherPlan {
-            session: self.clone(),
-            root,
-            total_len,
-            counts: chunk_lengths(total_len, self.world_size),
-            slot: self.alloc_slot(),
-            op_seq: 0,
-            stats: PlanStats::default(),
-            in_flight: false,
-            poisoned: None,
-            ws: self.warmed_workspace(total_len, 4),
+        Plan {
+            core: PlanCore::new(
+                self,
+                Algorithm::Binomial,
+                self.warmed_workspace(total_len, 4),
+            ),
+            kind: Gather {
+                root,
+                total_len,
+                counts: chunk_lengths(total_len, self.world_size),
+            },
         }
     }
 
@@ -1137,16 +1108,13 @@ impl CCollSession {
             "all-to-all buffer ({len}) must divide evenly across {} ranks",
             self.world_size
         );
-        AlltoallPlan {
-            session: self.clone(),
-            len,
-            algorithm: Algorithm::Pairwise,
-            slot: self.alloc_slot(),
-            op_seq: 0,
-            stats: PlanStats::default(),
-            in_flight: false,
-            poisoned: None,
-            ws: self.warmed_workspace(len / self.world_size, 4),
+        Plan {
+            core: PlanCore::new(
+                self,
+                Algorithm::Pairwise,
+                self.warmed_workspace(len / self.world_size, 4),
+            ),
+            kind: Alltoall { len },
         }
     }
 
@@ -1171,11 +1139,11 @@ impl CCollSession {
             ),
         };
         let mut plan = self.plan_alltoall(len);
-        plan.algorithm = algorithm;
+        plan.core.algorithm = algorithm;
         if algorithm == Algorithm::Bruck {
             // Bruck rounds forward up to ceil(world/2) blocks per hop.
             let block = len / world.max(1);
-            plan.ws = self.warmed_workspace((block * world.div_ceil(2)).max(1), 6);
+            plan.core.ws = self.warmed_workspace((block * world.div_ceil(2)).max(1), 6);
         }
         plan
     }
@@ -1222,51 +1190,82 @@ impl CCollSession {
                 &[Algorithm::Rabenseifner, Algorithm::Binomial],
             ),
         };
-        ReducePlan {
-            session: self.clone(),
-            root,
-            len,
-            op,
-            algorithm,
-            slot: self.alloc_slot(),
-            op_seq: 0,
-            auto: opts.algorithm == Algorithm::Auto,
-            reranked: false,
-            stats: PlanStats::default(),
-            in_flight: false,
-            poisoned: None,
-            inner: self.build_reduce_impl(root, len, op, algorithm),
+        let (ws, rs) = self.reduce_workspaces(len, algorithm);
+        let plan = Plan {
+            core: PlanCore::new(self, algorithm, ws),
+            kind: Reduce {
+                root,
+                len,
+                op,
+                auto: opts.algorithm == Algorithm::Auto,
+                reranked: false,
+                rs,
+            },
+        };
+        if algorithm != Algorithm::Binomial {
+            // The reduce-scatter and gather stages each reserve a tag
+            // slot after the plan's own. Both stages run under the
+            // plan's base, so the two are unused on the wire — but plans
+            // created after this one keep the slots, and therefore the
+            // wire tags, they have always had.
+            self.alloc_slot();
+            self.alloc_slot();
         }
+        plan
     }
 
-    /// The schedule-specific state a reduce plan needs (shared by plan
-    /// construction and the post-warm-up re-rank, which rebuilds it when
-    /// the agreed measured ratio flips the schedule).
-    fn build_reduce_impl(
+    /// The schedule-specific state a reduce plan needs — the plan's main
+    /// workspace plus, for the composition, its reduce-scatter stage
+    /// (shared by plan construction and the post-warm-up re-rank, which
+    /// rebuilds both when the agreed measured ratio flips the schedule).
+    pub(crate) fn reduce_workspaces(
         &self,
-        root: usize,
         len: usize,
-        op: ReduceOp,
         algorithm: Algorithm,
-    ) -> ReducePlanImpl {
+    ) -> (CollWorkspace, Option<RsStage>) {
         match algorithm {
-            Algorithm::Binomial => ReducePlanImpl::Binomial {
-                session: self.clone(),
-                op,
-                // The pipelined tree streams the full buffer per hop in
-                // sub-chunks; warm one pool slot per in-flight payload.
-                ws: match self.pipeline_config() {
+            // The pipelined tree streams the full buffer per hop in
+            // sub-chunks; warm one pool slot per in-flight payload.
+            Algorithm::Binomial => {
+                let ws = match self.pipeline_config() {
                     Some(_) => {
                         self.pipelined_stream_workspace(self.pipe_values.min(len.max(1)), len)
                     }
                     None => self.warmed_workspace(len.max(1), 4),
-                },
-            },
-            _ => ReducePlanImpl::RsGather {
-                reduce_scatter: self.plan_reduce_scatter(len, op),
-                gather: self.plan_gather(root, len),
-                mine: Vec::new(),
-            },
+                };
+                (ws, None)
+            }
+            // Reduce-scatter into `mine`, then gather the reduced chunks
+            // at the root: the gather stage owns the main workspace.
+            _ => {
+                let stage = RsStage {
+                    ws: self.reduce_scatter_workspace(len),
+                    counts: chunk_lengths(len, self.world_size),
+                    mine: Vec::new(),
+                };
+                (self.warmed_workspace(len, 4), Some(stage))
+            }
+        }
+    }
+
+    /// The workspace a (pipelined) ring reduce-scatter of `len` values
+    /// needs.
+    fn reduce_scatter_workspace(&self, len: usize) -> CollWorkspace {
+        let (values, slots) = match self.pipeline_config() {
+            Some(_) => (self.pipe_values.min(len.max(1)), self.pipelined_slots(len)),
+            None => (len.div_ceil(self.world_size), 4),
+        };
+        self.warmed_workspace(values, slots)
+    }
+
+    /// The reduce-scatter schedule's compression placement as a
+    /// state-machine mode (shared with the reduce plan's RS + gather
+    /// composition).
+    pub(crate) fn rs_mode(&self) -> RsMode {
+        match (self.pipeline_config(), self.cpr.is_some()) {
+            (Some(cfg), _) => RsMode::Piped(cfg),
+            (None, true) => RsMode::Cpr,
+            (None, false) => RsMode::Raw,
         }
     }
 }
@@ -1377,3196 +1376,6 @@ impl Recovery {
             .stale_discarded
             .fetch_add(sc.stale_discarded(), Ordering::Relaxed);
         Ok(sc)
-    }
-}
-
-/// Agree on the communicator-wide minimum measured compression ratio:
-/// `n−1` ring hops of a 4-byte running minimum (ratio fixed-point scaled
-/// by 1024; 0 encodes "no sample"). Returns `None` unless every rank
-/// contributed a sample — conservative: with partial information the
-/// nominal selection stands.
-fn agree_min_ratio<C: Comm>(
-    comm: &mut C,
-    base: Tag,
-    local: f64,
-    pool: &mut PayloadPool,
-) -> Option<f64> {
-    let n = comm.size();
-    let mut cur = (local.clamp(0.0, 4.0e6) * 1024.0).round() as u32;
-    if n > 1 {
-        let me = comm.rank();
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        for k in 0..n - 1 {
-            let tag = base + crate::collectives::tags::RERANK + k as ccoll_comm::Tag;
-            let payload = pool.write(&cur.to_le_bytes());
-            let got = comm.sendrecv(right, left, tag, payload, ccoll_comm::Category::Others);
-            let peer = u32::from_le_bytes(got[0..4].try_into().expect("4-byte ratio"));
-            cur = cur.min(peer);
-        }
-    }
-    (cur > 0).then(|| cur as f64 / 1024.0)
-}
-
-/// The per-operation tag base: plan slot bits (22..32, `% 1023 + 1` so a
-/// plan's traffic never lands on the base-0 space the compatibility
-/// collectives use) OR'd with a generation bit (16, the plan's start
-/// counter `% 2`). Every schedule tag is `< 0x10000`, so adding a base
-/// keeps two live operations' wire tags disjoint when their (slot,
-/// generation) pairs differ.
-///
-/// Slots separate *different* plans, whose operations may be
-/// simultaneously in flight under a progress engine. The generation
-/// bit separates *adjacent* operations of the same plan: a rank can
-/// run `start()` for operation N+1 while a peer is still mid-operation
-/// N (a handle completes locally once its own receives land), and the
-/// alternating bit keeps N+1's eager sends out of N's posted receives.
-/// Deeper skew cannot occur — the exclusive plan borrow means this
-/// rank finished N before starting N+1, and no rank can finish N+1
-/// without every rank having started it — so one bit is exactly
-/// enough, and the tag working set stays at two generations per plan
-/// (the simulator's tag-keyed tables go warm after two executions,
-/// preserving the zero-allocation steady state).
-fn op_base(slot: u32, op_seq: u32) -> Tag {
-    ((slot % 1023 + 1) << 22) | ((op_seq % 2) << 16)
-}
-
-/// Executions between continuous-calibration rounds on an `Auto` plan
-/// (see [`AllreducePlan`]'s `calibrate`). The first round therefore
-/// happens well after the one-shot measured-ratio re-rank (execution 1),
-/// once the makespan EWMA has a few samples behind it.
-const CALIB_PERIOD: u64 = 4;
-
-/// Relative deadband around 1.0 inside which a calibration round leaves
-/// the α–β scales untouched (measurement noise, not model error).
-const CALIB_DEADBAND: f64 = 0.05;
-
-/// Clamp for the α–β calibration scales: the model is trusted to within
-/// a factor of 64 in either direction.
-const CALIB_MAX_SCALE: f64 = 64.0;
-
-fn check_world<C: Comm>(comm: &C, world_size: usize) {
-    assert_eq!(
-        comm.size(),
-        world_size,
-        "plan built for {world_size} ranks executed on {} ranks",
-        comm.size()
-    );
-}
-
-/// Enforce the one-outstanding-operation-per-plan rule at runtime for
-/// the case the type system cannot catch: a `CollHandle` that was
-/// dropped without completing leaves receives posted and peers
-/// mid-collective, so the plan (and the communicator's tag space) is no
-/// longer in a defined state.
-fn take_in_flight(in_flight: &mut bool) {
-    assert!(
-        !*in_flight,
-        "a previous nonblocking operation on this plan was dropped without \
-         completing; the plan's collective state is undefined"
-    );
-    *in_flight = true;
-}
-
-/// Fold a completed execution into the plan's and the session's measured
-/// statistics, draining the workspace's compression-ratio sample into
-/// the session feedback.
-fn finish_execution<C: Comm>(
-    comm: &mut C,
-    session: &CCollSession,
-    ws: &mut CollWorkspace,
-    stats: &mut PlanStats,
-    t0: SimTime,
-    c0: FaultCounters,
-) {
-    let makespan = comm.now() - t0;
-    stats.record(makespan);
-    if let Some(r) = session.note_execution(ws) {
-        stats.observed_ratio = Some(r);
-    }
-    let faults = comm.profiler().fault_counters().since(c0);
-    stats.fold_faults(faults);
-    session.feedback.record_execution(makespan);
-    session.feedback.record_faults(faults);
-}
-
-// ---------------------------------------------------------------------------
-// Plans.
-// ---------------------------------------------------------------------------
-
-/// Persistent allreduce plan (see [`CCollSession::plan_allreduce`] and
-/// [`CCollSession::plan_allreduce_with`]).
-pub struct AllreducePlan {
-    session: CCollSession,
-    len: usize,
-    op: ReduceOp,
-    variant: AllreduceVariant,
-    algorithm: Algorithm,
-    /// Per-session tag slot (allocated at plan creation) and start
-    /// counter, folded into every wire tag so concurrent operations'
-    /// traffic stays disjoint (see `op_base`).
-    slot: u32,
-    op_seq: u32,
-    /// Created with [`Algorithm::Auto`]: eligible for the one-shot
-    /// post-warm-up re-rank from measured compression ratios.
-    auto: bool,
-    reranked: bool,
-    stats: PlanStats,
-    /// A nonblocking operation is outstanding (set by `start`, cleared
-    /// when the operation completes). Guards against dropped handles.
-    in_flight: bool,
-    /// Set when an execution aborted on an unrecoverable fault; the
-    /// plan refuses further use until [`Self::reset`].
-    poisoned: Option<CollectiveError>,
-    /// The hierarchical communicator split, built lazily on the first
-    /// `start` (plan creation is rank-free; building needs
-    /// `comm.rank()`). A one-time warm-up allocation — steady-state
-    /// executions reuse it untouched.
-    groups: Option<HierGroups>,
-    ws: CollWorkspace,
-}
-
-impl AllreducePlan {
-    /// Values per rank this plan was built for.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the planned buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The planned step-wise variant (meaningful on the ring schedule).
-    pub fn variant(&self) -> AllreduceVariant {
-        self.variant
-    }
-
-    /// The resolved schedule this plan executes (never
-    /// [`Algorithm::Auto`] — selection happens at plan creation, and an
-    /// `Auto` plan may switch once more after its first execution, when
-    /// the measured compression ratio replaces the nominal one).
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Measured statistics: execution count, last end-to-end duration
-    /// and last observed compression ratio.
-    pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    /// True when an aborted execution poisoned this plan (see
-    /// [`CollectiveError`]); [`Self::reset`] clears it.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// The error that poisoned this plan, if any.
-    pub fn poison_error(&self) -> Option<CollectiveError> {
-        self.poisoned
-    }
-
-    /// Clear the poisoned state after an aborted execution, making the
-    /// plan usable again. The aborted operation's partial results are
-    /// discarded (the workspace is scrubbed); fault counters accrued so
-    /// far stay in [`PlanStats`]. Communicator-side leftovers need
-    /// [`Self::reset_in`].
-    pub fn reset(&mut self) {
-        self.ws.abort();
-        self.poisoned = None;
-        self.in_flight = false;
-    }
-
-    /// Like [`Self::reset`], but also scrubs communicator-side leftovers
-    /// of the aborted operation: posted receives and undelivered inbound
-    /// messages are dropped and an abort reason still parked on the
-    /// profiler is drained — state the comm-free `reset` cannot reach.
-    /// Use this form when the operation's handle was dropped without
-    /// observing its error (the [`CollectiveError::Abandoned`] path),
-    /// which leaves both behind; a later operation on the same
-    /// communicator would otherwise spuriously abort on the stale parked
-    /// error or match the abandoned operation's traffic.
-    pub fn reset_in<C: Comm>(&mut self, comm: &mut C) {
-        let _ = comm.profiler().take_error();
-        comm.abort_cleanup();
-        self.reset();
-    }
-
-    /// Abort bookkeeping after an unrecoverable fault: scrub transport
-    /// and workspace state so nothing half-exchanged can be reused,
-    /// fold the fault counters, and poison the plan.
-    fn abort<C: Comm>(&mut self, comm: &mut C, c0: FaultCounters, e: CollectiveError) {
-        comm.abort_cleanup();
-        self.ws.abort();
-        let delta = comm.profiler().fault_counters().since(c0);
-        self.stats.fold_faults(delta);
-        self.session.feedback.record_faults(delta);
-        self.in_flight = false;
-        self.poisoned = Some(e);
-    }
-
-    /// One-shot re-rank for `Auto` plans, at the start of the second
-    /// execution (i.e. after warm-up): re-resolve the schedule with the
-    /// *measured* compression ratio in place of the codec's nominal one.
-    ///
-    /// Ranks measure different ratios on their own data, and a divergent
-    /// pick would deadlock the collective — so the re-rank first agrees
-    /// on the communicator-wide **minimum** measured ratio through a
-    /// 4-byte ring exchange (minimum = the most conservative wire-size
-    /// estimate; `min` is order-independent, so every rank lands on the
-    /// identical value and therefore the identical schedule). If any
-    /// rank has no sample yet, the agreement yields none and the nominal
-    /// selection stands. Switching schedules re-warms the workspace — a
-    /// single allocation event, after which the steady state is
-    /// allocation-free again.
-    fn maybe_rerank<C: Comm>(&mut self, comm: &mut C) {
-        if !self.auto {
-            return;
-        }
-        if !self.reranked {
-            if self.stats.executions == 0 {
-                return;
-            }
-            self.reranked = true;
-            let local = self.session.feedback.ratio().unwrap_or(0.0);
-            let base = op_base(self.slot, self.op_seq);
-            let Some(ratio) = agree_min_ratio(comm, base, local, &mut self.ws.pool) else {
-                return;
-            };
-            let algorithm = self
-                .session
-                .select_ctx_with_ratio(ratio)
-                .allreduce(self.len);
-            self.switch_to(algorithm);
-            return;
-        }
-        if self.stats.executions == 0 || !self.stats.executions.is_multiple_of(CALIB_PERIOD) {
-            return;
-        }
-        self.calibrate(comm);
-    }
-
-    /// Adopt a re-resolved schedule: re-warm the workspace and drop the
-    /// cached hierarchical split (a single allocation event; the steady
-    /// state is allocation-free again afterwards). No-op when the
-    /// schedule did not change.
-    fn switch_to(&mut self, algorithm: Algorithm) {
-        if algorithm != self.algorithm {
-            self.algorithm = algorithm;
-            self.groups = None;
-            self.ws = self.session.allreduce_workspace(self.len, algorithm);
-        }
-    }
-
-    /// One continuous-calibration round (every [`CALIB_PERIOD`]-th
-    /// execution): regress the measured makespan EWMA against the cost
-    /// model's prediction for the running schedule and correct the
-    /// session's α–β scales, then re-rank under the corrected model.
-    ///
-    /// The regression isolates the *network* share — both sides subtract
-    /// the schedule's compute-only floor (codec + reduction + memcpy
-    /// terms priced over a free network), so a codec-throughput
-    /// mismatch never masquerades as a fabric correction. Ranks measure
-    /// different makespans, so the ratio is first agreed to the
-    /// communicator-wide **minimum** (the most conservative "fabric is
-    /// slower than modeled" evidence; order-independent, hence
-    /// identical on every rank), over a tag band disjoint from the
-    /// one-shot re-rank's. The correction splits between α and β by the
-    /// model's own finite-difference sensitivities and is damped (square
-    /// root per round) and clamped to `[1/64, 64]`, so one noisy window
-    /// cannot fling selection across the schedule space; a ±5% deadband
-    /// leaves a well-calibrated model alone. Every input to the
-    /// pre-agreement gate is rank-independent, so no rank can enter the
-    /// ring exchange alone and deadlock.
-    fn calibrate<C: Comm>(&mut self, comm: &mut C) {
-        let schedule = allreduce_schedule(self.algorithm);
-        let ctx = self.session.select_ctx();
-        let pred = ctx.predict(schedule, self.len).as_secs_f64();
-        let floor = ctx.compute_floor(schedule, self.len).as_secs_f64();
-        if !(pred.is_finite() && pred > floor) {
-            return;
-        }
-        let measured = self.stats.ewma_makespan.as_secs_f64();
-        let r_local = ((measured - floor) / (pred - floor)).max(0.0);
-        let base = op_base(self.slot, self.op_seq);
-        let Some(r) = agree_min_ratio(comm, base + 0x400, r_local, &mut self.ws.pool) else {
-            // Some rank's measured makespan sits below its compute
-            // floor — no trustworthy network signal this round.
-            return;
-        };
-        if (r - 1.0).abs() >= CALIB_DEADBAND {
-            let share = ctx.alpha_share(schedule, self.len);
-            let clamp = |s: f64| s.clamp(1.0 / CALIB_MAX_SCALE, CALIB_MAX_SCALE);
-            // Computed from the pre-round scales (read by every rank
-            // before any rank finishes the agreement) and stored, not
-            // read-modify-written: ranks sharing one feedback through
-            // session clones apply the identical correction
-            // idempotently.
-            self.session.feedback.store_net_scales(
-                clamp(ctx.alpha_scale * r.powf(0.5 * share)),
-                clamp(ctx.beta_scale * r.powf(0.5 * (1.0 - share))),
-            );
-        }
-        let local_ratio = self.session.feedback.ratio().unwrap_or(0.0);
-        let algorithm = match agree_min_ratio(comm, base + 0x800, local_ratio, &mut self.ws.pool) {
-            Some(ratio) => self
-                .session
-                .select_ctx_with_ratio(ratio)
-                .allreduce(self.len),
-            None => self.session.select_ctx().allreduce(self.len),
-        };
-        self.switch_to(algorithm);
-    }
-
-    /// Execute into a caller-provided buffer: zero steady-state heap
-    /// allocations after the warm-up call.
-    ///
-    /// ```
-    /// use c_coll::{CCollSession, CodecSpec, ReduceOp};
-    /// use ccoll_comm::{Comm, SimConfig, SimWorld};
-    ///
-    /// let n = 4;
-    /// let world = SimWorld::new(SimConfig::new(n));
-    /// let out = world.run(move |comm| {
-    ///     let session = CCollSession::new(CodecSpec::None, n);
-    ///     let mut plan = session.plan_allreduce(1000, ReduceOp::Sum);
-    ///     let input = vec![comm.rank() as f32; 1000];
-    ///     let mut result = vec![0.0f32; 1000];
-    ///     plan.execute_into(comm, &input, &mut result);
-    ///     result[0]
-    /// });
-    /// // Exact (uncompressed): sum of ranks 0+1+2+3.
-    /// assert!(out.results.iter().all(|&x| x == 6.0));
-    /// ```
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan.
-    pub fn execute_into<C: Comm>(&mut self, comm: &mut C, input: &[f32], out: &mut [f32]) {
-        self.start(comm, input, out).complete(comm);
-    }
-
-    /// Fallible variant of [`Self::execute_into`]: on an unrecoverable
-    /// fault under an active [`FaultPolicy`](ccoll_comm::FaultPolicy)
-    /// it aborts cleanly, poisons the plan and returns the structured
-    /// error instead of panicking.
-    pub fn try_execute_into<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CollectiveError> {
-        if self.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        self.start(comm, input, out).try_complete(comm)
-    }
-
-    /// Re-plan for the shrunk world after a communicator shrink (see
-    /// [`CCollSession::recover`]): the plan's partition, worst-case
-    /// sizes and workspace are rebuilt for `r.session()`'s world, its
-    /// poison is cleared, and its statistics carry over (with the
-    /// shrink counted). `Auto` plans re-resolve their schedule for the
-    /// shrunk world and become eligible for a fresh post-warm-up
-    /// re-rank. Every surviving rank must recover its plans in the same
-    /// order (the usual plan-creation discipline). Dead ranks'
-    /// reduction contributions are dropped: the recovered plan computes
-    /// the survivors' allreduce (restart-on-survivors semantics).
-    pub fn recover(&mut self, r: &Recovery) -> Result<(), CollectiveError> {
-        let s = r.session();
-        let fresh = if self.auto || self.algorithm == Algorithm::Hierarchical {
-            // The shrunk session dropped the (now-stale) topology, so
-            // an explicitly hierarchical plan re-resolves flat like an
-            // `Auto` one.
-            s.plan_allreduce_with(self.len, self.op, PlanOptions::new())
-        } else if self.algorithm == Algorithm::Ring {
-            s.plan_allreduce_variant(self.len, self.op, self.variant)
-        } else {
-            s.plan_allreduce_with(
-                self.len,
-                self.op,
-                PlanOptions::new().algorithm(self.algorithm),
-            )
-        };
-        self.session = fresh.session;
-        self.algorithm = fresh.algorithm;
-        self.variant = fresh.variant;
-        self.ws = fresh.ws;
-        self.groups = None;
-        self.reranked = false;
-        self.poisoned = None;
-        self.in_flight = false;
-        self.stats.shrinks += 1;
-        Ok(())
-    }
-
-    /// The resolved schedule's state machine (ND — CPR-P2P
-    /// reduce-scatter + compress-once allgather — serves as the ring
-    /// fallback for codecs without an error bound, exactly as the
-    /// blocking dispatch always did).
-    fn machine(&self) -> ArMachine {
-        let compressed = self.session.cpr.is_some();
-        let cfg = self.session.pipeline_config();
-        match (self.algorithm, compressed) {
-            (Algorithm::RecursiveDoubling, false) => {
-                ArMachine::Butterfly(Butterfly::recursive_doubling(BflyMode::Raw))
-            }
-            (Algorithm::RecursiveDoubling, true) => {
-                ArMachine::Butterfly(Butterfly::recursive_doubling(BflyMode::Cpr))
-            }
-            (Algorithm::Rabenseifner, false) => {
-                ArMachine::Butterfly(Butterfly::rabenseifner(BflyMode::Raw))
-            }
-            // Error-bounded codecs drive the pipelined halving phase;
-            // others run the monolithic CPR butterfly.
-            (Algorithm::Rabenseifner, true) => match cfg {
-                Some(c) => ArMachine::Butterfly(Butterfly::rabenseifner(BflyMode::Piped(c))),
-                None => ArMachine::Butterfly(Butterfly::rabenseifner(BflyMode::Cpr)),
-            },
-            // The hierarchical mode names the inter-node leader leg;
-            // node-local legs are always raw (intra-node links don't
-            // pay for a codec).
-            (Algorithm::Hierarchical, false) => ArMachine::Hier(HierAr::new(BflyMode::Raw)),
-            (Algorithm::Hierarchical, true) => match cfg {
-                Some(c) => ArMachine::Hier(HierAr::new(BflyMode::Piped(c))),
-                None => ArMachine::Hier(HierAr::new(BflyMode::Cpr)),
-            },
-            (_, false) => ArMachine::ring(RsMode::Raw, AgMode::Raw),
-            (_, true) => match self.variant {
-                AllreduceVariant::Original => ArMachine::ring(RsMode::Raw, AgMode::Raw),
-                AllreduceVariant::DirectIntegration => ArMachine::ring(RsMode::Cpr, AgMode::Cpr),
-                AllreduceVariant::NovelDesign => {
-                    ArMachine::ring(RsMode::Cpr, AgMode::Compressed { overlap: true })
-                }
-                AllreduceVariant::Overlapped => match cfg {
-                    Some(c) => {
-                        ArMachine::ring(RsMode::Piped(c), AgMode::Compressed { overlap: true })
-                    }
-                    // Codecs without an error bound (ZFP-FXR) cannot
-                    // drive the SZx pipeline; the best schedule
-                    // available is ND.
-                    None => ArMachine::ring(RsMode::Cpr, AgMode::Compressed { overlap: true }),
-                },
-            },
-        }
-    }
-
-    /// Begin a nonblocking allreduce (the `MPI_Iallreduce` shape): the
-    /// returned handle borrows this plan exclusively — one outstanding
-    /// operation per plan, enforced by the borrow — plus the caller's
-    /// buffers. Drive it with [`AllreduceHandle::progress`] between
-    /// slices of application compute and finish with
-    /// [`AllreduceHandle::complete`]; see the crate-level quick start.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan, or if a previous handle was dropped mid-operation.
-    pub fn start<'p, 'b, C: Comm>(
-        &'p mut self,
-        comm: &mut C,
-        input: &'b [f32],
-        out: &'b mut [f32],
-    ) -> AllreduceHandle<'p, 'b> {
-        check_world(comm, self.session.world_size);
-        assert_eq!(input.len(), self.len, "input disagrees with plan length");
-        assert_eq!(out.len(), self.len, "output disagrees with plan length");
-        self.maybe_rerank(comm);
-        if self.algorithm == Algorithm::Hierarchical && self.groups.is_none() {
-            let cl = self
-                .session
-                .cluster
-                .as_ref()
-                .expect("hierarchical plans require a session topology");
-            self.groups = Some(HierGroups::build(&cl.topo, comm.rank(), 0));
-        }
-        assert!(
-            self.poisoned.is_none(),
-            "plan was poisoned by an aborted execution; call reset() to reuse"
-        );
-        take_in_flight(&mut self.in_flight);
-        self.op_seq = self.op_seq.wrapping_add(1);
-        self.session
-            .feedback
-            .live_ops
-            .fetch_add(1, Ordering::Relaxed);
-        let t0 = comm.now();
-        let c0 = comm.profiler().fault_counters();
-        let machine = self.machine().with_base(op_base(self.slot, self.op_seq));
-        AllreduceHandle {
-            machine,
-            plan: self,
-            input,
-            out,
-            t0,
-            c0,
-            done: false,
-        }
-    }
-
-    /// Allocating convenience wrapper over [`AllreducePlan::execute_into`].
-    #[must_use]
-    pub fn execute<C: Comm>(&mut self, comm: &mut C, input: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len];
-        self.execute_into(comm, input, &mut out);
-        out
-    }
-}
-
-/// An in-flight nonblocking allreduce (see [`AllreducePlan::start`]).
-///
-/// The handle exclusively borrows its plan (one outstanding operation
-/// per plan) and the caller's input/output buffers for the operation's
-/// lifetime. `progress` never blocks; `complete` drains whatever is
-/// left and records the plan's statistics.
-pub struct AllreduceHandle<'p, 'b> {
-    plan: &'p mut AllreducePlan,
-    input: &'b [f32],
-    out: &'b mut [f32],
-    t0: SimTime,
-    c0: FaultCounters,
-    machine: ArMachine,
-    done: bool,
-}
-
-impl AllreduceHandle<'_, '_> {
-    fn drive_machine<C: Comm>(&mut self, comm: &mut C, block: bool) -> Poll {
-        if self.done {
-            return Poll::Ready;
-        }
-        let AllreducePlan {
-            session,
-            op,
-            stats,
-            in_flight,
-            groups,
-            ws,
-            ..
-        } = &mut *self.plan;
-        match self.machine.step(
-            comm,
-            session.cpr.as_ref(),
-            *op,
-            groups.as_ref(),
-            self.input,
-            self.out,
-            ws,
-            block,
-        ) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready => {
-                finish_execution(comm, session, ws, stats, self.t0, self.c0);
-                *in_flight = false;
-                self.done = true;
-                Poll::Ready
-            }
-        }
-    }
-
-    /// Advance the collective without blocking: performs a bounded slice
-    /// of work (compression, arrived-message processing, send retiring)
-    /// and returns [`Poll::Pending`] at the first transfer that has not
-    /// completed yet. Returns [`Poll::Ready`] once the result is fully
-    /// in the output buffer.
-    pub fn progress<C: Comm>(&mut self, comm: &mut C) -> Poll {
-        match self.try_progress(comm) {
-            Ok(p) => p,
-            Err(e) => panic!("collective aborted: {e}; plan poisoned (reset() to reuse)"),
-        }
-    }
-
-    /// Step the machine once and translate an abort suspension into a
-    /// structured error: the state machines signal "cannot proceed"
-    /// through their normal pending path and park the reason on the
-    /// profiler ([`ccoll_comm::Profiler::take_error`]).
-    pub(crate) fn drive<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        block: bool,
-    ) -> Result<Poll, CollectiveError> {
-        if self.plan.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        match self.drive_machine(comm, block) {
-            Poll::Ready => Ok(Poll::Ready),
-            Poll::Pending => match comm.profiler().take_error() {
-                None => Ok(Poll::Pending),
-                Some(err) => {
-                    let e = CollectiveError::Comm(err);
-                    self.plan.abort(comm, self.c0, e);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// Fallible [`Self::progress`]: advance without blocking, returning
-    /// the structured error (and poisoning the plan) if the operation
-    /// aborted on an unrecoverable fault.
-    pub fn try_progress<C: Comm>(&mut self, comm: &mut C) -> Result<Poll, CollectiveError> {
-        self.drive(comm, false)
-    }
-
-    /// Fallible [`Self::complete`]: drain the remaining transfers,
-    /// returning the structured error (and poisoning the plan) if the
-    /// operation aborted on an unrecoverable fault.
-    pub fn try_complete<C: Comm>(mut self, comm: &mut C) -> Result<(), CollectiveError> {
-        loop {
-            match self.drive(comm, true)? {
-                Poll::Ready => return Ok(()),
-                Poll::Pending => {}
-            }
-        }
-    }
-
-    /// True once the operation has completed (a prior `progress`
-    /// returned [`Poll::Ready`]).
-    pub fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    /// Finish the collective, blocking on whatever transfers remain
-    /// (equivalent to draining `progress` with blocking waits — the tail
-    /// that application compute could not hide).
-    pub fn complete<C: Comm>(self, comm: &mut C) {
-        if let Err(e) = self.try_complete(comm) {
-            panic!("collective aborted: {e}; plan poisoned (reset() to reuse)");
-        }
-    }
-}
-
-impl Drop for AllreduceHandle<'_, '_> {
-    fn drop(&mut self) {
-        self.plan
-            .session
-            .feedback
-            .live_ops
-            .fetch_sub(1, Ordering::Relaxed);
-        if !self.done && self.plan.poisoned.is_none() {
-            // Dropped mid-operation: receives may still be posted and
-            // peers may be mid-collective, so this plan's exchanged
-            // state is undefined. Poison *only* this plan; sibling
-            // operations use disjoint tag bases and are unaffected.
-            self.plan.ws.abort();
-            self.plan.in_flight = false;
-            self.plan.poisoned = Some(CollectiveError::Abandoned);
-        }
-    }
-}
-
-/// Persistent allgather plan (see [`CCollSession::plan_allgatherv`] and
-/// [`CCollSession::plan_allgatherv_with`]).
-pub struct AllgatherPlan {
-    session: CCollSession,
-    counts: Vec<usize>,
-    total: usize,
-    algorithm: Algorithm,
-    /// Per-session tag slot + start counter (see `op_base`).
-    slot: u32,
-    op_seq: u32,
-    /// Created with [`Algorithm::Auto`]: eligible for the one-shot
-    /// post-warm-up re-rank from measured compression ratios.
-    auto: bool,
-    reranked: bool,
-    stats: PlanStats,
-    in_flight: bool,
-    /// Set when an execution aborted on an unrecoverable fault; the
-    /// plan refuses further use until [`Self::reset`].
-    poisoned: Option<CollectiveError>,
-    /// Node/leader split for hierarchical schedules, built lazily on the
-    /// first `start` (plan creation is rank-free; the split needs
-    /// `comm.rank()`). Dropped on a schedule switch or recovery.
-    groups: Option<HierGroups>,
-    ws: CollWorkspace,
-}
-
-impl AllgatherPlan {
-    /// Per-rank value counts.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
-    /// Total gathered length (the required output size).
-    pub fn total_len(&self) -> usize {
-        self.total
-    }
-
-    /// The resolved schedule this plan executes (an `Auto` plan may
-    /// switch once after warm-up, from the communicator-agreed measured
-    /// compression ratio — see [`AllreducePlan::algorithm`]).
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Measured statistics (see [`PlanStats`]).
-    pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    /// True when an aborted execution poisoned this plan (see
-    /// [`CollectiveError`]); [`Self::reset`] clears it.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// The error that poisoned this plan, if any.
-    pub fn poison_error(&self) -> Option<CollectiveError> {
-        self.poisoned
-    }
-
-    /// Clear the poisoned state after an aborted execution, making the
-    /// plan usable again. The aborted operation's partial results are
-    /// discarded (the workspace is scrubbed); fault counters accrued so
-    /// far stay in [`PlanStats`]. Communicator-side leftovers need
-    /// [`Self::reset_in`].
-    pub fn reset(&mut self) {
-        self.ws.abort();
-        self.poisoned = None;
-        self.in_flight = false;
-    }
-
-    /// Like [`Self::reset`], but also scrubs communicator-side leftovers
-    /// of the aborted operation: posted receives and undelivered inbound
-    /// messages are dropped and an abort reason still parked on the
-    /// profiler is drained — state the comm-free `reset` cannot reach.
-    /// Use this form when the operation's handle was dropped without
-    /// observing its error (the [`CollectiveError::Abandoned`] path),
-    /// which leaves both behind; a later operation on the same
-    /// communicator would otherwise spuriously abort on the stale parked
-    /// error or match the abandoned operation's traffic.
-    pub fn reset_in<C: Comm>(&mut self, comm: &mut C) {
-        let _ = comm.profiler().take_error();
-        comm.abort_cleanup();
-        self.reset();
-    }
-
-    /// Abort bookkeeping after an unrecoverable fault: scrub transport
-    /// and workspace state so nothing half-exchanged can be reused,
-    /// fold the fault counters, and poison the plan.
-    fn abort<C: Comm>(&mut self, comm: &mut C, c0: FaultCounters, e: CollectiveError) {
-        comm.abort_cleanup();
-        self.ws.abort();
-        let delta = comm.profiler().fault_counters().since(c0);
-        self.stats.fold_faults(delta);
-        self.session.feedback.record_faults(delta);
-        self.in_flight = false;
-        self.poisoned = Some(e);
-    }
-
-    /// One-shot post-warm-up re-rank for `Auto` plans, PR-4's allreduce
-    /// mechanism extended to allgather: agree on the communicator-wide
-    /// minimum measured ratio, re-resolve Ring vs Bruck with it, and
-    /// re-warm the workspace on a switch (a single allocation event).
-    fn maybe_rerank<C: Comm>(&mut self, comm: &mut C) {
-        if !self.auto || self.reranked || self.stats.executions == 0 {
-            return;
-        }
-        self.reranked = true;
-        let local = self.session.feedback.ratio().unwrap_or(0.0);
-        let base = op_base(self.slot, self.op_seq);
-        let Some(ratio) = agree_min_ratio(comm, base, local, &mut self.ws.pool) else {
-            return;
-        };
-        let max_chunk = self.counts.iter().copied().max().unwrap_or(0);
-        let uniform = self.counts.windows(2).all(|w| w[0] == w[1]);
-        let ctx = self.session.select_ctx_with_ratio(ratio);
-        let ctx = if uniform {
-            ctx
-        } else {
-            SelectCtx {
-                cluster: None,
-                ..ctx
-            }
-        };
-        let algorithm = ctx.allgather(max_chunk);
-        if algorithm != self.algorithm {
-            self.algorithm = algorithm;
-            self.groups = None;
-            self.ws = self.session.allgather_workspace(max_chunk, algorithm);
-        }
-    }
-
-    /// Re-plan for the shrunk world after a communicator shrink (see
-    /// [`CCollSession::recover`]): the dead ranks' contributions are
-    /// dropped from the gathered layout ([`Recovery::surviving_counts`]),
-    /// the workspace is rebuilt, poison is cleared, and statistics carry
-    /// over (with the shrink counted). `Auto` plans re-resolve their
-    /// schedule for the shrunk world. Every surviving rank must recover
-    /// its plans in the same order (the usual plan-creation discipline).
-    pub fn recover(&mut self, r: &Recovery) -> Result<(), CollectiveError> {
-        let counts = r.surviving_counts(&self.counts);
-        // The shrunk session dropped the (now-stale) topology, so an
-        // explicitly hierarchical plan re-resolves flat like `Auto`.
-        let opts = if self.auto || self.algorithm == Algorithm::Hierarchical {
-            PlanOptions::new()
-        } else {
-            PlanOptions::new().algorithm(self.algorithm)
-        };
-        let fresh = r.session().plan_allgatherv_with(&counts, opts);
-        self.session = fresh.session;
-        self.counts = fresh.counts;
-        self.total = fresh.total;
-        self.algorithm = fresh.algorithm;
-        self.ws = fresh.ws;
-        self.reranked = false;
-        self.poisoned = None;
-        self.in_flight = false;
-        self.groups = None;
-        self.stats.shrinks += 1;
-        Ok(())
-    }
-
-    fn machine(&self) -> AgPlanMachine {
-        let compressed = self.session.cpr.is_some();
-        match (self.algorithm, compressed) {
-            (Algorithm::Bruck, c) => AgPlanMachine::Bruck(BruckAg::new(c)),
-            (Algorithm::Hierarchical, c) => {
-                let groups = self
-                    .groups
-                    .as_ref()
-                    .expect("hierarchical plans build their groups at start");
-                let mode = if c {
-                    AgMode::Compressed { overlap: true }
-                } else {
-                    AgMode::Raw
-                };
-                AgPlanMachine::Hier(HierAg::new(mode, groups.node_counts[groups.node]))
-            }
-            (_, true) => AgPlanMachine::Ring(RingAg::new(AgMode::Compressed { overlap: true })),
-            (_, false) => AgPlanMachine::Ring(RingAg::new(AgMode::Raw)),
-        }
-    }
-
-    /// Execute into a caller-provided buffer (`total_len` values).
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan.
-    pub fn execute_into<C: Comm>(&mut self, comm: &mut C, mine: &[f32], out: &mut [f32]) {
-        self.start(comm, mine, out).complete(comm);
-    }
-
-    /// Fallible variant of [`Self::execute_into`]: on an unrecoverable
-    /// fault under an active [`FaultPolicy`](ccoll_comm::FaultPolicy)
-    /// it aborts cleanly, poisons the plan and returns the structured
-    /// error instead of panicking.
-    pub fn try_execute_into<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        mine: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CollectiveError> {
-        if self.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        self.start(comm, mine, out).try_complete(comm)
-    }
-
-    /// Begin a nonblocking allgather; see [`AllreducePlan::start`] for
-    /// the handle contract.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan, or if a previous handle was dropped mid-operation.
-    pub fn start<'p, 'b, C: Comm>(
-        &'p mut self,
-        comm: &mut C,
-        mine: &'b [f32],
-        out: &'b mut [f32],
-    ) -> AllgatherHandle<'p, 'b> {
-        check_world(comm, self.session.world_size);
-        assert_eq!(
-            mine.len(),
-            self.counts[comm.rank()],
-            "my buffer disagrees with counts"
-        );
-        assert_eq!(out.len(), self.total, "output buffer size mismatch");
-        self.maybe_rerank(comm);
-        if self.algorithm == Algorithm::Hierarchical && self.groups.is_none() {
-            let cl = self
-                .session
-                .cluster
-                .as_ref()
-                .expect("hierarchical plans require a session topology");
-            self.groups = Some(HierGroups::build(
-                &cl.topo,
-                comm.rank(),
-                self.counts[comm.rank()],
-            ));
-        }
-        assert!(
-            self.poisoned.is_none(),
-            "plan was poisoned by an aborted execution; call reset() to reuse"
-        );
-        take_in_flight(&mut self.in_flight);
-        self.op_seq = self.op_seq.wrapping_add(1);
-        self.session
-            .feedback
-            .live_ops
-            .fetch_add(1, Ordering::Relaxed);
-        let t0 = comm.now();
-        let c0 = comm.profiler().fault_counters();
-        // The ring machines read the partition from the workspace; the
-        // Bruck machine re-caches it from the counts it is handed.
-        self.ws.set_partition_from_counts(&self.counts);
-        let machine = self.machine().with_base(op_base(self.slot, self.op_seq));
-        AllgatherHandle {
-            machine,
-            plan: self,
-            mine,
-            out,
-            t0,
-            c0,
-            done: false,
-        }
-    }
-
-    /// Allocating convenience wrapper over [`AllgatherPlan::execute_into`].
-    #[must_use]
-    pub fn execute<C: Comm>(&mut self, comm: &mut C, mine: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.total];
-        self.execute_into(comm, mine, &mut out);
-        out
-    }
-}
-
-/// An in-flight nonblocking allgather (see [`AllgatherPlan::start`]).
-pub struct AllgatherHandle<'p, 'b> {
-    plan: &'p mut AllgatherPlan,
-    mine: &'b [f32],
-    out: &'b mut [f32],
-    t0: SimTime,
-    c0: FaultCounters,
-    machine: AgPlanMachine,
-    done: bool,
-}
-
-impl AllgatherHandle<'_, '_> {
-    fn drive_machine<C: Comm>(&mut self, comm: &mut C, block: bool) -> Poll {
-        if self.done {
-            return Poll::Ready;
-        }
-        let AllgatherPlan {
-            session,
-            counts,
-            stats,
-            in_flight,
-            groups,
-            ws,
-            ..
-        } = &mut *self.plan;
-        let cpr = session.cpr.as_ref();
-        let polled = match &mut self.machine {
-            AgPlanMachine::Ring(m) => m.step(comm, cpr, Some(self.mine), self.out, ws, block),
-            AgPlanMachine::Bruck(m) => m.step(comm, cpr, self.mine, counts, self.out, ws, block),
-            AgPlanMachine::Hier(m) => {
-                let groups = groups
-                    .as_ref()
-                    .expect("hierarchical plans build their groups at start");
-                m.step(comm, cpr, groups, self.mine, self.out, ws, block)
-            }
-        };
-        match polled {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready => {
-                finish_execution(comm, session, ws, stats, self.t0, self.c0);
-                *in_flight = false;
-                self.done = true;
-                Poll::Ready
-            }
-        }
-    }
-
-    /// Advance without blocking (see [`AllreduceHandle::progress`]).
-    pub fn progress<C: Comm>(&mut self, comm: &mut C) -> Poll {
-        match self.try_progress(comm) {
-            Ok(p) => p,
-            Err(e) => panic!("collective aborted: {e}; plan poisoned (reset() to reuse)"),
-        }
-    }
-
-    /// Step the machine once and translate an abort suspension into a
-    /// structured error: the state machines signal "cannot proceed"
-    /// through their normal pending path and park the reason on the
-    /// profiler ([`ccoll_comm::Profiler::take_error`]).
-    pub(crate) fn drive<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        block: bool,
-    ) -> Result<Poll, CollectiveError> {
-        if self.plan.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        match self.drive_machine(comm, block) {
-            Poll::Ready => Ok(Poll::Ready),
-            Poll::Pending => match comm.profiler().take_error() {
-                None => Ok(Poll::Pending),
-                Some(err) => {
-                    let e = CollectiveError::Comm(err);
-                    self.plan.abort(comm, self.c0, e);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// Fallible [`Self::progress`]: advance without blocking, returning
-    /// the structured error (and poisoning the plan) if the operation
-    /// aborted on an unrecoverable fault.
-    pub fn try_progress<C: Comm>(&mut self, comm: &mut C) -> Result<Poll, CollectiveError> {
-        self.drive(comm, false)
-    }
-
-    /// Fallible [`Self::complete`]: drain the remaining transfers,
-    /// returning the structured error (and poisoning the plan) if the
-    /// operation aborted on an unrecoverable fault.
-    pub fn try_complete<C: Comm>(mut self, comm: &mut C) -> Result<(), CollectiveError> {
-        loop {
-            match self.drive(comm, true)? {
-                Poll::Ready => return Ok(()),
-                Poll::Pending => {}
-            }
-        }
-    }
-
-    /// True once the operation has completed.
-    pub fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    /// Finish the collective, blocking on whatever transfers remain.
-    pub fn complete<C: Comm>(self, comm: &mut C) {
-        if let Err(e) = self.try_complete(comm) {
-            panic!("collective aborted: {e}; plan poisoned (reset() to reuse)");
-        }
-    }
-}
-
-impl Drop for AllgatherHandle<'_, '_> {
-    fn drop(&mut self) {
-        self.plan
-            .session
-            .feedback
-            .live_ops
-            .fetch_sub(1, Ordering::Relaxed);
-        if !self.done && self.plan.poisoned.is_none() {
-            self.plan.ws.abort();
-            self.plan.in_flight = false;
-            self.plan.poisoned = Some(CollectiveError::Abandoned);
-        }
-    }
-}
-
-/// Persistent reduce-scatter plan (see
-/// [`CCollSession::plan_reduce_scatter`]).
-pub struct ReduceScatterPlan {
-    session: CCollSession,
-    len: usize,
-    op: ReduceOp,
-    counts: Vec<usize>,
-    /// Per-session tag slot + start counter (see `op_base`).
-    slot: u32,
-    op_seq: u32,
-    stats: PlanStats,
-    in_flight: bool,
-    /// Set when an execution aborted on an unrecoverable fault; the
-    /// plan refuses further use until [`Self::reset`].
-    poisoned: Option<CollectiveError>,
-    ws: CollWorkspace,
-}
-
-impl ReduceScatterPlan {
-    /// Values per rank this plan was built for.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the planned buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The output length on `rank` (its chunk of the balanced partition).
-    pub fn output_len(&self, rank: usize) -> usize {
-        self.counts[rank]
-    }
-
-    /// The resolved schedule this plan executes (always the ring).
-    pub fn algorithm(&self) -> Algorithm {
-        Algorithm::Ring
-    }
-
-    /// Measured statistics (see [`PlanStats`]).
-    pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    /// True when an aborted execution poisoned this plan (see
-    /// [`CollectiveError`]); [`Self::reset`] clears it.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// The error that poisoned this plan, if any.
-    pub fn poison_error(&self) -> Option<CollectiveError> {
-        self.poisoned
-    }
-
-    /// Clear the poisoned state after an aborted execution, making the
-    /// plan usable again. The aborted operation's partial results are
-    /// discarded (the workspace is scrubbed); fault counters accrued so
-    /// far stay in [`PlanStats`]. Communicator-side leftovers need
-    /// [`Self::reset_in`].
-    pub fn reset(&mut self) {
-        self.ws.abort();
-        self.poisoned = None;
-        self.in_flight = false;
-    }
-
-    /// Like [`Self::reset`], but also scrubs communicator-side leftovers
-    /// of the aborted operation: posted receives and undelivered inbound
-    /// messages are dropped and an abort reason still parked on the
-    /// profiler is drained — state the comm-free `reset` cannot reach.
-    /// Use this form when the operation's handle was dropped without
-    /// observing its error (the [`CollectiveError::Abandoned`] path),
-    /// which leaves both behind; a later operation on the same
-    /// communicator would otherwise spuriously abort on the stale parked
-    /// error or match the abandoned operation's traffic.
-    pub fn reset_in<C: Comm>(&mut self, comm: &mut C) {
-        let _ = comm.profiler().take_error();
-        comm.abort_cleanup();
-        self.reset();
-    }
-
-    /// Abort bookkeeping after an unrecoverable fault: scrub transport
-    /// and workspace state so nothing half-exchanged can be reused,
-    /// fold the fault counters, and poison the plan.
-    fn abort<C: Comm>(&mut self, comm: &mut C, c0: FaultCounters, e: CollectiveError) {
-        comm.abort_cleanup();
-        self.ws.abort();
-        let delta = comm.profiler().fault_counters().since(c0);
-        self.stats.fold_faults(delta);
-        self.session.feedback.record_faults(delta);
-        self.in_flight = false;
-        self.poisoned = Some(e);
-    }
-
-    /// Re-plan for the shrunk world after a communicator shrink (see
-    /// [`CCollSession::recover`]): the balanced partition and workspace
-    /// are rebuilt for `r.session()`'s world, poison is cleared, and
-    /// statistics carry over (with the shrink counted). Dead ranks'
-    /// reduction contributions are dropped (restart-on-survivors).
-    /// Every surviving rank must recover its plans in the same order.
-    pub fn recover(&mut self, r: &Recovery) -> Result<(), CollectiveError> {
-        let fresh = r.session().plan_reduce_scatter(self.len, self.op);
-        self.session = fresh.session;
-        self.counts = fresh.counts;
-        self.ws = fresh.ws;
-        self.poisoned = None;
-        self.in_flight = false;
-        self.stats.shrinks += 1;
-        Ok(())
-    }
-
-    /// The schedule's compression placement as a state-machine mode
-    /// (shared with the reduce plan's RS + gather composition).
-    fn rs_mode(&self) -> RsMode {
-        match (self.session.pipeline_config(), self.session.cpr.is_some()) {
-            (Some(cfg), _) => RsMode::Piped(cfg),
-            (None, true) => RsMode::Cpr,
-            (None, false) => RsMode::Raw,
-        }
-    }
-
-    /// Execute into a caller-provided buffer (this rank's chunk).
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan.
-    pub fn execute_into<C: Comm>(&mut self, comm: &mut C, input: &[f32], out: &mut [f32]) {
-        self.start(comm, input, out).complete(comm);
-    }
-
-    /// Fallible variant of [`Self::execute_into`]: on an unrecoverable
-    /// fault under an active [`FaultPolicy`](ccoll_comm::FaultPolicy)
-    /// it aborts cleanly, poisons the plan and returns the structured
-    /// error instead of panicking.
-    pub fn try_execute_into<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CollectiveError> {
-        if self.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        self.start(comm, input, out).try_complete(comm)
-    }
-
-    /// Begin a nonblocking reduce-scatter; see [`AllreducePlan::start`]
-    /// for the handle contract.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan, or if a previous handle was dropped mid-operation.
-    pub fn start<'p, 'b, C: Comm>(
-        &'p mut self,
-        comm: &mut C,
-        input: &'b [f32],
-        out: &'b mut [f32],
-    ) -> ReduceScatterHandle<'p, 'b> {
-        check_world(comm, self.session.world_size);
-        assert_eq!(input.len(), self.len, "input disagrees with plan length");
-        assert!(
-            self.poisoned.is_none(),
-            "plan was poisoned by an aborted execution; call reset() to reuse"
-        );
-        take_in_flight(&mut self.in_flight);
-        self.op_seq = self.op_seq.wrapping_add(1);
-        self.session
-            .feedback
-            .live_ops
-            .fetch_add(1, Ordering::Relaxed);
-        let t0 = comm.now();
-        let c0 = comm.profiler().fault_counters();
-        let machine = RingRs::new(self.rs_mode()).with_base(op_base(self.slot, self.op_seq));
-        ReduceScatterHandle {
-            machine,
-            plan: self,
-            input,
-            out,
-            t0,
-            c0,
-            done: false,
-        }
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`ReduceScatterPlan::execute_into`].
-    #[must_use]
-    pub fn execute<C: Comm>(&mut self, comm: &mut C, input: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.counts[comm.rank()]];
-        self.execute_into(comm, input, &mut out);
-        out
-    }
-}
-
-/// An in-flight nonblocking reduce-scatter (see
-/// [`ReduceScatterPlan::start`]).
-pub struct ReduceScatterHandle<'p, 'b> {
-    plan: &'p mut ReduceScatterPlan,
-    input: &'b [f32],
-    out: &'b mut [f32],
-    t0: SimTime,
-    c0: FaultCounters,
-    machine: RingRs,
-    done: bool,
-}
-
-impl ReduceScatterHandle<'_, '_> {
-    fn drive_machine<C: Comm>(&mut self, comm: &mut C, block: bool) -> Poll {
-        if self.done {
-            return Poll::Ready;
-        }
-        let ReduceScatterPlan {
-            session,
-            op,
-            stats,
-            in_flight,
-            ws,
-            ..
-        } = &mut *self.plan;
-        match self.machine.step(
-            comm,
-            session.cpr.as_ref(),
-            *op,
-            self.input,
-            self.out,
-            ws,
-            block,
-        ) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready => {
-                finish_execution(comm, session, ws, stats, self.t0, self.c0);
-                *in_flight = false;
-                self.done = true;
-                Poll::Ready
-            }
-        }
-    }
-
-    /// Advance without blocking (see [`AllreduceHandle::progress`]).
-    pub fn progress<C: Comm>(&mut self, comm: &mut C) -> Poll {
-        match self.try_progress(comm) {
-            Ok(p) => p,
-            Err(e) => panic!("collective aborted: {e}; plan poisoned (reset() to reuse)"),
-        }
-    }
-
-    /// Step the machine once and translate an abort suspension into a
-    /// structured error: the state machines signal "cannot proceed"
-    /// through their normal pending path and park the reason on the
-    /// profiler ([`ccoll_comm::Profiler::take_error`]).
-    pub(crate) fn drive<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        block: bool,
-    ) -> Result<Poll, CollectiveError> {
-        if self.plan.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        match self.drive_machine(comm, block) {
-            Poll::Ready => Ok(Poll::Ready),
-            Poll::Pending => match comm.profiler().take_error() {
-                None => Ok(Poll::Pending),
-                Some(err) => {
-                    let e = CollectiveError::Comm(err);
-                    self.plan.abort(comm, self.c0, e);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// Fallible [`Self::progress`]: advance without blocking, returning
-    /// the structured error (and poisoning the plan) if the operation
-    /// aborted on an unrecoverable fault.
-    pub fn try_progress<C: Comm>(&mut self, comm: &mut C) -> Result<Poll, CollectiveError> {
-        self.drive(comm, false)
-    }
-
-    /// Fallible [`Self::complete`]: drain the remaining transfers,
-    /// returning the structured error (and poisoning the plan) if the
-    /// operation aborted on an unrecoverable fault.
-    pub fn try_complete<C: Comm>(mut self, comm: &mut C) -> Result<(), CollectiveError> {
-        loop {
-            match self.drive(comm, true)? {
-                Poll::Ready => return Ok(()),
-                Poll::Pending => {}
-            }
-        }
-    }
-
-    /// True once the operation has completed.
-    pub fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    /// Finish the collective, blocking on whatever transfers remain.
-    pub fn complete<C: Comm>(self, comm: &mut C) {
-        if let Err(e) = self.try_complete(comm) {
-            panic!("collective aborted: {e}; plan poisoned (reset() to reuse)");
-        }
-    }
-}
-
-impl Drop for ReduceScatterHandle<'_, '_> {
-    fn drop(&mut self) {
-        self.plan
-            .session
-            .feedback
-            .live_ops
-            .fetch_sub(1, Ordering::Relaxed);
-        if !self.done && self.plan.poisoned.is_none() {
-            self.plan.ws.abort();
-            self.plan.in_flight = false;
-            self.plan.poisoned = Some(CollectiveError::Abandoned);
-        }
-    }
-}
-
-/// Persistent broadcast plan (see [`CCollSession::plan_bcast`]).
-pub struct BcastPlan {
-    session: CCollSession,
-    root: usize,
-    len: usize,
-    algorithm: Algorithm,
-    /// The root's node under the session topology (hierarchical
-    /// schedules only; 0 otherwise).
-    root_node: usize,
-    /// Per-session tag slot + start counter (see `op_base`).
-    slot: u32,
-    op_seq: u32,
-    stats: PlanStats,
-    in_flight: bool,
-    /// Set when an execution aborted on an unrecoverable fault; the
-    /// plan refuses further use until [`Self::reset`].
-    poisoned: Option<CollectiveError>,
-    /// Node/leader split for hierarchical schedules, built lazily on the
-    /// first `start` (plan creation is rank-free; the split needs
-    /// `comm.rank()`).
-    groups: Option<HierGroups>,
-    ws: CollWorkspace,
-}
-
-impl BcastPlan {
-    /// The broadcast root.
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
-    /// The broadcast length (required output size on every rank).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the planned buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The resolved schedule this plan executes ([`Algorithm::Binomial`]
-    /// or [`Algorithm::Hierarchical`]).
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Measured statistics (see [`PlanStats`]).
-    pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    /// True when an aborted execution poisoned this plan (see
-    /// [`CollectiveError`]); [`Self::reset`] clears it.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// The error that poisoned this plan, if any.
-    pub fn poison_error(&self) -> Option<CollectiveError> {
-        self.poisoned
-    }
-
-    /// Clear the poisoned state after an aborted execution, making the
-    /// plan usable again. The aborted operation's partial results are
-    /// discarded (the workspace is scrubbed); fault counters accrued so
-    /// far stay in [`PlanStats`]. Communicator-side leftovers need
-    /// [`Self::reset_in`].
-    pub fn reset(&mut self) {
-        self.ws.abort();
-        self.poisoned = None;
-        self.in_flight = false;
-    }
-
-    /// Like [`Self::reset`], but also scrubs communicator-side leftovers
-    /// of the aborted operation: posted receives and undelivered inbound
-    /// messages are dropped and an abort reason still parked on the
-    /// profiler is drained — state the comm-free `reset` cannot reach.
-    /// Use this form when the operation's handle was dropped without
-    /// observing its error (the [`CollectiveError::Abandoned`] path),
-    /// which leaves both behind; a later operation on the same
-    /// communicator would otherwise spuriously abort on the stale parked
-    /// error or match the abandoned operation's traffic.
-    pub fn reset_in<C: Comm>(&mut self, comm: &mut C) {
-        let _ = comm.profiler().take_error();
-        comm.abort_cleanup();
-        self.reset();
-    }
-
-    /// Abort bookkeeping after an unrecoverable fault: scrub transport
-    /// and workspace state so nothing half-exchanged can be reused,
-    /// fold the fault counters, and poison the plan.
-    fn abort<C: Comm>(&mut self, comm: &mut C, c0: FaultCounters, e: CollectiveError) {
-        comm.abort_cleanup();
-        self.ws.abort();
-        let delta = comm.profiler().fault_counters().since(c0);
-        self.stats.fold_faults(delta);
-        self.session.feedback.record_faults(delta);
-        self.in_flight = false;
-        self.poisoned = Some(e);
-    }
-
-    /// Re-plan for the shrunk world after a communicator shrink (see
-    /// [`CCollSession::recover`]): the root is translated to its
-    /// post-shrink rank, the workspace is rebuilt, poison is cleared,
-    /// and statistics carry over (with the shrink counted). Every
-    /// surviving rank must recover its plans in the same order.
-    ///
-    /// Returns [`CommError::PeerDead`] naming the root when the root
-    /// died — a broadcast cannot outlive its root.
-    pub fn recover(&mut self, r: &Recovery) -> Result<(), CollectiveError> {
-        let root = r
-            .new_rank_of(self.root)
-            .ok_or(CollectiveError::Comm(CommError::PeerDead {
-                peer: self.root,
-            }))?;
-        let fresh = r.session().plan_bcast(root, self.len);
-        self.session = fresh.session;
-        self.root = fresh.root;
-        self.ws = fresh.ws;
-        // The shrunk session dropped the (now-stale) topology, so a
-        // hierarchical plan re-resolves to the flat binomial tree.
-        self.algorithm = fresh.algorithm;
-        self.root_node = 0;
-        self.groups = None;
-        self.poisoned = None;
-        self.in_flight = false;
-        self.stats.shrinks += 1;
-        Ok(())
-    }
-
-    /// Execute into a caller-provided buffer. `data` is read on the root
-    /// only (other ranks may pass an empty slice).
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan.
-    pub fn execute_into<C: Comm>(&mut self, comm: &mut C, data: &[f32], out: &mut [f32]) {
-        self.start(comm, data, out).complete(comm);
-    }
-
-    /// Fallible variant of [`Self::execute_into`]: on an unrecoverable
-    /// fault under an active [`FaultPolicy`](ccoll_comm::FaultPolicy)
-    /// it aborts cleanly, poisons the plan and returns the structured
-    /// error instead of panicking.
-    pub fn try_execute_into<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        data: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CollectiveError> {
-        if self.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        self.start(comm, data, out).try_complete(comm)
-    }
-
-    /// Begin a nonblocking broadcast; see [`AllreducePlan::start`] for
-    /// the handle contract.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan, or if a previous handle was dropped mid-operation.
-    pub fn start<'p, 'b, C: Comm>(
-        &'p mut self,
-        comm: &mut C,
-        data: &'b [f32],
-        out: &'b mut [f32],
-    ) -> BcastHandle<'p, 'b> {
-        check_world(comm, self.session.world_size);
-        assert_eq!(out.len(), self.len, "output disagrees with plan length");
-        if self.algorithm == Algorithm::Hierarchical && self.groups.is_none() {
-            let cl = self
-                .session
-                .cluster
-                .as_ref()
-                .expect("hierarchical plans require a session topology");
-            self.groups = Some(HierGroups::build(&cl.topo, comm.rank(), 0));
-        }
-        assert!(
-            self.poisoned.is_none(),
-            "plan was poisoned by an aborted execution; call reset() to reuse"
-        );
-        take_in_flight(&mut self.in_flight);
-        self.op_seq = self.op_seq.wrapping_add(1);
-        self.session
-            .feedback
-            .live_ops
-            .fetch_add(1, Ordering::Relaxed);
-        let t0 = comm.now();
-        let c0 = comm.profiler().fault_counters();
-        let compressed = self.session.cpr.is_some();
-        let machine = match self.algorithm {
-            Algorithm::Hierarchical => {
-                BcMachine::Hier(HierBc::new(compressed, self.root, self.root_node))
-            }
-            _ => BcMachine::Flat(Bcast::new(compressed, self.root)),
-        }
-        .with_base(op_base(self.slot, self.op_seq));
-        BcastHandle {
-            machine,
-            plan: self,
-            data,
-            out,
-            t0,
-            c0,
-            done: false,
-        }
-    }
-
-    /// Allocating convenience wrapper over [`BcastPlan::execute_into`].
-    #[must_use]
-    pub fn execute<C: Comm>(&mut self, comm: &mut C, data: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len];
-        self.execute_into(comm, data, &mut out);
-        out
-    }
-}
-
-/// An in-flight nonblocking broadcast (see [`BcastPlan::start`]).
-pub struct BcastHandle<'p, 'b> {
-    plan: &'p mut BcastPlan,
-    data: &'b [f32],
-    out: &'b mut [f32],
-    t0: SimTime,
-    c0: FaultCounters,
-    machine: BcMachine,
-    done: bool,
-}
-
-impl BcastHandle<'_, '_> {
-    fn drive_machine<C: Comm>(&mut self, comm: &mut C, block: bool) -> Poll {
-        if self.done {
-            return Poll::Ready;
-        }
-        let BcastPlan {
-            session,
-            stats,
-            in_flight,
-            groups,
-            ws,
-            ..
-        } = &mut *self.plan;
-        match self.machine.step(
-            comm,
-            session.cpr.as_ref(),
-            groups.as_ref(),
-            self.data,
-            self.out,
-            ws,
-            block,
-        ) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready => {
-                finish_execution(comm, session, ws, stats, self.t0, self.c0);
-                *in_flight = false;
-                self.done = true;
-                Poll::Ready
-            }
-        }
-    }
-
-    /// Advance without blocking (see [`AllreduceHandle::progress`]).
-    pub fn progress<C: Comm>(&mut self, comm: &mut C) -> Poll {
-        match self.try_progress(comm) {
-            Ok(p) => p,
-            Err(e) => panic!("collective aborted: {e}; plan poisoned (reset() to reuse)"),
-        }
-    }
-
-    /// Step the machine once and translate an abort suspension into a
-    /// structured error: the state machines signal "cannot proceed"
-    /// through their normal pending path and park the reason on the
-    /// profiler ([`ccoll_comm::Profiler::take_error`]).
-    pub(crate) fn drive<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        block: bool,
-    ) -> Result<Poll, CollectiveError> {
-        if self.plan.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        match self.drive_machine(comm, block) {
-            Poll::Ready => Ok(Poll::Ready),
-            Poll::Pending => match comm.profiler().take_error() {
-                None => Ok(Poll::Pending),
-                Some(err) => {
-                    let e = CollectiveError::Comm(err);
-                    self.plan.abort(comm, self.c0, e);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// Fallible [`Self::progress`]: advance without blocking, returning
-    /// the structured error (and poisoning the plan) if the operation
-    /// aborted on an unrecoverable fault.
-    pub fn try_progress<C: Comm>(&mut self, comm: &mut C) -> Result<Poll, CollectiveError> {
-        self.drive(comm, false)
-    }
-
-    /// Fallible [`Self::complete`]: drain the remaining transfers,
-    /// returning the structured error (and poisoning the plan) if the
-    /// operation aborted on an unrecoverable fault.
-    pub fn try_complete<C: Comm>(mut self, comm: &mut C) -> Result<(), CollectiveError> {
-        loop {
-            match self.drive(comm, true)? {
-                Poll::Ready => return Ok(()),
-                Poll::Pending => {}
-            }
-        }
-    }
-
-    /// True once the operation has completed.
-    pub fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    /// Finish the collective, blocking on whatever transfers remain.
-    pub fn complete<C: Comm>(self, comm: &mut C) {
-        if let Err(e) = self.try_complete(comm) {
-            panic!("collective aborted: {e}; plan poisoned (reset() to reuse)");
-        }
-    }
-}
-
-impl Drop for BcastHandle<'_, '_> {
-    fn drop(&mut self) {
-        self.plan
-            .session
-            .feedback
-            .live_ops
-            .fetch_sub(1, Ordering::Relaxed);
-        if !self.done && self.plan.poisoned.is_none() {
-            self.plan.ws.abort();
-            self.plan.in_flight = false;
-            self.plan.poisoned = Some(CollectiveError::Abandoned);
-        }
-    }
-}
-
-/// Persistent scatter plan (see [`CCollSession::plan_scatter`]).
-pub struct ScatterPlan {
-    session: CCollSession,
-    root: usize,
-    total_len: usize,
-    counts: Vec<usize>,
-    /// Per-session tag slot + start counter (see `op_base`).
-    slot: u32,
-    op_seq: u32,
-    stats: PlanStats,
-    in_flight: bool,
-    /// Set when an execution aborted on an unrecoverable fault; the
-    /// plan refuses further use until [`Self::reset`].
-    poisoned: Option<CollectiveError>,
-    ws: CollWorkspace,
-}
-
-impl ScatterPlan {
-    /// The scatter root.
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
-    /// The total scattered length.
-    pub fn total_len(&self) -> usize {
-        self.total_len
-    }
-
-    /// The output length on `rank` (its chunk of the balanced partition).
-    pub fn output_len(&self, rank: usize) -> usize {
-        self.counts[rank]
-    }
-
-    /// The resolved schedule this plan executes (always the binomial
-    /// tree).
-    pub fn algorithm(&self) -> Algorithm {
-        Algorithm::Binomial
-    }
-
-    /// Measured statistics (see [`PlanStats`]).
-    pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    /// True when an aborted execution poisoned this plan (see
-    /// [`CollectiveError`]); [`Self::reset`] clears it.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// The error that poisoned this plan, if any.
-    pub fn poison_error(&self) -> Option<CollectiveError> {
-        self.poisoned
-    }
-
-    /// Clear the poisoned state after an aborted execution, making the
-    /// plan usable again. The aborted operation's partial results are
-    /// discarded (the workspace is scrubbed); fault counters accrued so
-    /// far stay in [`PlanStats`]. Communicator-side leftovers need
-    /// [`Self::reset_in`].
-    pub fn reset(&mut self) {
-        self.ws.abort();
-        self.poisoned = None;
-        self.in_flight = false;
-    }
-
-    /// Like [`Self::reset`], but also scrubs communicator-side leftovers
-    /// of the aborted operation: posted receives and undelivered inbound
-    /// messages are dropped and an abort reason still parked on the
-    /// profiler is drained — state the comm-free `reset` cannot reach.
-    /// Use this form when the operation's handle was dropped without
-    /// observing its error (the [`CollectiveError::Abandoned`] path),
-    /// which leaves both behind; a later operation on the same
-    /// communicator would otherwise spuriously abort on the stale parked
-    /// error or match the abandoned operation's traffic.
-    pub fn reset_in<C: Comm>(&mut self, comm: &mut C) {
-        let _ = comm.profiler().take_error();
-        comm.abort_cleanup();
-        self.reset();
-    }
-
-    /// Abort bookkeeping after an unrecoverable fault: scrub transport
-    /// and workspace state so nothing half-exchanged can be reused,
-    /// fold the fault counters, and poison the plan.
-    fn abort<C: Comm>(&mut self, comm: &mut C, c0: FaultCounters, e: CollectiveError) {
-        comm.abort_cleanup();
-        self.ws.abort();
-        let delta = comm.profiler().fault_counters().since(c0);
-        self.stats.fold_faults(delta);
-        self.session.feedback.record_faults(delta);
-        self.in_flight = false;
-        self.poisoned = Some(e);
-    }
-
-    /// Re-plan for the shrunk world after a communicator shrink (see
-    /// [`CCollSession::recover`]): the root is translated to its
-    /// post-shrink rank, the balanced partition and workspace are
-    /// rebuilt for the survivor world, poison is cleared, and statistics
-    /// carry over (with the shrink counted). Every surviving rank must
-    /// recover its plans in the same order.
-    ///
-    /// Returns [`CommError::PeerDead`] naming the root when the root
-    /// died — a scatter cannot outlive its root.
-    pub fn recover(&mut self, r: &Recovery) -> Result<(), CollectiveError> {
-        let root = r
-            .new_rank_of(self.root)
-            .ok_or(CollectiveError::Comm(CommError::PeerDead {
-                peer: self.root,
-            }))?;
-        let fresh = r.session().plan_scatter(root, self.total_len);
-        self.session = fresh.session;
-        self.root = fresh.root;
-        self.counts = fresh.counts;
-        self.ws = fresh.ws;
-        self.poisoned = None;
-        self.in_flight = false;
-        self.stats.shrinks += 1;
-        Ok(())
-    }
-
-    /// Execute into a caller-provided buffer (this rank's chunk). `data`
-    /// is read on the root only.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan.
-    pub fn execute_into<C: Comm>(&mut self, comm: &mut C, data: &[f32], out: &mut [f32]) {
-        self.start(comm, data, out).complete(comm);
-    }
-
-    /// Fallible variant of [`Self::execute_into`]: on an unrecoverable
-    /// fault under an active [`FaultPolicy`](ccoll_comm::FaultPolicy)
-    /// it aborts cleanly, poisons the plan and returns the structured
-    /// error instead of panicking.
-    pub fn try_execute_into<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        data: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CollectiveError> {
-        if self.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        self.start(comm, data, out).try_complete(comm)
-    }
-
-    /// Begin a nonblocking scatter; see [`AllreducePlan::start`] for the
-    /// handle contract.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan, or if a previous handle was dropped mid-operation.
-    pub fn start<'p, 'b, C: Comm>(
-        &'p mut self,
-        comm: &mut C,
-        data: &'b [f32],
-        out: &'b mut [f32],
-    ) -> ScatterHandle<'p, 'b> {
-        check_world(comm, self.session.world_size);
-        assert!(
-            self.poisoned.is_none(),
-            "plan was poisoned by an aborted execution; call reset() to reuse"
-        );
-        take_in_flight(&mut self.in_flight);
-        self.op_seq = self.op_seq.wrapping_add(1);
-        self.session
-            .feedback
-            .live_ops
-            .fetch_add(1, Ordering::Relaxed);
-        let t0 = comm.now();
-        let c0 = comm.profiler().fault_counters();
-        let machine = Scatter::new(self.session.cpr.is_some(), self.root, self.total_len)
-            .with_base(op_base(self.slot, self.op_seq));
-        ScatterHandle {
-            machine,
-            plan: self,
-            data,
-            out,
-            t0,
-            c0,
-            done: false,
-        }
-    }
-
-    /// Allocating convenience wrapper over [`ScatterPlan::execute_into`].
-    #[must_use]
-    pub fn execute<C: Comm>(&mut self, comm: &mut C, data: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.counts[comm.rank()]];
-        self.execute_into(comm, data, &mut out);
-        out
-    }
-}
-
-/// An in-flight nonblocking scatter (see [`ScatterPlan::start`]).
-pub struct ScatterHandle<'p, 'b> {
-    plan: &'p mut ScatterPlan,
-    data: &'b [f32],
-    out: &'b mut [f32],
-    t0: SimTime,
-    c0: FaultCounters,
-    machine: Scatter,
-    done: bool,
-}
-
-impl ScatterHandle<'_, '_> {
-    fn drive_machine<C: Comm>(&mut self, comm: &mut C, block: bool) -> Poll {
-        if self.done {
-            return Poll::Ready;
-        }
-        let ScatterPlan {
-            session,
-            stats,
-            in_flight,
-            ws,
-            ..
-        } = &mut *self.plan;
-        match self
-            .machine
-            .step(comm, session.cpr.as_ref(), self.data, self.out, ws, block)
-        {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready => {
-                finish_execution(comm, session, ws, stats, self.t0, self.c0);
-                *in_flight = false;
-                self.done = true;
-                Poll::Ready
-            }
-        }
-    }
-
-    /// Advance without blocking (see [`AllreduceHandle::progress`]).
-    pub fn progress<C: Comm>(&mut self, comm: &mut C) -> Poll {
-        match self.try_progress(comm) {
-            Ok(p) => p,
-            Err(e) => panic!("collective aborted: {e}; plan poisoned (reset() to reuse)"),
-        }
-    }
-
-    /// Step the machine once and translate an abort suspension into a
-    /// structured error: the state machines signal "cannot proceed"
-    /// through their normal pending path and park the reason on the
-    /// profiler ([`ccoll_comm::Profiler::take_error`]).
-    pub(crate) fn drive<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        block: bool,
-    ) -> Result<Poll, CollectiveError> {
-        if self.plan.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        match self.drive_machine(comm, block) {
-            Poll::Ready => Ok(Poll::Ready),
-            Poll::Pending => match comm.profiler().take_error() {
-                None => Ok(Poll::Pending),
-                Some(err) => {
-                    let e = CollectiveError::Comm(err);
-                    self.plan.abort(comm, self.c0, e);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// Fallible [`Self::progress`]: advance without blocking, returning
-    /// the structured error (and poisoning the plan) if the operation
-    /// aborted on an unrecoverable fault.
-    pub fn try_progress<C: Comm>(&mut self, comm: &mut C) -> Result<Poll, CollectiveError> {
-        self.drive(comm, false)
-    }
-
-    /// Fallible [`Self::complete`]: drain the remaining transfers,
-    /// returning the structured error (and poisoning the plan) if the
-    /// operation aborted on an unrecoverable fault.
-    pub fn try_complete<C: Comm>(mut self, comm: &mut C) -> Result<(), CollectiveError> {
-        loop {
-            match self.drive(comm, true)? {
-                Poll::Ready => return Ok(()),
-                Poll::Pending => {}
-            }
-        }
-    }
-
-    /// True once the operation has completed.
-    pub fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    /// Finish the collective, blocking on whatever transfers remain.
-    pub fn complete<C: Comm>(self, comm: &mut C) {
-        if let Err(e) = self.try_complete(comm) {
-            panic!("collective aborted: {e}; plan poisoned (reset() to reuse)");
-        }
-    }
-}
-
-impl Drop for ScatterHandle<'_, '_> {
-    fn drop(&mut self) {
-        self.plan
-            .session
-            .feedback
-            .live_ops
-            .fetch_sub(1, Ordering::Relaxed);
-        if !self.done && self.plan.poisoned.is_none() {
-            self.plan.ws.abort();
-            self.plan.in_flight = false;
-            self.plan.poisoned = Some(CollectiveError::Abandoned);
-        }
-    }
-}
-
-/// Persistent gather plan (see [`CCollSession::plan_gather`]).
-pub struct GatherPlan {
-    session: CCollSession,
-    root: usize,
-    total_len: usize,
-    counts: Vec<usize>,
-    /// Per-session tag slot + start counter (see `op_base`).
-    slot: u32,
-    op_seq: u32,
-    stats: PlanStats,
-    in_flight: bool,
-    /// Set when an execution aborted on an unrecoverable fault; the
-    /// plan refuses further use until [`Self::reset`].
-    poisoned: Option<CollectiveError>,
-    ws: CollWorkspace,
-}
-
-impl GatherPlan {
-    /// The gather root.
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
-    /// The total gathered length (required output size on the root).
-    pub fn total_len(&self) -> usize {
-        self.total_len
-    }
-
-    /// The input length on `rank` (its chunk of the balanced partition).
-    pub fn input_len(&self, rank: usize) -> usize {
-        self.counts[rank]
-    }
-
-    /// The resolved schedule this plan executes (always the binomial
-    /// tree).
-    pub fn algorithm(&self) -> Algorithm {
-        Algorithm::Binomial
-    }
-
-    /// Measured statistics (see [`PlanStats`]).
-    pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    /// True when an aborted execution poisoned this plan (see
-    /// [`CollectiveError`]); [`Self::reset`] clears it.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// The error that poisoned this plan, if any.
-    pub fn poison_error(&self) -> Option<CollectiveError> {
-        self.poisoned
-    }
-
-    /// Clear the poisoned state after an aborted execution, making the
-    /// plan usable again. The aborted operation's partial results are
-    /// discarded (the workspace is scrubbed); fault counters accrued so
-    /// far stay in [`PlanStats`]. Communicator-side leftovers need
-    /// [`Self::reset_in`].
-    pub fn reset(&mut self) {
-        self.ws.abort();
-        self.poisoned = None;
-        self.in_flight = false;
-    }
-
-    /// Like [`Self::reset`], but also scrubs communicator-side leftovers
-    /// of the aborted operation: posted receives and undelivered inbound
-    /// messages are dropped and an abort reason still parked on the
-    /// profiler is drained — state the comm-free `reset` cannot reach.
-    /// Use this form when the operation's handle was dropped without
-    /// observing its error (the [`CollectiveError::Abandoned`] path),
-    /// which leaves both behind; a later operation on the same
-    /// communicator would otherwise spuriously abort on the stale parked
-    /// error or match the abandoned operation's traffic.
-    pub fn reset_in<C: Comm>(&mut self, comm: &mut C) {
-        let _ = comm.profiler().take_error();
-        comm.abort_cleanup();
-        self.reset();
-    }
-
-    /// Abort bookkeeping after an unrecoverable fault: scrub transport
-    /// and workspace state so nothing half-exchanged can be reused,
-    /// fold the fault counters, and poison the plan.
-    fn abort<C: Comm>(&mut self, comm: &mut C, c0: FaultCounters, e: CollectiveError) {
-        comm.abort_cleanup();
-        self.ws.abort();
-        let delta = comm.profiler().fault_counters().since(c0);
-        self.stats.fold_faults(delta);
-        self.session.feedback.record_faults(delta);
-        self.in_flight = false;
-        self.poisoned = Some(e);
-    }
-
-    /// Re-plan for the shrunk world after a communicator shrink (see
-    /// [`CCollSession::recover`]): the root is translated to its
-    /// post-shrink rank, the balanced partition and workspace are
-    /// rebuilt for the survivor world, poison is cleared, and statistics
-    /// carry over (with the shrink counted). Every surviving rank must
-    /// recover its plans in the same order.
-    ///
-    /// Returns [`CommError::PeerDead`] naming the root when the root
-    /// died — a gather cannot outlive its root.
-    pub fn recover(&mut self, r: &Recovery) -> Result<(), CollectiveError> {
-        let root = r
-            .new_rank_of(self.root)
-            .ok_or(CollectiveError::Comm(CommError::PeerDead {
-                peer: self.root,
-            }))?;
-        let fresh = r.session().plan_gather(root, self.total_len);
-        self.session = fresh.session;
-        self.root = fresh.root;
-        self.counts = fresh.counts;
-        self.ws = fresh.ws;
-        self.poisoned = None;
-        self.in_flight = false;
-        self.stats.shrinks += 1;
-        Ok(())
-    }
-
-    /// Execute into a caller-provided buffer. The root must size `out`
-    /// to `total_len`; other ranks may pass an empty buffer. Returns
-    /// `true` on the root, `false` elsewhere.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan.
-    pub fn execute_into<C: Comm>(&mut self, comm: &mut C, mine: &[f32], out: &mut [f32]) -> bool {
-        self.start(comm, mine, out).complete(comm)
-    }
-
-    /// Fallible variant of [`Self::execute_into`]: on an unrecoverable
-    /// fault under an active [`FaultPolicy`](ccoll_comm::FaultPolicy)
-    /// it aborts cleanly, poisons the plan and returns the structured
-    /// error instead of panicking. `Ok(true)` on the root.
-    pub fn try_execute_into<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        mine: &[f32],
-        out: &mut [f32],
-    ) -> Result<bool, CollectiveError> {
-        if self.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        self.start(comm, mine, out).try_complete(comm)
-    }
-
-    /// Begin a nonblocking gather; see [`AllreducePlan::start`] for the
-    /// handle contract. [`GatherHandle::complete`] returns `true` on the
-    /// root.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan, or if a previous handle was dropped mid-operation.
-    pub fn start<'p, 'b, C: Comm>(
-        &'p mut self,
-        comm: &mut C,
-        mine: &'b [f32],
-        out: &'b mut [f32],
-    ) -> GatherHandle<'p, 'b> {
-        check_world(comm, self.session.world_size);
-        assert!(
-            self.poisoned.is_none(),
-            "plan was poisoned by an aborted execution; call reset() to reuse"
-        );
-        take_in_flight(&mut self.in_flight);
-        self.op_seq = self.op_seq.wrapping_add(1);
-        self.session
-            .feedback
-            .live_ops
-            .fetch_add(1, Ordering::Relaxed);
-        let t0 = comm.now();
-        let c0 = comm.profiler().fault_counters();
-        let machine = Gather::new(self.session.cpr.is_some(), self.root, self.total_len)
-            .with_base(op_base(self.slot, self.op_seq));
-        GatherHandle {
-            machine,
-            plan: self,
-            mine,
-            out,
-            t0,
-            c0,
-            done: false,
-        }
-    }
-
-    /// Allocating convenience wrapper over [`GatherPlan::execute_into`].
-    /// Returns `Some` on the root, `None` elsewhere.
-    #[must_use]
-    pub fn execute<C: Comm>(&mut self, comm: &mut C, mine: &[f32]) -> Option<Vec<f32>> {
-        let mut out = vec![
-            0.0f32;
-            if comm.rank() == self.root {
-                self.total_len
-            } else {
-                0
-            }
-        ];
-        self.execute_into(comm, mine, &mut out).then_some(out)
-    }
-}
-
-/// An in-flight nonblocking gather (see [`GatherPlan::start`]).
-pub struct GatherHandle<'p, 'b> {
-    plan: &'p mut GatherPlan,
-    mine: &'b [f32],
-    out: &'b mut [f32],
-    t0: SimTime,
-    c0: FaultCounters,
-    machine: Gather,
-    done: bool,
-}
-
-impl GatherHandle<'_, '_> {
-    fn drive_machine<C: Comm>(&mut self, comm: &mut C, block: bool) -> Poll {
-        if self.done {
-            return Poll::Ready;
-        }
-        let GatherPlan {
-            session,
-            stats,
-            in_flight,
-            ws,
-            ..
-        } = &mut *self.plan;
-        match self
-            .machine
-            .step(comm, session.cpr.as_ref(), self.mine, self.out, ws, block)
-        {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready => {
-                finish_execution(comm, session, ws, stats, self.t0, self.c0);
-                *in_flight = false;
-                self.done = true;
-                Poll::Ready
-            }
-        }
-    }
-
-    /// Advance without blocking (see [`AllreduceHandle::progress`]).
-    pub fn progress<C: Comm>(&mut self, comm: &mut C) -> Poll {
-        match self.try_progress(comm) {
-            Ok(p) => p,
-            Err(e) => panic!("collective aborted: {e}; plan poisoned (reset() to reuse)"),
-        }
-    }
-
-    /// Step the machine once and translate an abort suspension into a
-    /// structured error: the state machines signal "cannot proceed"
-    /// through their normal pending path and park the reason on the
-    /// profiler ([`ccoll_comm::Profiler::take_error`]).
-    pub(crate) fn drive<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        block: bool,
-    ) -> Result<Poll, CollectiveError> {
-        if self.plan.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        match self.drive_machine(comm, block) {
-            Poll::Ready => Ok(Poll::Ready),
-            Poll::Pending => match comm.profiler().take_error() {
-                None => Ok(Poll::Pending),
-                Some(err) => {
-                    let e = CollectiveError::Comm(err);
-                    self.plan.abort(comm, self.c0, e);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// Fallible [`Self::progress`]: advance without blocking, returning
-    /// the structured error (and poisoning the plan) if the operation
-    /// aborted on an unrecoverable fault.
-    pub fn try_progress<C: Comm>(&mut self, comm: &mut C) -> Result<Poll, CollectiveError> {
-        self.drive(comm, false)
-    }
-
-    /// Fallible [`Self::complete`]: drain the remaining transfers,
-    /// returning the structured error (and poisoning the plan) if the
-    /// operation aborted on an unrecoverable fault.
-    pub fn try_complete<C: Comm>(mut self, comm: &mut C) -> Result<bool, CollectiveError> {
-        loop {
-            match self.drive(comm, true)? {
-                Poll::Ready => return Ok(self.machine.is_root()),
-                Poll::Pending => {}
-            }
-        }
-    }
-
-    /// True once the operation has completed.
-    pub fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    /// Finish the collective, blocking on whatever transfers remain.
-    /// Returns `true` on the root.
-    pub fn complete<C: Comm>(self, comm: &mut C) -> bool {
-        match self.try_complete(comm) {
-            Ok(root) => root,
-            Err(e) => panic!("collective aborted: {e}; plan poisoned (reset() to reuse)"),
-        }
-    }
-}
-
-impl Drop for GatherHandle<'_, '_> {
-    fn drop(&mut self) {
-        self.plan
-            .session
-            .feedback
-            .live_ops
-            .fetch_sub(1, Ordering::Relaxed);
-        if !self.done && self.plan.poisoned.is_none() {
-            self.plan.ws.abort();
-            self.plan.in_flight = false;
-            self.plan.poisoned = Some(CollectiveError::Abandoned);
-        }
-    }
-}
-
-/// Persistent all-to-all plan (see [`CCollSession::plan_alltoall`]).
-pub struct AlltoallPlan {
-    session: CCollSession,
-    len: usize,
-    algorithm: Algorithm,
-    /// Per-session tag slot + start counter (see `op_base`).
-    slot: u32,
-    op_seq: u32,
-    stats: PlanStats,
-    in_flight: bool,
-    /// Set when an execution aborted on an unrecoverable fault; the
-    /// plan refuses further use until [`Self::reset`].
-    poisoned: Option<CollectiveError>,
-    ws: CollWorkspace,
-}
-
-impl AlltoallPlan {
-    /// Values per rank this plan was built for.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the planned buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The resolved schedule this plan executes ([`Algorithm::Pairwise`]
-    /// or [`Algorithm::Bruck`]).
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Measured statistics (see [`PlanStats`]).
-    pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    /// True when an aborted execution poisoned this plan (see
-    /// [`CollectiveError`]); [`Self::reset`] clears it.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// The error that poisoned this plan, if any.
-    pub fn poison_error(&self) -> Option<CollectiveError> {
-        self.poisoned
-    }
-
-    /// Clear the poisoned state after an aborted execution, making the
-    /// plan usable again. The aborted operation's partial results are
-    /// discarded (the workspace is scrubbed); fault counters accrued so
-    /// far stay in [`PlanStats`]. Communicator-side leftovers need
-    /// [`Self::reset_in`].
-    pub fn reset(&mut self) {
-        self.ws.abort();
-        self.poisoned = None;
-        self.in_flight = false;
-    }
-
-    /// Like [`Self::reset`], but also scrubs communicator-side leftovers
-    /// of the aborted operation: posted receives and undelivered inbound
-    /// messages are dropped and an abort reason still parked on the
-    /// profiler is drained — state the comm-free `reset` cannot reach.
-    /// Use this form when the operation's handle was dropped without
-    /// observing its error (the [`CollectiveError::Abandoned`] path),
-    /// which leaves both behind; a later operation on the same
-    /// communicator would otherwise spuriously abort on the stale parked
-    /// error or match the abandoned operation's traffic.
-    pub fn reset_in<C: Comm>(&mut self, comm: &mut C) {
-        let _ = comm.profiler().take_error();
-        comm.abort_cleanup();
-        self.reset();
-    }
-
-    /// Abort bookkeeping after an unrecoverable fault: scrub transport
-    /// and workspace state so nothing half-exchanged can be reused,
-    /// fold the fault counters, and poison the plan.
-    fn abort<C: Comm>(&mut self, comm: &mut C, c0: FaultCounters, e: CollectiveError) {
-        comm.abort_cleanup();
-        self.ws.abort();
-        let delta = comm.profiler().fault_counters().since(c0);
-        self.stats.fold_faults(delta);
-        self.session.feedback.record_faults(delta);
-        self.in_flight = false;
-        self.poisoned = Some(e);
-    }
-
-    /// Re-plan for the shrunk world after a communicator shrink (see
-    /// [`CCollSession::recover`]): the per-peer partition and workspace
-    /// are rebuilt for the survivor world, poison is cleared, and
-    /// statistics carry over (with the shrink counted). Every surviving
-    /// rank must recover its plans in the same order.
-    ///
-    /// # Panics
-    /// Panics if the planned buffer length does not divide evenly by
-    /// the *shrunk* world size (the all-to-all partition constraint —
-    /// choose lengths divisible by every world size recovery can reach).
-    pub fn recover(&mut self, r: &Recovery) -> Result<(), CollectiveError> {
-        let fresh = r
-            .session()
-            .plan_alltoall_with(self.len, PlanOptions::new().algorithm(self.algorithm));
-        self.session = fresh.session;
-        self.algorithm = fresh.algorithm;
-        self.ws = fresh.ws;
-        self.poisoned = None;
-        self.in_flight = false;
-        self.stats.shrinks += 1;
-        Ok(())
-    }
-
-    /// Execute into a caller-provided buffer.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan.
-    pub fn execute_into<C: Comm>(&mut self, comm: &mut C, send: &[f32], out: &mut [f32]) {
-        self.start(comm, send, out).complete(comm);
-    }
-
-    /// Fallible variant of [`Self::execute_into`]: on an unrecoverable
-    /// fault under an active [`FaultPolicy`](ccoll_comm::FaultPolicy)
-    /// it aborts cleanly, poisons the plan and returns the structured
-    /// error instead of panicking.
-    pub fn try_execute_into<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        send: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CollectiveError> {
-        if self.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        self.start(comm, send, out).try_complete(comm)
-    }
-
-    /// Begin a nonblocking all-to-all; see [`AllreducePlan::start`] for
-    /// the handle contract.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan, or if a previous handle was dropped mid-operation.
-    pub fn start<'p, 'b, C: Comm>(
-        &'p mut self,
-        comm: &mut C,
-        send: &'b [f32],
-        out: &'b mut [f32],
-    ) -> AlltoallHandle<'p, 'b> {
-        check_world(comm, self.session.world_size);
-        assert_eq!(send.len(), self.len, "input disagrees with plan length");
-        assert!(
-            self.poisoned.is_none(),
-            "plan was poisoned by an aborted execution; call reset() to reuse"
-        );
-        take_in_flight(&mut self.in_flight);
-        self.op_seq = self.op_seq.wrapping_add(1);
-        self.session
-            .feedback
-            .live_ops
-            .fetch_add(1, Ordering::Relaxed);
-        let t0 = comm.now();
-        let c0 = comm.profiler().fault_counters();
-        let compressed = self.session.cpr.is_some();
-        let machine = match self.algorithm {
-            Algorithm::Bruck => A2aMachine::Bruck(BruckA2a::new(compressed)),
-            _ => A2aMachine::Pairwise(Alltoall::new(compressed)),
-        }
-        .with_base(op_base(self.slot, self.op_seq));
-        AlltoallHandle {
-            machine,
-            plan: self,
-            send,
-            out,
-            t0,
-            c0,
-            done: false,
-        }
-    }
-
-    /// Allocating convenience wrapper over [`AlltoallPlan::execute_into`].
-    #[must_use]
-    pub fn execute<C: Comm>(&mut self, comm: &mut C, send: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len];
-        self.execute_into(comm, send, &mut out);
-        out
-    }
-}
-
-/// An in-flight nonblocking all-to-all (see [`AlltoallPlan::start`]).
-pub struct AlltoallHandle<'p, 'b> {
-    plan: &'p mut AlltoallPlan,
-    send: &'b [f32],
-    out: &'b mut [f32],
-    t0: SimTime,
-    c0: FaultCounters,
-    machine: A2aMachine,
-    done: bool,
-}
-
-impl AlltoallHandle<'_, '_> {
-    fn drive_machine<C: Comm>(&mut self, comm: &mut C, block: bool) -> Poll {
-        if self.done {
-            return Poll::Ready;
-        }
-        let AlltoallPlan {
-            session,
-            stats,
-            in_flight,
-            ws,
-            ..
-        } = &mut *self.plan;
-        match self
-            .machine
-            .step(comm, session.cpr.as_ref(), self.send, self.out, ws, block)
-        {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready => {
-                finish_execution(comm, session, ws, stats, self.t0, self.c0);
-                *in_flight = false;
-                self.done = true;
-                Poll::Ready
-            }
-        }
-    }
-
-    /// Advance without blocking (see [`AllreduceHandle::progress`]).
-    pub fn progress<C: Comm>(&mut self, comm: &mut C) -> Poll {
-        match self.try_progress(comm) {
-            Ok(p) => p,
-            Err(e) => panic!("collective aborted: {e}; plan poisoned (reset() to reuse)"),
-        }
-    }
-
-    /// Step the machine once and translate an abort suspension into a
-    /// structured error: the state machines signal "cannot proceed"
-    /// through their normal pending path and park the reason on the
-    /// profiler ([`ccoll_comm::Profiler::take_error`]).
-    pub(crate) fn drive<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        block: bool,
-    ) -> Result<Poll, CollectiveError> {
-        if self.plan.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        match self.drive_machine(comm, block) {
-            Poll::Ready => Ok(Poll::Ready),
-            Poll::Pending => match comm.profiler().take_error() {
-                None => Ok(Poll::Pending),
-                Some(err) => {
-                    let e = CollectiveError::Comm(err);
-                    self.plan.abort(comm, self.c0, e);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// Fallible [`Self::progress`]: advance without blocking, returning
-    /// the structured error (and poisoning the plan) if the operation
-    /// aborted on an unrecoverable fault.
-    pub fn try_progress<C: Comm>(&mut self, comm: &mut C) -> Result<Poll, CollectiveError> {
-        self.drive(comm, false)
-    }
-
-    /// Fallible [`Self::complete`]: drain the remaining transfers,
-    /// returning the structured error (and poisoning the plan) if the
-    /// operation aborted on an unrecoverable fault.
-    pub fn try_complete<C: Comm>(mut self, comm: &mut C) -> Result<(), CollectiveError> {
-        loop {
-            match self.drive(comm, true)? {
-                Poll::Ready => return Ok(()),
-                Poll::Pending => {}
-            }
-        }
-    }
-
-    /// True once the operation has completed.
-    pub fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    /// Finish the collective, blocking on whatever transfers remain.
-    pub fn complete<C: Comm>(self, comm: &mut C) {
-        if let Err(e) = self.try_complete(comm) {
-            panic!("collective aborted: {e}; plan poisoned (reset() to reuse)");
-        }
-    }
-}
-
-impl Drop for AlltoallHandle<'_, '_> {
-    fn drop(&mut self) {
-        self.plan
-            .session
-            .feedback
-            .live_ops
-            .fetch_sub(1, Ordering::Relaxed);
-        if !self.done && self.plan.poisoned.is_none() {
-            self.plan.ws.abort();
-            self.plan.in_flight = false;
-            self.plan.poisoned = Some(CollectiveError::Abandoned);
-        }
-    }
-}
-
-/// Persistent rooted-reduce plan (see [`CCollSession::plan_reduce`] and
-/// [`CCollSession::plan_reduce_with`]): either the bandwidth-optimal
-/// pipelined C-Reduce-scatter + C-Gather composition
-/// ([`Algorithm::Rabenseifner`]) or the latency-optimal binomial tree
-/// ([`Algorithm::Binomial`]).
-pub struct ReducePlan {
-    session: CCollSession,
-    root: usize,
-    len: usize,
-    op: ReduceOp,
-    algorithm: Algorithm,
-    /// Per-session tag slot + start counter (see `op_base`).
-    slot: u32,
-    op_seq: u32,
-    /// Created with [`Algorithm::Auto`]: eligible for the one-shot
-    /// post-warm-up re-rank from measured compression ratios.
-    auto: bool,
-    reranked: bool,
-    stats: PlanStats,
-    in_flight: bool,
-    /// Set when an execution aborted on an unrecoverable fault; the
-    /// plan refuses further use until [`Self::reset`].
-    poisoned: Option<CollectiveError>,
-    inner: ReducePlanImpl,
-}
-
-// The workspace-bearing variants are intentionally large: a plan is a
-// long-lived, once-allocated object, so boxing would only add a pointer
-// chase to every execute call.
-#[allow(clippy::large_enum_variant)]
-enum ReducePlanImpl {
-    RsGather {
-        reduce_scatter: ReduceScatterPlan,
-        gather: GatherPlan,
-        /// Intermediate reduced-chunk buffer, reused across calls.
-        mine: Vec<f32>,
-    },
-    Binomial {
-        session: CCollSession,
-        op: ReduceOp,
-        ws: CollWorkspace,
-    },
-}
-
-impl ReducePlan {
-    /// Values per rank this plan was built for.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the planned buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The reduce root.
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
-    /// The resolved schedule this plan executes (an `Auto` plan may
-    /// switch once after warm-up, from the communicator-agreed measured
-    /// compression ratio — see [`AllreducePlan::algorithm`]).
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Measured statistics (see [`PlanStats`]).
-    pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    /// True when an aborted execution poisoned this plan (see
-    /// [`CollectiveError`]); [`Self::reset`] clears it.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// The error that poisoned this plan, if any.
-    pub fn poison_error(&self) -> Option<CollectiveError> {
-        self.poisoned
-    }
-
-    /// Clear the poisoned state after an aborted execution, making the
-    /// plan usable again. The aborted operation's partial results are
-    /// discarded (the workspace is scrubbed); fault counters accrued so
-    /// far stay in [`PlanStats`]. Communicator-side leftovers need
-    /// [`Self::reset_in`].
-    pub fn reset(&mut self) {
-        match &mut self.inner {
-            ReducePlanImpl::Binomial { ws, .. } => ws.abort(),
-            ReducePlanImpl::RsGather {
-                reduce_scatter,
-                gather,
-                ..
-            } => {
-                reduce_scatter.ws.abort();
-                gather.ws.abort();
-            }
-        }
-        self.poisoned = None;
-        self.in_flight = false;
-    }
-
-    /// Like [`Self::reset`], but also scrubs communicator-side leftovers
-    /// of the aborted operation: posted receives and undelivered inbound
-    /// messages are dropped and an abort reason still parked on the
-    /// profiler is drained — state the comm-free `reset` cannot reach.
-    /// Use this form when the operation's handle was dropped without
-    /// observing its error (the [`CollectiveError::Abandoned`] path),
-    /// which leaves both behind; a later operation on the same
-    /// communicator would otherwise spuriously abort on the stale parked
-    /// error or match the abandoned operation's traffic.
-    pub fn reset_in<C: Comm>(&mut self, comm: &mut C) {
-        let _ = comm.profiler().take_error();
-        comm.abort_cleanup();
-        self.reset();
-    }
-
-    /// Re-plan for the shrunk world after a communicator shrink (see
-    /// [`CCollSession::recover`]): schedule state and workspaces are
-    /// rebuilt for `r.session()`'s world, the root is translated to its
-    /// post-shrink rank, poison is cleared, and statistics carry over
-    /// (with the shrink counted). `Auto` plans re-resolve their schedule
-    /// for the shrunk world. Every surviving rank must recover its plans
-    /// in the same order (the usual plan-creation discipline).
-    ///
-    /// Returns [`CommError::PeerDead`] naming the root when the root
-    /// died — a rooted collective cannot outlive its root.
-    pub fn recover(&mut self, r: &Recovery) -> Result<(), CollectiveError> {
-        let root = r
-            .new_rank_of(self.root)
-            .ok_or(CollectiveError::Comm(CommError::PeerDead {
-                peer: self.root,
-            }))?;
-        let opts = if self.auto {
-            PlanOptions::new()
-        } else {
-            PlanOptions::new().algorithm(self.algorithm)
-        };
-        let fresh = r.session().plan_reduce_with(root, self.len, self.op, opts);
-        self.session = fresh.session;
-        self.root = fresh.root;
-        self.algorithm = fresh.algorithm;
-        self.inner = fresh.inner;
-        self.reranked = false;
-        self.poisoned = None;
-        self.in_flight = false;
-        self.stats.shrinks += 1;
-        Ok(())
-    }
-
-    /// Abort bookkeeping after an unrecoverable fault: scrub transport
-    /// and workspace state so nothing half-exchanged can be reused,
-    /// fold the fault counters, and poison the plan.
-    fn abort<C: Comm>(&mut self, comm: &mut C, c0: FaultCounters, e: CollectiveError) {
-        comm.abort_cleanup();
-        match &mut self.inner {
-            ReducePlanImpl::Binomial { ws, .. } => ws.abort(),
-            ReducePlanImpl::RsGather {
-                reduce_scatter,
-                gather,
-                ..
-            } => {
-                reduce_scatter.ws.abort();
-                gather.ws.abort();
-            }
-        }
-        let delta = comm.profiler().fault_counters().since(c0);
-        self.stats.fold_faults(delta);
-        self.session.feedback.record_faults(delta);
-        self.in_flight = false;
-        self.poisoned = Some(e);
-    }
-
-    /// One-shot post-warm-up re-rank for `Auto` plans, PR-4's allreduce
-    /// mechanism extended to rooted reduce: agree on the
-    /// communicator-wide minimum measured ratio, re-resolve Binomial vs
-    /// reduce-scatter + gather with it, and rebuild the schedule state
-    /// on a switch (a single allocation event).
-    fn maybe_rerank<C: Comm>(&mut self, comm: &mut C) {
-        if !self.auto || self.reranked || self.stats.executions == 0 {
-            return;
-        }
-        self.reranked = true;
-        let local = self.session.feedback.ratio().unwrap_or(0.0);
-        let pool = match &mut self.inner {
-            ReducePlanImpl::RsGather { reduce_scatter, .. } => &mut reduce_scatter.ws.pool,
-            ReducePlanImpl::Binomial { ws, .. } => &mut ws.pool,
-        };
-        let base = op_base(self.slot, self.op_seq);
-        let Some(ratio) = agree_min_ratio(comm, base, local, pool) else {
-            return;
-        };
-        let algorithm = self.session.select_ctx_with_ratio(ratio).reduce(self.len);
-        if algorithm != self.algorithm {
-            self.algorithm = algorithm;
-            self.inner = self
-                .session
-                .build_reduce_impl(self.root, self.len, self.op, algorithm);
-        }
-    }
-
-    /// The resolved schedule's state machine.
-    fn machine(&self) -> ReduceMachine {
-        match &self.inner {
-            ReducePlanImpl::RsGather { reduce_scatter, .. } => ReduceMachine::RsGather {
-                rs: RingRs::new(reduce_scatter.rs_mode()),
-                gather: Gather::new(self.session.cpr.is_some(), self.root, self.len),
-                in_gather: false,
-            },
-            ReducePlanImpl::Binomial { session, .. } => {
-                let mode = match (session.pipeline_config(), session.cpr.is_some()) {
-                    // Error-bounded codecs stream every tree hop through
-                    // the sub-chunk pipeline with fused reduction.
-                    (Some(cfg), true) => TreeMode::Piped(cfg),
-                    (None, true) => TreeMode::Cpr,
-                    (_, false) => TreeMode::Raw,
-                };
-                ReduceMachine::Tree(TreeReduce::new(mode, self.root))
-            }
-        }
-    }
-
-    /// Execute into a caller-provided buffer. The root must size `out`
-    /// to the input length; other ranks may pass an empty buffer.
-    /// Returns `true` on the root, `false` elsewhere.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan.
-    pub fn execute_into<C: Comm>(&mut self, comm: &mut C, input: &[f32], out: &mut [f32]) -> bool {
-        self.start(comm, input, out).complete(comm)
-    }
-
-    /// Fallible variant of [`Self::execute_into`]: on an unrecoverable
-    /// fault under an active [`FaultPolicy`](ccoll_comm::FaultPolicy)
-    /// it aborts cleanly, poisons the plan and returns the structured
-    /// error instead of panicking. `Ok(true)` on the root.
-    pub fn try_execute_into<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-    ) -> Result<bool, CollectiveError> {
-        if self.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        self.start(comm, input, out).try_complete(comm)
-    }
-
-    /// Begin a nonblocking rooted reduce; see [`AllreducePlan::start`]
-    /// for the handle contract. [`ReduceHandle::complete`] returns
-    /// `true` on the root.
-    ///
-    /// # Panics
-    /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan, or if a previous handle was dropped mid-operation.
-    pub fn start<'p, 'b, C: Comm>(
-        &'p mut self,
-        comm: &mut C,
-        input: &'b [f32],
-        out: &'b mut [f32],
-    ) -> ReduceHandle<'p, 'b> {
-        check_world(comm, self.session.world_size);
-        assert_eq!(input.len(), self.len, "input disagrees with plan length");
-        self.maybe_rerank(comm);
-        assert!(
-            self.poisoned.is_none(),
-            "plan was poisoned by an aborted execution; call reset() to reuse"
-        );
-        take_in_flight(&mut self.in_flight);
-        self.op_seq = self.op_seq.wrapping_add(1);
-        self.session
-            .feedback
-            .live_ops
-            .fetch_add(1, Ordering::Relaxed);
-        let t0 = comm.now();
-        let c0 = comm.profiler().fault_counters();
-        if let ReducePlanImpl::RsGather {
-            reduce_scatter,
-            mine,
-            ..
-        } = &mut self.inner
-        {
-            // `resize` shrinks as well as grows, keeping the buffer
-            // exact without reallocating once its capacity is warm.
-            let chunk = reduce_scatter.output_len(comm.rank());
-            mine.resize(chunk, 0.0);
-        }
-        let machine = self.machine().with_base(op_base(self.slot, self.op_seq));
-        ReduceHandle {
-            machine,
-            plan: self,
-            input,
-            out,
-            t0,
-            c0,
-            done: false,
-            root_result: false,
-        }
-    }
-
-    /// Allocating convenience wrapper over [`ReducePlan::execute_into`].
-    /// Returns `Some` on the root, `None` elsewhere.
-    #[must_use]
-    pub fn execute<C: Comm>(&mut self, comm: &mut C, input: &[f32]) -> Option<Vec<f32>> {
-        let mut out = vec![
-            0.0f32;
-            if comm.rank() == self.root() {
-                self.len()
-            } else {
-                0
-            }
-        ];
-        self.execute_into(comm, input, &mut out).then_some(out)
-    }
-}
-
-/// An in-flight nonblocking rooted reduce (see [`ReducePlan::start`]).
-pub struct ReduceHandle<'p, 'b> {
-    plan: &'p mut ReducePlan,
-    input: &'b [f32],
-    out: &'b mut [f32],
-    t0: SimTime,
-    c0: FaultCounters,
-    machine: ReduceMachine,
-    done: bool,
-    root_result: bool,
-}
-
-impl ReduceHandle<'_, '_> {
-    fn drive_machine<C: Comm>(&mut self, comm: &mut C, block: bool) -> Poll {
-        if self.done {
-            return Poll::Ready;
-        }
-        let ReducePlan {
-            session,
-            stats,
-            in_flight,
-            inner,
-            ..
-        } = &mut *self.plan;
-        let polled = match (inner, &mut self.machine) {
-            (
-                ReducePlanImpl::Binomial {
-                    session: tree_session,
-                    op,
-                    ws,
-                    ..
-                },
-                ReduceMachine::Tree(m),
-            ) => {
-                match m.step(
-                    comm,
-                    tree_session.cpr.as_ref(),
-                    *op,
-                    self.input,
-                    self.out,
-                    ws,
-                    block,
-                ) {
-                    Poll::Pending => Poll::Pending,
-                    Poll::Ready => {
-                        finish_execution(comm, session, ws, stats, self.t0, self.c0);
-                        self.root_result = m.is_root();
-                        Poll::Ready
-                    }
-                }
-            }
-            (
-                ReducePlanImpl::RsGather {
-                    reduce_scatter,
-                    gather,
-                    mine,
-                },
-                ReduceMachine::RsGather {
-                    rs,
-                    gather: gm,
-                    in_gather,
-                },
-            ) => 'stages: {
-                if !*in_gather {
-                    let ReduceScatterPlan {
-                        session: rs_session,
-                        op,
-                        ws,
-                        ..
-                    } = reduce_scatter;
-                    match rs.step(
-                        comm,
-                        rs_session.cpr.as_ref(),
-                        *op,
-                        self.input,
-                        mine,
-                        ws,
-                        block,
-                    ) {
-                        Poll::Pending => break 'stages Poll::Pending,
-                        Poll::Ready => {
-                            // Drain the stage's compression-ratio sample
-                            // so the session feedback sees both stages.
-                            rs_session.note_execution(ws);
-                            *in_gather = true;
-                        }
-                    }
-                }
-                let cpr = gather.session.cpr.clone();
-                match gm.step(comm, cpr.as_ref(), mine, self.out, &mut gather.ws, block) {
-                    Poll::Pending => Poll::Pending,
-                    Poll::Ready => {
-                        finish_execution(comm, session, &mut gather.ws, stats, self.t0, self.c0);
-                        self.root_result = gm.is_root();
-                        Poll::Ready
-                    }
-                }
-            }
-            _ => unreachable!("machine kind matches the plan's schedule"),
-        };
-        if polled.is_ready() {
-            *in_flight = false;
-            self.done = true;
-        }
-        polled
-    }
-
-    /// Advance without blocking (see [`AllreduceHandle::progress`]).
-    pub fn progress<C: Comm>(&mut self, comm: &mut C) -> Poll {
-        match self.try_progress(comm) {
-            Ok(p) => p,
-            Err(e) => panic!("collective aborted: {e}; plan poisoned (reset() to reuse)"),
-        }
-    }
-
-    /// Step the machine once and translate an abort suspension into a
-    /// structured error: the state machines signal "cannot proceed"
-    /// through their normal pending path and park the reason on the
-    /// profiler ([`ccoll_comm::Profiler::take_error`]).
-    pub(crate) fn drive<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        block: bool,
-    ) -> Result<Poll, CollectiveError> {
-        if self.plan.poisoned.is_some() {
-            return Err(CollectiveError::Poisoned);
-        }
-        match self.drive_machine(comm, block) {
-            Poll::Ready => Ok(Poll::Ready),
-            Poll::Pending => match comm.profiler().take_error() {
-                None => Ok(Poll::Pending),
-                Some(err) => {
-                    let e = CollectiveError::Comm(err);
-                    self.plan.abort(comm, self.c0, e);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// Fallible [`Self::progress`]: advance without blocking, returning
-    /// the structured error (and poisoning the plan) if the operation
-    /// aborted on an unrecoverable fault.
-    pub fn try_progress<C: Comm>(&mut self, comm: &mut C) -> Result<Poll, CollectiveError> {
-        self.drive(comm, false)
-    }
-
-    /// Fallible [`Self::complete`]: drain the remaining transfers,
-    /// returning the structured error (and poisoning the plan) if the
-    /// operation aborted on an unrecoverable fault.
-    pub fn try_complete<C: Comm>(mut self, comm: &mut C) -> Result<bool, CollectiveError> {
-        loop {
-            match self.drive(comm, true)? {
-                Poll::Ready => return Ok(self.root_result),
-                Poll::Pending => {}
-            }
-        }
-    }
-
-    /// True once the operation has completed.
-    pub fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    /// Finish the collective, blocking on whatever transfers remain.
-    /// Returns `true` on the root.
-    pub fn complete<C: Comm>(self, comm: &mut C) -> bool {
-        match self.try_complete(comm) {
-            Ok(root) => root,
-            Err(e) => panic!("collective aborted: {e}; plan poisoned (reset() to reuse)"),
-        }
-    }
-}
-
-impl Drop for ReduceHandle<'_, '_> {
-    fn drop(&mut self) {
-        self.plan
-            .session
-            .feedback
-            .live_ops
-            .fetch_sub(1, Ordering::Relaxed);
-        if !self.done && self.plan.poisoned.is_none() {
-            match &mut self.plan.inner {
-                ReducePlanImpl::RsGather {
-                    reduce_scatter,
-                    gather,
-                    ..
-                } => {
-                    reduce_scatter.ws.abort();
-                    gather.ws.abort();
-                }
-                ReducePlanImpl::Binomial { ws, .. } => ws.abort(),
-            }
-            self.plan.in_flight = false;
-            self.plan.poisoned = Some(CollectiveError::Abandoned);
-        }
     }
 }
 

@@ -1,0 +1,169 @@
+//! Lifecycle conformance of the generic plan/handle pair, instantiated
+//! for every collective kind: `Idle → InFlight → Done | Poisoned →
+//! reset` must behave the same whichever schedule machine is plugged in.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use c_coll::{Algorithm, CCollSession, CodecSpec, CollectiveError, PlanOptions, Poll, ReduceOp};
+use ccoll_comm::{Comm, SimConfig, SimWorld};
+
+const WORLD: usize = 4;
+const LEN: usize = 4 * 1500;
+const ROOT: usize = 1;
+
+fn rank_data(rank: usize, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| ((i * 7 + rank * 131) as f32 * 1e-3).sin() * 4.0)
+        .collect()
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// One conformance case: `$make` builds the plan from a session, and
+/// `$in_len` / `$out_len` give the buffer lengths on a rank. The body is
+/// the same for every kind — only the alias behind `$make` differs.
+macro_rules! lifecycle_conformance {
+    ($($name:ident: $make:expr, in $in_len:expr, out $out_len:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            let make = $make;
+            let in_len: fn(usize) -> usize = $in_len;
+            let out_len: fn(usize) -> usize = $out_len;
+            SimWorld::new(SimConfig::new(WORLD)).run(move |c| {
+                let rank = c.rank();
+                let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, WORLD);
+                let mut plan = make(&session);
+                let input = rank_data(rank, in_len(rank));
+                let mut out = vec![0.0f32; out_len(rank)];
+
+                // Idle → InFlight → Done.
+                let clean = plan.execute_into(c, &input, &mut out);
+                let clean_bits = bits(&out);
+                assert_eq!(plan.stats().executions, 1);
+                assert_eq!(session.live_ops(), 0);
+
+                // InFlight → Poisoned(Abandoned): dropped mid-operation.
+                {
+                    let mut handle = plan.start(c, &input, &mut out);
+                    assert_eq!(session.live_ops(), 1);
+                    assert_eq!(handle.try_progress(c), Ok(Poll::Pending), "rank {rank}");
+                    assert!(!handle.is_complete());
+                }
+                assert_eq!(plan.poison_error(), Some(CollectiveError::Abandoned));
+                assert_eq!(session.live_ops(), 0, "an abandoned op deregisters");
+                assert_eq!(plan.stats().executions, 1, "an abandoned op is not an execution");
+                assert_eq!(
+                    plan.try_execute_into(c, &input, &mut out).err(),
+                    Some(CollectiveError::Poisoned)
+                );
+                assert_eq!(session.live_ops(), 0, "a refused start registers nothing");
+
+                // Poisoned → Idle. Every rank's abandoned traffic is on
+                // the wire before anyone scrubs, and everyone has
+                // scrubbed before anyone restarts.
+                c.barrier();
+                plan.reset_in(c);
+                assert!(!plan.is_poisoned());
+                c.barrier();
+
+                out.fill(0.0);
+                let rerun = plan
+                    .try_execute_into(c, &input, &mut out)
+                    .expect("a reset plan re-runs cleanly");
+                assert_eq!(plan.stats().executions, 2);
+                assert_eq!(rerun, clean);
+                assert_eq!(bits(&out), clean_bits, "rank {rank}: rerun differs");
+
+                let mut fresh = make(&session);
+                let mut fresh_out = vec![0.0f32; out_len(rank)];
+                assert_eq!(fresh.execute_into(c, &input, &mut fresh_out), clean);
+                assert_eq!(bits(&fresh_out), clean_bits, "rank {rank}: fresh plan differs");
+                assert_eq!(fresh.stats().executions, 1);
+                assert_eq!(session.live_ops(), 0);
+            });
+        }
+    )*};
+}
+
+fn full(_rank: usize) -> usize {
+    LEN
+}
+
+/// One rank's share (`LEN` divides evenly, as all-to-all requires).
+fn block(_rank: usize) -> usize {
+    LEN / WORLD
+}
+
+fn root_only(rank: usize) -> usize {
+    if rank == ROOT {
+        LEN
+    } else {
+        0
+    }
+}
+
+lifecycle_conformance! {
+    allreduce_lifecycle:
+        |s: &CCollSession| s.plan_allreduce(LEN, ReduceOp::Sum), in full, out full;
+    allgather_lifecycle:
+        |s: &CCollSession| s.plan_allgather(LEN / WORLD), in block, out full;
+    reduce_scatter_lifecycle:
+        |s: &CCollSession| s.plan_reduce_scatter(LEN, ReduceOp::Sum), in full, out block;
+    bcast_lifecycle:
+        |s: &CCollSession| s.plan_bcast(ROOT, LEN), in root_only, out full;
+    scatter_lifecycle:
+        |s: &CCollSession| s.plan_scatter(ROOT, LEN), in root_only, out block;
+    gather_lifecycle:
+        |s: &CCollSession| s.plan_gather(ROOT, LEN), in block, out root_only;
+    alltoall_lifecycle:
+        |s: &CCollSession| s.plan_alltoall(LEN), in full, out full;
+    reduce_lifecycle:
+        |s: &CCollSession| s.plan_reduce(ROOT, LEN, ReduceOp::Sum), in full, out root_only;
+    tree_reduce_lifecycle:
+        |s: &CCollSession| {
+            let tree = PlanOptions::new().algorithm(Algorithm::Binomial);
+            s.plan_reduce_with(ROOT, LEN, ReduceOp::Sum, tree)
+        }, in full, out root_only;
+}
+
+/// `start` validates before it communicates: a poisoned `Auto` plan whose
+/// next start is due a calibration agreement must refuse the start
+/// without putting a single agreement message on the wire.
+#[test]
+fn poisoned_auto_plan_refuses_start_before_any_agreement() {
+    let len = 20_000;
+    SimWorld::new(SimConfig::new(WORLD)).run(move |c| {
+        let session = CCollSession::new(CodecSpec::None, WORLD);
+        let mut plan = session.plan_allreduce_with(len, ReduceOp::Sum, PlanOptions::new());
+        let input = rank_data(c.rank(), len);
+        let mut out = vec![0.0f32; len];
+        // Four executions: the start that follows is a calibration
+        // round (and stays one for as long as the count stands at four).
+        for _ in 0..4 {
+            plan.execute_into(c, &input, &mut out);
+        }
+        let before_round = c.profiler().traffic().messages_sent;
+        drop(plan.start(c, &input, &mut out));
+        assert_eq!(plan.poison_error(), Some(CollectiveError::Abandoned));
+        assert!(
+            c.profiler().traffic().messages_sent > before_round,
+            "the healthy start was expected to run its agreement"
+        );
+
+        let before = c.profiler().traffic().messages_sent;
+        let refused = catch_unwind(AssertUnwindSafe(|| {
+            let _ = plan.start(c, &input, &mut out);
+        }));
+        let payload = refused.expect_err("a poisoned plan must refuse to start");
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(message.contains("plan was poisoned"), "{message}");
+        assert_eq!(
+            c.profiler().traffic().messages_sent,
+            before,
+            "a refused start must not send agreement traffic"
+        );
+        assert_eq!(session.live_ops(), 0);
+    });
+}

@@ -16,52 +16,66 @@ use c_coll::ReduceOp;
 use ccoll_comm::{Comm, Kernel, SimConfig, SimWorld};
 use ccoll_compress::{CompressError, Compressor, SzxCodec};
 
-static LEGACY_CALLS: AtomicUsize = AtomicUsize::new(0);
-static INTO_CALLS: AtomicUsize = AtomicUsize::new(0);
-static FRESH_BUFFERS: AtomicUsize = AtomicUsize::new(0);
+/// Codec-call counters of one test. Each test owns its own set (the
+/// tests of this binary run on parallel threads), shared by the ranks
+/// of its world through the codec.
+#[derive(Default)]
+struct Counters {
+    legacy_calls: AtomicUsize,
+    into_calls: AtomicUsize,
+    fresh_buffers: AtomicUsize,
+}
 
 /// Wraps SZx and records which API the collective layer drives and
 /// whether it hands over warmed (reused) buffers.
-struct Auditing(SzxCodec);
+struct Auditing {
+    codec: SzxCodec,
+    counters: Arc<Counters>,
+}
 
-impl Compressor for Auditing {
-    fn compress(&self, data: &[f32]) -> Result<Vec<u8>, CompressError> {
-        LEGACY_CALLS.fetch_add(1, Ordering::SeqCst);
-        self.0.compress(data)
-    }
-
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-        LEGACY_CALLS.fetch_add(1, Ordering::SeqCst);
-        self.0.decompress(stream)
-    }
-
-    fn compress_into(&self, data: &[f32], out: &mut Vec<u8>) -> Result<(), CompressError> {
-        INTO_CALLS.fetch_add(1, Ordering::SeqCst);
-        if out.capacity() == 0 {
-            FRESH_BUFFERS.fetch_add(1, Ordering::SeqCst);
+impl Auditing {
+    fn note_into(&self, capacity: usize) {
+        self.counters.into_calls.fetch_add(1, Ordering::SeqCst);
+        if capacity == 0 {
+            self.counters.fresh_buffers.fetch_add(1, Ordering::SeqCst);
         }
-        self.0.compress_into(data, out)
-    }
-
-    fn decompress_into(&self, stream: &[u8], out: &mut Vec<f32>) -> Result<(), CompressError> {
-        INTO_CALLS.fetch_add(1, Ordering::SeqCst);
-        if out.capacity() == 0 {
-            FRESH_BUFFERS.fetch_add(1, Ordering::SeqCst);
-        }
-        self.0.decompress_into(stream, out)
-    }
-
-    fn kind(&self) -> ccoll_compress::CodecKind {
-        self.0.kind()
     }
 }
 
-fn auditing_cpr(eb: f32) -> CprCodec {
-    CprCodec::new(
-        Arc::new(Auditing(SzxCodec::new(eb))),
-        Kernel::SzxCompress,
-        Kernel::SzxDecompress,
-    )
+impl Compressor for Auditing {
+    fn compress(&self, data: &[f32]) -> Result<Vec<u8>, CompressError> {
+        self.counters.legacy_calls.fetch_add(1, Ordering::SeqCst);
+        self.codec.compress(data)
+    }
+
+    fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
+        self.counters.legacy_calls.fetch_add(1, Ordering::SeqCst);
+        self.codec.decompress(stream)
+    }
+
+    fn compress_into(&self, data: &[f32], out: &mut Vec<u8>) -> Result<(), CompressError> {
+        self.note_into(out.capacity());
+        self.codec.compress_into(data, out)
+    }
+
+    fn decompress_into(&self, stream: &[u8], out: &mut Vec<f32>) -> Result<(), CompressError> {
+        self.note_into(out.capacity());
+        self.codec.decompress_into(stream, out)
+    }
+
+    fn kind(&self) -> ccoll_compress::CodecKind {
+        self.codec.kind()
+    }
+}
+
+fn auditing_cpr(eb: f32) -> (CprCodec, Arc<Counters>) {
+    let counters = Arc::new(Counters::default());
+    let codec = Auditing {
+        codec: SzxCodec::new(eb),
+        counters: Arc::clone(&counters),
+    };
+    let cpr = CprCodec::new(Arc::new(codec), Kernel::SzxCompress, Kernel::SzxDecompress);
+    (cpr, counters)
 }
 
 fn rank_data(rank: usize, len: usize) -> Vec<f32> {
@@ -70,26 +84,19 @@ fn rank_data(rank: usize, len: usize) -> Vec<f32> {
         .collect()
 }
 
-fn reset_counters() {
-    LEGACY_CALLS.store(0, Ordering::SeqCst);
-    INTO_CALLS.store(0, Ordering::SeqCst);
-    FRESH_BUFFERS.store(0, Ordering::SeqCst);
-}
-
 #[test]
 fn allreduce_codec_path_reuses_scratch_buffers() {
     let n = 8;
     let len = 40_000;
-    reset_counters();
-    let cpr = auditing_cpr(1e-3);
+    let (cpr, counters) = auditing_cpr(1e-3);
     let world = SimWorld::new(SimConfig::new(n));
     world.run(move |c| {
         cpr_ring_allreduce(c, &cpr, &rank_data(c.rank(), len), ReduceOp::Sum);
     });
 
-    let legacy = LEGACY_CALLS.load(Ordering::SeqCst);
-    let into = INTO_CALLS.load(Ordering::SeqCst);
-    let fresh = FRESH_BUFFERS.load(Ordering::SeqCst);
+    let legacy = counters.legacy_calls.load(Ordering::SeqCst);
+    let into = counters.into_calls.load(Ordering::SeqCst);
+    let fresh = counters.fresh_buffers.load(Ordering::SeqCst);
 
     assert_eq!(
         legacy, 0,
@@ -114,8 +121,7 @@ fn allreduce_codec_path_reuses_scratch_buffers() {
 fn bcast_codec_path_compresses_once_per_rank_with_scratch() {
     let n = 9;
     let len = 20_000;
-    reset_counters();
-    let cpr = auditing_cpr(1e-3);
+    let (cpr, counters) = auditing_cpr(1e-3);
     let world = SimWorld::new(SimConfig::new(n));
     world.run(move |c| {
         let data = if c.rank() == 0 {
@@ -126,9 +132,9 @@ fn bcast_codec_path_compresses_once_per_rank_with_scratch() {
         c_binomial_bcast(c, &cpr, 0, &data);
     });
 
-    let legacy = LEGACY_CALLS.load(Ordering::SeqCst);
-    let into = INTO_CALLS.load(Ordering::SeqCst);
-    let fresh = FRESH_BUFFERS.load(Ordering::SeqCst);
+    let legacy = counters.legacy_calls.load(Ordering::SeqCst);
+    let into = counters.into_calls.load(Ordering::SeqCst);
+    let fresh = counters.fresh_buffers.load(Ordering::SeqCst);
 
     assert_eq!(
         legacy, 0,
