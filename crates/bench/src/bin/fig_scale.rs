@@ -75,6 +75,7 @@ fn main() {
         "hier (ms)",
         "fastest",
         "auto picks",
+        "control (ms)",
     ]);
 
     let mut json = String::from("{\n  \"bench\": \"scale\",\n  \"entries\": [\n");
@@ -118,6 +119,19 @@ fn main() {
                 .expect("non-empty")
                 .0];
             let best_flat = times[..3].iter().cloned().fold(f64::INFINITY, f64::min);
+            let best = best_flat.min(times[3]);
+            // What `Auto` pays for deciding: its per-iteration makespan
+            // over the pinned makespan of the schedule it settled on.
+            let auto_ms = auto_res.makespan.as_secs_f64() * 1e3;
+            let picked_at = candidates
+                .iter()
+                .position(|&a| a == picked)
+                .expect("Auto settles on a candidate");
+            let control_plane_ms = auto_ms - times[picked_at];
+            assert!(
+                auto_ms <= 1.05 * best,
+                "{spec} {nodes}x{per_node}: auto {auto_ms:.4} ms > 1.05 x best {best:.4} ms"
+            );
             t.row(&[
                 spec.to_string(),
                 nodes.to_string(),
@@ -128,6 +142,7 @@ fn main() {
                 format!("{:.3}", times[3]),
                 fastest.label().to_string(),
                 picked.label().to_string(),
+                format!("{control_plane_ms:.4}"),
             ]);
             if !first {
                 json.push_str(",\n");
@@ -139,14 +154,14 @@ fn main() {
                  \"values\": {values}, \
                  \"ring_ms\": {:.4}, \"recursive_doubling_ms\": {:.4}, \
                  \"rabenseifner_ms\": {:.4}, \"hierarchical_ms\": {:.4}, \
-                 \"best_flat_ms\": {best_flat:.4}, \"auto_ms\": {:.4}, \
+                 \"best_flat_ms\": {best_flat:.4}, \"auto_ms\": {auto_ms:.4}, \
+                 \"control_plane_ms\": {control_plane_ms:.4}, \
                  \"fastest\": \"{}\", \"auto\": \"{}\"}}",
                 nodes * per_node,
                 times[0],
                 times[1],
                 times[2],
                 times[3],
-                auto_res.makespan.as_secs_f64() * 1e3,
                 fastest.label(),
                 picked.label()
             );

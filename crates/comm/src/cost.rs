@@ -337,12 +337,12 @@ impl CostModel {
     /// Closed-form critical-path estimate on a **two-level** network:
     /// the hierarchical counterpart of [`CostModel::estimate`], and the
     /// quantity `Algorithm::Auto` minimizes when the session carries a
-    /// [`ClusterNet`]. Flat schedules are priced with the inter-node
-    /// model (on a ring or butterfly spanning several nodes, every
-    /// round's critical hop crosses a node boundary); hierarchical
-    /// schedules split into per-level legs — raw intra-node phases at
-    /// the intra model, the codec-carrying leader leg at the inter
-    /// model.
+    /// [`ClusterNet`](crate::topology::ClusterNet). Flat schedules are
+    /// priced with the inter-node model (on a ring or butterfly spanning
+    /// several nodes, every round's critical hop crosses a node
+    /// boundary); hierarchical schedules split into per-level legs —
+    /// raw intra-node phases at the intra model, the codec-carrying
+    /// leader leg at the inter model.
     pub fn estimate_hier(
         &self,
         schedule: Schedule,

@@ -29,7 +29,28 @@ pub(crate) mod tags {
     pub const RABENSEIFNER: Tag = 0xA000;
     pub const BRUCK: Tag = 0xB000;
     pub const TREE_REDUCE: Tag = 0xC000;
+    /// `Auto`'s control plane (`plan::agree_min`): two `0x400`-wide
+    /// sub-bands, one per agreement a plan can run, so the one-shot
+    /// re-rank and a calibration round never share a tag.
     pub const RERANK: Tag = 0xD000;
+    pub const AGREE_RERANK: Tag = RERANK;
+    pub const AGREE_CALIB: Tag = RERANK + 0x400;
+    /// Round tags reserved per agreement phase: a phase over `g` ranks
+    /// numbers its rounds `0..⌈log₂ g⌉`, so 32 covers any group size.
+    pub const AGREE_ROUNDS: Tag = 32;
+    /// Phase offsets inside an agreement sub-band; each phase numbers
+    /// its rounds upwards from its offset.
+    pub const AGREE_REDUCE: Tag = 0;
+    pub const AGREE_EXCHANGE: Tag = AGREE_ROUNDS;
+    pub const AGREE_BCAST: Tag = 2 * AGREE_ROUNDS;
+    const _: () = {
+        // Three phases of at least ⌈log₂ 1024⌉ rounds fit one sub-band,
+        // and the band ends below the recovery control tags
+        // (`ccoll_comm::recover`, 0xE000 upwards).
+        assert!(AGREE_ROUNDS >= 10);
+        assert!(AGREE_BCAST + AGREE_ROUNDS <= 0x400);
+        assert!(AGREE_CALIB + 0x400 <= 0xE000);
+    };
     /// Hierarchical glue traffic (root→leader hand-offs); the two-level
     /// phases themselves reuse the per-family spaces above, isolated by
     /// disjoint member sets.

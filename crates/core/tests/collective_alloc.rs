@@ -192,8 +192,8 @@ fn steady_state_plans_allocate_nothing() {
         // blocking drives, the start/progress*/complete cycles, the
         // engine-driven concurrent cycles AND the Auto plan's
         // calibration round (its 8th execution starts inside this
-        // window: two ring agreements plus the re-rank, all through the
-        // warmed pool).
+        // window: one two-lane min-agreement plus the re-rank, all
+        // through the warmed pool).
         let before = allocations();
         for _ in 0..4 {
             allreduce.execute_into(c, &input, &mut ar_out);

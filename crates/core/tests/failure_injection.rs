@@ -7,7 +7,7 @@
 //! the plan.
 //!
 //! All chaos runs pin an explicit algorithm (never [`Algorithm::Auto`]):
-//! `Auto`'s one-shot post-warm-up re-rank runs its own ring agreement
+//! `Auto`'s re-rank and calibration rounds run their own min-agreement
 //! outside any fault policy, which is exactly the kind of unbounded
 //! wait these tests exist to rule out.
 

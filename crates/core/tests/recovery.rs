@@ -8,7 +8,7 @@
 //! input). No hangs, no corruption, on both backends.
 //!
 //! All chaos runs pin an explicit algorithm (never [`Algorithm::Auto`]):
-//! `Auto`'s one-shot post-warm-up re-rank runs its own ring agreement
+//! `Auto`'s re-rank and calibration rounds run their own min-agreement
 //! outside any fault policy.
 
 use c_coll::engine::ProgressEngine;
