@@ -14,7 +14,11 @@
 //!   (CPR reduce-scatter + monolithic compress-once allgather);
 //! * `rabenseifner` — pipelined halving phase vs the monolithic CPR
 //!   butterfly;
-//! * `reduce` — pipelined binomial tree vs the monolithic CPR tree.
+//! * `reduce` — pipelined binomial tree vs the monolithic CPR tree;
+//! * `bcast` — the streamed compress-once broadcast (root encode ∥
+//!   relay ∥ decode through the relay cursor) vs the same plan with one
+//!   sub-chunk spanning the payload (`with_pipeline_values(values)`):
+//!   encode, then relay, then decode.
 //!
 //! ```bash
 //! cargo run --release -p ccoll-bench --bin fig_pipeline
@@ -28,7 +32,7 @@ use c_coll::collectives::cpr_p2p::{self, CprCodec};
 use c_coll::frameworks::computation::{self, PipelineConfig};
 use c_coll::frameworks::data_movement;
 use c_coll::partition::chunk_lengths;
-use c_coll::{CodecSpec, CollWorkspace, ReduceOp};
+use c_coll::{CCollSession, CodecSpec, CollWorkspace, ReduceOp};
 use ccoll_bench::runner::run_custom;
 use ccoll_bench::table::Table;
 use ccoll_comm::{Comm, CostModel, NetModel};
@@ -192,6 +196,18 @@ fn run_stage(
                         }
                     }
                 }
+                "bcast" => {
+                    // Through the plan: the sub-chunk size is the
+                    // session's, and one sub-chunk spanning the payload
+                    // *is* the monolithic schedule.
+                    let pipe = if overlapped { chunk } else { values };
+                    let session = CCollSession::new(spec, NODES).with_pipeline_values(pipe);
+                    let mut plan = session.plan_bcast(0, values);
+                    let mut out = vec![0.0f32; values];
+                    for _ in 0..iters {
+                        plan.execute_into(comm, &data, &mut out);
+                    }
+                }
                 other => panic!("unknown stage {other}"),
             }
         },
@@ -267,6 +283,15 @@ fn main() {
                 let mono = run_stage(stage, spec, chunk, false, values, iters);
                 emit(stage, spec, chunk, ov, mono);
             }
+        }
+    }
+    // Streaming is codec-agnostic (each sub-chunk is an independent
+    // stream), so the lossless codec rides along as in `allgather`.
+    for spec in [szx, zfp, CodecSpec::Lossless] {
+        for &chunk in &chunks {
+            let ov = run_stage("bcast", spec, chunk, true, values, iters);
+            let mono = run_stage("bcast", spec, chunk, false, values, iters);
+            emit("bcast", spec, chunk, ov, mono);
         }
     }
     json.push_str("\n  ]\n}\n");

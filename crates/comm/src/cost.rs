@@ -30,6 +30,11 @@ use std::time::Duration;
 
 use crate::sim::NetModel;
 
+/// Bytes of one PIPE sub-chunk (5120 `f32` values, the paper's PIPE-SZx
+/// granularity): the unit the streamed schedules are priced in, and
+/// what `c_coll`'s default sub-chunk size is derived from.
+pub const PIPE_CHUNK_BYTES: usize = 5120 * 4;
+
 /// Kernel classes whose cost the simulator models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
@@ -295,7 +300,23 @@ impl CostModel {
                 let gather = comp(m) + log2n * alpha + rest * (wire * beta + deco(d));
                 rs + gather
             }
-            Schedule::BinomialTreeBcast => comp(d) + log2n * (alpha + wire * beta) + deco(d),
+            Schedule::BinomialTreeBcast if p.compress_tput.is_infinite() => {
+                // Raw: one whole-payload message per tree level.
+                comp(d) + log2n * (alpha + wire * beta) + deco(d)
+            }
+            Schedule::BinomialTreeBcast => {
+                // Compress-once payloads stream in `k` sub-chunks through
+                // a three-stage pipeline — root encode, root fan-out to
+                // its ⌈log₂n⌉ children, decode — so the first sub-chunk
+                // pays every stage plus the tree's hops and each further
+                // one only the slowest stage. `k = 1` is the one-message
+                // tree above.
+                let c = d.min(PIPE_CHUNK_BYTES as f64);
+                let wc = c / p.ratio.max(1.0);
+                let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
+                let stage = comp(c).max(log2n * wc * beta).max(deco(c));
+                comp(c) + log2n * (alpha + wc * beta) + deco(c) + (k - 1.0) * stage
+            }
             Schedule::PairwiseAlltoall => {
                 // n−1 pairwise rounds of one block each; compressed mode
                 // compresses every outgoing block once up front and
@@ -847,6 +868,46 @@ mod tests {
                     net.latency.as_secs_f64() + (p.payload_bytes as f64) / net.bandwidth
                 )
         );
+    }
+
+    #[test]
+    fn bcast_estimate_streams_compressed_and_keeps_raw() {
+        let m = CostModel::default();
+        let net = NetModel::default();
+        let (alpha, beta) = (net.latency.as_secs_f64(), 1.0 / net.bandwidth);
+        for n in [2usize, 8, 9, 32] {
+            let log2n = (usize::BITS - (n - 1).leading_zeros()) as f64;
+            // Raw: bit-equal to the one-message-per-level formula.
+            let raw = SchedParams::uncompressed(n, 4 << 20);
+            let d = raw.payload_bytes as f64;
+            assert_eq!(
+                m.estimate(Schedule::BinomialTreeBcast, &net, &raw),
+                Duration::from_secs_f64(
+                    d / f64::INFINITY + log2n * (alpha + d * beta) + d / f64::INFINITY
+                )
+            );
+            // Compressed, many sub-chunks: bounded below by the slowest
+            // whole-payload stage and well under the serial sum.
+            let p = szx_params(n, 4 << 20);
+            let est = m
+                .estimate(Schedule::BinomialTreeBcast, &net, &p)
+                .as_secs_f64();
+            let (comp, deco) = (d / p.compress_tput, d / p.decompress_tput);
+            let fan = log2n * d / p.ratio * beta;
+            let serial = comp + log2n * (alpha + d / p.ratio * beta) + deco;
+            assert!(est >= comp.max(fan).max(deco), "{n}: {est}");
+            assert!(est < 0.8 * serial, "{n}: {est} vs serial {serial}");
+            // One sub-chunk or less: exactly the one-message tree.
+            let small = szx_params(n, 4096);
+            let ds = small.payload_bytes as f64;
+            let one = ds / small.compress_tput
+                + log2n * (alpha + ds / small.ratio * beta)
+                + ds / small.decompress_tput;
+            let got = m
+                .estimate(Schedule::BinomialTreeBcast, &net, &small)
+                .as_secs_f64();
+            assert!((got - one).abs() < 1e-9, "{n}: {got} vs {one}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod topology;
 
 pub use chaos::{CommError, FaultPlan, FaultPolicy, KillSpec, MsgFault};
 pub use comm::{Comm, RecvReq, SendReq, Tag};
-pub use cost::{CostModel, Kernel, SchedParams, Schedule};
+pub use cost::{CostModel, Kernel, SchedParams, Schedule, PIPE_CHUNK_BYTES};
 pub use pool::PayloadPool;
 pub use profile::{Category, FaultCounters, Profiler, TimeBreakdown, TrafficStats};
 pub use recover::{

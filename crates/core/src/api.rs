@@ -172,7 +172,8 @@ impl CColl {
         }
     }
 
-    /// **C-Bcast** (binomial tree; compress once at the root).
+    /// **C-Bcast** (binomial tree; compress once at the root, streamed
+    /// in sub-chunks so encode, relay and decode overlap).
     #[must_use]
     pub fn bcast<C: Comm>(&self, comm: &mut C, root: usize, data: &[f32]) -> Vec<f32> {
         match self.cpr() {

@@ -38,8 +38,9 @@ use crate::pipeline::{hop_exchange, hop_recv_reduce, hop_send, split_src_dst, Pi
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
 
-/// Default pipeline sub-chunk in values (the paper's 5120 data points).
-pub const DEFAULT_PIPE_VALUES: usize = 5120;
+/// Default pipeline sub-chunk in values (the paper's 5120 data points) —
+/// the same unit the cost model prices streamed schedules in.
+pub const DEFAULT_PIPE_VALUES: usize = ccoll_comm::PIPE_CHUNK_BYTES / 4;
 
 /// Configuration of the pipelined computation framework.
 #[derive(Debug, Clone, Copy)]

@@ -16,10 +16,17 @@
 //!    the data that are compressed by themselves"*.
 //!
 //! C-Bcast compresses once at the root, relays compressed bytes down the
-//! binomial tree and decompresses once at every non-root; C-Scatter
-//! compresses each destination segment once at the root and forwards
-//! framed segment sets down the tree, so each leaf decompresses exactly
-//! its own segment.
+//! binomial tree and decompresses once at every non-root — and, since
+//! the three stages touch disjoint resources (the root's core, the
+//! links, the receivers' cores), it runs them **streamed**: the payload
+//! travels as independent PIPE-sized sub-chunk streams through one
+//! `RelayCursor` (`crate::pipeline`), so the root's encode, the tree's
+//! relays and every rank's decode overlap and a broadcast costs about
+//! `max(encode, fan-out)` instead of `encode + fan-out + decode`.
+//! C-Scatter compresses each destination segment once at the root and
+//! forwards framed segment sets down the tree, so each leaf
+//! decompresses exactly its own segment; it and the ring allgather keep
+//! their whole-block messages.
 
 use bytes::Bytes;
 use ccoll_comm::{Category, Comm, Tag};
@@ -27,8 +34,10 @@ use ccoll_comm::{Category, Comm, Tag};
 use crate::collectives::baseline::binomial_bcast_bytes;
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{compress_in, memcpy_in, tags};
+use crate::frameworks::computation::DEFAULT_PIPE_VALUES;
 use crate::frameworks::decompress_auto_in;
 use crate::partition::chunk_lengths;
+use crate::pipeline::{PipeBufs, RelayCursor};
 use crate::wire::{frame_blobs_pooled, unframe_blobs, unframe_blobs_into};
 use crate::workspace::CollWorkspace;
 
@@ -369,45 +378,43 @@ pub fn c_bruck_allgatherv_into<C: Comm>(
 }
 
 /// C-Bcast: compress once at the root, relay compressed bytes through the
-/// binomial tree, decompress once at each non-root (paper Fig. 3, right).
+/// binomial tree, decompress once at each non-root (paper Fig. 3, right)
+/// — streamed in [`DEFAULT_PIPE_VALUES`] sub-chunks, see
+/// [`c_binomial_bcast_into`]. `data` is read on the root only.
+///
+/// The allocating wrapper does not know the length on non-roots, and a
+/// stream is now one sub-chunk rather than the payload, so the root
+/// first sends the 8-byte value count down the same tree. It travels
+/// ahead of the first sub-chunk (which is still being encoded) and costs
+/// no time on the critical path; persistent plans know the length up
+/// front and send no such header.
 pub fn c_binomial_bcast<C: Comm>(
     comm: &mut C,
     cpr: &CprCodec,
     root: usize,
     data: &[f32],
 ) -> Vec<f32> {
-    // The allocating wrapper learns the length from the compressed
-    // stream itself (as the seed implementation did, at no extra
-    // traffic); persistent plans know the length up front and use the
-    // `_into` variant.
-    let n = comm.size();
     let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
+    assert!(root < comm.size(), "root {root} out of range");
     let mut ws = CollWorkspace::new();
-    let payload = if me == root {
-        Some(compress_in(
-            comm,
-            cpr.codec.as_ref(),
-            cpr.ck,
-            data,
-            true,
-            &mut ws.pool,
-        ))
-    } else {
-        None
-    };
-    let blob = binomial_bcast_bytes(comm, root, payload, tags::BCAST + 0xC00);
-    if me == root {
-        data.to_vec()
-    } else {
-        decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &blob, &mut ws.scratch);
-        std::mem::take(&mut ws.scratch.dec)
-    }
+    let header = (me == root).then(|| ws.pool.write(&(data.len() as u64).to_le_bytes()));
+    let header = binomial_bcast_bytes(comm, root, header, tags::BCAST + 0xC01);
+    let len = u64::from_le_bytes(header[..8].try_into().expect("8-byte length")) as usize;
+    let mut out = vec![0.0f32; len];
+    c_binomial_bcast_into(comm, cpr, root, data, &mut out, &mut ws);
+    out
 }
 
 /// [`c_binomial_bcast`] writing into a caller-provided buffer through a
 /// reusable workspace. Every rank must size `out` to the broadcast
 /// length; `data` is read on the root only.
+///
+/// A one-shot blocking drive of the same `RelayCursor` the broadcast
+/// plans step (there is no second copy of the schedule): the root
+/// encodes sub-chunk `j+1` while sub-chunk `j` fans out, interior ranks
+/// relay each arrival before decoding it, leaves decode as chunks
+/// arrive. Every value is compressed exactly once (at the root) and
+/// decompressed exactly once per non-root rank.
 pub fn c_binomial_bcast_into<C: Comm>(
     comm: &mut C,
     cpr: &CprCodec,
@@ -416,35 +423,24 @@ pub fn c_binomial_bcast_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    let CollWorkspace { pool, scratch, .. } = ws;
-    let payload = if me == root {
-        assert_eq!(
-            data.len(),
-            out.len(),
-            "root data disagrees with plan length"
-        );
-        Some(compress_in(
-            comm,
-            cpr.codec.as_ref(),
-            cpr.ck,
-            data,
-            true,
-            pool,
-        ))
-    } else {
-        None
+    let mut bufs = PipeBufs {
+        pool: &mut ws.pool,
+        scratch: &mut ws.scratch,
+        sreqs: &mut ws.sreqs,
+        rreqs: &mut ws.rreqs,
     };
-    let blob = binomial_bcast_bytes(comm, root, payload, tags::BCAST + 0xC00);
-    if me == root {
-        out.copy_from_slice(data);
-    } else {
-        let vals = decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &blob, scratch);
-        assert_eq!(vals.len(), out.len(), "C-Bcast length disagrees with plan");
-        out.copy_from_slice(vals);
-    }
+    let done = RelayCursor::new().step(
+        comm,
+        cpr,
+        DEFAULT_PIPE_VALUES,
+        root,
+        data,
+        out,
+        tags::BCAST + 0xC00,
+        &mut bufs,
+        true,
+    );
+    debug_assert!(done.is_ready());
 }
 
 /// C-Scatter: the root compresses each destination's segment exactly

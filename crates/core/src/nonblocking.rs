@@ -37,7 +37,7 @@ use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{compress_in, decode_values_in, memcpy_in, tags, values_payload};
 use crate::frameworks::computation::PipelineConfig;
 use crate::frameworks::decompress_auto_in;
-use crate::pipeline::{split_src_dst, HopCursor, PipeBufs};
+use crate::pipeline::{split_src_dst, HopCursor, PipeBufs, RelayCursor};
 use crate::reduce::ReduceOp;
 use crate::wire::decode_values_vec;
 use crate::workspace::CollWorkspace;
@@ -1563,33 +1563,47 @@ enum BcPhase {
     SendSetup,
     Sends,
     SendWait,
-    Decode,
     Done,
 }
 
-/// Resumable binomial-tree broadcast (`compressed = true` relays one
-/// compress-once blob; `false` relays raw values).
+/// Resumable binomial-tree broadcast, in one of two shapes:
+///
+/// * **streamed** (`pipe = Some(..)`) — the compress-once C-Bcast. The
+///   payload travels as independent `pipe`-value sub-chunk streams
+///   through one [`RelayCursor`] (root: encode ∥ fan-out; interior:
+///   relay, then decode; leaf: decode as chunks arrive), all on one
+///   tag. A payload of at most one sub-chunk is a single whole-payload
+///   message.
+/// * **raw** (`pipe = None`) — uncompressed values as one message per
+///   tree edge, each send waited out before the next. Deliberately not
+///   streamed: its root is egress-bound either way, and it is the
+///   node-local fan-out of every hierarchical schedule.
 #[derive(Debug)]
 pub(crate) struct Bcast {
-    compressed: bool,
+    /// Sub-chunk size of the streamed shape; `None` for the raw shape.
+    pipe: Option<usize>,
     root: usize,
-    phase: BcPhase,
-    mask: usize,
     /// Per-operation tag base; folded into [`Bcast::tag`] so concurrent
     /// operations never cross-match.
     base: Tag,
+    relay: RelayCursor,
+    // Raw-shape state.
+    phase: BcPhase,
+    mask: usize,
     wire: Wire,
     payload: Option<Bytes>,
 }
 
 impl Bcast {
-    pub(crate) fn new(compressed: bool, root: usize) -> Self {
+    /// `Some(pipe)` builds the streamed shape, `None` the raw one.
+    pub(crate) fn new(pipe: Option<usize>, root: usize) -> Self {
         Bcast {
-            compressed,
+            pipe,
             root,
+            base: 0,
+            relay: RelayCursor::new(),
             phase: BcPhase::Init,
             mask: 1,
-            base: 0,
             wire: Wire::default(),
             payload: None,
         }
@@ -1604,13 +1618,16 @@ impl Bcast {
 
     fn tag(&self) -> Tag {
         self.base
-            + if self.compressed {
+            + if self.pipe.is_some() {
                 tags::BCAST + 0xC00
             } else {
                 tags::BCAST
             }
     }
 
+    /// Drive the broadcast. On the root an empty `data` means `out` is
+    /// already the source (hierarchical fan-outs hand the leader's
+    /// result over in place); otherwise `data` is copied in.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
@@ -1621,6 +1638,19 @@ impl Bcast {
         ws: &mut CollWorkspace,
         block: bool,
     ) -> Poll {
+        if let Some(pipe) = self.pipe {
+            let cpr = cpr.expect("compressed mode needs a codec");
+            let mut bufs = PipeBufs {
+                pool: &mut ws.pool,
+                scratch: &mut ws.scratch,
+                sreqs: &mut ws.sreqs,
+                rreqs: &mut ws.rreqs,
+            };
+            let tag = self.tag();
+            return self
+                .relay
+                .step(comm, cpr, pipe, self.root, data, out, tag, &mut bufs, block);
+        }
         let n = comm.size();
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
@@ -1630,28 +1660,12 @@ impl Bcast {
                     assert!(self.root < n, "root {} out of range", self.root);
                     self.mask = 1;
                     if me == self.root {
-                        // Empty `data` means `out` is already the source
-                        // (hierarchical fan-outs hand the leader's result
-                        // over in place); otherwise `data` is copied in.
                         if !data.is_empty() {
                             assert_eq!(
                                 data.len(),
                                 out.len(),
                                 "root data disagrees with plan length"
                             );
-                        }
-                        if self.compressed {
-                            let codec = cpr.expect("compressed mode needs a codec");
-                            let src: &[f32] = if data.is_empty() { out } else { data };
-                            self.payload = Some(compress_in(
-                                comm,
-                                codec.codec.as_ref(),
-                                codec.ck,
-                                src,
-                                true,
-                                &mut ws.pool,
-                            ));
-                        } else if !data.is_empty() {
                             out.copy_from_slice(data);
                         }
                         // The root never matches a parent bit: walk the
@@ -1674,25 +1688,18 @@ impl Bcast {
                     let Some(got) = self.wire.recv(comm, block, Category::Others) else {
                         return Poll::Pending;
                     };
-                    if self.compressed {
-                        // Decode happens after the relays, exactly as the
-                        // blocking compress-once bcast does.
-                        self.payload = Some(got);
-                    } else {
-                        crate::wire::decode_values_into(&got, out);
-                    }
+                    crate::wire::decode_values_into(&got, out);
                     self.phase = BcPhase::SendSetup;
                 }
                 BcPhase::SendSetup => {
-                    if !self.compressed {
-                        self.payload = Some(values_payload(&mut ws.pool, out));
-                    }
+                    self.payload = Some(values_payload(&mut ws.pool, out));
                     self.mask >>= 1;
                     self.phase = BcPhase::Sends;
                 }
                 BcPhase::Sends => {
                     if self.mask == 0 {
-                        self.phase = BcPhase::Decode;
+                        self.payload = None;
+                        self.phase = BcPhase::Done;
                         continue;
                     }
                     if relative + self.mask < n {
@@ -1710,29 +1717,6 @@ impl Bcast {
                     }
                     self.mask >>= 1;
                     self.phase = BcPhase::Sends;
-                }
-                BcPhase::Decode => {
-                    if self.compressed {
-                        let blob = self.payload.take().expect("broadcast payload present");
-                        if me == self.root {
-                            if !data.is_empty() {
-                                out.copy_from_slice(data);
-                            }
-                        } else {
-                            let codec = cpr.expect("compressed mode needs a codec");
-                            let vals = decompress_auto_in(
-                                comm,
-                                codec.codec.as_ref(),
-                                codec.dk,
-                                &blob,
-                                &mut ws.scratch,
-                            );
-                            assert_eq!(vals.len(), out.len(), "C-Bcast length disagrees with plan");
-                            out.copy_from_slice(vals);
-                        }
-                    }
-                    self.payload = None;
-                    self.phase = BcPhase::Done;
                 }
                 BcPhase::Done => return Poll::Ready,
             }
@@ -2904,7 +2888,7 @@ impl HierAr {
             phase: HierPhase::Local,
             local: TreeReduce::new(TreeMode::Raw, 0),
             inter: Butterfly::rabenseifner(mode),
-            fanout: Bcast::new(false, 0),
+            fanout: Bcast::new(None, 0),
         }
     }
 
@@ -3004,7 +2988,7 @@ impl HierAg {
             phase: HierPhase::Local,
             local: Gather::new(false, 0, node_block_len),
             inter: RingAg::new(mode),
-            fanout: Bcast::new(false, 0),
+            fanout: Bcast::new(None, 0),
         }
     }
 
@@ -3079,7 +3063,8 @@ impl HierAg {
 
 /// Two-level broadcast: an intra-node hand-off from the root to its
 /// node leader (skipped when the root *is* a leader), a binomial bcast
-/// over the leaders (compress-once), and a raw binomial fan-out within
+/// over the leaders (compress-once, streamed in sub-chunks like the
+/// flat one — it *is* a [`Bcast`]), and a raw binomial fan-out within
 /// every node. The root's buffer stays bitwise-exact; all other ranks
 /// see one identical decode of the single inter-node blob.
 #[derive(Debug)]
@@ -3097,14 +3082,16 @@ pub(crate) struct HierBc {
 }
 
 impl HierBc {
-    pub(crate) fn new(compressed: bool, root: usize, root_node: usize) -> Self {
+    /// `pipe` is the leader leg's sub-chunk size when the session has a
+    /// codec (the leg is then a streamed [`Bcast`]); `None` runs it raw.
+    pub(crate) fn new(pipe: Option<usize>, root: usize, root_node: usize) -> Self {
         HierBc {
             phase: HierPhase::Local,
-            compressed,
+            compressed: pipe.is_some(),
             root,
             root_node,
-            inter: Bcast::new(compressed, root_node),
-            fanout: Bcast::new(false, 0),
+            inter: Bcast::new(pipe, root_node),
+            fanout: Bcast::new(None, 0),
             base: 0,
             wire: Wire::default(),
         }

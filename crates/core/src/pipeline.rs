@@ -1,11 +1,15 @@
-//! The reusable pipelined-hop engine (paper §III-A2/§III-E2, made
-//! schedule-agnostic and — since PR 5 — resumable).
+//! The two sub-chunk pipeline engines (paper §III-A2/§III-E2, made
+//! schedule-agnostic and resumable): [`HopCursor`] for the *computation*
+//! framework and [`RelayCursor`] for the *data-movement* framework.
 //!
-//! PR 0–3 confined sub-chunk pipelining to one function: the ring
-//! reduce-scatter round in `frameworks::computation`. This module
-//! extracts that machinery so **any** schedule can drive it. A hop moves
-//! one logical buffer between two ranks in PIPE-SZx sub-chunks (5120
-//! values by default):
+//! Both move one logical buffer in PIPE-SZx sub-chunks (5120 values by
+//! default), all on **one tag matched FIFO** (so neither needs per-chunk
+//! sequence numbers), with every incoming sub-chunk receive posted up
+//! front, sends queued and retired lazily, and only the residual tail
+//! that could not be overlapped showing up as `Wait` time — the quantity
+//! Fig. 9 shows shrinking by 73–80 %.
+//!
+//! **[`HopCursor`] — one hop between two ranks, re-encoded every hop.**
 //!
 //! * the sender compresses sub-chunk `j+1` while sub-chunk `j` is on the
 //!   wire ([`hop_send`] / the send half of [`hop_exchange`]) — the
@@ -16,26 +20,31 @@
 //!   (`Compressor::decompress_reduce_into`) straight into its
 //!   accumulator range ([`hop_recv_reduce`] / the drain half of
 //!   [`hop_exchange`]), so decoded values never take a detour through a
-//!   scratch buffer;
-//! * only the residual tail that could not be overlapped shows up as
-//!   `Wait` time — the quantity Fig. 9 shows shrinking by 73–80 %.
-//!
-//! Since PR 5 the hop is an explicit cursor ([`HopCursor`]): every
-//! posted-receive boundary is a suspension point, so the nonblocking
-//! plan handles (`start`/`progress`/`complete`, see
-//! [`crate::nonblocking`]) can hand control back to application compute
-//! mid-hop and resume exactly where they left off. The blocking entry
-//! points below are one-shot drives of the same cursor
-//! (`step(.., block = true)` never suspends), so their behavior — and
-//! the wire traffic they generate — is unchanged.
+//!   scratch buffer.
 //!
 //! Drivers: the ring reduce-scatter round, the Rabenseifner
 //! recursive-halving phase (plus its non-power-of-two fold), and the
-//! binomial-tree rooted reduce — see `frameworks::computation`. All
-//! sub-chunks of a hop travel on one tag and are matched FIFO, so the
-//! engine needs no per-chunk sequence numbers.
+//! binomial-tree rooted reduce — see `frameworks::computation`.
 //!
-//! Buffer discipline: the engine owns **no** buffers. Callers lend the
+//! **[`RelayCursor`] — one compress-once payload down a whole binomial
+//! tree, never re-encoded.** The root encodes sub-chunk `j+1` while
+//! sub-chunk `j` fans out to all its children; an interior rank relays
+//! each arrival to its own children *before* decoding it, so the
+//! subtree below never waits on this rank's decode; a leaf decodes as
+//! chunks arrive. Encode ∥ relay ∥ decode: the root is
+//! `max(encode, fan-out)`-bound instead of `encode + fan-out`-bound and
+//! only the last sub-chunk's hops and decode stay exposed. Driver: the
+//! compressed binomial broadcast (plans, `CColl::bcast`, the leader leg
+//! of the hierarchical broadcast) — see `frameworks::data_movement`.
+//!
+//! Every posted-receive boundary of either cursor is a suspension
+//! point, so the nonblocking plan handles
+//! (`start`/`progress`/`complete`, see [`crate::nonblocking`]) can hand
+//! control back to application compute mid-stream and resume exactly
+//! where they left off. The blocking entry points are one-shot drives
+//! of the same cursors (`step(.., block = true)` never suspends).
+//!
+//! Buffer discipline: the engines own **no** buffers. Callers lend the
 //! workspace's payload pool, codec scratch and request queues through
 //! [`PipeBufs`], which keeps the zero-allocation steady state intact —
 //! plans pre-size the pool for the worst number of concurrently
@@ -43,15 +52,20 @@
 
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::time::Duration;
 
-use ccoll_comm::{Category, Comm, Kernel, PayloadPool, RecvReq, SendReq, Tag};
+use bytes::Bytes;
+use ccoll_comm::{Category, Comm, CommError, Kernel, PayloadPool, RecvReq, SendReq, Tag};
 use ccoll_compress::{CodecScratch, SzxCodec};
 
+use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{compress_in, decompress_reduce_in};
+use crate::frameworks::decompress_auto_in;
 use crate::nonblocking::Poll;
 use crate::reduce::ReduceOp;
 
-/// Most arrived sub-chunks a *nonblocking* drain fuse-reduces per call.
+/// Most arrived sub-chunks a *nonblocking* drain consumes per call
+/// (fuse-reduces in a hop, relays-and-decodes in a relay).
 /// Without a budget one fat hop could decompress-and-reduce an
 /// arbitrarily long backlog inside a single `progress()` call and
 /// starve sibling operations sharing a progress engine; four sub-chunks
@@ -61,14 +75,15 @@ use crate::reduce::ReduceOp;
 /// results — and their wire traffic — are unchanged.
 const NONBLOCKING_DRAIN_BUDGET: usize = 4;
 
-/// The workspace buffers a pipelined hop borrows: payload pool, codec
+/// The workspace buffers a cursor borrows: payload pool, codec
 /// scratch and the two request queues. Grouped so hop signatures stay
 /// readable and the borrows stay disjoint from the accumulator slices
 /// the hop reads/writes.
 pub(crate) struct PipeBufs<'a> {
     /// Payload pool for compressed sub-chunk buffers.
     pub pool: &'a mut PayloadPool,
-    /// Codec scratch (only touched by non-native fused fallbacks).
+    /// Codec scratch (the relay's decode target; in a hop only touched
+    /// by non-native fused fallbacks).
     pub scratch: &'a mut CodecScratch,
     /// Outstanding sub-chunk sends, retired FIFO.
     pub sreqs: &'a mut VecDeque<SendReq>,
@@ -159,24 +174,8 @@ impl HopCursor {
                 // compute per call; see the constant's docs).
                 return false;
             }
-            let front_ready = rreqs.front().map(|r| comm.test_recv(r)).unwrap_or(false);
-            if !front_ready && !block {
+            let Some(blob) = next_arrival(comm, rreqs, block) else {
                 return false;
-            }
-            let req = rreqs.pop_front().expect("outstanding receive");
-            let blob = if block && !front_ready && comm.fault_policy().is_active() {
-                // Fault-aware tail wait: bounded retry, then a clean
-                // suspend — the caller's machine observes Pending with
-                // the abort reason parked on the profiler.
-                match comm.wait_recv_retry_in(req, Category::Wait) {
-                    Ok(blob) => blob,
-                    Err(err) => {
-                        comm.profiler().note_abort(err);
-                        return false;
-                    }
-                }
-            } else {
-                comm.wait_recv_in(req, Category::Wait)
             };
             let lo = self.next_in * pipe;
             let hi = (lo + pipe).min(recv_dst.len());
@@ -281,16 +280,217 @@ impl HopCursor {
             return Poll::Pending;
         }
 
-        // Retire the outstanding sends, FIFO.
-        while let Some(req) = bufs.sreqs.pop_front() {
-            if block {
-                comm.wait_send_in(req, Category::Wait);
-            } else if let Err(req) = comm.try_send(req, Category::Wait) {
-                bufs.sreqs.push_front(req);
-                return Poll::Pending;
+        if retire_sends(comm, bufs.sreqs, block) {
+            Poll::Ready
+        } else {
+            Poll::Pending
+        }
+    }
+}
+
+/// Complete the front posted sub-chunk receive of `rreqs`: `None` when a
+/// nonblocking caller finds it not yet arrived, or when a blocking wait
+/// under an active fault policy exhausted its retry budget (the abort
+/// reason is then parked on the profiler and the caller suspends).
+/// Blocked time is the pipeline's exposed tail: `Category::Wait`.
+fn next_arrival<C: Comm>(
+    comm: &mut C,
+    rreqs: &mut VecDeque<RecvReq>,
+    block: bool,
+) -> Option<Bytes> {
+    let ready = rreqs.front().map(|r| comm.test_recv(r)).unwrap_or(false);
+    if !ready && !block {
+        return None;
+    }
+    let req = rreqs.pop_front().expect("outstanding receive");
+    if !ready && comm.fault_policy().is_active() {
+        // Fault-aware tail wait: bounded retry, then a clean suspend —
+        // the caller's machine observes Pending with the abort reason
+        // parked on the profiler.
+        return match comm.wait_recv_retry_in(req, Category::Wait) {
+            Ok(blob) => Some(blob),
+            Err(err) => {
+                comm.profiler().note_abort(err);
+                None
+            }
+        };
+    }
+    Some(comm.wait_recv_in(req, Category::Wait))
+}
+
+/// Retire the outstanding sends FIFO: every one when `block`, else only
+/// those whose payload has already left this rank. Returns whether the
+/// queue is empty.
+fn retire_sends<C: Comm>(comm: &mut C, sreqs: &mut VecDeque<SendReq>, block: bool) -> bool {
+    while let Some(req) = sreqs.pop_front() {
+        if block {
+            comm.wait_send_in(req, Category::Wait);
+        } else if let Err(req) = comm.try_send(req, Category::Wait) {
+            sreqs.push_front(req);
+            return false;
+        }
+    }
+    true
+}
+
+/// Resumable state of one streamed compress-once broadcast down the
+/// binomial tree rooted at `root`: whether the receives are posted and
+/// how many sub-chunks this rank has finished (encoded-and-fanned-out at
+/// the root, relayed-and-decoded everywhere else). Like [`HopCursor`]
+/// it is plain-old-data — the request handles live in the lent
+/// [`PipeBufs`] queues.
+///
+/// Each `pipe`-value sub-chunk is an independent stream of the codec,
+/// so the sub-chunk count follows from `out.len()` alone (no size
+/// exchange) and a payload of at most one sub-chunk is exactly one
+/// whole-payload message. Two orderings carry the overlap:
+///
+/// * **relay before decode** — an interior rank hands an arrival to its
+///   children first, so its subtree's wire time runs under its decode;
+/// * **lazy send retirement** — sends are queued and retired only once
+///   they have left (drained non-blockingly between sub-chunks, fully at
+///   the end). Waiting out each `isend` before the next encode would
+///   re-serialize encode and egress and forfeit the whole gain.
+///
+/// [`RelayCursor::step`] has [`HopCursor::step`]'s `block` contract: a
+/// nonblocking step encodes at most one sub-chunk (root) or consumes at
+/// most [`NONBLOCKING_DRAIN_BUDGET`] arrived ones, and the sub-chunk
+/// sequence — hence the result and the bytes sent — is independent of
+/// where it suspended.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RelayCursor {
+    /// Receives posted / queues reset for this broadcast.
+    posted: bool,
+    /// Next sub-chunk to encode (root) or relay-and-decode (others).
+    j: usize,
+}
+
+impl RelayCursor {
+    /// A cursor at the start of a broadcast.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drive the broadcast of `out.len()` values. On the root an empty
+    /// `data` means `out` already holds the source; otherwise `data` is
+    /// the source and `out` receives its exact bits. Every other rank
+    /// ignores `data` and decodes into `out`. All sub-chunks travel on
+    /// `tag`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        cpr: &CprCodec,
+        pipe: usize,
+        root: usize,
+        data: &[f32],
+        out: &mut [f32],
+        tag: Tag,
+        bufs: &mut PipeBufs<'_>,
+        block: bool,
+    ) -> Poll {
+        let n = comm.size();
+        assert!(root < n, "root {root} out of range");
+        let relative = (comm.rank() + n - root) % n;
+        let is_root = relative == 0;
+        // My parent bit (one past the tree's top bit at the root); my
+        // children sit at `relative + m` for every power of two below.
+        let span = if is_root {
+            n.next_power_of_two()
+        } else {
+            1 << relative.trailing_zeros()
+        };
+        // Non-root only (the root's `relative - span` underflows).
+        let parent = || (relative - span + root) % n;
+        // An empty payload still travels as one (empty) stream.
+        let n_chunks = out.len().div_ceil(pipe).max(1);
+
+        if !self.posted {
+            bufs.sreqs.clear();
+            bufs.rreqs.clear();
+            if is_root {
+                assert!(
+                    data.is_empty() || data.len() == out.len(),
+                    "root data disagrees with plan length"
+                );
+            } else {
+                // Early Irecv of the whole stream, matched FIFO.
+                bufs.rreqs
+                    .extend((0..n_chunks).map(|_| comm.irecv(parent(), tag)));
+            }
+            self.posted = true;
+        }
+
+        let mut consumed = 0;
+        while self.j < n_chunks {
+            let lo = self.j * pipe;
+            let hi = (lo + pipe).min(out.len());
+            let blob = if is_root {
+                if !data.is_empty() {
+                    out[lo..hi].copy_from_slice(&data[lo..hi]);
+                }
+                compress_in(
+                    comm,
+                    cpr.codec.as_ref(),
+                    cpr.ck,
+                    &out[lo..hi],
+                    true,
+                    bufs.pool,
+                )
+            } else {
+                if !block && consumed == NONBLOCKING_DRAIN_BUDGET {
+                    return Poll::Pending;
+                }
+                match next_arrival(comm, bufs.rreqs, block) {
+                    Some(blob) => blob,
+                    None => return Poll::Pending,
+                }
+            };
+            let mut m = span >> 1;
+            while m > 0 {
+                if relative + m < n {
+                    let child = (relative + m + root) % n;
+                    bufs.sreqs.push_back(comm.isend(child, tag, blob.clone()));
+                }
+                m >>= 1;
+            }
+            if !is_root {
+                let vals =
+                    decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &blob, bufs.scratch);
+                if vals.len() != hi - lo {
+                    // Only a permanently lost sub-chunk can do this: the
+                    // FIFO stream closed up behind it and the short tail
+                    // landed in a full slot. Abort like the starved tail
+                    // receive would have.
+                    assert!(
+                        comm.fault_policy().is_active(),
+                        "C-Bcast length disagrees with plan"
+                    );
+                    comm.profiler().note_abort(CommError::Timeout {
+                        src: parent(),
+                        tag,
+                        waited: Duration::ZERO,
+                    });
+                    return Poll::Pending;
+                }
+                out[lo..hi].copy_from_slice(vals);
+            }
+            self.j += 1;
+            consumed += 1;
+            if self.j < n_chunks {
+                comm.poll();
+                retire_sends(comm, bufs.sreqs, false);
+                if !block && is_root {
+                    return Poll::Pending;
+                }
             }
         }
-        Poll::Ready
+
+        if retire_sends(comm, bufs.sreqs, block) {
+            Poll::Ready
+        } else {
+            Poll::Pending
+        }
     }
 }
 
@@ -407,5 +607,6 @@ mod tests {
     fn cursor_is_pod() {
         // A suspended hop must cost nothing to hold in a plan handle.
         assert!(std::mem::size_of::<HopCursor>() <= 24);
+        assert!(std::mem::size_of::<RelayCursor>() <= 16);
     }
 }

@@ -1330,12 +1330,18 @@ impl Kind for Bcast {
     }
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize, base: Tag) -> BcMachine {
-        let compressed = core.session.cpr.is_some();
+        // A session with a codec streams the payload in its PIPE
+        // sub-chunks; without one the tree relays one raw message.
+        let pipe = core
+            .session
+            .cpr
+            .is_some()
+            .then_some(core.session.pipe_values());
         let machine = match core.algorithm {
             Algorithm::Hierarchical => {
-                BcMachine::Hier(HierBc::new(compressed, self.root, self.root_node))
+                BcMachine::Hier(HierBc::new(pipe, self.root, self.root_node))
             }
-            _ => BcMachine::Flat(nb::Bcast::new(compressed, self.root)),
+            _ => BcMachine::Flat(nb::Bcast::new(pipe, self.root)),
         };
         machine.with_base(base)
     }

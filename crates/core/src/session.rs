@@ -651,6 +651,12 @@ impl CCollSession {
         }
     }
 
+    /// The PIPE sub-chunk size (values) every streamed schedule of this
+    /// session uses.
+    pub(crate) fn pipe_values(&self) -> usize {
+        self.pipe_values
+    }
+
     pub(crate) fn pipeline_config(&self) -> Option<PipelineConfig> {
         let eb = self.spec.error_bound()?;
         Some(PipelineConfig::new(eb).with_chunk_values(self.pipe_values))
@@ -968,15 +974,42 @@ impl CCollSession {
         }
     }
 
-    /// Plan a broadcast of `len` values from `root`.
+    /// Plan a broadcast of `len` values from `root`. With a codec the
+    /// payload is compressed once at the root and streamed down the
+    /// binomial tree in the session's pipeline sub-chunks (encode ∥
+    /// relay ∥ decode); a payload of at most one sub-chunk is a single
+    /// message.
     ///
     /// # Panics
     /// Panics if `root` is out of range.
     #[must_use]
     pub fn plan_bcast(&self, root: usize, len: usize) -> BcastPlan {
         assert!(root < self.world_size, "root {root} out of range");
+        // With a codec the payload streams in sub-chunks. A relay that
+        // keeps up holds one sub-chunk per tree level in flight (a slot
+        // is released once the deepest leaf has decoded it), so the pool
+        // is warmed for that window, not for the payload; a rank posts
+        // every sub-chunk receive up front and keeps at most one queued
+        // send per child per sub-chunk. The codec scratch keeps the
+        // whole-payload *capacity* it always had (only one sub-chunk of
+        // it is ever touched): shrinking it tips the allocator into
+        // re-zeroing a caller's freshly allocated output buffer on every
+        // set-up, which costs far more than the reservation (DESIGN.md,
+        // "Streamed data movement"). Without a codec: one raw message.
+        let ws = match &self.cpr {
+            Some(_) => {
+                let chunks = len.div_ceil(self.pipe_values).max(1);
+                let depth = self.world_size.next_power_of_two().trailing_zeros() as usize;
+                let window = len.min(self.pipe_values * depth);
+                let mut ws = self.pipelined_stream_workspace(len.max(1), window);
+                ws.rreqs.reserve(chunks);
+                ws.sreqs.reserve(chunks * depth);
+                ws
+            }
+            None => self.warmed_workspace(len, 4),
+        };
         Plan {
-            core: PlanCore::new(self, Algorithm::Binomial, self.warmed_workspace(len, 4)),
+            core: PlanCore::new(self, Algorithm::Binomial, ws),
             kind: Bcast {
                 root,
                 len,

@@ -62,6 +62,9 @@ fn steady_state_plans_allocate_nothing() {
         let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, n);
         let mut allreduce = session.plan_allreduce(len, ReduceOp::Sum);
         let mut allgather = session.plan_allgather(len / n);
+        // Streamed in sub-chunks (12 000 values span three of the
+        // default 5120): the relay cursor's request queues and the
+        // root's pool are sized at plan time.
         let mut bcast = session.plan_bcast(0, len / 2);
         // The algorithm layer's alternative schedules must uphold the
         // same guarantee.
@@ -184,6 +187,7 @@ fn steady_state_plans_allocate_nothing() {
             auto_allreduce.execute_into(c, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
+            nonblocking_cycle!(bcast, &bdata, &mut bc_out);
             engine_cycle!();
         }
         c.barrier();
@@ -207,6 +211,7 @@ fn steady_state_plans_allocate_nothing() {
             auto_allreduce.execute_into(c, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
+            nonblocking_cycle!(bcast, &bdata, &mut bc_out);
             engine_cycle!();
         }
         c.barrier();

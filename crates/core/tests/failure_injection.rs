@@ -295,3 +295,122 @@ fn nonblocking_bcast_survives_transient_drops_bitwise() {
         assert_eq!(got, &expect, "rank {rank}: bcast payload intact");
     }
 }
+
+// The two mid-stream fault tests below share one streamed bcast: seven
+// sub-chunks (the last one short), lossless codec, so "correct" is
+// bitwise the root's payload.
+const STREAM_CHUNK: usize = 64;
+const STREAM_LEN: usize = 6 * STREAM_CHUNK + 11;
+
+fn streamed_bcast_plan(n: usize, root: usize) -> c_coll::BcastPlan {
+    CCollSession::new(CodecSpec::Lossless, n)
+        .with_pipeline_values(STREAM_CHUNK)
+        .plan_bcast(root, STREAM_LEN)
+}
+
+#[test]
+fn streamed_bcast_retries_mid_stream_drops_and_delays_bitwise() {
+    // Transient drops and delays land on sub-chunks in the middle of the
+    // FIFO stream: the fault-aware tail wait re-arms, late sub-chunks
+    // still match their own posted receive, and no output bit changes.
+    let n = 7;
+    let root = 3;
+    let cfg = SimConfig::new(n)
+        .with_faults(
+            FaultPlan::seeded(23)
+                .with_drops(0.3, Duration::from_micros(300), 4)
+                .with_delays(0.3, Duration::from_micros(400)),
+        )
+        .with_fault_policy(patient_policy());
+    let out = SimWorld::new(cfg).run(move |c| {
+        let mut plan = streamed_bcast_plan(n, root);
+        let data = if c.rank() == root {
+            rank_data(root, STREAM_LEN)
+        } else {
+            Vec::new()
+        };
+        let mut out_buf = vec![0.0f32; STREAM_LEN];
+        plan.try_execute_into(c, &data, &mut out_buf)
+            .expect("transient faults absorbed");
+        (out_buf, plan.stats().retries)
+    });
+    let expect = rank_data(root, STREAM_LEN);
+    for (rank, (got, _)) in out.results.iter().enumerate() {
+        assert_eq!(got, &expect, "rank {rank}: streamed payload intact");
+    }
+    assert!(
+        out.results.iter().any(|r| r.1 > 0),
+        "the fault plan must actually force retries"
+    );
+}
+
+#[test]
+fn streamed_bcast_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
+    // A permanently lost sub-chunk starves the tail of the FIFO stream
+    // of every rank below the loss: those ranks abort (structured error,
+    // poisoned plan), the rest complete. After `reset()` the same plan
+    // object runs the next broadcast — whose sub-chunks must not meet
+    // anything the aborted stream left behind — to the exact payload.
+    //
+    // Loss is seeded per message, so the second broadcast draws its own
+    // faults; seeds where it loses a sub-chunk too are skipped, and the
+    // test insists that enough seeds show the abort-then-clean pattern
+    // with the abort demonstrably mid-stream.
+    let n = 6;
+    let root = 1;
+    let expect = rank_data(root, STREAM_LEN);
+    let mut clean_reruns = 0;
+    let mut mid_stream_aborts = 0;
+    for seed in 0..48 {
+        let cfg = SimConfig::new(n)
+            .with_faults(FaultPlan::seeded(seed).with_loss(0.03))
+            .with_fault_policy(FaultPolicy::with_timeout(Duration::from_micros(500), 2));
+        let out = SimWorld::new(cfg).run(move |c| {
+            let mut plan = streamed_bcast_plan(n, root);
+            let data = if c.rank() == root {
+                rank_data(root, STREAM_LEN)
+            } else {
+                Vec::new()
+            };
+            let mut first = vec![0.0f32; STREAM_LEN];
+            let aborted = match plan.try_execute_into(c, &data, &mut first) {
+                Ok(()) => false,
+                Err(e) => {
+                    assert!(matches!(e, CollectiveError::Comm(_)), "{e:?}");
+                    assert!(plan.is_poisoned());
+                    plan.reset();
+                    true
+                }
+            };
+            // Every rank has left the first broadcast before anyone
+            // starts the second (an abort purges all operation traffic
+            // addressed to the aborting rank).
+            c.barrier();
+            let mut second = vec![0.0f32; STREAM_LEN];
+            let rerun = plan.try_execute_into(c, &data, &mut second).is_ok();
+            (aborted, first, rerun, second)
+        });
+        let aborted: Vec<_> = out.results.iter().filter(|r| r.0).collect();
+        if aborted.is_empty() || !out.results.iter().all(|r| r.2) {
+            continue;
+        }
+        clean_reruns += 1;
+        if aborted
+            .iter()
+            .any(|r| r.1[..STREAM_CHUNK] == expect[..STREAM_CHUNK])
+        {
+            mid_stream_aborts += 1;
+        }
+        for (rank, r) in out.results.iter().enumerate() {
+            assert_eq!(r.3, expect, "seed {seed} rank {rank}: rerun after reset");
+            if !r.0 {
+                assert_eq!(r.1, expect, "seed {seed} rank {rank}: unaffected rank");
+            }
+        }
+    }
+    assert!(
+        clean_reruns >= 3,
+        "only {clean_reruns} seeds aborted then reran clean"
+    );
+    assert!(mid_stream_aborts >= 1, "no abort happened mid-stream");
+}

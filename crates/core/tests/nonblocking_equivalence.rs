@@ -266,6 +266,47 @@ proptest! {
     }
 }
 
+/// A streamed bcast (≥ 4 sub-chunks, lossy codec) suspended after every
+/// step — grain 1 ns, so each `progress` call lands between two
+/// sub-chunks — leaves the same bits and sends the same messages and
+/// bytes as the blocking drive: the sub-chunk sequence is independent of
+/// where the relay cursor suspended.
+#[test]
+fn nonblocking_streamed_bcast_matches_blocking_bits_and_bytes() {
+    let chunk = 128;
+    let len = 4 * chunk + 37;
+    for n in [2usize, 3, 6, 9] {
+        let root = n / 2;
+        let run = |nonblocking: bool| {
+            SimWorld::new(SimConfig::new(n))
+                .run(move |c| {
+                    let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, n)
+                        .with_pipeline_values(chunk);
+                    let mut plan = session.plan_bcast(root, len);
+                    let data = if c.rank() == root {
+                        smooth_data(root, len, 5)
+                    } else {
+                        Vec::new()
+                    };
+                    let mut out = vec![0.0f32; len];
+                    if nonblocking {
+                        drive_nonblocking!(plan.start(c, &data, &mut out), c, 1u64);
+                    } else {
+                        plan.execute_into(c, &data, &mut out);
+                    }
+                    let traffic = c.profiler().traffic();
+                    (out, traffic.messages_sent, traffic.bytes_sent)
+                })
+                .results
+        };
+        let blocking = run(false);
+        let nonblocking = run(true);
+        assert_eq!(nonblocking, blocking, "world {n}");
+        let sent: u64 = blocking.iter().map(|r| r.1).sum();
+        assert_eq!(sent, ((n - 1) * len.div_ceil(chunk)) as u64, "world {n}");
+    }
+}
+
 /// The tentpole property: a nonblocking allreduce with application
 /// compute interleaved between `progress` calls finishes sooner than
 /// the blocking call followed by the same compute — the collective's

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use c_coll::collectives::cpr_p2p::{cpr_ring_allreduce, CprCodec};
+use c_coll::frameworks::computation::DEFAULT_PIPE_VALUES;
 use c_coll::frameworks::data_movement::c_binomial_bcast;
 use c_coll::ReduceOp;
 use ccoll_comm::{Comm, Kernel, SimConfig, SimWorld};
@@ -24,6 +25,9 @@ struct Counters {
     legacy_calls: AtomicUsize,
     into_calls: AtomicUsize,
     fresh_buffers: AtomicUsize,
+    /// Values handed to `compress_into` / produced by `decompress_into`.
+    values_compressed: AtomicUsize,
+    values_decompressed: AtomicUsize,
 }
 
 /// Wraps SZx and records which API the collective layer drives and
@@ -55,12 +59,19 @@ impl Compressor for Auditing {
 
     fn compress_into(&self, data: &[f32], out: &mut Vec<u8>) -> Result<(), CompressError> {
         self.note_into(out.capacity());
+        self.counters
+            .values_compressed
+            .fetch_add(data.len(), Ordering::SeqCst);
         self.codec.compress_into(data, out)
     }
 
     fn decompress_into(&self, stream: &[u8], out: &mut Vec<f32>) -> Result<(), CompressError> {
         self.note_into(out.capacity());
-        self.codec.decompress_into(stream, out)
+        self.codec.decompress_into(stream, out)?;
+        self.counters
+            .values_decompressed
+            .fetch_add(out.len(), Ordering::SeqCst);
+        Ok(())
     }
 
     fn kind(&self) -> ccoll_compress::CodecKind {
@@ -120,32 +131,42 @@ fn allreduce_codec_path_reuses_scratch_buffers() {
 #[test]
 fn bcast_codec_path_compresses_once_per_rank_with_scratch() {
     let n = 9;
-    let len = 20_000;
-    let (cpr, counters) = auditing_cpr(1e-3);
-    let world = SimWorld::new(SimConfig::new(n));
-    world.run(move |c| {
-        let data = if c.rank() == 0 {
-            rank_data(0, len)
-        } else {
-            Vec::new()
-        };
-        c_binomial_bcast(c, &cpr, 0, &data);
-    });
+    // One sub-chunk, and a streamed payload of four (5120-value) ones.
+    for len in [3_000usize, 20_000] {
+        let (cpr, counters) = auditing_cpr(1e-3);
+        let world = SimWorld::new(SimConfig::new(n));
+        world.run(move |c| {
+            let data = if c.rank() == 0 {
+                rank_data(0, len)
+            } else {
+                Vec::new()
+            };
+            c_binomial_bcast(c, &cpr, 0, &data);
+        });
 
-    let legacy = counters.legacy_calls.load(Ordering::SeqCst);
-    let into = counters.into_calls.load(Ordering::SeqCst);
-    let fresh = counters.fresh_buffers.load(Ordering::SeqCst);
+        let legacy = counters.legacy_calls.load(Ordering::SeqCst);
+        let into = counters.into_calls.load(Ordering::SeqCst);
+        let fresh = counters.fresh_buffers.load(Ordering::SeqCst);
 
-    assert_eq!(
-        legacy, 0,
-        "collectives must never use the allocating codec API"
-    );
-    // Data-movement framework: one compression at the root, one
-    // decompression per non-root — nothing else.
-    assert_eq!(
-        into,
-        1 + (n - 1),
-        "C-Bcast must compress once and decompress n-1 times"
-    );
-    assert!(fresh <= into, "cold buffers cannot exceed codec calls");
+        assert_eq!(
+            legacy, 0,
+            "collectives must never use the allocating codec API"
+        );
+        // Data-movement framework: every value is compressed exactly
+        // once (at the root) and decompressed exactly once per non-root
+        // rank — a relay never re-encodes what it forwards.
+        assert_eq!(
+            counters.values_compressed.load(Ordering::SeqCst),
+            len,
+            "C-Bcast must compress every value exactly once"
+        );
+        assert_eq!(
+            counters.values_decompressed.load(Ordering::SeqCst),
+            (n - 1) * len,
+            "C-Bcast must decompress every value once per non-root rank"
+        );
+        // In calls: one per sub-chunk per rank — nothing else.
+        assert_eq!(into, len.div_ceil(DEFAULT_PIPE_VALUES) * n);
+        assert!(fresh <= into, "cold buffers cannot exceed codec calls");
+    }
 }
