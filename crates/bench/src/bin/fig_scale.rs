@@ -8,18 +8,26 @@
 //! [`HierNet`] (fast intra-node, slow contended inter-node). It shows
 //! where the flat schedules' crossover moves as the inter-node fabric
 //! saturates, that the two-level schedule overtakes every flat one on
-//! large worlds, and that the continuously calibrated `Auto` mode lands
-//! on the measured argmin at both ends of the sweep.
+//! large worlds, how many lanes it runs there, and that the continuously
+//! calibrated `Auto` mode lands on the measured argmin at both ends of
+//! the sweep.
 //!
 //! ```bash
 //! cargo run --release -p ccoll-bench --bin fig_scale
+//! cargo run --release -p ccoll-bench --bin fig_scale -- --check
 //! ```
 //!
-//! `CCOLL_QUICK=1` shrinks the sweep to CI scale.
+//! `CCOLL_QUICK=1` shrinks the sweep to its two CI-scale rows. `--check`
+//! recomputes those two rows, writes nothing, and exits non-zero when
+//! any cell differs from the `BENCH_scale.json` checked in at the
+//! repository root.
+//!
+//! Every run asserts that `hierarchical_ms` on a row the checked-in file
+//! already has did not rise.
 
 use std::fmt::Write as _;
 
-use c_coll::{Algorithm, ReduceOp};
+use c_coll::{Algorithm, CCollSession, CodecSpec, PlanOptions, ReduceOp};
 use ccoll_bench::calibrate::cost_model_from_env;
 use ccoll_bench::runner::run_allreduce_cluster;
 use ccoll_bench::specs::szx_default;
@@ -33,35 +41,60 @@ const FLAT: [Algorithm; 3] = [
     Algorithm::Rabenseifner,
 ];
 
-/// Executions per `Auto` cell: past the calibration period, so the
-/// reported pick reflects the online α–β re-rank, and enough iterations
-/// that the per-iteration makespan is a steady-state figure.
+/// Executions per `Auto` and per pinned hierarchical cell: past the
+/// calibration period, so the reported pick reflects the online α–β
+/// re-rank, and enough iterations that the per-iteration makespan is a
+/// steady-state figure.
 const AUTO_ITERS: usize = 10;
 
+/// The results file as checked in (one entry per line).
+const CHECKED_IN: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../BENCH_scale.json"
+));
+
+/// The checked-in entry whose leading cells are `key`, if there is one.
+fn checked_in(key: &str) -> Option<&'static str> {
+    CHECKED_IN
+        .lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .find(|l| l.starts_with(key))
+}
+
+/// The numeric cell `name` of one entry line.
+fn cell(entry: &str, name: &str) -> f64 {
+    // Skip the name and the `": ` after it.
+    let at = entry.find(name).expect("cell present") + name.len() + 3;
+    let rest = &entry[at..];
+    rest[..rest.find([',', '}']).expect("cell terminated")]
+        .parse()
+        .expect("numeric cell")
+}
+
 fn main() {
-    let quick = std::env::var("CCOLL_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let check = std::env::args().any(|a| a == "--check");
+    let quick = check
+        || std::env::var("CCOLL_QUICK")
+            .map(|v| v == "1")
+            .unwrap_or(false);
     let cost = cost_model_from_env();
     let hier = HierNet::cluster_default();
-    // (nodes, ranks-per-node): worlds of 128–1024 ranks, bracketed by a
-    // shallow 8-node cluster and a deep 128-node one.
-    let cells: Vec<(usize, usize)> = if quick {
-        vec![(4, 4), (8, 4)]
-    } else {
-        vec![(8, 16), (16, 16), (32, 16), (64, 16), (128, 8)]
-    };
-    // 16 Ki values per rank: large enough that the inter-node β term is
-    // real, small enough that the flat ring's 2(n−1) inter-node α terms
-    // dominate at 128+ ranks — the regime the two-level schedule exists
-    // for (and the regime large-world collectives actually live in:
-    // per-rank shards shrink as worlds grow).
-    let values = if quick { 4_096 } else { 16_384 };
-    let specs = if quick {
-        vec![szx_default()]
-    } else {
-        vec![c_coll::CodecSpec::None, szx_default()]
-    };
+    // (codec, nodes, ranks-per-node, values). Two CI-scale rows, then
+    // worlds of 128–1024 ranks, bracketed by a shallow 8-node cluster
+    // and a deep 128-node one, at 16 Ki values per rank: large enough
+    // that the inter-node β term is real, small enough that the flat
+    // ring's 2(n−1) inter-node α terms dominate at 128+ ranks — the
+    // regime the two-level schedule exists for (per-rank shards shrink
+    // as worlds grow). Two 64 Ki rows show the lane count rising with
+    // the payload.
+    let mut cells = vec![(szx_default(), 4, 4, 4_096), (szx_default(), 8, 4, 4_096)];
+    if !quick {
+        let worlds = [(8, 16), (16, 16), (32, 16), (64, 16), (128, 8)];
+        for spec in [CodecSpec::None, szx_default()] {
+            cells.extend(worlds.map(|(nodes, per)| (spec, nodes, per, 16_384)));
+        }
+        cells.extend([(16, 16), (64, 16)].map(|(nodes, per)| (szx_default(), nodes, per, 65_536)));
+    }
 
     println!("# Scale sweep — flat vs hierarchical allreduce on a 2-level cluster");
     println!("# calibrated auto must land on the measured argmin at both sweep ends\n");
@@ -69,105 +102,152 @@ fn main() {
         "codec",
         "nodes",
         "ranks",
+        "values",
         "ring (ms)",
         "rec-dbl (ms)",
         "rabenseifner (ms)",
         "hier (ms)",
+        "hier lanes",
         "fastest",
         "auto picks",
         "control (ms)",
     ]);
 
-    let mut json = String::from("{\n  \"bench\": \"scale\",\n  \"entries\": [\n");
-    let mut first = true;
-
-    for spec in &specs {
-        for &(nodes, per_node) in &cells {
-            let topo = Topology::uniform(nodes, per_node);
-            let mut times = Vec::new();
-            for algorithm in FLAT.into_iter().chain([Algorithm::Hierarchical]) {
-                let (res, _) = run_allreduce_cluster(
-                    topo.clone(),
-                    hier,
-                    values,
-                    Dataset::Rtm,
-                    *spec,
-                    algorithm,
-                    ReduceOp::Sum,
-                    cost.clone(),
-                    1,
-                );
-                times.push(res.makespan.as_secs_f64() * 1e3);
-            }
-            let (auto_res, picked) = run_allreduce_cluster(
-                topo,
+    let mut entries = Vec::new();
+    let mut drifted = 0;
+    for (spec, nodes, per_node, values) in cells {
+        let topo = Topology::uniform(nodes, per_node);
+        let ranks = nodes * per_node;
+        // Plans are rank-free until started: ask one what it would run.
+        let hier_lanes = CCollSession::new(spec, ranks)
+            .with_cost_model(cost.clone())
+            .with_topology(topo.clone(), hier)
+            .plan_allreduce_with(
+                values,
+                ReduceOp::Sum,
+                PlanOptions::new().algorithm(Algorithm::Hierarchical),
+            )
+            .hier_lanes()
+            .expect("a hierarchical plan has a lane count");
+        let mut times = Vec::new();
+        for algorithm in FLAT.into_iter().chain([Algorithm::Hierarchical]) {
+            // The flat schedules repeat their first execution exactly.
+            // The laned hierarchical one does not: its lanes start in
+            // lock-step and drift apart once executions run back to
+            // back, so it is timed over as many as `Auto` is — which is
+            // also what makes the `Auto` column comparable to it.
+            let iters = match algorithm {
+                Algorithm::Hierarchical => AUTO_ITERS,
+                _ => 1,
+            };
+            let (res, _) = run_allreduce_cluster(
+                topo.clone(),
                 hier,
                 values,
                 Dataset::Rtm,
-                *spec,
-                Algorithm::Auto,
+                spec,
+                algorithm,
                 ReduceOp::Sum,
                 cost.clone(),
-                AUTO_ITERS,
+                iters,
             );
-            let candidates: Vec<Algorithm> =
-                FLAT.into_iter().chain([Algorithm::Hierarchical]).collect();
-            let fastest = candidates[times
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
-                .expect("non-empty")
-                .0];
-            let best_flat = times[..3].iter().cloned().fold(f64::INFINITY, f64::min);
-            let best = best_flat.min(times[3]);
-            // What `Auto` pays for deciding: its per-iteration makespan
-            // over the pinned makespan of the schedule it settled on.
-            let auto_ms = auto_res.makespan.as_secs_f64() * 1e3;
-            let picked_at = candidates
-                .iter()
-                .position(|&a| a == picked)
-                .expect("Auto settles on a candidate");
-            let control_plane_ms = auto_ms - times[picked_at];
+            times.push(res.makespan.as_secs_f64() * 1e3);
+        }
+        let (auto_res, picked) = run_allreduce_cluster(
+            topo,
+            hier,
+            values,
+            Dataset::Rtm,
+            spec,
+            Algorithm::Auto,
+            ReduceOp::Sum,
+            cost.clone(),
+            AUTO_ITERS,
+        );
+        let candidates: Vec<Algorithm> =
+            FLAT.into_iter().chain([Algorithm::Hierarchical]).collect();
+        let fastest = candidates[times
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
+            .expect("non-empty")
+            .0];
+        let best_flat = times[..3].iter().cloned().fold(f64::INFINITY, f64::min);
+        let best = best_flat.min(times[3]);
+        // What `Auto` pays for deciding: its per-iteration makespan
+        // over the pinned makespan of the schedule it settled on.
+        let auto_ms = auto_res.makespan.as_secs_f64() * 1e3;
+        let picked_at = candidates
+            .iter()
+            .position(|&a| a == picked)
+            .expect("Auto settles on a candidate");
+        let control_plane_ms = auto_ms - times[picked_at];
+        assert!(
+            auto_ms <= 1.05 * best,
+            "{spec} {nodes}x{per_node}: auto {auto_ms:.4} ms > 1.05 x best {best:.4} ms"
+        );
+        t.row(&[
+            spec.to_string(),
+            nodes.to_string(),
+            ranks.to_string(),
+            values.to_string(),
+            format!("{:.3}", times[0]),
+            format!("{:.3}", times[1]),
+            format!("{:.3}", times[2]),
+            format!("{:.3}", times[3]),
+            hier_lanes.to_string(),
+            fastest.label().to_string(),
+            picked.label().to_string(),
+            format!("{control_plane_ms:.4}"),
+        ]);
+        let key = format!(
+            "{{\"spec\": \"{spec}\", \"nodes\": {nodes}, \"ranks\": {ranks}, \"values\": {values},"
+        );
+        let mut entry = key.clone();
+        let _ = write!(
+            entry,
+            " \"ring_ms\": {:.4}, \"recursive_doubling_ms\": {:.4}, \
+             \"rabenseifner_ms\": {:.4}, \"hierarchical_ms\": {:.4}, \
+             \"hier_lanes\": {hier_lanes}, \
+             \"best_flat_ms\": {best_flat:.4}, \"auto_ms\": {auto_ms:.4}, \
+             \"control_plane_ms\": {control_plane_ms:.4}, \
+             \"fastest\": \"{}\", \"auto\": \"{}\"}}",
+            times[0],
+            times[1],
+            times[2],
+            times[3],
+            fastest.label(),
+            picked.label()
+        );
+        let old = checked_in(&key);
+        if let Some(old) = old {
+            let was = cell(old, "hierarchical_ms");
             assert!(
-                auto_ms <= 1.05 * best,
-                "{spec} {nodes}x{per_node}: auto {auto_ms:.4} ms > 1.05 x best {best:.4} ms"
-            );
-            t.row(&[
-                spec.to_string(),
-                nodes.to_string(),
-                (nodes * per_node).to_string(),
-                format!("{:.3}", times[0]),
-                format!("{:.3}", times[1]),
-                format!("{:.3}", times[2]),
-                format!("{:.3}", times[3]),
-                fastest.label().to_string(),
-                picked.label().to_string(),
-                format!("{control_plane_ms:.4}"),
-            ]);
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "    {{\"spec\": \"{spec}\", \"nodes\": {nodes}, \"ranks\": {}, \
-                 \"values\": {values}, \
-                 \"ring_ms\": {:.4}, \"recursive_doubling_ms\": {:.4}, \
-                 \"rabenseifner_ms\": {:.4}, \"hierarchical_ms\": {:.4}, \
-                 \"best_flat_ms\": {best_flat:.4}, \"auto_ms\": {auto_ms:.4}, \
-                 \"control_plane_ms\": {control_plane_ms:.4}, \
-                 \"fastest\": \"{}\", \"auto\": \"{}\"}}",
-                nodes * per_node,
-                times[0],
-                times[1],
-                times[2],
-                times[3],
-                fastest.label(),
-                picked.label()
+                times[3] < was + 5e-5,
+                "{spec} {nodes}x{per_node} at {values}: hierarchical {:.4} ms rose from {was} ms",
+                times[3]
             );
         }
+        if check && old != Some(entry.as_str()) {
+            drifted += 1;
+            eprintln!(
+                "BENCH_scale.json drifted:\n  checked in: {}\n  recomputed: {entry}",
+                old.unwrap_or("(no such row)")
+            );
+        }
+        entries.push(entry);
     }
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
+    if check {
+        if drifted > 0 {
+            std::process::exit(1);
+        }
+        println!("\nBENCH_scale.json: the recomputed rows match");
+        return;
+    }
+    let json = format!(
+        "{{\n  \"bench\": \"scale\",\n  \"entries\": [\n    {}\n  ]\n}}\n",
+        entries.join(",\n    ")
+    );
+    std::fs::write("BENCH_scale.json", json).expect("write BENCH_scale.json");
     println!("\nwrote BENCH_scale.json");
 }

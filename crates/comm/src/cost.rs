@@ -347,6 +347,7 @@ impl CostModel {
                     schedule,
                     n,
                     1,
+                    1,
                     &crate::topology::HierNet::flat(*net),
                     p,
                 );
@@ -363,26 +364,26 @@ impl CostModel {
     /// several nodes, every round's critical hop crosses a node
     /// boundary); hierarchical schedules split into per-level legs —
     /// raw intra-node phases at the intra model, the codec-carrying
-    /// leader leg at the inter model.
+    /// inter-node leg at the inter model.
     pub fn estimate_hier(
         &self,
         schedule: Schedule,
-        cluster: &crate::topology::ClusterNet,
+        topo: &crate::topology::Topology,
+        hier: &crate::topology::HierNet,
         p: &SchedParams,
     ) -> Duration {
-        self.estimate_hier_sized(
+        self.estimate_shape(
             schedule,
-            cluster.topo.nodes(),
-            cluster.topo.max_node_size(),
-            &cluster.net,
+            topo.nodes(),
+            topo.max_node_size(),
+            topo.min_node_size(),
+            hier,
             p,
         )
     }
 
-    /// [`CostModel::estimate_hier`] with the topology reduced to its
-    /// shape — `nodes` × worst-case `node_size` — so callers holding a
-    /// scaled *copy* of the network model (the session's online α–β
-    /// calibration loop) can price schedules without cloning a
+    /// [`CostModel::estimate_hier`] for a uniform `nodes` × `node_size`
+    /// cluster, for callers that hold the shape rather than a
     /// [`Topology`](crate::topology::Topology).
     pub fn estimate_hier_sized(
         &self,
@@ -392,11 +393,40 @@ impl CostModel {
         hier: &crate::topology::HierNet,
         p: &SchedParams,
     ) -> Duration {
+        self.estimate_shape(schedule, nodes, node_size, node_size, hier, p)
+    }
+
+    /// The lane count the laned hierarchical allreduce runs with on
+    /// `topo`: the argmin [`CostModel::estimate_hier`] returns the
+    /// minimum of. Plans call it with rank-identical inputs (nominal
+    /// ratio, uncalibrated `hier`), so every rank derives the same count
+    /// without a message.
+    pub fn hier_lanes(
+        &self,
+        topo: &crate::topology::Topology,
+        hier: &crate::topology::HierNet,
+        p: &SchedParams,
+    ) -> usize {
+        let (nodes, s, cap) = (topo.nodes(), topo.max_node_size(), topo.min_node_size());
+        self.laned_allreduce(nodes, s, cap, hier, p).0
+    }
+
+    /// Price `schedule` on `nodes` nodes of at most `node_size` and at
+    /// least `lane_cap` ranks.
+    fn estimate_shape(
+        &self,
+        schedule: Schedule,
+        nodes: usize,
+        node_size: usize,
+        lane_cap: usize,
+        hier: &crate::topology::HierNet,
+        p: &SchedParams,
+    ) -> Duration {
         match schedule {
             Schedule::HierarchicalAllreduce
             | Schedule::HierarchicalAllgather
             | Schedule::HierarchicalBcast => {
-                self.estimate_two_level(schedule, nodes, node_size, hier, p)
+                self.estimate_two_level(schedule, nodes, node_size, lane_cap, hier, p)
             }
             // A ring only ever pushes one flow per node boundary, so
             // its inter hops never contend for the shared NIC.
@@ -417,14 +447,91 @@ impl CostModel {
         }
     }
 
+    /// The laned two-level allreduce at its best lane count, as
+    /// `(lanes, seconds)`: the argmin of [`Self::laned_allreduce_at`]
+    /// over `L ∈ {1, 2, 4, …} ≤ lane_cap` (every node needs `L` owners,
+    /// so the smallest node caps it). Ties go to the smaller `L`.
+    fn laned_allreduce(
+        &self,
+        nodes: usize,
+        node_size: usize,
+        lane_cap: usize,
+        hier: &crate::topology::HierNet,
+        p: &SchedParams,
+    ) -> (usize, f64) {
+        let mut best = (1, self.laned_allreduce_at(1, nodes, node_size, hier, p));
+        let mut lanes = 2;
+        while lanes <= lane_cap {
+            let secs = self.laned_allreduce_at(lanes, nodes, node_size, hier, p);
+            if secs < best.1 {
+                best = (lanes, secs);
+            }
+            lanes *= 2;
+        }
+        best
+    }
+
+    /// Seconds of the laned two-level allreduce at `lanes` lanes, leg by
+    /// leg: raw binomial reduce inside each ⌈s/L⌉-rank group, raw ring
+    /// reduce-scatter over the node's `L` owners, Rabenseifner over the
+    /// `nodes` same-lane owners on d/L, raw ring allgather over the
+    /// owners, raw binomial bcast inside the group.
+    ///
+    /// The `L` concurrent inter-node allreduces share each node's NIC,
+    /// which the simulator holds for `α + tx` per *message*: together
+    /// they move the same wire bytes as one leader would (β/L each),
+    /// while encode / decompress-reduce run on d/L per lane. In
+    /// lock-step that serialisation costs `L·α` per round. Lanes do not
+    /// stay in lock-step: the NIC ports are FIFO and a sender's egress
+    /// waits for the *receiver's* ingress, so once executions run back
+    /// to back each of the other `L − 1` lanes' messages can hold this
+    /// lane's up once more at either end — `(3L − 2)·α` per round, which
+    /// is `α` at one lane and within the spread the simulator shows
+    /// beyond it (DESIGN.md, "Laned hierarchical allreduce"). That term
+    /// is what caps `L`; the tree legs shrinking by log₂L full-vector
+    /// hops is what raises it.
+    fn laned_allreduce_at(
+        &self,
+        lanes: usize,
+        nodes: usize,
+        node_size: usize,
+        hier: &crate::topology::HierNet,
+        p: &SchedParams,
+    ) -> f64 {
+        let d = p.payload_bytes as f64;
+        let ai = hier.intra.latency.as_secs_f64();
+        let bi = 1.0 / hier.intra.bandwidth;
+        let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
+        let lf = lanes as f64;
+        let group = node_size.max(1).div_ceil(lanes);
+        let log2g = (usize::BITS - (group - 1).leading_zeros()) as f64;
+        let c = d / lf;
+        // Each intra-node hop is paid on the way in and on the way out;
+        // only the way in reduces.
+        let tree = log2g * (2.0 * (ai + d * bi) + reduce(d));
+        let ring = (lf - 1.0) * (2.0 * (ai + c * bi) + reduce(c));
+        let shared_nic = NetModel {
+            latency: hier.inter.latency.mul_f64(3.0 * lf - 2.0),
+            bandwidth: hier.inter.bandwidth / lf,
+        };
+        let lane = SchedParams {
+            world: nodes,
+            payload_bytes: p.payload_bytes / lanes,
+            ..*p
+        };
+        let inter = self.estimate(Schedule::RabenseifnerAllreduce, &shared_nic, &lane);
+        tree + ring + inter.as_secs_f64()
+    }
+
     /// Price a hierarchical schedule's legs: raw intra-node fan-in/out
-    /// over the largest node (`node_size` ranks, binomial trees) plus
-    /// the leader-group leg (`nodes` leaders) carrying the codec terms.
+    /// over the largest node (`node_size` ranks) plus the inter-node leg
+    /// (`nodes` peers) carrying the codec terms.
     fn estimate_two_level(
         &self,
         schedule: Schedule,
         nodes: usize,
         node_size: usize,
+        lane_cap: usize,
         hier: &crate::topology::HierNet,
         p: &SchedParams,
     ) -> Duration {
@@ -435,20 +542,12 @@ impl CostModel {
         let d = p.payload_bytes as f64;
         let ai = hier.intra.latency.as_secs_f64();
         let bi = 1.0 / hier.intra.bandwidth;
-        let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
         let s = node_size.max(1);
         let log2s = (usize::BITS - (s - 1).leading_zeros()) as f64;
         let leaders = SchedParams { world: nodes, ..*p };
         let secs = match schedule {
             Schedule::HierarchicalAllreduce => {
-                // Node-local binomial reduce to the leader (raw),
-                // Rabenseifner allreduce over the leaders (ring bytes
-                // at tree latency, codec terms on the inter-node leg
-                // only), node-local binomial bcast of the result (raw).
-                let local_reduce = log2s * (ai + d * bi + reduce(d));
-                let local_bcast = log2s * (ai + d * bi);
-                let inter = self.estimate(Schedule::RabenseifnerAllreduce, &hier.inter, &leaders);
-                local_reduce + inter.as_secs_f64() + local_bcast
+                self.laned_allreduce(nodes, node_size, lane_cap, hier, p).1
             }
             Schedule::HierarchicalAllgather => {
                 // Node-local binomial gather of member blocks into the
@@ -511,8 +610,13 @@ pub enum Schedule {
     /// Bruck alltoall: ⌈log₂n⌉ doubling rounds forwarding ~half the
     /// buffer each, between a local rotation and an inverse rotation.
     BruckAlltoall,
-    /// Two-level allreduce: node-local binomial reduce to the leader,
-    /// ring allreduce over the leaders, node-local binomial bcast.
+    /// Two-level laned allreduce. Each node's ranks form `L` groups:
+    /// binomial reduce inside the group, ring reduce-scatter over the
+    /// node's `L` group owners, Rabenseifner allreduce of each d/L lane
+    /// over that lane's owners on every node, ring allgather over the
+    /// owners, binomial bcast inside the group. Priced at the `L` that
+    /// minimises it ([`CostModel::hier_lanes`]); `L = 1` is one leader
+    /// per node and no ring legs.
     HierarchicalAllreduce,
     /// Two-level allgather: node-local gather into the leader, ring
     /// allgather of node blocks over the leaders, node-local bcast.
@@ -824,14 +928,14 @@ mod tests {
         ] {
             let c = cluster(nodes, per_node);
             let p = szx_params(nodes * per_node, bytes);
-            let hier = m.estimate_hier(Schedule::HierarchicalAllreduce, &c, &p);
+            let hier = m.estimate_hier(Schedule::HierarchicalAllreduce, &c.topo, &c.net, &p);
             let flat = [
                 Schedule::RingAllreduce,
                 Schedule::RecursiveDoublingAllreduce,
                 Schedule::RabenseifnerAllreduce,
             ]
             .into_iter()
-            .map(|s| m.estimate_hier(s, &c, &p))
+            .map(|s| m.estimate_hier(s, &c.topo, &c.net, &p))
             .min()
             .unwrap();
             assert!(
@@ -854,7 +958,7 @@ mod tests {
         );
         let p = szx_params(16, 1 << 20);
         assert_eq!(
-            m.estimate_hier(Schedule::HierarchicalAllreduce, &c, &p),
+            m.estimate_hier(Schedule::HierarchicalAllreduce, &c.topo, &c.net, &p),
             m.estimate(Schedule::RabenseifnerAllreduce, &net, &p)
         );
         assert_eq!(
@@ -862,12 +966,56 @@ mod tests {
             m.estimate(Schedule::RabenseifnerAllreduce, &net, &p)
         );
         assert_eq!(
-            m.estimate_hier(Schedule::HierarchicalBcast, &c, &p),
+            m.estimate_hier(Schedule::HierarchicalBcast, &c.topo, &c.net, &p),
             m.estimate(Schedule::BinomialTreeBcast, &net, &p)
                 + Duration::from_secs_f64(
                     net.latency.as_secs_f64() + (p.payload_bytes as f64) / net.bandwidth
                 )
         );
+    }
+
+    #[test]
+    fn lane_count_respects_the_topology() {
+        let m = CostModel::default();
+        let net = crate::topology::HierNet::cluster_default();
+        let lanes = |sizes: &[usize], bytes: usize| {
+            let topo = crate::topology::Topology::from_node_sizes(sizes);
+            m.hier_lanes(&topo, &net, &szx_params(topo.world(), bytes))
+        };
+        // One-rank nodes (a flat net) leave nothing to lane.
+        assert_eq!(lanes(&[1; 16], 4 << 20), 1);
+        // The smallest node caps the count, however large the payload.
+        assert_eq!(lanes(&[16, 16, 3, 16], 64 << 20), 2);
+        assert_eq!(lanes(&[8, 1, 8], 64 << 20), 1);
+        // More payload never asks for fewer lanes, and the range is used:
+        // latency-bound payloads stay on one leader, large ones go wide.
+        for sizes in [[16; 16], [8; 16], [5; 16]] {
+            let counts: Vec<usize> = (8..=26).map(|k| lanes(&sizes, 1 << k)).collect();
+            assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{counts:?}");
+            assert_eq!(counts[0], 1, "{counts:?}");
+            assert!(counts[counts.len() - 1] * 2 > sizes[0], "{counts:?}");
+        }
+    }
+
+    #[test]
+    fn laned_estimate_never_exceeds_its_one_lane_price() {
+        let m = CostModel::default();
+        let net = crate::topology::HierNet::cluster_default();
+        for (nodes, per_node) in [(4, 8), (16, 16), (128, 8), (16, 1)] {
+            for k in 8..=24 {
+                let p = szx_params(nodes * per_node, 1 << k);
+                let est = m.estimate_hier_sized(
+                    Schedule::HierarchicalAllreduce,
+                    nodes,
+                    per_node,
+                    &net,
+                    &p,
+                );
+                let one = m.laned_allreduce_at(1, nodes, per_node, &net, &p);
+                let one = Duration::from_secs_f64(one);
+                assert!(est <= one, "{nodes}x{per_node} 2^{k}: {est:?} vs {one:?}");
+            }
+        }
     }
 
     #[test]

@@ -301,12 +301,26 @@ enum RankStatus {
     Finished,
 }
 
-#[derive(Default)]
 struct MatchQueue {
     /// Arrived-or-in-flight messages: (arrival ns, payload).
     msgs: VecDeque<(u64, Bytes)>,
     /// Receives posted with no matching message yet: request ids.
     recvs: VecDeque<u64>,
+}
+
+impl Default for MatchQueue {
+    /// Both sides allocated up front. Which of them an edge's traffic
+    /// lands in — message first or receive first — is a matter of
+    /// cross-rank timing, so a lazily grown side could see its first
+    /// push, and allocate, arbitrarily late; an edge's *existence* is a
+    /// property of the schedule, settled within a plan's first two
+    /// executions (one per tag generation).
+    fn default() -> Self {
+        MatchQueue {
+            msgs: VecDeque::with_capacity(4),
+            recvs: VecDeque::with_capacity(4),
+        }
+    }
 }
 
 struct Assignment {
@@ -322,6 +336,14 @@ struct ReqMeta {
     src: usize,
     dst: usize,
     tag: Tag,
+}
+
+/// A table whose entries come and go with every message. Sized so the
+/// rehash that accumulated tombstones force happens in place (live
+/// entries stay under half the capacity) rather than reallocating at a
+/// moment that depends on cross-rank timing.
+fn churning<K, V>(ranks: usize) -> FixedMap<K, V> {
+    FixedMap::with_capacity_and_hasher(64 * ranks, Default::default())
 }
 
 #[derive(Default)]
@@ -962,9 +984,9 @@ impl SimWorld {
                     h
                 },
                 queues: FixedMap::default(),
-                assignments: FixedMap::default(),
-                req_meta: FixedMap::default(),
-                send_done: FixedMap::default(),
+                assignments: churning(n),
+                req_meta: churning(n),
+                send_done: churning(n),
                 blocked_recv: FixedMap::default(),
                 egress_free: vec![0; n],
                 ingress_free: vec![0; n],

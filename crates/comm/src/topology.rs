@@ -113,6 +113,14 @@ impl Topology {
             .unwrap_or(1)
     }
 
+    /// The smallest node's rank count.
+    pub fn min_node_size(&self) -> usize {
+        (0..self.nodes())
+            .map(|n| self.node_size(n))
+            .min()
+            .unwrap_or(1)
+    }
+
     /// The leader (first rank) of `node`.
     pub fn leader_of(&self, node: usize) -> usize {
         self.starts[node]
@@ -384,6 +392,7 @@ mod tests {
         assert_eq!(t.leaders(), vec![0, 1, 5]);
         assert_eq!(t.node_size(1), 4);
         assert_eq!(t.max_node_size(), 4);
+        assert_eq!(t.min_node_size(), 1);
         assert!(t.is_leader(0) && t.is_leader(1) && t.is_leader(5));
         assert_eq!(t.members_of(1), 1..5);
     }

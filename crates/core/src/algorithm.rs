@@ -66,9 +66,12 @@ pub enum Algorithm {
     /// Pairwise exchange (all-to-all).
     Pairwise,
     /// Two-level topology-aware schedule (allreduce, allgather, bcast):
-    /// node-local legs over cheap intra-node links, a leader-only
-    /// inter-node leg carrying the codec. Requires a session topology
-    /// ([`crate::CCollSession::with_topology`]).
+    /// raw node-local legs over cheap intra-node links around an
+    /// inter-node leg carrying the codec — run by one leader per node,
+    /// or for the allreduce by as many lane owners per node as the cost
+    /// model finds worth their NIC messages
+    /// ([`crate::AllreducePlan::hier_lanes`]). Requires a session
+    /// topology ([`crate::CCollSession::with_topology`]).
     Hierarchical,
 }
 
@@ -149,7 +152,7 @@ pub(crate) struct SelectCtx<'a> {
 impl SelectCtx<'_> {
     /// Workload parameters for a `payload_bytes`-byte uncompressed
     /// per-rank buffer under this session's codec.
-    fn params(&self, payload_bytes: usize) -> SchedParams {
+    pub fn params(&self, payload_bytes: usize) -> SchedParams {
         match self.spec {
             CodecSpec::None => SchedParams::uncompressed(self.world, payload_bytes),
             spec => {
@@ -187,13 +190,7 @@ impl SelectCtx<'_> {
                     intra: self.scaled(c.net.intra),
                     inter: self.scaled(c.net.inter),
                 };
-                self.cost.estimate_hier_sized(
-                    schedule,
-                    c.topo.nodes(),
-                    c.topo.max_node_size(),
-                    &hier,
-                    p,
-                )
+                self.cost.estimate_hier(schedule, &c.topo, &hier, p)
             }
             None => self.cost.estimate(schedule, &self.scaled(*self.net), p),
         }

@@ -200,9 +200,9 @@
 //! [`CCollSession::with_topology`], and two things change. First,
 //! `Auto` prices candidates against the *cluster*: flat butterflies pay
 //! the contended inter-node bandwidth, and the two-level
-//! [`Algorithm::Hierarchical`] schedule — node-local reduce, leaders-only
-//! exchange across the slow fabric, local fan-out — joins the candidate
-//! set. Second, the session starts a continuous α–β calibration loop:
+//! [`Algorithm::Hierarchical`] schedule — node-local reduce, an exchange
+//! across the slow fabric by a few lane owners per node (one leader, at
+//! small payloads), local fan-out — joins the candidate set. Second, the session starts a continuous α–β calibration loop:
 //! every few executions it compares the plan's measured EWMA makespan
 //! against the model's prediction, agrees a correction across all ranks
 //! (so no rank ever diverges on a pick), and re-ranks `Auto` plans in

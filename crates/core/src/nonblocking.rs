@@ -37,6 +37,7 @@ use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{compress_in, decode_values_in, memcpy_in, tags, values_payload};
 use crate::frameworks::computation::PipelineConfig;
 use crate::frameworks::decompress_auto_in;
+use crate::partition::chunk_range;
 use crate::pipeline::{split_src_dst, HopCursor, PipeBufs, RelayCursor};
 use crate::reduce::ReduceOp;
 use crate::wire::decode_values_vec;
@@ -2637,8 +2638,9 @@ pub(crate) enum ArMachine {
     Ring { rs: RingRs, ag: RingAg, in_ag: bool },
     /// Recursive doubling or Rabenseifner.
     Butterfly(Butterfly),
-    /// Two-level topology-aware composition (node-local tree reduce,
-    /// leader-only Rabenseifner, node-local fan-out).
+    /// Two-level topology-aware composition (group tree × lane
+    /// reduce-scatter inside the node, per-lane Rabenseifner between
+    /// nodes, and back out).
     Hier(HierAr),
 }
 
@@ -2805,32 +2807,63 @@ impl ReduceMachine {
 // Two-level (hierarchical) schedules.
 // ---------------------------------------------------------------------------
 
-/// The communicator split a hierarchical plan runs over. Built once at
-/// plan time from the session's [`ccoll_comm::Topology`]; every phase
-/// borrows these member tables to form ephemeral [`SubComm`] views, so
-/// steady-state steps never allocate.
+/// The communicator split a hierarchical plan runs over. Built once,
+/// at the plan's first `start`, from the session's
+/// [`ccoll_comm::Topology`]; every phase borrows these member tables to
+/// form ephemeral [`SubComm`] views, so steady-state steps never
+/// allocate.
+///
+/// Each node's ranks are cut into `lanes` contiguous *groups* (the
+/// balanced partition of the node's rank range); the first rank of a
+/// group is its *owner*. The allgather and bcast schedules run one
+/// lane: the group is the whole node and its owner the node leader.
 #[derive(Debug, Clone)]
 pub(crate) struct HierGroups {
-    /// World ranks sharing my node, ascending (the node leader is the
-    /// first entry).
-    pub(crate) local: Vec<usize>,
-    /// One leader (the first rank) per node, ascending by node.
-    pub(crate) leaders: Vec<usize>,
+    /// World ranks of my group, ascending (its owner is the first entry).
+    pub(crate) group: Vec<usize>,
+    /// The owners of my node's groups, ascending by lane.
+    pub(crate) owners: Vec<usize>,
+    /// My lane's owner on every node, ascending by node.
+    pub(crate) lane_peers: Vec<usize>,
     /// Per-node *value* counts of the allgather result layout (empty
     /// for allreduce / bcast plans, which move full-length buffers).
     pub(crate) node_counts: Vec<usize>,
-    /// My node's index (`leaders[node]` is my leader).
+    /// My node's index (`lane_peers[node]` is my owner).
     pub(crate) node: usize,
+    /// My group's lane (`owners[lane]` is my owner).
+    lane: usize,
 }
 
 impl HierGroups {
-    /// Build the split for `rank` under `topo`, with `values_per_rank`
-    /// driving the per-node block sizes (0 for full-length schedules).
-    pub(crate) fn build(topo: &ccoll_comm::Topology, rank: usize, values_per_rank: usize) -> Self {
+    /// Build the split for `rank` under `topo` with `lanes` groups per
+    /// node, with `values_per_rank` driving the per-node block sizes (0
+    /// for full-length schedules).
+    ///
+    /// # Panics
+    /// Panics when a node has fewer than `lanes` ranks.
+    pub(crate) fn build(
+        topo: &ccoll_comm::Topology,
+        rank: usize,
+        values_per_rank: usize,
+        lanes: usize,
+    ) -> Self {
+        assert!(
+            (1..=topo.min_node_size()).contains(&lanes),
+            "{lanes} lanes need that many ranks on every node"
+        );
+        let group_of = |node: usize, lane: usize| {
+            let members = topo.members_of(node);
+            let at = chunk_range(members.len(), lanes, lane);
+            members.start + at.start..members.start + at.end
+        };
         let node = topo.node_of(rank);
+        let lane = (0..lanes)
+            .find(|&l| group_of(node, l).contains(&rank))
+            .expect("the groups tile the node");
         HierGroups {
-            local: topo.members_of(node).collect(),
-            leaders: topo.leaders(),
+            group: group_of(node, lane).collect(),
+            owners: (0..lanes).map(|l| group_of(node, l).start).collect(),
+            lane_peers: (0..topo.nodes()).map(|a| group_of(a, lane).start).collect(),
             node_counts: if values_per_rank == 0 {
                 Vec::new()
             } else {
@@ -2839,17 +2872,18 @@ impl HierGroups {
                     .collect()
             },
             node,
+            lane,
         }
     }
 
-    fn is_leader(&self, rank: usize) -> bool {
-        self.local[0] == rank
+    fn is_owner(&self, rank: usize) -> bool {
+        self.group[0] == rank
     }
 }
 
-/// The inner reduce op for hierarchical phases: `Avg` sums through the
-/// tree and leader legs so the single ÷n finalize happens exactly once
-/// at the end, with the full world count.
+/// The inner reduce op for hierarchical phases: `Avg` sums through
+/// every leg so the single ÷n finalize happens exactly once at the end,
+/// with the full world count.
 fn hier_inner(op: ReduceOp) -> ReduceOp {
     match op {
         ReduceOp::Avg => ReduceOp::Sum,
@@ -2866,29 +2900,53 @@ enum HierPhase {
     Done,
 }
 
-/// Two-level allreduce: raw binomial reduce to the node leader, a
-/// Rabenseifner allreduce over the leaders (where the codec terms and
-/// the shared inter-node NIC live), raw binomial fan-out of the result.
-/// Every leg reuses an existing machine over a [`SubComm`] view; tag
-/// families stay disjoint (`TREE_REDUCE` / `RABENSEIFNER` / `BCAST`)
-/// and concurrent node groups have disjoint member sets.
+/// The leg a laned allreduce is in, with that leg's machine: one runs
+/// at a time, built (on the operation's tag base) when its leg begins.
+#[derive(Debug)]
+enum LaneLeg {
+    GroupReduce(TreeReduce),
+    NodeRs(RingRs),
+    Inter(Butterfly),
+    NodeAg(RingAg),
+    GroupBcast(Bcast),
+    Final,
+    Done,
+}
+
+/// Laned two-level allreduce over `L = groups.owners.len()` lanes:
+///
+/// 1. raw binomial reduce of the whole vector inside each group, to its
+///    owner;
+/// 2. raw ring reduce-scatter over the node's `L` owners — owner `l`
+///    ends with lane `l` (d/L values) of the node's sum;
+/// 3. a Rabenseifner allreduce of lane `l` over the lane-`l` owners of
+///    every node (where the codec terms and the shared inter-node NIC
+///    live), straight into lane `l` of `out`;
+/// 4. raw ring allgather of the lanes over the node's owners;
+/// 5. raw binomial fan-out of the result inside each group.
+///
+/// `L = 1` is the single-leader schedule (phases 2 and 4 have one
+/// member and are skipped); `L =` node size is reduce-scatter-first
+/// (phases 1 and 5 are skipped); every `L` moves the same bytes. Every
+/// leg is an existing machine over a [`SubComm`] view; tag families
+/// stay disjoint (`TREE_REDUCE` / `REDUCE_SCATTER` /
+/// `RABENSEIFNER` / `ALLGATHER` / `BCAST`) and concurrent groups of one
+/// phase have disjoint member sets.
 #[derive(Debug)]
 pub(crate) struct HierAr {
-    phase: HierPhase,
-    local: TreeReduce,
-    inter: Butterfly,
-    fanout: Bcast,
+    mode: BflyMode,
+    base: Tag,
+    leg: LaneLeg,
 }
 
 impl HierAr {
-    /// `mode` places the inter-node leader leg (raw / CPR / pipelined);
-    /// the intra-node legs are always raw.
+    /// `mode` places the inter-node leg (raw / CPR / pipelined); the
+    /// intra-node legs are always raw.
     pub(crate) fn new(mode: BflyMode) -> Self {
         HierAr {
-            phase: HierPhase::Local,
-            local: TreeReduce::new(TreeMode::Raw, 0),
-            inter: Butterfly::rabenseifner(mode),
-            fanout: Bcast::new(None, 0),
+            mode,
+            base: 0,
+            leg: LaneLeg::GroupReduce(TreeReduce::new(TreeMode::Raw, 0)),
         }
     }
 
@@ -2896,10 +2954,9 @@ impl HierAr {
     /// space.
     pub(crate) fn with_base(self, base: Tag) -> Self {
         HierAr {
-            phase: self.phase,
-            local: self.local.with_base(base),
-            inter: self.inter.with_base(base),
-            fanout: self.fanout.with_base(base),
+            base,
+            leg: LaneLeg::GroupReduce(TreeReduce::new(TreeMode::Raw, 0).with_base(base)),
+            ..self
         }
     }
 
@@ -2918,51 +2975,101 @@ impl HierAr {
         let world = comm.size();
         let me = comm.rank();
         let inner = hier_inner(op);
+        let d = input.len();
+        let lanes = groups.owners.len();
+        let grouped = groups.group.len() > 1;
+        // My lane of `out` (all of it at one lane), and the layout of an
+        // owner's `ws.hier`: the group tree's result when there was a
+        // group to reduce, then the reduce-scatter's chunk when the
+        // node has other lanes. Non-owners keep it empty.
+        let lane = chunk_range(d, lanes, groups.lane);
+        let tree_len = if grouped { d } else { 0 };
+        let chunk_len = if lanes > 1 { lane.len() } else { 0 };
         loop {
-            match self.phase {
-                HierPhase::Local => {
-                    let mut hier = std::mem::take(&mut ws.hier);
-                    hier.resize(input.len(), 0.0);
-                    let mut sub = SubComm::new(comm, &groups.local);
-                    let r = self
-                        .local
-                        .step(&mut sub, None, inner, input, &mut hier, ws, block);
-                    ws.hier = hier;
-                    match r {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready => {
-                            self.phase = if groups.is_leader(me) {
-                                HierPhase::Inter
-                            } else {
-                                HierPhase::Fanout
-                            };
+            match &mut self.leg {
+                LaneLeg::GroupReduce(tree) => {
+                    let owner = groups.is_owner(me);
+                    if owner {
+                        ws.hier.resize(tree_len + chunk_len, 0.0);
+                    }
+                    if grouped {
+                        let mut hier = std::mem::take(&mut ws.hier);
+                        let result = if owner { &mut hier[..d] } else { &mut [][..] };
+                        let mut sub = SubComm::new(comm, &groups.group);
+                        let r = tree.step(&mut sub, None, inner, input, result, ws, block);
+                        ws.hier = hier;
+                        if r == Poll::Pending {
+                            return Poll::Pending;
                         }
                     }
+                    self.leg = if owner {
+                        LaneLeg::NodeRs(RingRs::new(RsMode::Raw).with_base(self.base))
+                    } else {
+                        LaneLeg::GroupBcast(Bcast::new(None, 0).with_base(self.base))
+                    };
                 }
-                HierPhase::Inter => {
+                LaneLeg::NodeRs(scatter) => {
+                    if lanes > 1 {
+                        let mut hier = std::mem::take(&mut ws.hier);
+                        let (tree, chunk) = hier.split_at_mut(tree_len);
+                        let src = if grouped { &*tree } else { input };
+                        let mut sub = SubComm::new(comm, &groups.owners);
+                        let r = scatter.step(&mut sub, None, inner, src, chunk, ws, block);
+                        ws.hier = hier;
+                        if r == Poll::Pending {
+                            return Poll::Pending;
+                        }
+                    }
+                    self.leg =
+                        LaneLeg::Inter(Butterfly::rabenseifner(self.mode).with_base(self.base));
+                }
+                LaneLeg::Inter(inter) => {
                     let hier = std::mem::take(&mut ws.hier);
-                    let mut sub = SubComm::new(comm, &groups.leaders);
-                    let r = self.inter.step(&mut sub, cpr, inner, &hier, out, ws, block);
+                    // The last intra-node leg that ran holds the source.
+                    let src = if lanes > 1 {
+                        &hier[tree_len..]
+                    } else if grouped {
+                        &hier[..]
+                    } else {
+                        input
+                    };
+                    let mut sub = SubComm::new(comm, &groups.lane_peers);
+                    let dst = &mut out[lane.clone()];
+                    let r = inter.step(&mut sub, cpr, inner, src, dst, ws, block);
                     ws.hier = hier;
-                    match r {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready => self.phase = HierPhase::Fanout,
+                    if r == Poll::Pending {
+                        return Poll::Pending;
                     }
+                    self.leg = LaneLeg::NodeAg(RingAg::new(AgMode::Raw).with_base(self.base));
                 }
-                HierPhase::Fanout => {
-                    let mut sub = SubComm::new(comm, &groups.local);
-                    match self.fanout.step(&mut sub, None, &[], out, ws, block) {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready => self.phase = HierPhase::Final,
+                LaneLeg::NodeAg(gather) => {
+                    if lanes > 1 {
+                        // The butterfly cached its own partition; the
+                        // allgather reads the lanes' back out.
+                        ws.set_partition(d, lanes);
+                        let mut sub = SubComm::new(comm, &groups.owners);
+                        if gather.step(&mut sub, None, None, out, ws, block) == Poll::Pending {
+                            return Poll::Pending;
+                        }
                     }
+                    self.leg = LaneLeg::GroupBcast(Bcast::new(None, 0).with_base(self.base));
                 }
-                HierPhase::Final => {
+                LaneLeg::GroupBcast(fanout) => {
+                    if grouped {
+                        let mut sub = SubComm::new(comm, &groups.group);
+                        if fanout.step(&mut sub, None, &[], out, ws, block) == Poll::Pending {
+                            return Poll::Pending;
+                        }
+                    }
+                    self.leg = LaneLeg::Final;
+                }
+                LaneLeg::Final => {
                     // The inner legs reduced with the fused kind; the
                     // one real finalize (Avg's ÷n) uses the full world.
                     op.finalize(out, world);
-                    self.phase = HierPhase::Done;
+                    self.leg = LaneLeg::Done;
                 }
-                HierPhase::Done => return Poll::Ready,
+                LaneLeg::Done => return Poll::Ready,
             }
         }
     }
@@ -3020,13 +3127,13 @@ impl HierAg {
                 HierPhase::Local => {
                     let mut hier = std::mem::take(&mut ws.hier);
                     hier.resize(groups.node_counts[groups.node], 0.0);
-                    let mut sub = SubComm::new(comm, &groups.local);
+                    let mut sub = SubComm::new(comm, &groups.group);
                     let r = self.local.step(&mut sub, None, mine, &mut hier, ws, block);
                     ws.hier = hier;
                     match r {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready => {
-                            if groups.is_leader(me) {
+                            if groups.is_owner(me) {
                                 // The leader ring reads the *node block*
                                 // partition out of the workspace.
                                 ws.set_partition_from_counts(&groups.node_counts);
@@ -3039,7 +3146,7 @@ impl HierAg {
                 }
                 HierPhase::Inter => {
                     let hier = std::mem::take(&mut ws.hier);
-                    let mut sub = SubComm::new(comm, &groups.leaders);
+                    let mut sub = SubComm::new(comm, &groups.lane_peers);
                     let r = self.inter.step(&mut sub, cpr, Some(&hier), out, ws, block);
                     ws.hier = hier;
                     match r {
@@ -3048,7 +3155,7 @@ impl HierAg {
                     }
                 }
                 HierPhase::Fanout => {
-                    let mut sub = SubComm::new(comm, &groups.local);
+                    let mut sub = SubComm::new(comm, &groups.group);
                     match self.fanout.step(&mut sub, None, &[], out, ws, block) {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready => self.phase = HierPhase::Final,
@@ -3120,8 +3227,8 @@ impl HierBc {
         block: bool,
     ) -> Poll {
         let me = comm.rank();
-        let root_is_leader = groups.leaders[self.root_node] == self.root;
-        let my_leader = groups.local[0];
+        let root_is_leader = groups.lane_peers[self.root_node] == self.root;
+        let my_leader = groups.group[0];
         loop {
             match self.phase {
                 // Root→leader hand-off (raw, intra-node).
@@ -3135,12 +3242,12 @@ impl HierBc {
                         if self.wire.sreq.is_none() {
                             let payload = values_payload(&mut ws.pool, data);
                             self.wire.sreq =
-                                Some(comm.isend(groups.leaders[self.root_node], tag, payload));
+                                Some(comm.isend(groups.lane_peers[self.root_node], tag, payload));
                         }
                         if !self.wire.send_done(comm, block, Category::Wait) {
                             return Poll::Pending;
                         }
-                    } else if me == groups.leaders[self.root_node] {
+                    } else if me == groups.lane_peers[self.root_node] {
                         if self.wire.rreq.is_none() {
                             self.wire.rreq = Some(comm.irecv(self.root, tag));
                         }
@@ -3154,19 +3261,19 @@ impl HierBc {
                 }
                 // Leader-group broadcast of the (compress-once) buffer.
                 HierPhase::Inter => {
-                    if !groups.is_leader(me) {
+                    if !groups.is_owner(me) {
                         self.phase = HierPhase::Fanout;
                         continue;
                     }
                     let hier = std::mem::take(&mut ws.hier);
-                    let src: &[f32] = if me != groups.leaders[self.root_node] {
+                    let src: &[f32] = if me != groups.lane_peers[self.root_node] {
                         &[]
                     } else if root_is_leader {
                         data
                     } else {
                         &hier
                     };
-                    let mut sub = SubComm::new(comm, &groups.leaders);
+                    let mut sub = SubComm::new(comm, &groups.lane_peers);
                     let r = self.inter.step(&mut sub, cpr, src, out, ws, block);
                     ws.hier = hier;
                     match r {
@@ -3177,7 +3284,7 @@ impl HierBc {
                 // Raw fan-out within the node; the leader's `out` is
                 // pre-filled, so the empty-source form applies.
                 HierPhase::Fanout => {
-                    let mut sub = SubComm::new(comm, &groups.local);
+                    let mut sub = SubComm::new(comm, &groups.group);
                     match self.fanout.step(&mut sub, None, &[], out, ws, block) {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready => self.phase = HierPhase::Final,

@@ -30,6 +30,18 @@ pub fn chunk_lengths_into(len: usize, n: usize, out: &mut Vec<usize>) {
     out.extend((0..n).map(|i| base + usize::from(i < extra)));
 }
 
+/// The span of chunk `i` under [`chunk_lengths`]`(len, n)`, without
+/// building the tables.
+///
+/// # Panics
+/// Panics if `i >= n`.
+pub fn chunk_range(len: usize, n: usize, i: usize) -> std::ops::Range<usize> {
+    assert!(i < n, "chunk {i} of {n}");
+    let (base, extra) = (len / n, len % n);
+    let start = i * base + i.min(extra);
+    start..start + base + usize::from(i < extra)
+}
+
 /// Exclusive prefix sums of [`chunk_lengths`]: chunk `i` spans
 /// `offsets[i]..offsets[i] + lengths[i]`.
 pub fn chunk_offsets(lengths: &[usize]) -> Vec<usize> {
@@ -81,6 +93,10 @@ mod tests {
             assert_eq!(offs[i], offs[i - 1] + lens[i - 1]);
         }
         assert_eq!(offs[4] + lens[4], 17);
+        for i in 0..5 {
+            assert_eq!(chunk_range(17, 5, i), offs[i]..offs[i] + lens[i]);
+        }
+        assert_eq!(chunk_range(3, 4, 3), 3..3);
     }
 
     #[test]

@@ -434,6 +434,12 @@ pub(crate) trait Kind: Completes + Sized {
         0
     }
 
+    /// Groups per node the hierarchical split cuts: one, except for the
+    /// laned allreduce.
+    fn hier_lanes(&self) -> usize {
+        1
+    }
+
     /// The resolved schedule's machine for one operation on `rank`, its
     /// tags rebased to `base`; also readies whatever per-operation state
     /// the machine reads out of the workspace.
@@ -647,7 +653,12 @@ impl<K: Kind> Plan<K> {
                 .cluster
                 .as_ref()
                 .expect("hierarchical plans require a session topology");
-            core.groups = Some(HierGroups::build(&cl.topo, rank, kind.hier_values(rank)));
+            core.groups = Some(HierGroups::build(
+                &cl.topo,
+                rank,
+                kind.hier_values(rank),
+                kind.hier_lanes(),
+            ));
         }
         core.in_flight = true;
         core.op_seq = core.op_seq.wrapping_add(1);
@@ -937,6 +948,9 @@ pub struct Allreduce {
     /// re-rank from measured compression ratios and for calibration.
     pub(crate) auto: bool,
     pub(crate) reranked: bool,
+    /// Lanes of the hierarchical schedule at this length (see
+    /// [`CCollSession::hier_lanes`]); read when the split is built.
+    pub(crate) lanes: usize,
 }
 
 impl Plan<Allreduce> {
@@ -954,6 +968,15 @@ impl Plan<Allreduce> {
     pub fn variant(&self) -> AllreduceVariant {
         self.kind.variant
     }
+
+    /// How many lanes — ranks per node that take part in the inter-node
+    /// leg, each on its own slice — the hierarchical schedule runs
+    /// with; `None` unless the plan is [`Algorithm::Hierarchical`]. The
+    /// plan derives it from the cost model at creation; there is no
+    /// setting for it.
+    pub fn hier_lanes(&self) -> Option<usize> {
+        (self.core.algorithm == Algorithm::Hierarchical).then_some(self.kind.lanes)
+    }
 }
 
 impl Completes for Allreduce {
@@ -970,6 +993,10 @@ impl Kind for Allreduce {
 
     fn out_len(&self, _rank: usize) -> usize {
         self.len
+    }
+
+    fn hier_lanes(&self) -> usize {
+        self.lanes
     }
 
     fn retune<C: Comm>(&mut self, core: &mut PlanCore, comm: &mut C) {
@@ -1007,9 +1034,9 @@ impl Kind for Allreduce {
                 Some(c) => ArMachine::Butterfly(Butterfly::rabenseifner(BflyMode::Piped(c))),
                 None => ArMachine::Butterfly(Butterfly::rabenseifner(BflyMode::Cpr)),
             },
-            // The hierarchical mode names the inter-node leader leg;
-            // node-local legs are always raw (intra-node links don't
-            // pay for a codec).
+            // The hierarchical mode names the inter-node leg every
+            // lane owner runs on its slice; node-local legs are always
+            // raw (intra-node links don't pay for a codec).
             (Algorithm::Hierarchical, false) => ArMachine::Hier(HierAr::new(BflyMode::Raw)),
             (Algorithm::Hierarchical, true) => match cfg {
                 Some(c) => ArMachine::Hier(HierAr::new(BflyMode::Piped(c))),

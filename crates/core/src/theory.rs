@@ -15,6 +15,17 @@
 //! * **Theorem 2** — for Max/Min the error variance is
 //!   `(2 − (n+2)/2ⁿ)·σ²` (each comparison has probability ½ of selecting
 //!   the uncompressed operand).
+//!
+//! ## Two-level schedules
+//!
+//! The hierarchical allreduce reduces raw inside a node and compresses
+//! only on its inter-node leg, so the `n` of the theorems counts nodes
+//! there, not ranks. Running that leg as `L` lanes leaves it alone:
+//! every element belongs to exactly one lane, whose Rabenseifner
+//! exchange over the same `m` lane owners compresses it in the same
+//! ⌈log₂ m⌉ halving and ⌈log₂ m⌉ doubling rounds at any `L`. Lane
+//! boundaries only move where sub-chunk and block boundaries fall —
+//! which elements land near the bound, not the bound.
 
 /// Probability mass of a normal distribution within ±2σ — the paper's
 /// headline confidence level (95.44 %).

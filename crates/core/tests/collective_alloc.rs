@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use c_coll::{Algorithm, CCollSession, CodecSpec, PlanOptions, Poll, ReduceOp};
-use ccoll_comm::{Category, Comm, SimConfig, SimWorld};
+use ccoll_comm::{Category, Comm, HierNet, SimConfig, SimWorld, Topology};
 
 struct CountingAllocator;
 
@@ -101,6 +101,24 @@ fn steady_state_plans_allocate_nothing() {
         let mut bucket_a = session.plan_allreduce(len / 2, ReduceOp::Sum);
         let mut bucket_b = session.plan_allreduce(len / 3, ReduceOp::Sum);
         let mut bucket_c = session.plan_allreduce(len / 4, ReduceOp::Sum);
+        // The laned hierarchical allreduce on an asymmetric 4 + 2
+        // cluster at two lanes: rank 0 is a node leader and lane owner,
+        // rank 2 an owner that is not the leader, ranks 1 and 3
+        // non-owners, ranks 4 and 5 owners of one-rank groups. Its split
+        // is built at the first start; its five sub-machines share the
+        // one workspace.
+        let mut hier_allreduce = session
+            .clone()
+            .with_topology(
+                Topology::from_node_sizes(&[4, 2]),
+                HierNet::cluster_default(),
+            )
+            .plan_allreduce_with(
+                len,
+                ReduceOp::Sum,
+                PlanOptions::new().algorithm(Algorithm::Hierarchical),
+            );
+        assert_eq!(hier_allreduce.hier_lanes(), Some(2), "the case under audit");
 
         let input = rank_data(me, len);
         let chunk = rank_data(me, len / n);
@@ -185,6 +203,8 @@ fn steady_state_plans_allocate_nothing() {
             tree_reduce.execute_into(c, &half, &mut rr_out);
             reduce_scatter.execute_into(c, &input, &mut rs_out);
             auto_allreduce.execute_into(c, &input, &mut ar_out);
+            hier_allreduce.execute_into(c, &input, &mut ar_out);
+            nonblocking_cycle!(hier_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);
@@ -209,6 +229,8 @@ fn steady_state_plans_allocate_nothing() {
             tree_reduce.execute_into(c, &half, &mut rr_out);
             reduce_scatter.execute_into(c, &input, &mut rs_out);
             auto_allreduce.execute_into(c, &input, &mut ar_out);
+            hier_allreduce.execute_into(c, &input, &mut ar_out);
+            nonblocking_cycle!(hier_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);

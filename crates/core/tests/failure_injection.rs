@@ -12,7 +12,7 @@
 //! wait these tests exist to rule out.
 
 use c_coll::{Algorithm, CCollSession, CodecSpec, CollectiveError, PlanOptions, ReduceOp};
-use ccoll_comm::{Comm, CommError, FaultPlan, FaultPolicy, SimConfig, SimWorld};
+use ccoll_comm::{Comm, CommError, FaultPlan, FaultPolicy, HierNet, SimConfig, SimWorld, Topology};
 use std::time::Duration;
 
 fn rank_data(rank: usize, len: usize) -> Vec<f32> {
@@ -143,6 +143,85 @@ fn rank_crash_mid_progress_poisons_plan_without_hanging() {
         );
         assert!(poisoned, "rank {rank}: aborted plan must be poisoned");
     }
+}
+
+#[test]
+fn lane_owner_crash_aborts_every_survivor_without_hanging() {
+    // Eight 2-rank nodes at two lanes: every rank owns a lane, and the
+    // victim — rank 1, node 0's second owner, not its leader — runs one
+    // intra-node exchange, the inter-node leg with the other lane-1
+    // owners (three reduce-scatter rounds, three allgather rounds), and
+    // one more intra-node exchange. It is killed after each operation
+    // count in turn, until the count outlasts the collective.
+    //
+    // Never a hang. A survivor either finishes with the exact sum or
+    // aborts with a structured error on a poisoned plan that `reset`
+    // re-arms. Until the victim's share of lane 1 has left it — the
+    // first half of its operations, through the reduce-scatter rounds
+    // of its inter-node leg — nobody can finish, so every survivor
+    // aborts; after that, ever fewer do.
+    let n = 16;
+    let len = 24_000;
+    let victim = 1;
+    let mut oracle = vec![0.0f32; len];
+    for r in 0..n {
+        for (o, v) in oracle.iter_mut().zip(rank_data(r, len)) {
+            *o += v;
+        }
+    }
+    let run = move |after_ops: u64| {
+        let cfg = SimConfig::new(n)
+            .with_faults(FaultPlan::seeded(7).with_kill(victim, after_ops))
+            .with_fault_policy(FaultPolicy::with_timeout(Duration::from_millis(1), 2));
+        SimWorld::new(cfg)
+            .try_run(move |c| {
+                let session = CCollSession::new(CodecSpec::None, n)
+                    .with_topology(Topology::uniform(8, 2), HierNet::cluster_default());
+                let mut plan = session.plan_allreduce_with(
+                    len,
+                    ReduceOp::Sum,
+                    PlanOptions::new().algorithm(Algorithm::Hierarchical),
+                );
+                assert_eq!(plan.hier_lanes(), Some(2), "the case under test");
+                let mut result = vec![0.0f32; len];
+                let outcome = plan.try_execute_into(c, &rank_data(c.rank(), len), &mut result);
+                assert_eq!(outcome.is_err(), plan.is_poisoned(), "abort poisons");
+                plan.reset();
+                assert!(!plan.is_poisoned(), "reset re-arms the plan");
+                outcome.map(|()| result)
+            })
+            .expect("a killed rank must never deadlock the world")
+    };
+    // How many survivors aborted, per kill point, while the kill fired.
+    let aborted: Vec<usize> = (1..)
+        .map(run)
+        .take_while(|out| out.results[victim].is_killed())
+        .map(|out| {
+            let survivors = out.results.iter().filter_map(|o| o.as_completed());
+            survivors
+                .filter(|outcome| match outcome {
+                    Ok(result) => {
+                        assert_eq!(result, &oracle, "a finished survivor holds the sum");
+                        false
+                    }
+                    Err(e) => {
+                        assert!(matches!(e, CollectiveError::Comm(_)), "got {e:?}");
+                        true
+                    }
+                })
+                .count()
+        })
+        .collect();
+    let ops = aborted.len();
+    assert!(
+        ops >= 40,
+        "the victim's collective is {ops} operations long"
+    );
+    assert!(
+        aborted[..ops / 2].iter().all(|&a| a == n - 1),
+        "{aborted:?}"
+    );
+    assert!(aborted.windows(2).all(|w| w[0] >= w[1]), "{aborted:?}");
 }
 
 #[test]

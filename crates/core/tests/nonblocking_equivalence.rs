@@ -26,7 +26,7 @@
 use std::time::Duration;
 
 use c_coll::{Algorithm, CCollSession, CodecSpec, PlanOptions, Poll, ReduceOp};
-use ccoll_comm::{Category, Comm, SimConfig, SimWorld};
+use ccoll_comm::{Category, Comm, HierNet, SimConfig, SimWorld, Topology};
 use proptest::prelude::*;
 
 /// Integer-valued rank data: f32 arithmetic on these is exact, so
@@ -304,6 +304,48 @@ fn nonblocking_streamed_bcast_matches_blocking_bits_and_bytes() {
         assert_eq!(nonblocking, blocking, "world {n}");
         let sent: u64 = blocking.iter().map(|r| r.1).sum();
         assert_eq!(sent, ((n - 1) * len.div_ceil(chunk)) as u64, "world {n}");
+    }
+}
+
+/// The laned hierarchical allreduce at more than one lane — five phases
+/// over three different sub-communicators — suspended at every grain
+/// leaves the same bits and sends the same messages and bytes as the
+/// blocking drive, raw and compressed, on an asymmetric cluster whose
+/// groups include a one-rank group (an owner with nobody to fan out to).
+#[test]
+fn nonblocking_laned_hierarchical_matches_blocking_bits_and_bytes() {
+    let sizes = [4usize, 3, 5];
+    let n: usize = sizes.iter().sum();
+    let len = 40_000;
+    for spec in [CodecSpec::None, CodecSpec::Szx { error_bound: 1e-3 }] {
+        for grain in [0u64, 700, 40_000] {
+            let run = |nonblocking: bool| {
+                SimWorld::new(SimConfig::new(n))
+                    .run(move |c| {
+                        let session = CCollSession::new(spec, n).with_topology(
+                            Topology::from_node_sizes(&sizes),
+                            HierNet::cluster_default(),
+                        );
+                        let mut plan = session.plan_allreduce_with(
+                            len,
+                            ReduceOp::Sum,
+                            PlanOptions::new().algorithm(Algorithm::Hierarchical),
+                        );
+                        assert_eq!(plan.hier_lanes(), Some(2), "the case under test");
+                        let data = smooth_data(c.rank(), len, 11);
+                        let mut out = vec![0.0f32; len];
+                        if nonblocking {
+                            drive_nonblocking!(plan.start(c, &data, &mut out), c, grain);
+                        } else {
+                            plan.execute_into(c, &data, &mut out);
+                        }
+                        let traffic = c.profiler().traffic();
+                        (out, traffic.messages_sent, traffic.bytes_sent)
+                    })
+                    .results
+            };
+            assert_eq!(run(true), run(false), "{spec:?} at grain {grain}");
+        }
     }
 }
 
