@@ -9,19 +9,19 @@
 //! cargo run --release -p ccoll-bench --bin ablation_balance
 //! ```
 
-use c_coll::collectives::cpr_p2p::{cpr_ring_allgather, CprCodec};
-use c_coll::frameworks::data_movement::c_ring_allgather;
-use c_coll::CodecSpec;
+use c_coll::collectives::cpr_p2p::{cpr_ring_allgatherv_into, CprCodec};
+use c_coll::{CCollSession, CodecSpec, CollWorkspace};
 use ccoll_bench::calibrate::cost_model_from_env;
 use ccoll_bench::table::Table;
 use ccoll_bench::workload::Scale;
 use ccoll_comm::{Comm, SimConfig, SimWorld};
 use ccoll_data::Dataset;
 
+const SZX: CodecSpec = CodecSpec::Szx { error_bound: 1e-3 };
+
 fn codec() -> CprCodec {
-    let spec = CodecSpec::Szx { error_bound: 1e-3 };
-    let (ck, dk) = spec.kernels();
-    CprCodec::new(spec.build().expect("codec"), ck, dk)
+    let (ck, dk) = SZX.kernels();
+    CprCodec::new(SZX.build().expect("codec"), ck, dk)
 }
 
 /// Rank 0 gets rough (CESM) data, everyone else smooth (RTM) data.
@@ -56,7 +56,10 @@ fn main() {
                 } else {
                     Dataset::Rtm.generate(values, comm.rank() as u64)
                 };
-                cpr_ring_allgather(comm, &codec(), &data);
+                let counts = vec![values; nodes];
+                let mut out = vec![0.0f32; values * nodes];
+                let mut ws = CollWorkspace::new();
+                cpr_ring_allgatherv_into(comm, &codec(), &data, &counts, &mut out, &mut ws);
             })
             .makespan;
         let mut cfg = SimConfig::new(nodes);
@@ -69,7 +72,8 @@ fn main() {
                 } else {
                     Dataset::Rtm.generate(values, comm.rank() as u64)
                 };
-                c_ring_allgather(comm, &codec(), &data);
+                let mut plan = CCollSession::new(SZX, nodes).plan_allgather(values);
+                let _ = plan.execute(comm, &data);
             })
             .makespan;
         t.row(&[

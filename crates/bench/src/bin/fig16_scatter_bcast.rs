@@ -6,9 +6,9 @@
 //! cargo run --release -p ccoll-bench --bin fig16_scatter_bcast
 //! ```
 
-use c_coll::collectives::{baseline, cpr_p2p};
-use c_coll::frameworks::data_movement;
-use c_coll::CodecSpec;
+use c_coll::collectives::cpr_p2p::{cpr_binomial_bcast_into, cpr_binomial_scatter_into, CprCodec};
+use c_coll::partition::chunk_lengths;
+use c_coll::{CCollSession, CodecSpec, CollWorkspace};
 use ccoll_bench::calibrate::cost_model_from_env;
 use ccoll_bench::table::Table;
 use ccoll_bench::workload::{paper_sizes_mb, Scale};
@@ -28,10 +28,11 @@ fn run_case(
     SimWorld::new(cfg).run(f).makespan
 }
 
-fn cpr() -> cpr_p2p::CprCodec {
-    let spec = CodecSpec::Szx { error_bound: 1e-3 };
-    let (ck, dk) = spec.kernels();
-    cpr_p2p::CprCodec::new(spec.build().expect("codec"), ck, dk)
+const SZX: CodecSpec = CodecSpec::Szx { error_bound: 1e-3 };
+
+fn cpr() -> CprCodec {
+    let (ck, dk) = SZX.kernels();
+    CprCodec::new(SZX.build().expect("codec"), ck, dk)
 }
 
 fn main() {
@@ -56,54 +57,43 @@ fn main() {
     ]);
     for mb in paper_sizes_mb() {
         let values = scale.values_for_mb(mb);
-        let base_scatter = run_case(nodes, cost.clone(), scale.net_model(), move |c| {
-            let data = if c.rank() == 0 {
+        // The root's payload; every other rank contributes nothing.
+        let payload = move |rank: usize| {
+            if rank == 0 {
                 Dataset::Rtm.generate(values, 1)
             } else {
                 Vec::new()
-            };
-            baseline::binomial_scatter(c, 0, &data, values);
-        });
+            }
+        };
+        // The original and C-Coll columns are the plans of a session
+        // without and with the codec; the CPR-P2P columns are the
+        // baselines no plan selects.
+        let scatter = |spec: CodecSpec| {
+            run_case(nodes, cost.clone(), scale.net_model(), move |c| {
+                let mut plan = CCollSession::new(spec, nodes).plan_scatter(0, values);
+                let _ = plan.execute(c, &payload(c.rank()));
+            })
+        };
+        let bcast = |spec: CodecSpec| {
+            run_case(nodes, cost.clone(), scale.net_model(), move |c| {
+                let mut plan = CCollSession::new(spec, nodes).plan_bcast(0, values);
+                let _ = plan.execute(c, &payload(c.rank()));
+            })
+        };
+        let base_scatter = scatter(CodecSpec::None);
         let p2p_scatter = run_case(nodes, cost.clone(), scale.net_model(), move |c| {
-            let data = if c.rank() == 0 {
-                Dataset::Rtm.generate(values, 1)
-            } else {
-                Vec::new()
-            };
-            cpr_p2p::cpr_binomial_scatter(c, &cpr(), 0, &data, values);
+            let mut out = vec![0.0f32; chunk_lengths(values, nodes)[c.rank()]];
+            let mut ws = CollWorkspace::new();
+            cpr_binomial_scatter_into(c, &cpr(), 0, &payload(c.rank()), values, &mut out, &mut ws);
         });
-        let c_scatter = run_case(nodes, cost.clone(), scale.net_model(), move |c| {
-            let data = if c.rank() == 0 {
-                Dataset::Rtm.generate(values, 1)
-            } else {
-                Vec::new()
-            };
-            data_movement::c_binomial_scatter(c, &cpr(), 0, &data, values);
-        });
-        let base_bcast = run_case(nodes, cost.clone(), scale.net_model(), move |c| {
-            let data = if c.rank() == 0 {
-                Dataset::Rtm.generate(values, 1)
-            } else {
-                Vec::new()
-            };
-            baseline::binomial_bcast(c, 0, &data);
-        });
+        let c_scatter = scatter(SZX);
+        let base_bcast = bcast(CodecSpec::None);
         let p2p_bcast = run_case(nodes, cost.clone(), scale.net_model(), move |c| {
-            let data = if c.rank() == 0 {
-                Dataset::Rtm.generate(values, 1)
-            } else {
-                Vec::new()
-            };
-            cpr_p2p::cpr_binomial_bcast(c, &cpr(), 0, &data);
+            let mut out = vec![0.0f32; values];
+            let mut ws = CollWorkspace::new();
+            cpr_binomial_bcast_into(c, &cpr(), 0, &payload(c.rank()), &mut out, &mut ws);
         });
-        let c_bcast = run_case(nodes, cost.clone(), scale.net_model(), move |c| {
-            let data = if c.rank() == 0 {
-                Dataset::Rtm.generate(values, 1)
-            } else {
-                Vec::new()
-            };
-            data_movement::c_binomial_bcast(c, &cpr(), 0, &data);
-        });
+        let c_bcast = bcast(SZX);
         let ms = |d: Duration| format!("{:.2}", d.as_secs_f64() * 1e3);
         let sp = |a: Duration, b: Duration| format!("{:.2}x", a.as_secs_f64() / b.as_secs_f64());
         t.row(&[

@@ -13,14 +13,19 @@
 //!
 //! ```bash
 //! cargo run --release -p ccoll-bench --bin fig_overlap
+//! cargo run --release -p ccoll-bench --bin fig_overlap -- --check
 //! ```
 //!
-//! `CCOLL_QUICK=1` shrinks the sweep to CI scale.
+//! `CCOLL_QUICK=1` shrinks the sweep to CI scale. `--check` recomputes
+//! the full sweep, writes nothing, and exits non-zero when any cell
+//! differs from the `BENCH_overlap.json` checked in at the repository
+//! root.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use c_coll::CodecSpec;
+use ccoll_bench::check::reproduces;
 use ccoll_bench::runner::run_allreduce_overlap;
 use ccoll_bench::table::Table;
 use ccoll_comm::{CostModel, NetModel};
@@ -29,10 +34,18 @@ use ccoll_data::Dataset;
 const NODES: usize = 8;
 const SLICES: usize = 32;
 
+/// The results file as checked in (one entry per line).
+const CHECKED_IN: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../BENCH_overlap.json"
+));
+
 fn main() {
-    let quick = std::env::var("CCOLL_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let check = std::env::args().any(|a| a == "--check");
+    let quick = !check
+        && std::env::var("CCOLL_QUICK")
+            .map(|v| v == "1")
+            .unwrap_or(false);
     let (sizes, compute_ms, iters): (Vec<usize>, Vec<f64>, usize) = if quick {
         (vec![40_000, 160_000], vec![0.5, 2.0], 1)
     } else {
@@ -123,6 +136,13 @@ fn main() {
         json,
         "\n  ],\n  \"overlap_wins\": {wins}, \"cells\": {cells}\n}}\n"
     );
+    if check {
+        // Rows are named by codec, values, compute_ms.
+        if !reproduces("BENCH_overlap.json", CHECKED_IN, &json, 3, true) {
+            std::process::exit(1);
+        }
+        return;
+    }
     std::fs::write("BENCH_overlap.json", &json).expect("write BENCH_overlap.json");
     println!("\nnonblocking won {wins}/{cells} cells");
     println!("wrote BENCH_overlap.json");

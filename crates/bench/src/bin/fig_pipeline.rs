@@ -3,9 +3,11 @@
 //! engine now drives — sweeping stage × codec × sub-chunk size into
 //! `BENCH_pipeline.json`.
 //!
-//! Stages and their monolithic counterparts:
+//! The overlapped column runs the session's plan; the monolithic column
+//! is the placement no plan selects, through its free function. Stages
+//! and their monolithic counterparts:
 //!
-//! * `reduce_scatter` — pipelined ring (`c_ring_reduce_scatter`) vs the
+//! * `reduce_scatter` — pipelined ring (`plan_reduce_scatter`) vs the
 //!   ND compress→send→decompress→reduce ring;
 //! * `allgather` — relay/decompress overlap vs the monolithic
 //!   relay-then-sweep schedule, on the steady-state allreduce workload
@@ -22,17 +24,24 @@
 //!
 //! ```bash
 //! cargo run --release -p ccoll-bench --bin fig_pipeline
+//! cargo run --release -p ccoll-bench --bin fig_pipeline -- --check
 //! ```
 //!
-//! `CCOLL_QUICK=1` shrinks the sweep to CI scale.
+//! `CCOLL_QUICK=1` shrinks the sweep to CI scale. `--check` recomputes
+//! the full sweep, writes nothing, and exits non-zero when any cell
+//! differs from the `BENCH_pipeline.json` checked in at the repository
+//! root.
 
 use std::fmt::Write as _;
 
-use c_coll::collectives::cpr_p2p::{self, CprCodec};
-use c_coll::frameworks::computation::{self, PipelineConfig};
-use c_coll::frameworks::data_movement;
+use c_coll::collectives::cpr_p2p::{
+    cpr_binomial_reduce_into, cpr_rabenseifner_allreduce_into, cpr_ring_reduce_scatter_into,
+    CprCodec,
+};
+use c_coll::frameworks::data_movement::c_ring_allgatherv_monolithic_into;
 use c_coll::partition::chunk_lengths;
-use c_coll::{CCollSession, CodecSpec, CollWorkspace, ReduceOp};
+use c_coll::{Algorithm, CCollSession, CodecSpec, CollWorkspace, PlanOptions, ReduceOp};
+use ccoll_bench::check::reproduces;
 use ccoll_bench::runner::run_custom;
 use ccoll_bench::table::Table;
 use ccoll_comm::{Comm, CostModel, NetModel};
@@ -40,12 +49,22 @@ use ccoll_data::Dataset;
 
 const NODES: usize = 8;
 
+/// The results file as checked in (one entry per line).
+const CHECKED_IN: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../BENCH_pipeline.json"
+));
+
 fn cpr(spec: CodecSpec) -> CprCodec {
     let (ck, dk) = spec.kernels();
     CprCodec::new(spec.build().expect("compressed spec"), ck, dk)
 }
 
-/// Per-iteration makespan (ms) of one stage on the virtual cluster.
+/// Per-iteration makespan (ms) of one stage on the virtual cluster. The
+/// overlapped column is the session's plan at sub-chunk size `chunk`
+/// (`chunk == 0` marks the sub-chunk-free relay stage, `allgather`); the
+/// monolithic column is the CPR-P2P / relay-then-sweep placement no plan
+/// selects, driven through its free function.
 fn run_stage(
     stage: &'static str,
     spec: CodecSpec,
@@ -55,11 +74,6 @@ fn run_stage(
     iters: usize,
 ) -> f64 {
     let codec = cpr(spec);
-    // `chunk == 0` marks the sub-chunk-free relay stage (allgather).
-    let cfg = spec
-        .error_bound()
-        .filter(|_| chunk > 0)
-        .map(|eb| PipelineConfig::new(eb).with_chunk_values(chunk));
     let (makespan, _, _) = run_custom(
         NODES,
         CostModel::default(),
@@ -68,22 +82,20 @@ fn run_stage(
             let me = comm.rank();
             let data = Dataset::Rtm.generate(values, me as u64);
             let counts = chunk_lengths(values, NODES);
+            let session = |pipe: usize| CCollSession::new(spec, NODES).with_pipeline_values(pipe);
+            let pin = |algorithm: Algorithm| PlanOptions::new().algorithm(algorithm);
             let mut ws = CollWorkspace::new();
             match stage {
                 "reduce_scatter" => {
                     let mut out = vec![0.0f32; counts[me]];
-                    for _ in 0..iters {
-                        if overlapped {
-                            computation::c_ring_reduce_scatter_into(
-                                comm,
-                                cfg.expect("error-bounded"),
-                                &data,
-                                ReduceOp::Sum,
-                                &mut out,
-                                &mut ws,
-                            );
-                        } else {
-                            cpr_p2p::cpr_ring_reduce_scatter_into(
+                    if overlapped {
+                        let mut plan = session(chunk).plan_reduce_scatter(values, ReduceOp::Sum);
+                        for _ in 0..iters {
+                            plan.execute_into(comm, &data, &mut out);
+                        }
+                    } else {
+                        for _ in 0..iters {
+                            cpr_ring_reduce_scatter_into(
                                 comm,
                                 &codec,
                                 &data,
@@ -98,16 +110,17 @@ fn run_stage(
                     // The steady-state allreduce workload: every rank
                     // contributes its reduced chunk of the partition.
                     let block = values / NODES;
-                    let counts = vec![block; NODES];
                     let mine = Dataset::Rtm.generate(block, me as u64);
                     let mut out = vec![0.0f32; block * NODES];
-                    for _ in 0..iters {
-                        if overlapped {
-                            data_movement::c_ring_allgatherv_into(
-                                comm, &codec, &mine, &counts, &mut out, &mut ws,
-                            );
-                        } else {
-                            data_movement::c_ring_allgatherv_monolithic_into(
+                    if overlapped {
+                        let mut plan = CCollSession::new(spec, NODES).plan_allgather(block);
+                        for _ in 0..iters {
+                            plan.execute_into(comm, &mine, &mut out);
+                        }
+                    } else {
+                        let counts = vec![block; NODES];
+                        for _ in 0..iters {
+                            c_ring_allgatherv_monolithic_into(
                                 comm, &codec, &mine, &counts, &mut out, &mut ws,
                             );
                         }
@@ -115,23 +128,18 @@ fn run_stage(
                 }
                 "allreduce" => {
                     let mut out = vec![0.0f32; values];
-                    let mut mine = vec![0.0f32; counts[me]];
-                    for _ in 0..iters {
-                        if overlapped {
-                            computation::c_ring_allreduce_into(
-                                comm,
-                                cfg.expect("error-bounded"),
-                                &codec,
-                                &data,
-                                ReduceOp::Sum,
-                                &mut out,
-                                &mut ws,
-                            );
-                        } else {
-                            // The paper's ND composition: CPR ring
-                            // reduce-scatter + monolithic compress-once
-                            // allgather of the reduced chunks.
-                            cpr_p2p::cpr_ring_reduce_scatter_into(
+                    if overlapped {
+                        let mut plan = session(chunk).plan_allreduce(values, ReduceOp::Sum);
+                        for _ in 0..iters {
+                            plan.execute_into(comm, &data, &mut out);
+                        }
+                    } else {
+                        // The paper's ND composition: CPR ring
+                        // reduce-scatter + monolithic compress-once
+                        // allgather of the reduced chunks.
+                        let mut mine = vec![0.0f32; counts[me]];
+                        for _ in 0..iters {
+                            cpr_ring_reduce_scatter_into(
                                 comm,
                                 &codec,
                                 &data,
@@ -139,7 +147,7 @@ fn run_stage(
                                 &mut mine,
                                 &mut ws,
                             );
-                            data_movement::c_ring_allgatherv_monolithic_into(
+                            c_ring_allgatherv_monolithic_into(
                                 comm, &codec, &mine, &counts, &mut out, &mut ws,
                             );
                         }
@@ -147,19 +155,18 @@ fn run_stage(
                 }
                 "rabenseifner" => {
                     let mut out = vec![0.0f32; values];
-                    for _ in 0..iters {
-                        if overlapped {
-                            computation::c_rabenseifner_allreduce_into(
-                                comm,
-                                cfg.expect("error-bounded"),
-                                &codec,
-                                &data,
-                                ReduceOp::Sum,
-                                &mut out,
-                                &mut ws,
-                            );
-                        } else {
-                            cpr_p2p::cpr_rabenseifner_allreduce_into(
+                    if overlapped {
+                        let mut plan = session(chunk).plan_allreduce_with(
+                            values,
+                            ReduceOp::Sum,
+                            pin(Algorithm::Rabenseifner),
+                        );
+                        for _ in 0..iters {
+                            plan.execute_into(comm, &data, &mut out);
+                        }
+                    } else {
+                        for _ in 0..iters {
+                            cpr_rabenseifner_allreduce_into(
                                 comm,
                                 &codec,
                                 &data,
@@ -172,19 +179,19 @@ fn run_stage(
                 }
                 "reduce" => {
                     let mut out = vec![0.0f32; if me == 0 { values } else { 0 }];
-                    for _ in 0..iters {
-                        if overlapped {
-                            computation::c_binomial_reduce_into(
-                                comm,
-                                cfg.expect("error-bounded"),
-                                0,
-                                &data,
-                                ReduceOp::Sum,
-                                &mut out,
-                                &mut ws,
-                            );
-                        } else {
-                            cpr_p2p::cpr_binomial_reduce_into(
+                    if overlapped {
+                        let mut plan = session(chunk).plan_reduce_with(
+                            0,
+                            values,
+                            ReduceOp::Sum,
+                            pin(Algorithm::Binomial),
+                        );
+                        for _ in 0..iters {
+                            plan.execute_into(comm, &data, &mut out);
+                        }
+                    } else {
+                        for _ in 0..iters {
+                            cpr_binomial_reduce_into(
                                 comm,
                                 &codec,
                                 0,
@@ -197,12 +204,10 @@ fn run_stage(
                     }
                 }
                 "bcast" => {
-                    // Through the plan: the sub-chunk size is the
-                    // session's, and one sub-chunk spanning the payload
-                    // *is* the monolithic schedule.
+                    // One sub-chunk spanning the payload *is* the
+                    // monolithic schedule: encode, then relay, then decode.
                     let pipe = if overlapped { chunk } else { values };
-                    let session = CCollSession::new(spec, NODES).with_pipeline_values(pipe);
-                    let mut plan = session.plan_bcast(0, values);
+                    let mut plan = session(pipe).plan_bcast(0, values);
                     let mut out = vec![0.0f32; values];
                     for _ in 0..iters {
                         plan.execute_into(comm, &data, &mut out);
@@ -216,9 +221,11 @@ fn run_stage(
 }
 
 fn main() {
-    let quick = std::env::var("CCOLL_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let check = std::env::args().any(|a| a == "--check");
+    let quick = !check
+        && std::env::var("CCOLL_QUICK")
+            .map(|v| v == "1")
+            .unwrap_or(false);
     let (values, iters, chunks): (usize, usize, Vec<usize>) = if quick {
         (40_000, 1, vec![5120])
     } else {
@@ -295,6 +302,13 @@ fn main() {
         }
     }
     json.push_str("\n  ]\n}\n");
+    if check {
+        // Rows are named by stage, codec, chunk.
+        if !reproduces("BENCH_pipeline.json", CHECKED_IN, &json, 3, true) {
+            std::process::exit(1);
+        }
+        return;
+    }
     std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
     println!("\nwrote BENCH_pipeline.json");
 }

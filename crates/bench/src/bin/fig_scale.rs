@@ -29,6 +29,7 @@ use std::fmt::Write as _;
 
 use c_coll::{Algorithm, CCollSession, CodecSpec, PlanOptions, ReduceOp};
 use ccoll_bench::calibrate::cost_model_from_env;
+use ccoll_bench::check::{cell, checked_in_row, reproduces};
 use ccoll_bench::runner::run_allreduce_cluster;
 use ccoll_bench::specs::szx_default;
 use ccoll_bench::table::Table;
@@ -53,23 +54,8 @@ const CHECKED_IN: &str = include_str!(concat!(
     "/../../BENCH_scale.json"
 ));
 
-/// The checked-in entry whose leading cells are `key`, if there is one.
-fn checked_in(key: &str) -> Option<&'static str> {
-    CHECKED_IN
-        .lines()
-        .map(|l| l.trim().trim_end_matches(','))
-        .find(|l| l.starts_with(key))
-}
-
-/// The numeric cell `name` of one entry line.
-fn cell(entry: &str, name: &str) -> f64 {
-    // Skip the name and the `": ` after it.
-    let at = entry.find(name).expect("cell present") + name.len() + 3;
-    let rest = &entry[at..];
-    rest[..rest.find([',', '}']).expect("cell terminated")]
-        .parse()
-        .expect("numeric cell")
-}
+/// Leading cells that name a row: spec, nodes, ranks, values.
+const KEY_CELLS: usize = 4;
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
@@ -114,7 +100,6 @@ fn main() {
     ]);
 
     let mut entries = Vec::new();
-    let mut drifted = 0;
     for (spec, nodes, per_node, values) in cells {
         let topo = Topology::uniform(nodes, per_node);
         let ranks = nodes * per_node;
@@ -200,10 +185,9 @@ fn main() {
             picked.label().to_string(),
             format!("{control_plane_ms:.4}"),
         ]);
-        let key = format!(
+        let mut entry = format!(
             "{{\"spec\": \"{spec}\", \"nodes\": {nodes}, \"ranks\": {ranks}, \"values\": {values},"
         );
-        let mut entry = key.clone();
         let _ = write!(
             entry,
             " \"ring_ms\": {:.4}, \"recursive_doubling_ms\": {:.4}, \
@@ -219,8 +203,7 @@ fn main() {
             fastest.label(),
             picked.label()
         );
-        let old = checked_in(&key);
-        if let Some(old) = old {
+        if let Some(old) = checked_in_row(CHECKED_IN, &entry, KEY_CELLS) {
             let was = cell(old, "hierarchical_ms");
             assert!(
                 times[3] < was + 5e-5,
@@ -228,20 +211,13 @@ fn main() {
                 times[3]
             );
         }
-        if check && old != Some(entry.as_str()) {
-            drifted += 1;
-            eprintln!(
-                "BENCH_scale.json drifted:\n  checked in: {}\n  recomputed: {entry}",
-                old.unwrap_or("(no such row)")
-            );
-        }
         entries.push(entry);
     }
     if check {
-        if drifted > 0 {
+        let rows = entries.join("\n");
+        if !reproduces("BENCH_scale.json", CHECKED_IN, &rows, KEY_CELLS, false) {
             std::process::exit(1);
         }
-        println!("\nBENCH_scale.json: the recomputed rows match");
         return;
     }
     let json = format!(

@@ -6,6 +6,7 @@
 pub mod calibrate;
 pub mod chaos;
 pub mod characterize;
+pub mod check;
 pub mod runner;
 pub mod specs;
 pub mod table;

@@ -14,10 +14,14 @@
 use bytes::Bytes;
 use ccoll_comm::{Category, Comm, Tag};
 
-use crate::collectives::{decode_values_in, memcpy_in, tags, values_payload};
+use crate::collectives::tags;
+use crate::nonblocking::{
+    self as nb, AgMode, ArMachine, BflyMode, BruckAg, Butterfly, RingAg, RingRs, RsMode, TreeMode,
+    TreeReduce,
+};
 use crate::partition::chunk_lengths;
 use crate::reduce::ReduceOp;
-use crate::wire::{bytes_to_values, decode_values_vec, values_to_bytes};
+use crate::wire::{bytes_to_values, values_to_bytes};
 use crate::workspace::CollWorkspace;
 
 /// Ring allgather of equal-length per-rank buffers. Returns the
@@ -53,58 +57,9 @@ pub fn ring_allgatherv_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let me = comm.rank();
-    assert_eq!(
-        counts.len(),
-        comm.size(),
-        "counts must have one entry per rank"
-    );
-    assert_eq!(mine.len(), counts[me], "my buffer disagrees with counts");
-    assert_eq!(
-        out.len(),
-        counts.iter().sum::<usize>(),
-        "output buffer size mismatch"
-    );
     ws.set_partition_from_counts(counts);
-    let (at, len) = (ws.offsets[me], ws.counts[me]);
-    memcpy_in(comm, &mut out[at..at + len], mine);
-    ring_allgather_rounds(comm, out, ws);
-}
-
-/// The `n−1` relay rounds of the ring allgather, assuming the caller's
-/// own block is already in place in `out` and the partition is cached in
-/// `ws.counts`/`ws.offsets` (shared by the allgatherv and allreduce
-/// compositions).
-fn ring_allgather_rounds<C: Comm>(comm: &mut C, out: &mut [f32], ws: &mut CollWorkspace) {
-    let n = comm.size();
-    let me = comm.rank();
-    if n == 1 {
-        return;
-    }
-    let CollWorkspace {
-        pool,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    let right = (me + 1) % n;
-    let left = (me + n - 1) % n;
-    for k in 0..n - 1 {
-        let send_idx = (me + n - k) % n;
-        let recv_idx = (me + n - 1 - k) % n;
-        let tag = tags::ALLGATHER + k as Tag;
-        let payload = values_payload(
-            pool,
-            &out[offsets[send_idx]..offsets[send_idx] + counts[send_idx]],
-        );
-        let got = comm.sendrecv(right, left, tag, payload, Category::Allgather);
-        // Decode straight into the output block — no intermediate Vec.
-        decode_values_in(
-            comm,
-            &mut out[offsets[recv_idx]..offsets[recv_idx] + counts[recv_idx]],
-            &got,
-        );
-    }
+    let done = RingAg::new(AgMode::Raw).step(comm, None, Some(mine), out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Ring reduce-scatter: every rank contributes `input` (all ranks equal
@@ -130,50 +85,8 @@ pub fn ring_reduce_scatter_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    ws.set_partition(input.len(), n);
-    ws.acc.resize(input.len(), 0.0);
-    let CollWorkspace {
-        pool,
-        scratch,
-        acc,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    assert_eq!(out.len(), counts[me], "output must hold my chunk");
-    memcpy_in(comm, acc, input);
-    if n > 1 {
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        for k in 0..n - 1 {
-            let send_idx = (me + 2 * n - k - 1) % n;
-            let recv_idx = (me + 2 * n - k - 2) % n;
-            let tag = tags::REDUCE_SCATTER + k as Tag;
-            let payload = values_payload(
-                pool,
-                &acc[offsets[send_idx]..offsets[send_idx] + counts[send_idx]],
-            );
-            let got = comm.sendrecv(right, left, tag, payload, Category::Wait);
-            decode_values_vec(&got, &mut scratch.dec);
-            let vals = &scratch.dec;
-            assert_eq!(
-                vals.len(),
-                counts[recv_idx],
-                "reduce-scatter block mismatch"
-            );
-            let dst = &mut acc[offsets[recv_idx]..offsets[recv_idx] + counts[recv_idx]];
-            comm.run_kernel(
-                ccoll_comm::Kernel::Reduce,
-                vals.len() * 4,
-                Category::Reduction,
-                || op.apply(dst, vals),
-            );
-        }
-    }
-    out.copy_from_slice(&acc[offsets[me]..offsets[me] + counts[me]]);
-    op.finalize(out, n);
+    let done = RingRs::new(RsMode::Raw).step(comm, None, op, input, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Ring allreduce (= ring reduce-scatter + ring allgather), the
@@ -199,18 +112,9 @@ pub fn ring_allreduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(out.len(), input.len(), "output buffer size mismatch");
-    // The reduce-scatter stage caches the same partition the allgather
-    // rounds read back out of the workspace.
-    ws.set_partition(input.len(), n);
-    let (at, len) = (ws.offsets[me], ws.counts[me]);
-    ring_reduce_scatter_into(comm, input, op, &mut out[at..at + len], ws);
-    // Parity with the two-call composition, which pays one charged copy
-    // of the reduced chunk into the allgather output buffer.
-    comm.charge(ccoll_comm::Kernel::Memcpy, len * 4, Category::Memcpy);
-    ring_allgather_rounds(comm, out, ws);
+    let done =
+        ArMachine::ring(RsMode::Raw, AgMode::Raw).step(comm, None, op, None, input, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Binomial-tree broadcast. `data` is read on `root` and ignored
@@ -265,41 +169,8 @@ pub fn binomial_bcast_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    let relative = (me + n - root) % n;
-    if me == root {
-        assert_eq!(
-            data.len(),
-            out.len(),
-            "root data disagrees with plan length"
-        );
-        out.copy_from_slice(data);
-    }
-    // Receive phase: find the bit where my parent contacted me (the root,
-    // at relative 0, never matches and falls through with a full mask).
-    let mut mask: usize = 1;
-    while mask < n {
-        if relative & mask != 0 {
-            let src = (relative - mask + root) % n;
-            let got = comm.recv(src, tags::BCAST);
-            crate::wire::decode_values_into(&got, out);
-            break;
-        }
-        mask <<= 1;
-    }
-    // Send phase: forward to children at decreasing masks.
-    let payload = values_payload(&mut ws.pool, out);
-    mask >>= 1;
-    while mask > 0 {
-        if relative + mask < n {
-            let dst = (relative + mask + root) % n;
-            let req = comm.isend(dst, tags::BCAST, payload.clone());
-            comm.wait_send_in(req, Category::Wait);
-        }
-        mask >>= 1;
-    }
+    let done = nb::Bcast::new(None, root).step(comm, None, data, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Binomial-tree scatter of the balanced partition of `total_len` values.
@@ -338,67 +209,8 @@ pub fn binomial_scatter_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    ws.set_partition(total_len, n);
-    let CollWorkspace {
-        pool,
-        stage: held,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    assert_eq!(out.len(), counts[me], "output must hold my chunk");
-    let relative = (me + n - root) % n;
-    // Segment i in *relative* order is the chunk of absolute rank
-    // (root + i) % n.
-    let rel_len = |i: usize| counts[(root + i) % n];
-    let rel_range_values = |lo: usize, hi: usize| -> usize { (lo..hi).map(rel_len).sum() };
-
-    // Acquire my segment span `[relative, relative + span)` in `ws.stage`.
-    held.clear();
-    let mut span: usize;
-    let mut m: usize;
-    if me == root {
-        assert_eq!(data.len(), total_len, "root buffer must hold all chunks");
-        for i in 0..n {
-            let a = (root + i) % n;
-            held.extend_from_slice(&data[offsets[a]..offsets[a] + counts[a]]);
-        }
-        span = n;
-        m = n.next_power_of_two();
-    } else {
-        let lowbit = relative & relative.wrapping_neg();
-        let src = (relative - lowbit + root) % n;
-        let got = comm.recv(src, tags::SCATTER);
-        decode_values_vec(&got, held);
-        span = lowbit.min(n - relative);
-        m = lowbit;
-        assert_eq!(
-            held.len(),
-            rel_range_values(relative, relative + span),
-            "scatter subtree block size mismatch"
-        );
-    }
-    // Forward phase: peel off the upper half of my span repeatedly.
-    m /= 2;
-    while m >= 1 {
-        // `span ≤ n - relative` always, so `m < span` implies the child
-        // position `relative + m` is inside the communicator.
-        if m < span {
-            let child_rel = relative + m;
-            let keep_vals = rel_range_values(relative, child_rel);
-            let payload = values_payload(pool, &held[keep_vals..]);
-            let dst = (child_rel + root) % n;
-            let req = comm.isend(dst, tags::SCATTER, payload);
-            comm.wait_send_in(req, Category::Wait);
-            held.truncate(keep_vals);
-            span = m;
-        }
-        m /= 2;
-    }
-    out.copy_from_slice(&held[..counts[me]]);
+    let done = nb::Scatter::new(false, root, total_len).step(comm, None, data, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Binomial-tree gather: rank `r` contributes `mine` (chunk `r` of the
@@ -426,58 +238,10 @@ pub fn binomial_gather_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) -> bool {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    ws.set_partition(total_len, n);
-    let CollWorkspace {
-        pool,
-        stage: held,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    assert_eq!(mine.len(), counts[me], "my chunk disagrees with partition");
-    let relative = (me + n - root) % n;
-    let rel_len = |i: usize| counts[(root + i) % n];
-
-    // Accumulate my subtree (in relative order), growing by doubling.
-    held.clear();
-    held.extend_from_slice(mine);
-    let mut span = 1usize;
-    let mut mask = 1usize;
-    while mask < n {
-        if relative & mask != 0 {
-            // Send my subtree up to the parent and stop.
-            let parent = (relative - mask + root) % n;
-            let payload = values_payload(pool, held);
-            let req = comm.isend(parent, tags::GATHER, payload);
-            comm.wait_send_in(req, Category::Wait);
-            return false;
-        }
-        let child_rel = relative + mask;
-        if child_rel < n {
-            let child_span = mask.min(n - child_rel);
-            let expect: usize = (child_rel..child_rel + child_span).map(rel_len).sum();
-            let got = comm.recv((child_rel + root) % n, tags::GATHER);
-            assert_eq!(got.len(), expect * 4, "gather subtree block size mismatch");
-            let at = held.len();
-            held.resize(at + expect, 0.0);
-            crate::wire::decode_values_into(&got, &mut held[at..]);
-            span += child_span;
-        }
-        mask <<= 1;
-    }
-    debug_assert_eq!(span, n);
-    // Root: reorder from relative to absolute rank order.
-    assert_eq!(out.len(), total_len, "root output must hold all chunks");
-    let mut at = 0;
-    for i in 0..n {
-        let a = (root + i) % n;
-        out[offsets[a]..offsets[a] + counts[a]].copy_from_slice(&held[at..at + counts[a]]);
-        at += counts[a];
-    }
-    true
+    let mut machine = nb::Gather::new(false, root, total_len);
+    let done = machine.step(comm, None, mine, out, ws, true);
+    debug_assert!(done.is_ready());
+    machine.is_root()
 }
 
 /// The fold geometry every butterfly schedule shares: non-power-of-two
@@ -536,73 +300,9 @@ pub fn recursive_doubling_allreduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(out.len(), input.len(), "output buffer size mismatch");
-    let (pow2, rem) = butterfly_fold(n);
-    ws.acc.resize(input.len(), 0.0);
-    let CollWorkspace {
-        pool, scratch, acc, ..
-    } = ws;
-    memcpy_in(comm, acc, input);
-    let tag = tags::RECURSIVE_DOUBLING;
-
-    // Fold: ranks 0..2*rem pair (even → odd), odd ranks survive.
-    let my_pos: Option<usize> = if me < 2 * rem {
-        if me.is_multiple_of(2) {
-            let req = comm.isend(me + 1, tag, values_payload(pool, acc));
-            comm.wait_send_in(req, Category::Wait);
-            None
-        } else {
-            let got = comm.recv(me - 1, tag);
-            decode_values_vec(&got, &mut scratch.dec);
-            let vals = &scratch.dec;
-            comm.run_kernel(
-                ccoll_comm::Kernel::Reduce,
-                vals.len() * 4,
-                Category::Reduction,
-                || op.apply(acc, vals),
-            );
-            Some(me / 2)
-        }
-    } else {
-        Some(me - rem)
-    };
-
-    if let Some(pos) = my_pos {
-        // Butterfly among the pow2 surviving positions, decoding into
-        // the one scratch buffer every round.
-        let mut mask = 1usize;
-        let mut round: Tag = 1;
-        while mask < pow2 {
-            let peer = butterfly_pos_to_rank(pos ^ mask, rem);
-            let payload = values_payload(pool, acc);
-            let got = comm.sendrecv(peer, peer, tag + round, payload, Category::Wait);
-            decode_values_vec(&got, &mut scratch.dec);
-            let vals = &scratch.dec;
-            comm.run_kernel(
-                ccoll_comm::Kernel::Reduce,
-                vals.len() * 4,
-                Category::Reduction,
-                || op.apply(acc, vals),
-            );
-            mask <<= 1;
-            round += 1;
-        }
-    }
-
-    // Unfold: odd folded ranks send results back to their even partner.
-    if me < 2 * rem {
-        if me % 2 == 1 {
-            let req = comm.isend(me - 1, tag + 999, values_payload(pool, acc));
-            comm.wait_send_in(req, Category::Wait);
-        } else {
-            let got = comm.recv(me + 1, tag + 999);
-            decode_values_in(comm, acc, &got);
-        }
-    }
-    memcpy_in(comm, out, acc);
-    op.finalize(out, n);
+    let done =
+        Butterfly::recursive_doubling(BflyMode::Raw).step(comm, None, op, input, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Rabenseifner allreduce: recursive-halving reduce-scatter followed by
@@ -635,126 +335,8 @@ pub fn rabenseifner_allreduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(out.len(), input.len(), "output buffer size mismatch");
-    let (pow2, rem) = butterfly_fold(n);
-    // Partition across butterfly *positions*, cached in the workspace.
-    ws.set_partition(input.len(), pow2);
-    ws.acc.resize(input.len(), 0.0);
-    let CollWorkspace {
-        pool,
-        scratch,
-        acc,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    memcpy_in(comm, acc, input);
-    let tag = tags::RABENSEIFNER;
-    // Value range covered by chunk indices [lo, hi).
-    let range = |lo: usize, hi: usize| -> (usize, usize) {
-        (offsets[lo], offsets[hi - 1] + counts[hi - 1])
-    };
-
-    // Fold (as in recursive doubling): even ranks < 2·rem hand their
-    // buffer to their odd neighbour and sit out the butterfly.
-    let my_pos: Option<usize> = if me < 2 * rem {
-        if me.is_multiple_of(2) {
-            let req = comm.isend(me + 1, tag, values_payload(pool, acc));
-            comm.wait_send_in(req, Category::Wait);
-            None
-        } else {
-            let got = comm.recv(me - 1, tag);
-            decode_values_vec(&got, &mut scratch.dec);
-            let vals = &scratch.dec;
-            comm.run_kernel(
-                ccoll_comm::Kernel::Reduce,
-                vals.len() * 4,
-                Category::Reduction,
-                || op.apply(acc, vals),
-            );
-            Some(me / 2)
-        }
-    } else {
-        Some(me - rem)
-    };
-
-    if let Some(pos) = my_pos {
-        // Recursive-halving reduce-scatter: each round exchanges the
-        // half I'm giving up and reduces the half I keep, narrowing my
-        // ownership [lo, hi) to the single chunk `pos`.
-        let (mut lo, mut hi) = (0usize, pow2);
-        let mut mask = pow2 / 2;
-        let mut round: Tag = 1;
-        while mask >= 1 {
-            let peer = butterfly_pos_to_rank(pos ^ mask, rem);
-            let mid = lo + (hi - lo) / 2;
-            let (keep_lo, keep_hi, send_lo, send_hi) = if pos & mask == 0 {
-                (lo, mid, mid, hi)
-            } else {
-                (mid, hi, lo, mid)
-            };
-            let (sb, se) = range(send_lo, send_hi);
-            let (kb, ke) = range(keep_lo, keep_hi);
-            let payload = values_payload(pool, &acc[sb..se]);
-            let got = comm.sendrecv(peer, peer, tag + round, payload, Category::Wait);
-            decode_values_vec(&got, &mut scratch.dec);
-            let vals = &scratch.dec;
-            assert_eq!(vals.len(), ke - kb, "halving block mismatch");
-            let dst = &mut acc[kb..ke];
-            comm.run_kernel(
-                ccoll_comm::Kernel::Reduce,
-                vals.len() * 4,
-                Category::Reduction,
-                || op.apply(dst, vals),
-            );
-            lo = keep_lo;
-            hi = keep_hi;
-            mask /= 2;
-            round += 1;
-        }
-        debug_assert_eq!((lo, hi), (pos, pos + 1));
-
-        // Recursive-doubling allgather: exchange the aligned owned range
-        // with the mirror position, doubling ownership every round.
-        let mut mask = 1usize;
-        let mut round: Tag = 0x100;
-        while mask < pow2 {
-            let peer = butterfly_pos_to_rank(pos ^ mask, rem);
-            let base = pos & !(2 * mask - 1);
-            let (cur_lo, cur_hi) = if pos & mask == 0 {
-                (base, base + mask)
-            } else {
-                (base + mask, base + 2 * mask)
-            };
-            let (peer_lo, peer_hi) = if pos & mask == 0 {
-                (base + mask, base + 2 * mask)
-            } else {
-                (base, base + mask)
-            };
-            let (sb, se) = range(cur_lo, cur_hi);
-            let (pb, pe) = range(peer_lo, peer_hi);
-            let payload = values_payload(pool, &acc[sb..se]);
-            let got = comm.sendrecv(peer, peer, tag + round, payload, Category::Wait);
-            decode_values_in(comm, &mut acc[pb..pe], &got);
-            mask <<= 1;
-            round += 1;
-        }
-    }
-
-    // Unfold: odd folded ranks send the full result back.
-    if me < 2 * rem {
-        if me % 2 == 1 {
-            let req = comm.isend(me - 1, tag + 999, values_payload(pool, acc));
-            comm.wait_send_in(req, Category::Wait);
-        } else {
-            let got = comm.recv(me + 1, tag + 999);
-            decode_values_in(comm, acc, &got);
-        }
-    }
-    memcpy_in(comm, out, acc);
-    op.finalize(out, n);
+    let done = Butterfly::rabenseifner(BflyMode::Raw).step(comm, None, op, input, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Bruck allgather with per-rank value counts: `⌈log₂n⌉` doubling steps
@@ -784,54 +366,8 @@ pub fn bruck_allgatherv_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(counts_in.len(), n, "counts must have one entry per rank");
-    assert_eq!(mine.len(), counts_in[me], "my buffer disagrees with counts");
-    assert_eq!(
-        out.len(),
-        counts_in.iter().sum::<usize>(),
-        "output buffer size mismatch"
-    );
-    ws.set_partition_from_counts(counts_in);
-    let CollWorkspace {
-        pool,
-        acc: hold,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    hold.clear();
-    hold.extend_from_slice(mine);
-    let mut held = 1usize; // blocks held, in relative order
-    let mut step: Tag = 0;
-    while held < n {
-        let dist = held; // always a power of two
-        let send_cnt = dist.min(n - held);
-        let dst = (me + n - dist) % n;
-        let src = (me + dist) % n;
-        let send_vals: usize = (0..send_cnt).map(|i| counts[(me + i) % n]).sum();
-        let recv_vals: usize = (0..send_cnt).map(|i| counts[(src + i) % n]).sum();
-        let payload = values_payload(pool, &hold[..send_vals]);
-        let got = comm.sendrecv(dst, src, tags::BRUCK + step, payload, Category::Allgather);
-        assert_eq!(got.len(), recv_vals * 4, "Bruck step block size mismatch");
-        let at = hold.len();
-        hold.resize(at + recv_vals, 0.0);
-        decode_values_in(comm, &mut hold[at..], &got);
-        held += send_cnt;
-        step += 1;
-    }
-    // Rotate: relative block i belongs to absolute rank (me + i) % n.
-    let mut at = 0;
-    for i in 0..n {
-        let a = (me + i) % n;
-        memcpy_in(
-            comm,
-            &mut out[offsets[a]..offsets[a] + counts[a]],
-            &hold[at..at + counts[a]],
-        );
-        at += counts[a];
-    }
+    let done = BruckAg::new(false).step(comm, None, mine, counts_in, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Binomial-tree rooted reduce: every rank reduces its children's
@@ -862,42 +398,10 @@ pub fn binomial_reduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) -> bool {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    ws.acc.resize(input.len(), 0.0);
-    let CollWorkspace {
-        pool, scratch, acc, ..
-    } = ws;
-    memcpy_in(comm, acc, input);
-    let relative = (me + n - root) % n;
-    let mut mask = 1usize;
-    while mask < n {
-        if relative & mask != 0 {
-            let parent = (relative - mask + root) % n;
-            let req = comm.isend(parent, tags::TREE_REDUCE, values_payload(pool, acc));
-            comm.wait_send_in(req, Category::Wait);
-            return false;
-        }
-        let child_rel = relative + mask;
-        if child_rel < n {
-            let got = comm.recv((child_rel + root) % n, tags::TREE_REDUCE);
-            decode_values_vec(&got, &mut scratch.dec);
-            let vals = &scratch.dec;
-            assert_eq!(vals.len(), acc.len(), "tree-reduce block size mismatch");
-            comm.run_kernel(
-                ccoll_comm::Kernel::Reduce,
-                vals.len() * 4,
-                Category::Reduction,
-                || op.apply(acc, vals),
-            );
-        }
-        mask <<= 1;
-    }
-    assert_eq!(out.len(), input.len(), "root output must hold the result");
-    memcpy_in(comm, out, acc);
-    op.finalize(out, n);
-    true
+    let mut machine = TreeReduce::new(TreeMode::Raw, root);
+    let done = machine.step(comm, None, op, input, out, ws, true);
+    debug_assert!(done.is_ready());
+    machine.is_root()
 }
 
 /// Pairwise-exchange all-to-all: `send` holds `n` equal blocks (block `i`
@@ -925,28 +429,8 @@ pub fn pairwise_alltoall_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(
-        send.len().is_multiple_of(n),
-        "all-to-all buffer ({}) must divide evenly across {n} ranks",
-        send.len()
-    );
-    assert_eq!(out.len(), send.len(), "output buffer size mismatch");
-    let block = send.len() / n;
-    memcpy_in(
-        comm,
-        &mut out[me * block..(me + 1) * block],
-        &send[me * block..(me + 1) * block],
-    );
-    for i in 1..n {
-        let to = (me + i) % n;
-        let from = (me + n - i) % n;
-        let tag = tags::ALLTOALL + i as Tag;
-        let payload = values_payload(&mut ws.pool, &send[to * block..(to + 1) * block]);
-        let got = comm.sendrecv(to, from, tag, payload, Category::Wait);
-        decode_values_in(comm, &mut out[from * block..(from + 1) * block], &got);
-    }
+    let done = nb::Alltoall::new(false).step(comm, None, send, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Broadcast raw bytes over the binomial tree (used by compressed

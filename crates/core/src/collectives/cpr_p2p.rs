@@ -22,6 +22,9 @@ use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
 use ccoll_compress::{CodecScratch, Compressor};
 
 use crate::collectives::{compress_in, decompress_in, decompress_reduce_in, memcpy_in, tags};
+use crate::nonblocking::{
+    AgMode, ArMachine, BflyMode, Butterfly, RingAg, RingRs, RsMode, TreeMode, TreeReduce,
+};
 use crate::partition::chunk_lengths;
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
@@ -143,65 +146,9 @@ pub fn cpr_ring_allgatherv_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let me = comm.rank();
-    assert_eq!(
-        counts.len(),
-        comm.size(),
-        "counts must have one entry per rank"
-    );
-    assert_eq!(mine.len(), counts[me], "my buffer disagrees with counts");
-    assert_eq!(
-        out.len(),
-        counts.iter().sum::<usize>(),
-        "output buffer size mismatch"
-    );
     ws.set_partition_from_counts(counts);
-    let (at, len) = (ws.offsets[me], ws.counts[me]);
-    memcpy_in(comm, &mut out[at..at + len], mine);
-    cpr_ring_allgather_rounds(comm, cpr, out, ws);
-}
-
-/// The `n−1` compress–relay–decompress rounds of the CPR-P2P allgather,
-/// assuming the caller's own block is already in place in `out` and the
-/// partition is cached in `ws.counts`/`ws.offsets`.
-fn cpr_ring_allgather_rounds<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    out: &mut [f32],
-    ws: &mut CollWorkspace,
-) {
-    let n = comm.size();
-    let me = comm.rank();
-    if n == 1 {
-        return;
-    }
-    let CollWorkspace {
-        pool,
-        scratch,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    let right = (me + 1) % n;
-    let left = (me + n - 1) % n;
-    for k in 0..n - 1 {
-        let send_idx = (me + n - k) % n;
-        let recv_idx = (me + n - 1 - k) % n;
-        let tag = tags::ALLGATHER + 0x800 + k as Tag;
-        // Compress this hop's block (every round — the DI waste).
-        let payload = cpr.compress(
-            comm,
-            &out[offsets[send_idx]..offsets[send_idx] + counts[send_idx]],
-            pool,
-        );
-        let got = comm.sendrecv(right, left, tag, payload, Category::Allgather);
-        let vals = cpr.decompress(comm, &got, counts[recv_idx], scratch);
-        memcpy_in(
-            comm,
-            &mut out[offsets[recv_idx]..offsets[recv_idx] + counts[recv_idx]],
-            vals,
-        );
-    }
+    let done = RingAg::new(AgMode::Cpr).step(comm, Some(cpr), Some(mine), out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Equal-count convenience wrapper over [`cpr_ring_allgatherv`].
@@ -239,47 +186,8 @@ pub fn cpr_ring_reduce_scatter_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    ws.set_partition(input.len(), n);
-    ws.acc.resize(input.len(), 0.0);
-    let CollWorkspace {
-        pool,
-        scratch,
-        acc,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    assert_eq!(out.len(), counts[me], "output must hold my chunk");
-    memcpy_in(comm, acc, input);
-    if n > 1 {
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        for k in 0..n - 1 {
-            let send_idx = (me + 2 * n - k - 1) % n;
-            let recv_idx = (me + 2 * n - k - 2) % n;
-            let tag = tags::REDUCE_SCATTER + 0x800 + k as Tag;
-            // CPR-P2P schedule: compress, exchange, then fused
-            // decompress-reduce. The outgoing chunk is compressed
-            // straight out of the accumulator (the compressed payload is
-            // an owned snapshot, so no staging copy of the chunk is
-            // needed).
-            let rreq = comm.irecv(left, tag);
-            let payload = cpr.compress(
-                comm,
-                &acc[offsets[send_idx]..offsets[send_idx] + counts[send_idx]],
-                pool,
-            );
-            let sreq = comm.isend(right, tag, payload);
-            let got = comm.wait_recv_in(rreq, Category::Wait);
-            let dst = &mut acc[offsets[recv_idx]..offsets[recv_idx] + counts[recv_idx]];
-            cpr.decompress_reduce(comm, &got, op, dst, scratch);
-            comm.wait_send_in(sreq, Category::Wait);
-        }
-    }
-    out.copy_from_slice(&acc[offsets[me]..offsets[me] + counts[me]]);
-    op.finalize(out, n);
+    let done = RingRs::new(RsMode::Cpr).step(comm, Some(cpr), op, input, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// CPR-P2P ring allreduce — the "Direct Integration" (DI) variant of the
@@ -309,18 +217,17 @@ pub fn cpr_ring_allreduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(out.len(), input.len(), "output buffer size mismatch");
-    // The reduce-scatter stage caches the same partition the allgather
-    // rounds read back out of the workspace.
-    ws.set_partition(input.len(), n);
-    let (at, len) = (ws.offsets[me], ws.counts[me]);
-    cpr_ring_reduce_scatter_into(comm, cpr, input, op, &mut out[at..at + len], ws);
-    // Parity with the two-call composition, which pays one charged copy
-    // of the reduced chunk into the allgather output buffer.
-    comm.charge(Kernel::Memcpy, len * 4, Category::Memcpy);
-    cpr_ring_allgather_rounds(comm, cpr, out, ws);
+    let done = ArMachine::ring(RsMode::Cpr, AgMode::Cpr).step(
+        comm,
+        Some(cpr),
+        op,
+        None,
+        input,
+        out,
+        ws,
+        true,
+    );
+    debug_assert!(done.is_ready());
 }
 
 /// Compressed recursive-doubling allreduce: every butterfly round
@@ -354,63 +261,16 @@ pub fn cpr_recursive_doubling_allreduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(out.len(), input.len(), "output buffer size mismatch");
-    let (pow2, rem) = crate::collectives::baseline::butterfly_fold(n);
-    ws.acc.resize(input.len(), 0.0);
-    let CollWorkspace {
-        pool, scratch, acc, ..
-    } = ws;
-    memcpy_in(comm, acc, input);
-    let tag = tags::RECURSIVE_DOUBLING + 0x800;
-    let len = input.len();
-
-    // Fold (see `baseline::recursive_doubling_allreduce_into`), with
-    // the folded buffer travelling compressed.
-    let my_pos: Option<usize> = if me < 2 * rem {
-        if me.is_multiple_of(2) {
-            let payload = cpr.compress(comm, acc, pool);
-            let req = comm.isend(me + 1, tag, payload);
-            comm.wait_send_in(req, Category::Wait);
-            None
-        } else {
-            let got = comm.recv(me - 1, tag);
-            cpr.decompress_reduce(comm, &got, op, acc, scratch);
-            Some(me / 2)
-        }
-    } else {
-        Some(me - rem)
-    };
-
-    if let Some(pos) = my_pos {
-        let mut mask = 1usize;
-        let mut round: Tag = 1;
-        while mask < pow2 {
-            let peer = crate::collectives::baseline::butterfly_pos_to_rank(pos ^ mask, rem);
-            // Re-compress the accumulator every round — the butterfly
-            // modifies it, so compress-once cannot apply.
-            let payload = cpr.compress(comm, acc, pool);
-            let got = comm.sendrecv(peer, peer, tag + round, payload, Category::Wait);
-            cpr.decompress_reduce(comm, &got, op, acc, scratch);
-            mask <<= 1;
-            round += 1;
-        }
-    }
-
-    if me < 2 * rem {
-        if me % 2 == 1 {
-            let payload = cpr.compress(comm, acc, pool);
-            let req = comm.isend(me - 1, tag + 999, payload);
-            comm.wait_send_in(req, Category::Wait);
-        } else {
-            let got = comm.recv(me + 1, tag + 999);
-            let vals = cpr.decompress(comm, &got, len, scratch);
-            memcpy_in(comm, acc, vals);
-        }
-    }
-    memcpy_in(comm, out, acc);
-    op.finalize(out, n);
+    let done = Butterfly::recursive_doubling(BflyMode::Cpr).step(
+        comm,
+        Some(cpr),
+        op,
+        input,
+        out,
+        ws,
+        true,
+    );
+    debug_assert!(done.is_ready());
 }
 
 /// Compressed Rabenseifner allreduce: recursive-halving reduce-scatter +
@@ -443,12 +303,9 @@ pub fn cpr_rabenseifner_allreduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    // One butterfly skeleton serves both Rabenseifner variants; passing
-    // no pipeline config selects the monolithic per-hop legs (this
-    // baseline's compression placement).
-    crate::frameworks::computation::rabenseifner_allreduce_core(
-        comm, cpr, None, input, op, out, ws,
-    );
+    let done =
+        Butterfly::rabenseifner(BflyMode::Cpr).step(comm, Some(cpr), op, input, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// Compressed binomial-tree rooted reduce: every tree hop compresses the
@@ -481,35 +338,10 @@ pub fn cpr_binomial_reduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) -> bool {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    ws.acc.resize(input.len(), 0.0);
-    let CollWorkspace {
-        pool, scratch, acc, ..
-    } = ws;
-    memcpy_in(comm, acc, input);
-    let relative = (me + n - root) % n;
-    let mut mask = 1usize;
-    while mask < n {
-        if relative & mask != 0 {
-            let parent = (relative - mask + root) % n;
-            let payload = cpr.compress(comm, acc, pool);
-            let req = comm.isend(parent, tags::TREE_REDUCE + 0x800, payload);
-            comm.wait_send_in(req, Category::Wait);
-            return false;
-        }
-        let child_rel = relative + mask;
-        if child_rel < n {
-            let got = comm.recv((child_rel + root) % n, tags::TREE_REDUCE + 0x800);
-            cpr.decompress_reduce(comm, &got, op, acc, scratch);
-        }
-        mask <<= 1;
-    }
-    assert_eq!(out.len(), input.len(), "root output must hold the result");
-    memcpy_in(comm, out, acc);
-    op.finalize(out, n);
-    true
+    let mut machine = TreeReduce::new(TreeMode::Cpr, root);
+    let done = machine.step(comm, Some(cpr), op, input, out, ws, true);
+    debug_assert!(done.is_ready());
+    machine.is_root()
 }
 
 /// CPR-P2P binomial broadcast: each hop decompresses on receive and

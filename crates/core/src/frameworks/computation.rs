@@ -28,13 +28,13 @@
 //! hops through the same engine, with fused decompress-reduce kernels on
 //! every receive path.
 
-use ccoll_comm::{Category, Comm, Tag};
-use ccoll_compress::SzxCodec;
+use ccoll_comm::Comm;
 
 use crate::collectives::cpr_p2p::CprCodec;
-use crate::collectives::{baseline, memcpy_in, tags};
+use crate::nonblocking::{
+    AgMode, ArMachine, BflyMode, Butterfly, RingRs, RsMode, TreeMode, TreeReduce,
+};
 use crate::partition::chunk_lengths;
-use crate::pipeline::{hop_exchange, hop_recv_reduce, hop_send, split_src_dst, PipeBufs};
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
 
@@ -98,53 +98,8 @@ pub fn c_ring_reduce_scatter_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    let codec = SzxCodec::new(cfg.error_bound);
-    let pipe = cfg.chunk_values;
-    ws.set_partition(input.len(), n);
-    ws.acc.resize(input.len(), 0.0);
-    let CollWorkspace {
-        pool,
-        scratch,
-        acc,
-        counts,
-        offsets,
-        sreqs,
-        rreqs,
-        ..
-    } = ws;
-    assert_eq!(out.len(), counts[me], "output must hold my chunk");
-    memcpy_in(comm, acc, input);
-
-    if n > 1 {
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        let mut bufs = PipeBufs {
-            pool,
-            scratch,
-            sreqs,
-            rreqs,
-        };
-        for k in 0..n - 1 {
-            let send_idx = (me + 2 * n - k - 1) % n;
-            let recv_idx = (me + 2 * n - k - 2) % n;
-            let tag = tags::PIPELINE + k as Tag;
-            // Send and receive chunks are disjoint ranges of the
-            // accumulator, so the hop compresses straight out of it
-            // while the drain fuse-reduces into it — no snapshot copy.
-            let (send_buf, recv_dst) = split_src_dst(
-                acc,
-                offsets[send_idx]..offsets[send_idx] + counts[send_idx],
-                offsets[recv_idx]..offsets[recv_idx] + counts[recv_idx],
-            );
-            hop_exchange(
-                comm, &codec, pipe, op, send_buf, right, recv_dst, left, tag, &mut bufs,
-            );
-        }
-    }
-    out.copy_from_slice(&acc[offsets[me]..offsets[me] + counts[me]]);
-    op.finalize(out, n);
+    let done = RingRs::new(RsMode::Piped(cfg)).step(comm, None, op, input, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// The non-pipelined ("ND") reduce-scatter round structure: monolithic
@@ -190,15 +145,17 @@ pub fn c_ring_allreduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(out.len(), input.len(), "output buffer size mismatch");
-    // The reduce-scatter stage caches the same partition the allgather
-    // stage reads back out of the workspace.
-    ws.set_partition(input.len(), n);
-    let (at, len) = (ws.offsets[me], ws.counts[me]);
-    c_ring_reduce_scatter_into(comm, cfg, input, op, &mut out[at..at + len], ws);
-    crate::frameworks::data_movement::c_ring_allgather_core(comm, cpr, None, out, ws, true);
+    let done = ArMachine::ring(RsMode::Piped(cfg), AgMode::Compressed { overlap: true }).step(
+        comm,
+        Some(cpr),
+        op,
+        None,
+        input,
+        out,
+        ws,
+        true,
+    );
+    debug_assert!(done.is_ready());
 }
 
 /// Pipelined Rabenseifner allreduce: the recursive-halving
@@ -221,187 +178,16 @@ pub fn c_rabenseifner_allreduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    rabenseifner_allreduce_core(comm, cpr, Some(cfg), input, op, out, ws);
-}
-
-/// The shared Rabenseifner skeleton: one copy of the butterfly
-/// fold/halving/doubling/unfold index math, parameterized over how the
-/// *reducing* legs (fold + recursive halving) move data — through the
-/// sub-chunk pipeline engine (`pipe_cfg = Some`, the C-Coll schedule)
-/// or monolithically per hop (`None`, the CPR-P2P baseline, which also
-/// keeps CPR's per-call buffer-management charges). The allgather and
-/// unfold legs are identical in both modes: finalized data moves, it is
-/// not recombined.
-pub(crate) fn rabenseifner_allreduce_core<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    pipe_cfg: Option<PipelineConfig>,
-    input: &[f32],
-    op: ReduceOp,
-    out: &mut [f32],
-    ws: &mut CollWorkspace,
-) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(out.len(), input.len(), "output buffer size mismatch");
-    let pipeline = pipe_cfg.map(|cfg| (SzxCodec::new(cfg.error_bound), cfg.chunk_values));
-    let (pow2, rem) = baseline::butterfly_fold(n);
-    ws.set_partition(input.len(), pow2);
-    ws.acc.resize(input.len(), 0.0);
-    let CollWorkspace {
-        pool,
-        scratch,
-        acc,
-        counts,
-        offsets,
-        sreqs,
-        rreqs,
-        ..
-    } = ws;
-    memcpy_in(comm, acc, input);
-    // Distinct tag spaces preserve the pre-refactor wire layout: 0x800
-    // for the CPR-P2P baseline, 0xC00 for the pipelined schedule.
-    let tag = tags::RABENSEIFNER + if pipeline.is_some() { 0xC00 } else { 0x800 };
-    let len = input.len();
-    let range = |lo: usize, hi: usize| -> (usize, usize) {
-        (offsets[lo], offsets[hi - 1] + counts[hi - 1])
-    };
-
-    // Fold (non-power-of-two): the contributing even rank ships its
-    // whole buffer (streamed through the pipeline when enabled); the
-    // surviving odd rank fuse-reduces what arrives.
-    let my_pos: Option<usize> = if me < 2 * rem {
-        if me.is_multiple_of(2) {
-            match &pipeline {
-                Some((codec, pipe)) => {
-                    let mut bufs = PipeBufs {
-                        pool: &mut *pool,
-                        scratch: &mut *scratch,
-                        sreqs: &mut *sreqs,
-                        rreqs: &mut *rreqs,
-                    };
-                    hop_send(comm, codec, *pipe, acc, me + 1, tag, &mut bufs);
-                }
-                None => {
-                    let payload = cpr.compress(comm, acc, pool);
-                    let req = comm.isend(me + 1, tag, payload);
-                    comm.wait_send_in(req, Category::Wait);
-                }
-            }
-            None
-        } else {
-            match &pipeline {
-                Some((codec, pipe)) => {
-                    let mut bufs = PipeBufs {
-                        pool: &mut *pool,
-                        scratch: &mut *scratch,
-                        sreqs: &mut *sreqs,
-                        rreqs: &mut *rreqs,
-                    };
-                    hop_recv_reduce(comm, codec, *pipe, op, acc, me - 1, tag, &mut bufs);
-                }
-                None => {
-                    let got = comm.recv(me - 1, tag);
-                    cpr.decompress_reduce(comm, &got, op, acc, scratch);
-                }
-            }
-            Some(me / 2)
-        }
-    } else {
-        Some(me - rem)
-    };
-
-    if let Some(pos) = my_pos {
-        // Recursive-halving reduce-scatter: each round exchanges one
-        // half. Send and keep halves are disjoint ranges of the
-        // accumulator, so the pipelined hop borrows them apart and
-        // fuses the reduction into the keep half with zero staging
-        // copies; the monolithic hop compresses the send half per hop.
-        let (mut lo, mut hi) = (0usize, pow2);
-        let mut mask = pow2 / 2;
-        let mut round: Tag = 1;
-        while mask >= 1 {
-            let peer = baseline::butterfly_pos_to_rank(pos ^ mask, rem);
-            let mid = lo + (hi - lo) / 2;
-            let (keep_lo, keep_hi, send_lo, send_hi) = if pos & mask == 0 {
-                (lo, mid, mid, hi)
-            } else {
-                (mid, hi, lo, mid)
-            };
-            let (sb, se) = range(send_lo, send_hi);
-            let (kb, ke) = range(keep_lo, keep_hi);
-            match &pipeline {
-                Some((codec, pipe)) => {
-                    let (send_buf, recv_dst) = split_src_dst(acc, sb..se, kb..ke);
-                    let mut bufs = PipeBufs {
-                        pool: &mut *pool,
-                        scratch: &mut *scratch,
-                        sreqs: &mut *sreqs,
-                        rreqs: &mut *rreqs,
-                    };
-                    hop_exchange(
-                        comm,
-                        codec,
-                        *pipe,
-                        op,
-                        send_buf,
-                        peer,
-                        recv_dst,
-                        peer,
-                        tag + round,
-                        &mut bufs,
-                    );
-                }
-                None => {
-                    let payload = cpr.compress(comm, &acc[sb..se], pool);
-                    let got = comm.sendrecv(peer, peer, tag + round, payload, Category::Wait);
-                    cpr.decompress_reduce(comm, &got, op, &mut acc[kb..ke], scratch);
-                }
-            }
-            lo = keep_lo;
-            hi = keep_hi;
-            mask /= 2;
-            round += 1;
-        }
-
-        // Recursive-doubling allgather over compressed ranges
-        // (monolithic in both modes: finalized data moves).
-        let mut mask = 1usize;
-        let mut round: Tag = 0x100;
-        while mask < pow2 {
-            let peer = baseline::butterfly_pos_to_rank(pos ^ mask, rem);
-            let base = pos & !(2 * mask - 1);
-            let (cur_lo, cur_hi, peer_lo, peer_hi) = if pos & mask == 0 {
-                (base, base + mask, base + mask, base + 2 * mask)
-            } else {
-                (base + mask, base + 2 * mask, base, base + mask)
-            };
-            let (sb, se) = range(cur_lo, cur_hi);
-            let (pb, pe) = range(peer_lo, peer_hi);
-            let payload = cpr.compress(comm, &acc[sb..se], pool);
-            let got = comm.sendrecv(peer, peer, tag + round, payload, Category::Wait);
-            let vals = cpr.decompress(comm, &got, pe - pb, scratch);
-            memcpy_in(comm, &mut acc[pb..pe], vals);
-            mask <<= 1;
-            round += 1;
-        }
-    }
-
-    // Unfold: ship the final buffer back to the folded-away rank
-    // (pure data movement, one compression).
-    if me < 2 * rem {
-        if me % 2 == 1 {
-            let payload = cpr.compress(comm, acc, pool);
-            let req = comm.isend(me - 1, tag + 999, payload);
-            comm.wait_send_in(req, Category::Wait);
-        } else {
-            let got = comm.recv(me + 1, tag + 999);
-            let vals = cpr.decompress(comm, &got, len, scratch);
-            memcpy_in(comm, acc, vals);
-        }
-    }
-    memcpy_in(comm, out, acc);
-    op.finalize(out, n);
+    let done = Butterfly::rabenseifner(BflyMode::Piped(cfg)).step(
+        comm,
+        Some(cpr),
+        op,
+        input,
+        out,
+        ws,
+        true,
+    );
+    debug_assert!(done.is_ready());
 }
 
 /// Pipelined binomial-tree rooted reduce: each child streams its
@@ -421,53 +207,10 @@ pub fn c_binomial_reduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) -> bool {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    let codec = SzxCodec::new(cfg.error_bound);
-    let pipe = cfg.chunk_values;
-    ws.acc.resize(input.len(), 0.0);
-    let CollWorkspace {
-        pool,
-        scratch,
-        acc,
-        sreqs,
-        rreqs,
-        ..
-    } = ws;
-    memcpy_in(comm, acc, input);
-    let relative = (me + n - root) % n;
-    let tag = tags::TREE_REDUCE + 0xC00;
-    let mut mask = 1usize;
-    while mask < n {
-        if relative & mask != 0 {
-            let parent = (relative - mask + root) % n;
-            let mut bufs = PipeBufs {
-                pool,
-                scratch,
-                sreqs,
-                rreqs,
-            };
-            hop_send(comm, &codec, pipe, acc, parent, tag, &mut bufs);
-            return false;
-        }
-        let child_rel = relative + mask;
-        if child_rel < n {
-            let child = (child_rel + root) % n;
-            let mut bufs = PipeBufs {
-                pool: &mut *pool,
-                scratch: &mut *scratch,
-                sreqs: &mut *sreqs,
-                rreqs: &mut *rreqs,
-            };
-            hop_recv_reduce(comm, &codec, pipe, op, acc, child, tag, &mut bufs);
-        }
-        mask <<= 1;
-    }
-    assert_eq!(out.len(), input.len(), "root output must hold the result");
-    memcpy_in(comm, out, acc);
-    op.finalize(out, n);
-    true
+    let mut machine = TreeReduce::new(TreeMode::Piped(cfg), root);
+    let done = machine.step(comm, None, op, input, out, ws, true);
+    debug_assert!(done.is_ready());
+    machine.is_root()
 }
 
 /// Error budget of a C-Allreduce sum result, per the paper's theory: one
@@ -483,7 +226,7 @@ pub fn allreduce_worst_case_error(n: usize, eb: f32) -> f32 {
 mod tests {
     use super::*;
     use crate::partition::chunk_offsets;
-    use ccoll_comm::{Kernel, SimConfig, SimWorld, ThreadWorld};
+    use ccoll_comm::{Category, Kernel, SimConfig, SimWorld, ThreadWorld};
     use ccoll_compress::SzxCodec;
     use std::sync::Arc;
 

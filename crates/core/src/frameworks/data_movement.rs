@@ -28,47 +28,15 @@
 //! decompresses exactly its own segment; it and the ring allgather keep
 //! their whole-block messages.
 
-use bytes::Bytes;
-use ccoll_comm::{Category, Comm, Tag};
+use ccoll_comm::Comm;
 
 use crate::collectives::baseline::binomial_bcast_bytes;
 use crate::collectives::cpr_p2p::CprCodec;
-use crate::collectives::{compress_in, memcpy_in, tags};
+use crate::collectives::tags;
 use crate::frameworks::computation::DEFAULT_PIPE_VALUES;
-use crate::frameworks::decompress_auto_in;
+use crate::nonblocking::{self as nb, AgMode, BruckAg, RingAg};
 use crate::partition::chunk_lengths;
-use crate::pipeline::{PipeBufs, RelayCursor};
-use crate::wire::{frame_blobs_pooled, unframe_blobs, unframe_blobs_into};
 use crate::workspace::CollWorkspace;
-
-/// Exchange one `u32` per rank around the ring (the compressed-size
-/// synchronization step), writing every rank's value into the reusable
-/// `sizes` table.
-fn exchange_sizes_raw<C: Comm>(
-    comm: &mut C,
-    mine: u32,
-    pool: &mut ccoll_comm::PayloadPool,
-    sizes: &mut Vec<u32>,
-) {
-    let n = comm.size();
-    let me = comm.rank();
-    sizes.clear();
-    sizes.resize(n, 0);
-    sizes[me] = mine;
-    if n == 1 {
-        return;
-    }
-    let right = (me + 1) % n;
-    let left = (me + n - 1) % n;
-    for k in 0..n - 1 {
-        let send_idx = (me + n - k) % n;
-        let recv_idx = (me + n - 1 - k) % n;
-        let tag = tags::SIZE_EXCHANGE + k as Tag;
-        let payload = pool.write(&sizes[send_idx].to_le_bytes());
-        let got = comm.sendrecv(right, left, tag, payload, Category::Others);
-        sizes[recv_idx] = u32::from_le_bytes(got[0..4].try_into().expect("4-byte size"));
-    }
-}
 
 /// C-Allgather with per-rank value counts: compress once, relay
 /// compressed blocks around the ring, decompress everything at the end.
@@ -100,20 +68,16 @@ pub fn c_ring_allgatherv_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let me = comm.rank();
-    assert_eq!(
-        counts.len(),
-        comm.size(),
-        "counts must have one entry per rank"
-    );
-    assert_eq!(mine.len(), counts[me], "my buffer disagrees with counts");
-    assert_eq!(
-        out.len(),
-        counts.iter().sum::<usize>(),
-        "output buffer size mismatch"
-    );
     ws.set_partition_from_counts(counts);
-    c_ring_allgather_core(comm, cpr, Some(mine), out, ws, true);
+    let done = RingAg::new(AgMode::Compressed { overlap: true }).step(
+        comm,
+        Some(cpr),
+        Some(mine),
+        out,
+        ws,
+        true,
+    );
+    debug_assert!(done.is_ready());
 }
 
 /// [`c_ring_allgatherv_into`] with the relay/decompress overlap
@@ -134,125 +98,16 @@ pub fn c_ring_allgatherv_monolithic_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let me = comm.rank();
-    assert_eq!(
-        counts.len(),
-        comm.size(),
-        "counts must have one entry per rank"
-    );
-    assert_eq!(mine.len(), counts[me], "my buffer disagrees with counts");
-    assert_eq!(
-        out.len(),
-        counts.iter().sum::<usize>(),
-        "output buffer size mismatch"
-    );
     ws.set_partition_from_counts(counts);
-    c_ring_allgather_core(comm, cpr, Some(mine), out, ws, false);
-}
-
-/// Shared C-Allgather engine. The partition must be cached in
-/// `ws.counts`/`ws.offsets`. When `mine` is `Some`, the own block is
-/// copied from it in the final sweep (out-of-place API); when `None`,
-/// the own block is assumed to be in place in `out` already (the
-/// allreduce composition) and only the parity memcpy charge is paid.
-///
-/// With `overlap` set (the default through the public wrappers), the
-/// relay is pipelined: the block received in hop `k` is decompressed
-/// while hop `k+1`'s relay is in flight, so only the final block's
-/// decompression remains on the critical path after the last transfer.
-/// The blocks themselves still travel compress-once — the overlap is a
-/// pure reordering and preserves the single-compression error bound.
-pub(crate) fn c_ring_allgather_core<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    mine: Option<&[f32]>,
-    out: &mut [f32],
-    ws: &mut CollWorkspace,
-    overlap: bool,
-) {
-    let n = comm.size();
-    let me = comm.rank();
-    let CollWorkspace {
-        pool,
-        scratch,
-        blobs,
-        sizes,
-        counts,
-        offsets,
-        ..
-    } = ws;
-
-    // Release the previous call's relay handles before compressing, so
-    // their payload-pool slots (ours and our peers') can be recycled by
-    // this call instead of forcing the pools to grow.
-    blobs.clear();
-    blobs.resize(n, None);
-
-    // Step 1: compress local data exactly once.
-    let own = match mine {
-        Some(m) => m,
-        None => &out[offsets[me]..offsets[me] + counts[me]],
-    };
-    let my_blob = compress_in(comm, cpr.codec.as_ref(), cpr.ck, own, true, pool);
-
-    // Step 2: size synchronization (4 bytes per rank).
-    exchange_sizes_raw(comm, my_blob.len() as u32, pool, sizes);
-
-    // Step 3: ring relay of opaque compressed blocks. The blocks are
-    // never re-encoded, so each hop forwards exactly the bytes received.
-    blobs[me] = Some(my_blob);
-    if n > 1 {
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        for k in 0..n - 1 {
-            let send_idx = (me + n - k) % n;
-            let recv_idx = (me + n - 1 - k) % n;
-            let tag = tags::ALLGATHER + 0xC00 + k as Tag;
-            let payload = blobs[send_idx].clone().expect("relay block present");
-            let rreq = comm.irecv(left, tag);
-            let sreq = comm.isend(right, tag, payload);
-            // Pipelined relay: the block being forwarded this hop is the
-            // one received last hop; its onward copy is on the wire, so
-            // decompress it while the transfer is in flight.
-            if overlap && send_idx != me {
-                if let Some(blob) = blobs[send_idx].take() {
-                    let vals = decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &blob, scratch);
-                    assert_eq!(vals.len(), counts[send_idx], "C-Allgather block mismatch");
-                    memcpy_in(
-                        comm,
-                        &mut out[offsets[send_idx]..offsets[send_idx] + counts[send_idx]],
-                        vals,
-                    );
-                }
-            }
-            let got = comm.wait_recv_in(rreq, Category::Allgather);
-            comm.wait_send_in(sreq, Category::Allgather);
-            blobs[recv_idx] = Some(got);
-        }
-    }
-
-    // Step 4: decompression sweep over whatever the relay loop did not
-    // already decode (everything in monolithic mode, the final block in
-    // overlapped mode); own data is copied, not decoded.
-    match mine {
-        Some(m) => memcpy_in(comm, &mut out[offsets[me]..offsets[me] + counts[me]], m),
-        None => {
-            // Own block already in place: parity charge only.
-            let bytes = counts[me] * 4;
-            comm.charge(ccoll_comm::Kernel::Memcpy, bytes, Category::Memcpy);
-        }
-    }
-    for r in 0..n {
-        if r == me {
-            continue;
-        }
-        let Some(blob) = blobs[r].take() else {
-            continue;
-        };
-        let vals = decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &blob, scratch);
-        assert_eq!(vals.len(), counts[r], "C-Allgather block length mismatch");
-        memcpy_in(comm, &mut out[offsets[r]..offsets[r] + counts[r]], vals);
-    }
+    let done = RingAg::new(AgMode::Compressed { overlap: false }).step(
+        comm,
+        Some(cpr),
+        Some(mine),
+        out,
+        ws,
+        true,
+    );
+    debug_assert!(done.is_ready());
 }
 
 /// Equal-count convenience wrapper over [`c_ring_allgatherv`].
@@ -296,85 +151,8 @@ pub fn c_bruck_allgatherv_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(counts_in.len(), n, "counts must have one entry per rank");
-    assert_eq!(mine.len(), counts_in[me], "my buffer disagrees with counts");
-    assert_eq!(
-        out.len(),
-        counts_in.iter().sum::<usize>(),
-        "output buffer size mismatch"
-    );
-    ws.set_partition_from_counts(counts_in);
-    let CollWorkspace {
-        pool,
-        scratch,
-        blob_list: held,
-        counts,
-        offsets,
-        ..
-    } = ws;
-
-    // Compress the local block exactly once; `held[i]` is the block of
-    // rank `(me + i) % n`. Own data lands in `out` by copy, not decode.
-    held.clear();
-    held.push(compress_in(
-        comm,
-        cpr.codec.as_ref(),
-        cpr.ck,
-        mine,
-        true,
-        pool,
-    ));
-    memcpy_in(comm, &mut out[offsets[me]..offsets[me] + counts[me]], mine);
-    // Pipelined decompression cursor: held blocks below it are already
-    // decoded into their rotated positions in `out`.
-    let mut decoded = 1usize;
-    let mut step: Tag = 0;
-    while held.len() < n {
-        let dist = held.len(); // always a power of two
-        let send_cnt = dist.min(n - dist);
-        let to = (me + n - dist) % n;
-        let from = (me + dist) % n;
-        let tag = tags::BRUCK + 0xC00 + step;
-        let container = frame_blobs_pooled(pool, &held[..send_cnt]);
-        let rreq = comm.irecv(from, tag);
-        let sreq = comm.isend(to, tag, container);
-        // Decompress blocks gathered in earlier steps while this step's
-        // containers are in flight (relays forward the compressed bytes
-        // untouched, so decoding early changes nothing but the overlap).
-        while decoded < held.len() {
-            let a = (me + decoded) % n;
-            let vals =
-                decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &held[decoded], scratch);
-            assert_eq!(vals.len(), counts[a], "C-Bruck block length mismatch");
-            memcpy_in(comm, &mut out[offsets[a]..offsets[a] + counts[a]], vals);
-            decoded += 1;
-        }
-        let got = comm.wait_recv_in(rreq, Category::Allgather);
-        comm.wait_send_in(sreq, Category::Allgather);
-        // The received set extends my held blocks at relative positions
-        // [dist, dist + send_cnt); the blocks themselves are zero-copy
-        // slices of the received container.
-        crate::wire::unframe_blobs_append(&got, held).expect("well-formed Bruck container");
-        assert_eq!(
-            held.len(),
-            dist + send_cnt,
-            "Bruck step block count mismatch"
-        );
-        step += 1;
-    }
-
-    // Tail sweep: decode whatever arrived in the final step.
-    while decoded < held.len() {
-        let a = (me + decoded) % n;
-        let vals = decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &held[decoded], scratch);
-        assert_eq!(vals.len(), counts[a], "C-Bruck block length mismatch");
-        memcpy_in(comm, &mut out[offsets[a]..offsets[a] + counts[a]], vals);
-        decoded += 1;
-    }
-    // Release the containers before the next call reuses the pool.
-    held.clear();
+    let done = BruckAg::new(true).step(comm, Some(cpr), mine, counts_in, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// C-Bcast: compress once at the root, relay compressed bytes through the
@@ -423,23 +201,8 @@ pub fn c_binomial_bcast_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let mut bufs = PipeBufs {
-        pool: &mut ws.pool,
-        scratch: &mut ws.scratch,
-        sreqs: &mut ws.sreqs,
-        rreqs: &mut ws.rreqs,
-    };
-    let done = RelayCursor::new().step(
-        comm,
-        cpr,
-        DEFAULT_PIPE_VALUES,
-        root,
-        data,
-        out,
-        tags::BCAST + 0xC00,
-        &mut bufs,
-        true,
-    );
+    let done =
+        nb::Bcast::new(Some(DEFAULT_PIPE_VALUES), root).step(comm, Some(cpr), data, out, ws, true);
     debug_assert!(done.is_ready());
 }
 
@@ -474,75 +237,8 @@ pub fn c_binomial_scatter_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    ws.set_partition(total_len, n);
-    let CollWorkspace {
-        pool,
-        scratch,
-        blob_list: held,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    assert_eq!(out.len(), counts[me], "output must hold my chunk");
-    let relative = (me + n - root) % n;
-
-    // Acquire my span of compressed segments, in relative order.
-    held.clear();
-    let mut span: usize;
-    let mut m: usize;
-    if me == root {
-        assert_eq!(data.len(), total_len, "root buffer must hold all chunks");
-        for i in 0..n {
-            let a = (root + i) % n;
-            let seg = &data[offsets[a]..offsets[a] + counts[a]];
-            held.push(compress_in(
-                comm,
-                cpr.codec.as_ref(),
-                cpr.ck,
-                seg,
-                true,
-                pool,
-            ));
-        }
-        span = n;
-        m = n.next_power_of_two();
-    } else {
-        let lowbit = relative & relative.wrapping_neg();
-        let src = (relative - lowbit + root) % n;
-        span = lowbit.min(n - relative);
-        m = lowbit;
-        let container = comm.recv(src, tags::SCATTER + 0xC00);
-        unframe_blobs_into(&container, held).expect("well-formed scatter container");
-        assert_eq!(held.len(), span, "scatter container segment count mismatch");
-    }
-
-    // Forward framed sub-spans; compressed segments are relayed verbatim.
-    m /= 2;
-    while m >= 1 {
-        if m < span {
-            let child_rel = relative + m;
-            let container = frame_blobs_pooled(pool, &held[m..]);
-            let dst = (child_rel + root) % n;
-            let req = comm.isend(dst, tags::SCATTER + 0xC00, container);
-            comm.wait_send_in(req, Category::Wait);
-            held.truncate(m);
-            span = m;
-        }
-        m /= 2;
-    }
-
-    // Decompress exactly my own segment (held[0]).
-    let vals = decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &held[0], scratch);
-    if me == root {
-        // The root never lost precision: return its original chunk.
-        out.copy_from_slice(&data[offsets[me]..offsets[me] + counts[me]]);
-        return;
-    }
-    assert_eq!(vals.len(), counts[me], "C-Scatter segment length mismatch");
-    out.copy_from_slice(vals);
+    let done = nb::Scatter::new(true, root, total_len).step(comm, Some(cpr), data, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// C-Alltoall: compress every outgoing block once (into pooled buffers),
@@ -568,56 +264,8 @@ pub fn c_pairwise_alltoall_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(
-        send.len().is_multiple_of(n),
-        "all-to-all buffer ({}) must divide evenly across {n} ranks",
-        send.len()
-    );
-    assert_eq!(out.len(), send.len(), "output buffer size mismatch");
-    let block = send.len() / n;
-    let CollWorkspace {
-        pool,
-        scratch,
-        blob_list: blobs,
-        sizes,
-        ..
-    } = ws;
-    // Compress all outgoing blocks up front (once each).
-    blobs.clear();
-    for to in 0..n {
-        blobs.push(if to == me {
-            Bytes::new()
-        } else {
-            compress_in(
-                comm,
-                cpr.codec.as_ref(),
-                cpr.ck,
-                &send[to * block..(to + 1) * block],
-                true,
-                pool,
-            )
-        });
-    }
-    // Size synchronization (total compressed bytes per rank) keeps the
-    // schedule fixed, as in C-Allgather.
-    let total: usize = blobs.iter().map(|b| b.len()).sum();
-    exchange_sizes_raw(comm, total as u32, pool, sizes);
-    memcpy_in(
-        comm,
-        &mut out[me * block..(me + 1) * block],
-        &send[me * block..(me + 1) * block],
-    );
-    for i in 1..n {
-        let to = (me + i) % n;
-        let from = (me + n - i) % n;
-        let tag = tags::ALLTOALL + 0xC00 + i as Tag;
-        let got = comm.sendrecv(to, from, tag, blobs[to].clone(), Category::Allgather);
-        let vals = decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &got, scratch);
-        assert_eq!(vals.len(), block, "C-Alltoall block length mismatch");
-        memcpy_in(comm, &mut out[from * block..(from + 1) * block], vals);
-    }
+    let done = nb::Alltoall::new(true).step(comm, Some(cpr), send, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// C-Gather: each rank compresses its chunk once; interior binomial-tree
@@ -647,62 +295,10 @@ pub fn c_binomial_gather_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) -> bool {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    ws.set_partition(total_len, n);
-    let CollWorkspace {
-        pool,
-        scratch,
-        blob_list: held,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    assert_eq!(mine.len(), counts[me], "my chunk disagrees with partition");
-    let relative = (me + n - root) % n;
-
-    // My own compressed segment (root's stays uncompressed-exact later).
-    held.clear();
-    held.push(compress_in(
-        comm,
-        cpr.codec.as_ref(),
-        cpr.ck,
-        mine,
-        true,
-        pool,
-    ));
-    let mut mask = 1usize;
-    while mask < n {
-        if relative & mask != 0 {
-            let parent = (relative - mask + root) % n;
-            let container = frame_blobs_pooled(pool, held);
-            let req = comm.isend(parent, tags::GATHER + 0xC00, container);
-            comm.wait_send_in(req, Category::Wait);
-            return false;
-        }
-        let child_rel = relative + mask;
-        if child_rel < n {
-            let container = comm.recv((child_rel + root) % n, tags::GATHER + 0xC00);
-            let blobs = unframe_blobs(&container).expect("well-formed gather container");
-            held.extend(blobs);
-        }
-        mask <<= 1;
-    }
-    // Root: decompress every segment (held is in relative order),
-    // through the one scratch.
-    assert_eq!(out.len(), total_len, "root output must hold all chunks");
-    for (i, blob) in held.iter().enumerate() {
-        let a = (root + i) % n;
-        let vals: &[f32] = if a == me {
-            mine // the root's own chunk stays lossless
-        } else {
-            decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, blob, scratch)
-        };
-        assert_eq!(vals.len(), counts[a], "C-Gather segment length mismatch");
-        out[offsets[a]..offsets[a] + counts[a]].copy_from_slice(vals);
-    }
-    true
+    let mut machine = nb::Gather::new(true, root, total_len);
+    let done = machine.step(comm, Some(cpr), mine, out, ws, true);
+    debug_assert!(done.is_ready());
+    machine.is_root()
 }
 
 #[cfg(test)]
@@ -733,8 +329,10 @@ mod tests {
         let world = SimWorld::new(SimConfig::new(n));
         let out = world.run(move |c| {
             let mut pool = ccoll_comm::PayloadPool::new();
-            let mut sizes = Vec::new();
-            exchange_sizes_raw(c, (100 + c.rank()) as u32, &mut pool, &mut sizes);
+            let mut sizes = vec![0; n];
+            sizes[c.rank()] = (100 + c.rank()) as u32;
+            let done = nb::SizeRing::default().step(c, &mut pool, &mut sizes, true);
+            assert!(done.is_ready());
             sizes
         });
         for r in 0..n {

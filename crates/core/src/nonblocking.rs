@@ -153,7 +153,7 @@ fn raw_reduce_in<C: Comm>(
 /// machines. The caller seeds `sizes` (own entry set, rest zero) before
 /// the first step; `Ready` means every rank's size is filled in.
 #[derive(Debug, Default)]
-struct SizeRing {
+pub(crate) struct SizeRing {
     k: usize,
     /// 0 = post round, 1 = await receive, 2 = retire send.
     phase: u8,
@@ -164,7 +164,7 @@ struct SizeRing {
 }
 
 impl SizeRing {
-    fn step<C: Comm>(
+    pub(crate) fn step<C: Comm>(
         &mut self,
         comm: &mut C,
         pool: &mut ccoll_comm::PayloadPool,

@@ -12,19 +12,19 @@
 //! **[`HopCursor`] — one hop between two ranks, re-encoded every hop.**
 //!
 //! * the sender compresses sub-chunk `j+1` while sub-chunk `j` is on the
-//!   wire ([`hop_send`] / the send half of [`hop_exchange`]) — the
-//!   paper's "actively pull communication progress within the
+//!   wire — the paper's "actively pull communication progress within the
 //!   compression phase";
 //! * the receiver drains arrived sub-chunks opportunistically and runs
 //!   the **fused decompress-reduce kernel**
 //!   (`Compressor::decompress_reduce_into`) straight into its
-//!   accumulator range ([`hop_recv_reduce`] / the drain half of
-//!   [`hop_exchange`]), so decoded values never take a detour through a
+//!   accumulator range, so decoded values never take a detour through a
 //!   scratch buffer.
 //!
-//! Drivers: the ring reduce-scatter round, the Rabenseifner
-//! recursive-halving phase (plus its non-power-of-two fold), and the
-//! binomial-tree rooted reduce — see `frameworks::computation`.
+//! A hop with an empty `send_buf` is receive-only and one with an empty
+//! `recv_dst` send-only. Drivers, all in [`crate::nonblocking`]: the
+//! ring reduce-scatter round (`RingRs`), the Rabenseifner
+//! recursive-halving phase plus its non-power-of-two fold (`Butterfly`),
+//! and the binomial-tree rooted reduce (`TreeReduce`).
 //!
 //! **[`RelayCursor`] — one compress-once payload down a whole binomial
 //! tree, never re-encoded.** The root encodes sub-chunk `j+1` while
@@ -34,15 +34,15 @@
 //! chunks arrive. Encode ∥ relay ∥ decode: the root is
 //! `max(encode, fan-out)`-bound instead of `encode + fan-out`-bound and
 //! only the last sub-chunk's hops and decode stay exposed. Driver: the
-//! compressed binomial broadcast (plans, `CColl::bcast`, the leader leg
-//! of the hierarchical broadcast) — see `frameworks::data_movement`.
+//! compressed binomial broadcast (`nonblocking::Bcast`, also the leader
+//! leg of the hierarchical broadcast).
 //!
 //! Every posted-receive boundary of either cursor is a suspension
 //! point, so the nonblocking plan handles
-//! (`start`/`progress`/`complete`, see [`crate::nonblocking`]) can hand
-//! control back to application compute mid-stream and resume exactly
-//! where they left off. The blocking entry points are one-shot drives
-//! of the same cursors (`step(.., block = true)` never suspends).
+//! (`start`/`progress`/`complete`) can hand control back to application
+//! compute mid-stream and resume exactly where they left off;
+//! `execute_into` is the same cursor stepped with `block = true`, which
+//! never suspends.
 //!
 //! Buffer discipline: the engines own **no** buffers. Callers lend the
 //! workspace's payload pool, codec scratch and request queues through
@@ -124,8 +124,7 @@ pub(crate) fn split_src_dst(
 /// cursor is plain-old-data and a suspended hop costs nothing to hold.
 ///
 /// [`HopCursor::step`] drives the hop: with `block = true` it runs to
-/// completion in one call (the classic blocking hop, bit-for-bit the
-/// PR-4 behavior); with `block = false` it performs a bounded amount of
+/// completion in one call; with `block = false` it performs a bounded amount of
 /// work — at most one sub-chunk compression plus whatever arrived input
 /// can be drained without waiting — and returns [`Poll::Pending`] at the
 /// first not-yet-ready receive or send. Resuming later continues the
@@ -492,91 +491,6 @@ impl RelayCursor {
             Poll::Pending
         }
     }
-}
-
-/// Full-duplex pipelined hop: compress-and-send sub-chunks of `send_buf`
-/// to `to` while draining, decompressing and reducing arriving
-/// sub-chunks from `from` into `recv_dst`. A one-shot blocking drive of
-/// [`HopCursor`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn hop_exchange<C: Comm>(
-    comm: &mut C,
-    codec: &SzxCodec,
-    pipe: usize,
-    op: ReduceOp,
-    send_buf: &[f32],
-    to: usize,
-    recv_dst: &mut [f32],
-    from: usize,
-    tag: Tag,
-    bufs: &mut PipeBufs<'_>,
-) {
-    let mut cur = HopCursor::new();
-    let done = cur.step(
-        comm, codec, pipe, op, send_buf, to, recv_dst, from, tag, bufs, true,
-    );
-    debug_assert!(matches!(done, Poll::Ready));
-}
-
-/// Send half of a pipelined hop: compress sub-chunks of `send_buf` and
-/// hand each to the network the moment it is encoded (the binomial-tree
-/// child leg, the butterfly fold's contributing rank).
-pub(crate) fn hop_send<C: Comm>(
-    comm: &mut C,
-    codec: &SzxCodec,
-    pipe: usize,
-    send_buf: &[f32],
-    to: usize,
-    tag: Tag,
-    bufs: &mut PipeBufs<'_>,
-) {
-    let mut cur = HopCursor::new();
-    let done = cur.step(
-        comm,
-        codec,
-        pipe,
-        ReduceOp::Sum,
-        send_buf,
-        to,
-        &mut [],
-        to,
-        tag,
-        bufs,
-        true,
-    );
-    debug_assert!(matches!(done, Poll::Ready));
-}
-
-/// Receive half of a pipelined hop: drain sub-chunks from `from` and
-/// fuse-reduce each into its slice of `recv_dst` while later sub-chunks
-/// are still being compressed and transferred by the peer (the
-/// binomial-tree parent leg).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn hop_recv_reduce<C: Comm>(
-    comm: &mut C,
-    codec: &SzxCodec,
-    pipe: usize,
-    op: ReduceOp,
-    recv_dst: &mut [f32],
-    from: usize,
-    tag: Tag,
-    bufs: &mut PipeBufs<'_>,
-) {
-    let mut cur = HopCursor::new();
-    let done = cur.step(
-        comm,
-        codec,
-        pipe,
-        op,
-        &[],
-        from,
-        recv_dst,
-        from,
-        tag,
-        bufs,
-        true,
-    );
-    debug_assert!(matches!(done, Poll::Ready));
 }
 
 #[cfg(test)]
