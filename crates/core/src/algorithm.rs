@@ -91,6 +91,44 @@ impl Algorithm {
     }
 }
 
+/// The step-wise allreduce variants benchmarked in the paper (Table V),
+/// selected through
+/// [`CCollSession::plan_allreduce_variant`](crate::CCollSession::plan_allreduce_variant).
+/// All four run the ring schedule; they differ in compression placement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AllreduceVariant {
+    /// "AD" — the original MPI_Allreduce, no compression.
+    Original,
+    /// "DI" — direct integration: CPR-P2P in both stages.
+    DirectIntegration,
+    /// "ND" — the collective data-movement framework fixes the allgather
+    /// stage; the reduce-scatter stage remains CPR-P2P.
+    NovelDesign,
+    /// "Overlap" — ND plus the pipelined collective computation
+    /// framework in the reduce-scatter stage. This is **C-Allreduce**.
+    Overlapped,
+}
+
+impl AllreduceVariant {
+    /// All variants in the paper's optimization order.
+    pub const ALL: [AllreduceVariant; 4] = [
+        AllreduceVariant::Original,
+        AllreduceVariant::DirectIntegration,
+        AllreduceVariant::NovelDesign,
+        AllreduceVariant::Overlapped,
+    ];
+
+    /// The paper's abbreviation.
+    pub fn label(&self) -> &'static str {
+        match self {
+            AllreduceVariant::Original => "AD",
+            AllreduceVariant::DirectIntegration => "DI",
+            AllreduceVariant::NovelDesign => "ND",
+            AllreduceVariant::Overlapped => "Overlap",
+        }
+    }
+}
+
 /// Per-plan configuration accepted by every `plan_*_with` constructor on
 /// [`CCollSession`](crate::CCollSession) (builder style).
 ///

@@ -12,9 +12,15 @@
 //!   bounded perturbation — the error-propagation issue §III-A1 fixes),
 //! * per-hop compressed sizes differ across ranks, unbalancing the ring.
 //!
-//! The implementations deliberately share structure with
-//! [`baseline`](crate::collectives::baseline) so the only difference a
-//! benchmark sees is the compression placement.
+//! Where a schedule has a machine in [`crate::nonblocking`], CPR-P2P is
+//! its `Cpr` mode and a plan runs it whenever that is the placement it
+//! selects (the DI variant of `plan_allreduce_variant`, every schedule of
+//! a codec without an error bound). The free functions here are the
+//! placements **no plan selects** on an error-bounded codec, kept for the
+//! ablation benches: four are one blocking drive of their machine, and
+//! the three data-movement baselines of the paper's Fig. 16 (bcast,
+//! scatter, all-to-all), which have no machine, are the only
+//! implementation of their schedule.
 
 use std::sync::Arc;
 
@@ -23,9 +29,8 @@ use ccoll_compress::{CodecScratch, Compressor};
 
 use crate::collectives::{compress_in, decompress_in, decompress_reduce_in, memcpy_in, tags};
 use crate::nonblocking::{
-    AgMode, ArMachine, BflyMode, Butterfly, RingAg, RingRs, RsMode, TreeMode, TreeReduce,
+    AgMode, BflyMode, Butterfly, RingAg, RingRs, RsMode, TreeMode, TreeReduce,
 };
-use crate::partition::chunk_lengths;
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
 
@@ -115,25 +120,11 @@ impl CprCodec {
     }
 }
 
-/// CPR-P2P ring allgather: compress before each hop, decompress after
-/// each hop, re-compress what gets forwarded. Returns the concatenation
-/// in rank order. Note the *forwarded* data is the hop's decompressed
-/// output, so errors accumulate along the ring — this is the error
-/// amplification the data-movement framework eliminates.
-pub fn cpr_ring_allgatherv<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    mine: &[f32],
-    counts: &[usize],
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; counts.iter().sum()];
-    let mut ws = CollWorkspace::with_value_capacity(counts.iter().copied().max().unwrap_or(0));
-    cpr_ring_allgatherv_into(comm, cpr, mine, counts, &mut out, &mut ws);
-    out
-}
-
-/// [`cpr_ring_allgatherv`] writing into a caller-provided buffer through
-/// a reusable workspace.
+/// CPR-P2P ring allgather with per-rank value counts: compress before
+/// each hop, decompress after each hop, re-compress what gets forwarded.
+/// The *forwarded* data is the hop's decompressed output, so errors
+/// accumulate along the ring — the amplification the data-movement
+/// framework eliminates. `out` receives the concatenation in rank order.
 ///
 /// # Panics
 /// Panics if `mine.len() != counts[rank]` or `out.len()` is not the sum
@@ -151,30 +142,10 @@ pub fn cpr_ring_allgatherv_into<C: Comm>(
     debug_assert!(done.is_ready());
 }
 
-/// Equal-count convenience wrapper over [`cpr_ring_allgatherv`].
-pub fn cpr_ring_allgather<C: Comm>(comm: &mut C, cpr: &CprCodec, mine: &[f32]) -> Vec<f32> {
-    let counts = vec![mine.len(); comm.size()];
-    cpr_ring_allgatherv(comm, cpr, mine, &counts)
-}
-
 /// CPR-P2P ring reduce-scatter: per round compress → send/recv →
-/// decompress → reduce (the Fig. 4 "CPR-P2P" timeline). Rank `r` returns
-/// the fully reduced chunk `r`.
-pub fn cpr_ring_reduce_scatter<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    input: &[f32],
-    op: ReduceOp,
-) -> Vec<f32> {
-    let lengths = chunk_lengths(input.len(), comm.size());
-    let mut out = vec![0.0f32; lengths[comm.rank()]];
-    let mut ws = CollWorkspace::with_value_capacity(lengths.iter().copied().max().unwrap_or(0));
-    cpr_ring_reduce_scatter_into(comm, cpr, input, op, &mut out, &mut ws);
-    out
-}
-
-/// [`cpr_ring_reduce_scatter`] writing rank `r`'s reduced chunk into a
-/// caller-provided buffer through a reusable workspace.
+/// decompress → reduce (the Fig. 4 "CPR-P2P" timeline, and the "ND"
+/// reduce-scatter stage of Table V). `out` receives rank `r`'s fully
+/// reduced chunk `r` of the balanced partition.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from this rank's chunk length.
@@ -190,108 +161,11 @@ pub fn cpr_ring_reduce_scatter_into<C: Comm>(
     debug_assert!(done.is_ready());
 }
 
-/// CPR-P2P ring allreduce — the "Direct Integration" (DI) variant of the
-/// paper's Table V: CPR-P2P reduce-scatter followed by CPR-P2P allgather.
-pub fn cpr_ring_allreduce<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    input: &[f32],
-    op: ReduceOp,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; input.len()];
-    let mut ws = CollWorkspace::new();
-    cpr_ring_allreduce_into(comm, cpr, input, op, &mut out, &mut ws);
-    out
-}
-
-/// [`cpr_ring_allreduce`] writing into a caller-provided buffer through
-/// a reusable workspace.
-///
-/// # Panics
-/// Panics if `out.len() != input.len()`.
-pub fn cpr_ring_allreduce_into<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    input: &[f32],
-    op: ReduceOp,
-    out: &mut [f32],
-    ws: &mut CollWorkspace,
-) {
-    let done = ArMachine::ring(RsMode::Cpr, AgMode::Cpr).step(
-        comm,
-        Some(cpr),
-        op,
-        None,
-        input,
-        out,
-        ws,
-        true,
-    );
-    debug_assert!(done.is_ready());
-}
-
-/// Compressed recursive-doubling allreduce: every butterfly round
-/// compresses the full accumulator, exchanges, decompresses and reduces
-/// (CPR-P2P placement — each of the `⌈log₂n⌉` rounds adds one bounded
-/// compression error). The latency-optimal compressed allreduce for
-/// small payloads.
-pub fn cpr_recursive_doubling_allreduce<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    input: &[f32],
-    op: ReduceOp,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; input.len()];
-    let mut ws = CollWorkspace::with_value_capacity(input.len());
-    cpr_recursive_doubling_allreduce_into(comm, cpr, input, op, &mut out, &mut ws);
-    out
-}
-
-/// [`cpr_recursive_doubling_allreduce`] writing into a caller-provided
-/// buffer through a reusable workspace (zero steady-state heap
-/// allocations).
-///
-/// # Panics
-/// Panics if `out.len() != input.len()`.
-pub fn cpr_recursive_doubling_allreduce_into<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    input: &[f32],
-    op: ReduceOp,
-    out: &mut [f32],
-    ws: &mut CollWorkspace,
-) {
-    let done = Butterfly::recursive_doubling(BflyMode::Cpr).step(
-        comm,
-        Some(cpr),
-        op,
-        input,
-        out,
-        ws,
-        true,
-    );
-    debug_assert!(done.is_ready());
-}
-
 /// Compressed Rabenseifner allreduce: recursive-halving reduce-scatter +
 /// recursive-doubling allgather with CPR-P2P compression placement (each
 /// hop compresses the moved range). Ring-equivalent bytes at tree
 /// latency; every value passes through at most `⌈log₂n⌉ + 1` compression
 /// stages on either phase.
-pub fn cpr_rabenseifner_allreduce<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    input: &[f32],
-    op: ReduceOp,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; input.len()];
-    let mut ws = CollWorkspace::with_value_capacity(input.len());
-    cpr_rabenseifner_allreduce_into(comm, cpr, input, op, &mut out, &mut ws);
-    out
-}
-
-/// [`cpr_rabenseifner_allreduce`] writing into a caller-provided buffer
-/// through a reusable workspace (zero steady-state heap allocations).
 ///
 /// # Panics
 /// Panics if `out.len() != input.len()`.
@@ -312,23 +186,9 @@ pub fn cpr_rabenseifner_allreduce_into<C: Comm>(
 /// sender's accumulated subtree and decompresses + reduces at the parent
 /// (CPR-P2P placement — reduction modifies the data, so compress-once
 /// cannot apply; at most `⌈log₂n⌉` bounded errors accumulate on the
-/// root's path). Returns the reduced buffer on the root, `None`
+/// root's path). The root must size `out` to the input length; other
+/// ranks may pass an empty buffer. Returns `true` on the root, `false`
 /// elsewhere.
-pub fn cpr_binomial_reduce<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    root: usize,
-    input: &[f32],
-    op: ReduceOp,
-) -> Option<Vec<f32>> {
-    let mut out = vec![0.0f32; if comm.rank() == root { input.len() } else { 0 }];
-    let mut ws = CollWorkspace::with_value_capacity(input.len());
-    cpr_binomial_reduce_into(comm, cpr, root, input, op, &mut out, &mut ws).then_some(out)
-}
-
-/// [`cpr_binomial_reduce`] writing the reduced buffer into `out` on the
-/// root (which must size it to the input length; other ranks may pass an
-/// empty buffer). Returns `true` on the root, `false` elsewhere.
 pub fn cpr_binomial_reduce_into<C: Comm>(
     comm: &mut C,
     cpr: &CprCodec,
@@ -346,65 +206,8 @@ pub fn cpr_binomial_reduce_into<C: Comm>(
 
 /// CPR-P2P binomial broadcast: each hop decompresses on receive and
 /// re-compresses to forward — `log₂N · (T_comp + T_decomp)` on the
-/// critical path (the Fig. 3 left-hand timeline).
-pub fn cpr_binomial_bcast<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    root: usize,
-    data: &[f32],
-) -> Vec<f32> {
-    // The allocating wrapper learns the length from the per-hop header
-    // message (as the seed implementation did, at no extra traffic);
-    // persistent plans know the length up front and use the `_into`
-    // variant.
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    let relative = (me + n - root) % n;
-    let mut ws = CollWorkspace::new();
-    let mut have: Option<Vec<f32>> = if me == root {
-        Some(data.to_vec())
-    } else {
-        None
-    };
-    let mut mask: usize = 1;
-    while mask < n {
-        if relative & mask != 0 {
-            let src = (relative - mask + root) % n;
-            // Length travels in a tiny header message (4 bytes), as a
-            // real CPR-P2P implementation must do for eager decompression.
-            let hdr = comm.recv(src, tags::BCAST + 0x801);
-            let expect_len =
-                u32::from_le_bytes(hdr[0..4].try_into().expect("4-byte header")) as usize;
-            let got = comm.recv(src, tags::BCAST + 0x800);
-            cpr.decompress(comm, &got, expect_len, &mut ws.scratch);
-            // This rank re-forwards (and finally returns) the decoded
-            // buffer, so take ownership of it from the scratch.
-            have = Some(std::mem::take(&mut ws.scratch.dec));
-            break;
-        }
-        mask <<= 1;
-    }
-    let vals = have.expect("either root or a parent provided the data");
-    mask >>= 1;
-    while mask > 0 {
-        if relative + mask < n {
-            let dst = (relative + mask + root) % n;
-            // Re-compress for each child (the per-hop waste).
-            let payload = cpr.compress(comm, &vals, &mut ws.pool);
-            let hdr = ws.pool.write(&(vals.len() as u32).to_le_bytes());
-            comm.send(dst, tags::BCAST + 0x801, hdr);
-            let req = comm.isend(dst, tags::BCAST + 0x800, payload);
-            comm.wait_send_in(req, Category::Wait);
-        }
-        mask >>= 1;
-    }
-    vals
-}
-
-/// [`cpr_binomial_bcast`] writing into a caller-provided buffer through
-/// a reusable workspace. Every rank must size `out` to the broadcast
-/// length; `data` is read on the root only.
+/// critical path (the Fig. 3 left-hand timeline). Every rank must size
+/// `out` to the broadcast length; `data` is read on the root only.
 pub fn cpr_binomial_bcast_into<C: Comm>(
     comm: &mut C,
     cpr: &CprCodec,
@@ -458,23 +261,8 @@ pub fn cpr_binomial_bcast_into<C: Comm>(
 }
 
 /// CPR-P2P binomial scatter: each forwarding hop decompresses the
-/// received subtree block and re-compresses each child's portion.
-pub fn cpr_binomial_scatter<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    root: usize,
-    data: &[f32],
-    total_len: usize,
-) -> Vec<f32> {
-    let lengths = chunk_lengths(total_len, comm.size());
-    let mut out = vec![0.0f32; lengths[comm.rank()]];
-    let mut ws = CollWorkspace::new();
-    cpr_binomial_scatter_into(comm, cpr, root, data, total_len, &mut out, &mut ws);
-    out
-}
-
-/// [`cpr_binomial_scatter`] writing rank `r`'s chunk into a
-/// caller-provided buffer through a reusable workspace.
+/// received subtree block and re-compresses each child's portion. `out`
+/// receives rank `r`'s chunk of the balanced partition of `total_len`.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from this rank's chunk length.
@@ -551,15 +339,6 @@ pub fn cpr_binomial_scatter_into<C: Comm>(
 /// hop, so unlike ring/tree collectives there is no re-compression waste
 /// — the remaining CPR-P2P deficiencies here are the per-call buffer
 /// overhead and the unbalanced, size-unaware schedule.)
-pub fn cpr_pairwise_alltoall<C: Comm>(comm: &mut C, cpr: &CprCodec, send: &[f32]) -> Vec<f32> {
-    let mut out = vec![0.0f32; send.len()];
-    let mut ws = CollWorkspace::with_value_capacity(send.len() / comm.size().max(1));
-    cpr_pairwise_alltoall_into(comm, cpr, send, &mut out, &mut ws);
-    out
-}
-
-/// [`cpr_pairwise_alltoall`] writing into a caller-provided buffer
-/// through a reusable workspace.
 ///
 /// # Panics
 /// Panics if `send.len()` is not divisible by the rank count or
@@ -599,8 +378,12 @@ pub fn cpr_pairwise_alltoall_into<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::baseline;
-    use crate::partition::chunk_offsets;
+    use crate::partition::chunk_lengths;
+    use crate::testing::{
+        assert_all_within, assert_blocks_within, assert_chunks_within, assert_root_within, on_root,
+        oracle, pin,
+    };
+    use crate::{Algorithm, AllreduceVariant, CCollSession, CodecSpec};
     use ccoll_comm::{SimConfig, SimWorld};
     use ccoll_compress::SzxCodec;
 
@@ -610,6 +393,21 @@ mod tests {
             Kernel::SzxCompress,
             Kernel::SzxDecompress,
         )
+    }
+
+    /// Equal-count CPR-P2P ring allgather of `mine`.
+    fn allgather<C: Comm>(c: &mut C, cpr: &CprCodec, mine: &[f32]) -> Vec<f32> {
+        let counts = vec![mine.len(); c.size()];
+        let mut out = vec![0.0f32; mine.len() * c.size()];
+        cpr_ring_allgatherv_into(c, cpr, mine, &counts, &mut out, &mut CollWorkspace::new());
+        out
+    }
+
+    /// The DI allreduce (CPR-P2P in both ring stages) through its plan.
+    fn di_allreduce<C: Comm>(c: &mut C, eb: f32, len: usize) -> Vec<f32> {
+        CCollSession::new(CodecSpec::Szx { error_bound: eb }, c.size())
+            .plan_allreduce_variant(len, ReduceOp::Sum, AllreduceVariant::DirectIntegration)
+            .execute(c, &rank_data(c.rank(), len))
     }
 
     fn rank_data(rank: usize, len: usize) -> Vec<f32> {
@@ -622,21 +420,13 @@ mod tests {
     fn allgather_within_accumulated_bound() {
         let n = 6;
         let eb = 1e-3f32;
-        let world = SimWorld::new(SimConfig::new(n));
         let cpr = szx(eb);
-        let out = world.run(move |c| cpr_ring_allgather(c, &cpr, &rank_data(c.rank(), 300)));
+        let out = SimWorld::new(SimConfig::new(n))
+            .run(move |c| allgather(c, &cpr, &rank_data(c.rank(), 300)));
         // A block forwarded over up to n-1 hops is recompressed each hop:
         // worst-case error (n-1)·eb (the amplification §III-A1 removes).
         let worst = (n - 1) as f32 * eb + 1e-6;
-        for r in 0..n {
-            for src in 0..n {
-                let expect = rank_data(src, 300);
-                let got = &out.results[r][src * 300..(src + 1) * 300];
-                for (a, b) in expect.iter().zip(got) {
-                    assert!((a - b).abs() <= worst, "rank {r} block {src}: {a} vs {b}");
-                }
-            }
-        }
+        assert_blocks_within(&out.results, |src| rank_data(src, 300), worst, false, "di");
     }
 
     #[test]
@@ -646,10 +436,9 @@ mod tests {
         // motivation for the compress-once framework. We check the error
         // of the farthest-travelled block exceeds the nearest's.
         let n = 8;
-        let eb = 1e-2f32;
-        let world = SimWorld::new(SimConfig::new(n));
-        let cpr = szx(eb);
-        let out = world.run(move |c| cpr_ring_allgather(c, &cpr, &rank_data(c.rank(), 4000)));
+        let cpr = szx(1e-2);
+        let out = SimWorld::new(SimConfig::new(n))
+            .run(move |c| allgather(c, &cpr, &rank_data(c.rank(), 4000)));
         // On rank 0: block from rank 1 travelled n-1 hops; block from
         // rank n-1 travelled 1 hop.
         let err = |src: usize| {
@@ -673,40 +462,26 @@ mod tests {
         let n = 5;
         let len = 250;
         let eb = 1e-3f32;
-        let world = SimWorld::new(SimConfig::new(n));
         let cpr = szx(eb);
-        let out = world.run(move |c| {
-            cpr_ring_reduce_scatter(c, &cpr, &rank_data(c.rank(), len), ReduceOp::Sum)
+        let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let mut out = vec![0.0f32; chunk_lengths(len, n)[c.rank()]];
+            let mut ws = CollWorkspace::new();
+            let data = rank_data(c.rank(), len);
+            cpr_ring_reduce_scatter_into(c, &cpr, &data, ReduceOp::Sum, &mut out, &mut ws);
+            out
         });
-        let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-        let full = ReduceOp::Sum.oracle(&inputs);
-        let lengths = chunk_lengths(len, n);
-        let offsets = chunk_offsets(&lengths);
+        let expect = oracle(n, ReduceOp::Sum, |r| rank_data(r, len));
         // Each partial sum passes through ≤ n-1 compression stages.
-        let tol = (n as f32) * eb * 2.0;
-        for r in 0..n {
-            let expect = &full[offsets[r]..offsets[r] + lengths[r]];
-            for (a, b) in out.results[r].iter().zip(expect) {
-                assert!((a - b).abs() <= tol, "rank {r}: {a} vs {b}");
-            }
-        }
+        assert_chunks_within(&out.results, &expect, (n as f32) * eb * 2.0, "rs");
     }
 
     #[test]
     fn allreduce_close_to_exact() {
         let n = 4;
         let len = 600;
-        let world = SimWorld::new(SimConfig::new(n));
-        let cpr = szx(1e-4);
-        let out = world
-            .run(move |c| cpr_ring_allreduce(c, &cpr, &rank_data(c.rank(), len), ReduceOp::Sum));
-        let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-        let expect = ReduceOp::Sum.oracle(&inputs);
-        for r in 0..n {
-            for (a, b) in out.results[r].iter().zip(&expect) {
-                assert!((a - b).abs() < 5e-3, "rank {r}: {a} vs {b}");
-            }
-        }
+        let out = SimWorld::new(SimConfig::new(n)).run(move |c| di_allreduce(c, 1e-4, len));
+        let expect = oracle(n, ReduceOp::Sum, |r| rank_data(r, len));
+        assert_all_within(&out.results, &expect, 5e-3, "di");
     }
 
     #[test]
@@ -714,24 +489,16 @@ mod tests {
         let n = 7;
         let eb = 1e-3f32;
         for root in [0usize, 3, 6] {
-            let world = SimWorld::new(SimConfig::new(n));
             let cpr = szx(eb);
-            let out = world.run(move |c| {
-                let data = if c.rank() == root {
-                    rank_data(root, 500)
-                } else {
-                    Vec::new()
-                };
-                cpr_binomial_bcast(c, &cpr, root, &data)
+            let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+                let data = on_root(c.rank(), root, rank_data(root, 500));
+                let mut out = vec![0.0f32; 500];
+                cpr_binomial_bcast_into(c, &cpr, root, &data, &mut out, &mut CollWorkspace::new());
+                out
             });
-            let expect = rank_data(root, 500);
             // log2(7)+1 hops worst case.
-            let tol = 4.0 * eb;
-            for r in 0..n {
-                for (a, b) in out.results[r].iter().zip(&expect) {
-                    assert!((a - b).abs() <= tol, "root {root} rank {r}");
-                }
-            }
+            let what = format!("root {root}");
+            assert_all_within(&out.results, &rank_data(root, 500), 4.0 * eb, &what);
         }
     }
 
@@ -740,26 +507,16 @@ mod tests {
         let n = 8;
         let total = 800;
         let eb = 1e-3f32;
-        let world = SimWorld::new(SimConfig::new(n));
         let cpr = szx(eb);
-        let out = world.run(move |c| {
-            let data = if c.rank() == 0 {
-                rank_data(42, total)
-            } else {
-                Vec::new()
-            };
-            cpr_binomial_scatter(c, &cpr, 0, &data, total)
+        let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let data = on_root(c.rank(), 0, rank_data(42, total));
+            let mut out = vec![0.0f32; chunk_lengths(total, n)[c.rank()]];
+            let mut ws = CollWorkspace::new();
+            cpr_binomial_scatter_into(c, &cpr, 0, &data, total, &mut out, &mut ws);
+            out
         });
-        let full = rank_data(42, total);
-        let lengths = chunk_lengths(total, n);
-        let offsets = chunk_offsets(&lengths);
-        let tol = 4.0 * eb; // ≤ log2(8) hops
-        for r in 0..n {
-            let expect = &full[offsets[r]..offsets[r] + lengths[r]];
-            for (a, b) in out.results[r].iter().zip(expect) {
-                assert!((a - b).abs() <= tol, "rank {r}");
-            }
-        }
+        // ≤ log2(8) hops
+        assert_chunks_within(&out.results, &rank_data(42, total), 4.0 * eb, "scatter");
     }
 
     #[test]
@@ -767,21 +524,22 @@ mod tests {
         let eb = 1e-3f32;
         for n in [2usize, 3, 5, 8] {
             let len = 500;
-            let world = SimWorld::new(SimConfig::new(n));
-            let cpr = szx(eb);
-            let out = world.run(move |c| {
-                cpr_recursive_doubling_allreduce(c, &cpr, &rank_data(c.rank(), len), ReduceOp::Sum)
+            // A plan selects this placement: the butterfly re-compresses
+            // the accumulator every round whatever the codec.
+            let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+                CCollSession::new(CodecSpec::Szx { error_bound: eb }, n)
+                    .plan_allreduce_with(len, ReduceOp::Sum, pin(Algorithm::RecursiveDoubling))
+                    .execute(c, &rank_data(c.rank(), len))
             });
-            let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-            let expect = ReduceOp::Sum.oracle(&inputs);
+            let expect = oracle(n, ReduceOp::Sum, |r| rank_data(r, len));
             // Each of ≤ log2(n)+2 rounds adds one bounded error, scaled
             // by the partial-sum magnitudes it rides on.
-            let tol = 4.0 * (n as f32) * eb;
-            for r in 0..n {
-                for (a, b) in out.results[r].iter().zip(&expect) {
-                    assert!((a - b).abs() <= tol, "n={n} rank {r}: {a} vs {b}");
-                }
-            }
+            assert_all_within(
+                &out.results,
+                &expect,
+                4.0 * (n as f32) * eb,
+                &format!("n={n}"),
+            );
         }
     }
 
@@ -790,19 +548,21 @@ mod tests {
         let eb = 1e-3f32;
         for n in [2usize, 4, 6, 9] {
             let len = 700;
-            let world = SimWorld::new(SimConfig::new(n));
             let cpr = szx(eb);
-            let out = world.run(move |c| {
-                cpr_rabenseifner_allreduce(c, &cpr, &rank_data(c.rank(), len), ReduceOp::Sum)
+            let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+                let mut out = vec![0.0f32; len];
+                let mut ws = CollWorkspace::new();
+                let data = rank_data(c.rank(), len);
+                cpr_rabenseifner_allreduce_into(c, &cpr, &data, ReduceOp::Sum, &mut out, &mut ws);
+                out
             });
-            let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-            let expect = ReduceOp::Sum.oracle(&inputs);
-            let tol = 4.0 * (n as f32) * eb;
-            for r in 0..n {
-                for (a, b) in out.results[r].iter().zip(&expect) {
-                    assert!((a - b).abs() <= tol, "n={n} rank {r}: {a} vs {b}");
-                }
-            }
+            let expect = oracle(n, ReduceOp::Sum, |r| rank_data(r, len));
+            assert_all_within(
+                &out.results,
+                &expect,
+                4.0 * (n as f32) * eb,
+                &format!("n={n}"),
+            );
         }
     }
 
@@ -812,23 +572,16 @@ mod tests {
         let len = 400;
         let eb = 1e-3f32;
         for root in [0usize, 3, 6] {
-            let world = SimWorld::new(SimConfig::new(n));
             let cpr = szx(eb);
-            let out = world.run(move |c| {
-                cpr_binomial_reduce(c, &cpr, root, &rank_data(c.rank(), len), ReduceOp::Sum)
+            let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+                let mut out = vec![0.0f32; if c.rank() == root { len } else { 0 }];
+                let mut ws = CollWorkspace::new();
+                let data = rank_data(c.rank(), len);
+                cpr_binomial_reduce_into(c, &cpr, root, &data, ReduceOp::Sum, &mut out, &mut ws)
+                    .then_some(out)
             });
-            let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-            let expect = ReduceOp::Sum.oracle(&inputs);
-            let tol = 4.0 * (n as f32) * eb;
-            for (r, res) in out.results.iter().enumerate() {
-                if r == root {
-                    for (a, b) in res.as_ref().unwrap().iter().zip(&expect) {
-                        assert!((a - b).abs() <= tol, "root {root}: {a} vs {b}");
-                    }
-                } else {
-                    assert!(res.is_none(), "non-root {r} must return None");
-                }
-            }
+            let expect = oracle(n, ReduceOp::Sum, |r| rank_data(r, len));
+            assert_root_within(&out.results, root, &expect, 4.0 * (n as f32) * eb, "tree");
         }
     }
 
@@ -839,14 +592,15 @@ mod tests {
         // uncompressed allreduce. Reproduce on a 16-rank virtual cluster.
         let n = 16;
         let len = 200_000;
-        let world = SimWorld::new(SimConfig::new(n));
-        let t_plain = world
-            .run(move |c| baseline::ring_allreduce(c, &rank_data(c.rank(), len), ReduceOp::Sum))
+        let t_plain = SimWorld::new(SimConfig::new(n))
+            .run(move |c| {
+                CCollSession::new(CodecSpec::None, n)
+                    .plan_allreduce(len, ReduceOp::Sum)
+                    .execute(c, &rank_data(c.rank(), len))
+            })
             .makespan;
-        let world = SimWorld::new(SimConfig::new(n));
-        let cpr = szx(1e-3);
-        let t_di = world
-            .run(move |c| cpr_ring_allreduce(c, &cpr, &rank_data(c.rank(), len), ReduceOp::Sum))
+        let t_di = SimWorld::new(SimConfig::new(n))
+            .run(move |c| di_allreduce(c, 1e-3, len))
             .makespan;
         assert!(
             t_di > t_plain,

@@ -1,7 +1,8 @@
-//! Collective algorithms: uncompressed baselines and CPR-P2P
-//! (compress-every-hop) baselines.
+//! What every schedule shares — tag spaces and the charged codec /
+//! memcpy helpers — plus the paper's two baselines: uncompressed
+//! ([`baseline`]) and CPR-P2P, compress-every-hop ([`cpr_p2p`]).
 //!
-//! All algorithms are generic over [`Comm`], so they run unchanged on the
+//! Everything is generic over [`Comm`], so it runs unchanged on the
 //! threaded runtime and on the virtual-time simulator. Tag spaces are
 //! disjoint per collective family; within a family, rounds use consecutive
 //! tags so ring steps cannot cross-match even when a rank races ahead.

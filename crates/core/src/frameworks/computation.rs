@@ -20,23 +20,15 @@
 //!   `Wait` time — which is exactly the quantity Fig. 9 shows shrinking
 //!   by 73–80 %.
 //!
-//! Since PR 4 the sub-chunk machinery lives in the schedule-agnostic
-//! `crate::pipeline` engine, and this module drives it from
-//! **every** computation schedule, not just the ring: the Rabenseifner
-//! recursive-halving phase ([`c_rabenseifner_allreduce_into`]) and the
-//! binomial-tree rooted reduce ([`c_binomial_reduce_into`]) stream their
-//! hops through the same engine, with fused decompress-reduce kernels on
-//! every receive path.
-
-use ccoll_comm::Comm;
-
-use crate::collectives::cpr_p2p::CprCodec;
-use crate::nonblocking::{
-    AgMode, ArMachine, BflyMode, Butterfly, RingRs, RsMode, TreeMode, TreeReduce,
-};
-use crate::partition::chunk_lengths;
-use crate::reduce::ReduceOp;
-use crate::workspace::CollWorkspace;
+//! The sub-chunk machinery is the schedule-agnostic hop cursor of
+//! `crate::pipeline`, and **every** computation schedule drives it, not
+//! just the ring: the `Piped` modes of the ring reduce-scatter, the
+//! Rabenseifner recursive-halving phase and the binomial-tree rooted
+//! reduce machines in [`crate::nonblocking`] stream their hops through
+//! it, with fused decompress-reduce kernels on every receive path. A
+//! session whose codec has an error bound selects those modes
+//! (`plan_reduce_scatter`, `plan_allreduce*`, `plan_reduce*`); this
+//! module holds the framework's configuration and its tests.
 
 /// Default pipeline sub-chunk in values (the paper's 5120 data points) —
 /// the same unit the cost model prices streamed schedules in.
@@ -68,167 +60,23 @@ impl PipelineConfig {
     }
 }
 
-/// C-Reduce-scatter: ring reduce-scatter with pipelined SZx compression
-/// overlapping communication (the "Overlap" variant of Table V). Rank
-/// `r` returns the fully reduced chunk `r` (with `Avg` finalization).
-pub fn c_ring_reduce_scatter<C: Comm>(
-    comm: &mut C,
-    cfg: PipelineConfig,
-    input: &[f32],
-    op: ReduceOp,
-) -> Vec<f32> {
-    let lengths = chunk_lengths(input.len(), comm.size());
-    let mut out = vec![0.0f32; lengths[comm.rank()]];
-    let mut ws = CollWorkspace::with_value_capacity(cfg.chunk_values.min(input.len().max(1)));
-    c_ring_reduce_scatter_into(comm, cfg, input, op, &mut out, &mut ws);
-    out
-}
-
-/// [`c_ring_reduce_scatter`] writing rank `r`'s reduced chunk into a
-/// caller-provided buffer through a reusable workspace: the
-/// persistent-plan fast path (zero steady-state allocations).
-///
-/// # Panics
-/// Panics if `out.len()` differs from this rank's chunk length.
-pub fn c_ring_reduce_scatter_into<C: Comm>(
-    comm: &mut C,
-    cfg: PipelineConfig,
-    input: &[f32],
-    op: ReduceOp,
-    out: &mut [f32],
-    ws: &mut CollWorkspace,
-) {
-    let done = RingRs::new(RsMode::Piped(cfg)).step(comm, None, op, input, out, ws, true);
-    debug_assert!(done.is_ready());
-}
-
-/// The non-pipelined ("ND") reduce-scatter round structure: monolithic
-/// compress → exchange → decompress → reduce, but — unlike CPR-P2P — it
-/// is exposed here so the step-wise benchmarks can isolate the pipeline's
-/// contribution (ND vs Overlap, paper Fig. 9).
-pub fn nd_ring_reduce_scatter<C: Comm>(
-    comm: &mut C,
-    cpr: &CprCodec,
-    input: &[f32],
-    op: ReduceOp,
-) -> Vec<f32> {
-    crate::collectives::cpr_p2p::cpr_ring_reduce_scatter(comm, cpr, input, op)
-}
-
-/// C-Allreduce: pipelined C-Reduce-scatter followed by C-Allgather on the
-/// reduced chunks — the composition the paper evaluates end to end.
-pub fn c_ring_allreduce<C: Comm>(
-    comm: &mut C,
-    cfg: PipelineConfig,
-    cpr: &CprCodec,
-    input: &[f32],
-    op: ReduceOp,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; input.len()];
-    let mut ws = CollWorkspace::with_value_capacity(cfg.chunk_values.min(input.len().max(1)));
-    c_ring_allreduce_into(comm, cfg, cpr, input, op, &mut out, &mut ws);
-    out
-}
-
-/// [`c_ring_allreduce`] writing into a caller-provided buffer through a
-/// reusable workspace: the persistent-plan fast path (zero steady-state
-/// allocations from the codec through the collective schedule).
-///
-/// # Panics
-/// Panics if `out.len() != input.len()`.
-pub fn c_ring_allreduce_into<C: Comm>(
-    comm: &mut C,
-    cfg: PipelineConfig,
-    cpr: &CprCodec,
-    input: &[f32],
-    op: ReduceOp,
-    out: &mut [f32],
-    ws: &mut CollWorkspace,
-) {
-    let done = ArMachine::ring(RsMode::Piped(cfg), AgMode::Compressed { overlap: true }).step(
-        comm,
-        Some(cpr),
-        op,
-        None,
-        input,
-        out,
-        ws,
-        true,
-    );
-    debug_assert!(done.is_ready());
-}
-
-/// Pipelined Rabenseifner allreduce: the recursive-halving
-/// reduce-scatter phase (and the non-power-of-two fold) streams every
-/// hop through the sub-chunk pipeline engine — compress overlaps
-/// transfer, and arriving sub-chunks are fuse-reduced while later ones
-/// are in flight — while the recursive-doubling allgather phase keeps
-/// its monolithic per-hop compression (it only *moves* finalized
-/// ranges). Ring-equivalent bytes at tree latency, now with the ring's
-/// compression/transfer overlap on the halving half.
-///
-/// As with the ring schedule, the pipeline runs SZx at the session's
-/// error bound; the monolithic phases use the session codec `cpr`.
-pub fn c_rabenseifner_allreduce_into<C: Comm>(
-    comm: &mut C,
-    cfg: PipelineConfig,
-    cpr: &CprCodec,
-    input: &[f32],
-    op: ReduceOp,
-    out: &mut [f32],
-    ws: &mut CollWorkspace,
-) {
-    let done = Butterfly::rabenseifner(BflyMode::Piped(cfg)).step(
-        comm,
-        Some(cpr),
-        op,
-        input,
-        out,
-        ws,
-        true,
-    );
-    debug_assert!(done.is_ready());
-}
-
-/// Pipelined binomial-tree rooted reduce: each child streams its
-/// accumulated subtree to its parent in sub-chunks (compression overlaps
-/// the transfer), and the parent fuse-reduces arriving sub-chunks into
-/// its accumulator while later ones are still being compressed and
-/// shipped. The tree shape and error accumulation (≤ `⌈log₂n⌉` bounded
-/// errors on the root's path) match the monolithic
-/// [`cpr_binomial_reduce_into`](crate::collectives::cpr_p2p::cpr_binomial_reduce_into).
-/// Returns `true` on the root, `false` elsewhere.
-pub fn c_binomial_reduce_into<C: Comm>(
-    comm: &mut C,
-    cfg: PipelineConfig,
-    root: usize,
-    input: &[f32],
-    op: ReduceOp,
-    out: &mut [f32],
-    ws: &mut CollWorkspace,
-) -> bool {
-    let mut machine = TreeReduce::new(TreeMode::Piped(cfg), root);
-    let done = machine.step(comm, None, op, input, out, ws, true);
-    debug_assert!(done.is_ready());
-    machine.is_root()
-}
-
-/// Error budget of a C-Allreduce sum result, per the paper's theory: one
-/// compression error per contributing rank accumulated through the
-/// reduction (worst case `(n−1)·eb`), plus one more from the allgather
-/// stage. The *probabilistic* bound is far tighter (see
-/// [`crate::theory`]); this deterministic envelope is what tests assert.
-pub fn allreduce_worst_case_error(n: usize, eb: f32) -> f32 {
-    (n as f32) * eb
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::partition::chunk_offsets;
-    use ccoll_comm::{Category, Kernel, SimConfig, SimWorld, ThreadWorld};
-    use ccoll_compress::SzxCodec;
     use std::sync::Arc;
+
+    use ccoll_comm::{Category, Comm, Kernel, SimConfig, SimWorld, ThreadWorld};
+    use ccoll_compress::SzxCodec;
+
+    use crate::collectives::cpr_p2p::{
+        cpr_binomial_reduce_into, cpr_rabenseifner_allreduce_into, cpr_ring_reduce_scatter_into,
+        CprCodec,
+    };
+    use crate::partition::chunk_lengths;
+    use crate::testing::{
+        assert_all_within, assert_chunks_within, assert_root_within, oracle, pin,
+    };
+    use crate::theory::sum_error_worst_case;
+    use crate::{Algorithm, CCollSession, CodecSpec, CollWorkspace, ReduceOp};
 
     fn szx(eb: f32) -> CprCodec {
         CprCodec::new(
@@ -238,10 +86,21 @@ mod tests {
         )
     }
 
+    fn session(eb: f32, n: usize) -> CCollSession {
+        CCollSession::new(CodecSpec::Szx { error_bound: eb }, n)
+    }
+
     fn rank_data(rank: usize, len: usize) -> Vec<f32> {
         (0..len)
             .map(|i| ((i * 7 + rank * 131) as f32 * 1e-3).sin() * 2.0)
             .collect()
+    }
+
+    /// Every rank's chunk of a reduce-scatter of `rank_data` against the
+    /// oracle.
+    fn assert_reduce_scatter(results: &[Vec<f32>], op: ReduceOp, len: usize, tol: f32, what: &str) {
+        let expect = oracle(results.len(), op, |r| rank_data(r, len));
+        assert_chunks_within(results, &expect, tol, what);
     }
 
     #[test]
@@ -249,21 +108,13 @@ mod tests {
         let n = 6;
         let len = 30_000; // several sub-chunks per round with pipe=5120
         let eb = 1e-3f32;
-        let world = SimWorld::new(SimConfig::new(n));
-        let cfg = PipelineConfig::new(eb);
-        let out = world
-            .run(move |c| c_ring_reduce_scatter(c, cfg, &rank_data(c.rank(), len), ReduceOp::Sum));
-        let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-        let full = ReduceOp::Sum.oracle(&inputs);
-        let lengths = chunk_lengths(len, n);
-        let offsets = chunk_offsets(&lengths);
-        let tol = allreduce_worst_case_error(n, eb);
-        for r in 0..n {
-            let expect = &full[offsets[r]..offsets[r] + lengths[r]];
-            for (a, b) in out.results[r].iter().zip(expect) {
-                assert!((a - b).abs() <= tol, "rank {r}: {a} vs {b} (tol {tol})");
-            }
-        }
+        let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            session(eb, n)
+                .plan_reduce_scatter(len, ReduceOp::Sum)
+                .execute(c, &rank_data(c.rank(), len))
+        });
+        let tol = sum_error_worst_case(n, eb as f64) as f32;
+        assert_reduce_scatter(&out.results, ReduceOp::Sum, len, tol, "sum");
     }
 
     #[test]
@@ -271,20 +122,12 @@ mod tests {
         let n = 4;
         let len = 8000;
         for op in ReduceOp::ALL {
-            let world = SimWorld::new(SimConfig::new(n));
-            let cfg = PipelineConfig::new(1e-4);
-            let out =
-                world.run(move |c| c_ring_reduce_scatter(c, cfg, &rank_data(c.rank(), len), op));
-            let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-            let full = op.oracle(&inputs);
-            let lengths = chunk_lengths(len, n);
-            let offsets = chunk_offsets(&lengths);
-            for r in 0..n {
-                let expect = &full[offsets[r]..offsets[r] + lengths[r]];
-                for (a, b) in out.results[r].iter().zip(expect) {
-                    assert!((a - b).abs() <= 1e-3, "{op:?} rank {r}: {a} vs {b}");
-                }
-            }
+            let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+                session(1e-4, n)
+                    .plan_reduce_scatter(len, op)
+                    .execute(c, &rank_data(c.rank(), len))
+            });
+            assert_reduce_scatter(&out.results, op, len, 1e-3, &format!("{op:?}"));
         }
     }
 
@@ -293,21 +136,14 @@ mod tests {
         // Inputs smaller than one sub-chunk, and sub-chunks of one value.
         for (len, chunk) in [(5usize, 5120usize), (64, 7), (3, 1)] {
             let n = 3;
-            let world = SimWorld::new(SimConfig::new(n));
-            let cfg = PipelineConfig::new(1e-4).with_chunk_values(chunk);
-            let out = world.run(move |c| {
-                c_ring_reduce_scatter(c, cfg, &rank_data(c.rank(), len), ReduceOp::Sum)
+            let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+                session(1e-4, n)
+                    .with_pipeline_values(chunk)
+                    .plan_reduce_scatter(len, ReduceOp::Sum)
+                    .execute(c, &rank_data(c.rank(), len))
             });
-            let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-            let full = ReduceOp::Sum.oracle(&inputs);
-            let lengths = chunk_lengths(len, n);
-            let offsets = chunk_offsets(&lengths);
-            for r in 0..n {
-                let expect = &full[offsets[r]..offsets[r] + lengths[r]];
-                for (a, b) in out.results[r].iter().zip(expect) {
-                    assert!((a - b).abs() <= 1e-3, "len={len} chunk={chunk} rank {r}");
-                }
-            }
+            let what = format!("len={len} chunk={chunk}");
+            assert_reduce_scatter(&out.results, ReduceOp::Sum, len, 1e-3, &what);
         }
     }
 
@@ -316,19 +152,14 @@ mod tests {
         let n = 5;
         let len = 20_000;
         let eb = 1e-3f32;
-        let world = SimWorld::new(SimConfig::new(n));
-        let cfg = PipelineConfig::new(eb);
-        let cpr = szx(eb);
-        let out = world
-            .run(move |c| c_ring_allreduce(c, cfg, &cpr, &rank_data(c.rank(), len), ReduceOp::Sum));
-        let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-        let expect = ReduceOp::Sum.oracle(&inputs);
-        let tol = allreduce_worst_case_error(n + 1, eb);
-        for r in 0..n {
-            for (a, b) in out.results[r].iter().zip(&expect) {
-                assert!((a - b).abs() <= tol, "rank {r}: {a} vs {b}");
-            }
-        }
+        let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            session(eb, n)
+                .plan_allreduce(len, ReduceOp::Sum)
+                .execute(c, &rank_data(c.rank(), len))
+        });
+        let expect = oracle(n, ReduceOp::Sum, |r| rank_data(r, len));
+        let tol = sum_error_worst_case(n + 1, eb as f64) as f32;
+        assert_all_within(&out.results, &expect, tol, "allreduce");
     }
 
     #[test]
@@ -340,17 +171,18 @@ mod tests {
         let len = 400_000;
         let eb = 1e-3f32;
 
-        let world = SimWorld::new(SimConfig::new(n));
         let cpr = szx(eb);
-        let nd = world.run(move |c| {
-            nd_ring_reduce_scatter(c, &cpr, &rank_data(c.rank(), len), ReduceOp::Sum);
+        let nd = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let mut out = vec![0.0f32; chunk_lengths(len, n)[c.rank()]];
+            let mut ws = CollWorkspace::new();
+            let data = rank_data(c.rank(), len);
+            cpr_ring_reduce_scatter_into(c, &cpr, &data, ReduceOp::Sum, &mut out, &mut ws);
         });
         let nd_wait = nd.max_breakdown().get(Category::Wait);
 
-        let world = SimWorld::new(SimConfig::new(n));
-        let cfg = PipelineConfig::new(eb);
-        let ov = world.run(move |c| {
-            c_ring_reduce_scatter(c, cfg, &rank_data(c.rank(), len), ReduceOp::Sum);
+        let ov = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let mut plan = session(eb, n).plan_reduce_scatter(len, ReduceOp::Sum);
+            let _ = plan.execute(c, &rank_data(c.rank(), len));
         });
         let ov_wait = ov.max_breakdown().get(Category::Wait);
 
@@ -367,31 +199,18 @@ mod tests {
         for n in [2usize, 4, 6, 9] {
             let len = 20_000;
             let eb = 1e-3f32;
-            let world = SimWorld::new(SimConfig::new(n));
-            let cfg = PipelineConfig::new(eb);
-            let cpr = szx(eb);
-            let out = world.run(move |c| {
-                let mut out = vec![0.0f32; len];
-                let mut ws = CollWorkspace::new();
-                c_rabenseifner_allreduce_into(
-                    c,
-                    cfg,
-                    &cpr,
-                    &rank_data(c.rank(), len),
-                    ReduceOp::Sum,
-                    &mut out,
-                    &mut ws,
-                );
-                out
+            let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+                session(eb, n)
+                    .plan_allreduce_with(len, ReduceOp::Sum, pin(Algorithm::Rabenseifner))
+                    .execute(c, &rank_data(c.rank(), len))
             });
-            let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-            let expect = ReduceOp::Sum.oracle(&inputs);
-            let tol = 4.0 * (n as f32) * eb;
-            for r in 0..n {
-                for (a, b) in out.results[r].iter().zip(&expect) {
-                    assert!((a - b).abs() <= tol, "n={n} rank {r}: {a} vs {b}");
-                }
-            }
+            let expect = oracle(n, ReduceOp::Sum, |r| rank_data(r, len));
+            assert_all_within(
+                &out.results,
+                &expect,
+                4.0 * (n as f32) * eb,
+                &format!("n={n}"),
+            );
         }
     }
 
@@ -401,35 +220,13 @@ mod tests {
         let len = 17_000;
         let eb = 1e-3f32;
         for root in [0usize, 3, 6] {
-            let world = SimWorld::new(SimConfig::new(n));
-            let cfg = PipelineConfig::new(eb);
-            let out = world.run(move |c| {
-                let me = c.rank();
-                let mut out = vec![0.0f32; if me == root { len } else { 0 }];
-                let mut ws = CollWorkspace::new();
-                c_binomial_reduce_into(
-                    c,
-                    cfg,
-                    root,
-                    &rank_data(me, len),
-                    ReduceOp::Sum,
-                    &mut out,
-                    &mut ws,
-                )
-                .then_some(out)
+            let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+                session(eb, n)
+                    .plan_reduce_with(root, len, ReduceOp::Sum, pin(Algorithm::Binomial))
+                    .execute(c, &rank_data(c.rank(), len))
             });
-            let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-            let expect = ReduceOp::Sum.oracle(&inputs);
-            let tol = 4.0 * (n as f32) * eb;
-            for (r, res) in out.results.iter().enumerate() {
-                if r == root {
-                    for (a, b) in res.as_ref().unwrap().iter().zip(&expect) {
-                        assert!((a - b).abs() <= tol, "root {root}: {a} vs {b}");
-                    }
-                } else {
-                    assert!(res.is_none(), "non-root {r} must return None");
-                }
-            }
+            let expect = oracle(n, ReduceOp::Sum, |r| rank_data(r, len));
+            assert_root_within(&out.results, root, &expect, 4.0 * (n as f32) * eb, "tree");
         }
     }
 
@@ -442,33 +239,22 @@ mod tests {
         let len = 400_000;
         let eb = 1e-3f32;
 
-        let world = SimWorld::new(SimConfig::new(n));
         let cpr = szx(eb);
-        let mono = world.run(move |c| {
-            crate::collectives::cpr_p2p::cpr_rabenseifner_allreduce(
-                c,
-                &cpr,
-                &rank_data(c.rank(), len),
-                ReduceOp::Sum,
-            );
+        let mono = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let mut out = vec![0.0f32; len];
+            let mut ws = CollWorkspace::new();
+            let data = rank_data(c.rank(), len);
+            cpr_rabenseifner_allreduce_into(c, &cpr, &data, ReduceOp::Sum, &mut out, &mut ws);
         });
         let mono_wait = mono.max_breakdown().get(Category::Wait);
 
-        let world = SimWorld::new(SimConfig::new(n));
-        let cfg = PipelineConfig::new(eb);
-        let cpr = szx(eb);
-        let piped = world.run(move |c| {
-            let mut out = vec![0.0f32; len];
-            let mut ws = CollWorkspace::new();
-            c_rabenseifner_allreduce_into(
-                c,
-                cfg,
-                &cpr,
-                &rank_data(c.rank(), len),
+        let piped = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let mut plan = session(eb, n).plan_allreduce_with(
+                len,
                 ReduceOp::Sum,
-                &mut out,
-                &mut ws,
+                pin(Algorithm::Rabenseifner),
             );
+            let _ = plan.execute(c, &rank_data(c.rank(), len));
         });
         let piped_wait = piped.max_breakdown().get(Category::Wait);
 
@@ -490,33 +276,18 @@ mod tests {
         let len = 400_000;
         let eb = 1e-3f32;
 
-        let world = SimWorld::new(SimConfig::new(n));
         let cpr = szx(eb);
-        let mono = world.run(move |c| {
-            crate::collectives::cpr_p2p::cpr_binomial_reduce(
-                c,
-                &cpr,
-                0,
-                &rank_data(c.rank(), len),
-                ReduceOp::Sum,
-            );
+        let mono = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let mut out = vec![0.0f32; if c.rank() == 0 { len } else { 0 }];
+            let mut ws = CollWorkspace::new();
+            let data = rank_data(c.rank(), len);
+            cpr_binomial_reduce_into(c, &cpr, 0, &data, ReduceOp::Sum, &mut out, &mut ws);
         });
 
-        let world = SimWorld::new(SimConfig::new(n));
-        let cfg = PipelineConfig::new(eb);
-        let piped = world.run(move |c| {
-            let me = c.rank();
-            let mut out = vec![0.0f32; if me == 0 { len } else { 0 }];
-            let mut ws = CollWorkspace::new();
-            c_binomial_reduce_into(
-                c,
-                cfg,
-                0,
-                &rank_data(me, len),
-                ReduceOp::Sum,
-                &mut out,
-                &mut ws,
-            );
+        let piped = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let mut plan =
+                session(eb, n).plan_reduce_with(0, len, ReduceOp::Sum, pin(Algorithm::Binomial));
+            let _ = plan.execute(c, &rank_data(c.rank(), len));
         });
 
         assert!(
@@ -531,19 +302,11 @@ mod tests {
     fn runs_on_threaded_backend() {
         let n = 4;
         let len = 15_000;
-        let world = ThreadWorld::new(n);
-        let cfg = PipelineConfig::new(1e-3);
-        let out = world
-            .run(move |c| c_ring_reduce_scatter(c, cfg, &rank_data(c.rank(), len), ReduceOp::Sum));
-        let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
-        let full = ReduceOp::Sum.oracle(&inputs);
-        let lengths = chunk_lengths(len, n);
-        let offsets = chunk_offsets(&lengths);
-        for r in 0..n {
-            let expect = &full[offsets[r]..offsets[r] + lengths[r]];
-            for (a, b) in out.results[r].iter().zip(expect) {
-                assert!((a - b).abs() <= 1e-2, "rank {r}");
-            }
-        }
+        let out = ThreadWorld::new(n).run(move |c| {
+            session(1e-3, n)
+                .plan_reduce_scatter(len, ReduceOp::Sum)
+                .execute(c, &rank_data(c.rank(), len))
+        });
+        assert_reduce_scatter(&out.results, ReduceOp::Sum, len, 1e-2, "threaded");
     }
 }

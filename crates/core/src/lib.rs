@@ -9,15 +9,14 @@
 //!
 //! | Paper contribution | Module |
 //! |---|---|
-//! | Collective **data-movement** framework: compress once, relay compressed bytes through every round, decompress once (§III-A1) | [`frameworks::data_movement`] |
-//! | Collective **computation** framework: pipeline chunk-wise compression with communication so transfers hide inside the kernel (§III-A2, §III-E2) | [`frameworks::computation`] |
+//! | Collective **data-movement** framework: compress once, relay compressed bytes through every round, decompress once (§III-A1) | [`frameworks::data_movement`] (design), [`nonblocking`] (machines) |
+//! | Collective **computation** framework: pipeline chunk-wise compression with communication so transfers hide inside the kernel (§III-A2, §III-E2) | [`frameworks::computation`] (design), [`nonblocking`] (machines) |
 //! | Session + persistent-plan API (`MPI_Allreduce_init` shape): C-Allreduce / C-Scatter / C-Bcast with zero steady-state allocations | [`session`] |
 //! | One plan lifecycle — start, progress, complete, poison, reset, recover — that every collective kind plugs its schedule machine into | [`plan`] |
-//! | Nonblocking collectives (`MPI_Iallreduce` shape): `start`/`progress`/`complete` handles over resumable schedule state machines | [`nonblocking`] |
+//! | Every schedule, once: resumable state machines that `execute_into` drives to completion and `start`/`progress`/`complete` (`MPI_Iallreduce` shape) suspends | [`nonblocking`] |
 //! | Multi-algorithm schedule layer (recursive doubling, Rabenseifner, Bruck, binomial reduce) with cost-model-driven `Auto` selection | [`algorithm`] |
-//! | One-shot compatibility facade over the same engine | [`api`] |
 //! | CPR-P2P baselines (compress every send, decompress every receive) | [`collectives::cpr_p2p`] |
-//! | Uncompressed MPI-style collectives (ring, binomial tree, recursive doubling) | [`collectives::baseline`] |
+//! | Uncompressed MPI-style collectives (ring, binomial tree, recursive doubling): the plans of a [`CodecSpec::None`] session | [`collectives::baseline`] |
 //! | Error-propagation theory: Theorems 1–2 and corollaries (§III-B) | [`theory`] |
 //!
 //! ## Quick start
@@ -379,26 +378,10 @@
 //! pins this), and the session's [`SessionStats`] report the shrink
 //! and agreement-round counts. See DESIGN.md's "Recovery &
 //! communicator shrink" for the protocol and the tag-epoch layout.
-//!
-//! ## Migrating from the one-shot API
-//!
-//! The pre-session facade ([`CColl`]) survives as a thin compatibility
-//! shim over the same `*_into` engine: its codec is now built once per
-//! `CColl` (instead of once per call), but each call still allocates
-//! its output and workspace. Differential tests pin it bitwise-equal to
-//! the plan path, so migration is mechanical:
-//!
-//! ```text
-//! // before                                  // after
-//! let ccoll = CColl::new(spec);              let session = CCollSession::new(spec, n);
-//! ccoll.allreduce(comm, &x, op)              let mut plan = session.plan_allreduce(x.len(), op);
-//!                                            plan.execute_into(comm, &x, &mut out)
-//! ```
 
 #![warn(missing_docs)]
 
 pub mod algorithm;
-pub mod api;
 pub mod codec;
 pub mod collectives;
 pub mod engine;
@@ -409,15 +392,17 @@ pub(crate) mod pipeline;
 pub mod plan;
 pub mod reduce;
 pub mod session;
+#[cfg(test)]
+pub(crate) mod testing;
 pub mod theory;
 pub mod wire;
 pub mod workspace;
 
-pub use algorithm::{Algorithm, PlanOptions};
-pub use api::{AllreduceVariant, CColl, ReduceOp};
+pub use algorithm::{Algorithm, AllreduceVariant, PlanOptions};
 pub use codec::{CodecSpec, ParseCodecSpecError};
 pub use engine::{AnyHandle, Fairness, OpId, ProgressEngine};
 pub use nonblocking::Poll;
+pub use reduce::ReduceOp;
 pub use session::{
     AllgatherHandle, AllgatherPlan, AllreduceHandle, AllreducePlan, AlltoallHandle, AlltoallPlan,
     BcastHandle, BcastPlan, CCollSession, CollectiveError, GatherHandle, GatherPlan, PlanStats,

@@ -1,19 +1,18 @@
-//! Resumable collective state machines: the engine behind the
-//! nonblocking `start`/`progress`/`complete` plan API.
+//! Resumable collective state machines: the one implementation of every
+//! schedule, behind both `execute_into` and the nonblocking
+//! `start`/`progress`/`complete` plan API.
 //!
 //! Every schedule a plan can dispatch (ring reduce-scatter and
 //! allgather, Bruck, recursive doubling, Rabenseifner, binomial
 //! bcast/scatter/gather/reduce, pairwise all-to-all — in raw,
-//! CPR-P2P-compressed and compress-once/pipelined form) is re-expressed
-//! here as an explicit-phase state machine over the plan's
-//! [`CollWorkspace`]. One `step(.., block)` function drives each
-//! machine:
+//! CPR-P2P-compressed and compress-once/pipelined form) is an
+//! explicit-phase state machine over the plan's [`CollWorkspace`]. One
+//! `step(.., block)` function drives each machine:
 //!
-//! * `block = true` runs the machine to completion in one call with the
-//!   *identical* sequence of communicator operations (same tags, same
-//!   payloads, same wait categories) as the classic blocking `*_into`
-//!   collectives — this is what `execute_into` drives, so its bitwise
-//!   behavior and virtual-time accounting are preserved;
+//! * `block = true` runs the machine to completion in one call, waiting
+//!   out each transfer in the schedule's own order and wait category —
+//!   this is what `execute_into` drives, and what the ablation
+//!   baselines in [`crate::collectives::cpr_p2p`] call directly;
 //! * `block = false` performs a bounded amount of work and suspends
 //!   ([`Poll::Pending`]) at the first not-yet-complete receive or send
 //!   (the posted-receive boundaries of the pipeline engine, the
@@ -148,9 +147,8 @@ fn raw_reduce_in<C: Comm>(
 }
 
 /// Resumable 4-byte compressed-size synchronization ring — the
-/// data-movement framework's step 2 (`exchange_sizes_raw`) made
-/// suspendable, shared by the compress-once allgather and all-to-all
-/// machines. The caller seeds `sizes` (own entry set, rest zero) before
+/// data-movement framework's step 2, shared by the compress-once
+/// allgather and all-to-all machines. The caller seeds `sizes` (own entry set, rest zero) before
 /// the first step; `Ready` means every rank's size is filled in.
 #[derive(Debug, Default)]
 pub(crate) struct SizeRing {
@@ -213,15 +211,14 @@ impl SizeRing {
 // Ring reduce-scatter.
 // ---------------------------------------------------------------------------
 
-/// Compression placement of a ring reduce-scatter (mirrors the three
-/// blocking implementations: pipelined C-Coll, CPR-P2P, uncompressed).
+/// Compression placement of a ring reduce-scatter.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RsMode {
-    /// Pipelined sub-chunk schedule (`computation::c_ring_reduce_scatter_into`).
+    /// Pipelined sub-chunk schedule (the computation framework).
     Piped(PipelineConfig),
-    /// Monolithic per-hop compression (`cpr_p2p::cpr_ring_reduce_scatter_into`).
+    /// Monolithic per-hop compression (CPR-P2P).
     Cpr,
-    /// Uncompressed (`baseline::ring_reduce_scatter_into`).
+    /// Uncompressed.
     Raw,
 }
 
@@ -441,12 +438,13 @@ impl RingRs {
 /// Compression placement of a ring allgather.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum AgMode {
-    /// Uncompressed relays (`baseline::ring_allgather(v)_into`).
+    /// Uncompressed relays.
     Raw,
-    /// CPR-P2P: recompress every hop (`cpr_p2p::cpr_ring_allgather*`).
+    /// CPR-P2P: recompress every hop.
     Cpr,
-    /// Compress-once relays (`data_movement::c_ring_allgather_core`),
-    /// with the PR-4 relay/decompress overlap on or off.
+    /// Compress-once relays (the data-movement framework), with the
+    /// relay/decompress overlap on (plans) or off (the monolithic
+    /// ablation baseline).
     Compressed { overlap: bool },
 }
 
@@ -519,11 +517,11 @@ impl RingAg {
                     self.k = 0;
                     match self.mode {
                         AgMode::Raw | AgMode::Cpr => {
-                            // Own block lands before the relay rounds
-                            // (`ring_allgatherv_into`) — or, in the
-                            // allreduce composition, the parity memcpy
-                            // charge is paid here as the blocking
-                            // composition does.
+                            // Own block lands before the relay rounds —
+                            // or, in the allreduce composition, where it
+                            // is already in place, the same memcpy is
+                            // charged so the composition costs what the
+                            // two stages cost apart.
                             match mine {
                                 Some(m) => memcpy_in(
                                     comm,
@@ -538,7 +536,9 @@ impl RingAg {
                         }
                         AgMode::Compressed { .. } => {
                             // Release the previous call's relay handles
-                            // before compressing (see the blocking core).
+                            // before compressing, so their payload-pool
+                            // slots (ours and our peers') are recycled by
+                            // this call instead of growing the pools.
                             ws.blobs.clear();
                             ws.blobs.resize(n, None);
                             let CollWorkspace {
@@ -770,8 +770,7 @@ enum BflyPhase {
 /// Resumable butterfly allreduce: serves both recursive doubling
 /// (`halving = false`, full-payload rounds) and Rabenseifner
 /// (`halving = true`, recursive-halving reduce-scatter +
-/// recursive-doubling allgather), in raw / CPR / pipelined placements —
-/// the nonblocking counterpart of the four blocking butterflies.
+/// recursive-doubling allgather), in raw / CPR / pipelined placements.
 #[derive(Debug)]
 pub(crate) struct Butterfly {
     mode: BflyMode,
@@ -1306,11 +1305,11 @@ impl Butterfly {
 /// Compression placement of the binomial-tree rooted reduce.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TreeMode {
-    /// Uncompressed (`baseline::binomial_reduce_into`).
+    /// Uncompressed.
     Raw,
-    /// Monolithic per-hop compression (`cpr_p2p::cpr_binomial_reduce_into`).
+    /// Monolithic per-hop compression (CPR-P2P).
     Cpr,
-    /// Pipelined sub-chunk hops (`computation::c_binomial_reduce_into`).
+    /// Pipelined sub-chunk hops (the computation framework).
     Piped(PipelineConfig),
 }
 
@@ -1411,9 +1410,8 @@ impl TreeReduce {
                     }
                     let child_rel = relative + self.mask;
                     if child_rel < n {
-                        // Monolithic modes receive through a blocking
-                        // `recv` in the classic path; post the receive
-                        // here so the nonblocking path can suspend on it.
+                        // Monolithic modes post the receive here so a
+                        // nonblocking step can suspend on it.
                         if !matches!(self.mode, TreeMode::Piped(_)) {
                             let child = (child_rel + self.root) % n;
                             self.wire.rreq = Some(comm.irecv(child, self.tag()));
@@ -2628,7 +2626,7 @@ impl BruckAg {
 // Plan-level compositions.
 // ---------------------------------------------------------------------------
 
-/// The state machine behind a nonblocking allreduce: either the ring
+/// The state machine behind an allreduce plan: either the ring
 /// composition (reduce-scatter stage, then allgather stage over the same
 /// partition) or one of the butterfly schedules.
 #[derive(Debug)]
@@ -2708,7 +2706,7 @@ impl ArMachine {
     }
 }
 
-/// The state machine behind a nonblocking allgather plan.
+/// The state machine behind an allgather plan.
 #[derive(Debug)]
 pub(crate) enum AgPlanMachine {
     Ring(RingAg),
@@ -2730,7 +2728,7 @@ impl AgPlanMachine {
     }
 }
 
-/// The state machine behind a nonblocking broadcast plan.
+/// The state machine behind a broadcast plan.
 #[derive(Debug)]
 pub(crate) enum BcMachine {
     /// Flat binomial tree over the whole communicator.
@@ -2771,7 +2769,7 @@ impl BcMachine {
     }
 }
 
-/// The state machine behind a nonblocking rooted-reduce plan. The
+/// The state machine behind a rooted-reduce plan. The
 /// reduce-scatter + gather composition is driven from the plan handle
 /// (it spans two sub-plans' workspaces).
 #[derive(Debug)]
@@ -3534,7 +3532,7 @@ impl BruckA2a {
     }
 }
 
-/// The state machine behind a nonblocking all-to-all plan.
+/// The state machine behind an all-to-all plan.
 #[derive(Debug)]
 pub(crate) enum A2aMachine {
     Pairwise(Alltoall),

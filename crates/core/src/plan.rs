@@ -48,8 +48,7 @@ use ccoll_comm::{
     Category, Comm, CommError, FaultCounters, PayloadPool, Schedule, SimTime, Tag, Topology,
 };
 
-use crate::algorithm::{allreduce_schedule, Algorithm, PlanOptions, SelectCtx};
-use crate::api::AllreduceVariant;
+use crate::algorithm::{allreduce_schedule, Algorithm, AllreduceVariant, PlanOptions, SelectCtx};
 use crate::collectives::tags;
 use crate::nonblocking::{
     self as nb, A2aMachine, AgMode, AgPlanMachine, ArMachine, BcMachine, BflyMode, BruckA2a,
@@ -124,8 +123,8 @@ impl PlanCore {
 }
 
 /// The per-operation tag base: plan slot bits (22..32, `% 1023 + 1` so a
-/// plan's traffic never lands on the base-0 space the compatibility
-/// collectives use) OR'd with a generation bit (16, the plan's start
+/// plan's traffic never lands on the base-0 space the free-function
+/// baselines use) OR'd with a generation bit (16, the plan's start
 /// counter `% 2`). Every schedule tag is `< 0x10000`, so adding a base
 /// keeps two live operations' wire tags disjoint when their (slot,
 /// generation) pairs differ.

@@ -1,12 +1,11 @@
 //! The session + persistent-plan C-Coll API: allocation-free steady
 //! state from codec to collective.
 //!
-//! The original [`CColl`](crate::api::CColl) facade rebuilt its codec on
-//! every collective call, allocated a fresh output `Vec` per call and
-//! re-warmed its scratch buffers per call — exactly the per-call
-//! buffer-management overhead the paper's §III-D breakdown charges under
-//! "Others" (23 % of a 278 MB allreduce). This module replaces it with
-//! the MPI persistent-collective shape (`MPI_Allreduce_init`):
+//! A one-shot collective call has to build its codec, allocate its
+//! output `Vec` and warm its scratch buffers every time — exactly the
+//! per-call buffer-management overhead the paper's §III-D breakdown
+//! charges under "Others" (23 % of a 278 MB allreduce). This module is
+//! the MPI persistent-collective shape (`MPI_Allreduce_init`) instead:
 //!
 //! 1. **[`CCollSession`]** — a per-rank handle created *once* from a
 //!    [`CodecSpec`] and the world size. It builds the codec exactly once
@@ -54,8 +53,7 @@ use ccoll_comm::{
     NetModel, PayloadPool, ShrunkComm, Topology,
 };
 
-use crate::algorithm::{reject_unsupported, Algorithm, PlanOptions, SelectCtx};
-use crate::api::AllreduceVariant;
+use crate::algorithm::{reject_unsupported, Algorithm, AllreduceVariant, PlanOptions, SelectCtx};
 use crate::codec::CodecSpec;
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::frameworks::computation::{self, PipelineConfig};
@@ -788,9 +786,9 @@ impl CCollSession {
 
     /// Plan an allreduce of `len` values per rank with the full C-Coll
     /// schedule (the paper's "Overlap" variant over the ring, falling
-    /// back to ND for codecs without an error bound, exactly like the
-    /// one-shot API). Use [`CCollSession::plan_allreduce_with`] to pick
-    /// a different schedule or let the cost model choose.
+    /// back to ND for codecs without an error bound). Use
+    /// [`CCollSession::plan_allreduce_with`] to pick a different
+    /// schedule or let the cost model choose.
     #[must_use]
     pub fn plan_allreduce(&self, len: usize, op: ReduceOp) -> AllreducePlan {
         self.plan_allreduce_variant(len, op, AllreduceVariant::Overlapped)
@@ -2048,6 +2046,27 @@ mod tests {
             Algorithm::Hierarchical,
             "leader-only inter traffic should beat contended flat schedules"
         );
+    }
+
+    #[test]
+    fn fxr_codec_falls_back_to_nd_schedule() {
+        // No error bound, so nothing can drive the SZx pipeline: the
+        // default allreduce plan runs ND (CPR-P2P reduce-scatter +
+        // compress-once allgather) instead.
+        let n = 4;
+        let len = 4096;
+        let world = SimWorld::new(SimConfig::new(n));
+        let out = world.run(move |c| {
+            let session = CCollSession::new(CodecSpec::ZfpFxr { rate: 16 }, n);
+            let mut plan = session.plan_allreduce(len, ReduceOp::Sum);
+            plan.execute(c, &rank_data(c.rank(), len))
+        });
+        // Rate 16 is near-lossless on smooth data; just check plausibility.
+        let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len)).collect();
+        let expect = ReduceOp::Sum.oracle(&inputs);
+        for (a, b) in out.results[0].iter().zip(&expect) {
+            assert!((a - b).abs() < 0.1, "{a} vs {b}");
+        }
     }
 
     #[test]

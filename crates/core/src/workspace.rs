@@ -24,8 +24,8 @@ use ccoll_compress::CodecScratch;
 
 /// Reusable buffers for one collective call chain. See the module docs.
 ///
-/// A workspace is owned by exactly one plan (or one compatibility-API
-/// call); the collective `*_into` functions borrow its fields
+/// A workspace is owned by exactly one plan (or one call chain of the
+/// ablation baselines); the schedule machines borrow its fields
 /// disjointly, so the decoded-values scratch can be reduced into the
 /// accumulator without aliasing.
 #[derive(Debug, Default)]

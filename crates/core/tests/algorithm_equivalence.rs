@@ -10,7 +10,10 @@
 //!   f32 (magnitudes ≪ 2²⁴), where +,max,min are associative — so every
 //!   schedule must be **bitwise identical** to the ring result, across
 //!   worlds 2–9 including non-powers-of-two (which exercise the
-//!   butterfly fold/unfold and the partial Bruck step).
+//!   butterfly fold/unfold and the partial Bruck step). The five
+//!   placements no plan selects (the CPR-P2P ring stages, butterfly and
+//!   tree, and the monolithic compress-once allgather) join this regime
+//!   through their free functions.
 //! * **Lossy codecs** (SZx): each schedule must stay within its
 //!   compression-error envelope of the exact oracle — `k·eb` where `k`
 //!   counts the compression stages on the schedule's critical path.
@@ -20,17 +23,21 @@
 // The proptest shim's macro expands recursively per body token.
 #![recursion_limit = "4096"]
 
-use std::sync::Arc;
-
-use c_coll::collectives::cpr_p2p::{cpr_binomial_reduce, CprCodec};
-use c_coll::frameworks::computation::{c_binomial_reduce_into, PipelineConfig};
-use c_coll::frameworks::data_movement::{
-    c_ring_allgatherv_into, c_ring_allgatherv_monolithic_into,
+use c_coll::collectives::cpr_p2p::{
+    cpr_binomial_reduce_into, cpr_rabenseifner_allreduce_into, cpr_ring_allgatherv_into,
+    cpr_ring_reduce_scatter_into, CprCodec,
 };
+use c_coll::frameworks::data_movement::c_ring_allgatherv_monolithic_into;
+use c_coll::partition::chunk_lengths;
 use c_coll::{Algorithm, CCollSession, CodecSpec, CollWorkspace, PlanOptions, ReduceOp};
-use ccoll_comm::{Comm, Kernel, SimConfig, SimWorld};
-use ccoll_compress::{LosslessCodec, SzxCodec};
+use ccoll_comm::{Comm, SimConfig, SimWorld};
 use proptest::prelude::*;
+
+/// The codec of `spec` as the free-function baselines take it.
+fn cpr(spec: CodecSpec) -> CprCodec {
+    let (ck, dk) = spec.kernels();
+    CprCodec::new(spec.build().expect("compressed spec"), ck, dk)
+}
 
 /// Integer-valued rank data: f32 arithmetic on these is exact for sums
 /// of up to thousands of terms, so reduction order cannot matter.
@@ -78,6 +85,52 @@ fn run_allreduce(
     out.results
 }
 
+/// The allreduce (or, for `Reduce`, rank 0's rooted reduce) of integer
+/// data through the placements no plan selects, on the lossless codec.
+#[derive(Debug, Clone, Copy)]
+enum Driven {
+    /// CPR-P2P reduce-scatter + CPR-P2P allgather (DI).
+    RingCpr,
+    /// CPR-P2P reduce-scatter + monolithic compress-once allgather (ND).
+    RingMonolithic,
+    /// CPR-P2P Rabenseifner butterfly.
+    Rabenseifner,
+    /// CPR-P2P binomial tree to root 0.
+    Reduce,
+}
+
+fn run_driven(n: usize, len: usize, seed: u64, op: ReduceOp, which: Driven) -> Vec<Vec<f32>> {
+    let world = SimWorld::new(SimConfig::new(n));
+    let out = world.run(move |c| {
+        let me = c.rank();
+        let cpr = cpr(CodecSpec::Lossless);
+        let data = integer_data(me, len, seed);
+        let counts = chunk_lengths(len, n);
+        let mut mine = vec![0.0f32; counts[me]];
+        let mut out = vec![0.0f32; len];
+        let mut ws = CollWorkspace::new();
+        match which {
+            Driven::RingCpr | Driven::RingMonolithic => {
+                cpr_ring_reduce_scatter_into(c, &cpr, &data, op, &mut mine, &mut ws);
+                if let Driven::RingCpr = which {
+                    cpr_ring_allgatherv_into(c, &cpr, &mine, &counts, &mut out, &mut ws);
+                } else {
+                    c_ring_allgatherv_monolithic_into(c, &cpr, &mine, &counts, &mut out, &mut ws);
+                }
+            }
+            Driven::Rabenseifner => {
+                cpr_rabenseifner_allreduce_into(c, &cpr, &data, op, &mut out, &mut ws)
+            }
+            Driven::Reduce => {
+                let root = cpr_binomial_reduce_into(c, &cpr, 0, &data, op, &mut out, &mut ws);
+                assert_eq!(root, me == 0);
+            }
+        }
+        out
+    });
+    out.results
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -102,6 +155,23 @@ proptest! {
                         algorithm, spec, r, n, len
                     );
                 }
+            }
+        }
+        let ring = run_allreduce(n, len, seed, CodecSpec::Lossless, Algorithm::Ring, op, true);
+        for which in [
+            Driven::RingCpr,
+            Driven::RingMonolithic,
+            Driven::Rabenseifner,
+            Driven::Reduce,
+        ] {
+            let alt = run_driven(n, len, seed, op, which);
+            // The rooted reduce leaves its result on rank 0 only.
+            let holders = if let Driven::Reduce = which { 1 } else { n };
+            for r in 0..holders {
+                prop_assert_eq!(
+                    &alt[r], &ring[r],
+                    "{:?} diverged from ring on rank {} (n={}, len={})", which, r, n, len
+                );
             }
         }
     }
@@ -205,35 +275,21 @@ proptest! {
         len in 1usize..300,
         seed in any::<u64>(),
     ) {
-        let cprs: [CprCodec; 2] = [
-            CprCodec::new(
-                Arc::new(LosslessCodec::new()),
-                Kernel::SzxCompress,
-                Kernel::SzxDecompress,
-            ),
-            CprCodec::new(
-                Arc::new(SzxCodec::new(1e-3)),
-                Kernel::SzxCompress,
-                Kernel::SzxDecompress,
-            ),
-        ];
-        for cpr in cprs {
+        for spec in [CodecSpec::Lossless, CodecSpec::Szx { error_bound: 1e-3 }] {
             let run = |overlap: bool| {
-                let cpr = cpr.clone();
                 let world = SimWorld::new(SimConfig::new(n));
                 world
                     .run(move |c| {
-                        let counts = vec![len; c.size()];
                         let mine = smooth_data(c.rank(), len, seed);
-                        let mut out = vec![0.0f32; len * c.size()];
-                        let mut ws = CollWorkspace::new();
                         if overlap {
-                            c_ring_allgatherv_into(c, &cpr, &mine, &counts, &mut out, &mut ws);
-                        } else {
-                            c_ring_allgatherv_monolithic_into(
-                                c, &cpr, &mine, &counts, &mut out, &mut ws,
-                            );
+                            return CCollSession::new(spec, n).plan_allgather(len).execute(c, &mine);
                         }
+                        let counts = vec![len; n];
+                        let mut out = vec![0.0f32; len * n];
+                        let mut ws = CollWorkspace::new();
+                        c_ring_allgatherv_monolithic_into(
+                            c, &cpr(spec), &mine, &counts, &mut out, &mut ws,
+                        );
                         out
                     })
                     .results
@@ -265,30 +321,26 @@ proptest! {
         let expect = ReduceOp::Sum.oracle(&inputs);
         let tol = 4.0 * (n as f32) * eb;
 
+        let spec = CodecSpec::Szx { error_bound: eb };
         let world = SimWorld::new(SimConfig::new(n));
         let piped = world.run(move |c| {
+            CCollSession::new(spec, n)
+                .plan_reduce_with(
+                    root,
+                    len,
+                    ReduceOp::Sum,
+                    PlanOptions::new().algorithm(Algorithm::Binomial),
+                )
+                .execute(c, &smooth_data(c.rank(), len, seed))
+        });
+        let world = SimWorld::new(SimConfig::new(n));
+        let mono = world.run(move |c| {
             let me = c.rank();
             let mut out = vec![0.0f32; if me == root { len } else { 0 }];
             let mut ws = CollWorkspace::new();
-            c_binomial_reduce_into(
-                c,
-                PipelineConfig::new(eb),
-                root,
-                &smooth_data(me, len, seed),
-                ReduceOp::Sum,
-                &mut out,
-                &mut ws,
-            )
-            .then_some(out)
-        });
-        let world = SimWorld::new(SimConfig::new(n));
-        let cpr = CprCodec::new(
-            Arc::new(SzxCodec::new(eb)),
-            Kernel::SzxCompress,
-            Kernel::SzxDecompress,
-        );
-        let mono = world.run(move |c| {
-            cpr_binomial_reduce(c, &cpr, root, &smooth_data(c.rank(), len, seed), ReduceOp::Sum)
+            let data = smooth_data(me, len, seed);
+            cpr_binomial_reduce_into(c, &cpr(spec), root, &data, ReduceOp::Sum, &mut out, &mut ws)
+                .then_some(out)
         });
         for (r, (p, m)) in piped.results.iter().zip(&mono.results).enumerate() {
             prop_assert_eq!(p.is_some(), r == root, "root presence mismatch on rank {}", r);

@@ -1,16 +1,19 @@
 //! Tests for the extended collective set (C-Alltoall, C-Gather, C-Reduce
 //! and their baselines) — the paper's future-work collectives.
 
-use c_coll::collectives::cpr_p2p::{cpr_pairwise_alltoall, CprCodec};
-use c_coll::frameworks::data_movement::{c_binomial_gather, c_pairwise_alltoall};
+use c_coll::collectives::cpr_p2p::{cpr_pairwise_alltoall_into, CprCodec};
 use c_coll::partition::{chunk_lengths, chunk_offsets};
-use c_coll::{CColl, CodecSpec, ReduceOp};
+use c_coll::{CCollSession, CodecSpec, CollWorkspace, ReduceOp};
 use ccoll_comm::{Comm, SimConfig, SimWorld};
 
 fn szx(eb: f32) -> CprCodec {
     let spec = CodecSpec::Szx { error_bound: eb };
     let (ck, dk) = spec.kernels();
     CprCodec::new(spec.build().expect("codec"), ck, dk)
+}
+
+fn session(eb: f32, n: usize) -> CCollSession {
+    CCollSession::new(CodecSpec::Szx { error_bound: eb }, n)
 }
 
 fn block_data(rank: usize, to: usize, len: usize) -> Vec<f32> {
@@ -31,7 +34,7 @@ fn c_alltoall_error_bounded() {
         for to in 0..n {
             send.extend(block_data(me, to, block));
         }
-        c_pairwise_alltoall(c, &szx(eb), &send)
+        session(eb, n).plan_alltoall(n * block).execute(c, &send)
     });
     for r in 0..n {
         for src in 0..n {
@@ -63,7 +66,9 @@ fn cpr_alltoall_matches_c_alltoall_accuracy() {
         for to in 0..n {
             send.extend(block_data(me, to, block));
         }
-        cpr_pairwise_alltoall(c, &szx(eb), &send)
+        let mut out = vec![0.0f32; send.len()];
+        cpr_pairwise_alltoall_into(c, &szx(eb), &send, &mut out, &mut CollWorkspace::new());
+        out
     });
     for r in 0..n {
         for src in 0..n {
@@ -89,7 +94,7 @@ fn c_gather_single_bound_all_roots() {
             let me = c.rank();
             let full = block_data(9, 9, total);
             let mine = full[offsets[me]..offsets[me] + lengths[me]].to_vec();
-            c_binomial_gather(c, &szx(eb), root, &mine, total)
+            session(eb, n).plan_gather(root, total).execute(c, &mine)
         });
         let full = block_data(9, 9, total);
         for (r, res) in out.results.iter().enumerate() {
@@ -120,9 +125,10 @@ fn c_reduce_through_api() {
     let eb = 1e-3f32;
     let world = SimWorld::new(SimConfig::new(n));
     let out = world.run(move |c| {
-        let ccoll = CColl::new(CodecSpec::Szx { error_bound: eb });
         let data = block_data(c.rank(), 0, len);
-        ccoll.reduce(c, 2, &data, ReduceOp::Sum)
+        session(eb, n)
+            .plan_reduce(2, len, ReduceOp::Sum)
+            .execute(c, &data)
     });
     let inputs: Vec<Vec<f32>> = (0..n).map(|r| block_data(r, 0, len)).collect();
     let expect = ReduceOp::Sum.oracle(&inputs);
@@ -151,8 +157,9 @@ fn api_alltoall_uncompressed_is_exact() {
         for to in 0..n {
             send.extend(block_data(me, to, block));
         }
-        let ccoll = CColl::new(CodecSpec::None);
-        ccoll.alltoall(c, &send)
+        CCollSession::new(CodecSpec::None, n)
+            .plan_alltoall(n * block)
+            .execute(c, &send)
     });
     for r in 0..n {
         for src in 0..n {
@@ -169,9 +176,9 @@ fn traffic_matches_ring_allreduce_formula() {
     let len = 80_000; // divisible by 8 so chunks are equal
     let world = SimWorld::new(SimConfig::new(n));
     let out = world.run(move |c| {
-        let ccoll = CColl::new(CodecSpec::None);
         let data = block_data(c.rank(), 1, len);
-        let _ = ccoll.allreduce(c, &data, ReduceOp::Sum);
+        let mut plan = CCollSession::new(CodecSpec::None, n).plan_allreduce(len, ReduceOp::Sum);
+        let _ = plan.execute(c, &data);
     });
     let d_bytes = (len * 4) as f64;
     let expect = 2.0 * (n as f64 - 1.0) / n as f64 * d_bytes;
@@ -190,12 +197,12 @@ fn compressed_allreduce_sends_fewer_bytes() {
     let run = |spec: CodecSpec| {
         let world = SimWorld::new(SimConfig::new(n));
         let out = world.run(move |c| {
-            let ccoll = CColl::new(spec);
             // Smooth, highly compressible data.
             let data: Vec<f32> = (0..len)
                 .map(|i| ((i + c.rank()) as f32 * 1e-4).sin())
                 .collect();
-            let _ = ccoll.allreduce(c, &data, ReduceOp::Sum);
+            let mut plan = CCollSession::new(spec, n).plan_allreduce(len, ReduceOp::Sum);
+            let _ = plan.execute(c, &data);
         });
         out.traffics.iter().map(|t| t.bytes_sent).sum::<u64>()
     };

@@ -4,7 +4,7 @@
 //! decompress with progress polling on the receiving side.
 
 use bytes::Bytes;
-use c_coll::{CColl, CodecSpec, ReduceOp};
+use c_coll::{CCollSession, CodecSpec, ReduceOp};
 use ccoll_comm::{Comm, ThreadWorld};
 use ccoll_compress::PipeSzx;
 
@@ -59,13 +59,16 @@ fn threaded_c_allreduce_matches_sim_across_ops() {
     let n = 4;
     let len = 6000;
     for op in [ReduceOp::Sum, ReduceOp::Avg, ReduceOp::Max, ReduceOp::Min] {
+        let session = move || CCollSession::new(CodecSpec::Szx { error_bound: 1e-4 }, n);
         let sim = SimWorld::new(SimConfig::new(n)).run(move |c| {
-            let ccoll = CColl::new(CodecSpec::Szx { error_bound: 1e-4 });
-            ccoll.allreduce(c, &field(c.rank(), len), op)
+            session()
+                .plan_allreduce(len, op)
+                .execute(c, &field(c.rank(), len))
         });
         let thr = ThreadWorld::new(n).run(move |c| {
-            let ccoll = CColl::new(CodecSpec::Szx { error_bound: 1e-4 });
-            ccoll.allreduce(c, &field(c.rank(), len), op)
+            session()
+                .plan_allreduce(len, op)
+                .execute(c, &field(c.rank(), len))
         });
         for r in 0..n {
             assert_eq!(sim.results[r], thr.results[r], "{op:?} rank {r}");
@@ -80,14 +83,17 @@ fn threaded_collectives_under_contention() {
     let n = 8;
     let world = ThreadWorld::new(n);
     let out = world.run(move |c| {
-        let ccoll = CColl::new(CodecSpec::Szx { error_bound: 1e-4 });
+        let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-4 }, n);
+        let mut allgather = session.plan_allgather(500);
         let mut acc = 0.0f64;
         for round in 0..5 {
             let mine = field(c.rank() + round, 500);
-            let gathered = ccoll.allgather(c, &mine);
+            let gathered = allgather.execute(c, &mine);
             let root = round % n;
-            let b = ccoll.bcast(c, root, &gathered[..200]);
-            let s = ccoll.scatter(c, root, &gathered, gathered.len());
+            let b = session.plan_bcast(root, 200).execute(c, &gathered[..200]);
+            let s = session
+                .plan_scatter(root, gathered.len())
+                .execute(c, &gathered);
             acc += b[0] as f64 + s[0] as f64;
         }
         acc

@@ -3,10 +3,9 @@
 
 use std::time::Duration;
 
-use c_coll::collectives::baseline;
 use c_coll::partition::{chunk_lengths, chunk_offsets};
 use c_coll::theory;
-use c_coll::{Algorithm, AllreduceVariant, CColl, CCollSession, CodecSpec, PlanOptions, ReduceOp};
+use c_coll::{Algorithm, AllreduceVariant, CCollSession, CodecSpec, PlanOptions, ReduceOp};
 use ccoll_comm::{Comm, HierNet, NetModel, SimConfig, SimWorld, Topology};
 use proptest::prelude::*;
 
@@ -33,7 +32,9 @@ proptest! {
     ) {
         let world = SimWorld::new(SimConfig::new(n));
         let out = world.run(move |c| {
-            baseline::ring_allreduce(c, &rank_data(c.rank(), len, seed), ReduceOp::Sum)
+            CCollSession::new(CodecSpec::None, n)
+                .plan_allreduce(len, ReduceOp::Sum)
+                .execute(c, &rank_data(c.rank(), len, seed))
         });
         let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len, seed)).collect();
         let expect = ReduceOp::Sum.oracle(&inputs);
@@ -59,8 +60,9 @@ proptest! {
             } else {
                 Vec::new()
             };
-            let mine = baseline::binomial_scatter(c, root, &data, total);
-            baseline::binomial_gather(c, root, &mine, total)
+            let session = CCollSession::new(CodecSpec::None, n);
+            let mine = session.plan_scatter(root, total).execute(c, &data);
+            session.plan_gather(root, total).execute(c, &mine)
         });
         let expect = rank_data(root, total, seed);
         prop_assert_eq!(out.results[root].as_ref().expect("root gathers"), &expect);
@@ -75,10 +77,11 @@ proptest! {
     ) {
         let eb = 1e-3f32;
         let variant = AllreduceVariant::ALL[variant_idx];
-        let ccoll = CColl::new(CodecSpec::Szx { error_bound: eb });
         let world = SimWorld::new(SimConfig::new(n));
         let out = world.run(move |c| {
-            ccoll.allreduce_variant(c, &rank_data(c.rank(), len, seed), ReduceOp::Sum, variant)
+            CCollSession::new(CodecSpec::Szx { error_bound: eb }, n)
+                .plan_allreduce_variant(len, ReduceOp::Sum, variant)
+                .execute(c, &rank_data(c.rank(), len, seed))
         });
         let inputs: Vec<Vec<f32>> = (0..n).map(|r| rank_data(r, len, seed)).collect();
         let expect = ReduceOp::Sum.oracle(&inputs);

@@ -10,11 +10,13 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use c_coll::collectives::cpr_p2p::{cpr_ring_allreduce, CprCodec};
+use c_coll::collectives::cpr_p2p::{
+    cpr_ring_allgatherv_into, cpr_ring_reduce_scatter_into, CprCodec,
+};
 use c_coll::frameworks::computation::DEFAULT_PIPE_VALUES;
-use c_coll::frameworks::data_movement::c_binomial_bcast;
-use c_coll::ReduceOp;
-use ccoll_comm::{Comm, Kernel, SimConfig, SimWorld};
+use c_coll::partition::chunk_lengths;
+use c_coll::{CCollSession, CodecSpec, CollWorkspace, ReduceOp};
+use ccoll_comm::{Category, Comm, CostModel, Kernel, SimConfig, SimWorld};
 use ccoll_compress::{CompressError, Compressor, SzxCodec};
 
 /// Codec-call counters of one test. Each test owns its own set (the
@@ -102,7 +104,14 @@ fn allreduce_codec_path_reuses_scratch_buffers() {
     let (cpr, counters) = auditing_cpr(1e-3);
     let world = SimWorld::new(SimConfig::new(n));
     world.run(move |c| {
-        cpr_ring_allreduce(c, &cpr, &rank_data(c.rank(), len), ReduceOp::Sum);
+        // The DI allreduce: CPR-P2P in both ring stages.
+        let counts = chunk_lengths(len, n);
+        let data = rank_data(c.rank(), len);
+        let mut mine = vec![0.0f32; counts[c.rank()]];
+        let mut out = vec![0.0f32; len];
+        let mut ws = CollWorkspace::new();
+        cpr_ring_reduce_scatter_into(c, &cpr, &data, ReduceOp::Sum, &mut mine, &mut ws);
+        cpr_ring_allgatherv_into(c, &cpr, &mine, &counts, &mut out, &mut ws);
     });
 
     let legacy = counters.legacy_calls.load(Ordering::SeqCst);
@@ -131,42 +140,41 @@ fn allreduce_codec_path_reuses_scratch_buffers() {
 #[test]
 fn bcast_codec_path_compresses_once_per_rank_with_scratch() {
     let n = 9;
+    let spec = CodecSpec::Szx { error_bound: 1e-3 };
     // One sub-chunk, and a streamed payload of four (5120-value) ones.
     for len in [3_000usize, 20_000] {
-        let (cpr, counters) = auditing_cpr(1e-3);
-        let world = SimWorld::new(SimConfig::new(n));
-        world.run(move |c| {
+        let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
             let data = if c.rank() == 0 {
                 rank_data(0, len)
             } else {
                 Vec::new()
             };
-            c_binomial_bcast(c, &cpr, 0, &data);
+            let mut plan = CCollSession::new(spec, n).plan_bcast(0, len);
+            let _ = plan.execute(c, &data);
         });
 
-        let legacy = counters.legacy_calls.load(Ordering::SeqCst);
-        let into = counters.into_calls.load(Ordering::SeqCst);
-        let fresh = counters.fresh_buffers.load(Ordering::SeqCst);
-
-        assert_eq!(
-            legacy, 0,
-            "collectives must never use the allocating codec API"
-        );
-        // Data-movement framework: every value is compressed exactly
-        // once (at the root) and decompressed exactly once per non-root
-        // rank — a relay never re-encodes what it forwards.
-        assert_eq!(
-            counters.values_compressed.load(Ordering::SeqCst),
-            len,
-            "C-Bcast must compress every value exactly once"
-        );
-        assert_eq!(
-            counters.values_decompressed.load(Ordering::SeqCst),
-            (n - 1) * len,
-            "C-Bcast must decompress every value once per non-root rank"
-        );
-        // In calls: one per sub-chunk per rank — nothing else.
-        assert_eq!(into, len.div_ceil(DEFAULT_PIPE_VALUES) * n);
-        assert!(fresh <= into, "cold buffers cannot exceed codec calls");
+        // The plan's codec is the session's own, so the audit reads the
+        // simulator's charge sheet instead: every codec call is charged
+        // to `ComDecom` at its kernel's model cost for the values it
+        // touched. Data-movement framework: every value is compressed
+        // exactly once (at the root, one call per sub-chunk) and
+        // decompressed exactly once per non-root rank — a relay never
+        // re-encodes what it forwards.
+        let cost = CostModel::default();
+        let (ck, dk) = spec.kernels();
+        let once_per_chunk = |kernel: Kernel| {
+            (0..len)
+                .step_by(DEFAULT_PIPE_VALUES)
+                .map(|lo| cost.cost(kernel, (len - lo).min(DEFAULT_PIPE_VALUES) * 4))
+                .sum::<std::time::Duration>()
+        };
+        for (rank, spent) in out.breakdowns.iter().enumerate() {
+            let kernel = if rank == 0 { ck } else { dk };
+            assert_eq!(
+                spent.get(Category::ComDecom),
+                once_per_chunk(kernel),
+                "len {len} rank {rank}: codec work beyond one pass over the payload"
+            );
+        }
     }
 }

@@ -1,16 +1,22 @@
 //! Cross-crate integration tests: the full C-Coll stack (datasets →
-//! codecs → collectives → simulator/threads) exercised end to end,
-//! through both the session/persistent-plan API and the `CColl`
-//! compatibility shim.
+//! codecs → collectives → simulator/threads) exercised end to end
+//! through the session/persistent-plan API.
 
 use std::time::Duration;
 
-use c_coll::{AllreduceVariant, CColl, CCollSession, CodecSpec, Poll, ReduceOp};
+use c_coll::{AllreduceVariant, CCollSession, CodecSpec, Poll, ReduceOp};
 use ccoll_comm::{Category, Comm, SimConfig, SimWorld, ThreadWorld};
 use ccoll_data::{metrics, Dataset};
 
 fn inputs(ds: Dataset, ranks: usize, n: usize) -> Vec<Vec<f32>> {
     (0..ranks).map(|r| ds.generate(n, r as u64)).collect()
+}
+
+/// One allreduce of `data` through a fresh session's plan.
+fn allreduce<C: Comm>(comm: &mut C, spec: CodecSpec, data: &[f32], op: ReduceOp) -> Vec<f32> {
+    CCollSession::new(spec, comm.size())
+        .plan_allreduce(data.len(), op)
+        .execute(comm, data)
 }
 
 #[test]
@@ -23,8 +29,13 @@ fn c_allreduce_error_bounded_on_all_datasets() {
         let exact = ReduceOp::Sum.oracle(&ins);
         let world = SimWorld::new(SimConfig::new(ranks));
         let out = world.run(move |comm| {
-            let ccoll = CColl::new(CodecSpec::Szx { error_bound: eb });
-            ccoll.allreduce(comm, &ds.generate(n, comm.rank() as u64), ReduceOp::Sum)
+            let data = ds.generate(n, comm.rank() as u64);
+            allreduce(
+                comm,
+                CodecSpec::Szx { error_bound: eb },
+                &data,
+                ReduceOp::Sum,
+            )
         });
         // Deterministic envelope: one bounded error per contributor in the
         // reduce tree plus one from the allgather stage.
@@ -44,21 +55,14 @@ fn sim_and_threaded_backends_agree_on_values() {
     let n = 9_000;
     let eb = 1e-4f32;
 
+    let spec = CodecSpec::Szx { error_bound: eb };
     let sim = SimWorld::new(SimConfig::new(ranks)).run(move |comm| {
-        let ccoll = CColl::new(CodecSpec::Szx { error_bound: eb });
-        ccoll.allreduce(
-            comm,
-            &Dataset::Hurricane.generate(n, comm.rank() as u64),
-            ReduceOp::Sum,
-        )
+        let data = Dataset::Hurricane.generate(n, comm.rank() as u64);
+        allreduce(comm, spec, &data, ReduceOp::Sum)
     });
     let thr = ThreadWorld::new(ranks).run(move |comm| {
-        let ccoll = CColl::new(CodecSpec::Szx { error_bound: eb });
-        ccoll.allreduce(
-            comm,
-            &Dataset::Hurricane.generate(n, comm.rank() as u64),
-            ReduceOp::Sum,
-        )
+        let data = Dataset::Hurricane.generate(n, comm.rank() as u64);
+        allreduce(comm, spec, &data, ReduceOp::Sum)
     });
     for r in 0..ranks {
         assert_eq!(
@@ -83,13 +87,9 @@ fn variant_ordering_on_virtual_cluster() {
     ] {
         let world = SimWorld::new(SimConfig::new(ranks));
         let out = world.run(move |comm| {
-            let ccoll = CColl::new(CodecSpec::Szx { error_bound: eb });
-            let _ = ccoll.allreduce_variant(
-                comm,
-                &Dataset::Rtm.generate(n, comm.rank() as u64),
-                ReduceOp::Sum,
-                variant,
-            );
+            let session = CCollSession::new(CodecSpec::Szx { error_bound: eb }, ranks);
+            let mut plan = session.plan_allreduce_variant(n, ReduceOp::Sum, variant);
+            let _ = plan.execute(comm, &Dataset::Rtm.generate(n, comm.rank() as u64));
         });
         times.insert(variant.label(), out.makespan);
     }
@@ -112,12 +112,8 @@ fn breakdown_shape_matches_paper_fig7() {
     let n = 2_000_000;
     let world = SimWorld::new(SimConfig::new(ranks));
     let out = world.run(move |comm| {
-        let ccoll = CColl::new(CodecSpec::None);
-        let _ = ccoll.allreduce(
-            comm,
-            &Dataset::Rtm.generate(n, comm.rank() as u64),
-            ReduceOp::Sum,
-        );
+        let data = Dataset::Rtm.generate(n, comm.rank() as u64);
+        let _ = allreduce(comm, CodecSpec::None, &data, ReduceOp::Sum);
     });
     let b = out.max_breakdown();
     let total = b.total().as_secs_f64();
@@ -148,10 +144,11 @@ fn breakdown_shape_matches_paper_fig7() {
 fn deterministic_simulation_repeats_exactly() {
     let run = || {
         SimWorld::new(SimConfig::new(6)).run(move |comm| {
-            let ccoll = CColl::new(CodecSpec::Szx { error_bound: 1e-3 });
-            ccoll.allreduce(
+            let data = Dataset::Cesm.generate(20_000, comm.rank() as u64);
+            allreduce(
                 comm,
-                &Dataset::Cesm.generate(20_000, comm.rank() as u64),
+                CodecSpec::Szx { error_bound: 1e-3 },
+                &data,
                 ReduceOp::Sum,
             )
         })
@@ -216,32 +213,6 @@ fn session_training_loop_through_full_stack() {
 }
 
 #[test]
-fn session_and_compat_apis_agree_through_full_stack() {
-    let ranks = 8;
-    let n = 30_000;
-    let spec = CodecSpec::Szx { error_bound: 1e-4 };
-    let old = SimWorld::new(SimConfig::new(ranks)).run(move |comm| {
-        let ccoll = CColl::new(spec);
-        ccoll.allreduce(
-            comm,
-            &Dataset::Rtm.generate(n, comm.rank() as u64),
-            ReduceOp::Sum,
-        )
-    });
-    let new = SimWorld::new(SimConfig::new(ranks)).run(move |comm| {
-        let session = CCollSession::new(spec, ranks);
-        let mut plan = session.plan_allreduce(n, ReduceOp::Sum);
-        plan.execute(comm, &Dataset::Rtm.generate(n, comm.rank() as u64))
-    });
-    for r in 0..ranks {
-        assert_eq!(
-            old.results[r], new.results[r],
-            "rank {r}: compat shim diverged from the session path"
-        );
-    }
-}
-
-#[test]
 fn scatter_bcast_roundtrip_through_full_stack() {
     // Scatter a field from rank 0, then gather it back: the reassembled
     // field must match within one compression error.
@@ -250,14 +221,14 @@ fn scatter_bcast_roundtrip_through_full_stack() {
     let eb = 1e-4f32;
     let world = SimWorld::new(SimConfig::new(ranks));
     let out = world.run(move |comm| {
-        let ccoll = CColl::new(CodecSpec::Szx { error_bound: eb });
+        let session = CCollSession::new(CodecSpec::Szx { error_bound: eb }, ranks);
         let field = if comm.rank() == 0 {
             Dataset::Hurricane.generate(total, 3)
         } else {
             Vec::new()
         };
-        let mine = ccoll.scatter(comm, 0, &field, total);
-        ccoll.gather(comm, 0, &mine, total)
+        let mine = session.plan_scatter(0, total).execute(comm, &field);
+        session.plan_gather(0, total).execute(comm, &mine)
     });
     let expect = Dataset::Hurricane.generate(total, 3);
     let got = out.results[0].as_ref().expect("root gathers");
