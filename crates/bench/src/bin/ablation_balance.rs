@@ -19,11 +19,6 @@ use ccoll_data::Dataset;
 
 const SZX: CodecSpec = CodecSpec::Szx { error_bound: 1e-3 };
 
-fn codec() -> CprCodec {
-    let (ck, dk) = SZX.kernels();
-    CprCodec::new(SZX.build().expect("codec"), ck, dk)
-}
-
 /// Rank 0 gets rough (CESM) data, everyone else smooth (RTM) data.
 fn skewed_data(rank: usize, values: usize) -> Vec<f32> {
     if rank == 0 {
@@ -59,7 +54,8 @@ fn main() {
                 let counts = vec![values; nodes];
                 let mut out = vec![0.0f32; values * nodes];
                 let mut ws = CollWorkspace::new();
-                cpr_ring_allgatherv_into(comm, &codec(), &data, &counts, &mut out, &mut ws);
+                let cpr = CprCodec::from_spec(SZX).expect("codec");
+                cpr_ring_allgatherv_into(comm, &cpr, &data, &counts, &mut out, &mut ws);
             })
             .makespan;
         let mut cfg = SimConfig::new(nodes);

@@ -31,8 +31,7 @@ fn run_case(
 const SZX: CodecSpec = CodecSpec::Szx { error_bound: 1e-3 };
 
 fn cpr() -> CprCodec {
-    let (ck, dk) = SZX.kernels();
-    CprCodec::new(SZX.build().expect("codec"), ck, dk)
+    CprCodec::from_spec(SZX).expect("codec")
 }
 
 fn main() {

@@ -55,11 +55,6 @@ const CHECKED_IN: &str = include_str!(concat!(
     "/../../BENCH_pipeline.json"
 ));
 
-fn cpr(spec: CodecSpec) -> CprCodec {
-    let (ck, dk) = spec.kernels();
-    CprCodec::new(spec.build().expect("compressed spec"), ck, dk)
-}
-
 /// Per-iteration makespan (ms) of one stage on the virtual cluster. The
 /// overlapped column is the session's plan at sub-chunk size `chunk`
 /// (`chunk == 0` marks the sub-chunk-free relay stage, `allgather`); the
@@ -73,7 +68,7 @@ fn run_stage(
     values: usize,
     iters: usize,
 ) -> f64 {
-    let codec = cpr(spec);
+    let codec = CprCodec::from_spec(spec).expect("compressed spec");
     let (makespan, _, _) = run_custom(
         NODES,
         CostModel::default(),

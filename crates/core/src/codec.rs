@@ -11,7 +11,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use ccoll_comm::Kernel;
-use ccoll_compress::{traits::CodecKind, Compressor, LosslessCodec, PipeSzx, SzxCodec, ZfpCodec};
+use ccoll_compress::{traits::CodecKind, Compressor, LosslessCodec, SzxCodec, ZfpCodec};
 
 /// Which codec (and configuration) a compression-integrated collective
 /// uses. Mirrors the paper's evaluated configurations:
@@ -53,16 +53,6 @@ impl CodecSpec {
                 Some(Arc::new(ZfpCodec::fixed_accuracy(error_bound)))
             }
             CodecSpec::ZfpFxr { rate } => Some(Arc::new(ZfpCodec::fixed_rate(rate))),
-        }
-    }
-
-    /// Build the pipelined SZx codec used by the collective computation
-    /// framework. Only meaningful for the SZx spec; other codecs fall
-    /// back to their monolithic form (the paper pipelines SZx only).
-    pub fn build_pipelined(&self, chunk: usize) -> Option<PipeSzx> {
-        match *self {
-            CodecSpec::Szx { error_bound } => Some(PipeSzx::with_chunk(error_bound, chunk)),
-            _ => None,
         }
     }
 
@@ -222,16 +212,6 @@ mod tests {
         assert!(matches!(c.kind(), CodecKind::Szx { .. }));
         let z = CodecSpec::ZfpFxr { rate: 4 }.build().unwrap();
         assert!(matches!(z.kind(), CodecKind::ZfpFxr { rate: 4 }));
-    }
-
-    #[test]
-    fn pipelined_only_for_szx() {
-        assert!(CodecSpec::Szx { error_bound: 1e-3 }
-            .build_pipelined(5120)
-            .is_some());
-        assert!(CodecSpec::ZfpAbs { error_bound: 1e-3 }
-            .build_pipelined(5120)
-            .is_none());
     }
 
     #[test]

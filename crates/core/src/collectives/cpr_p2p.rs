@@ -13,7 +13,7 @@
 //! * per-hop compressed sizes differ across ranks, unbalancing the ring.
 //!
 //! Where a schedule has a machine in [`crate::nonblocking`], CPR-P2P is
-//! its `Cpr` mode and a plan runs it whenever that is the placement it
+//! its `Placement::Cpr` and a plan runs it whenever that is the placement it
 //! selects (the DI variant of `plan_allreduce_variant`, every schedule of
 //! a codec without an error bound). The free functions here are the
 //! placements **no plan selects** on an error-bounded codec, kept for the
@@ -27,10 +27,11 @@ use std::sync::Arc;
 use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
 use ccoll_compress::{CodecScratch, Compressor};
 
+use crate::codec::CodecSpec;
 use crate::collectives::{compress_in, decompress_in, decompress_reduce_in, memcpy_in, tags};
-use crate::nonblocking::{
-    AgMode, BflyMode, Butterfly, RingAg, RingRs, RsMode, TreeMode, TreeReduce,
-};
+use crate::frameworks::decompress_auto_in;
+use crate::nonblocking::{AgMode, Butterfly, RingAg, RingRs, TreeReduce};
+use crate::placement::Placement;
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
 
@@ -60,6 +61,13 @@ impl CprCodec {
     /// Bundle a codec with its cost kernels.
     pub fn new(codec: Arc<dyn Compressor>, ck: Kernel, dk: Kernel) -> Self {
         CprCodec { codec, ck, dk }
+    }
+
+    /// The codec `spec` names with its cost kernels — the one place a
+    /// spec becomes a codec. `None` for [`CodecSpec::None`].
+    pub fn from_spec(spec: CodecSpec) -> Option<Self> {
+        let (ck, dk) = spec.kernels();
+        Some(CprCodec::new(spec.build()?, ck, dk))
     }
 
     /// Compress through a recycled payload buffer (see
@@ -93,6 +101,35 @@ impl CprCodec {
             false,
             scratch,
         )
+    }
+
+    /// The data-movement framework's one compression at the data's
+    /// origin: [`CprCodec::compress`] through preallocated buffers, so
+    /// without the `BufferMgmt` charge.
+    pub(crate) fn compress_once<C: Comm>(
+        &self,
+        comm: &mut C,
+        vals: &[f32],
+        pool: &mut PayloadPool,
+    ) -> bytes::Bytes {
+        compress_in(comm, self.codec.as_ref(), self.ck, vals, true, pool)
+    }
+
+    /// The matching one decompression at a final consumer, charged by
+    /// the size the stream decodes to.
+    ///
+    /// # Panics
+    /// Panics if the stream does not hold `expect` values.
+    pub(crate) fn decompress_once<'s, C: Comm>(
+        &self,
+        comm: &mut C,
+        stream: &[u8],
+        expect: usize,
+        scratch: &'s mut CodecScratch,
+    ) -> &'s [f32] {
+        let vals = decompress_auto_in(comm, self.codec.as_ref(), self.dk, stream, scratch);
+        assert_eq!(vals.len(), expect, "compress-once block length mismatch");
+        vals
     }
 
     /// Fused decompress-reduce straight into `dst` (see
@@ -157,7 +194,7 @@ pub fn cpr_ring_reduce_scatter_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let done = RingRs::new(RsMode::Cpr).step(comm, Some(cpr), op, input, out, ws, true);
+    let done = RingRs::new(Placement::Cpr).step(comm, Some(cpr), op, input, out, ws, true);
     debug_assert!(done.is_ready());
 }
 
@@ -178,7 +215,7 @@ pub fn cpr_rabenseifner_allreduce_into<C: Comm>(
     ws: &mut CollWorkspace,
 ) {
     let done =
-        Butterfly::rabenseifner(BflyMode::Cpr).step(comm, Some(cpr), op, input, out, ws, true);
+        Butterfly::rabenseifner(Placement::Cpr).step(comm, Some(cpr), op, input, out, ws, true);
     debug_assert!(done.is_ready());
 }
 
@@ -198,7 +235,7 @@ pub fn cpr_binomial_reduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) -> bool {
-    let mut machine = TreeReduce::new(TreeMode::Cpr, root);
+    let mut machine = TreeReduce::new(Placement::Cpr, root);
     let done = machine.step(comm, Some(cpr), op, input, out, ws, true);
     debug_assert!(done.is_ready());
     machine.is_root()
@@ -381,19 +418,10 @@ mod tests {
     use crate::partition::chunk_lengths;
     use crate::testing::{
         assert_all_within, assert_blocks_within, assert_chunks_within, assert_root_within, on_root,
-        oracle, pin,
+        oracle, pin, szx,
     };
-    use crate::{Algorithm, AllreduceVariant, CCollSession, CodecSpec};
+    use crate::{Algorithm, AllreduceVariant, CCollSession};
     use ccoll_comm::{SimConfig, SimWorld};
-    use ccoll_compress::SzxCodec;
-
-    fn szx(eb: f32) -> CprCodec {
-        CprCodec::new(
-            Arc::new(SzxCodec::new(eb)),
-            Kernel::SzxCompress,
-            Kernel::SzxDecompress,
-        )
-    }
 
     /// Equal-count CPR-P2P ring allgather of `mine`.
     fn allgather<C: Comm>(c: &mut C, cpr: &CprCodec, mine: &[f32]) -> Vec<f32> {

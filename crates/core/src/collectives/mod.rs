@@ -52,6 +52,22 @@ pub(crate) mod tags {
         assert!(AGREE_BCAST + AGREE_ROUNDS <= 0x400);
         assert!(AGREE_CALIB + 0x400 <= 0xE000);
     };
+    const _: () = {
+        // A family's placement sub-bands (`Placement::band`) are ordered
+        // and disjoint, and the highest tag any of them reaches — the
+        // butterfly's `+ 999` unfold on the top band — stays inside the
+        // family's 4096-wide space.
+        use crate::frameworks::computation::PipelineConfig;
+        use crate::placement::Placement;
+        let cfg = PipelineConfig {
+            error_bound: 0.0,
+            chunk_values: 1,
+        };
+        let (raw, cpr) = (Placement::Raw.band(), Placement::Cpr.band());
+        let piped = Placement::Piped(cfg).band();
+        assert!(raw < cpr && cpr < piped && piped == Placement::ONCE_BAND);
+        assert!(piped + 999 < 0x1000);
+    };
     /// Hierarchical glue traffic (root→leader hand-offs); the two-level
     /// phases themselves reuse the per-family spaces above, isolated by
     /// disjoint member sets.

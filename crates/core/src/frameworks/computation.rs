@@ -22,13 +22,15 @@
 //!
 //! The sub-chunk machinery is the schedule-agnostic hop cursor of
 //! `crate::pipeline`, and **every** computation schedule drives it, not
-//! just the ring: the `Piped` modes of the ring reduce-scatter, the
+//! just the ring: in `Placement::Piped` the ring reduce-scatter, the
 //! Rabenseifner recursive-halving phase and the binomial-tree rooted
 //! reduce machines in [`crate::nonblocking`] stream their hops through
 //! it, with fused decompress-reduce kernels on every receive path. A
-//! session whose codec has an error bound selects those modes
-//! (`plan_reduce_scatter`, `plan_allreduce*`, `plan_reduce*`); this
-//! module holds the framework's configuration and its tests.
+//! session whose codec has an error bound selects that placement
+//! (`plan_reduce_scatter`, `plan_allreduce*`, `plan_reduce*`) and the
+//! sub-chunks are SZx at that bound whatever the codec — a `zfp-abs`
+//! session runs ZFP only on its data-movement hops. This module holds
+//! the framework's configuration and its tests.
 
 /// Default pipeline sub-chunk in values (the paper's 5120 data points) —
 /// the same unit the cost model prices streamed schedules in.
@@ -62,29 +64,17 @@ impl PipelineConfig {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use ccoll_comm::{Category, Comm, Kernel, SimConfig, SimWorld, ThreadWorld};
-    use ccoll_compress::SzxCodec;
+    use ccoll_comm::{Category, Comm, SimConfig, SimWorld, ThreadWorld};
 
     use crate::collectives::cpr_p2p::{
         cpr_binomial_reduce_into, cpr_rabenseifner_allreduce_into, cpr_ring_reduce_scatter_into,
-        CprCodec,
     };
     use crate::partition::chunk_lengths;
     use crate::testing::{
-        assert_all_within, assert_chunks_within, assert_root_within, oracle, pin,
+        assert_all_within, assert_chunks_within, assert_root_within, oracle, pin, szx,
     };
     use crate::theory::sum_error_worst_case;
     use crate::{Algorithm, CCollSession, CodecSpec, CollWorkspace, ReduceOp};
-
-    fn szx(eb: f32) -> CprCodec {
-        CprCodec::new(
-            Arc::new(SzxCodec::new(eb)),
-            Kernel::SzxCompress,
-            Kernel::SzxDecompress,
-        )
-    }
 
     fn session(eb: f32, n: usize) -> CCollSession {
         CCollSession::new(CodecSpec::Szx { error_bound: eb }, n)

@@ -80,7 +80,7 @@ mod tests {
     use crate::nonblocking::SizeRing;
     use crate::partition::chunk_range;
     use crate::testing::{
-        assert_all_within, assert_blocks_within, assert_chunks_within, on_root, pin,
+        assert_all_within, assert_blocks_within, assert_chunks_within, on_root, pin, szx,
     };
     use crate::{Algorithm, CCollSession, CodecSpec};
     use ccoll_comm::{Kernel, SimConfig, SimWorld};
@@ -89,14 +89,6 @@ mod tests {
 
     fn session(eb: f32, n: usize) -> CCollSession {
         CCollSession::new(CodecSpec::Szx { error_bound: eb }, n)
-    }
-
-    fn szx(eb: f32) -> CprCodec {
-        CprCodec::new(
-            Arc::new(SzxCodec::new(eb)),
-            Kernel::SzxCompress,
-            Kernel::SzxDecompress,
-        )
     }
 
     fn rank_data(rank: usize, len: usize) -> Vec<f32> {

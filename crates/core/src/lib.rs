@@ -389,6 +389,7 @@ pub mod frameworks;
 pub mod nonblocking;
 pub mod partition;
 pub(crate) mod pipeline;
+pub(crate) mod placement;
 pub mod plan;
 pub mod reduce;
 pub mod session;

@@ -20,6 +20,16 @@
 //!   `CollHandle::progress` calls so application compute can run while
 //!   transfers are in flight.
 //!
+//! *Where compression sits* is not spelled out per hop: a reducing
+//! machine carries one `Placement` and binds it to the session codec
+//! once per `step` (`Placement::link`); its monolithic hops then
+//! `pack` / `unpack` / `reduce` through that `Link`, and its piped
+//! hops hand the placement's `PipelineConfig` to the hop cursor. The
+//! data-movement machines reach the same codec through the link for
+//! their one `compress_once` / `decompress_once` pair. The ordering
+//! rules that keep virtual time bit-identical are listed in
+//! `placement.rs`.
+//!
 //! The machines hold **no heap data**: phase tags, round counters and
 //! request slots only. All buffers are borrowed from the plan's
 //! workspace at every step, so the zero-allocation steady state of the
@@ -27,17 +37,17 @@
 //! start → progress* → complete cycle (pinned by
 //! `tests/collective_alloc.rs`).
 
+use std::ops::Range;
+
 use bytes::Bytes;
 use ccoll_comm::{Category, Comm, Kernel, RecvReq, SendReq, SubComm, Tag};
-use ccoll_compress::SzxCodec;
 
 use crate::collectives::baseline::{butterfly_fold, butterfly_pos_to_rank};
 use crate::collectives::cpr_p2p::CprCodec;
-use crate::collectives::{compress_in, decode_values_in, memcpy_in, tags, values_payload};
-use crate::frameworks::computation::PipelineConfig;
-use crate::frameworks::decompress_auto_in;
+use crate::collectives::{decode_values_in, memcpy_in, tags, values_payload};
 use crate::partition::chunk_range;
-use crate::pipeline::{split_src_dst, HopCursor, PipeBufs, RelayCursor};
+use crate::pipeline::{split_src_dst, HopCursor, RelayCursor};
+use crate::placement::{Link, Placement};
 use crate::reduce::ReduceOp;
 use crate::wire::decode_values_vec;
 use crate::workspace::CollWorkspace;
@@ -128,22 +138,23 @@ impl Wire {
     }
 }
 
-/// Run the charged decode-into-scratch + reduce pair of the raw
-/// (uncompressed) reduction rounds.
-fn raw_reduce_in<C: Comm>(
-    comm: &mut C,
-    payload: &[u8],
-    op: ReduceOp,
-    dst: &mut [f32],
-    dec: &mut Vec<f32>,
-    context: &str,
-) {
-    decode_values_vec(payload, dec);
-    assert_eq!(dec.len(), dst.len(), "{context} block size mismatch");
-    let vals: &[f32] = dec;
-    comm.run_kernel(Kernel::Reduce, vals.len() * 4, Category::Reduction, || {
-        op.apply(dst, vals)
-    });
+/// The link of a data-movement machine: its compress-once shape reaches
+/// the session codec through [`Link::Cpr`], its raw shape needs none.
+fn once_link(compressed: bool, cpr: Option<&CprCodec>) -> Link<'_> {
+    if compressed {
+        Placement::Cpr.link(cpr)
+    } else {
+        Link::Raw
+    }
+}
+
+/// The tag sub-band of a data-movement machine's shape.
+fn once_band(compressed: bool) -> Tag {
+    if compressed {
+        Placement::ONCE_BAND
+    } else {
+        Placement::Raw.band()
+    }
 }
 
 /// Resumable 4-byte compressed-size synchronization ring — the
@@ -211,17 +222,6 @@ impl SizeRing {
 // Ring reduce-scatter.
 // ---------------------------------------------------------------------------
 
-/// Compression placement of a ring reduce-scatter.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RsMode {
-    /// Pipelined sub-chunk schedule (the computation framework).
-    Piped(PipelineConfig),
-    /// Monolithic per-hop compression (CPR-P2P).
-    Cpr,
-    /// Uncompressed.
-    Raw,
-}
-
 #[derive(Debug, Clone, Copy)]
 enum RsPhase {
     Init,
@@ -233,11 +233,11 @@ enum RsPhase {
 }
 
 /// Resumable ring reduce-scatter: `n−1` hop rounds over the workspace
-/// accumulator, suspending per posted receive (monolithic modes) or per
-/// pipeline sub-chunk (piped mode).
+/// accumulator, suspending per posted receive (monolithic placements) or
+/// per pipeline sub-chunk (piped).
 #[derive(Debug)]
 pub(crate) struct RingRs {
-    mode: RsMode,
+    place: Placement,
     phase: RsPhase,
     k: usize,
     /// Per-operation tag base; every tag this machine computes is
@@ -249,9 +249,9 @@ pub(crate) struct RingRs {
 }
 
 impl RingRs {
-    pub(crate) fn new(mode: RsMode) -> Self {
+    pub(crate) fn new(place: Placement) -> Self {
         RingRs {
-            mode,
+            place,
             phase: RsPhase::Init,
             k: 0,
             base: 0,
@@ -266,6 +266,21 @@ impl RingRs {
     pub(crate) fn with_base(mut self, base: Tag) -> Self {
         self.base = base;
         self
+    }
+
+    /// Fold round `k`'s received payload into its accumulator chunk.
+    fn reduce_got<C: Comm>(
+        &self,
+        comm: &mut C,
+        link: Link<'_>,
+        got: &[u8],
+        op: ReduceOp,
+        ws: &mut CollWorkspace,
+    ) {
+        let (n, me) = (comm.size(), comm.rank());
+        let at = ws.chunk((me + 2 * n - self.k - 2) % n);
+        let dst = &mut ws.acc[at];
+        link.reduce(comm, got, op, dst, &mut ws.scratch, "reduce-scatter");
     }
 
     /// Drive the reduce-scatter; `out_chunk` is this rank's chunk of the
@@ -285,6 +300,7 @@ impl RingRs {
         let me = comm.rank();
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
+        let link = self.place.link(cpr);
         loop {
             match self.phase {
                 RsPhase::Init => {
@@ -304,99 +320,40 @@ impl RingRs {
                         self.phase = RsPhase::Finish;
                         continue;
                     }
-                    let send_idx = (me + 2 * n - self.k - 1) % n;
-                    let recv_idx = (me + 2 * n - self.k - 2) % n;
-                    let CollWorkspace {
-                        pool,
-                        scratch,
-                        acc,
-                        counts,
-                        offsets,
-                        sreqs,
-                        rreqs,
-                        ..
-                    } = ws;
-                    match self.mode {
-                        RsMode::Piped(cfg) => {
-                            let codec = SzxCodec::new(cfg.error_bound);
-                            let tag = self.base + tags::PIPELINE + self.k as Tag;
-                            let (send_buf, recv_dst) = split_src_dst(
-                                acc,
-                                offsets[send_idx]..offsets[send_idx] + counts[send_idx],
-                                offsets[recv_idx]..offsets[recv_idx] + counts[recv_idx],
-                            );
-                            let mut bufs = PipeBufs {
-                                pool,
-                                scratch,
-                                sreqs,
-                                rreqs,
-                            };
-                            match self.hop.step(
-                                comm,
-                                &codec,
-                                cfg.chunk_values,
-                                op,
-                                send_buf,
-                                right,
-                                recv_dst,
-                                left,
-                                tag,
-                                &mut bufs,
-                                block,
-                            ) {
-                                Poll::Pending => return Poll::Pending,
-                                Poll::Ready => {
-                                    self.hop = HopCursor::new();
-                                    self.k += 1;
-                                }
-                            }
+                    let send = ws.chunk((me + 2 * n - self.k - 1) % n);
+                    if let Placement::Piped(cfg) = self.place {
+                        // Piped rounds have their own tag family.
+                        let tag = self.base + tags::PIPELINE + self.k as Tag;
+                        let recv = ws.chunk((me + 2 * n - self.k - 2) % n);
+                        let (acc, mut bufs) = ws.pipe();
+                        let (src, dst) = split_src_dst(acc, send, recv);
+                        if !self
+                            .hop
+                            .step(comm, cfg, op, src, right, dst, left, tag, &mut bufs, block)
+                            .is_ready()
+                        {
+                            return Poll::Pending;
                         }
-                        RsMode::Cpr => {
-                            let tag = self.base + tags::REDUCE_SCATTER + 0x800 + self.k as Tag;
-                            self.wire.rreq = Some(comm.irecv(left, tag));
-                            let payload = cpr.expect("compressed mode needs a codec").compress(
-                                comm,
-                                &acc[offsets[send_idx]..offsets[send_idx] + counts[send_idx]],
-                                pool,
-                            );
-                            self.wire.sreq = Some(comm.isend(right, tag, payload));
-                            self.phase = RsPhase::RecvWait;
-                        }
-                        RsMode::Raw => {
-                            let tag = self.base + tags::REDUCE_SCATTER + self.k as Tag;
-                            let payload = values_payload(
-                                pool,
-                                &acc[offsets[send_idx]..offsets[send_idx] + counts[send_idx]],
-                            );
-                            self.wire.rreq = Some(comm.irecv(left, tag));
-                            self.wire.sreq = Some(comm.isend(right, tag, payload));
-                            self.phase = RsPhase::RecvWait;
-                        }
+                        self.k += 1;
+                        continue;
                     }
+                    // CPR-P2P posts the receive before it compresses
+                    // (raw packing is free, so the order is moot there).
+                    let tag = self.base + tags::REDUCE_SCATTER + self.place.band() + self.k as Tag;
+                    self.wire.rreq = Some(comm.irecv(left, tag));
+                    let payload = link.pack(comm, &ws.acc[send], &mut ws.pool);
+                    self.wire.sreq = Some(comm.isend(right, tag, payload));
+                    self.phase = RsPhase::RecvWait;
                 }
                 RsPhase::RecvWait => {
                     let Some(got) = self.wire.recv(comm, block, Category::Wait) else {
                         return Poll::Pending;
                     };
-                    let recv_idx = (me + 2 * n - self.k - 2) % n;
-                    match self.mode {
-                        // CPR-P2P processes between the two waits.
-                        RsMode::Cpr => {
-                            let CollWorkspace {
-                                scratch,
-                                acc,
-                                counts,
-                                offsets,
-                                ..
-                            } = ws;
-                            let dst =
-                                &mut acc[offsets[recv_idx]..offsets[recv_idx] + counts[recv_idx]];
-                            cpr.expect("compressed mode needs a codec")
-                                .decompress_reduce(comm, &got, op, dst, scratch);
-                        }
-                        // The raw schedule (sendrecv) processes after both.
-                        RsMode::Raw => self.got = Some(got),
-                        RsMode::Piped(_) => unreachable!("piped rounds use the hop cursor"),
+                    match self.place {
+                        // The raw schedule (sendrecv) reduces after both
+                        // waits, CPR-P2P between them.
+                        Placement::Raw => self.got = Some(got),
+                        _ => self.reduce_got(comm, link, &got, op, ws),
                     }
                     self.phase = RsPhase::SendWait;
                 }
@@ -405,23 +362,13 @@ impl RingRs {
                         return Poll::Pending;
                     }
                     if let Some(got) = self.got.take() {
-                        let recv_idx = (me + 2 * n - self.k - 2) % n;
-                        let CollWorkspace {
-                            scratch,
-                            acc,
-                            counts,
-                            offsets,
-                            ..
-                        } = ws;
-                        let dst = &mut acc[offsets[recv_idx]..offsets[recv_idx] + counts[recv_idx]];
-                        raw_reduce_in(comm, &got, op, dst, &mut scratch.dec, "reduce-scatter");
+                        self.reduce_got(comm, link, &got, op, ws);
                     }
                     self.k += 1;
                     self.phase = RsPhase::Round;
                 }
                 RsPhase::Finish => {
-                    out_chunk
-                        .copy_from_slice(&ws.acc[ws.offsets[me]..ws.offsets[me] + ws.counts[me]]);
+                    out_chunk.copy_from_slice(&ws.acc[ws.chunk(me)]);
                     op.finalize(out_chunk, n);
                     self.phase = RsPhase::Done;
                 }
@@ -497,6 +444,16 @@ impl RingAg {
         self
     }
 
+    /// Land the own block — or, in the allreduce composition, where it
+    /// is already in place, charge the same memcpy so the composition
+    /// costs what the two stages cost apart.
+    fn land_own<C: Comm>(comm: &mut C, mine: Option<&[f32]>, own: &mut [f32]) {
+        match mine {
+            Some(m) => memcpy_in(comm, own, m),
+            None => comm.charge(Kernel::Memcpy, own.len() * 4, Category::Memcpy),
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
@@ -511,61 +468,43 @@ impl RingAg {
         let me = comm.rank();
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
+        // The per-hop modes pack and unpack through `link`; compress-once
+        // reaches the session codec through it.
+        let (place, band) = match self.mode {
+            AgMode::Raw => (Placement::Raw, Placement::Raw.band()),
+            AgMode::Cpr => (Placement::Cpr, Placement::Cpr.band()),
+            AgMode::Compressed { .. } => (Placement::Cpr, Placement::ONCE_BAND),
+        };
+        let link = place.link(cpr);
+        let once = match (self.mode, link) {
+            (AgMode::Compressed { overlap }, Link::Cpr(codec)) => Some((codec, overlap)),
+            _ => None,
+        };
         loop {
             match self.phase {
                 AgPhase::Init => {
                     self.k = 0;
-                    match self.mode {
-                        AgMode::Raw | AgMode::Cpr => {
-                            // Own block lands before the relay rounds —
-                            // or, in the allreduce composition, where it
-                            // is already in place, the same memcpy is
-                            // charged so the composition costs what the
-                            // two stages cost apart.
-                            match mine {
-                                Some(m) => memcpy_in(
-                                    comm,
-                                    &mut out[ws.offsets[me]..ws.offsets[me] + ws.counts[me]],
-                                    m,
-                                ),
-                                None => {
-                                    comm.charge(Kernel::Memcpy, ws.counts[me] * 4, Category::Memcpy)
-                                }
-                            }
-                            self.phase = if n > 1 { AgPhase::Round } else { AgPhase::Done };
-                        }
-                        AgMode::Compressed { .. } => {
-                            // Release the previous call's relay handles
-                            // before compressing, so their payload-pool
-                            // slots (ours and our peers') are recycled by
-                            // this call instead of growing the pools.
-                            ws.blobs.clear();
-                            ws.blobs.resize(n, None);
-                            let CollWorkspace {
-                                pool,
-                                blobs,
-                                sizes,
-                                counts,
-                                offsets,
-                                ..
-                            } = ws;
-                            let own: &[f32] = match mine {
-                                Some(m) => m,
-                                None => &out[offsets[me]..offsets[me] + counts[me]],
-                            };
-                            let codec = cpr.expect("compressed mode needs a codec");
-                            let my_blob =
-                                compress_in(comm, codec.codec.as_ref(), codec.ck, own, true, pool);
-                            sizes.clear();
-                            sizes.resize(n, 0);
-                            sizes[me] = my_blob.len() as u32;
-                            blobs[me] = Some(my_blob);
-                            self.phase = if n > 1 {
-                                AgPhase::SizeExchange
-                            } else {
-                                AgPhase::Sweep
-                            };
-                        }
+                    if let Some((codec, _)) = once {
+                        // Release the previous call's relay handles
+                        // before compressing, so their payload-pool
+                        // slots (ours and our peers') are recycled by
+                        // this call instead of growing the pools.
+                        ws.blobs.clear();
+                        ws.blobs.resize(n, None);
+                        let own = mine.unwrap_or(&out[ws.chunk(me)]);
+                        let my_blob = codec.compress_once(comm, own, &mut ws.pool);
+                        ws.sizes.clear();
+                        ws.sizes.resize(n, 0);
+                        ws.sizes[me] = my_blob.len() as u32;
+                        ws.blobs[me] = Some(my_blob);
+                        self.phase = if n > 1 {
+                            AgPhase::SizeExchange
+                        } else {
+                            AgPhase::Sweep
+                        };
+                    } else {
+                        Self::land_own(comm, mine, &mut out[ws.chunk(me)]);
+                        self.phase = if n > 1 { AgPhase::Round } else { AgPhase::Done };
                     }
                 }
                 // 4-byte compressed-size synchronization ring (the
@@ -581,72 +520,28 @@ impl RingAg {
                 }
                 AgPhase::Round => {
                     if self.k == n - 1 {
-                        self.phase = match self.mode {
-                            AgMode::Compressed { .. } => AgPhase::Sweep,
-                            _ => AgPhase::Done,
+                        self.phase = match once {
+                            Some(_) => AgPhase::Sweep,
+                            None => AgPhase::Done,
                         };
                         continue;
                     }
                     let send_idx = (me + n - self.k) % n;
-                    let CollWorkspace {
-                        pool,
-                        scratch,
-                        blobs,
-                        counts,
-                        offsets,
-                        ..
-                    } = ws;
-                    match self.mode {
-                        AgMode::Raw => {
-                            let tag = self.base + tags::ALLGATHER + self.k as Tag;
-                            let payload = values_payload(
-                                pool,
-                                &out[offsets[send_idx]..offsets[send_idx] + counts[send_idx]],
-                            );
-                            self.wire.rreq = Some(comm.irecv(left, tag));
-                            self.wire.sreq = Some(comm.isend(right, tag, payload));
-                        }
-                        AgMode::Cpr => {
-                            let tag = self.base + tags::ALLGATHER + 0x800 + self.k as Tag;
-                            let payload = cpr.expect("compressed mode needs a codec").compress(
-                                comm,
-                                &out[offsets[send_idx]..offsets[send_idx] + counts[send_idx]],
-                                pool,
-                            );
-                            self.wire.rreq = Some(comm.irecv(left, tag));
-                            self.wire.sreq = Some(comm.isend(right, tag, payload));
-                        }
-                        AgMode::Compressed { overlap } => {
-                            let tag = self.base + tags::ALLGATHER + 0xC00 + self.k as Tag;
-                            let payload = blobs[send_idx].clone().expect("relay block present");
-                            self.wire.rreq = Some(comm.irecv(left, tag));
-                            self.wire.sreq = Some(comm.isend(right, tag, payload));
-                            // Pipelined relay: decompress the block being
-                            // forwarded while its onward copy is on the
-                            // wire.
-                            if overlap && send_idx != me {
-                                if let Some(blob) = blobs[send_idx].take() {
-                                    let codec = cpr.expect("compressed mode needs a codec");
-                                    let vals = decompress_auto_in(
-                                        comm,
-                                        codec.codec.as_ref(),
-                                        codec.dk,
-                                        &blob,
-                                        scratch,
-                                    );
-                                    assert_eq!(
-                                        vals.len(),
-                                        counts[send_idx],
-                                        "C-Allgather block mismatch"
-                                    );
-                                    memcpy_in(
-                                        comm,
-                                        &mut out[offsets[send_idx]
-                                            ..offsets[send_idx] + counts[send_idx]],
-                                        vals,
-                                    );
-                                }
-                            }
+                    let at = ws.chunk(send_idx);
+                    let tag = self.base + tags::ALLGATHER + band + self.k as Tag;
+                    let payload = match once {
+                        Some(_) => ws.blobs[send_idx].clone().expect("relay block present"),
+                        None => link.pack(comm, &out[at.clone()], &mut ws.pool),
+                    };
+                    self.wire.rreq = Some(comm.irecv(left, tag));
+                    self.wire.sreq = Some(comm.isend(right, tag, payload));
+                    // Pipelined relay: decompress the block being
+                    // forwarded while its onward copy is on the wire.
+                    if let Some((codec, true)) = once.filter(|_| send_idx != me) {
+                        if let Some(blob) = ws.blobs[send_idx].take() {
+                            let vals =
+                                codec.decompress_once(comm, &blob, at.len(), &mut ws.scratch);
+                            memcpy_in(comm, &mut out[at], vals);
                         }
                     }
                     self.phase = AgPhase::RecvWait;
@@ -664,29 +559,12 @@ impl RingAg {
                     }
                     let got = self.got.take().expect("round received a payload");
                     let recv_idx = (me + n - 1 - self.k) % n;
-                    let CollWorkspace {
-                        scratch,
-                        blobs,
-                        counts,
-                        offsets,
-                        ..
-                    } = ws;
-                    match self.mode {
-                        AgMode::Raw => decode_values_in(
-                            comm,
-                            &mut out[offsets[recv_idx]..offsets[recv_idx] + counts[recv_idx]],
-                            &got,
-                        ),
-                        AgMode::Cpr => {
-                            let codec = cpr.expect("compressed mode needs a codec");
-                            let vals = codec.decompress(comm, &got, counts[recv_idx], scratch);
-                            memcpy_in(
-                                comm,
-                                &mut out[offsets[recv_idx]..offsets[recv_idx] + counts[recv_idx]],
-                                vals,
-                            );
+                    match once {
+                        Some(_) => ws.blobs[recv_idx] = Some(got),
+                        None => {
+                            let at = ws.chunk(recv_idx);
+                            link.unpack(comm, &got, &mut out[at], &mut ws.scratch);
                         }
-                        AgMode::Compressed { .. } => blobs[recv_idx] = Some(got),
                     }
                     self.k += 1;
                     self.phase = AgPhase::Round;
@@ -694,36 +572,15 @@ impl RingAg {
                 // Compress-once epilogue: own block + whatever the relay
                 // loop did not already decode.
                 AgPhase::Sweep => {
-                    let CollWorkspace {
-                        scratch,
-                        blobs,
-                        counts,
-                        offsets,
-                        ..
-                    } = ws;
-                    match mine {
-                        Some(m) => {
-                            memcpy_in(comm, &mut out[offsets[me]..offsets[me] + counts[me]], m)
-                        }
-                        None => comm.charge(Kernel::Memcpy, counts[me] * 4, Category::Memcpy),
-                    }
-                    let codec = cpr.expect("compressed mode needs a codec");
-                    for r in 0..n {
-                        if r == me {
-                            continue;
-                        }
-                        let Some(blob) = blobs[r].take() else {
+                    let (codec, _) = once.expect("only compress-once sweeps");
+                    Self::land_own(comm, mine, &mut out[ws.chunk(me)]);
+                    for r in (0..n).filter(|&r| r != me) {
+                        let Some(blob) = ws.blobs[r].take() else {
                             continue;
                         };
-                        let vals = decompress_auto_in(
-                            comm,
-                            codec.codec.as_ref(),
-                            codec.dk,
-                            &blob,
-                            scratch,
-                        );
-                        assert_eq!(vals.len(), counts[r], "C-Allgather block length mismatch");
-                        memcpy_in(comm, &mut out[offsets[r]..offsets[r] + counts[r]], vals);
+                        let at = ws.chunk(r);
+                        let vals = codec.decompress_once(comm, &blob, at.len(), &mut ws.scratch);
+                        memcpy_in(comm, &mut out[at], vals);
                     }
                     self.phase = AgPhase::Done;
                 }
@@ -736,17 +593,6 @@ impl RingAg {
 // ---------------------------------------------------------------------------
 // Butterfly allreduces: recursive doubling and Rabenseifner.
 // ---------------------------------------------------------------------------
-
-/// Compression placement of a butterfly allreduce.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum BflyMode {
-    /// Uncompressed exchanges.
-    Raw,
-    /// Monolithic CPR-P2P compression per hop.
-    Cpr,
-    /// Pipelined halving/fold legs (Rabenseifner only).
-    Piped(PipelineConfig),
-}
 
 #[derive(Debug, Clone, Copy)]
 enum BflyPhase {
@@ -770,10 +616,12 @@ enum BflyPhase {
 /// Resumable butterfly allreduce: serves both recursive doubling
 /// (`halving = false`, full-payload rounds) and Rabenseifner
 /// (`halving = true`, recursive-halving reduce-scatter +
-/// recursive-doubling allgather), in raw / CPR / pipelined placements.
+/// recursive-doubling allgather), in raw / CPR / pipelined placements
+/// (the fold and halving legs pipeline; doubling and unfold move
+/// finalized data and stay monolithic).
 #[derive(Debug)]
 pub(crate) struct Butterfly {
-    mode: BflyMode,
+    place: Placement,
     /// Rabenseifner when true, recursive doubling when false.
     halving: bool,
     phase: BflyPhase,
@@ -795,21 +643,21 @@ pub(crate) struct Butterfly {
 }
 
 impl Butterfly {
-    pub(crate) fn recursive_doubling(mode: BflyMode) -> Self {
+    pub(crate) fn recursive_doubling(place: Placement) -> Self {
         debug_assert!(
-            !matches!(mode, BflyMode::Piped(_)),
+            !matches!(place, Placement::Piped(_)),
             "recursive doubling has no pipelined placement"
         );
-        Self::new(mode, false)
+        Self::new(place, false)
     }
 
-    pub(crate) fn rabenseifner(mode: BflyMode) -> Self {
-        Self::new(mode, true)
+    pub(crate) fn rabenseifner(place: Placement) -> Self {
+        Self::new(place, true)
     }
 
-    fn new(mode: BflyMode, halving: bool) -> Self {
+    fn new(place: Placement, halving: bool) -> Self {
         Butterfly {
-            mode,
+            place,
             halving,
             phase: BflyPhase::Init,
             pos: 0,
@@ -835,8 +683,8 @@ impl Butterfly {
     }
 
     /// Value range covered by butterfly chunk indices `[lo, hi)`.
-    fn range(ws: &CollWorkspace, lo: usize, hi: usize) -> (usize, usize) {
-        (ws.offsets[lo], ws.offsets[hi - 1] + ws.counts[hi - 1])
+    fn range(ws: &CollWorkspace, lo: usize, hi: usize) -> Range<usize> {
+        ws.offsets[lo]..ws.chunk(hi - 1).end
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -852,6 +700,7 @@ impl Butterfly {
     ) -> Poll {
         let n = comm.size();
         let me = comm.rank();
+        let link = self.place.link(cpr);
         loop {
             match self.phase {
                 BflyPhase::Init => {
@@ -859,14 +708,12 @@ impl Butterfly {
                     let (pow2, rem) = butterfly_fold(n);
                     self.pow2 = pow2;
                     self.rem = rem;
-                    self.tag = self.base
-                        + match (self.halving, self.mode) {
-                            (false, BflyMode::Raw) => tags::RECURSIVE_DOUBLING,
-                            (false, _) => tags::RECURSIVE_DOUBLING + 0x800,
-                            (true, BflyMode::Raw) => tags::RABENSEIFNER,
-                            (true, BflyMode::Cpr) => tags::RABENSEIFNER + 0x800,
-                            (true, BflyMode::Piped(_)) => tags::RABENSEIFNER + 0xC00,
-                        };
+                    let family = if self.halving {
+                        tags::RABENSEIFNER
+                    } else {
+                        tags::RECURSIVE_DOUBLING
+                    };
+                    self.tag = self.base + family + self.place.band();
                     if self.halving {
                         ws.set_partition(input.len(), pow2);
                     }
@@ -878,12 +725,11 @@ impl Butterfly {
                         } else {
                             self.pos = me / 2;
                             self.phase = BflyPhase::FoldRecv;
-                            self.wire.rreq = match self.mode {
-                                // The pipelined fold posts its own
-                                // sub-chunk receives through the cursor.
-                                BflyMode::Piped(_) => None,
-                                _ => Some(comm.irecv(me - 1, self.tag)),
-                            };
+                            // The pipelined fold posts its own sub-chunk
+                            // receives through the cursor.
+                            if !matches!(self.place, Placement::Piped(_)) {
+                                self.wire.rreq = Some(comm.irecv(me - 1, self.tag));
+                            }
                         }
                     } else {
                         self.pos = me - rem;
@@ -892,53 +738,21 @@ impl Butterfly {
                 }
                 // Fold: the contributing even rank ships its whole buffer.
                 BflyPhase::FoldSend => {
-                    let CollWorkspace {
-                        pool,
-                        scratch,
-                        acc,
-                        sreqs,
-                        rreqs,
-                        ..
-                    } = ws;
-                    match self.mode {
-                        BflyMode::Piped(cfg) => {
-                            let codec = SzxCodec::new(cfg.error_bound);
-                            let mut bufs = PipeBufs {
-                                pool,
-                                scratch,
-                                sreqs,
-                                rreqs,
-                            };
-                            match self.hop.step(
-                                comm,
-                                &codec,
-                                cfg.chunk_values,
-                                op,
-                                acc,
-                                me + 1,
-                                &mut [],
-                                me + 1,
-                                self.tag,
-                                &mut bufs,
-                                block,
-                            ) {
-                                Poll::Pending => return Poll::Pending,
-                                Poll::Ready => {
-                                    self.hop = HopCursor::new();
-                                    self.phase = BflyPhase::Unfold;
-                                }
-                            }
+                    let (to, tag) = (me + 1, self.tag);
+                    if let Placement::Piped(cfg) = self.place {
+                        let (acc, mut bufs) = ws.pipe();
+                        if !self
+                            .hop
+                            .step(comm, cfg, op, acc, to, &mut [], to, tag, &mut bufs, block)
+                            .is_ready()
+                        {
+                            return Poll::Pending;
                         }
-                        _ => {
-                            let payload = match self.mode {
-                                BflyMode::Raw => values_payload(pool, acc),
-                                _ => cpr
-                                    .expect("compressed mode needs a codec")
-                                    .compress(comm, acc, pool),
-                            };
-                            self.wire.sreq = Some(comm.isend(me + 1, self.tag, payload));
-                            self.phase = BflyPhase::FoldSendWait;
-                        }
+                        self.phase = BflyPhase::Unfold;
+                    } else {
+                        let payload = link.pack(comm, &ws.acc, &mut ws.pool);
+                        self.wire.sreq = Some(comm.isend(to, tag, payload));
+                        self.phase = BflyPhase::FoldSendWait;
                     }
                 }
                 BflyPhase::FoldSendWait => {
@@ -949,58 +763,23 @@ impl Butterfly {
                 }
                 // Fold: the surviving odd rank reduces what arrives.
                 BflyPhase::FoldRecv => {
-                    let CollWorkspace {
-                        pool,
-                        scratch,
-                        acc,
-                        sreqs,
-                        rreqs,
-                        ..
-                    } = ws;
-                    match self.mode {
-                        BflyMode::Piped(cfg) => {
-                            let codec = SzxCodec::new(cfg.error_bound);
-                            let mut bufs = PipeBufs {
-                                pool,
-                                scratch,
-                                sreqs,
-                                rreqs,
-                            };
-                            match self.hop.step(
-                                comm,
-                                &codec,
-                                cfg.chunk_values,
-                                op,
-                                &[],
-                                me - 1,
-                                acc,
-                                me - 1,
-                                self.tag,
-                                &mut bufs,
-                                block,
-                            ) {
-                                Poll::Pending => return Poll::Pending,
-                                Poll::Ready => {
-                                    self.hop = HopCursor::new();
-                                    self.enter_rounds();
-                                }
-                            }
+                    if let Placement::Piped(cfg) = self.place {
+                        let (from, tag) = (me - 1, self.tag);
+                        let (acc, mut bufs) = ws.pipe();
+                        if !self
+                            .hop
+                            .step(comm, cfg, op, &[], from, acc, from, tag, &mut bufs, block)
+                            .is_ready()
+                        {
+                            return Poll::Pending;
                         }
-                        _ => {
-                            let Some(got) = self.wire.recv(comm, block, Category::Others) else {
-                                return Poll::Pending;
-                            };
-                            match self.mode {
-                                BflyMode::Raw => {
-                                    raw_reduce_in(comm, &got, op, acc, &mut scratch.dec, "fold")
-                                }
-                                _ => cpr
-                                    .expect("compressed mode needs a codec")
-                                    .decompress_reduce(comm, &got, op, acc, scratch),
-                            }
-                            self.enter_rounds();
-                        }
+                    } else {
+                        let Some(got) = self.wire.recv(comm, block, Category::Others) else {
+                            return Poll::Pending;
+                        };
+                        link.reduce(comm, &got, op, &mut ws.acc, &mut ws.scratch, "fold");
                     }
+                    self.enter_rounds();
                 }
                 // Rabenseifner recursive-halving reduce-scatter rounds.
                 BflyPhase::Halving => {
@@ -1011,62 +790,24 @@ impl Butterfly {
                         continue;
                     }
                     let peer = butterfly_pos_to_rank(self.pos ^ self.mask, self.rem);
-                    let (kb, ke, sb, se) = self.halving_ranges(ws);
+                    let (keep, send) = self.halving_ranges(ws);
                     let tag = self.tag + self.round;
-                    let CollWorkspace {
-                        pool,
-                        scratch,
-                        acc,
-                        sreqs,
-                        rreqs,
-                        ..
-                    } = ws;
-                    match self.mode {
-                        BflyMode::Piped(cfg) => {
-                            let codec = SzxCodec::new(cfg.error_bound);
-                            let (send_buf, recv_dst) = split_src_dst(acc, sb..se, kb..ke);
-                            let mut bufs = PipeBufs {
-                                pool,
-                                scratch,
-                                sreqs,
-                                rreqs,
-                            };
-                            match self.hop.step(
-                                comm,
-                                &codec,
-                                cfg.chunk_values,
-                                op,
-                                send_buf,
-                                peer,
-                                recv_dst,
-                                peer,
-                                tag,
-                                &mut bufs,
-                                block,
-                            ) {
-                                Poll::Pending => return Poll::Pending,
-                                Poll::Ready => {
-                                    self.hop = HopCursor::new();
-                                    self.advance_halving();
-                                }
-                            }
+                    if let Placement::Piped(cfg) = self.place {
+                        let (acc, mut bufs) = ws.pipe();
+                        let (src, dst) = split_src_dst(acc, send, keep);
+                        if !self
+                            .hop
+                            .step(comm, cfg, op, src, peer, dst, peer, tag, &mut bufs, block)
+                            .is_ready()
+                        {
+                            return Poll::Pending;
                         }
-                        BflyMode::Cpr => {
-                            let payload = cpr.expect("compressed mode needs a codec").compress(
-                                comm,
-                                &acc[sb..se],
-                                pool,
-                            );
-                            self.wire.rreq = Some(comm.irecv(peer, tag));
-                            self.wire.sreq = Some(comm.isend(peer, tag, payload));
-                            self.phase = BflyPhase::HalvingRecv;
-                        }
-                        BflyMode::Raw => {
-                            let payload = values_payload(pool, &acc[sb..se]);
-                            self.wire.rreq = Some(comm.irecv(peer, tag));
-                            self.wire.sreq = Some(comm.isend(peer, tag, payload));
-                            self.phase = BflyPhase::HalvingRecv;
-                        }
+                        self.advance_halving();
+                    } else {
+                        let payload = link.pack(comm, &ws.acc[send], &mut ws.pool);
+                        self.wire.rreq = Some(comm.irecv(peer, tag));
+                        self.wire.sreq = Some(comm.isend(peer, tag, payload));
+                        self.phase = BflyPhase::HalvingRecv;
                     }
                 }
                 BflyPhase::HalvingRecv => {
@@ -1081,17 +822,9 @@ impl Butterfly {
                         return Poll::Pending;
                     }
                     let got = self.got.take().expect("halving received a payload");
-                    let (kb, ke, _, _) = self.halving_ranges(ws);
-                    let CollWorkspace { scratch, acc, .. } = ws;
-                    let dst = &mut acc[kb..ke];
-                    match self.mode {
-                        BflyMode::Raw => {
-                            raw_reduce_in(comm, &got, op, dst, &mut scratch.dec, "halving")
-                        }
-                        _ => cpr
-                            .expect("compressed mode needs a codec")
-                            .decompress_reduce(comm, &got, op, dst, scratch),
-                    }
+                    let (keep, _) = self.halving_ranges(ws);
+                    let dst = &mut ws.acc[keep];
+                    link.reduce(comm, &got, op, dst, &mut ws.scratch, "halving");
                     self.advance_halving();
                 }
                 // Recursive-doubling rounds: full-payload exchange-and-
@@ -1105,30 +838,14 @@ impl Butterfly {
                     }
                     let peer = butterfly_pos_to_rank(self.pos ^ self.mask, self.rem);
                     let tag = self.tag + self.round;
-                    if self.halving {
-                        let (sb, se, _, _) = self.doubling_ranges(ws);
-                        let CollWorkspace { pool, acc, .. } = ws;
-                        let payload = match self.mode {
-                            BflyMode::Raw => values_payload(pool, &acc[sb..se]),
-                            _ => cpr.expect("compressed mode needs a codec").compress(
-                                comm,
-                                &acc[sb..se],
-                                pool,
-                            ),
-                        };
-                        self.wire.rreq = Some(comm.irecv(peer, tag));
-                        self.wire.sreq = Some(comm.isend(peer, tag, payload));
+                    let send = if self.halving {
+                        self.doubling_ranges(ws).0
                     } else {
-                        let CollWorkspace { pool, acc, .. } = ws;
-                        let payload = match self.mode {
-                            BflyMode::Raw => values_payload(pool, acc),
-                            _ => cpr
-                                .expect("compressed mode needs a codec")
-                                .compress(comm, acc, pool),
-                        };
-                        self.wire.rreq = Some(comm.irecv(peer, tag));
-                        self.wire.sreq = Some(comm.isend(peer, tag, payload));
-                    }
+                        0..ws.acc.len()
+                    };
+                    let payload = link.pack(comm, &ws.acc[send], &mut ws.pool);
+                    self.wire.rreq = Some(comm.irecv(peer, tag));
+                    self.wire.sreq = Some(comm.isend(peer, tag, payload));
                     self.phase = BflyPhase::DoublingRecv;
                 }
                 BflyPhase::DoublingRecv => {
@@ -1144,30 +861,10 @@ impl Butterfly {
                     }
                     let got = self.got.take().expect("doubling received a payload");
                     if self.halving {
-                        let (_, _, pb, pe) = self.doubling_ranges(ws);
-                        let CollWorkspace { scratch, acc, .. } = ws;
-                        match self.mode {
-                            BflyMode::Raw => decode_values_in(comm, &mut acc[pb..pe], &got),
-                            _ => {
-                                let vals = cpr.expect("compressed mode needs a codec").decompress(
-                                    comm,
-                                    &got,
-                                    pe - pb,
-                                    scratch,
-                                );
-                                memcpy_in(comm, &mut acc[pb..pe], vals);
-                            }
-                        }
+                        let (_, peer) = self.doubling_ranges(ws);
+                        link.unpack(comm, &got, &mut ws.acc[peer], &mut ws.scratch);
                     } else {
-                        let CollWorkspace { scratch, acc, .. } = ws;
-                        match self.mode {
-                            BflyMode::Raw => {
-                                raw_reduce_in(comm, &got, op, acc, &mut scratch.dec, "doubling")
-                            }
-                            _ => cpr
-                                .expect("compressed mode needs a codec")
-                                .decompress_reduce(comm, &got, op, acc, scratch),
-                        }
+                        link.reduce(comm, &got, op, &mut ws.acc, &mut ws.scratch, "doubling");
                     }
                     self.mask <<= 1;
                     self.round += 1;
@@ -1180,14 +877,8 @@ impl Butterfly {
                         self.phase = BflyPhase::Final;
                         continue;
                     }
-                    let CollWorkspace { pool, acc, .. } = ws;
                     if me % 2 == 1 {
-                        let payload = match self.mode {
-                            BflyMode::Raw => values_payload(pool, acc),
-                            _ => cpr
-                                .expect("compressed mode needs a codec")
-                                .compress(comm, acc, pool),
-                        };
+                        let payload = link.pack(comm, &ws.acc, &mut ws.pool);
                         self.wire.sreq = Some(comm.isend(me - 1, self.tag + 999, payload));
                         self.phase = BflyPhase::UnfoldSendWait;
                     } else {
@@ -1205,19 +896,7 @@ impl Butterfly {
                     let Some(got) = self.wire.recv(comm, block, Category::Others) else {
                         return Poll::Pending;
                     };
-                    let CollWorkspace { scratch, acc, .. } = ws;
-                    match self.mode {
-                        BflyMode::Raw => decode_values_in(comm, acc, &got),
-                        _ => {
-                            let vals = cpr.expect("compressed mode needs a codec").decompress(
-                                comm,
-                                &got,
-                                input.len(),
-                                scratch,
-                            );
-                            memcpy_in(comm, acc, vals);
-                        }
-                    }
+                    link.unpack(comm, &got, &mut ws.acc, &mut ws.scratch);
                     self.phase = BflyPhase::Final;
                 }
                 BflyPhase::Final => {
@@ -1246,18 +925,15 @@ impl Butterfly {
         }
     }
 
-    /// `(keep_begin, keep_end, send_begin, send_end)` value ranges of the
-    /// current halving round.
-    fn halving_ranges(&self, ws: &CollWorkspace) -> (usize, usize, usize, usize) {
+    /// `(keep, send)` value ranges of the current halving round.
+    fn halving_ranges(&self, ws: &CollWorkspace) -> (Range<usize>, Range<usize>) {
         let mid = self.lo + (self.hi - self.lo) / 2;
-        let (keep_lo, keep_hi, send_lo, send_hi) = if self.pos & self.mask == 0 {
-            (self.lo, mid, mid, self.hi)
+        let (low, high) = (Self::range(ws, self.lo, mid), Self::range(ws, mid, self.hi));
+        if self.pos & self.mask == 0 {
+            (low, high)
         } else {
-            (mid, self.hi, self.lo, mid)
-        };
-        let (sb, se) = Self::range(ws, send_lo, send_hi);
-        let (kb, ke) = Self::range(ws, keep_lo, keep_hi);
-        (kb, ke, sb, se)
+            (high, low)
+        }
     }
 
     /// Advance the halving cursor to the next round.
@@ -1273,45 +949,25 @@ impl Butterfly {
         self.phase = BflyPhase::Halving;
     }
 
-    /// `(send_begin, send_end, peer_begin, peer_end)` value ranges of the
-    /// current Rabenseifner doubling round.
-    fn doubling_ranges(&self, ws: &CollWorkspace) -> (usize, usize, usize, usize) {
+    /// `(send, peer)` value ranges of the current Rabenseifner doubling
+    /// round.
+    fn doubling_ranges(&self, ws: &CollWorkspace) -> (Range<usize>, Range<usize>) {
         let base = self.pos & !(2 * self.mask - 1);
-        let (cur_lo, cur_hi, peer_lo, peer_hi) = if self.pos & self.mask == 0 {
-            (
-                base,
-                base + self.mask,
-                base + self.mask,
-                base + 2 * self.mask,
-            )
+        let (low, high) = (
+            Self::range(ws, base, base + self.mask),
+            Self::range(ws, base + self.mask, base + 2 * self.mask),
+        );
+        if self.pos & self.mask == 0 {
+            (low, high)
         } else {
-            (
-                base + self.mask,
-                base + 2 * self.mask,
-                base,
-                base + self.mask,
-            )
-        };
-        let (sb, se) = Self::range(ws, cur_lo, cur_hi);
-        let (pb, pe) = Self::range(ws, peer_lo, peer_hi);
-        (sb, se, pb, pe)
+            (high, low)
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Binomial-tree rooted reduce.
 // ---------------------------------------------------------------------------
-
-/// Compression placement of the binomial-tree rooted reduce.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TreeMode {
-    /// Uncompressed.
-    Raw,
-    /// Monolithic per-hop compression (CPR-P2P).
-    Cpr,
-    /// Pipelined sub-chunk hops (the computation framework).
-    Piped(PipelineConfig),
-}
 
 #[derive(Debug, Clone, Copy)]
 enum TreePhase {
@@ -1330,7 +986,7 @@ enum TreePhase {
 /// [`TreeReduce::is_root`] after completion.
 #[derive(Debug)]
 pub(crate) struct TreeReduce {
-    mode: TreeMode,
+    place: Placement,
     root: usize,
     phase: TreePhase,
     mask: usize,
@@ -1342,9 +998,9 @@ pub(crate) struct TreeReduce {
 }
 
 impl TreeReduce {
-    pub(crate) fn new(mode: TreeMode, root: usize) -> Self {
+    pub(crate) fn new(place: Placement, root: usize) -> Self {
         TreeReduce {
-            mode,
+            place,
             root,
             phase: TreePhase::Init,
             mask: 1,
@@ -1367,15 +1023,6 @@ impl TreeReduce {
         matches!(self.phase, TreePhase::DoneRoot)
     }
 
-    fn tag(&self) -> Tag {
-        self.base
-            + match self.mode {
-                TreeMode::Raw => tags::TREE_REDUCE,
-                TreeMode::Cpr => tags::TREE_REDUCE + 0x800,
-                TreeMode::Piped(_) => tags::TREE_REDUCE + 0xC00,
-            }
-    }
-
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
@@ -1390,6 +1037,8 @@ impl TreeReduce {
         let n = comm.size();
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
+        let tag = self.base + tags::TREE_REDUCE + self.place.band();
+        let link = self.place.link(cpr);
         loop {
             match self.phase {
                 TreePhase::Init => {
@@ -1410,11 +1059,11 @@ impl TreeReduce {
                     }
                     let child_rel = relative + self.mask;
                     if child_rel < n {
-                        // Monolithic modes post the receive here so a
-                        // nonblocking step can suspend on it.
-                        if !matches!(self.mode, TreeMode::Piped(_)) {
+                        // Monolithic placements post the receive here so
+                        // a nonblocking step can suspend on it.
+                        if !matches!(self.place, Placement::Piped(_)) {
                             let child = (child_rel + self.root) % n;
-                            self.wire.rreq = Some(comm.irecv(child, self.tag()));
+                            self.wire.rreq = Some(comm.irecv(child, tag));
                         }
                         self.phase = TreePhase::RecvChild;
                         continue;
@@ -1422,52 +1071,21 @@ impl TreeReduce {
                     self.mask <<= 1;
                 }
                 TreePhase::SendParent => {
-                    let parent = (relative - self.mask + self.root) % n;
-                    let tag = self.tag();
-                    let CollWorkspace {
-                        pool,
-                        scratch,
-                        acc,
-                        sreqs,
-                        rreqs,
-                        ..
-                    } = ws;
-                    match self.mode {
-                        TreeMode::Piped(cfg) => {
-                            let codec = SzxCodec::new(cfg.error_bound);
-                            let mut bufs = PipeBufs {
-                                pool,
-                                scratch,
-                                sreqs,
-                                rreqs,
-                            };
-                            match self.hop.step(
-                                comm,
-                                &codec,
-                                cfg.chunk_values,
-                                op,
-                                acc,
-                                parent,
-                                &mut [],
-                                parent,
-                                tag,
-                                &mut bufs,
-                                block,
-                            ) {
-                                Poll::Pending => return Poll::Pending,
-                                Poll::Ready => self.phase = TreePhase::DoneLeaf,
-                            }
+                    let to = (relative - self.mask + self.root) % n;
+                    if let Placement::Piped(cfg) = self.place {
+                        let (acc, mut bufs) = ws.pipe();
+                        if !self
+                            .hop
+                            .step(comm, cfg, op, acc, to, &mut [], to, tag, &mut bufs, block)
+                            .is_ready()
+                        {
+                            return Poll::Pending;
                         }
-                        _ => {
-                            let payload = match self.mode {
-                                TreeMode::Raw => values_payload(pool, acc),
-                                _ => cpr
-                                    .expect("compressed mode needs a codec")
-                                    .compress(comm, acc, pool),
-                            };
-                            self.wire.sreq = Some(comm.isend(parent, tag, payload));
-                            self.phase = TreePhase::SendParentWait;
-                        }
+                        self.phase = TreePhase::DoneLeaf;
+                    } else {
+                        let payload = link.pack(comm, &ws.acc, &mut ws.pool);
+                        self.wire.sreq = Some(comm.isend(to, tag, payload));
+                        self.phase = TreePhase::SendParentWait;
                     }
                 }
                 TreePhase::SendParentWait => {
@@ -1477,67 +1095,24 @@ impl TreeReduce {
                     self.phase = TreePhase::DoneLeaf;
                 }
                 TreePhase::RecvChild => {
-                    let child = ((relative + self.mask) + self.root) % n;
-                    let tag = self.tag();
-                    let CollWorkspace {
-                        pool,
-                        scratch,
-                        acc,
-                        sreqs,
-                        rreqs,
-                        ..
-                    } = ws;
-                    match self.mode {
-                        TreeMode::Piped(cfg) => {
-                            let codec = SzxCodec::new(cfg.error_bound);
-                            let mut bufs = PipeBufs {
-                                pool,
-                                scratch,
-                                sreqs,
-                                rreqs,
-                            };
-                            match self.hop.step(
-                                comm,
-                                &codec,
-                                cfg.chunk_values,
-                                op,
-                                &[],
-                                child,
-                                acc,
-                                child,
-                                tag,
-                                &mut bufs,
-                                block,
-                            ) {
-                                Poll::Pending => return Poll::Pending,
-                                Poll::Ready => {
-                                    self.hop = HopCursor::new();
-                                    self.mask <<= 1;
-                                    self.phase = TreePhase::Loop;
-                                }
-                            }
+                    if let Placement::Piped(cfg) = self.place {
+                        let from = ((relative + self.mask) + self.root) % n;
+                        let (acc, mut bufs) = ws.pipe();
+                        if !self
+                            .hop
+                            .step(comm, cfg, op, &[], from, acc, from, tag, &mut bufs, block)
+                            .is_ready()
+                        {
+                            return Poll::Pending;
                         }
-                        _ => {
-                            let Some(got) = self.wire.recv(comm, block, Category::Others) else {
-                                return Poll::Pending;
-                            };
-                            match self.mode {
-                                TreeMode::Raw => raw_reduce_in(
-                                    comm,
-                                    &got,
-                                    op,
-                                    acc,
-                                    &mut scratch.dec,
-                                    "tree-reduce",
-                                ),
-                                _ => cpr
-                                    .expect("compressed mode needs a codec")
-                                    .decompress_reduce(comm, &got, op, acc, scratch),
-                            }
-                            self.mask <<= 1;
-                            self.phase = TreePhase::Loop;
-                        }
+                    } else {
+                        let Some(got) = self.wire.recv(comm, block, Category::Others) else {
+                            return Poll::Pending;
+                        };
+                        link.reduce(comm, &got, op, &mut ws.acc, &mut ws.scratch, "tree-reduce");
                     }
+                    self.mask <<= 1;
+                    self.phase = TreePhase::Loop;
                 }
                 TreePhase::Final => {
                     assert_eq!(out.len(), input.len(), "root output must hold the result");
@@ -1616,12 +1191,7 @@ impl Bcast {
     }
 
     fn tag(&self) -> Tag {
-        self.base
-            + if self.pipe.is_some() {
-                tags::BCAST + 0xC00
-            } else {
-                tags::BCAST
-            }
+        self.base + tags::BCAST + once_band(self.pipe.is_some())
     }
 
     /// Drive the broadcast. On the root an empty `data` means `out` is
@@ -1637,14 +1207,10 @@ impl Bcast {
         ws: &mut CollWorkspace,
         block: bool,
     ) -> Poll {
-        if let Some(pipe) = self.pipe {
-            let cpr = cpr.expect("compressed mode needs a codec");
-            let mut bufs = PipeBufs {
-                pool: &mut ws.pool,
-                scratch: &mut ws.scratch,
-                sreqs: &mut ws.sreqs,
-                rreqs: &mut ws.rreqs,
-            };
+        // The streamed shape is the compress-once one: its link carries
+        // the codec.
+        if let (Some(pipe), Link::Cpr(cpr)) = (self.pipe, once_link(self.pipe.is_some(), cpr)) {
+            let (_, mut bufs) = ws.pipe();
             let tag = self.tag();
             return self
                 .relay
@@ -1775,12 +1341,7 @@ impl Scatter {
     }
 
     fn tag(&self) -> Tag {
-        self.base
-            + if self.compressed {
-                tags::SCATTER + 0xC00
-            } else {
-                tags::SCATTER
-            }
+        self.base + tags::SCATTER + once_band(self.compressed)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1796,6 +1357,7 @@ impl Scatter {
         let n = comm.size();
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
+        let link = once_link(self.compressed, cpr);
         loop {
             match self.phase {
                 ScPhase::Init => {
@@ -1808,39 +1370,22 @@ impl Scatter {
                             self.total_len,
                             "root buffer must hold all chunks"
                         );
-                        if self.compressed {
-                            let CollWorkspace {
-                                pool,
-                                blob_list: held,
-                                counts,
-                                offsets,
-                                ..
-                            } = ws;
-                            let codec = cpr.expect("compressed mode needs a codec");
-                            held.clear();
-                            for i in 0..n {
-                                let a = (self.root + i) % n;
-                                let seg = &data[offsets[a]..offsets[a] + counts[a]];
-                                held.push(compress_in(
-                                    comm,
-                                    codec.codec.as_ref(),
-                                    codec.ck,
-                                    seg,
-                                    true,
-                                    pool,
-                                ));
+                        let segs = (0..n).map(|i| (self.root + i) % n);
+                        match link {
+                            Link::Cpr(codec) => {
+                                ws.blob_list.clear();
+                                for a in segs {
+                                    let seg = &data[ws.chunk(a)];
+                                    let blob = codec.compress_once(comm, seg, &mut ws.pool);
+                                    ws.blob_list.push(blob);
+                                }
                             }
-                        } else {
-                            let CollWorkspace {
-                                stage: held,
-                                counts,
-                                offsets,
-                                ..
-                            } = ws;
-                            held.clear();
-                            for i in 0..n {
-                                let a = (self.root + i) % n;
-                                held.extend_from_slice(&data[offsets[a]..offsets[a] + counts[a]]);
+                            Link::Raw => {
+                                ws.stage.clear();
+                                for a in segs {
+                                    let at = ws.chunk(a);
+                                    ws.stage.extend_from_slice(&data[at]);
+                                }
                             }
                         }
                         self.span = n;
@@ -1921,29 +1466,15 @@ impl Scatter {
                     self.phase = ScPhase::Forward;
                 }
                 ScPhase::Final => {
-                    if self.compressed {
-                        let CollWorkspace {
-                            scratch,
-                            blob_list: held,
-                            counts,
-                            offsets,
-                            ..
-                        } = ws;
-                        let codec = cpr.expect("compressed mode needs a codec");
-                        let vals = decompress_auto_in(
-                            comm,
-                            codec.codec.as_ref(),
-                            codec.dk,
-                            &held[0],
-                            scratch,
-                        );
-                        if me == self.root {
-                            // The root never lost precision.
-                            out.copy_from_slice(&data[offsets[me]..offsets[me] + counts[me]]);
+                    if let Link::Cpr(codec) = link {
+                        let held = &ws.blob_list[0];
+                        let vals = codec.decompress_once(comm, held, out.len(), &mut ws.scratch);
+                        // The root never lost precision.
+                        out.copy_from_slice(if me == self.root {
+                            &data[ws.chunk(me)]
                         } else {
-                            assert_eq!(vals.len(), counts[me], "C-Scatter segment length mismatch");
-                            out.copy_from_slice(vals);
-                        }
+                            vals
+                        });
                     } else {
                         out.copy_from_slice(&ws.stage[..ws.counts[me]]);
                     }
@@ -2011,12 +1542,7 @@ impl Gather {
     }
 
     fn tag(&self) -> Tag {
-        self.base
-            + if self.compressed {
-                tags::GATHER + 0xC00
-            } else {
-                tags::GATHER
-            }
+        self.base + tags::GATHER + once_band(self.compressed)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2032,6 +1558,7 @@ impl Gather {
         let n = comm.size();
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
+        let link = once_link(self.compressed, cpr);
         loop {
             match self.phase {
                 GaPhase::Init => {
@@ -2042,22 +1569,10 @@ impl Gather {
                         ws.counts[me],
                         "my chunk disagrees with partition"
                     );
-                    if self.compressed {
-                        let CollWorkspace {
-                            pool,
-                            blob_list: held,
-                            ..
-                        } = ws;
-                        let codec = cpr.expect("compressed mode needs a codec");
-                        held.clear();
-                        held.push(compress_in(
-                            comm,
-                            codec.codec.as_ref(),
-                            codec.ck,
-                            mine,
-                            true,
-                            pool,
-                        ));
+                    if let Link::Cpr(codec) = link {
+                        ws.blob_list.clear();
+                        let blob = codec.compress_once(comm, mine, &mut ws.pool);
+                        ws.blob_list.push(blob);
                     } else {
                         let held = &mut ws.stage;
                         held.clear();
@@ -2130,44 +1645,24 @@ impl Gather {
                         self.total_len,
                         "root output must hold all chunks"
                     );
-                    if self.compressed {
-                        let CollWorkspace {
-                            scratch,
-                            blob_list: held,
-                            counts,
-                            offsets,
-                            ..
-                        } = ws;
-                        let codec = cpr.expect("compressed mode needs a codec");
-                        for (i, blob) in held.iter().enumerate() {
+                    if let Link::Cpr(codec) = link {
+                        for i in 0..ws.blob_list.len() {
                             let a = (self.root + i) % n;
+                            let at = ws.chunk(a);
                             let vals: &[f32] = if a == me {
                                 mine // the root's own chunk stays lossless
                             } else {
-                                decompress_auto_in(
-                                    comm,
-                                    codec.codec.as_ref(),
-                                    codec.dk,
-                                    blob,
-                                    scratch,
-                                )
+                                let blob = &ws.blob_list[i];
+                                codec.decompress_once(comm, blob, at.len(), &mut ws.scratch)
                             };
-                            assert_eq!(vals.len(), counts[a], "C-Gather segment length mismatch");
-                            out[offsets[a]..offsets[a] + counts[a]].copy_from_slice(vals);
+                            out[at].copy_from_slice(vals);
                         }
                     } else {
-                        let CollWorkspace {
-                            stage: held,
-                            counts,
-                            offsets,
-                            ..
-                        } = ws;
-                        let mut at = 0;
+                        let mut from = 0;
                         for i in 0..n {
-                            let a = (self.root + i) % n;
-                            out[offsets[a]..offsets[a] + counts[a]]
-                                .copy_from_slice(&held[at..at + counts[a]]);
-                            at += counts[a];
+                            let at = ws.chunk((self.root + i) % n);
+                            out[at.clone()].copy_from_slice(&ws.stage[from..from + at.len()]);
+                            from += at.len();
                         }
                     }
                     self.phase = GaPhase::DoneRoot;
@@ -2242,32 +1737,32 @@ impl Alltoall {
         let n = comm.size();
         let me = comm.rank();
         let block_len = send.len() / n;
+        let blk = |r: usize| r * block_len..(r + 1) * block_len;
+        let link = once_link(self.compressed, cpr);
+        // Compress-once rounds are the allgather-like relay share.
+        let cat = if self.compressed {
+            Category::Allgather
+        } else {
+            Category::Wait
+        };
         loop {
             match self.phase {
                 A2aPhase::Init => {
                     assert_eq!(out.len(), send.len(), "output buffer size mismatch");
                     self.i = 1;
-                    if self.compressed {
+                    if let Link::Cpr(codec) = link {
                         let CollWorkspace {
                             pool,
                             blob_list: blobs,
                             sizes,
                             ..
                         } = ws;
-                        let codec = cpr.expect("compressed mode needs a codec");
                         blobs.clear();
                         for to in 0..n {
                             blobs.push(if to == me {
                                 Bytes::new()
                             } else {
-                                compress_in(
-                                    comm,
-                                    codec.codec.as_ref(),
-                                    codec.ck,
-                                    &send[to * block_len..(to + 1) * block_len],
-                                    true,
-                                    pool,
-                                )
+                                codec.compress_once(comm, &send[blk(to)], pool)
                             });
                         }
                         let total: usize = blobs.iter().map(|b| b.len()).sum();
@@ -2292,11 +1787,7 @@ impl Alltoall {
                     }
                 }
                 A2aPhase::OwnCopy => {
-                    memcpy_in(
-                        comm,
-                        &mut out[me * block_len..(me + 1) * block_len],
-                        &send[me * block_len..(me + 1) * block_len],
-                    );
+                    memcpy_in(comm, &mut out[blk(me)], &send[blk(me)]);
                     self.phase = A2aPhase::Round;
                 }
                 A2aPhase::Round => {
@@ -2306,28 +1797,18 @@ impl Alltoall {
                     }
                     let to = (me + self.i) % n;
                     let from = (me + n - self.i) % n;
-                    if self.compressed {
-                        let tag = self.base + tags::ALLTOALL + 0xC00 + self.i as Tag;
-                        let payload = ws.blob_list[to].clone();
-                        self.wire.rreq = Some(comm.irecv(from, tag));
-                        self.wire.sreq = Some(comm.isend(to, tag, payload));
+                    let tag =
+                        self.base + tags::ALLTOALL + once_band(self.compressed) + self.i as Tag;
+                    let payload = if self.compressed {
+                        ws.blob_list[to].clone()
                     } else {
-                        let tag = self.base + tags::ALLTOALL + self.i as Tag;
-                        let payload = values_payload(
-                            &mut ws.pool,
-                            &send[to * block_len..(to + 1) * block_len],
-                        );
-                        self.wire.rreq = Some(comm.irecv(from, tag));
-                        self.wire.sreq = Some(comm.isend(to, tag, payload));
-                    }
+                        values_payload(&mut ws.pool, &send[blk(to)])
+                    };
+                    self.wire.rreq = Some(comm.irecv(from, tag));
+                    self.wire.sreq = Some(comm.isend(to, tag, payload));
                     self.phase = A2aPhase::RecvWait;
                 }
                 A2aPhase::RecvWait => {
-                    let cat = if self.compressed {
-                        Category::Allgather
-                    } else {
-                        Category::Wait
-                    };
                     let Some(got) = self.wire.recv(comm, block, cat) else {
                         return Poll::Pending;
                     };
@@ -2335,33 +1816,16 @@ impl Alltoall {
                     self.phase = A2aPhase::SendWait;
                 }
                 A2aPhase::SendWait => {
-                    let cat = if self.compressed {
-                        Category::Allgather
-                    } else {
-                        Category::Wait
-                    };
                     if !self.wire.send_done(comm, block, cat) {
                         return Poll::Pending;
                     }
                     let got = self.got.take().expect("round received a payload");
                     let from = (me + n - self.i) % n;
-                    if self.compressed {
-                        let codec = cpr.expect("compressed mode needs a codec");
-                        let CollWorkspace { scratch, .. } = ws;
-                        let vals =
-                            decompress_auto_in(comm, codec.codec.as_ref(), codec.dk, &got, scratch);
-                        assert_eq!(vals.len(), block_len, "C-Alltoall block length mismatch");
-                        memcpy_in(
-                            comm,
-                            &mut out[from * block_len..(from + 1) * block_len],
-                            vals,
-                        );
+                    if let Link::Cpr(codec) = link {
+                        let vals = codec.decompress_once(comm, &got, block_len, &mut ws.scratch);
+                        memcpy_in(comm, &mut out[blk(from)], vals);
                     } else {
-                        decode_values_in(
-                            comm,
-                            &mut out[from * block_len..(from + 1) * block_len],
-                            &got,
-                        );
+                        decode_values_in(comm, &mut out[blk(from)], &got);
                     }
                     self.i += 1;
                     self.phase = A2aPhase::Round;
@@ -2427,6 +1891,24 @@ impl BruckAg {
         self
     }
 
+    /// Decode every held block not yet landed in `out` (compress-once).
+    fn decode_held<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        codec: &CprCodec,
+        out: &mut [f32],
+        ws: &mut CollWorkspace,
+    ) {
+        let (n, me) = (comm.size(), comm.rank());
+        while self.decoded < ws.blob_list.len() {
+            let at = ws.chunk((me + self.decoded) % n);
+            let blob = &ws.blob_list[self.decoded];
+            let vals = codec.decompress_once(comm, blob, at.len(), &mut ws.scratch);
+            memcpy_in(comm, &mut out[at], vals);
+            self.decoded += 1;
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
@@ -2440,6 +1922,7 @@ impl BruckAg {
     ) -> Poll {
         let n = comm.size();
         let me = comm.rank();
+        let link = once_link(self.compressed, cpr);
         loop {
             match self.phase {
                 BkPhase::Init => {
@@ -2447,25 +1930,11 @@ impl BruckAg {
                     self.held = 1;
                     self.decoded = 1;
                     self.step_no = 0;
-                    if self.compressed {
-                        let CollWorkspace {
-                            pool,
-                            blob_list: held,
-                            counts,
-                            offsets,
-                            ..
-                        } = ws;
-                        let codec = cpr.expect("compressed mode needs a codec");
-                        held.clear();
-                        held.push(compress_in(
-                            comm,
-                            codec.codec.as_ref(),
-                            codec.ck,
-                            mine,
-                            true,
-                            pool,
-                        ));
-                        memcpy_in(comm, &mut out[offsets[me]..offsets[me] + counts[me]], mine);
+                    if let Link::Cpr(codec) = link {
+                        ws.blob_list.clear();
+                        let blob = codec.compress_once(comm, mine, &mut ws.pool);
+                        ws.blob_list.push(blob);
+                        memcpy_in(comm, &mut out[ws.chunk(me)], mine);
                     } else {
                         let hold = &mut ws.acc;
                         hold.clear();
@@ -2487,37 +1956,16 @@ impl BruckAg {
                     let send_cnt = dist.min(n - held_now);
                     let to = (me + n - dist) % n;
                     let from = (me + dist) % n;
-                    if self.compressed {
-                        let tag = self.base + tags::BRUCK + 0xC00 + self.step_no;
-                        let CollWorkspace {
-                            pool,
-                            scratch,
-                            blob_list: held,
-                            counts,
-                            offsets,
-                            ..
-                        } = ws;
-                        let container = crate::wire::frame_blobs_pooled(pool, &held[..send_cnt]);
+                    let tag = self.base + tags::BRUCK + once_band(self.compressed) + self.step_no;
+                    if let Link::Cpr(codec) = link {
+                        let held = &ws.blob_list[..send_cnt];
+                        let container = crate::wire::frame_blobs_pooled(&mut ws.pool, held);
                         self.wire.rreq = Some(comm.irecv(from, tag));
                         self.wire.sreq = Some(comm.isend(to, tag, container));
                         // Decompress blocks gathered in earlier steps
                         // while this step's containers are in flight.
-                        let codec = cpr.expect("compressed mode needs a codec");
-                        while self.decoded < held.len() {
-                            let a = (me + self.decoded) % n;
-                            let vals = decompress_auto_in(
-                                comm,
-                                codec.codec.as_ref(),
-                                codec.dk,
-                                &held[self.decoded],
-                                scratch,
-                            );
-                            assert_eq!(vals.len(), counts[a], "C-Bruck block length mismatch");
-                            memcpy_in(comm, &mut out[offsets[a]..offsets[a] + counts[a]], vals);
-                            self.decoded += 1;
-                        }
+                        self.decode_held(comm, codec, out, ws);
                     } else {
-                        let tag = self.base + tags::BRUCK + self.step_no;
                         let send_vals: usize = (0..send_cnt).map(|i| ws.counts[(me + i) % n]).sum();
                         let CollWorkspace {
                             pool, acc: hold, ..
@@ -2571,47 +2019,18 @@ impl BruckAg {
                     self.phase = BkPhase::Round;
                 }
                 BkPhase::Tail => {
-                    if self.compressed {
-                        let CollWorkspace {
-                            scratch,
-                            blob_list: held,
-                            counts,
-                            offsets,
-                            ..
-                        } = ws;
-                        let codec = cpr.expect("compressed mode needs a codec");
-                        while self.decoded < held.len() {
-                            let a = (me + self.decoded) % n;
-                            let vals = decompress_auto_in(
-                                comm,
-                                codec.codec.as_ref(),
-                                codec.dk,
-                                &held[self.decoded],
-                                scratch,
-                            );
-                            assert_eq!(vals.len(), counts[a], "C-Bruck block length mismatch");
-                            memcpy_in(comm, &mut out[offsets[a]..offsets[a] + counts[a]], vals);
-                            self.decoded += 1;
-                        }
+                    if let Link::Cpr(codec) = link {
+                        self.decode_held(comm, codec, out, ws);
                         // Release the containers before the next call
                         // reuses the pool.
-                        held.clear();
+                        ws.blob_list.clear();
                     } else {
-                        let CollWorkspace {
-                            acc: hold,
-                            counts,
-                            offsets,
-                            ..
-                        } = ws;
-                        let mut at = 0;
+                        let mut from = 0;
                         for i in 0..n {
-                            let a = (me + i) % n;
-                            memcpy_in(
-                                comm,
-                                &mut out[offsets[a]..offsets[a] + counts[a]],
-                                &hold[at..at + counts[a]],
-                            );
-                            at += counts[a];
+                            let at = ws.chunk((me + i) % n);
+                            let hold = &ws.acc[from..from + at.len()];
+                            from += at.len();
+                            memcpy_in(comm, &mut out[at], hold);
                         }
                     }
                     self.phase = BkPhase::Done;
@@ -2643,7 +2062,7 @@ pub(crate) enum ArMachine {
 }
 
 impl ArMachine {
-    pub(crate) fn ring(rs: RsMode, ag: AgMode) -> Self {
+    pub(crate) fn ring(rs: Placement, ag: AgMode) -> Self {
         ArMachine::Ring {
             rs: RingRs::new(rs),
             ag: RingAg::new(ag),
@@ -2692,8 +2111,8 @@ impl ArMachine {
                     // the allgather stage reads back out of the
                     // workspace.
                     ws.set_partition(input.len(), n);
-                    let (at, len) = (ws.offsets[me], ws.counts[me]);
-                    match rs.step(comm, cpr, op, input, &mut out[at..at + len], ws, block) {
+                    let mine = ws.chunk(me);
+                    match rs.step(comm, cpr, op, input, &mut out[mine], ws, block) {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready => *in_ag = true,
                     }
@@ -2932,19 +2351,19 @@ enum LaneLeg {
 /// phase have disjoint member sets.
 #[derive(Debug)]
 pub(crate) struct HierAr {
-    mode: BflyMode,
+    place: Placement,
     base: Tag,
     leg: LaneLeg,
 }
 
 impl HierAr {
-    /// `mode` places the inter-node leg (raw / CPR / pipelined); the
-    /// intra-node legs are always raw.
-    pub(crate) fn new(mode: BflyMode) -> Self {
+    /// `place` is the inter-node leg's placement; the intra-node legs
+    /// are always raw.
+    pub(crate) fn new(place: Placement) -> Self {
         HierAr {
-            mode,
+            place,
             base: 0,
-            leg: LaneLeg::GroupReduce(TreeReduce::new(TreeMode::Raw, 0)),
+            leg: LaneLeg::GroupReduce(TreeReduce::new(Placement::Raw, 0)),
         }
     }
 
@@ -2953,7 +2372,7 @@ impl HierAr {
     pub(crate) fn with_base(self, base: Tag) -> Self {
         HierAr {
             base,
-            leg: LaneLeg::GroupReduce(TreeReduce::new(TreeMode::Raw, 0).with_base(base)),
+            leg: LaneLeg::GroupReduce(TreeReduce::new(Placement::Raw, 0).with_base(base)),
             ..self
         }
     }
@@ -3001,7 +2420,7 @@ impl HierAr {
                         }
                     }
                     self.leg = if owner {
-                        LaneLeg::NodeRs(RingRs::new(RsMode::Raw).with_base(self.base))
+                        LaneLeg::NodeRs(RingRs::new(Placement::Raw).with_base(self.base))
                     } else {
                         LaneLeg::GroupBcast(Bcast::new(None, 0).with_base(self.base))
                     };
@@ -3019,7 +2438,7 @@ impl HierAr {
                         }
                     }
                     self.leg =
-                        LaneLeg::Inter(Butterfly::rabenseifner(self.mode).with_base(self.base));
+                        LaneLeg::Inter(Butterfly::rabenseifner(self.place).with_base(self.base));
                 }
                 LaneLeg::Inter(inter) => {
                     let hier = std::mem::take(&mut ws.hier);
@@ -3378,6 +2797,7 @@ impl BruckA2a {
         let n = comm.size();
         let me = comm.rank();
         let b = send.len() / n;
+        let link = once_link(self.compressed, cpr);
         loop {
             match self.phase {
                 BkA2aPhase::Init => {
@@ -3392,22 +2812,15 @@ impl BruckA2a {
                         let CollWorkspace { stage, .. } = ws;
                         memcpy_in(comm, &mut stage[i * b..(i + 1) * b], &send[src..src + b]);
                     }
-                    if self.compressed {
-                        let codec = cpr.expect("compressed mode needs a codec");
+                    if let Link::Cpr(codec) = link {
                         ws.blobs.clear();
                         ws.blobs.resize(n, None);
                         let CollWorkspace {
                             pool, blobs, stage, ..
                         } = ws;
                         for (i, slot) in blobs.iter_mut().enumerate().skip(1) {
-                            *slot = Some(compress_in(
-                                comm,
-                                codec.codec.as_ref(),
-                                codec.ck,
-                                &stage[i * b..(i + 1) * b],
-                                true,
-                                pool,
-                            ));
+                            *slot =
+                                Some(codec.compress_once(comm, &stage[i * b..(i + 1) * b], pool));
                         }
                     }
                     self.phase = if n > 1 {
@@ -3502,26 +2915,14 @@ impl BruckA2a {
                 BkA2aPhase::Tail => {
                     for i in 0..n {
                         let src = (me + n - i) % n;
-                        if self.compressed && i != 0 {
-                            let codec = cpr.expect("compressed mode needs a codec");
-                            let CollWorkspace { blobs, scratch, .. } = ws;
-                            let blob = blobs[i].take().expect("tail slot holds a blob");
-                            let vals = decompress_auto_in(
-                                comm,
-                                codec.codec.as_ref(),
-                                codec.dk,
-                                &blob,
-                                scratch,
-                            );
-                            assert_eq!(vals.len(), b, "Bruck block length mismatch");
-                            memcpy_in(comm, &mut out[src * b..(src + 1) * b], vals);
-                        } else {
-                            let CollWorkspace { stage, .. } = ws;
-                            memcpy_in(
-                                comm,
-                                &mut out[src * b..(src + 1) * b],
-                                &stage[i * b..(i + 1) * b],
-                            );
+                        let dst = &mut out[src * b..(src + 1) * b];
+                        match link {
+                            Link::Cpr(codec) if i != 0 => {
+                                let blob = ws.blobs[i].take().expect("tail slot holds a blob");
+                                let vals = codec.decompress_once(comm, &blob, b, &mut ws.scratch);
+                                memcpy_in(comm, dst, vals);
+                            }
+                            _ => memcpy_in(comm, dst, &ws.stage[i * b..(i + 1) * b]),
                         }
                     }
                     self.phase = BkA2aPhase::Done;

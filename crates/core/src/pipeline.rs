@@ -21,7 +21,11 @@
 //!   scratch buffer.
 //!
 //! A hop with an empty `send_buf` is receive-only and one with an empty
-//! `recv_dst` send-only. Drivers, all in [`crate::nonblocking`]: the
+//! `recv_dst` send-only. `HopCursor::step(comm, cfg, op, send_buf, to,
+//! recv_dst, from, tag, bufs, block)` takes the `PipelineConfig` itself:
+//! sub-chunks are `cfg.chunk_values` values of SZx at `cfg.error_bound`
+//! whatever the session codec is, and the cursor resets itself when the
+//! hop is `Ready`. Drivers, all in [`crate::nonblocking`]: the
 //! ring reduce-scatter round (`RingRs`), the Rabenseifner
 //! recursive-halving phase plus its non-power-of-two fold (`Butterfly`),
 //! and the binomial-tree rooted reduce (`TreeReduce`).
@@ -46,7 +50,8 @@
 //!
 //! Buffer discipline: the engines own **no** buffers. Callers lend the
 //! workspace's payload pool, codec scratch and request queues through
-//! [`PipeBufs`], which keeps the zero-allocation steady state intact —
+//! [`PipeBufs`] (`CollWorkspace::pipe` hands them out beside the
+//! accumulator), which keeps the zero-allocation steady state intact —
 //! plans pre-size the pool for the worst number of concurrently
 //! in-flight sub-chunk payloads.
 
@@ -60,6 +65,7 @@ use ccoll_compress::{CodecScratch, SzxCodec};
 
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{compress_in, decompress_reduce_in};
+use crate::frameworks::computation::PipelineConfig;
 use crate::frameworks::decompress_auto_in;
 use crate::nonblocking::Poll;
 use crate::reduce::ReduceOp;
@@ -201,13 +207,15 @@ impl HopCursor {
     /// leg); both sides of a full-duplex exchange must agree on the
     /// sub-chunk size and the buffer lengths, as ring rounds and
     /// butterfly halving rounds guarantee through their shared
-    /// partitions. All sub-chunks travel on `tag`.
+    /// partitions. All sub-chunks travel on `tag`, each one
+    /// `cfg.chunk_values` values encoded by SZx at `cfg.error_bound`
+    /// (whatever the session codec is). On `Ready` the cursor has reset
+    /// itself for the owner's next hop.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
         comm: &mut C,
-        codec: &SzxCodec,
-        pipe: usize,
+        cfg: PipelineConfig,
         op: ReduceOp,
         send_buf: &[f32],
         to: usize,
@@ -217,6 +225,8 @@ impl HopCursor {
         bufs: &mut PipeBufs<'_>,
         block: bool,
     ) -> Poll {
+        let codec = &SzxCodec::new(cfg.error_bound);
+        let pipe = cfg.chunk_values;
         let n_out = send_buf.len().div_ceil(pipe);
 
         // Post all incoming sub-chunk receives up front (the paper's
@@ -279,11 +289,11 @@ impl HopCursor {
             return Poll::Pending;
         }
 
-        if retire_sends(comm, bufs.sreqs, block) {
-            Poll::Ready
-        } else {
-            Poll::Pending
+        if !retire_sends(comm, bufs.sreqs, block) {
+            return Poll::Pending;
         }
+        *self = HopCursor::new();
+        Poll::Ready
     }
 }
 
@@ -428,14 +438,7 @@ impl RelayCursor {
                 if !data.is_empty() {
                     out[lo..hi].copy_from_slice(&data[lo..hi]);
                 }
-                compress_in(
-                    comm,
-                    cpr.codec.as_ref(),
-                    cpr.ck,
-                    &out[lo..hi],
-                    true,
-                    bufs.pool,
-                )
+                cpr.compress_once(comm, &out[lo..hi], bufs.pool)
             } else {
                 if !block && consumed == NONBLOCKING_DRAIN_BUDGET {
                     return Poll::Pending;
@@ -454,6 +457,8 @@ impl RelayCursor {
                 m >>= 1;
             }
             if !is_root {
+                // Not `decompress_once`: here a short stream is a fault
+                // to abort on, not a bug to panic on.
                 let vals =
                     decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &blob, bufs.scratch);
                 if vals.len() != hi - lo {

@@ -1,0 +1,247 @@
+//! The compression-placement seam: *where* compression sits on a hop is
+//! decided once per machine ([`Placement`]) and bound once per `step` to
+//! the session codec ([`Link`]); every monolithic hop of every machine
+//! in [`crate::nonblocking`] then packs, unpacks and reduces through the
+//! link instead of spelling the raw / CPR pair out by hand.
+//!
+//! Which codec runs where:
+//!
+//! * **raw** — none; values travel as little-endian `f32` bytes;
+//! * **CPR** (per hop) — the session codec, unpooled (each call pays the
+//!   `BufferMgmt` charge of a naive integration);
+//! * **once** (data movement) — the session codec, pooled:
+//!   [`CprCodec::compress_once`] at the origin, `decompress_once` at
+//!   each consumer, opaque relays in between;
+//! * **piped** (computation) — SZx at the session's error bound in
+//!   `PipelineConfig::chunk_values` sub-chunks, whatever the session
+//!   codec is: a `zfp-abs` session streams its reducing hops through
+//!   PIPE-SZx and runs ZFP only on its data-movement hops.
+//!
+//! Orderings the machines keep — virtual time is bit-identical only
+//! while they hold:
+//!
+//! 1. `RingRs` posts its receive *before* packing; CPR reduces *between*
+//!    the receive-wait and the send-wait, raw *after both*. `RingAg` and
+//!    `Butterfly` pack first, then post the receive, then send.
+//! 2. Raw `pack` charges nothing and raw `unpack` charges `Memcpy`; CPR
+//!    `unpack` is decompress (`ComDecom` + `BufferMgmt`) + `Memcpy`. The
+//!    raw `Bcast` / `Scatter` / `Gather` receives decode *uncharged* and
+//!    therefore stay off the link.
+//! 3. Piped `RingRs` rounds live in the `tags::PIPELINE` family, not in
+//!    `REDUCE_SCATTER + band`.
+//! 4. Legs of a piped machine that move finalized data (Rabenseifner
+//!    doubling, unfold) stay monolithic CPR: `Piped(..).link(cpr)` is
+//!    [`Link::Cpr`].
+
+use bytes::Bytes;
+use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
+use ccoll_compress::CodecScratch;
+
+use crate::collectives::cpr_p2p::CprCodec;
+use crate::collectives::{decode_values_in, memcpy_in, values_payload};
+use crate::frameworks::computation::PipelineConfig;
+use crate::reduce::ReduceOp;
+use crate::wire::decode_values_vec;
+
+/// Compression placement of a reducing or relaying machine.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Placement {
+    /// Uncompressed.
+    Raw,
+    /// Monolithic per-hop compression (CPR-P2P).
+    Cpr,
+    /// Pipelined sub-chunk hops with fused reduction (the computation
+    /// framework).
+    Piped(PipelineConfig),
+}
+
+impl Placement {
+    /// Tag sub-band of compress-once (data-movement framework) traffic:
+    /// the piped band, which no family shares between the two.
+    pub(crate) const ONCE_BAND: Tag = 0xC00;
+
+    /// This placement's sub-band inside a family's 4096-wide tag space
+    /// (disjointness is asserted in `collectives::tags`).
+    pub(crate) const fn band(self) -> Tag {
+        match self {
+            Placement::Raw => 0,
+            Placement::Cpr => 0x800,
+            Placement::Piped(_) => Self::ONCE_BAND,
+        }
+    }
+
+    /// Bind the placement to the session codec for one `step`.
+    ///
+    /// # Panics
+    /// Panics if a compressed placement is stepped without a codec.
+    pub(crate) fn link(self, cpr: Option<&CprCodec>) -> Link<'_> {
+        match self {
+            Placement::Raw => Link::Raw,
+            _ => Link::Cpr(cpr.expect("compressed mode needs a codec")),
+        }
+    }
+}
+
+/// A placement bound to the session codec: how one monolithic hop
+/// encodes, lands and reduces its payload. Each arm is the charged
+/// helper pair the hop has always called, so cost charges, wire bytes
+/// and tags do not depend on going through the link.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Link<'a> {
+    /// Raw `f32` payloads.
+    Raw,
+    /// Session-codec payloads, unpooled.
+    Cpr(&'a CprCodec),
+}
+
+impl Link<'_> {
+    /// Encode `vals` for the wire. Raw charges nothing; CPR charges the
+    /// compression kernel plus `BufferMgmt`.
+    pub(crate) fn pack<C: Comm>(self, comm: &mut C, vals: &[f32], pool: &mut PayloadPool) -> Bytes {
+        match self {
+            Link::Raw => values_payload(pool, vals),
+            Link::Cpr(codec) => codec.compress(comm, vals, pool),
+        }
+    }
+
+    /// Land a received payload of `dst.len()` values in `dst`. Raw
+    /// charges `Memcpy`; CPR charges the decompression kernel,
+    /// `BufferMgmt` and `Memcpy`.
+    pub(crate) fn unpack<C: Comm>(
+        self,
+        comm: &mut C,
+        got: &[u8],
+        dst: &mut [f32],
+        scratch: &mut CodecScratch,
+    ) {
+        match self {
+            Link::Raw => decode_values_in(comm, dst, got),
+            Link::Cpr(codec) => {
+                let vals = codec.decompress(comm, got, dst.len(), scratch);
+                memcpy_in(comm, dst, vals);
+            }
+        }
+    }
+
+    /// Fold a received payload into `dst` with `op`. Raw decodes
+    /// uncharged and charges `Reduce`; CPR charges the decompression
+    /// kernel, `Reduce` and `BufferMgmt` (fused decompress-reduce).
+    pub(crate) fn reduce<C: Comm>(
+        self,
+        comm: &mut C,
+        got: &[u8],
+        op: ReduceOp,
+        dst: &mut [f32],
+        scratch: &mut CodecScratch,
+        context: &str,
+    ) {
+        match self {
+            Link::Raw => {
+                let dec = &mut scratch.dec;
+                decode_values_vec(got, dec);
+                assert_eq!(dec.len(), dst.len(), "{context} block size mismatch");
+                let vals: &[f32] = dec;
+                comm.run_kernel(Kernel::Reduce, vals.len() * 4, Category::Reduction, || {
+                    op.apply(dst, vals)
+                });
+            }
+            Link::Cpr(codec) => codec.decompress_reduce(comm, got, op, dst, scratch),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use ccoll_comm::{SimConfig, SimWorld};
+
+    use super::*;
+    use crate::codec::CodecSpec;
+    use crate::testing::assert_within;
+    use crate::workspace::CollWorkspace;
+
+    const LEN: usize = 3000;
+
+    fn vals(seed: f32) -> Vec<f32> {
+        (0..LEN).map(|i| (i as f32 * 7e-3 + seed).sin()).collect()
+    }
+
+    /// Run `call`: the virtual time it took, beside the sum of the
+    /// `charged` kernel terms over one payload.
+    fn timed<C: Comm>(
+        c: &mut C,
+        charged: &[Kernel],
+        call: impl FnOnce(&mut C),
+    ) -> (Duration, Duration) {
+        let t0 = c.now();
+        call(c);
+        let took = c.now() - t0;
+        let documented = charged.iter().map(|&k| c.kernel_cost(k, LEN * 4)).sum();
+        (took, documented)
+    }
+
+    /// Rank 0 packs `vals(0.)` twice and ships both to rank 1, which
+    /// unpacks one and reduces the other into `vals(1.)`: the data must
+    /// agree to within `tol`, and every call must take exactly the
+    /// kernel terms its placement documents (`pack`, `unpack`, `reduce`).
+    fn exercise(place: Placement, spec: CodecSpec, tol: f32, charges: [&'static [Kernel]; 3]) {
+        let [pack, unpack, reduce] = charges;
+        let out = SimWorld::new(SimConfig::new(2)).run(move |c| {
+            let cpr = CprCodec::from_spec(spec);
+            let link = place.link(cpr.as_ref());
+            let mut ws = CollWorkspace::new();
+            if c.rank() == 0 {
+                return [1, 2].map(|tag| {
+                    let mut payload = Bytes::new();
+                    let t = timed(c, pack, |c| {
+                        payload = link.pack(c, &vals(0.0), &mut ws.pool)
+                    });
+                    c.send(1, tag, payload);
+                    t
+                });
+            }
+            let mut landed = vec![0.0f32; LEN];
+            let got = c.recv(0, 1);
+            let t_unpack = timed(c, unpack, |c| {
+                link.unpack(c, &got, &mut landed, &mut ws.scratch)
+            });
+            assert_within(&landed, &vals(0.0), tol, "unpack");
+
+            let mut acc = vals(1.0);
+            let got = c.recv(0, 2);
+            let t_reduce = timed(c, reduce, |c| {
+                link.reduce(c, &got, ReduceOp::Sum, &mut acc, &mut ws.scratch, "seam")
+            });
+            let mut expect = vals(1.0);
+            ReduceOp::Sum.apply(&mut expect, &landed);
+            assert_within(&acc, &expect, tol, "reduce vs unpack + apply");
+            [t_unpack, t_reduce]
+        });
+        for (rank, calls) in out.results.iter().enumerate() {
+            for (took, charged) in calls {
+                assert_eq!(took, charged, "{place:?} / {spec}: rank {rank} charges");
+            }
+        }
+    }
+
+    #[test]
+    fn link_round_trips_and_charges_what_its_placement_documents() {
+        use Kernel::{BufferMgmt, Memcpy, Reduce, SzxCompress, SzxDecompress};
+        exercise(
+            Placement::Raw,
+            CodecSpec::None,
+            0.0,
+            [&[], &[Memcpy], &[Reduce]],
+        );
+        // The lossless codec and SZx share the SZx cost kernels.
+        let cpr: [&[Kernel]; 3] = [
+            &[SzxCompress, BufferMgmt],
+            &[SzxDecompress, BufferMgmt, Memcpy],
+            &[SzxDecompress, Reduce, BufferMgmt],
+        ];
+        exercise(Placement::Cpr, CodecSpec::Lossless, 0.0, cpr);
+        let eb = 1e-3;
+        exercise(Placement::Cpr, CodecSpec::Szx { error_bound: eb }, eb, cpr);
+    }
+}

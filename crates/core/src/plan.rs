@@ -51,10 +51,10 @@ use ccoll_comm::{
 use crate::algorithm::{allreduce_schedule, Algorithm, AllreduceVariant, PlanOptions, SelectCtx};
 use crate::collectives::tags;
 use crate::nonblocking::{
-    self as nb, A2aMachine, AgMode, AgPlanMachine, ArMachine, BcMachine, BflyMode, BruckA2a,
-    BruckAg, Butterfly, HierAg, HierAr, HierBc, HierGroups, Poll, ReduceMachine, RingAg, RingRs,
-    RsMode, TreeMode, TreeReduce,
+    self as nb, A2aMachine, AgMode, AgPlanMachine, ArMachine, BcMachine, BruckA2a, BruckAg,
+    Butterfly, HierAg, HierAr, HierBc, HierGroups, Poll, ReduceMachine, RingAg, RingRs, TreeReduce,
 };
+use crate::placement::Placement;
 use crate::reduce::ReduceOp;
 use crate::session::{CCollSession, CollectiveError, PlanStats, Recovery};
 use crate::workspace::CollWorkspace;
@@ -1016,47 +1016,29 @@ impl Kind for Allreduce {
     /// the ring fallback for codecs without an error bound.
     fn machine(&mut self, core: &mut PlanCore, _rank: usize, base: Tag) -> ArMachine {
         let compressed = core.session.cpr.is_some();
-        let cfg = core.session.pipeline_config();
+        // Piped for an error-bounded codec; a codec without a bound
+        // (ZFP-FXR) cannot drive the SZx pipeline and runs its reducing
+        // hops as monolithic CPR — on the ring that is ND.
+        let place = core.session.placement();
+        let once = AgMode::Compressed { overlap: true };
         let machine = match (core.algorithm, compressed) {
             (Algorithm::RecursiveDoubling, false) => {
-                ArMachine::Butterfly(Butterfly::recursive_doubling(BflyMode::Raw))
+                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Raw))
             }
             (Algorithm::RecursiveDoubling, true) => {
-                ArMachine::Butterfly(Butterfly::recursive_doubling(BflyMode::Cpr))
+                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Cpr))
             }
-            (Algorithm::Rabenseifner, false) => {
-                ArMachine::Butterfly(Butterfly::rabenseifner(BflyMode::Raw))
-            }
-            // Error-bounded codecs drive the pipelined halving phase;
-            // others run the monolithic CPR butterfly.
-            (Algorithm::Rabenseifner, true) => match cfg {
-                Some(c) => ArMachine::Butterfly(Butterfly::rabenseifner(BflyMode::Piped(c))),
-                None => ArMachine::Butterfly(Butterfly::rabenseifner(BflyMode::Cpr)),
-            },
-            // The hierarchical mode names the inter-node leg every
-            // lane owner runs on its slice; node-local legs are always
-            // raw (intra-node links don't pay for a codec).
-            (Algorithm::Hierarchical, false) => ArMachine::Hier(HierAr::new(BflyMode::Raw)),
-            (Algorithm::Hierarchical, true) => match cfg {
-                Some(c) => ArMachine::Hier(HierAr::new(BflyMode::Piped(c))),
-                None => ArMachine::Hier(HierAr::new(BflyMode::Cpr)),
-            },
-            (_, false) => ArMachine::ring(RsMode::Raw, AgMode::Raw),
+            (Algorithm::Rabenseifner, _) => ArMachine::Butterfly(Butterfly::rabenseifner(place)),
+            // The hierarchical placement is that of the inter-node leg
+            // every lane owner runs on its slice; node-local legs are
+            // always raw (intra-node links don't pay for a codec).
+            (Algorithm::Hierarchical, _) => ArMachine::Hier(HierAr::new(place)),
+            (_, false) => ArMachine::ring(Placement::Raw, AgMode::Raw),
             (_, true) => match self.variant {
-                AllreduceVariant::Original => ArMachine::ring(RsMode::Raw, AgMode::Raw),
-                AllreduceVariant::DirectIntegration => ArMachine::ring(RsMode::Cpr, AgMode::Cpr),
-                AllreduceVariant::NovelDesign => {
-                    ArMachine::ring(RsMode::Cpr, AgMode::Compressed { overlap: true })
-                }
-                AllreduceVariant::Overlapped => match cfg {
-                    Some(c) => {
-                        ArMachine::ring(RsMode::Piped(c), AgMode::Compressed { overlap: true })
-                    }
-                    // Codecs without an error bound (ZFP-FXR) cannot
-                    // drive the SZx pipeline; the best schedule
-                    // available is ND.
-                    None => ArMachine::ring(RsMode::Cpr, AgMode::Compressed { overlap: true }),
-                },
+                AllreduceVariant::Original => ArMachine::ring(Placement::Raw, AgMode::Raw),
+                AllreduceVariant::DirectIntegration => ArMachine::ring(Placement::Cpr, AgMode::Cpr),
+                AllreduceVariant::NovelDesign => ArMachine::ring(Placement::Cpr, once),
+                AllreduceVariant::Overlapped => ArMachine::ring(place, once),
             },
         };
         machine.with_base(base)
@@ -1291,7 +1273,7 @@ impl Kind for ReduceScatter {
     }
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize, base: Tag) -> RingRs {
-        RingRs::new(core.session.rs_mode()).with_base(base)
+        RingRs::new(core.session.placement()).with_base(base)
     }
 
     fn step<C: Comm>(
@@ -1677,21 +1659,14 @@ impl Kind for Reduce {
                 // exact without reallocating once its capacity is warm.
                 stage.mine.resize(stage.counts[rank], 0.0);
                 ReduceMachine::RsGather {
-                    rs: RingRs::new(session.rs_mode()),
+                    rs: RingRs::new(session.placement()),
                     gather: nb::Gather::new(compressed, self.root, self.len),
                     in_gather: false,
                 }
             }
-            None => {
-                let mode = match (session.pipeline_config(), compressed) {
-                    // Error-bounded codecs stream every tree hop through
-                    // the sub-chunk pipeline with fused reduction.
-                    (Some(cfg), true) => TreeMode::Piped(cfg),
-                    (None, true) => TreeMode::Cpr,
-                    (_, false) => TreeMode::Raw,
-                };
-                ReduceMachine::Tree(TreeReduce::new(mode, self.root))
-            }
+            // Error-bounded codecs stream every tree hop through the
+            // sub-chunk pipeline with fused reduction.
+            None => ReduceMachine::Tree(TreeReduce::new(session.placement(), self.root)),
         };
         machine.with_base(base)
     }

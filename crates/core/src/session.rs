@@ -57,8 +57,8 @@ use crate::algorithm::{reject_unsupported, Algorithm, AllreduceVariant, PlanOpti
 use crate::codec::CodecSpec;
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::frameworks::computation::{self, PipelineConfig};
-use crate::nonblocking::RsMode;
 use crate::partition::chunk_lengths;
+use crate::placement::Placement;
 use crate::plan::{
     check_world, Allgather, Allreduce, Alltoall, Bcast, Gather, Plan, PlanCore, Reduce,
     ReduceScatter, RsStage, Scatter,
@@ -375,15 +375,11 @@ impl CCollSession {
     #[must_use]
     pub fn new(spec: CodecSpec, world_size: usize) -> Self {
         assert!(world_size > 0, "session needs at least one rank");
-        let cpr = spec.build().map(|codec| {
-            let (ck, dk) = spec.kernels();
-            CprCodec::new(codec, ck, dk)
-        });
         CCollSession {
             spec,
             pipe_values: computation::DEFAULT_PIPE_VALUES,
             world_size,
-            cpr,
+            cpr: CprCodec::from_spec(spec),
             cost: CostModel::default(),
             net: NetModel::default(),
             cluster: None,
@@ -1319,14 +1315,14 @@ impl CCollSession {
         self.warmed_workspace(values, slots)
     }
 
-    /// The reduce-scatter schedule's compression placement as a
-    /// state-machine mode (shared with the reduce plan's RS + gather
-    /// composition).
-    pub(crate) fn rs_mode(&self) -> RsMode {
+    /// The compression placement of this session's reducing hops
+    /// (reduce-scatter, Rabenseifner, tree reduce): piped for a codec
+    /// with an error bound, monolithic CPR for one without, raw for none.
+    pub(crate) fn placement(&self) -> Placement {
         match (self.pipeline_config(), self.cpr.is_some()) {
-            (Some(cfg), _) => RsMode::Piped(cfg),
-            (None, true) => RsMode::Cpr,
-            (None, false) => RsMode::Raw,
+            (Some(cfg), _) => Placement::Piped(cfg),
+            (None, true) => Placement::Cpr,
+            (None, false) => Placement::Raw,
         }
     }
 }

@@ -1,8 +1,15 @@
 //! Fixtures and oracle assertions the in-crate schedule tests share.
 
 use crate::algorithm::{Algorithm, PlanOptions};
+use crate::codec::CodecSpec;
+use crate::collectives::cpr_p2p::CprCodec;
 use crate::partition::{chunk_lengths, chunk_offsets};
 use crate::reduce::ReduceOp;
+
+/// The SZx codec at `eb` as the free-function baselines take it.
+pub(crate) fn szx(eb: f32) -> CprCodec {
+    CprCodec::from_spec(CodecSpec::Szx { error_bound: eb }).expect("SZx builds a codec")
+}
 
 /// Options pinning a plan to `algorithm`.
 pub(crate) fn pin(algorithm: Algorithm) -> PlanOptions {

@@ -17,10 +17,13 @@
 //! audit (`tests/collective_alloc.rs`) enforces this end to end.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use bytes::Bytes;
 use ccoll_comm::{PayloadPool, RecvReq, SendReq};
 use ccoll_compress::CodecScratch;
+
+use crate::pipeline::PipeBufs;
 
 /// Reusable buffers for one collective call chain. See the module docs.
 ///
@@ -87,6 +90,24 @@ impl CollWorkspace {
         self.counts.clear();
         self.counts.extend_from_slice(counts);
         crate::partition::chunk_offsets_into(&self.counts, &mut self.offsets);
+    }
+
+    /// Value range of chunk `i` of the cached partition.
+    pub(crate) fn chunk(&self, i: usize) -> Range<usize> {
+        self.offsets[i]..self.offsets[i] + self.counts[i]
+    }
+
+    /// The accumulator together with the buffers a pipeline cursor
+    /// borrows, disjointly, so a hop can stream out of and reduce into
+    /// the accumulator.
+    pub(crate) fn pipe(&mut self) -> (&mut [f32], PipeBufs<'_>) {
+        let bufs = PipeBufs {
+            pool: &mut self.pool,
+            scratch: &mut self.scratch,
+            sreqs: &mut self.sreqs,
+            rreqs: &mut self.rreqs,
+        };
+        (&mut self.acc, bufs)
     }
 
     /// Scrub all in-flight state after an aborted execution: pending

@@ -35,8 +35,7 @@ use proptest::prelude::*;
 
 /// The codec of `spec` as the free-function baselines take it.
 fn cpr(spec: CodecSpec) -> CprCodec {
-    let (ck, dk) = spec.kernels();
-    CprCodec::new(spec.build().expect("compressed spec"), ck, dk)
+    CprCodec::from_spec(spec).expect("compressed spec")
 }
 
 /// Integer-valued rank data: f32 arithmetic on these is exact for sums

@@ -6,12 +6,6 @@ use c_coll::partition::{chunk_lengths, chunk_offsets};
 use c_coll::{CCollSession, CodecSpec, CollWorkspace, ReduceOp};
 use ccoll_comm::{Comm, SimConfig, SimWorld};
 
-fn szx(eb: f32) -> CprCodec {
-    let spec = CodecSpec::Szx { error_bound: eb };
-    let (ck, dk) = spec.kernels();
-    CprCodec::new(spec.build().expect("codec"), ck, dk)
-}
-
 fn session(eb: f32, n: usize) -> CCollSession {
     CCollSession::new(CodecSpec::Szx { error_bound: eb }, n)
 }
@@ -67,7 +61,8 @@ fn cpr_alltoall_matches_c_alltoall_accuracy() {
             send.extend(block_data(me, to, block));
         }
         let mut out = vec![0.0f32; send.len()];
-        cpr_pairwise_alltoall_into(c, &szx(eb), &send, &mut out, &mut CollWorkspace::new());
+        let cpr = CprCodec::from_spec(CodecSpec::Szx { error_bound: eb }).expect("codec");
+        cpr_pairwise_alltoall_into(c, &cpr, &send, &mut out, &mut CollWorkspace::new());
         out
     });
     for r in 0..n {
