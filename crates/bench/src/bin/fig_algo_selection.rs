@@ -10,16 +10,20 @@
 //!
 //! ```bash
 //! cargo run --release -p ccoll-bench --bin fig_algo_selection
+//! cargo run --release -p ccoll-bench --bin fig_algo_selection -- --check
 //! ```
 //!
 //! `CCOLL_QUICK=1` shrinks the sweep to CI scale; `CCOLL_CALIBRATE=1`
 //! selects and simulates with throughputs measured from this machine's
-//! kernels instead of the Table-I defaults.
+//! kernels instead of the Table-I defaults. `--check` recomputes the
+//! full sweep, writes nothing, and exits non-zero when any cell differs
+//! from the `BENCH_algo.json` checked in at the repository root.
 
 use std::fmt::Write as _;
 
 use c_coll::{Algorithm, ReduceOp};
 use ccoll_bench::calibrate::cost_model_from_env;
+use ccoll_bench::check::reproduces;
 use ccoll_bench::runner::run_allreduce_algorithm;
 use ccoll_bench::specs::szx_default;
 use ccoll_bench::table::Table;
@@ -32,10 +36,18 @@ const CANDIDATES: [Algorithm; 3] = [
     Algorithm::Rabenseifner,
 ];
 
+/// The results file as checked in (one entry per line).
+const CHECKED_IN: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../BENCH_algo.json"
+));
+
 fn main() {
-    let quick = std::env::var("CCOLL_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let check = std::env::args().any(|a| a == "--check");
+    let quick = !check
+        && std::env::var("CCOLL_QUICK")
+            .map(|v| v == "1")
+            .unwrap_or(false);
     let cost = cost_model_from_env();
     let net = NetModel::default();
     let spec = szx_default();
@@ -125,6 +137,13 @@ fn main() {
         }
     }
     json.push_str("\n  ]\n}\n");
+    if check {
+        // Rows are named by nodes, values.
+        if !reproduces("BENCH_algo.json", CHECKED_IN, &json, 2, true) {
+            std::process::exit(1);
+        }
+        return;
+    }
     std::fs::write("BENCH_algo.json", &json).expect("write BENCH_algo.json");
     println!("\nwrote BENCH_algo.json");
 }

@@ -15,14 +15,19 @@
 //!
 //! ```bash
 //! cargo run --release -p ccoll-bench --bin fig_concurrent
+//! cargo run --release -p ccoll-bench --bin fig_concurrent -- --check
 //! ```
 //!
-//! `CCOLL_QUICK=1` shrinks the sweep to CI scale.
+//! `CCOLL_QUICK=1` shrinks the sweep to CI scale. `--check` recomputes
+//! the full sweep, writes nothing, and exits non-zero when any cell
+//! differs from the `BENCH_concurrent.json` checked in at the repository
+//! root.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use c_coll::CodecSpec;
+use ccoll_bench::check::reproduces;
 use ccoll_bench::runner::run_bucketed_allreduce;
 use ccoll_bench::table::Table;
 use ccoll_comm::{CostModel, NetModel};
@@ -32,10 +37,18 @@ const NODES: usize = 8;
 const SLICES: usize = 16;
 const COMPUTE_PER_BUCKET_MS: f64 = 0.6;
 
+/// The results file as checked in (one entry per line).
+const CHECKED_IN: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../BENCH_concurrent.json"
+));
+
 fn main() {
-    let quick = std::env::var("CCOLL_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let check = std::env::args().any(|a| a == "--check");
+    let quick = !check
+        && std::env::var("CCOLL_QUICK")
+            .map(|v| v == "1")
+            .unwrap_or(false);
     let (bucket_counts, sizes, iters): (Vec<usize>, Vec<usize>, usize) = if quick {
         (vec![2, 4], vec![40_000], 1)
     } else {
@@ -122,6 +135,13 @@ fn main() {
         json,
         "\n  ],\n  \"engine_wins\": {wins}, \"cells\": {cells}\n}}\n"
     );
+    if check {
+        // Rows are named by codec, buckets, values_per_bucket.
+        if !reproduces("BENCH_concurrent.json", CHECKED_IN, &json, 3, true) {
+            std::process::exit(1);
+        }
+        return;
+    }
     std::fs::write("BENCH_concurrent.json", &json).expect("write BENCH_concurrent.json");
     println!("\nengine won {wins}/{cells} cells");
     println!("wrote BENCH_concurrent.json");

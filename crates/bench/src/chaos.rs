@@ -47,11 +47,11 @@ pub enum Shape {
     /// Kill→agree→shrink→resume on a ring allreduce: after phase 1
     /// every live rank joins the survivor agreement, re-plans for the
     /// shrunk world, and re-runs the collective on an epoch-stamped
-    /// [`ShrunkComm`](ccoll_comm::ShrunkComm). Survivors must complete
-    /// bitwise-equal to a fault-free reference run *on the shrunk
-    /// world* (restart-on-survivors: the dead rank's contribution is
-    /// dropped). A crash landing mid-resume is absorbed by one nested
-    /// recovery level.
+    /// [`CommView::shrunk`](ccoll_comm::CommView::shrunk). Survivors
+    /// must complete bitwise-equal to a fault-free reference run *on
+    /// the shrunk world* (restart-on-survivors: the dead rank's
+    /// contribution is dropped). A crash landing mid-resume is absorbed
+    /// by one nested recovery level.
     Recover,
     /// The engine-driven variant of [`Shape::Recover`]: two concurrent
     /// ring allreduces are quiesced after the crash, both plans are

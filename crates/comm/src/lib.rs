@@ -47,6 +47,7 @@ pub mod sim;
 pub mod threaded;
 pub mod time;
 pub mod topology;
+pub mod view;
 
 pub use chaos::{CommError, FaultPlan, FaultPolicy, KillSpec, MsgFault};
 pub use comm::{Comm, RecvReq, SendReq, Tag};
@@ -54,8 +55,8 @@ pub use cost::{CostModel, Kernel, SchedParams, Schedule, PIPE_CHUNK_BYTES};
 pub use pool::PayloadPool;
 pub use profile::{Category, FaultCounters, Profiler, TimeBreakdown, TrafficStats};
 pub use recover::{
-    agree_on_failures, epoch_stamp, Agreement, DeadSet, ShrunkComm, EPOCH_FIELD,
-    MAX_RECOVERY_WORLD, OP_TAG_FLOOR,
+    agree_on_failures, epoch_stamp, Agreement, DeadSet, EPOCH_FIELD, MAX_RECOVERY_WORLD,
+    OP_TAG_FLOOR,
 };
 pub use sim::{
     DeadlockReport, NetModel, RankOutcome, SimConfig, SimError, SimRunOutput, SimWorld,
@@ -63,4 +64,5 @@ pub use sim::{
 };
 pub use threaded::ThreadWorld;
 pub use time::SimTime;
-pub use topology::{ClusterNet, HierNet, SubComm, Topology};
+pub use topology::{ClusterNet, HierNet, Topology};
+pub use view::CommView;

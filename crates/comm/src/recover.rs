@@ -11,10 +11,10 @@
 //!   every live rank converges on an **identical** [`DeadSet`] (and a
 //!   shared restart flag), even when ranks enter with different local
 //!   suspicions and even when further ranks die *during* the vote.
-//! * [`ShrunkComm`] — a communicator wrapper that re-forms the world
-//!   over the survivors with **dense re-ranking** and stamps a shrink
-//!   **epoch** into every tag, so stale pre-shrink messages can never
-//!   match post-shrink traffic.
+//! * [`CommView::shrunk`](crate::CommView::shrunk) — the communicator view that re-forms the
+//!   world over the survivors with **dense re-ranking** and stamps a
+//!   shrink **epoch** into every tag, so stale pre-shrink messages can
+//!   never match post-shrink traffic.
 //!
 //! ## The agreement protocol
 //!
@@ -56,8 +56,8 @@
 //!
 //! The epoch field is what makes "discard stale messages" free: a
 //! pre-shrink payload still in flight carries the old epoch bits and
-//! simply never matches a post-shrink receive. [`ShrunkComm::new`]
-//! additionally purges what is already queued for this rank *from the
+//! simply never matches a post-shrink receive.
+//! [`CommView::shrunk`](crate::CommView::shrunk) additionally purges what is already queued for this rank *from the
 //! dead epoch* — and only from the dead epoch: survivors cross the
 //! shrink at different times, so new-epoch messages from faster peers
 //! may already be queued and must survive ([`Comm::purge_stale`]).
@@ -68,10 +68,8 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use crate::chaos::{CommError, FaultPolicy};
-use crate::comm::{Comm, RecvReq, SendReq, Tag};
-use crate::cost::Kernel;
-use crate::profile::{Category, Profiler};
-use crate::time::SimTime;
+use crate::comm::{Comm, RecvReq, Tag};
+use crate::profile::Category;
 
 /// Largest world the recovery layer supports (the dead-set is a
 /// fixed-width 128-bit mask — the paper's full node count).
@@ -97,9 +95,9 @@ pub const OP_TAG_FLOOR: Tag = 1 << 22;
 /// with a plan's `op_base`, and disambiguated across repeated
 /// recoveries by the epoch field of the tag.
 const AGREE_TAG_BASE: Tag = 0xE000;
-/// Reserved schedule-tag base for [`ShrunkComm::barrier`]'s
-/// point-to-point dissemination.
-const BARRIER_TAG_BASE: Tag = 0xE800;
+/// Reserved schedule-tag base for the point-to-point check-in of a
+/// rank-mapped [`crate::CommView`]'s barrier.
+pub(crate) const BARRIER_TAG_BASE: Tag = 0xE800;
 
 /// The tag stamp for shrink `epoch` (≥ 1): a nonzero 5-bit field, so
 /// epoch-stamped traffic can never match never-shrunk (epoch-0)
@@ -400,235 +398,6 @@ pub fn agree_on_failures<C: Comm>(
         tag: decide_tag,
         waited: Duration::ZERO,
     }))
-}
-
-/// A communicator re-formed over the survivors of a [`DeadSet`], with
-/// dense re-ranking and an epoch stamped into every tag (see the
-/// module docs for the layout). Wraps any [`Comm`] by mutable borrow,
-/// so recoveries nest: shrinking twice yields
-/// `ShrunkComm<'_, ShrunkComm<'_, C>>`.
-///
-/// Rank translation: survivor `i` (in ascending old-rank order)
-/// becomes rank `i` of the shrunk world. All [`Comm`] methods speak
-/// new-rank ids; errors from the inner communicator are translated
-/// back into the shrunk rank space.
-pub struct ShrunkComm<'a, C: Comm> {
-    inner: &'a mut C,
-    /// Dense map: new rank → old (inner) rank.
-    members: Vec<usize>,
-    /// My rank in the shrunk world.
-    rank: usize,
-    /// The shrink epoch (≥ 1 relative to the inner communicator).
-    epoch: u32,
-    stamp: Tag,
-    /// Stale pre-shrink messages discarded at construction.
-    purged: u64,
-    /// Monotone per-barrier counter (disambiguates nothing on the
-    /// wire — barriers are strictly ordered — kept for debugging).
-    barriers: u64,
-}
-
-impl<'a, C: Comm> ShrunkComm<'a, C> {
-    /// Re-form `inner`'s world over the survivors of `dead`, entering
-    /// shrink epoch `epoch` (1 for a first shrink; a nested shrink of
-    /// an epoch-`e` world passes `e + 1`). Purges this rank's stale
-    /// *dead-epoch* traffic — entries whose tag's epoch field differs
-    /// from the new epoch's stamp; messages a faster survivor already
-    /// sent into the new epoch are kept — and records the discarded
-    /// count ([`ShrunkComm::stale_discarded`]).
-    ///
-    /// # Errors
-    /// `Err(CommError::PeerDead { peer })` when this rank is itself in
-    /// `dead` (an excluded rank must not enter the shrunk world).
-    ///
-    /// # Panics
-    /// Panics if `dead` covers the whole world.
-    pub fn new(inner: &'a mut C, dead: DeadSet, epoch: u32) -> Result<Self, CommError> {
-        let me = inner.rank();
-        if dead.contains(me) {
-            return Err(CommError::PeerDead { peer: me });
-        }
-        let members: Vec<usize> = (0..inner.size()).filter(|r| !dead.contains(*r)).collect();
-        assert!(!members.is_empty(), "shrink must leave at least one rank");
-        let rank = members
-            .iter()
-            .position(|&r| r == me)
-            .expect("own rank survives");
-        let purged = inner.purge_stale(epoch_stamp(epoch));
-        Ok(ShrunkComm {
-            inner,
-            members,
-            rank,
-            epoch,
-            stamp: epoch_stamp(epoch),
-            purged,
-            barriers: 0,
-        })
-    }
-
-    /// The shrink epoch this communicator stamps into tags.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// How many stale pre-shrink messages (posted receives and queued
-    /// undelivered payloads) were discarded when this rank crossed the
-    /// epoch.
-    pub fn stale_discarded(&self) -> u64 {
-        self.purged
-    }
-
-    /// The old (inner) rank of shrunk-world `rank`.
-    pub fn old_rank_of(&self, rank: usize) -> usize {
-        self.members[rank]
-    }
-
-    /// The shrunk-world rank of old (inner) rank `old`, if it
-    /// survived.
-    pub fn new_rank_of(&self, old: usize) -> Option<usize> {
-        self.members.iter().position(|&r| r == old)
-    }
-
-    /// The inner communicator (old rank space). The recovery layer
-    /// uses this to run a *nested* agreement when another rank dies
-    /// after a shrink.
-    pub fn inner_mut(&mut self) -> &mut C {
-        self.inner
-    }
-
-    fn translate_err(&self, err: CommError) -> CommError {
-        match err {
-            CommError::Timeout { src, tag, waited } => CommError::Timeout {
-                src: self.new_rank_of(src).unwrap_or(src),
-                tag: tag & !EPOCH_FIELD,
-                waited,
-            },
-            CommError::PeerDead { peer } => CommError::PeerDead {
-                peer: self.new_rank_of(peer).unwrap_or(peer),
-            },
-        }
-    }
-}
-
-impl<C: Comm> Comm for ShrunkComm<'_, C> {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendReq {
-        let dst = self.members[dst];
-        self.inner.isend(dst, tag | self.stamp, payload)
-    }
-
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvReq {
-        let src = self.members[src];
-        self.inner.irecv(src, tag | self.stamp)
-    }
-
-    fn wait_send_in(&mut self, req: SendReq, cat: Category) {
-        self.inner.wait_send_in(req, cat);
-    }
-
-    fn wait_recv_in(&mut self, req: RecvReq, cat: Category) -> Bytes {
-        self.inner.wait_recv_in(req, cat)
-    }
-
-    fn test_recv(&mut self, req: &RecvReq) -> bool {
-        self.inner.test_recv(req)
-    }
-
-    fn test_send(&mut self, req: &SendReq) -> bool {
-        self.inner.test_send(req)
-    }
-
-    fn poll(&mut self) {
-        self.inner.poll();
-    }
-
-    /// Synchronize the *survivors* only. The inner barrier would wait
-    /// on dead ranks forever, so the shrunk world runs its own
-    /// epoch-stamped point-to-point dissemination: everyone checks in
-    /// with shrunk rank 0, which then releases everyone.
-    fn barrier(&mut self) {
-        self.barriers += 1;
-        let n = self.size();
-        if n <= 1 {
-            return;
-        }
-        let token = Bytes::from_static(&[0xB7]);
-        if self.rank == 0 {
-            for r in 1..n {
-                let req = self.irecv(r, BARRIER_TAG_BASE);
-                let payload = self.wait_recv_in(req, Category::Others);
-                debug_assert_eq!(payload.len(), 1);
-            }
-            for r in 1..n {
-                let req = self.isend(r, BARRIER_TAG_BASE + 1, token.clone());
-                self.wait_send_in(req, Category::Others);
-            }
-        } else {
-            let sr = self.isend(0, BARRIER_TAG_BASE, token);
-            self.wait_send_in(sr, Category::Others);
-            let rr = self.irecv(0, BARRIER_TAG_BASE + 1);
-            let payload = self.wait_recv_in(rr, Category::Others);
-            debug_assert_eq!(payload.len(), 1);
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    fn charge_duration(&mut self, d: Duration, cat: Category) {
-        self.inner.charge_duration(d, cat);
-    }
-
-    fn kernel_cost(&self, kernel: Kernel, bytes: usize) -> Duration {
-        self.inner.kernel_cost(kernel, bytes)
-    }
-
-    fn profiler(&mut self) -> &mut Profiler {
-        self.inner.profiler()
-    }
-
-    fn wait_recv_timeout_in(
-        &mut self,
-        req: RecvReq,
-        timeout: Option<Duration>,
-        cat: Category,
-    ) -> Result<Bytes, (RecvReq, CommError)> {
-        self.inner
-            .wait_recv_timeout_in(req, timeout, cat)
-            .map_err(|(r, e)| (r, self.translate_err(e)))
-    }
-
-    fn peer_alive(&mut self, rank: usize) -> bool {
-        let old = self.members[rank];
-        self.inner.peer_alive(old)
-    }
-
-    fn fault_policy(&self) -> FaultPolicy {
-        self.inner.fault_policy()
-    }
-
-    fn cancel_recv(&mut self, req: RecvReq) {
-        self.inner.cancel_recv(req);
-    }
-
-    fn abort_cleanup(&mut self) {
-        self.inner.abort_cleanup();
-    }
-
-    fn purge_stale(&mut self, keep: Tag) -> u64 {
-        // Compose the stamps: the inner backend sees this level's epoch
-        // bits OR'd onto every tag, so a nested shrink's keep-stamp
-        // must carry them too.
-        self.inner.purge_stale(keep | self.stamp)
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Cluster topology: ranks→node mapping, per-level α–β network models,
-//! and the group sub-communicator hierarchical schedules run over.
+//! Cluster topology: ranks→node mapping and per-level α–β network
+//! models.
 //!
 //! The paper's testbed — like every real cluster — is *not* a flat
 //! network: ranks on the same node exchange messages over shared memory
@@ -14,23 +14,15 @@
 //! * [`ClusterNet`] — the pair, with per-link model selection; attach
 //!   one to a [`crate::SimConfig`] and the simulator prices every
 //!   message by whether it crosses a node boundary.
-//! * [`SubComm`] — a borrowed group communicator (node-local ranks, or
-//!   the per-node leaders) over any [`Comm`]. The [`crate::ShrunkComm`]
-//!   shape without the epoch stamp: dense rank translation through a
-//!   member table, no tag rewriting — group isolation comes from
-//!   disjoint member sets and disjoint schedule-tag families.
+//!
+//! The hierarchical schedules run each phase over a member subset of
+//! this mapping (node-local ranks, or the per-node leaders) through
+//! [`crate::CommView::group`].
 
 use std::ops::Range;
 use std::time::Duration;
 
-use bytes::Bytes;
-
-use crate::chaos::{CommError, FaultPolicy};
-use crate::comm::{Comm, RecvReq, SendReq, Tag};
-use crate::cost::Kernel;
-use crate::profile::{Category, Profiler};
 use crate::sim::NetModel;
-use crate::time::SimTime;
 
 /// The ranks→node mapping of a cluster.
 ///
@@ -204,164 +196,6 @@ impl ClusterNet {
         } else {
             self.net.inter
         }
-    }
-}
-
-/// A borrowed group communicator over a subset of a world's ranks.
-///
-/// The hierarchical schedules split one [`Comm`] into node-local groups
-/// and a leader group; each phase runs an ordinary flat machine over
-/// the group through this wrapper. Group rank `i` maps to world rank
-/// `members[i]`; all methods speak group ranks.
-///
-/// Unlike [`crate::ShrunkComm`], tags pass through **unstamped**: group
-/// isolation needs no tag bits because (a) concurrent groups of one
-/// phase have disjoint member sets, so `(source, tag)` matching cannot
-/// cross groups, and (b) distinct phases of one hierarchical schedule
-/// use distinct schedule-tag families. Construction is allocation-free
-/// (the member table is borrowed from the owning plan), so a machine
-/// can rebuild its `SubComm` on every `step` call.
-pub struct SubComm<'a, C: Comm> {
-    inner: &'a mut C,
-    members: &'a [usize],
-    rank: usize,
-}
-
-impl<'a, C: Comm> SubComm<'a, C> {
-    /// Wrap `inner` as the group `members` (world ranks, strictly
-    /// ascending). The calling rank must be a member.
-    ///
-    /// # Panics
-    /// Panics when the calling rank is not in `members`.
-    pub fn new(inner: &'a mut C, members: &'a [usize]) -> Self {
-        let me = inner.rank();
-        let rank = members
-            .iter()
-            .position(|&r| r == me)
-            .expect("calling rank must be a group member");
-        SubComm {
-            inner,
-            members,
-            rank,
-        }
-    }
-
-    /// The world rank of group `rank`.
-    pub fn world_rank_of(&self, rank: usize) -> usize {
-        self.members[rank]
-    }
-
-    fn translate_err(&self, err: CommError) -> CommError {
-        let group = |world: usize| {
-            self.members
-                .iter()
-                .position(|&r| r == world)
-                .unwrap_or(world)
-        };
-        match err {
-            CommError::Timeout { src, tag, waited } => CommError::Timeout {
-                src: group(src),
-                tag,
-                waited,
-            },
-            CommError::PeerDead { peer } => CommError::PeerDead { peer: group(peer) },
-        }
-    }
-}
-
-impl<C: Comm> Comm for SubComm<'_, C> {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendReq {
-        let dst = self.members[dst];
-        self.inner.isend(dst, tag, payload)
-    }
-
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvReq {
-        let src = self.members[src];
-        self.inner.irecv(src, tag)
-    }
-
-    fn wait_send_in(&mut self, req: SendReq, cat: Category) {
-        self.inner.wait_send_in(req, cat);
-    }
-
-    fn wait_recv_in(&mut self, req: RecvReq, cat: Category) -> Bytes {
-        self.inner.wait_recv_in(req, cat)
-    }
-
-    fn test_recv(&mut self, req: &RecvReq) -> bool {
-        self.inner.test_recv(req)
-    }
-
-    fn test_send(&mut self, req: &SendReq) -> bool {
-        self.inner.test_send(req)
-    }
-
-    fn poll(&mut self) {
-        self.inner.poll();
-    }
-
-    /// Group barriers are unsupported: the hierarchical machines never
-    /// synchronize a group (phase hand-offs are point-to-point), and a
-    /// world barrier from inside a group would deadlock the other
-    /// groups.
-    fn barrier(&mut self) {
-        unreachable!("SubComm has no barrier; hierarchical phases hand off point-to-point");
-    }
-
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    fn charge_duration(&mut self, d: Duration, cat: Category) {
-        self.inner.charge_duration(d, cat);
-    }
-
-    fn kernel_cost(&self, kernel: Kernel, bytes: usize) -> Duration {
-        self.inner.kernel_cost(kernel, bytes)
-    }
-
-    fn profiler(&mut self) -> &mut Profiler {
-        self.inner.profiler()
-    }
-
-    fn wait_recv_timeout_in(
-        &mut self,
-        req: RecvReq,
-        timeout: Option<Duration>,
-        cat: Category,
-    ) -> Result<Bytes, (RecvReq, CommError)> {
-        self.inner
-            .wait_recv_timeout_in(req, timeout, cat)
-            .map_err(|(r, e)| (r, self.translate_err(e)))
-    }
-
-    fn peer_alive(&mut self, rank: usize) -> bool {
-        let world = self.members[rank];
-        self.inner.peer_alive(world)
-    }
-
-    fn fault_policy(&self) -> FaultPolicy {
-        self.inner.fault_policy()
-    }
-
-    fn cancel_recv(&mut self, req: RecvReq) {
-        self.inner.cancel_recv(req);
-    }
-
-    fn abort_cleanup(&mut self) {
-        self.inner.abort_cleanup();
-    }
-
-    fn purge_stale(&mut self, keep: Tag) -> u64 {
-        self.inner.purge_stale(keep)
     }
 }
 

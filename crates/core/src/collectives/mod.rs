@@ -72,6 +72,23 @@ pub(crate) mod tags {
     /// phases themselves reuse the per-family spaces above, isolated by
     /// disjoint member sets.
     pub const HIER: Tag = 0xF000;
+    const _: () = {
+        // The wire-tag layout, whole: schedule tags end with bit 15 (the
+        // top family sits above `ccoll_comm`'s recovery control band,
+        // 0xE000..0xF000), and every per-operation base stays clear of
+        // them and of the shrink-epoch field, at or above the floor
+        // `abort_cleanup` purges from. The views OR the three together;
+        // disjoint bits are what make that an addition.
+        use crate::plan::op_base;
+        assert!(HIER >= 0xF000 && HIER + 0xFFF < 1 << 16);
+        let (mut bits, mut slot) = (0, 0);
+        while slot < 1023 {
+            bits |= op_base(slot, 0) | op_base(slot, 1);
+            slot += 1;
+        }
+        assert!(bits & (ccoll_comm::EPOCH_FIELD | 0xFFFF) == 0);
+        assert!(op_base(0, 0) >= ccoll_comm::OP_TAG_FLOOR);
+    };
 }
 
 /// Compress `vals` directly into a recycled [`PayloadPool`] buffer with

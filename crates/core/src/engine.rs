@@ -15,9 +15,10 @@
 //! ([`ProgressEngine::progress_with`]).
 //!
 //! Concurrency is sound because every operation's wire traffic is
-//! tagged with a per-operation base (plan slot + start generation, see
-//! `op_base` in `plan.rs`), so two live operations on the same
-//! communicator can never capture each other's messages — as long as
+//! stamped with a per-operation base (plan slot + start generation, see
+//! `op_base` in `plan.rs`) by the `CommView::stamped` view its handle
+//! steps it through, so two live operations on the same communicator
+//! can never capture each other's messages — as long as
 //! every rank creates its plans, and starts operations on them, in the
 //! same order (the usual collective-call discipline, now applied to
 //! `plan_*` and `start` instead of the collective itself).

@@ -30,6 +30,15 @@
 //! rules that keep virtual time bit-identical are listed in
 //! `placement.rs`.
 //!
+//! *Which operation* a message belongs to is not spelled out either: a
+//! machine posts bare schedule tags (`tags::` family + placement band +
+//! round, all below `0x10000`) to ranks `0..size()` of whatever it is
+//! stepped on. The per-operation tag base, the hierarchical groups and
+//! the shrink epoch are [`CommView`]s around the communicator: a plan
+//! handle steps its machine through `CommView::stamped(comm, op_base)`,
+//! a two-level machine steps each leg through `CommView::group`, and a
+//! machine driven bare (ablation baselines, tests) runs at base 0.
+//!
 //! The machines hold **no heap data**: phase tags, round counters and
 //! request slots only. All buffers are borrowed from the plan's
 //! workspace at every step, so the zero-allocation steady state of the
@@ -40,7 +49,7 @@
 use std::ops::Range;
 
 use bytes::Bytes;
-use ccoll_comm::{Category, Comm, Kernel, RecvReq, SendReq, SubComm, Tag};
+use ccoll_comm::{Category, Comm, CommView, Kernel, RecvReq, SendReq, Tag};
 
 use crate::collectives::baseline::{butterfly_fold, butterfly_pos_to_rank};
 use crate::collectives::cpr_p2p::CprCodec;
@@ -166,9 +175,6 @@ pub(crate) struct SizeRing {
     k: usize,
     /// 0 = post round, 1 = await receive, 2 = retire send.
     phase: u8,
-    /// Per-operation tag base (see [`crate::session`]'s tag-space
-    /// layout); inherited from the owning machine's `with_base`.
-    base: Tag,
     wire: Wire,
 }
 
@@ -191,7 +197,7 @@ impl SizeRing {
             match self.phase {
                 0 => {
                     let send_idx = (me + n - self.k) % n;
-                    let tag = self.base + tags::SIZE_EXCHANGE + self.k as Tag;
+                    let tag = tags::SIZE_EXCHANGE + self.k as Tag;
                     let payload = pool.write(&sizes[send_idx].to_le_bytes());
                     self.wire.rreq = Some(comm.irecv(left, tag));
                     self.wire.sreq = Some(comm.isend(right, tag, payload));
@@ -240,9 +246,6 @@ pub(crate) struct RingRs {
     place: Placement,
     phase: RsPhase,
     k: usize,
-    /// Per-operation tag base; every tag this machine computes is
-    /// offset by it so concurrent operations never cross-match.
-    base: Tag,
     hop: HopCursor,
     wire: Wire,
     got: Option<Bytes>,
@@ -254,18 +257,10 @@ impl RingRs {
             place,
             phase: RsPhase::Init,
             k: 0,
-            base: 0,
             hop: HopCursor::new(),
             wire: Wire::default(),
             got: None,
         }
-    }
-
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space (see the session's tag-space layout).
-    pub(crate) fn with_base(mut self, base: Tag) -> Self {
-        self.base = base;
-        self
     }
 
     /// Fold round `k`'s received payload into its accumulator chunk.
@@ -323,7 +318,7 @@ impl RingRs {
                     let send = ws.chunk((me + 2 * n - self.k - 1) % n);
                     if let Placement::Piped(cfg) = self.place {
                         // Piped rounds have their own tag family.
-                        let tag = self.base + tags::PIPELINE + self.k as Tag;
+                        let tag = tags::PIPELINE + self.k as Tag;
                         let recv = ws.chunk((me + 2 * n - self.k - 2) % n);
                         let (acc, mut bufs) = ws.pipe();
                         let (src, dst) = split_src_dst(acc, send, recv);
@@ -339,7 +334,7 @@ impl RingRs {
                     }
                     // CPR-P2P posts the receive before it compresses
                     // (raw packing is free, so the order is moot there).
-                    let tag = self.base + tags::REDUCE_SCATTER + self.place.band() + self.k as Tag;
+                    let tag = tags::REDUCE_SCATTER + self.place.band() + self.k as Tag;
                     self.wire.rreq = Some(comm.irecv(left, tag));
                     let payload = link.pack(comm, &ws.acc[send], &mut ws.pool);
                     self.wire.sreq = Some(comm.isend(right, tag, payload));
@@ -415,9 +410,6 @@ pub(crate) struct RingAg {
     mode: AgMode,
     phase: AgPhase,
     k: usize,
-    /// Per-operation tag base; every tag this machine computes is
-    /// offset by it so concurrent operations never cross-match.
-    base: Tag,
     sizes: SizeRing,
     wire: Wire,
     got: Option<Bytes>,
@@ -429,19 +421,10 @@ impl RingAg {
             mode,
             phase: AgPhase::Init,
             k: 0,
-            base: 0,
             sizes: SizeRing::default(),
             wire: Wire::default(),
             got: None,
         }
-    }
-
-    /// Rebase every tag this machine uses (including its inner size
-    /// ring) into a per-operation tag space.
-    pub(crate) fn with_base(mut self, base: Tag) -> Self {
-        self.base = base;
-        self.sizes.base = base;
-        self
     }
 
     /// Land the own block — or, in the allreduce composition, where it
@@ -528,7 +511,7 @@ impl RingAg {
                     }
                     let send_idx = (me + n - self.k) % n;
                     let at = ws.chunk(send_idx);
-                    let tag = self.base + tags::ALLGATHER + band + self.k as Tag;
+                    let tag = tags::ALLGATHER + band + self.k as Tag;
                     let payload = match once {
                         Some(_) => ws.blobs[send_idx].clone().expect("relay block present"),
                         None => link.pack(comm, &out[at.clone()], &mut ws.pool),
@@ -633,10 +616,6 @@ pub(crate) struct Butterfly {
     pow2: usize,
     rem: usize,
     tag: Tag,
-    /// Per-operation tag base folded into `tag` at `Init`; set via
-    /// [`Butterfly::with_base`] so concurrent operations never
-    /// cross-match.
-    base: Tag,
     hop: HopCursor,
     wire: Wire,
     got: Option<Bytes>,
@@ -668,18 +647,10 @@ impl Butterfly {
             pow2: 1,
             rem: 0,
             tag: 0,
-            base: 0,
             hop: HopCursor::new(),
             wire: Wire::default(),
             got: None,
         }
-    }
-
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(mut self, base: Tag) -> Self {
-        self.base = base;
-        self
     }
 
     /// Value range covered by butterfly chunk indices `[lo, hi)`.
@@ -713,7 +684,7 @@ impl Butterfly {
                     } else {
                         tags::RECURSIVE_DOUBLING
                     };
-                    self.tag = self.base + family + self.place.band();
+                    self.tag = family + self.place.band();
                     if self.halving {
                         ws.set_partition(input.len(), pow2);
                     }
@@ -990,9 +961,6 @@ pub(crate) struct TreeReduce {
     root: usize,
     phase: TreePhase,
     mask: usize,
-    /// Per-operation tag base; folded into [`TreeReduce::tag`] so
-    /// concurrent operations never cross-match.
-    base: Tag,
     hop: HopCursor,
     wire: Wire,
 }
@@ -1004,17 +972,9 @@ impl TreeReduce {
             root,
             phase: TreePhase::Init,
             mask: 1,
-            base: 0,
             hop: HopCursor::new(),
             wire: Wire::default(),
         }
-    }
-
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(mut self, base: Tag) -> Self {
-        self.base = base;
-        self
     }
 
     /// True when this rank ended up holding the reduced result. Only
@@ -1037,7 +997,7 @@ impl TreeReduce {
         let n = comm.size();
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
-        let tag = self.base + tags::TREE_REDUCE + self.place.band();
+        let tag = tags::TREE_REDUCE + self.place.band();
         let link = self.place.link(cpr);
         loop {
             match self.phase {
@@ -1157,9 +1117,6 @@ pub(crate) struct Bcast {
     /// Sub-chunk size of the streamed shape; `None` for the raw shape.
     pipe: Option<usize>,
     root: usize,
-    /// Per-operation tag base; folded into [`Bcast::tag`] so concurrent
-    /// operations never cross-match.
-    base: Tag,
     relay: RelayCursor,
     // Raw-shape state.
     phase: BcPhase,
@@ -1174,24 +1131,12 @@ impl Bcast {
         Bcast {
             pipe,
             root,
-            base: 0,
             relay: RelayCursor::new(),
             phase: BcPhase::Init,
             mask: 1,
             wire: Wire::default(),
             payload: None,
         }
-    }
-
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(mut self, base: Tag) -> Self {
-        self.base = base;
-        self
-    }
-
-    fn tag(&self) -> Tag {
-        self.base + tags::BCAST + once_band(self.pipe.is_some())
     }
 
     /// Drive the broadcast. On the root an empty `data` means `out` is
@@ -1209,9 +1154,9 @@ impl Bcast {
     ) -> Poll {
         // The streamed shape is the compress-once one: its link carries
         // the codec.
+        let tag = tags::BCAST + once_band(self.pipe.is_some());
         if let (Some(pipe), Link::Cpr(cpr)) = (self.pipe, once_link(self.pipe.is_some(), cpr)) {
             let (_, mut bufs) = ws.pipe();
-            let tag = self.tag();
             return self
                 .relay
                 .step(comm, cpr, pipe, self.root, data, out, tag, &mut bufs, block);
@@ -1245,7 +1190,7 @@ impl Bcast {
                             self.mask <<= 1;
                         }
                         let src = (relative - self.mask + self.root) % n;
-                        self.wire.rreq = Some(comm.irecv(src, self.tag()));
+                        self.wire.rreq = Some(comm.irecv(src, tag));
                         self.phase = BcPhase::RecvWait;
                     }
                 }
@@ -1270,7 +1215,7 @@ impl Bcast {
                     if relative + self.mask < n {
                         let dst = (relative + self.mask + self.root) % n;
                         let payload = self.payload.clone().expect("broadcast payload present");
-                        self.wire.sreq = Some(comm.isend(dst, self.tag(), payload));
+                        self.wire.sreq = Some(comm.isend(dst, tag, payload));
                         self.phase = BcPhase::SendWait;
                         continue;
                     }
@@ -1313,9 +1258,6 @@ pub(crate) struct Scatter {
     phase: ScPhase,
     span: usize,
     m: usize,
-    /// Per-operation tag base; folded into [`Scatter::tag`] so
-    /// concurrent operations never cross-match.
-    base: Tag,
     wire: Wire,
 }
 
@@ -1328,20 +1270,8 @@ impl Scatter {
             phase: ScPhase::Init,
             span: 0,
             m: 0,
-            base: 0,
             wire: Wire::default(),
         }
-    }
-
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(mut self, base: Tag) -> Self {
-        self.base = base;
-        self
-    }
-
-    fn tag(&self) -> Tag {
-        self.base + tags::SCATTER + once_band(self.compressed)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1358,6 +1288,7 @@ impl Scatter {
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
         let link = once_link(self.compressed, cpr);
+        let tag = tags::SCATTER + once_band(self.compressed);
         loop {
             match self.phase {
                 ScPhase::Init => {
@@ -1396,7 +1327,7 @@ impl Scatter {
                         let src = (relative - lowbit + self.root) % n;
                         self.span = lowbit.min(n - relative);
                         self.m = lowbit / 2;
-                        self.wire.rreq = Some(comm.irecv(src, self.tag()));
+                        self.wire.rreq = Some(comm.irecv(src, tag));
                         self.phase = ScPhase::RecvWait;
                     }
                 }
@@ -1451,7 +1382,7 @@ impl Scatter {
                             held.truncate(keep_vals);
                             payload
                         };
-                        self.wire.sreq = Some(comm.isend(dst, self.tag(), payload));
+                        self.wire.sreq = Some(comm.isend(dst, tag, payload));
                         self.span = self.m;
                         self.phase = ScPhase::ForwardWait;
                         continue;
@@ -1510,9 +1441,6 @@ pub(crate) struct Gather {
     total_len: usize,
     phase: GaPhase,
     mask: usize,
-    /// Per-operation tag base; folded into [`Gather::tag`] so
-    /// concurrent operations never cross-match.
-    base: Tag,
     wire: Wire,
 }
 
@@ -1524,25 +1452,13 @@ impl Gather {
             total_len,
             phase: GaPhase::Init,
             mask: 1,
-            base: 0,
             wire: Wire::default(),
         }
-    }
-
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(mut self, base: Tag) -> Self {
-        self.base = base;
-        self
     }
 
     /// True when this rank holds the gathered buffer (root only).
     pub(crate) fn is_root(&self) -> bool {
         matches!(self.phase, GaPhase::DoneRoot)
-    }
-
-    fn tag(&self) -> Tag {
-        self.base + tags::GATHER + once_band(self.compressed)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1559,6 +1475,7 @@ impl Gather {
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
         let link = once_link(self.compressed, cpr);
+        let tag = tags::GATHER + once_band(self.compressed);
         loop {
             match self.phase {
                 GaPhase::Init => {
@@ -1598,13 +1515,13 @@ impl Gather {
                         } else {
                             values_payload(&mut ws.pool, &ws.stage)
                         };
-                        self.wire.sreq = Some(comm.isend(parent, self.tag(), payload));
+                        self.wire.sreq = Some(comm.isend(parent, tag, payload));
                         self.phase = GaPhase::SendWait;
                         continue;
                     }
                     let child_rel = relative + self.mask;
                     if child_rel < n {
-                        self.wire.rreq = Some(comm.irecv((child_rel + self.root) % n, self.tag()));
+                        self.wire.rreq = Some(comm.irecv((child_rel + self.root) % n, tag));
                         self.phase = GaPhase::RecvWait;
                         continue;
                     }
@@ -1695,9 +1612,6 @@ pub(crate) struct Alltoall {
     compressed: bool,
     phase: A2aPhase,
     i: usize,
-    /// Per-operation tag base; every tag this machine computes is
-    /// offset by it so concurrent operations never cross-match.
-    base: Tag,
     sizes: SizeRing,
     wire: Wire,
     got: Option<Bytes>,
@@ -1709,19 +1623,10 @@ impl Alltoall {
             compressed,
             phase: A2aPhase::Init,
             i: 1,
-            base: 0,
             sizes: SizeRing::default(),
             wire: Wire::default(),
             got: None,
         }
-    }
-
-    /// Rebase every tag this machine uses (including its inner size
-    /// ring) into a per-operation tag space.
-    pub(crate) fn with_base(mut self, base: Tag) -> Self {
-        self.base = base;
-        self.sizes.base = base;
-        self
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1797,8 +1702,7 @@ impl Alltoall {
                     }
                     let to = (me + self.i) % n;
                     let from = (me + n - self.i) % n;
-                    let tag =
-                        self.base + tags::ALLTOALL + once_band(self.compressed) + self.i as Tag;
+                    let tag = tags::ALLTOALL + once_band(self.compressed) + self.i as Tag;
                     let payload = if self.compressed {
                         ws.blob_list[to].clone()
                     } else {
@@ -1863,9 +1767,6 @@ pub(crate) struct BruckAg {
     /// Decode cursor (compressed overlap).
     decoded: usize,
     step_no: Tag,
-    /// Per-operation tag base; every tag this machine computes is
-    /// offset by it so concurrent operations never cross-match.
-    base: Tag,
     wire: Wire,
     got: Option<Bytes>,
 }
@@ -1878,17 +1779,9 @@ impl BruckAg {
             held: 1,
             decoded: 1,
             step_no: 0,
-            base: 0,
             wire: Wire::default(),
             got: None,
         }
-    }
-
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(mut self, base: Tag) -> Self {
-        self.base = base;
-        self
     }
 
     /// Decode every held block not yet landed in `out` (compress-once).
@@ -1956,7 +1849,7 @@ impl BruckAg {
                     let send_cnt = dist.min(n - held_now);
                     let to = (me + n - dist) % n;
                     let from = (me + dist) % n;
-                    let tag = self.base + tags::BRUCK + once_band(self.compressed) + self.step_no;
+                    let tag = tags::BRUCK + once_band(self.compressed) + self.step_no;
                     if let Link::Cpr(codec) = link {
                         let held = &ws.blob_list[..send_cnt];
                         let container = crate::wire::frame_blobs_pooled(&mut ws.pool, held);
@@ -2070,20 +1963,6 @@ impl ArMachine {
         }
     }
 
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(self, base: Tag) -> Self {
-        match self {
-            ArMachine::Ring { rs, ag, in_ag } => ArMachine::Ring {
-                rs: rs.with_base(base),
-                ag: ag.with_base(base),
-                in_ag,
-            },
-            ArMachine::Butterfly(b) => ArMachine::Butterfly(b.with_base(base)),
-            ArMachine::Hier(h) => ArMachine::Hier(h.with_base(base)),
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
@@ -2135,18 +2014,6 @@ pub(crate) enum AgPlanMachine {
     Hier(HierAg),
 }
 
-impl AgPlanMachine {
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(self, base: Tag) -> Self {
-        match self {
-            AgPlanMachine::Ring(m) => AgPlanMachine::Ring(m.with_base(base)),
-            AgPlanMachine::Bruck(m) => AgPlanMachine::Bruck(m.with_base(base)),
-            AgPlanMachine::Hier(m) => AgPlanMachine::Hier(m.with_base(base)),
-        }
-    }
-}
-
 /// The state machine behind a broadcast plan.
 #[derive(Debug)]
 pub(crate) enum BcMachine {
@@ -2158,15 +2025,6 @@ pub(crate) enum BcMachine {
 }
 
 impl BcMachine {
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(self, base: Tag) -> Self {
-        match self {
-            BcMachine::Flat(m) => BcMachine::Flat(m.with_base(base)),
-            BcMachine::Hier(m) => BcMachine::Hier(m.with_base(base)),
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
@@ -2201,25 +2059,6 @@ pub(crate) enum ReduceMachine {
     },
 }
 
-impl ReduceMachine {
-    /// Rebase every wire tag this machine will use (see `op_base` in
-    /// `plan.rs`).
-    pub(crate) fn with_base(self, base: Tag) -> Self {
-        match self {
-            ReduceMachine::Tree(m) => ReduceMachine::Tree(m.with_base(base)),
-            ReduceMachine::RsGather {
-                rs,
-                gather,
-                in_gather,
-            } => ReduceMachine::RsGather {
-                rs: rs.with_base(base),
-                gather: gather.with_base(base),
-                in_gather,
-            },
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Two-level (hierarchical) schedules.
 // ---------------------------------------------------------------------------
@@ -2227,7 +2066,7 @@ impl ReduceMachine {
 /// The communicator split a hierarchical plan runs over. Built once,
 /// at the plan's first `start`, from the session's
 /// [`ccoll_comm::Topology`]; every phase borrows these member tables to
-/// form ephemeral [`SubComm`] views, so steady-state steps never
+/// form ephemeral [`CommView::group`] views, so steady-state steps never
 /// allocate.
 ///
 /// Each node's ranks are cut into `lanes` contiguous *groups* (the
@@ -2318,7 +2157,7 @@ enum HierPhase {
 }
 
 /// The leg a laned allreduce is in, with that leg's machine: one runs
-/// at a time, built (on the operation's tag base) when its leg begins.
+/// at a time, built when its leg begins.
 #[derive(Debug)]
 enum LaneLeg {
     GroupReduce(TreeReduce),
@@ -2345,14 +2184,13 @@ enum LaneLeg {
 /// `L = 1` is the single-leader schedule (phases 2 and 4 have one
 /// member and are skipped); `L =` node size is reduce-scatter-first
 /// (phases 1 and 5 are skipped); every `L` moves the same bytes. Every
-/// leg is an existing machine over a [`SubComm`] view; tag families
+/// leg is an existing machine over a [`CommView::group`] view; tag families
 /// stay disjoint (`TREE_REDUCE` / `REDUCE_SCATTER` /
 /// `RABENSEIFNER` / `ALLGATHER` / `BCAST`) and concurrent groups of one
 /// phase have disjoint member sets.
 #[derive(Debug)]
 pub(crate) struct HierAr {
     place: Placement,
-    base: Tag,
     leg: LaneLeg,
 }
 
@@ -2362,18 +2200,7 @@ impl HierAr {
     pub(crate) fn new(place: Placement) -> Self {
         HierAr {
             place,
-            base: 0,
             leg: LaneLeg::GroupReduce(TreeReduce::new(Placement::Raw, 0)),
-        }
-    }
-
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(self, base: Tag) -> Self {
-        HierAr {
-            base,
-            leg: LaneLeg::GroupReduce(TreeReduce::new(Placement::Raw, 0).with_base(base)),
-            ..self
         }
     }
 
@@ -2412,7 +2239,7 @@ impl HierAr {
                     if grouped {
                         let mut hier = std::mem::take(&mut ws.hier);
                         let result = if owner { &mut hier[..d] } else { &mut [][..] };
-                        let mut sub = SubComm::new(comm, &groups.group);
+                        let mut sub = CommView::group(comm, &groups.group);
                         let r = tree.step(&mut sub, None, inner, input, result, ws, block);
                         ws.hier = hier;
                         if r == Poll::Pending {
@@ -2420,9 +2247,9 @@ impl HierAr {
                         }
                     }
                     self.leg = if owner {
-                        LaneLeg::NodeRs(RingRs::new(Placement::Raw).with_base(self.base))
+                        LaneLeg::NodeRs(RingRs::new(Placement::Raw))
                     } else {
-                        LaneLeg::GroupBcast(Bcast::new(None, 0).with_base(self.base))
+                        LaneLeg::GroupBcast(Bcast::new(None, 0))
                     };
                 }
                 LaneLeg::NodeRs(scatter) => {
@@ -2430,15 +2257,14 @@ impl HierAr {
                         let mut hier = std::mem::take(&mut ws.hier);
                         let (tree, chunk) = hier.split_at_mut(tree_len);
                         let src = if grouped { &*tree } else { input };
-                        let mut sub = SubComm::new(comm, &groups.owners);
+                        let mut sub = CommView::group(comm, &groups.owners);
                         let r = scatter.step(&mut sub, None, inner, src, chunk, ws, block);
                         ws.hier = hier;
                         if r == Poll::Pending {
                             return Poll::Pending;
                         }
                     }
-                    self.leg =
-                        LaneLeg::Inter(Butterfly::rabenseifner(self.place).with_base(self.base));
+                    self.leg = LaneLeg::Inter(Butterfly::rabenseifner(self.place));
                 }
                 LaneLeg::Inter(inter) => {
                     let hier = std::mem::take(&mut ws.hier);
@@ -2450,30 +2276,30 @@ impl HierAr {
                     } else {
                         input
                     };
-                    let mut sub = SubComm::new(comm, &groups.lane_peers);
+                    let mut sub = CommView::group(comm, &groups.lane_peers);
                     let dst = &mut out[lane.clone()];
                     let r = inter.step(&mut sub, cpr, inner, src, dst, ws, block);
                     ws.hier = hier;
                     if r == Poll::Pending {
                         return Poll::Pending;
                     }
-                    self.leg = LaneLeg::NodeAg(RingAg::new(AgMode::Raw).with_base(self.base));
+                    self.leg = LaneLeg::NodeAg(RingAg::new(AgMode::Raw));
                 }
                 LaneLeg::NodeAg(gather) => {
                     if lanes > 1 {
                         // The butterfly cached its own partition; the
                         // allgather reads the lanes' back out.
                         ws.set_partition(d, lanes);
-                        let mut sub = SubComm::new(comm, &groups.owners);
+                        let mut sub = CommView::group(comm, &groups.owners);
                         if gather.step(&mut sub, None, None, out, ws, block) == Poll::Pending {
                             return Poll::Pending;
                         }
                     }
-                    self.leg = LaneLeg::GroupBcast(Bcast::new(None, 0).with_base(self.base));
+                    self.leg = LaneLeg::GroupBcast(Bcast::new(None, 0));
                 }
                 LaneLeg::GroupBcast(fanout) => {
                     if grouped {
-                        let mut sub = SubComm::new(comm, &groups.group);
+                        let mut sub = CommView::group(comm, &groups.group);
                         if fanout.step(&mut sub, None, &[], out, ws, block) == Poll::Pending {
                             return Poll::Pending;
                         }
@@ -2516,17 +2342,6 @@ impl HierAg {
         }
     }
 
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(self, base: Tag) -> Self {
-        HierAg {
-            phase: self.phase,
-            local: self.local.with_base(base),
-            inter: self.inter.with_base(base),
-            fanout: self.fanout.with_base(base),
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
@@ -2544,7 +2359,7 @@ impl HierAg {
                 HierPhase::Local => {
                     let mut hier = std::mem::take(&mut ws.hier);
                     hier.resize(groups.node_counts[groups.node], 0.0);
-                    let mut sub = SubComm::new(comm, &groups.group);
+                    let mut sub = CommView::group(comm, &groups.group);
                     let r = self.local.step(&mut sub, None, mine, &mut hier, ws, block);
                     ws.hier = hier;
                     match r {
@@ -2563,7 +2378,7 @@ impl HierAg {
                 }
                 HierPhase::Inter => {
                     let hier = std::mem::take(&mut ws.hier);
-                    let mut sub = SubComm::new(comm, &groups.lane_peers);
+                    let mut sub = CommView::group(comm, &groups.lane_peers);
                     let r = self.inter.step(&mut sub, cpr, Some(&hier), out, ws, block);
                     ws.hier = hier;
                     match r {
@@ -2572,7 +2387,7 @@ impl HierAg {
                     }
                 }
                 HierPhase::Fanout => {
-                    let mut sub = SubComm::new(comm, &groups.group);
+                    let mut sub = CommView::group(comm, &groups.group);
                     match self.fanout.step(&mut sub, None, &[], out, ws, block) {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready => self.phase = HierPhase::Final,
@@ -2601,7 +2416,6 @@ pub(crate) struct HierBc {
     root_node: usize,
     inter: Bcast,
     fanout: Bcast,
-    base: Tag,
     wire: Wire,
 }
 
@@ -2616,19 +2430,7 @@ impl HierBc {
             root_node,
             inter: Bcast::new(pipe, root_node),
             fanout: Bcast::new(None, 0),
-            base: 0,
             wire: Wire::default(),
-        }
-    }
-
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(self, base: Tag) -> Self {
-        HierBc {
-            inter: self.inter.with_base(base),
-            fanout: self.fanout.with_base(base),
-            base,
-            ..self
         }
     }
 
@@ -2654,7 +2456,7 @@ impl HierBc {
                         self.phase = HierPhase::Inter;
                         continue;
                     }
-                    let tag = self.base + tags::HIER;
+                    let tag = tags::HIER;
                     if me == self.root {
                         if self.wire.sreq.is_none() {
                             let payload = values_payload(&mut ws.pool, data);
@@ -2690,7 +2492,7 @@ impl HierBc {
                     } else {
                         &hier
                     };
-                    let mut sub = SubComm::new(comm, &groups.lane_peers);
+                    let mut sub = CommView::group(comm, &groups.lane_peers);
                     let r = self.inter.step(&mut sub, cpr, src, out, ws, block);
                     ws.hier = hier;
                     match r {
@@ -2701,7 +2503,7 @@ impl HierBc {
                 // Raw fan-out within the node; the leader's `out` is
                 // pre-filled, so the empty-source form applies.
                 HierPhase::Fanout => {
-                    let mut sub = SubComm::new(comm, &groups.group);
+                    let mut sub = CommView::group(comm, &groups.group);
                     match self.fanout.step(&mut sub, None, &[], out, ws, block) {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready => self.phase = HierPhase::Final,
@@ -2750,9 +2552,6 @@ pub(crate) struct BruckA2a {
     v: usize,
     /// Round ordinal, for per-round tags.
     round_no: Tag,
-    /// Per-operation tag base; every tag this machine computes is
-    /// offset by it so concurrent operations never cross-match.
-    base: Tag,
     wire: Wire,
     got: Option<Bytes>,
 }
@@ -2764,24 +2563,16 @@ impl BruckA2a {
             phase: BkA2aPhase::Init,
             v: 1,
             round_no: 0,
-            base: 0,
             wire: Wire::default(),
             got: None,
         }
-    }
-
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(mut self, base: Tag) -> Self {
-        self.base = base;
-        self
     }
 
     /// Round tags live in the `BRUCK + 0x400` (raw) / `+ 0x600`
     /// (compress-once) sub-bands, disjoint from the Bruck allgather's
     /// `+ step` and `+ 0xC00 + step` bands.
     fn tag(&self) -> Tag {
-        self.base + tags::BRUCK + if self.compressed { 0x600 } else { 0x400 } + self.round_no
+        tags::BRUCK + if self.compressed { 0x600 } else { 0x400 } + self.round_no
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2941,15 +2732,6 @@ pub(crate) enum A2aMachine {
 }
 
 impl A2aMachine {
-    /// Rebase every tag this machine uses into a per-operation tag
-    /// space.
-    pub(crate) fn with_base(self, base: Tag) -> Self {
-        match self {
-            A2aMachine::Pairwise(m) => A2aMachine::Pairwise(m.with_base(base)),
-            A2aMachine::Bruck(m) => A2aMachine::Bruck(m.with_base(base)),
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,

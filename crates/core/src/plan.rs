@@ -22,8 +22,10 @@
 //!   fields `K`.
 //! * [`Handle<'p, 'b, K>`](Handle) is one in-flight operation: it
 //!   borrows its plan exclusively (one outstanding operation per plan)
-//!   and owns the kind's machine. Its single `Drop` poisons a plan whose
-//!   operation was abandoned mid-flight.
+//!   and owns the kind's machine, stepping it through a view that
+//!   stamps the operation's tag base (`op_base`) on its bare schedule
+//!   tags. Its single `Drop` poisons a plan whose operation was
+//!   abandoned mid-flight.
 //! * A collective kind ([`Allreduce`] … [`Reduce`]) supplies only what is
 //!   specific to it, through a crate-internal trait: its buffer-shape
 //!   checks, its machine constructor, one `step`, how it re-plans for a
@@ -45,7 +47,8 @@ use std::sync::atomic::Ordering;
 
 use bytes::Bytes;
 use ccoll_comm::{
-    Category, Comm, CommError, FaultCounters, PayloadPool, Schedule, SimTime, Tag, Topology,
+    Category, Comm, CommError, CommView, FaultCounters, PayloadPool, Schedule, SimTime, Tag,
+    Topology,
 };
 
 use crate::algorithm::{allreduce_schedule, Algorithm, AllreduceVariant, PlanOptions, SelectCtx};
@@ -125,9 +128,11 @@ impl PlanCore {
 /// The per-operation tag base: plan slot bits (22..32, `% 1023 + 1` so a
 /// plan's traffic never lands on the base-0 space the free-function
 /// baselines use) OR'd with a generation bit (16, the plan's start
-/// counter `% 2`). Every schedule tag is `< 0x10000`, so adding a base
-/// keeps two live operations' wire tags disjoint when their (slot,
-/// generation) pairs differ.
+/// counter `% 2`). No machine sees it: [`Handle::drive`] steps the
+/// machine through `CommView::stamped(comm, base)`, which ORs the base
+/// into every schedule tag (`< 0x10000`; disjoint bits, asserted in
+/// `collectives::tags`), so two live operations' wire tags differ when
+/// their (slot, generation) pairs do.
 ///
 /// Slots separate *different* plans, whose operations may be
 /// simultaneously in flight under a progress engine. The generation
@@ -141,7 +146,7 @@ impl PlanCore {
 /// enough, and the tag working set stays at two generations per plan
 /// (the simulator's tag-keyed tables go warm after two executions,
 /// preserving the zero-allocation steady state).
-fn op_base(slot: u32, op_seq: u32) -> Tag {
+pub(crate) const fn op_base(slot: u32, op_seq: u32) -> Tag {
     ((slot % 1023 + 1) << 22) | ((op_seq % 2) << 16)
 }
 
@@ -297,10 +302,10 @@ fn maybe_rerank<C: Comm>(
     }
     let algorithm = if !*reranked {
         *reranked = true;
-        let local = core.session.feedback.ratio().unwrap_or(0.0);
-        let tag = op_base(core.slot, core.op_seq) + tags::AGREE_RERANK;
+        let local = [core.session.feedback.ratio().unwrap_or(0.0)];
+        let view = &mut CommView::stamped(comm, op_base(core.slot, core.op_seq));
         let topo = core.session.cluster().map(|c| &c.topo);
-        let [ratio] = agree_min(comm, topo, tag, [local], &mut core.ws.pool);
+        let [ratio] = agree_min(view, topo, tags::AGREE_RERANK, local, &mut core.ws.pool);
         select(core.session.select_ctx_with_ratio(ratio?))
     } else {
         let (schedule, len) = calibrated?;
@@ -352,9 +357,10 @@ fn calibrate<C: Comm>(
     let measured = core.stats.ewma_makespan.as_secs_f64();
     let r_local = ((measured - floor) / (pred - floor)).max(0.0);
     let local_ratio = core.session.feedback.ratio().unwrap_or(0.0);
-    let tag = op_base(core.slot, core.op_seq) + tags::AGREE_CALIB;
+    let view = &mut CommView::stamped(comm, op_base(core.slot, core.op_seq));
     let topo = core.session.cluster().map(|c| &c.topo);
-    let [r, ratio] = agree_min(comm, topo, tag, [r_local, local_ratio], &mut core.ws.pool);
+    let local = [r_local, local_ratio];
+    let [r, ratio] = agree_min(view, topo, tags::AGREE_CALIB, local, &mut core.ws.pool);
     // `None`: some rank's measured makespan sits below its compute
     // floor — no trustworthy network signal this round.
     let r = r?;
@@ -439,10 +445,11 @@ pub(crate) trait Kind: Completes + Sized {
         1
     }
 
-    /// The resolved schedule's machine for one operation on `rank`, its
-    /// tags rebased to `base`; also readies whatever per-operation state
-    /// the machine reads out of the workspace.
-    fn machine(&mut self, core: &mut PlanCore, rank: usize, base: Tag) -> Self::Machine;
+    /// The resolved schedule's machine for one operation on `rank` (its
+    /// tags are bare: the handle stamps them, see [`op_base`]); also
+    /// readies whatever per-operation state the machine reads out of the
+    /// workspace.
+    fn machine(&mut self, core: &mut PlanCore, rank: usize) -> Self::Machine;
 
     /// Advance `machine` (blocking on incomplete transfers iff `block`).
     fn step<C: Comm>(
@@ -493,6 +500,8 @@ pub struct Handle<'p, 'b, K: Kind> {
     out: &'b mut [f32],
     t0: SimTime,
     c0: FaultCounters,
+    /// The operation's [`op_base`]; `drive` stamps it onto every message.
+    stamp: Tag,
     machine: K::Machine,
     done: bool,
 }
@@ -667,8 +676,10 @@ impl<K: Kind> Plan<K> {
             .fetch_add(1, Ordering::Relaxed);
         let t0 = comm.now();
         let c0 = comm.profiler().fault_counters();
-        let machine = kind.machine(core, rank, op_base(core.slot, core.op_seq));
+        let stamp = op_base(core.slot, core.op_seq);
+        let machine = kind.machine(core, rank);
         Handle {
+            stamp,
             machine,
             plan: self,
             input,
@@ -772,7 +783,8 @@ impl<K: Kind> Handle<'_, '_, K> {
         if self.done {
             return Ok(Poll::Ready);
         }
-        match kind.step(core, &mut self.machine, comm, self.input, self.out, block) {
+        let view = &mut CommView::stamped(comm, self.stamp);
+        match kind.step(core, &mut self.machine, view, self.input, self.out, block) {
             Poll::Ready => {
                 core.finish(comm, self.t0, self.c0);
                 self.done = true;
@@ -1014,14 +1026,14 @@ impl Kind for Allreduce {
 
     /// ND — CPR-P2P reduce-scatter + compress-once allgather — serves as
     /// the ring fallback for codecs without an error bound.
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize, base: Tag) -> ArMachine {
+    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> ArMachine {
         let compressed = core.session.cpr.is_some();
         // Piped for an error-bounded codec; a codec without a bound
         // (ZFP-FXR) cannot drive the SZx pipeline and runs its reducing
         // hops as monolithic CPR — on the ring that is ND.
         let place = core.session.placement();
         let once = AgMode::Compressed { overlap: true };
-        let machine = match (core.algorithm, compressed) {
+        match (core.algorithm, compressed) {
             (Algorithm::RecursiveDoubling, false) => {
                 ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Raw))
             }
@@ -1040,8 +1052,7 @@ impl Kind for Allreduce {
                 AllreduceVariant::NovelDesign => ArMachine::ring(Placement::Cpr, once),
                 AllreduceVariant::Overlapped => ArMachine::ring(place, once),
             },
-        };
-        machine.with_base(base)
+        }
     }
 
     fn step<C: Comm>(
@@ -1169,12 +1180,12 @@ impl Kind for Allgather {
         self.counts[rank]
     }
 
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize, base: Tag) -> AgPlanMachine {
+    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> AgPlanMachine {
         // The ring machines read the partition from the workspace; the
         // Bruck machine re-caches it from the counts it is handed.
         core.ws.set_partition_from_counts(&self.counts);
         let compressed = core.session.cpr.is_some();
-        let machine = match (core.algorithm, compressed) {
+        match (core.algorithm, compressed) {
             (Algorithm::Bruck, c) => AgPlanMachine::Bruck(BruckAg::new(c)),
             (Algorithm::Hierarchical, c) => {
                 let groups = core
@@ -1190,8 +1201,7 @@ impl Kind for Allgather {
             }
             (_, true) => AgPlanMachine::Ring(RingAg::new(AgMode::Compressed { overlap: true })),
             (_, false) => AgPlanMachine::Ring(RingAg::new(AgMode::Raw)),
-        };
-        machine.with_base(base)
+        }
     }
 
     fn step<C: Comm>(
@@ -1272,8 +1282,8 @@ impl Kind for ReduceScatter {
         self.counts[rank]
     }
 
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize, base: Tag) -> RingRs {
-        RingRs::new(core.session.placement()).with_base(base)
+    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> RingRs {
+        RingRs::new(core.session.placement())
     }
 
     fn step<C: Comm>(
@@ -1337,7 +1347,7 @@ impl Kind for Bcast {
         self.len
     }
 
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize, base: Tag) -> BcMachine {
+    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> BcMachine {
         // A session with a codec streams the payload in its PIPE
         // sub-chunks; without one the tree relays one raw message.
         let pipe = core
@@ -1345,13 +1355,12 @@ impl Kind for Bcast {
             .cpr
             .is_some()
             .then_some(core.session.pipe_values());
-        let machine = match core.algorithm {
+        match core.algorithm {
             Algorithm::Hierarchical => {
                 BcMachine::Hier(HierBc::new(pipe, self.root, self.root_node))
             }
             _ => BcMachine::Flat(nb::Bcast::new(pipe, self.root)),
-        };
-        machine.with_base(base)
+        }
     }
 
     fn step<C: Comm>(
@@ -1421,8 +1430,8 @@ impl Kind for Scatter {
         self.counts[rank]
     }
 
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize, base: Tag) -> nb::Scatter {
-        nb::Scatter::new(core.session.cpr.is_some(), self.root, self.total_len).with_base(base)
+    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> nb::Scatter {
+        nb::Scatter::new(core.session.cpr.is_some(), self.root, self.total_len)
     }
 
     fn step<C: Comm>(
@@ -1488,8 +1497,8 @@ impl Kind for Gather {
         }
     }
 
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize, base: Tag) -> nb::Gather {
-        nb::Gather::new(core.session.cpr.is_some(), self.root, self.total_len).with_base(base)
+    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> nb::Gather {
+        nb::Gather::new(core.session.cpr.is_some(), self.root, self.total_len)
     }
 
     fn step<C: Comm>(
@@ -1547,13 +1556,12 @@ impl Kind for Alltoall {
         self.len
     }
 
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize, base: Tag) -> A2aMachine {
+    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> A2aMachine {
         let compressed = core.session.cpr.is_some();
-        let machine = match core.algorithm {
+        match core.algorithm {
             Algorithm::Bruck => A2aMachine::Bruck(BruckA2a::new(compressed)),
             _ => A2aMachine::Pairwise(nb::Alltoall::new(compressed)),
-        };
-        machine.with_base(base)
+        }
     }
 
     fn step<C: Comm>(
@@ -1650,10 +1658,10 @@ impl Kind for Reduce {
         }
     }
 
-    fn machine(&mut self, core: &mut PlanCore, rank: usize, base: Tag) -> ReduceMachine {
+    fn machine(&mut self, core: &mut PlanCore, rank: usize) -> ReduceMachine {
         let session = &core.session;
         let compressed = session.cpr.is_some();
-        let machine = match &mut self.rs {
+        match &mut self.rs {
             Some(stage) => {
                 // `resize` shrinks as well as grows, keeping the buffer
                 // exact without reallocating once its capacity is warm.
@@ -1667,8 +1675,7 @@ impl Kind for Reduce {
             // Error-bounded codecs stream every tree hop through the
             // sub-chunk pipeline with fused reduction.
             None => ReduceMachine::Tree(TreeReduce::new(session.placement(), self.root)),
-        };
-        machine.with_base(base)
+        }
     }
 
     fn step<C: Comm>(
@@ -1860,6 +1867,53 @@ mod tests {
             out.makespan
         );
         assert!(out.results.iter().all(|got| *got == expected(256, 1)));
+    }
+
+    /// Two raw ring allreduces (a bare `RingRs` + `RingAg` each) on one
+    /// communicator: one blocking run after the other without `stamps`;
+    /// with them, stepped turn and turn about, each through its own
+    /// stamped view — odd ranks in reverse order, so equal stamps would
+    /// cross-match.
+    fn two_ring_allreduces<C: Comm>(comm: &mut C, stamps: Option<[Tag; 2]>) -> [Vec<f32>; 2] {
+        let rank = comm.rank();
+        let mut ops = [0, 1].map(|which| {
+            // Integer-valued, so the sums are exact.
+            let value = |i: usize| ((i * (which + 2) + rank * 31) % 97) as f32;
+            let input: Vec<f32> = (0..1003).map(value).collect();
+            let machine = ArMachine::ring(Placement::Raw, AgMode::Raw);
+            (machine, input, vec![0.0f32; 1003], CollWorkspace::new())
+        });
+        let flip = stamps.is_some() && rank % 2 == 1;
+        let mut done = [false; 2];
+        while done != [true; 2] {
+            for which in if flip { [1, 0] } else { [0, 1] } {
+                let (machine, input, out, ws) = &mut ops[which];
+                let mut view = CommView::stamped(comm, stamps.map_or(0, |s| s[which]));
+                let block = stamps.is_none();
+                let poll =
+                    machine.step(&mut view, None, ReduceOp::Sum, None, input, out, ws, block);
+                done[which] = poll.is_ready();
+                // Let the other ranks run before the next poll.
+                comm.charge_duration(Duration::from_micros(1), Category::Others);
+            }
+        }
+        ops.map(|(_, _, out, _)| out)
+    }
+
+    /// The isolation [`Handle::drive`] gets from its stamped view, stated
+    /// without a plan.
+    #[test]
+    fn stamped_views_isolate_bare_machines_on_one_communicator() {
+        let stamps = Some([op_base(0, 1), op_base(1, 0)]);
+        for n in [4, 5] {
+            let world = SimWorld::new(SimConfig::new(n));
+            let apart = world.run(|c| two_ring_allreduces(c, None)).results;
+            let together = world.run(move |c| two_ring_allreduces(c, stamps));
+            assert_eq!(together.undelivered_total(), 0);
+            assert_eq!(together.results, apart, "sim, {n} ranks");
+            let together = ThreadWorld::new(n).run(move |c| two_ring_allreduces(c, stamps));
+            assert_eq!(together.results, apart, "threaded, {n} ranks");
+        }
     }
 
     #[test]

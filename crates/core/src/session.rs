@@ -49,8 +49,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ccoll_comm::{
-    agree_on_failures, ClusterNet, Comm, CommError, CostModel, DeadSet, FaultCounters, HierNet,
-    NetModel, PayloadPool, ShrunkComm, Topology,
+    agree_on_failures, ClusterNet, Comm, CommError, CommView, CostModel, DeadSet, FaultCounters,
+    HierNet, NetModel, PayloadPool, Topology,
 };
 
 use crate::algorithm::{reject_unsupported, Algorithm, AllreduceVariant, PlanOptions, SelectCtx};
@@ -121,7 +121,7 @@ pub struct CCollSession {
     next_slot: Cell<u32>,
     /// Shrink epoch: 0 for a freshly created session, incremented by
     /// each [`CCollSession::recover`]. Stamped into every wire tag by
-    /// the [`ShrunkComm`] the recovery hands out, so pre-shrink traffic
+    /// the [`CommView::shrunk`] view the recovery hands out, so pre-shrink traffic
     /// can never match post-shrink receives.
     epoch: u32,
 }
@@ -500,7 +500,7 @@ impl CCollSession {
     /// session planned for the survivors (sharing this session's
     /// measured-performance feedback, so statistics carry across the
     /// shrink) plus the dead-set/epoch needed to build the
-    /// [`ShrunkComm`] every post-recovery operation runs on.
+    /// [`CommView::shrunk`] view every post-recovery operation runs on.
     ///
     /// `suspects` seeds the agreement with the ranks this rank already
     /// observed dead (the peers named by [`CommError::PeerDead`] from
@@ -1423,11 +1423,8 @@ impl Recovery {
     /// Returns [`CollectiveError::Comm`] with
     /// [`CommError::PeerDead`] naming this rank if it is in the agreed
     /// dead-set.
-    pub fn comm<'a, C: Comm>(
-        &self,
-        inner: &'a mut C,
-    ) -> Result<ShrunkComm<'a, C>, CollectiveError> {
-        let sc = ShrunkComm::new(inner, self.dead, self.epoch).map_err(CollectiveError::Comm)?;
+    pub fn comm<'a, C: Comm>(&self, inner: &'a mut C) -> Result<CommView<'a, C>, CollectiveError> {
+        let sc = CommView::shrunk(inner, self.dead, self.epoch).map_err(CollectiveError::Comm)?;
         self.session
             .feedback
             .stale_discarded

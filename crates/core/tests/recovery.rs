@@ -225,7 +225,7 @@ fn recovery_revives_every_recovered_plan_type() {
 fn forced_second_shrink_nests_epochs() {
     // Two recovery levels: a real kill, then a forced restart-only
     // agreement on the already-shrunk world (dead-set stays empty, the
-    // epoch advances again). The nested `ShrunkComm<ShrunkComm<_>>`
+    // epoch advances again). The nested `CommView<CommView<_>>`
     // composes epoch stamps, so the final run must still be exact.
     let world = 5;
     let len = 40;
