@@ -66,7 +66,12 @@
 //!    [`Compressor::decompress_into`] encode/decode straight into
 //!    caller-owned [`CodecScratch`] buffers; once warmed, steady-state
 //!    round trips perform zero heap allocations (pinned by a
-//!    counting-allocator test).
+//!    counting-allocator test). [`Compressor::decompress_to`] decodes
+//!    into a caller's slice and
+//!    [`Compressor::decompress_reduce_from`] folds a stream onto a
+//!    source into a destination (`dst = fold(src, decoded)`), so a
+//!    consumer that knows where the values belong never decodes into a
+//!    scratch and copies.
 //! 3. **Branch-free block analysis** — SZx classifies blocks with
 //!    accumulator-style flag passes (no early exits inside loops), and
 //!    packs two codes per staging word.

@@ -130,6 +130,33 @@ fn read_varint(r: &mut ByteReader<'_>) -> Result<u64, CompressError> {
     }
 }
 
+/// Parse a stream header: the value count and a reader over the planes.
+fn open(stream: &[u8]) -> Result<(usize, ByteReader<'_>), CompressError> {
+    let mut r = ByteReader::new(stream);
+    if r.read_u32()? != LOSSLESS_MAGIC {
+        return Err(CompressError::BadMagic);
+    }
+    Ok((r.read_u64()? as usize, r))
+}
+
+/// Decode the four byte planes through one reusable buffer, scattering
+/// each plane's bytes into the zeroed values of `out` in place.
+fn decode_planes(r: &mut ByteReader<'_>, out: &mut [f32]) -> Result<(), CompressError> {
+    let n = out.len();
+    let mut plane = Vec::with_capacity(n);
+    for p in 0..4 {
+        let plen = r.read_u64()? as usize;
+        let body = r.read_slice(plen)?;
+        let mut pr = ByteReader::new(body);
+        plane.clear();
+        decode_plane(&mut pr, n, &mut plane)?;
+        for (v, &byte) in out.iter_mut().zip(&plane) {
+            *v = f32::from_bits(v.to_bits() | (byte as u32) << (8 * p));
+        }
+    }
+    Ok(())
+}
+
 impl Compressor for LosslessCodec {
     fn compress(&self, data: &[f32]) -> Result<Vec<u8>, CompressError> {
         let mut out = Vec::with_capacity(12 + data.len());
@@ -166,27 +193,24 @@ impl Compressor for LosslessCodec {
     }
 
     fn decompress_into(&self, stream: &[u8], out: &mut Vec<f32>) -> Result<(), CompressError> {
-        let mut r = ByteReader::new(stream);
-        if r.read_u32()? != LOSSLESS_MAGIC {
-            return Err(CompressError::BadMagic);
-        }
-        let n = r.read_u64()? as usize;
+        let (n, mut r) = open(stream)?;
         out.clear();
         out.resize(n, 0.0);
-        // Decode each plane through one reusable buffer, scattering its
-        // bytes into the output values in place.
-        let mut plane = Vec::with_capacity(n);
-        for p in 0..4 {
-            let plen = r.read_u64()? as usize;
-            let body = r.read_slice(plen)?;
-            let mut pr = ByteReader::new(body);
-            plane.clear();
-            decode_plane(&mut pr, n, &mut plane)?;
-            for (v, &byte) in out.iter_mut().zip(&plane) {
-                *v = f32::from_bits(v.to_bits() | (byte as u32) << (8 * p));
-            }
+        decode_planes(&mut r, out)
+    }
+
+    fn decompress_to(
+        &self,
+        stream: &[u8],
+        dst: &mut [f32],
+        _scratch: &mut Vec<f32>,
+    ) -> Result<(), CompressError> {
+        let (n, mut r) = open(stream)?;
+        if n != dst.len() {
+            return Err(CompressError::LengthMismatch);
         }
-        Ok(())
+        dst.fill(0.0);
+        decode_planes(&mut r, dst)
     }
 
     fn kind(&self) -> CodecKind {

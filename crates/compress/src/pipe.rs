@@ -32,11 +32,13 @@
 //! payload chunk 0 ‖ chunk 1 ‖ …   (each byte-aligned)
 //! ```
 
+use std::ops::Range;
+
 use crate::bitstream::{BitReader, BitWriter};
 use crate::bytecodec::{patch_u32, put_f32, put_u16, put_u32, put_u64, ByteReader};
 use crate::dispatch::{self, SimdLevel};
 use crate::szx::{
-    decode_blocks_into, decode_blocks_reduce, encode_blocks, worst_case_body_bytes, BlockScratch,
+    decode_blocks, decode_blocks_into, encode_blocks, worst_case_body_bytes, BlockScratch, Land,
     DEFAULT_BLOCK, MAX_BLOCK,
 };
 use crate::traits::{CodecKind, CompressError, Compressor, ReduceKind};
@@ -208,40 +210,52 @@ impl PipeSzx {
         mut progress: impl FnMut(),
         out: &mut Vec<f32>,
     ) -> Result<(), CompressError> {
-        let mut r = ByteReader::new(stream);
-        if r.read_u32()? != PIPE_MAGIC {
-            return Err(CompressError::BadMagic);
-        }
-        let count = r.read_u64()? as usize;
-        let chunk = r.read_u32()? as usize;
-        let block_size = r.read_u16()? as usize;
-        let eb = r.read_f32()?;
-        let nchunks = r.read_u32()? as usize;
-        if chunk == 0 || !(1..=MAX_BLOCK).contains(&block_size) || !(eb.is_finite() && eb > 0.0) {
-            return Err(CompressError::CorruptHeader);
-        }
-        if nchunks != count.div_ceil(chunk) {
-            return Err(CompressError::CorruptHeader);
-        }
-        // The index is consumed in place — no sizes vector.
-        let mut sizes = r.clone();
-        r.read_slice(nchunks * 4)?;
+        let mut s = PipeStream::open(stream)?;
         out.clear();
-        out.reserve(count);
+        out.reserve(s.count);
         let k = dispatch::kernels(self.dispatch);
         let mut scratch = BlockScratch::new();
-        // The chunk-starting-location pointer the paper describes: advance
-        // through the payload using the recorded sizes.
-        for i in 0..nchunks {
-            let size = sizes.read_u32()? as usize;
-            let payload = r.read_slice(size)?;
-            let want = chunk.min(count - i * chunk);
+        for _ in 0..s.nchunks {
+            let (want, payload) = s.next_chunk()?;
             let mut bits = BitReader::new(payload);
-            decode_blocks_into(&mut bits, want, eb, block_size, k, &mut scratch, out)?;
+            decode_blocks_into(
+                &mut bits,
+                want.len(),
+                s.eb,
+                s.block_size,
+                k,
+                &mut scratch,
+                out,
+            )?;
             progress();
         }
-        if out.len() != count {
+        if out.len() != s.count {
             return Err(CompressError::CorruptHeader);
+        }
+        Ok(())
+    }
+
+    /// Decode a whole stream into `dst` the way `land` says, chunk by
+    /// chunk.
+    fn decode_slice(
+        &self,
+        stream: &[u8],
+        land: Land<'_>,
+        dst: &mut [f32],
+    ) -> Result<(), CompressError> {
+        let mut s = PipeStream::open(stream)?;
+        land.check_count(s.count, dst.len())?;
+        let (eb, bs) = (s.eb, s.block_size);
+        let k = dispatch::kernels(self.dispatch);
+        let mut scratch = BlockScratch::new();
+        for _ in 0..s.nchunks {
+            let (at, payload) = s.next_chunk()?;
+            let land = match land {
+                Land::FoldFrom(op, src) => Land::FoldFrom(op, &src[at.clone()]),
+                whole => whole,
+            };
+            let mut bits = BitReader::new(payload);
+            decode_blocks(&mut bits, land, eb, bs, k, &mut scratch, &mut dst[at])?;
         }
         Ok(())
     }
@@ -280,6 +294,62 @@ impl PipeSzx {
     }
 }
 
+/// A parsed and validated stream header, with the two cursors a decoder
+/// advances chunk by chunk: the front size index (consumed in place — no
+/// sizes vector) and the chunk-starting-location pointer the paper
+/// describes.
+struct PipeStream<'a> {
+    count: usize,
+    chunk: usize,
+    block_size: usize,
+    eb: f32,
+    nchunks: usize,
+    /// Value offset of the next chunk.
+    at: usize,
+    sizes: ByteReader<'a>,
+    payloads: ByteReader<'a>,
+}
+
+impl<'a> PipeStream<'a> {
+    fn open(stream: &'a [u8]) -> Result<Self, CompressError> {
+        let mut r = ByteReader::new(stream);
+        if r.read_u32()? != PIPE_MAGIC {
+            return Err(CompressError::BadMagic);
+        }
+        let count = r.read_u64()? as usize;
+        let chunk = r.read_u32()? as usize;
+        let block_size = r.read_u16()? as usize;
+        let eb = r.read_f32()?;
+        let nchunks = r.read_u32()? as usize;
+        if chunk == 0 || !(1..=MAX_BLOCK).contains(&block_size) || !(eb.is_finite() && eb > 0.0) {
+            return Err(CompressError::CorruptHeader);
+        }
+        if nchunks != count.div_ceil(chunk) {
+            return Err(CompressError::CorruptHeader);
+        }
+        let sizes = r.clone();
+        r.read_slice(nchunks * 4)?;
+        Ok(PipeStream {
+            count,
+            chunk,
+            block_size,
+            eb,
+            nchunks,
+            at: 0,
+            sizes,
+            payloads: r,
+        })
+    }
+
+    /// The next chunk's value range and payload (`nchunks` of them).
+    fn next_chunk(&mut self) -> Result<(Range<usize>, &'a [u8]), CompressError> {
+        let size = self.sizes.read_u32()? as usize;
+        let lo = self.at;
+        self.at = (lo + self.chunk).min(self.count);
+        Ok((lo..self.at, self.payloads.read_slice(size)?))
+    }
+}
+
 impl Compressor for PipeSzx {
     fn compress(&self, data: &[f32]) -> Result<Vec<u8>, CompressError> {
         self.compress_with_progress(data, || {})
@@ -304,43 +374,28 @@ impl Compressor for PipeSzx {
         dst: &mut [f32],
         _scratch: &mut Vec<f32>,
     ) -> Result<(), CompressError> {
-        let mut r = ByteReader::new(stream);
-        if r.read_u32()? != PIPE_MAGIC {
-            return Err(CompressError::BadMagic);
-        }
-        let count = r.read_u64()? as usize;
-        let chunk = r.read_u32()? as usize;
-        let block_size = r.read_u16()? as usize;
-        let eb = r.read_f32()?;
-        let nchunks = r.read_u32()? as usize;
-        if chunk == 0 || !(1..=MAX_BLOCK).contains(&block_size) || !(eb.is_finite() && eb > 0.0) {
-            return Err(CompressError::CorruptHeader);
-        }
-        if nchunks != count.div_ceil(chunk) {
-            return Err(CompressError::CorruptHeader);
-        }
-        assert_eq!(count, dst.len(), "decompress-reduce length mismatch");
-        let mut sizes = r.clone();
-        r.read_slice(nchunks * 4)?;
-        let k = dispatch::kernels(self.dispatch);
-        let mut scratch = BlockScratch::new();
-        for i in 0..nchunks {
-            let size = sizes.read_u32()? as usize;
-            let payload = r.read_slice(size)?;
-            let lo = i * chunk;
-            let hi = (lo + chunk).min(count);
-            let mut bits = BitReader::new(payload);
-            decode_blocks_reduce(
-                &mut bits,
-                op,
-                eb,
-                block_size,
-                k,
-                &mut scratch,
-                &mut dst[lo..hi],
-            )?;
-        }
-        Ok(())
+        self.decode_slice(stream, Land::Fold(op), dst)
+    }
+
+    fn decompress_reduce_from(
+        &self,
+        stream: &[u8],
+        op: ReduceKind,
+        src: &[f32],
+        dst: &mut [f32],
+        _scratch: &mut Vec<f32>,
+    ) -> Result<(), CompressError> {
+        assert_eq!(src.len(), dst.len(), "decompress-reduce length mismatch");
+        self.decode_slice(stream, Land::FoldFrom(op, src), dst)
+    }
+
+    fn decompress_to(
+        &self,
+        stream: &[u8],
+        dst: &mut [f32],
+        _scratch: &mut Vec<f32>,
+    ) -> Result<(), CompressError> {
+        self.decode_slice(stream, Land::Store, dst)
     }
 
     fn max_compressed_bytes(&self, values: usize) -> usize {

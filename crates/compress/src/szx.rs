@@ -117,10 +117,43 @@ impl SzxCodec {
     pub fn block_size(&self) -> usize {
         self.block_size
     }
+
+    /// Decode a whole stream into `dst` the way `land` says.
+    fn decode_slice(
+        &self,
+        stream: &[u8],
+        land: Land<'_>,
+        dst: &mut [f32],
+    ) -> Result<(), CompressError> {
+        let (count, block_size, eb, mut bits) = open(stream)?;
+        land.check_count(count, dst.len())?;
+        let k = dispatch::kernels(self.dispatch);
+        let mut scratch = BlockScratch::new();
+        decode_blocks(&mut bits, land, eb, block_size, k, &mut scratch, dst)
+    }
 }
 
 /// Header length of an SZx stream in bytes.
 pub(crate) const SZX_HEADER_BYTES: usize = 4 + 8 + 2 + 4;
+
+/// Parse and validate a stream header: `(count, block_size, eb)` and a
+/// bit reader over the block body.
+fn open(stream: &[u8]) -> Result<(usize, usize, f32, BitReader<'_>), CompressError> {
+    let mut r = ByteReader::new(stream);
+    if r.read_u32()? != SZX_MAGIC {
+        return Err(CompressError::BadMagic);
+    }
+    let count = r.read_u64()? as usize;
+    let block_size = r.read_u16()? as usize;
+    if !(1..=MAX_BLOCK).contains(&block_size) {
+        return Err(CompressError::CorruptHeader);
+    }
+    let eb = r.read_f32()?;
+    if !(eb.is_finite() && eb > 0.0) {
+        return Err(CompressError::CorruptHeader);
+    }
+    Ok((count, block_size, eb, BitReader::new(r.remaining())))
+}
 
 /// Worst-case encoded size of `len` values at `block_size`, excluding any
 /// container header. Every block is bounded by the larger of its verbatim
@@ -177,20 +210,7 @@ impl Compressor for SzxCodec {
     }
 
     fn decompress_into(&self, stream: &[u8], out: &mut Vec<f32>) -> Result<(), CompressError> {
-        let mut r = ByteReader::new(stream);
-        if r.read_u32()? != SZX_MAGIC {
-            return Err(CompressError::BadMagic);
-        }
-        let count = r.read_u64()? as usize;
-        let block_size = r.read_u16()? as usize;
-        if !(1..=MAX_BLOCK).contains(&block_size) {
-            return Err(CompressError::CorruptHeader);
-        }
-        let eb = r.read_f32()?;
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(CompressError::CorruptHeader);
-        }
-        let mut bits = BitReader::new(r.remaining());
+        let (count, block_size, eb, mut bits) = open(stream)?;
         out.clear();
         out.reserve(count);
         let mut scratch = BlockScratch::new();
@@ -212,31 +232,28 @@ impl Compressor for SzxCodec {
         dst: &mut [f32],
         _scratch: &mut Vec<f32>,
     ) -> Result<(), CompressError> {
-        let mut r = ByteReader::new(stream);
-        if r.read_u32()? != SZX_MAGIC {
-            return Err(CompressError::BadMagic);
-        }
-        let count = r.read_u64()? as usize;
-        let block_size = r.read_u16()? as usize;
-        if !(1..=MAX_BLOCK).contains(&block_size) {
-            return Err(CompressError::CorruptHeader);
-        }
-        let eb = r.read_f32()?;
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(CompressError::CorruptHeader);
-        }
-        assert_eq!(count, dst.len(), "decompress-reduce length mismatch");
-        let mut bits = BitReader::new(r.remaining());
-        let mut scratch = BlockScratch::new();
-        decode_blocks_reduce(
-            &mut bits,
-            op,
-            eb,
-            block_size,
-            dispatch::kernels(self.dispatch),
-            &mut scratch,
-            dst,
-        )
+        self.decode_slice(stream, Land::Fold(op), dst)
+    }
+
+    fn decompress_reduce_from(
+        &self,
+        stream: &[u8],
+        op: ReduceKind,
+        src: &[f32],
+        dst: &mut [f32],
+        _scratch: &mut Vec<f32>,
+    ) -> Result<(), CompressError> {
+        assert_eq!(src.len(), dst.len(), "decompress-reduce length mismatch");
+        self.decode_slice(stream, Land::FoldFrom(op, src), dst)
+    }
+
+    fn decompress_to(
+        &self,
+        stream: &[u8],
+        dst: &mut [f32],
+        _scratch: &mut Vec<f32>,
+    ) -> Result<(), CompressError> {
+        self.decode_slice(stream, Land::Store, dst)
     }
 
     fn max_compressed_bytes(&self, values: usize) -> usize {
@@ -408,31 +425,20 @@ pub(crate) fn decode_blocks_into(
         let tag = r.read_bits(2).map_err(|_| CompressError::Truncated)? as u32;
         match tag {
             TAG_CONSTANT => {
-                let mid =
-                    f32::from_bits(r.read_bits(32).map_err(|_| CompressError::Truncated)? as u32);
+                let mid = read_f32(r)?;
                 // `resize` lowers to a memset-style fill.
                 out.resize(out.len() + len, mid);
             }
             TAG_QUANTIZED => {
-                let mid =
-                    f32::from_bits(r.read_bits(32).map_err(|_| CompressError::Truncated)? as u32);
+                let mid = read_f32(r)?;
                 let m = (r.read_bits(5).map_err(|_| CompressError::Truncated)? as u32) + 1;
                 read_codes(r, m, &mut scratch.codes[..len])?;
                 k.dequantize(&scratch.codes[..len], mid, eb, &mut scratch.vals[..len]);
                 out.extend_from_slice(&scratch.vals[..len]);
             }
             TAG_VERBATIM => {
-                let mut remaining = len;
-                while remaining >= 2 {
-                    let packed = r.read_bits(64).map_err(|_| CompressError::Truncated)?;
-                    out.push(f32::from_bits(packed as u32));
-                    out.push(f32::from_bits((packed >> 32) as u32));
-                    remaining -= 2;
-                }
-                if remaining == 1 {
-                    let bits = r.read_bits(32).map_err(|_| CompressError::Truncated)? as u32;
-                    out.push(f32::from_bits(bits));
-                }
+                read_verbatim(r, &mut scratch.vals[..len])?;
+                out.extend_from_slice(&scratch.vals[..len]);
             }
             _ => return Err(CompressError::CorruptHeader),
         }
@@ -440,15 +446,65 @@ pub(crate) fn decode_blocks_into(
     Ok(())
 }
 
-/// Fused variant of [`decode_blocks_into`]: every reconstructed value is
-/// folded into `dst` with `op` as it is decoded, so the quantized blocks
-/// never materialize outside a single-block scratch. The reconstruction
-/// arithmetic (`x̂ = (mid + q·eb) as f32`, then [`ReduceKind::fold`]) is
-/// identical to decode-then-apply, keeping fused and unfused results
-/// bitwise equal.
-pub(crate) fn decode_blocks_reduce(
+/// What a slice decode ([`decode_blocks`]) does with each reconstructed
+/// value `v`.
+#[derive(Clone, Copy)]
+pub(crate) enum Land<'a> {
+    /// `dst[i] = v`.
+    Store,
+    /// `dst[i] = op.fold(dst[i], v)`.
+    Fold(ReduceKind),
+    /// `dst[i] = op.fold(src[i], v)`: each block of `dst` is seeded from
+    /// `src` immediately before the in-place fold of that block runs on
+    /// it, so the arithmetic is that of [`Land::Fold`] after a copy.
+    FoldFrom(ReduceKind, &'a [f32]),
+}
+
+impl Land<'_> {
+    /// A stream whose value `count` disagrees with the destination is an
+    /// error for a plain store and a caller bug for the folds.
+    pub(crate) fn check_count(&self, count: usize, dst_len: usize) -> Result<(), CompressError> {
+        match self {
+            Land::Store if count != dst_len => Err(CompressError::LengthMismatch),
+            _ => {
+                assert_eq!(count, dst_len, "decompress-reduce length mismatch");
+                Ok(())
+            }
+        }
+    }
+}
+
+#[inline]
+fn read_f32(r: &mut BitReader<'_>) -> Result<f32, CompressError> {
+    let bits = r.read_bits(32).map_err(|_| CompressError::Truncated)?;
+    Ok(f32::from_bits(bits as u32))
+}
+
+/// Unpack the raw IEEE words of one verbatim block, two per read.
+#[inline]
+fn read_verbatim(r: &mut BitReader<'_>, vals: &mut [f32]) -> Result<(), CompressError> {
+    let mut pairs = vals.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        let packed = r.read_bits(64).map_err(|_| CompressError::Truncated)?;
+        pair[0] = f32::from_bits(packed as u32);
+        pair[1] = f32::from_bits((packed >> 32) as u32);
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = read_f32(r)?;
+    }
+    Ok(())
+}
+
+/// Slice variant of [`decode_blocks_into`]: decode `dst.len()` values
+/// straight into `dst`, stored or folded as `land` says. In the folds
+/// every reconstructed value is folded into `dst` as it is decoded, so
+/// the quantized blocks never materialize outside a single-block
+/// scratch. The reconstruction arithmetic (`x̂ = (mid + q·eb) as f32`,
+/// then [`ReduceKind::fold`]) is identical to decode-then-apply, keeping
+/// fused and unfused results bitwise equal.
+pub(crate) fn decode_blocks(
     r: &mut BitReader<'_>,
-    op: ReduceKind,
+    land: Land<'_>,
     eb: f32,
     block_size: usize,
     k: &Kernels,
@@ -456,42 +512,48 @@ pub(crate) fn decode_blocks_reduce(
     dst: &mut [f32],
 ) -> Result<(), CompressError> {
     debug_assert!(block_size <= MAX_BLOCK);
+    let fold = match land {
+        Land::Store => None,
+        Land::Fold(op) | Land::FoldFrom(op, _) => Some(op),
+    };
     let mut at = 0usize;
     while at < dst.len() {
         let len = block_size.min(dst.len() - at);
         let block = &mut dst[at..at + len];
+        if let Land::FoldFrom(_, src) = land {
+            block.copy_from_slice(&src[at..at + len]);
+        }
         let tag = r.read_bits(2).map_err(|_| CompressError::Truncated)? as u32;
         match tag {
             TAG_CONSTANT => {
-                let mid =
-                    f32::from_bits(r.read_bits(32).map_err(|_| CompressError::Truncated)? as u32);
-                k.fold_splat(op, block, mid);
+                let mid = read_f32(r)?;
+                match fold {
+                    Some(op) => k.fold_splat(op, block, mid),
+                    None => block.fill(mid),
+                }
             }
             TAG_QUANTIZED => {
-                let mid =
-                    f32::from_bits(r.read_bits(32).map_err(|_| CompressError::Truncated)? as u32);
+                let mid = read_f32(r)?;
                 let m = (r.read_bits(5).map_err(|_| CompressError::Truncated)? as u32) + 1;
-                read_codes(r, m, &mut scratch.codes[..len])?;
-                // Fused kernel: reconstruct and fold straight into the
-                // accumulator slice, no intermediate value buffer.
-                k.dequantize_fold(&scratch.codes[..len], mid, eb, op, block);
-            }
-            TAG_VERBATIM => {
-                // Unpack the raw IEEE words into scratch, then fold with
-                // the same dispatched kernel the unfused path uses.
-                let vals = &mut scratch.vals[..len];
-                let mut pairs = vals.chunks_exact_mut(2);
-                for pair in &mut pairs {
-                    let packed = r.read_bits(64).map_err(|_| CompressError::Truncated)?;
-                    pair[0] = f32::from_bits(packed as u32);
-                    pair[1] = f32::from_bits((packed >> 32) as u32);
+                let codes = &mut scratch.codes[..len];
+                read_codes(r, m, codes)?;
+                match fold {
+                    // Fused kernel: reconstruct and fold straight into
+                    // the accumulator slice, no intermediate values.
+                    Some(op) => k.dequantize_fold(codes, mid, eb, op, block),
+                    None => k.dequantize(codes, mid, eb, block),
                 }
-                if let [last] = pairs.into_remainder() {
-                    let bits = r.read_bits(32).map_err(|_| CompressError::Truncated)? as u32;
-                    *last = f32::from_bits(bits);
-                }
-                k.fold_slice(op, block, vals);
             }
+            TAG_VERBATIM => match fold {
+                // Unpack into scratch, then fold with the same
+                // dispatched kernel the unfused path uses.
+                Some(op) => {
+                    let vals = &mut scratch.vals[..len];
+                    read_verbatim(r, vals)?;
+                    k.fold_slice(op, block, vals);
+                }
+                None => read_verbatim(r, block)?,
+            },
             _ => return Err(CompressError::CorruptHeader),
         }
         at += len;

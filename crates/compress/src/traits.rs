@@ -82,6 +82,9 @@ pub enum CompressError {
     /// The requested configuration is unusable (e.g. a non-positive or
     /// non-finite error bound).
     BadConfig,
+    /// The stream is well formed but holds a different number of values
+    /// than the destination slice (see [`Compressor::decompress_to`]).
+    LengthMismatch,
 }
 
 impl fmt::Display for CompressError {
@@ -91,6 +94,9 @@ impl fmt::Display for CompressError {
             CompressError::BadMagic => write!(f, "compressed stream has a bad magic number"),
             CompressError::CorruptHeader => write!(f, "compressed stream header is corrupt"),
             CompressError::BadConfig => write!(f, "invalid codec configuration"),
+            CompressError::LengthMismatch => {
+                write!(f, "compressed stream length disagrees with the destination")
+            }
         }
     }
 }
@@ -217,6 +223,54 @@ pub trait Compressor: Send + Sync {
             "decompress-reduce length mismatch"
         );
         crate::dispatch::active().fold_slice(op, dst, scratch);
+        Ok(())
+    }
+
+    /// First-touch form of [`Compressor::decompress_reduce_into`]:
+    /// `dst[i] = op.fold(src[i], decoded[i])`, for an accumulator that
+    /// does not hold its left operand yet. The collective layer uses it
+    /// for the first fold of a range, so the accumulator is *born* from
+    /// the fold instead of from a whole-vector copy of the input.
+    ///
+    /// The result is **bitwise identical** to `dst.copy_from_slice(src)`
+    /// followed by `decompress_reduce_into` — that pair is the default,
+    /// so third-party codecs keep working; native kernels seed one
+    /// block at a time immediately before folding it, which keeps the
+    /// block in L1 and saves the copy's separate pass over memory.
+    ///
+    /// # Panics
+    /// Panics if `src`, `dst` and the decoded length disagree.
+    fn decompress_reduce_from(
+        &self,
+        stream: &[u8],
+        op: ReduceKind,
+        src: &[f32],
+        dst: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) -> Result<(), CompressError> {
+        dst.copy_from_slice(src);
+        self.decompress_reduce_into(stream, op, dst, scratch)
+    }
+
+    /// Decompress straight into a caller-owned slice — what
+    /// [`Compressor::decompress_into`] plus a copy into place does,
+    /// without the detour through a `Vec` (native for every codec of
+    /// this crate; the default is that detour, through `scratch`).
+    ///
+    /// Returns [`CompressError::LengthMismatch`] when the stream does
+    /// not hold exactly `dst.len()` values. On any error the contents
+    /// of `dst` are unspecified.
+    fn decompress_to(
+        &self,
+        stream: &[u8],
+        dst: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) -> Result<(), CompressError> {
+        self.decompress_into(stream, scratch)?;
+        if scratch.len() != dst.len() {
+            return Err(CompressError::LengthMismatch);
+        }
+        dst.copy_from_slice(scratch);
         Ok(())
     }
 

@@ -512,6 +512,38 @@ fn decode_block_fxr(r: &mut BitReader<'_>, rate: u32) -> Result<[f32; BLOCK], Co
 // Container.
 // ---------------------------------------------------------------------------
 
+/// Parse and validate a stream header: the value count, the mode the
+/// stream was written in, and a bit reader over the block body.
+fn open(stream: &[u8]) -> Result<(usize, ZfpMode, BitReader<'_>), CompressError> {
+    let mut r = ByteReader::new(stream);
+    if r.read_u32()? != ZFP_MAGIC {
+        return Err(CompressError::BadMagic);
+    }
+    let count = r.read_u64()? as usize;
+    let mode = match r.read_u8()? {
+        0 => ZfpMode::FixedAccuracy(r.read_f32()?),
+        1 => ZfpMode::FixedRate(r.read_u32()?),
+        _ => return Err(CompressError::CorruptHeader),
+    };
+    match mode {
+        ZfpMode::FixedRate(rate) if !(1..=32).contains(&rate) => {
+            return Err(CompressError::CorruptHeader)
+        }
+        ZfpMode::FixedAccuracy(eb) if !(eb.is_finite() && eb > 0.0) => {
+            return Err(CompressError::CorruptHeader)
+        }
+        _ => {}
+    }
+    Ok((count, mode, BitReader::new(r.remaining())))
+}
+
+fn decode_block(r: &mut BitReader<'_>, mode: ZfpMode) -> Result<[f32; BLOCK], CompressError> {
+    match mode {
+        ZfpMode::FixedRate(rate) => decode_block_fxr(r, rate),
+        ZfpMode::FixedAccuracy(_) => decode_block_abs(r),
+    }
+}
+
 impl Compressor for ZfpCodec {
     fn compress(&self, data: &[f32]) -> Result<Vec<u8>, CompressError> {
         let mut out = Vec::with_capacity(20 + data.len());
@@ -559,39 +591,30 @@ impl Compressor for ZfpCodec {
     }
 
     fn decompress_into(&self, stream: &[u8], out: &mut Vec<f32>) -> Result<(), CompressError> {
-        let mut r = ByteReader::new(stream);
-        if r.read_u32()? != ZFP_MAGIC {
-            return Err(CompressError::BadMagic);
-        }
-        let count = r.read_u64()? as usize;
-        let mode_tag = r.read_u8()?;
-        let mode = match mode_tag {
-            0 => ZfpMode::FixedAccuracy(r.read_f32()?),
-            1 => ZfpMode::FixedRate(r.read_u32()?),
-            _ => return Err(CompressError::CorruptHeader),
-        };
-        match mode {
-            ZfpMode::FixedRate(rate) if !(1..=32).contains(&rate) => {
-                return Err(CompressError::CorruptHeader)
-            }
-            ZfpMode::FixedAccuracy(eb) if !(eb.is_finite() && eb > 0.0) => {
-                return Err(CompressError::CorruptHeader)
-            }
-            _ => {}
-        }
-        let mut bits = BitReader::new(r.remaining());
+        let (count, mode, mut bits) = open(stream)?;
         out.clear();
         out.reserve(count);
         while out.len() < count {
-            let vals = match mode {
-                ZfpMode::FixedRate(rate) => decode_block_fxr(&mut bits, rate)?,
-                ZfpMode::FixedAccuracy(eb) => {
-                    let _ = eb;
-                    decode_block_abs(&mut bits)?
-                }
-            };
+            let vals = decode_block(&mut bits, mode)?;
             let take = BLOCK.min(count - out.len());
             out.extend_from_slice(&vals[..take]);
+        }
+        Ok(())
+    }
+
+    fn decompress_to(
+        &self,
+        stream: &[u8],
+        dst: &mut [f32],
+        _scratch: &mut Vec<f32>,
+    ) -> Result<(), CompressError> {
+        let (count, mode, mut bits) = open(stream)?;
+        if count != dst.len() {
+            return Err(CompressError::LengthMismatch);
+        }
+        for chunk in dst.chunks_mut(BLOCK) {
+            let vals = decode_block(&mut bits, mode)?;
+            chunk.copy_from_slice(&vals[..chunk.len()]);
         }
         Ok(())
     }

@@ -1,6 +1,7 @@
 //! Proof of the zero-allocation fast path: once a [`CodecScratch`] is
 //! warmed, steady-state `compress_into`/`decompress_into` on SZx and
-//! PIPE-SZx must never touch the global allocator.
+//! PIPE-SZx — and the slice-landing `decompress_reduce_from` /
+//! `decompress_to` — must never touch the global allocator.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
 //! test can perturb the allocation counter.
@@ -55,6 +56,21 @@ fn mixed_field(n: usize) -> Vec<f32> {
     data
 }
 
+/// The two slice-landing decodes of `stream`: the first-touch fused
+/// reduce (seeded from `src`) and the decode in place, both into `dst`.
+fn slice_landings(
+    codec: &dyn Compressor,
+    stream: &[u8],
+    src: &[f32],
+    dst: &mut [f32],
+    scratch: &mut Vec<f32>,
+) {
+    codec
+        .decompress_reduce_from(stream, ReduceKind::Sum, src, dst, scratch)
+        .expect("reduce from");
+    codec.decompress_to(stream, dst, scratch).expect("to");
+}
+
 /// Run the warmed SZx/PIPE-SZx round-trip loop and assert zero
 /// allocator traffic. Exercised once per dispatch level so the SIMD
 /// kernels are held to the same zero-allocation contract as the scalar
@@ -80,10 +96,18 @@ fn audit_szx_pipe(level: SimdLevel, data: &[f32]) {
         &mut reduce_scratch,
     )
     .expect("warm szx r");
+    slice_landings(&szx, &szx_scratch.enc, data, &mut acc, &mut reduce_scratch);
     pipe.compress_into(data, &mut pipe_scratch.enc)
         .expect("warm pipe c");
     pipe.decompress_into(&pipe_scratch.enc, &mut pipe_scratch.dec)
         .expect("warm pipe d");
+    slice_landings(
+        &pipe,
+        &pipe_scratch.enc,
+        data,
+        &mut acc,
+        &mut reduce_scratch,
+    );
 
     let szx_expected = szx_scratch.enc.clone();
 
@@ -102,10 +126,18 @@ fn audit_szx_pipe(level: SimdLevel, data: &[f32]) {
             &mut reduce_scratch,
         )
         .expect("szx r");
+        slice_landings(&szx, &szx_scratch.enc, data, &mut acc, &mut reduce_scratch);
         pipe.compress_into(data, &mut pipe_scratch.enc)
             .expect("pipe c");
         pipe.decompress_into(&pipe_scratch.enc, &mut pipe_scratch.dec)
             .expect("pipe d");
+        slice_landings(
+            &pipe,
+            &pipe_scratch.enc,
+            data,
+            &mut acc,
+            &mut reduce_scratch,
+        );
     }
     let delta = allocations() - before;
     assert_eq!(
@@ -147,12 +179,19 @@ fn steady_state_codec_path_allocates_nothing() {
         .expect("warm zfp c");
     zfp.decompress_into(&zfp_scratch.enc, &mut zfp_scratch.dec)
         .expect("warm zfp d");
+    // ZFP's first-touch reduce is the trait default (copy, then the
+    // decode-into-scratch fold): allocation-free once that scratch is
+    // warm; its decode in place is native.
+    let mut acc = vec![0.0f32; data.len()];
+    let mut reduce_scratch = Vec::new();
+    slice_landings(&zfp, &zfp_scratch.enc, &data, &mut acc, &mut reduce_scratch);
     let before = allocations();
     for _ in 0..4 {
         zfp.compress_into(&data, &mut zfp_scratch.enc)
             .expect("zfp c");
         zfp.decompress_into(&zfp_scratch.enc, &mut zfp_scratch.dec)
             .expect("zfp d");
+        slice_landings(&zfp, &zfp_scratch.enc, &data, &mut acc, &mut reduce_scratch);
     }
     let delta = allocations() - before;
     assert_eq!(

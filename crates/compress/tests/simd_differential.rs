@@ -12,7 +12,9 @@
 //! behavior: the suite is hardware-portable).
 
 use ccoll_compress::dispatch::{self, SimdLevel};
-use ccoll_compress::{Compressor, PipeSzx, ReduceKind, SzxCodec};
+use ccoll_compress::{
+    CompressError, Compressor, LosslessCodec, PipeSzx, ReduceKind, SzxCodec, ZfpCodec,
+};
 use proptest::prelude::*;
 
 /// Finite values spanning many magnitudes, with explicit ±0 weight.
@@ -166,6 +168,79 @@ fn check_fused_reduce(data: &[f32], acc: &[f32], eb: f32) {
     }
 }
 
+/// Every in-repo codec, the SZx family once per dispatch level.
+fn every_codec(eb: f32) -> Vec<(String, Box<dyn Compressor>)> {
+    let mut all: Vec<(String, Box<dyn Compressor>)> = vec![
+        ("zfp-abs".into(), Box::new(ZfpCodec::fixed_accuracy(eb))),
+        ("zfp-fxr".into(), Box::new(ZfpCodec::fixed_rate(12))),
+        ("lossless".into(), Box::new(LosslessCodec::new())),
+    ];
+    for level in dispatch::available_levels() {
+        let szx = SzxCodec::new(eb).with_dispatch(level);
+        all.push((format!("szx/{}", level.label()), Box::new(szx)));
+        let pipe = PipeSzx::with_chunk(eb, 777).with_dispatch(level);
+        all.push((format!("pipe/{}", level.label()), Box::new(pipe)));
+    }
+    all
+}
+
+/// The two slice-landing entry points against the pairs they replace:
+/// `decompress_to` ≡ `decompress_into`, and `decompress_reduce_from` ≡
+/// `copy_from_slice` + `decompress_reduce_into` — bit for bit (the
+/// first-touch form runs the in-place fold on a seeded block, so even a
+/// `Sum` NaN payload has nowhere to differ). A stream cut short, or one
+/// of another length, is an `Err`, never a panic.
+fn check_slice_landings(data: &[f32], seed: &[f32], eb: f32) {
+    let src: Vec<f32> = (0..data.len())
+        .map(|i| seed.get(i % seed.len().max(1)).copied().unwrap_or(0.0))
+        .collect();
+    for (name, codec) in every_codec(eb) {
+        let stream = codec.compress(data).expect("compress");
+        let mut scratch = Vec::new();
+        // Stale destinations: every slot must be overwritten.
+        let stale = vec![f32::from_bits(0x7FC0_BEEF); data.len()];
+
+        let mut want = Vec::new();
+        codec.decompress_into(&stream, &mut want).expect("into");
+        let mut got = stale.clone();
+        codec
+            .decompress_to(&stream, &mut got, &mut scratch)
+            .expect("to");
+        assert_bits_eq(&got, &want, &format!("decompress_to {name}"));
+
+        for op in ops() {
+            let mut want = src.clone();
+            codec
+                .decompress_reduce_into(&stream, op, &mut want, &mut scratch)
+                .expect("reduce_into");
+            let mut got = stale.clone();
+            codec
+                .decompress_reduce_from(&stream, op, &src, &mut got, &mut scratch)
+                .expect("reduce_from");
+            assert_bits_eq(&got, &want, &format!("reduce_from {op:?} {name}"));
+        }
+
+        for cut in [stream.len() - 1, stream.len() / 2, 3] {
+            let short = &stream[..cut];
+            let mut dst = stale.clone();
+            assert!(
+                codec.decompress_to(short, &mut dst, &mut scratch).is_err(),
+                "{name}: decompress_to accepted {cut} of {} bytes",
+                stream.len()
+            );
+            let from =
+                codec.decompress_reduce_from(short, ReduceKind::Sum, &src, &mut dst, &mut scratch);
+            assert!(from.is_err(), "{name}: reduce_from accepted a cut stream");
+        }
+        let mut longer = vec![0.0f32; data.len() + 1];
+        assert_eq!(
+            codec.decompress_to(&stream, &mut longer, &mut scratch),
+            Err(CompressError::LengthMismatch),
+            "{name}"
+        );
+    }
+}
+
 fn check_fold_kernels(dst: &[f32], src: &[f32], splat: f32) {
     let n = dst.len().min(src.len());
     let (dst, src) = (&dst[..n], &src[..n]);
@@ -275,6 +350,18 @@ proptest! {
         check_fused_reduce(&data, &acc, eb);
     }
 
+    // First-touch fused reduce and decode-in-place against the
+    // copy-then-fold / decode-then-copy pairs they replace, for every
+    // codec, operator and dispatch level.
+    #[test]
+    fn slice_landings_match_the_pairs_they_replace(
+        data in block_mix(),
+        seed in prop::collection::vec(special_f32(), 0..64),
+        eb in error_bound(),
+    ) {
+        check_slice_landings(&data, &seed, eb);
+    }
+
     // The fold kernels alone (slice and splat forms) against the
     // element-wise `ReduceKind::fold` oracle over special values.
     #[test]
@@ -319,6 +406,23 @@ fn constant_runs_all_lengths_bitwise_identical() {
             check_levels_agree(|l| SzxCodec::new(1e-3).with_dispatch(l), &data);
         }
     }
+}
+
+/// [`check_slice_landings`] on a buffer built to hold all three SZx
+/// block classes (constant runs incl. ±0, quantized waves, a verbatim
+/// NaN block), a partial tail block and several PIPE chunks — not left
+/// to the random mix.
+#[test]
+fn slice_landings_cover_every_block_class() {
+    let mut data: Vec<f32> = (0..1500).map(|i| (i as f32 * 7e-3).sin() * 4.0).collect();
+    data.extend(std::iter::repeat_n(2.5f32, 300));
+    data.extend(std::iter::repeat_n(0.0f32, 130));
+    data.extend(std::iter::repeat_n(-0.0f32, 130));
+    data.push(f32::NAN);
+    data.extend((0..77).map(|i| i as f32 * 1e4));
+    let seed = [0.0, -0.0, f32::NAN, 1.5, f32::NEG_INFINITY, -3.25, 1e-40];
+    check_slice_landings(&data, &seed, 1e-3);
+    check_slice_landings(&[], &seed, 1e-3);
 }
 
 /// The dispatch table honours explicit level requests (and the label

@@ -25,11 +25,10 @@
 use std::sync::Arc;
 
 use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
-use ccoll_compress::{CodecScratch, Compressor};
+use ccoll_compress::{CodecScratch, CompressError, Compressor};
 
 use crate::codec::CodecSpec;
 use crate::collectives::{compress_in, decompress_in, decompress_reduce_in, memcpy_in, tags};
-use crate::frameworks::decompress_auto_in;
 use crate::nonblocking::{AgMode, Butterfly, RingAg, RingRs, TreeReduce};
 use crate::placement::Placement;
 use crate::reduce::ReduceOp;
@@ -115,32 +114,48 @@ impl CprCodec {
         compress_in(comm, self.codec.as_ref(), self.ck, vals, true, pool)
     }
 
-    /// The matching one decompression at a final consumer, charged by
-    /// the size the stream decodes to.
-    ///
-    /// # Panics
-    /// Panics if the stream does not hold `expect` values.
-    pub(crate) fn decompress_once<'s, C: Comm>(
+    /// The matching one decompression at a final consumer, straight
+    /// into its place in the output: the decompression kernel is the
+    /// whole charge (no `BufferMgmt`, and no `Memcpy` — nothing is
+    /// copied). `Err` when the stream does not hold `dst.len()` values.
+    pub(crate) fn try_decompress_once_to<C: Comm>(
         &self,
         comm: &mut C,
         stream: &[u8],
-        expect: usize,
-        scratch: &'s mut CodecScratch,
-    ) -> &'s [f32] {
-        let vals = decompress_auto_in(comm, self.codec.as_ref(), self.dk, stream, scratch);
-        assert_eq!(vals.len(), expect, "compress-once block length mismatch");
-        vals
+        dst: &mut [f32],
+        scratch: &mut CodecScratch,
+    ) -> Result<(), CompressError> {
+        comm.run_kernel(self.dk, dst.len() * 4, Category::ComDecom, || {
+            self.codec.decompress_to(stream, dst, &mut scratch.dec)
+        })
+    }
+
+    /// [`CprCodec::try_decompress_once_to`] where the plan fixes the
+    /// block's length.
+    ///
+    /// # Panics
+    /// Panics if the stream does not hold `dst.len()` values.
+    pub(crate) fn decompress_once_to<C: Comm>(
+        &self,
+        comm: &mut C,
+        stream: &[u8],
+        dst: &mut [f32],
+        scratch: &mut CodecScratch,
+    ) {
+        self.try_decompress_once_to(comm, stream, dst, scratch)
+            .expect("compress-once block length mismatch");
     }
 
     /// Fused decompress-reduce straight into `dst` (see
-    /// [`decompress_reduce_in`]): one pass instead of decompress → apply,
-    /// with the same CPR-P2P buffer-management charge as
-    /// [`CprCodec::decompress`].
+    /// [`decompress_reduce_in`], also for `from`): one pass instead of
+    /// decompress → apply, with the same CPR-P2P buffer-management
+    /// charge as [`CprCodec::decompress`].
     pub(crate) fn decompress_reduce<C: Comm>(
         &self,
         comm: &mut C,
         stream: &[u8],
         op: ReduceOp,
+        from: Option<&[f32]>,
         dst: &mut [f32],
         scratch: &mut CodecScratch,
     ) {
@@ -150,6 +165,7 @@ impl CprCodec {
             self.dk,
             stream,
             op,
+            from,
             dst,
             false,
             scratch,
@@ -194,7 +210,7 @@ pub fn cpr_ring_reduce_scatter_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let done = RingRs::new(Placement::Cpr).step(comm, Some(cpr), op, input, out, ws, true);
+    let done = RingRs::new(Placement::Cpr).step_chunk(comm, Some(cpr), op, input, out, ws, true);
     debug_assert!(done.is_ready());
 }
 

@@ -172,7 +172,11 @@ pub(crate) fn decompress_in<'s, C: Comm>(
 /// Fused decompress-reduce with unified cost accounting: decode `stream`
 /// and fold every value straight into `dst` with `op` through
 /// [`Compressor::decompress_reduce_into`] (native single-pass kernels
-/// for SZx/PIPE-SZx, decompress-then-apply for other codecs). The
+/// for SZx/PIPE-SZx, decompress-then-apply for other codecs). With
+/// `from = Some(src)` this is the *first touch* of `dst`
+/// ([`Compressor::decompress_reduce_from`]): `dst = fold(src, decoded)`,
+/// the arithmetic of a copy followed by the in-place fold at the same
+/// charges — no `Memcpy`, because no separate copy pass runs. The
 /// decompression lands under `ComDecom` (charged per uncompressed byte
 /// produced, as in [`decompress_in`]) and the reduction under
 /// `Reduction`, so the virtual-time totals match the unfused pair the
@@ -185,6 +189,7 @@ pub(crate) fn decompress_reduce_in<C: Comm>(
     kernel: Kernel,
     stream: &[u8],
     op: crate::reduce::ReduceOp,
+    from: Option<&[f32]>,
     dst: &mut [f32],
     pooled: bool,
     scratch: &mut CodecScratch,
@@ -192,9 +197,11 @@ pub(crate) fn decompress_reduce_in<C: Comm>(
     let kind = op.fused_kind();
     let dec = &mut scratch.dec;
     comm.run_kernel(kernel, dst.len() * 4, Category::ComDecom, || {
-        codec
-            .decompress_reduce_into(stream, kind, dst, dec)
-            .expect("decompression of a stream we compressed cannot fail");
+        match from {
+            Some(src) => codec.decompress_reduce_from(stream, kind, src, dst, dec),
+            None => codec.decompress_reduce_into(stream, kind, dst, dec),
+        }
+        .expect("decompression of a stream we compressed cannot fail");
     });
     comm.charge(Kernel::Reduce, dst.len() * 4, Category::Reduction);
     if !pooled {

@@ -18,30 +18,3 @@
 
 pub mod computation;
 pub mod data_movement;
-
-use ccoll_comm::{Category, Comm, Kernel};
-use ccoll_compress::{CodecScratch, Compressor};
-
-/// Decompress into the reusable scratch with cost charged by the
-/// *actual* decompressed size (used where the receiver learns the length
-/// from the stream itself). Returns a borrow of the decoded values;
-/// callers that keep the buffer (e.g. a bcast result) take it with
-/// `std::mem::take(&mut scratch.dec)` instead.
-pub(crate) fn decompress_auto_in<'s, C: Comm>(
-    comm: &mut C,
-    codec: &dyn Compressor,
-    dk: Kernel,
-    stream: &[u8],
-    scratch: &'s mut CodecScratch,
-) -> &'s [f32] {
-    let t0 = comm.now();
-    codec
-        .decompress_into(stream, &mut scratch.dec)
-        .expect("decompression of a stream we compressed cannot fail");
-    let real = comm.now() - t0;
-    if real > std::time::Duration::ZERO {
-        comm.profiler().add(Category::ComDecom, real);
-    }
-    comm.charge(dk, scratch.dec.len() * 4, Category::ComDecom);
-    &scratch.dec
-}

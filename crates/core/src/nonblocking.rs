@@ -26,9 +26,19 @@
 //! `pack` / `unpack` / `reduce` through that `Link`, and its piped
 //! hops hand the placement's `PipelineConfig` to the hop cursor. The
 //! data-movement machines reach the same codec through the link for
-//! their one `compress_once` / `decompress_once` pair. The ordering
-//! rules that keep virtual time bit-identical are listed in
-//! `placement.rs`.
+//! their one `compress_once` / `decompress_once_to` pair, the latter
+//! straight into the block's place in the output. The ordering rules
+//! that keep virtual time bit-identical are listed in `placement.rs`.
+//!
+//! *Where a reduction accumulates* (rule 5 there): in the caller's
+//! output, born from the first fold. No reducing machine copies its
+//! input in — a range's first send reads `input` and its first fold is
+//! `out[range] = fold(input[range], received)` — and where the caller
+//! has a full-length `out` nothing is copied out either. Only the
+//! callers without one (the reduce-scatter plan, a tree's non-root
+//! interior ranks, the hierarchical node-local reduce-scatter) borrow
+//! `ws.acc`, `mem::take`n around the step and put back. After an
+//! aborted operation `out` is unspecified.
 //!
 //! *Which operation* a message belongs to is not spelled out either: a
 //! machine posts bare schedule tags (`tags::` family + placement band +
@@ -40,8 +50,8 @@
 //! machine driven bare (ablation baselines, tests) runs at base 0.
 //!
 //! The machines hold **no heap data**: phase tags, round counters and
-//! request slots only. All buffers are borrowed from the plan's
-//! workspace at every step, so the zero-allocation steady state of the
+//! request slots only. All buffers are borrowed from the caller and the
+//! plan's workspace at every step, so the zero-allocation steady state of the
 //! persistent-plan API extends to the full
 //! start → progress* → complete cycle (pinned by
 //! `tests/collective_alloc.rs`).
@@ -49,7 +59,7 @@
 use std::ops::Range;
 
 use bytes::Bytes;
-use ccoll_comm::{Category, Comm, CommView, Kernel, RecvReq, SendReq, Tag};
+use ccoll_comm::{Category, Comm, CommView, RecvReq, SendReq, Tag};
 
 use crate::collectives::baseline::{butterfly_fold, butterfly_pos_to_rank};
 use crate::collectives::cpr_p2p::CprCodec;
@@ -238,9 +248,14 @@ enum RsPhase {
     Done,
 }
 
-/// Resumable ring reduce-scatter: `n−1` hop rounds over the workspace
+/// Resumable ring reduce-scatter: `n−1` hop rounds over a full-length
 /// accumulator, suspending per posted receive (monolithic placements) or
 /// per pipeline sub-chunk (piped).
+///
+/// The accumulator is never initialized: every chunk is folded exactly
+/// once on this rank, so each fold is the first touch of its chunk
+/// (`chunk = fold(input chunk, received)`), round 0 ships the input
+/// itself and round `k > 0` the chunk round `k − 1` folded.
 #[derive(Debug)]
 pub(crate) struct RingRs {
     place: Placement,
@@ -264,22 +279,28 @@ impl RingRs {
     }
 
     /// Fold round `k`'s received payload into its accumulator chunk.
+    #[allow(clippy::too_many_arguments)]
     fn reduce_got<C: Comm>(
         &self,
         comm: &mut C,
         link: Link<'_>,
         got: &[u8],
         op: ReduceOp,
+        input: &[f32],
+        acc: &mut [f32],
         ws: &mut CollWorkspace,
     ) {
         let (n, me) = (comm.size(), comm.rank());
         let at = ws.chunk((me + 2 * n - self.k - 2) % n);
-        let dst = &mut ws.acc[at];
-        link.reduce(comm, got, op, dst, &mut ws.scratch, "reduce-scatter");
+        let (from, dst) = (Some(&input[at.clone()]), &mut acc[at]);
+        link.reduce(comm, got, op, from, dst, &mut ws.scratch, "reduce-scatter");
     }
 
-    /// Drive the reduce-scatter; `out_chunk` is this rank's chunk of the
-    /// balanced partition.
+    /// Drive the reduce-scatter over `acc`, a full-length accumulator
+    /// whose contents on entry do not matter (an allreduce passes its
+    /// output). On `Ready` this rank's chunk of the balanced partition
+    /// is reduced and finalized in place in `acc`; the rest of `acc` is
+    /// unspecified.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
@@ -287,7 +308,7 @@ impl RingRs {
         cpr: Option<&CprCodec>,
         op: ReduceOp,
         input: &[f32],
-        out_chunk: &mut [f32],
+        acc: &mut [f32],
         ws: &mut CollWorkspace,
         block: bool,
     ) -> Poll {
@@ -300,13 +321,13 @@ impl RingRs {
             match self.phase {
                 RsPhase::Init => {
                     ws.set_partition(input.len(), n);
-                    ws.acc.resize(input.len(), 0.0);
-                    assert_eq!(out_chunk.len(), ws.counts[me], "output must hold my chunk");
-                    memcpy_in(comm, &mut ws.acc, input);
+                    assert_eq!(acc.len(), input.len(), "accumulator size mismatch");
                     self.k = 0;
                     self.phase = if n > 1 {
                         RsPhase::Round
                     } else {
+                        // One rank: no fold to be born from.
+                        memcpy_in(comm, acc, input);
                         RsPhase::Finish
                     };
                 }
@@ -320,11 +341,18 @@ impl RingRs {
                         // Piped rounds have their own tag family.
                         let tag = tags::PIPELINE + self.k as Tag;
                         let recv = ws.chunk((me + 2 * n - self.k - 2) % n);
-                        let (acc, mut bufs) = ws.pipe();
-                        let (src, dst) = split_src_dst(acc, send, recv);
+                        let from = Some(&input[recv.clone()]);
+                        let (src, dst) = if self.k == 0 {
+                            (&input[send], &mut acc[recv])
+                        } else {
+                            split_src_dst(acc, send, recv)
+                        };
+                        let mut bufs = ws.pipe();
                         if !self
                             .hop
-                            .step(comm, cfg, op, src, right, dst, left, tag, &mut bufs, block)
+                            .step(
+                                comm, cfg, op, src, right, from, dst, left, tag, &mut bufs, block,
+                            )
                             .is_ready()
                         {
                             return Poll::Pending;
@@ -336,7 +364,12 @@ impl RingRs {
                     // (raw packing is free, so the order is moot there).
                     let tag = tags::REDUCE_SCATTER + self.place.band() + self.k as Tag;
                     self.wire.rreq = Some(comm.irecv(left, tag));
-                    let payload = link.pack(comm, &ws.acc[send], &mut ws.pool);
+                    let src = if self.k == 0 {
+                        &input[send]
+                    } else {
+                        &acc[send]
+                    };
+                    let payload = link.pack(comm, src, &mut ws.pool);
                     self.wire.sreq = Some(comm.isend(right, tag, payload));
                     self.phase = RsPhase::RecvWait;
                 }
@@ -348,7 +381,7 @@ impl RingRs {
                         // The raw schedule (sendrecv) reduces after both
                         // waits, CPR-P2P between them.
                         Placement::Raw => self.got = Some(got),
-                        _ => self.reduce_got(comm, link, &got, op, ws),
+                        _ => self.reduce_got(comm, link, &got, op, input, acc, ws),
                     }
                     self.phase = RsPhase::SendWait;
                 }
@@ -357,19 +390,44 @@ impl RingRs {
                         return Poll::Pending;
                     }
                     if let Some(got) = self.got.take() {
-                        self.reduce_got(comm, link, &got, op, ws);
+                        self.reduce_got(comm, link, &got, op, input, acc, ws);
                     }
                     self.k += 1;
                     self.phase = RsPhase::Round;
                 }
                 RsPhase::Finish => {
-                    out_chunk.copy_from_slice(&ws.acc[ws.chunk(me)]);
-                    op.finalize(out_chunk, n);
+                    op.finalize(&mut acc[ws.chunk(me)], n);
                     self.phase = RsPhase::Done;
                 }
                 RsPhase::Done => return Poll::Ready,
             }
         }
+    }
+
+    /// [`RingRs::step`] for a caller with room for its own chunk only:
+    /// the accumulator is the workspace's, lent for the call, and the
+    /// chunk is copied out of it once.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step_chunk<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        cpr: Option<&CprCodec>,
+        op: ReduceOp,
+        input: &[f32],
+        out_chunk: &mut [f32],
+        ws: &mut CollWorkspace,
+        block: bool,
+    ) -> Poll {
+        let mine = chunk_range(input.len(), comm.size(), comm.rank());
+        assert_eq!(out_chunk.len(), mine.len(), "output must hold my chunk");
+        let mut acc = std::mem::take(&mut ws.acc);
+        acc.resize(input.len(), 0.0);
+        let poll = self.step(comm, cpr, op, input, &mut acc, ws, block);
+        if poll.is_ready() {
+            out_chunk.copy_from_slice(&acc[mine]);
+        }
+        ws.acc = acc;
+        poll
     }
 }
 
@@ -427,13 +485,12 @@ impl RingAg {
         }
     }
 
-    /// Land the own block — or, in the allreduce composition, where it
-    /// is already in place, charge the same memcpy so the composition
-    /// costs what the two stages cost apart.
+    /// Land the own block. In the allreduce composition (`mine = None`)
+    /// the reduce-scatter stage reduced it in place: nothing moves and
+    /// nothing is charged.
     fn land_own<C: Comm>(comm: &mut C, mine: Option<&[f32]>, own: &mut [f32]) {
-        match mine {
-            Some(m) => memcpy_in(comm, own, m),
-            None => comm.charge(Kernel::Memcpy, own.len() * 4, Category::Memcpy),
+        if let Some(m) = mine {
+            memcpy_in(comm, own, m);
         }
     }
 
@@ -522,9 +579,7 @@ impl RingAg {
                     // forwarded while its onward copy is on the wire.
                     if let Some((codec, true)) = once.filter(|_| send_idx != me) {
                         if let Some(blob) = ws.blobs[send_idx].take() {
-                            let vals =
-                                codec.decompress_once(comm, &blob, at.len(), &mut ws.scratch);
-                            memcpy_in(comm, &mut out[at], vals);
+                            codec.decompress_once_to(comm, &blob, &mut out[at], &mut ws.scratch);
                         }
                     }
                     self.phase = AgPhase::RecvWait;
@@ -562,8 +617,7 @@ impl RingAg {
                             continue;
                         };
                         let at = ws.chunk(r);
-                        let vals = codec.decompress_once(comm, &blob, at.len(), &mut ws.scratch);
-                        memcpy_in(comm, &mut out[at], vals);
+                        codec.decompress_once_to(comm, &blob, &mut out[at], &mut ws.scratch);
                     }
                     self.phase = AgPhase::Done;
                 }
@@ -602,11 +656,18 @@ enum BflyPhase {
 /// recursive-doubling allgather), in raw / CPR / pipelined placements
 /// (the fold and halving legs pipeline; doubling and unfold move
 /// finalized data and stay monolithic).
+///
+/// The accumulator is the caller's `out`, *born* from this rank's first
+/// fold (`out[range] = fold(input[range], received)`); until then sends
+/// read `input`. A rank the non-power-of-two fold folds away never
+/// accumulates: it ships `input` and lands the unfold in `out`.
 #[derive(Debug)]
 pub(crate) struct Butterfly {
     place: Placement,
     /// Rabenseifner when true, recursive doubling when false.
     halving: bool,
+    /// `out` holds this rank's live accumulator range.
+    born: bool,
     phase: BflyPhase,
     pos: usize,
     lo: usize,
@@ -638,6 +699,7 @@ impl Butterfly {
         Butterfly {
             place,
             halving,
+            born: false,
             phase: BflyPhase::Init,
             pos: 0,
             lo: 0,
@@ -688,8 +750,11 @@ impl Butterfly {
                     if self.halving {
                         ws.set_partition(input.len(), pow2);
                     }
-                    ws.acc.resize(input.len(), 0.0);
-                    memcpy_in(comm, &mut ws.acc, input);
+                    // One rank: no round to be born from.
+                    self.born = pow2 == 1;
+                    if self.born {
+                        memcpy_in(comm, out, input);
+                    }
                     if me < 2 * rem {
                         if me.is_multiple_of(2) {
                             self.phase = BflyPhase::FoldSend;
@@ -707,21 +772,33 @@ impl Butterfly {
                         self.enter_rounds();
                     }
                 }
-                // Fold: the contributing even rank ships its whole buffer.
+                // Fold: the contributing even rank ships its whole input.
                 BflyPhase::FoldSend => {
                     let (to, tag) = (me + 1, self.tag);
                     if let Placement::Piped(cfg) = self.place {
-                        let (acc, mut bufs) = ws.pipe();
+                        let mut bufs = ws.pipe();
                         if !self
                             .hop
-                            .step(comm, cfg, op, acc, to, &mut [], to, tag, &mut bufs, block)
+                            .step(
+                                comm,
+                                cfg,
+                                op,
+                                input,
+                                to,
+                                None,
+                                &mut [],
+                                to,
+                                tag,
+                                &mut bufs,
+                                block,
+                            )
                             .is_ready()
                         {
                             return Poll::Pending;
                         }
                         self.phase = BflyPhase::Unfold;
                     } else {
-                        let payload = link.pack(comm, &ws.acc, &mut ws.pool);
+                        let payload = link.pack(comm, input, &mut ws.pool);
                         self.wire.sreq = Some(comm.isend(to, tag, payload));
                         self.phase = BflyPhase::FoldSendWait;
                     }
@@ -732,14 +809,28 @@ impl Butterfly {
                     }
                     self.phase = BflyPhase::Unfold;
                 }
-                // Fold: the surviving odd rank reduces what arrives.
+                // Fold: the surviving odd rank reduces what arrives —
+                // its first touch of `out`.
                 BflyPhase::FoldRecv => {
+                    let first = Some(input);
                     if let Placement::Piped(cfg) = self.place {
                         let (from, tag) = (me - 1, self.tag);
-                        let (acc, mut bufs) = ws.pipe();
+                        let mut bufs = ws.pipe();
                         if !self
                             .hop
-                            .step(comm, cfg, op, &[], from, acc, from, tag, &mut bufs, block)
+                            .step(
+                                comm,
+                                cfg,
+                                op,
+                                &[],
+                                from,
+                                first,
+                                out,
+                                from,
+                                tag,
+                                &mut bufs,
+                                block,
+                            )
                             .is_ready()
                         {
                             return Poll::Pending;
@@ -748,8 +839,9 @@ impl Butterfly {
                         let Some(got) = self.wire.recv(comm, block, Category::Others) else {
                             return Poll::Pending;
                         };
-                        link.reduce(comm, &got, op, &mut ws.acc, &mut ws.scratch, "fold");
+                        link.reduce(comm, &got, op, first, out, &mut ws.scratch, "fold");
                     }
+                    self.born = true;
                     self.enter_rounds();
                 }
                 // Rabenseifner recursive-halving reduce-scatter rounds.
@@ -764,18 +856,27 @@ impl Butterfly {
                     let (keep, send) = self.halving_ranges(ws);
                     let tag = self.tag + self.round;
                     if let Placement::Piped(cfg) = self.place {
-                        let (acc, mut bufs) = ws.pipe();
-                        let (src, dst) = split_src_dst(acc, send, keep);
+                        let (first, src, dst) = if self.born {
+                            let (src, dst) = split_src_dst(out, send, keep);
+                            (None, src, dst)
+                        } else {
+                            (Some(&input[keep.clone()]), &input[send], &mut out[keep])
+                        };
+                        let mut bufs = ws.pipe();
                         if !self
                             .hop
-                            .step(comm, cfg, op, src, peer, dst, peer, tag, &mut bufs, block)
+                            .step(
+                                comm, cfg, op, src, peer, first, dst, peer, tag, &mut bufs, block,
+                            )
                             .is_ready()
                         {
                             return Poll::Pending;
                         }
+                        self.born = true;
                         self.advance_halving();
                     } else {
-                        let payload = link.pack(comm, &ws.acc[send], &mut ws.pool);
+                        let src = if self.born { &*out } else { input };
+                        let payload = link.pack(comm, &src[send], &mut ws.pool);
                         self.wire.rreq = Some(comm.irecv(peer, tag));
                         self.wire.sreq = Some(comm.isend(peer, tag, payload));
                         self.phase = BflyPhase::HalvingRecv;
@@ -794,8 +895,10 @@ impl Butterfly {
                     }
                     let got = self.got.take().expect("halving received a payload");
                     let (keep, _) = self.halving_ranges(ws);
-                    let dst = &mut ws.acc[keep];
-                    link.reduce(comm, &got, op, dst, &mut ws.scratch, "halving");
+                    let first = (!self.born).then(|| &input[keep.clone()]);
+                    let dst = &mut out[keep];
+                    link.reduce(comm, &got, op, first, dst, &mut ws.scratch, "halving");
+                    self.born = true;
                     self.advance_halving();
                 }
                 // Recursive-doubling rounds: full-payload exchange-and-
@@ -812,9 +915,10 @@ impl Butterfly {
                     let send = if self.halving {
                         self.doubling_ranges(ws).0
                     } else {
-                        0..ws.acc.len()
+                        0..out.len()
                     };
-                    let payload = link.pack(comm, &ws.acc[send], &mut ws.pool);
+                    let src = if self.born { &*out } else { input };
+                    let payload = link.pack(comm, &src[send], &mut ws.pool);
                     self.wire.rreq = Some(comm.irecv(peer, tag));
                     self.wire.sreq = Some(comm.isend(peer, tag, payload));
                     self.phase = BflyPhase::DoublingRecv;
@@ -833,9 +937,11 @@ impl Butterfly {
                     let got = self.got.take().expect("doubling received a payload");
                     if self.halving {
                         let (_, peer) = self.doubling_ranges(ws);
-                        link.unpack(comm, &got, &mut ws.acc[peer], &mut ws.scratch);
+                        link.unpack(comm, &got, &mut out[peer], &mut ws.scratch);
                     } else {
-                        link.reduce(comm, &got, op, &mut ws.acc, &mut ws.scratch, "doubling");
+                        let first = (!self.born).then_some(input);
+                        link.reduce(comm, &got, op, first, out, &mut ws.scratch, "doubling");
+                        self.born = true;
                     }
                     self.mask <<= 1;
                     self.round += 1;
@@ -849,7 +955,7 @@ impl Butterfly {
                         continue;
                     }
                     if me % 2 == 1 {
-                        let payload = link.pack(comm, &ws.acc, &mut ws.pool);
+                        let payload = link.pack(comm, out, &mut ws.pool);
                         self.wire.sreq = Some(comm.isend(me - 1, self.tag + 999, payload));
                         self.phase = BflyPhase::UnfoldSendWait;
                     } else {
@@ -867,11 +973,10 @@ impl Butterfly {
                     let Some(got) = self.wire.recv(comm, block, Category::Others) else {
                         return Poll::Pending;
                     };
-                    link.unpack(comm, &got, &mut ws.acc, &mut ws.scratch);
+                    link.unpack(comm, &got, out, &mut ws.scratch);
                     self.phase = BflyPhase::Final;
                 }
                 BflyPhase::Final => {
-                    memcpy_in(comm, out, &ws.acc);
                     op.finalize(out, n);
                     self.phase = BflyPhase::Done;
                 }
@@ -955,12 +1060,19 @@ enum TreePhase {
 /// Resumable binomial-tree rooted reduce. `step` returns
 /// `Poll::Ready`; whether this rank is the root comes from
 /// [`TreeReduce::is_root`] after completion.
+///
+/// A rank's accumulator is born from its first child's fold
+/// (`acc = fold(input, received)`) and a rank without children sends
+/// `input` itself. The root accumulates in its `out`; an interior rank
+/// has no output and borrows the workspace accumulator.
 #[derive(Debug)]
 pub(crate) struct TreeReduce {
     place: Placement,
     root: usize,
     phase: TreePhase,
     mask: usize,
+    /// The accumulator holds a fold (else this rank's value is `input`).
+    born: bool,
     hop: HopCursor,
     wire: Wire,
 }
@@ -972,6 +1084,7 @@ impl TreeReduce {
             root,
             phase: TreePhase::Init,
             mask: 1,
+            born: false,
             hop: HopCursor::new(),
             wire: Wire::default(),
         }
@@ -995,6 +1108,36 @@ impl TreeReduce {
         block: bool,
     ) -> Poll {
         let n = comm.size();
+        assert!(self.root < n, "root {} out of range", self.root);
+        let relative = (comm.rank() + n - self.root) % n;
+        if relative == 0 {
+            assert_eq!(out.len(), input.len(), "root output must hold the result");
+            return self.run(comm, cpr, op, input, out, ws, block);
+        }
+        let mut acc = std::mem::take(&mut ws.acc);
+        // A rank's first child, if it has any, is the next rank up.
+        if relative.is_multiple_of(2) && relative + 1 < n {
+            acc.resize(input.len(), 0.0);
+        }
+        let poll = self.run(comm, cpr, op, input, &mut acc, ws, block);
+        ws.acc = acc;
+        poll
+    }
+
+    /// [`TreeReduce::step`] over this rank's accumulator (untouched, and
+    /// possibly empty, on a rank without children).
+    #[allow(clippy::too_many_arguments)]
+    fn run<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        cpr: Option<&CprCodec>,
+        op: ReduceOp,
+        input: &[f32],
+        acc: &mut [f32],
+        ws: &mut CollWorkspace,
+        block: bool,
+    ) -> Poll {
+        let n = comm.size();
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
         let tag = tags::TREE_REDUCE + self.place.band();
@@ -1002,10 +1145,8 @@ impl TreeReduce {
         loop {
             match self.phase {
                 TreePhase::Init => {
-                    assert!(self.root < n, "root {} out of range", self.root);
-                    ws.acc.resize(input.len(), 0.0);
-                    memcpy_in(comm, &mut ws.acc, input);
                     self.mask = 1;
+                    self.born = false;
                     self.phase = TreePhase::Loop;
                 }
                 TreePhase::Loop => {
@@ -1032,18 +1173,31 @@ impl TreeReduce {
                 }
                 TreePhase::SendParent => {
                     let to = (relative - self.mask + self.root) % n;
+                    let src = if self.born { &*acc } else { input };
                     if let Placement::Piped(cfg) = self.place {
-                        let (acc, mut bufs) = ws.pipe();
+                        let mut bufs = ws.pipe();
                         if !self
                             .hop
-                            .step(comm, cfg, op, acc, to, &mut [], to, tag, &mut bufs, block)
+                            .step(
+                                comm,
+                                cfg,
+                                op,
+                                src,
+                                to,
+                                None,
+                                &mut [],
+                                to,
+                                tag,
+                                &mut bufs,
+                                block,
+                            )
                             .is_ready()
                         {
                             return Poll::Pending;
                         }
                         self.phase = TreePhase::DoneLeaf;
                     } else {
-                        let payload = link.pack(comm, &ws.acc, &mut ws.pool);
+                        let payload = link.pack(comm, src, &mut ws.pool);
                         self.wire.sreq = Some(comm.isend(to, tag, payload));
                         self.phase = TreePhase::SendParentWait;
                     }
@@ -1055,12 +1209,25 @@ impl TreeReduce {
                     self.phase = TreePhase::DoneLeaf;
                 }
                 TreePhase::RecvChild => {
+                    let first = (!self.born).then_some(input);
                     if let Placement::Piped(cfg) = self.place {
                         let from = ((relative + self.mask) + self.root) % n;
-                        let (acc, mut bufs) = ws.pipe();
+                        let mut bufs = ws.pipe();
                         if !self
                             .hop
-                            .step(comm, cfg, op, &[], from, acc, from, tag, &mut bufs, block)
+                            .step(
+                                comm,
+                                cfg,
+                                op,
+                                &[],
+                                from,
+                                first,
+                                acc,
+                                from,
+                                tag,
+                                &mut bufs,
+                                block,
+                            )
                             .is_ready()
                         {
                             return Poll::Pending;
@@ -1069,15 +1236,19 @@ impl TreeReduce {
                         let Some(got) = self.wire.recv(comm, block, Category::Others) else {
                             return Poll::Pending;
                         };
-                        link.reduce(comm, &got, op, &mut ws.acc, &mut ws.scratch, "tree-reduce");
+                        link.reduce(comm, &got, op, first, acc, &mut ws.scratch, "tree-reduce");
                     }
+                    self.born = true;
                     self.mask <<= 1;
                     self.phase = TreePhase::Loop;
                 }
+                // Only the root gets here; its accumulator is `out`.
                 TreePhase::Final => {
-                    assert_eq!(out.len(), input.len(), "root output must hold the result");
-                    memcpy_in(comm, out, &ws.acc);
-                    op.finalize(out, n);
+                    if !self.born {
+                        // One rank: no fold to be born from.
+                        memcpy_in(comm, acc, input);
+                    }
+                    op.finalize(acc, n);
                     self.phase = TreePhase::DoneRoot;
                 }
                 TreePhase::DoneRoot | TreePhase::DoneLeaf => return Poll::Ready,
@@ -1156,7 +1327,7 @@ impl Bcast {
         // the codec.
         let tag = tags::BCAST + once_band(self.pipe.is_some());
         if let (Some(pipe), Link::Cpr(cpr)) = (self.pipe, once_link(self.pipe.is_some(), cpr)) {
-            let (_, mut bufs) = ws.pipe();
+            let mut bufs = ws.pipe();
             return self
                 .relay
                 .step(comm, cpr, pipe, self.root, data, out, tag, &mut bufs, block);
@@ -1398,14 +1569,14 @@ impl Scatter {
                 }
                 ScPhase::Final => {
                     if let Link::Cpr(codec) = link {
-                        let held = &ws.blob_list[0];
-                        let vals = codec.decompress_once(comm, held, out.len(), &mut ws.scratch);
-                        // The root never lost precision.
-                        out.copy_from_slice(if me == self.root {
-                            &data[ws.chunk(me)]
+                        if me == self.root {
+                            // The root never lost precision, and has
+                            // nothing to decode.
+                            out.copy_from_slice(&data[ws.chunk(me)]);
                         } else {
-                            vals
-                        });
+                            let held = &ws.blob_list[0];
+                            codec.decompress_once_to(comm, held, out, &mut ws.scratch);
+                        }
                     } else {
                         out.copy_from_slice(&ws.stage[..ws.counts[me]]);
                     }
@@ -1565,14 +1736,13 @@ impl Gather {
                     if let Link::Cpr(codec) = link {
                         for i in 0..ws.blob_list.len() {
                             let a = (self.root + i) % n;
-                            let at = ws.chunk(a);
-                            let vals: &[f32] = if a == me {
-                                mine // the root's own chunk stays lossless
+                            let dst = &mut out[ws.chunk(a)];
+                            if a == me {
+                                dst.copy_from_slice(mine); // the root's own chunk stays lossless
                             } else {
                                 let blob = &ws.blob_list[i];
-                                codec.decompress_once(comm, blob, at.len(), &mut ws.scratch)
-                            };
-                            out[at].copy_from_slice(vals);
+                                codec.decompress_once_to(comm, blob, dst, &mut ws.scratch);
+                            }
                         }
                     } else {
                         let mut from = 0;
@@ -1726,8 +1896,7 @@ impl Alltoall {
                     let got = self.got.take().expect("round received a payload");
                     let from = (me + n - self.i) % n;
                     if let Link::Cpr(codec) = link {
-                        let vals = codec.decompress_once(comm, &got, block_len, &mut ws.scratch);
-                        memcpy_in(comm, &mut out[blk(from)], vals);
+                        codec.decompress_once_to(comm, &got, &mut out[blk(from)], &mut ws.scratch);
                     } else {
                         decode_values_in(comm, &mut out[blk(from)], &got);
                     }
@@ -1796,8 +1965,7 @@ impl BruckAg {
         while self.decoded < ws.blob_list.len() {
             let at = ws.chunk((me + self.decoded) % n);
             let blob = &ws.blob_list[self.decoded];
-            let vals = codec.decompress_once(comm, blob, at.len(), &mut ws.scratch);
-            memcpy_in(comm, &mut out[at], vals);
+            codec.decompress_once_to(comm, blob, &mut out[at], &mut ws.scratch);
             self.decoded += 1;
         }
     }
@@ -1982,22 +2150,18 @@ impl ArMachine {
                 h.step(comm, cpr, op, groups, input, out, ws, block)
             }
             ArMachine::Ring { rs, ag, in_ag } => {
-                let n = comm.size();
-                let me = comm.rank();
                 if !*in_ag {
                     assert_eq!(out.len(), input.len(), "output buffer size mismatch");
-                    // The reduce-scatter stage caches the same partition
-                    // the allgather stage reads back out of the
-                    // workspace.
-                    ws.set_partition(input.len(), n);
-                    let mine = ws.chunk(me);
-                    match rs.step(comm, cpr, op, input, &mut out[mine], ws, block) {
+                    // The reduce-scatter stage caches the partition the
+                    // allgather stage reads back out of the workspace,
+                    // and accumulates in `out`: its reduced chunk is
+                    // already where the allgather stage wants its own
+                    // block (`mine = None`).
+                    match rs.step(comm, cpr, op, input, out, ws, block) {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready => *in_ag = true,
                     }
                 }
-                // Own block already in place: the allgather stage pays
-                // the parity memcpy charge itself (`mine = None`).
                 ag.step(comm, cpr, None, out, ws, block)
             }
         }
@@ -2258,7 +2422,7 @@ impl HierAr {
                         let (tree, chunk) = hier.split_at_mut(tree_len);
                         let src = if grouped { &*tree } else { input };
                         let mut sub = CommView::group(comm, &groups.owners);
-                        let r = scatter.step(&mut sub, None, inner, src, chunk, ws, block);
+                        let r = scatter.step_chunk(&mut sub, None, inner, src, chunk, ws, block);
                         ws.hier = hier;
                         if r == Poll::Pending {
                             return Poll::Pending;
@@ -2710,8 +2874,7 @@ impl BruckA2a {
                         match link {
                             Link::Cpr(codec) if i != 0 => {
                                 let blob = ws.blobs[i].take().expect("tail slot holds a blob");
-                                let vals = codec.decompress_once(comm, &blob, b, &mut ws.scratch);
-                                memcpy_in(comm, dst, vals);
+                                codec.decompress_once_to(comm, &blob, dst, &mut ws.scratch);
                             }
                             _ => memcpy_in(comm, dst, &ws.stage[i * b..(i + 1) * b]),
                         }

@@ -18,11 +18,18 @@
 //!   the **fused decompress-reduce kernel**
 //!   (`Compressor::decompress_reduce_into`) straight into its
 //!   accumulator range, so decoded values never take a detour through a
-//!   scratch buffer.
+//!   scratch buffer;
+//! * when the hop is the *first touch* of that accumulator range the
+//!   caller passes `recv_from = Some(&input[range])` and every sub-chunk
+//!   lands as `recv_dst = fold(recv_from, decoded)`
+//!   (`Compressor::decompress_reduce_from`): the accumulator is born
+//!   from the fold, never from a copy of the input. `send_buf` may just
+//!   as well be a range of the caller's input — the cursor only reads it.
 //!
 //! A hop with an empty `send_buf` is receive-only and one with an empty
 //! `recv_dst` send-only. `HopCursor::step(comm, cfg, op, send_buf, to,
-//! recv_dst, from, tag, bufs, block)` takes the `PipelineConfig` itself:
+//! recv_from, recv_dst, from, tag, bufs, block)` takes the
+//! `PipelineConfig` itself:
 //! sub-chunks are `cfg.chunk_values` values of SZx at `cfg.error_bound`
 //! whatever the session codec is, and the cursor resets itself when the
 //! hop is `Ready`. Drivers, all in [`crate::nonblocking`]: the
@@ -50,8 +57,9 @@
 //!
 //! Buffer discipline: the engines own **no** buffers. Callers lend the
 //! workspace's payload pool, codec scratch and request queues through
-//! [`PipeBufs`] (`CollWorkspace::pipe` hands them out beside the
-//! accumulator), which keeps the zero-allocation steady state intact —
+//! [`PipeBufs`] (`CollWorkspace::pipe` hands them out; the accumulator
+//! is the machine's own business — usually the caller's output), which
+//! keeps the zero-allocation steady state intact —
 //! plans pre-size the pool for the worst number of concurrently
 //! in-flight sub-chunk payloads.
 
@@ -66,7 +74,6 @@ use ccoll_compress::{CodecScratch, SzxCodec};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{compress_in, decompress_reduce_in};
 use crate::frameworks::computation::PipelineConfig;
-use crate::frameworks::decompress_auto_in;
 use crate::nonblocking::Poll;
 use crate::reduce::ReduceOp;
 
@@ -83,13 +90,12 @@ const NONBLOCKING_DRAIN_BUDGET: usize = 4;
 
 /// The workspace buffers a cursor borrows: payload pool, codec
 /// scratch and the two request queues. Grouped so hop signatures stay
-/// readable and the borrows stay disjoint from the accumulator slices
-/// the hop reads/writes.
+/// readable.
 pub(crate) struct PipeBufs<'a> {
     /// Payload pool for compressed sub-chunk buffers.
     pub pool: &'a mut PayloadPool,
-    /// Codec scratch (the relay's decode target; in a hop only touched
-    /// by non-native fused fallbacks).
+    /// Codec scratch (both cursors decode in place; only a codec
+    /// without a native slice decode detours through it).
     pub scratch: &'a mut CodecScratch,
     /// Outstanding sub-chunk sends, retired FIFO.
     pub sreqs: &'a mut VecDeque<SendReq>,
@@ -153,7 +159,8 @@ impl HopCursor {
     }
 
     /// FIFO drain of arrived sub-chunks: each one is decompressed and
-    /// reduced into its slice of `recv_dst` through the fused kernel.
+    /// reduced into its slice of `recv_dst` through the fused kernel
+    /// (seeded from the same slice of `recv_from` on a first touch).
     /// With `block = false` the drain stops at the first not-yet-arrived
     /// sub-chunk (the opportunistic poll between compressions); with
     /// `block = true` it waits out the tail. Returns whether every
@@ -165,6 +172,7 @@ impl HopCursor {
         codec: &SzxCodec,
         pipe: usize,
         op: ReduceOp,
+        recv_from: Option<&[f32]>,
         recv_dst: &mut [f32],
         rreqs: &mut VecDeque<RecvReq>,
         scratch: &mut CodecScratch,
@@ -190,6 +198,7 @@ impl HopCursor {
                 Kernel::SzxDecompress,
                 &blob,
                 op,
+                recv_from.map(|src| &src[lo..hi]),
                 &mut recv_dst[lo..hi],
                 true,
                 scratch,
@@ -207,7 +216,9 @@ impl HopCursor {
     /// leg); both sides of a full-duplex exchange must agree on the
     /// sub-chunk size and the buffer lengths, as ring rounds and
     /// butterfly halving rounds guarantee through their shared
-    /// partitions. All sub-chunks travel on `tag`, each one
+    /// partitions. `recv_from` is `Some` (and as long as `recv_dst`) when
+    /// this hop is the first touch of `recv_dst`; it must be the same on
+    /// every step of one hop. All sub-chunks travel on `tag`, each one
     /// `cfg.chunk_values` values encoded by SZx at `cfg.error_bound`
     /// (whatever the session codec is). On `Ready` the cursor has reset
     /// itself for the owner's next hop.
@@ -219,6 +230,7 @@ impl HopCursor {
         op: ReduceOp,
         send_buf: &[f32],
         to: usize,
+        recv_from: Option<&[f32]>,
         recv_dst: &mut [f32],
         from: usize,
         tag: Tag,
@@ -264,6 +276,7 @@ impl HopCursor {
                 codec,
                 pipe,
                 op,
+                recv_from,
                 recv_dst,
                 bufs.rreqs,
                 bufs.scratch,
@@ -281,6 +294,7 @@ impl HopCursor {
             codec,
             pipe,
             op,
+            recv_from,
             recv_dst,
             bufs.rreqs,
             bufs.scratch,
@@ -456,28 +470,25 @@ impl RelayCursor {
                 }
                 m >>= 1;
             }
-            if !is_root {
-                // Not `decompress_once`: here a short stream is a fault
-                // to abort on, not a bug to panic on.
-                let vals =
-                    decompress_auto_in(comm, cpr.codec.as_ref(), cpr.dk, &blob, bufs.scratch);
-                if vals.len() != hi - lo {
-                    // Only a permanently lost sub-chunk can do this: the
-                    // FIFO stream closed up behind it and the short tail
-                    // landed in a full slot. Abort like the starved tail
-                    // receive would have.
-                    assert!(
-                        comm.fault_policy().is_active(),
-                        "C-Bcast length disagrees with plan"
-                    );
-                    comm.profiler().note_abort(CommError::Timeout {
-                        src: parent(),
-                        tag,
-                        waited: Duration::ZERO,
-                    });
-                    return Poll::Pending;
-                }
-                out[lo..hi].copy_from_slice(vals);
+            if !is_root
+                && cpr
+                    .try_decompress_once_to(comm, &blob, &mut out[lo..hi], bufs.scratch)
+                    .is_err()
+            {
+                // Only a permanently lost sub-chunk can do this: the
+                // FIFO stream closed up behind it and the short tail
+                // landed in a full slot. Abort like the starved tail
+                // receive would have.
+                assert!(
+                    comm.fault_policy().is_active(),
+                    "C-Bcast sub-chunk does not decode to the planned length"
+                );
+                comm.profiler().note_abort(CommError::Timeout {
+                    src: parent(),
+                    tag,
+                    waited: Duration::ZERO,
+                });
+                return Poll::Pending;
             }
             self.j += 1;
             consumed += 1;

@@ -10,8 +10,9 @@
 //! * **CPR** (per hop) — the session codec, unpooled (each call pays the
 //!   `BufferMgmt` charge of a naive integration);
 //! * **once** (data movement) — the session codec, pooled:
-//!   [`CprCodec::compress_once`] at the origin, `decompress_once` at
-//!   each consumer, opaque relays in between;
+//!   [`CprCodec::compress_once`] at the origin, `decompress_once_to` at
+//!   each consumer (straight into its place in the output), opaque
+//!   relays in between;
 //! * **piped** (computation) — SZx at the session's error bound in
 //!   `PipelineConfig::chunk_values` sub-chunks, whatever the session
 //!   codec is: a `zfp-abs` session streams its reducing hops through
@@ -24,14 +25,25 @@
 //!    the receive-wait and the send-wait, raw *after both*. `RingAg` and
 //!    `Butterfly` pack first, then post the receive, then send.
 //! 2. Raw `pack` charges nothing and raw `unpack` charges `Memcpy`; CPR
-//!    `unpack` is decompress (`ComDecom` + `BufferMgmt`) + `Memcpy`. The
-//!    raw `Bcast` / `Scatter` / `Gather` receives decode *uncharged* and
-//!    therefore stay off the link.
+//!    `unpack` is decompress (`ComDecom` + `BufferMgmt`) + `Memcpy` —
+//!    the naive integration the baselines model. `reduce` never charges
+//!    `Memcpy`, first touch (`from`) or not, and neither does the
+//!    compress-once `decompress_once_to`. The raw `Bcast` / `Scatter` /
+//!    `Gather` receives decode *uncharged* and therefore stay off the
+//!    link.
 //! 3. Piped `RingRs` rounds live in the `tags::PIPELINE` family, not in
 //!    `REDUCE_SCATTER + band`.
 //! 4. Legs of a piped machine that move finalized data (Rabenseifner
 //!    doubling, unfold) stay monolithic CPR: `Piped(..).link(cpr)` is
 //!    [`Link::Cpr`].
+//! 5. The accumulator is born from the first fold and lives in the
+//!    caller's output: a reducing machine never copies its input in.
+//!    The first send of a range reads `input`, the first fold of a
+//!    range is `reduce(.., from = Some(&input[range]), ..)`, later ones
+//!    fold in place, and where the caller has a full-length `out` that
+//!    is the accumulator, so nothing is copied out either. Only a
+//!    schedule with no fold at all (one rank) pays one charged
+//!    `input → out` copy.
 
 use bytes::Bytes;
 use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
@@ -123,14 +135,19 @@ impl Link<'_> {
         }
     }
 
-    /// Fold a received payload into `dst` with `op`. Raw decodes
-    /// uncharged and charges `Reduce`; CPR charges the decompression
-    /// kernel, `Reduce` and `BufferMgmt` (fused decompress-reduce).
+    /// Fold a received payload into `dst` with `op`: in place, or — the
+    /// first touch of an accumulator range — as `dst = fold(from,
+    /// payload)`, which is what copying `from` in and then folding in
+    /// place computes. Raw decodes uncharged and charges `Reduce`; CPR
+    /// charges the decompression kernel, `Reduce` and `BufferMgmt`
+    /// (fused decompress-reduce). Neither form charges `Memcpy`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn reduce<C: Comm>(
         self,
         comm: &mut C,
         got: &[u8],
         op: ReduceOp,
+        from: Option<&[f32]>,
         dst: &mut [f32],
         scratch: &mut CodecScratch,
         context: &str,
@@ -142,10 +159,13 @@ impl Link<'_> {
                 assert_eq!(dec.len(), dst.len(), "{context} block size mismatch");
                 let vals: &[f32] = dec;
                 comm.run_kernel(Kernel::Reduce, vals.len() * 4, Category::Reduction, || {
+                    if let Some(src) = from {
+                        dst.copy_from_slice(src);
+                    }
                     op.apply(dst, vals)
                 });
             }
-            Link::Cpr(codec) => codec.decompress_reduce(comm, got, op, dst, scratch),
+            Link::Cpr(codec) => codec.decompress_reduce(comm, got, op, from, dst, scratch),
         }
     }
 }
@@ -181,10 +201,13 @@ mod tests {
         (took, documented)
     }
 
-    /// Rank 0 packs `vals(0.)` twice and ships both to rank 1, which
-    /// unpacks one and reduces the other into `vals(1.)`: the data must
-    /// agree to within `tol`, and every call must take exactly the
-    /// kernel terms its placement documents (`pack`, `unpack`, `reduce`).
+    /// Rank 0 packs `vals(0.)` three times and ships them to rank 1,
+    /// which unpacks one, reduces one into `vals(1.)` in place and one
+    /// as the first touch of a stale buffer (`from = vals(1.)`): the
+    /// data must agree to within `tol` — the two reduce forms bit for
+    /// bit — and every call must take exactly the kernel terms its
+    /// placement documents (`pack`, `unpack`, `reduce`), in `Memcpy` no
+    /// more than `unpack`'s.
     fn exercise(place: Placement, spec: CodecSpec, tol: f32, charges: [&'static [Kernel]; 3]) {
         let [pack, unpack, reduce] = charges;
         let out = SimWorld::new(SimConfig::new(2)).run(move |c| {
@@ -192,7 +215,7 @@ mod tests {
             let link = place.link(cpr.as_ref());
             let mut ws = CollWorkspace::new();
             if c.rank() == 0 {
-                return [1, 2].map(|tag| {
+                return [1, 2, 3].map(|tag| {
                     let mut payload = Bytes::new();
                     let t = timed(c, pack, |c| {
                         payload = link.pack(c, &vals(0.0), &mut ws.pool)
@@ -208,15 +231,37 @@ mod tests {
             });
             assert_within(&landed, &vals(0.0), tol, "unpack");
 
+            let unpack_memcpy = c.profiler().breakdown().get(Category::Memcpy);
+
             let mut acc = vals(1.0);
             let got = c.recv(0, 2);
             let t_reduce = timed(c, reduce, |c| {
-                link.reduce(c, &got, ReduceOp::Sum, &mut acc, &mut ws.scratch, "seam")
+                let scratch = &mut ws.scratch;
+                link.reduce(c, &got, ReduceOp::Sum, None, &mut acc, scratch, "seam")
             });
             let mut expect = vals(1.0);
             ReduceOp::Sum.apply(&mut expect, &landed);
             assert_within(&acc, &expect, tol, "reduce vs unpack + apply");
-            [t_unpack, t_reduce]
+
+            let mut born = vec![f32::NAN; LEN];
+            let got = c.recv(0, 3);
+            let t_from = timed(c, reduce, |c| {
+                let (from, scratch) = (vals(1.0), &mut ws.scratch);
+                link.reduce(
+                    c,
+                    &got,
+                    ReduceOp::Sum,
+                    Some(&from),
+                    &mut born,
+                    scratch,
+                    "seam",
+                )
+            });
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&born), bits(&acc), "first touch vs copy + reduce");
+            let memcpy = c.profiler().breakdown().get(Category::Memcpy);
+            assert_eq!(memcpy, unpack_memcpy, "reduce charged a memcpy");
+            [t_unpack, t_reduce, t_from]
         });
         for (rank, calls) in out.results.iter().enumerate() {
             for (took, charged) in calls {

@@ -863,7 +863,10 @@ impl<K: Kind> Drop for Handle<'_, '_, K> {
 
 /// Persistent allreduce plan (see [`CCollSession::plan_allreduce`] and
 /// [`CCollSession::plan_allreduce_with`]): `input` and `out` are both
-/// [`len`](AllreducePlan::len) values on every rank.
+/// [`len`](AllreducePlan::len) values on every rank. `out` is the
+/// reduction's accumulator while the operation runs (its contents on
+/// entry do not matter), so after an aborted operation it is
+/// unspecified.
 ///
 /// An `Auto` allreduce plan re-ranks once after warm-up from the
 /// communicator-agreed measured compression ratio and then keeps
@@ -1296,7 +1299,7 @@ impl Kind for ReduceScatter {
         block: bool,
     ) -> Poll {
         let cpr = core.session.cpr.as_ref();
-        machine.step(comm, cpr, self.op, input, out, &mut core.ws, block)
+        machine.step_chunk(comm, cpr, self.op, input, out, &mut core.ws, block)
     }
 
     fn output(_: &RingRs) {}
@@ -1701,7 +1704,7 @@ impl Kind for Reduce {
             ) => {
                 let mine = &mut stage.mine;
                 if !*in_gather {
-                    match rs.step(comm, cpr, self.op, input, mine, &mut stage.ws, block) {
+                    match rs.step_chunk(comm, cpr, self.op, input, mine, &mut stage.ws, block) {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready => {
                             // Drain the stage's compression-ratio sample
@@ -1914,6 +1917,35 @@ mod tests {
             let together = ThreadWorld::new(n).run(move |c| two_ring_allreduces(c, stamps));
             assert_eq!(together.results, apart, "threaded, {n} ranks");
         }
+    }
+
+    /// A flat allreduce accumulates in the caller's `out`: the plan never
+    /// grows the workspace accumulator (4 MiB per plan at 1 Mi values).
+    #[test]
+    fn allreduce_plans_do_not_take_the_workspace_accumulator() {
+        use crate::CodecSpec;
+        let n = 6;
+        let specs = [CodecSpec::None, CodecSpec::Szx { error_bound: 1e-3 }];
+        let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let input: Vec<f32> = (0..9001).map(|i| (i + c.rank()) as f32).collect();
+            let mut out = vec![0.0f32; input.len()];
+            let mut taken = Vec::new();
+            for spec in specs {
+                let session = CCollSession::new(spec, n);
+                for algorithm in [
+                    Algorithm::Ring,
+                    Algorithm::RecursiveDoubling,
+                    Algorithm::Rabenseifner,
+                ] {
+                    let opts = PlanOptions::new().algorithm(algorithm);
+                    let mut plan = session.plan_allreduce_with(input.len(), ReduceOp::Sum, opts);
+                    plan.execute_into(c, &input, &mut out);
+                    taken.push(plan.core.ws.acc.capacity());
+                }
+            }
+            taken
+        });
+        assert!(out.results.iter().flatten().all(|&cap| cap == 0));
     }
 
     #[test]

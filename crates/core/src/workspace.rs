@@ -4,7 +4,8 @@
 //! Every collective needs the same small family of transient buffers: a
 //! codec scratch (compressed stream in, decoded values out), a payload
 //! pool for the owned message buffers the transport keeps alive, an
-//! accumulator and a staging copy of outgoing values, relay slots for
+//! accumulator for the reductions that cannot accumulate in the
+//! caller's output, a staging copy of outgoing values, relay slots for
 //! compressed blocks, and request queues. The seed allocated all of
 //! these per call; a [`CollWorkspace`] owns them across calls, so a
 //! persistent plan (see [`crate::session`]) reaches a steady state in
@@ -37,7 +38,13 @@ pub struct CollWorkspace {
     pub scratch: CodecScratch,
     /// Recycling pool for owned message payload buffers.
     pub pool: PayloadPool,
-    /// Full-length accumulator (reduce-scatter / allreduce).
+    /// Full-length accumulator, lent (`mem::take`n and put back) to the
+    /// reductions whose caller has no full-length output to accumulate
+    /// in: the reduce-scatter plan, the non-root interior ranks of a
+    /// tree reduce and the hierarchical allreduce's node-local
+    /// reduce-scatter. A flat allreduce accumulates in the caller's
+    /// `out` and leaves this empty. (The raw Bruck schedules also stage their
+    /// held / packed blocks here.)
     pub acc: Vec<f32>,
     /// Staging buffer for outgoing value snapshots (pipelined rounds,
     /// scatter/gather subtree spans).
@@ -97,17 +104,14 @@ impl CollWorkspace {
         self.offsets[i]..self.offsets[i] + self.counts[i]
     }
 
-    /// The accumulator together with the buffers a pipeline cursor
-    /// borrows, disjointly, so a hop can stream out of and reduce into
-    /// the accumulator.
-    pub(crate) fn pipe(&mut self) -> (&mut [f32], PipeBufs<'_>) {
-        let bufs = PipeBufs {
+    /// The buffers a pipeline cursor borrows.
+    pub(crate) fn pipe(&mut self) -> PipeBufs<'_> {
+        PipeBufs {
             pool: &mut self.pool,
             scratch: &mut self.scratch,
             sreqs: &mut self.sreqs,
             rreqs: &mut self.rreqs,
-        };
-        (&mut self.acc, bufs)
+        }
     }
 
     /// Scrub all in-flight state after an aborted execution: pending

@@ -212,11 +212,12 @@ fn lane_owner_crash_aborts_every_survivor_without_hanging() {
                 .count()
         })
         .collect();
+    // Charged kernels count as operations, so how long the victim's
+    // collective is depends on what the schedule charges; the shape of
+    // the sweep does not. It is not vacuous: the first kill aborts
+    // everyone and the last lets somebody finish.
     let ops = aborted.len();
-    assert!(
-        ops >= 40,
-        "the victim's collective is {ops} operations long"
-    );
+    assert!(ops >= 2 && aborted[ops - 1] < n - 1, "{aborted:?}");
     assert!(
         aborted[..ops / 2].iter().all(|&a| a == n - 1),
         "{aborted:?}"
