@@ -15,9 +15,9 @@
 //! x86_64, NEON presence on aarch64) and resolved to a [`Kernels`]
 //! table of plain function pointers. Codecs hold a [`SimdLevel`] (default
 //! [`SimdLevel::Auto`]) so benchmarks and differential tests can pin both
-//! paths in the same process; the environment variables `CCOLL_FORCE_SCALAR`
-//! (any non-empty value other than `0`) and `CCOLL_SIMD=scalar|sse41|avx2|neon`
-//! override `Auto` for whole-process A/B runs. Requesting a level the
+//! paths in the same process; the environment variable
+//! `CCOLL_SIMD=scalar|sse41|avx2|neon` overrides `Auto` for whole-process
+//! A/B runs (`scalar` is how CI pins the oracle). Requesting a level the
 //! running CPU does not support silently falls back to scalar — the level
 //! never changes stream contents, only speed.
 //!
@@ -76,7 +76,7 @@ pub(crate) fn unzigzag(z: u32) -> i32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
     /// Resolve to the best level the CPU supports (honouring the
-    /// `CCOLL_FORCE_SCALAR` / `CCOLL_SIMD` environment overrides).
+    /// `CCOLL_SIMD` environment override).
     Auto,
     /// Portable scalar kernels — always available, and the differential
     /// oracle every other level is tested against.
@@ -308,17 +308,14 @@ pub fn kernels(level: SimdLevel) -> &'static Kernels {
 }
 
 /// The process-wide kernel table: the best detected level, unless
-/// `CCOLL_FORCE_SCALAR` (non-empty, not `"0"`) or `CCOLL_SIMD=<level>`
-/// overrides it. Detection and environment are consulted exactly once.
+/// `CCOLL_SIMD=<level>` overrides it. Detection and environment are
+/// consulted exactly once.
 pub fn active() -> &'static Kernels {
     static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
     ACTIVE.get_or_init(|| kernels(resolve_auto()))
 }
 
 fn resolve_auto() -> SimdLevel {
-    if std::env::var_os("CCOLL_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0") {
-        return SimdLevel::Scalar;
-    }
     if let Ok(name) = std::env::var("CCOLL_SIMD") {
         match name.to_ascii_lowercase().as_str() {
             "scalar" => return SimdLevel::Scalar,

@@ -81,7 +81,7 @@
 //!    x86-64, NEON folds on aarch64) detected once at startup, with the
 //!    scalar loops kept as the always-available fallback and the
 //!    differential oracle. Every level emits bitwise-identical streams;
-//!    `CCOLL_FORCE_SCALAR=1` (or `CCOLL_SIMD=<level>`) pins the whole
+//!    `CCOLL_SIMD=<level>` (`scalar` for the oracle) pins the whole
 //!    process, and [`SzxCodec::with_dispatch`] pins one codec instance.
 //!
 //! ```

@@ -31,6 +31,7 @@
 use ccoll_comm::{ClusterNet, CostModel, HierNet, NetModel, SchedParams, Schedule};
 
 use crate::codec::CodecSpec;
+use crate::plan::Row;
 
 /// Which schedule a collective plan executes. Constructed through
 /// [`PlanOptions`]; resolved (for [`Algorithm::Auto`]) at plan-creation
@@ -281,105 +282,38 @@ impl SelectCtx<'_> {
         (da / (da + db)).clamp(0.25, 0.75)
     }
 
-    /// The cheapest of `candidates` for a `payload_bytes` workload.
-    fn cheapest(&self, payload_bytes: usize, candidates: &[(Algorithm, Schedule)]) -> Algorithm {
+    /// The cheapest of `rows` (a kind's admitted schedule-table rows)
+    /// for a `payload_bytes` workload; the first of equally cheap rows.
+    pub fn cheapest<'r>(
+        &self,
+        payload_bytes: usize,
+        rows: impl Iterator<Item = &'r Row>,
+    ) -> Algorithm {
         let p = self.params(payload_bytes);
-        candidates
-            .iter()
-            .min_by(|(_, a), (_, b)| self.price(*a, &p).cmp(&self.price(*b, &p)))
-            .expect("candidate list is never empty")
+        let price = |row: &Row| {
+            let schedule = row.1.expect("a row Auto ranks has a cost-model entry");
+            self.price(schedule, &p)
+        };
+        rows.min_by(|a, b| price(a).cmp(&price(b)))
+            .expect("a kind has at least one admitted schedule")
             .0
     }
 
     /// Whether two-level schedules are meaningful: a topology with more
     /// than one node (one node degenerates to the flat schedules).
-    fn multi_node(&self) -> bool {
+    pub fn multi_node(&self) -> bool {
         self.cluster.is_some_and(|c| c.topo.nodes() > 1)
     }
-
-    /// Resolve an allreduce algorithm (Ring | RecursiveDoubling |
-    /// Rabenseifner | Hierarchical with a multi-node topology). The
-    /// candidate tables live on the stack: the continuous calibration
-    /// loop re-ranks in the zero-allocation steady state.
-    pub fn allreduce(&self, len: usize) -> Algorithm {
-        let candidates = [
-            (Algorithm::Ring, Schedule::RingAllreduce),
-            (
-                Algorithm::RecursiveDoubling,
-                Schedule::RecursiveDoublingAllreduce,
-            ),
-            (Algorithm::Rabenseifner, Schedule::RabenseifnerAllreduce),
-            (Algorithm::Hierarchical, Schedule::HierarchicalAllreduce),
-        ];
-        let n = if self.multi_node() { 4 } else { 3 };
-        self.cheapest(len * 4, &candidates[..n])
-    }
-
-    /// Resolve an allgather algorithm (Ring | Bruck | Hierarchical with
-    /// a multi-node topology) for the largest per-rank block.
-    pub fn allgather(&self, max_block: usize) -> Algorithm {
-        let candidates = [
-            (Algorithm::Ring, Schedule::RingAllgather),
-            (Algorithm::Bruck, Schedule::BruckAllgather),
-            (Algorithm::Hierarchical, Schedule::HierarchicalAllgather),
-        ];
-        let n = if self.multi_node() { 3 } else { 2 };
-        self.cheapest(max_block * 4, &candidates[..n])
-    }
-
-    /// Resolve a bcast algorithm (Binomial | Hierarchical with a
-    /// multi-node topology).
-    pub fn bcast(&self, len: usize) -> Algorithm {
-        let candidates = [
-            (Algorithm::Binomial, Schedule::BinomialTreeBcast),
-            (Algorithm::Hierarchical, Schedule::HierarchicalBcast),
-        ];
-        let n = if self.multi_node() { 2 } else { 1 };
-        self.cheapest(len * 4, &candidates[..n])
-    }
-
-    /// Resolve an alltoall algorithm (Pairwise | Bruck) for a per-rank
-    /// block of `block` values: Bruck trades `⌈log₂n⌉·(wire/2)` for the
-    /// pairwise `(n−1)` latency terms, so it wins small blocks.
-    pub fn alltoall(&self, block: usize) -> Algorithm {
-        self.cheapest(
-            block * 4,
-            &[
-                (Algorithm::Pairwise, Schedule::PairwiseAlltoall),
-                (Algorithm::Bruck, Schedule::BruckAlltoall),
-            ],
-        )
-    }
-
-    /// Resolve a rooted-reduce algorithm (Binomial | Rabenseifner).
-    pub fn reduce(&self, len: usize) -> Algorithm {
-        self.cheapest(
-            len * 4,
-            &[
-                (Algorithm::Binomial, Schedule::BinomialTreeReduce),
-                (Algorithm::Rabenseifner, Schedule::ReduceScatterGatherReduce),
-            ],
-        )
-    }
 }
 
-/// The schedule an already-resolved allreduce algorithm executes — the
-/// inverse of [`SelectCtx::allreduce`]'s candidate table, used by the
-/// calibration loop to price the plan it is measuring.
-pub(crate) fn allreduce_schedule(a: Algorithm) -> Schedule {
-    match a {
-        Algorithm::Ring => Schedule::RingAllreduce,
-        Algorithm::RecursiveDoubling => Schedule::RecursiveDoublingAllreduce,
-        Algorithm::Rabenseifner => Schedule::RabenseifnerAllreduce,
-        Algorithm::Hierarchical => Schedule::HierarchicalAllreduce,
-        _ => unreachable!("allreduce plans only resolve to the four schedules above"),
-    }
-}
-
-/// Panic helper for `plan_*_with` constructors: reject an algorithm a
-/// collective has no schedule for, naming the supported set.
-pub(crate) fn reject_unsupported(collective: &str, got: Algorithm, supported: &[Algorithm]) -> ! {
-    let names: Vec<&str> = supported.iter().map(|a| a.label()).collect();
+/// Panic helper for plan construction: reject an algorithm a collective
+/// has no schedule for, naming the supported set.
+pub(crate) fn reject_unsupported(
+    collective: &str,
+    got: Algorithm,
+    supported: impl Iterator<Item = Algorithm>,
+) -> ! {
+    let names: Vec<&str> = supported.map(|a| a.label()).collect();
     panic!(
         "{collective} has no {} schedule (supported: auto, {})",
         got.label(),
@@ -389,31 +323,36 @@ pub(crate) fn reject_unsupported(collective: &str, got: Algorithm, supported: &[
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use ccoll_comm::Topology;
 
-    fn ctx(spec: CodecSpec, world: usize) -> (CostModel, NetModel, CodecSpec, usize) {
-        (CostModel::default(), NetModel::default(), spec, world)
+    use super::*;
+    use crate::plan::{select, Allgather, Allreduce, Alltoall, Kind, Reduce};
+    use crate::{CCollSession, ReduceOp};
+
+    const SZX: CodecSpec = CodecSpec::Szx { error_bound: 1e-3 };
+
+    /// What `Auto` resolves `kind` to on `session` at plan creation.
+    fn auto<K: Kind>(session: &CCollSession, kind: K) -> Algorithm {
+        select(&kind, session.select_ctx())
+    }
+
+    fn allreduce(session: &CCollSession, len: usize) -> Algorithm {
+        let variant = AllreduceVariant::Overlapped;
+        auto(
+            session,
+            Allreduce::new(session, len, ReduceOp::Sum, variant),
+        )
     }
 
     #[test]
     fn auto_allreduce_crosses_from_doubling_to_bandwidth_optimal() {
-        let (cost, net, spec, world) = ctx(CodecSpec::Szx { error_bound: 1e-3 }, 16);
-        let s = SelectCtx {
-            cost: &cost,
-            net: &net,
-            spec,
-            world,
-            measured_ratio: None,
-            cluster: None,
-            alpha_scale: 1.0,
-            beta_scale: 1.0,
-        };
+        let s = CCollSession::new(SZX, 16);
         assert_eq!(
-            s.allreduce(128),
+            allreduce(&s, 128),
             Algorithm::RecursiveDoubling,
             "small payloads are latency-bound"
         );
-        let large = s.allreduce(16 * 1024 * 1024);
+        let large = allreduce(&s, 16 * 1024 * 1024);
         assert!(
             matches!(large, Algorithm::Ring | Algorithm::Rabenseifner),
             "large payloads are bandwidth-bound, got {large:?}"
@@ -422,54 +361,27 @@ mod tests {
 
     #[test]
     fn auto_allgather_crosses_from_bruck_to_ring() {
-        let (cost, net, spec, world) = ctx(CodecSpec::Szx { error_bound: 1e-3 }, 32);
-        let s = SelectCtx {
-            cost: &cost,
-            net: &net,
-            spec,
-            world,
-            measured_ratio: None,
-            cluster: None,
-            alpha_scale: 1.0,
-            beta_scale: 1.0,
-        };
-        assert_eq!(s.allgather(64), Algorithm::Bruck);
-        assert_eq!(s.allgather(8 * 1024 * 1024), Algorithm::Ring);
+        let s = CCollSession::new(SZX, 32);
+        let allgather = |block: usize| auto(&s, Allgather::new(&s, vec![block; 32]));
+        assert_eq!(allgather(64), Algorithm::Bruck);
+        assert_eq!(allgather(8 * 1024 * 1024), Algorithm::Ring);
     }
 
     #[test]
     fn auto_reduce_crosses_from_binomial_to_rs_gather() {
-        let (cost, net, spec, world) = ctx(CodecSpec::None, 16);
-        let s = SelectCtx {
-            cost: &cost,
-            net: &net,
-            spec,
-            world,
-            measured_ratio: None,
-            cluster: None,
-            alpha_scale: 1.0,
-            beta_scale: 1.0,
-        };
-        assert_eq!(s.reduce(128), Algorithm::Binomial);
-        assert_eq!(s.reduce(16 * 1024 * 1024), Algorithm::Rabenseifner);
+        let s = CCollSession::new(CodecSpec::None, 16);
+        let reduce = |len: usize| auto(&s, Reduce::new(&s, 0, len, ReduceOp::Sum));
+        assert_eq!(reduce(128), Algorithm::Binomial);
+        assert_eq!(reduce(16 * 1024 * 1024), Algorithm::Rabenseifner);
     }
 
     #[test]
     fn auto_alltoall_crosses_from_bruck_to_pairwise() {
-        let (cost, net, spec, world) = ctx(CodecSpec::Szx { error_bound: 1e-3 }, 64);
-        let s = SelectCtx {
-            cost: &cost,
-            net: &net,
-            spec,
-            world,
-            measured_ratio: None,
-            cluster: None,
-            alpha_scale: 1.0,
-            beta_scale: 1.0,
-        };
-        assert_eq!(s.alltoall(64), Algorithm::Bruck, "small blocks: log₂n legs");
+        let s = CCollSession::new(SZX, 64);
+        let alltoall = |block: usize| auto(&s, Alltoall::new(&s, block * 64));
+        assert_eq!(alltoall(64), Algorithm::Bruck, "small blocks: log₂n legs");
         assert_eq!(
-            s.alltoall(1024 * 1024),
+            alltoall(1024 * 1024),
             Algorithm::Pairwise,
             "large blocks: Bruck's n/2-payload rounds lose"
         );
@@ -477,37 +389,16 @@ mod tests {
 
     #[test]
     fn auto_allreduce_picks_hierarchical_on_multi_node_cluster() {
-        let (cost, _, spec, _) = ctx(CodecSpec::Szx { error_bound: 1e-3 }, 128);
-        let cl = ClusterNet {
-            topo: ccoll_comm::Topology::uniform(8, 16),
-            net: ccoll_comm::HierNet::cluster_default(),
-        };
-        let s = SelectCtx {
-            cost: &cost,
-            net: &cl.net.inter,
-            spec,
-            world: 128,
-            measured_ratio: None,
-            cluster: Some(&cl),
-            alpha_scale: 1.0,
-            beta_scale: 1.0,
-        };
+        let net = HierNet::cluster_default();
+        let s = CCollSession::new(SZX, 128).with_topology(Topology::uniform(8, 16), net);
         assert_eq!(
-            s.allreduce(16 * 1024),
+            allreduce(&s, 16 * 1024),
             Algorithm::Hierarchical,
             "leader-only inter traffic beats contended flat butterflies"
         );
         // A single-node topology must fall back to flat schedules.
-        let one = ClusterNet {
-            topo: ccoll_comm::Topology::uniform(1, 16),
-            net: ccoll_comm::HierNet::cluster_default(),
-        };
-        let s1 = SelectCtx {
-            world: 16,
-            cluster: Some(&one),
-            ..s
-        };
-        assert_ne!(s1.allreduce(16 * 1024), Algorithm::Hierarchical);
+        let s1 = CCollSession::new(SZX, 16).with_topology(Topology::uniform(1, 16), net);
+        assert_ne!(allreduce(&s1, 16 * 1024), Algorithm::Hierarchical);
     }
 
     #[test]

@@ -1,0 +1,258 @@
+//! The allreduce kind: the ring composition of the paper's C-Allreduce
+//! (all four Table-V placements), the two butterflies and the laned
+//! two-level schedule.
+
+use ccoll_comm::{Comm, Schedule};
+
+use crate::algorithm::{Algorithm, AllreduceVariant};
+use crate::nonblocking::{AgMode, Butterfly, HierAr, Poll, RingAg, RingRs};
+use crate::placement::Placement;
+use crate::plan::{priced, Completes, Handle, Kind, Plan, PlanCore, Row, Tuning};
+use crate::reduce::ReduceOp;
+use crate::session::{CCollSession, CollectiveError, Recovery};
+use crate::workspace::CollWorkspace;
+
+/// Persistent allreduce plan (see [`CCollSession::plan_allreduce`] and
+/// [`CCollSession::plan_allreduce_with`]): `input` and `out` are both
+/// [`len`](AllreducePlan::len) values on every rank. `out` is the
+/// reduction's accumulator while the operation runs (its contents on
+/// entry do not matter), so after an aborted operation it is
+/// unspecified.
+///
+/// An `Auto` allreduce plan re-ranks once after warm-up from the
+/// communicator-agreed measured compression ratio and then keeps
+/// calibrating the session's α–β network scales every few executions
+/// (see [`CCollSession::net_calibration`]).
+pub type AllreducePlan = Plan<Allreduce>;
+/// An in-flight nonblocking allreduce (see [`Plan::start`]).
+pub type AllreduceHandle<'p, 'b> = Handle<'p, 'b, Allreduce>;
+
+/// The allreduce kind (see [`AllreducePlan`]).
+pub struct Allreduce {
+    pub(crate) len: usize,
+    pub(crate) op: ReduceOp,
+    pub(crate) variant: AllreduceVariant,
+    /// Lanes of the hierarchical schedule at this length (see
+    /// [`CCollSession::hier_lanes`]); read when the split is built.
+    pub(crate) lanes: usize,
+}
+
+impl Allreduce {
+    pub(crate) fn new(
+        session: &CCollSession,
+        len: usize,
+        op: ReduceOp,
+        variant: AllreduceVariant,
+    ) -> Self {
+        Allreduce {
+            len,
+            op,
+            variant,
+            lanes: session.hier_lanes(len),
+        }
+    }
+}
+
+impl Plan<Allreduce> {
+    /// Values per rank this plan was built for.
+    pub fn len(&self) -> usize {
+        self.kind.len
+    }
+
+    /// True when the planned buffer is empty.
+    pub fn is_empty(&self) -> bool {
+        self.kind.len == 0
+    }
+
+    /// The planned step-wise variant (meaningful on the ring schedule).
+    pub fn variant(&self) -> AllreduceVariant {
+        self.kind.variant
+    }
+
+    /// How many lanes — ranks per node that take part in the inter-node
+    /// leg, each on its own slice — the hierarchical schedule runs
+    /// with; `None` unless the plan is [`Algorithm::Hierarchical`]. The
+    /// plan derives it from the cost model at creation; there is no
+    /// setting for it.
+    pub fn hier_lanes(&self) -> Option<usize> {
+        (self.core.algorithm == Algorithm::Hierarchical).then_some(self.kind.lanes)
+    }
+}
+
+/// The state machine behind an allreduce plan.
+#[derive(Debug)]
+pub(crate) enum ArMachine {
+    /// Ring reduce-scatter followed by ring allgather over the same
+    /// partition (all four Table-V variants: the stages' modes carry the
+    /// compression placement).
+    Ring { rs: RingRs, ag: RingAg, in_ag: bool },
+    /// Recursive doubling or Rabenseifner.
+    Butterfly(Butterfly),
+    /// Two-level topology-aware composition (group tree × lane
+    /// reduce-scatter inside the node, per-lane Rabenseifner between
+    /// nodes, and back out).
+    Hier(HierAr),
+}
+
+impl ArMachine {
+    fn ring(rs: Placement, ag: AgMode) -> Self {
+        ArMachine::Ring {
+            rs: RingRs::new(rs),
+            ag: RingAg::new(ag),
+            in_ag: false,
+        }
+    }
+}
+
+impl Completes for Allreduce {
+    type Output = ();
+}
+
+impl Kind for Allreduce {
+    type Machine = ArMachine;
+
+    const NAME: &'static str = "allreduce";
+
+    const SCHEDULES: &'static [Row] = &[
+        priced(Algorithm::Ring, Schedule::RingAllreduce),
+        priced(
+            Algorithm::RecursiveDoubling,
+            Schedule::RecursiveDoublingAllreduce,
+        ),
+        priced(Algorithm::Rabenseifner, Schedule::RabenseifnerAllreduce),
+        priced(Algorithm::Hierarchical, Schedule::HierarchicalAllreduce),
+    ];
+
+    const TUNING: Tuning = Tuning::Calibrate;
+
+    fn priced_values(&self) -> usize {
+        self.len
+    }
+
+    fn workspace(&mut self, session: &CCollSession, algorithm: Algorithm) -> CollWorkspace {
+        let len = self.len;
+        let piped = session.pipeline_config().is_some();
+        match algorithm {
+            // Codecs that cannot drive the pipeline (no error bound)
+            // fall back to the ND schedule at execute time, which like
+            // the other three variants compresses whole chunks.
+            Algorithm::Ring => {
+                session.ring_workspace(len, self.variant == AllreduceVariant::Overlapped)
+            }
+            Algorithm::Rabenseifner if piped => session.pipelined_stream_workspace(len.max(1), len),
+            // The hierarchical inter leg is a Rabenseifner per lane: its
+            // pipelined halving rounds stream d/L values. On top of
+            // those sub-chunk slots each of the two raw rings over the
+            // node's L owners wants L−1: their sends are eager, so an
+            // owner runs up to L−2 steps ahead of a slow right
+            // neighbour, which holds every one of those payloads until
+            // it reads it. The one-lane shape (a whole-vector stream) is
+            // the floor, so a plan never warms less than it used to.
+            // The scratch keeps the full length: a group owner decodes
+            // whole-vector raw tree hops into it.
+            Algorithm::Hierarchical => {
+                let rings = 2 * (self.lanes - 1);
+                if piped {
+                    let laned = len.div_ceil(self.lanes) + rings * session.pipe_values();
+                    session.pipelined_stream_workspace(len.max(1), len.max(laned))
+                } else {
+                    session.warmed_workspace(len.max(1), 4 + rings)
+                }
+            }
+            // Butterfly schedules exchange up to the full payload per
+            // round (recursive doubling) or half of it (Rabenseifner).
+            _ => session.warmed_workspace(len.max(1), 4),
+        }
+    }
+
+    fn shrunk(&self, r: &Recovery) -> Result<Self, CollectiveError> {
+        Ok(Self::new(r.session(), self.len, self.op, self.variant))
+    }
+
+    fn check_buffers(&self, _rank: usize, input: &[f32], out: &[f32]) {
+        assert_eq!(input.len(), self.len, "input disagrees with plan length");
+        assert_eq!(out.len(), self.len, "output disagrees with plan length");
+    }
+
+    fn out_len(&self, _rank: usize) -> usize {
+        self.len
+    }
+
+    fn hier_lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// ND — CPR-P2P reduce-scatter + compress-once allgather — serves as
+    /// the ring fallback for codecs without an error bound.
+    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> ArMachine {
+        let compressed = core.session.cpr.is_some();
+        // Piped for an error-bounded codec; a codec without a bound
+        // (ZFP-FXR) cannot drive the SZx pipeline and runs its reducing
+        // hops as monolithic CPR — on the ring that is ND.
+        let place = core.session.placement();
+        let once = AgMode::Compressed { overlap: true };
+        match (core.algorithm, compressed) {
+            (Algorithm::RecursiveDoubling, false) => {
+                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Raw))
+            }
+            (Algorithm::RecursiveDoubling, true) => {
+                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Cpr))
+            }
+            (Algorithm::Rabenseifner, _) => ArMachine::Butterfly(Butterfly::rabenseifner(place)),
+            // The hierarchical placement is that of the inter-node leg
+            // every lane owner runs on its slice; node-local legs are
+            // always raw (intra-node links don't pay for a codec).
+            (Algorithm::Hierarchical, _) => ArMachine::Hier(HierAr::new(place)),
+            (_, false) => ArMachine::ring(Placement::Raw, AgMode::Raw),
+            (_, true) => match self.variant {
+                AllreduceVariant::Original => ArMachine::ring(Placement::Raw, AgMode::Raw),
+                AllreduceVariant::DirectIntegration => ArMachine::ring(Placement::Cpr, AgMode::Cpr),
+                AllreduceVariant::NovelDesign => ArMachine::ring(Placement::Cpr, once),
+                AllreduceVariant::Overlapped => ArMachine::ring(place, once),
+            },
+        }
+    }
+
+    fn step<C: Comm>(
+        &mut self,
+        core: &mut PlanCore,
+        machine: &mut ArMachine,
+        comm: &mut C,
+        input: &[f32],
+        out: &mut [f32],
+        block: bool,
+    ) -> Poll {
+        let PlanCore {
+            session,
+            groups,
+            ws,
+            ..
+        } = core;
+        let (cpr, op) = (session.cpr.as_ref(), self.op);
+        match machine {
+            ArMachine::Butterfly(b) => b.step(comm, cpr, op, input, out, ws, block),
+            ArMachine::Hier(h) => {
+                let groups = groups
+                    .as_ref()
+                    .expect("hierarchical plans build their groups at start");
+                h.step(comm, cpr, op, groups, input, out, ws, block)
+            }
+            ArMachine::Ring { rs, ag, in_ag } => {
+                if !*in_ag {
+                    // The reduce-scatter stage caches the partition the
+                    // allgather stage reads back out of the workspace,
+                    // and accumulates in `out`: its reduced chunk is
+                    // already where the allgather stage wants its own
+                    // block (`mine = None`).
+                    match rs.step(comm, cpr, op, input, out, ws, block) {
+                        Poll::Pending => return Poll::Pending,
+                        Poll::Ready => *in_ag = true,
+                    }
+                }
+                ag.step(comm, cpr, None, out, ws, block)
+            }
+        }
+    }
+
+    fn output(_: &ArMachine) {}
+}

@@ -11,12 +11,13 @@
 //! |---|---|
 //! | Collective **data-movement** framework: compress once, relay compressed bytes through every round, decompress once (§III-A1) | [`frameworks::data_movement`] (design), [`nonblocking`] (machines) |
 //! | Collective **computation** framework: pipeline chunk-wise compression with communication so transfers hide inside the kernel (§III-A2, §III-E2) | [`frameworks::computation`] (design), [`nonblocking`] (machines) |
-//! | Session + persistent-plan API (`MPI_Allreduce_init` shape): C-Allreduce / C-Scatter / C-Bcast with zero steady-state allocations | [`session`] |
-//! | One plan lifecycle — start, progress, complete, poison, reset, recover — that every collective kind plugs its schedule machine into | [`plan`] |
+//! | Session + persistent-plan API (`MPI_Allreduce_init` shape): the `plan_*` constructors of C-Allreduce / C-Scatter / C-Bcast and the rest, with zero steady-state allocations | [`session`] |
+//! | The eight collective kinds, one file each: a kind's schedule table, the workspace each schedule needs, its machine and its shape on a shrunk world | `kinds/` (named through [`plan`]) |
+//! | One plan lifecycle — build, start, progress, complete, poison, reset, re-tune, recover — that every collective kind plugs into | [`plan`] |
 //! | Every schedule, once: resumable state machines that `execute_into` drives to completion and `start`/`progress`/`complete` (`MPI_Iallreduce` shape) suspends | [`nonblocking`] |
-//! | Multi-algorithm schedule layer (recursive doubling, Rabenseifner, Bruck, binomial reduce) with cost-model-driven `Auto` selection | [`algorithm`] |
+//! | Multi-algorithm schedule layer (recursive doubling, Rabenseifner, Bruck, binomial reduce): the `Algorithm` names and the cost-model pricing `Auto` selects with | [`algorithm`] |
 //! | CPR-P2P baselines (compress every send, decompress every receive) | [`collectives::cpr_p2p`] |
-//! | Uncompressed MPI-style collectives (ring, binomial tree, recursive doubling): the plans of a [`CodecSpec::None`] session | [`collectives::baseline`] |
+//! | The butterfly schedules' two index helpers (fold / unfold of a non-power-of-two world); the uncompressed MPI-style collectives themselves are the plans of a [`CodecSpec::None`] session | [`collectives::baseline`] |
 //! | Error-propagation theory: Theorems 1–2 and corollaries (§III-B) | [`theory`] |
 //!
 //! ## Quick start
@@ -386,6 +387,7 @@ pub mod codec;
 pub mod collectives;
 pub mod engine;
 pub mod frameworks;
+pub(crate) mod kinds;
 pub mod nonblocking;
 pub mod partition;
 pub(crate) mod pipeline;

@@ -2103,127 +2103,6 @@ impl BruckAg {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-level compositions.
-// ---------------------------------------------------------------------------
-
-/// The state machine behind an allreduce plan: either the ring
-/// composition (reduce-scatter stage, then allgather stage over the same
-/// partition) or one of the butterfly schedules.
-#[derive(Debug)]
-pub(crate) enum ArMachine {
-    /// Ring reduce-scatter followed by ring allgather (all four Table-V
-    /// variants: the stages' modes carry the compression placement).
-    Ring { rs: RingRs, ag: RingAg, in_ag: bool },
-    /// Recursive doubling or Rabenseifner.
-    Butterfly(Butterfly),
-    /// Two-level topology-aware composition (group tree × lane
-    /// reduce-scatter inside the node, per-lane Rabenseifner between
-    /// nodes, and back out).
-    Hier(HierAr),
-}
-
-impl ArMachine {
-    pub(crate) fn ring(rs: Placement, ag: AgMode) -> Self {
-        ArMachine::Ring {
-            rs: RingRs::new(rs),
-            ag: RingAg::new(ag),
-            in_ag: false,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        cpr: Option<&CprCodec>,
-        op: ReduceOp,
-        groups: Option<&HierGroups>,
-        input: &[f32],
-        out: &mut [f32],
-        ws: &mut CollWorkspace,
-        block: bool,
-    ) -> Poll {
-        match self {
-            ArMachine::Butterfly(b) => b.step(comm, cpr, op, input, out, ws, block),
-            ArMachine::Hier(h) => {
-                let groups = groups.expect("hierarchical plans build their groups at start");
-                h.step(comm, cpr, op, groups, input, out, ws, block)
-            }
-            ArMachine::Ring { rs, ag, in_ag } => {
-                if !*in_ag {
-                    assert_eq!(out.len(), input.len(), "output buffer size mismatch");
-                    // The reduce-scatter stage caches the partition the
-                    // allgather stage reads back out of the workspace,
-                    // and accumulates in `out`: its reduced chunk is
-                    // already where the allgather stage wants its own
-                    // block (`mine = None`).
-                    match rs.step(comm, cpr, op, input, out, ws, block) {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready => *in_ag = true,
-                    }
-                }
-                ag.step(comm, cpr, None, out, ws, block)
-            }
-        }
-    }
-}
-
-/// The state machine behind an allgather plan.
-#[derive(Debug)]
-pub(crate) enum AgPlanMachine {
-    Ring(RingAg),
-    Bruck(BruckAg),
-    /// Two-level: node-local gather, leader-only ring over node blocks,
-    /// node-local fan-out.
-    Hier(HierAg),
-}
-
-/// The state machine behind a broadcast plan.
-#[derive(Debug)]
-pub(crate) enum BcMachine {
-    /// Flat binomial tree over the whole communicator.
-    Flat(Bcast),
-    /// Two-level: root→leader hand-off, leader-only binomial tree
-    /// carrying the codec, raw node-local fan-out.
-    Hier(HierBc),
-}
-
-impl BcMachine {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        cpr: Option<&CprCodec>,
-        groups: Option<&HierGroups>,
-        data: &[f32],
-        out: &mut [f32],
-        ws: &mut CollWorkspace,
-        block: bool,
-    ) -> Poll {
-        match self {
-            BcMachine::Flat(m) => m.step(comm, cpr, data, out, ws, block),
-            BcMachine::Hier(m) => {
-                let groups = groups.expect("hierarchical plans build their groups at start");
-                m.step(comm, cpr, groups, data, out, ws, block)
-            }
-        }
-    }
-}
-
-/// The state machine behind a rooted-reduce plan. The
-/// reduce-scatter + gather composition is driven from the plan handle
-/// (it spans two sub-plans' workspaces).
-#[derive(Debug)]
-pub(crate) enum ReduceMachine {
-    Tree(TreeReduce),
-    RsGather {
-        rs: RingRs,
-        gather: Gather,
-        in_gather: bool,
-    },
-}
-
-// ---------------------------------------------------------------------------
 // Two-level (hierarchical) schedules.
 // ---------------------------------------------------------------------------
 
@@ -2883,31 +2762,6 @@ impl BruckA2a {
                 }
                 BkA2aPhase::Done => return Poll::Ready,
             }
-        }
-    }
-}
-
-/// The state machine behind an all-to-all plan.
-#[derive(Debug)]
-pub(crate) enum A2aMachine {
-    Pairwise(Alltoall),
-    Bruck(BruckA2a),
-}
-
-impl A2aMachine {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        cpr: Option<&CprCodec>,
-        send: &[f32],
-        out: &mut [f32],
-        ws: &mut CollWorkspace,
-        block: bool,
-    ) -> Poll {
-        match self {
-            A2aMachine::Pairwise(m) => m.step(comm, cpr, send, out, ws, block),
-            A2aMachine::Bruck(m) => m.step(comm, cpr, send, out, ws, block),
         }
     }
 }

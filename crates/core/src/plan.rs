@@ -26,10 +26,13 @@
 //!   stamps the operation's tag base (`op_base`) on its bare schedule
 //!   tags. Its single `Drop` poisons a plan whose operation was
 //!   abandoned mid-flight.
-//! * A collective kind ([`Allreduce`] … [`Reduce`]) supplies only what is
-//!   specific to it, through a crate-internal trait: its buffer-shape
-//!   checks, its machine constructor, one `step`, how it re-plans for a
-//!   shrunk world and — for `Auto` plans — its re-rank hook. Dispatch is
+//! * A collective kind ([`Allreduce`] … [`Reduce`], one file each under
+//!   `kinds/`) supplies only what is specific to it, through a
+//!   crate-internal trait: the table of schedules it has, the workspace
+//!   each needs, its buffer-shape checks, its machine constructor, one
+//!   `step`, and its shape on a shrunk world. Building a plan
+//!   (`Plan::build`), the `Auto` feedback loop and recovery
+//!   ([`Plan::recover`]) are written once on top of those. Dispatch is
 //!   monomorphised; nothing on the start → progress → complete path is
 //!   boxed or dynamic.
 //!
@@ -45,22 +48,16 @@
 
 use std::sync::atomic::Ordering;
 
-use bytes::Bytes;
-use ccoll_comm::{
-    Category, Comm, CommError, CommView, FaultCounters, PayloadPool, Schedule, SimTime, Tag,
-    Topology,
-};
+use ccoll_comm::{Comm, CommView, FaultCounters, Schedule, SimTime, Tag};
 
-use crate::algorithm::{allreduce_schedule, Algorithm, AllreduceVariant, PlanOptions, SelectCtx};
-use crate::collectives::tags;
-use crate::nonblocking::{
-    self as nb, A2aMachine, AgMode, AgPlanMachine, ArMachine, BcMachine, BruckA2a, BruckAg,
-    Butterfly, HierAg, HierAr, HierBc, HierGroups, Poll, ReduceMachine, RingAg, RingRs, TreeReduce,
-};
-use crate::placement::Placement;
-use crate::reduce::ReduceOp;
+use crate::algorithm::{reject_unsupported, Algorithm, PlanOptions, SelectCtx};
+use crate::nonblocking::{HierGroups, Poll};
 use crate::session::{CCollSession, CollectiveError, PlanStats, Recovery};
 use crate::workspace::CollWorkspace;
+
+mod calibration;
+
+pub use crate::kinds::*;
 
 // ---------------------------------------------------------------------------
 // Shared state and helpers.
@@ -71,6 +68,11 @@ pub(crate) struct PlanCore {
     pub(crate) session: CCollSession,
     /// The resolved schedule (never [`Algorithm::Auto`]).
     pub(crate) algorithm: Algorithm,
+    /// Created with [`Algorithm::Auto`] by a kind that keeps tuning (see
+    /// [`Tuning`]): eligible for the post-warm-up re-rank, and
+    /// re-resolved when the plan recovers.
+    auto: bool,
+    reranked: bool,
     /// Per-session tag slot (allocated at plan creation) and start
     /// counter, folded into every wire tag so concurrent operations'
     /// traffic stays disjoint (see [`op_base`]).
@@ -94,10 +96,12 @@ pub(crate) struct PlanCore {
 
 impl PlanCore {
     /// The shared fields of a fresh plan; allocates the plan's tag slot.
-    pub(crate) fn new(session: &CCollSession, algorithm: Algorithm, ws: CollWorkspace) -> Self {
+    fn new(session: &CCollSession, algorithm: Algorithm, auto: bool, ws: CollWorkspace) -> Self {
         PlanCore {
             session: session.clone(),
             algorithm,
+            auto,
+            reranked: false,
             slot: session.alloc_slot(),
             op_seq: 0,
             stats: PlanStats::default(),
@@ -159,229 +163,6 @@ pub(crate) fn check_world<C: Comm>(comm: &C, world_size: usize) {
     );
 }
 
-/// Agree on the communicator-wide lane-wise minimum of `L` non-negative
-/// measurements (fixed-point scaled by 1024; 0 encodes "no sample") in
-/// `⌈log₂ s⌉ + ⌈log₂ m⌉ + ⌈log₂ s⌉` message latencies for `m` nodes of
-/// at most `s` ranks:
-///
-/// ```text
-///   1. node-local binomial min-reduce to the node leader   ⌈log₂ s⌉ intra hops
-///   2. dissemination among the m node leaders only         ⌈log₂ m⌉ inter hops
-///   3. node-local binomial broadcast from the leader       ⌈log₂ s⌉ intra hops
-/// ```
-///
-/// Only leaders cross node boundaries, so each shared NIC carries one
-/// message per round. `min` is idempotent, which is what lets the
-/// dissemination rounds (`to = leader((a + 2ᵏ) mod m)`) overlap their
-/// coverage on a non-power-of-two `m` with no fold or unfold step.
-/// Without a topology every rank is its own leader and only the
-/// dissemination phase runs. Peers are computed from the contiguous
-/// node ranges of `topo`; nothing is allocated or cached.
-///
-/// A lane is `None` unless every rank contributed a sample to it —
-/// conservative: with partial information the nominal selection stands.
-/// Every rank returns the identical array.
-fn agree_min<const L: usize, C: Comm>(
-    comm: &mut C,
-    topo: Option<&Topology>,
-    tag: Tag,
-    local: [f64; L],
-    pool: &mut PayloadPool,
-) -> [Option<f64>; L] {
-    fn payload<const L: usize>(pool: &mut PayloadPool, lanes: [u32; L]) -> Bytes {
-        pool.write(lanes.map(u32::to_le_bytes).as_flattened())
-    }
-    fn fold<const L: usize>(lanes: &mut [u32; L], got: &[u8]) {
-        assert_eq!(got.len(), 4 * L, "agreement payload is {L} 4-byte lanes");
-        for (lane, peer) in lanes.iter_mut().zip(got.chunks_exact(4)) {
-            *lane = (*lane).min(u32::from_le_bytes(peer.try_into().expect("4-byte lane")));
-        }
-    }
-    /// Rounds of a binomial tree or a dissemination over `size` members.
-    fn rounds(size: usize) -> u32 {
-        size.next_power_of_two().trailing_zeros()
-    }
-
-    let me = comm.rank();
-    let mut cur = local.map(|x| (x.clamp(0.0, 4.0e6) * 1024.0).round() as u32);
-    let (node, nodes) = topo.map_or((me, comm.size()), |t| (t.node_of(me), t.nodes()));
-    let members = topo.map_or(me..me + 1, |t| t.members_of(node));
-    let leader = |node: usize| topo.map_or(node, |t| t.leader_of(node));
-    // This rank's index in its node, and the round in which it hands
-    // its running minimum to its binomial parent (the leader never does).
-    let i = me - members.start;
-    let up = if i == 0 {
-        rounds(members.len())
-    } else {
-        i.trailing_zeros()
-    };
-
-    for k in 0..up {
-        let child = i + (1 << k);
-        if child < members.len() {
-            let got = comm.recv(members.start + child, tag + tags::AGREE_REDUCE + k);
-            fold(&mut cur, &got);
-        }
-    }
-    if i == 0 {
-        for k in 0..rounds(nodes) {
-            let d = 1usize << k;
-            let (to, from) = (
-                leader((node + d) % nodes),
-                leader((node + nodes - d) % nodes),
-            );
-            let t = tag + tags::AGREE_EXCHANGE + k;
-            let got = comm.sendrecv(to, from, t, payload(pool, cur), Category::Others);
-            fold(&mut cur, &got);
-        }
-    } else {
-        let parent = members.start + i - (1 << up);
-        comm.send(parent, tag + tags::AGREE_REDUCE + up, payload(pool, cur));
-        // The agreed minimum is at most this rank's partial one, so
-        // folding it in is taking it.
-        fold(&mut cur, &comm.recv(parent, tag + tags::AGREE_BCAST + up));
-    }
-    for k in (0..up).rev() {
-        let child = i + (1 << k);
-        if child < members.len() {
-            comm.send(
-                members.start + child,
-                tag + tags::AGREE_BCAST + k,
-                payload(pool, cur),
-            );
-        }
-    }
-    cur.map(|v| (v > 0).then(|| v as f64 / 1024.0))
-}
-
-/// Executions between continuous-calibration rounds on an `Auto`
-/// allreduce plan (see [`calibrate`]). The first round therefore happens
-/// well after the one-shot measured-ratio re-rank (execution 1), once
-/// the makespan EWMA has a few samples behind it.
-const CALIB_PERIOD: u64 = 4;
-
-/// Relative deadband around 1.0 inside which a calibration round leaves
-/// the α–β scales untouched (measurement noise, not model error).
-const CALIB_DEADBAND: f64 = 0.05;
-
-/// Clamp for the α–β calibration scales: the model is trusted to within
-/// a factor of 64 in either direction.
-const CALIB_MAX_SCALE: f64 = 64.0;
-
-/// The feedback loop of an `Auto` plan, run by [`Plan::start`] once the
-/// caller's arguments and the plan's state have been validated and
-/// before any per-operation bookkeeping. Returns the schedule the plan
-/// must switch to, if the agreed measurements re-resolve it differently;
-/// the caller re-warms its workspace (a single allocation event, after
-/// which the steady state is allocation-free again).
-///
-/// **One-shot re-rank**, at the start of the second execution (i.e.
-/// after warm-up): re-resolve the schedule with the *measured*
-/// compression ratio in place of the codec's nominal one. Ranks measure
-/// different ratios on their own data, and a divergent pick would
-/// deadlock the collective — so the re-rank first agrees on the
-/// communicator-wide **minimum** measured ratio through a one-lane
-/// [`agree_min`] (minimum = the most conservative wire-size estimate;
-/// `min` is order-independent, so every rank lands on the identical
-/// value and therefore the identical schedule). If any rank has no
-/// sample yet, the agreement yields none and the nominal selection
-/// stands.
-///
-/// **Continuous calibration**, every [`CALIB_PERIOD`]-th execution
-/// afterwards, for kinds that name the `(schedule, len)` the cost model
-/// prices them as (see [`calibrate`]).
-fn maybe_rerank<C: Comm>(
-    core: &mut PlanCore,
-    comm: &mut C,
-    reranked: &mut bool,
-    calibrated: Option<(Schedule, usize)>,
-    select: impl Fn(SelectCtx<'_>) -> Algorithm,
-) -> Option<Algorithm> {
-    if core.stats.executions == 0 {
-        return None;
-    }
-    let algorithm = if !*reranked {
-        *reranked = true;
-        let local = [core.session.feedback.ratio().unwrap_or(0.0)];
-        let view = &mut CommView::stamped(comm, op_base(core.slot, core.op_seq));
-        let topo = core.session.cluster().map(|c| &c.topo);
-        let [ratio] = agree_min(view, topo, tags::AGREE_RERANK, local, &mut core.ws.pool);
-        select(core.session.select_ctx_with_ratio(ratio?))
-    } else {
-        let (schedule, len) = calibrated?;
-        if !core.stats.executions.is_multiple_of(CALIB_PERIOD) {
-            return None;
-        }
-        calibrate(core, comm, schedule, len, select)?
-    };
-    (algorithm != core.algorithm).then_some(algorithm)
-}
-
-/// One continuous-calibration round: regress the measured makespan EWMA
-/// against the cost model's prediction for the running schedule and
-/// correct the session's α–β scales, then re-rank under the corrected
-/// model.
-///
-/// The regression isolates the *network* share — both sides subtract
-/// the schedule's compute-only floor (codec + reduction + memcpy terms
-/// priced over a free network), so a codec-throughput mismatch never
-/// masquerades as a fabric correction. Ranks measure different
-/// makespans, so the ratio is first agreed to the communicator-wide
-/// **minimum** (the most conservative "fabric is slower than modeled"
-/// evidence; order-independent, hence identical on every rank). The
-/// same exchange carries the measured compression ratio the closing
-/// re-rank selects with as a second lane — one two-lane [`agree_min`]
-/// per round, over a tag band disjoint from the one-shot re-rank's: a
-/// round with no network signal (lane 0 empty) returns before touching
-/// the scales, one with no ratio sample (lane 1 empty) re-ranks at the
-/// nominal ratio. The correction splits
-/// between α and β by the model's own finite-difference sensitivities
-/// and is damped (square root per round) and clamped to `[1/64, 64]`, so
-/// one noisy window cannot fling selection across the schedule space; a
-/// ±5% deadband leaves a well-calibrated model alone. Every input to the
-/// pre-agreement gate is rank-independent, so no rank can enter the
-/// exchange alone and deadlock.
-fn calibrate<C: Comm>(
-    core: &mut PlanCore,
-    comm: &mut C,
-    schedule: Schedule,
-    len: usize,
-    select: impl Fn(SelectCtx<'_>) -> Algorithm,
-) -> Option<Algorithm> {
-    let ctx = core.session.select_ctx();
-    let pred = ctx.predict(schedule, len).as_secs_f64();
-    let floor = ctx.compute_floor(schedule, len).as_secs_f64();
-    if !(pred.is_finite() && pred > floor) {
-        return None;
-    }
-    let measured = core.stats.ewma_makespan.as_secs_f64();
-    let r_local = ((measured - floor) / (pred - floor)).max(0.0);
-    let local_ratio = core.session.feedback.ratio().unwrap_or(0.0);
-    let view = &mut CommView::stamped(comm, op_base(core.slot, core.op_seq));
-    let topo = core.session.cluster().map(|c| &c.topo);
-    let local = [r_local, local_ratio];
-    let [r, ratio] = agree_min(view, topo, tags::AGREE_CALIB, local, &mut core.ws.pool);
-    // `None`: some rank's measured makespan sits below its compute
-    // floor — no trustworthy network signal this round.
-    let r = r?;
-    if (r - 1.0).abs() >= CALIB_DEADBAND {
-        let share = ctx.alpha_share(schedule, len);
-        let clamp = |s: f64| s.clamp(1.0 / CALIB_MAX_SCALE, CALIB_MAX_SCALE);
-        // Computed from the pre-round scales (read by every rank
-        // before any rank finishes the agreement) and stored, not
-        // read-modify-written: ranks sharing one feedback through
-        // session clones apply the identical correction idempotently.
-        core.session.feedback.store_net_scales(
-            clamp(ctx.alpha_scale * r.powf(0.5 * share)),
-            clamp(ctx.beta_scale * r.powf(0.5 * (1.0 - share))),
-        );
-    }
-    Some(match ratio {
-        Some(ratio) => select(core.session.select_ctx_with_ratio(ratio)),
-        None => select(core.session.select_ctx()),
-    })
-}
-
 /// The part of a kind that shows in public signatures. Type privacy
 /// wants the traits behind `K::Output` declared `pub`; keeping them in a
 /// private module keeps them unnameable (and the set of kinds closed).
@@ -400,7 +181,7 @@ mod sealed {
         type Output: Outcome;
     }
 }
-use sealed::{Completes, Outcome};
+pub(crate) use sealed::{Completes, Outcome};
 
 impl Outcome for () {
     type Owned = Vec<f32>;
@@ -416,11 +197,71 @@ impl Outcome for bool {
     }
 }
 
+/// How an `Auto` plan of a kind keeps tuning itself once it runs (see
+/// [`calibration::retune`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tuning {
+    /// The creation-time pick stands.
+    Fixed,
+    /// One re-rank after warm-up, from the communicator-agreed measured
+    /// compression ratio.
+    Rerank,
+    /// The re-rank, then a continuous α–β calibration round every few
+    /// executions.
+    Calibrate,
+}
+
+/// One row of a kind's schedule table: an algorithm, and the cost-model
+/// entry `Auto` prices it as (`None`: the kind's only schedule, which is
+/// never priced).
+pub(crate) type Row = (Algorithm, Option<Schedule>);
+
+/// A table row `Auto` prices as `schedule`.
+pub(crate) const fn priced(algorithm: Algorithm, schedule: Schedule) -> Row {
+    (algorithm, Some(schedule))
+}
+
 /// What a collective kind plugs into the generic lifecycle. Implemented
-/// by the eight kind types below and nowhere else.
+/// by the eight kind types under `kinds/` and nowhere else; each file is
+/// the one place its kind's schedules are declared.
 pub(crate) trait Kind: Completes + Sized {
     /// The schedule state machine one operation runs.
     type Machine;
+
+    /// The collective's name in plan-time panics.
+    const NAME: &'static str;
+
+    /// Every schedule the kind has. [`Plan::build`] accepts exactly
+    /// these rows; `Auto` ranks them in this order (the first of equally
+    /// cheap rows wins), a [`Algorithm::Hierarchical`] row only on a
+    /// multi-node topology and a shape that is
+    /// [`two_level`](Self::two_level).
+    const SCHEDULES: &'static [Row];
+
+    /// What an `Auto` plan does with what it measures.
+    const TUNING: Tuning = Tuning::Fixed;
+
+    /// The per-rank payload, in values, `Auto` prices the schedules at.
+    fn priced_values(&self) -> usize;
+
+    /// Whether the shape suits the kind's two-level schedule at all.
+    fn two_level(&self) -> bool {
+        true
+    }
+
+    /// The workspace `algorithm` needs at this shape, warmed so that the
+    /// steady state allocates nothing. Plan construction, a schedule
+    /// switch and recovery all size through here; a kind with state of
+    /// its own per schedule (reduce's second stage) rebuilds it too.
+    fn workspace(&mut self, session: &CCollSession, algorithm: Algorithm) -> CollWorkspace;
+
+    /// Tag slots a fresh plan reserves after its own.
+    fn reserved_slots(&self, _algorithm: Algorithm) -> u32 {
+        0
+    }
+
+    /// The same shape on the shrunk world `r` describes.
+    fn shrunk(&self, r: &Recovery) -> Result<Self, CollectiveError>;
 
     /// Panic unless the caller's buffers have the planned shape on
     /// `rank`.
@@ -428,10 +269,6 @@ pub(crate) trait Kind: Completes + Sized {
 
     /// The output-buffer length `execute` allocates on `rank`.
     fn out_len(&self, rank: usize) -> usize;
-
-    /// `Auto` plans' feedback hook (see [`maybe_rerank`]). Runs inside
-    /// `start` after validation, and may communicate.
-    fn retune<C: Comm>(&mut self, _core: &mut PlanCore, _comm: &mut C) {}
 
     /// Per-rank value count the hierarchical split sizes its node blocks
     /// by (0 for schedules that move full-length buffers).
@@ -465,13 +302,50 @@ pub(crate) trait Kind: Completes + Sized {
     /// The completed machine's outcome.
     fn output(machine: &Self::Machine) -> Self::Output;
 
-    /// A fresh plan of the same shape for the shrunk world `r`
-    /// describes; [`Plan::recover`] adopts its fields.
-    fn replan(&self, core: &PlanCore, r: &Recovery) -> Result<Plan<Self>, CollectiveError>;
-
     /// Scrub in-flight state of any workspace the kind owns beyond
     /// `core.ws`.
     fn scrub(&mut self) {}
+}
+
+/// Resolve `Auto` for `kind`: the cheapest admitted row of its table.
+/// Nothing here allocates — the calibration loop re-ranks in the
+/// zero-allocation steady state.
+pub(crate) fn select<K: Kind>(kind: &K, ctx: SelectCtx<'_>) -> Algorithm {
+    if let [(only, _)] = K::SCHEDULES {
+        return *only;
+    }
+    // A shape that rules the two-level schedule out is priced as on a
+    // flat session.
+    let cluster = ctx.cluster.filter(|_| kind.two_level());
+    let ctx = SelectCtx { cluster, ..ctx };
+    let hierarchical = ctx.multi_node();
+    let rows = K::SCHEDULES
+        .iter()
+        .filter(|(a, _)| hierarchical || *a != Algorithm::Hierarchical);
+    ctx.cheapest(kind.priced_values() * 4, rows)
+}
+
+/// Check an explicitly requested `algorithm` against `kind`'s table.
+fn admit<K: Kind>(kind: &K, session: &CCollSession, algorithm: Algorithm) -> Algorithm {
+    let rows = || K::SCHEDULES.iter().map(|(a, _)| *a);
+    if !rows().any(|a| a == algorithm) {
+        reject_unsupported(K::NAME, algorithm, rows());
+    }
+    if algorithm == Algorithm::Hierarchical {
+        assert!(
+            session.cluster.is_some(),
+            "hierarchical {} needs a session topology (with_topology)",
+            K::NAME
+        );
+        // The hierarchical layout aggregates per-node blocks, which only
+        // line up when every rank contributes the same count.
+        assert!(
+            kind.two_level(),
+            "hierarchical {} requires equal per-rank counts",
+            K::NAME
+        );
+    }
+    algorithm
 }
 
 // ---------------------------------------------------------------------------
@@ -507,6 +381,31 @@ pub struct Handle<'p, 'b, K: Kind> {
 }
 
 impl<K: Kind> Plan<K> {
+    /// Plan `kind` on `session`: resolve `opts` against the kind's
+    /// schedule table ([`Algorithm::Auto`] by the cost model, anything
+    /// else by membership), warm the workspace that schedule needs and
+    /// take the next tag slot. Every `plan_*` constructor and
+    /// [`Self::recover`] come through here.
+    ///
+    /// # Panics
+    /// Panics on an algorithm the kind has no schedule for, or a
+    /// hierarchical one the session or the shape cannot run.
+    pub(crate) fn build(session: &CCollSession, mut kind: K, opts: PlanOptions) -> Self {
+        let algorithm = match opts.algorithm {
+            Algorithm::Auto => select(&kind, session.select_ctx()),
+            explicit => admit(&kind, session, explicit),
+        };
+        let ws = kind.workspace(session, algorithm);
+        let auto = opts.algorithm == Algorithm::Auto && K::TUNING != Tuning::Fixed;
+        let core = PlanCore::new(session, algorithm, auto, ws);
+        // Reserved after the plan's own slot, so plans created later
+        // keep the slots, and therefore the wire tags, they always had.
+        for _ in 0..kind.reserved_slots(algorithm) {
+            session.alloc_slot();
+        }
+        Plan { core, kind }
+    }
+
     /// The resolved schedule this plan executes (never
     /// [`Algorithm::Auto`] — selection happens at plan creation). An
     /// `Auto` allreduce, allgather or reduce plan may switch once more
@@ -596,7 +495,8 @@ impl<K: Kind> Plan<K> {
     ///   ([`Recovery::surviving_counts`]).
     /// * Rooted kinds (bcast, scatter, gather, reduce) translate the
     ///   root to its post-shrink rank and return
-    ///   [`CommError::PeerDead`] naming the root when the root died — a
+    ///   [`CommError::PeerDead`](ccoll_comm::CommError::PeerDead) naming the
+    ///   root when the root died — a
     ///   rooted collective cannot outlive its root.
     ///
     /// # Panics
@@ -604,11 +504,21 @@ impl<K: Kind> Plan<K> {
     /// by the *shrunk* world size (the all-to-all partition constraint —
     /// choose lengths divisible by every world size recovery can reach).
     pub fn recover(&mut self, r: &Recovery) -> Result<(), CollectiveError> {
-        let Plan { core, kind } = self.kind.replan(&self.core, r)?;
+        let kind = self.kind.shrunk(r)?;
+        // `Auto` plans re-resolve, and so do explicitly hierarchical
+        // ones (the shrunk session has no topology); everything else
+        // keeps its schedule.
+        let opts = if self.core.auto || self.core.algorithm == Algorithm::Hierarchical {
+            PlanOptions::new()
+        } else {
+            PlanOptions::new().algorithm(self.core.algorithm)
+        };
+        let Plan { core, kind } = Plan::build(r.session(), kind, opts);
         self.kind = kind;
         self.core.session = core.session;
         self.core.algorithm = core.algorithm;
         self.core.ws = core.ws;
+        self.core.reranked = false;
         self.core.groups = None;
         self.core.poisoned = None;
         self.core.in_flight = false;
@@ -654,7 +564,7 @@ impl<K: Kind> Plan<K> {
             "a previous nonblocking operation on this plan was dropped without \
              completing; the plan's collective state is undefined"
         );
-        kind.retune(core, comm);
+        calibration::retune(core, kind, comm);
         if core.algorithm == Algorithm::Hierarchical && core.groups.is_none() {
             let cl = core
                 .session
@@ -857,900 +767,20 @@ impl<K: Kind> Drop for Handle<'_, '_, K> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The eight kinds.
-// ---------------------------------------------------------------------------
-
-/// Persistent allreduce plan (see [`CCollSession::plan_allreduce`] and
-/// [`CCollSession::plan_allreduce_with`]): `input` and `out` are both
-/// [`len`](AllreducePlan::len) values on every rank. `out` is the
-/// reduction's accumulator while the operation runs (its contents on
-/// entry do not matter), so after an aborted operation it is
-/// unspecified.
-///
-/// An `Auto` allreduce plan re-ranks once after warm-up from the
-/// communicator-agreed measured compression ratio and then keeps
-/// calibrating the session's α–β network scales every few executions
-/// (see [`CCollSession::net_calibration`]).
-pub type AllreducePlan = Plan<Allreduce>;
-/// An in-flight nonblocking allreduce (see [`Plan::start`]).
-pub type AllreduceHandle<'p, 'b> = Handle<'p, 'b, Allreduce>;
-
-/// Persistent allgather plan (see [`CCollSession::plan_allgatherv`] and
-/// [`CCollSession::plan_allgatherv_with`]): `input` is this rank's
-/// [`counts`](AllgatherPlan::counts)`[rank]` values, `out` is
-/// [`total_len`](AllgatherPlan::total_len) values.
-pub type AllgatherPlan = Plan<Allgather>;
-/// An in-flight nonblocking allgather (see [`Plan::start`]).
-pub type AllgatherHandle<'p, 'b> = Handle<'p, 'b, Allgather>;
-
-/// Persistent reduce-scatter plan (see
-/// [`CCollSession::plan_reduce_scatter`]): `input` is
-/// [`len`](ReduceScatterPlan::len) values, `out` this rank's chunk
-/// ([`output_len`](ReduceScatterPlan::output_len)).
-pub type ReduceScatterPlan = Plan<ReduceScatter>;
-/// An in-flight nonblocking reduce-scatter (see [`Plan::start`]).
-pub type ReduceScatterHandle<'p, 'b> = Handle<'p, 'b, ReduceScatter>;
-
-/// Persistent broadcast plan (see [`CCollSession::plan_bcast`]):
-/// `input` is read on the root only (other ranks may pass an empty
-/// slice); `out` is [`len`](BcastPlan::len) values on every rank.
-pub type BcastPlan = Plan<Bcast>;
-/// An in-flight nonblocking broadcast (see [`Plan::start`]).
-pub type BcastHandle<'p, 'b> = Handle<'p, 'b, Bcast>;
-
-/// Persistent scatter plan (see [`CCollSession::plan_scatter`]): `input`
-/// is read on the root only; `out` is this rank's chunk
-/// ([`output_len`](ScatterPlan::output_len)).
-pub type ScatterPlan = Plan<Scatter>;
-/// An in-flight nonblocking scatter (see [`Plan::start`]).
-pub type ScatterHandle<'p, 'b> = Handle<'p, 'b, Scatter>;
-
-/// Persistent gather plan (see [`CCollSession::plan_gather`]): `input`
-/// is this rank's chunk ([`input_len`](GatherPlan::input_len)); the
-/// root must size `out` to [`total_len`](GatherPlan::total_len),
-/// other ranks may pass an empty buffer. Completion returns `true` on
-/// the root, `false` elsewhere.
-pub type GatherPlan = Plan<Gather>;
-/// An in-flight nonblocking gather (see [`Plan::start`]);
-/// [`Handle::complete`] returns `true` on the root.
-pub type GatherHandle<'p, 'b> = Handle<'p, 'b, Gather>;
-
-/// Persistent all-to-all plan (see [`CCollSession::plan_alltoall`]):
-/// `input` and `out` are both [`len`](AlltoallPlan::len) values.
-pub type AlltoallPlan = Plan<Alltoall>;
-/// An in-flight nonblocking all-to-all (see [`Plan::start`]).
-pub type AlltoallHandle<'p, 'b> = Handle<'p, 'b, Alltoall>;
-
-/// Persistent rooted-reduce plan (see [`CCollSession::plan_reduce`] and
-/// [`CCollSession::plan_reduce_with`]): either the bandwidth-optimal
-/// pipelined C-Reduce-scatter + C-Gather composition
-/// ([`Algorithm::Rabenseifner`]) or the latency-optimal binomial tree
-/// ([`Algorithm::Binomial`]). `input` is [`len`](ReducePlan::len)
-/// values; the root must size `out` to the input length, other ranks
-/// may pass an empty buffer. Completion returns `true` on the root,
-/// `false` elsewhere.
-pub type ReducePlan = Plan<Reduce>;
-/// An in-flight nonblocking rooted reduce (see [`Plan::start`]);
-/// [`Handle::complete`] returns `true` on the root.
-pub type ReduceHandle<'p, 'b> = Handle<'p, 'b, Reduce>;
-
-/// The root's post-shrink rank, or the error a rooted plan's recovery
-/// reports when its root died.
-fn surviving_root(r: &Recovery, root: usize) -> Result<usize, CollectiveError> {
-    r.new_rank_of(root)
-        .ok_or(CollectiveError::Comm(CommError::PeerDead { peer: root }))
-}
-
-/// The options a recovered plan re-resolves its schedule with: `Auto`
-/// plans re-resolve, and so do explicitly hierarchical ones (the shrunk
-/// session has no topology); everything else keeps its schedule.
-fn recovered_options(auto: bool, algorithm: Algorithm) -> PlanOptions {
-    if auto || algorithm == Algorithm::Hierarchical {
-        PlanOptions::new()
-    } else {
-        PlanOptions::new().algorithm(algorithm)
-    }
-}
-
-/// The allreduce kind (see [`AllreducePlan`]).
-pub struct Allreduce {
-    pub(crate) len: usize,
-    pub(crate) op: ReduceOp,
-    pub(crate) variant: AllreduceVariant,
-    /// Created with [`Algorithm::Auto`]: eligible for the post-warm-up
-    /// re-rank from measured compression ratios and for calibration.
-    pub(crate) auto: bool,
-    pub(crate) reranked: bool,
-    /// Lanes of the hierarchical schedule at this length (see
-    /// [`CCollSession::hier_lanes`]); read when the split is built.
-    pub(crate) lanes: usize,
-}
-
-impl Plan<Allreduce> {
-    /// Values per rank this plan was built for.
-    pub fn len(&self) -> usize {
-        self.kind.len
-    }
-
-    /// True when the planned buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.kind.len == 0
-    }
-
-    /// The planned step-wise variant (meaningful on the ring schedule).
-    pub fn variant(&self) -> AllreduceVariant {
-        self.kind.variant
-    }
-
-    /// How many lanes — ranks per node that take part in the inter-node
-    /// leg, each on its own slice — the hierarchical schedule runs
-    /// with; `None` unless the plan is [`Algorithm::Hierarchical`]. The
-    /// plan derives it from the cost model at creation; there is no
-    /// setting for it.
-    pub fn hier_lanes(&self) -> Option<usize> {
-        (self.core.algorithm == Algorithm::Hierarchical).then_some(self.kind.lanes)
-    }
-}
-
-impl Completes for Allreduce {
-    type Output = ();
-}
-
-impl Kind for Allreduce {
-    type Machine = ArMachine;
-
-    fn check_buffers(&self, _rank: usize, input: &[f32], out: &[f32]) {
-        assert_eq!(input.len(), self.len, "input disagrees with plan length");
-        assert_eq!(out.len(), self.len, "output disagrees with plan length");
-    }
-
-    fn out_len(&self, _rank: usize) -> usize {
-        self.len
-    }
-
-    fn hier_lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn retune<C: Comm>(&mut self, core: &mut PlanCore, comm: &mut C) {
-        if !self.auto {
-            return;
-        }
-        let len = self.len;
-        let calibrated = Some((allreduce_schedule(core.algorithm), len));
-        let select = |ctx: SelectCtx<'_>| ctx.allreduce(len);
-        if let Some(a) = maybe_rerank(core, comm, &mut self.reranked, calibrated, select) {
-            core.algorithm = a;
-            core.groups = None;
-            core.ws = core.session.allreduce_workspace(len, a);
-        }
-    }
-
-    /// ND — CPR-P2P reduce-scatter + compress-once allgather — serves as
-    /// the ring fallback for codecs without an error bound.
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> ArMachine {
-        let compressed = core.session.cpr.is_some();
-        // Piped for an error-bounded codec; a codec without a bound
-        // (ZFP-FXR) cannot drive the SZx pipeline and runs its reducing
-        // hops as monolithic CPR — on the ring that is ND.
-        let place = core.session.placement();
-        let once = AgMode::Compressed { overlap: true };
-        match (core.algorithm, compressed) {
-            (Algorithm::RecursiveDoubling, false) => {
-                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Raw))
-            }
-            (Algorithm::RecursiveDoubling, true) => {
-                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Cpr))
-            }
-            (Algorithm::Rabenseifner, _) => ArMachine::Butterfly(Butterfly::rabenseifner(place)),
-            // The hierarchical placement is that of the inter-node leg
-            // every lane owner runs on its slice; node-local legs are
-            // always raw (intra-node links don't pay for a codec).
-            (Algorithm::Hierarchical, _) => ArMachine::Hier(HierAr::new(place)),
-            (_, false) => ArMachine::ring(Placement::Raw, AgMode::Raw),
-            (_, true) => match self.variant {
-                AllreduceVariant::Original => ArMachine::ring(Placement::Raw, AgMode::Raw),
-                AllreduceVariant::DirectIntegration => ArMachine::ring(Placement::Cpr, AgMode::Cpr),
-                AllreduceVariant::NovelDesign => ArMachine::ring(Placement::Cpr, once),
-                AllreduceVariant::Overlapped => ArMachine::ring(place, once),
-            },
-        }
-    }
-
-    fn step<C: Comm>(
-        &mut self,
-        core: &mut PlanCore,
-        machine: &mut ArMachine,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-        block: bool,
-    ) -> Poll {
-        let PlanCore {
-            session,
-            groups,
-            ws,
-            ..
-        } = core;
-        machine.step(
-            comm,
-            session.cpr.as_ref(),
-            self.op,
-            groups.as_ref(),
-            input,
-            out,
-            ws,
-            block,
-        )
-    }
-
-    fn output(_: &ArMachine) {}
-
-    fn replan(&self, core: &PlanCore, r: &Recovery) -> Result<Plan<Self>, CollectiveError> {
-        let s = r.session();
-        let mut fresh = if core.algorithm == Algorithm::Ring && !self.auto {
-            s.plan_allreduce_variant(self.len, self.op, self.variant)
-        } else {
-            let opts = recovered_options(self.auto, core.algorithm);
-            s.plan_allreduce_with(self.len, self.op, opts)
-        };
-        fresh.kind.auto = self.auto;
-        Ok(fresh)
-    }
-}
-
-/// The allgather kind (see [`AllgatherPlan`]).
-pub struct Allgather {
-    pub(crate) counts: Vec<usize>,
-    pub(crate) total: usize,
-    /// Created with [`Algorithm::Auto`]: eligible for the one-shot
-    /// post-warm-up re-rank from measured compression ratios.
-    pub(crate) auto: bool,
-    pub(crate) reranked: bool,
-}
-
-impl Allgather {
-    /// The largest per-rank contribution of a `counts` layout.
-    pub(crate) fn max_chunk(counts: &[usize]) -> usize {
-        counts.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Resolve `Auto` for a `counts` layout. The hierarchical layout
-    /// aggregates per-node blocks, which only line up when every rank
-    /// contributes the same count, so a ragged layout selects flat.
-    pub(crate) fn select(counts: &[usize], ctx: SelectCtx<'_>) -> Algorithm {
-        let uniform = counts.windows(2).all(|w| w[0] == w[1]);
-        let ctx = if uniform {
-            ctx
-        } else {
-            SelectCtx {
-                cluster: None,
-                ..ctx
-            }
-        };
-        ctx.allgather(Self::max_chunk(counts))
-    }
-}
-
-impl Plan<Allgather> {
-    /// Per-rank value counts.
-    pub fn counts(&self) -> &[usize] {
-        &self.kind.counts
-    }
-
-    /// Total gathered length (the required output size).
-    pub fn total_len(&self) -> usize {
-        self.kind.total
-    }
-}
-
-impl Completes for Allgather {
-    type Output = ();
-}
-
-impl Kind for Allgather {
-    type Machine = AgPlanMachine;
-
-    fn check_buffers(&self, rank: usize, input: &[f32], out: &[f32]) {
-        assert_eq!(
-            input.len(),
-            self.counts[rank],
-            "my buffer disagrees with counts"
-        );
-        assert_eq!(out.len(), self.total, "output buffer size mismatch");
-    }
-
-    fn out_len(&self, _rank: usize) -> usize {
-        self.total
-    }
-
-    fn retune<C: Comm>(&mut self, core: &mut PlanCore, comm: &mut C) {
-        if !self.auto {
-            return;
-        }
-        let counts = &self.counts;
-        let select = |ctx: SelectCtx<'_>| Allgather::select(counts, ctx);
-        if let Some(a) = maybe_rerank(core, comm, &mut self.reranked, None, select) {
-            core.algorithm = a;
-            core.groups = None;
-            let max_chunk = Self::max_chunk(&self.counts);
-            core.ws = core.session.allgather_workspace(max_chunk, a);
-        }
-    }
-
-    fn hier_values(&self, rank: usize) -> usize {
-        self.counts[rank]
-    }
-
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> AgPlanMachine {
-        // The ring machines read the partition from the workspace; the
-        // Bruck machine re-caches it from the counts it is handed.
-        core.ws.set_partition_from_counts(&self.counts);
-        let compressed = core.session.cpr.is_some();
-        match (core.algorithm, compressed) {
-            (Algorithm::Bruck, c) => AgPlanMachine::Bruck(BruckAg::new(c)),
-            (Algorithm::Hierarchical, c) => {
-                let groups = core
-                    .groups
-                    .as_ref()
-                    .expect("hierarchical plans build their groups at start");
-                let mode = if c {
-                    AgMode::Compressed { overlap: true }
-                } else {
-                    AgMode::Raw
-                };
-                AgPlanMachine::Hier(HierAg::new(mode, groups.node_counts[groups.node]))
-            }
-            (_, true) => AgPlanMachine::Ring(RingAg::new(AgMode::Compressed { overlap: true })),
-            (_, false) => AgPlanMachine::Ring(RingAg::new(AgMode::Raw)),
-        }
-    }
-
-    fn step<C: Comm>(
-        &mut self,
-        core: &mut PlanCore,
-        machine: &mut AgPlanMachine,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-        block: bool,
-    ) -> Poll {
-        let PlanCore {
-            session,
-            groups,
-            ws,
-            ..
-        } = core;
-        let cpr = session.cpr.as_ref();
-        match machine {
-            AgPlanMachine::Ring(m) => m.step(comm, cpr, Some(input), out, ws, block),
-            AgPlanMachine::Bruck(m) => m.step(comm, cpr, input, &self.counts, out, ws, block),
-            AgPlanMachine::Hier(m) => {
-                let groups = groups
-                    .as_ref()
-                    .expect("hierarchical plans build their groups at start");
-                m.step(comm, cpr, groups, input, out, ws, block)
-            }
-        }
-    }
-
-    fn output(_: &AgPlanMachine) {}
-
-    fn replan(&self, core: &PlanCore, r: &Recovery) -> Result<Plan<Self>, CollectiveError> {
-        let counts = r.surviving_counts(&self.counts);
-        let opts = recovered_options(self.auto, core.algorithm);
-        let mut fresh = r.session().plan_allgatherv_with(&counts, opts);
-        fresh.kind.auto = self.auto;
-        Ok(fresh)
-    }
-}
-
-/// The reduce-scatter kind (see [`ReduceScatterPlan`]).
-pub struct ReduceScatter {
-    pub(crate) len: usize,
-    pub(crate) op: ReduceOp,
-    pub(crate) counts: Vec<usize>,
-}
-
-impl Plan<ReduceScatter> {
-    /// Values per rank this plan was built for.
-    pub fn len(&self) -> usize {
-        self.kind.len
-    }
-
-    /// True when the planned buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.kind.len == 0
-    }
-
-    /// The output length on `rank` (its chunk of the balanced partition).
-    pub fn output_len(&self, rank: usize) -> usize {
-        self.kind.counts[rank]
-    }
-}
-
-impl Completes for ReduceScatter {
-    type Output = ();
-}
-
-impl Kind for ReduceScatter {
-    type Machine = RingRs;
-
-    fn check_buffers(&self, _rank: usize, input: &[f32], _out: &[f32]) {
-        assert_eq!(input.len(), self.len, "input disagrees with plan length");
-    }
-
-    fn out_len(&self, rank: usize) -> usize {
-        self.counts[rank]
-    }
-
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> RingRs {
-        RingRs::new(core.session.placement())
-    }
-
-    fn step<C: Comm>(
-        &mut self,
-        core: &mut PlanCore,
-        machine: &mut RingRs,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-        block: bool,
-    ) -> Poll {
-        let cpr = core.session.cpr.as_ref();
-        machine.step_chunk(comm, cpr, self.op, input, out, &mut core.ws, block)
-    }
-
-    fn output(_: &RingRs) {}
-
-    fn replan(&self, _core: &PlanCore, r: &Recovery) -> Result<Plan<Self>, CollectiveError> {
-        Ok(r.session().plan_reduce_scatter(self.len, self.op))
-    }
-}
-
-/// The broadcast kind (see [`BcastPlan`]).
-pub struct Bcast {
-    pub(crate) root: usize,
-    pub(crate) len: usize,
-    /// The root's node under the session topology (hierarchical
-    /// schedules only; 0 otherwise).
-    pub(crate) root_node: usize,
-}
-
-impl Plan<Bcast> {
-    /// The broadcast root.
-    pub fn root(&self) -> usize {
-        self.kind.root
-    }
-
-    /// The broadcast length (required output size on every rank).
-    pub fn len(&self) -> usize {
-        self.kind.len
-    }
-
-    /// True when the planned buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.kind.len == 0
-    }
-}
-
-impl Completes for Bcast {
-    type Output = ();
-}
-
-impl Kind for Bcast {
-    type Machine = BcMachine;
-
-    fn check_buffers(&self, _rank: usize, _input: &[f32], out: &[f32]) {
-        assert_eq!(out.len(), self.len, "output disagrees with plan length");
-    }
-
-    fn out_len(&self, _rank: usize) -> usize {
-        self.len
-    }
-
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> BcMachine {
-        // A session with a codec streams the payload in its PIPE
-        // sub-chunks; without one the tree relays one raw message.
-        let pipe = core
-            .session
-            .cpr
-            .is_some()
-            .then_some(core.session.pipe_values());
-        match core.algorithm {
-            Algorithm::Hierarchical => {
-                BcMachine::Hier(HierBc::new(pipe, self.root, self.root_node))
-            }
-            _ => BcMachine::Flat(nb::Bcast::new(pipe, self.root)),
-        }
-    }
-
-    fn step<C: Comm>(
-        &mut self,
-        core: &mut PlanCore,
-        machine: &mut BcMachine,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-        block: bool,
-    ) -> Poll {
-        let PlanCore {
-            session,
-            groups,
-            ws,
-            ..
-        } = core;
-        let cpr = session.cpr.as_ref();
-        machine.step(comm, cpr, groups.as_ref(), input, out, ws, block)
-    }
-
-    fn output(_: &BcMachine) {}
-
-    /// The shrunk session dropped the (now-stale) topology, so a
-    /// hierarchical plan re-resolves to the flat binomial tree.
-    fn replan(&self, _core: &PlanCore, r: &Recovery) -> Result<Plan<Self>, CollectiveError> {
-        let root = surviving_root(r, self.root)?;
-        Ok(r.session().plan_bcast(root, self.len))
-    }
-}
-
-/// The scatter kind (see [`ScatterPlan`]).
-pub struct Scatter {
-    pub(crate) root: usize,
-    pub(crate) total_len: usize,
-    pub(crate) counts: Vec<usize>,
-}
-
-impl Plan<Scatter> {
-    /// The scatter root.
-    pub fn root(&self) -> usize {
-        self.kind.root
-    }
-
-    /// The total scattered length.
-    pub fn total_len(&self) -> usize {
-        self.kind.total_len
-    }
-
-    /// The output length on `rank` (its chunk of the balanced partition).
-    pub fn output_len(&self, rank: usize) -> usize {
-        self.kind.counts[rank]
-    }
-}
-
-impl Completes for Scatter {
-    type Output = ();
-}
-
-impl Kind for Scatter {
-    type Machine = nb::Scatter;
-
-    /// The machine checks the root-only input and per-rank chunk itself.
-    fn check_buffers(&self, _rank: usize, _input: &[f32], _out: &[f32]) {}
-
-    fn out_len(&self, rank: usize) -> usize {
-        self.counts[rank]
-    }
-
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> nb::Scatter {
-        nb::Scatter::new(core.session.cpr.is_some(), self.root, self.total_len)
-    }
-
-    fn step<C: Comm>(
-        &mut self,
-        core: &mut PlanCore,
-        machine: &mut nb::Scatter,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-        block: bool,
-    ) -> Poll {
-        let cpr = core.session.cpr.as_ref();
-        machine.step(comm, cpr, input, out, &mut core.ws, block)
-    }
-
-    fn output(_: &nb::Scatter) {}
-
-    fn replan(&self, _core: &PlanCore, r: &Recovery) -> Result<Plan<Self>, CollectiveError> {
-        let root = surviving_root(r, self.root)?;
-        Ok(r.session().plan_scatter(root, self.total_len))
-    }
-}
-
-/// The gather kind (see [`GatherPlan`]).
-pub struct Gather {
-    pub(crate) root: usize,
-    pub(crate) total_len: usize,
-    pub(crate) counts: Vec<usize>,
-}
-
-impl Plan<Gather> {
-    /// The gather root.
-    pub fn root(&self) -> usize {
-        self.kind.root
-    }
-
-    /// The total gathered length (required output size on the root).
-    pub fn total_len(&self) -> usize {
-        self.kind.total_len
-    }
-
-    /// The input length on `rank` (its chunk of the balanced partition).
-    pub fn input_len(&self, rank: usize) -> usize {
-        self.kind.counts[rank]
-    }
-}
-
-impl Completes for Gather {
-    type Output = bool;
-}
-
-impl Kind for Gather {
-    type Machine = nb::Gather;
-
-    /// The machine checks the per-rank chunk and root-only output itself.
-    fn check_buffers(&self, _rank: usize, _input: &[f32], _out: &[f32]) {}
-
-    fn out_len(&self, rank: usize) -> usize {
-        if rank == self.root {
-            self.total_len
-        } else {
-            0
-        }
-    }
-
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> nb::Gather {
-        nb::Gather::new(core.session.cpr.is_some(), self.root, self.total_len)
-    }
-
-    fn step<C: Comm>(
-        &mut self,
-        core: &mut PlanCore,
-        machine: &mut nb::Gather,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-        block: bool,
-    ) -> Poll {
-        let cpr = core.session.cpr.as_ref();
-        machine.step(comm, cpr, input, out, &mut core.ws, block)
-    }
-
-    fn output(machine: &nb::Gather) -> bool {
-        machine.is_root()
-    }
-
-    fn replan(&self, _core: &PlanCore, r: &Recovery) -> Result<Plan<Self>, CollectiveError> {
-        let root = surviving_root(r, self.root)?;
-        Ok(r.session().plan_gather(root, self.total_len))
-    }
-}
-
-/// The all-to-all kind (see [`AlltoallPlan`]).
-pub struct Alltoall {
-    pub(crate) len: usize,
-}
-
-impl Plan<Alltoall> {
-    /// Values per rank this plan was built for.
-    pub fn len(&self) -> usize {
-        self.kind.len
-    }
-
-    /// True when the planned buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.kind.len == 0
-    }
-}
-
-impl Completes for Alltoall {
-    type Output = ();
-}
-
-impl Kind for Alltoall {
-    type Machine = A2aMachine;
-
-    fn check_buffers(&self, _rank: usize, input: &[f32], _out: &[f32]) {
-        assert_eq!(input.len(), self.len, "input disagrees with plan length");
-    }
-
-    fn out_len(&self, _rank: usize) -> usize {
-        self.len
-    }
-
-    fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> A2aMachine {
-        let compressed = core.session.cpr.is_some();
-        match core.algorithm {
-            Algorithm::Bruck => A2aMachine::Bruck(BruckA2a::new(compressed)),
-            _ => A2aMachine::Pairwise(nb::Alltoall::new(compressed)),
-        }
-    }
-
-    fn step<C: Comm>(
-        &mut self,
-        core: &mut PlanCore,
-        machine: &mut A2aMachine,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-        block: bool,
-    ) -> Poll {
-        let cpr = core.session.cpr.as_ref();
-        machine.step(comm, cpr, input, out, &mut core.ws, block)
-    }
-
-    fn output(_: &A2aMachine) {}
-
-    fn replan(&self, core: &PlanCore, r: &Recovery) -> Result<Plan<Self>, CollectiveError> {
-        let opts = PlanOptions::new().algorithm(core.algorithm);
-        Ok(r.session().plan_alltoall_with(self.len, opts))
-    }
-}
-
-/// The rooted-reduce kind (see [`ReducePlan`]).
-pub struct Reduce {
-    pub(crate) root: usize,
-    pub(crate) len: usize,
-    pub(crate) op: ReduceOp,
-    /// Created with [`Algorithm::Auto`]: eligible for the one-shot
-    /// post-warm-up re-rank from measured compression ratios.
-    pub(crate) auto: bool,
-    pub(crate) reranked: bool,
-    /// The reduce-scatter stage of the RS + gather composition; `None`
-    /// on the binomial tree.
-    pub(crate) rs: Option<RsStage>,
-}
-
-/// What the reduce-scatter + gather composition needs beyond `core.ws`
-/// (which serves its gather stage).
-pub(crate) struct RsStage {
-    /// The reduce-scatter stage's workspace.
-    pub(crate) ws: CollWorkspace,
-    /// The balanced partition the two stages share.
-    pub(crate) counts: Vec<usize>,
-    /// Intermediate reduced-chunk buffer, reused across calls.
-    pub(crate) mine: Vec<f32>,
-}
-
-impl Plan<Reduce> {
-    /// Values per rank this plan was built for.
-    pub fn len(&self) -> usize {
-        self.kind.len
-    }
-
-    /// True when the planned buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.kind.len == 0
-    }
-
-    /// The reduce root.
-    pub fn root(&self) -> usize {
-        self.kind.root
-    }
-}
-
-impl Completes for Reduce {
-    type Output = bool;
-}
-
-impl Kind for Reduce {
-    type Machine = ReduceMachine;
-
-    fn check_buffers(&self, _rank: usize, input: &[f32], _out: &[f32]) {
-        assert_eq!(input.len(), self.len, "input disagrees with plan length");
-    }
-
-    fn out_len(&self, rank: usize) -> usize {
-        if rank == self.root {
-            self.len
-        } else {
-            0
-        }
-    }
-
-    fn retune<C: Comm>(&mut self, core: &mut PlanCore, comm: &mut C) {
-        if !self.auto {
-            return;
-        }
-        let len = self.len;
-        let select = |ctx: SelectCtx<'_>| ctx.reduce(len);
-        if let Some(a) = maybe_rerank(core, comm, &mut self.reranked, None, select) {
-            core.algorithm = a;
-            (core.ws, self.rs) = core.session.reduce_workspaces(len, a);
-        }
-    }
-
-    fn machine(&mut self, core: &mut PlanCore, rank: usize) -> ReduceMachine {
-        let session = &core.session;
-        let compressed = session.cpr.is_some();
-        match &mut self.rs {
-            Some(stage) => {
-                // `resize` shrinks as well as grows, keeping the buffer
-                // exact without reallocating once its capacity is warm.
-                stage.mine.resize(stage.counts[rank], 0.0);
-                ReduceMachine::RsGather {
-                    rs: RingRs::new(session.placement()),
-                    gather: nb::Gather::new(compressed, self.root, self.len),
-                    in_gather: false,
-                }
-            }
-            // Error-bounded codecs stream every tree hop through the
-            // sub-chunk pipeline with fused reduction.
-            None => ReduceMachine::Tree(TreeReduce::new(session.placement(), self.root)),
-        }
-    }
-
-    fn step<C: Comm>(
-        &mut self,
-        core: &mut PlanCore,
-        machine: &mut ReduceMachine,
-        comm: &mut C,
-        input: &[f32],
-        out: &mut [f32],
-        block: bool,
-    ) -> Poll {
-        let PlanCore { session, ws, .. } = core;
-        let cpr = session.cpr.as_ref();
-        match (&mut self.rs, machine) {
-            (None, ReduceMachine::Tree(m)) => m.step(comm, cpr, self.op, input, out, ws, block),
-            (
-                Some(stage),
-                ReduceMachine::RsGather {
-                    rs,
-                    gather,
-                    in_gather,
-                },
-            ) => {
-                let mine = &mut stage.mine;
-                if !*in_gather {
-                    match rs.step_chunk(comm, cpr, self.op, input, mine, &mut stage.ws, block) {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready => {
-                            // Drain the stage's compression-ratio sample
-                            // so the session feedback sees both stages.
-                            session.note_execution(&mut stage.ws);
-                            *in_gather = true;
-                        }
-                    }
-                }
-                gather.step(comm, cpr, mine, out, ws, block)
-            }
-            _ => unreachable!("machine kind matches the plan's schedule"),
-        }
-    }
-
-    fn output(machine: &ReduceMachine) -> bool {
-        match machine {
-            ReduceMachine::Tree(m) => m.is_root(),
-            ReduceMachine::RsGather { gather, .. } => gather.is_root(),
-        }
-    }
-
-    fn replan(&self, core: &PlanCore, r: &Recovery) -> Result<Plan<Self>, CollectiveError> {
-        let root = surviving_root(r, self.root)?;
-        let opts = if self.auto {
-            PlanOptions::new()
-        } else {
-            PlanOptions::new().algorithm(core.algorithm)
-        };
-        Ok(r.session().plan_reduce_with(root, self.len, self.op, opts))
-    }
-
-    fn scrub(&mut self) {
-        if let Some(stage) = &mut self.rs {
-            stage.ws.abort();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::time::Duration;
 
-    use ccoll_comm::{ClusterNet, HierNet, SimConfig, SimWorld, ThreadWorld};
+    use ccoll_comm::{
+        Category, ClusterNet, HierNet, PayloadPool, SimConfig, SimWorld, ThreadWorld, Topology,
+    };
 
+    use super::calibration::agree_min;
     use super::*;
+    use crate::collectives::tags;
+    use crate::nonblocking::{AgMode, RingAg, RingRs};
+    use crate::placement::Placement;
+    use crate::reduce::ReduceOp;
 
     /// Fixed-point lane values (×1024) for `rank` of world `n`: lane 0 is
     /// zero on roughly one rank in `2n` (so about half the cases have a
@@ -1883,19 +913,21 @@ mod tests {
             // Integer-valued, so the sums are exact.
             let value = |i: usize| ((i * (which + 2) + rank * 31) % 97) as f32;
             let input: Vec<f32> = (0..1003).map(value).collect();
-            let machine = ArMachine::ring(Placement::Raw, AgMode::Raw);
-            (machine, input, vec![0.0f32; 1003], CollWorkspace::new())
+            let stages = (RingRs::new(Placement::Raw), RingAg::new(AgMode::Raw), false);
+            (stages, input, vec![0.0f32; 1003], CollWorkspace::new())
         });
         let flip = stamps.is_some() && rank % 2 == 1;
         let mut done = [false; 2];
         while done != [true; 2] {
             for which in if flip { [1, 0] } else { [0, 1] } {
-                let (machine, input, out, ws) = &mut ops[which];
-                let mut view = CommView::stamped(comm, stamps.map_or(0, |s| s[which]));
+                let ((rs, ag, in_ag), input, out, ws) = &mut ops[which];
+                let view = &mut CommView::stamped(comm, stamps.map_or(0, |s| s[which]));
                 let block = stamps.is_none();
-                let poll =
-                    machine.step(&mut view, None, ReduceOp::Sum, None, input, out, ws, block);
-                done[which] = poll.is_ready();
+                *in_ag = *in_ag
+                    || rs
+                        .step(view, None, ReduceOp::Sum, input, out, ws, block)
+                        .is_ready();
+                done[which] = *in_ag && ag.step(view, None, None, out, ws, block).is_ready();
                 // Let the other ranks run before the next poll.
                 comm.charge_duration(Duration::from_micros(1), Category::Others);
             }
@@ -1946,6 +978,96 @@ mod tests {
             taken
         });
         assert!(out.results.iter().flatten().all(|&cap| cap == 0));
+    }
+
+    /// What a workspace has warm: codec scratch capacities, pool slots
+    /// and the capacity of a free slot.
+    fn warmth(ws: &mut CollWorkspace) -> [usize; 4] {
+        let mut slot = 0;
+        let probe = ws.pool.write_with(|buf| {
+            slot = buf.capacity();
+            Ok::<(), std::convert::Infallible>(())
+        });
+        drop(probe);
+        let scratch = &ws.scratch;
+        [
+            scratch.enc.capacity(),
+            scratch.dec.capacity(),
+            ws.pool.slot_count(),
+            slot,
+        ]
+    }
+
+    /// `plan.recover(&r)` leaves the schedule and the workspace a fresh
+    /// [`Plan::build`] of the shrunk shape on `r.session()` has.
+    fn recovers_like_a_fresh_build<K: Kind>(mut plan: Plan<K>, r: &Recovery, opts: PlanOptions) {
+        let shrunk = plan.kind.shrunk(r).expect("the root survived");
+        let mut fresh = Plan::build(r.session(), shrunk, opts);
+        plan.recover(r).expect("the root survived");
+        assert_eq!(plan.algorithm(), fresh.algorithm(), "{}", K::NAME);
+        let (got, want) = (warmth(&mut plan.core.ws), warmth(&mut fresh.core.ws));
+        assert_eq!(got, want, "{} on {:?}", K::NAME, plan.algorithm());
+        assert!(want[2] >= 4, "{}: a warmed pool", K::NAME);
+    }
+
+    /// The workspace side of `tests/recovery.rs`'s
+    /// `recovered_plans_match_fresh_plans_on_the_shrunk_session`: six
+    /// ranks, one killed mid-allreduce, every kind re-planned for five.
+    #[test]
+    fn recovered_workspaces_match_a_fresh_build() {
+        use ccoll_comm::{FaultPlan, FaultPolicy, RankOutcome};
+
+        use crate::kinds::*;
+        use crate::CodecSpec;
+        let (world, len, victim, root) = (6, 60_000, 2, 4);
+        let cfg = SimConfig::new(world)
+            .with_faults(FaultPlan::seeded(29).with_kill(victim, 2))
+            .with_fault_policy(FaultPolicy::with_timeout(Duration::from_millis(1), 2));
+        let out = SimWorld::new(cfg).try_run(move |c| {
+            let s = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, world);
+            let pin = |a| PlanOptions::new().algorithm(a);
+            let (auto, sum) = (PlanOptions::new(), ReduceOp::Sum);
+            let mut trigger = s.plan_allreduce_with(len, sum, pin(Algorithm::Ring));
+            let input = vec![1.0f32; len];
+            let aborted = trigger.try_execute_into(c, &input, &mut vec![0.0; len]);
+            let r = s
+                .recover(c, &[], aborted.is_err())
+                .expect("survivors agree");
+            assert_eq!(r.survivors(), world - 1);
+
+            let variant = crate::AllreduceVariant::Overlapped;
+            for opts in [auto, pin(Algorithm::Ring), pin(Algorithm::Rabenseifner)] {
+                let kind = Allreduce::new(&s, len, sum, variant);
+                recovers_like_a_fresh_build(Plan::build(&s, kind, opts), &r, opts);
+            }
+            for opts in [auto, pin(Algorithm::Ring), pin(Algorithm::Bruck)] {
+                let kind = Allgather::new(&s, vec![len; world]);
+                recovers_like_a_fresh_build(Plan::build(&s, kind, opts), &r, opts);
+            }
+            for opts in [pin(Algorithm::Pairwise), pin(Algorithm::Bruck)] {
+                let kind = Alltoall::new(&s, len);
+                recovers_like_a_fresh_build(Plan::build(&s, kind, opts), &r, opts);
+            }
+            for opts in [auto, pin(Algorithm::Binomial), pin(Algorithm::Rabenseifner)] {
+                let kind = Reduce::new(&s, root, len, sum);
+                recovers_like_a_fresh_build(Plan::build(&s, kind, opts), &r, opts);
+            }
+            let only = auto;
+            let kind = ReduceScatter::new(&s, len, sum);
+            recovers_like_a_fresh_build(Plan::build(&s, kind, only), &r, only);
+            let kind = Bcast::new(&s, root, len);
+            recovers_like_a_fresh_build(Plan::build(&s, kind, only), &r, only);
+            let kind = Scatter::new(&s, root, len);
+            recovers_like_a_fresh_build(Plan::build(&s, kind, only), &r, only);
+            let kind = Gather::new(&s, root, len);
+            recovers_like_a_fresh_build(Plan::build(&s, kind, only), &r, only);
+        });
+        for (rank, outcome) in out.expect("no deadlock").results.iter().enumerate() {
+            match outcome {
+                RankOutcome::Panicked(msg) => panic!("rank {rank}: {msg}"),
+                outcome => assert_eq!(matches!(outcome, RankOutcome::Killed), rank == victim),
+            }
+        }
     }
 
     #[test]

@@ -43,34 +43,36 @@
 //! ```
 
 use std::cell::Cell;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ccoll_comm::{
-    agree_on_failures, ClusterNet, Comm, CommError, CommView, CostModel, DeadSet, FaultCounters,
-    HierNet, NetModel, PayloadPool, Topology,
-};
+use ccoll_comm::{ClusterNet, CostModel, HierNet, NetModel, PayloadPool, Topology};
 
-use crate::algorithm::{reject_unsupported, Algorithm, AllreduceVariant, PlanOptions, SelectCtx};
+use crate::algorithm::{Algorithm, AllreduceVariant, PlanOptions, SelectCtx};
 use crate::codec::CodecSpec;
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::frameworks::computation::{self, PipelineConfig};
-use crate::partition::chunk_lengths;
 use crate::placement::Placement;
 use crate::plan::{
-    check_world, Allgather, Allreduce, Alltoall, Bcast, Gather, Plan, PlanCore, Reduce,
-    ReduceScatter, RsStage, Scatter,
+    Allgather, Allreduce, Alltoall, Bcast, Gather, Plan, Reduce, ReduceScatter, Scatter,
 };
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
+
+mod error;
+mod feedback;
+mod recovery;
 
 pub use crate::plan::{
     AllgatherHandle, AllgatherPlan, AllreduceHandle, AllreducePlan, AlltoallHandle, AlltoallPlan,
     BcastHandle, BcastPlan, GatherHandle, GatherPlan, ReduceHandle, ReducePlan,
     ReduceScatterHandle, ReduceScatterPlan, ScatterHandle, ScatterPlan,
 };
+pub use error::CollectiveError;
+pub(crate) use feedback::SessionFeedback;
+pub use feedback::{PlanStats, SessionStats};
+pub use recovery::Recovery;
 
 /// A per-rank C-Coll handle: codec built exactly once, pipeline
 /// configuration fixed, world size pinned. Create plans from it for
@@ -124,245 +126,6 @@ pub struct CCollSession {
     /// the [`CommView::shrunk`] view the recovery hands out, so pre-shrink traffic
     /// can never match post-shrink receives.
     epoch: u32,
-}
-
-/// Session-owned measured-performance state, shared by every plan the
-/// session (and its clones) creates. Plans drain the compression-ratio
-/// sample their workspace pool accumulated during each execution and
-/// fold it in here; [`Algorithm::Auto`] consults the running average —
-/// at plan-creation time for new plans, and through a one-shot post-
-/// warm-up re-rank on existing `Auto` plans — so schedule selection
-/// tracks the *measured* ratio of the live workload instead of the
-/// codec's nominal planning figure.
-#[derive(Debug, Default)]
-pub(crate) struct SessionFeedback {
-    /// EWMA of observed compression ratios, stored as `f64` bits.
-    /// Zero (the bits of `0.0`, never a valid ratio) means "no sample
-    /// yet". Plain relaxed atomics: ranks own distinct sessions, and a
-    /// lost update between clones only delays convergence of the EWMA.
-    ratio_bits: AtomicU64,
-    /// Completed plan executions across every plan this session (and its
-    /// clones) created.
-    executions: AtomicU64,
-    /// EWMA of per-execution makespans in nanoseconds (0 = no sample).
-    makespan_ewma_nanos: AtomicU64,
-    /// Wait timeouts absorbed by a re-armed retry, across all plans.
-    retries: AtomicU64,
-    /// Total wait timeouts observed, across all plans.
-    timeouts: AtomicU64,
-    /// Executions that aborted on an unrecoverable fault.
-    aborts: AtomicU64,
-    /// Operations currently in flight across every plan this session
-    /// (and its clones) created: incremented by each plan `start()`,
-    /// decremented when the operation's handle is dropped (whether it
-    /// completed, aborted, or was abandoned mid-operation).
-    pub(crate) live_ops: AtomicU64,
-    /// Communicator shrinks performed through [`CCollSession::recover`]
-    /// (each successful survivor agreement counts once, even when the
-    /// agreed dead-set turned out empty — the epoch still advanced).
-    shrinks: AtomicU64,
-    /// Survivor-agreement coordinator rounds summed across shrinks (one
-    /// round per coordinator tried; >1 means a coordinator died
-    /// mid-agreement).
-    agreement_rounds: AtomicU64,
-    /// Dead-epoch messages and stale posted receives discarded when a
-    /// shrunk communicator purged pre-shrink traffic.
-    stale_discarded: AtomicU64,
-    /// Online α–β calibration corrections, stored as `f64` bits (the
-    /// zero bit-pattern — never a valid scale — means "uncalibrated"
-    /// and decodes to 1.0). Written only with values derived from a
-    /// communicator-agreed measurement ratio, and always *stored* (not
-    /// read-modify-written) so ranks sharing one feedback through
-    /// session clones apply a round's identical correction idempotently.
-    alpha_scale_bits: AtomicU64,
-    /// β counterpart of `alpha_scale_bits`: the model bandwidth is
-    /// divided by this scale.
-    beta_scale_bits: AtomicU64,
-}
-
-impl SessionFeedback {
-    fn record_ratio(&self, sample: f64) {
-        if !(sample.is_finite() && sample > 0.0) {
-            return;
-        }
-        let next = match self.ratio() {
-            Some(prev) => 0.5 * prev + 0.5 * sample,
-            None => sample,
-        };
-        self.ratio_bits.store(next.to_bits(), Ordering::Relaxed);
-    }
-
-    pub(crate) fn ratio(&self) -> Option<f64> {
-        let bits = self.ratio_bits.load(Ordering::Relaxed);
-        if bits == 0 {
-            None
-        } else {
-            Some(f64::from_bits(bits))
-        }
-    }
-
-    pub(crate) fn record_execution(&self, makespan: Duration) {
-        self.executions.fetch_add(1, Ordering::Relaxed);
-        let ns = (makespan.as_nanos() as u64).max(1);
-        let prev = self.makespan_ewma_nanos.load(Ordering::Relaxed);
-        let next = if prev == 0 { ns } else { prev / 2 + ns / 2 };
-        self.makespan_ewma_nanos.store(next, Ordering::Relaxed);
-    }
-
-    fn net_scales(&self) -> (f64, f64) {
-        let decode = |bits: u64| if bits == 0 { 1.0 } else { f64::from_bits(bits) };
-        (
-            decode(self.alpha_scale_bits.load(Ordering::Relaxed)),
-            decode(self.beta_scale_bits.load(Ordering::Relaxed)),
-        )
-    }
-
-    pub(crate) fn store_net_scales(&self, alpha: f64, beta: f64) {
-        self.alpha_scale_bits
-            .store(alpha.to_bits(), Ordering::Relaxed);
-        self.beta_scale_bits
-            .store(beta.to_bits(), Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_faults(&self, delta: FaultCounters) {
-        if delta.retries > 0 {
-            self.retries.fetch_add(delta.retries, Ordering::Relaxed);
-        }
-        if delta.timeouts > 0 {
-            self.timeouts.fetch_add(delta.timeouts, Ordering::Relaxed);
-        }
-        if delta.aborts > 0 {
-            self.aborts.fetch_add(delta.aborts, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Aggregate measured-performance state of one session (see
-/// [`CCollSession::stats`]): every plan the session created feeds its
-/// per-execution sample in here on completion, so this is the
-/// session-wide companion of the per-plan [`PlanStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SessionStats {
-    /// Completed plan executions across all of this session's plans.
-    pub executions: u64,
-    /// Exponentially weighted running average of per-execution makespans
-    /// on the backend clock ([`Duration::ZERO`] until the first sample).
-    pub ewma_makespan: Duration,
-    /// The session's measured compression-ratio EWMA (the same value
-    /// [`CCollSession::measured_ratio`] reports).
-    pub measured_ratio: Option<f64>,
-    /// Wait timeouts absorbed by re-armed retries across all plans
-    /// (zero unless a fault policy is active).
-    pub retries: u64,
-    /// Total wait timeouts observed across all plans.
-    pub timeouts: u64,
-    /// Executions that aborted on an unrecoverable fault.
-    pub aborts: u64,
-    /// Communicator shrinks performed through [`CCollSession::recover`]
-    /// (zero on any fault-free session — recovery costs nothing unless
-    /// entered).
-    pub shrinks: u64,
-    /// Survivor-agreement coordinator rounds summed across shrinks.
-    pub agreement_rounds: u64,
-    /// Dead-epoch messages and stale posted receives discarded when
-    /// shrunk communicators purged pre-shrink traffic.
-    pub stale_discarded: u64,
-}
-
-/// Measured per-execution statistics a plan accumulates (see
-/// [`AllreducePlan::stats`] — every plan type exposes the same `stats`
-/// accessor): how often it ran, how long the last execution took end to
-/// end on its backend's clock (virtual time on the simulator, wall time
-/// on threads), a running average of those makespans, and the
-/// compression ratio its codec achieved on the live data. Nonblocking
-/// executions measure `start` → completion, so overlapped caller compute
-/// is included — the number an overlap study wants.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PlanStats {
-    /// Completed executions (blocking `execute_into` calls plus
-    /// completed `start`/`progress`/`complete` cycles).
-    pub executions: u64,
-    /// End-to-end duration of the most recent execution.
-    pub last_makespan: Duration,
-    /// Exponentially weighted running average of execution makespans
-    /// ([`Duration::ZERO`] until the first execution).
-    pub ewma_makespan: Duration,
-    /// Compression ratio measured during the most recent execution, if
-    /// the plan's codec compressed anything.
-    pub observed_ratio: Option<f64>,
-    /// Wait timeouts this plan's executions absorbed with a re-armed
-    /// retry (zero unless a fault policy is active on the `Comm`).
-    pub retries: u64,
-    /// Total wait timeouts this plan's executions observed.
-    pub timeouts: u64,
-    /// Executions of this plan that aborted on an unrecoverable fault.
-    pub aborts: u64,
-    /// Communicator shrinks this plan has been re-planned through (see
-    /// the plan's `recover` method).
-    pub shrinks: u64,
-}
-
-impl PlanStats {
-    /// Fold one completed execution into the stats.
-    pub(crate) fn record(&mut self, makespan: Duration) {
-        self.executions += 1;
-        self.last_makespan = makespan;
-        self.ewma_makespan = if self.executions == 1 {
-            makespan
-        } else {
-            self.ewma_makespan / 2 + makespan / 2
-        };
-    }
-
-    /// Fold the fault counters one execution accrued into the stats.
-    pub(crate) fn fold_faults(&mut self, delta: FaultCounters) {
-        self.retries += delta.retries;
-        self.timeouts += delta.timeouts;
-        self.aborts += delta.aborts;
-    }
-}
-
-/// Why a collective execution could not complete. Returned by the
-/// fallible surface (`try_execute_into`, `try_progress`, `try_complete`)
-/// when a fault-policy-governed run hits an unrecoverable fault; the
-/// infallible surface panics with the same message instead. Once an
-/// execution aborts, its plan is *poisoned* — partially-exchanged state
-/// cannot be resumed — and every further use reports
-/// [`CollectiveError::Poisoned`] until the plan's `reset()` is called.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectiveError {
-    /// The transport reported an unrecoverable fault (retry budget
-    /// exhausted, or a peer died) mid-collective.
-    Comm(CommError),
-    /// The plan was poisoned by an earlier aborted execution and has
-    /// not been `reset()`.
-    Poisoned,
-    /// The operation's handle was dropped mid-flight: the collective
-    /// never completed and the plan's exchanged state is undefined.
-    /// Only this plan is poisoned; sibling operations are unaffected.
-    Abandoned,
-}
-
-impl fmt::Display for CollectiveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CollectiveError::Comm(e) => write!(f, "collective aborted: {e}"),
-            CollectiveError::Poisoned => {
-                f.write_str("plan poisoned by an earlier aborted execution (reset() to reuse)")
-            }
-            CollectiveError::Abandoned => f.write_str(
-                "operation abandoned: its handle was dropped before completing (reset() to reuse)",
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CollectiveError {}
-
-impl From<CommError> for CollectiveError {
-    fn from(e: CommError) -> Self {
-        CollectiveError::Comm(e)
-    }
 }
 
 impl CCollSession {
@@ -494,87 +257,6 @@ impl CCollSession {
         self.epoch
     }
 
-    /// Recover from rank death: run the survivor agreement over `comm`,
-    /// converge with every live rank on an identical dead-set, and
-    /// return a [`Recovery`] describing the shrunk world — a new
-    /// session planned for the survivors (sharing this session's
-    /// measured-performance feedback, so statistics carry across the
-    /// shrink) plus the dead-set/epoch needed to build the
-    /// [`CommView::shrunk`] view every post-recovery operation runs on.
-    ///
-    /// `suspects` seeds the agreement with the ranks this rank already
-    /// observed dead (the peers named by [`CommError::PeerDead`] from
-    /// the aborted operation — **not** mere timeouts, which may be
-    /// congestion). `restart` declares that this rank's last operation
-    /// aborted; the agreement ORs it across survivors so ranks whose
-    /// operation completed before the failure still learn they must
-    /// re-run it on the shrunk world (restart-on-survivors semantics —
-    /// see the [`ccoll_comm::recover`] module docs).
-    ///
-    /// Every surviving rank must call `recover` with the same epoch
-    /// history (i.e. the same number of prior recoveries), like any
-    /// collective. The poisoned plans themselves are revived afterwards
-    /// with their `recover(&Recovery)` methods. Any abort reason still
-    /// parked on the communicator's profiler is drained first, so a
-    /// post-recovery operation cannot spuriously observe a pre-shrink
-    /// failure.
-    ///
-    /// Returns the structured error when this rank itself is in the
-    /// agreed dead-set (it must stop participating) or when the
-    /// agreement could not complete inside its timeout budget.
-    pub fn recover<C: Comm>(
-        &self,
-        comm: &mut C,
-        suspects: &[usize],
-        restart: bool,
-    ) -> Result<Recovery, CollectiveError> {
-        check_world(comm, self.world_size);
-        let _ = comm.profiler().take_error();
-        let epoch = self.epoch + 1;
-        let mut suspect_set = DeadSet::EMPTY;
-        for &s in suspects {
-            if s < self.world_size {
-                suspect_set.insert(s);
-            }
-        }
-        let agreement =
-            agree_on_failures(comm, epoch, suspect_set, restart).map_err(CollectiveError::Comm)?;
-        let members: Vec<usize> = (0..self.world_size)
-            .filter(|&r| !agreement.dead.contains(r))
-            .collect();
-        let session = CCollSession {
-            spec: self.spec,
-            pipe_values: self.pipe_values,
-            world_size: members.len(),
-            cpr: self.cpr.clone(),
-            cost: self.cost.clone(),
-            net: self.net,
-            // The rank→node map is stale after a shrink (dead ranks
-            // leave holes in the node blocks), so the recovered session
-            // plans flat; re-attach a survivor topology with
-            // `with_topology` if one is known.
-            cluster: None,
-            feedback: Arc::clone(&self.feedback),
-            // Carrying the slot counter forward keeps post-recovery
-            // plan creation consistent across survivors that allocated
-            // the same plans pre-shrink.
-            next_slot: Cell::new(self.next_slot.get()),
-            epoch,
-        };
-        self.feedback.shrinks.fetch_add(1, Ordering::Relaxed);
-        self.feedback
-            .agreement_rounds
-            .fetch_add(u64::from(agreement.rounds), Ordering::Relaxed);
-        Ok(Recovery {
-            session,
-            dead: agreement.dead,
-            members,
-            epoch,
-            rounds: agreement.rounds,
-            restart: agreement.restart,
-        })
-    }
-
     /// The compression ratio measured across this session's plan
     /// executions (an exponentially weighted running average), if any
     /// compression has run yet. This is the feedback [`Algorithm::Auto`]
@@ -675,7 +357,7 @@ impl CCollSession {
     /// (peers release a relayed block only when they enter their next
     /// call), so plans pass at least four slots; pipelined plans scale
     /// `slots` with the number of concurrently in-flight sub-chunks.
-    fn warmed_workspace(&self, values: usize, slots: usize) -> CollWorkspace {
+    pub(crate) fn warmed_workspace(&self, values: usize, slots: usize) -> CollWorkspace {
         let mut ws = CollWorkspace::with_value_capacity(values);
         let worst = match &self.cpr {
             Some(cpr) => cpr.codec.max_compressed_bytes(values),
@@ -685,12 +367,22 @@ impl CCollSession {
         ws
     }
 
-    /// Pool slots for a pipelined reduce-scatter over `len` values: all
-    /// of a round's sub-chunk payloads can be in flight at once, plus
-    /// the previous generation not yet released by the receiver.
-    fn pipelined_slots(&self, len: usize) -> usize {
+    /// The workspace a ring reduce-scatter of `len` values needs — as a
+    /// plan of its own, as the first stage of the ring allreduce and of
+    /// the reduce-scatter + gather reduce. `piped` asks for the sub-chunk
+    /// pipeline, which a codec without an error bound cannot drive: it
+    /// then runs whole chunks like the unpiped placements. Piped
+    /// compression never sees more than one sub-chunk, but all of a
+    /// round's sub-chunk payloads can be in flight at once, plus the
+    /// previous generation not yet released by the receiver.
+    pub(crate) fn ring_workspace(&self, len: usize, piped: bool) -> CollWorkspace {
         let max_chunk = len.div_ceil(self.world_size);
-        max_chunk.div_ceil(self.pipe_values) + 4
+        if piped && self.pipeline_config().is_some() {
+            let slots = max_chunk.div_ceil(self.pipe_values) + 4;
+            self.warmed_workspace(self.pipe_values.min(len.max(1)), slots)
+        } else {
+            self.warmed_workspace(max_chunk, 4)
+        }
     }
 
     /// A workspace for a schedule that streams up to `stream_values`
@@ -708,7 +400,7 @@ impl CCollSession {
     /// case would cost `slots × worst(len)` memory for buffers only a
     /// couple of slots ever need. The steady state stays allocation-
     /// free either way (pinned by `collective_alloc.rs`).
-    fn pipelined_stream_workspace(
+    pub(crate) fn pipelined_stream_workspace(
         &self,
         scratch_values: usize,
         stream_values: usize,
@@ -722,62 +414,10 @@ impl CCollSession {
         ws.pool = PayloadPool::warmed(stream_values.div_ceil(self.pipe_values) + 4, per_slot);
         ws
     }
-
-    /// The workspace an allreduce plan at `len` values needs for
-    /// `algorithm` (shared by plan construction and the post-warm-up
-    /// re-rank, which must re-warm when it switches schedules).
-    pub(crate) fn allreduce_workspace(&self, len: usize, algorithm: Algorithm) -> CollWorkspace {
-        match algorithm {
-            Algorithm::Ring if self.pipeline_config().is_some() => {
-                self.warmed_workspace(self.pipe_values.min(len.max(1)), self.pipelined_slots(len))
-            }
-            Algorithm::Ring => self.warmed_workspace(len.div_ceil(self.world_size).max(1), 4),
-            Algorithm::Rabenseifner if self.pipeline_config().is_some() => {
-                self.pipelined_stream_workspace(len.max(1), len)
-            }
-            // The hierarchical inter leg is a Rabenseifner per lane: its
-            // pipelined halving rounds stream d/L values. On top of
-            // those sub-chunk slots each of the two raw rings over the
-            // node's L owners wants L−1: their sends are eager, so an
-            // owner runs up to L−2 steps ahead of a slow right
-            // neighbour, which holds every one of those payloads until
-            // it reads it. The one-lane shape (a whole-vector stream) is
-            // the floor, so a plan never warms less than it used to.
-            // The scratch keeps the full length: a group owner decodes
-            // whole-vector raw tree hops into it.
-            Algorithm::Hierarchical => {
-                let lanes = self.hier_lanes(len);
-                let rings = 2 * (lanes - 1);
-                match self.pipeline_config() {
-                    Some(_) => {
-                        let laned = len.div_ceil(lanes) + rings * self.pipe_values;
-                        self.pipelined_stream_workspace(len.max(1), len.max(laned))
-                    }
-                    None => self.warmed_workspace(len.max(1), 4 + rings),
-                }
-            }
-            _ => self.warmed_workspace(len.max(1), 4),
-        }
-    }
-
-    /// The workspace an allgather plan needs for `algorithm`: the
-    /// hierarchical schedule's scratch must fit the largest *node
-    /// block* (the inter-node ring moves whole node aggregates), flat
-    /// schedules only the largest per-rank chunk.
-    pub(crate) fn allgather_workspace(
-        &self,
-        max_chunk: usize,
-        algorithm: Algorithm,
-    ) -> CollWorkspace {
-        let values = match (algorithm, self.cluster.as_deref()) {
-            (Algorithm::Hierarchical, Some(c)) => c.topo.max_node_size() * max_chunk,
-            _ => max_chunk,
-        };
-        self.warmed_workspace(values.max(1), 4)
-    }
-
     // ------------------------------------------------------------------
-    // Plan constructors.
+    // Plan constructors: each names its kind's shape and hands it to
+    // `Plan::build`, which resolves the schedule against the kind's
+    // table (`kinds/`) and warms the workspace that schedule needs.
     // ------------------------------------------------------------------
 
     /// Plan an allreduce of `len` values per rank with the full C-Coll
@@ -795,7 +435,8 @@ impl CCollSession {
     /// [`Algorithm::RecursiveDoubling`], [`Algorithm::Rabenseifner`],
     /// [`Algorithm::Hierarchical`] (two-level; needs
     /// [`CCollSession::with_topology`]), and [`Algorithm::Auto`]
-    /// (cost-model selection over all of them).
+    /// (cost-model selection over all of them; such a plan stays
+    /// adaptive, see [`AllreducePlan`]).
     ///
     /// # Panics
     /// Panics on an unsupported algorithm.
@@ -806,61 +447,8 @@ impl CCollSession {
         op: ReduceOp,
         opts: PlanOptions,
     ) -> AllreducePlan {
-        let algorithm = match opts.algorithm {
-            Algorithm::Auto => self.select_ctx().allreduce(len),
-            a @ (Algorithm::Ring | Algorithm::RecursiveDoubling | Algorithm::Rabenseifner) => a,
-            Algorithm::Hierarchical => {
-                assert!(
-                    self.cluster.is_some(),
-                    "hierarchical allreduce needs a session topology (with_topology)"
-                );
-                Algorithm::Hierarchical
-            }
-            other => reject_unsupported(
-                "allreduce",
-                other,
-                &[
-                    Algorithm::Ring,
-                    Algorithm::RecursiveDoubling,
-                    Algorithm::Rabenseifner,
-                    Algorithm::Hierarchical,
-                ],
-            ),
-        };
-        // Butterfly schedules exchange up to the full payload per round
-        // (recursive doubling) or half of it (Rabenseifner); warm the
-        // scratch and pool for the full length. Plans created with
-        // `Auto` stay adaptive: after warm-up they re-rank once from the
-        // session's measured compression ratio.
-        let mut plan = if algorithm == Algorithm::Ring {
-            self.plan_allreduce_variant(len, op, AllreduceVariant::Overlapped)
-        } else {
-            let ws = self.allreduce_workspace(len, algorithm);
-            self.allreduce_plan(len, op, AllreduceVariant::Overlapped, algorithm, ws)
-        };
-        plan.kind.auto = opts.algorithm == Algorithm::Auto;
-        plan
-    }
-
-    fn allreduce_plan(
-        &self,
-        len: usize,
-        op: ReduceOp,
-        variant: AllreduceVariant,
-        algorithm: Algorithm,
-        ws: CollWorkspace,
-    ) -> AllreducePlan {
-        Plan {
-            core: PlanCore::new(self, algorithm, ws),
-            kind: Allreduce {
-                len,
-                op,
-                variant,
-                auto: false,
-                reranked: false,
-                lanes: self.hier_lanes(len),
-            },
-        }
+        let kind = Allreduce::new(self, len, op, AllreduceVariant::Overlapped);
+        Plan::build(self, kind, opts)
     }
 
     /// Plan a specific step-wise allreduce variant (Table V) — the
@@ -873,19 +461,8 @@ impl CCollSession {
         op: ReduceOp,
         variant: AllreduceVariant,
     ) -> AllreducePlan {
-        let max_chunk = len.div_ceil(self.world_size);
-        let (values, slots) = match variant {
-            // Pipelined compression never sees more than one sub-chunk,
-            // but keeps many sub-chunk payloads in flight. Codecs that
-            // cannot drive the pipeline (no error bound) fall back to
-            // the ND schedule at execute time, so warm for full chunks.
-            AllreduceVariant::Overlapped if self.pipeline_config().is_some() => {
-                (self.pipe_values.min(len.max(1)), self.pipelined_slots(len))
-            }
-            _ => (max_chunk, 4),
-        };
-        let ws = self.warmed_workspace(values, slots);
-        self.allreduce_plan(len, op, variant, Algorithm::Ring, ws)
+        let ring = PlanOptions::new().algorithm(Algorithm::Ring);
+        Plan::build(self, Allreduce::new(self, len, op, variant), ring)
     }
 
     /// Plan an equal-count allgather (`len_per_rank` values from every
@@ -924,78 +501,15 @@ impl CCollSession {
     /// algorithm.
     #[must_use]
     pub fn plan_allgatherv_with(&self, counts: &[usize], opts: PlanOptions) -> AllgatherPlan {
-        assert_eq!(
-            counts.len(),
-            self.world_size,
-            "counts must have one entry per rank"
-        );
-        let algorithm = match opts.algorithm {
-            Algorithm::Auto => Allgather::select(counts, self.select_ctx()),
-            a @ (Algorithm::Ring | Algorithm::Bruck) => a,
-            Algorithm::Hierarchical => {
-                assert!(
-                    self.cluster.is_some(),
-                    "hierarchical allgather needs a session topology (with_topology)"
-                );
-                // The hierarchical layout aggregates per-node blocks,
-                // which only line up when every rank contributes the
-                // same count.
-                assert!(
-                    counts.windows(2).all(|w| w[0] == w[1]),
-                    "hierarchical allgather requires equal per-rank counts"
-                );
-                Algorithm::Hierarchical
-            }
-            other => reject_unsupported(
-                "allgather",
-                other,
-                &[Algorithm::Ring, Algorithm::Bruck, Algorithm::Hierarchical],
-            ),
-        };
-        let ws = self.allgather_workspace(Allgather::max_chunk(counts), algorithm);
-        Plan {
-            core: PlanCore::new(self, algorithm, ws),
-            kind: Allgather {
-                counts: counts.to_vec(),
-                total: counts.iter().sum(),
-                auto: opts.algorithm == Algorithm::Auto,
-                reranked: false,
-            },
-        }
+        Plan::build(self, Allgather::new(self, counts.to_vec()), opts)
     }
 
-    /// Plan a reduce-scatter of `len` values per rank; rank `r` receives
-    /// chunk `r` of the balanced partition.
+    /// Plan a reduce-scatter of `len` values per rank, on the
+    /// (pipelined) ring — its only schedule; rank `r` receives chunk `r`
+    /// of the balanced partition.
     #[must_use]
     pub fn plan_reduce_scatter(&self, len: usize, op: ReduceOp) -> ReduceScatterPlan {
-        Plan {
-            core: PlanCore::new(self, Algorithm::Ring, self.reduce_scatter_workspace(len)),
-            kind: ReduceScatter {
-                len,
-                op,
-                counts: chunk_lengths(len, self.world_size),
-            },
-        }
-    }
-
-    /// [`CCollSession::plan_reduce_scatter`] with explicit
-    /// [`PlanOptions`]. The only reduce-scatter schedule is the
-    /// (pipelined) ring, so [`Algorithm::Auto`] and [`Algorithm::Ring`]
-    /// are accepted.
-    ///
-    /// # Panics
-    /// Panics on an unsupported algorithm.
-    #[must_use]
-    pub fn plan_reduce_scatter_with(
-        &self,
-        len: usize,
-        op: ReduceOp,
-        opts: PlanOptions,
-    ) -> ReduceScatterPlan {
-        match opts.algorithm {
-            Algorithm::Auto | Algorithm::Ring => self.plan_reduce_scatter(len, op),
-            other => reject_unsupported("reduce-scatter", other, &[Algorithm::Ring]),
-        }
+        Plan::build(self, ReduceScatter::new(self, len, op), PlanOptions::new())
     }
 
     /// Plan a broadcast of `len` values from `root`. With a codec the
@@ -1008,38 +522,7 @@ impl CCollSession {
     /// Panics if `root` is out of range.
     #[must_use]
     pub fn plan_bcast(&self, root: usize, len: usize) -> BcastPlan {
-        assert!(root < self.world_size, "root {root} out of range");
-        // With a codec the payload streams in sub-chunks. A relay that
-        // keeps up holds one sub-chunk per tree level in flight (a slot
-        // is released once the deepest leaf has decoded it), so the pool
-        // is warmed for that window, not for the payload; a rank posts
-        // every sub-chunk receive up front and keeps at most one queued
-        // send per child per sub-chunk. The codec scratch keeps the
-        // whole-payload *capacity* it always had (only one sub-chunk of
-        // it is ever touched): shrinking it tips the allocator into
-        // re-zeroing a caller's freshly allocated output buffer on every
-        // set-up, which costs far more than the reservation (DESIGN.md,
-        // "Streamed data movement"). Without a codec: one raw message.
-        let ws = match &self.cpr {
-            Some(_) => {
-                let chunks = len.div_ceil(self.pipe_values).max(1);
-                let depth = self.world_size.next_power_of_two().trailing_zeros() as usize;
-                let window = len.min(self.pipe_values * depth);
-                let mut ws = self.pipelined_stream_workspace(len.max(1), window);
-                ws.rreqs.reserve(chunks);
-                ws.sreqs.reserve(chunks * depth);
-                ws
-            }
-            None => self.warmed_workspace(len, 4),
-        };
-        Plan {
-            core: PlanCore::new(self, Algorithm::Binomial, ws),
-            kind: Bcast {
-                root,
-                len,
-                root_node: 0,
-            },
-        }
+        self.plan_bcast_with(root, len, PlanOptions::new().algorithm(Algorithm::Binomial))
     }
 
     /// [`CCollSession::plan_bcast`] with explicit [`PlanOptions`]. The
@@ -1053,126 +536,42 @@ impl CCollSession {
     /// Panics if `root` is out of range or on an unsupported algorithm.
     #[must_use]
     pub fn plan_bcast_with(&self, root: usize, len: usize, opts: PlanOptions) -> BcastPlan {
-        let algorithm = match opts.algorithm {
-            Algorithm::Auto => self.select_ctx().bcast(len),
-            Algorithm::Binomial => Algorithm::Binomial,
-            Algorithm::Hierarchical => {
-                assert!(
-                    self.cluster.is_some(),
-                    "hierarchical bcast needs a session topology (with_topology)"
-                );
-                Algorithm::Hierarchical
-            }
-            other => reject_unsupported(
-                "bcast",
-                other,
-                &[Algorithm::Binomial, Algorithm::Hierarchical],
-            ),
-        };
-        let mut plan = self.plan_bcast(root, len);
-        plan.core.algorithm = algorithm;
-        if algorithm == Algorithm::Hierarchical {
-            let cluster = self.cluster.as_ref().expect("checked above");
-            plan.kind.root_node = cluster.topo.node_of(root);
-        }
-        plan
+        Plan::build(self, Bcast::new(self, root, len), opts)
     }
 
     /// Plan a scatter of the balanced partition of `total_len` values
-    /// from `root`; rank `r` receives chunk `r`.
+    /// from `root`, down the binomial tree — its only schedule; rank `r`
+    /// receives chunk `r`.
     ///
     /// # Panics
     /// Panics if `root` is out of range.
     #[must_use]
     pub fn plan_scatter(&self, root: usize, total_len: usize) -> ScatterPlan {
-        assert!(root < self.world_size, "root {root} out of range");
-        Plan {
-            core: PlanCore::new(
-                self,
-                Algorithm::Binomial,
-                self.warmed_workspace(total_len, 4),
-            ),
-            kind: Scatter {
-                root,
-                total_len,
-                counts: chunk_lengths(total_len, self.world_size),
-            },
-        }
-    }
-
-    /// [`CCollSession::plan_scatter`] with explicit [`PlanOptions`]
-    /// ([`Algorithm::Auto`] or [`Algorithm::Binomial`]).
-    ///
-    /// # Panics
-    /// Panics if `root` is out of range or on an unsupported algorithm.
-    #[must_use]
-    pub fn plan_scatter_with(
-        &self,
-        root: usize,
-        total_len: usize,
-        opts: PlanOptions,
-    ) -> ScatterPlan {
-        match opts.algorithm {
-            Algorithm::Auto | Algorithm::Binomial => self.plan_scatter(root, total_len),
-            other => reject_unsupported("scatter", other, &[Algorithm::Binomial]),
-        }
+        Plan::build(
+            self,
+            Scatter::new(self, root, total_len),
+            PlanOptions::new(),
+        )
     }
 
     /// Plan a gather of the balanced partition of `total_len` values to
-    /// `root`.
+    /// `root`, up the binomial tree — its only schedule.
     ///
     /// # Panics
     /// Panics if `root` is out of range.
     #[must_use]
     pub fn plan_gather(&self, root: usize, total_len: usize) -> GatherPlan {
-        assert!(root < self.world_size, "root {root} out of range");
-        Plan {
-            core: PlanCore::new(
-                self,
-                Algorithm::Binomial,
-                self.warmed_workspace(total_len, 4),
-            ),
-            kind: Gather {
-                root,
-                total_len,
-                counts: chunk_lengths(total_len, self.world_size),
-            },
-        }
-    }
-
-    /// [`CCollSession::plan_gather`] with explicit [`PlanOptions`]
-    /// ([`Algorithm::Auto`] or [`Algorithm::Binomial`]).
-    ///
-    /// # Panics
-    /// Panics if `root` is out of range or on an unsupported algorithm.
-    #[must_use]
-    pub fn plan_gather_with(&self, root: usize, total_len: usize, opts: PlanOptions) -> GatherPlan {
-        match opts.algorithm {
-            Algorithm::Auto | Algorithm::Binomial => self.plan_gather(root, total_len),
-            other => reject_unsupported("gather", other, &[Algorithm::Binomial]),
-        }
+        Plan::build(self, Gather::new(self, root, total_len), PlanOptions::new())
     }
 
     /// Plan an all-to-all over `len` values per rank (`len` must divide
-    /// evenly by the world size).
+    /// evenly by the world size), by pairwise exchange.
     ///
     /// # Panics
     /// Panics if `len` is not divisible by the world size.
     #[must_use]
     pub fn plan_alltoall(&self, len: usize) -> AlltoallPlan {
-        assert!(
-            len.is_multiple_of(self.world_size),
-            "all-to-all buffer ({len}) must divide evenly across {} ranks",
-            self.world_size
-        );
-        Plan {
-            core: PlanCore::new(
-                self,
-                Algorithm::Pairwise,
-                self.warmed_workspace(len / self.world_size, 4),
-            ),
-            kind: Alltoall { len },
-        }
+        self.plan_alltoall_with(len, PlanOptions::new().algorithm(Algorithm::Pairwise))
     }
 
     /// [`CCollSession::plan_alltoall`] with explicit [`PlanOptions`]:
@@ -1185,24 +584,7 @@ impl CCollSession {
     /// unsupported algorithm.
     #[must_use]
     pub fn plan_alltoall_with(&self, len: usize, opts: PlanOptions) -> AlltoallPlan {
-        let world = self.world_size;
-        let algorithm = match opts.algorithm {
-            Algorithm::Auto => self.select_ctx().alltoall(len / world.max(1)),
-            a @ (Algorithm::Pairwise | Algorithm::Bruck) => a,
-            other => reject_unsupported(
-                "all-to-all",
-                other,
-                &[Algorithm::Pairwise, Algorithm::Bruck],
-            ),
-        };
-        let mut plan = self.plan_alltoall(len);
-        plan.core.algorithm = algorithm;
-        if algorithm == Algorithm::Bruck {
-            // Bruck rounds forward up to ceil(world/2) blocks per hop.
-            let block = len / world.max(1);
-            plan.core.ws = self.warmed_workspace((block * world.div_ceil(2)).max(1), 6);
-        }
-        plan
+        Plan::build(self, Alltoall::new(self, len), opts)
     }
 
     /// Plan a rooted reduce of `len` values per rank (pipelined
@@ -1237,82 +619,7 @@ impl CCollSession {
         op: ReduceOp,
         opts: PlanOptions,
     ) -> ReducePlan {
-        assert!(root < self.world_size, "root {root} out of range");
-        let algorithm = match opts.algorithm {
-            Algorithm::Auto => self.select_ctx().reduce(len),
-            a @ (Algorithm::Rabenseifner | Algorithm::Binomial) => a,
-            other => reject_unsupported(
-                "reduce",
-                other,
-                &[Algorithm::Rabenseifner, Algorithm::Binomial],
-            ),
-        };
-        let (ws, rs) = self.reduce_workspaces(len, algorithm);
-        let plan = Plan {
-            core: PlanCore::new(self, algorithm, ws),
-            kind: Reduce {
-                root,
-                len,
-                op,
-                auto: opts.algorithm == Algorithm::Auto,
-                reranked: false,
-                rs,
-            },
-        };
-        if algorithm != Algorithm::Binomial {
-            // The reduce-scatter and gather stages each reserve a tag
-            // slot after the plan's own. Both stages run under the
-            // plan's base, so the two are unused on the wire — but plans
-            // created after this one keep the slots, and therefore the
-            // wire tags, they have always had.
-            self.alloc_slot();
-            self.alloc_slot();
-        }
-        plan
-    }
-
-    /// The schedule-specific state a reduce plan needs — the plan's main
-    /// workspace plus, for the composition, its reduce-scatter stage
-    /// (shared by plan construction and the post-warm-up re-rank, which
-    /// rebuilds both when the agreed measured ratio flips the schedule).
-    pub(crate) fn reduce_workspaces(
-        &self,
-        len: usize,
-        algorithm: Algorithm,
-    ) -> (CollWorkspace, Option<RsStage>) {
-        match algorithm {
-            // The pipelined tree streams the full buffer per hop in
-            // sub-chunks; warm one pool slot per in-flight payload.
-            Algorithm::Binomial => {
-                let ws = match self.pipeline_config() {
-                    Some(_) => {
-                        self.pipelined_stream_workspace(self.pipe_values.min(len.max(1)), len)
-                    }
-                    None => self.warmed_workspace(len.max(1), 4),
-                };
-                (ws, None)
-            }
-            // Reduce-scatter into `mine`, then gather the reduced chunks
-            // at the root: the gather stage owns the main workspace.
-            _ => {
-                let stage = RsStage {
-                    ws: self.reduce_scatter_workspace(len),
-                    counts: chunk_lengths(len, self.world_size),
-                    mine: Vec::new(),
-                };
-                (self.warmed_workspace(len, 4), Some(stage))
-            }
-        }
-    }
-
-    /// The workspace a (pipelined) ring reduce-scatter of `len` values
-    /// needs.
-    fn reduce_scatter_workspace(&self, len: usize) -> CollWorkspace {
-        let (values, slots) = match self.pipeline_config() {
-            Some(_) => (self.pipe_values.min(len.max(1)), self.pipelined_slots(len)),
-            None => (len.div_ceil(self.world_size), 4),
-        };
-        self.warmed_workspace(values, slots)
+        Plan::build(self, Reduce::new(self, root, len, op), opts)
     }
 
     /// The compression placement of this session's reducing hops
@@ -1338,105 +645,16 @@ impl std::fmt::Debug for CCollSession {
     }
 }
 
-/// The outcome of one communicator shrink (see [`CCollSession::recover`]):
-/// the agreed dead-set, the new shrink epoch, and a session re-planned
-/// for the dense survivor world. Hand each poisoned plan to its
-/// `recover(&Recovery)` method to re-plan it, and wrap the underlying
-/// communicator with [`Recovery::comm`] for every post-shrink operation.
-#[derive(Debug)]
-pub struct Recovery {
-    session: CCollSession,
-    dead: DeadSet,
-    /// Survivors' pre-shrink ranks in ascending order; index = new rank.
-    members: Vec<usize>,
-    epoch: u32,
-    rounds: u32,
-    restart: bool,
-}
-
-impl Recovery {
-    /// The session planned for the shrunk world. It shares the original
-    /// session's measured-performance feedback (statistics carry across
-    /// the shrink) and carries the new epoch.
-    pub fn session(&self) -> &CCollSession {
-        &self.session
-    }
-
-    /// The agreed dead-set, in pre-shrink rank numbering.
-    pub fn dead(&self) -> DeadSet {
-        self.dead
-    }
-
-    /// The shrink epoch survivors now operate under.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Coordinator rounds the survivor agreement needed (1 unless a
-    /// coordinator died mid-agreement).
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
-    /// Whether any survivor's pre-shrink operation aborted, i.e. the
-    /// operation must be re-run on the shrunk world even by ranks whose
-    /// own execution completed.
-    pub fn restart(&self) -> bool {
-        self.restart
-    }
-
-    /// Number of surviving ranks (the shrunk world size).
-    pub fn survivors(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Translate a pre-shrink rank to its dense post-shrink rank
-    /// (`None` for dead ranks).
-    pub fn new_rank_of(&self, old: usize) -> Option<usize> {
-        self.members.binary_search(&old).ok()
-    }
-
-    /// Translate a post-shrink rank back to its pre-shrink rank.
-    ///
-    /// # Panics
-    /// Panics if `new` is out of range for the shrunk world.
-    pub fn old_rank_of(&self, new: usize) -> usize {
-        self.members[new]
-    }
-
-    /// Project per-rank counts (indexed by pre-shrink rank) onto the
-    /// survivors, in post-shrink rank order — how an allgatherv's
-    /// layout shrinks when dead ranks' contributions are dropped.
-    ///
-    /// # Panics
-    /// Panics if `counts` is shorter than the pre-shrink world.
-    pub fn surviving_counts(&self, counts: &[usize]) -> Vec<usize> {
-        self.members.iter().map(|&old| counts[old]).collect()
-    }
-
-    /// Wrap the pre-shrink communicator as the shrunk world: survivors
-    /// get dense ranks, every wire tag carries the new epoch, and all
-    /// stale pre-shrink traffic is purged (counted into the session's
-    /// recovery statistics). Build one wrapper per recovery and run all
-    /// post-shrink operations through it.
-    ///
-    /// Returns [`CollectiveError::Comm`] with
-    /// [`CommError::PeerDead`] naming this rank if it is in the agreed
-    /// dead-set.
-    pub fn comm<'a, C: Comm>(&self, inner: &'a mut C) -> Result<CommView<'a, C>, CollectiveError> {
-        let sc = CommView::shrunk(inner, self.dead, self.epoch).map_err(CollectiveError::Comm)?;
-        self.session
-            .feedback
-            .stale_discarded
-            .fetch_add(sc.stale_discarded(), Ordering::Relaxed);
-        Ok(sc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     use super::*;
-    use ccoll_comm::{SimConfig, SimWorld};
+    use crate::partition::chunk_range;
+    use crate::plan::{select, Kind};
+    use crate::testing::{assert_within, on_root, oracle, pin};
+    use crate::theory;
+    use ccoll_comm::{Comm, SimConfig, SimWorld};
     use proptest::prelude::ProptestConfig;
 
     fn rank_data(rank: usize, len: usize) -> Vec<f32> {
@@ -1720,14 +938,153 @@ mod tests {
         assert_eq!(large_ag.algorithm(), Algorithm::Ring);
     }
 
+    /// World, payload and error bound of the schedule-table test.
+    const N: usize = 4;
+    const LEN: usize = 6000;
+    const EB: f32 = 1e-3;
+
+    fn table_session(cluster: bool) -> CCollSession {
+        let session = CCollSession::new(CodecSpec::Szx { error_bound: EB }, N);
+        if cluster {
+            session.with_topology(Topology::uniform(2, 2), HierNet::cluster_default())
+        } else {
+            session
+        }
+    }
+
+    /// One kind's leg of the table test, on a 2×2 cluster: every
+    /// algorithm in `K::SCHEDULES` builds, reports itself and leaves
+    /// `expect(rank)` within `tol` of every rank's output; every other
+    /// algorithm is rejected naming exactly the table; `Auto` stays
+    /// inside the table, and off `Hierarchical` on a flat session.
+    fn check_table<K: Kind + 'static>(
+        shape: fn(&CCollSession) -> K,
+        input: fn(usize) -> Vec<f32>,
+        expect: fn(usize) -> Vec<f32>,
+        tol: f32,
+    ) {
+        let rows: Vec<Algorithm> = K::SCHEDULES.iter().map(|(a, _)| *a).collect();
+        let labels: Vec<&str> = rows.iter().map(Algorithm::label).collect();
+        let topo = Topology::uniform(2, 2);
+        let net = ClusterNet::new(topo, HierNet::cluster_default());
+        let world = SimWorld::new(SimConfig::new(N).with_cluster(net));
+        for algorithm in [
+            Algorithm::Ring,
+            Algorithm::RecursiveDoubling,
+            Algorithm::Rabenseifner,
+            Algorithm::Binomial,
+            Algorithm::Bruck,
+            Algorithm::Pairwise,
+            Algorithm::Hierarchical,
+        ] {
+            let what = format!("{} × {}", K::NAME, algorithm.label());
+            if !rows.contains(&algorithm) {
+                let session = table_session(true);
+                let build = || Plan::build(&session, shape(&session), pin(algorithm));
+                let panic = catch_unwind(AssertUnwindSafe(build)).err().expect(&what);
+                let message = panic.downcast_ref::<String>().expect("a formatted panic");
+                let want = format!(
+                    "{} has no {} schedule (supported: auto, {})",
+                    K::NAME,
+                    algorithm.label(),
+                    labels.join(", ")
+                );
+                assert_eq!(*message, want);
+                continue;
+            }
+            let out = world.run(move |c| {
+                let session = table_session(true);
+                let mut plan = Plan::build(&session, shape(&session), pin(algorithm));
+                assert_eq!(plan.algorithm(), algorithm);
+                let mut out = vec![0.0f32; plan.kind.out_len(c.rank())];
+                plan.execute_into(c, &input(c.rank()), &mut out);
+                out
+            });
+            for (rank, got) in out.results.iter().enumerate() {
+                assert_within(got, &expect(rank), tol, &format!("{what} rank {rank}"));
+            }
+        }
+        for cluster in [true, false] {
+            let session = table_session(cluster);
+            let auto = select(&shape(&session), session.select_ctx());
+            assert!(rows.contains(&auto), "{}: Auto picked {auto:?}", K::NAME);
+            assert!(cluster || auto != Algorithm::Hierarchical, "{}", K::NAME);
+        }
+    }
+
+    /// Every kind × every algorithm: the kind's `SCHEDULES` table is
+    /// exactly what its plans accept, run and select from.
     #[test]
-    #[should_panic(expected = "allreduce has no bruck schedule")]
-    fn unsupported_algorithm_is_rejected_at_plan_time() {
-        let session = CCollSession::new(CodecSpec::None, 4);
-        let _ = session.plan_allreduce_with(
-            100,
-            ReduceOp::Sum,
-            PlanOptions::new().algorithm(Algorithm::Bruck),
+    fn every_kind_builds_exactly_its_schedule_table() {
+        fn data(rank: usize) -> Vec<f32> {
+            rank_data(rank, LEN)
+        }
+        fn summed() -> Vec<f32> {
+            oracle(N, ReduceOp::Sum, data)
+        }
+        fn chunk_of(all: Vec<f32>, rank: usize) -> Vec<f32> {
+            all[chunk_range(LEN, N, rank)].to_vec()
+        }
+        const ROOT: usize = 1;
+        // A reduction compresses at every hop: the ring's worst case is
+        // Theorem 1's `n·be`, and the butterflies' `log₂n` re-compressed
+        // allgather rounds stay inside twice that.
+        let reduced = 2.0 * theory::sum_error_worst_case(N, EB as f64) as f32;
+        // Data movement compresses once.
+        let moved = EB * 1.001;
+
+        check_table::<Allreduce>(
+            |s| Allreduce::new(s, LEN, ReduceOp::Sum, AllreduceVariant::Overlapped),
+            data,
+            |_| summed(),
+            reduced,
+        );
+        check_table::<Allgather>(
+            |s| Allgather::new(s, vec![LEN; N]),
+            data,
+            |_| (0..N).flat_map(data).collect(),
+            moved,
+        );
+        check_table::<ReduceScatter>(
+            |s| ReduceScatter::new(s, LEN, ReduceOp::Sum),
+            data,
+            |rank| chunk_of(summed(), rank),
+            reduced,
+        );
+        check_table::<Bcast>(
+            |s| Bcast::new(s, ROOT, LEN),
+            |rank| on_root(rank, ROOT, data(ROOT)),
+            |_| data(ROOT),
+            moved,
+        );
+        check_table::<Scatter>(
+            |s| Scatter::new(s, ROOT, LEN),
+            |rank| on_root(rank, ROOT, data(ROOT)),
+            |rank| chunk_of(data(ROOT), rank),
+            moved,
+        );
+        check_table::<Gather>(
+            |s| Gather::new(s, ROOT, LEN),
+            |rank| chunk_of(data(N), rank),
+            |rank| on_root(rank, ROOT, data(N)),
+            moved,
+        );
+        check_table::<Alltoall>(
+            |s| Alltoall::new(s, LEN),
+            data,
+            |rank| {
+                let block = LEN / N;
+                (0..N)
+                    .flat_map(|src| data(src)[rank * block..][..block].to_vec())
+                    .collect()
+            },
+            moved,
+        );
+        check_table::<Reduce>(
+            |s| Reduce::new(s, ROOT, LEN, ReduceOp::Sum),
+            data,
+            |rank| on_root(rank, ROOT, summed()),
+            reduced,
         );
     }
 

@@ -16,7 +16,8 @@ use c_coll::{
     Algorithm, CCollSession, CodecSpec, CollectiveError, PlanOptions, Recovery, ReduceOp,
 };
 use ccoll_comm::{
-    Comm, CommError, FaultPlan, FaultPolicy, RankOutcome, SimConfig, SimWorld, ThreadWorld,
+    Comm, CommError, FaultPlan, FaultPolicy, HierNet, RankOutcome, SimConfig, SimWorld,
+    ThreadWorld, Topology,
 };
 use std::time::Duration;
 
@@ -217,6 +218,156 @@ fn recovery_revives_every_recovered_plan_type() {
             }
             RankOutcome::Killed => assert_eq!(old_rank, victim),
             RankOutcome::Panicked(msg) => panic!("rank {old_rank} panicked: {msg}"),
+        }
+    }
+}
+
+/// What a plan's public surface says about its schedule and shape.
+macro_rules! described {
+    ($plan:expr, $world:expr, $($shape:ident),* $(; $per_rank:ident)?) => {{
+        let plan = &$plan;
+        let shape = [$(plan.$shape()),*].into_iter();
+        $(let shape = shape.chain((0..$world).map(|rank| plan.$per_rank(rank)));)?
+        (plan.algorithm(), shape.collect::<Vec<usize>>())
+    }};
+}
+
+#[test]
+fn recovered_plans_match_fresh_plans_on_the_shrunk_session() {
+    // `plan.recover(&r)` is `Plan::build` on `r.session()` at the
+    // shrunk shape: for every kind, pinned and `Auto`, the recovered
+    // plan reports the schedule, root and counts a fresh plan built
+    // with the recovered options reports. (The in-crate
+    // `plan::tests::recovered_workspaces_match_a_fresh_build` compares
+    // the workspaces.) A rooted plan whose root died cannot recover.
+    let world = 6;
+    let len = 60; // divisible by 6 and by 5: the all-to-all survives the shrink
+    let (victim, root) = (2usize, 4usize);
+    let cfg = SimConfig::new(world)
+        .with_faults(FaultPlan::seeded(29).with_kill(victim, 2))
+        .with_fault_policy(FaultPolicy::with_timeout(Duration::from_millis(1), 2));
+    let out = SimWorld::new(cfg)
+        .try_run(move |c| {
+            let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, world);
+            let auto = PlanOptions::new();
+            let pin = |a| PlanOptions::new().algorithm(a);
+            let sum = ReduceOp::Sum;
+            let mut allreduces = [
+                session.plan_allreduce_with(len, sum, auto),
+                session.plan_allreduce_with(len, sum, pin(Algorithm::Rabenseifner)),
+            ];
+            let mut allgathers = [
+                session.plan_allgatherv_with(&[7, 1, 9, 4, 4, 2], auto),
+                session.plan_allgather_with(len, pin(Algorithm::Bruck)),
+            ];
+            let mut reduce_scatter = session.plan_reduce_scatter(len, sum);
+            let mut bcast = session.plan_bcast(root, len);
+            let mut scatter = session.plan_scatter(root, len);
+            let mut gather = session.plan_gather(root, len);
+            let mut alltoalls = [
+                session.plan_alltoall(len),
+                session.plan_alltoall_with(len, pin(Algorithm::Bruck)),
+            ];
+            let mut reduces = [
+                session.plan_reduce_with(root, len, sum, auto),
+                session.plan_reduce(root, len, sum),
+                session.plan_reduce_with(root, len, sum, pin(Algorithm::Binomial)),
+            ];
+            let mut orphans = (
+                session.plan_bcast(victim, len),
+                session.plan_scatter(victim, len),
+                session.plan_gather(victim, len),
+                session.plan_reduce(victim, len, sum),
+            );
+            // An explicitly hierarchical plan re-resolves like an `Auto`
+            // one: the shrunk session has no topology.
+            let cluster = session
+                .clone()
+                .with_topology(Topology::uniform(3, 2), HierNet::cluster_default());
+            let mut hier = cluster.plan_allreduce_with(len, sum, pin(Algorithm::Hierarchical));
+
+            let (_, r) = kill_then_recover(c, &session, len)
+                .unwrap_or_else(|e| panic!("survivor failed to recover: {e}"));
+            let (s, n) = (r.session(), r.survivors());
+            let new_root = r.new_rank_of(root).expect("the root survived");
+            assert_eq!((n, new_root), (world - 1, root - 1));
+
+            for (plan, opts) in allreduces
+                .iter_mut()
+                .zip([auto, pin(Algorithm::Rabenseifner)])
+            {
+                plan.recover(&r).expect("allreduce re-plans");
+                let fresh = s.plan_allreduce_with(len, sum, opts);
+                assert_eq!(described!(plan, n, len), described!(fresh, n, len));
+            }
+            hier.recover(&r)
+                .expect("hierarchical allreduce re-plans flat");
+            let fresh = s.plan_allreduce_with(len, sum, auto);
+            assert_eq!(described!(hier, n, len), described!(fresh, n, len));
+            for (plan, opts) in allgathers.iter_mut().zip([auto, pin(Algorithm::Bruck)]) {
+                let counts = r.surviving_counts(plan.counts());
+                plan.recover(&r).expect("allgather re-plans");
+                let fresh = s.plan_allgatherv_with(&counts, opts);
+                assert_eq!(plan.counts(), counts);
+                assert_eq!(
+                    described!(plan, n, total_len),
+                    described!(fresh, n, total_len)
+                );
+            }
+            reduce_scatter.recover(&r).expect("reduce-scatter re-plans");
+            let fresh = s.plan_reduce_scatter(len, sum);
+            assert_eq!(
+                described!(reduce_scatter, n, len; output_len),
+                described!(fresh, n, len; output_len)
+            );
+            bcast.recover(&r).expect("bcast re-plans");
+            let fresh = s.plan_bcast(new_root, len);
+            assert_eq!(
+                described!(bcast, n, root, len),
+                described!(fresh, n, root, len)
+            );
+            scatter.recover(&r).expect("scatter re-plans");
+            let fresh = s.plan_scatter(new_root, len);
+            assert_eq!(
+                described!(scatter, n, root, total_len; output_len),
+                described!(fresh, n, root, total_len; output_len)
+            );
+            gather.recover(&r).expect("gather re-plans");
+            let fresh = s.plan_gather(new_root, len);
+            assert_eq!(
+                described!(gather, n, root, total_len; input_len),
+                described!(fresh, n, root, total_len; input_len)
+            );
+            for (plan, a) in alltoalls
+                .iter_mut()
+                .zip([Algorithm::Pairwise, Algorithm::Bruck])
+            {
+                plan.recover(&r).expect("all-to-all re-plans");
+                let fresh = s.plan_alltoall_with(len, pin(a));
+                assert_eq!(described!(plan, n, len), described!(fresh, n, len));
+            }
+            let reduce_opts = [auto, pin(Algorithm::Rabenseifner), pin(Algorithm::Binomial)];
+            for (plan, opts) in reduces.iter_mut().zip(reduce_opts) {
+                plan.recover(&r).expect("reduce re-plans");
+                let fresh = s.plan_reduce_with(new_root, len, sum, opts);
+                assert_eq!(
+                    described!(plan, n, root, len),
+                    described!(fresh, n, root, len)
+                );
+            }
+
+            let dead_root = Err(CollectiveError::Comm(CommError::PeerDead { peer: victim }));
+            assert_eq!(orphans.0.recover(&r), dead_root);
+            assert_eq!(orphans.1.recover(&r), dead_root);
+            assert_eq!(orphans.2.recover(&r), dead_root);
+            assert_eq!(orphans.3.recover(&r), dead_root);
+        })
+        .expect("no deadlock");
+    for (rank, outcome) in out.results.iter().enumerate() {
+        match outcome {
+            RankOutcome::Completed(()) => assert_ne!(rank, victim),
+            RankOutcome::Killed => assert_eq!(rank, victim),
+            RankOutcome::Panicked(msg) => panic!("rank {rank} panicked: {msg}"),
         }
     }
 }
