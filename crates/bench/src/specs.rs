@@ -2,9 +2,7 @@
 //!
 //! Every `src/bin/*` harness used to hand-roll these tuples; they live
 //! here once so a change to the evaluated configurations (or to the
-//! spec syntax) propagates to every figure and table. The textual forms
-//! accepted by `CCOLL_SPEC` are the canonical [`CodecSpec`] strings
-//! (`"szx:1e-3"`, `"zfp-abs:1e-2"`, `"zfp-fxr:16"`, `"none"`).
+//! spec syntax) propagates to every figure and table.
 
 use c_coll::{AllreduceVariant, CodecSpec};
 
@@ -73,18 +71,6 @@ pub fn stepwise_configs() -> [(CodecSpec, AllreduceVariant); 4] {
         (szx_default(), AllreduceVariant::NovelDesign),
         (szx_default(), AllreduceVariant::Overlapped),
     ]
-}
-
-/// Read a codec override from the `CCOLL_SPEC` environment variable
-/// (canonical spec syntax), falling back to `default`.
-///
-/// # Panics
-/// Panics with a usage message if the variable is set but malformed.
-pub fn spec_from_env(default: CodecSpec) -> CodecSpec {
-    match std::env::var("CCOLL_SPEC") {
-        Ok(text) => text.parse().unwrap_or_else(|e| panic!("CCOLL_SPEC: {e}")),
-        Err(_) => default,
-    }
 }
 
 #[cfg(test)]

@@ -183,33 +183,17 @@ pub struct Profiler {
     /// resumable state machines signal "suspended" through their
     /// normal `Poll` path and leave the reason here).
     pending_error: Option<CommError>,
-    enabled: bool,
 }
 
 impl Profiler {
-    /// A profiler that records.
+    /// A fresh profiler (every profiler records).
     pub fn enabled() -> Self {
-        Profiler {
-            enabled: true,
-            ..Profiler::default()
-        }
-    }
-
-    /// A profiler that ignores all input (zero overhead paths).
-    pub fn disabled() -> Self {
         Profiler::default()
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Record `d` under `cat`.
     pub fn add(&mut self, cat: Category, d: Duration) {
-        if self.enabled {
-            self.breakdown.add(cat, d);
-        }
+        self.breakdown.add(cat, d);
     }
 
     /// Snapshot of the accumulated breakdown.
@@ -219,10 +203,8 @@ impl Profiler {
 
     /// Record one outgoing message of `bytes` payload bytes.
     pub fn record_send(&mut self, bytes: usize) {
-        if self.enabled {
-            self.traffic.messages_sent += 1;
-            self.traffic.bytes_sent += bytes as u64;
-        }
+        self.traffic.messages_sent += 1;
+        self.traffic.bytes_sent += bytes as u64;
     }
 
     /// Message-volume counters.
@@ -297,10 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_profiler_records_nothing() {
-        let mut p = Profiler::disabled();
-        p.add(Category::Wait, Duration::from_secs(1));
-        assert_eq!(p.breakdown().total(), Duration::ZERO);
+    fn reset_clears_what_was_recorded() {
         let mut q = Profiler::enabled();
         q.add(Category::Wait, Duration::from_secs(1));
         assert_eq!(q.breakdown().total(), Duration::from_secs(1));

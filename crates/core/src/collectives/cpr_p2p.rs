@@ -12,24 +12,22 @@
 //!   bounded perturbation — the error-propagation issue §III-A1 fixes),
 //! * per-hop compressed sizes differ across ranks, unbalancing the ring.
 //!
-//! Where a schedule has a machine in [`crate::nonblocking`], CPR-P2P is
-//! its `Placement::Cpr` and a plan runs it whenever that is the placement it
-//! selects (the DI variant of `plan_allreduce_variant`, every schedule of
-//! a codec without an error bound). The free functions here are the
-//! placements **no plan selects** on an error-bounded codec, kept for the
-//! ablation benches: four are one blocking drive of their machine, and
-//! the three data-movement baselines of the paper's Fig. 16 (bcast,
-//! scatter, all-to-all), which have no machine, are the only
-//! implementation of their schedule.
+//! CPR-P2P is `Placement::Cpr` of a schedule's machine in
+//! [`crate::nonblocking`], and a plan runs it whenever that is the
+//! placement it selects (the DI variant of `plan_allreduce_variant`,
+//! every reducing schedule of a codec without an error bound). The free
+//! functions here are the placements **no plan selects** on an
+//! error-bounded codec, kept for the ablation benches — among them the
+//! three data-movement baselines of the paper's Fig. 16 (bcast, scatter,
+//! all-to-all): every one is one blocking drive of its machine.
 
 use std::sync::Arc;
 
-use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
+use ccoll_comm::{Category, Comm, Kernel};
 use ccoll_compress::{CodecScratch, CompressError, Compressor};
 
 use crate::codec::CodecSpec;
-use crate::collectives::{compress_in, decompress_in, decompress_reduce_in, memcpy_in, tags};
-use crate::nonblocking::{AgMode, Butterfly, RingAg, RingRs, TreeReduce};
+use crate::nonblocking::{Alltoall, Bcast, Butterfly, RingAg, RingRs, Scatter, TreeReduce};
 use crate::placement::Placement;
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
@@ -69,55 +67,10 @@ impl CprCodec {
         Some(CprCodec::new(spec.build()?, ck, dk))
     }
 
-    /// Compress through a recycled payload buffer (see
-    /// [`compress_in`](crate::collectives::compress_in) for the cost
-    /// accounting). Each collective owns one pool for its whole
-    /// lifetime, so steady-state rounds run the codec allocation-free.
-    pub(crate) fn compress<C: Comm>(
-        &self,
-        comm: &mut C,
-        vals: &[f32],
-        pool: &mut PayloadPool,
-    ) -> bytes::Bytes {
-        compress_in(comm, self.codec.as_ref(), self.ck, vals, false, pool)
-    }
-
-    /// Decompress into the scratch's decode buffer, returning a borrow
-    /// of the decoded values.
-    pub(crate) fn decompress<'s, C: Comm>(
-        &self,
-        comm: &mut C,
-        stream: &[u8],
-        expect: usize,
-        scratch: &'s mut CodecScratch,
-    ) -> &'s [f32] {
-        decompress_in(
-            comm,
-            self.codec.as_ref(),
-            self.dk,
-            stream,
-            expect,
-            false,
-            scratch,
-        )
-    }
-
-    /// The data-movement framework's one compression at the data's
-    /// origin: [`CprCodec::compress`] through preallocated buffers, so
-    /// without the `BufferMgmt` charge.
-    pub(crate) fn compress_once<C: Comm>(
-        &self,
-        comm: &mut C,
-        vals: &[f32],
-        pool: &mut PayloadPool,
-    ) -> bytes::Bytes {
-        compress_in(comm, self.codec.as_ref(), self.ck, vals, true, pool)
-    }
-
-    /// The matching one decompression at a final consumer, straight
-    /// into its place in the output: the decompression kernel is the
-    /// whole charge (no `BufferMgmt`, and no `Memcpy` — nothing is
-    /// copied). `Err` when the stream does not hold `dst.len()` values.
+    /// The compress-once decode at a final consumer, straight into its
+    /// place in the output: the decompression kernel is the whole charge
+    /// (no `BufferMgmt`, and no `Memcpy` — nothing is copied). `Err`
+    /// when the stream does not hold `dst.len()` values.
     pub(crate) fn try_decompress_once_to<C: Comm>(
         &self,
         comm: &mut C,
@@ -128,48 +81,6 @@ impl CprCodec {
         comm.run_kernel(self.dk, dst.len() * 4, Category::ComDecom, || {
             self.codec.decompress_to(stream, dst, &mut scratch.dec)
         })
-    }
-
-    /// [`CprCodec::try_decompress_once_to`] where the plan fixes the
-    /// block's length.
-    ///
-    /// # Panics
-    /// Panics if the stream does not hold `dst.len()` values.
-    pub(crate) fn decompress_once_to<C: Comm>(
-        &self,
-        comm: &mut C,
-        stream: &[u8],
-        dst: &mut [f32],
-        scratch: &mut CodecScratch,
-    ) {
-        self.try_decompress_once_to(comm, stream, dst, scratch)
-            .expect("compress-once block length mismatch");
-    }
-
-    /// Fused decompress-reduce straight into `dst` (see
-    /// [`decompress_reduce_in`], also for `from`): one pass instead of
-    /// decompress → apply, with the same CPR-P2P buffer-management
-    /// charge as [`CprCodec::decompress`].
-    pub(crate) fn decompress_reduce<C: Comm>(
-        &self,
-        comm: &mut C,
-        stream: &[u8],
-        op: ReduceOp,
-        from: Option<&[f32]>,
-        dst: &mut [f32],
-        scratch: &mut CodecScratch,
-    ) {
-        decompress_reduce_in(
-            comm,
-            self.codec.as_ref(),
-            self.dk,
-            stream,
-            op,
-            from,
-            dst,
-            false,
-            scratch,
-        );
     }
 }
 
@@ -191,7 +102,7 @@ pub fn cpr_ring_allgatherv_into<C: Comm>(
     ws: &mut CollWorkspace,
 ) {
     ws.set_partition_from_counts(counts);
-    let done = RingAg::new(AgMode::Cpr).step(comm, Some(cpr), Some(mine), out, ws, true);
+    let done = RingAg::new(Placement::Cpr, true).step(comm, Some(cpr), Some(mine), out, ws, true);
     debug_assert!(done.is_ready());
 }
 
@@ -269,48 +180,8 @@ pub fn cpr_binomial_bcast_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    let relative = (me + n - root) % n;
-    if me == root {
-        assert_eq!(
-            data.len(),
-            out.len(),
-            "root data disagrees with plan length"
-        );
-        out.copy_from_slice(data);
-    }
-    let mut mask: usize = 1;
-    while mask < n {
-        if relative & mask != 0 {
-            let src = (relative - mask + root) % n;
-            // Length travels in a tiny header message (4 bytes), as a
-            // real CPR-P2P implementation must do for eager decompression.
-            let hdr = comm.recv(src, tags::BCAST + 0x801);
-            let expect_len =
-                u32::from_le_bytes(hdr[0..4].try_into().expect("4-byte header")) as usize;
-            assert_eq!(expect_len, out.len(), "bcast length disagrees with plan");
-            let got = comm.recv(src, tags::BCAST + 0x800);
-            let vals = cpr.decompress(comm, &got, expect_len, &mut ws.scratch);
-            out.copy_from_slice(vals);
-            break;
-        }
-        mask <<= 1;
-    }
-    mask >>= 1;
-    while mask > 0 {
-        if relative + mask < n {
-            let dst = (relative + mask + root) % n;
-            // Re-compress for each child (the per-hop waste).
-            let payload = cpr.compress(comm, out, &mut ws.pool);
-            let hdr = ws.pool.write(&(out.len() as u32).to_le_bytes());
-            comm.send(dst, tags::BCAST + 0x801, hdr);
-            let req = comm.isend(dst, tags::BCAST + 0x800, payload);
-            comm.wait_send_in(req, Category::Wait);
-        }
-        mask >>= 1;
-    }
+    let done = Bcast::new(Placement::Cpr, 0, root).step(comm, Some(cpr), data, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// CPR-P2P binomial scatter: each forwarding hop decompresses the
@@ -328,63 +199,9 @@ pub fn cpr_binomial_scatter_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(root < n, "root {root} out of range");
-    ws.set_partition(total_len, n);
-    let CollWorkspace {
-        pool,
-        scratch,
-        stage: held,
-        counts,
-        offsets,
-        ..
-    } = ws;
-    assert_eq!(out.len(), counts[me], "output must hold my chunk");
-    let relative = (me + n - root) % n;
-    let rel_len = |i: usize| counts[(root + i) % n];
-    let rel_range_values = |lo: usize, hi: usize| -> usize { (lo..hi).map(rel_len).sum() };
-
-    let mut span: usize;
-    let mut m: usize;
-    if me == root {
-        assert_eq!(data.len(), total_len, "root buffer must hold all chunks");
-        held.clear();
-        for i in 0..n {
-            let a = (root + i) % n;
-            held.extend_from_slice(&data[offsets[a]..offsets[a] + counts[a]]);
-        }
-        span = n;
-        m = n.next_power_of_two();
-    } else {
-        let lowbit = relative & relative.wrapping_neg();
-        let src = (relative - lowbit + root) % n;
-        span = lowbit.min(n - relative);
-        m = lowbit;
-        let expect = rel_range_values(relative, relative + span);
-        let got = comm.recv(src, tags::SCATTER + 0x800);
-        // Decompress the whole subtree block (per-hop cost), staging it
-        // for the forward phase.
-        let vals = cpr.decompress(comm, &got, expect, scratch);
-        held.clear();
-        held.extend_from_slice(vals);
-    }
-    m /= 2;
-    while m >= 1 {
-        if m < span {
-            let child_rel = relative + m;
-            let keep_vals = rel_range_values(relative, child_rel);
-            // Re-compress the child's portion before forwarding.
-            let payload = cpr.compress(comm, &held[keep_vals..], pool);
-            let dst = (child_rel + root) % n;
-            let req = comm.isend(dst, tags::SCATTER + 0x800, payload);
-            comm.wait_send_in(req, Category::Wait);
-            held.truncate(keep_vals);
-            span = m;
-        }
-        m /= 2;
-    }
-    out.copy_from_slice(&held[..counts[me]]);
+    let mut machine = Scatter::new(Placement::Cpr, root, total_len);
+    let done = machine.step(comm, Some(cpr), data, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 /// CPR-P2P pairwise all-to-all: every outgoing block is compressed and
@@ -403,29 +220,8 @@ pub fn cpr_pairwise_alltoall_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let n = comm.size();
-    let me = comm.rank();
-    assert!(
-        send.len().is_multiple_of(n),
-        "all-to-all buffer ({}) must divide evenly across {n} ranks",
-        send.len()
-    );
-    assert_eq!(out.len(), send.len(), "output buffer size mismatch");
-    let block = send.len() / n;
-    memcpy_in(
-        comm,
-        &mut out[me * block..(me + 1) * block],
-        &send[me * block..(me + 1) * block],
-    );
-    for i in 1..n {
-        let to = (me + i) % n;
-        let from = (me + n - i) % n;
-        let tag = tags::ALLTOALL + 0x800 + i as Tag;
-        let payload = cpr.compress(comm, &send[to * block..(to + 1) * block], &mut ws.pool);
-        let got = comm.sendrecv(to, from, tag, payload, Category::Wait);
-        let vals = cpr.decompress(comm, &got, block, &mut ws.scratch);
-        memcpy_in(comm, &mut out[from * block..(from + 1) * block], vals);
-    }
+    let done = Alltoall::new(Placement::Cpr).step(comm, Some(cpr), send, out, ws, true);
+    debug_assert!(done.is_ready());
 }
 
 #[cfg(test)]

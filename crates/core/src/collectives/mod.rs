@@ -144,16 +144,17 @@ pub(crate) fn values_payload(pool: &mut PayloadPool, vals: &[f32]) -> Bytes {
 
 /// Decompress `stream` into the reusable `scratch.dec` buffer, charging
 /// by the *uncompressed* size produced (matching how the paper's Table I
-/// reports decompression throughput). Returns the decoded values as a
-/// borrow of the scratch — callers copy/reduce them into place and the
-/// buffer is reused on the next hop. `pooled` as in [`compress_in`].
+/// reports decompression throughput) plus the `BufferMgmt` of an
+/// unpooled decode (see [`compress_in`]) — only CPR-P2P hops decode
+/// through the scratch; compress-once consumers decode in place. Returns
+/// the decoded values as a borrow of the scratch — callers copy them
+/// into place and the buffer is reused on the next hop.
 pub(crate) fn decompress_in<'s, C: Comm>(
     comm: &mut C,
     codec: &dyn Compressor,
     kernel: Kernel,
     stream: &[u8],
     expected_values: usize,
-    pooled: bool,
     scratch: &'s mut CodecScratch,
 ) -> &'s [f32] {
     let dec = &mut scratch.dec;
@@ -163,9 +164,7 @@ pub(crate) fn decompress_in<'s, C: Comm>(
             .expect("decompression of a stream we compressed cannot fail");
     });
     debug_assert_eq!(dec.len(), expected_values, "decompressed length mismatch");
-    if !pooled {
-        comm.charge(Kernel::BufferMgmt, expected_values * 4, Category::Others);
-    }
+    comm.charge(Kernel::BufferMgmt, expected_values * 4, Category::Others);
     dec
 }
 

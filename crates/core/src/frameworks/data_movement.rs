@@ -28,17 +28,18 @@
 //! decompresses exactly its own segment; it and the ring allgather keep
 //! their whole-block messages.
 //!
-//! The schedules themselves are the compress-once modes of the machines
-//! in [`crate::nonblocking`] (`RingAg`, `BruckAg`, `Bcast`, `Scatter`,
-//! `Gather`, `Alltoall`), which every plan of a session with a codec
-//! runs. This module keeps the one placement no plan selects — the ring
-//! allgather with its relay/decompress overlap switched off — and the
-//! framework's tests.
+//! The schedules themselves are the machines in [`crate::nonblocking`]
+//! (`RingAg`, `BruckAg`, `Bcast`, `Scatter`, `Gather`, `Alltoall`,
+//! `BruckA2a`) at `Placement::Once`, where every plan of a session with
+//! a codec builds them. This module keeps the one shape no plan selects
+//! — the ring allgather with its relay/decompress overlap switched off —
+//! and the framework's tests.
 
 use ccoll_comm::Comm;
 
 use crate::collectives::cpr_p2p::CprCodec;
-use crate::nonblocking::{AgMode, RingAg};
+use crate::nonblocking::RingAg;
+use crate::placement::Placement;
 use crate::workspace::CollWorkspace;
 
 /// C-Allgather (compress once, relay compressed blocks around the ring)
@@ -62,14 +63,7 @@ pub fn c_ring_allgatherv_monolithic_into<C: Comm>(
     ws: &mut CollWorkspace,
 ) {
     ws.set_partition_from_counts(counts);
-    let done = RingAg::new(AgMode::Compressed { overlap: false }).step(
-        comm,
-        Some(cpr),
-        Some(mine),
-        out,
-        ws,
-        true,
-    );
+    let done = RingAg::new(Placement::Once, false).step(comm, Some(cpr), Some(mine), out, ws, true);
     debug_assert!(done.is_ready());
 }
 

@@ -4,7 +4,7 @@
 use ccoll_comm::{Comm, Schedule};
 
 use crate::algorithm::Algorithm;
-use crate::nonblocking::{AgMode, BruckAg, HierAg, Poll, RingAg};
+use crate::nonblocking::{BruckAg, HierAg, Poll, RingAg};
 use crate::plan::{priced, Completes, Handle, Kind, Plan, PlanCore, Row, Tuning};
 use crate::session::{CCollSession, CollectiveError, Recovery};
 use crate::workspace::CollWorkspace;
@@ -58,6 +58,9 @@ impl Plan<Allgather> {
 
 /// The state machine behind an allgather plan.
 #[derive(Debug)]
+// The two-level machine holds its three legs inline: a handle owns its
+// machine by value, so a `Box` would allocate on every `start`.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum AgPlanMachine {
     Ring(RingAg),
     Bruck(BruckAg),
@@ -131,22 +134,17 @@ impl Kind for Allgather {
         // The ring machines read the partition from the workspace; the
         // Bruck machine re-caches it from the counts it is handed.
         core.ws.set_partition_from_counts(&self.counts);
-        let compressed = core.session.cpr.is_some();
-        let mode = if compressed {
-            AgMode::Compressed { overlap: true }
-        } else {
-            AgMode::Raw
-        };
+        let place = core.session.movement_placement();
         match core.algorithm {
-            Algorithm::Bruck => AgPlanMachine::Bruck(BruckAg::new(compressed)),
+            Algorithm::Bruck => AgPlanMachine::Bruck(BruckAg::new(place)),
             Algorithm::Hierarchical => {
                 let groups = core
                     .groups
                     .as_ref()
                     .expect("hierarchical plans build their groups at start");
-                AgPlanMachine::Hier(HierAg::new(mode, groups.node_counts[groups.node]))
+                AgPlanMachine::Hier(HierAg::new(place, groups.node_counts[groups.node]))
             }
-            _ => AgPlanMachine::Ring(RingAg::new(mode)),
+            _ => AgPlanMachine::Ring(RingAg::new(place, true)),
         }
     }
 

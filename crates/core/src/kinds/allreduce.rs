@@ -5,7 +5,7 @@
 use ccoll_comm::{Comm, Schedule};
 
 use crate::algorithm::{Algorithm, AllreduceVariant};
-use crate::nonblocking::{AgMode, Butterfly, HierAr, Poll, RingAg, RingRs};
+use crate::nonblocking::{Butterfly, HierAr, Poll, RingAg, RingRs};
 use crate::placement::Placement;
 use crate::plan::{priced, Completes, Handle, Kind, Plan, PlanCore, Row, Tuning};
 use crate::reduce::ReduceOp;
@@ -95,10 +95,10 @@ pub(crate) enum ArMachine {
 }
 
 impl ArMachine {
-    fn ring(rs: Placement, ag: AgMode) -> Self {
+    fn ring(rs: Placement, ag: Placement) -> Self {
         ArMachine::Ring {
             rs: RingRs::new(rs),
-            ag: RingAg::new(ag),
+            ag: RingAg::new(ag, true),
             in_ag: false,
         }
     }
@@ -190,7 +190,6 @@ impl Kind for Allreduce {
         // (ZFP-FXR) cannot drive the SZx pipeline and runs its reducing
         // hops as monolithic CPR — on the ring that is ND.
         let place = core.session.placement();
-        let once = AgMode::Compressed { overlap: true };
         match (core.algorithm, compressed) {
             (Algorithm::RecursiveDoubling, false) => {
                 ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Raw))
@@ -203,12 +202,14 @@ impl Kind for Allreduce {
             // every lane owner runs on its slice; node-local legs are
             // always raw (intra-node links don't pay for a codec).
             (Algorithm::Hierarchical, _) => ArMachine::Hier(HierAr::new(place)),
-            (_, false) => ArMachine::ring(Placement::Raw, AgMode::Raw),
+            (_, false) => ArMachine::ring(Placement::Raw, Placement::Raw),
             (_, true) => match self.variant {
-                AllreduceVariant::Original => ArMachine::ring(Placement::Raw, AgMode::Raw),
-                AllreduceVariant::DirectIntegration => ArMachine::ring(Placement::Cpr, AgMode::Cpr),
-                AllreduceVariant::NovelDesign => ArMachine::ring(Placement::Cpr, once),
-                AllreduceVariant::Overlapped => ArMachine::ring(place, once),
+                AllreduceVariant::Original => ArMachine::ring(Placement::Raw, Placement::Raw),
+                AllreduceVariant::DirectIntegration => {
+                    ArMachine::ring(Placement::Cpr, Placement::Cpr)
+                }
+                AllreduceVariant::NovelDesign => ArMachine::ring(Placement::Cpr, Placement::Once),
+                AllreduceVariant::Overlapped => ArMachine::ring(place, Placement::Once),
             },
         }
     }

@@ -103,10 +103,10 @@ impl Kind for Alltoall {
     }
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> A2aMachine {
-        let compressed = core.session.cpr.is_some();
+        let place = core.session.movement_placement();
         match core.algorithm {
-            Algorithm::Bruck => A2aMachine::Bruck(BruckA2a::new(compressed)),
-            _ => A2aMachine::Pairwise(nb::Alltoall::new(compressed)),
+            Algorithm::Bruck => A2aMachine::Bruck(BruckA2a::new(place)),
+            _ => A2aMachine::Pairwise(nb::Alltoall::new(place)),
         }
     }
 

@@ -57,6 +57,9 @@ impl Plan<Bcast> {
 
 /// The state machine behind a broadcast plan.
 #[derive(Debug)]
+// The two-level machine holds its three legs inline: a handle owns its
+// machine by value, so a `Box` would allocate on every `start`.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum BcMachine {
     /// Flat binomial tree over the whole communicator.
     Flat(nb::Bcast),
@@ -129,16 +132,15 @@ impl Kind for Bcast {
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> BcMachine {
         // A session with a codec streams the payload in its PIPE
         // sub-chunks; without one the tree relays one raw message.
-        let pipe = core
-            .session
-            .cpr
-            .is_some()
-            .then_some(core.session.pipe_values());
+        let (place, pipe) = (
+            core.session.movement_placement(),
+            core.session.pipe_values(),
+        );
         match core.algorithm {
             Algorithm::Hierarchical => {
-                BcMachine::Hier(HierBc::new(pipe, self.root, self.root_node))
+                BcMachine::Hier(HierBc::new(place, pipe, self.root, self.root_node))
             }
-            _ => BcMachine::Flat(nb::Bcast::new(pipe, self.root)),
+            _ => BcMachine::Flat(nb::Bcast::new(place, pipe, self.root)),
         }
     }
 

@@ -92,7 +92,7 @@ impl Kind for Gather {
     }
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> nb::Gather {
-        nb::Gather::new(core.session.cpr.is_some(), self.root, self.total_len)
+        nb::Gather::new(core.session.movement_placement(), self.root, self.total_len)
     }
 
     fn step<C: Comm>(

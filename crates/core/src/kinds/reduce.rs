@@ -166,7 +166,6 @@ impl Kind for Reduce {
 
     fn machine(&mut self, core: &mut PlanCore, rank: usize) -> ReduceMachine {
         let session = &core.session;
-        let compressed = session.cpr.is_some();
         match &mut self.rs {
             Some(stage) => {
                 // `resize` shrinks as well as grows, keeping the buffer
@@ -174,7 +173,7 @@ impl Kind for Reduce {
                 stage.mine.resize(stage.counts[rank], 0.0);
                 ReduceMachine::RsGather {
                     rs: RingRs::new(session.placement()),
-                    gather: nb::Gather::new(compressed, self.root, self.len),
+                    gather: nb::Gather::new(session.movement_placement(), self.root, self.len),
                     in_gather: false,
                 }
             }

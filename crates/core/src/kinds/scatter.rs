@@ -86,7 +86,7 @@ impl Kind for Scatter {
     }
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> nb::Scatter {
-        nb::Scatter::new(core.session.cpr.is_some(), self.root, self.total_len)
+        nb::Scatter::new(core.session.movement_placement(), self.root, self.total_len)
     }
 
     fn step<C: Comm>(

@@ -11,8 +11,9 @@
 //!
 //! * `block = true` runs the machine to completion in one call, waiting
 //!   out each transfer in the schedule's own order and wait category —
-//!   this is what `execute_into` drives, and what the ablation
-//!   baselines in [`crate::collectives::cpr_p2p`] call directly;
+//!   this is what `execute_into` drives, and what all eight ablation
+//!   baselines ([`crate::collectives::cpr_p2p`],
+//!   [`crate::frameworks::data_movement`]) are: one such call each;
 //! * `block = false` performs a bounded amount of work and suspends
 //!   ([`Poll::Pending`]) at the first not-yet-complete receive or send
 //!   (the posted-receive boundaries of the pipeline engine, the
@@ -20,15 +21,17 @@
 //!   `CollHandle::progress` calls so application compute can run while
 //!   transfers are in flight.
 //!
-//! *Where compression sits* is not spelled out per hop: a reducing
-//! machine carries one `Placement` and binds it to the session codec
-//! once per `step` (`Placement::link`); its monolithic hops then
-//! `pack` / `unpack` / `reduce` through that `Link`, and its piped
-//! hops hand the placement's `PipelineConfig` to the hop cursor. The
-//! data-movement machines reach the same codec through the link for
-//! their one `compress_once` / `decompress_once_to` pair, the latter
-//! straight into the block's place in the output. The ordering rules
-//! that keep virtual time bit-identical are listed in `placement.rs`.
+//! *Where compression sits* is not spelled out per hop: every machine
+//! is built from one `Placement` (refusing in `new` the ones it has no
+//! shape for) and binds it to the session codec once per `step`
+//! (`Placement::link`); its monolithic hops then `pack` / `unpack` /
+//! `land` / `reduce` through that `Link` — the only way a machine
+//! reaches the codec — and its piped hops hand the placement's
+//! `PipelineConfig` to the hop cursor. Under `Placement::Once` the one
+//! `pack` happens at the data's origin and the one `unpack` at each
+//! consumer, straight into the block's place in the output. The
+//! ordering rules that keep virtual time bit-identical are listed in
+//! `placement.rs`.
 //!
 //! *Where a reduction accumulates* (rule 5 there): in the caller's
 //! output, born from the first fold. No reducing machine copies its
@@ -63,12 +66,11 @@ use ccoll_comm::{Category, Comm, CommView, RecvReq, SendReq, Tag};
 
 use crate::collectives::baseline::{butterfly_fold, butterfly_pos_to_rank};
 use crate::collectives::cpr_p2p::CprCodec;
-use crate::collectives::{decode_values_in, memcpy_in, tags, values_payload};
+use crate::collectives::{memcpy_in, tags};
 use crate::partition::chunk_range;
 use crate::pipeline::{split_src_dst, HopCursor, RelayCursor};
 use crate::placement::{Link, Placement};
 use crate::reduce::ReduceOp;
-use crate::wire::decode_values_vec;
 use crate::workspace::CollWorkspace;
 
 /// The result of polling a nonblocking collective.
@@ -103,6 +105,9 @@ impl Poll {
 struct Wire {
     rreq: Option<RecvReq>,
     sreq: Option<SendReq>,
+    /// A received payload held while [`Wire::exchange`] waits out the
+    /// send.
+    stash: Option<Bytes>,
 }
 
 impl Wire {
@@ -155,24 +160,25 @@ impl Wire {
             }
         }
     }
-}
 
-/// The link of a data-movement machine: its compress-once shape reaches
-/// the session codec through [`Link::Cpr`], its raw shape needs none.
-fn once_link(compressed: bool, cpr: Option<&CprCodec>) -> Link<'_> {
-    if compressed {
-        Placement::Cpr.link(cpr)
-    } else {
-        Link::Raw
-    }
-}
-
-/// The tag sub-band of a data-movement machine's shape.
-fn once_band(compressed: bool) -> Tag {
-    if compressed {
-        Placement::ONCE_BAND
-    } else {
-        Placement::Raw.band()
+    /// A full-duplex round's wait pair: complete the posted receive
+    /// (under `recv_cat`), then retire the posted send (under
+    /// `send_cat`), and hand the received payload over once both are
+    /// done. `None` suspends the machine, as in [`Wire::recv`].
+    fn exchange<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        block: bool,
+        recv_cat: Category,
+        send_cat: Category,
+    ) -> Option<Bytes> {
+        if self.stash.is_none() {
+            self.stash = Some(self.recv(comm, block, recv_cat)?);
+        }
+        if !self.send_done(comm, block, send_cat) {
+            return None;
+        }
+        self.stash.take()
     }
 }
 
@@ -435,53 +441,44 @@ impl RingRs {
 // Ring allgather.
 // ---------------------------------------------------------------------------
 
-/// Compression placement of a ring allgather.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum AgMode {
-    /// Uncompressed relays.
-    Raw,
-    /// CPR-P2P: recompress every hop.
-    Cpr,
-    /// Compress-once relays (the data-movement framework), with the
-    /// relay/decompress overlap on (plans) or off (the monolithic
-    /// ablation baseline).
-    Compressed { overlap: bool },
-}
-
 #[derive(Debug, Clone, Copy)]
 enum AgPhase {
     Init,
     SizeExchange,
     Round,
-    RecvWait,
-    SendWait,
+    Exchange,
     Sweep,
     Done,
 }
 
-/// Resumable ring allgather over the caller's output buffer. The own
-/// block either comes from `mine` (standalone allgather plan) or is
-/// already in place in `out` (the allreduce composition, `mine = None`).
-/// The partition must be cached in the workspace before the first step.
+/// Resumable ring allgather over the caller's output buffer: raw or
+/// CPR-P2P (recompress every hop) relays, or compress-once relays (the
+/// data-movement framework). The own block either comes from `mine`
+/// (standalone allgather plan) or is already in place in `out` (the
+/// allreduce composition, `mine = None`). The partition must be cached
+/// in the workspace before the first step.
 #[derive(Debug)]
 pub(crate) struct RingAg {
-    mode: AgMode,
+    place: Placement,
+    /// Compress-once only: decode a block while its onward relay is on
+    /// the wire (plans) rather than in one sweep after the last round
+    /// (the monolithic ablation baseline).
+    overlap: bool,
     phase: AgPhase,
     k: usize,
     sizes: SizeRing,
     wire: Wire,
-    got: Option<Bytes>,
 }
 
 impl RingAg {
-    pub(crate) fn new(mode: AgMode) -> Self {
+    pub(crate) fn new(place: Placement, overlap: bool) -> Self {
         RingAg {
-            mode,
+            place: place.movement(true, "ring allgather"),
+            overlap,
             phase: AgPhase::Init,
             k: 0,
             sizes: SizeRing::default(),
             wire: Wire::default(),
-            got: None,
         }
     }
 
@@ -508,23 +505,13 @@ impl RingAg {
         let me = comm.rank();
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
-        // The per-hop modes pack and unpack through `link`; compress-once
-        // reaches the session codec through it.
-        let (place, band) = match self.mode {
-            AgMode::Raw => (Placement::Raw, Placement::Raw.band()),
-            AgMode::Cpr => (Placement::Cpr, Placement::Cpr.band()),
-            AgMode::Compressed { .. } => (Placement::Cpr, Placement::ONCE_BAND),
-        };
-        let link = place.link(cpr);
-        let once = match (self.mode, link) {
-            (AgMode::Compressed { overlap }, Link::Cpr(codec)) => Some((codec, overlap)),
-            _ => None,
-        };
+        let link = self.place.link(cpr);
+        let once = matches!(link, Link::Once(_));
         loop {
             match self.phase {
                 AgPhase::Init => {
                     self.k = 0;
-                    if let Some((codec, _)) = once {
+                    if once {
                         // Release the previous call's relay handles
                         // before compressing, so their payload-pool
                         // slots (ours and our peers') are recycled by
@@ -532,7 +519,7 @@ impl RingAg {
                         ws.blobs.clear();
                         ws.blobs.resize(n, None);
                         let own = mine.unwrap_or(&out[ws.chunk(me)]);
-                        let my_blob = codec.compress_once(comm, own, &mut ws.pool);
+                        let my_blob = link.pack(comm, own, &mut ws.pool);
                         ws.sizes.clear();
                         ws.sizes.resize(n, 0);
                         ws.sizes[me] = my_blob.len() as u32;
@@ -560,49 +547,39 @@ impl RingAg {
                 }
                 AgPhase::Round => {
                     if self.k == n - 1 {
-                        self.phase = match once {
-                            Some(_) => AgPhase::Sweep,
-                            None => AgPhase::Done,
-                        };
+                        self.phase = if once { AgPhase::Sweep } else { AgPhase::Done };
                         continue;
                     }
                     let send_idx = (me + n - self.k) % n;
                     let at = ws.chunk(send_idx);
-                    let tag = tags::ALLGATHER + band + self.k as Tag;
-                    let payload = match once {
-                        Some(_) => ws.blobs[send_idx].clone().expect("relay block present"),
-                        None => link.pack(comm, &out[at.clone()], &mut ws.pool),
+                    let tag = tags::ALLGATHER + self.place.band() + self.k as Tag;
+                    let payload = if once {
+                        ws.blobs[send_idx].clone().expect("relay block present")
+                    } else {
+                        link.pack(comm, &out[at.clone()], &mut ws.pool)
                     };
                     self.wire.rreq = Some(comm.irecv(left, tag));
                     self.wire.sreq = Some(comm.isend(right, tag, payload));
                     // Pipelined relay: decompress the block being
                     // forwarded while its onward copy is on the wire.
-                    if let Some((codec, true)) = once.filter(|_| send_idx != me) {
+                    if once && self.overlap && send_idx != me {
                         if let Some(blob) = ws.blobs[send_idx].take() {
-                            codec.decompress_once_to(comm, &blob, &mut out[at], &mut ws.scratch);
+                            link.unpack(comm, &blob, &mut out[at], &mut ws.scratch);
                         }
                     }
-                    self.phase = AgPhase::RecvWait;
+                    self.phase = AgPhase::Exchange;
                 }
-                AgPhase::RecvWait => {
-                    let Some(got) = self.wire.recv(comm, block, Category::Allgather) else {
+                AgPhase::Exchange => {
+                    let cat = Category::Allgather;
+                    let Some(got) = self.wire.exchange(comm, block, cat, cat) else {
                         return Poll::Pending;
                     };
-                    self.got = Some(got);
-                    self.phase = AgPhase::SendWait;
-                }
-                AgPhase::SendWait => {
-                    if !self.wire.send_done(comm, block, Category::Allgather) {
-                        return Poll::Pending;
-                    }
-                    let got = self.got.take().expect("round received a payload");
                     let recv_idx = (me + n - 1 - self.k) % n;
-                    match once {
-                        Some(_) => ws.blobs[recv_idx] = Some(got),
-                        None => {
-                            let at = ws.chunk(recv_idx);
-                            link.unpack(comm, &got, &mut out[at], &mut ws.scratch);
-                        }
+                    if once {
+                        ws.blobs[recv_idx] = Some(got);
+                    } else {
+                        let at = ws.chunk(recv_idx);
+                        link.unpack(comm, &got, &mut out[at], &mut ws.scratch);
                     }
                     self.k += 1;
                     self.phase = AgPhase::Round;
@@ -610,14 +587,13 @@ impl RingAg {
                 // Compress-once epilogue: own block + whatever the relay
                 // loop did not already decode.
                 AgPhase::Sweep => {
-                    let (codec, _) = once.expect("only compress-once sweeps");
                     Self::land_own(comm, mine, &mut out[ws.chunk(me)]);
                     for r in (0..n).filter(|&r| r != me) {
                         let Some(blob) = ws.blobs[r].take() else {
                             continue;
                         };
                         let at = ws.chunk(r);
-                        codec.decompress_once_to(comm, &blob, &mut out[at], &mut ws.scratch);
+                        link.unpack(comm, &blob, &mut out[at], &mut ws.scratch);
                     }
                     self.phase = AgPhase::Done;
                 }
@@ -638,11 +614,9 @@ enum BflyPhase {
     FoldSendWait,
     FoldRecv,
     Halving,
-    HalvingRecv,
-    HalvingSend,
+    HalvingExchange,
     Doubling,
-    DoublingRecv,
-    DoublingSend,
+    DoublingExchange,
     Unfold,
     UnfoldSendWait,
     UnfoldRecvWait,
@@ -679,7 +653,6 @@ pub(crate) struct Butterfly {
     tag: Tag,
     hop: HopCursor,
     wire: Wire,
-    got: Option<Bytes>,
 }
 
 impl Butterfly {
@@ -711,7 +684,6 @@ impl Butterfly {
             tag: 0,
             hop: HopCursor::new(),
             wire: Wire::default(),
-            got: None,
         }
     }
 
@@ -879,21 +851,14 @@ impl Butterfly {
                         let payload = link.pack(comm, &src[send], &mut ws.pool);
                         self.wire.rreq = Some(comm.irecv(peer, tag));
                         self.wire.sreq = Some(comm.isend(peer, tag, payload));
-                        self.phase = BflyPhase::HalvingRecv;
+                        self.phase = BflyPhase::HalvingExchange;
                     }
                 }
-                BflyPhase::HalvingRecv => {
-                    let Some(got) = self.wire.recv(comm, block, Category::Wait) else {
+                BflyPhase::HalvingExchange => {
+                    let cat = Category::Wait;
+                    let Some(got) = self.wire.exchange(comm, block, cat, cat) else {
                         return Poll::Pending;
                     };
-                    self.got = Some(got);
-                    self.phase = BflyPhase::HalvingSend;
-                }
-                BflyPhase::HalvingSend => {
-                    if !self.wire.send_done(comm, block, Category::Wait) {
-                        return Poll::Pending;
-                    }
-                    let got = self.got.take().expect("halving received a payload");
                     let (keep, _) = self.halving_ranges(ws);
                     let first = (!self.born).then(|| &input[keep.clone()]);
                     let dst = &mut out[keep];
@@ -921,20 +886,13 @@ impl Butterfly {
                     let payload = link.pack(comm, &src[send], &mut ws.pool);
                     self.wire.rreq = Some(comm.irecv(peer, tag));
                     self.wire.sreq = Some(comm.isend(peer, tag, payload));
-                    self.phase = BflyPhase::DoublingRecv;
+                    self.phase = BflyPhase::DoublingExchange;
                 }
-                BflyPhase::DoublingRecv => {
-                    let Some(got) = self.wire.recv(comm, block, Category::Wait) else {
+                BflyPhase::DoublingExchange => {
+                    let cat = Category::Wait;
+                    let Some(got) = self.wire.exchange(comm, block, cat, cat) else {
                         return Poll::Pending;
                     };
-                    self.got = Some(got);
-                    self.phase = BflyPhase::DoublingSend;
-                }
-                BflyPhase::DoublingSend => {
-                    if !self.wire.send_done(comm, block, Category::Wait) {
-                        return Poll::Pending;
-                    }
-                    let got = self.got.take().expect("doubling received a payload");
                     if self.halving {
                         let (_, peer) = self.doubling_ranges(ws);
                         link.unpack(comm, &got, &mut out[peer], &mut ws.scratch);
@@ -1264,32 +1222,39 @@ impl TreeReduce {
 #[derive(Debug, Clone, Copy)]
 enum BcPhase {
     Init,
+    HeaderWait,
     RecvWait,
-    SendSetup,
     Sends,
+    HeaderSent,
     SendWait,
     Done,
 }
 
-/// Resumable binomial-tree broadcast, in one of two shapes:
+/// Resumable binomial-tree broadcast, in one of three shapes:
 ///
-/// * **streamed** (`pipe = Some(..)`) — the compress-once C-Bcast. The
+/// * **streamed** (`Placement::Once`) — the compress-once C-Bcast. The
 ///   payload travels as independent `pipe`-value sub-chunk streams
 ///   through one [`RelayCursor`] (root: encode ∥ fan-out; interior:
 ///   relay, then decode; leaf: decode as chunks arrive), all on one
 ///   tag. A payload of at most one sub-chunk is a single whole-payload
 ///   message.
-/// * **raw** (`pipe = None`) — uncompressed values as one message per
-///   tree edge, each send waited out before the next. Deliberately not
-///   streamed: its root is egress-bound either way, and it is the
-///   node-local fan-out of every hierarchical schedule.
+/// * **raw** — uncompressed values as one message per tree edge, each
+///   send waited out before the next. Deliberately not streamed: its
+///   root is egress-bound either way, and it is the node-local fan-out
+///   of every hierarchical schedule.
+/// * **CPR-P2P** — the raw shape with every hop decompressing what it
+///   received and re-compressing it for *each* child: `log₂N · (T_comp +
+///   T_decomp)` on the critical path (the Fig. 3 left-hand timeline).
+///   The length travels ahead of every payload in a 4-byte header on
+///   `tag + 1`, as eager decompression needs.
 #[derive(Debug)]
 pub(crate) struct Bcast {
-    /// Sub-chunk size of the streamed shape; `None` for the raw shape.
-    pipe: Option<usize>,
+    place: Placement,
+    /// Sub-chunk size of the streamed shape (the others ignore it).
+    pipe: usize,
     root: usize,
     relay: RelayCursor,
-    // Raw-shape state.
+    // Whole-message shapes' state.
     phase: BcPhase,
     mask: usize,
     wire: Wire,
@@ -1297,9 +1262,9 @@ pub(crate) struct Bcast {
 }
 
 impl Bcast {
-    /// `Some(pipe)` builds the streamed shape, `None` the raw one.
-    pub(crate) fn new(pipe: Option<usize>, root: usize) -> Self {
+    pub(crate) fn new(place: Placement, pipe: usize, root: usize) -> Self {
         Bcast {
+            place: place.movement(true, "binomial bcast"),
             pipe,
             root,
             relay: RelayCursor::new(),
@@ -1308,6 +1273,12 @@ impl Bcast {
             wire: Wire::default(),
             payload: None,
         }
+    }
+
+    /// The raw fan-out from a group's first member that ends every
+    /// hierarchical schedule.
+    fn fanout() -> Self {
+        Self::new(Placement::Raw, 0, 0)
     }
 
     /// Drive the broadcast. On the root an empty `data` means `out` is
@@ -1323,15 +1294,15 @@ impl Bcast {
         ws: &mut CollWorkspace,
         block: bool,
     ) -> Poll {
-        // The streamed shape is the compress-once one: its link carries
-        // the codec.
-        let tag = tags::BCAST + once_band(self.pipe.is_some());
-        if let (Some(pipe), Link::Cpr(cpr)) = (self.pipe, once_link(self.pipe.is_some(), cpr)) {
+        let tag = tags::BCAST + self.place.band();
+        let link = self.place.link(cpr);
+        if let Link::Once(codec) = link {
             let mut bufs = ws.pipe();
-            return self
-                .relay
-                .step(comm, cpr, pipe, self.root, data, out, tag, &mut bufs, block);
+            return self.relay.step(
+                comm, codec, self.pipe, self.root, data, out, tag, &mut bufs, block,
+            );
         }
+        let per_hop = matches!(link, Link::Cpr(_));
         let n = comm.size();
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
@@ -1354,26 +1325,38 @@ impl Bcast {
                         while self.mask < n {
                             self.mask <<= 1;
                         }
-                        self.phase = BcPhase::SendSetup;
+                        self.mask >>= 1;
+                        self.phase = BcPhase::Sends;
                     } else {
                         // Find my parent bit and post that receive.
                         while self.mask < n && relative & self.mask == 0 {
                             self.mask <<= 1;
                         }
                         let src = (relative - self.mask + self.root) % n;
-                        self.wire.rreq = Some(comm.irecv(src, tag));
-                        self.phase = BcPhase::RecvWait;
+                        let (first, phase) = if per_hop {
+                            (tag + 1, BcPhase::HeaderWait)
+                        } else {
+                            (tag, BcPhase::RecvWait)
+                        };
+                        self.wire.rreq = Some(comm.irecv(src, first));
+                        self.phase = phase;
                     }
+                }
+                BcPhase::HeaderWait => {
+                    let Some(header) = self.wire.recv(comm, block, Category::Others) else {
+                        return Poll::Pending;
+                    };
+                    let len = u32::from_le_bytes(header[0..4].try_into().expect("4-byte header"));
+                    assert_eq!(len as usize, out.len(), "bcast length disagrees with plan");
+                    let src = (relative - self.mask + self.root) % n;
+                    self.wire.rreq = Some(comm.irecv(src, tag));
+                    self.phase = BcPhase::RecvWait;
                 }
                 BcPhase::RecvWait => {
                     let Some(got) = self.wire.recv(comm, block, Category::Others) else {
                         return Poll::Pending;
                     };
-                    crate::wire::decode_values_into(&got, out);
-                    self.phase = BcPhase::SendSetup;
-                }
-                BcPhase::SendSetup => {
-                    self.payload = Some(values_payload(&mut ws.pool, out));
+                    link.land(comm, &got, out, &mut ws.scratch);
                     self.mask >>= 1;
                     self.phase = BcPhase::Sends;
                 }
@@ -1385,12 +1368,32 @@ impl Bcast {
                     }
                     if relative + self.mask < n {
                         let dst = (relative + self.mask + self.root) % n;
-                        let payload = self.payload.clone().expect("broadcast payload present");
-                        self.wire.sreq = Some(comm.isend(dst, tag, payload));
-                        self.phase = BcPhase::SendWait;
+                        // One raw payload serves every child; CPR-P2P
+                        // re-compresses for each (the per-hop waste).
+                        if per_hop || self.payload.is_none() {
+                            self.payload = Some(link.pack(comm, out, &mut ws.pool));
+                        }
+                        if per_hop {
+                            let header = ws.pool.write(&(out.len() as u32).to_le_bytes());
+                            self.wire.sreq = Some(comm.isend(dst, tag + 1, header));
+                            self.phase = BcPhase::HeaderSent;
+                        } else {
+                            let payload = self.payload.clone().expect("payload packed");
+                            self.wire.sreq = Some(comm.isend(dst, tag, payload));
+                            self.phase = BcPhase::SendWait;
+                        }
                         continue;
                     }
                     self.mask >>= 1;
+                }
+                BcPhase::HeaderSent => {
+                    if !self.wire.send_done(comm, block, Category::Others) {
+                        return Poll::Pending;
+                    }
+                    let dst = (relative + self.mask + self.root) % n;
+                    let payload = self.payload.take().expect("child payload compressed");
+                    self.wire.sreq = Some(comm.isend(dst, tag, payload));
+                    self.phase = BcPhase::SendWait;
                 }
                 BcPhase::SendWait => {
                     if !self.wire.send_done(comm, block, Category::Wait) {
@@ -1419,11 +1422,14 @@ enum ScPhase {
     Done,
 }
 
-/// Resumable binomial-tree scatter of the balanced partition
-/// (`compressed = true` forwards framed compress-once segment sets).
+/// Resumable binomial-tree scatter of the balanced partition. Raw and
+/// CPR-P2P ranks hold their subtree's values and pack each child's
+/// portion as they forward it (CPR-P2P decompressing the received block
+/// and re-compressing every portion); compress-once forwards framed
+/// segment sets the root compressed one by one.
 #[derive(Debug)]
 pub(crate) struct Scatter {
-    compressed: bool,
+    place: Placement,
     root: usize,
     total_len: usize,
     phase: ScPhase,
@@ -1433,9 +1439,9 @@ pub(crate) struct Scatter {
 }
 
 impl Scatter {
-    pub(crate) fn new(compressed: bool, root: usize, total_len: usize) -> Self {
+    pub(crate) fn new(place: Placement, root: usize, total_len: usize) -> Self {
         Scatter {
-            compressed,
+            place: place.movement(true, "binomial scatter"),
             root,
             total_len,
             phase: ScPhase::Init,
@@ -1458,8 +1464,9 @@ impl Scatter {
         let n = comm.size();
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
-        let link = once_link(self.compressed, cpr);
-        let tag = tags::SCATTER + once_band(self.compressed);
+        let link = self.place.link(cpr);
+        let once = matches!(link, Link::Once(_));
+        let tag = tags::SCATTER + self.place.band();
         loop {
             match self.phase {
                 ScPhase::Init => {
@@ -1472,22 +1479,15 @@ impl Scatter {
                             self.total_len,
                             "root buffer must hold all chunks"
                         );
-                        let segs = (0..n).map(|i| (self.root + i) % n);
-                        match link {
-                            Link::Cpr(codec) => {
-                                ws.blob_list.clear();
-                                for a in segs {
-                                    let seg = &data[ws.chunk(a)];
-                                    let blob = codec.compress_once(comm, seg, &mut ws.pool);
-                                    ws.blob_list.push(blob);
-                                }
-                            }
-                            Link::Raw => {
-                                ws.stage.clear();
-                                for a in segs {
-                                    let at = ws.chunk(a);
-                                    ws.stage.extend_from_slice(&data[at]);
-                                }
+                        ws.blob_list.clear();
+                        ws.stage.clear();
+                        for a in (0..n).map(|i| (self.root + i) % n) {
+                            let seg = &data[ws.chunk(a)];
+                            if once {
+                                let blob = link.pack(comm, seg, &mut ws.pool);
+                                ws.blob_list.push(blob);
+                            } else {
+                                ws.stage.extend_from_slice(seg);
                             }
                         }
                         self.span = n;
@@ -1506,7 +1506,7 @@ impl Scatter {
                     let Some(got) = self.wire.recv(comm, block, Category::Others) else {
                         return Poll::Pending;
                     };
-                    if self.compressed {
+                    if once {
                         let held = &mut ws.blob_list;
                         crate::wire::unframe_blobs_into(&got, held)
                             .expect("well-formed scatter container");
@@ -1516,12 +1516,13 @@ impl Scatter {
                             "scatter container segment count mismatch"
                         );
                     } else {
-                        let held = &mut ws.stage;
-                        decode_values_vec(&got, held);
+                        // The whole subtree block, staged for the
+                        // forward phase.
                         let expect: usize = (relative..relative + self.span)
                             .map(|i| ws.counts[(self.root + i) % n])
                             .sum();
-                        assert_eq!(held.len(), expect, "scatter subtree block size mismatch");
+                        ws.stage.resize(expect, 0.0);
+                        link.land(comm, &got, &mut ws.stage, &mut ws.scratch);
                     }
                     self.phase = ScPhase::Forward;
                 }
@@ -1533,7 +1534,7 @@ impl Scatter {
                     if self.m < self.span {
                         let child_rel = relative + self.m;
                         let dst = (child_rel + self.root) % n;
-                        let payload = if self.compressed {
+                        let payload = if once {
                             let CollWorkspace {
                                 pool,
                                 blob_list: held,
@@ -1546,11 +1547,8 @@ impl Scatter {
                             let keep_vals: usize = (relative..child_rel)
                                 .map(|i| ws.counts[(self.root + i) % n])
                                 .sum();
-                            let CollWorkspace {
-                                pool, stage: held, ..
-                            } = ws;
-                            let payload = values_payload(pool, &held[keep_vals..]);
-                            held.truncate(keep_vals);
+                            let payload = link.pack(comm, &ws.stage[keep_vals..], &mut ws.pool);
+                            ws.stage.truncate(keep_vals);
                             payload
                         };
                         self.wire.sreq = Some(comm.isend(dst, tag, payload));
@@ -1568,17 +1566,14 @@ impl Scatter {
                     self.phase = ScPhase::Forward;
                 }
                 ScPhase::Final => {
-                    if let Link::Cpr(codec) = link {
-                        if me == self.root {
-                            // The root never lost precision, and has
-                            // nothing to decode.
-                            out.copy_from_slice(&data[ws.chunk(me)]);
-                        } else {
-                            let held = &ws.blob_list[0];
-                            codec.decompress_once_to(comm, held, out, &mut ws.scratch);
-                        }
-                    } else {
+                    if !once {
                         out.copy_from_slice(&ws.stage[..ws.counts[me]]);
+                    } else if me == self.root {
+                        // The root never lost precision, and has
+                        // nothing to decode.
+                        out.copy_from_slice(&data[ws.chunk(me)]);
+                    } else {
+                        link.unpack(comm, &ws.blob_list[0], out, &mut ws.scratch);
                     }
                     self.phase = ScPhase::Done;
                 }
@@ -1603,11 +1598,11 @@ enum GaPhase {
     DoneLeaf,
 }
 
-/// Resumable binomial-tree gather of the balanced partition
-/// (`compressed = true` relays framed compress-once segments).
+/// Resumable binomial-tree gather of the balanced partition, raw or
+/// compress-once (relaying framed segments each rank compressed once).
 #[derive(Debug)]
 pub(crate) struct Gather {
-    compressed: bool,
+    place: Placement,
     root: usize,
     total_len: usize,
     phase: GaPhase,
@@ -1616,9 +1611,9 @@ pub(crate) struct Gather {
 }
 
 impl Gather {
-    pub(crate) fn new(compressed: bool, root: usize, total_len: usize) -> Self {
+    pub(crate) fn new(place: Placement, root: usize, total_len: usize) -> Self {
         Gather {
-            compressed,
+            place: place.movement(false, "binomial gather"),
             root,
             total_len,
             phase: GaPhase::Init,
@@ -1645,8 +1640,9 @@ impl Gather {
         let n = comm.size();
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
-        let link = once_link(self.compressed, cpr);
-        let tag = tags::GATHER + once_band(self.compressed);
+        let link = self.place.link(cpr);
+        let once = matches!(link, Link::Once(_));
+        let tag = tags::GATHER + self.place.band();
         loop {
             match self.phase {
                 GaPhase::Init => {
@@ -1657,9 +1653,9 @@ impl Gather {
                         ws.counts[me],
                         "my chunk disagrees with partition"
                     );
-                    if let Link::Cpr(codec) = link {
+                    if once {
                         ws.blob_list.clear();
-                        let blob = codec.compress_once(comm, mine, &mut ws.pool);
+                        let blob = link.pack(comm, mine, &mut ws.pool);
                         ws.blob_list.push(blob);
                     } else {
                         let held = &mut ws.stage;
@@ -1676,15 +1672,10 @@ impl Gather {
                     }
                     if relative & self.mask != 0 {
                         let parent = (relative - self.mask + self.root) % n;
-                        let payload = if self.compressed {
-                            let CollWorkspace {
-                                pool,
-                                blob_list: held,
-                                ..
-                            } = ws;
-                            crate::wire::frame_blobs_pooled(pool, held)
+                        let payload = if once {
+                            crate::wire::frame_blobs_pooled(&mut ws.pool, &ws.blob_list)
                         } else {
-                            values_payload(&mut ws.pool, &ws.stage)
+                            link.pack(comm, &ws.stage, &mut ws.pool)
                         };
                         self.wire.sreq = Some(comm.isend(parent, tag, payload));
                         self.phase = GaPhase::SendWait;
@@ -1704,7 +1695,7 @@ impl Gather {
                     };
                     let child_rel = relative + self.mask;
                     let child_span = self.mask.min(n - child_rel);
-                    if self.compressed {
+                    if once {
                         let blobs =
                             crate::wire::unframe_blobs(&got).expect("well-formed gather container");
                         ws.blob_list.extend(blobs);
@@ -1712,11 +1703,9 @@ impl Gather {
                         let expect: usize = (child_rel..child_rel + child_span)
                             .map(|i| ws.counts[(self.root + i) % n])
                             .sum();
-                        assert_eq!(got.len(), expect * 4, "gather subtree block size mismatch");
-                        let held = &mut ws.stage;
-                        let at = held.len();
-                        held.resize(at + expect, 0.0);
-                        crate::wire::decode_values_into(&got, &mut held[at..]);
+                        let at = ws.stage.len();
+                        ws.stage.resize(at + expect, 0.0);
+                        link.land(comm, &got, &mut ws.stage[at..], &mut ws.scratch);
                     }
                     self.mask <<= 1;
                     self.phase = GaPhase::Loop;
@@ -1733,15 +1722,14 @@ impl Gather {
                         self.total_len,
                         "root output must hold all chunks"
                     );
-                    if let Link::Cpr(codec) = link {
+                    if once {
                         for i in 0..ws.blob_list.len() {
                             let a = (self.root + i) % n;
                             let dst = &mut out[ws.chunk(a)];
                             if a == me {
                                 dst.copy_from_slice(mine); // the root's own chunk stays lossless
                             } else {
-                                let blob = &ws.blob_list[i];
-                                codec.decompress_once_to(comm, blob, dst, &mut ws.scratch);
+                                link.unpack(comm, &ws.blob_list[i], dst, &mut ws.scratch);
                             }
                         }
                     } else {
@@ -1770,32 +1758,32 @@ enum A2aPhase {
     SizeExchange,
     OwnCopy,
     Round,
-    RecvWait,
-    SendWait,
+    Exchange,
     Done,
 }
 
-/// Resumable pairwise all-to-all (`compressed = true` compresses every
-/// outgoing block once up front and runs the size-aware schedule).
+/// Resumable pairwise all-to-all. Raw and CPR-P2P pack each outgoing
+/// block in its round and unpack each incoming one (blocks travel a
+/// single hop, so CPR-P2P's deficiencies here are the per-call buffer
+/// overhead and the size-unaware schedule); compress-once compresses
+/// every outgoing block up front and runs the size-aware schedule.
 #[derive(Debug)]
 pub(crate) struct Alltoall {
-    compressed: bool,
+    place: Placement,
     phase: A2aPhase,
     i: usize,
     sizes: SizeRing,
     wire: Wire,
-    got: Option<Bytes>,
 }
 
 impl Alltoall {
-    pub(crate) fn new(compressed: bool) -> Self {
+    pub(crate) fn new(place: Placement) -> Self {
         Alltoall {
-            compressed,
+            place: place.movement(true, "pairwise all-to-all"),
             phase: A2aPhase::Init,
             i: 1,
             sizes: SizeRing::default(),
             wire: Wire::default(),
-            got: None,
         }
     }
 
@@ -1813,9 +1801,10 @@ impl Alltoall {
         let me = comm.rank();
         let block_len = send.len() / n;
         let blk = |r: usize| r * block_len..(r + 1) * block_len;
-        let link = once_link(self.compressed, cpr);
+        let link = self.place.link(cpr);
+        let once = matches!(link, Link::Once(_));
         // Compress-once rounds are the allgather-like relay share.
-        let cat = if self.compressed {
+        let cat = if once {
             Category::Allgather
         } else {
             Category::Wait
@@ -1823,34 +1812,31 @@ impl Alltoall {
         loop {
             match self.phase {
                 A2aPhase::Init => {
+                    assert!(
+                        send.len().is_multiple_of(n),
+                        "all-to-all buffer ({}) must divide evenly across {n} ranks",
+                        send.len()
+                    );
                     assert_eq!(out.len(), send.len(), "output buffer size mismatch");
                     self.i = 1;
-                    if let Link::Cpr(codec) = link {
-                        let CollWorkspace {
-                            pool,
-                            blob_list: blobs,
-                            sizes,
-                            ..
-                        } = ws;
-                        blobs.clear();
+                    self.phase = A2aPhase::OwnCopy;
+                    if once {
+                        ws.blob_list.clear();
                         for to in 0..n {
-                            blobs.push(if to == me {
+                            let blob = if to == me {
                                 Bytes::new()
                             } else {
-                                codec.compress_once(comm, &send[blk(to)], pool)
-                            });
+                                link.pack(comm, &send[blk(to)], &mut ws.pool)
+                            };
+                            ws.blob_list.push(blob);
                         }
-                        let total: usize = blobs.iter().map(|b| b.len()).sum();
-                        sizes.clear();
-                        sizes.resize(n, 0);
-                        sizes[me] = total as u32;
-                        self.phase = if n > 1 {
-                            A2aPhase::SizeExchange
-                        } else {
-                            A2aPhase::OwnCopy
-                        };
-                    } else {
-                        self.phase = A2aPhase::OwnCopy;
+                        let total: usize = ws.blob_list.iter().map(|b| b.len()).sum();
+                        ws.sizes.clear();
+                        ws.sizes.resize(n, 0);
+                        ws.sizes[me] = total as u32;
+                        if n > 1 {
+                            self.phase = A2aPhase::SizeExchange;
+                        }
                     }
                 }
                 // 4-byte compressed-size synchronization ring, as in the
@@ -1872,34 +1858,22 @@ impl Alltoall {
                     }
                     let to = (me + self.i) % n;
                     let from = (me + n - self.i) % n;
-                    let tag = tags::ALLTOALL + once_band(self.compressed) + self.i as Tag;
-                    let payload = if self.compressed {
+                    let tag = tags::ALLTOALL + self.place.band() + self.i as Tag;
+                    let payload = if once {
                         ws.blob_list[to].clone()
                     } else {
-                        values_payload(&mut ws.pool, &send[blk(to)])
+                        link.pack(comm, &send[blk(to)], &mut ws.pool)
                     };
                     self.wire.rreq = Some(comm.irecv(from, tag));
                     self.wire.sreq = Some(comm.isend(to, tag, payload));
-                    self.phase = A2aPhase::RecvWait;
+                    self.phase = A2aPhase::Exchange;
                 }
-                A2aPhase::RecvWait => {
-                    let Some(got) = self.wire.recv(comm, block, cat) else {
+                A2aPhase::Exchange => {
+                    let Some(got) = self.wire.exchange(comm, block, cat, cat) else {
                         return Poll::Pending;
                     };
-                    self.got = Some(got);
-                    self.phase = A2aPhase::SendWait;
-                }
-                A2aPhase::SendWait => {
-                    if !self.wire.send_done(comm, block, cat) {
-                        return Poll::Pending;
-                    }
-                    let got = self.got.take().expect("round received a payload");
                     let from = (me + n - self.i) % n;
-                    if let Link::Cpr(codec) = link {
-                        codec.decompress_once_to(comm, &got, &mut out[blk(from)], &mut ws.scratch);
-                    } else {
-                        decode_values_in(comm, &mut out[blk(from)], &got);
-                    }
+                    link.unpack(comm, &got, &mut out[blk(from)], &mut ws.scratch);
                     self.i += 1;
                     self.phase = A2aPhase::Round;
                 }
@@ -1917,39 +1891,34 @@ impl Alltoall {
 enum BkPhase {
     Init,
     Round,
-    RecvWait,
-    SendWait,
+    Exchange,
     Tail,
     Done,
 }
 
-/// Resumable Bruck allgather (`compressed = true` relays framed
-/// compress-once block sets with the PR-4 decode-while-in-flight
-/// overlap).
+/// Resumable Bruck allgather, raw or compress-once (relaying framed
+/// block sets with the PR-4 decode-while-in-flight overlap).
 #[derive(Debug)]
 pub(crate) struct BruckAg {
-    compressed: bool,
+    place: Placement,
     phase: BkPhase,
-    /// Blocks held so far, in relative order (raw mode tracks the count
-    /// here; compressed mode reads `ws.blob_list.len()`).
+    /// Blocks held so far, in relative order.
     held: usize,
-    /// Decode cursor (compressed overlap).
+    /// Decode cursor (compress-once overlap).
     decoded: usize,
     step_no: Tag,
     wire: Wire,
-    got: Option<Bytes>,
 }
 
 impl BruckAg {
-    pub(crate) fn new(compressed: bool) -> Self {
+    pub(crate) fn new(place: Placement) -> Self {
         BruckAg {
-            compressed,
+            place: place.movement(false, "Bruck allgather"),
             phase: BkPhase::Init,
             held: 1,
             decoded: 1,
             step_no: 0,
             wire: Wire::default(),
-            got: None,
         }
     }
 
@@ -1957,7 +1926,7 @@ impl BruckAg {
     fn decode_held<C: Comm>(
         &mut self,
         comm: &mut C,
-        codec: &CprCodec,
+        link: Link<'_>,
         out: &mut [f32],
         ws: &mut CollWorkspace,
     ) {
@@ -1965,7 +1934,7 @@ impl BruckAg {
         while self.decoded < ws.blob_list.len() {
             let at = ws.chunk((me + self.decoded) % n);
             let blob = &ws.blob_list[self.decoded];
-            codec.decompress_once_to(comm, blob, &mut out[at], &mut ws.scratch);
+            link.unpack(comm, blob, &mut out[at], &mut ws.scratch);
             self.decoded += 1;
         }
     }
@@ -1983,7 +1952,8 @@ impl BruckAg {
     ) -> Poll {
         let n = comm.size();
         let me = comm.rank();
-        let link = once_link(self.compressed, cpr);
+        let link = self.place.link(cpr);
+        let once = matches!(link, Link::Once(_));
         loop {
             match self.phase {
                 BkPhase::Init => {
@@ -1991,9 +1961,9 @@ impl BruckAg {
                     self.held = 1;
                     self.decoded = 1;
                     self.step_no = 0;
-                    if let Link::Cpr(codec) = link {
+                    if once {
                         ws.blob_list.clear();
-                        let blob = codec.compress_once(comm, mine, &mut ws.pool);
+                        let blob = link.pack(comm, mine, &mut ws.pool);
                         ws.blob_list.push(blob);
                         memcpy_in(comm, &mut out[ws.chunk(me)], mine);
                     } else {
@@ -2004,59 +1974,38 @@ impl BruckAg {
                     self.phase = BkPhase::Round;
                 }
                 BkPhase::Round => {
-                    let held_now = if self.compressed {
-                        ws.blob_list.len()
-                    } else {
-                        self.held
-                    };
-                    if held_now >= n {
+                    if self.held >= n {
                         self.phase = BkPhase::Tail;
                         continue;
                     }
-                    let dist = held_now; // always a power of two
-                    let send_cnt = dist.min(n - held_now);
+                    let dist = self.held; // always a power of two
+                    let send_cnt = dist.min(n - dist);
                     let to = (me + n - dist) % n;
                     let from = (me + dist) % n;
-                    let tag = tags::BRUCK + once_band(self.compressed) + self.step_no;
-                    if let Link::Cpr(codec) = link {
-                        let held = &ws.blob_list[..send_cnt];
-                        let container = crate::wire::frame_blobs_pooled(&mut ws.pool, held);
-                        self.wire.rreq = Some(comm.irecv(from, tag));
-                        self.wire.sreq = Some(comm.isend(to, tag, container));
-                        // Decompress blocks gathered in earlier steps
-                        // while this step's containers are in flight.
-                        self.decode_held(comm, codec, out, ws);
+                    let tag = tags::BRUCK + self.place.band() + self.step_no;
+                    let payload = if once {
+                        crate::wire::frame_blobs_pooled(&mut ws.pool, &ws.blob_list[..send_cnt])
                     } else {
                         let send_vals: usize = (0..send_cnt).map(|i| ws.counts[(me + i) % n]).sum();
-                        let CollWorkspace {
-                            pool, acc: hold, ..
-                        } = ws;
-                        let payload = values_payload(pool, &hold[..send_vals]);
-                        self.wire.rreq = Some(comm.irecv(from, tag));
-                        self.wire.sreq = Some(comm.isend(to, tag, payload));
+                        link.pack(comm, &ws.acc[..send_vals], &mut ws.pool)
+                    };
+                    self.wire.rreq = Some(comm.irecv(from, tag));
+                    self.wire.sreq = Some(comm.isend(to, tag, payload));
+                    // Decompress blocks gathered in earlier steps while
+                    // this step's containers are in flight.
+                    if once {
+                        self.decode_held(comm, link, out, ws);
                     }
-                    self.phase = BkPhase::RecvWait;
+                    self.phase = BkPhase::Exchange;
                 }
-                BkPhase::RecvWait => {
-                    let Some(got) = self.wire.recv(comm, block, Category::Allgather) else {
+                BkPhase::Exchange => {
+                    let cat = Category::Allgather;
+                    let Some(got) = self.wire.exchange(comm, block, cat, cat) else {
                         return Poll::Pending;
                     };
-                    self.got = Some(got);
-                    self.phase = BkPhase::SendWait;
-                }
-                BkPhase::SendWait => {
-                    if !self.wire.send_done(comm, block, Category::Allgather) {
-                        return Poll::Pending;
-                    }
-                    let got = self.got.take().expect("Bruck step received a payload");
-                    let held_now = if self.compressed {
-                        ws.blob_list.len()
-                    } else {
-                        self.held
-                    };
-                    let dist = held_now;
-                    let send_cnt = dist.min(n - held_now);
-                    if self.compressed {
+                    let dist = self.held;
+                    let send_cnt = dist.min(n - dist);
+                    if once {
                         let held = &mut ws.blob_list;
                         crate::wire::unframe_blobs_append(&got, held)
                             .expect("well-formed Bruck container");
@@ -2069,19 +2018,17 @@ impl BruckAg {
                         let src = (me + dist) % n;
                         let recv_vals: usize =
                             (0..send_cnt).map(|i| ws.counts[(src + i) % n]).sum();
-                        assert_eq!(got.len(), recv_vals * 4, "Bruck step block size mismatch");
-                        let hold = &mut ws.acc;
-                        let at = hold.len();
-                        hold.resize(at + recv_vals, 0.0);
-                        decode_values_in(comm, &mut hold[at..], &got);
-                        self.held += send_cnt;
+                        let at = ws.acc.len();
+                        ws.acc.resize(at + recv_vals, 0.0);
+                        link.unpack(comm, &got, &mut ws.acc[at..], &mut ws.scratch);
                     }
+                    self.held += send_cnt;
                     self.step_no += 1;
                     self.phase = BkPhase::Round;
                 }
                 BkPhase::Tail => {
-                    if let Link::Cpr(codec) = link {
-                        self.decode_held(comm, codec, out, ws);
+                    if once {
+                        self.decode_held(comm, link, out, ws);
                         // Release the containers before the next call
                         // reuses the pool.
                         ws.blob_list.clear();
@@ -2292,7 +2239,7 @@ impl HierAr {
                     self.leg = if owner {
                         LaneLeg::NodeRs(RingRs::new(Placement::Raw))
                     } else {
-                        LaneLeg::GroupBcast(Bcast::new(None, 0))
+                        LaneLeg::GroupBcast(Bcast::fanout())
                     };
                 }
                 LaneLeg::NodeRs(scatter) => {
@@ -2326,7 +2273,7 @@ impl HierAr {
                     if r == Poll::Pending {
                         return Poll::Pending;
                     }
-                    self.leg = LaneLeg::NodeAg(RingAg::new(AgMode::Raw));
+                    self.leg = LaneLeg::NodeAg(RingAg::new(Placement::Raw, true));
                 }
                 LaneLeg::NodeAg(gather) => {
                     if lanes > 1 {
@@ -2338,7 +2285,7 @@ impl HierAr {
                             return Poll::Pending;
                         }
                     }
-                    self.leg = LaneLeg::GroupBcast(Bcast::new(None, 0));
+                    self.leg = LaneLeg::GroupBcast(Bcast::fanout());
                 }
                 LaneLeg::GroupBcast(fanout) => {
                     if grouped {
@@ -2374,14 +2321,14 @@ pub(crate) struct HierAg {
 }
 
 impl HierAg {
-    /// `mode` places the leader leg; `node_block_len` is *my* node's
-    /// total value count (`groups.node_counts[groups.node]`).
-    pub(crate) fn new(mode: AgMode, node_block_len: usize) -> Self {
+    /// `place` is the leader leg's placement; `node_block_len` is *my*
+    /// node's total value count (`groups.node_counts[groups.node]`).
+    pub(crate) fn new(place: Placement, node_block_len: usize) -> Self {
         HierAg {
             phase: HierPhase::Local,
-            local: Gather::new(false, 0, node_block_len),
-            inter: RingAg::new(mode),
-            fanout: Bcast::new(None, 0),
+            local: Gather::new(Placement::Raw, 0, node_block_len),
+            inter: RingAg::new(place, true),
+            fanout: Bcast::fanout(),
         }
     }
 
@@ -2452,7 +2399,7 @@ impl HierAg {
 #[derive(Debug)]
 pub(crate) struct HierBc {
     phase: HierPhase,
-    compressed: bool,
+    place: Placement,
     /// World rank of the broadcast root.
     root: usize,
     /// Leader-group index of the root's node.
@@ -2463,16 +2410,16 @@ pub(crate) struct HierBc {
 }
 
 impl HierBc {
-    /// `pipe` is the leader leg's sub-chunk size when the session has a
-    /// codec (the leg is then a streamed [`Bcast`]); `None` runs it raw.
-    pub(crate) fn new(pipe: Option<usize>, root: usize, root_node: usize) -> Self {
+    /// `place` is the leader leg's placement; at compress-once the leg
+    /// is a [`Bcast`] streamed in `pipe`-value sub-chunks.
+    pub(crate) fn new(place: Placement, pipe: usize, root: usize, root_node: usize) -> Self {
         HierBc {
             phase: HierPhase::Local,
-            compressed: pipe.is_some(),
+            place,
             root,
             root_node,
-            inter: Bcast::new(pipe, root_node),
-            fanout: Bcast::new(None, 0),
+            inter: Bcast::new(place, pipe, root_node),
+            fanout: Bcast::fanout(),
             wire: Wire::default(),
         }
     }
@@ -2502,7 +2449,7 @@ impl HierBc {
                     let tag = tags::HIER;
                     if me == self.root {
                         if self.wire.sreq.is_none() {
-                            let payload = values_payload(&mut ws.pool, data);
+                            let payload = Link::Raw.pack(comm, data, &mut ws.pool);
                             self.wire.sreq =
                                 Some(comm.isend(groups.lane_peers[self.root_node], tag, payload));
                         }
@@ -2517,7 +2464,7 @@ impl HierBc {
                             return Poll::Pending;
                         };
                         ws.hier.resize(out.len(), 0.0);
-                        crate::wire::decode_values_into(&got, &mut ws.hier);
+                        Link::Raw.land(comm, &got, &mut ws.hier, &mut ws.scratch);
                     }
                     self.phase = HierPhase::Inter;
                 }
@@ -2556,7 +2503,8 @@ impl HierBc {
                     // A non-leader root received its node's relayed
                     // decode; restore the exact source bits, as the
                     // flat compressed bcast guarantees for the root.
-                    if self.compressed && me == self.root && my_leader != self.root {
+                    let lossy = !matches!(self.place, Placement::Raw);
+                    if lossy && me == self.root && my_leader != self.root {
                         memcpy_in(comm, out, data);
                     }
                     self.phase = HierPhase::Done;
@@ -2575,8 +2523,7 @@ impl HierBc {
 enum BkA2aPhase {
     Init,
     Round,
-    RecvWait,
-    SendWait,
+    Exchange,
     Tail,
     Done,
 }
@@ -2584,30 +2531,28 @@ enum BkA2aPhase {
 /// Resumable Bruck all-to-all: a local rotation, ⌈log₂n⌉ doubling
 /// rounds each forwarding the blocks whose index has the round bit set
 /// (to `me + 2ᵏ`, from `me − 2ᵏ`), and an inverse rotation into `out`.
-/// `compressed = true` compresses every outgoing block once up front;
-/// blocks are *re-forwarded as blobs* without recoding (framed
-/// containers), and decoded exactly once at the tail.
+/// Compress-once compresses every outgoing block once up front; blocks
+/// are *re-forwarded as blobs* without recoding (framed containers), and
+/// decoded exactly once at the tail.
 #[derive(Debug)]
 pub(crate) struct BruckA2a {
-    compressed: bool,
+    place: Placement,
     phase: BkA2aPhase,
     /// Current round's bit value (1, 2, 4, …).
     v: usize,
     /// Round ordinal, for per-round tags.
     round_no: Tag,
     wire: Wire,
-    got: Option<Bytes>,
 }
 
 impl BruckA2a {
-    pub(crate) fn new(compressed: bool) -> Self {
+    pub(crate) fn new(place: Placement) -> Self {
         BruckA2a {
-            compressed,
+            place: place.movement(false, "Bruck all-to-all"),
             phase: BkA2aPhase::Init,
             v: 1,
             round_no: 0,
             wire: Wire::default(),
-            got: None,
         }
     }
 
@@ -2615,7 +2560,8 @@ impl BruckA2a {
     /// (compress-once) sub-bands, disjoint from the Bruck allgather's
     /// `+ step` and `+ 0xC00 + step` bands.
     fn tag(&self) -> Tag {
-        tags::BRUCK + if self.compressed { 0x600 } else { 0x400 } + self.round_no
+        let once = matches!(self.place, Placement::Once);
+        tags::BRUCK + if once { 0x600 } else { 0x400 } + self.round_no
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2631,7 +2577,8 @@ impl BruckA2a {
         let n = comm.size();
         let me = comm.rank();
         let b = send.len() / n;
-        let link = once_link(self.compressed, cpr);
+        let link = self.place.link(cpr);
+        let once = matches!(link, Link::Once(_));
         loop {
             match self.phase {
                 BkA2aPhase::Init => {
@@ -2646,15 +2593,14 @@ impl BruckA2a {
                         let CollWorkspace { stage, .. } = ws;
                         memcpy_in(comm, &mut stage[i * b..(i + 1) * b], &send[src..src + b]);
                     }
-                    if let Link::Cpr(codec) = link {
+                    if once {
                         ws.blobs.clear();
                         ws.blobs.resize(n, None);
                         let CollWorkspace {
                             pool, blobs, stage, ..
                         } = ws;
                         for (i, slot) in blobs.iter_mut().enumerate().skip(1) {
-                            *slot =
-                                Some(codec.compress_once(comm, &stage[i * b..(i + 1) * b], pool));
+                            *slot = Some(link.pack(comm, &stage[i * b..(i + 1) * b], pool));
                         }
                     }
                     self.phase = if n > 1 {
@@ -2670,7 +2616,7 @@ impl BruckA2a {
                     }
                     let to = (me + self.v) % n;
                     let from = (me + n - self.v) % n;
-                    let payload = if self.compressed {
+                    let payload = if once {
                         let CollWorkspace {
                             pool,
                             blobs,
@@ -2695,25 +2641,18 @@ impl BruckA2a {
                                 at += b;
                             }
                         }
-                        values_payload(&mut ws.pool, &ws.acc)
+                        link.pack(comm, &ws.acc, &mut ws.pool)
                     };
                     self.wire.rreq = Some(comm.irecv(from, self.tag()));
                     self.wire.sreq = Some(comm.isend(to, self.tag(), payload));
-                    self.phase = BkA2aPhase::RecvWait;
+                    self.phase = BkA2aPhase::Exchange;
                 }
-                BkA2aPhase::RecvWait => {
-                    let Some(got) = self.wire.recv(comm, block, Category::Allgather) else {
+                BkA2aPhase::Exchange => {
+                    let (recv_cat, send_cat) = (Category::Allgather, Category::Wait);
+                    let Some(got) = self.wire.exchange(comm, block, recv_cat, send_cat) else {
                         return Poll::Pending;
                     };
-                    self.got = Some(got);
-                    self.phase = BkA2aPhase::SendWait;
-                }
-                BkA2aPhase::SendWait => {
-                    if !self.wire.send_done(comm, block, Category::Wait) {
-                        return Poll::Pending;
-                    }
-                    let got = self.got.take().expect("round received a payload");
-                    if self.compressed {
+                    if once {
                         crate::wire::unframe_blobs_into(&got, &mut ws.blob_list)
                             .expect("well-formed Bruck container");
                         let CollWorkspace {
@@ -2730,7 +2669,7 @@ impl BruckA2a {
                     } else {
                         let m: usize = (0..n).filter(|i| i & self.v != 0).count();
                         ws.acc.resize(m * b, 0.0);
-                        decode_values_in(comm, &mut ws.acc, &got);
+                        link.unpack(comm, &got, &mut ws.acc, &mut ws.scratch);
                         let CollWorkspace { acc, stage, .. } = ws;
                         let mut at = 0;
                         for i in 0..n {
@@ -2750,12 +2689,11 @@ impl BruckA2a {
                     for i in 0..n {
                         let src = (me + n - i) % n;
                         let dst = &mut out[src * b..(src + 1) * b];
-                        match link {
-                            Link::Cpr(codec) if i != 0 => {
-                                let blob = ws.blobs[i].take().expect("tail slot holds a blob");
-                                codec.decompress_once_to(comm, &blob, dst, &mut ws.scratch);
-                            }
-                            _ => memcpy_in(comm, dst, &ws.stage[i * b..(i + 1) * b]),
+                        if once && i != 0 {
+                            let blob = ws.blobs[i].take().expect("tail slot holds a blob");
+                            link.unpack(comm, &blob, dst, &mut ws.scratch);
+                        } else {
+                            memcpy_in(comm, dst, &ws.stage[i * b..(i + 1) * b]);
                         }
                     }
                     self.phase = BkA2aPhase::Done;

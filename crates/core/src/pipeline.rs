@@ -394,11 +394,12 @@ impl RelayCursor {
         Self::default()
     }
 
-    /// Drive the broadcast of `out.len()` values. On the root an empty
-    /// `data` means `out` already holds the source; otherwise `data` is
-    /// the source and `out` receives its exact bits. Every other rank
-    /// ignores `data` and decodes into `out`. All sub-chunks travel on
-    /// `tag`.
+    /// Drive the broadcast of `out.len()` values, each sub-chunk
+    /// encoded once by `cpr` (the codec of the machine's `Link::Once`).
+    /// On the root an empty `data` means `out` already holds the source;
+    /// otherwise `data` is the source and `out` receives its exact
+    /// bits. Every other rank ignores `data` and decodes into `out`.
+    /// All sub-chunks travel on `tag`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
@@ -452,7 +453,14 @@ impl RelayCursor {
                 if !data.is_empty() {
                     out[lo..hi].copy_from_slice(&data[lo..hi]);
                 }
-                cpr.compress_once(comm, &out[lo..hi], bufs.pool)
+                compress_in(
+                    comm,
+                    cpr.codec.as_ref(),
+                    cpr.ck,
+                    &out[lo..hi],
+                    true,
+                    bufs.pool,
+                )
             } else {
                 if !block && consumed == NONBLOCKING_DRAIN_BUDGET {
                     return Poll::Pending;

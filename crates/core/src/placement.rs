@@ -1,36 +1,38 @@
 //! The compression-placement seam: *where* compression sits on a hop is
 //! decided once per machine ([`Placement`]) and bound once per `step` to
 //! the session codec ([`Link`]); every monolithic hop of every machine
-//! in [`crate::nonblocking`] then packs, unpacks and reduces through the
-//! link instead of spelling the raw / CPR pair out by hand.
+//! in [`crate::nonblocking`] then packs, lands and reduces through the
+//! link, the only charged codec interface a machine has.
 //!
-//! Which codec runs where:
+//! The four placements, and which codec runs where:
 //!
 //! * **raw** — none; values travel as little-endian `f32` bytes;
 //! * **CPR** (per hop) — the session codec, unpooled (each call pays the
 //!   `BufferMgmt` charge of a naive integration);
-//! * **once** (data movement) — the session codec, pooled:
-//!   [`CprCodec::compress_once`] at the origin, `decompress_once_to` at
-//!   each consumer (straight into its place in the output), opaque
-//!   relays in between;
+//! * **once** (data movement) — the session codec, pooled: `pack` at the
+//!   data's origin, `unpack` at each consumer (straight into its place
+//!   in the output), opaque relays in between;
 //! * **piped** (computation) — SZx at the session's error bound in
 //!   `PipelineConfig::chunk_values` sub-chunks, whatever the session
 //!   codec is: a `zfp-abs` session streams its reducing hops through
 //!   PIPE-SZx and runs ZFP only on its data-movement hops.
 //!
+//! A machine that cannot run a placement refuses it in its constructor.
+//!
 //! Orderings the machines keep — virtual time is bit-identical only
 //! while they hold:
 //!
 //! 1. `RingRs` posts its receive *before* packing; CPR reduces *between*
-//!    the receive-wait and the send-wait, raw *after both*. `RingAg` and
-//!    `Butterfly` pack first, then post the receive, then send.
+//!    the receive-wait and the send-wait, raw *after both*. Every other
+//!    full-duplex round packs first, then posts the receive, then sends,
+//!    and waits the pair out through `Wire::exchange`.
 //! 2. Raw `pack` charges nothing and raw `unpack` charges `Memcpy`; CPR
 //!    `unpack` is decompress (`ComDecom` + `BufferMgmt`) + `Memcpy` —
-//!    the naive integration the baselines model. `reduce` never charges
-//!    `Memcpy`, first touch (`from`) or not, and neither does the
-//!    compress-once `decompress_once_to`. The raw `Bcast` / `Scatter` /
-//!    `Gather` receives decode *uncharged* and therefore stay off the
-//!    link.
+//!    the naive integration the baselines model; once `pack` / `unpack`
+//!    charge the codec kernel and nothing else. `reduce` never charges
+//!    `Memcpy`, first touch (`from`) or not. `land` is `unpack` without
+//!    the `Memcpy` charge: the binomial `Bcast` / `Scatter` / `Gather`
+//!    receives, which a tree relays onwards, land through it.
 //! 3. Piped `RingRs` rounds live in the `tags::PIPELINE` family, not in
 //!    `REDUCE_SCATTER + band`.
 //! 4. Legs of a piped machine that move finalized data (Rabenseifner
@@ -50,26 +52,31 @@ use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
 use ccoll_compress::CodecScratch;
 
 use crate::collectives::cpr_p2p::CprCodec;
-use crate::collectives::{decode_values_in, memcpy_in, values_payload};
+use crate::collectives::{
+    compress_in, decode_values_in, decompress_in, decompress_reduce_in, memcpy_in, values_payload,
+};
 use crate::frameworks::computation::PipelineConfig;
 use crate::reduce::ReduceOp;
-use crate::wire::decode_values_vec;
+use crate::wire::{decode_values_into, decode_values_vec};
 
-/// Compression placement of a reducing or relaying machine.
+/// Compression placement of a machine.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Placement {
     /// Uncompressed.
     Raw,
     /// Monolithic per-hop compression (CPR-P2P).
     Cpr,
+    /// Compress once at the data's origin, relay opaque bytes, decode
+    /// once at each consumer (the data-movement framework).
+    Once,
     /// Pipelined sub-chunk hops with fused reduction (the computation
     /// framework).
     Piped(PipelineConfig),
 }
 
 impl Placement {
-    /// Tag sub-band of compress-once (data-movement framework) traffic:
-    /// the piped band, which no family shares between the two.
+    /// Tag sub-band of compress-once traffic: the piped band, which no
+    /// family shares between the two.
     pub(crate) const ONCE_BAND: Tag = 0xC00;
 
     /// This placement's sub-band inside a family's 4096-wide tag space
@@ -78,8 +85,24 @@ impl Placement {
         match self {
             Placement::Raw => 0,
             Placement::Cpr => 0x800,
-            Placement::Piped(_) => Self::ONCE_BAND,
+            Placement::Once | Placement::Piped(_) => Self::ONCE_BAND,
         }
+    }
+
+    /// `self`, checked in the constructor of a data-movement machine:
+    /// such a machine runs raw and compress-once, and per-hop CPR where
+    /// it has that shape.
+    ///
+    /// # Panics
+    /// Panics on a placement `machine` cannot run.
+    pub(crate) fn movement(self, per_hop: bool, machine: &str) -> Self {
+        let runs = match self {
+            Placement::Raw | Placement::Once => true,
+            Placement::Cpr => per_hop,
+            Placement::Piped(_) => false,
+        };
+        assert!(runs, "{machine} cannot run {self:?}");
+        self
     }
 
     /// Bind the placement to the session codec for one `step`.
@@ -87,38 +110,53 @@ impl Placement {
     /// # Panics
     /// Panics if a compressed placement is stepped without a codec.
     pub(crate) fn link(self, cpr: Option<&CprCodec>) -> Link<'_> {
+        let codec = || cpr.expect("compressed mode needs a codec");
         match self {
             Placement::Raw => Link::Raw,
-            _ => Link::Cpr(cpr.expect("compressed mode needs a codec")),
+            Placement::Once => Link::Once(codec()),
+            Placement::Cpr | Placement::Piped(_) => Link::Cpr(codec()),
         }
     }
 }
 
 /// A placement bound to the session codec: how one monolithic hop
-/// encodes, lands and reduces its payload. Each arm is the charged
-/// helper pair the hop has always called, so cost charges, wire bytes
-/// and tags do not depend on going through the link.
+/// encodes, lands and reduces its payload.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Link<'a> {
     /// Raw `f32` payloads.
     Raw,
     /// Session-codec payloads, unpooled.
     Cpr(&'a CprCodec),
+    /// Session-codec payloads through preallocated buffers.
+    Once(&'a CprCodec),
 }
 
-impl Link<'_> {
-    /// Encode `vals` for the wire. Raw charges nothing; CPR charges the
-    /// compression kernel plus `BufferMgmt`.
-    pub(crate) fn pack<C: Comm>(self, comm: &mut C, vals: &[f32], pool: &mut PayloadPool) -> Bytes {
+impl<'a> Link<'a> {
+    /// The codec and whether its buffers are pooled; `None` when raw.
+    fn codec(self) -> Option<(&'a CprCodec, bool)> {
         match self {
-            Link::Raw => values_payload(pool, vals),
-            Link::Cpr(codec) => codec.compress(comm, vals, pool),
+            Link::Raw => None,
+            Link::Cpr(codec) => Some((codec, false)),
+            Link::Once(codec) => Some((codec, true)),
+        }
+    }
+
+    /// Encode `vals` for the wire. Raw charges nothing; CPR charges the
+    /// compression kernel plus `BufferMgmt`, once the kernel alone.
+    pub(crate) fn pack<C: Comm>(self, comm: &mut C, vals: &[f32], pool: &mut PayloadPool) -> Bytes {
+        match self.codec() {
+            None => values_payload(pool, vals),
+            Some((c, pooled)) => compress_in(comm, c.codec.as_ref(), c.ck, vals, pooled, pool),
         }
     }
 
     /// Land a received payload of `dst.len()` values in `dst`. Raw
     /// charges `Memcpy`; CPR charges the decompression kernel,
-    /// `BufferMgmt` and `Memcpy`.
+    /// `BufferMgmt` and `Memcpy`; once decodes in place and charges the
+    /// kernel alone.
+    ///
+    /// # Panics
+    /// Panics if the payload does not hold `dst.len()` values.
     pub(crate) fn unpack<C: Comm>(
         self,
         comm: &mut C,
@@ -128,19 +166,49 @@ impl Link<'_> {
     ) {
         match self {
             Link::Raw => decode_values_in(comm, dst, got),
-            Link::Cpr(codec) => {
-                let vals = codec.decompress(comm, got, dst.len(), scratch);
+            Link::Cpr(c) => {
+                let vals = decompress_in(comm, c.codec.as_ref(), c.dk, got, dst.len(), scratch);
                 memcpy_in(comm, dst, vals);
             }
+            Link::Once(_) => self.land(comm, got, dst, scratch),
+        }
+    }
+
+    /// [`Link::unpack`] without the `Memcpy` charge — how a tree rank
+    /// takes delivery of what it relays onwards. Raw charges nothing.
+    ///
+    /// # Panics
+    /// Panics if the payload does not hold `dst.len()` values.
+    pub(crate) fn land<C: Comm>(
+        self,
+        comm: &mut C,
+        got: &[u8],
+        dst: &mut [f32],
+        scratch: &mut CodecScratch,
+    ) {
+        match self {
+            Link::Raw => decode_values_into(got, dst),
+            Link::Cpr(c) => dst.copy_from_slice(decompress_in(
+                comm,
+                c.codec.as_ref(),
+                c.dk,
+                got,
+                dst.len(),
+                scratch,
+            )),
+            Link::Once(c) => c
+                .try_decompress_once_to(comm, got, dst, scratch)
+                .expect("compress-once block length mismatch"),
         }
     }
 
     /// Fold a received payload into `dst` with `op`: in place, or — the
     /// first touch of an accumulator range — as `dst = fold(from,
     /// payload)`, which is what copying `from` in and then folding in
-    /// place computes. Raw decodes uncharged and charges `Reduce`; CPR
-    /// charges the decompression kernel, `Reduce` and `BufferMgmt`
-    /// (fused decompress-reduce). Neither form charges `Memcpy`.
+    /// place computes. Raw decodes uncharged and charges `Reduce`; a
+    /// codec charges the decompression kernel and `Reduce` (fused
+    /// decompress-reduce), CPR `BufferMgmt` on top. No form charges
+    /// `Memcpy`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn reduce<C: Comm>(
         self,
@@ -152,21 +220,20 @@ impl Link<'_> {
         scratch: &mut CodecScratch,
         context: &str,
     ) {
-        match self {
-            Link::Raw => {
-                let dec = &mut scratch.dec;
-                decode_values_vec(got, dec);
-                assert_eq!(dec.len(), dst.len(), "{context} block size mismatch");
-                let vals: &[f32] = dec;
-                comm.run_kernel(Kernel::Reduce, vals.len() * 4, Category::Reduction, || {
-                    if let Some(src) = from {
-                        dst.copy_from_slice(src);
-                    }
-                    op.apply(dst, vals)
-                });
-            }
-            Link::Cpr(codec) => codec.decompress_reduce(comm, got, op, from, dst, scratch),
-        }
+        let Some((c, pooled)) = self.codec() else {
+            let dec = &mut scratch.dec;
+            decode_values_vec(got, dec);
+            assert_eq!(dec.len(), dst.len(), "{context} block size mismatch");
+            let vals: &[f32] = dec;
+            return comm.run_kernel(Kernel::Reduce, vals.len() * 4, Category::Reduction, || {
+                if let Some(src) = from {
+                    dst.copy_from_slice(src);
+                }
+                op.apply(dst, vals)
+            });
+        };
+        let (codec, dk) = (c.codec.as_ref(), c.dk);
+        decompress_reduce_in(comm, codec, dk, got, op, from, dst, pooled, scratch);
     }
 }
 
@@ -201,21 +268,21 @@ mod tests {
         (took, documented)
     }
 
-    /// Rank 0 packs `vals(0.)` three times and ships them to rank 1,
-    /// which unpacks one, reduces one into `vals(1.)` in place and one
-    /// as the first touch of a stale buffer (`from = vals(1.)`): the
-    /// data must agree to within `tol` — the two reduce forms bit for
-    /// bit — and every call must take exactly the kernel terms its
-    /// placement documents (`pack`, `unpack`, `reduce`), in `Memcpy` no
-    /// more than `unpack`'s.
-    fn exercise(place: Placement, spec: CodecSpec, tol: f32, charges: [&'static [Kernel]; 3]) {
-        let [pack, unpack, reduce] = charges;
+    /// Rank 0 packs `vals(0.)` four times and ships them to rank 1,
+    /// which unpacks one, lands one, reduces one into `vals(1.)` in place
+    /// and one as the first touch of a stale buffer (`from = vals(1.)`):
+    /// the data must agree to within `tol` — the two landings and the
+    /// two reduce forms bit for bit — and every call must take exactly
+    /// the kernel terms its placement documents (`pack`, `unpack`,
+    /// `land`, `reduce`), in `Memcpy` no more than `unpack`'s.
+    fn exercise(place: Placement, spec: CodecSpec, tol: f32, charges: [&'static [Kernel]; 4]) {
+        let [pack, unpack, land, reduce] = charges;
         let out = SimWorld::new(SimConfig::new(2)).run(move |c| {
             let cpr = CprCodec::from_spec(spec);
             let link = place.link(cpr.as_ref());
             let mut ws = CollWorkspace::new();
             if c.rank() == 0 {
-                return [1, 2, 3].map(|tag| {
+                return [1, 2, 3, 4].map(|tag| {
                     let mut payload = Bytes::new();
                     let t = timed(c, pack, |c| {
                         payload = link.pack(c, &vals(0.0), &mut ws.pool)
@@ -224,17 +291,25 @@ mod tests {
                     t
                 });
             }
-            let mut landed = vec![0.0f32; LEN];
+            let mut unpacked = vec![0.0f32; LEN];
             let got = c.recv(0, 1);
             let t_unpack = timed(c, unpack, |c| {
-                link.unpack(c, &got, &mut landed, &mut ws.scratch)
+                link.unpack(c, &got, &mut unpacked, &mut ws.scratch)
             });
-            assert_within(&landed, &vals(0.0), tol, "unpack");
+            assert_within(&unpacked, &vals(0.0), tol, "unpack");
 
             let unpack_memcpy = c.profiler().breakdown().get(Category::Memcpy);
 
-            let mut acc = vals(1.0);
+            let mut landed = vec![0.0f32; LEN];
             let got = c.recv(0, 2);
+            let t_land = timed(c, land, |c| {
+                link.land(c, &got, &mut landed, &mut ws.scratch)
+            });
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&landed), bits(&unpacked), "land vs unpack");
+
+            let mut acc = vals(1.0);
+            let got = c.recv(0, 3);
             let t_reduce = timed(c, reduce, |c| {
                 let scratch = &mut ws.scratch;
                 link.reduce(c, &got, ReduceOp::Sum, None, &mut acc, scratch, "seam")
@@ -244,7 +319,7 @@ mod tests {
             assert_within(&acc, &expect, tol, "reduce vs unpack + apply");
 
             let mut born = vec![f32::NAN; LEN];
-            let got = c.recv(0, 3);
+            let got = c.recv(0, 4);
             let t_from = timed(c, reduce, |c| {
                 let (from, scratch) = (vals(1.0), &mut ws.scratch);
                 link.reduce(
@@ -257,11 +332,10 @@ mod tests {
                     "seam",
                 )
             });
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&born), bits(&acc), "first touch vs copy + reduce");
             let memcpy = c.profiler().breakdown().get(Category::Memcpy);
-            assert_eq!(memcpy, unpack_memcpy, "reduce charged a memcpy");
-            [t_unpack, t_reduce, t_from]
+            assert_eq!(memcpy, unpack_memcpy, "land or reduce charged a memcpy");
+            [t_unpack, t_land, t_reduce, t_from]
         });
         for (rank, calls) in out.results.iter().enumerate() {
             for (took, charged) in calls {
@@ -277,16 +351,30 @@ mod tests {
             Placement::Raw,
             CodecSpec::None,
             0.0,
-            [&[], &[Memcpy], &[Reduce]],
+            [&[], &[Memcpy], &[], &[Reduce]],
         );
         // The lossless codec and SZx share the SZx cost kernels.
-        let cpr: [&[Kernel]; 3] = [
+        let cpr: [&[Kernel]; 4] = [
             &[SzxCompress, BufferMgmt],
             &[SzxDecompress, BufferMgmt, Memcpy],
+            &[SzxDecompress, BufferMgmt],
             &[SzxDecompress, Reduce, BufferMgmt],
         ];
-        exercise(Placement::Cpr, CodecSpec::Lossless, 0.0, cpr);
+        // Compress-once goes through preallocated buffers and decodes in
+        // place: the codec kernel is the whole charge of every call.
+        let once: [&[Kernel]; 4] = [
+            &[SzxCompress],
+            &[SzxDecompress],
+            &[SzxDecompress],
+            &[SzxDecompress, Reduce],
+        ];
         let eb = 1e-3;
-        exercise(Placement::Cpr, CodecSpec::Szx { error_bound: eb }, eb, cpr);
+        for (spec, tol) in [
+            (CodecSpec::Lossless, 0.0),
+            (CodecSpec::Szx { error_bound: eb }, eb),
+        ] {
+            exercise(Placement::Cpr, spec, tol, cpr);
+            exercise(Placement::Once, spec, tol, once);
+        }
     }
 }

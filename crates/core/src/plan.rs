@@ -778,7 +778,7 @@ mod tests {
     use super::calibration::agree_min;
     use super::*;
     use crate::collectives::tags;
-    use crate::nonblocking::{AgMode, RingAg, RingRs};
+    use crate::nonblocking::{RingAg, RingRs};
     use crate::placement::Placement;
     use crate::reduce::ReduceOp;
 
@@ -913,7 +913,11 @@ mod tests {
             // Integer-valued, so the sums are exact.
             let value = |i: usize| ((i * (which + 2) + rank * 31) % 97) as f32;
             let input: Vec<f32> = (0..1003).map(value).collect();
-            let stages = (RingRs::new(Placement::Raw), RingAg::new(AgMode::Raw), false);
+            let stages = (
+                RingRs::new(Placement::Raw),
+                RingAg::new(Placement::Raw, true),
+                false,
+            );
             (stages, input, vec![0.0f32; 1003], CollWorkspace::new())
         });
         let flip = stamps.is_some() && rank % 2 == 1;

@@ -632,6 +632,15 @@ impl CCollSession {
             (None, false) => Placement::Raw,
         }
     }
+
+    /// The compression placement of this session's data-movement
+    /// schedules: compress-once with a codec, raw without.
+    pub(crate) fn movement_placement(&self) -> Placement {
+        match self.cpr {
+            Some(_) => Placement::Once,
+            None => Placement::Raw,
+        }
+    }
 }
 
 impl std::fmt::Debug for CCollSession {

@@ -24,7 +24,8 @@
 #![recursion_limit = "4096"]
 
 use c_coll::collectives::cpr_p2p::{
-    cpr_binomial_reduce_into, cpr_rabenseifner_allreduce_into, cpr_ring_allgatherv_into,
+    cpr_binomial_bcast_into, cpr_binomial_reduce_into, cpr_binomial_scatter_into,
+    cpr_pairwise_alltoall_into, cpr_rabenseifner_allreduce_into, cpr_ring_allgatherv_into,
     cpr_ring_reduce_scatter_into, CprCodec,
 };
 use c_coll::frameworks::data_movement::c_ring_allgatherv_monolithic_into;
@@ -440,4 +441,48 @@ fn algorithm_plans_are_bit_stable_across_calls() {
             assert!(stable, "{algorithm:?} rank {r}: repeat call diverged");
         }
     }
+}
+
+/// The three CPR-P2P data-movement baselines appear in no `BENCH_*.json`,
+/// so `--check` cannot see them move: pin their makespan, message count
+/// and wire bytes (summed over ranks) on a 7-rank world, root 3.
+#[test]
+fn cpr_data_movement_baselines_keep_their_virtual_time_and_traffic() {
+    const N: usize = 7;
+    const ROOT: usize = 3;
+    fn data(seed: usize, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i as f32) * 3e-3).sin() * 5.0 + seed as f32 * 0.125)
+            .collect()
+    }
+    fn assert_pinned(out: ccoll_comm::SimRunOutput<()>, want: (u128, u64, u64), what: &str) {
+        let messages: u64 = out.traffics.iter().map(|t| t.messages_sent).sum();
+        let bytes: u64 = out.traffics.iter().map(|t| t.bytes_sent).sum();
+        assert_eq!(
+            (out.makespan.as_nanos(), messages, bytes),
+            want,
+            "{what}: makespan ns / messages / bytes"
+        );
+    }
+    let world = || SimWorld::new(SimConfig::new(N));
+    let szx = || cpr(CodecSpec::Szx { error_bound: 1e-3 });
+    let bcast = world().run(move |c| {
+        let src = data(ROOT, if c.rank() == ROOT { 20_000 } else { 0 });
+        let (mut out, mut ws) = (vec![0.0f32; 20_000], CollWorkspace::new());
+        cpr_binomial_bcast_into(c, &szx(), ROOT, &src, &mut out, &mut ws);
+    });
+    assert_pinned(bcast, (424_691, 12, 160_080), "bcast");
+    let scatter = world().run(move |c| {
+        let src = data(ROOT, if c.rank() == ROOT { 20_000 } else { 0 });
+        let mut out = vec![0.0f32; chunk_lengths(20_000, N)[c.rank()]];
+        let mut ws = CollWorkspace::new();
+        cpr_binomial_scatter_into(c, &szx(), ROOT, &src, 20_000, &mut out, &mut ws);
+    });
+    assert_pinned(scatter, (115_324, 6, 34_369), "scatter");
+    let alltoall = world().run(move |c| {
+        let send = data(c.rank(), N * 3_000);
+        let (mut out, mut ws) = (vec![0.0f32; N * 3_000], CollWorkspace::new());
+        cpr_pairwise_alltoall_into(c, &szx(), &send, &mut out, &mut ws);
+    });
+    assert_pinned(alltoall, (159_260, 42, 167_910), "all-to-all");
 }
