@@ -8,7 +8,8 @@
 //! [`HierNet`] (fast intra-node, slow contended inter-node). It shows
 //! where the flat schedules' crossover moves as the inter-node fabric
 //! saturates, that the two-level schedule overtakes every flat one on
-//! large worlds, how many lanes it runs there, and that the continuously
+//! large worlds, how many lanes it runs there (and whether its node-local
+//! group legs stream as sub-chunk chains), and that the continuously
 //! calibrated `Auto` mode lands on the measured argmin at both ends of
 //! the sweep.
 //!
@@ -94,6 +95,7 @@ fn main() {
         "rabenseifner (ms)",
         "hier (ms)",
         "hier lanes",
+        "streamed",
         "fastest",
         "auto picks",
         "control (ms)",
@@ -104,16 +106,20 @@ fn main() {
         let topo = Topology::uniform(nodes, per_node);
         let ranks = nodes * per_node;
         // Plans are rank-free until started: ask one what it would run.
-        let hier_lanes = CCollSession::new(spec, ranks)
+        let plan = CCollSession::new(spec, ranks)
             .with_cost_model(cost.clone())
             .with_topology(topo.clone(), hier)
             .plan_allreduce_with(
                 values,
                 ReduceOp::Sum,
                 PlanOptions::new().algorithm(Algorithm::Hierarchical),
-            )
+            );
+        let hier_lanes = plan
             .hier_lanes()
             .expect("a hierarchical plan has a lane count");
+        let hier_streamed = plan
+            .hier_streamed()
+            .expect("a hierarchical plan has a group-leg shape");
         let mut times = Vec::new();
         for algorithm in FLAT.into_iter().chain([Algorithm::Hierarchical]) {
             // The flat schedules repeat their first execution exactly.
@@ -181,6 +187,7 @@ fn main() {
             format!("{:.3}", times[2]),
             format!("{:.3}", times[3]),
             hier_lanes.to_string(),
+            hier_streamed.to_string(),
             fastest.label().to_string(),
             picked.label().to_string(),
             format!("{control_plane_ms:.4}"),
@@ -192,7 +199,7 @@ fn main() {
             entry,
             " \"ring_ms\": {:.4}, \"recursive_doubling_ms\": {:.4}, \
              \"rabenseifner_ms\": {:.4}, \"hierarchical_ms\": {:.4}, \
-             \"hier_lanes\": {hier_lanes}, \
+             \"hier_lanes\": {hier_lanes}, \"hier_streamed\": {hier_streamed}, \
              \"best_flat_ms\": {best_flat:.4}, \"auto_ms\": {auto_ms:.4}, \
              \"control_plane_ms\": {control_plane_ms:.4}, \
              \"fastest\": \"{}\", \"auto\": \"{}\"}}",

@@ -396,19 +396,21 @@ impl CostModel {
         self.estimate_shape(schedule, nodes, node_size, node_size, hier, p)
     }
 
-    /// The lane count the laned hierarchical allreduce runs with on
-    /// `topo`: the argmin [`CostModel::estimate_hier`] returns the
-    /// minimum of. Plans call it with rank-identical inputs (nominal
-    /// ratio, uncalibrated `hier`), so every rank derives the same count
-    /// without a message.
+    /// The shape the laned hierarchical allreduce runs with on `topo`:
+    /// its lane count, and whether its two group legs stream as
+    /// sub-chunk chains (else they are binomial trees) — the shape whose
+    /// price [`CostModel::estimate_hier`] returns. Plans call it with
+    /// rank-identical inputs (nominal ratio, uncalibrated `hier`), so
+    /// every rank derives the same shape without a message.
     pub fn hier_lanes(
         &self,
         topo: &crate::topology::Topology,
         hier: &crate::topology::HierNet,
         p: &SchedParams,
-    ) -> usize {
+    ) -> (usize, bool) {
         let (nodes, s, cap) = (topo.nodes(), topo.max_node_size(), topo.min_node_size());
-        self.laned_allreduce(nodes, s, cap, hier, p).0
+        let best = self.laned_allreduce(nodes, s, cap, hier, p);
+        (best.lanes, best.streamed)
     }
 
     /// Price `schedule` on `nodes` nodes of at most `node_size` and at
@@ -447,10 +449,19 @@ impl CostModel {
         }
     }
 
-    /// The laned two-level allreduce at its best lane count, as
-    /// `(lanes, seconds)`: the argmin of [`Self::laned_allreduce_at`]
-    /// over `L ∈ {1, 2, 4, …} ≤ lane_cap` (every node needs `L` owners,
-    /// so the smallest node caps it). Ties go to the smaller `L`.
+    /// The laned two-level allreduce at its best lane count: the argmin
+    /// of [`Self::laned_allreduce_at`]'s binomial-leg price over `L ∈
+    /// {1, 2, 4, …} ≤ lane_cap` (every node needs `L` owners, so the
+    /// smallest node caps it), its group legs then in whichever shape
+    /// is cheaper at that `L`. Ties go to the smaller `L`.
+    ///
+    /// Streaming picks the legs' shape, never the lane count. A chain
+    /// shortens the group legs most where groups are large, so a joint
+    /// argmin would buy fewer lanes with it — and fewer lanes means a
+    /// longer inter-node leg per lane, which this model prices short:
+    /// on 16×16 ranks at 64 Ki values it rates 2 and 4 streamed lanes
+    /// within 0.2 % of each other, where the simulator runs 2 in 1.02 ms
+    /// and 4 in 0.93 ms (DESIGN.md, "Streamed group legs").
     fn laned_allreduce(
         &self,
         nodes: usize,
@@ -458,24 +469,63 @@ impl CostModel {
         lane_cap: usize,
         hier: &crate::topology::HierNet,
         p: &SchedParams,
-    ) -> (usize, f64) {
-        let mut best = (1, self.laned_allreduce_at(1, nodes, node_size, hier, p));
+    ) -> Laned {
+        let mut best = self.laned_allreduce_at(1, nodes, node_size, hier, p);
         let mut lanes = 2;
         while lanes <= lane_cap {
-            let secs = self.laned_allreduce_at(lanes, nodes, node_size, hier, p);
-            if secs < best.1 {
-                best = (lanes, secs);
+            let at = self.laned_allreduce_at(lanes, nodes, node_size, hier, p);
+            if at.tree_secs < best.tree_secs {
+                best = at;
             }
             lanes *= 2;
         }
         best
     }
 
-    /// Seconds of the laned two-level allreduce at `lanes` lanes, leg by
-    /// leg: raw binomial reduce inside each ⌈s/L⌉-rank group, raw ring
-    /// reduce-scatter over the node's `L` owners, Rabenseifner over the
-    /// `nodes` same-lane owners on d/L, raw ring allgather over the
-    /// owners, raw binomial bcast inside the group.
+    /// The two raw legs inside one `group`-rank group of the laned
+    /// allreduce, over the whole `d`-byte vector, as `(reduce to the
+    /// owner, fan-out from it)` seconds — in the binomial shape, or
+    /// streamed as a `chain`.
+    ///
+    /// *Binomial*: ⌈log₂g⌉ whole-vector hops each way, reducing on the
+    /// way in. *Chain*: the vector moves in `c = min(d, PIPE_CHUNK_BYTES)`
+    /// sub-chunks along the group's path, member `i` ↔ `i ± 1`. The first
+    /// sub-chunk crosses all `g − 1` hops (folded at every one on the way
+    /// in); the `k − 1 = ⌈d/c⌉ − 1` behind it follow at the pace of the
+    /// slower of a link (`α + cβ` per message: a port is held until its
+    /// message arrives) and a fold — `(g−1)(α + cβ + reduce(c)) +
+    /// (k−1)·max(α + cβ, reduce(c))` in and `(g + k − 2)(α + cβ)` out,
+    /// with the ragged last sub-chunk priced at its own size.
+    fn group_legs(&self, group: usize, d: f64, intra: &NetModel, chain: bool) -> (f64, f64) {
+        let ai = intra.latency.as_secs_f64();
+        let bi = 1.0 / intra.bandwidth;
+        let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
+        if !chain {
+            let log2g = (usize::BITS - (group.max(1) - 1).leading_zeros()) as f64;
+            return (log2g * (ai + d * bi + reduce(d)), log2g * (ai + d * bi));
+        }
+        let c = d.min(PIPE_CHUNK_BYTES as f64);
+        let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
+        let hops = group.max(1) as f64 - 1.0;
+        // Everything behind the first sub-chunk, through one link.
+        let (behind, link) = (d - c, (k - 1.0) * ai + (d - c) * bi);
+        (
+            hops * (ai + c * bi + reduce(c)) + link.max(reduce(behind)),
+            hops * (ai + c * bi) + link,
+        )
+    }
+
+    /// The laned two-level allreduce at `lanes` lanes, leg by leg: raw
+    /// reduce inside each ⌈s/L⌉-rank group, raw ring reduce-scatter over
+    /// the node's `L` owners, Rabenseifner over the `nodes` same-lane
+    /// owners on d/L, raw ring allgather over the owners, raw fan-out
+    /// inside the group.
+    ///
+    /// The two group legs run as binomial trees or as sub-chunk chains
+    /// ([`Self::group_legs`]), whichever prices cheaper for the pair: one
+    /// shape for both, so the price is that of what runs. A payload of
+    /// at most one sub-chunk always keeps the trees — its chain would
+    /// take `g − 1` hops where the tree takes ⌈log₂g⌉, never fewer.
     ///
     /// The `L` concurrent inter-node allreduces share each node's NIC,
     /// which the simulator holds for `α + tx` per *message*: together
@@ -497,18 +547,22 @@ impl CostModel {
         node_size: usize,
         hier: &crate::topology::HierNet,
         p: &SchedParams,
-    ) -> f64 {
+    ) -> Laned {
         let d = p.payload_bytes as f64;
         let ai = hier.intra.latency.as_secs_f64();
         let bi = 1.0 / hier.intra.bandwidth;
         let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
         let lf = lanes as f64;
         let group = node_size.max(1).div_ceil(lanes);
-        let log2g = (usize::BITS - (group - 1).leading_zeros()) as f64;
+        let legs = |chain| {
+            let (fold, fan) = self.group_legs(group, d, &hier.intra, chain);
+            fold + fan
+        };
+        let (tree, chain) = (legs(false), legs(true));
+        let streamed = d > PIPE_CHUNK_BYTES as f64 && chain < tree;
         let c = d / lf;
-        // Each intra-node hop is paid on the way in and on the way out;
-        // only the way in reduces.
-        let tree = log2g * (2.0 * (ai + d * bi) + reduce(d));
+        // Each ring hop is paid on the way in and on the way out; only
+        // the way in reduces.
         let ring = (lf - 1.0) * (2.0 * (ai + c * bi) + reduce(c));
         let shared_nic = NetModel {
             latency: hier.inter.latency.mul_f64(3.0 * lf - 2.0),
@@ -520,7 +574,13 @@ impl CostModel {
             ..*p
         };
         let inter = self.estimate(Schedule::RabenseifnerAllreduce, &shared_nic, &lane);
-        tree + ring + inter.as_secs_f64()
+        let rest = ring + inter.as_secs_f64();
+        Laned {
+            lanes,
+            streamed,
+            secs: if streamed { chain } else { tree } + rest,
+            tree_secs: tree + rest,
+        }
     }
 
     /// Price a hierarchical schedule's legs: raw intra-node fan-in/out
@@ -547,7 +607,8 @@ impl CostModel {
         let leaders = SchedParams { world: nodes, ..*p };
         let secs = match schedule {
             Schedule::HierarchicalAllreduce => {
-                self.laned_allreduce(nodes, node_size, lane_cap, hier, p).1
+                self.laned_allreduce(nodes, node_size, lane_cap, hier, p)
+                    .secs
             }
             Schedule::HierarchicalAllgather => {
                 // Node-local binomial gather of member blocks into the
@@ -578,6 +639,17 @@ impl CostModel {
         };
         Duration::from_secs_f64(secs)
     }
+}
+
+/// The laned allreduce's shape at one lane count, with its price.
+#[derive(Debug, Clone, Copy)]
+struct Laned {
+    lanes: usize,
+    /// The group legs run as sub-chunk chains (else binomial trees).
+    streamed: bool,
+    secs: f64,
+    /// The price with binomial group legs, which picks the lane count.
+    tree_secs: f64,
 }
 
 /// The collective schedules the cost model can rank (one entry per
@@ -611,12 +683,13 @@ pub enum Schedule {
     /// buffer each, between a local rotation and an inverse rotation.
     BruckAlltoall,
     /// Two-level laned allreduce. Each node's ranks form `L` groups:
-    /// binomial reduce inside the group, ring reduce-scatter over the
-    /// node's `L` group owners, Rabenseifner allreduce of each d/L lane
-    /// over that lane's owners on every node, ring allgather over the
-    /// owners, binomial bcast inside the group. Priced at the `L` that
-    /// minimises it ([`CostModel::hier_lanes`]); `L = 1` is one leader
-    /// per node and no ring legs.
+    /// reduce inside the group, ring reduce-scatter over the node's `L`
+    /// group owners, Rabenseifner allreduce of each d/L lane over that
+    /// lane's owners on every node, ring allgather over the owners,
+    /// fan-out inside the group (both group legs binomial trees or
+    /// sub-chunk chains). Priced at the shape it runs
+    /// ([`CostModel::hier_lanes`]); `L = 1` is one leader per node and
+    /// no ring legs.
     HierarchicalAllreduce,
     /// Two-level allgather: node-local gather into the leader, ring
     /// allgather of node blocks over the leaders, node-local bcast.
@@ -981,6 +1054,7 @@ mod tests {
         let lanes = |sizes: &[usize], bytes: usize| {
             let topo = crate::topology::Topology::from_node_sizes(sizes);
             m.hier_lanes(&topo, &net, &szx_params(topo.world(), bytes))
+                .0
         };
         // One-rank nodes (a flat net) leave nothing to lane.
         assert_eq!(lanes(&[1; 16], 4 << 20), 1);
@@ -1012,10 +1086,155 @@ mod tests {
                     &p,
                 );
                 let one = m.laned_allreduce_at(1, nodes, per_node, &net, &p);
-                let one = Duration::from_secs_f64(one);
+                let one = Duration::from_secs_f64(one.secs);
                 assert!(est <= one, "{nodes}x{per_node} 2^{k}: {est:?} vs {one:?}");
             }
         }
+    }
+
+    /// One `group`-rank node's raw group legs over `values` values on
+    /// the simulator, moving the bytes and charging the `Reduce` kernel
+    /// as the schedules do — binomial trees of whole-vector messages, or
+    /// `PIPE_CHUNK_BYTES` sub-chunks along the path (folded on the way
+    /// in, relayed on the way out) — as `(reduce, fan-out)` makespans in
+    /// seconds.
+    fn simulated_group_legs(group: usize, values: usize, chain: bool) -> (f64, f64) {
+        use crate::comm::Comm;
+        use crate::profile::Category;
+        use crate::sim::{SimConfig, SimWorld};
+        use crate::topology::{ClusterNet, HierNet, Topology};
+        use bytes::Bytes;
+
+        let d = values * 4;
+        let pieces: Vec<usize> = if chain {
+            let c = PIPE_CHUNK_BYTES;
+            (0..d.div_ceil(c)).map(|j| c.min(d - j * c)).collect()
+        } else {
+            vec![d]
+        };
+        let run = |fold: bool| {
+            let pieces = pieces.clone();
+            let cluster = ClusterNet::new(Topology::uniform(1, group), HierNet::cluster_default());
+            let world = SimWorld::new(SimConfig::new(group).with_cluster(cluster));
+            let out = world.run(move |c| {
+                let (me, g) = (c.rank(), group);
+                let mut sends = Vec::new();
+                let payload = |bytes: usize| Bytes::from(vec![0u8; bytes]);
+                match (chain, fold) {
+                    (true, true) => {
+                        for &bytes in &pieces {
+                            if me + 1 < g {
+                                c.recv(me + 1, 0);
+                                c.charge(Kernel::Reduce, bytes, Category::Reduction);
+                            }
+                            if me > 0 {
+                                sends.push(c.isend(me - 1, 0, payload(bytes)));
+                            }
+                        }
+                    }
+                    (true, false) => {
+                        for &bytes in &pieces {
+                            let got = if me == 0 {
+                                payload(bytes)
+                            } else {
+                                c.recv(me - 1, 0)
+                            };
+                            if me + 1 < g {
+                                sends.push(c.isend(me + 1, 0, got));
+                            }
+                        }
+                    }
+                    (false, true) => {
+                        let mut mask = 1;
+                        while mask < g {
+                            if me & mask != 0 {
+                                c.send(me - mask, 0, payload(d));
+                                break;
+                            }
+                            if me + mask < g {
+                                c.recv(me + mask, 0);
+                                c.charge(Kernel::Reduce, d, Category::Reduction);
+                            }
+                            mask <<= 1;
+                        }
+                    }
+                    (false, false) => {
+                        let parent = if me == 0 {
+                            g.next_power_of_two()
+                        } else {
+                            1 << me.trailing_zeros()
+                        };
+                        if me > 0 {
+                            c.recv(me - parent, 0);
+                        }
+                        let mut mask = parent >> 1;
+                        while mask > 0 {
+                            if me + mask < g {
+                                c.send(me + mask, 0, payload(d));
+                            }
+                            mask >>= 1;
+                        }
+                    }
+                }
+                for req in sends {
+                    c.wait_send_in(req, Category::Wait);
+                }
+            });
+            out.makespan.as_secs_f64()
+        };
+        (run(true), run(false))
+    }
+
+    #[test]
+    fn group_leg_prices_track_the_simulator() {
+        // The closed forms the laned allreduce picks its group legs by,
+        // against the legs themselves on the intra-node links of
+        // `cluster_default()`: within 5 % everywhere, chains included.
+        let m = CostModel::default();
+        let intra = crate::topology::HierNet::cluster_default().intra;
+        for group in [2, 4, 8, 16] {
+            for values in [16 << 10, 64 << 10, 256 << 10] {
+                for chain in [false, true] {
+                    let (fold, fan) = m.group_legs(group, (values * 4) as f64, &intra, chain);
+                    let (sim_fold, sim_fan) = simulated_group_legs(group, values, chain);
+                    for (leg, price, sim) in [("reduce", fold, sim_fold), ("fan-out", fan, sim_fan)]
+                    {
+                        assert!(
+                            (price - sim).abs() <= 0.05 * sim,
+                            "g={group} {values} values chain={chain} {leg}: \
+                             priced {price:e} s, simulated {sim:e} s"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_legs_stream_only_past_one_sub_chunk() {
+        let m = CostModel::default();
+        let net = crate::topology::HierNet::cluster_default();
+        let one_chunk = PIPE_CHUNK_BYTES / 4;
+        for (nodes, per_node) in [(4, 4), (4, 8), (16, 16), (8, 5), (2, 16)] {
+            for values in [1, 64, 4096, one_chunk] {
+                for params in [
+                    szx_params(nodes * per_node, values * 4),
+                    SchedParams::uncompressed(nodes * per_node, values * 4),
+                ] {
+                    let mut lanes = 1;
+                    while lanes <= per_node {
+                        let at = m.laned_allreduce_at(lanes, nodes, per_node, &net, &params);
+                        assert!(!at.streamed, "{nodes}x{per_node} {values} values L={lanes}");
+                        lanes *= 2;
+                    }
+                }
+            }
+        }
+        // `auto_hier_256`'s shape: the streamed legs leave its lane
+        // count where the binomial ones had it.
+        let topo = crate::topology::Topology::uniform(16, 16);
+        let p = szx_params(topo.world(), (64 << 10) * 4);
+        assert_eq!(m.hier_lanes(&topo, &net, &p), (4, true));
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub struct Allreduce {
     /// Lanes of the hierarchical schedule at this length (see
     /// [`CCollSession::hier_lanes`]); read when the split is built.
     pub(crate) lanes: usize,
+    /// Whether that schedule streams its group legs as sub-chunk chains
+    /// (derived with `lanes`).
+    pub(crate) streamed: bool,
 }
 
 impl Allreduce {
@@ -44,11 +47,13 @@ impl Allreduce {
         op: ReduceOp,
         variant: AllreduceVariant,
     ) -> Self {
+        let (lanes, streamed) = session.hier_lanes(len);
         Allreduce {
             len,
             op,
             variant,
-            lanes: session.hier_lanes(len),
+            lanes,
+            streamed,
         }
     }
 }
@@ -76,6 +81,16 @@ impl Plan<Allreduce> {
     /// setting for it.
     pub fn hier_lanes(&self) -> Option<usize> {
         (self.core.algorithm == Algorithm::Hierarchical).then_some(self.kind.lanes)
+    }
+
+    /// Whether the hierarchical schedule streams its two node-local
+    /// group legs — the reduce to each group's owner and the fan-out
+    /// from it — as chains of sub-chunks instead of whole-vector
+    /// binomial trees; `None` unless the plan is
+    /// [`Algorithm::Hierarchical`]. Derived from the cost model with
+    /// [`hier_lanes`](Self::hier_lanes), never set.
+    pub fn hier_streamed(&self) -> Option<bool> {
+        (self.core.algorithm == Algorithm::Hierarchical).then_some(self.kind.streamed)
     }
 }
 
@@ -147,17 +162,20 @@ impl Kind for Allreduce {
             // owner runs up to L−2 steps ahead of a slow right
             // neighbour, which holds every one of those payloads until
             // it reads it. The one-lane shape (a whole-vector stream) is
-            // the floor, so a plan never warms less than it used to.
-            // The scratch keeps the full length: a group owner decodes
-            // whole-vector raw tree hops into it.
-            Algorithm::Hierarchical => {
+            // the floor, so a plan never warms less than it used to —
+            // and that floor is what streamed group legs need: the
+            // source end of a chain has its whole stream, one slot per
+            // sub-chunk, in flight (so does a raw plan's, whose pool is
+            // then warmed the same way). The scratch keeps the full
+            // length: a group owner decodes whole-vector raw tree hops
+            // into it.
+            Algorithm::Hierarchical if piped || self.streamed => {
                 let rings = 2 * (self.lanes - 1);
-                if piped {
-                    let laned = len.div_ceil(self.lanes) + rings * session.pipe_values();
-                    session.pipelined_stream_workspace(len.max(1), len.max(laned))
-                } else {
-                    session.warmed_workspace(len.max(1), 4 + rings)
-                }
+                let laned = len.div_ceil(self.lanes) + rings * session.pipe_values();
+                session.pipelined_stream_workspace(len.max(1), len.max(laned))
+            }
+            Algorithm::Hierarchical => {
+                session.warmed_workspace(len.max(1), 4 + 2 * (self.lanes - 1))
             }
             // Butterfly schedules exchange up to the full payload per
             // round (recursive doubling) or half of it (Rabenseifner).
@@ -201,7 +219,11 @@ impl Kind for Allreduce {
             // The hierarchical placement is that of the inter-node leg
             // every lane owner runs on its slice; node-local legs are
             // always raw (intra-node links don't pay for a codec).
-            (Algorithm::Hierarchical, _) => ArMachine::Hier(HierAr::new(place)),
+            (Algorithm::Hierarchical, _) => ArMachine::Hier(HierAr::new(
+                place,
+                core.session.pipe_values(),
+                self.streamed,
+            )),
             (_, false) => ArMachine::ring(Placement::Raw, Placement::Raw),
             (_, true) => match self.variant {
                 AllreduceVariant::Original => ArMachine::ring(Placement::Raw, Placement::Raw),

@@ -68,7 +68,7 @@ use crate::collectives::baseline::{butterfly_fold, butterfly_pos_to_rank};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{memcpy_in, tags};
 use crate::partition::chunk_range;
-use crate::pipeline::{split_src_dst, HopCursor, RelayCursor};
+use crate::pipeline::{split_src_dst, ChainCursor, HopCursor, RelayCursor};
 use crate::placement::{Link, Placement};
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
@@ -1240,8 +1240,10 @@ enum BcPhase {
 ///   message.
 /// * **raw** — uncompressed values as one message per tree edge, each
 ///   send waited out before the next. Deliberately not streamed: its
-///   root is egress-bound either way, and it is the node-local fan-out
-///   of every hierarchical schedule.
+///   root is egress-bound either way. It is the node-local fan-out of
+///   the hierarchical allgather and broadcast, and of the hierarchical
+///   allreduce wherever that does not stream its group legs as a chain
+///   ([`HierAr`]).
 /// * **CPR-P2P** — the raw shape with every hop decompressing what it
 ///   received and re-compressing it for *each* child: `log₂N · (T_comp +
 ///   T_decomp)` on the critical path (the Fig. 3 left-hand timeline).
@@ -2150,47 +2152,76 @@ enum HierPhase {
 /// at a time, built when its leg begins.
 #[derive(Debug)]
 enum LaneLeg {
-    GroupReduce(TreeReduce),
+    GroupReduce(GroupLeg<TreeReduce>),
     NodeRs(RingRs),
     Inter(Butterfly),
     NodeAg(RingAg),
-    GroupBcast(Bcast),
+    GroupBcast(GroupLeg<Bcast>),
     Final,
     Done,
 }
 
+/// A group leg's machine: the binomial tree `T`, or the sub-chunk chain.
+#[derive(Debug)]
+enum GroupLeg<T> {
+    Tree(T),
+    Chain(ChainCursor),
+}
+
+impl<T> GroupLeg<T> {
+    fn new(streamed: bool, tree: T) -> Self {
+        if streamed {
+            GroupLeg::Chain(ChainCursor::new())
+        } else {
+            GroupLeg::Tree(tree)
+        }
+    }
+}
+
 /// Laned two-level allreduce over `L = groups.owners.len()` lanes:
 ///
-/// 1. raw binomial reduce of the whole vector inside each group, to its
-///    owner;
+/// 1. raw reduce of the whole vector inside each group, to its owner;
 /// 2. raw ring reduce-scatter over the node's `L` owners — owner `l`
 ///    ends with lane `l` (d/L values) of the node's sum;
 /// 3. a Rabenseifner allreduce of lane `l` over the lane-`l` owners of
 ///    every node (where the codec terms and the shared inter-node NIC
 ///    live), straight into lane `l` of `out`;
 /// 4. raw ring allgather of the lanes over the node's owners;
-/// 5. raw binomial fan-out of the result inside each group.
+/// 5. raw fan-out of the result inside each group.
+///
+/// Phases 1 and 5 are binomial trees ([`TreeReduce`], [`Bcast`]) or,
+/// when the plan's cost model prices it cheaper (`streamed`: payloads of
+/// several sub-chunks), [`ChainCursor`] streams of `pipe`-value
+/// sub-chunks along the group — folded toward the owner, relayed away
+/// from it. Non-owners fold into `out`, which the fan-out overwrites.
 ///
 /// `L = 1` is the single-leader schedule (phases 2 and 4 have one
 /// member and are skipped); `L =` node size is reduce-scatter-first
-/// (phases 1 and 5 are skipped); every `L` moves the same bytes. Every
-/// leg is an existing machine over a [`CommView::group`] view; tag families
-/// stay disjoint (`TREE_REDUCE` / `REDUCE_SCATTER` /
-/// `RABENSEIFNER` / `ALLGATHER` / `BCAST`) and concurrent groups of one
-/// phase have disjoint member sets.
+/// (phases 1 and 5 are skipped); every `L` and either group shape moves
+/// the same bytes. Every leg is an existing machine over a
+/// [`CommView::group`] view; tag families stay disjoint (`TREE_REDUCE` /
+/// `REDUCE_SCATTER` / `RABENSEIFNER` / `ALLGATHER` / `BCAST`, a group
+/// leg's chain on its tree's tag) and concurrent groups of one phase
+/// have disjoint member sets.
 #[derive(Debug)]
 pub(crate) struct HierAr {
     place: Placement,
+    /// Sub-chunk size of the streamed group legs.
+    pipe: usize,
+    streamed: bool,
     leg: LaneLeg,
 }
 
 impl HierAr {
     /// `place` is the inter-node leg's placement; the intra-node legs
-    /// are always raw.
-    pub(crate) fn new(place: Placement) -> Self {
+    /// are always raw, and the group legs are `pipe`-value sub-chunk
+    /// chains when `streamed`.
+    pub(crate) fn new(place: Placement, pipe: usize, streamed: bool) -> Self {
         HierAr {
             place,
-            leg: LaneLeg::GroupReduce(TreeReduce::new(Placement::Raw, 0)),
+            pipe,
+            streamed,
+            leg: LaneLeg::GroupReduce(GroupLeg::new(streamed, TreeReduce::new(Placement::Raw, 0))),
         }
     }
 
@@ -2221,16 +2252,26 @@ impl HierAr {
         let chunk_len = if lanes > 1 { lane.len() } else { 0 };
         loop {
             match &mut self.leg {
-                LaneLeg::GroupReduce(tree) => {
+                LaneLeg::GroupReduce(leg) => {
                     let owner = groups.is_owner(me);
                     if owner {
                         ws.hier.resize(tree_len + chunk_len, 0.0);
                     }
                     if grouped {
                         let mut hier = std::mem::take(&mut ws.hier);
-                        let result = if owner { &mut hier[..d] } else { &mut [][..] };
                         let mut sub = CommView::group(comm, &groups.group);
-                        let r = tree.step(&mut sub, None, inner, input, result, ws, block);
+                        let r = match leg {
+                            GroupLeg::Tree(tree) => {
+                                let result = if owner { &mut hier[..d] } else { &mut [][..] };
+                                tree.step(&mut sub, None, inner, input, result, ws, block)
+                            }
+                            GroupLeg::Chain(chain) => {
+                                let acc = if owner { &mut hier[..d] } else { &mut *out };
+                                let (pipe, tag) = (self.pipe, tags::TREE_REDUCE);
+                                let bufs = &mut ws.pipe();
+                                chain.fold(&mut sub, pipe, inner, input, acc, tag, bufs, block)
+                            }
+                        };
                         ws.hier = hier;
                         if r == Poll::Pending {
                             return Poll::Pending;
@@ -2239,7 +2280,7 @@ impl HierAr {
                     self.leg = if owner {
                         LaneLeg::NodeRs(RingRs::new(Placement::Raw))
                     } else {
-                        LaneLeg::GroupBcast(Bcast::fanout())
+                        LaneLeg::GroupBcast(GroupLeg::new(self.streamed, Bcast::fanout()))
                     };
                 }
                 LaneLeg::NodeRs(scatter) => {
@@ -2285,12 +2326,21 @@ impl HierAr {
                             return Poll::Pending;
                         }
                     }
-                    self.leg = LaneLeg::GroupBcast(Bcast::fanout());
+                    self.leg = LaneLeg::GroupBcast(GroupLeg::new(self.streamed, Bcast::fanout()));
                 }
-                LaneLeg::GroupBcast(fanout) => {
+                LaneLeg::GroupBcast(leg) => {
                     if grouped {
                         let mut sub = CommView::group(comm, &groups.group);
-                        if fanout.step(&mut sub, None, &[], out, ws, block) == Poll::Pending {
+                        let r = match leg {
+                            GroupLeg::Tree(fanout) => {
+                                fanout.step(&mut sub, None, &[], out, ws, block)
+                            }
+                            GroupLeg::Chain(chain) => {
+                                let bufs = &mut ws.pipe();
+                                chain.relay(&mut sub, self.pipe, out, tags::BCAST, bufs, block)
+                            }
+                        };
+                        if r == Poll::Pending {
                             return Poll::Pending;
                         }
                     }

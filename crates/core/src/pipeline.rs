@@ -1,9 +1,11 @@
-//! The two sub-chunk pipeline engines (paper §III-A2/§III-E2, made
+//! The three sub-chunk pipeline engines (paper §III-A2/§III-E2, made
 //! schedule-agnostic and resumable): [`HopCursor`] for the *computation*
-//! framework and [`RelayCursor`] for the *data-movement* framework.
+//! framework, [`RelayCursor`] for the *data-movement* framework, and
+//! [`ChainCursor`] for the raw intra-node legs of the laned hierarchical
+//! allreduce.
 //!
-//! Both move one logical buffer in PIPE-SZx sub-chunks (5120 values by
-//! default), all on **one tag matched FIFO** (so neither needs per-chunk
+//! All three move one logical buffer in PIPE sub-chunks (5120 values by
+//! default), all on **one tag matched FIFO** (so none needs per-chunk
 //! sequence numbers), with every incoming sub-chunk receive posted up
 //! front, sends queued and retired lazily, and only the residual tail
 //! that could not be overlapped showing up as `Wait` time — the quantity
@@ -48,7 +50,17 @@
 //! compressed binomial broadcast (`nonblocking::Bcast`, also the leader
 //! leg of the hierarchical broadcast).
 //!
-//! Every posted-receive boundary of either cursor is a suspension
+//! **[`ChainCursor`] — one raw buffer along a path of ranks, folded or
+//! relayed at every member.** Toward the path's first member each rank
+//! folds sub-chunk `j` from its upstream neighbour with its own input
+//! and passes the fold on while `j + 1` is still arriving; away from it
+//! each rank relays an arrival before landing it. A `g`-rank path costs
+//! `g − 1` sub-chunk hops plus the stream behind the first, not
+//! ⌈log₂g⌉ whole-vector hops with every fold on one root. Driver: the
+//! group reduce and group fan-out of `nonblocking::HierAr`, where the
+//! cost model prices the chain below the binomial tree.
+//!
+//! Every posted-receive boundary of any cursor is a suspension
 //! point, so the nonblocking plan handles
 //! (`start`/`progress`/`complete`) can hand control back to application
 //! compute mid-stream and resume exactly where they left off;
@@ -75,6 +87,7 @@ use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{compress_in, decompress_reduce_in};
 use crate::frameworks::computation::PipelineConfig;
 use crate::nonblocking::Poll;
+use crate::placement::Link;
 use crate::reduce::ReduceOp;
 
 /// Most arrived sub-chunks a *nonblocking* drain consumes per call
@@ -426,8 +439,7 @@ impl RelayCursor {
         };
         // Non-root only (the root's `relative - span` underflows).
         let parent = || (relative - span + root) % n;
-        // An empty payload still travels as one (empty) stream.
-        let n_chunks = out.len().div_ceil(pipe).max(1);
+        let chunks = Chunks::new(out.len(), pipe);
 
         if !self.posted {
             bufs.sreqs.clear();
@@ -440,24 +452,23 @@ impl RelayCursor {
             } else {
                 // Early Irecv of the whole stream, matched FIFO.
                 bufs.rreqs
-                    .extend((0..n_chunks).map(|_| comm.irecv(parent(), tag)));
+                    .extend((0..chunks.count).map(|_| comm.irecv(parent(), tag)));
             }
             self.posted = true;
         }
 
         let mut consumed = 0;
-        while self.j < n_chunks {
-            let lo = self.j * pipe;
-            let hi = (lo + pipe).min(out.len());
+        while self.j < chunks.count {
+            let at = chunks.range(self.j);
             let blob = if is_root {
                 if !data.is_empty() {
-                    out[lo..hi].copy_from_slice(&data[lo..hi]);
+                    out[at.clone()].copy_from_slice(&data[at.clone()]);
                 }
                 compress_in(
                     comm,
                     cpr.codec.as_ref(),
                     cpr.ck,
-                    &out[lo..hi],
+                    &out[at.clone()],
                     true,
                     bufs.pool,
                 )
@@ -480,27 +491,18 @@ impl RelayCursor {
             }
             if !is_root
                 && cpr
-                    .try_decompress_once_to(comm, &blob, &mut out[lo..hi], bufs.scratch)
+                    .try_decompress_once_to(comm, &blob, &mut out[at], bufs.scratch)
                     .is_err()
             {
                 // Only a permanently lost sub-chunk can do this: the
                 // FIFO stream closed up behind it and the short tail
-                // landed in a full slot. Abort like the starved tail
-                // receive would have.
-                assert!(
-                    comm.fault_policy().is_active(),
-                    "C-Bcast sub-chunk does not decode to the planned length"
-                );
-                comm.profiler().note_abort(CommError::Timeout {
-                    src: parent(),
-                    tag,
-                    waited: Duration::ZERO,
-                });
+                // landed in a full slot.
+                abort_stream(comm, parent(), tag, "C-Bcast sub-chunk does not decode");
                 return Poll::Pending;
             }
             self.j += 1;
             consumed += 1;
-            if self.j < n_chunks {
+            if self.j < chunks.count {
                 comm.poll();
                 retire_sends(comm, bufs.sreqs, false);
                 if !block && is_root {
@@ -509,11 +511,244 @@ impl RelayCursor {
             }
         }
 
-        if retire_sends(comm, bufs.sreqs, block) {
-            Poll::Ready
-        } else {
-            Poll::Pending
+        finish(comm, bufs.sreqs, block)
+    }
+}
+
+/// Resumable state of one raw buffer streamed along a *path* — member
+/// `i` of the communicator next to `i ± 1` — in `pipe`-value sub-chunks,
+/// all on one tag matched FIFO: the group legs of the laned hierarchical
+/// allreduce. Like the other two cursors it is plain-old-data; the
+/// request handles live in the lent [`PipeBufs`] queues.
+///
+/// * [`ChainCursor::fold`] runs toward member 0. The far end sends its
+///   input's sub-chunks straight away; every other member folds each
+///   arrival from `i + 1` into its accumulator — the first touch of that
+///   range, `acc = fold(input, arrival)` — and passes the fold on to
+///   `i − 1`. Member 0 ends with the reduction.
+/// * [`ChainCursor::relay`] runs away from member 0. Member 0 sends its
+///   buffer's sub-chunks straight away; every other member hands each
+///   arrival on to `i + 1` *before* landing it.
+///
+/// Sub-chunk `j` crosses one hop while `j + 1` crosses the hop behind
+/// it, so a `g`-member path costs `g − 1` sub-chunk hops plus the stream
+/// behind the first — where a binomial tree costs ⌈log₂g⌉ whole-vector
+/// hops and folds all of them at its root. Both have
+/// [`HopCursor::step`]'s `block` contract: a nonblocking step consumes at
+/// most [`NONBLOCKING_DRAIN_BUDGET`] arrivals (the source end packs its
+/// whole stream in its first step: raw packing is uncharged), and the
+/// sub-chunk sequence is independent of where it suspended. A sub-chunk
+/// of the wrong length — only a permanently lost one ahead of it in the
+/// FIFO can cause that — aborts like a starved receive.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct ChainCursor {
+    /// Receives posted / queues reset for this stream.
+    posted: bool,
+    /// Next sub-chunk to fold or relay (all of them, once the source
+    /// end has sent its stream).
+    j: usize,
+}
+
+impl ChainCursor {
+    /// A cursor at the start of a stream.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reduce `input` across the path to member 0, whose `acc` holds the
+    /// (unfinalized) result on `Ready`. Every member's `acc` is as long
+    /// as `input`, its contents on entry do not matter, and it is
+    /// unspecified afterwards anywhere but at member 0; the far end never
+    /// touches its own.
+    ///
+    /// # Panics
+    /// Panics on a path of one member (there is nothing to stream).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fold<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        pipe: usize,
+        op: ReduceOp,
+        input: &[f32],
+        acc: &mut [f32],
+        tag: Tag,
+        bufs: &mut PipeBufs<'_>,
+        block: bool,
+    ) -> Poll {
+        let (me, n) = (comm.rank(), comm.size());
+        assert!(n > 1, "a chain needs two members");
+        let chunks = Chunks::new(input.len(), pipe);
+        let far_end = me + 1 == n;
+        self.post(comm, (!far_end).then_some(me + 1), chunks.count, tag, bufs);
+        if far_end {
+            self.send_all(comm, input, me - 1, chunks, tag, bufs);
         }
+        let mut consumed = 0;
+        while self.j < chunks.count {
+            if !block && consumed == NONBLOCKING_DRAIN_BUDGET {
+                return Poll::Pending;
+            }
+            let at = chunks.range(self.j);
+            let Some(got) = arrival(comm, me + 1, tag, at.len(), bufs.rreqs, block) else {
+                return Poll::Pending;
+            };
+            let (from, dst) = (Some(&input[at.clone()]), &mut acc[at.clone()]);
+            Link::Raw.reduce(comm, &got, op, from, dst, bufs.scratch, "chain fold");
+            if me > 0 {
+                let payload = Link::Raw.pack(comm, &acc[at], bufs.pool);
+                bufs.sreqs.push_back(comm.isend(me - 1, tag, payload));
+            }
+            self.j += 1;
+            consumed += 1;
+            comm.poll();
+            retire_sends(comm, bufs.sreqs, false);
+        }
+        finish(comm, bufs.sreqs, block)
+    }
+
+    /// Broadcast member 0's `out` along the path into every other
+    /// member's `out`.
+    ///
+    /// # Panics
+    /// Panics on a path of one member (there is nothing to stream).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn relay<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        pipe: usize,
+        out: &mut [f32],
+        tag: Tag,
+        bufs: &mut PipeBufs<'_>,
+        block: bool,
+    ) -> Poll {
+        let (me, n) = (comm.rank(), comm.size());
+        assert!(n > 1, "a chain needs two members");
+        let chunks = Chunks::new(out.len(), pipe);
+        self.post(comm, me.checked_sub(1), chunks.count, tag, bufs);
+        if me == 0 {
+            self.send_all(comm, out, 1, chunks, tag, bufs);
+        }
+        let mut consumed = 0;
+        while self.j < chunks.count {
+            if !block && consumed == NONBLOCKING_DRAIN_BUDGET {
+                return Poll::Pending;
+            }
+            let at = chunks.range(self.j);
+            let Some(got) = arrival(comm, me - 1, tag, at.len(), bufs.rreqs, block) else {
+                return Poll::Pending;
+            };
+            if me + 1 < n {
+                bufs.sreqs.push_back(comm.isend(me + 1, tag, got.clone()));
+            }
+            Link::Raw.land(comm, &got, &mut out[at], bufs.scratch);
+            self.j += 1;
+            consumed += 1;
+            comm.poll();
+            retire_sends(comm, bufs.sreqs, false);
+        }
+        finish(comm, bufs.sreqs, block)
+    }
+
+    /// First step only: reset the queues and post every sub-chunk
+    /// receive from `src` up front (none at the source end).
+    fn post<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        src: Option<usize>,
+        count: usize,
+        tag: Tag,
+        bufs: &mut PipeBufs<'_>,
+    ) {
+        if self.posted {
+            return;
+        }
+        bufs.sreqs.clear();
+        bufs.rreqs.clear();
+        if let Some(src) = src {
+            bufs.rreqs.extend((0..count).map(|_| comm.irecv(src, tag)));
+        }
+        self.posted = true;
+    }
+
+    /// The source end's whole stream: every sub-chunk of `vals` packed
+    /// and sent to `to`, once.
+    fn send_all<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        vals: &[f32],
+        to: usize,
+        chunks: Chunks,
+        tag: Tag,
+        bufs: &mut PipeBufs<'_>,
+    ) {
+        while self.j < chunks.count {
+            let payload = Link::Raw.pack(comm, &vals[chunks.range(self.j)], bufs.pool);
+            bufs.sreqs.push_back(comm.isend(to, tag, payload));
+            self.j += 1;
+        }
+    }
+}
+
+/// The `pipe`-value sub-chunks of a `len`-value buffer (an empty buffer
+/// still travels, as one empty sub-chunk).
+#[derive(Debug, Clone, Copy)]
+struct Chunks {
+    len: usize,
+    pipe: usize,
+    count: usize,
+}
+
+impl Chunks {
+    fn new(len: usize, pipe: usize) -> Self {
+        let count = len.div_ceil(pipe).max(1);
+        Chunks { len, pipe, count }
+    }
+
+    fn range(&self, j: usize) -> Range<usize> {
+        let lo = j * self.pipe;
+        lo..(lo + self.pipe).min(self.len)
+    }
+}
+
+/// [`next_arrival`] for a raw stream from `src` whose next sub-chunk
+/// holds `len` values. A payload of another length aborts (noted on the
+/// profiler, `None`): only a permanently lost sub-chunk — the FIFO
+/// stream closing up behind it — lands a short tail in a full slot.
+fn arrival<C: Comm>(
+    comm: &mut C,
+    src: usize,
+    tag: Tag,
+    len: usize,
+    rreqs: &mut VecDeque<RecvReq>,
+    block: bool,
+) -> Option<Bytes> {
+    let got = next_arrival(comm, rreqs, block)?;
+    if got.len() == 4 * len {
+        return Some(got);
+    }
+    abort_stream(comm, src, tag, "chain sub-chunk does not fill its slot");
+    None
+}
+
+/// Abort a stream from `src` whose next sub-chunk does not fit its slot,
+/// as its starved tail receive would have (noted on the profiler; the
+/// caller suspends). `what` names the broken condition — without an
+/// active fault policy no sub-chunk can go missing, so it is a bug.
+fn abort_stream<C: Comm>(comm: &mut C, src: usize, tag: Tag, what: &str) {
+    assert!(comm.fault_policy().is_active(), "{what} without a fault");
+    comm.profiler().note_abort(CommError::Timeout {
+        src,
+        tag,
+        waited: Duration::ZERO,
+    });
+}
+
+/// Retire a stream's sends: `Ready` once all have left.
+fn finish<C: Comm>(comm: &mut C, sreqs: &mut VecDeque<SendReq>, block: bool) -> Poll {
+    if retire_sends(comm, sreqs, block) {
+        Poll::Ready
+    } else {
+        Poll::Pending
     }
 }
 
@@ -546,5 +781,6 @@ mod tests {
         // A suspended hop must cost nothing to hold in a plan handle.
         assert!(std::mem::size_of::<HopCursor>() <= 24);
         assert!(std::mem::size_of::<RelayCursor>() <= 16);
+        assert!(std::mem::size_of::<ChainCursor>() <= 16);
     }
 }

@@ -327,13 +327,14 @@ impl CCollSession {
         }
     }
 
-    /// Lanes the hierarchical allreduce runs with at `len` values (1
-    /// without a topology): the cost model's argmin over inputs that
-    /// are identical on every rank — payload, topology, the configured
-    /// models, the codec's *nominal* ratio; never a measured ratio or a
-    /// calibrated scale — so all ranks agree without a message.
-    pub(crate) fn hier_lanes(&self, len: usize) -> usize {
-        self.cluster.as_deref().map_or(1, |c| {
+    /// Lanes the hierarchical allreduce runs with at `len` values, and
+    /// whether it streams its group legs (`(1, false)` without a
+    /// topology): the cost model's argmin over inputs that are identical
+    /// on every rank — payload, topology, the configured models, the
+    /// codec's *nominal* ratio; never a measured ratio or a calibrated
+    /// scale — so all ranks agree without a message.
+    pub(crate) fn hier_lanes(&self, len: usize) -> (usize, bool) {
+        self.cluster.as_deref().map_or((1, false), |c| {
             let nominal = self.select_ctx().params(len * 4);
             self.cost.hier_lanes(&c.topo, &c.net, &nominal)
         })
@@ -1107,14 +1108,15 @@ mod tests {
     }
 
     /// One allreduce of `data(rank, len)` on a simulated `sizes` cluster,
-    /// the hierarchical lane count forced to `lanes` when given. Returns
-    /// each rank's result and the lane count it ran with.
+    /// the hierarchical shape — lane count, streamed group legs — forced
+    /// to `shape` when given. Returns each rank's result and the lane
+    /// count it ran with.
     fn cluster_allreduce(
         sizes: &[usize],
         len: usize,
         spec: CodecSpec,
         algorithm: Algorithm,
-        lanes: Option<usize>,
+        shape: Option<(usize, bool)>,
         data: fn(usize, usize) -> Vec<f32>,
     ) -> ccoll_comm::SimRunOutput<(Vec<f32>, Option<usize>)> {
         let topo = Topology::from_node_sizes(sizes);
@@ -1125,8 +1127,9 @@ mod tests {
             let session = CCollSession::new(spec, n).with_topology(topo.clone(), net);
             let opts = PlanOptions::new().algorithm(algorithm);
             let mut plan = session.plan_allreduce_with(len, ReduceOp::Sum, opts);
-            if let Some(lanes) = lanes {
+            if let Some((lanes, streamed)) = shape {
                 plan.kind.lanes = lanes;
+                plan.kind.streamed = streamed;
             }
             let input = data(c.rank(), len);
             let first = plan.execute(c, &input);
@@ -1138,12 +1141,18 @@ mod tests {
 
     /// Body of the proptest below.
     fn check_lanes_bitwise(sizes: &[usize], len: usize) {
-        let run = |a, lanes| cluster_allreduce(sizes, len, CodecSpec::None, a, lanes, int_data);
+        let run = |a, shape| cluster_allreduce(sizes, len, CodecSpec::None, a, shape, int_data);
         let ring = run(Algorithm::Ring, None);
         for lanes in 1..=*sizes.iter().min().expect("non-empty") {
-            let hier = run(Algorithm::Hierarchical, Some(lanes));
-            for (r, (h, flat)) in hier.results.iter().zip(&ring.results).enumerate() {
-                assert_eq!(h.0, flat.0, "rank {r} of {sizes:?} at {lanes} lanes");
+            for streamed in [false, true] {
+                let hier = run(Algorithm::Hierarchical, Some((lanes, streamed)));
+                for (r, (h, flat)) in hier.results.iter().zip(&ring.results).enumerate() {
+                    let shape = (lanes, streamed);
+                    assert_eq!(
+                        h.0, flat.0,
+                        "rank {r} of {sizes:?} at (lanes, streamed) {shape:?}"
+                    );
+                }
             }
         }
     }
@@ -1152,7 +1161,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         // Lossless, the laned schedule leaves the flat ring's bits on
-        // every rank at every lane count an asymmetric topology admits.
+        // every rank at every lane count an asymmetric topology admits,
+        // with either group-leg shape.
         #[test]
         fn laned_hierarchical_matches_flat_ring_bitwise(
             sizes in proptest::collection::vec(1usize..=5, 2..=4),
@@ -1174,7 +1184,7 @@ mod tests {
             10_000,
             SZX,
             Algorithm::Hierarchical,
-            Some(1),
+            Some((1, false)),
             rank_data,
         );
         let sent = out.traffics.iter().map(|t| (t.messages_sent, t.bytes_sent));
@@ -1184,29 +1194,29 @@ mod tests {
         assert!(sent.eq(parent), "{:?}", out.traffics);
     }
 
-    /// The cost model's lane count, run in the simulator it models: never
-    /// slower than the one-lane schedule, and from 64 Ki values up within
-    /// 10 % of the best lane count the simulator can find. (Below that
-    /// the model prices free-running NIC queueing the lock-step
-    /// simulation of a 4-node cluster does not show, and stays on one
-    /// lane.)
+    /// The cost model's shape, run in the simulator it models: never
+    /// slower than the one-lane binomial schedule, and from 64 Ki values
+    /// up within 10 % of the best shape — lane count, group-leg shape —
+    /// the simulator can find. (Below that the model prices free-running
+    /// NIC queueing the lock-step simulation of a 4-node cluster does
+    /// not show, and stays on one lane.)
     #[test]
     fn derived_lane_count_is_near_the_best_simulated_one() {
         for len in [4 << 10, 64 << 10, 1 << 20] {
-            let run = |lanes| {
-                cluster_allreduce(&[8; 4], len, SZX, Algorithm::Hierarchical, lanes, rank_data)
+            let run = |shape| {
+                cluster_allreduce(&[8; 4], len, SZX, Algorithm::Hierarchical, shape, rank_data)
             };
             let own = run(None);
-            let forced = [1, 2, 4, 8].map(|l| run(Some(l)).makespan);
-            let best = forced.iter().min().expect("non-empty");
+            let forced = [false, true].map(|s| [1, 2, 4, 8].map(|l| run(Some((l, s))).makespan));
+            let best = forced.iter().flatten().min().expect("non-empty");
+            let one_lane = forced[0][0];
             let slack = if len >= 64 << 10 { 1.10 } else { f64::INFINITY };
             assert!(
-                own.makespan <= forced[0]
+                own.makespan <= one_lane
                     && own.makespan.as_secs_f64() <= slack * best.as_secs_f64(),
-                "{len} values: {:?} lanes take {:?}, one lane {:?}, the best count {best:?}",
+                "{len} values: {:?} lanes take {:?}, one lane {one_lane:?}, the best shape {best:?}",
                 own.results[0].1,
                 own.makespan,
-                forced[0]
             );
         }
     }

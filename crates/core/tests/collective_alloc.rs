@@ -106,7 +106,8 @@ fn steady_state_plans_allocate_nothing() {
         // rank 2 an owner that is not the leader, ranks 1 and 3
         // non-owners, ranks 4 and 5 owners of one-rank groups. Its split
         // is built at the first start; its five sub-machines share the
-        // one workspace.
+        // one workspace. Its group legs stream as chains of five
+        // sub-chunks each way (24 000 values over the default 5120).
         let mut hier_allreduce = session
             .clone()
             .with_topology(
@@ -119,6 +120,11 @@ fn steady_state_plans_allocate_nothing() {
                 PlanOptions::new().algorithm(Algorithm::Hierarchical),
             );
         assert_eq!(hier_allreduce.hier_lanes(), Some(2), "the case under audit");
+        assert_eq!(
+            hier_allreduce.hier_streamed(),
+            Some(true),
+            "the case under audit"
+        );
 
         let input = rank_data(me, len);
         let chunk = rank_data(me, len / n);

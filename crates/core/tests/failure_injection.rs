@@ -494,3 +494,126 @@ fn streamed_bcast_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
     );
     assert!(mid_stream_aborts >= 1, "no abort happened mid-stream");
 }
+
+// The two chain-stream fault tests below share one streamed hierarchical
+// allreduce: nodes of 5, 5 and 3 ranks, so group legs of up to five
+// members; three default-size sub-chunks and a ragged fourth; raw
+// integer data, so "correct" is bitwise the exact sum.
+const CHAIN_NODES: [usize; 3] = [5, 5, 3];
+const CHAIN_LEN: usize = 3 * 5120 + 700;
+
+fn streamed_hier_plan(n: usize) -> c_coll::AllreducePlan {
+    let plan = CCollSession::new(CodecSpec::None, n)
+        .with_topology(
+            Topology::from_node_sizes(&CHAIN_NODES),
+            HierNet::cluster_default(),
+        )
+        .plan_allreduce_with(
+            CHAIN_LEN,
+            ReduceOp::Sum,
+            PlanOptions::new().algorithm(Algorithm::Hierarchical),
+        );
+    assert_eq!(plan.hier_streamed(), Some(true), "the case under test");
+    plan
+}
+
+fn chain_oracle(n: usize) -> Vec<f32> {
+    let mut oracle = vec![0.0f32; CHAIN_LEN];
+    for r in 0..n {
+        for (o, v) in oracle.iter_mut().zip(rank_data(r, CHAIN_LEN)) {
+            *o += v;
+        }
+    }
+    oracle
+}
+
+#[test]
+fn streamed_hierarchical_retries_mid_stream_drops_and_delays_bitwise() {
+    // Transient drops and delays land on sub-chunks in the middle of the
+    // group chains' FIFO streams (and on every other leg): retried and
+    // late sub-chunks still match their own posted receive, folds and
+    // relays see them in order, and no output bit changes.
+    let n: usize = CHAIN_NODES.iter().sum();
+    let cfg = SimConfig::new(n)
+        .with_faults(
+            FaultPlan::seeded(29)
+                .with_drops(0.2, Duration::from_micros(300), 4)
+                .with_delays(0.2, Duration::from_micros(400)),
+        )
+        .with_fault_policy(patient_policy());
+    let out = SimWorld::new(cfg).run(move |c| {
+        let mut plan = streamed_hier_plan(n);
+        let mut result = vec![0.0f32; CHAIN_LEN];
+        plan.try_execute_into(c, &rank_data(c.rank(), CHAIN_LEN), &mut result)
+            .expect("transient faults absorbed");
+        (result, plan.stats().retries)
+    });
+    let oracle = chain_oracle(n);
+    for (rank, (got, _)) in out.results.iter().enumerate() {
+        assert_eq!(got, &oracle, "rank {rank}: streamed result intact");
+    }
+    assert!(
+        out.results.iter().any(|r| r.1 > 0),
+        "the fault plan must actually force retries"
+    );
+}
+
+#[test]
+fn streamed_hierarchical_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
+    // A permanently lost sub-chunk closes up its FIFO stream: the member
+    // behind it starves on its last receive — or finds a short tail in a
+    // full slot — and aborts, and everyone waiting on that member in
+    // turn times out. Never a hang, never a wrong result: a rank either
+    // finishes with the exact sum or aborts on a poisoned plan, and after
+    // `reset()` the same plan object runs the next allreduce to the
+    // exact sum. Seeds where the rerun loses a message too are skipped;
+    // enough seeds must show the abort-then-clean pattern.
+    let n: usize = CHAIN_NODES.iter().sum();
+    let oracle = chain_oracle(n);
+    let mut clean_reruns = 0;
+    let mut mid_stream_aborts = 0;
+    for seed in 0..48 {
+        let cfg = SimConfig::new(n)
+            .with_faults(FaultPlan::seeded(seed).with_loss(0.003))
+            .with_fault_policy(FaultPolicy::with_timeout(Duration::from_micros(500), 2));
+        let out = SimWorld::new(cfg).run(move |c| {
+            let mut plan = streamed_hier_plan(n);
+            let input = rank_data(c.rank(), CHAIN_LEN);
+            let mut first = vec![0.0f32; CHAIN_LEN];
+            let aborted = match plan.try_execute_into(c, &input, &mut first) {
+                Ok(()) => false,
+                Err(e) => {
+                    assert!(matches!(e, CollectiveError::Comm(_)), "{e:?}");
+                    assert!(plan.is_poisoned());
+                    plan.reset();
+                    true
+                }
+            };
+            c.barrier();
+            let mut second = vec![0.0f32; CHAIN_LEN];
+            let rerun = plan.try_execute_into(c, &input, &mut second).is_ok();
+            (aborted, first, rerun, second)
+        });
+        let aborted: Vec<_> = out.results.iter().filter(|r| r.0).collect();
+        if aborted.is_empty() || !out.results.iter().all(|r| r.2) {
+            continue;
+        }
+        clean_reruns += 1;
+        // An aborted rank that holds the first sub-chunk of the sum
+        // lost its stream after the fan-out chain had delivered it.
+        if aborted.iter().any(|r| r.1[..5120] == oracle[..5120]) {
+            mid_stream_aborts += 1;
+        }
+        for (rank, r) in out.results.iter().enumerate() {
+            assert_eq!(r.3, oracle, "seed {seed} rank {rank}: rerun after reset");
+            if !r.0 {
+                assert_eq!(r.1, oracle, "seed {seed} rank {rank}: finished rank");
+            }
+        }
+    }
+    assert!(
+        clean_reruns >= 3,
+        "only {clean_reruns} seeds aborted then reran clean"
+    );
+    assert!(mid_stream_aborts >= 1, "no abort happened mid-stream");
+}

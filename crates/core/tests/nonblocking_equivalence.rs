@@ -332,6 +332,7 @@ fn nonblocking_laned_hierarchical_matches_blocking_bits_and_bytes() {
                             PlanOptions::new().algorithm(Algorithm::Hierarchical),
                         );
                         assert_eq!(plan.hier_lanes(), Some(2), "the case under test");
+                        assert_eq!(plan.hier_streamed(), Some(true), "the case under test");
                         let data = smooth_data(c.rank(), len, 11);
                         let mut out = vec![0.0f32; len];
                         if nonblocking {
@@ -346,6 +347,53 @@ fn nonblocking_laned_hierarchical_matches_blocking_bits_and_bytes() {
             };
             assert_eq!(run(true), run(false), "{spec:?} at grain {grain}");
         }
+    }
+}
+
+/// A hierarchical allreduce whose group legs stream as sub-chunk chains
+/// (three sub-chunks and a ragged fourth, groups of up to five ranks)
+/// started, progressed without blocking for as long as that does any
+/// work, and completed is the blocking drive exactly: the same bits on
+/// every rank, the same messages and bytes, the same virtual time. Where
+/// the chain cursors suspended cannot show.
+#[test]
+fn nonblocking_streamed_hierarchical_matches_blocking_bits_time_and_messages() {
+    let sizes = [5usize, 5, 3];
+    let n: usize = sizes.iter().sum();
+    let len = 3 * 5120 + 700;
+    for spec in [CodecSpec::None, CodecSpec::Szx { error_bound: 1e-3 }] {
+        let run = |nonblocking: bool| {
+            SimWorld::new(SimConfig::new(n))
+                .run(move |c| {
+                    let session = CCollSession::new(spec, n).with_topology(
+                        Topology::from_node_sizes(&sizes),
+                        HierNet::cluster_default(),
+                    );
+                    let mut plan = session.plan_allreduce_with(
+                        len,
+                        ReduceOp::Sum,
+                        PlanOptions::new().algorithm(Algorithm::Hierarchical),
+                    );
+                    assert_eq!(plan.hier_streamed(), Some(true), "the case under test");
+                    let data = integer_data(c.rank(), len, 3);
+                    let mut out = vec![0.0f32; len];
+                    if nonblocking {
+                        let mut handle = plan.start(c, &data, &mut out);
+                        for _ in 0..16 {
+                            if handle.progress(c).is_ready() {
+                                break;
+                            }
+                        }
+                        handle.complete(c);
+                    } else {
+                        plan.execute_into(c, &data, &mut out);
+                    }
+                    let traffic = c.profiler().traffic();
+                    (out, traffic.messages_sent, traffic.bytes_sent, c.now())
+                })
+                .results
+        };
+        assert_eq!(run(true), run(false), "{spec:?}");
     }
 }
 

@@ -145,9 +145,14 @@ fn int_data(rank: usize, len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// Values in one PIPE sub-chunk at the session default.
+const CHUNK: usize = 5120;
+
 /// Body of [`hierarchical_allreduce_matches_flat_ring_bitwise`]: plain
 /// functions keep the `proptest!` macro input small (its tt-muncher
 /// expansion hits the compiler recursion limit on large inline bodies).
+/// Past one sub-chunk on nodes of three ranks or more, the plan must
+/// stream its group legs.
 fn check_hier_allreduce_bitwise(
     sizes: &[usize],
     len: usize,
@@ -172,10 +177,14 @@ fn check_hier_allreduce_bitwise(
             PlanOptions::new().algorithm(Algorithm::Ring),
         );
         let input = int_data(c.rank(), len, seed);
-        (hier.execute(c, &input), ring.execute(c, &input))
+        let streamed = hier.hier_streamed();
+        (hier.execute(c, &input), ring.execute(c, &input), streamed)
     });
+    if len > CHUNK && sizes.iter().all(|&s| s >= 3) {
+        prop_assert_eq!(out.results[0].2, Some(true), "topology {:?}", sizes);
+    }
     for r in 0..n {
-        let (h, flat) = &out.results[r];
+        let (h, flat, _) = &out.results[r];
         prop_assert_eq!(h, flat, "rank {} of topology {:?}", r, sizes);
     }
     Ok(())
@@ -320,13 +329,17 @@ proptest! {
 
     // Across random asymmetric topologies (node sizes 1..=5, including
     // non-power-of-two leader counts), the two-level lossless allreduce
-    // is bit-identical to the flat ring.
+    // is bit-identical to the flat ring — at one sub-chunk, and streamed
+    // (nodes of 3..=5 ranks, three sub-chunks and a ragged fourth).
     #[test]
     fn hierarchical_allreduce_matches_flat_ring_bitwise(
-        sizes in prop::collection::vec(1usize..=5, 2..=4),
-        len in 64usize..600,
+        shape in prop_oneof![
+            (prop::collection::vec(1usize..=5, 2..=4), 64usize..600),
+            (prop::collection::vec(3usize..=5, 2..=3), 3 * CHUNK + 1..4 * CHUNK),
+        ],
         seed in any::<u64>(),
     ) {
+        let (sizes, len) = shape;
         check_hier_allreduce_bitwise(&sizes, len, seed)?;
     }
 
