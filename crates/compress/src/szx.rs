@@ -118,6 +118,13 @@ impl SzxCodec {
         self.block_size
     }
 
+    /// The number of values `stream` holds, read from its header without
+    /// decoding it: a fused fold insists on exactly that many, so a
+    /// caller that cannot trust the count checks it first.
+    pub fn stream_values(stream: &[u8]) -> Result<usize, CompressError> {
+        open(stream).map(|(count, ..)| count)
+    }
+
     /// Decode a whole stream into `dst` the way `land` says.
     fn decode_slice(
         &self,
@@ -795,6 +802,16 @@ mod tests {
                 .decompress_reduce_into(&c, ReduceKind::Sum, &mut dst, &mut scratch)
                 .unwrap_err(),
             CompressError::BadMagic
+        );
+    }
+
+    #[test]
+    fn stream_values_reads_the_header_count() {
+        let c = SzxCodec::new(1e-3).compress(&[1.0f32; 10]).unwrap();
+        assert_eq!(SzxCodec::stream_values(&c), Ok(10));
+        assert_eq!(
+            SzxCodec::stream_values(&c[..5]).unwrap_err(),
+            CompressError::Truncated
         );
     }
 

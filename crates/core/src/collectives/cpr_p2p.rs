@@ -23,8 +23,8 @@
 
 use std::sync::Arc;
 
-use ccoll_comm::{Category, Comm, Kernel};
-use ccoll_compress::{CodecScratch, CompressError, Compressor};
+use ccoll_comm::{Comm, Kernel};
+use ccoll_compress::Compressor;
 
 use crate::codec::CodecSpec;
 use crate::nonblocking::{Alltoall, Bcast, Butterfly, RingAg, RingRs, Scatter, TreeReduce};
@@ -65,22 +65,6 @@ impl CprCodec {
     pub fn from_spec(spec: CodecSpec) -> Option<Self> {
         let (ck, dk) = spec.kernels();
         Some(CprCodec::new(spec.build()?, ck, dk))
-    }
-
-    /// The compress-once decode at a final consumer, straight into its
-    /// place in the output: the decompression kernel is the whole charge
-    /// (no `BufferMgmt`, and no `Memcpy` — nothing is copied). `Err`
-    /// when the stream does not hold `dst.len()` values.
-    pub(crate) fn try_decompress_once_to<C: Comm>(
-        &self,
-        comm: &mut C,
-        stream: &[u8],
-        dst: &mut [f32],
-        scratch: &mut CodecScratch,
-    ) -> Result<(), CompressError> {
-        comm.run_kernel(self.dk, dst.len() * 4, Category::ComDecom, || {
-            self.codec.decompress_to(stream, dst, &mut scratch.dec)
-        })
     }
 }
 

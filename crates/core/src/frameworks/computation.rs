@@ -20,7 +20,7 @@
 //!   `Wait` time — which is exactly the quantity Fig. 9 shows shrinking
 //!   by 73–80 %.
 //!
-//! The sub-chunk machinery is the schedule-agnostic hop cursor of
+//! The sub-chunk machinery is the hop route of the streaming engine in
 //! `crate::pipeline`, and **every** computation schedule drives it, not
 //! just the ring: in `Placement::Piped` the ring reduce-scatter, the
 //! Rabenseifner recursive-halving phase and the binomial-tree rooted

@@ -19,10 +19,11 @@
 //! binomial tree and decompresses once at every non-root — and, since
 //! the three stages touch disjoint resources (the root's core, the
 //! links, the receivers' cores), it runs them **streamed**: the payload
-//! travels as independent PIPE-sized sub-chunk streams through one
-//! `RelayCursor` (`crate::pipeline`), so the root's encode, the tree's
-//! relays and every rank's decode overlap and a broadcast costs about
-//! `max(encode, fan-out)` instead of `encode + fan-out + decode`.
+//! travels as independent PIPE-sized sub-chunk streams along one tree
+//! route of the streaming engine (`crate::pipeline`), so the root's
+//! encode, the tree's relays and every rank's decode overlap and a
+//! broadcast costs about `max(encode, fan-out)` instead of `encode +
+//! fan-out + decode`.
 //! C-Scatter compresses each destination segment once at the root and
 //! forwards framed segment sets down the tree, so each leaf
 //! decompresses exactly its own segment; it and the ring allgather keep

@@ -26,8 +26,9 @@
 //! shape for) and binds it to the session codec once per `step`
 //! (`Placement::link`); its monolithic hops then `pack` / `unpack` /
 //! `land` / `reduce` through that `Link` — the only way a machine
-//! reaches the codec — and its piped hops hand the placement's
-//! `PipelineConfig` to the hop cursor. Under `Placement::Once` the one
+//! reaches the codec — and its streamed legs step one
+//! `pipeline::StreamCursor` over a `Route` (a piped hop's is built from
+//! the placement's `PipelineConfig`). Under `Placement::Once` the one
 //! `pack` happens at the data's origin and the one `unpack` at each
 //! consumer, straight into the block's place in the output. The
 //! ordering rules that keep virtual time bit-identical are listed in
@@ -68,7 +69,7 @@ use crate::collectives::baseline::{butterfly_fold, butterfly_pos_to_rank};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{memcpy_in, tags};
 use crate::partition::chunk_range;
-use crate::pipeline::{split_src_dst, ChainCursor, HopCursor, RelayCursor};
+use crate::pipeline::{split_src_dst, Route, StreamCursor};
 use crate::placement::{Link, Placement};
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
@@ -267,7 +268,7 @@ pub(crate) struct RingRs {
     place: Placement,
     phase: RsPhase,
     k: usize,
-    hop: HopCursor,
+    hop: StreamCursor,
     wire: Wire,
     got: Option<Bytes>,
 }
@@ -278,7 +279,7 @@ impl RingRs {
             place,
             phase: RsPhase::Init,
             k: 0,
-            hop: HopCursor::new(),
+            hop: StreamCursor::default(),
             wire: Wire::default(),
             got: None,
         }
@@ -299,7 +300,7 @@ impl RingRs {
         let (n, me) = (comm.size(), comm.rank());
         let at = ws.chunk((me + 2 * n - self.k - 2) % n);
         let (from, dst) = (Some(&input[at.clone()]), &mut acc[at]);
-        link.reduce(comm, got, op, from, dst, &mut ws.scratch, "reduce-scatter");
+        link.reduce(comm, got, op, from, dst, &mut ws.scratch);
     }
 
     /// Drive the reduce-scatter over `acc`, a full-length accumulator
@@ -353,12 +354,10 @@ impl RingRs {
                         } else {
                             split_src_dst(acc, send, recv)
                         };
-                        let mut bufs = ws.pipe();
+                        let route = Route::hop(cfg, tag, src, right, left, op, from);
                         if !self
                             .hop
-                            .step(
-                                comm, cfg, op, src, right, from, dst, left, tag, &mut bufs, block,
-                            )
+                            .step(comm, route, dst, &mut ws.pipe(), block)
                             .is_ready()
                         {
                             return Poll::Pending;
@@ -651,7 +650,7 @@ pub(crate) struct Butterfly {
     pow2: usize,
     rem: usize,
     tag: Tag,
-    hop: HopCursor,
+    hop: StreamCursor,
     wire: Wire,
 }
 
@@ -682,7 +681,7 @@ impl Butterfly {
             pow2: 1,
             rem: 0,
             tag: 0,
-            hop: HopCursor::new(),
+            hop: StreamCursor::default(),
             wire: Wire::default(),
         }
     }
@@ -748,22 +747,10 @@ impl Butterfly {
                 BflyPhase::FoldSend => {
                     let (to, tag) = (me + 1, self.tag);
                     if let Placement::Piped(cfg) = self.place {
-                        let mut bufs = ws.pipe();
+                        let route = Route::hop(cfg, tag, input, to, to, op, None);
                         if !self
                             .hop
-                            .step(
-                                comm,
-                                cfg,
-                                op,
-                                input,
-                                to,
-                                None,
-                                &mut [],
-                                to,
-                                tag,
-                                &mut bufs,
-                                block,
-                            )
+                            .step(comm, route, &mut [], &mut ws.pipe(), block)
                             .is_ready()
                         {
                             return Poll::Pending;
@@ -786,23 +773,10 @@ impl Butterfly {
                 BflyPhase::FoldRecv => {
                     let first = Some(input);
                     if let Placement::Piped(cfg) = self.place {
-                        let (from, tag) = (me - 1, self.tag);
-                        let mut bufs = ws.pipe();
+                        let route = Route::hop(cfg, self.tag, &[], me - 1, me - 1, op, first);
                         if !self
                             .hop
-                            .step(
-                                comm,
-                                cfg,
-                                op,
-                                &[],
-                                from,
-                                first,
-                                out,
-                                from,
-                                tag,
-                                &mut bufs,
-                                block,
-                            )
+                            .step(comm, route, out, &mut ws.pipe(), block)
                             .is_ready()
                         {
                             return Poll::Pending;
@@ -811,7 +785,7 @@ impl Butterfly {
                         let Some(got) = self.wire.recv(comm, block, Category::Others) else {
                             return Poll::Pending;
                         };
-                        link.reduce(comm, &got, op, first, out, &mut ws.scratch, "fold");
+                        link.reduce(comm, &got, op, first, out, &mut ws.scratch);
                     }
                     self.born = true;
                     self.enter_rounds();
@@ -834,12 +808,10 @@ impl Butterfly {
                         } else {
                             (Some(&input[keep.clone()]), &input[send], &mut out[keep])
                         };
-                        let mut bufs = ws.pipe();
+                        let route = Route::hop(cfg, tag, src, peer, peer, op, first);
                         if !self
                             .hop
-                            .step(
-                                comm, cfg, op, src, peer, first, dst, peer, tag, &mut bufs, block,
-                            )
+                            .step(comm, route, dst, &mut ws.pipe(), block)
                             .is_ready()
                         {
                             return Poll::Pending;
@@ -862,7 +834,7 @@ impl Butterfly {
                     let (keep, _) = self.halving_ranges(ws);
                     let first = (!self.born).then(|| &input[keep.clone()]);
                     let dst = &mut out[keep];
-                    link.reduce(comm, &got, op, first, dst, &mut ws.scratch, "halving");
+                    link.reduce(comm, &got, op, first, dst, &mut ws.scratch);
                     self.born = true;
                     self.advance_halving();
                 }
@@ -898,7 +870,7 @@ impl Butterfly {
                         link.unpack(comm, &got, &mut out[peer], &mut ws.scratch);
                     } else {
                         let first = (!self.born).then_some(input);
-                        link.reduce(comm, &got, op, first, out, &mut ws.scratch, "doubling");
+                        link.reduce(comm, &got, op, first, out, &mut ws.scratch);
                         self.born = true;
                     }
                     self.mask <<= 1;
@@ -1031,7 +1003,7 @@ pub(crate) struct TreeReduce {
     mask: usize,
     /// The accumulator holds a fold (else this rank's value is `input`).
     born: bool,
-    hop: HopCursor,
+    hop: StreamCursor,
     wire: Wire,
 }
 
@@ -1043,7 +1015,7 @@ impl TreeReduce {
             phase: TreePhase::Init,
             mask: 1,
             born: false,
-            hop: HopCursor::new(),
+            hop: StreamCursor::default(),
             wire: Wire::default(),
         }
     }
@@ -1133,22 +1105,10 @@ impl TreeReduce {
                     let to = (relative - self.mask + self.root) % n;
                     let src = if self.born { &*acc } else { input };
                     if let Placement::Piped(cfg) = self.place {
-                        let mut bufs = ws.pipe();
+                        let route = Route::hop(cfg, tag, src, to, to, op, None);
                         if !self
                             .hop
-                            .step(
-                                comm,
-                                cfg,
-                                op,
-                                src,
-                                to,
-                                None,
-                                &mut [],
-                                to,
-                                tag,
-                                &mut bufs,
-                                block,
-                            )
+                            .step(comm, route, &mut [], &mut ws.pipe(), block)
                             .is_ready()
                         {
                             return Poll::Pending;
@@ -1170,22 +1130,10 @@ impl TreeReduce {
                     let first = (!self.born).then_some(input);
                     if let Placement::Piped(cfg) = self.place {
                         let from = ((relative + self.mask) + self.root) % n;
-                        let mut bufs = ws.pipe();
+                        let route = Route::hop(cfg, tag, &[], from, from, op, first);
                         if !self
                             .hop
-                            .step(
-                                comm,
-                                cfg,
-                                op,
-                                &[],
-                                from,
-                                first,
-                                acc,
-                                from,
-                                tag,
-                                &mut bufs,
-                                block,
-                            )
+                            .step(comm, route, acc, &mut ws.pipe(), block)
                             .is_ready()
                         {
                             return Poll::Pending;
@@ -1194,7 +1142,7 @@ impl TreeReduce {
                         let Some(got) = self.wire.recv(comm, block, Category::Others) else {
                             return Poll::Pending;
                         };
-                        link.reduce(comm, &got, op, first, acc, &mut ws.scratch, "tree-reduce");
+                        link.reduce(comm, &got, op, first, acc, &mut ws.scratch);
                     }
                     self.born = true;
                     self.mask <<= 1;
@@ -1234,7 +1182,7 @@ enum BcPhase {
 ///
 /// * **streamed** (`Placement::Once`) — the compress-once C-Bcast. The
 ///   payload travels as independent `pipe`-value sub-chunk streams
-///   through one [`RelayCursor`] (root: encode ∥ fan-out; interior:
+///   along one [`Route::tree`] (root: encode ∥ fan-out; interior:
 ///   relay, then decode; leaf: decode as chunks arrive), all on one
 ///   tag. A payload of at most one sub-chunk is a single whole-payload
 ///   message.
@@ -1255,7 +1203,7 @@ pub(crate) struct Bcast {
     /// Sub-chunk size of the streamed shape (the others ignore it).
     pipe: usize,
     root: usize,
-    relay: RelayCursor,
+    stream: StreamCursor,
     // Whole-message shapes' state.
     phase: BcPhase,
     mask: usize,
@@ -1269,7 +1217,7 @@ impl Bcast {
             place: place.movement(true, "binomial bcast"),
             pipe,
             root,
-            relay: RelayCursor::new(),
+            stream: StreamCursor::default(),
             phase: BcPhase::Init,
             mask: 1,
             wire: Wire::default(),
@@ -1298,11 +1246,19 @@ impl Bcast {
     ) -> Poll {
         let tag = tags::BCAST + self.place.band();
         let link = self.place.link(cpr);
-        if let Link::Once(codec) = link {
-            let mut bufs = ws.pipe();
-            return self.relay.step(
-                comm, codec, self.pipe, self.root, data, out, tag, &mut bufs, block,
+        if let Link::Once(_) = link {
+            // The root streams `data` and takes its bits once it is out.
+            let copy = comm.rank() == self.root && !data.is_empty();
+            assert!(
+                !copy || data.len() == out.len(),
+                "root data disagrees with plan length"
             );
+            let route = Route::tree(comm, link, self.pipe, tag, self.root, data);
+            let poll = self.stream.step(comm, route, out, &mut ws.pipe(), block);
+            if copy && poll.is_ready() {
+                out.copy_from_slice(data);
+            }
+            return poll;
         }
         let per_hop = matches!(link, Link::Cpr(_));
         let n = comm.size();
@@ -2165,13 +2121,13 @@ enum LaneLeg {
 #[derive(Debug)]
 enum GroupLeg<T> {
     Tree(T),
-    Chain(ChainCursor),
+    Chain(StreamCursor),
 }
 
 impl<T> GroupLeg<T> {
     fn new(streamed: bool, tree: T) -> Self {
         if streamed {
-            GroupLeg::Chain(ChainCursor::new())
+            GroupLeg::Chain(StreamCursor::default())
         } else {
             GroupLeg::Tree(tree)
         }
@@ -2191,9 +2147,10 @@ impl<T> GroupLeg<T> {
 ///
 /// Phases 1 and 5 are binomial trees ([`TreeReduce`], [`Bcast`]) or,
 /// when the plan's cost model prices it cheaper (`streamed`: payloads of
-/// several sub-chunks), [`ChainCursor`] streams of `pipe`-value
-/// sub-chunks along the group — folded toward the owner, relayed away
-/// from it. Non-owners fold into `out`, which the fan-out overwrites.
+/// several sub-chunks), streams of `pipe`-value sub-chunks along the
+/// group ([`Route::chain_fold`] toward the owner, [`Route::chain_relay`]
+/// away from it). Non-owners fold into `out`, which the fan-out
+/// overwrites.
 ///
 /// `L = 1` is the single-leader schedule (phases 2 and 4 have one
 /// member and are skipped); `L =` node size is reduce-scatter-first
@@ -2267,9 +2224,9 @@ impl HierAr {
                             }
                             GroupLeg::Chain(chain) => {
                                 let acc = if owner { &mut hier[..d] } else { &mut *out };
-                                let (pipe, tag) = (self.pipe, tags::TREE_REDUCE);
-                                let bufs = &mut ws.pipe();
-                                chain.fold(&mut sub, pipe, inner, input, acc, tag, bufs, block)
+                                let tag = tags::TREE_REDUCE;
+                                let route = Route::chain_fold(&sub, self.pipe, tag, inner, input);
+                                chain.step(&mut sub, route, acc, &mut ws.pipe(), block)
                             }
                         };
                         ws.hier = hier;
@@ -2336,8 +2293,8 @@ impl HierAr {
                                 fanout.step(&mut sub, None, &[], out, ws, block)
                             }
                             GroupLeg::Chain(chain) => {
-                                let bufs = &mut ws.pipe();
-                                chain.relay(&mut sub, self.pipe, out, tags::BCAST, bufs, block)
+                                let route = Route::chain_relay(&sub, self.pipe, tags::BCAST);
+                                chain.step(&mut sub, route, out, &mut ws.pipe(), block)
                             }
                         };
                         if r == Poll::Pending {

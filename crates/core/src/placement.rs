@@ -15,9 +15,11 @@
 //! * **piped** (computation) — SZx at the session's error bound in
 //!   `PipelineConfig::chunk_values` sub-chunks, whatever the session
 //!   codec is: a `zfp-abs` session streams its reducing hops through
-//!   PIPE-SZx and runs ZFP only on its data-movement hops.
+//!   PIPE-SZx and runs ZFP only on its data-movement hops. Its hops are
+//!   [`crate::pipeline::Route::hop`]s over [`Link::piped`], pooled.
 //!
 //! A machine that cannot run a placement refuses it in its constructor.
+//! The streaming engine reaches the codec through the same `Link`s.
 //!
 //! Orderings the machines keep — virtual time is bit-identical only
 //! while they hold:
@@ -46,10 +48,16 @@
 //!    is the accumulator, so nothing is copied out either. Only a
 //!    schedule with no fold at all (one rank) pays one charged
 //!    `input → out` copy.
+//! 6. Streams (`crate::pipeline`): a relaying rank forwards a sub-chunk
+//!    *before* landing it, and a chain member folds *before* forwarding
+//!    the fold; sends are retired lazily (between sub-chunks only those
+//!    that have left, the rest at the end); a nonblocking step encodes
+//!    at most one charged sub-chunk — a tree root suspends after every
+//!    one — while a raw source end sends its whole stream at once.
 
 use bytes::Bytes;
 use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
-use ccoll_compress::CodecScratch;
+use ccoll_compress::{CodecScratch, CompressError, Compressor, SzxCodec};
 
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{
@@ -119,8 +127,8 @@ impl Placement {
     }
 }
 
-/// A placement bound to the session codec: how one monolithic hop
-/// encodes, lands and reduces its payload.
+/// A placement bound to the session codec: how one monolithic hop or
+/// one streamed sub-chunk encodes, lands and reduces its payload.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Link<'a> {
     /// Raw `f32` payloads.
@@ -129,24 +137,49 @@ pub(crate) enum Link<'a> {
     Cpr(&'a CprCodec),
     /// Session-codec payloads through preallocated buffers.
     Once(&'a CprCodec),
+    /// PIPE-SZx sub-chunks of a piped hop, pooled: [`Link::Once`]'s
+    /// charges with SZx's kernels, whatever the session codec is.
+    Piped(SzxCodec),
 }
 
-impl<'a> Link<'a> {
-    /// The codec and whether its buffers are pooled; `None` when raw.
-    fn codec(self) -> Option<(&'a CprCodec, bool)> {
+impl Link<'static> {
+    /// The link of a piped hop's sub-chunks: SZx at `cfg.error_bound`.
+    pub(crate) fn piped(cfg: PipelineConfig) -> Self {
+        Link::Piped(SzxCodec::new(cfg.error_bound))
+    }
+}
+
+impl Link<'_> {
+    /// The codec, its (compress, decompress) kernels and whether its
+    /// buffers are pooled; `None` when raw.
+    fn codec(&self) -> Option<(&dyn Compressor, Kernel, Kernel, bool)> {
         match self {
             Link::Raw => None,
-            Link::Cpr(codec) => Some((codec, false)),
-            Link::Once(codec) => Some((codec, true)),
+            Link::Cpr(c) => Some((c.codec.as_ref(), c.ck, c.dk, false)),
+            Link::Once(c) => Some((c.codec.as_ref(), c.ck, c.dk, true)),
+            Link::Piped(szx) => Some((szx, Kernel::SzxCompress, Kernel::SzxDecompress, true)),
+        }
+    }
+
+    /// Whether a received payload can hold `len` values, as far as can
+    /// be told before decoding it: a raw payload by its length, a piped
+    /// sub-chunk by its SZx header. A pooled decode into place checks
+    /// its count as it goes, and nothing streams CPR.
+    fn fits(self, got: &[u8], len: usize) -> bool {
+        match self {
+            Link::Raw => got.len() == 4 * len,
+            Link::Piped(_) => SzxCodec::stream_values(got) == Ok(len),
+            Link::Cpr(_) | Link::Once(_) => true,
         }
     }
 
     /// Encode `vals` for the wire. Raw charges nothing; CPR charges the
-    /// compression kernel plus `BufferMgmt`, once the kernel alone.
+    /// compression kernel plus `BufferMgmt`, once and piped the kernel
+    /// alone.
     pub(crate) fn pack<C: Comm>(self, comm: &mut C, vals: &[f32], pool: &mut PayloadPool) -> Bytes {
         match self.codec() {
             None => values_payload(pool, vals),
-            Some((c, pooled)) => compress_in(comm, c.codec.as_ref(), c.ck, vals, pooled, pool),
+            Some((codec, ck, _, pooled)) => compress_in(comm, codec, ck, vals, pooled, pool),
         }
     }
 
@@ -170,7 +203,7 @@ impl<'a> Link<'a> {
                 let vals = decompress_in(comm, c.codec.as_ref(), c.dk, got, dst.len(), scratch);
                 memcpy_in(comm, dst, vals);
             }
-            Link::Once(_) => self.land(comm, got, dst, scratch),
+            Link::Once(_) | Link::Piped(_) => self.land(comm, got, dst, scratch),
         }
     }
 
@@ -186,20 +219,36 @@ impl<'a> Link<'a> {
         dst: &mut [f32],
         scratch: &mut CodecScratch,
     ) {
-        match self {
-            Link::Raw => decode_values_into(got, dst),
-            Link::Cpr(c) => dst.copy_from_slice(decompress_in(
-                comm,
-                c.codec.as_ref(),
-                c.dk,
-                got,
-                dst.len(),
-                scratch,
-            )),
-            Link::Once(c) => c
-                .try_decompress_once_to(comm, got, dst, scratch)
-                .expect("compress-once block length mismatch"),
+        self.try_land(comm, got, dst, scratch)
+            .expect("payload does not hold its slot's values");
+    }
+
+    /// [`Link::land`], or `Err` when the payload does not hold
+    /// `dst.len()` values (`dst` is then unspecified). A pooled decode
+    /// lands straight in `dst`: the decompression kernel is the whole
+    /// charge, failed or not.
+    pub(crate) fn try_land<C: Comm>(
+        self,
+        comm: &mut C,
+        got: &[u8],
+        dst: &mut [f32],
+        scratch: &mut CodecScratch,
+    ) -> Result<(), CompressError> {
+        if !self.fits(got, dst.len()) {
+            return Err(CompressError::LengthMismatch);
         }
+        match self.codec() {
+            None => decode_values_into(got, dst),
+            Some((codec, _, dk, false)) => {
+                dst.copy_from_slice(decompress_in(comm, codec, dk, got, dst.len(), scratch))
+            }
+            Some((codec, _, dk, true)) => {
+                return comm.run_kernel(dk, dst.len() * 4, Category::ComDecom, || {
+                    codec.decompress_to(got, dst, &mut scratch.dec)
+                })
+            }
+        }
+        Ok(())
     }
 
     /// Fold a received payload into `dst` with `op`: in place, or — the
@@ -209,7 +258,9 @@ impl<'a> Link<'a> {
     /// codec charges the decompression kernel and `Reduce` (fused
     /// decompress-reduce), CPR `BufferMgmt` on top. No form charges
     /// `Memcpy`.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// # Panics
+    /// Panics if the payload does not hold `dst.len()` values.
     pub(crate) fn reduce<C: Comm>(
         self,
         comm: &mut C,
@@ -218,22 +269,39 @@ impl<'a> Link<'a> {
         from: Option<&[f32]>,
         dst: &mut [f32],
         scratch: &mut CodecScratch,
-        context: &str,
     ) {
-        let Some((c, pooled)) = self.codec() else {
+        self.try_reduce(comm, got, op, from, dst, scratch)
+            .expect("payload does not hold its slot's values");
+    }
+
+    /// [`Link::reduce`], or `Err` — nothing folded, nothing charged —
+    /// when the payload does not hold `dst.len()` values.
+    pub(crate) fn try_reduce<C: Comm>(
+        self,
+        comm: &mut C,
+        got: &[u8],
+        op: ReduceOp,
+        from: Option<&[f32]>,
+        dst: &mut [f32],
+        scratch: &mut CodecScratch,
+    ) -> Result<(), CompressError> {
+        if !self.fits(got, dst.len()) {
+            return Err(CompressError::LengthMismatch);
+        }
+        let Some((codec, _, dk, pooled)) = self.codec() else {
             let dec = &mut scratch.dec;
             decode_values_vec(got, dec);
-            assert_eq!(dec.len(), dst.len(), "{context} block size mismatch");
             let vals: &[f32] = dec;
-            return comm.run_kernel(Kernel::Reduce, vals.len() * 4, Category::Reduction, || {
+            comm.run_kernel(Kernel::Reduce, vals.len() * 4, Category::Reduction, || {
                 if let Some(src) = from {
                     dst.copy_from_slice(src);
                 }
                 op.apply(dst, vals)
             });
+            return Ok(());
         };
-        let (codec, dk) = (c.codec.as_ref(), c.dk);
         decompress_reduce_in(comm, codec, dk, got, op, from, dst, pooled, scratch);
+        Ok(())
     }
 }
 
@@ -279,7 +347,11 @@ mod tests {
         let [pack, unpack, land, reduce] = charges;
         let out = SimWorld::new(SimConfig::new(2)).run(move |c| {
             let cpr = CprCodec::from_spec(spec);
-            let link = place.link(cpr.as_ref());
+            // A piped machine's sub-chunks (its monolithic legs are CPR).
+            let link = match place {
+                Placement::Piped(cfg) => Link::piped(cfg),
+                _ => place.link(cpr.as_ref()),
+            };
             let mut ws = CollWorkspace::new();
             if c.rank() == 0 {
                 return [1, 2, 3, 4].map(|tag| {
@@ -312,7 +384,7 @@ mod tests {
             let got = c.recv(0, 3);
             let t_reduce = timed(c, reduce, |c| {
                 let scratch = &mut ws.scratch;
-                link.reduce(c, &got, ReduceOp::Sum, None, &mut acc, scratch, "seam")
+                link.reduce(c, &got, ReduceOp::Sum, None, &mut acc, scratch)
             });
             let mut expect = vals(1.0);
             ReduceOp::Sum.apply(&mut expect, &landed);
@@ -322,15 +394,7 @@ mod tests {
             let got = c.recv(0, 4);
             let t_from = timed(c, reduce, |c| {
                 let (from, scratch) = (vals(1.0), &mut ws.scratch);
-                link.reduce(
-                    c,
-                    &got,
-                    ReduceOp::Sum,
-                    Some(&from),
-                    &mut born,
-                    scratch,
-                    "seam",
-                )
+                link.reduce(c, &got, ReduceOp::Sum, Some(&from), &mut born, scratch)
             });
             assert_eq!(bits(&born), bits(&acc), "first touch vs copy + reduce");
             let memcpy = c.profiler().breakdown().get(Category::Memcpy);
@@ -375,6 +439,13 @@ mod tests {
         ] {
             exercise(Placement::Cpr, spec, tol, cpr);
             exercise(Placement::Once, spec, tol, once);
+            // Piped sub-chunks are SZx whatever the session codec is, at
+            // compress-once's charges.
+            let piped = Placement::Piped(PipelineConfig {
+                error_bound: eb,
+                chunk_values: LEN,
+            });
+            exercise(piped, spec, eb, once);
         }
     }
 }

@@ -495,6 +495,77 @@ fn streamed_bcast_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
     assert!(mid_stream_aborts >= 1, "no abort happened mid-stream");
 }
 
+#[test]
+fn piped_ring_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
+    // A piped SZx ring allreduce whose reduce-scatter hops stream three
+    // full sub-chunks and a short tail each. A permanently lost
+    // sub-chunk closes up its hop's FIFO stream: the receiver starves on
+    // its last receive, or the short tail lands in a full slot — which
+    // must abort like the starved receive (a zero-wait timeout), never
+    // panic in the fused decompress-reduce. The codec is deterministic,
+    // so a rank that finishes, and every rerun after `reset()`, holds the
+    // fault-free run's exact bits.
+    const CHUNK: usize = 64;
+    const LEN: usize = 4 * (3 * CHUNK + 11);
+    let n = 4;
+    let plan = move || {
+        CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, n)
+            .with_pipeline_values(CHUNK)
+            .plan_allreduce_with(LEN, ReduceOp::Sum, ring_opts())
+    };
+    let clean = SimWorld::with_ranks(n).run(move |c| {
+        let mut out = vec![0.0f32; LEN];
+        plan().execute_into(c, &rank_data(c.rank(), LEN), &mut out);
+        out
+    });
+    let mut clean_reruns = 0;
+    let mut mid_stream_aborts = 0;
+    for seed in 0..48 {
+        let cfg = SimConfig::new(n)
+            .with_faults(FaultPlan::seeded(seed).with_loss(0.03))
+            .with_fault_policy(FaultPolicy::with_timeout(Duration::from_micros(500), 2));
+        let out = SimWorld::new(cfg).run(move |c| {
+            let mut plan = plan();
+            let input = rank_data(c.rank(), LEN);
+            let mut first = vec![0.0f32; LEN];
+            let abort = match plan.try_execute_into(c, &input, &mut first) {
+                Ok(()) => None,
+                Err(CollectiveError::Comm(e)) => {
+                    assert!(plan.is_poisoned());
+                    plan.reset();
+                    Some(e)
+                }
+                Err(e) => panic!("{e:?}"),
+            };
+            c.barrier();
+            let mut second = vec![0.0f32; LEN];
+            let rerun = plan.try_execute_into(c, &input, &mut second).is_ok();
+            (abort, first, rerun, second)
+        });
+        let aborts: Vec<_> = out.results.iter().filter_map(|r| r.0.as_ref()).collect();
+        if aborts.is_empty() || !out.results.iter().all(|r| r.2) {
+            continue;
+        }
+        clean_reruns += 1;
+        mid_stream_aborts += aborts
+            .iter()
+            .filter(|e| matches!(e, CommError::Timeout { waited, .. } if waited.is_zero()))
+            .count();
+        for (rank, r) in out.results.iter().enumerate() {
+            let expect = &clean.results[rank];
+            assert_eq!(&r.3, expect, "seed {seed} rank {rank}: rerun after reset");
+            if r.0.is_none() {
+                assert_eq!(&r.1, expect, "seed {seed} rank {rank}: finished rank");
+            }
+        }
+    }
+    assert!(
+        clean_reruns >= 3,
+        "only {clean_reruns} seeds aborted then reran clean"
+    );
+    assert!(mid_stream_aborts >= 1, "no abort happened mid-stream");
+}
+
 // The two chain-stream fault tests below share one streamed hierarchical
 // allreduce: nodes of 5, 5 and 3 ranks, so group legs of up to five
 // members; three default-size sub-chunks and a ragged fourth; raw
