@@ -9,10 +9,10 @@
 //! handles — any mix of the eight collective types, type-erased behind
 //! [`AnyHandle`] — and each [`ProgressEngine::progress`] call performs
 //! one bounded, fair pass over every live operation: one nonblocking
-//! `try_progress` slice each, visiting operations in
-//! [`Fairness`]-determined order. Completions are observable by
-//! polling ([`ProgressEngine::is_done`]) or callback
-//! ([`ProgressEngine::progress_with`]).
+//! `try_progress` slice each, starting from a slot that rotates every
+//! pass (round-robin), so no operation is permanently first or last.
+//! Completions are observable by polling ([`ProgressEngine::is_done`])
+//! or callback ([`ProgressEngine::progress_with`]).
 //!
 //! Concurrency is sound because every operation's wire traffic is
 //! stamped with a per-operation base (plan slot + start generation, see
@@ -85,23 +85,6 @@ impl OpId {
     }
 }
 
-/// Which live operation a bounded progress pass visits first.
-///
-/// Every pass gives each live operation its [weighted](ProgressEngine::submit_weighted)
-/// number of nonblocking work slices either way; the policy decides who
-/// goes first — who gets to occupy the front of the virtual-time/compute
-/// budget within a pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Fairness {
-    /// Rotate the starting operation every pass, so no operation is
-    /// permanently first or permanently last.
-    #[default]
-    RoundRobin,
-    /// Always start from the oldest live operation (lowest [`OpId`]),
-    /// draining long-running stragglers ahead of fresh submissions.
-    OldestFirst,
-}
-
 /// A type-erased in-flight nonblocking collective: any of the eight
 /// handle types, submittable to a [`ProgressEngine`]. Built via the
 /// `From` impls — `engine.submit(plan.start(comm, ..))` just works.
@@ -162,9 +145,6 @@ impl AnyHandle<'_, '_> {
 
 struct Op<'p, 'b> {
     id: OpId,
-    /// Work slices this operation receives per progress pass (≥ 1);
-    /// see [`ProgressEngine::submit_weighted`].
-    weight: u32,
     handle: AnyHandle<'p, 'b>,
 }
 
@@ -179,9 +159,8 @@ struct Op<'p, 'b> {
 pub struct ProgressEngine<'p, 'b> {
     slots: [Option<Op<'p, 'b>>; MAX_LIVE_OPS],
     next_id: u64,
-    /// Rotating pass origin for [`Fairness::RoundRobin`].
+    /// The slot the next pass starts from (rotates every pass).
     cursor: usize,
-    fairness: Fairness,
     live: usize,
 }
 
@@ -192,24 +171,15 @@ impl Default for ProgressEngine<'_, '_> {
 }
 
 impl<'p, 'b> ProgressEngine<'p, 'b> {
-    /// An empty engine with the default [`Fairness::RoundRobin`]
-    /// policy.
+    /// An empty engine.
     #[must_use]
     pub fn new() -> Self {
         ProgressEngine {
             slots: std::array::from_fn(|_| None),
             next_id: 0,
             cursor: 0,
-            fairness: Fairness::default(),
             live: 0,
         }
-    }
-
-    /// Set the pass-ordering policy.
-    #[must_use]
-    pub fn with_fairness(mut self, fairness: Fairness) -> Self {
-        self.fairness = fairness;
-        self
     }
 
     /// Register an in-flight operation (any handle type, via `Into`).
@@ -219,23 +189,6 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
     /// # Panics
     /// Panics if [`MAX_LIVE_OPS`] operations are already live.
     pub fn submit(&mut self, handle: impl Into<AnyHandle<'p, 'b>>) -> OpId {
-        self.submit_weighted(handle, 1)
-    }
-
-    /// [`Self::submit`] with a priority weight: the operation receives
-    /// `weight` nonblocking work slices per progress pass instead of
-    /// one, letting a latency-critical collective (the optimizer-step
-    /// bucket, a control-plane bcast) drain ahead of bulk traffic
-    /// without starving it — every live operation still gets at least
-    /// one slice per pass. Weights are per-rank *local* schedule hints
-    /// and need not agree across ranks; correctness never depends on
-    /// them.
-    ///
-    /// # Panics
-    /// Panics if `weight` is zero or if [`MAX_LIVE_OPS`] operations are
-    /// already live.
-    pub fn submit_weighted(&mut self, handle: impl Into<AnyHandle<'p, 'b>>, weight: u32) -> OpId {
-        assert!(weight > 0, "a zero-weight operation would never progress");
         let id = OpId(self.next_id);
         self.next_id += 1;
         let slot = self
@@ -245,7 +198,6 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
             .unwrap_or_else(|| panic!("more than {MAX_LIVE_OPS} operations in flight"));
         *slot = Some(Op {
             id,
-            weight,
             handle: handle.into(),
         });
         self.live += 1;
@@ -264,20 +216,6 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
     #[must_use]
     pub fn is_done(&self, id: OpId) -> bool {
         id.0 < self.next_id && !self.slots.iter().flatten().any(|op| op.id == id)
-    }
-
-    /// The slot index a pass starts from under the current policy.
-    fn pass_origin(&self) -> usize {
-        match self.fairness {
-            Fairness::RoundRobin => self.cursor,
-            Fairness::OldestFirst => self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|op| (op.id, i)))
-                .min()
-                .map_or(0, |(_, i)| i),
-        }
     }
 
     /// One bounded, fair pass: each live operation gets exactly one
@@ -324,37 +262,28 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
         comm: &mut C,
         mut on_done: F,
     ) -> Result<usize, (OpId, CollectiveError)> {
-        let origin = self.pass_origin();
-        if let Fairness::RoundRobin = self.fairness {
-            self.cursor = (self.cursor + 1) % MAX_LIVE_OPS;
-        }
+        let origin = self.cursor;
+        self.cursor = (self.cursor + 1) % MAX_LIVE_OPS;
         let mut completed = 0;
         for k in 0..MAX_LIVE_OPS {
             let idx = (origin + k) % MAX_LIVE_OPS;
-            let Some(weight) = self.slots[idx].as_ref().map(|op| op.weight) else {
+            let Some(op) = self.slots[idx].as_mut() else {
                 continue;
             };
-            // A weighted operation gets several back-to-back slices
-            // within the pass; everyone else still gets theirs this
-            // same pass, so heavy weights accelerate without starving.
-            for _ in 0..weight {
-                let op = self.slots[idx].as_mut().expect("live within its pass");
-                match op.handle.drive(comm, false) {
-                    Ok(Poll::Pending) => {}
-                    Ok(Poll::Ready) => {
-                        let id = op.id;
-                        self.slots[idx] = None;
-                        self.live -= 1;
-                        completed += 1;
-                        on_done(id);
-                        break;
-                    }
-                    Err(e) => {
-                        let id = op.id;
-                        self.slots[idx] = None;
-                        self.live -= 1;
-                        return Err((id, e));
-                    }
+            match op.handle.drive(comm, false) {
+                Ok(Poll::Pending) => {}
+                Ok(Poll::Ready) => {
+                    let id = op.id;
+                    self.slots[idx] = None;
+                    self.live -= 1;
+                    completed += 1;
+                    on_done(id);
+                }
+                Err(e) => {
+                    let id = op.id;
+                    self.slots[idx] = None;
+                    self.live -= 1;
+                    return Err((id, e));
                 }
             }
         }

@@ -403,7 +403,7 @@ pub mod workspace;
 
 pub use algorithm::{Algorithm, AllreduceVariant, PlanOptions};
 pub use codec::{CodecSpec, ParseCodecSpecError};
-pub use engine::{AnyHandle, Fairness, OpId, ProgressEngine};
+pub use engine::{AnyHandle, OpId, ProgressEngine};
 pub use nonblocking::Poll;
 pub use reduce::ReduceOp;
 pub use session::{

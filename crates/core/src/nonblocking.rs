@@ -24,15 +24,18 @@
 //! *Where compression sits* is not spelled out per hop: every machine
 //! is built from one `Placement` (refusing in `new` the ones it has no
 //! shape for) and binds it to the session codec once per `step`
-//! (`Placement::link`); its monolithic hops then `pack` / `unpack` /
-//! `land` / `reduce` through that `Link` — the only way a machine
-//! reaches the codec — and its streamed legs step one
-//! `pipeline::StreamCursor` over a `Route` (a piped hop's is built from
-//! the placement's `PipelineConfig`). Under `Placement::Once` the one
-//! `pack` happens at the data's origin and the one `unpack` at each
-//! consumer, straight into the block's place in the output. The
-//! ordering rules that keep virtual time bit-identical are listed in
-//! `placement.rs`.
+//! (`Placement::link`). Every reducing hop (ring reduce-scatter rounds,
+//! the butterfly fold and halving, tree-reduce edges) and every raw tree
+//! steps one `pipeline::StreamCursor` over a `Route`, whatever the
+//! placement: `Placement::stream` gives the hop PIPE-SZx sub-chunks
+//! when piped and the whole message as one sub-chunk otherwise. The
+//! remaining monolithic rounds `pack` / `unpack` / `land` / `reduce`
+//! through the `Link` (as a route does: the only way a machine reaches
+//! the codec) and wait their requests out in a `Wire`. Under
+//! `Placement::Once` the one `pack` happens at the data's origin and the
+//! one `unpack` at each consumer, straight into the block's place in the
+//! output. The ordering rules that keep virtual time bit-identical are
+//! listed in `placement.rs`.
 //!
 //! *Where a reduction accumulates* (rule 5 there): in the caller's
 //! output, born from the first fold. No reducing machine copies its
@@ -69,7 +72,7 @@ use crate::collectives::baseline::{butterfly_fold, butterfly_pos_to_rank};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{memcpy_in, tags};
 use crate::partition::chunk_range;
-use crate::pipeline::{split_src_dst, Route, StreamCursor};
+use crate::pipeline::{split_src_dst, Land, Route, StreamCursor};
 use crate::placement::{Link, Placement};
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
@@ -249,15 +252,14 @@ impl SizeRing {
 enum RsPhase {
     Init,
     Round,
-    RecvWait,
-    SendWait,
     Finish,
     Done,
 }
 
 /// Resumable ring reduce-scatter: `n−1` hop rounds over a full-length
-/// accumulator, suspending per posted receive (monolithic placements) or
-/// per pipeline sub-chunk (piped).
+/// accumulator, each one [`Route::hop`] stream — one whole-message
+/// sub-chunk (raw, CPR-P2P) or PIPE-SZx sub-chunks (piped) — suspending
+/// at its first not-yet-ready receive or send.
 ///
 /// The accumulator is never initialized: every chunk is folded exactly
 /// once on this rank, so each fold is the first touch of its chunk
@@ -269,8 +271,6 @@ pub(crate) struct RingRs {
     phase: RsPhase,
     k: usize,
     hop: StreamCursor,
-    wire: Wire,
-    got: Option<Bytes>,
 }
 
 impl RingRs {
@@ -280,27 +280,7 @@ impl RingRs {
             phase: RsPhase::Init,
             k: 0,
             hop: StreamCursor::default(),
-            wire: Wire::default(),
-            got: None,
         }
-    }
-
-    /// Fold round `k`'s received payload into its accumulator chunk.
-    #[allow(clippy::too_many_arguments)]
-    fn reduce_got<C: Comm>(
-        &self,
-        comm: &mut C,
-        link: Link<'_>,
-        got: &[u8],
-        op: ReduceOp,
-        input: &[f32],
-        acc: &mut [f32],
-        ws: &mut CollWorkspace,
-    ) {
-        let (n, me) = (comm.size(), comm.rank());
-        let at = ws.chunk((me + 2 * n - self.k - 2) % n);
-        let (from, dst) = (Some(&input[at.clone()]), &mut acc[at]);
-        link.reduce(comm, got, op, from, dst, &mut ws.scratch);
     }
 
     /// Drive the reduce-scatter over `acc`, a full-length accumulator
@@ -323,7 +303,7 @@ impl RingRs {
         let me = comm.rank();
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
-        let link = self.place.link(cpr);
+        let stream = self.place.stream(cpr);
         loop {
             match self.phase {
                 RsPhase::Init => {
@@ -343,62 +323,25 @@ impl RingRs {
                         self.phase = RsPhase::Finish;
                         continue;
                     }
+                    // Piped rounds have their own tag family.
+                    let tag = match self.place {
+                        Placement::Piped(_) => tags::PIPELINE,
+                        place => tags::REDUCE_SCATTER + place.band(),
+                    } + self.k as Tag;
                     let send = ws.chunk((me + 2 * n - self.k - 1) % n);
-                    if let Placement::Piped(cfg) = self.place {
-                        // Piped rounds have their own tag family.
-                        let tag = tags::PIPELINE + self.k as Tag;
-                        let recv = ws.chunk((me + 2 * n - self.k - 2) % n);
-                        let from = Some(&input[recv.clone()]);
-                        let (src, dst) = if self.k == 0 {
-                            (&input[send], &mut acc[recv])
-                        } else {
-                            split_src_dst(acc, send, recv)
-                        };
-                        let route = Route::hop(cfg, tag, src, right, left, op, from);
-                        if !self
-                            .hop
-                            .step(comm, route, dst, &mut ws.pipe(), block)
-                            .is_ready()
-                        {
-                            return Poll::Pending;
-                        }
-                        self.k += 1;
-                        continue;
-                    }
-                    // CPR-P2P posts the receive before it compresses
-                    // (raw packing is free, so the order is moot there).
-                    let tag = tags::REDUCE_SCATTER + self.place.band() + self.k as Tag;
-                    self.wire.rreq = Some(comm.irecv(left, tag));
-                    let src = if self.k == 0 {
-                        &input[send]
+                    let recv = ws.chunk((me + 2 * n - self.k - 2) % n);
+                    let land = Land::Fold(op, Some(&input[recv.clone()]));
+                    let (src, dst) = if self.k == 0 {
+                        (&input[send], &mut acc[recv])
                     } else {
-                        &acc[send]
+                        split_src_dst(acc, send, recv)
                     };
-                    let payload = link.pack(comm, src, &mut ws.pool);
-                    self.wire.sreq = Some(comm.isend(right, tag, payload));
-                    self.phase = RsPhase::RecvWait;
-                }
-                RsPhase::RecvWait => {
-                    let Some(got) = self.wire.recv(comm, block, Category::Wait) else {
+                    let route = Route::hop(stream, tag, Some((src, right)), Some((left, land)));
+                    let poll = self.hop.step(comm, route, dst, &mut ws.pipe(), block);
+                    if poll == Poll::Pending {
                         return Poll::Pending;
-                    };
-                    match self.place {
-                        // The raw schedule (sendrecv) reduces after both
-                        // waits, CPR-P2P between them.
-                        Placement::Raw => self.got = Some(got),
-                        _ => self.reduce_got(comm, link, &got, op, input, acc, ws),
-                    }
-                    self.phase = RsPhase::SendWait;
-                }
-                RsPhase::SendWait => {
-                    if !self.wire.send_done(comm, block, Category::Wait) {
-                        return Poll::Pending;
-                    }
-                    if let Some(got) = self.got.take() {
-                        self.reduce_got(comm, link, &got, op, input, acc, ws);
                     }
                     self.k += 1;
-                    self.phase = RsPhase::Round;
                 }
                 RsPhase::Finish => {
                     op.finalize(&mut acc[ws.chunk(me)], n);
@@ -610,10 +553,8 @@ impl RingAg {
 enum BflyPhase {
     Init,
     FoldSend,
-    FoldSendWait,
     FoldRecv,
     Halving,
-    HalvingExchange,
     Doubling,
     DoublingExchange,
     Unfold,
@@ -626,9 +567,10 @@ enum BflyPhase {
 /// Resumable butterfly allreduce: serves both recursive doubling
 /// (`halving = false`, full-payload rounds) and Rabenseifner
 /// (`halving = true`, recursive-halving reduce-scatter +
-/// recursive-doubling allgather), in raw / CPR / pipelined placements
-/// (the fold and halving legs pipeline; doubling and unfold move
-/// finalized data and stay monolithic).
+/// recursive-doubling allgather), in raw / CPR / pipelined placements.
+/// The fold and halving legs are [`Route::hop`] streams (whole-message,
+/// or PIPE-SZx sub-chunks when piped); doubling and unfold move
+/// finalized data and stay monolithic `Wire` exchanges.
 ///
 /// The accumulator is the caller's `out`, *born* from this rank's first
 /// fold (`out[range] = fold(input[range], received)`); until then sends
@@ -705,6 +647,7 @@ impl Butterfly {
         let n = comm.size();
         let me = comm.rank();
         let link = self.place.link(cpr);
+        let stream = self.place.stream(cpr);
         loop {
             match self.phase {
                 BflyPhase::Init => {
@@ -732,11 +675,6 @@ impl Butterfly {
                         } else {
                             self.pos = me / 2;
                             self.phase = BflyPhase::FoldRecv;
-                            // The pipelined fold posts its own sub-chunk
-                            // receives through the cursor.
-                            if !matches!(self.place, Placement::Piped(_)) {
-                                self.wire.rreq = Some(comm.irecv(me - 1, self.tag));
-                            }
                         }
                     } else {
                         self.pos = me - rem;
@@ -745,25 +683,9 @@ impl Butterfly {
                 }
                 // Fold: the contributing even rank ships its whole input.
                 BflyPhase::FoldSend => {
-                    let (to, tag) = (me + 1, self.tag);
-                    if let Placement::Piped(cfg) = self.place {
-                        let route = Route::hop(cfg, tag, input, to, to, op, None);
-                        if !self
-                            .hop
-                            .step(comm, route, &mut [], &mut ws.pipe(), block)
-                            .is_ready()
-                        {
-                            return Poll::Pending;
-                        }
-                        self.phase = BflyPhase::Unfold;
-                    } else {
-                        let payload = link.pack(comm, input, &mut ws.pool);
-                        self.wire.sreq = Some(comm.isend(to, tag, payload));
-                        self.phase = BflyPhase::FoldSendWait;
-                    }
-                }
-                BflyPhase::FoldSendWait => {
-                    if !self.wire.send_done(comm, block, Category::Wait) {
+                    let route = Route::hop(stream, self.tag, Some((input, me + 1)), None);
+                    let poll = self.hop.step(comm, route, &mut [], &mut ws.pipe(), block);
+                    if poll == Poll::Pending {
                         return Poll::Pending;
                     }
                     self.phase = BflyPhase::Unfold;
@@ -771,21 +693,11 @@ impl Butterfly {
                 // Fold: the surviving odd rank reduces what arrives —
                 // its first touch of `out`.
                 BflyPhase::FoldRecv => {
-                    let first = Some(input);
-                    if let Placement::Piped(cfg) = self.place {
-                        let route = Route::hop(cfg, self.tag, &[], me - 1, me - 1, op, first);
-                        if !self
-                            .hop
-                            .step(comm, route, out, &mut ws.pipe(), block)
-                            .is_ready()
-                        {
-                            return Poll::Pending;
-                        }
-                    } else {
-                        let Some(got) = self.wire.recv(comm, block, Category::Others) else {
-                            return Poll::Pending;
-                        };
-                        link.reduce(comm, &got, op, first, out, &mut ws.scratch);
+                    let land = Land::Fold(op, Some(input));
+                    let route = Route::hop(stream, self.tag, None, Some((me - 1, land)));
+                    let poll = self.hop.step(comm, route, out, &mut ws.pipe(), block);
+                    if poll == Poll::Pending {
+                        return Poll::Pending;
                     }
                     self.born = true;
                     self.enter_rounds();
@@ -800,41 +712,18 @@ impl Butterfly {
                     }
                     let peer = butterfly_pos_to_rank(self.pos ^ self.mask, self.rem);
                     let (keep, send) = self.halving_ranges(ws);
-                    let tag = self.tag + self.round;
-                    if let Placement::Piped(cfg) = self.place {
-                        let (first, src, dst) = if self.born {
-                            let (src, dst) = split_src_dst(out, send, keep);
-                            (None, src, dst)
-                        } else {
-                            (Some(&input[keep.clone()]), &input[send], &mut out[keep])
-                        };
-                        let route = Route::hop(cfg, tag, src, peer, peer, op, first);
-                        if !self
-                            .hop
-                            .step(comm, route, dst, &mut ws.pipe(), block)
-                            .is_ready()
-                        {
-                            return Poll::Pending;
-                        }
-                        self.born = true;
-                        self.advance_halving();
+                    let (first, src, dst) = if self.born {
+                        let (src, dst) = split_src_dst(out, send, keep);
+                        (None, src, dst)
                     } else {
-                        let src = if self.born { &*out } else { input };
-                        let payload = link.pack(comm, &src[send], &mut ws.pool);
-                        self.wire.rreq = Some(comm.irecv(peer, tag));
-                        self.wire.sreq = Some(comm.isend(peer, tag, payload));
-                        self.phase = BflyPhase::HalvingExchange;
-                    }
-                }
-                BflyPhase::HalvingExchange => {
-                    let cat = Category::Wait;
-                    let Some(got) = self.wire.exchange(comm, block, cat, cat) else {
-                        return Poll::Pending;
+                        (Some(&input[keep.clone()]), &input[send], &mut out[keep])
                     };
-                    let (keep, _) = self.halving_ranges(ws);
-                    let first = (!self.born).then(|| &input[keep.clone()]);
-                    let dst = &mut out[keep];
-                    link.reduce(comm, &got, op, first, dst, &mut ws.scratch);
+                    let (tag, land) = (self.tag + self.round, Land::Fold(op, first));
+                    let route = Route::hop(stream, tag, Some((src, peer)), Some((peer, land)));
+                    let poll = self.hop.step(comm, route, dst, &mut ws.pipe(), block);
+                    if poll == Poll::Pending {
+                        return Poll::Pending;
+                    }
                     self.born = true;
                     self.advance_halving();
                 }
@@ -980,7 +869,6 @@ enum TreePhase {
     Init,
     Loop,
     SendParent,
-    SendParentWait,
     RecvChild,
     Final,
     DoneRoot,
@@ -989,7 +877,9 @@ enum TreePhase {
 
 /// Resumable binomial-tree rooted reduce. `step` returns
 /// `Poll::Ready`; whether this rank is the root comes from
-/// [`TreeReduce::is_root`] after completion.
+/// [`TreeReduce::is_root`] after completion. Every tree edge is one
+/// [`Route::hop`] stream: a whole message, or PIPE-SZx sub-chunks when
+/// piped.
 ///
 /// A rank's accumulator is born from its first child's fold
 /// (`acc = fold(input, received)`) and a rank without children sends
@@ -1004,7 +894,6 @@ pub(crate) struct TreeReduce {
     /// The accumulator holds a fold (else this rank's value is `input`).
     born: bool,
     hop: StreamCursor,
-    wire: Wire,
 }
 
 impl TreeReduce {
@@ -1016,7 +905,6 @@ impl TreeReduce {
             mask: 1,
             born: false,
             hop: StreamCursor::default(),
-            wire: Wire::default(),
         }
     }
 
@@ -1071,7 +959,7 @@ impl TreeReduce {
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
         let tag = tags::TREE_REDUCE + self.place.band();
-        let link = self.place.link(cpr);
+        let stream = self.place.stream(cpr);
         loop {
             match self.phase {
                 TreePhase::Init => {
@@ -1082,67 +970,31 @@ impl TreeReduce {
                 TreePhase::Loop => {
                     if self.mask >= n {
                         self.phase = TreePhase::Final;
-                        continue;
-                    }
-                    if relative & self.mask != 0 {
+                    } else if relative & self.mask != 0 {
                         self.phase = TreePhase::SendParent;
-                        continue;
-                    }
-                    let child_rel = relative + self.mask;
-                    if child_rel < n {
-                        // Monolithic placements post the receive here so
-                        // a nonblocking step can suspend on it.
-                        if !matches!(self.place, Placement::Piped(_)) {
-                            let child = (child_rel + self.root) % n;
-                            self.wire.rreq = Some(comm.irecv(child, tag));
-                        }
+                    } else if relative + self.mask < n {
                         self.phase = TreePhase::RecvChild;
-                        continue;
+                    } else {
+                        self.mask <<= 1;
                     }
-                    self.mask <<= 1;
                 }
                 TreePhase::SendParent => {
                     let to = (relative - self.mask + self.root) % n;
                     let src = if self.born { &*acc } else { input };
-                    if let Placement::Piped(cfg) = self.place {
-                        let route = Route::hop(cfg, tag, src, to, to, op, None);
-                        if !self
-                            .hop
-                            .step(comm, route, &mut [], &mut ws.pipe(), block)
-                            .is_ready()
-                        {
-                            return Poll::Pending;
-                        }
-                        self.phase = TreePhase::DoneLeaf;
-                    } else {
-                        let payload = link.pack(comm, src, &mut ws.pool);
-                        self.wire.sreq = Some(comm.isend(to, tag, payload));
-                        self.phase = TreePhase::SendParentWait;
-                    }
-                }
-                TreePhase::SendParentWait => {
-                    if !self.wire.send_done(comm, block, Category::Wait) {
+                    let route = Route::hop(stream, tag, Some((src, to)), None);
+                    let poll = self.hop.step(comm, route, &mut [], &mut ws.pipe(), block);
+                    if poll == Poll::Pending {
                         return Poll::Pending;
                     }
                     self.phase = TreePhase::DoneLeaf;
                 }
                 TreePhase::RecvChild => {
-                    let first = (!self.born).then_some(input);
-                    if let Placement::Piped(cfg) = self.place {
-                        let from = ((relative + self.mask) + self.root) % n;
-                        let route = Route::hop(cfg, tag, &[], from, from, op, first);
-                        if !self
-                            .hop
-                            .step(comm, route, acc, &mut ws.pipe(), block)
-                            .is_ready()
-                        {
-                            return Poll::Pending;
-                        }
-                    } else {
-                        let Some(got) = self.wire.recv(comm, block, Category::Others) else {
-                            return Poll::Pending;
-                        };
-                        link.reduce(comm, &got, op, first, acc, &mut ws.scratch);
+                    let from = (relative + self.mask + self.root) % n;
+                    let land = Land::Fold(op, (!self.born).then_some(input));
+                    let route = Route::hop(stream, tag, None, Some((from, land)));
+                    let poll = self.hop.step(comm, route, acc, &mut ws.pipe(), block);
+                    if poll == Poll::Pending {
+                        return Poll::Pending;
                     }
                     self.born = true;
                     self.mask <<= 1;
@@ -1186,17 +1038,16 @@ enum BcPhase {
 ///   relay, then decode; leaf: decode as chunks arrive), all on one
 ///   tag. A payload of at most one sub-chunk is a single whole-payload
 ///   message.
-/// * **raw** — uncompressed values as one message per tree edge, each
-///   send waited out before the next. Deliberately not streamed: its
-///   root is egress-bound either way. It is the node-local fan-out of
-///   the hierarchical allgather and broadcast, and of the hierarchical
-///   allreduce wherever that does not stream its group legs as a chain
-///   ([`HierAr`]).
-/// * **CPR-P2P** — the raw shape with every hop decompressing what it
-///   received and re-compressing it for *each* child: `log₂N · (T_comp +
-///   T_decomp)` on the critical path (the Fig. 3 left-hand timeline).
-///   The length travels ahead of every payload in a 4-byte header on
-///   `tag + 1`, as eager decompression needs.
+/// * **raw** — the same [`Route::tree`] with the whole payload as one
+///   uncompressed sub-chunk: one message per tree edge, relayed before
+///   it lands. Deliberately not cut into sub-chunks: its root is
+///   egress-bound either way.
+/// * **CPR-P2P** — one message per tree edge with every hop
+///   decompressing what it received and re-compressing it for *each*
+///   child: `log₂N · (T_comp + T_decomp)` on the critical path (the
+///   Fig. 3 left-hand timeline). The length travels ahead of every
+///   payload in a 4-byte header on `tag + 1`, as eager decompression
+///   needs.
 #[derive(Debug)]
 pub(crate) struct Bcast {
     place: Placement,
@@ -1204,7 +1055,7 @@ pub(crate) struct Bcast {
     pipe: usize,
     root: usize,
     stream: StreamCursor,
-    // Whole-message shapes' state.
+    // The CPR-P2P shape's state.
     phase: BcPhase,
     mask: usize,
     wire: Wire,
@@ -1225,15 +1076,8 @@ impl Bcast {
         }
     }
 
-    /// The raw fan-out from a group's first member that ends every
-    /// hierarchical schedule.
-    fn fanout() -> Self {
-        Self::new(Placement::Raw, 0, 0)
-    }
-
     /// Drive the broadcast. On the root an empty `data` means `out` is
-    /// already the source (hierarchical fan-outs hand the leader's
-    /// result over in place); otherwise `data` is copied in.
+    /// already the source; otherwise `data` is copied in.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
@@ -1245,22 +1089,26 @@ impl Bcast {
         block: bool,
     ) -> Poll {
         let tag = tags::BCAST + self.place.band();
-        let link = self.place.link(cpr);
-        if let Link::Once(_) = link {
+        let (link, whole) = self.place.stream(cpr);
+        if !matches!(link, Link::Cpr(_)) {
             // The root streams `data` and takes its bits once it is out.
             let copy = comm.rank() == self.root && !data.is_empty();
             assert!(
                 !copy || data.len() == out.len(),
                 "root data disagrees with plan length"
             );
-            let route = Route::tree(comm, link, self.pipe, tag, self.root, data);
+            let pipe = if matches!(link, Link::Once(_)) {
+                self.pipe
+            } else {
+                whole
+            };
+            let route = Route::tree(comm, (link, pipe), tag, self.root, data);
             let poll = self.stream.step(comm, route, out, &mut ws.pipe(), block);
             if copy && poll.is_ready() {
                 out.copy_from_slice(data);
             }
             return poll;
         }
-        let per_hop = matches!(link, Link::Cpr(_));
         let n = comm.size();
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
@@ -1286,18 +1134,13 @@ impl Bcast {
                         self.mask >>= 1;
                         self.phase = BcPhase::Sends;
                     } else {
-                        // Find my parent bit and post that receive.
+                        // Find my parent bit and post its header receive.
                         while self.mask < n && relative & self.mask == 0 {
                             self.mask <<= 1;
                         }
                         let src = (relative - self.mask + self.root) % n;
-                        let (first, phase) = if per_hop {
-                            (tag + 1, BcPhase::HeaderWait)
-                        } else {
-                            (tag, BcPhase::RecvWait)
-                        };
-                        self.wire.rreq = Some(comm.irecv(src, first));
-                        self.phase = phase;
+                        self.wire.rreq = Some(comm.irecv(src, tag + 1));
+                        self.phase = BcPhase::HeaderWait;
                     }
                 }
                 BcPhase::HeaderWait => {
@@ -1320,26 +1163,17 @@ impl Bcast {
                 }
                 BcPhase::Sends => {
                     if self.mask == 0 {
-                        self.payload = None;
                         self.phase = BcPhase::Done;
                         continue;
                     }
                     if relative + self.mask < n {
                         let dst = (relative + self.mask + self.root) % n;
-                        // One raw payload serves every child; CPR-P2P
-                        // re-compresses for each (the per-hop waste).
-                        if per_hop || self.payload.is_none() {
-                            self.payload = Some(link.pack(comm, out, &mut ws.pool));
-                        }
-                        if per_hop {
-                            let header = ws.pool.write(&(out.len() as u32).to_le_bytes());
-                            self.wire.sreq = Some(comm.isend(dst, tag + 1, header));
-                            self.phase = BcPhase::HeaderSent;
-                        } else {
-                            let payload = self.payload.clone().expect("payload packed");
-                            self.wire.sreq = Some(comm.isend(dst, tag, payload));
-                            self.phase = BcPhase::SendWait;
-                        }
+                        // Re-compressed for every child (the per-hop
+                        // waste).
+                        self.payload = Some(link.pack(comm, out, &mut ws.pool));
+                        let header = ws.pool.write(&(out.len() as u32).to_le_bytes());
+                        self.wire.sreq = Some(comm.isend(dst, tag + 1, header));
+                        self.phase = BcPhase::HeaderSent;
                         continue;
                     }
                     self.mask >>= 1;
@@ -2104,34 +1938,50 @@ enum HierPhase {
     Done,
 }
 
+/// Step the raw fan-out that ends every hierarchical schedule: the
+/// group owner's `out` into every other member's, as a `pipe`-value
+/// sub-chunk [`Route::chain_relay`] when `chain` gives one, else as the
+/// whole-message binomial [`Route::tree`]. A one-member group has
+/// nothing to fan out.
+fn fan_out<C: Comm>(
+    cursor: &mut StreamCursor,
+    comm: &mut C,
+    group: &[usize],
+    chain: Option<usize>,
+    out: &mut [f32],
+    ws: &mut CollWorkspace,
+    block: bool,
+) -> Poll {
+    if group.len() == 1 {
+        return Poll::Ready;
+    }
+    let mut sub = CommView::group(comm, group);
+    let route = match chain {
+        Some(pipe) => Route::chain_relay(&sub, pipe, tags::BCAST),
+        None => Route::tree(&sub, Placement::Raw.stream(None), tags::BCAST, 0, &[]),
+    };
+    cursor.step(&mut sub, route, out, &mut ws.pipe(), block)
+}
+
 /// The leg a laned allreduce is in, with that leg's machine: one runs
 /// at a time, built when its leg begins.
 #[derive(Debug)]
 enum LaneLeg {
-    GroupReduce(GroupLeg<TreeReduce>),
+    GroupReduce(GroupReduce),
     NodeRs(RingRs),
     Inter(Butterfly),
     NodeAg(RingAg),
-    GroupBcast(GroupLeg<Bcast>),
+    GroupBcast(StreamCursor),
     Final,
     Done,
 }
 
-/// A group leg's machine: the binomial tree `T`, or the sub-chunk chain.
+/// The group reduce's machine: the binomial tree, or the sub-chunk
+/// chain.
 #[derive(Debug)]
-enum GroupLeg<T> {
-    Tree(T),
+enum GroupReduce {
+    Tree(TreeReduce),
     Chain(StreamCursor),
-}
-
-impl<T> GroupLeg<T> {
-    fn new(streamed: bool, tree: T) -> Self {
-        if streamed {
-            GroupLeg::Chain(StreamCursor::default())
-        } else {
-            GroupLeg::Tree(tree)
-        }
-    }
 }
 
 /// Laned two-level allreduce over `L = groups.owners.len()` lanes:
@@ -2145,12 +1995,12 @@ impl<T> GroupLeg<T> {
 /// 4. raw ring allgather of the lanes over the node's owners;
 /// 5. raw fan-out of the result inside each group.
 ///
-/// Phases 1 and 5 are binomial trees ([`TreeReduce`], [`Bcast`]) or,
-/// when the plan's cost model prices it cheaper (`streamed`: payloads of
-/// several sub-chunks), streams of `pipe`-value sub-chunks along the
-/// group ([`Route::chain_fold`] toward the owner, [`Route::chain_relay`]
-/// away from it). Non-owners fold into `out`, which the fan-out
-/// overwrites.
+/// Phases 1 and 5 are binomial trees of whole-message hops
+/// ([`TreeReduce`], the raw [`Route::tree`]) or, when the plan's cost
+/// model prices it cheaper (`streamed`: payloads of several
+/// sub-chunks), streams of `pipe`-value sub-chunks along the group
+/// ([`Route::chain_fold`] toward the owner, [`Route::chain_relay`] away
+/// from it). Non-owners fold into `out`, which the fan-out overwrites.
 ///
 /// `L = 1` is the single-leader schedule (phases 2 and 4 have one
 /// member and are skipped); `L =` node size is reduce-scatter-first
@@ -2178,7 +2028,11 @@ impl HierAr {
             place,
             pipe,
             streamed,
-            leg: LaneLeg::GroupReduce(GroupLeg::new(streamed, TreeReduce::new(Placement::Raw, 0))),
+            leg: LaneLeg::GroupReduce(if streamed {
+                GroupReduce::Chain(StreamCursor::default())
+            } else {
+                GroupReduce::Tree(TreeReduce::new(Placement::Raw, 0))
+            }),
         }
     }
 
@@ -2218,11 +2072,11 @@ impl HierAr {
                         let mut hier = std::mem::take(&mut ws.hier);
                         let mut sub = CommView::group(comm, &groups.group);
                         let r = match leg {
-                            GroupLeg::Tree(tree) => {
+                            GroupReduce::Tree(tree) => {
                                 let result = if owner { &mut hier[..d] } else { &mut [][..] };
                                 tree.step(&mut sub, None, inner, input, result, ws, block)
                             }
-                            GroupLeg::Chain(chain) => {
+                            GroupReduce::Chain(chain) => {
                                 let acc = if owner { &mut hier[..d] } else { &mut *out };
                                 let tag = tags::TREE_REDUCE;
                                 let route = Route::chain_fold(&sub, self.pipe, tag, inner, input);
@@ -2237,7 +2091,7 @@ impl HierAr {
                     self.leg = if owner {
                         LaneLeg::NodeRs(RingRs::new(Placement::Raw))
                     } else {
-                        LaneLeg::GroupBcast(GroupLeg::new(self.streamed, Bcast::fanout()))
+                        LaneLeg::GroupBcast(StreamCursor::default())
                     };
                 }
                 LaneLeg::NodeRs(scatter) => {
@@ -2283,23 +2137,13 @@ impl HierAr {
                             return Poll::Pending;
                         }
                     }
-                    self.leg = LaneLeg::GroupBcast(GroupLeg::new(self.streamed, Bcast::fanout()));
+                    self.leg = LaneLeg::GroupBcast(StreamCursor::default());
                 }
-                LaneLeg::GroupBcast(leg) => {
-                    if grouped {
-                        let mut sub = CommView::group(comm, &groups.group);
-                        let r = match leg {
-                            GroupLeg::Tree(fanout) => {
-                                fanout.step(&mut sub, None, &[], out, ws, block)
-                            }
-                            GroupLeg::Chain(chain) => {
-                                let route = Route::chain_relay(&sub, self.pipe, tags::BCAST);
-                                chain.step(&mut sub, route, out, &mut ws.pipe(), block)
-                            }
-                        };
-                        if r == Poll::Pending {
-                            return Poll::Pending;
-                        }
+                LaneLeg::GroupBcast(cursor) => {
+                    let chain = self.streamed.then_some(self.pipe);
+                    let r = fan_out(cursor, comm, &groups.group, chain, out, ws, block);
+                    if r == Poll::Pending {
+                        return Poll::Pending;
                     }
                     self.leg = LaneLeg::Final;
                 }
@@ -2318,13 +2162,13 @@ impl HierAr {
 /// Two-level allgather: raw binomial gather of member chunks into the
 /// node leader, ring allgather of whole node blocks over the leaders
 /// (compress-once on the inter-node leg), raw fan-out of the assembled
-/// buffer.
+/// buffer down the node's whole-message binomial tree.
 #[derive(Debug)]
 pub(crate) struct HierAg {
     phase: HierPhase,
     local: Gather,
     inter: RingAg,
-    fanout: Bcast,
+    fanout: StreamCursor,
 }
 
 impl HierAg {
@@ -2335,7 +2179,7 @@ impl HierAg {
             phase: HierPhase::Local,
             local: Gather::new(Placement::Raw, 0, node_block_len),
             inter: RingAg::new(place, true),
-            fanout: Bcast::fanout(),
+            fanout: StreamCursor::default(),
         }
     }
 
@@ -2384,11 +2228,11 @@ impl HierAg {
                     }
                 }
                 HierPhase::Fanout => {
-                    let mut sub = CommView::group(comm, &groups.group);
-                    match self.fanout.step(&mut sub, None, &[], out, ws, block) {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready => self.phase = HierPhase::Final,
+                    let r = fan_out(&mut self.fanout, comm, &groups.group, None, out, ws, block);
+                    if r == Poll::Pending {
+                        return Poll::Pending;
                     }
+                    self.phase = HierPhase::Final;
                 }
                 HierPhase::Final => self.phase = HierPhase::Done,
                 HierPhase::Done => return Poll::Ready,
@@ -2398,11 +2242,12 @@ impl HierAg {
 }
 
 /// Two-level broadcast: an intra-node hand-off from the root to its
-/// node leader (skipped when the root *is* a leader), a binomial bcast
-/// over the leaders (compress-once, streamed in sub-chunks like the
-/// flat one — it *is* a [`Bcast`]), and a raw binomial fan-out within
-/// every node. The root's buffer stays bitwise-exact; all other ranks
-/// see one identical decode of the single inter-node blob.
+/// node leader (a one-hop raw [`Route::hop`], skipped when the root
+/// *is* a leader), a binomial bcast over the leaders (compress-once,
+/// streamed in sub-chunks like the flat one — it *is* a [`Bcast`]), and
+/// a raw fan-out down every node's whole-message binomial tree. The
+/// root's buffer stays bitwise-exact; all other ranks see one identical
+/// decode of the single inter-node blob.
 #[derive(Debug)]
 pub(crate) struct HierBc {
     phase: HierPhase,
@@ -2412,8 +2257,8 @@ pub(crate) struct HierBc {
     /// Leader-group index of the root's node.
     root_node: usize,
     inter: Bcast,
-    fanout: Bcast,
-    wire: Wire,
+    /// The hand-off's stream, then the fan-out's.
+    stream: StreamCursor,
 }
 
 impl HierBc {
@@ -2426,8 +2271,7 @@ impl HierBc {
             root,
             root_node,
             inter: Bcast::new(place, pipe, root_node),
-            fanout: Bcast::fanout(),
-            wire: Wire::default(),
+            stream: StreamCursor::default(),
         }
     }
 
@@ -2443,35 +2287,29 @@ impl HierBc {
         block: bool,
     ) -> Poll {
         let me = comm.rank();
-        let root_is_leader = groups.lane_peers[self.root_node] == self.root;
+        let root_leader = groups.lane_peers[self.root_node];
+        let root_is_leader = root_leader == self.root;
         let my_leader = groups.group[0];
         loop {
             match self.phase {
-                // Root→leader hand-off (raw, intra-node).
+                // Root→leader hand-off (raw, intra-node): a one-hop route
+                // between the two, empty on every other rank.
                 HierPhase::Local => {
-                    if root_is_leader {
-                        self.phase = HierPhase::Inter;
-                        continue;
-                    }
-                    let tag = tags::HIER;
-                    if me == self.root {
-                        if self.wire.sreq.is_none() {
-                            let payload = Link::Raw.pack(comm, data, &mut ws.pool);
-                            self.wire.sreq =
-                                Some(comm.isend(groups.lane_peers[self.root_node], tag, payload));
-                        }
-                        if !self.wire.send_done(comm, block, Category::Wait) {
-                            return Poll::Pending;
-                        }
-                    } else if me == groups.lane_peers[self.root_node] {
-                        if self.wire.rreq.is_none() {
-                            self.wire.rreq = Some(comm.irecv(self.root, tag));
-                        }
-                        let Some(got) = self.wire.recv(comm, block, Category::Others) else {
-                            return Poll::Pending;
-                        };
+                    let (mut send, mut recv) = (None, None);
+                    if me == self.root && !root_is_leader {
+                        send = Some((data, root_leader));
+                    } else if me == root_leader && !root_is_leader {
                         ws.hier.resize(out.len(), 0.0);
-                        Link::Raw.land(comm, &got, &mut ws.hier, &mut ws.scratch);
+                        recv = Some((self.root, Land::Store));
+                    }
+                    let mut hier = std::mem::take(&mut ws.hier);
+                    let route = Route::hop(Placement::Raw.stream(None), tags::HIER, send, recv);
+                    let r = self
+                        .stream
+                        .step(comm, route, &mut hier, &mut ws.pipe(), block);
+                    ws.hier = hier;
+                    if r == Poll::Pending {
+                        return Poll::Pending;
                     }
                     self.phase = HierPhase::Inter;
                 }
@@ -2482,7 +2320,7 @@ impl HierBc {
                         continue;
                     }
                     let hier = std::mem::take(&mut ws.hier);
-                    let src: &[f32] = if me != groups.lane_peers[self.root_node] {
+                    let src: &[f32] = if me != root_leader {
                         &[]
                     } else if root_is_leader {
                         data
@@ -2498,13 +2336,13 @@ impl HierBc {
                     }
                 }
                 // Raw fan-out within the node; the leader's `out` is
-                // pre-filled, so the empty-source form applies.
+                // pre-filled.
                 HierPhase::Fanout => {
-                    let mut sub = CommView::group(comm, &groups.group);
-                    match self.fanout.step(&mut sub, None, &[], out, ws, block) {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready => self.phase = HierPhase::Final,
+                    let r = fan_out(&mut self.stream, comm, &groups.group, None, out, ws, block);
+                    if r == Poll::Pending {
+                        return Poll::Pending;
                     }
+                    self.phase = HierPhase::Final;
                 }
                 HierPhase::Final => {
                     // A non-leader root received its node's relayed

@@ -19,15 +19,19 @@
 //!   [`crate::pipeline::Route::hop`]s over [`Link::piped`], pooled.
 //!
 //! A machine that cannot run a placement refuses it in its constructor.
-//! The streaming engine reaches the codec through the same `Link`s.
+//! The streaming engine reaches the codec through the same `Link`s:
+//! [`Placement::stream`] gives every reducing hop its link and
+//! sub-chunk size, the whole message at raw and CPR.
 //!
 //! Orderings the machines keep — virtual time is bit-identical only
 //! while they hold:
 //!
-//! 1. `RingRs` posts its receive *before* packing; CPR reduces *between*
-//!    the receive-wait and the send-wait, raw *after both*. Every other
-//!    full-duplex round packs first, then posts the receive, then sends,
-//!    and waits the pair out through `Wire::exchange`.
+//! 1. The rounds still on a `Wire` — recursive doubling's exchange,
+//!    Rabenseifner's doubling and unfold, the ring allgather, the
+//!    all-to-all and Bruck rounds — pack first, then post the receive,
+//!    then send, and wait a full-duplex pair out through
+//!    `Wire::exchange` (receive, then send) before they land or fold.
+//!    Every reducing hop is a route instead (rule 6).
 //! 2. Raw `pack` charges nothing and raw `unpack` charges `Memcpy`; CPR
 //!    `unpack` is decompress (`ComDecom` + `BufferMgmt`) + `Memcpy` —
 //!    the naive integration the baselines model; once `pack` / `unpack`
@@ -48,12 +52,18 @@
 //!    is the accumulator, so nothing is copied out either. Only a
 //!    schedule with no fold at all (one rank) pays one charged
 //!    `input → out` copy.
-//! 6. Streams (`crate::pipeline`): a relaying rank forwards a sub-chunk
-//!    *before* landing it, and a chain member folds *before* forwarding
-//!    the fold; sends are retired lazily (between sub-chunks only those
-//!    that have left, the rest at the end); a nonblocking step encodes
-//!    at most one charged sub-chunk — a tree root suspends after every
-//!    one — while a raw source end sends its whole stream at once.
+//! 6. Streams (`crate::pipeline`): a route posts its whole inbound
+//!    stream *before* packing; a hop folds an arrival as soon as it
+//!    lands, before its own sends retire; a relaying rank forwards a
+//!    sub-chunk *before* landing it, and a chain member folds *before*
+//!    forwarding the fold; sends are retired lazily (between sub-chunks
+//!    only those that have left, the rest at the end); a nonblocking
+//!    step encodes at most one charged sub-chunk — a tree root suspends
+//!    after every one — while a raw source end sends its whole stream at
+//!    once. A whole-message route (`Placement::stream` of raw or CPR, the
+//!    raw tree) is one unbounded sub-chunk, sent even when empty — the
+//!    one message of the hop it replaces; a PIPE-SZx hop sends nothing
+//!    of an empty buffer. Its receive waits are `Wait` time.
 
 use bytes::Bytes;
 use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
@@ -111,6 +121,20 @@ impl Placement {
         };
         assert!(runs, "{machine} cannot run {self:?}");
         self
+    }
+
+    /// The stream a hop of this placement runs on the streaming engine,
+    /// as `(link, values per sub-chunk)`: PIPE-SZx sub-chunks at `cfg`
+    /// when piped; otherwise [`Placement::link`] with the whole message
+    /// as one unbounded sub-chunk — a CPR-P2P hop is a stream of one.
+    ///
+    /// # Panics
+    /// Panics if a compressed placement is stepped without a codec.
+    pub(crate) fn stream(self, cpr: Option<&CprCodec>) -> (Link<'_>, usize) {
+        match self {
+            Placement::Piped(cfg) => (Link::piped(cfg), cfg.chunk_values),
+            _ => (self.link(cpr), usize::MAX),
+        }
     }
 
     /// Bind the placement to the session codec for one `step`.
@@ -348,10 +372,7 @@ mod tests {
         let out = SimWorld::new(SimConfig::new(2)).run(move |c| {
             let cpr = CprCodec::from_spec(spec);
             // A piped machine's sub-chunks (its monolithic legs are CPR).
-            let link = match place {
-                Placement::Piped(cfg) => Link::piped(cfg),
-                _ => place.link(cpr.as_ref()),
-            };
+            let (link, _) = place.stream(cpr.as_ref());
             let mut ws = CollWorkspace::new();
             if c.rank() == 0 {
                 return [1, 2, 3, 4].map(|tag| {

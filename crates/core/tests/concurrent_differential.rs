@@ -8,8 +8,8 @@
 //! * **Interleaving-independence** — 2–8 concurrent operations, with
 //!   progress passes interleaved between and after submissions in a
 //!   seed-derived order, produce bitwise the sequential `execute_into`
-//!   results under lossless codecs (worlds 2–9, both fairness
-//!   policies, mixed algorithms), and stay inside the SZx error
+//!   results under lossless codecs (worlds 2–9, round-robin passes,
+//!   mixed algorithms), and stay inside the SZx error
 //!   envelope under lossy compression.
 //! * **Tag isolation** — operations with *identical* shape (same
 //!   length, algorithm and codec, so every message is
@@ -29,7 +29,7 @@
 
 use std::time::Duration;
 
-use c_coll::engine::{Fairness, ProgressEngine};
+use c_coll::engine::ProgressEngine;
 use c_coll::{Algorithm, CCollSession, CodecSpec, CollectiveError, PlanOptions, ReduceOp};
 use ccoll_comm::{Category, Comm, FaultPlan, FaultPolicy, SimConfig, SimWorld, ThreadWorld};
 use proptest::prelude::*;
@@ -72,7 +72,7 @@ const ALGOS: [Algorithm; 3] = [
 ];
 
 /// Run `ops` allreduces over `lens`/`seed` data, either sequentially
-/// (`execute_into` one after another) or concurrently through a
+/// (`execute_into` one after another) or, when `concurrent`, through a
 /// [`ProgressEngine`] with a seed-derived interleave of progress
 /// passes. Returns per-rank, per-op outputs.
 fn run_allreduce_case<C: Comm>(
@@ -81,7 +81,7 @@ fn run_allreduce_case<C: Comm>(
     n: usize,
     lens: &[usize],
     seed: u64,
-    fairness: Option<Fairness>,
+    concurrent: bool,
 ) -> Vec<Vec<f32>> {
     let session = CCollSession::new(spec, n);
     let mut plans: Vec<_> = lens
@@ -108,34 +108,29 @@ fn run_allreduce_case<C: Comm>(
         .collect();
     let mut outs: Vec<Vec<f32>> = lens.iter().map(|&l| vec![0.0f32; l]).collect();
 
-    match fairness {
-        None => {
-            for ((plan, input), out) in plans.iter_mut().zip(&inputs).zip(&mut outs) {
-                plan.execute_into(c, input, out);
-            }
+    if !concurrent {
+        for ((plan, input), out) in plans.iter_mut().zip(&inputs).zip(&mut outs) {
+            plan.execute_into(c, input, out);
         }
-        Some(fairness) => {
-            let mut engine = ProgressEngine::new().with_fairness(fairness);
-            for (i, ((plan, input), out)) in
-                plans.iter_mut().zip(&inputs).zip(&mut outs).enumerate()
-            {
-                engine.submit(plan.start(c, input, out));
-                // Seed-derived interleave: a few bounded passes (and a
-                // slice of virtual compute) between submissions, so
-                // earlier ops are mid-flight when later ones start.
-                for _ in 0..mix(seed ^ (i as u64) << 8) % 4 {
-                    engine.progress(c);
-                    c.charge_duration(Duration::from_nanos(500), Category::Others);
-                }
-            }
-            // A randomized tail of bounded passes before the drain.
-            for _ in 0..mix(seed ^ 0xD1FF) % 6 {
-                engine.progress(c);
-            }
-            engine.wait_all(c);
-            drop(engine);
+        return outs;
+    }
+    let mut engine = ProgressEngine::new();
+    for (i, ((plan, input), out)) in plans.iter_mut().zip(&inputs).zip(&mut outs).enumerate() {
+        engine.submit(plan.start(c, input, out));
+        // Seed-derived interleave: a few bounded passes (and a slice of
+        // virtual compute) between submissions, so earlier ops are
+        // mid-flight when later ones start.
+        for _ in 0..mix(seed ^ (i as u64) << 8) % 4 {
+            engine.progress(c);
+            c.charge_duration(Duration::from_nanos(500), Category::Others);
         }
     }
+    // A randomized tail of bounded passes before the drain.
+    for _ in 0..mix(seed ^ 0xD1FF) % 6 {
+        engine.progress(c);
+    }
+    engine.wait_all(c);
+    drop(engine);
     outs
 }
 
@@ -150,27 +145,25 @@ proptest! {
         ops in 2usize..=8,
         base_len in 4usize..240,
         seed in any::<u64>(),
-        fairness_idx in 0usize..2,
     ) {
-        let fairness = [Fairness::RoundRobin, Fairness::OldestFirst][fairness_idx];
         let lens: Vec<usize> = (0..ops)
             .map(|i| base_len + (mix(seed ^ i as u64) % 97) as usize)
             .collect();
         for spec in [CodecSpec::None, CodecSpec::Lossless] {
-            let run = |mode: Option<Fairness>| {
+            let run = |concurrent: bool| {
                 let lens = lens.clone();
                 SimWorld::new(SimConfig::new(n))
-                    .run(move |c| run_allreduce_case(c, spec, n, &lens, seed, mode))
+                    .run(move |c| run_allreduce_case(c, spec, n, &lens, seed, concurrent))
                     .results
             };
-            let sequential = run(None);
-            let concurrent = run(Some(fairness));
+            let sequential = run(false);
+            let concurrent = run(true);
             for r in 0..n {
                 for op in 0..ops {
                     prop_assert_eq!(
                         &concurrent[r][op], &sequential[r][op],
-                        "{:?}/{:?}: op {} diverged on rank {} (n={}, lens={:?})",
-                        spec, fairness, op, r, n, &lens
+                        "{:?}: op {} diverged on rank {} (n={}, lens={:?})",
+                        spec, op, r, n, &lens
                     );
                 }
             }
@@ -192,14 +185,14 @@ proptest! {
         let lens: Vec<usize> = (0..ops)
             .map(|i| base_len + (mix(seed ^ i as u64) % 61) as usize)
             .collect();
-        let run = |mode: Option<Fairness>| {
+        let run = |concurrent: bool| {
             let lens = lens.clone();
             SimWorld::new(SimConfig::new(n))
-                .run(move |c| run_allreduce_case(c, spec, n, &lens, seed, mode))
+                .run(move |c| run_allreduce_case(c, spec, n, &lens, seed, concurrent))
                 .results
         };
-        let sequential = run(None);
-        let concurrent = run(Some(Fairness::RoundRobin));
+        let sequential = run(false);
+        let concurrent = run(true);
         // Each path is within 4·n·eb of the exact sum, so their
         // divergence is bounded by twice that envelope.
         let tol = 8.0 * (n as f32) * eb;
@@ -292,14 +285,14 @@ proptest! {
             .map(|i| base_len + (mix(seed ^ i as u64) % 53) as usize)
             .collect();
         let spec = CodecSpec::Lossless;
-        let run = |mode: Option<Fairness>| {
+        let run = |concurrent: bool| {
             let lens = lens.clone();
             ThreadWorld::new(n)
-                .run(move |c| run_allreduce_case(c, spec, n, &lens, seed, mode))
+                .run(move |c| run_allreduce_case(c, spec, n, &lens, seed, concurrent))
                 .results
         };
-        let sequential = run(None);
-        let concurrent = run(Some(Fairness::RoundRobin));
+        let sequential = run(false);
+        let concurrent = run(true);
         for r in 0..n {
             for op in 0..ops {
                 prop_assert_eq!(

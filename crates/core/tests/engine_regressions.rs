@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use c_coll::engine::{Fairness, ProgressEngine};
+use c_coll::engine::ProgressEngine;
 use c_coll::{CCollSession, CodecSpec, CollectiveError, ReduceOp};
 use ccoll_comm::{Category, Comm, SimConfig, SimWorld};
 
@@ -75,7 +75,7 @@ fn abandoned_op_poisons_only_its_plan_and_deregisters() {
     }
 }
 
-/// Fairness under load: one large lossy allreduce plus K small ones,
+/// Round-robin under load: one large lossy allreduce plus K small ones,
 /// driven by bounded round-robin passes. The small operations must all
 /// complete within a pinned number of passes — they get one work slice
 /// per pass no matter how much the large op still has queued — and the
@@ -104,7 +104,7 @@ fn small_ops_complete_within_bounded_passes_alongside_a_large_op() {
             let mut big_out = vec![0.0f32; large];
             let mut small_outs: Vec<Vec<f32>> = (0..k).map(|_| vec![0.0f32; small]).collect();
 
-            let mut engine = ProgressEngine::new().with_fairness(Fairness::RoundRobin);
+            let mut engine = ProgressEngine::new();
             let big_id = engine.submit(big.start(c, &big_in, &mut big_out));
             let small_ids: Vec<_> = smalls
                 .iter_mut()
@@ -145,59 +145,4 @@ fn small_ops_complete_within_bounded_passes_alongside_a_large_op() {
             );
         }
     }
-}
-
-/// Weighted fairness: two identical large lossy allreduces, one
-/// submitted at weight 8 and one at weight 1. The heavy one receives
-/// eight work slices per pass, so it must retire in strictly fewer
-/// passes — and the light one must still complete (weights prioritise,
-/// they never starve).
-#[test]
-fn weighted_ops_drain_ahead_without_starving_siblings() {
-    let n = 4;
-    let len = 120_000;
-    let results = SimWorld::new(SimConfig::new(n))
-        .run(move |c| {
-            let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, n);
-            let mut heavy_plan = session.plan_allreduce(len, ReduceOp::Sum);
-            let mut light_plan = session.plan_allreduce(len, ReduceOp::Sum);
-            let input: Vec<f32> = (0..len).map(|i| (i as f32 * 1e-4).sin()).collect();
-            let mut heavy_out = vec![0.0f32; len];
-            let mut light_out = vec![0.0f32; len];
-
-            let mut engine = ProgressEngine::new().with_fairness(Fairness::RoundRobin);
-            let heavy = engine.submit_weighted(heavy_plan.start(c, &input, &mut heavy_out), 8);
-            let light = engine.submit(light_plan.start(c, &input, &mut light_out));
-
-            let mut passes = 0usize;
-            let mut done_at = [0usize; 2];
-            while engine.live_ops() > 0 {
-                passes += 1;
-                engine.progress_with(c, |id| {
-                    done_at[usize::from(id == light)] = passes;
-                });
-                c.charge_duration(Duration::from_nanos(200), Category::Others);
-                assert!(passes < 100_000, "engine stalled");
-            }
-            drop(engine);
-            assert!(engine_done(done_at));
-            let _ = (heavy, light);
-            (done_at[0], done_at[1], heavy_out, light_out)
-        })
-        .results;
-    for (r, (heavy_pass, light_pass, heavy_out, light_out)) in results.iter().enumerate() {
-        assert!(
-            heavy_pass < light_pass,
-            "rank {r}: weight 8 finished at pass {heavy_pass}, \
-             weight 1 at {light_pass} — weighting had no effect"
-        );
-        assert_eq!(
-            heavy_out, light_out,
-            "rank {r}: identical inputs must produce identical results"
-        );
-    }
-}
-
-fn engine_done(done_at: [usize; 2]) -> bool {
-    done_at.iter().all(|&p| p > 0)
 }

@@ -11,7 +11,9 @@
 //! outside any fault policy, which is exactly the kind of unbounded
 //! wait these tests exist to rule out.
 
-use c_coll::{Algorithm, CCollSession, CodecSpec, CollectiveError, PlanOptions, ReduceOp};
+use c_coll::{
+    Algorithm, AllreduceVariant, CCollSession, CodecSpec, CollectiveError, PlanOptions, ReduceOp,
+};
 use ccoll_comm::{Comm, CommError, FaultPlan, FaultPolicy, HierNet, SimConfig, SimWorld, Topology};
 use std::time::Duration;
 
@@ -225,6 +227,53 @@ fn lane_owner_crash_aborts_every_survivor_without_hanging() {
     assert!(aborted.windows(2).all(|w| w[0] >= w[1]), "{aborted:?}");
 }
 
+/// Run `$plan` once under total loss on a rank that waits on a receive:
+/// `try_execute_into` returns the structured timeout and poisons the
+/// plan; reuse without `reset()` reports `Poisoned`, not a panic; the
+/// abort and its timeouts are counted; `reset()` re-arms the plan object
+/// itself.
+macro_rules! assert_aborts_and_rearms {
+    ($c:expr, $plan:expr, $input:expr, $out:expr, $case:expr) => {{
+        let (plan, case) = (&mut $plan, $case);
+        let err = plan
+            .try_execute_into($c, $input, $out)
+            .expect_err("total loss must abort");
+        assert!(
+            matches!(err, CollectiveError::Comm(CommError::Timeout { .. })),
+            "{case:?}: {err:?}"
+        );
+        assert!(plan.is_poisoned(), "{case:?}");
+        assert_eq!(plan.poison_error(), Some(err), "{case:?}");
+        let again = plan
+            .try_execute_into($c, $input, $out)
+            .expect_err("poisoned plan refuses to run");
+        assert_eq!(again, CollectiveError::Poisoned, "{case:?}");
+        let stats = plan.stats();
+        assert!(
+            stats.aborts >= 1,
+            "{case:?}: abort must be counted, got {stats:?}"
+        );
+        assert!(stats.timeouts >= 1, "{case:?}: timeouts must be counted");
+        plan.reset();
+        assert!(!plan.is_poisoned(), "{case:?}");
+    }};
+}
+
+/// The reducing-hop shapes [`permanent_loss_aborts_cleanly_and_reset_rearms`]
+/// runs under total loss.
+#[derive(Debug, Clone, Copy)]
+enum LossCase {
+    /// The raw ring allreduce.
+    Ring,
+    /// The CPR-P2P ring (the paper's direct integration).
+    CprRing,
+    /// Raw Rabenseifner on a world that is not a power of two: the fold.
+    Rabenseifner,
+    /// The binomial reduce tree: raw, or CPR-P2P under a codec without
+    /// an error bound.
+    Tree(CodecSpec),
+}
+
 #[test]
 fn permanent_loss_aborts_cleanly_and_reset_rearms() {
     // Phase 1 under total loss: try_execute_into returns the structured
@@ -232,42 +281,60 @@ fn permanent_loss_aborts_cleanly_and_reset_rearms() {
     // Poisoned. Phase 2 (fault plan exhausted — kill-free total loss is
     // scoped to the first messages only via a tiny retry budget, so we
     // just build a fresh clean world): after reset() the same plan
-    // object completes and matches the oracle.
+    // object completes and matches the oracle. Every whole-message hop
+    // shape runs it: rings, the fold and tree edges.
     let n = 3;
     let len = 256;
-    let cfg = SimConfig::new(n)
-        .with_faults(FaultPlan::seeded(3).with_loss(1.0))
-        .with_fault_policy(FaultPolicy::with_timeout(Duration::from_micros(500), 2));
-    let out = SimWorld::new(cfg).run(move |c| {
-        let session = CCollSession::new(CodecSpec::None, n);
-        let mut plan = session.plan_allreduce_with(len, ReduceOp::Sum, ring_opts());
-        let input = rank_data(c.rank(), len);
-        let mut result = vec![0.0f32; len];
-        let err = plan
-            .try_execute_into(c, &input, &mut result)
-            .expect_err("total loss must abort");
-        assert!(matches!(
-            err,
-            CollectiveError::Comm(CommError::Timeout { .. })
-        ));
-        assert!(plan.is_poisoned());
-        assert_eq!(plan.poison_error(), Some(err));
-        // Reuse without reset: structured Poisoned, not a panic.
-        let again = plan
-            .try_execute_into(c, &input, &mut result)
-            .expect_err("poisoned plan refuses to run");
-        assert_eq!(again, CollectiveError::Poisoned);
-        // The abort was counted.
-        let stats = plan.stats();
-        assert!(stats.aborts >= 1, "abort must be counted, got {stats:?}");
-        assert!(stats.timeouts >= 1, "timeouts must be counted");
-        // reset() re-arms the plan object itself.
-        plan.reset();
-        assert!(!plan.is_poisoned());
-        err
-    });
-    assert_eq!(out.results.len(), n);
-    assert!(out.lost_messages > 0, "the network ate messages");
+    let cases = [
+        LossCase::Ring,
+        LossCase::CprRing,
+        LossCase::Rabenseifner,
+        LossCase::Tree(CodecSpec::None),
+        LossCase::Tree(CodecSpec::Lossless),
+    ];
+    for case in cases {
+        let cfg = SimConfig::new(n)
+            .with_faults(FaultPlan::seeded(3).with_loss(1.0))
+            .with_fault_policy(FaultPolicy::with_timeout(Duration::from_micros(500), 2));
+        let out = SimWorld::new(cfg).run(move |c| {
+            let input = rank_data(c.rank(), len);
+            let mut result = vec![0.0f32; len];
+            let (raw, sum) = (CCollSession::new(CodecSpec::None, n), ReduceOp::Sum);
+            match case {
+                LossCase::Ring => {
+                    let mut plan = raw.plan_allreduce_with(len, sum, ring_opts());
+                    assert_aborts_and_rearms!(c, plan, &input, &mut result, case);
+                }
+                LossCase::CprRing => {
+                    let session = CCollSession::new(CodecSpec::Lossless, n);
+                    let di = AllreduceVariant::DirectIntegration;
+                    let mut plan = session.plan_allreduce_variant(len, sum, di);
+                    assert_aborts_and_rearms!(c, plan, &input, &mut result, case);
+                }
+                LossCase::Rabenseifner => {
+                    let opts = PlanOptions::new().algorithm(Algorithm::Rabenseifner);
+                    let mut plan = raw.plan_allreduce_with(len, sum, opts);
+                    assert_aborts_and_rearms!(c, plan, &input, &mut result, case);
+                }
+                LossCase::Tree(spec) => {
+                    let session = CCollSession::new(spec, n);
+                    let opts = PlanOptions::new().algorithm(Algorithm::Binomial);
+                    let mut plan = session.plan_reduce_with(0, len, sum, opts);
+                    if c.rank() == 0 {
+                        assert_aborts_and_rearms!(c, plan, &input, &mut result, case);
+                    } else {
+                        // Both other ranks are leaves: they only send, and
+                        // an eager send completes however the network loses it.
+                        plan.try_execute_into(c, &input, &mut [])
+                            .expect("a leaf only sends");
+                        assert!(!plan.is_poisoned(), "{case:?}");
+                    }
+                }
+            }
+        });
+        assert_eq!(out.results.len(), n);
+        assert!(out.lost_messages > 0, "{case:?}: the network ate messages");
+    }
 }
 
 #[test]
