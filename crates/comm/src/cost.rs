@@ -185,7 +185,10 @@ impl CostModel {
     /// reduce-scatter additionally receives the paper's pipelining
     /// credit: its per-hop transfer overlaps sub-chunk compression
     /// (§III-A2), so the hop costs `max(transfer, compress)` rather than
-    /// their sum.
+    /// their sum. Uncompressed (`compress_tput` infinite), every reducing
+    /// hop streams raw `PIPE_CHUNK_BYTES` sub-chunks, folding each while
+    /// the next is on the wire, and the ring allgather relays what it
+    /// received.
     ///
     /// Estimates are *relative* rankings, not wall-clock predictions —
     /// they share the model's idealizations (full-duplex links, no
@@ -204,11 +207,17 @@ impl CostModel {
         let deco = |bytes: f64| bytes / p.decompress_tput;
         let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
         let memcpy = |bytes: f64| bytes / self.throughput(Kernel::Memcpy);
+        // Uncompressed: every reducing hop streams (`raw_hop`) and the
+        // ring allgather relays what it received.
+        let raw = p.compress_tput.is_infinite();
+        let raw_hop = |bytes: f64| self.raw_hop(bytes, net);
         // Butterfly round count; non-powers-of-two pay a fold + unfold
         // round of full-payload traffic on top (see `baseline.rs`).
         let log2n = (usize::BITS - (n - 1).leading_zeros()) as f64;
         let fold = if n.is_power_of_two() {
             0.0
+        } else if raw {
+            raw_hop(d) + alpha + d * beta
         } else {
             2.0 * (alpha + wire * beta) + comp(d) + deco(d) + reduce(d)
         };
@@ -235,6 +244,13 @@ impl CostModel {
         let ag_hop = |xfer: f64, dec: f64| xfer.max(dec);
 
         let secs = match schedule {
+            Schedule::RingAllreduce if raw => {
+                // Streamed reduce-scatter rounds, then a relaying
+                // allgather: each chunk's copy into place hides under its
+                // onward transfer, all but the last one's.
+                let ag = (nf - 1.0) * (alpha + ag_hop(m * beta, memcpy(m))) + memcpy(m);
+                (nf - 1.0) * raw_hop(m) + ag
+            }
             Schedule::RingAllreduce => {
                 // Reduce-scatter (pipelining credit only when the codec
                 // can pipeline), then a compress-once allgather with the
@@ -259,9 +275,20 @@ impl CostModel {
                 } else {
                     wire * beta + comp(d)
                 };
-                let rs = log2n * alpha + rest * (rs_xfer_comp + deco(d) + reduce(d));
+                let rs = if raw {
+                    // Streamed halving rounds over d/2, d/4, …
+                    (1..=log2n as i32).map(|i| raw_hop(d / 2f64.powi(i))).sum()
+                } else {
+                    log2n * alpha + rest * (rs_xfer_comp + deco(d) + reduce(d))
+                };
                 let ag = log2n * alpha + rest * (wire * beta + comp(d) + deco(d));
                 fold + rs + ag
+            }
+            Schedule::RingAllgather if raw => {
+                // Relays what it received, copying each block into place
+                // under its onward transfer; the last block's copy and
+                // the own block's are exposed.
+                (nf - 1.0) * (alpha + ag_hop(d * beta, memcpy(d))) + 2.0 * memcpy(d)
             }
             Schedule::RingAllgather => {
                 comp(d) + (nf - 1.0) * (alpha + ag_hop(wire * beta, deco(d))) + deco(d)
@@ -280,11 +307,12 @@ impl CostModel {
                     + last * deco(d)
                     + memcpy(nf * d)
             }
+            // Up to log₂n full-payload hops on the root's critical path.
+            Schedule::BinomialTreeReduce if raw => log2n * raw_hop(d),
             Schedule::BinomialTreeReduce => {
-                // Up to log₂n full-payload hops on the root's critical
-                // path. The pipelined tree overlaps each hop three ways:
-                // the child's sub-chunk compression hides the transfer,
-                // and the parent's fused decompress-reduce drains chunks
+                // The pipelined tree overlaps each hop three ways: the
+                // child's sub-chunk compression hides the transfer, and
+                // the parent's fused decompress-reduce drains chunks
                 // while later ones are still in flight.
                 let hop = if p.pipelined {
                     (wire * beta).max(comp(d)).max(deco(d) + reduce(d))
@@ -296,11 +324,15 @@ impl CostModel {
             Schedule::ReduceScatterGatherReduce => {
                 // Ring reduce-scatter (same pipelining rule as above),
                 // then a binomial gather of the reduced chunks.
-                let rs = (nf - 1.0) * (alpha + ring_rs_hop + deco(m) + reduce(m));
+                let rs = if raw {
+                    (nf - 1.0) * raw_hop(m)
+                } else {
+                    (nf - 1.0) * (alpha + ring_rs_hop + deco(m) + reduce(m))
+                };
                 let gather = comp(m) + log2n * alpha + rest * (wire * beta + deco(d));
                 rs + gather
             }
-            Schedule::BinomialTreeBcast if p.compress_tput.is_infinite() => {
+            Schedule::BinomialTreeBcast if raw => {
                 // Raw: one whole-payload message per tree level.
                 comp(d) + log2n * (alpha + wire * beta) + deco(d)
             }
@@ -354,6 +386,24 @@ impl CostModel {
             }
         };
         Duration::from_secs_f64(secs)
+    }
+
+    /// One raw reducing hop of `d` bytes over `net`, in `c = min(d,
+    /// PIPE_CHUNK_BYTES)` sub-chunks the receiver folds as they land:
+    /// the first sub-chunk's transfer, then the slower of the fold of
+    /// everything and the link carrying the `k − 1 = ⌈d/c⌉ − 1` behind it
+    /// (a port is held `α + cβ` per message) plus the last one's fold —
+    /// `(α + cβ) + max(reduce(d), (k−1)α + (d−c)β + reduce(c_last))`.
+    /// At most one sub-chunk is the one message `α + dβ + reduce(d)`.
+    fn raw_hop(&self, d: f64, net: &NetModel) -> f64 {
+        let alpha = net.latency.as_secs_f64();
+        let beta = 1.0 / net.bandwidth;
+        let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
+        let c = d.min(PIPE_CHUNK_BYTES as f64);
+        let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
+        let last = d - (k - 1.0) * c;
+        let behind = (k - 1.0) * alpha + (d - c) * beta + reduce(last);
+        alpha + c * beta + reduce(d).max(behind)
     }
 
     /// Closed-form critical-path estimate on a **two-level** network:
@@ -450,10 +500,10 @@ impl CostModel {
     }
 
     /// The laned two-level allreduce at its best lane count: the argmin
-    /// of [`Self::laned_allreduce_at`]'s binomial-leg price over `L ∈
-    /// {1, 2, 4, …} ≤ lane_cap` (every node needs `L` owners, so the
-    /// smallest node caps it), its group legs then in whichever shape
-    /// is cheaper at that `L`. Ties go to the smaller `L`.
+    /// of [`Self::laned_allreduce_at`]'s lane price over `L ∈ {1, 2, 4,
+    /// …} ≤ lane_cap` (every node needs `L` owners, so the smallest node
+    /// caps it), its group legs then in whichever shape is cheaper at
+    /// that `L`. Ties go to the smaller `L`.
     ///
     /// Streaming picks the legs' shape, never the lane count. A chain
     /// shortens the group legs most where groups are large, so a joint
@@ -474,7 +524,7 @@ impl CostModel {
         let mut lanes = 2;
         while lanes <= lane_cap {
             let at = self.laned_allreduce_at(lanes, nodes, node_size, hier, p);
-            if at.tree_secs < best.tree_secs {
+            if at.lane_secs < best.lane_secs {
                 best = at;
             }
             lanes *= 2;
@@ -487,8 +537,9 @@ impl CostModel {
     /// owner, fan-out from it)` seconds — in the binomial shape, or
     /// streamed as a `chain`.
     ///
-    /// *Binomial*: ⌈log₂g⌉ whole-vector hops each way, reducing on the
-    /// way in. *Chain*: the vector moves in `c = min(d, PIPE_CHUNK_BYTES)`
+    /// *Binomial*: ⌈log₂g⌉ whole-vector hops each way — on the way in
+    /// streamed raw hops ([`Self::raw_hop`]), on the way out one message
+    /// each. *Chain*: the vector moves in `c = min(d, PIPE_CHUNK_BYTES)`
     /// sub-chunks along the group's path, member `i` ↔ `i ± 1`. The first
     /// sub-chunk crosses all `g − 1` hops (folded at every one on the way
     /// in); the `k − 1 = ⌈d/c⌉ − 1` behind it follow at the pace of the
@@ -502,7 +553,7 @@ impl CostModel {
         let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
         if !chain {
             let log2g = (usize::BITS - (group.max(1) - 1).leading_zeros()) as f64;
-            return (log2g * (ai + d * bi + reduce(d)), log2g * (ai + d * bi));
+            return (log2g * self.raw_hop(d, intra), log2g * (ai + d * bi));
         }
         let c = d.min(PIPE_CHUNK_BYTES as f64);
         let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
@@ -526,6 +577,15 @@ impl CostModel {
     /// shape for both, so the price is that of what runs. A payload of
     /// at most one sub-chunk always keeps the trees — its chain would
     /// take `g − 1` hops where the tree takes ⌈log₂g⌉, never fewer.
+    ///
+    /// The lane count is picked on another price (`lane_secs`): the
+    /// node-local legs as whole-vector hops, the trees' and the owners'
+    /// ring's alike — the shape the shared-NIC term below was fitted
+    /// against. Priced as the streamed hops they are, they move the
+    /// argmin to fewer lanes where the simulator runs more lanes faster:
+    /// on 64×16 ranks at 16 Ki values they pick one lane, which runs in
+    /// 0.513 ms against the 0.449 ms of the two this price picks.
+    /// Fitting the lane term to what runs is ROADMAP item 2's.
     ///
     /// The `L` concurrent inter-node allreduces share each node's NIC,
     /// which the simulator holds for `α + tx` per *message*: together
@@ -552,6 +612,7 @@ impl CostModel {
         let ai = hier.intra.latency.as_secs_f64();
         let bi = 1.0 / hier.intra.bandwidth;
         let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
+        let memcpy = |bytes: f64| bytes / self.throughput(Kernel::Memcpy);
         let lf = lanes as f64;
         let group = node_size.max(1).div_ceil(lanes);
         let legs = |chain| {
@@ -561,9 +622,15 @@ impl CostModel {
         let (tree, chain) = (legs(false), legs(true));
         let streamed = d > PIPE_CHUNK_BYTES as f64 && chain < tree;
         let c = d / lf;
-        // Each ring hop is paid on the way in and on the way out; only
-        // the way in reduces.
-        let ring = (lf - 1.0) * (2.0 * (ai + c * bi) + reduce(c));
+        // The reduce-scatter's rounds are streamed raw hops; the
+        // allgather's relay copies each lane into place under its onward
+        // transfer, all but the last one.
+        let ring = if lanes > 1 {
+            let relay = ai + (c * bi).max(memcpy(c));
+            (lf - 1.0) * (self.raw_hop(c, &hier.intra) + relay) + memcpy(c)
+        } else {
+            0.0
+        };
         let shared_nic = NetModel {
             latency: hier.inter.latency.mul_f64(3.0 * lf - 2.0),
             bandwidth: hier.inter.bandwidth / lf,
@@ -575,11 +642,15 @@ impl CostModel {
         };
         let inter = self.estimate(Schedule::RabenseifnerAllreduce, &shared_nic, &lane);
         let rest = ring + inter.as_secs_f64();
+        let whole = |bytes: f64| ai + bytes * bi;
+        let log2g = (usize::BITS - (group - 1).leading_zeros()) as f64;
+        let whole_legs = log2g * (2.0 * whole(d) + reduce(d));
+        let whole_ring = (lf - 1.0) * (2.0 * whole(c) + reduce(c));
         Laned {
             lanes,
             streamed,
             secs: if streamed { chain } else { tree } + rest,
-            tree_secs: tree + rest,
+            lane_secs: whole_legs + whole_ring + inter.as_secs_f64(),
         }
     }
 
@@ -648,8 +719,9 @@ struct Laned {
     /// The group legs run as sub-chunk chains (else binomial trees).
     streamed: bool,
     secs: f64,
-    /// The price with binomial group legs, which picks the lane count.
-    tree_secs: f64,
+    /// The price with whole-vector node-local legs, which picks the lane
+    /// count.
+    lane_secs: f64,
 }
 
 /// The collective schedules the cost model can rank (one entry per
@@ -1092,34 +1164,62 @@ mod tests {
         }
     }
 
+    /// The `PIPE_CHUNK_BYTES` sub-chunk sizes a `d`-byte raw stream moves
+    /// in (one empty message for an empty payload).
+    fn pieces(d: usize) -> Vec<usize> {
+        let c = PIPE_CHUNK_BYTES;
+        (0..d.div_ceil(c).max(1))
+            .map(|j| c.min(d - j * c))
+            .collect()
+    }
+
+    fn payload(bytes: usize) -> bytes::Bytes {
+        bytes::Bytes::from(vec![0u8; bytes])
+    }
+
+    /// A streamed raw hop's send side: every sub-chunk posted at once.
+    fn send_stream<C: crate::comm::Comm>(c: &mut C, to: usize, d: usize) -> Vec<crate::SendReq> {
+        pieces(d)
+            .into_iter()
+            .map(|bytes| c.isend(to, 0, payload(bytes)))
+            .collect()
+    }
+
+    /// A streamed raw hop's receive side: each sub-chunk folded as it
+    /// lands.
+    fn fold_stream<C: crate::comm::Comm>(c: &mut C, from: usize, d: usize) {
+        for bytes in pieces(d) {
+            c.recv(from, 0);
+            c.charge(Kernel::Reduce, bytes, crate::profile::Category::Reduction);
+        }
+    }
+
+    fn retire<C: crate::comm::Comm>(c: &mut C, sends: Vec<crate::SendReq>) {
+        for req in sends {
+            c.wait_send_in(req, crate::profile::Category::Wait);
+        }
+    }
+
     /// One `group`-rank node's raw group legs over `values` values on
     /// the simulator, moving the bytes and charging the `Reduce` kernel
-    /// as the schedules do — binomial trees of whole-vector messages, or
-    /// `PIPE_CHUNK_BYTES` sub-chunks along the path (folded on the way
-    /// in, relayed on the way out) — as `(reduce, fan-out)` makespans in
-    /// seconds.
+    /// as the schedules do — binomial trees (streamed raw hops in, whole
+    /// messages out), or `PIPE_CHUNK_BYTES` sub-chunks along the path
+    /// (folded on the way in, relayed on the way out) — as `(reduce,
+    /// fan-out)` makespans in seconds.
     fn simulated_group_legs(group: usize, values: usize, chain: bool) -> (f64, f64) {
         use crate::comm::Comm;
         use crate::profile::Category;
         use crate::sim::{SimConfig, SimWorld};
         use crate::topology::{ClusterNet, HierNet, Topology};
-        use bytes::Bytes;
 
         let d = values * 4;
-        let pieces: Vec<usize> = if chain {
-            let c = PIPE_CHUNK_BYTES;
-            (0..d.div_ceil(c)).map(|j| c.min(d - j * c)).collect()
-        } else {
-            vec![d]
-        };
         let run = |fold: bool| {
-            let pieces = pieces.clone();
+            let pieces = pieces(d);
             let cluster = ClusterNet::new(Topology::uniform(1, group), HierNet::cluster_default());
             let world = SimWorld::new(SimConfig::new(group).with_cluster(cluster));
             let out = world.run(move |c| {
                 let (me, g) = (c.rank(), group);
                 let mut sends = Vec::new();
-                let payload = |bytes: usize| Bytes::from(vec![0u8; bytes]);
                 match (chain, fold) {
                     (true, true) => {
                         for &bytes in &pieces {
@@ -1144,20 +1244,7 @@ mod tests {
                             }
                         }
                     }
-                    (false, true) => {
-                        let mut mask = 1;
-                        while mask < g {
-                            if me & mask != 0 {
-                                c.send(me - mask, 0, payload(d));
-                                break;
-                            }
-                            if me + mask < g {
-                                c.recv(me + mask, 0);
-                                c.charge(Kernel::Reduce, d, Category::Reduction);
-                            }
-                            mask <<= 1;
-                        }
-                    }
+                    (false, true) => sends = binomial_reduce(c, d),
                     (false, false) => {
                         let parent = if me == 0 {
                             g.next_power_of_two()
@@ -1176,13 +1263,103 @@ mod tests {
                         }
                     }
                 }
-                for req in sends {
-                    c.wait_send_in(req, Category::Wait);
-                }
+                retire(c, sends);
             });
             out.makespan.as_secs_f64()
         };
         (run(true), run(false))
+    }
+
+    /// This rank's part in a raw binomial reduce of `d` bytes to rank 0,
+    /// every edge a streamed hop; returns its outstanding sends.
+    fn binomial_reduce<C: crate::comm::Comm>(c: &mut C, d: usize) -> Vec<crate::SendReq> {
+        let (me, n) = (c.rank(), c.size());
+        let mut mask = 1;
+        while mask < n {
+            if me & mask != 0 {
+                return send_stream(c, me - mask, d);
+            }
+            if me + mask < n {
+                fold_stream(c, me + mask, d);
+            }
+            mask <<= 1;
+        }
+        Vec::new()
+    }
+
+    /// This rank's part in a raw ring allgather of `m`-byte blocks that
+    /// relays what it received: each received block is copied into
+    /// place while its onward copy is on the wire, the last one (and,
+    /// when `own`, the own block) after the last round.
+    fn ring_relay<C: crate::comm::Comm>(c: &mut C, m: usize, own: bool) {
+        let (me, n) = (c.rank(), c.size());
+        let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+        let memcpy = |c: &mut C| c.charge(Kernel::Memcpy, m, crate::profile::Category::Memcpy);
+        for k in 0..n - 1 {
+            let send = c.isend(right, 0, payload(m));
+            if k > 0 {
+                memcpy(c);
+            }
+            c.recv(left, 0);
+            retire(c, vec![send]);
+        }
+        memcpy(c);
+        if own {
+            memcpy(c);
+        }
+    }
+
+    /// The makespan of `rank` run on every rank of a flat default-net
+    /// simulator of `n` ranks, in seconds.
+    fn simulated(n: usize, rank: impl Fn(&mut crate::sim::SimComm) + Send + Sync + 'static) -> f64 {
+        use crate::sim::{SimConfig, SimWorld};
+        SimWorld::new(SimConfig::new(n))
+            .run(rank)
+            .makespan
+            .as_secs_f64()
+    }
+
+    #[test]
+    fn raw_streamed_prices_track_the_simulator() {
+        // The raw ring allreduce (streamed reduce-scatter rounds, then a
+        // relaying allgather), the raw ring allgather and the raw
+        // binomial reduce (streamed edges), against their message and
+        // kernel sequences on the default flat net: within 2 % from one
+        // sub-chunk up to 1 Mi values.
+        use crate::comm::Comm;
+        let m = CostModel::default();
+        let net = NetModel::default();
+        let n = 8;
+        for values in [PIPE_CHUNK_BYTES / 4, 4 << 10, 64 << 10, 1 << 20] {
+            let d = values * 4;
+            let p = SchedParams::uncompressed(n, d);
+            let ring = simulated(n, move |c| {
+                let (me, chunk) = (c.rank(), d / n);
+                let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+                for _ in 0..n - 1 {
+                    let sends = send_stream(c, right, chunk);
+                    fold_stream(c, left, chunk);
+                    retire(c, sends);
+                }
+                ring_relay(c, chunk, false);
+            });
+            let gather = simulated(n, move |c| ring_relay(c, d, true));
+            let reduce = simulated(n, move |c| {
+                let sends = binomial_reduce(c, d);
+                retire(c, sends);
+            });
+            for (schedule, sim) in [
+                (Schedule::RingAllreduce, ring),
+                (Schedule::RingAllgather, gather),
+                (Schedule::BinomialTreeReduce, reduce),
+            ] {
+                let price = m.estimate(schedule, &net, &p).as_secs_f64();
+                assert!(
+                    (price - sim).abs() <= 0.02 * sim,
+                    "{schedule:?} {values} values: priced {price:e} s, simulated {sim:e} s"
+                );
+            }
+        }
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub fn cpr_ring_reduce_scatter_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let done = RingRs::new(Placement::Cpr).step_chunk(comm, Some(cpr), op, input, out, ws, true);
+    let done = RingRs::new(Placement::Cpr, 0).step_chunk(comm, Some(cpr), op, input, out, ws, true);
     debug_assert!(done.is_ready());
 }
 
@@ -126,7 +126,7 @@ pub fn cpr_rabenseifner_allreduce_into<C: Comm>(
     ws: &mut CollWorkspace,
 ) {
     let done =
-        Butterfly::rabenseifner(Placement::Cpr).step(comm, Some(cpr), op, input, out, ws, true);
+        Butterfly::rabenseifner(Placement::Cpr, 0).step(comm, Some(cpr), op, input, out, ws, true);
     debug_assert!(done.is_ready());
 }
 
@@ -146,7 +146,7 @@ pub fn cpr_binomial_reduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) -> bool {
-    let mut machine = TreeReduce::new(Placement::Cpr, root);
+    let mut machine = TreeReduce::new(Placement::Cpr, 0, root);
     let done = machine.step(comm, Some(cpr), op, input, out, ws, true);
     debug_assert!(done.is_ready());
     machine.is_root()

@@ -56,6 +56,24 @@ impl Allreduce {
             streamed,
         }
     }
+
+    /// The ring's (reduce-scatter, allgather) placements: raw without a
+    /// codec, else the variant's (Table V). The overlapped variant's
+    /// reduce-scatter is piped for an error-bounded codec; a codec
+    /// without a bound (ZFP-FXR) cannot drive the SZx pipeline and runs
+    /// its hops as monolithic CPR — on the ring that is ND, CPR-P2P
+    /// reduce-scatter + compress-once allgather.
+    fn ring_places(&self, session: &CCollSession) -> (Placement, Placement) {
+        if session.cpr.is_none() {
+            return (Placement::Raw, Placement::Raw);
+        }
+        match self.variant {
+            AllreduceVariant::Original => (Placement::Raw, Placement::Raw),
+            AllreduceVariant::DirectIntegration => (Placement::Cpr, Placement::Cpr),
+            AllreduceVariant::NovelDesign => (Placement::Cpr, Placement::Once),
+            AllreduceVariant::Overlapped => (session.placement(), Placement::Once),
+        }
+    }
 }
 
 impl Plan<Allreduce> {
@@ -109,16 +127,6 @@ pub(crate) enum ArMachine {
     Hier(HierAr),
 }
 
-impl ArMachine {
-    fn ring(rs: Placement, ag: Placement) -> Self {
-        ArMachine::Ring {
-            rs: RingRs::new(rs),
-            ag: RingAg::new(ag, true),
-            in_ag: false,
-        }
-    }
-}
-
 impl Completes for Allreduce {
     type Output = ();
 }
@@ -148,12 +156,7 @@ impl Kind for Allreduce {
         let len = self.len;
         let piped = session.pipeline_config().is_some();
         match algorithm {
-            // Codecs that cannot drive the pipeline (no error bound)
-            // fall back to the ND schedule at execute time, which like
-            // the other three variants compresses whole chunks.
-            Algorithm::Ring => {
-                session.ring_workspace(len, self.variant == AllreduceVariant::Overlapped)
-            }
+            Algorithm::Ring => session.ring_workspace(len, self.ring_places(session).0),
             Algorithm::Rabenseifner if piped => session.pipelined_stream_workspace(len.max(1), len),
             // The hierarchical inter leg is a Rabenseifner per lane: its
             // pipelined halving rounds stream d/L values. On top of
@@ -179,6 +182,8 @@ impl Kind for Allreduce {
             }
             // Butterfly schedules exchange up to the full payload per
             // round (recursive doubling) or half of it (Rabenseifner).
+            // Their raw fold and halving stream into these slots, which
+            // grow once for the sub-chunks beyond four.
             _ => session.warmed_workspace(len.max(1), 4),
         }
     }
@@ -200,39 +205,33 @@ impl Kind for Allreduce {
         self.lanes
     }
 
-    /// ND — CPR-P2P reduce-scatter + compress-once allgather — serves as
-    /// the ring fallback for codecs without an error bound.
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> ArMachine {
         let compressed = core.session.cpr.is_some();
-        // Piped for an error-bounded codec; a codec without a bound
-        // (ZFP-FXR) cannot drive the SZx pipeline and runs its reducing
-        // hops as monolithic CPR — on the ring that is ND.
-        let place = core.session.placement();
+        let (place, pipe) = (core.session.placement(), core.session.pipe_values());
         match (core.algorithm, compressed) {
             (Algorithm::RecursiveDoubling, false) => {
-                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Raw))
+                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Raw, pipe))
             }
             (Algorithm::RecursiveDoubling, true) => {
-                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Cpr))
+                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Cpr, pipe))
             }
-            (Algorithm::Rabenseifner, _) => ArMachine::Butterfly(Butterfly::rabenseifner(place)),
+            (Algorithm::Rabenseifner, _) => {
+                ArMachine::Butterfly(Butterfly::rabenseifner(place, pipe))
+            }
             // The hierarchical placement is that of the inter-node leg
             // every lane owner runs on its slice; node-local legs are
             // always raw (intra-node links don't pay for a codec).
-            (Algorithm::Hierarchical, _) => ArMachine::Hier(HierAr::new(
-                place,
-                core.session.pipe_values(),
-                self.streamed,
-            )),
-            (_, false) => ArMachine::ring(Placement::Raw, Placement::Raw),
-            (_, true) => match self.variant {
-                AllreduceVariant::Original => ArMachine::ring(Placement::Raw, Placement::Raw),
-                AllreduceVariant::DirectIntegration => {
-                    ArMachine::ring(Placement::Cpr, Placement::Cpr)
+            (Algorithm::Hierarchical, _) => {
+                ArMachine::Hier(HierAr::new(place, pipe, self.streamed))
+            }
+            _ => {
+                let (rs, ag) = self.ring_places(&core.session);
+                ArMachine::Ring {
+                    rs: RingRs::new(rs, pipe),
+                    ag: RingAg::new(ag, true),
+                    in_ag: false,
                 }
-                AllreduceVariant::NovelDesign => ArMachine::ring(Placement::Cpr, Placement::Once),
-                AllreduceVariant::Overlapped => ArMachine::ring(place, Placement::Once),
-            },
+            }
         }
     }
 

@@ -114,7 +114,10 @@ impl Kind for Reduce {
         let len = self.len;
         match algorithm {
             // The pipelined tree streams the full buffer per hop in
-            // sub-chunks; warm one pool slot per in-flight payload.
+            // sub-chunks; warm one pool slot per in-flight payload. A raw
+            // tree streams too, into whole-payload slots: the sub-chunks
+            // beyond four grow their slots once, in the first execution
+            // (see `CCollSession::ring_workspace`).
             Algorithm::Binomial => {
                 self.rs = None;
                 match session.pipeline_config() {
@@ -127,7 +130,7 @@ impl Kind for Reduce {
             // at the root: the gather stage owns the main workspace.
             _ => {
                 self.rs = Some(RsStage {
-                    ws: session.ring_workspace(len, true),
+                    ws: session.ring_workspace(len, session.placement()),
                     counts: chunk_lengths(len, session.world_size),
                     mine: Vec::new(),
                 });
@@ -166,20 +169,22 @@ impl Kind for Reduce {
 
     fn machine(&mut self, core: &mut PlanCore, rank: usize) -> ReduceMachine {
         let session = &core.session;
+        let (place, pipe) = (session.placement(), session.pipe_values());
         match &mut self.rs {
             Some(stage) => {
                 // `resize` shrinks as well as grows, keeping the buffer
                 // exact without reallocating once its capacity is warm.
                 stage.mine.resize(stage.counts[rank], 0.0);
                 ReduceMachine::RsGather {
-                    rs: RingRs::new(session.placement()),
+                    rs: RingRs::new(place, pipe),
                     gather: nb::Gather::new(session.movement_placement(), self.root, self.len),
                     in_gather: false,
                 }
             }
             // Error-bounded codecs stream every tree hop through the
-            // sub-chunk pipeline with fused reduction.
-            None => ReduceMachine::Tree(TreeReduce::new(session.placement(), self.root)),
+            // sub-chunk pipeline with fused reduction, raw ones in raw
+            // sub-chunks.
+            None => ReduceMachine::Tree(TreeReduce::new(place, pipe, self.root)),
         }
     }
 

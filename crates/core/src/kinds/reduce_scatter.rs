@@ -68,7 +68,7 @@ impl Kind for ReduceScatter {
     }
 
     fn workspace(&mut self, session: &CCollSession, _algorithm: Algorithm) -> CollWorkspace {
-        session.ring_workspace(self.len, true)
+        session.ring_workspace(self.len, session.placement())
     }
 
     fn shrunk(&self, r: &Recovery) -> Result<Self, CollectiveError> {
@@ -84,7 +84,7 @@ impl Kind for ReduceScatter {
     }
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> RingRs {
-        RingRs::new(core.session.placement())
+        RingRs::new(core.session.placement(), core.session.pipe_values())
     }
 
     fn step<C: Comm>(

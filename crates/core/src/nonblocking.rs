@@ -28,13 +28,14 @@
 //! the butterfly fold and halving, tree-reduce edges) and every raw tree
 //! steps one `pipeline::StreamCursor` over a `Route`, whatever the
 //! placement: `Placement::stream` gives the hop PIPE-SZx sub-chunks
-//! when piped and the whole message as one sub-chunk otherwise. The
-//! remaining monolithic rounds `pack` / `unpack` / `land` / `reduce`
-//! through the `Link` (as a route does: the only way a machine reaches
-//! the codec) and wait their requests out in a `Wire`. Under
-//! `Placement::Once` the one `pack` happens at the data's origin and the
-//! one `unpack` at each consumer, straight into the block's place in the
-//! output. The ordering rules that keep virtual time bit-identical are
+//! when piped, the session's pipe when raw and the whole message as one
+//! sub-chunk at CPR-P2P. The remaining monolithic rounds `pack` /
+//! `unpack` / `land` / `reduce` through the `Link` (as a route does: the
+//! only way a machine reaches the codec) and wait their requests out in
+//! a `Wire`. Under `Placement::Once` the one `pack` happens at the data's
+//! origin and the one `unpack` at each consumer, straight into the
+//! block's place in the output; the raw ring allgather relays the same
+//! way. The ordering rules that keep virtual time bit-identical are
 //! listed in `placement.rs`.
 //!
 //! *Where a reduction accumulates* (rule 5 there): in the caller's
@@ -72,7 +73,7 @@ use crate::collectives::baseline::{butterfly_fold, butterfly_pos_to_rank};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{memcpy_in, tags};
 use crate::partition::chunk_range;
-use crate::pipeline::{split_src_dst, Land, Route, StreamCursor};
+use crate::pipeline::{split_src_dst, Land, Route, StreamCursor, WHOLE};
 use crate::placement::{Link, Placement};
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
@@ -257,9 +258,11 @@ enum RsPhase {
 }
 
 /// Resumable ring reduce-scatter: `n−1` hop rounds over a full-length
-/// accumulator, each one [`Route::hop`] stream — one whole-message
-/// sub-chunk (raw, CPR-P2P) or PIPE-SZx sub-chunks (piped) — suspending
-/// at its first not-yet-ready receive or send.
+/// accumulator, each one [`Route::hop`] stream — `pipe`-value raw
+/// sub-chunks, PIPE-SZx sub-chunks (piped) or one whole-message
+/// sub-chunk (CPR-P2P) — folding each arrival while the later ones are
+/// still on the wire, and suspending at its first not-yet-ready receive
+/// or send.
 ///
 /// The accumulator is never initialized: every chunk is folded exactly
 /// once on this rank, so each fold is the first touch of its chunk
@@ -268,15 +271,18 @@ enum RsPhase {
 #[derive(Debug)]
 pub(crate) struct RingRs {
     place: Placement,
+    /// Raw sub-chunk size (see [`Placement::stream`]).
+    pipe: usize,
     phase: RsPhase,
     k: usize,
     hop: StreamCursor,
 }
 
 impl RingRs {
-    pub(crate) fn new(place: Placement) -> Self {
+    pub(crate) fn new(place: Placement, pipe: usize) -> Self {
         RingRs {
             place,
+            pipe,
             phase: RsPhase::Init,
             k: 0,
             hop: StreamCursor::default(),
@@ -303,7 +309,7 @@ impl RingRs {
         let me = comm.rank();
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
-        let stream = self.place.stream(cpr);
+        let stream = self.place.stream(cpr, self.pipe);
         loop {
             match self.phase {
                 RsPhase::Init => {
@@ -393,18 +399,22 @@ enum AgPhase {
     Done,
 }
 
-/// Resumable ring allgather over the caller's output buffer: raw or
-/// CPR-P2P (recompress every hop) relays, or compress-once relays (the
-/// data-movement framework). The own block either comes from `mine`
-/// (standalone allgather plan) or is already in place in `out` (the
-/// allreduce composition, `mine = None`). The partition must be cached
-/// in the workspace before the first step.
+/// Resumable ring allgather over the caller's output buffer. Raw and
+/// compress-once (the data-movement framework) pack the own block once
+/// and relay every received payload untouched the next round, landing
+/// it while its onward copy is on the wire, so only the last block's
+/// `unpack` is exposed; compress-once first agrees the payload sizes in
+/// a [`SizeRing`], which raw (sizes known) skips. CPR-P2P re-packs every
+/// round's block from `out` and unpacks what it receives. The own block
+/// either comes from `mine` (standalone allgather plan) or is already in
+/// place in `out` (the allreduce composition, `mine = None`). The
+/// partition must be cached in the workspace before the first step.
 #[derive(Debug)]
 pub(crate) struct RingAg {
     place: Placement,
-    /// Compress-once only: decode a block while its onward relay is on
+    /// Relaying placements: land a block while its onward relay is on
     /// the wire (plans) rather than in one sweep after the last round
-    /// (the monolithic ablation baseline).
+    /// (the monolithic compress-once ablation baseline).
     overlap: bool,
     phase: AgPhase,
     k: usize,
@@ -449,27 +459,30 @@ impl RingAg {
         let left = (me + n - 1) % n;
         let link = self.place.link(cpr);
         let once = matches!(link, Link::Once(_));
+        let relay = !matches!(link, Link::Cpr(_));
         loop {
             match self.phase {
                 AgPhase::Init => {
                     self.k = 0;
-                    if once {
+                    if relay {
                         // Release the previous call's relay handles
-                        // before compressing, so their payload-pool
-                        // slots (ours and our peers') are recycled by
-                        // this call instead of growing the pools.
+                        // before packing, so their payload-pool slots
+                        // (ours and our peers') are recycled by this
+                        // call instead of growing the pools.
                         ws.blobs.clear();
                         ws.blobs.resize(n, None);
                         let own = mine.unwrap_or(&out[ws.chunk(me)]);
                         let my_blob = link.pack(comm, own, &mut ws.pool);
-                        ws.sizes.clear();
-                        ws.sizes.resize(n, 0);
-                        ws.sizes[me] = my_blob.len() as u32;
+                        if once {
+                            ws.sizes.clear();
+                            ws.sizes.resize(n, 0);
+                            ws.sizes[me] = my_blob.len() as u32;
+                        }
                         ws.blobs[me] = Some(my_blob);
-                        self.phase = if n > 1 {
-                            AgPhase::SizeExchange
-                        } else {
-                            AgPhase::Sweep
+                        self.phase = match (n > 1, once) {
+                            (false, _) => AgPhase::Sweep,
+                            (true, true) => AgPhase::SizeExchange,
+                            (true, false) => AgPhase::Round,
                         };
                     } else {
                         Self::land_own(comm, mine, &mut out[ws.chunk(me)]);
@@ -489,22 +502,22 @@ impl RingAg {
                 }
                 AgPhase::Round => {
                     if self.k == n - 1 {
-                        self.phase = if once { AgPhase::Sweep } else { AgPhase::Done };
+                        self.phase = if relay { AgPhase::Sweep } else { AgPhase::Done };
                         continue;
                     }
                     let send_idx = (me + n - self.k) % n;
                     let at = ws.chunk(send_idx);
                     let tag = tags::ALLGATHER + self.place.band() + self.k as Tag;
-                    let payload = if once {
+                    let payload = if relay {
                         ws.blobs[send_idx].clone().expect("relay block present")
                     } else {
                         link.pack(comm, &out[at.clone()], &mut ws.pool)
                     };
                     self.wire.rreq = Some(comm.irecv(left, tag));
                     self.wire.sreq = Some(comm.isend(right, tag, payload));
-                    // Pipelined relay: decompress the block being
-                    // forwarded while its onward copy is on the wire.
-                    if once && self.overlap && send_idx != me {
+                    // Pipelined relay: land the block being forwarded
+                    // while its onward copy is on the wire.
+                    if relay && self.overlap && send_idx != me {
                         if let Some(blob) = ws.blobs[send_idx].take() {
                             link.unpack(comm, &blob, &mut out[at], &mut ws.scratch);
                         }
@@ -517,7 +530,7 @@ impl RingAg {
                         return Poll::Pending;
                     };
                     let recv_idx = (me + n - 1 - self.k) % n;
-                    if once {
+                    if relay {
                         ws.blobs[recv_idx] = Some(got);
                     } else {
                         let at = ws.chunk(recv_idx);
@@ -526,8 +539,8 @@ impl RingAg {
                     self.k += 1;
                     self.phase = AgPhase::Round;
                 }
-                // Compress-once epilogue: own block + whatever the relay
-                // loop did not already decode.
+                // Relay epilogue: own block + whatever the relay loop
+                // did not already land.
                 AgPhase::Sweep => {
                     Self::land_own(comm, mine, &mut out[ws.chunk(me)]);
                     for r in (0..n).filter(|&r| r != me) {
@@ -568,9 +581,10 @@ enum BflyPhase {
 /// (`halving = false`, full-payload rounds) and Rabenseifner
 /// (`halving = true`, recursive-halving reduce-scatter +
 /// recursive-doubling allgather), in raw / CPR / pipelined placements.
-/// The fold and halving legs are [`Route::hop`] streams (whole-message,
-/// or PIPE-SZx sub-chunks when piped); doubling and unfold move
-/// finalized data and stay monolithic `Wire` exchanges.
+/// The fold and halving legs are [`Route::hop`] streams (`pipe`-value
+/// sub-chunks raw, PIPE-SZx sub-chunks piped, one whole message at
+/// CPR-P2P); doubling and unfold move finalized data and stay
+/// monolithic `Wire` exchanges.
 ///
 /// The accumulator is the caller's `out`, *born* from this rank's first
 /// fold (`out[range] = fold(input[range], received)`); until then sends
@@ -579,6 +593,8 @@ enum BflyPhase {
 #[derive(Debug)]
 pub(crate) struct Butterfly {
     place: Placement,
+    /// Raw sub-chunk size (see [`Placement::stream`]).
+    pipe: usize,
     /// Rabenseifner when true, recursive doubling when false.
     halving: bool,
     /// `out` holds this rank's live accumulator range.
@@ -597,21 +613,22 @@ pub(crate) struct Butterfly {
 }
 
 impl Butterfly {
-    pub(crate) fn recursive_doubling(place: Placement) -> Self {
+    pub(crate) fn recursive_doubling(place: Placement, pipe: usize) -> Self {
         debug_assert!(
             !matches!(place, Placement::Piped(_)),
             "recursive doubling has no pipelined placement"
         );
-        Self::new(place, false)
+        Self::new(place, pipe, false)
     }
 
-    pub(crate) fn rabenseifner(place: Placement) -> Self {
-        Self::new(place, true)
+    pub(crate) fn rabenseifner(place: Placement, pipe: usize) -> Self {
+        Self::new(place, pipe, true)
     }
 
-    fn new(place: Placement, halving: bool) -> Self {
+    fn new(place: Placement, pipe: usize, halving: bool) -> Self {
         Butterfly {
             place,
+            pipe,
             halving,
             born: false,
             phase: BflyPhase::Init,
@@ -647,7 +664,7 @@ impl Butterfly {
         let n = comm.size();
         let me = comm.rank();
         let link = self.place.link(cpr);
-        let stream = self.place.stream(cpr);
+        let stream = self.place.stream(cpr, self.pipe);
         loop {
             match self.phase {
                 BflyPhase::Init => {
@@ -878,8 +895,8 @@ enum TreePhase {
 /// Resumable binomial-tree rooted reduce. `step` returns
 /// `Poll::Ready`; whether this rank is the root comes from
 /// [`TreeReduce::is_root`] after completion. Every tree edge is one
-/// [`Route::hop`] stream: a whole message, or PIPE-SZx sub-chunks when
-/// piped.
+/// [`Route::hop`] stream: `pipe`-value sub-chunks raw, PIPE-SZx
+/// sub-chunks piped, one whole message at CPR-P2P.
 ///
 /// A rank's accumulator is born from its first child's fold
 /// (`acc = fold(input, received)`) and a rank without children sends
@@ -888,6 +905,8 @@ enum TreePhase {
 #[derive(Debug)]
 pub(crate) struct TreeReduce {
     place: Placement,
+    /// Raw sub-chunk size (see [`Placement::stream`]).
+    pipe: usize,
     root: usize,
     phase: TreePhase,
     mask: usize,
@@ -897,9 +916,10 @@ pub(crate) struct TreeReduce {
 }
 
 impl TreeReduce {
-    pub(crate) fn new(place: Placement, root: usize) -> Self {
+    pub(crate) fn new(place: Placement, pipe: usize, root: usize) -> Self {
         TreeReduce {
             place,
+            pipe,
             root,
             phase: TreePhase::Init,
             mask: 1,
@@ -959,7 +979,7 @@ impl TreeReduce {
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
         let tag = tags::TREE_REDUCE + self.place.band();
-        let stream = self.place.stream(cpr);
+        let stream = self.place.stream(cpr, self.pipe);
         loop {
             match self.phase {
                 TreePhase::Init => {
@@ -1089,7 +1109,7 @@ impl Bcast {
         block: bool,
     ) -> Poll {
         let tag = tags::BCAST + self.place.band();
-        let (link, whole) = self.place.stream(cpr);
+        let link = self.place.link(cpr);
         if !matches!(link, Link::Cpr(_)) {
             // The root streams `data` and takes its bits once it is out.
             let copy = comm.rank() == self.root && !data.is_empty();
@@ -1100,7 +1120,7 @@ impl Bcast {
             let pipe = if matches!(link, Link::Once(_)) {
                 self.pipe
             } else {
-                whole
+                WHOLE
             };
             let route = Route::tree(comm, (link, pipe), tag, self.root, data);
             let poll = self.stream.step(comm, route, out, &mut ws.pipe(), block);
@@ -1958,7 +1978,7 @@ fn fan_out<C: Comm>(
     let mut sub = CommView::group(comm, group);
     let route = match chain {
         Some(pipe) => Route::chain_relay(&sub, pipe, tags::BCAST),
-        None => Route::tree(&sub, Placement::Raw.stream(None), tags::BCAST, 0, &[]),
+        None => Route::tree(&sub, (Link::Raw, WHOLE), tags::BCAST, 0, &[]),
     };
     cursor.step(&mut sub, route, out, &mut ws.pipe(), block)
 }
@@ -1992,15 +2012,20 @@ enum GroupReduce {
 /// 3. a Rabenseifner allreduce of lane `l` over the lane-`l` owners of
 ///    every node (where the codec terms and the shared inter-node NIC
 ///    live), straight into lane `l` of `out`;
-/// 4. raw ring allgather of the lanes over the node's owners;
+/// 4. raw ring allgather of the lanes over the node's owners, relaying
+///    each received lane untouched and landing it while the onward copy
+///    is on the wire;
 /// 5. raw fan-out of the result inside each group.
 ///
-/// Phases 1 and 5 are binomial trees of whole-message hops
-/// ([`TreeReduce`], the raw [`Route::tree`]) or, when the plan's cost
-/// model prices it cheaper (`streamed`: payloads of several
-/// sub-chunks), streams of `pipe`-value sub-chunks along the group
-/// ([`Route::chain_fold`] toward the owner, [`Route::chain_relay`] away
-/// from it). Non-owners fold into `out`, which the fan-out overwrites.
+/// Every raw reducing hop (phase 2's rounds, phase 1's tree edges, phase
+/// 3's halving when the session is raw) streams `pipe`-value sub-chunks
+/// and folds each while the next is on the wire. Phases 1 and 5 are
+/// binomial trees ([`TreeReduce`], then the whole-message raw
+/// [`Route::tree`]) or, when the plan's cost model prices it cheaper
+/// (`streamed`: payloads of several sub-chunks), streams along the
+/// group ([`Route::chain_fold`] toward the owner, [`Route::chain_relay`]
+/// away from it). Non-owners fold into `out`, which the fan-out
+/// overwrites.
 ///
 /// `L = 1` is the single-leader schedule (phases 2 and 4 have one
 /// member and are skipped); `L =` node size is reduce-scatter-first
@@ -2013,7 +2038,7 @@ enum GroupReduce {
 #[derive(Debug)]
 pub(crate) struct HierAr {
     place: Placement,
-    /// Sub-chunk size of the streamed group legs.
+    /// Sub-chunk size of the raw hops and the streamed group legs.
     pipe: usize,
     streamed: bool,
     leg: LaneLeg,
@@ -2021,8 +2046,8 @@ pub(crate) struct HierAr {
 
 impl HierAr {
     /// `place` is the inter-node leg's placement; the intra-node legs
-    /// are always raw, and the group legs are `pipe`-value sub-chunk
-    /// chains when `streamed`.
+    /// are always raw, their hops stream `pipe`-value sub-chunks, and
+    /// the group legs are sub-chunk chains when `streamed`.
     pub(crate) fn new(place: Placement, pipe: usize, streamed: bool) -> Self {
         HierAr {
             place,
@@ -2031,7 +2056,7 @@ impl HierAr {
             leg: LaneLeg::GroupReduce(if streamed {
                 GroupReduce::Chain(StreamCursor::default())
             } else {
-                GroupReduce::Tree(TreeReduce::new(Placement::Raw, 0))
+                GroupReduce::Tree(TreeReduce::new(Placement::Raw, pipe, 0))
             }),
         }
     }
@@ -2089,7 +2114,7 @@ impl HierAr {
                         }
                     }
                     self.leg = if owner {
-                        LaneLeg::NodeRs(RingRs::new(Placement::Raw))
+                        LaneLeg::NodeRs(RingRs::new(Placement::Raw, self.pipe))
                     } else {
                         LaneLeg::GroupBcast(StreamCursor::default())
                     };
@@ -2106,7 +2131,7 @@ impl HierAr {
                             return Poll::Pending;
                         }
                     }
-                    self.leg = LaneLeg::Inter(Butterfly::rabenseifner(self.place));
+                    self.leg = LaneLeg::Inter(Butterfly::rabenseifner(self.place, self.pipe));
                 }
                 LaneLeg::Inter(inter) => {
                     let hier = std::mem::take(&mut ws.hier);
@@ -2303,7 +2328,7 @@ impl HierBc {
                         recv = Some((self.root, Land::Store));
                     }
                     let mut hier = std::mem::take(&mut ws.hier);
-                    let route = Route::hop(Placement::Raw.stream(None), tags::HIER, send, recv);
+                    let route = Route::hop((Link::Raw, WHOLE), tags::HIER, send, recv);
                     let r = self
                         .stream
                         .step(comm, route, &mut hier, &mut ws.pipe(), block);

@@ -1,10 +1,11 @@
 //! The sub-chunk streaming engine (paper §III-A2/§III-E2, made
 //! schedule-agnostic and resumable): one [`StreamCursor`], stepped over a
 //! [`Route`], moves one logical buffer in sub-chunks for every streamed
-//! schedule — the computation framework's hops, the data-movement
-//! framework's compress-once broadcast, and the raw intra-node legs of
-//! the laned hierarchical allreduce — and for every whole-message hop
-//! and raw tree as well, as a stream of **one** unbounded sub-chunk.
+//! schedule — the computation framework's hops, every raw reducing hop,
+//! the data-movement framework's compress-once broadcast, and the raw
+//! intra-node legs of the laned hierarchical allreduce — and for every
+//! CPR-P2P hop and raw tree as well, as a stream of **one** unbounded
+//! sub-chunk.
 //!
 //! A stream travels on **one tag matched FIFO** (so no sub-chunk needs a
 //! sequence number), with every inbound receive posted up front, sends
@@ -27,13 +28,16 @@
 //! The sub-chunk size comes with the link
 //! ([`Placement::stream`](crate::placement::Placement::stream)): PIPE-SZx
 //! sub-chunks (5120 values by default) on a piped hop, the plan's pipe on
-//! the compress-once tree and the hierarchical chains, and the whole
-//! message otherwise — a raw or CPR-P2P hop, the raw tree and the
-//! hand-off each move one message per edge, sent even when empty.
+//! a raw hop, the compress-once tree and the hierarchical chains, and the
+//! whole message ([`WHOLE`]) otherwise — a CPR-P2P hop, the raw tree and
+//! the hand-off each move one message per edge, sent even when empty. A
+//! raw tree has nothing to overlap: landing is uncharged and its root is
+//! egress-bound.
 //!
 //! What that buys: a hop compresses sub-chunk `j + 1` while `j` is on
-//! the wire and folds arrivals through the **fused decompress-reduce**
-//! kernel straight into their accumulator range; a tree root is
+//! the wire and folds arrivals — through the **fused decompress-reduce**
+//! kernel, or raw — straight into their accumulator range while later
+//! ones are still in flight; a tree root is
 //! `max(encode, fan-out)`-bound, not `encode + fan-out`-bound, and no
 //! subtree waits on its parent's decode; a `g`-member chain costs `g − 1`
 //! sub-chunk hops plus the stream behind the first, not ⌈log₂g⌉
@@ -79,6 +83,10 @@ use crate::reduce::ReduceOp;
 /// granularity) keeps per-call compute bounded while still draining
 /// faster than the one-per-call compression fills.
 const NONBLOCKING_DRAIN_BUDGET: usize = 4;
+
+/// The sub-chunk size of a whole-message stream: the buffer is one
+/// unbounded sub-chunk.
+pub(crate) const WHOLE: usize = usize::MAX;
 
 /// The workspace buffers a cursor borrows: payload pool, codec scratch
 /// and the two request queues.
@@ -195,7 +203,7 @@ fn neighbours<C: Comm>(comm: &C) -> (Option<usize>, Option<usize>) {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Route<'r> {
     link: Link<'r>,
-    /// Values per sub-chunk (`usize::MAX`: the whole buffer is one).
+    /// Values per sub-chunk ([`WHOLE`]: the whole buffer is one).
     pipe: usize,
     tag: Tag,
     source: Source<'r>,
@@ -511,7 +519,8 @@ mod tests {
     /// The route shapes of the module docs' table, at a placement.
     #[derive(Debug, Clone, Copy)]
     enum Shape {
-        /// A two-rank hop exchange, folding as a first touch.
+        /// A two-rank hop exchange, folding as a first touch: eleven
+        /// sub-chunks and a ragged tail (raw, piped), or one message.
         Exchange(Placement),
         /// Rank 0's send-only hop of the first `len` values into rank
         /// 1's receive-only one.
@@ -559,28 +568,27 @@ mod tests {
             let route = match shape {
                 Shape::Exchange(place) => {
                     let (peer, land) = (1 - me, Land::Fold(sum, Some(&input)));
-                    let stream = place.stream(Some(&cpr));
+                    let stream = place.stream(Some(&cpr), PIPE);
                     Route::hop(stream, tag, Some((&input, peer)), Some((peer, land)))
                 }
                 Shape::OneWay(place, len) if me == 0 => Route::hop(
-                    place.stream(Some(&cpr)),
+                    place.stream(Some(&cpr), PIPE),
                     tag,
                     Some((&input[..len], 1)),
                     None,
                 ),
                 Shape::OneWay(place, _) => {
                     let land = Land::Fold(sum, None);
-                    Route::hop(place.stream(Some(&cpr)), tag, None, Some((0, land)))
+                    Route::hop(place.stream(Some(&cpr), PIPE), tag, None, Some((0, land)))
                 }
                 Shape::Tree(place) => {
                     let data: &[f32] = if me == 0 { &input } else { &[] };
-                    let (link, whole) = place.stream(Some(&cpr));
-                    let pipe = if matches!(link, Link::Once(_)) {
+                    let pipe = if matches!(place, Placement::Once) {
                         PIPE
                     } else {
-                        whole
+                        WHOLE
                     };
-                    Route::tree(c, (link, pipe), tag, 0, data)
+                    Route::tree(c, (place.link(Some(&cpr)), pipe), tag, 0, data)
                 }
                 Shape::ChainFold => Route::chain_fold(c, PIPE, tag, sum, &input),
                 Shape::ChainRelay => Route::chain_relay(c, PIPE, tag),
@@ -627,7 +635,7 @@ mod tests {
         // the stream is one whole-message sub-chunk)
         let shapes = [
             (Shape::Exchange(piped), 2, true, false),
-            (Shape::Exchange(raw), 2, false, true),
+            (Shape::Exchange(raw), 2, false, false),
             (Shape::Exchange(cpr), 2, true, true),
             (Shape::OneWay(piped, LEN), 2, true, false),
             (Shape::OneWay(raw, 0), 2, false, true),

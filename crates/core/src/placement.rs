@@ -21,7 +21,8 @@
 //! A machine that cannot run a placement refuses it in its constructor.
 //! The streaming engine reaches the codec through the same `Link`s:
 //! [`Placement::stream`] gives every reducing hop its link and
-//! sub-chunk size, the whole message at raw and CPR.
+//! sub-chunk size: the session's pipe at raw and piped, the whole
+//! message at CPR.
 //!
 //! Orderings the machines keep — virtual time is bit-identical only
 //! while they hold:
@@ -60,10 +61,17 @@
 //!    only those that have left, the rest at the end); a nonblocking
 //!    step encodes at most one charged sub-chunk — a tree root suspends
 //!    after every one — while a raw source end sends its whole stream at
-//!    once. A whole-message route (`Placement::stream` of raw or CPR, the
-//!    raw tree) is one unbounded sub-chunk, sent even when empty — the
+//!    once. A raw hop streams in the session's pipe sub-chunks and folds
+//!    arrival `j` while `j + 1` is on the wire; a payload of at most one
+//!    sub-chunk is still one message. A whole-message route
+//!    (`Placement::stream` of CPR, the raw trees: bcast, fan-out,
+//!    hand-off) is one unbounded sub-chunk, sent even when empty — the
 //!    one message of the hop it replaces; a PIPE-SZx hop sends nothing
 //!    of an empty buffer. Its receive waits are `Wait` time.
+//! 7. The raw and compress-once ring allgathers relay the payload they
+//!    received, untouched, and `unpack` it while its onward copy is on
+//!    the wire (raw `unpack` keeps its `Memcpy` charge); only CPR-P2P
+//!    re-packs every round from `out`.
 
 use bytes::Bytes;
 use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
@@ -74,6 +82,7 @@ use crate::collectives::{
     compress_in, decode_values_in, decompress_in, decompress_reduce_in, memcpy_in, values_payload,
 };
 use crate::frameworks::computation::PipelineConfig;
+use crate::pipeline::WHOLE;
 use crate::reduce::ReduceOp;
 use crate::wire::{decode_values_into, decode_values_vec};
 
@@ -123,17 +132,20 @@ impl Placement {
         self
     }
 
-    /// The stream a hop of this placement runs on the streaming engine,
-    /// as `(link, values per sub-chunk)`: PIPE-SZx sub-chunks at `cfg`
-    /// when piped; otherwise [`Placement::link`] with the whole message
-    /// as one unbounded sub-chunk — a CPR-P2P hop is a stream of one.
+    /// The stream a reducing hop of this placement runs on the streaming
+    /// engine, as `(link, values per sub-chunk)`: PIPE-SZx sub-chunks at
+    /// `cfg` when piped, raw values in `pipe`-value sub-chunks when raw
+    /// (the session's pipe, so a fold overlaps the sub-chunks still on
+    /// the wire); a CPR-P2P hop — the paper's naive baseline — is a
+    /// stream of one unbounded sub-chunk ([`WHOLE`]).
     ///
     /// # Panics
     /// Panics if a compressed placement is stepped without a codec.
-    pub(crate) fn stream(self, cpr: Option<&CprCodec>) -> (Link<'_>, usize) {
+    pub(crate) fn stream(self, cpr: Option<&CprCodec>, pipe: usize) -> (Link<'_>, usize) {
         match self {
+            Placement::Raw => (Link::Raw, pipe),
             Placement::Piped(cfg) => (Link::piped(cfg), cfg.chunk_values),
-            _ => (self.link(cpr), usize::MAX),
+            _ => (self.link(cpr), WHOLE),
         }
     }
 
@@ -372,7 +384,7 @@ mod tests {
         let out = SimWorld::new(SimConfig::new(2)).run(move |c| {
             let cpr = CprCodec::from_spec(spec);
             // A piped machine's sub-chunks (its monolithic legs are CPR).
-            let (link, _) = place.stream(cpr.as_ref());
+            let (link, _) = place.stream(cpr.as_ref(), LEN);
             let mut ws = CollWorkspace::new();
             if c.rank() == 0 {
                 return [1, 2, 3, 4].map(|tag| {

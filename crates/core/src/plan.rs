@@ -914,7 +914,7 @@ mod tests {
             let value = |i: usize| ((i * (which + 2) + rank * 31) % 97) as f32;
             let input: Vec<f32> = (0..1003).map(value).collect();
             let stages = (
-                RingRs::new(Placement::Raw),
+                RingRs::new(Placement::Raw, 64),
                 RingAg::new(Placement::Raw, true),
                 false,
             );

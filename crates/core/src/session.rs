@@ -368,17 +368,20 @@ impl CCollSession {
         ws
     }
 
-    /// The workspace a ring reduce-scatter of `len` values needs — as a
-    /// plan of its own, as the first stage of the ring allreduce and of
-    /// the reduce-scatter + gather reduce. `piped` asks for the sub-chunk
-    /// pipeline, which a codec without an error bound cannot drive: it
-    /// then runs whole chunks like the unpiped placements. Piped
+    /// The workspace a ring reduce-scatter of `len` values at placement
+    /// `rs` needs — as a plan of its own, as the first stage of the ring
+    /// allreduce and of the reduce-scatter + gather reduce. Piped
     /// compression never sees more than one sub-chunk, but all of a
     /// round's sub-chunk payloads can be in flight at once, plus the
-    /// previous generation not yet released by the receiver.
-    pub(crate) fn ring_workspace(&self, len: usize, piped: bool) -> CollWorkspace {
+    /// previous generation not yet released by the receiver. Raw rounds
+    /// stream too, into four whole-chunk slots: the slots their
+    /// sub-chunks need beyond those grow once, in the first execution —
+    /// warming one per sub-chunk up front would make a plan's set-up
+    /// several times slower (a hundred small allocations for a 4 MiB
+    /// vector over two ranks). CPR-P2P rounds move whole chunks.
+    pub(crate) fn ring_workspace(&self, len: usize, rs: Placement) -> CollWorkspace {
         let max_chunk = len.div_ceil(self.world_size);
-        if piped && self.pipeline_config().is_some() {
+        if let Placement::Piped(_) = rs {
             let slots = max_chunk.div_ceil(self.pipe_values) + 4;
             self.warmed_workspace(self.pipe_values.min(len.max(1)), slots)
         } else {
@@ -1176,7 +1179,10 @@ mod tests {
 
     /// One lane is the single-leader schedule this machine replaced:
     /// per-rank (messages, bytes) of two executions on a 4x4 cluster,
-    /// captured at the last commit that had that schedule (ed3c63b).
+    /// bytes as captured at the last commit that had that schedule
+    /// (ed3c63b). The group tree's raw edges now stream their 10 000
+    /// values in two sub-chunks, so each member's messages up the tree
+    /// double; the fan-out down it stays one message per edge.
     #[test]
     fn one_lane_sends_what_the_single_leader_schedule_sent() {
         let out = cluster_allreduce(
@@ -1190,7 +1196,7 @@ mod tests {
         let sent = out.traffics.iter().map(|t| (t.messages_sent, t.bytes_sent));
         let parent = [209_154, 209_168, 209_100, 209_152]
             .into_iter()
-            .flat_map(|leader| [(12, leader), (2, 80_000), (4, 160_000), (2, 80_000)]);
+            .flat_map(|leader| [(12, leader), (4, 80_000), (6, 160_000), (4, 80_000)]);
         assert!(sent.eq(parent), "{:?}", out.traffics);
     }
 

@@ -106,24 +106,45 @@ fn steady_state_plans_allocate_nothing() {
         // rank 2 an owner that is not the leader, ranks 1 and 3
         // non-owners, ranks 4 and 5 owners of one-rank groups. Its split
         // is built at the first start; its five sub-machines share the
-        // one workspace. Its group legs stream as chains of five
-        // sub-chunks each way (24 000 values over the default 5120).
-        let mut hier_allreduce = session
-            .clone()
-            .with_topology(
-                Topology::from_node_sizes(&[4, 2]),
-                HierNet::cluster_default(),
-            )
-            .plan_allreduce_with(
-                len,
-                ReduceOp::Sum,
-                PlanOptions::new().algorithm(Algorithm::Hierarchical),
-            );
+        // one workspace. Its two-member groups keep binomial legs, whose
+        // edges up the tree stream five raw sub-chunks (24 000 values
+        // over the default 5120).
+        let hier = |sizes: &[usize]| {
+            session
+                .clone()
+                .with_topology(Topology::from_node_sizes(sizes), HierNet::cluster_default())
+                .plan_allreduce_with(
+                    len,
+                    ReduceOp::Sum,
+                    PlanOptions::new().algorithm(Algorithm::Hierarchical),
+                )
+        };
+        let mut hier_allreduce = hier(&[4, 2]);
         assert_eq!(hier_allreduce.hier_lanes(), Some(2), "the case under audit");
         assert_eq!(
             hier_allreduce.hier_streamed(),
-            Some(true),
+            Some(false),
             "the case under audit"
+        );
+        // On 5 + 1 ranks one lane's five-member group streams its legs
+        // as chains of five sub-chunks each way.
+        let mut chain_allreduce = hier(&[5, 1]);
+        let shape = (
+            chain_allreduce.hier_lanes(),
+            chain_allreduce.hier_streamed(),
+        );
+        assert_eq!(shape, (Some(1), Some(true)), "the case under audit");
+        // Raw plans stream every reducing hop in sub-chunks too (at a
+        // 1000-value pipe a 4000-value ring chunk spans four of them,
+        // a 12 000-value tree edge twelve), and the raw ring allgather
+        // relays what it received.
+        let raw = CCollSession::new(CodecSpec::None, n).with_pipeline_values(1000);
+        let mut raw_allreduce = raw.plan_allreduce(len, ReduceOp::Sum);
+        let mut raw_tree_reduce = raw.plan_reduce_with(
+            0,
+            len / 2,
+            ReduceOp::Sum,
+            PlanOptions::new().algorithm(Algorithm::Binomial),
         );
 
         let input = rank_data(me, len);
@@ -210,7 +231,11 @@ fn steady_state_plans_allocate_nothing() {
             reduce_scatter.execute_into(c, &input, &mut rs_out);
             auto_allreduce.execute_into(c, &input, &mut ar_out);
             hier_allreduce.execute_into(c, &input, &mut ar_out);
+            chain_allreduce.execute_into(c, &input, &mut ar_out);
+            raw_allreduce.execute_into(c, &input, &mut ar_out);
+            raw_tree_reduce.execute_into(c, &half, &mut rr_out);
             nonblocking_cycle!(hier_allreduce, &input, &mut ar_out);
+            nonblocking_cycle!(raw_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);
@@ -236,7 +261,11 @@ fn steady_state_plans_allocate_nothing() {
             reduce_scatter.execute_into(c, &input, &mut rs_out);
             auto_allreduce.execute_into(c, &input, &mut ar_out);
             hier_allreduce.execute_into(c, &input, &mut ar_out);
+            chain_allreduce.execute_into(c, &input, &mut ar_out);
+            raw_allreduce.execute_into(c, &input, &mut ar_out);
+            raw_tree_reduce.execute_into(c, &half, &mut rr_out);
             nonblocking_cycle!(hier_allreduce, &input, &mut ar_out);
+            nonblocking_cycle!(raw_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);

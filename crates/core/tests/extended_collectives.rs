@@ -177,11 +177,15 @@ fn traffic_matches_ring_allreduce_formula() {
     });
     let d_bytes = (len * 4) as f64;
     let expect = 2.0 * (n as f64 - 1.0) / n as f64 * d_bytes;
+    // Each reduce-scatter round streams its chunk in pipe sub-chunks;
+    // each allgather round relays one whole block.
+    let pipe = c_coll::frameworks::computation::DEFAULT_PIPE_VALUES;
+    let (rounds, sub_chunks) = (n as u64 - 1, (len / n).div_ceil(pipe) as u64);
     for (r, t) in out.traffics.iter().enumerate() {
         let sent = t.bytes_sent as f64;
         let rel = (sent - expect).abs() / expect;
         assert!(rel < 0.01, "rank {r}: sent {sent} vs formula {expect}");
-        assert_eq!(t.messages_sent, 2 * (n as u64 - 1));
+        assert_eq!(t.messages_sent, rounds * sub_chunks + rounds);
     }
 }
 

@@ -163,7 +163,7 @@ fn lane_owner_crash_aborts_every_survivor_without_hanging() {
     // of its inter-node leg — nobody can finish, so every survivor
     // aborts; after that, ever fewer do.
     let n = 16;
-    let len = 24_000;
+    let len = 32_000;
     let victim = 1;
     let mut oracle = vec![0.0f32; len];
     for r in 0..n {
@@ -270,7 +270,7 @@ enum LossCase {
     /// Raw Rabenseifner on a world that is not a power of two: the fold.
     Rabenseifner,
     /// The binomial reduce tree: raw, or CPR-P2P under a codec without
-    /// an error bound.
+    /// an error bound (`Lossless`, whose hops stay whole messages).
     Tree(CodecSpec),
 }
 
@@ -281,25 +281,31 @@ fn permanent_loss_aborts_cleanly_and_reset_rearms() {
     // Poisoned. Phase 2 (fault plan exhausted — kill-free total loss is
     // scoped to the first messages only via a tiny retry budget, so we
     // just build a fresh clean world): after reset() the same plan
-    // object completes and matches the oracle. Every whole-message hop
-    // shape runs it: rings, the fold and tree edges.
+    // object completes and matches the oracle. Every reducing hop shape
+    // runs it: rings, the fold and tree edges — as one message, and the
+    // raw ring and tree also as a stream of 20-value sub-chunks with a
+    // ragged tail (the raw session's pipe).
     let n = 3;
     let len = 256;
+    let whole = len;
     let cases = [
-        LossCase::Ring,
-        LossCase::CprRing,
-        LossCase::Rabenseifner,
-        LossCase::Tree(CodecSpec::None),
-        LossCase::Tree(CodecSpec::Lossless),
+        (LossCase::Ring, whole),
+        (LossCase::Ring, 20),
+        (LossCase::CprRing, whole),
+        (LossCase::Rabenseifner, whole),
+        (LossCase::Tree(CodecSpec::None), whole),
+        (LossCase::Tree(CodecSpec::None), 20),
+        (LossCase::Tree(CodecSpec::Lossless), whole),
     ];
-    for case in cases {
+    for (case, pipe) in cases {
         let cfg = SimConfig::new(n)
             .with_faults(FaultPlan::seeded(3).with_loss(1.0))
             .with_fault_policy(FaultPolicy::with_timeout(Duration::from_micros(500), 2));
         let out = SimWorld::new(cfg).run(move |c| {
             let input = rank_data(c.rank(), len);
             let mut result = vec![0.0f32; len];
-            let (raw, sum) = (CCollSession::new(CodecSpec::None, n), ReduceOp::Sum);
+            let raw = CCollSession::new(CodecSpec::None, n).with_pipeline_values(pipe);
+            let sum = ReduceOp::Sum;
             match case {
                 LossCase::Ring => {
                     let mut plan = raw.plan_allreduce_with(len, sum, ring_opts());
@@ -317,7 +323,7 @@ fn permanent_loss_aborts_cleanly_and_reset_rearms() {
                     assert_aborts_and_rearms!(c, plan, &input, &mut result, case);
                 }
                 LossCase::Tree(spec) => {
-                    let session = CCollSession::new(spec, n);
+                    let session = CCollSession::new(spec, n).with_pipeline_values(pipe);
                     let opts = PlanOptions::new().algorithm(Algorithm::Binomial);
                     let mut plan = session.plan_reduce_with(0, len, sum, opts);
                     if c.rank() == 0 {
@@ -564,19 +570,25 @@ fn streamed_bcast_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
 
 #[test]
 fn piped_ring_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
-    // A piped SZx ring allreduce whose reduce-scatter hops stream three
-    // full sub-chunks and a short tail each. A permanently lost
-    // sub-chunk closes up its hop's FIFO stream: the receiver starves on
-    // its last receive, or the short tail lands in a full slot — which
-    // must abort like the starved receive (a zero-wait timeout), never
-    // panic in the fused decompress-reduce. The codec is deterministic,
-    // so a rank that finishes, and every rerun after `reset()`, holds the
-    // fault-free run's exact bits.
+    // A ring allreduce whose reduce-scatter hops stream three full
+    // sub-chunks and a short tail each: piped SZx, and raw. A permanently
+    // lost sub-chunk closes up its hop's FIFO stream: the receiver
+    // starves on its last receive, or the short tail lands in a full
+    // slot — which must abort like the starved receive (a zero-wait
+    // timeout, `Link::fits` refusing it), never panic in the fold. The
+    // codec is deterministic, so a rank that finishes, and every rerun
+    // after `reset()`, holds the fault-free run's exact bits.
+    for spec in [CodecSpec::Szx { error_bound: 1e-3 }, CodecSpec::None] {
+        ring_aborts_mid_stream_loss(spec);
+    }
+}
+
+fn ring_aborts_mid_stream_loss(spec: CodecSpec) {
     const CHUNK: usize = 64;
     const LEN: usize = 4 * (3 * CHUNK + 11);
     let n = 4;
     let plan = move || {
-        CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, n)
+        CCollSession::new(spec, n)
             .with_pipeline_values(CHUNK)
             .plan_allreduce_with(LEN, ReduceOp::Sum, ring_opts())
     };
@@ -620,17 +632,26 @@ fn piped_ring_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
             .count();
         for (rank, r) in out.results.iter().enumerate() {
             let expect = &clean.results[rank];
-            assert_eq!(&r.3, expect, "seed {seed} rank {rank}: rerun after reset");
+            assert_eq!(
+                &r.3, expect,
+                "{spec} seed {seed} rank {rank}: rerun after reset"
+            );
             if r.0.is_none() {
-                assert_eq!(&r.1, expect, "seed {seed} rank {rank}: finished rank");
+                assert_eq!(
+                    &r.1, expect,
+                    "{spec} seed {seed} rank {rank}: finished rank"
+                );
             }
         }
     }
     assert!(
         clean_reruns >= 3,
-        "only {clean_reruns} seeds aborted then reran clean"
+        "{spec}: only {clean_reruns} seeds aborted then reran clean"
     );
-    assert!(mid_stream_aborts >= 1, "no abort happened mid-stream");
+    assert!(
+        mid_stream_aborts >= 1,
+        "{spec}: no abort happened mid-stream"
+    );
 }
 
 // The two chain-stream fault tests below share one streamed hierarchical
