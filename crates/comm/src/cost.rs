@@ -181,14 +181,17 @@ impl CostModel {
     /// al.'s MPICH collective analysis) extended with the codec terms of
     /// this cost model: compression/decompression time is charged per
     /// *uncompressed* byte at the throughput in [`SchedParams`], while
-    /// wire terms are shrunk by the expected compression ratio. The ring
-    /// reduce-scatter additionally receives the paper's pipelining
-    /// credit: its per-hop transfer overlaps sub-chunk compression
-    /// (§III-A2), so the hop costs `max(transfer, compress)` rather than
-    /// their sum. Uncompressed (`compress_tput` infinite), every reducing
-    /// hop streams raw `PIPE_CHUNK_BYTES` sub-chunks, folding each while
-    /// the next is on the wire, and the ring allgather relays what it
-    /// received.
+    /// wire terms are shrunk by the expected compression ratio. When
+    /// `pipelined`, every reducing hop — ring reduce-scatter rounds,
+    /// butterfly rounds and folds — is priced as the PIPE-SZx stream it
+    /// runs (`CostModel::piped_hop`): the paper's pipelining credit
+    /// (§III-A2), sub-chunk `j + 1` encoding while `j` is on the wire. A
+    /// leg at CPR-P2P — every reducing hop without the pipeline, the
+    /// butterflies' unfold and Rabenseifner's doubling rounds always —
+    /// pays `BufferMgmt` on each encode and decode. Uncompressed
+    /// (`compress_tput` infinite), every reducing hop streams raw
+    /// `PIPE_CHUNK_BYTES` sub-chunks, folding each while the next is on
+    /// the wire, and the ring allgather relays what it received.
     ///
     /// Estimates are *relative* rankings, not wall-clock predictions —
     /// they share the model's idealizations (full-duplex links, no
@@ -211,15 +214,33 @@ impl CostModel {
         // ring allgather relays what it received.
         let raw = p.compress_tput.is_infinite();
         let raw_hop = |bytes: f64| self.raw_hop(bytes, net);
-        // Butterfly round count; non-powers-of-two pay a fold + unfold
-        // round of full-payload traffic on top (see `baseline.rs`).
+        // One monolithic CPR-P2P hop of `bytes`, encode to decode: the
+        // naive integration pays `BufferMgmt` on both ends.
+        let bm = |bytes: f64| bytes / self.throughput(Kernel::BufferMgmt);
+        let cpr_hop = |bytes: f64| {
+            comp(bytes) + alpha + bytes / p.ratio.max(1.0) * beta + deco(bytes) + 2.0 * bm(bytes)
+        };
+        // A reducing hop of `bytes` at the session's placement, one way
+        // or as an exchange (both ranks send and fold).
+        let reducing_hop = |bytes: f64, exchange: bool| match (raw, p.pipelined) {
+            (true, _) => raw_hop(bytes),
+            (false, true) => self.piped_hop(bytes, net, p, exchange),
+            (false, false) => cpr_hop(bytes) + reduce(bytes),
+        };
+        // The butterflies run ⌊log₂n⌋ rounds over the largest power of
+        // two `2^rounds ≤ n`: the `rem` ranks beyond it first fold into a
+        // neighbour, which unfolds the result back at the end (see
+        // `baseline.rs`) — compressed, a fold hop at the placement and a
+        // monolithic CPR-P2P unfold.
         let log2n = (usize::BITS - (n - 1).leading_zeros()) as f64;
-        let fold = if n.is_power_of_two() {
+        let rounds = n.ilog2();
+        let rem = n - (1 << rounds);
+        let fold = if rem == 0 {
             0.0
         } else if raw {
             raw_hop(d) + alpha + d * beta
         } else {
-            2.0 * (alpha + wire * beta) + comp(d) + deco(d) + reduce(d)
+            reducing_hop(d, false) + cpr_hop(d) + memcpy(d)
         };
         // Per-rank chunk of the balanced partition.
         let m = d / nf;
@@ -228,14 +249,12 @@ impl CostModel {
         // chunks but its own.
         let rest = (nf - 1.0) / nf;
 
-        // Per-hop reduce-scatter cost of the ring: with the PIPE-SZx
-        // pipeline the transfer hides under sub-chunk compression
-        // (`max`); codecs that cannot drive the pipeline pay the sum.
-        let ring_rs_hop = if p.pipelined {
-            (wm * beta).max(comp(m))
-        } else {
-            wm * beta + comp(m)
-        };
+        // The ring reduce-scatter: `n − 1` reducing hops of one chunk,
+        // each rank sending to one neighbour while folding what the other
+        // sends — an exchange's work on every rank. With the PIPE-SZx
+        // pipeline the transfer hides under sub-chunk compression; codecs
+        // that cannot drive it pay CPR-P2P hops.
+        let ring_rs = (nf - 1.0) * reducing_hop(m, true);
         // Relay-overlap credit of the pipelined allgather stage: blocks
         // received in hop k are decompressed while hop k+1's relay is in
         // flight, so each hop costs `max(transfer, decompress)` and only
@@ -249,40 +268,58 @@ impl CostModel {
                 // allgather: each chunk's copy into place hides under its
                 // onward transfer, all but the last one's.
                 let ag = (nf - 1.0) * (alpha + ag_hop(m * beta, memcpy(m))) + memcpy(m);
-                (nf - 1.0) * raw_hop(m) + ag
+                ring_rs + ag
             }
             Schedule::RingAllreduce => {
-                // Reduce-scatter (pipelining credit only when the codec
-                // can pipeline), then a compress-once allgather with the
-                // relay-overlap credit over the reduced chunks.
-                let rs = (nf - 1.0) * (alpha + ring_rs_hop + deco(m) + reduce(m));
+                // Reduce-scatter, then a compress-once allgather: the
+                // blocks' sizes go round the ring first, then the blocks,
+                // with the relay-overlap credit.
+                let sizes = (nf - 1.0) * (alpha + 4.0 * beta);
                 let ag = comp(m) + (nf - 1.0) * (alpha + ag_hop(wm * beta, deco(m))) + deco(m);
-                rs + ag
+                ring_rs + sizes + ag
             }
+            Schedule::RecursiveDoublingAllreduce if raw => fold + log2n * raw_hop(d),
             Schedule::RecursiveDoublingAllreduce => {
-                // log₂n rounds, each exchanging and reducing the FULL
-                // payload (latency-optimal, bandwidth-wasteful).
-                fold + log2n * (alpha + wire * beta + comp(d) + deco(d) + reduce(d))
+                // Every round exchanges and reduces the FULL payload
+                // (latency-optimal, bandwidth-wasteful). The fold leaves
+                // the folded ranks behind: a round whose mask pairs one
+                // with a rank that was not folded (every mask from `rem`
+                // up) finds that partner's payload already in, so the
+                // link of its last piece costs nothing.
+                let round = reducing_hop(d, true);
+                let c = if p.pipelined {
+                    d.min(PIPE_CHUNK_BYTES as f64)
+                } else {
+                    d
+                };
+                let last = d - ((d / c).ceil().max(1.0) - 1.0) * c;
+                let ahead = alpha + last / p.ratio.max(1.0) * beta;
+                let credited = if rem == 0 {
+                    0
+                } else {
+                    rounds - rem.next_power_of_two().ilog2()
+                };
+                fold + f64::from(rounds) * round - f64::from(credited) * ahead
+            }
+            Schedule::RabenseifnerAllreduce if raw => {
+                // Streamed halving rounds over d/2, d/4, …, then the
+                // doubling rounds' whole ranges.
+                let rs: f64 = (1..=log2n as i32).map(|i| raw_hop(d / 2f64.powi(i))).sum();
+                fold + rs + log2n * alpha + rest * wire * beta
             }
             Schedule::RabenseifnerAllreduce => {
                 // Recursive-halving reduce-scatter + recursive-doubling
                 // allgather: ring's bytes at tree latency. The halving
-                // phase drives the same sub-chunk pipeline as the ring
-                // reduce-scatter, so pipeline-capable codecs hide each
-                // round's transfer under its compression.
-                let rs_xfer_comp = if p.pipelined {
-                    (wire * beta).max(comp(d))
-                } else {
-                    wire * beta + comp(d)
-                };
-                let rs = if raw {
-                    // Streamed halving rounds over d/2, d/4, …
-                    (1..=log2n as i32).map(|i| raw_hop(d / 2f64.powi(i))).sum()
-                } else {
-                    log2n * alpha + rest * (rs_xfer_comp + deco(d) + reduce(d))
-                };
-                let ag = log2n * alpha + rest * (wire * beta + comp(d) + deco(d));
-                fold + rs + ag
+                // rounds are reducing hops (PIPE-SZx exchanges of d/2,
+                // d/4, … when pipelined); the doubling rounds move the
+                // finalized ranges back as monolithic CPR-P2P exchanges,
+                // each landed with a `Memcpy`. A folded rank's lag earns
+                // no credit here: the doubling rounds revisit the halving
+                // partners in reverse, which by then have waited for it.
+                let round = |s: f64| reducing_hop(s, true) + cpr_hop(s) + memcpy(s);
+                fold + (1..=rounds)
+                    .map(|i| round(d / f64::from(1u32 << i)))
+                    .sum::<f64>()
             }
             Schedule::RingAllgather if raw => {
                 // Relays what it received, copying each block into place
@@ -322,15 +359,10 @@ impl CostModel {
                 log2n * (alpha + hop)
             }
             Schedule::ReduceScatterGatherReduce => {
-                // Ring reduce-scatter (same pipelining rule as above),
-                // then a binomial gather of the reduced chunks.
-                let rs = if raw {
-                    (nf - 1.0) * raw_hop(m)
-                } else {
-                    (nf - 1.0) * (alpha + ring_rs_hop + deco(m) + reduce(m))
-                };
+                // Ring reduce-scatter, then a binomial gather of the
+                // reduced chunks.
                 let gather = comp(m) + log2n * alpha + rest * (wire * beta + deco(d));
-                rs + gather
+                ring_rs + gather
             }
             Schedule::BinomialTreeBcast if raw => {
                 // Raw: one whole-payload message per tree level.
@@ -404,6 +436,32 @@ impl CostModel {
         let last = d - (k - 1.0) * c;
         let behind = (k - 1.0) * alpha + (d - c) * beta + reduce(last);
         alpha + c * beta + reduce(d).max(behind)
+    }
+
+    /// One PIPE-SZx reducing hop of `d` bytes over `net`, in `c = min(d,
+    /// PIPE_CHUNK_BYTES)` sub-chunks: the sender encodes sub-chunk `j`
+    /// (`e`), the link carries it (`x = α + wβ`, `w` its wire bytes) and
+    /// the receiver folds it through the fused decompress-reduce (`f`).
+    /// The last, ragged sub-chunk pays all three; the `k − 1` ahead of it
+    /// pace the stream at its slowest stage — `max(e, x, f)` one way,
+    /// `max(e + f, x)` on an `exchange`, where every rank both encodes
+    /// its own stream and folds its peer's. At one sub-chunk this is the
+    /// monolithic `e + x + f`.
+    fn piped_hop(&self, d: f64, net: &NetModel, p: &SchedParams, exchange: bool) -> f64 {
+        let alpha = net.latency.as_secs_f64();
+        let beta = 1.0 / net.bandwidth;
+        let enc = |bytes: f64| bytes / p.compress_tput;
+        let link = |bytes: f64| alpha + bytes / p.ratio.max(1.0) * beta;
+        let fold = |bytes: f64| bytes / p.decompress_tput + bytes / self.throughput(Kernel::Reduce);
+        let c = d.min(PIPE_CHUNK_BYTES as f64);
+        let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
+        let last = d - (k - 1.0) * c;
+        let pace = if exchange {
+            (enc(c) + fold(c)).max(link(c))
+        } else {
+            enc(c).max(link(c)).max(fold(c))
+        };
+        enc(last) + link(last) + fold(last) + (k - 1.0) * pace
     }
 
     /// Closed-form critical-path estimate on a **two-level** network:
@@ -642,6 +700,7 @@ impl CostModel {
         };
         let inter = self.estimate(Schedule::RabenseifnerAllreduce, &shared_nic, &lane);
         let rest = ring + inter.as_secs_f64();
+        let fitted_inter = self.fitted_lane_leg(&shared_nic, &lane);
         let whole = |bytes: f64| ai + bytes * bi;
         let log2g = (usize::BITS - (group - 1).leading_zeros()) as f64;
         let whole_legs = log2g * (2.0 * whole(d) + reduce(d));
@@ -650,8 +709,43 @@ impl CostModel {
             lanes,
             streamed,
             secs: if streamed { chain } else { tree } + rest,
-            lane_secs: whole_legs + whole_ring + inter.as_secs_f64(),
+            lane_secs: whole_legs + whole_ring + fitted_inter,
         }
+    }
+
+    /// The inter-node leg inside `lane_secs`: the Rabenseifner price the
+    /// shared-NIC term was fitted against, which takes each halving
+    /// round's transfer under its compression and leaves the doubling
+    /// rounds' `BufferMgmt` and `Memcpy` out. [`Self::estimate`] prices
+    /// those legs as they run; both terms scale with d/L, and in
+    /// `lane_secs` they would move `auto_hier_256`'s argmin from four
+    /// lanes to eight, where free-running lanes drift most. Fitting the
+    /// lane term to what runs deletes this form with `lane_secs`.
+    fn fitted_lane_leg(&self, net: &NetModel, p: &SchedParams) -> f64 {
+        let n = p.world.max(1);
+        if n == 1 || p.compress_tput.is_infinite() {
+            return self
+                .estimate(Schedule::RabenseifnerAllreduce, net, p)
+                .as_secs_f64();
+        }
+        let (nf, d) = (n as f64, p.payload_bytes as f64);
+        let (alpha, beta) = (net.latency.as_secs_f64(), 1.0 / net.bandwidth);
+        let xfer = d / p.ratio.max(1.0) * beta;
+        let (comp, deco) = (d / p.compress_tput, d / p.decompress_tput);
+        let reduce = d / self.throughput(Kernel::Reduce);
+        let log2n = (usize::BITS - (n - 1).leading_zeros()) as f64;
+        let fold = if n.is_power_of_two() {
+            0.0
+        } else {
+            2.0 * (alpha + xfer) + comp + deco + reduce
+        };
+        let halving = if p.pipelined {
+            xfer.max(comp)
+        } else {
+            xfer + comp
+        };
+        let rest = (nf - 1.0) / nf;
+        fold + 2.0 * log2n * alpha + rest * (halving + deco + reduce + xfer + comp + deco)
     }
 
     /// Price a hierarchical schedule's legs: raw intra-node fan-in/out
@@ -925,11 +1019,10 @@ mod tests {
     #[test]
     fn eight_rank_crossovers_match_measured_argmin() {
         // The BENCH_algo.json crossover sequence at nodes=8 under the
-        // default SZx profile: recursive doubling at 64 values,
-        // Rabenseifner at 512 and 4096 (its pipelined halving phase
-        // makes it the mid-size winner), ring from 32768 up. PR 3's
-        // model mispicked the two middle rows; the pipelining credits
-        // pin the measured ordering.
+        // default SZx profile: recursive doubling at 64 and 512 values
+        // (its rounds are PIPE-SZx exchanges, with no `BufferMgmt`),
+        // Rabenseifner at 4096 (its pipelined halving phase makes it the
+        // mid-size winner), ring from 32768 up.
         let m = CostModel::default();
         let net = NetModel::default();
         let candidates = [
@@ -945,7 +1038,7 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(argmin(64), Schedule::RecursiveDoublingAllreduce);
-        assert_eq!(argmin(512), Schedule::RabenseifnerAllreduce);
+        assert_eq!(argmin(512), Schedule::RecursiveDoublingAllreduce);
         assert_eq!(argmin(4096), Schedule::RabenseifnerAllreduce);
         assert_eq!(argmin(32768), Schedule::RingAllreduce);
         assert_eq!(argmin(2_097_152), Schedule::RingAllreduce);
@@ -995,9 +1088,9 @@ mod tests {
     fn unpipelined_ring_loses_its_overlap_credit() {
         // A codec that cannot drive the pipeline (ZFP-FXR, lossless)
         // pays transfer + compression per hop instead of hiding one
-        // under the other, so the pipelining credit must be gated on
-        // `pipelined` — selection then ranks the schedule that will
-        // actually execute.
+        // under the other, and `BufferMgmt` at both ends of its CPR-P2P
+        // hops, so the pipelining credit must be gated on `pipelined` —
+        // selection then ranks the schedule that will actually execute.
         let m = CostModel::default();
         let net = NetModel::default();
         let mut p = szx_params(16, 64 * 1024 * 1024);
@@ -1006,13 +1099,15 @@ mod tests {
         p.pipelined = true;
         let ring_piped = m.estimate(Schedule::RingAllreduce, &net, &p);
         assert!(ring_piped < ring, "{ring_piped:?} vs {ring:?}");
-        // The credit never exceeds the full compression term.
+        // The credit never exceeds the full compression term plus the
+        // buffer management the pooled pipeline does without.
         let gap = ring - ring_piped;
-        let compress_total = Duration::from_secs_f64(
-            (p.payload_bytes as f64 / p.ratio / net.bandwidth)
-                .min(p.payload_bytes as f64 / p.compress_tput),
+        let d = p.payload_bytes as f64;
+        let bound = Duration::from_secs_f64(
+            (d / p.ratio / net.bandwidth).min(d / p.compress_tput)
+                + 2.0 * d / m.throughput(Kernel::BufferMgmt),
         );
-        assert!(gap <= compress_total, "{gap:?} vs {compress_total:?}");
+        assert!(gap <= bound, "{gap:?} vs {bound:?}");
     }
 
     #[test]
@@ -1358,6 +1453,181 @@ mod tests {
                     (price - sim).abs() <= 0.02 * sim,
                     "{schedule:?} {values} values: priced {price:e} s, simulated {sim:e} s"
                 );
+            }
+        }
+    }
+
+    /// A `bytes`-byte PIPE-SZx sub-chunk (or CPR-P2P message) as it
+    /// travels at the ratio of `p`.
+    fn squeezed(bytes: usize, p: &SchedParams) -> bytes::Bytes {
+        payload((bytes as f64 / p.ratio).round() as usize)
+    }
+
+    fn encode<C: crate::comm::Comm>(c: &mut C, bytes: usize) {
+        c.charge(
+            Kernel::SzxCompress,
+            bytes,
+            crate::profile::Category::ComDecom,
+        );
+    }
+
+    /// The fused decompress-reduce of one arrival.
+    fn fold_piece<C: crate::comm::Comm>(c: &mut C, bytes: usize) {
+        c.charge(
+            Kernel::SzxDecompress,
+            bytes,
+            crate::profile::Category::ComDecom,
+        );
+        c.charge(Kernel::Reduce, bytes, crate::profile::Category::Reduction);
+    }
+
+    /// The send side of a one-way PIPE-SZx hop: encode and send every
+    /// sub-chunk in turn.
+    fn piped_send<C: crate::comm::Comm>(c: &mut C, to: usize, d: usize, p: &SchedParams) {
+        let mut sends = Vec::new();
+        for bytes in pieces(d) {
+            encode(c, bytes);
+            sends.push(c.isend(to, 0, squeezed(bytes, p)));
+        }
+        retire(c, sends);
+    }
+
+    /// The receive side: fold each sub-chunk as it lands.
+    fn piped_recv<C: crate::comm::Comm>(c: &mut C, from: usize, d: usize) {
+        for bytes in pieces(d) {
+            c.recv(from, 0);
+            fold_piece(c, bytes);
+        }
+    }
+
+    /// This rank's half of a PIPE-SZx exchange of `d` bytes with `peer`,
+    /// stepped as the streaming engine blocks on it: every receive posted
+    /// up front; per sub-chunk, encode and send it, then fold the
+    /// arrivals already in — none this rank has yet to encode itself —
+    /// and, after the last one, wait the tail out.
+    fn piped_exchange<C: crate::comm::Comm>(c: &mut C, peer: usize, d: usize, p: &SchedParams) {
+        use crate::profile::Category;
+        let pieces = pieces(d);
+        let mut recvs: std::collections::VecDeque<_> =
+            pieces.iter().map(|_| c.irecv(peer, 0)).collect();
+        let (mut sends, mut landed) = (Vec::new(), 0);
+        for (j, &bytes) in pieces.iter().enumerate() {
+            encode(c, bytes);
+            sends.push(c.isend(peer, 0, squeezed(bytes, p)));
+            let tail = j + 1 == pieces.len();
+            while landed <= j && (tail || c.test_recv(&recvs[0])) {
+                let req = recvs.pop_front().expect("posted");
+                c.wait_recv_in(req, Category::Wait);
+                fold_piece(c, pieces[landed]);
+                landed += 1;
+            }
+        }
+        retire(c, sends);
+    }
+
+    /// A monolithic CPR-P2P exchange of `d` bytes with `peer` that lands
+    /// (`unpack`s) what it receives: every encode and decode pays
+    /// `BufferMgmt`, the landing a `Memcpy`.
+    fn cpr_exchange<C: crate::comm::Comm>(c: &mut C, peer: usize, d: usize, p: &SchedParams) {
+        use crate::profile::Category;
+        encode(c, d);
+        c.charge(Kernel::BufferMgmt, d, Category::Others);
+        let recv = c.irecv(peer, 0);
+        let send = c.isend(peer, 0, squeezed(d, p));
+        c.wait_recv_in(recv, Category::Wait);
+        retire(c, vec![send]);
+        c.charge(Kernel::SzxDecompress, d, Category::ComDecom);
+        c.charge(Kernel::BufferMgmt, d, Category::Others);
+        c.charge(Kernel::Memcpy, d, Category::Memcpy);
+    }
+
+    /// This rank's part in an allreduce of `d` bytes by the `Butterfly`
+    /// machine at the pipelined placement. A non-power-of-two world folds
+    /// its first `2·rem` ranks pairwise over a PIPE-SZx hop and unfolds
+    /// the result at the end in one CPR-P2P message. In between,
+    /// recursive doubling exchanges the whole vector every round; with
+    /// `halving` (Rabenseifner) the halving rounds exchange the moved
+    /// half and the doubling rounds the finalized range, monolithic.
+    fn butterfly<C: crate::comm::Comm>(c: &mut C, d: usize, p: &SchedParams, halving: bool) {
+        use crate::profile::Category;
+        let (me, n) = (c.rank(), c.size());
+        let pow2 = 1 << n.ilog2();
+        let rem = n - pow2;
+        let folded = me < 2 * rem;
+        if folded && me % 2 == 0 {
+            piped_send(c, me + 1, d, p);
+            c.recv(me + 1, 0);
+            c.charge(Kernel::SzxDecompress, d, Category::ComDecom);
+            c.charge(Kernel::BufferMgmt, d, Category::Others);
+            c.charge(Kernel::Memcpy, d, Category::Memcpy);
+            return;
+        }
+        if folded {
+            piped_recv(c, me - 1, d);
+        }
+        let pos = if folded { me / 2 } else { me - rem };
+        let rank = |pos: usize| if pos < rem { 2 * pos + 1 } else { pos + rem };
+        let rounds = pow2.trailing_zeros() as usize;
+        if halving {
+            for i in 1..=rounds {
+                piped_exchange(c, rank(pos ^ (pow2 >> i)), d >> i, p);
+            }
+            for i in (1..=rounds).rev() {
+                cpr_exchange(c, rank(pos ^ (pow2 >> i)), d >> i, p);
+            }
+        } else {
+            for i in 0..rounds {
+                piped_exchange(c, rank(pos ^ (1 << i)), d, p);
+            }
+        }
+        if folded {
+            encode(c, d);
+            c.charge(Kernel::BufferMgmt, d, Category::Others);
+            c.send(me - 1, 0, squeezed(d, p));
+        }
+    }
+
+    #[test]
+    fn piped_recursive_doubling_tracks_the_simulator() {
+        // Every round a PIPE-SZx exchange of the whole vector: from one
+        // sub-chunk, where it is the monolithic hop, to thirteen.
+        let m = CostModel::default();
+        let net = NetModel::default();
+        let n = 8;
+        for values in [512, 2 << 10, PIPE_CHUNK_BYTES / 4, 64 << 10] {
+            let p = szx_params(n, values * 4);
+            let sim = simulated(n, move |c| butterfly(c, values * 4, &p, false));
+            let price = m
+                .estimate(Schedule::RecursiveDoublingAllreduce, &net, &p)
+                .as_secs_f64();
+            assert!(
+                (price - sim).abs() <= 0.02 * sim,
+                "{values} values: priced {price:e} s, simulated {sim:e} s"
+            );
+        }
+    }
+
+    #[test]
+    fn compressed_fold_and_unfold_track_the_simulator() {
+        // A non-power-of-two world pays a fold hop and a monolithic
+        // unfold, an encode and a decode each.
+        let m = CostModel::default();
+        let net = NetModel::default();
+        for n in [5, 6] {
+            for values in [512, 2 << 10, 8 << 10, 64 << 10] {
+                for (schedule, halving) in [
+                    (Schedule::RecursiveDoublingAllreduce, false),
+                    (Schedule::RabenseifnerAllreduce, true),
+                ] {
+                    let p = szx_params(n, values * 4);
+                    let sim = simulated(n, move |c| butterfly(c, values * 4, &p, halving));
+                    let price = m.estimate(schedule, &net, &p).as_secs_f64();
+                    assert!(
+                        (price - sim).abs() <= 0.05 * sim,
+                        "{schedule:?} on {n} ranks, {values} values: \
+                         priced {price:e} s, simulated {sim:e} s"
+                    );
+                }
             }
         }
     }

@@ -182,8 +182,9 @@ impl Kind for Allreduce {
             }
             // Butterfly schedules exchange up to the full payload per
             // round (recursive doubling) or half of it (Rabenseifner).
-            // Their raw fold and halving stream into these slots, which
-            // grow once for the sub-chunks beyond four.
+            // Their streamed legs — the fold, the raw halving, recursive
+            // doubling's rounds — use these slots, which grow once for
+            // the sub-chunks beyond four.
             _ => session.warmed_workspace(len.max(1), 4),
         }
     }
@@ -206,24 +207,16 @@ impl Kind for Allreduce {
     }
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> ArMachine {
-        let compressed = core.session.cpr.is_some();
         let (place, pipe) = (core.session.placement(), core.session.pipe_values());
-        match (core.algorithm, compressed) {
-            (Algorithm::RecursiveDoubling, false) => {
-                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Raw, pipe))
+        match core.algorithm {
+            Algorithm::RecursiveDoubling => {
+                ArMachine::Butterfly(Butterfly::recursive_doubling(place, pipe))
             }
-            (Algorithm::RecursiveDoubling, true) => {
-                ArMachine::Butterfly(Butterfly::recursive_doubling(Placement::Cpr, pipe))
-            }
-            (Algorithm::Rabenseifner, _) => {
-                ArMachine::Butterfly(Butterfly::rabenseifner(place, pipe))
-            }
+            Algorithm::Rabenseifner => ArMachine::Butterfly(Butterfly::rabenseifner(place, pipe)),
             // The hierarchical placement is that of the inter-node leg
             // every lane owner runs on its slice; node-local legs are
             // always raw (intra-node links don't pay for a codec).
-            (Algorithm::Hierarchical, _) => {
-                ArMachine::Hier(HierAr::new(place, pipe, self.streamed))
-            }
+            Algorithm::Hierarchical => ArMachine::Hier(HierAr::new(place, pipe, self.streamed)),
             _ => {
                 let (rs, ag) = self.ring_places(&core.session);
                 ArMachine::Ring {

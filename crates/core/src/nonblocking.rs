@@ -25,18 +25,18 @@
 //! is built from one `Placement` (refusing in `new` the ones it has no
 //! shape for) and binds it to the session codec once per `step`
 //! (`Placement::link`). Every reducing hop (ring reduce-scatter rounds,
-//! the butterfly fold and halving, tree-reduce edges) and every raw tree
-//! steps one `pipeline::StreamCursor` over a `Route`, whatever the
-//! placement: `Placement::stream` gives the hop PIPE-SZx sub-chunks
-//! when piped, the session's pipe when raw and the whole message as one
-//! sub-chunk at CPR-P2P. The remaining monolithic rounds `pack` /
-//! `unpack` / `land` / `reduce` through the `Link` (as a route does: the
-//! only way a machine reaches the codec) and wait their requests out in
-//! a `Wire`. Under `Placement::Once` the one `pack` happens at the data's
-//! origin and the one `unpack` at each consumer, straight into the
-//! block's place in the output; the raw ring allgather relays the same
-//! way. The ordering rules that keep virtual time bit-identical are
-//! listed in `placement.rs`.
+//! the butterfly fold and halving, recursive doubling's rounds,
+//! tree-reduce edges) and every raw tree steps one
+//! `pipeline::StreamCursor` over a `Route`, whatever the placement:
+//! `Placement::stream` gives the hop PIPE-SZx sub-chunks when piped, the
+//! session's pipe when raw and the whole message as one sub-chunk at
+//! CPR-P2P. The remaining monolithic rounds `pack` / `unpack` / `land`
+//! through the `Link` (as a route does: the only way a machine reaches
+//! the codec) and wait their requests out in a `Wire`. Under
+//! `Placement::Once` the one `pack` happens at the data's origin and the
+//! one `unpack` at each consumer, straight into the block's place in the
+//! output; the raw ring allgather relays the same way. The ordering rules
+//! that keep virtual time bit-identical are listed in `placement.rs`.
 //!
 //! *Where a reduction accumulates* (rule 5 there): in the caller's
 //! output, born from the first fold. No reducing machine copies its
@@ -568,6 +568,7 @@ enum BflyPhase {
     FoldSend,
     FoldRecv,
     Halving,
+    Exchange,
     Doubling,
     DoublingExchange,
     Unfold,
@@ -581,9 +582,10 @@ enum BflyPhase {
 /// (`halving = false`, full-payload rounds) and Rabenseifner
 /// (`halving = true`, recursive-halving reduce-scatter +
 /// recursive-doubling allgather), in raw / CPR / pipelined placements.
-/// The fold and halving legs are [`Route::hop`] streams (`pipe`-value
-/// sub-chunks raw, PIPE-SZx sub-chunks piped, one whole message at
-/// CPR-P2P); doubling and unfold move finalized data and stay
+/// The fold and halving legs are [`Route::hop`] streams and recursive
+/// doubling's rounds [`Route::exchange`]s (`pipe`-value sub-chunks raw,
+/// PIPE-SZx sub-chunks piped, one whole message at CPR-P2P);
+/// Rabenseifner's doubling and the unfold move finalized data and stay
 /// monolithic `Wire` exchanges.
 ///
 /// The accumulator is the caller's `out`, *born* from this rank's first
@@ -614,10 +616,6 @@ pub(crate) struct Butterfly {
 
 impl Butterfly {
     pub(crate) fn recursive_doubling(place: Placement, pipe: usize) -> Self {
-        debug_assert!(
-            !matches!(place, Placement::Piped(_)),
-            "recursive doubling has no pipelined placement"
-        );
         Self::new(place, pipe, false)
     }
 
@@ -744,10 +742,26 @@ impl Butterfly {
                     self.born = true;
                     self.advance_halving();
                 }
-                // Recursive-doubling rounds: full-payload exchange-and-
-                // reduce (recursive doubling) or aligned-range allgather
-                // (Rabenseifner — finalized data moves, monolithic in
-                // every placement).
+                // Recursive doubling: every round folds the partner's
+                // whole accumulator into this rank's, in place.
+                BflyPhase::Exchange => {
+                    if self.mask >= self.pow2 {
+                        self.phase = BflyPhase::Unfold;
+                        continue;
+                    }
+                    let peer = butterfly_pos_to_rank(self.pos ^ self.mask, self.rem);
+                    let first = (!self.born).then_some(input);
+                    let route = Route::exchange(stream, self.tag + self.round, peer, op, first);
+                    let poll = self.hop.step(comm, route, out, &mut ws.pipe(), block);
+                    if poll == Poll::Pending {
+                        return Poll::Pending;
+                    }
+                    self.born = true;
+                    self.mask <<= 1;
+                    self.round += 1;
+                }
+                // Rabenseifner's recursive-doubling allgather: finalized
+                // aligned ranges move, monolithic in every placement.
                 BflyPhase::Doubling => {
                     if self.mask >= self.pow2 {
                         self.phase = BflyPhase::Unfold;
@@ -755,13 +769,8 @@ impl Butterfly {
                     }
                     let peer = butterfly_pos_to_rank(self.pos ^ self.mask, self.rem);
                     let tag = self.tag + self.round;
-                    let send = if self.halving {
-                        self.doubling_ranges(ws).0
-                    } else {
-                        0..out.len()
-                    };
-                    let src = if self.born { &*out } else { input };
-                    let payload = link.pack(comm, &src[send], &mut ws.pool);
+                    let (send, _) = self.doubling_ranges(ws);
+                    let payload = link.pack(comm, &out[send], &mut ws.pool);
                     self.wire.rreq = Some(comm.irecv(peer, tag));
                     self.wire.sreq = Some(comm.isend(peer, tag, payload));
                     self.phase = BflyPhase::DoublingExchange;
@@ -771,14 +780,8 @@ impl Butterfly {
                     let Some(got) = self.wire.exchange(comm, block, cat, cat) else {
                         return Poll::Pending;
                     };
-                    if self.halving {
-                        let (_, peer) = self.doubling_ranges(ws);
-                        link.unpack(comm, &got, &mut out[peer], &mut ws.scratch);
-                    } else {
-                        let first = (!self.born).then_some(input);
-                        link.reduce(comm, &got, op, first, out, &mut ws.scratch);
-                        self.born = true;
-                    }
+                    let (_, peer) = self.doubling_ranges(ws);
+                    link.unpack(comm, &got, &mut out[peer], &mut ws.scratch);
                     self.mask <<= 1;
                     self.round += 1;
                     self.phase = BflyPhase::Doubling;
@@ -833,7 +836,7 @@ impl Butterfly {
         } else {
             self.mask = 1;
             self.round = 1;
-            self.phase = BflyPhase::Doubling;
+            self.phase = BflyPhase::Exchange;
         }
     }
 

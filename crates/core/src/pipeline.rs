@@ -1,26 +1,20 @@
 //! The sub-chunk streaming engine (paper §III-A2/§III-E2, made
 //! schedule-agnostic and resumable): one [`StreamCursor`], stepped over a
 //! [`Route`], moves one logical buffer in sub-chunks for every streamed
-//! schedule — the computation framework's hops, every raw reducing hop,
-//! the data-movement framework's compress-once broadcast, and the raw
-//! intra-node legs of the laned hierarchical allreduce — and for every
-//! CPR-P2P hop and raw tree as well, as a stream of **one** unbounded
-//! sub-chunk.
+//! schedule, and for every CPR-P2P hop and raw tree as a stream of
+//! **one** unbounded sub-chunk. A stream travels on **one tag matched
+//! FIFO**, with every inbound receive posted up front, sends retired
+//! lazily, and only the tail that could not be overlapped showing up as
+//! `Wait` time — the quantity Fig. 9 shows shrinking by 73–80 %.
 //!
-//! A stream travels on **one tag matched FIFO** (so no sub-chunk needs a
-//! sequence number), with every inbound receive posted up front, sends
-//! queued and retired lazily, and only the residual tail that could not
-//! be overlapped showing up as `Wait` time — the quantity Fig. 9 shows
-//! shrinking by 73–80 %.
-//!
-//! Per sub-chunk `j` every rank does the same three things: it *obtains*
-//! `j` (encodes it from its own buffer, or receives it from one peer),
-//! *forwards* it to a set of peers, and *lands* it. Only the route and
-//! the land action differ:
+//! Per sub-chunk `j` every rank *obtains* `j` (encodes it from its own
+//! buffer, or receives it from one peer), *forwards* it to a set of peers
+//! and *lands* it. Only the route and the land action differ:
 //!
 //! | route | obtain `j` | forward to | land |
 //! |---|---|---|---|
 //! | [`Route::hop`] (`RingRs`, `Butterfly` fold / halving, `TreeReduce`; `HierBc` hand-off) | encode `send[j]` (its own stream); receive from `from` | `to` | fold into `dst` (first touch: from `input`); the hand-off stores |
+//! | [`Route::exchange`] (recursive doubling's rounds) | encode `input[j]` before the first fold, then `dst[j]`; receive from the peer | the peer | fold into `dst`: first touch from `input`, else in place once `dst[j]` is encoded |
 //! | [`Route::tree`] (`Bcast` at `Once` and raw; hierarchical fan-outs), root / others | encode `out[j]` / receive from the parent | binomial children, *before* landing | — / decode in place |
 //! | [`Route::chain_fold`] (`HierAr`), far end / others | pack `input[j]` / receive from `i + 1` | `i − 1`, *after* folding | fold, first touch from `input[j]` |
 //! | [`Route::chain_relay`] (`HierAr`), member 0 / others | pack `out[j]` / receive from `i − 1` | `i + 1`, *before* landing | — / store |
@@ -29,21 +23,11 @@
 //! ([`Placement::stream`](crate::placement::Placement::stream)): PIPE-SZx
 //! sub-chunks (5120 values by default) on a piped hop, the plan's pipe on
 //! a raw hop, the compress-once tree and the hierarchical chains, and the
-//! whole message ([`WHOLE`]) otherwise — a CPR-P2P hop, the raw tree and
-//! the hand-off each move one message per edge, sent even when empty. A
-//! raw tree has nothing to overlap: landing is uncharged and its root is
-//! egress-bound.
-//!
-//! What that buys: a hop compresses sub-chunk `j + 1` while `j` is on
-//! the wire and folds arrivals — through the **fused decompress-reduce**
-//! kernel, or raw — straight into their accumulator range while later
-//! ones are still in flight; a tree root is
-//! `max(encode, fan-out)`-bound, not `encode + fan-out`-bound, and no
-//! subtree waits on its parent's decode; a `g`-member chain costs `g − 1`
-//! sub-chunk hops plus the stream behind the first, not ⌈log₂g⌉
-//! whole-vector hops with every fold on one root. Every codec call goes
-//! through the route's [`Link`](crate::placement::Link), so a
-//! whole-message CPR-P2P hop is the same code path with one sub-chunk.
+//! whole message ([`WHOLE`]) otherwise, sent even when empty. So a hop
+//! encodes `j + 1` while `j` is on the wire and folds arrivals through the
+//! **fused decompress-reduce** kernel while later ones are in flight, a
+//! tree root is `max(encode, fan-out)`-bound, and every codec call goes
+//! through the route's [`Link`](crate::placement::Link).
 //!
 //! **The `block` contract.** With `block = true` a step runs the stream
 //! to completion (what `execute_into` drives). With `block = false` it
@@ -59,9 +43,8 @@
 //! behind it: the last receive starves, or the short tail lands in a
 //! full slot. Every route aborts on either, never panicking.
 //!
-//! The engine owns **no** buffers: callers lend the workspace's pool,
-//! codec scratch and request queues through [`PipeBufs`], which keeps
-//! the zero-allocation steady state intact.
+//! The engine owns **no** buffers: callers lend the workspace's through
+//! [`PipeBufs`], which keeps the zero-allocation steady state intact.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -76,12 +59,9 @@ use crate::placement::Link;
 use crate::reduce::ReduceOp;
 
 /// Most arrived sub-chunks a *nonblocking* step lands (and a blocking hop
-/// between two encodes). Without a budget one fat stream could
-/// decompress-and-reduce an arbitrarily long backlog inside a single
-/// `progress()` call and starve sibling operations sharing a progress
-/// engine; four sub-chunks (~20k values at the default PIPE-SZx
-/// granularity) keeps per-call compute bounded while still draining
-/// faster than the one-per-call compression fills.
+/// between two encodes): one fat stream must not fold an unbounded
+/// backlog in one `progress()` call and starve its siblings on a progress
+/// engine, and four still drain faster than one encode per call fills.
 const NONBLOCKING_DRAIN_BUDGET: usize = 4;
 
 /// The sub-chunk size of a whole-message stream: the buffer is one
@@ -93,8 +73,7 @@ pub(crate) const WHOLE: usize = usize::MAX;
 pub(crate) struct PipeBufs<'a> {
     /// Payload pool for sub-chunk payloads.
     pub pool: &'a mut PayloadPool,
-    /// Codec scratch (sub-chunks decode in place; only a codec without a
-    /// native slice decode detours through it).
+    /// Codec scratch, for a codec without a native in-place decode.
     pub scratch: &'a mut CodecScratch,
     /// Outstanding sub-chunk sends, retired FIFO.
     pub sreqs: &'a mut VecDeque<SendReq>,
@@ -103,10 +82,8 @@ pub(crate) struct PipeBufs<'a> {
 }
 
 /// Split one buffer into a read-only `src` range and a mutable `dst`
-/// range, which must be disjoint. This is what lets a pipelined hop
-/// compress straight out of the accumulator while the drain reduces into
-/// a different chunk of the same accumulator — the snapshot copy the
-/// pre-engine implementation paid per round is gone.
+/// range, which must be disjoint: a hop compresses straight out of the
+/// accumulator while the drain reduces into another chunk of it.
 ///
 /// # Panics
 /// Panics if the ranges overlap.
@@ -135,7 +112,7 @@ enum Source<'r> {
     None,
     /// This buffer.
     Own(&'r [f32]),
-    /// The step's `dst` (the source end of a relay).
+    /// The step's `dst` (a relay's source end, an in-place exchange).
     Dst,
 }
 
@@ -197,9 +174,8 @@ fn neighbours<C: Comm>(comm: &C) -> (Option<usize>, Option<usize>) {
     (me.checked_sub(1), Some(me + 1).filter(|&next| next < n))
 }
 
-/// One rank's part in one stream: the row of the module docs' table it
-/// plays. Built by the caller for every step (it only borrows), so the
-/// [`StreamCursor`] stays plain-old-data.
+/// One rank's part in one stream, a row of the module docs' table. Built
+/// for every step (it only borrows), so the [`StreamCursor`] stays POD.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Route<'r> {
     link: Link<'r>,
@@ -219,8 +195,7 @@ impl<'r> Route<'r> {
     /// A two-rank hop over `stream` (a placement's `(link, sub-chunk)`,
     /// [`Placement::stream`](crate::placement::Placement::stream)): this
     /// rank's `send` values go to their peer, and what comes from the
-    /// `recv` peer lands in the step's `dst` — either side may be
-    /// absent. An exchange's two sides share a partition.
+    /// `recv` peer lands in the step's `dst`; either side may be absent.
     pub(crate) fn hop(
         (link, pipe): (Link<'r>, usize),
         tag: Tag,
@@ -230,6 +205,22 @@ impl<'r> Route<'r> {
         let source = send.map_or(Source::None, |(vals, _)| Source::Own(vals));
         let fan = send.map_or(Fan::None, |(_, to)| Fan::One(to));
         Self::new(link, pipe, tag, source, recv, fan)
+    }
+
+    /// This rank's half of a symmetric exchange with `peer` over `stream`,
+    /// folding the peer's values into `dst` with `op`: it sends `first`
+    /// and folds as the first touch `dst = fold(first, ·)`, or — without
+    /// `first` — sends `dst` itself and folds in place.
+    pub(crate) fn exchange(
+        (link, pipe): (Link<'r>, usize),
+        tag: Tag,
+        peer: usize,
+        op: ReduceOp,
+        first: Option<&'r [f32]>,
+    ) -> Self {
+        let (source, fan) = (first.map_or(Source::Dst, Source::Own), Fan::One(peer));
+        let sink = Some((peer, Land::Fold(op, first)));
+        Self::new(link, pipe, tag, source, sink, fan)
     }
 
     /// The broadcast down the binomial tree rooted at `root`, every
@@ -389,9 +380,14 @@ impl StreamCursor {
             }
             // Arrivals: only those already here (at most `budget`) while
             // own sub-chunks remain to encode or the step must not block;
-            // the tail is waited out otherwise.
+            // the tail is waited out otherwise. A stream sent from `dst`
+            // folds no sub-chunk it has yet to encode.
             let wait = block && self.sent == own;
-            while self.landed < inbound && (wait || budget > 0) {
+            let landable = match route.source {
+                Source::Dst => self.sent.min(inbound),
+                _ => inbound,
+            };
+            while self.landed < landable && (wait || budget > 0) {
                 let Some(got) = next_arrival(comm, bufs.rreqs, wait) else {
                     break;
                 };
@@ -515,13 +511,18 @@ mod tests {
 
     const PIPE: usize = 16;
     const LEN: usize = 11 * PIPE + 5;
+    /// The in-place exchange's buffer: three sub-chunks and a ragged tail.
+    const IN_PLACE: usize = 3 * PIPE + 5;
 
     /// The route shapes of the module docs' table, at a placement.
     #[derive(Debug, Clone, Copy)]
     enum Shape {
-        /// A two-rank hop exchange, folding as a first touch: eleven
+        /// A two-rank exchange, folding as a first touch: eleven
         /// sub-chunks and a ragged tail (raw, piped), or one message.
         Exchange(Placement),
+        /// The same exchange in place: each rank sends its `dst` and
+        /// folds the peer's into it, over [`IN_PLACE`] values.
+        InPlace(Placement),
         /// Rank 0's send-only hop of the first `len` values into rank
         /// 1's receive-only one.
         OneWay(Placement, usize),
@@ -556,7 +557,7 @@ mod tests {
             .map(|i| ((i * 31 + me * 17) % 97) as f32 * 0.25)
             .collect();
         let mut dst = vec![0.0f32; LEN];
-        if matches!(shape, Shape::ChainRelay) && me == 0 {
+        if matches!(shape, Shape::ChainRelay) && me == 0 || matches!(shape, Shape::InPlace(_)) {
             dst.copy_from_slice(&input);
         }
         let tag = if block { 1 } else { 2 };
@@ -567,9 +568,12 @@ mod tests {
             let sum = ReduceOp::Sum;
             let route = match shape {
                 Shape::Exchange(place) => {
-                    let (peer, land) = (1 - me, Land::Fold(sum, Some(&input)));
                     let stream = place.stream(Some(&cpr), PIPE);
-                    Route::hop(stream, tag, Some((&input, peer)), Some((peer, land)))
+                    Route::exchange(stream, tag, 1 - me, sum, Some(&input))
+                }
+                Shape::InPlace(place) => {
+                    let stream = place.stream(Some(&cpr), PIPE);
+                    Route::exchange(stream, tag, 1 - me, sum, None)
                 }
                 Shape::OneWay(place, len) if me == 0 => Route::hop(
                     place.stream(Some(&cpr), PIPE),
@@ -596,6 +600,7 @@ mod tests {
             let slot = match shape {
                 Shape::OneWay(..) if me == 0 => &mut [][..],
                 Shape::OneWay(_, len) => &mut dst[..len],
+                Shape::InPlace(_) => &mut dst[..IN_PLACE],
                 _ => &mut dst[..],
             };
             let totals = route.counts(slot.len());
@@ -637,6 +642,9 @@ mod tests {
             (Shape::Exchange(piped), 2, true, false),
             (Shape::Exchange(raw), 2, false, false),
             (Shape::Exchange(cpr), 2, true, true),
+            (Shape::InPlace(piped), 2, true, false),
+            (Shape::InPlace(raw), 2, false, false),
+            (Shape::InPlace(cpr), 2, true, true),
             (Shape::OneWay(piped, LEN), 2, true, false),
             (Shape::OneWay(raw, 0), 2, false, true),
             (Shape::OneWay(cpr, 0), 2, true, true),
@@ -672,12 +680,16 @@ mod tests {
                     }
                 }
             }
+            // An in-place stream lands no sub-chunk before it has sent
+            // its own copy: with four in all it never has a backlog of
+            // the budget's size.
             let full = out
                 .results
                 .iter()
                 .any(|r| r.1.most_landed == NONBLOCKING_DRAIN_BUDGET);
+            let in_place = matches!(shape, Shape::InPlace(_));
             assert!(
-                whole || full,
+                whole || in_place || full,
                 "{shape:?}: no step used the whole drain budget"
             );
         }

@@ -16,7 +16,8 @@
 //!   `PipelineConfig::chunk_values` sub-chunks, whatever the session
 //!   codec is: a `zfp-abs` session streams its reducing hops through
 //!   PIPE-SZx and runs ZFP only on its data-movement hops. Its hops are
-//!   [`crate::pipeline::Route::hop`]s over [`Link::piped`], pooled.
+//!   [`crate::pipeline::Route::hop`]s and recursive doubling's rounds
+//!   [`crate::pipeline::Route::exchange`]s, over [`Link::piped`], pooled.
 //!
 //! A machine that cannot run a placement refuses it in its constructor.
 //! The streaming engine reaches the codec through the same `Link`s:
@@ -27,16 +28,16 @@
 //! Orderings the machines keep — virtual time is bit-identical only
 //! while they hold:
 //!
-//! 1. The rounds still on a `Wire` — recursive doubling's exchange,
-//!    Rabenseifner's doubling and unfold, the ring allgather, the
-//!    all-to-all and Bruck rounds — pack first, then post the receive,
-//!    then send, and wait a full-duplex pair out through
-//!    `Wire::exchange` (receive, then send) before they land or fold.
-//!    Every reducing hop is a route instead (rule 6).
+//! 1. The rounds still on a `Wire` — the butterflies' unfold,
+//!    Rabenseifner's doubling, the ring allgather, the all-to-all and
+//!    Bruck rounds — pack first, then post the receive, then send, and
+//!    wait a full-duplex pair out through `Wire::exchange` (receive,
+//!    then send) before they land. Every reducing hop, recursive
+//!    doubling's rounds included, is a route instead (rule 6).
 //! 2. Raw `pack` charges nothing and raw `unpack` charges `Memcpy`; CPR
 //!    `unpack` is decompress (`ComDecom` + `BufferMgmt`) + `Memcpy` —
 //!    the naive integration the baselines model; once `pack` / `unpack`
-//!    charge the codec kernel and nothing else. `reduce` never charges
+//!    charge the codec kernel and nothing else. `try_reduce` never charges
 //!    `Memcpy`, first touch (`from`) or not. `land` is `unpack` without
 //!    the `Memcpy` charge: the binomial `Bcast` / `Scatter` / `Gather`
 //!    receives, which a tree relays onwards, land through it.
@@ -48,7 +49,7 @@
 //! 5. The accumulator is born from the first fold and lives in the
 //!    caller's output: a reducing machine never copies its input in.
 //!    The first send of a range reads `input`, the first fold of a
-//!    range is `reduce(.., from = Some(&input[range]), ..)`, later ones
+//!    range is `try_reduce(.., from = Some(&input[range]), ..)`, later ones
 //!    fold in place, and where the caller has a full-length `out` that
 //!    is the accumulator, so nothing is copied out either. Only a
 //!    schedule with no fold at all (one rank) pays one charged
@@ -57,11 +58,12 @@
 //!    stream *before* packing; a hop folds an arrival as soon as it
 //!    lands, before its own sends retire; a relaying rank forwards a
 //!    sub-chunk *before* landing it, and a chain member folds *before*
-//!    forwarding the fold; sends are retired lazily (between sub-chunks
-//!    only those that have left, the rest at the end); a nonblocking
-//!    step encodes at most one charged sub-chunk — a tree root suspends
-//!    after every one — while a raw source end sends its whole stream at
-//!    once. A raw hop streams in the session's pipe sub-chunks and folds
+//!    forwarding the fold; an in-place exchange folds sub-chunk `j` only
+//!    *after* encoding its own `j`; sends are retired lazily (between
+//!    sub-chunks only those that have left, the rest at the end); a
+//!    nonblocking step encodes at most one charged sub-chunk — a tree
+//!    root suspends after every one — while a raw source end sends its
+//!    whole stream at once. A raw hop streams in the session's pipe sub-chunks and folds
 //!    arrival `j` while `j + 1` is on the wire; a payload of at most one
 //!    sub-chunk is still one message. A whole-message route
 //!    (`Placement::stream` of CPR, the raw trees: bcast, fan-out,
@@ -293,25 +295,8 @@ impl Link<'_> {
     /// place computes. Raw decodes uncharged and charges `Reduce`; a
     /// codec charges the decompression kernel and `Reduce` (fused
     /// decompress-reduce), CPR `BufferMgmt` on top. No form charges
-    /// `Memcpy`.
-    ///
-    /// # Panics
-    /// Panics if the payload does not hold `dst.len()` values.
-    pub(crate) fn reduce<C: Comm>(
-        self,
-        comm: &mut C,
-        got: &[u8],
-        op: ReduceOp,
-        from: Option<&[f32]>,
-        dst: &mut [f32],
-        scratch: &mut CodecScratch,
-    ) {
-        self.try_reduce(comm, got, op, from, dst, scratch)
-            .expect("payload does not hold its slot's values");
-    }
-
-    /// [`Link::reduce`], or `Err` — nothing folded, nothing charged —
-    /// when the payload does not hold `dst.len()` values.
+    /// `Memcpy`. `Err` — nothing folded, nothing charged — when the
+    /// payload does not hold `dst.len()` values.
     pub(crate) fn try_reduce<C: Comm>(
         self,
         comm: &mut C,
@@ -417,7 +402,8 @@ mod tests {
             let got = c.recv(0, 3);
             let t_reduce = timed(c, reduce, |c| {
                 let scratch = &mut ws.scratch;
-                link.reduce(c, &got, ReduceOp::Sum, None, &mut acc, scratch)
+                let folded = link.try_reduce(c, &got, ReduceOp::Sum, None, &mut acc, scratch);
+                folded.expect("reduce")
             });
             let mut expect = vals(1.0);
             ReduceOp::Sum.apply(&mut expect, &landed);
@@ -427,7 +413,9 @@ mod tests {
             let got = c.recv(0, 4);
             let t_from = timed(c, reduce, |c| {
                 let (from, scratch) = (vals(1.0), &mut ws.scratch);
-                link.reduce(c, &got, ReduceOp::Sum, Some(&from), &mut born, scratch)
+                let folded =
+                    link.try_reduce(c, &got, ReduceOp::Sum, Some(&from), &mut born, scratch);
+                folded.expect("first-touch reduce")
             });
             assert_eq!(bits(&born), bits(&acc), "first touch vs copy + reduce");
             let memcpy = c.profiler().breakdown().get(Category::Memcpy);

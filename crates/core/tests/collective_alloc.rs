@@ -67,12 +67,17 @@ fn steady_state_plans_allocate_nothing() {
         // root's pool are sized at plan time.
         let mut bcast = session.plan_bcast(0, len / 2);
         // The algorithm layer's alternative schedules must uphold the
-        // same guarantee.
-        let mut rd_allreduce = session.plan_allreduce_with(
-            len,
-            ReduceOp::Sum,
-            PlanOptions::new().algorithm(Algorithm::RecursiveDoubling),
-        );
+        // same guarantee. Recursive doubling folds two of the six ranks
+        // away and runs its rounds as in-place PIPE-SZx exchanges, here
+        // of three sub-chunks each.
+        let mut rd_allreduce = session
+            .clone()
+            .with_pipeline_values(len / 3)
+            .plan_allreduce_with(
+                len,
+                ReduceOp::Sum,
+                PlanOptions::new().algorithm(Algorithm::RecursiveDoubling),
+            );
         let mut raben_allreduce = session.plan_allreduce_with(
             len,
             ReduceOp::Sum,
@@ -239,6 +244,7 @@ fn steady_state_plans_allocate_nothing() {
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);
+            nonblocking_cycle!(rd_allreduce, &input, &mut ar_out);
             engine_cycle!();
         }
         c.barrier();
@@ -269,6 +275,7 @@ fn steady_state_plans_allocate_nothing() {
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);
+            nonblocking_cycle!(rd_allreduce, &input, &mut ar_out);
             engine_cycle!();
         }
         c.barrier();

@@ -123,8 +123,27 @@ fn a_c_allreduce_charges_no_memcpy() {
     for n in [2, 3, 8] {
         assert_memcpy_is(n, SZX, Algorithm::Ring, None, none);
     }
+}
+
+/// Recursive doubling on an error-bounded session runs the computation
+/// framework: every round is a pooled PIPE-SZx exchange folded in place,
+/// so it charges neither a copy nor the naive integration's buffer
+/// management (`BufferMgmt`, the `Others` bucket).
+#[test]
+fn piped_recursive_doubling_charges_no_memcpy_and_no_buffer_management() {
     for n in [2, 8] {
-        assert_memcpy_is(n, SZX, Algorithm::RecursiveDoubling, None, none);
+        let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let opts = PlanOptions::new().algorithm(Algorithm::RecursiveDoubling);
+            let mut plan = CCollSession::new(SZX, n).plan_allreduce_with(LEN, ReduceOp::Sum, opts);
+            let mut result = vec![0.0f32; LEN];
+            plan.execute_into(c, &rank_data(c.rank()), &mut result);
+        });
+        for (rank, breakdown) in out.breakdowns.iter().enumerate() {
+            for bucket in [Category::Memcpy, Category::Others] {
+                let got = breakdown.get(bucket);
+                assert_eq!(got, Duration::ZERO, "{n} ranks: rank {rank}'s {bucket:?}");
+            }
+        }
     }
 }
 

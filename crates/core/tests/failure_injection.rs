@@ -579,22 +579,36 @@ fn piped_ring_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
     // codec is deterministic, so a rank that finishes, and every rerun
     // after `reset()`, holds the fault-free run's exact bits.
     for spec in [CodecSpec::Szx { error_bound: 1e-3 }, CodecSpec::None] {
-        ring_aborts_mid_stream_loss(spec);
+        aborts_mid_stream_loss(spec, ring_opts(), 4 * (3 * CHUNK + 11));
     }
 }
 
-fn ring_aborts_mid_stream_loss(spec: CodecSpec) {
-    const CHUNK: usize = 64;
-    const LEN: usize = 4 * (3 * CHUNK + 11);
+#[test]
+fn piped_recursive_doubling_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
+    // Every round an in-place PIPE-SZx exchange of the whole vector, in
+    // three full sub-chunks and a short tail: a lost one aborts the round
+    // as it does a ring hop, and `reset()` re-arms the plan.
+    let opts = PlanOptions::new().algorithm(Algorithm::RecursiveDoubling);
+    let szx = CodecSpec::Szx { error_bound: 1e-3 };
+    aborts_mid_stream_loss(szx, opts, 3 * CHUNK + 11);
+}
+
+/// The sub-chunk size of the mid-stream loss tests.
+const CHUNK: usize = 64;
+
+/// Four ranks run an allreduce of `len` values under 3 % permanent loss,
+/// 48 seeds: every abort is clean, a finished rank holds the fault-free
+/// bits, and so does every rerun after `reset()`.
+fn aborts_mid_stream_loss(spec: CodecSpec, opts: PlanOptions, len: usize) {
     let n = 4;
     let plan = move || {
         CCollSession::new(spec, n)
             .with_pipeline_values(CHUNK)
-            .plan_allreduce_with(LEN, ReduceOp::Sum, ring_opts())
+            .plan_allreduce_with(len, ReduceOp::Sum, opts)
     };
     let clean = SimWorld::with_ranks(n).run(move |c| {
-        let mut out = vec![0.0f32; LEN];
-        plan().execute_into(c, &rank_data(c.rank(), LEN), &mut out);
+        let mut out = vec![0.0f32; len];
+        plan().execute_into(c, &rank_data(c.rank(), len), &mut out);
         out
     });
     let mut clean_reruns = 0;
@@ -605,8 +619,8 @@ fn ring_aborts_mid_stream_loss(spec: CodecSpec) {
             .with_fault_policy(FaultPolicy::with_timeout(Duration::from_micros(500), 2));
         let out = SimWorld::new(cfg).run(move |c| {
             let mut plan = plan();
-            let input = rank_data(c.rank(), LEN);
-            let mut first = vec![0.0f32; LEN];
+            let input = rank_data(c.rank(), len);
+            let mut first = vec![0.0f32; len];
             let abort = match plan.try_execute_into(c, &input, &mut first) {
                 Ok(()) => None,
                 Err(CollectiveError::Comm(e)) => {
@@ -617,7 +631,7 @@ fn ring_aborts_mid_stream_loss(spec: CodecSpec) {
                 Err(e) => panic!("{e:?}"),
             };
             c.barrier();
-            let mut second = vec![0.0f32; LEN];
+            let mut second = vec![0.0f32; len];
             let rerun = plan.try_execute_into(c, &input, &mut second).is_ok();
             (abort, first, rerun, second)
         });

@@ -307,6 +307,48 @@ fn nonblocking_streamed_bcast_matches_blocking_bits_and_bytes() {
     }
 }
 
+/// A recursive doubling on a lossy session runs every round as an
+/// in-place PIPE-SZx exchange (three sub-chunks and a ragged fourth
+/// here). Suspended after every step — grain 1 ns — it leaves the same
+/// bits and sends the same messages and bytes as the blocking drive, on
+/// a world with a fold and unfold (6) and on one without (8).
+#[test]
+fn nonblocking_piped_recursive_doubling_matches_blocking_bits_and_bytes() {
+    let chunk = 128usize;
+    let len = 3 * chunk + 37;
+    let pieces = len.div_ceil(chunk) as u64;
+    for n in [6usize, 8] {
+        let run = |nonblocking: bool| {
+            SimWorld::new(SimConfig::new(n))
+                .run(move |c| {
+                    let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, n)
+                        .with_pipeline_values(chunk);
+                    let opts = PlanOptions::new().algorithm(Algorithm::RecursiveDoubling);
+                    let mut plan = session.plan_allreduce_with(len, ReduceOp::Sum, opts);
+                    let data = smooth_data(c.rank(), len, 7);
+                    let mut out = vec![0.0f32; len];
+                    if nonblocking {
+                        drive_nonblocking!(plan.start(c, &data, &mut out), c, 1u64);
+                    } else {
+                        plan.execute_into(c, &data, &mut out);
+                    }
+                    let traffic = c.profiler().traffic();
+                    (out, traffic.messages_sent, traffic.bytes_sent)
+                })
+                .results
+        };
+        let blocking = run(false);
+        assert_eq!(run(true), blocking, "world {n}");
+        // Every rank of the power-of-two core streams each round; the
+        // fold streams too, and each unfold is one message.
+        let (pow2, rem) = (1 << n.ilog2(), n - (1 << n.ilog2()));
+        let rounds = u64::from(n.ilog2()) * pow2 as u64;
+        let expect = (rounds + rem as u64) * pieces + rem as u64;
+        let sent: u64 = blocking.iter().map(|r| r.1).sum();
+        assert_eq!(sent, expect, "world {n}");
+    }
+}
+
 /// The laned hierarchical allreduce at more than one lane — five phases
 /// over three different sub-communicators — suspended at every grain
 /// leaves the same bits and sends the same messages and bytes as the
