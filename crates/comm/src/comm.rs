@@ -12,6 +12,11 @@
 //! * **categorized profiling** ([`Comm::profiler`], the `*_in` wait
 //!   variants): every blocking operation and kernel attributes its elapsed
 //!   time to one of the paper's breakdown categories.
+//!
+//! One wait belongs to no single request: [`Comm::idle`] parks the rank
+//! until its next communication event — the earliest future arrival on
+//! any posted receive or egress of any send — which is how a progress
+//! engine driving several operations waits without picking one of them.
 
 use std::time::Duration;
 
@@ -73,6 +78,21 @@ pub trait Comm {
     /// Give the progress engine a chance to run. A semantic no-op; called
     /// between PIPE-SZx chunks exactly where the paper polls.
     fn poll(&mut self);
+
+    /// Park this rank until its next communication event: the earliest
+    /// arrival *after now* on one of its posted receives (a receive no
+    /// message has matched yet wakes it when the matching `isend` is
+    /// posted), or the earliest egress after now of one of its sends.
+    /// What has already arrived or left is not waited for: the caller
+    /// has looked at it — unless it is all there is, in which case the
+    /// call returns at once rather than wait for nothing. The blocked
+    /// time lands in [`Category::Wait`].
+    ///
+    /// Waits at most the [`Comm::fault_policy`]'s `hop_timeout`. Returns
+    /// `false` when that expired first, or when a posted receive's peer
+    /// is dead and nothing has matched it — the event may never come,
+    /// and the caller falls back to its fault-aware blocking waits.
+    fn idle(&mut self) -> bool;
 
     /// Synchronize all ranks.
     fn barrier(&mut self);

@@ -244,7 +244,6 @@ impl CostModel {
         };
         // Per-rank chunk of the balanced partition.
         let m = d / nf;
-        let wm = wire / nf;
         // Bytes every rank relays in a bandwidth-optimal stage: all
         // chunks but its own.
         let rest = (nf - 1.0) / nf;
@@ -261,6 +260,23 @@ impl CostModel {
         // the final block's decompression lands on the critical path.
         // Pure reordering of compress-once blocks — every codec gets it.
         let ag_hop = |xfer: f64, dec: f64| xfer.max(dec);
+        // The compress-once ring allgather of `b`-byte blocks, each in
+        // `c = min(b, PIPE_CHUNK_BYTES)` sub-chunks: round 0 sends every
+        // sub-chunk of the own block as soon as it is encoded, so only
+        // the last one's `α + wβ` follows the encode; each of the `n − 2`
+        // relay rounds forwards what the last one received and decodes
+        // it while the next block comes in — `max(kα + wβ, decode)`, the
+        // receiving port taking its `k` sub-chunks one after another;
+        // the last block's decode is exposed. There is no size step:
+        // every message carries its own length.
+        let once_ag = |b: f64| {
+            let c = b.min(PIPE_CHUNK_BYTES as f64);
+            let k = (b / c).ceil().max(1.0); // 0/0 when empty
+            let last = b - (k - 1.0) * c;
+            let wire = |bytes: f64| bytes / p.ratio.max(1.0) * beta;
+            let relay = (nf - 2.0) * ag_hop(k * alpha + wire(b), deco(b));
+            comp(b) + alpha + wire(last) + relay + deco(b)
+        };
 
         let secs = match schedule {
             Schedule::RingAllreduce if raw => {
@@ -270,30 +286,24 @@ impl CostModel {
                 let ag = (nf - 1.0) * (alpha + ag_hop(m * beta, memcpy(m))) + memcpy(m);
                 ring_rs + ag
             }
-            Schedule::RingAllreduce => {
-                // Reduce-scatter, then a compress-once allgather: the
-                // blocks' sizes go round the ring first, then the blocks,
-                // with the relay-overlap credit.
-                let sizes = (nf - 1.0) * (alpha + 4.0 * beta);
-                let ag = comp(m) + (nf - 1.0) * (alpha + ag_hop(wm * beta, deco(m))) + deco(m);
-                ring_rs + sizes + ag
-            }
+            // Reduce-scatter, then the compress-once allgather of the
+            // reduced chunks.
+            Schedule::RingAllreduce => ring_rs + once_ag(m),
             Schedule::RecursiveDoublingAllreduce if raw => fold + log2n * raw_hop(d),
             Schedule::RecursiveDoublingAllreduce => {
                 // Every round exchanges and reduces the FULL payload
                 // (latency-optimal, bandwidth-wasteful). The fold leaves
                 // the folded ranks behind: a round whose mask pairs one
                 // with a rank that was not folded (every mask from `rem`
-                // up) finds that partner's payload already in, so the
-                // link of its last piece costs nothing.
+                // up) finds that partner's payload already in, so what
+                // the round exposes of its last piece's link costs
+                // nothing.
                 let round = reducing_hop(d, true);
-                let c = if p.pipelined {
-                    d.min(PIPE_CHUNK_BYTES as f64)
+                let ahead = if p.pipelined {
+                    self.piped_tail(d, net, p, true)
                 } else {
-                    d
+                    alpha + wire * beta
                 };
-                let last = d - ((d / c).ceil().max(1.0) - 1.0) * c;
-                let ahead = alpha + last / p.ratio.max(1.0) * beta;
                 let credited = if rem == 0 {
                     0
                 } else {
@@ -327,9 +337,8 @@ impl CostModel {
                 // the own block's are exposed.
                 (nf - 1.0) * (alpha + ag_hop(d * beta, memcpy(d))) + 2.0 * memcpy(d)
             }
-            Schedule::RingAllgather => {
-                comp(d) + (nf - 1.0) * (alpha + ag_hop(wire * beta, deco(d))) + deco(d)
-            }
+            // The own block's copy into place comes first.
+            Schedule::RingAllgather => once_ag(d) + memcpy(d),
             Schedule::BruckAllgather => {
                 // Same bytes as the ring in ⌈log₂n⌉ steps; held blocks
                 // decompress while the next container is in flight. The
@@ -445,8 +454,11 @@ impl CostModel {
     /// The last, ragged sub-chunk pays all three; the `k − 1` ahead of it
     /// pace the stream at its slowest stage — `max(e, x, f)` one way,
     /// `max(e + f, x)` on an `exchange`, where every rank both encodes
-    /// its own stream and folds its peer's. At one sub-chunk this is the
-    /// monolithic `e + x + f`.
+    /// its own stream and folds its peer's. An exchange the codec paces
+    /// folds its peer's second-to-last sub-chunk after its own last
+    /// encode, while the peer's last one is on the wire: only what of
+    /// that last link the fold does not cover is exposed. At one
+    /// sub-chunk this is the monolithic `e + x + f`.
     fn piped_hop(&self, d: f64, net: &NetModel, p: &SchedParams, exchange: bool) -> f64 {
         let alpha = net.latency.as_secs_f64();
         let beta = 1.0 / net.bandwidth;
@@ -461,7 +473,22 @@ impl CostModel {
         } else {
             enc(c).max(link(c)).max(fold(c))
         };
-        enc(last) + link(last) + fold(last) + (k - 1.0) * pace
+        enc(last) + self.piped_tail(d, net, p, exchange) + fold(last) + (k - 1.0) * pace
+    }
+
+    /// What [`CostModel::piped_hop`] exposes of its last sub-chunk's link.
+    fn piped_tail(&self, d: f64, net: &NetModel, p: &SchedParams, exchange: bool) -> f64 {
+        let link =
+            |bytes: f64| net.latency.as_secs_f64() + bytes / p.ratio.max(1.0) / net.bandwidth;
+        let fold = |bytes: f64| bytes / p.decompress_tput + bytes / self.throughput(Kernel::Reduce);
+        let c = d.min(PIPE_CHUNK_BYTES as f64);
+        let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
+        let last = d - (k - 1.0) * c;
+        if exchange && k > 1.0 && c / p.compress_tput + fold(c) > link(c) {
+            (link(last) - fold(c)).max(0.0)
+        } else {
+            link(last)
+        }
     }
 
     /// Closed-form critical-path estimate on a **two-level** network:
@@ -1020,9 +1047,10 @@ mod tests {
     fn eight_rank_crossovers_match_measured_argmin() {
         // The BENCH_algo.json crossover sequence at nodes=8 under the
         // default SZx profile: recursive doubling at 64 and 512 values
-        // (its rounds are PIPE-SZx exchanges, with no `BufferMgmt`),
-        // Rabenseifner at 4096 (its pipelined halving phase makes it the
-        // mid-size winner), ring from 32768 up.
+        // (its rounds are PIPE-SZx exchanges, with no `BufferMgmt`), ring
+        // from 4096 up (its compress-once allgather has no size step; at
+        // 16 and 32 nodes Rabenseifner's pipelined halving still wins
+        // there).
         let m = CostModel::default();
         let net = NetModel::default();
         let candidates = [
@@ -1039,7 +1067,7 @@ mod tests {
         };
         assert_eq!(argmin(64), Schedule::RecursiveDoublingAllreduce);
         assert_eq!(argmin(512), Schedule::RecursiveDoublingAllreduce);
-        assert_eq!(argmin(4096), Schedule::RabenseifnerAllreduce);
+        assert_eq!(argmin(4096), Schedule::RingAllreduce);
         assert_eq!(argmin(32768), Schedule::RingAllreduce);
         assert_eq!(argmin(2_097_152), Schedule::RingAllreduce);
     }
@@ -1079,7 +1107,13 @@ mod tests {
         let deco = p.payload_bytes as f64 / p.decompress_tput;
         let comp = p.payload_bytes as f64 / p.compress_tput;
         let summed = comp + nf * (alpha + wire + deco);
-        let overlapped = comp + nf * (alpha + wire.max(deco)) + deco;
+        // Round 0 exposes the last sub-chunk's transfer only, the 14
+        // relay rounds the slower stream.
+        let (d, c) = (p.payload_bytes, PIPE_CHUNK_BYTES);
+        let last = wire * (d - (d.div_ceil(c) - 1) * c) as f64 / d as f64;
+        let memcpy = d as f64 / m.throughput(Kernel::Memcpy);
+        let overlapped =
+            comp + alpha + last + (nf - 1.0) * (alpha + wire).max(deco) + deco + memcpy;
         assert!((est - overlapped).abs() < 1e-9, "{est} vs {overlapped}");
         assert!(est < summed, "overlap credit missing: {est} vs {summed}");
     }
@@ -1604,6 +1638,103 @@ mod tests {
                 (price - sim).abs() <= 0.02 * sim,
                 "{values} values: priced {price:e} s, simulated {sim:e} s"
             );
+        }
+    }
+
+    /// This rank's round of a PIPE-SZx ring reduce-scatter over `d`-byte
+    /// chunks, stepped as the streaming engine blocks on it: every receive
+    /// posted up front; per sub-chunk, encode it and send it right, then
+    /// fold the arrivals from the left already in, at most four; after
+    /// the last one, wait the tail out.
+    fn piped_ring_round<C: crate::comm::Comm>(c: &mut C, d: usize, p: &SchedParams) {
+        use crate::profile::Category;
+        let (me, n) = (c.rank(), c.size());
+        let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+        let pieces = pieces(d);
+        let mut recvs: std::collections::VecDeque<_> =
+            pieces.iter().map(|_| c.irecv(left, 0)).collect();
+        let (mut sends, mut landed) = (Vec::new(), 0);
+        for (j, &bytes) in pieces.iter().enumerate() {
+            encode(c, bytes);
+            sends.push(c.isend(right, 0, squeezed(bytes, p)));
+            let tail = j + 1 == pieces.len();
+            let mut budget = 4;
+            while landed < pieces.len() && (tail || budget > 0 && c.test_recv(&recvs[0])) {
+                let req = recvs.pop_front().expect("posted");
+                c.wait_recv_in(req, Category::Wait);
+                fold_piece(c, pieces[landed]);
+                (landed, budget) = (landed + 1, budget - usize::from(!tail));
+            }
+        }
+        retire(c, sends);
+    }
+
+    /// This rank's part in the compress-once ring allgather of `m`-byte
+    /// blocks in PIPE sub-chunks: round 0 encodes the own block's and
+    /// sends each at once; every later round forwards what the last one
+    /// received and decodes it while it is on the wire; the last block is
+    /// decoded after the last round, after the own block's copy into
+    /// place when `own`.
+    fn once_relay<C: crate::comm::Comm>(c: &mut C, m: usize, p: &SchedParams, own: bool) {
+        use crate::profile::Category;
+        let (me, n) = (c.rank(), c.size());
+        let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+        let decode = |c: &mut C, bytes| c.charge(Kernel::SzxDecompress, bytes, Category::ComDecom);
+        for k in 0..n - 1 {
+            let recvs: Vec<_> = pieces(m).iter().map(|_| c.irecv(left, 0)).collect();
+            let mut sends = Vec::new();
+            for bytes in pieces(m) {
+                if k == 0 {
+                    encode(c, bytes);
+                }
+                sends.push(c.isend(right, 0, squeezed(bytes, p)));
+            }
+            for bytes in pieces(m).into_iter().filter(|_| k > 0) {
+                decode(c, bytes);
+            }
+            for req in recvs {
+                c.wait_recv_in(req, Category::Allgather);
+            }
+            retire(c, sends);
+        }
+        if own {
+            c.charge(Kernel::Memcpy, m, Category::Memcpy);
+        }
+        for bytes in pieces(m) {
+            decode(c, bytes);
+        }
+    }
+
+    #[test]
+    fn compress_once_ring_tracks_the_simulator() {
+        // The compressed ring allreduce (PIPE-SZx reduce-scatter rounds,
+        // then the streamed compress-once allgather of the reduced
+        // chunks) and the compressed ring allgather, against their
+        // message and kernel sequences: within 2 % from one sub-chunk per
+        // chunk up to 1 Mi values.
+        let m = CostModel::default();
+        let net = NetModel::default();
+        let n = 8;
+        for values in [PIPE_CHUNK_BYTES / 4, 64 << 10, 1 << 20] {
+            let d = values * 4;
+            let p = szx_params(n, d);
+            let ring = simulated(n, move |c| {
+                for _ in 0..n - 1 {
+                    piped_ring_round(c, d / n, &p);
+                }
+                once_relay(c, d / n, &p, false);
+            });
+            let gather = simulated(n, move |c| once_relay(c, d, &p, true));
+            for (schedule, sim) in [
+                (Schedule::RingAllreduce, ring),
+                (Schedule::RingAllgather, gather),
+            ] {
+                let price = m.estimate(schedule, &net, &p).as_secs_f64();
+                assert!(
+                    (price - sim).abs() <= 0.02 * sim,
+                    "{schedule:?} {values} values: priced {price:e} s, simulated {sim:e} s"
+                );
+            }
         }
     }
 

@@ -195,6 +195,9 @@ pub struct DeadlockReport {
     pub waiting: Vec<WaitEdge>,
     /// Ranks blocked in an incomplete barrier, sorted.
     pub barrier_waiters: Vec<usize>,
+    /// Ranks parked in [`Comm::idle`] with no event left to wake them,
+    /// sorted.
+    pub idle: Vec<usize>,
 }
 
 impl fmt::Display for DeadlockReport {
@@ -214,6 +217,9 @@ impl fmt::Display for DeadlockReport {
         }
         for r in &self.barrier_waiters {
             write!(f, "\n  rank {r}: blocked in barrier")?;
+        }
+        for r in &self.idle {
+            write!(f, "\n  rank {r}: idle, nothing in flight to it")?;
         }
         Ok(())
     }
@@ -387,9 +393,13 @@ struct KState {
     queues: FixedMap<(usize, usize, Tag), MatchQueue>,
     assignments: FixedMap<u64, Assignment>,
     req_meta: FixedMap<u64, ReqMeta>,
-    send_done: FixedMap<u64, u64>,
+    /// Send request → (sending rank, egress time).
+    send_done: FixedMap<u64, (usize, u64)>,
     /// Rank → request id it is parked on (no heap entry).
     blocked_recv: FixedMap<usize, u64>,
+    /// Ranks parked in [`Comm::idle`]: an `isend` matching one of their
+    /// posted receives wakes them at its arrival.
+    idle: Vec<bool>,
     egress_free: Vec<u64>,
     ingress_free: Vec<u64>,
     /// Per-*node* shared NIC ports, used instead of the per-rank ports
@@ -482,11 +492,13 @@ impl SimKernel {
                     waiting.sort_by_key(|e| e.rank);
                     let mut barrier_waiters = g.barrier.waiters.clone();
                     barrier_waiters.sort_unstable();
+                    let idle = (0..self.size).filter(|&r| g.idle[r]).collect();
                     let report = DeadlockReport {
                         at: SimTime::from_nanos(g.now),
                         live: g.live,
                         waiting,
                         barrier_waiters,
+                        idle,
                     };
                     // Poison instead of panicking here: every parked rank
                     // must wake up and fail, otherwise the world hangs.
@@ -563,6 +575,13 @@ impl SimKernel {
         let waiters: Vec<(usize, u64)> = g.blocked_recv.iter().map(|(&r, &q)| (r, q)).collect();
         for (rank, rq) in waiters {
             if g.req_meta.get(&rq).map(|m| m.src) == Some(me) {
+                let now = g.now;
+                Self::push_event(g, now, rank);
+            }
+        }
+        // An idling rank re-checks whether it waits on the dead one.
+        for rank in 0..self.size {
+            if g.idle[rank] {
                 let now = g.now;
                 Self::push_event(g, now, rank);
             }
@@ -668,14 +687,18 @@ impl SimKernel {
         }
         g.next_req += 1;
         let id = g.next_req;
-        g.send_done.insert(id, egress_done);
+        g.send_done.insert(id, (me, egress_done));
         if deliver {
             let q = g.queues.entry((me, dst, tag)).or_default();
             if let Some(rid) = q.recvs.pop_front() {
                 g.assignments.insert(rid, Assignment { arrival, payload });
-                // Wake the receiver if it is parked on this very request.
+                // Wake the receiver if it is parked on this very request,
+                // or idling on any of its receives.
                 if g.blocked_recv.get(&dst) == Some(&rid) {
                     g.blocked_recv.remove(&dst);
+                    let wake = arrival.max(g.now);
+                    Self::push_event(&mut g, wake, dst);
+                } else if g.idle[dst] {
                     let wake = arrival.max(g.now);
                     Self::push_event(&mut g, wake, dst);
                 }
@@ -851,7 +874,7 @@ impl SimKernel {
         let mut g = self.state.lock();
         self.maybe_kill(&mut g, me);
         let t0 = g.now;
-        let done = *g.send_done.get(&req).expect("wait on unknown send request");
+        let (_, done) = *g.send_done.get(&req).expect("wait on unknown send request");
         if done > g.now {
             Self::push_event(&mut g, done, me);
             self.park(&mut g, me);
@@ -862,7 +885,57 @@ impl SimKernel {
 
     fn test_send(&self, req: u64) -> bool {
         let g = self.state.lock();
-        g.send_done.get(&req).map(|&d| d <= g.now).unwrap_or(true)
+        g.send_done
+            .get(&req)
+            .map(|&(_, d)| d <= g.now)
+            .unwrap_or(true)
+    }
+
+    /// [`Comm::idle`]: park `me` until the earliest future arrival on one
+    /// of its posted receives or egress of one of its sends — or, for a
+    /// receive nothing has matched yet, the matching `isend` — but no
+    /// later than `timeout` from now. Returns whether it woke before the
+    /// deadline, and how long it was parked; `(false, 0)` without parking
+    /// when a posted receive waits on a dead rank.
+    fn idle(&self, me: usize, timeout: Option<u64>) -> (bool, Duration) {
+        let mut g = self.state.lock();
+        let t0 = g.now;
+        let (mut next, mut arrived, mut unmatched) = (None::<u64>, false, false);
+        let mut future = |t: u64| {
+            if t > t0 {
+                next = Some(next.map_or(t, |n| n.min(t)));
+            }
+        };
+        for (req, m) in g.req_meta.iter().filter(|(_, m)| m.dst == me) {
+            match g.assignments.get(req) {
+                Some(a) => {
+                    arrived |= a.arrival <= t0;
+                    future(a.arrival);
+                }
+                None if g.killed[m.src] => return (false, Duration::ZERO),
+                None => unmatched = true,
+            }
+        }
+        for &(_, done) in g.send_done.values().filter(|(from, _)| *from == me) {
+            future(done);
+        }
+        if next.is_none() && !unmatched && arrived {
+            // Nothing left to wait for, but what has arrived is there
+            // to take: waiting would only wait forever.
+            return (true, Duration::ZERO);
+        }
+        let deadline = timeout.map(|t| t0.saturating_add(t));
+        if let Some(wake) = match (next, deadline) {
+            (Some(n), Some(d)) => Some(n.min(d)),
+            (n, d) => n.or(d),
+        } {
+            Self::push_event(&mut g, wake, me);
+        }
+        g.idle[me] = true;
+        self.park(&mut g, me);
+        g.idle[me] = false;
+        let woke = deadline.is_none_or(|d| g.now < d);
+        (woke, Duration::from_nanos(g.now - t0))
     }
 
     fn barrier(&self, me: usize) -> Duration {
@@ -988,6 +1061,7 @@ impl SimWorld {
                 req_meta: churning(n),
                 send_done: churning(n),
                 blocked_recv: FixedMap::default(),
+                idle: vec![false; n],
                 egress_free: vec![0; n],
                 ingress_free: vec![0; n],
                 nic_egress_free: vec![
@@ -1218,6 +1292,16 @@ impl Comm for SimComm {
     fn poll(&mut self) {
         // Transfers progress autonomously in the α–β model; the pipelined
         // collectives interleave test/wait calls instead.
+    }
+
+    /// One heap event: no quantum, no spin.
+    fn idle(&mut self) -> bool {
+        let timeout = self.kernel.policy.hop_timeout;
+        let (woke, waited) = self
+            .kernel
+            .idle(self.rank, timeout.map(|d| d.as_nanos() as u64));
+        self.profiler.add(Category::Wait, waited);
+        woke
     }
 
     fn barrier(&mut self) {
@@ -1850,6 +1934,95 @@ mod tests {
             run(100).1,
             "different seeds should perturb timing for this mix"
         );
+    }
+
+    // -- idle ----------------------------------------------------------------
+
+    #[test]
+    fn idle_returns_at_the_earliest_future_arrival_or_egress() {
+        // tiny_net: 1 byte = 1 ns, α = 1 µs. Rank 1's own 1500-byte send
+        // leaves at 1.5 µs. Rank 0's first message starts at 1 µs and
+        // arrives at 3 µs; its second, sent only once the first has left,
+        // waits for rank 1's ingress port (free at 3 µs) and arrives at
+        // 4.5 µs. Unmatched when rank 1 first idles, each arrival is
+        // scheduled by its `isend`.
+        let out = SimWorld::new(tiny_net()).run(|c| {
+            if c.rank() == 0 {
+                c.charge_duration(Duration::from_micros(1), Category::Others);
+                c.send(1, 1, Bytes::from(vec![0u8; 1000]));
+                c.send(1, 2, Bytes::from(vec![0u8; 500]));
+                return Vec::new();
+            }
+            let (a, b) = (c.irecv(0, 1), c.irecv(0, 2));
+            let s = c.isend(0, 3, Bytes::from(vec![0u8; 1500]));
+            let mut wakes = Vec::new();
+            for _ in 0..3 {
+                assert!(c.idle(), "no deadline to miss");
+                wakes.push(c.now().as_nanos());
+            }
+            c.wait_send(s);
+            let _ = (c.wait_recv(a), c.wait_recv(b));
+            wakes.push(c.profiler().breakdown().get(Category::Wait).as_nanos() as u64);
+            wakes
+        });
+        // Egress, then the arrivals in order; everything idle was `Wait`.
+        assert_eq!(out.results[1], vec![1_500, 3_000, 4_500, 4_500]);
+    }
+
+    #[test]
+    fn idle_wakes_on_a_later_matching_isend() {
+        let out = SimWorld::new(tiny_net()).run(|c| {
+            if c.rank() == 0 {
+                c.charge_duration(Duration::from_millis(1), Category::Others);
+                c.send(1, 4, Bytes::from(vec![0u8; 100]));
+                c.recv(1, 5);
+                return 0;
+            }
+            // Posted before the sender has sent anything: no arrival time
+            // yet, so only the `isend` can schedule the wake.
+            let req = c.irecv(0, 4);
+            assert!(c.idle());
+            let woke = c.now().as_nanos();
+            let _ = c.wait_recv(req);
+            c.send(0, 5, Bytes::new());
+            woke
+        });
+        assert_eq!(out.results[1], 1_000_000 + 1_000 + 100);
+    }
+
+    #[test]
+    fn idle_times_out_under_the_fault_policy() {
+        let cfg =
+            tiny_net().with_fault_policy(FaultPolicy::with_timeout(Duration::from_millis(5), 1));
+        let out = SimWorld::new(cfg).run(|c| {
+            if c.rank() == 0 {
+                return (true, 0);
+            }
+            let req = c.irecv(0, 6);
+            let woke = c.idle();
+            c.cancel_recv(req);
+            (woke, c.now().as_nanos())
+        });
+        assert_eq!(out.results[1], (false, 5_000_000));
+        assert_eq!(
+            out.breakdowns[1].get(Category::Wait),
+            Duration::from_millis(5)
+        );
+    }
+
+    #[test]
+    fn idle_with_nothing_in_flight_is_a_reported_deadlock() {
+        let err = SimWorld::with_ranks(2)
+            .try_run(|c| {
+                if c.rank() == 1 {
+                    c.idle();
+                }
+            })
+            .unwrap_err();
+        let SimError::Deadlock(report) = err;
+        assert_eq!((report.live, report.idle.clone()), (1, vec![1]));
+        assert!(report.waiting.is_empty());
+        assert!(report.to_string().contains("rank 1: idle"));
     }
 
     #[test]

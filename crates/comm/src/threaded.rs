@@ -399,6 +399,43 @@ impl Comm for ThreadComm {
         // Real threads progress autonomously; nothing to do.
     }
 
+    /// Sends leave at `isend`, so the next event is a message for one of
+    /// the posted receives no test has claimed yet: wait on the mailbox
+    /// condvar until one is queued.
+    fn idle(&mut self) -> bool {
+        let mb = &self.shared.mailboxes[self.rank];
+        let t0 = Instant::now();
+        let timeout = self.shared.policy.hop_timeout;
+        let mut q = mb.queues.lock();
+        let woke = loop {
+            let mut dead = false;
+            let mut landed = false;
+            for p in self.pending_recvs.values().filter(|p| p.claimed.is_none()) {
+                if q.get(&(p.src, p.tag)).is_some_and(|v| !v.is_empty()) {
+                    landed = true;
+                } else if self.shared.killed[p.src].load(Ordering::SeqCst) {
+                    dead = true;
+                }
+            }
+            if landed || dead {
+                break landed;
+            }
+            match timeout {
+                None => mb.signal.wait(&mut q),
+                Some(t) => {
+                    let waited = t0.elapsed();
+                    if waited >= t {
+                        break false;
+                    }
+                    let _ = mb.signal.wait_for(&mut q, t - waited);
+                }
+            }
+        };
+        drop(q);
+        self.profiler.add(Category::Wait, t0.elapsed());
+        woke
+    }
+
     fn barrier(&mut self) {
         let b = &self.shared.barrier;
         let mut guard = b.count.lock();
@@ -781,6 +818,68 @@ mod tests {
             c.purge_stale(crate::recover::epoch_stamp(1))
         });
         assert_eq!(out.results[1], 2 + 3);
+    }
+
+    #[test]
+    fn idle_waits_for_a_message_on_a_posted_receive() {
+        let out = ThreadWorld::new(2).run(|c| {
+            if c.rank() == 0 {
+                // Rank 1 has started its clock once the barrier lets us go.
+                c.barrier();
+                std::thread::sleep(Duration::from_millis(20));
+                // Not addressed to a posted receive: no wake-up.
+                c.isend(1, 8, Bytes::from_static(b"other"));
+                std::thread::sleep(Duration::from_millis(20));
+                c.isend(1, 7, Bytes::from_static(b"late"));
+                return (Duration::ZERO, Duration::ZERO);
+            }
+            let req = c.irecv(0, 7);
+            let t0 = Instant::now();
+            c.barrier();
+            assert!(c.idle());
+            let waited = t0.elapsed();
+            // Already queued: returns at once.
+            assert!(c.idle());
+            assert_eq!(&c.wait_recv(req)[..], b"late");
+            let _ = c.recv(0, 8);
+            (waited, c.profiler().breakdown().get(Category::Wait))
+        });
+        let (waited, wait_charged) = out.results[1];
+        assert!(waited >= Duration::from_millis(40), "{waited:?}");
+        // The idle's own span, which starts after the barrier, is `Wait`.
+        assert!(
+            wait_charged >= Duration::from_millis(20),
+            "{wait_charged:?}"
+        );
+    }
+
+    #[test]
+    fn idle_times_out_and_reports_a_dead_peer() {
+        let policy = FaultPolicy::with_timeout(Duration::from_millis(15), 0);
+        let out = ThreadWorld::with_fault_policy(3, policy).run(|c| {
+            match c.rank() {
+                2 => {
+                    c.mark_self_dead();
+                    (true, true)
+                }
+                1 => {
+                    let req = c.irecv(0, 5);
+                    let t0 = Instant::now();
+                    let woke = c.idle();
+                    c.cancel_recv(req);
+                    (woke, t0.elapsed() >= Duration::from_millis(15))
+                }
+                _ => {
+                    let req = c.irecv(2, 5);
+                    // Rank 2 never sends: `false` once it is known dead.
+                    let woke = c.idle();
+                    c.cancel_recv(req);
+                    (woke, true)
+                }
+            }
+        });
+        assert_eq!(out.results[1], (false, true), "timeout");
+        assert_eq!(out.results[0], (false, true), "dead peer");
     }
 
     #[test]

@@ -218,6 +218,11 @@ impl<C: Comm> Comm for CommView<'_, C> {
         self.inner.poll();
     }
 
+    /// The inner rank's idle: its next event, whichever view posted it.
+    fn idle(&mut self) -> bool {
+        self.inner.idle()
+    }
+
     /// Synchronize the view's members only: everyone checks in with
     /// view rank 0, which then releases everyone (an identity-map view
     /// has every inner rank as a member and uses the inner barrier).

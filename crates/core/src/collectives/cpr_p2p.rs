@@ -28,6 +28,7 @@ use ccoll_compress::Compressor;
 
 use crate::codec::CodecSpec;
 use crate::nonblocking::{Alltoall, Bcast, Butterfly, RingAg, RingRs, Scatter, TreeReduce};
+use crate::pipeline::WHOLE;
 use crate::placement::Placement;
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
@@ -86,7 +87,8 @@ pub fn cpr_ring_allgatherv_into<C: Comm>(
     ws: &mut CollWorkspace,
 ) {
     ws.set_partition_from_counts(counts);
-    let done = RingAg::new(Placement::Cpr, true).step(comm, Some(cpr), Some(mine), out, ws, true);
+    let done =
+        RingAg::new(Placement::Cpr, WHOLE, true).step(comm, Some(cpr), Some(mine), out, ws, true);
     debug_assert!(done.is_ready());
 }
 

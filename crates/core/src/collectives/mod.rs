@@ -25,7 +25,6 @@ pub(crate) mod tags {
     pub const GATHER: Tag = 0x5000;
     pub const RECURSIVE_DOUBLING: Tag = 0x6000;
     pub const ALLTOALL: Tag = 0x7000;
-    pub const SIZE_EXCHANGE: Tag = 0x8000;
     pub const PIPELINE: Tag = 0x9000;
     pub const RABENSEIFNER: Tag = 0xA000;
     pub const BRUCK: Tag = 0xB000;

@@ -14,6 +14,17 @@
 //! Completions are observable by polling ([`ProgressEngine::is_done`])
 //! or callback ([`ProgressEngine::progress_with`]).
 //!
+//! The draining calls ([`ProgressEngine::wait_all`],
+//! [`ProgressEngine::progress_until`], [`ProgressEngine::quiesce`]) run
+//! passes back to back while any operation does anything. After a pass
+//! in which none did — each is waiting on a transfer — the rank parks in
+//! [`Comm::idle`] until its next arrival or send egress, whichever
+//! operation it belongs to, and passes again; the operations overlap on
+//! the wire instead of finishing one after another. Only when that idle
+//! gives up under the fault policy (hop timeout, dead peer) does the
+//! engine drive the oldest operation to completion with fault-aware
+//! blocking waits.
+//!
 //! Concurrency is sound because every operation's wire traffic is
 //! stamped with a per-operation base (plan slot + start generation, see
 //! `op_base` in `plan.rs`) by the `CommView::stamped` view its handle
@@ -54,7 +65,9 @@
 //! assert!(out.results.iter().all(|&(a, b)| a == 6.0 && b == 4.0));
 //! ```
 
-use ccoll_comm::{Comm, SimTime};
+use std::time::Duration;
+
+use ccoll_comm::{Comm, SimTime, TrafficStats};
 
 use crate::nonblocking::Poll;
 use crate::session::{
@@ -146,6 +159,26 @@ impl AnyHandle<'_, '_> {
 struct Op<'p, 'b> {
     id: OpId,
     handle: AnyHandle<'p, 'b>,
+}
+
+/// What a rank has done so far, as its profiler sees it: messages and
+/// bytes sent, and the time charged or waited in every category. A pass
+/// that leaves it unchanged did nothing — it sent nothing, ran no kernel
+/// and waited for nothing — whatever the backend's clock did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Activity {
+    sent: TrafficStats,
+    busy: Duration,
+}
+
+impl Activity {
+    fn of<C: Comm>(comm: &mut C) -> Self {
+        let p = comm.profiler();
+        Activity {
+            sent: p.traffic(),
+            busy: p.breakdown().total(),
+        }
+    }
 }
 
 /// Drives every live nonblocking operation with bounded work per call.
@@ -293,12 +326,18 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
     /// Drive until every live operation has completed. Returns how
     /// many completed.
     ///
-    /// Runs nonblocking passes; whenever a full pass completes
-    /// nothing, it falls back to one *blocking* work slice on the
-    /// oldest live operation (ids are submission-ordered and every
-    /// rank submits in the same order, so all ranks block on the same
-    /// operation — no cross-rank deadlock), then resumes nonblocking
-    /// passes.
+    /// Runs nonblocking passes. After a pass in which no operation did
+    /// anything — nothing completed, sent, computed or waited — every
+    /// operation is waiting on a transfer, so the rank parks until its
+    /// next event ([`Comm::idle`]: the earliest arrival on a posted
+    /// receive or egress of a send) and passes again. A pass that did
+    /// work, even if it only hit a stream's drain budget, is followed by
+    /// another pass straight away: arrivals it left may land now. Only
+    /// when the idle times out under the fault policy does the engine
+    /// fall back to finishing the oldest live operation with blocking,
+    /// fault-aware waits (ids are submission-ordered and every rank
+    /// submits in the same order, so all ranks block on the same
+    /// operation — no cross-rank deadlock).
     ///
     /// # Panics
     /// Panics if an operation aborts on an unrecoverable fault (use
@@ -321,10 +360,11 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
     ) -> Result<usize, (OpId, CollectiveError)> {
         let mut completed = 0;
         while self.live > 0 {
+            let before = Activity::of(comm);
             let n = self.try_progress(comm)?;
             completed += n;
             if n == 0 && self.live > 0 {
-                completed += self.block_oldest(comm)?;
+                completed += self.settle(comm, before)?;
             }
         }
         Ok(completed)
@@ -336,32 +376,25 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
     /// with "the moment my next compute slice must start": the engine
     /// soaks up exactly the idle window, no more.
     ///
-    /// Runs nonblocking passes like [`Self::wait_all`] (with the same
-    /// blocking fallback when a pass completes nothing, so time
-    /// advances even on a backend whose clock only moves inside waits);
-    /// the deadline is checked between slices, so the call can overrun
-    /// by at most one blocking wait.
+    /// Runs nonblocking passes like [`Self::wait_all`], idling between
+    /// them the same way (so time advances even on a backend whose clock
+    /// only moves inside waits); the deadline is checked between passes,
+    /// so the call can overrun by at most one idle.
     ///
     /// # Panics
     /// Panics if an operation aborts on an unrecoverable fault (use
     /// [`Self::try_progress`]/[`Self::quiesce`] under a fault policy).
     pub fn progress_until<C: Comm>(&mut self, comm: &mut C, deadline: SimTime) -> usize {
         let mut completed = 0;
+        let fail = |(id, e): (OpId, CollectiveError)| -> usize {
+            panic!("operation {id:?} aborted: {e}; its plan is poisoned (reset() to reuse)")
+        };
         while self.live > 0 && comm.now() < deadline {
-            let n = match self.try_progress(comm) {
-                Ok(n) => n,
-                Err((id, e)) => {
-                    panic!("operation {id:?} aborted: {e}; its plan is poisoned (reset() to reuse)")
-                }
-            };
+            let before = Activity::of(comm);
+            let n = self.try_progress(comm).unwrap_or_else(fail);
             completed += n;
             if n == 0 && self.live > 0 && comm.now() < deadline {
-                completed += match self.block_oldest(comm) {
-                    Ok(n) => n,
-                    Err((id, e)) => panic!(
-                        "operation {id:?} aborted: {e}; its plan is poisoned (reset() to reuse)"
-                    ),
-                };
+                completed += self.settle(comm, before).unwrap_or_else(fail);
             }
         }
         completed
@@ -383,11 +416,12 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
         let mut completed = 0;
         let mut failures = Vec::new();
         while self.live > 0 {
+            let before = Activity::of(comm);
             match self.try_progress(comm) {
                 Ok(n) => {
                     completed += n;
                     if n == 0 && self.live > 0 {
-                        match self.block_oldest(comm) {
+                        match self.settle(comm, before) {
                             Ok(n) => completed += n,
                             Err(f) => failures.push(f),
                         }
@@ -399,9 +433,26 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
         (completed, failures)
     }
 
-    /// One blocking work slice on the oldest live operation (the
-    /// `wait_all` fallback that guarantees forward progress when
-    /// nonblocking passes stall). Returns 1 if it completed.
+    /// After a pass that completed nothing: pass again at once if some
+    /// operation did anything, else park until the rank's next event;
+    /// when that idle gives up (the fault policy's hop timeout, a dead
+    /// peer), drive the oldest live operation with blocking, fault-aware
+    /// waits. Returns 1 if that completed it.
+    fn settle<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        before: Activity,
+    ) -> Result<usize, (OpId, CollectiveError)> {
+        if Activity::of(comm) != before || comm.idle() {
+            return Ok(0);
+        }
+        self.block_oldest(comm)
+    }
+
+    /// Drive the oldest live operation *to completion* with blocking
+    /// waits — the fault path of [`Self::settle`]: its waits carry the
+    /// per-hop retry budget and abort cleanly when it runs out. Returns
+    /// 1 if it completed.
     fn block_oldest<C: Comm>(&mut self, comm: &mut C) -> Result<usize, (OpId, CollectiveError)> {
         let Some(idx) = self
             .slots

@@ -5,15 +5,19 @@
 //! 1. *"At the beginning, every process compresses its local data and
 //!    stores the compressed data size"* — one compression per rank, ever.
 //! 2. *"Every process synchronizes with each other to collect the
-//!    compressed data sizes in a local integer array. As the compressed
-//!    data size only has four bytes, this step is very fast"* — a 4-byte
-//!    ring size-exchange.
-//! 3. The ring then relays **opaque compressed bytes**; because sizes are
-//!    known up front, every rank's schedule is fixed and balanced (no
-//!    data-dependent stalls from re-compression).
+//!    compressed data sizes in a local integer array"* — a step this
+//!    transport does without: every message carries its own length, and
+//!    each block's value count is in the plan's partition on every rank.
+//! 3. The ring then relays **opaque compressed bytes**, never
+//!    re-compressing them, in the session's pipe sub-chunks: round 0
+//!    sends each sub-chunk of the own block as soon as it is encoded, so
+//!    its transfer runs under the encode, and every later round forwards
+//!    the last one's sub-chunks untouched.
 //! 4. *"After all communications end, every process starts to decompress
 //!    all the received compressed data … they do not need to decompress
-//!    the data that are compressed by themselves"*.
+//!    the data that are compressed by themselves"* — except that plans
+//!    decode each relayed block while it is on the wire to the next rank,
+//!    which leaves only the last block's decode exposed.
 //!
 //! C-Bcast compresses once at the root, relays compressed bytes down the
 //! binomial tree and decompresses once at every non-root — and, since
@@ -26,8 +30,8 @@
 //! fan-out + decode`.
 //! C-Scatter compresses each destination segment once at the root and
 //! forwards framed segment sets down the tree, so each leaf
-//! decompresses exactly its own segment; it and the ring allgather keep
-//! their whole-block messages.
+//! decompresses exactly its own segment; it keeps its whole-segment
+//! messages.
 //!
 //! The schedules themselves are the machines in [`crate::nonblocking`]
 //! (`RingAg`, `BruckAg`, `Bcast`, `Scatter`, `Gather`, `Alltoall`,
@@ -39,6 +43,7 @@
 use ccoll_comm::Comm;
 
 use crate::collectives::cpr_p2p::CprCodec;
+use crate::frameworks::computation::DEFAULT_PIPE_VALUES;
 use crate::nonblocking::RingAg;
 use crate::placement::Placement;
 use crate::workspace::CollWorkspace;
@@ -47,10 +52,11 @@ use crate::workspace::CollWorkspace;
 /// with the relay/decompress overlap disabled: relay every block, then
 /// one decompression sweep at the end. Allgather plans decompress the
 /// block received in hop `k` while hop `k+1`'s relay is in flight; this
-/// is the same machine with that reordering off, so the ablation benches
-/// and the equivalence tests can isolate the overlap's contribution.
-/// Results are bitwise identical to the plan's (the same blocks are
-/// decompressed, in a different interleaving with the relays).
+/// is the same machine with that reordering off — the same sub-chunks of
+/// the default pipe — so the ablation benches and the equivalence tests
+/// can isolate the overlap's contribution. Results are bitwise identical
+/// to the plan's (the same sub-chunks are decompressed, in a different
+/// interleaving with the relays).
 ///
 /// # Panics
 /// Panics if `mine.len() != counts[rank]` or `out.len()` is not the sum
@@ -64,7 +70,14 @@ pub fn c_ring_allgatherv_monolithic_into<C: Comm>(
     ws: &mut CollWorkspace,
 ) {
     ws.set_partition_from_counts(counts);
-    let done = RingAg::new(Placement::Once, false).step(comm, Some(cpr), Some(mine), out, ws, true);
+    let done = RingAg::new(Placement::Once, DEFAULT_PIPE_VALUES, false).step(
+        comm,
+        Some(cpr),
+        Some(mine),
+        out,
+        ws,
+        true,
+    );
     debug_assert!(done.is_ready());
 }
 
@@ -72,7 +85,6 @@ pub fn c_ring_allgatherv_monolithic_into<C: Comm>(
 mod tests {
     use super::*;
     use crate::collectives::cpr_p2p::cpr_ring_allgatherv_into;
-    use crate::nonblocking::SizeRing;
     use crate::partition::chunk_range;
     use crate::testing::{
         assert_all_within, assert_blocks_within, assert_chunks_within, on_root, pin, szx,
@@ -90,23 +102,6 @@ mod tests {
         (0..len)
             .map(|i| ((i + 13 * rank) as f32 * 2e-3).sin() * 4.0)
             .collect()
-    }
-
-    #[test]
-    fn size_exchange_collects_all() {
-        let n = 7;
-        let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
-            let mut pool = ccoll_comm::PayloadPool::new();
-            let mut sizes = vec![0; n];
-            sizes[c.rank()] = (100 + c.rank()) as u32;
-            let done = SizeRing::default().step(c, &mut pool, &mut sizes, true);
-            assert!(done.is_ready());
-            sizes
-        });
-        let expect: Vec<u32> = (0..n).map(|i| (100 + i) as u32).collect();
-        for r in 0..n {
-            assert_eq!(out.results[r], expect, "rank {r}");
-        }
     }
 
     #[test]
@@ -245,6 +240,48 @@ mod tests {
             piped.makespan,
             mono.makespan
         );
+    }
+
+    #[test]
+    fn streamed_relay_is_bit_identical_to_whole_blocks() {
+        // Sub-chunks of the default 5120 values are forty whole SZx
+        // blocks, so a block streamed in them (here two and a half) is
+        // encoded exactly as in one piece: an allgather and an allreduce
+        // at the default pipe give the bits of `with_pipeline_values(len)`,
+        // whose every block travels as one message.
+        let n = 8;
+        let block = 12_800;
+        let run = |whole: bool| {
+            SimWorld::new(SimConfig::new(n))
+                .run(move |c| {
+                    let mut session = session(1e-3, n);
+                    if whole {
+                        session = session.with_pipeline_values(n * block);
+                    }
+                    let gathered = session
+                        .plan_allgather(block)
+                        .execute(c, &rank_data(c.rank(), block));
+                    let reduced = session
+                        .plan_allreduce(n * block, crate::ReduceOp::Sum)
+                        .execute(c, &rank_data(c.rank(), n * block));
+                    let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                    (
+                        bits(gathered),
+                        bits(reduced),
+                        c.profiler().traffic().messages_sent,
+                    )
+                })
+                .results
+        };
+        let (streamed, whole) = (run(false), run(true));
+        for r in 0..n {
+            assert_eq!(streamed[r].0, whole[r].0, "allgather rank {r}");
+            assert_eq!(streamed[r].1, whole[r].1, "allreduce rank {r}");
+            assert!(
+                streamed[r].2 > whole[r].2,
+                "rank {r}: sub-chunks are messages"
+            );
+        }
     }
 
     #[test]

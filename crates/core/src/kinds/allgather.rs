@@ -134,7 +134,10 @@ impl Kind for Allgather {
         // The ring machines read the partition from the workspace; the
         // Bruck machine re-caches it from the counts it is handed.
         core.ws.set_partition_from_counts(&self.counts);
-        let place = core.session.movement_placement();
+        let (place, pipe) = (
+            core.session.movement_placement(),
+            core.session.pipe_values(),
+        );
         match core.algorithm {
             Algorithm::Bruck => AgPlanMachine::Bruck(BruckAg::new(place)),
             Algorithm::Hierarchical => {
@@ -142,9 +145,9 @@ impl Kind for Allgather {
                     .groups
                     .as_ref()
                     .expect("hierarchical plans build their groups at start");
-                AgPlanMachine::Hier(HierAg::new(place, groups.node_counts[groups.node]))
+                AgPlanMachine::Hier(HierAg::new(place, pipe, groups.node_counts[groups.node]))
             }
-            _ => AgPlanMachine::Ring(RingAg::new(place, true)),
+            _ => AgPlanMachine::Ring(RingAg::new(place, pipe, true)),
         }
     }
 

@@ -221,7 +221,7 @@ impl Kind for Allreduce {
                 let (rs, ag) = self.ring_places(&core.session);
                 ArMachine::Ring {
                     rs: RingRs::new(rs, pipe),
-                    ag: RingAg::new(ag, true),
+                    ag: RingAg::new(ag, pipe, true),
                     in_ag: false,
                 }
             }

@@ -35,8 +35,12 @@
 //! the codec) and wait their requests out in a `Wire`. Under
 //! `Placement::Once` the one `pack` happens at the data's origin and the
 //! one `unpack` at each consumer, straight into the block's place in the
-//! output; the raw ring allgather relays the same way. The ordering rules
-//! that keep virtual time bit-identical are listed in `placement.rs`.
+//! output. The ring allgather (`RingAg`) relays: compress-once in the
+//! session's pipe sub-chunks — round 0 sends each as soon as it is
+//! packed, every later round forwards the last one's and lands them while
+//! they are on the wire, with no size step — and raw in whole blocks. The
+//! ordering rules that keep virtual time bit-identical are listed in
+//! `placement.rs`.
 //!
 //! *Where a reduction accumulates* (rule 5 there): in the caller's
 //! output, born from the first fold. No reducing machine copies its
@@ -73,7 +77,9 @@ use crate::collectives::baseline::{butterfly_fold, butterfly_pos_to_rank};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{memcpy_in, tags};
 use crate::partition::chunk_range;
-use crate::pipeline::{split_src_dst, Land, Route, StreamCursor, WHOLE};
+use crate::pipeline::{
+    abort_stream, split_src_dst, Land, Route, StreamCursor, NONBLOCKING_DRAIN_BUDGET, WHOLE,
+};
 use crate::placement::{Link, Placement};
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
@@ -184,64 +190,6 @@ impl Wire {
             return None;
         }
         self.stash.take()
-    }
-}
-
-/// Resumable 4-byte compressed-size synchronization ring — the
-/// data-movement framework's step 2, shared by the compress-once
-/// allgather and all-to-all machines. The caller seeds `sizes` (own entry set, rest zero) before
-/// the first step; `Ready` means every rank's size is filled in.
-#[derive(Debug, Default)]
-pub(crate) struct SizeRing {
-    k: usize,
-    /// 0 = post round, 1 = await receive, 2 = retire send.
-    phase: u8,
-    wire: Wire,
-}
-
-impl SizeRing {
-    pub(crate) fn step<C: Comm>(
-        &mut self,
-        comm: &mut C,
-        pool: &mut ccoll_comm::PayloadPool,
-        sizes: &mut [u32],
-        block: bool,
-    ) -> Poll {
-        let n = comm.size();
-        let me = comm.rank();
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        loop {
-            if self.k == n - 1 {
-                return Poll::Ready;
-            }
-            match self.phase {
-                0 => {
-                    let send_idx = (me + n - self.k) % n;
-                    let tag = tags::SIZE_EXCHANGE + self.k as Tag;
-                    let payload = pool.write(&sizes[send_idx].to_le_bytes());
-                    self.wire.rreq = Some(comm.irecv(left, tag));
-                    self.wire.sreq = Some(comm.isend(right, tag, payload));
-                    self.phase = 1;
-                }
-                1 => {
-                    let Some(got) = self.wire.recv(comm, block, Category::Others) else {
-                        return Poll::Pending;
-                    };
-                    let recv_idx = (me + n - 1 - self.k) % n;
-                    sizes[recv_idx] =
-                        u32::from_le_bytes(got[0..4].try_into().expect("4-byte size"));
-                    self.phase = 2;
-                }
-                _ => {
-                    if !self.wire.send_done(comm, block, Category::Others) {
-                        return Poll::Pending;
-                    }
-                    self.k += 1;
-                    self.phase = 0;
-                }
-            }
-        }
     }
 }
 
@@ -392,44 +340,79 @@ impl RingRs {
 #[derive(Debug, Clone, Copy)]
 enum AgPhase {
     Init,
-    SizeExchange,
+    /// A relaying placement's round `k`, streamed.
+    Relay,
+    /// A CPR-P2P round: re-pack, post, send.
     Round,
+    /// A CPR-P2P round's wait pair.
     Exchange,
     Sweep,
     Done,
 }
 
-/// Resumable ring allgather over the caller's output buffer. Raw and
-/// compress-once (the data-movement framework) pack the own block once
-/// and relay every received payload untouched the next round, landing
-/// it while its onward copy is on the wire, so only the last block's
-/// `unpack` is exposed; compress-once first agrees the payload sizes in
-/// a [`SizeRing`], which raw (sizes known) skips. CPR-P2P re-packs every
-/// round's block from `out` and unpacks what it receives. The own block
-/// either comes from `mine` (standalone allgather plan) or is already in
-/// place in `out` (the allreduce composition, `mine = None`). The
-/// partition must be cached in the workspace before the first step.
+/// Resumable ring allgather over the caller's output buffer.
+///
+/// Raw and compress-once (the data-movement framework) relay: every
+/// block travels as `⌈block / pipe⌉` sub-chunks (one for an empty
+/// block), `pipe` being the session's pipe at compress-once and the
+/// whole block raw. Round 0 packs the own block one sub-chunk at a time
+/// and sends each as soon as it is packed; round `k ≥ 1` forwards,
+/// untouched, every payload received in round `k − 1`, one message per
+/// sub-chunk, and lands that block sub-chunk by sub-chunk while the
+/// payloads are on the wire. So the own block's encode hides all of its
+/// transfer but the last sub-chunk's, and only the last block's decode
+/// is exposed. Every message carries its own length: there is no size
+/// step. CPR-P2P re-packs every round's block from `out` and unpacks
+/// what it receives.
+///
+/// The own block either comes from `mine` (standalone allgather plan)
+/// or is already in place in `out` (the allreduce composition, `mine =
+/// None`). The partition must be cached in the workspace before the
+/// first step. A round's receives are posted up front and waited out
+/// (with the fault policy's retries) before the next round forwards
+/// them; its sends retire before the round ends. So a lost sub-chunk
+/// starves its round's last receive and aborts the operation before
+/// anything of that block moves on; a payload that does not fit its
+/// slot aborts it too, never panicking.
 #[derive(Debug)]
 pub(crate) struct RingAg {
     place: Placement,
+    /// Values per relayed sub-chunk.
+    pipe: usize,
     /// Relaying placements: land a block while its onward relay is on
     /// the wire (plans) rather than in one sweep after the last round
     /// (the monolithic compress-once ablation baseline).
     overlap: bool,
     phase: AgPhase,
     k: usize,
-    sizes: SizeRing,
+    /// This relay round's progress: receives posted, sub-chunks sent,
+    /// forwarded sub-chunks landed, inbound ones received.
+    posted: bool,
+    sent: usize,
+    landed: usize,
+    got: usize,
     wire: Wire,
 }
 
 impl RingAg {
-    pub(crate) fn new(place: Placement, overlap: bool) -> Self {
+    /// `pipe` is the compress-once sub-chunk size (values); raw relays
+    /// whole blocks and CPR-P2P re-packs them.
+    pub(crate) fn new(place: Placement, pipe: usize, overlap: bool) -> Self {
+        let place = place.movement(true, "ring allgather");
         RingAg {
-            place: place.movement(true, "ring allgather"),
+            place,
+            pipe: if matches!(place, Placement::Once) {
+                pipe
+            } else {
+                WHOLE
+            },
             overlap,
             phase: AgPhase::Init,
             k: 0,
-            sizes: SizeRing::default(),
+            posted: false,
+            sent: 0,
+            landed: 0,
+            got: 0,
             wire: Wire::default(),
         }
     }
@@ -441,6 +424,50 @@ impl RingAg {
         if let Some(m) = mine {
             memcpy_in(comm, own, m);
         }
+    }
+
+    /// Sub-chunks a `len`-value block travels as.
+    fn subs(&self, len: usize) -> usize {
+        len.div_ceil(self.pipe).max(1)
+    }
+
+    /// The first relay slot of block `b`: slots are laid out block after
+    /// block, one per sub-chunk.
+    fn slot(&self, ws: &CollWorkspace, b: usize) -> usize {
+        ws.counts[..b].iter().map(|&c| self.subs(c)).sum()
+    }
+
+    /// The values of sub-chunk `j` of a `len`-value block.
+    fn sub(&self, j: usize, len: usize) -> Range<usize> {
+        let lo = j.saturating_mul(self.pipe).min(len);
+        lo..len.min(lo.saturating_add(self.pipe))
+    }
+
+    /// Land sub-chunk `j` of block `b` from its relay slot, if held;
+    /// `false` (the operation aborted) when the payload does not fit.
+    fn land<C: Comm>(
+        &self,
+        comm: &mut C,
+        link: Link<'_>,
+        out: &mut [f32],
+        ws: &mut CollWorkspace,
+        b: usize,
+        j: usize,
+    ) -> bool {
+        let slot = self.slot(ws, b) + j;
+        let Some(blob) = ws.blobs[slot].take() else {
+            return true;
+        };
+        let (at, sub) = (ws.chunk(b), self.sub(j, ws.counts[b]));
+        let dst = &mut out[at.start + sub.start..at.start + sub.end];
+        if link.try_unpack(comm, &blob, dst, &mut ws.scratch).is_ok() {
+            return true;
+        }
+        let (n, me) = (comm.size(), comm.rank());
+        let round = (me + n - 1 - b) % n;
+        let tag = tags::ALLGATHER + self.place.band() + round as Tag;
+        abort_stream(comm, (me + n - 1) % n, tag);
+        false
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -458,97 +485,146 @@ impl RingAg {
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
         let link = self.place.link(cpr);
-        let once = matches!(link, Link::Once(_));
-        let relay = !matches!(link, Link::Cpr(_));
+        let cat = Category::Allgather;
         loop {
             match self.phase {
                 AgPhase::Init => {
                     self.k = 0;
-                    if relay {
-                        // Release the previous call's relay handles
-                        // before packing, so their payload-pool slots
-                        // (ours and our peers') are recycled by this
-                        // call instead of growing the pools.
-                        ws.blobs.clear();
-                        ws.blobs.resize(n, None);
-                        let own = mine.unwrap_or(&out[ws.chunk(me)]);
-                        let my_blob = link.pack(comm, own, &mut ws.pool);
-                        if once {
-                            ws.sizes.clear();
-                            ws.sizes.resize(n, 0);
-                            ws.sizes[me] = my_blob.len() as u32;
-                        }
-                        ws.blobs[me] = Some(my_blob);
-                        self.phase = match (n > 1, once) {
-                            (false, _) => AgPhase::Sweep,
-                            (true, true) => AgPhase::SizeExchange,
-                            (true, false) => AgPhase::Round,
-                        };
-                    } else {
+                    if matches!(link, Link::Cpr(_)) {
                         Self::land_own(comm, mine, &mut out[ws.chunk(me)]);
                         self.phase = if n > 1 { AgPhase::Round } else { AgPhase::Done };
+                    } else {
+                        // One relay slot per sub-chunk of every block.
+                        let slots = self.slot(ws, n);
+                        ws.blobs.clear();
+                        ws.blobs.resize(slots, None);
+                        self.phase = AgPhase::Relay;
                     }
                 }
-                // 4-byte compressed-size synchronization ring (the
-                // data-movement framework's step 2).
-                AgPhase::SizeExchange => {
-                    match self.sizes.step(comm, &mut ws.pool, &mut ws.sizes, block) {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready => {
-                            self.k = 0;
-                            self.phase = AgPhase::Round;
-                        }
-                    }
-                }
-                AgPhase::Round => {
+                AgPhase::Relay => {
                     if self.k == n - 1 {
-                        self.phase = if relay { AgPhase::Sweep } else { AgPhase::Done };
+                        Self::land_own(comm, mine, &mut out[ws.chunk(me)]);
+                        self.phase = AgPhase::Sweep;
                         continue;
                     }
                     let send_idx = (me + n - self.k) % n;
-                    let at = ws.chunk(send_idx);
+                    let recv_idx = (me + n - 1 - self.k) % n;
                     let tag = tags::ALLGATHER + self.place.band() + self.k as Tag;
-                    let payload = if relay {
-                        ws.blobs[send_idx].clone().expect("relay block present")
+                    let own = self.subs(ws.counts[send_idx]);
+                    let inbound = self.subs(ws.counts[recv_idx]);
+                    let (fwd, into) = (self.slot(ws, send_idx), self.slot(ws, recv_idx));
+                    let own_block = ws.chunk(me);
+                    if !self.posted {
+                        ws.sreqs.clear();
+                        ws.rreqs.clear();
+                        ws.rreqs.extend((0..inbound).map(|_| comm.irecv(left, tag)));
+                        self.posted = true;
+                    }
+                    // Round 0 packs its own sub-chunks into their slots,
+                    // one charged encode per nonblocking step; later rounds
+                    // forward what the last one received, uncharged. The
+                    // own slots hold their payloads until the next call's
+                    // `Init` releases them, so the pools recycle the same
+                    // buffers for the same sizes every call.
+                    let charged = self.k == 0 && !matches!(link, Link::Raw);
+                    let mut encodes = if block || !charged { own } else { 1 };
+                    while self.sent < own && encodes > 0 {
+                        if self.k == 0 {
+                            let vals = mine.unwrap_or(&out[own_block.clone()]);
+                            let at = self.sub(self.sent, vals.len());
+                            let blob = link.pack(comm, &vals[at], &mut ws.pool);
+                            ws.blobs[fwd + self.sent] = Some(blob);
+                        }
+                        let blob = ws.blobs[fwd + self.sent].clone();
+                        let blob = blob.expect("a relayed sub-chunk is held until it lands");
+                        ws.sreqs.push_back(comm.isend(right, tag, blob));
+                        self.sent += 1;
+                        encodes -= 1;
+                    }
+                    // Land the forwarded block while it is on the wire.
+                    let relayed = if self.k > 0 && self.overlap { own } else { 0 };
+                    let mut budget = if block {
+                        relayed
                     } else {
-                        link.pack(comm, &out[at.clone()], &mut ws.pool)
+                        NONBLOCKING_DRAIN_BUDGET
                     };
-                    self.wire.rreq = Some(comm.irecv(left, tag));
-                    self.wire.sreq = Some(comm.isend(right, tag, payload));
-                    // Pipelined relay: land the block being forwarded
-                    // while its onward copy is on the wire.
-                    if relay && self.overlap && send_idx != me {
-                        if let Some(blob) = ws.blobs[send_idx].take() {
-                            link.unpack(comm, &blob, &mut out[at], &mut ws.scratch);
+                    while self.landed < relayed && budget > 0 {
+                        if !self.land(comm, link, out, ws, send_idx, self.landed) {
+                            return Poll::Pending;
+                        }
+                        self.landed += 1;
+                        budget -= 1;
+                    }
+                    // Take what has arrived; a blocking step, which has
+                    // sent and landed everything by now, waits the rest
+                    // out.
+                    while self.got < inbound {
+                        self.wire.rreq = ws.rreqs.pop_front();
+                        let Some(got) = self.wire.recv(comm, block, cat) else {
+                            // Not here yet (nonblocking), or aborted.
+                            if let Some(req) = self.wire.rreq.take() {
+                                ws.rreqs.push_front(req);
+                            }
+                            break;
+                        };
+                        ws.blobs[into + self.got] = Some(got);
+                        self.got += 1;
+                    }
+                    if self.sent < own || self.landed < relayed || self.got < inbound {
+                        return Poll::Pending;
+                    }
+                    while let Some(req) = ws.sreqs.pop_front() {
+                        self.wire.sreq = Some(req);
+                        if !self.wire.send_done(comm, block, cat) {
+                            ws.sreqs.push_front(self.wire.sreq.take().expect("kept"));
+                            return Poll::Pending;
                         }
                     }
+                    (self.posted, self.sent, self.landed, self.got) = (false, 0, 0, 0);
+                    self.k += 1;
+                }
+                AgPhase::Round => {
+                    if self.k == n - 1 {
+                        self.phase = AgPhase::Done;
+                        continue;
+                    }
+                    let send_idx = (me + n - self.k) % n;
+                    let tag = tags::ALLGATHER + self.place.band() + self.k as Tag;
+                    let payload = link.pack(comm, &out[ws.chunk(send_idx)], &mut ws.pool);
+                    self.wire.rreq = Some(comm.irecv(left, tag));
+                    self.wire.sreq = Some(comm.isend(right, tag, payload));
                     self.phase = AgPhase::Exchange;
                 }
                 AgPhase::Exchange => {
-                    let cat = Category::Allgather;
                     let Some(got) = self.wire.exchange(comm, block, cat, cat) else {
                         return Poll::Pending;
                     };
-                    let recv_idx = (me + n - 1 - self.k) % n;
-                    if relay {
-                        ws.blobs[recv_idx] = Some(got);
-                    } else {
-                        let at = ws.chunk(recv_idx);
-                        link.unpack(comm, &got, &mut out[at], &mut ws.scratch);
-                    }
+                    let at = ws.chunk((me + n - 1 - self.k) % n);
+                    link.unpack(comm, &got, &mut out[at], &mut ws.scratch);
                     self.k += 1;
                     self.phase = AgPhase::Round;
                 }
-                // Relay epilogue: own block + whatever the relay loop
-                // did not already land.
+                // Relay epilogue: whatever the rounds did not land.
                 AgPhase::Sweep => {
-                    Self::land_own(comm, mine, &mut out[ws.chunk(me)]);
-                    for r in (0..n).filter(|&r| r != me) {
-                        let Some(blob) = ws.blobs[r].take() else {
-                            continue;
-                        };
-                        let at = ws.chunk(r);
-                        link.unpack(comm, &blob, &mut out[at], &mut ws.scratch);
+                    let mut budget = if block {
+                        usize::MAX
+                    } else {
+                        NONBLOCKING_DRAIN_BUDGET
+                    };
+                    for b in (0..n).filter(|&b| b != me) {
+                        let base = self.slot(ws, b);
+                        for j in 0..self.subs(ws.counts[b]) {
+                            if ws.blobs[base + j].is_none() {
+                                continue;
+                            }
+                            if budget == 0 {
+                                return Poll::Pending;
+                            }
+                            if !self.land(comm, link, out, ws, b, j) {
+                                return Poll::Pending;
+                            }
+                            budget -= 1;
+                        }
                     }
                     self.phase = AgPhase::Done;
                 }
@@ -1570,7 +1646,6 @@ impl Gather {
 #[derive(Debug, Clone, Copy)]
 enum A2aPhase {
     Init,
-    SizeExchange,
     OwnCopy,
     Round,
     Exchange,
@@ -1580,14 +1655,13 @@ enum A2aPhase {
 /// Resumable pairwise all-to-all. Raw and CPR-P2P pack each outgoing
 /// block in its round and unpack each incoming one (blocks travel a
 /// single hop, so CPR-P2P's deficiencies here are the per-call buffer
-/// overhead and the size-unaware schedule); compress-once compresses
-/// every outgoing block up front and runs the size-aware schedule.
+/// overhead); compress-once compresses every outgoing block up front, so
+/// its rounds only move payloads, each carrying its own length.
 #[derive(Debug)]
 pub(crate) struct Alltoall {
     place: Placement,
     phase: A2aPhase,
     i: usize,
-    sizes: SizeRing,
     wire: Wire,
 }
 
@@ -1597,7 +1671,6 @@ impl Alltoall {
             place: place.movement(true, "pairwise all-to-all"),
             phase: A2aPhase::Init,
             i: 1,
-            sizes: SizeRing::default(),
             wire: Wire::default(),
         }
     }
@@ -1645,21 +1718,6 @@ impl Alltoall {
                             };
                             ws.blob_list.push(blob);
                         }
-                        let total: usize = ws.blob_list.iter().map(|b| b.len()).sum();
-                        ws.sizes.clear();
-                        ws.sizes.resize(n, 0);
-                        ws.sizes[me] = total as u32;
-                        if n > 1 {
-                            self.phase = A2aPhase::SizeExchange;
-                        }
-                    }
-                }
-                // 4-byte compressed-size synchronization ring, as in the
-                // compress-once allgather.
-                A2aPhase::SizeExchange => {
-                    match self.sizes.step(comm, &mut ws.pool, &mut ws.sizes, block) {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready => self.phase = A2aPhase::OwnCopy,
                     }
                 }
                 A2aPhase::OwnCopy => {
@@ -2153,7 +2211,7 @@ impl HierAr {
                     if r == Poll::Pending {
                         return Poll::Pending;
                     }
-                    self.leg = LaneLeg::NodeAg(RingAg::new(Placement::Raw, true));
+                    self.leg = LaneLeg::NodeAg(RingAg::new(Placement::Raw, self.pipe, true));
                 }
                 LaneLeg::NodeAg(gather) => {
                     if lanes > 1 {
@@ -2202,11 +2260,11 @@ pub(crate) struct HierAg {
 impl HierAg {
     /// `place` is the leader leg's placement; `node_block_len` is *my*
     /// node's total value count (`groups.node_counts[groups.node]`).
-    pub(crate) fn new(place: Placement, node_block_len: usize) -> Self {
+    pub(crate) fn new(place: Placement, pipe: usize, node_block_len: usize) -> Self {
         HierAg {
             phase: HierPhase::Local,
             local: Gather::new(Placement::Raw, 0, node_block_len),
-            inter: RingAg::new(place, true),
+            inter: RingAg::new(place, pipe, true),
             fanout: StreamCursor::default(),
         }
     }

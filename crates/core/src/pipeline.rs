@@ -62,7 +62,7 @@ use crate::reduce::ReduceOp;
 /// between two encodes): one fat stream must not fold an unbounded
 /// backlog in one `progress()` call and starve its siblings on a progress
 /// engine, and four still drain faster than one encode per call fills.
-const NONBLOCKING_DRAIN_BUDGET: usize = 4;
+pub(crate) const NONBLOCKING_DRAIN_BUDGET: usize = 4;
 
 /// The sub-chunk size of a whole-message stream: the buffer is one
 /// unbounded sub-chunk.
@@ -490,7 +490,7 @@ fn retire_sends<C: Comm>(comm: &mut C, sreqs: &mut VecDeque<SendReq>, block: boo
 /// as its starved tail receive would have (noted on the profiler; the
 /// caller suspends). Without an active fault policy no sub-chunk can go
 /// missing, so that is a bug.
-fn abort_stream<C: Comm>(comm: &mut C, src: usize, tag: Tag) {
+pub(crate) fn abort_stream<C: Comm>(comm: &mut C, src: usize, tag: Tag) {
     let faulty = comm.fault_policy().is_active();
     assert!(faulty, "a sub-chunk does not fit its slot without a fault");
     let waited = Duration::ZERO;

@@ -29,8 +29,8 @@
 //! while they hold:
 //!
 //! 1. The rounds still on a `Wire` — the butterflies' unfold,
-//!    Rabenseifner's doubling, the ring allgather, the all-to-all and
-//!    Bruck rounds — pack first, then post the receive, then send, and
+//!    Rabenseifner's doubling, the CPR-P2P ring allgather, the all-to-all
+//!    and Bruck rounds — pack first, then post the receive, then send, and
 //!    wait a full-duplex pair out through `Wire::exchange` (receive,
 //!    then send) before they land. Every reducing hop, recursive
 //!    doubling's rounds included, is a route instead (rule 6).
@@ -73,7 +73,12 @@
 //! 7. The raw and compress-once ring allgathers relay the payload they
 //!    received, untouched, and `unpack` it while its onward copy is on
 //!    the wire (raw `unpack` keeps its `Memcpy` charge); only CPR-P2P
-//!    re-packs every round from `out`.
+//!    re-packs every round from `out`. Compress-once relays in the
+//!    session's pipe sub-chunks, one message each: round 0 sends each
+//!    one as it is packed; a later round posts its receives, forwards
+//!    all of the last round's sub-chunks, then lands them in order. Raw
+//!    relays whole blocks. A round ends when its receives are in and its
+//!    sends have left.
 
 use bytes::Bytes;
 use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
@@ -287,6 +292,26 @@ impl Link<'_> {
             }
         }
         Ok(())
+    }
+
+    /// [`Link::unpack`], or `Err` when the payload does not hold
+    /// `dst.len()` values: a raw payload is then neither landed nor
+    /// charged, a pooled decode is charged as [`Link::try_land`] is.
+    pub(crate) fn try_unpack<C: Comm>(
+        self,
+        comm: &mut C,
+        got: &[u8],
+        dst: &mut [f32],
+        scratch: &mut CodecScratch,
+    ) -> Result<(), CompressError> {
+        match self {
+            Link::Raw if !self.fits(got, dst.len()) => Err(CompressError::LengthMismatch),
+            Link::Raw | Link::Cpr(_) => {
+                self.unpack(comm, got, dst, scratch);
+                Ok(())
+            }
+            Link::Once(_) | Link::Piped(_) => self.try_land(comm, got, dst, scratch),
+        }
     }
 
     /// Fold a received payload into `dst` with `op`: in place, or — the

@@ -915,7 +915,7 @@ mod tests {
             let input: Vec<f32> = (0..1003).map(value).collect();
             let stages = (
                 RingRs::new(Placement::Raw, 64),
-                RingAg::new(Placement::Raw, true),
+                RingAg::new(Placement::Raw, crate::pipeline::WHOLE, true),
                 false,
             );
             (stages, input, vec![0.0f32; 1003], CollWorkspace::new())

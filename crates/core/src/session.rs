@@ -868,11 +868,13 @@ mod tests {
     #[test]
     fn auto_plan_reranks_consistently_from_agreed_ratio() {
         // Rough data compresses far below the nominal planning ratio of
-        // 8: at 4500 values over 8 ranks the nominal selection says
-        // Rabenseifner, but at the measured (~1.5) ratio the wire terms
-        // grow and the bandwidth-optimal ring wins. Every rank must land
-        // on the same post-re-rank schedule (the agreement is the
-        // communicator minimum), or the collective would deadlock.
+        // 8: at 512 values over 8 ranks the nominal selection says
+        // recursive doubling, but at the measured (~1.4) ratio the wire
+        // terms grow and Rabenseifner, which moves each value across
+        // the wire a bounded number of times instead of log₂ n, wins.
+        // Every rank must land on the same post-re-rank schedule (the
+        // agreement is the communicator minimum), or the collective
+        // would deadlock.
         fn rough(rank: usize, len: usize) -> Vec<f32> {
             let mut state = 0x2468_ACE0u32 ^ (rank as u32).wrapping_mul(0x9E37_79B9);
             (0..len)
@@ -883,7 +885,7 @@ mod tests {
                 .collect()
         }
         let n = 8;
-        let len = 4500;
+        let len = 512;
         let world = SimWorld::new(SimConfig::new(n));
         let out = world.run(move |c| {
             let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-4 }, n);
@@ -896,7 +898,11 @@ mod tests {
             (initial, plan.algorithm(), session.measured_ratio())
         });
         for (r, &(initial, after, ratio)) in out.results.iter().enumerate() {
-            assert_eq!(initial, Algorithm::Rabenseifner, "rank {r}: nominal pick");
+            assert_eq!(
+                initial,
+                Algorithm::RecursiveDoubling,
+                "rank {r}: nominal pick"
+            );
             let ratio = ratio.expect("rank measured a ratio");
             assert!(
                 ratio < 4.0,
@@ -904,8 +910,8 @@ mod tests {
             );
             assert_eq!(
                 after,
-                Algorithm::Ring,
-                "rank {r}: measured ratio {ratio} should re-rank to ring"
+                Algorithm::Rabenseifner,
+                "rank {r}: measured ratio {ratio} should re-rank to Rabenseifner"
             );
         }
     }

@@ -54,12 +54,11 @@ pub struct CollWorkspace {
     /// Taken with `mem::take` around sub-machine steps so it can be
     /// borrowed alongside the rest of the workspace.
     pub hier: Vec<f32>,
-    /// Relay slots for compressed blocks, indexed by rank.
+    /// Relay slots: one per sub-chunk of every block in the ring
+    /// allgather, block after block; one per rank in the scatter tree.
     pub blobs: Vec<Option<Bytes>>,
     /// Ordered compressed-segment list (scatter/gather containers).
     pub blob_list: Vec<Bytes>,
-    /// Compressed-size table from the size-synchronization step.
-    pub sizes: Vec<u32>,
     /// Cached per-rank chunk lengths for the current shape.
     pub counts: Vec<usize>,
     /// Cached exclusive prefix sums of `counts`.

@@ -100,12 +100,21 @@ fn steady_state_plans_allocate_nothing() {
         let mut reduce_scatter = session.plan_reduce_scatter(len, ReduceOp::Sum);
         let mut auto_allreduce =
             session.plan_allreduce_with(len, ReduceOp::Sum, PlanOptions::new());
+        // The compress-once allgather streams its blocks in the plan's
+        // pipe sub-chunks: at 300 values every block below spans three
+        // or more and a ragged tail — standalone (4000-value blocks), as
+        // the allreduce's second stage (4000-value chunks) and in the
+        // three engine-driven buckets (chunks of 2000, 1333 and 1000
+        // values). Their relay slots grow once, in the first execution.
+        let streamed = session.clone().with_pipeline_values(300);
+        let mut streamed_allreduce = streamed.plan_allreduce(len, ReduceOp::Sum);
+        let mut streamed_allgather = streamed.plan_allgather(len / n);
         // Gradient buckets driven concurrently by the session progress
         // engine: its inline slot arena must keep submit/progress/
         // wait_all allocation-free with several ops in flight.
-        let mut bucket_a = session.plan_allreduce(len / 2, ReduceOp::Sum);
-        let mut bucket_b = session.plan_allreduce(len / 3, ReduceOp::Sum);
-        let mut bucket_c = session.plan_allreduce(len / 4, ReduceOp::Sum);
+        let mut bucket_a = streamed.plan_allreduce(len / 2, ReduceOp::Sum);
+        let mut bucket_b = streamed.plan_allreduce(len / 3, ReduceOp::Sum);
+        let mut bucket_c = streamed.plan_allreduce(len / 4, ReduceOp::Sum);
         // The laned hierarchical allreduce on an asymmetric 4 + 2
         // cluster at two lanes: rank 0 is a node leader and lane owner,
         // rank 2 an owner that is not the leader, ranks 1 and 3
@@ -228,6 +237,8 @@ fn steady_state_plans_allocate_nothing() {
         for _ in 0..8 {
             allreduce.execute_into(c, &input, &mut ar_out);
             allgather.execute_into(c, &chunk, &mut ag_out);
+            streamed_allreduce.execute_into(c, &input, &mut ar_out);
+            streamed_allgather.execute_into(c, &chunk, &mut ag_out);
             bcast.execute_into(c, &bdata, &mut bc_out);
             rd_allreduce.execute_into(c, &input, &mut ar_out);
             raben_allreduce.execute_into(c, &input, &mut ar_out);
@@ -242,6 +253,8 @@ fn steady_state_plans_allocate_nothing() {
             nonblocking_cycle!(hier_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(raw_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
+            nonblocking_cycle!(streamed_allreduce, &input, &mut ar_out);
+            nonblocking_cycle!(streamed_allgather, &chunk, &mut ag_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);
             nonblocking_cycle!(rd_allreduce, &input, &mut ar_out);
@@ -259,6 +272,8 @@ fn steady_state_plans_allocate_nothing() {
         for _ in 0..4 {
             allreduce.execute_into(c, &input, &mut ar_out);
             allgather.execute_into(c, &chunk, &mut ag_out);
+            streamed_allreduce.execute_into(c, &input, &mut ar_out);
+            streamed_allgather.execute_into(c, &chunk, &mut ag_out);
             bcast.execute_into(c, &bdata, &mut bc_out);
             rd_allreduce.execute_into(c, &input, &mut ar_out);
             raben_allreduce.execute_into(c, &input, &mut ar_out);
@@ -273,6 +288,8 @@ fn steady_state_plans_allocate_nothing() {
             nonblocking_cycle!(hier_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(raw_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
+            nonblocking_cycle!(streamed_allreduce, &input, &mut ar_out);
+            nonblocking_cycle!(streamed_allgather, &chunk, &mut ag_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);
             nonblocking_cycle!(rd_allreduce, &input, &mut ar_out);

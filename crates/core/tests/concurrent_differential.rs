@@ -375,11 +375,15 @@ fn mixed_collective_types_run_concurrently() {
     }
 }
 
-/// Per-op fault isolation under a seeded kill: op A (tiny) completes
-/// before rank 1 dies; op B (large) is still in flight and must abort
-/// with a structured error on every survivor. A's plan stays
-/// unpoisoned with its completed result intact, B's plan is poisoned,
-/// and the engine drains without wedging.
+/// Per-op fault isolation under a seeded kill: op A (tiny) completes on
+/// the engine before rank 1 dies; op B (large), submitted to the same
+/// engine, is still in flight and must abort with a structured error on
+/// every survivor. A's plan stays unpoisoned with its completed result
+/// intact, B's plan is poisoned, and the engine drains without wedging.
+///
+/// B is submitted once A has completed: driven side by side, a tiny
+/// ring's every message queues behind the large one's on the FIFO
+/// egress port, so A would finish only with B's last round.
 #[test]
 fn kill_aborts_in_flight_op_without_poisoning_completed_sibling() {
     let n = 4;
@@ -408,8 +412,11 @@ fn kill_aborts_in_flight_op_without_poisoning_completed_sibling() {
 
             let mut engine = ProgressEngine::new();
             let ida = engine.submit(a.start(c, &da, &mut oa));
-            let idb = engine.submit(b.start(c, &db, &mut ob));
             let mut errs: Vec<(c_coll::engine::OpId, CollectiveError)> = Vec::new();
+            if let Err(failure) = engine.try_wait_all(c) {
+                errs.push(failure);
+            }
+            let idb = engine.submit(b.start(c, &db, &mut ob));
             let mut spins = 0u32;
             while engine.live_ops() > 0 {
                 if let Err((id, e)) = engine.try_wait_all(c) {

@@ -146,3 +146,56 @@ fn small_ops_complete_within_bounded_passes_alongside_a_large_op() {
         }
     }
 }
+
+/// The engine overlaps its operations instead of finishing them one
+/// after another: eight 128 Ki-value SZx ring allreduces on 8 ranks,
+/// started together and drained by one `wait_all`, finish in at most 0.97×
+/// the time the same eight take as `execute_into`s back to back. A pass
+/// in which no operation can do anything parks the rank until its next
+/// arrival or send egress, whichever operation it belongs to; finishing
+/// the oldest operation instead would serialize them.
+#[test]
+fn wait_all_overlaps_buckets_instead_of_serializing_them() {
+    let (n, len, buckets) = (8, 128 << 10, 8);
+    let spans = SimWorld::new(SimConfig::new(n))
+        .run(move |c| {
+            let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, n);
+            let mut plans: Vec<_> = (0..buckets)
+                .map(|_| session.plan_allreduce(len, ReduceOp::Sum))
+                .collect();
+            let inputs: Vec<Vec<f32>> = (0..buckets)
+                .map(|b| {
+                    let phase = (c.rank() * buckets + b) as f32;
+                    (0..len).map(|i| (i as f32 * 1e-3 + phase).sin()).collect()
+                })
+                .collect();
+            let mut outs = vec![vec![0.0f32; len]; buckets];
+            // Warm every plan, then time each drive from a common start.
+            let mut t0 = c.now();
+            for warm in [true, false] {
+                for ((p, i), o) in plans.iter_mut().zip(&inputs).zip(&mut outs) {
+                    p.execute_into(c, i, o);
+                }
+                c.barrier();
+                if warm {
+                    t0 = c.now();
+                }
+            }
+            let t1 = c.now();
+            let mut engine = ProgressEngine::new();
+            for ((p, i), o) in plans.iter_mut().zip(&inputs).zip(&mut outs) {
+                engine.submit(p.start(c, i, o));
+            }
+            engine.wait_all(c);
+            drop(engine);
+            c.barrier();
+            ((t1 - t0).as_secs_f64(), (c.now() - t1).as_secs_f64())
+        })
+        .results;
+    let (sequential, engine) = spans[0];
+    assert!(
+        engine <= 0.97 * sequential,
+        "engine {engine:e} s vs sequential {sequential:e} s ({:.3}×)",
+        engine / sequential
+    );
+}

@@ -596,8 +596,101 @@ fn piped_recursive_doubling_aborts_mid_stream_loss_cleanly_and_reruns_after_rese
 /// The sub-chunk size of the mid-stream loss tests.
 const CHUNK: usize = 64;
 
+/// A compress-once ring allgather whose blocks stream three full
+/// sub-chunks and a short tail each; lossless, so "correct" is bitwise.
+fn streamed_allgather_plan(n: usize) -> c_coll::AllgatherPlan {
+    CCollSession::new(CodecSpec::Lossless, n)
+        .with_pipeline_values(CHUNK)
+        .plan_allgather(3 * CHUNK + 11)
+}
+
+/// Every rank's block, gathered.
+fn gathered(n: usize) -> Vec<f32> {
+    (0..n).flat_map(|r| rank_data(r, 3 * CHUNK + 11)).collect()
+}
+
+#[test]
+fn streamed_allgather_retries_mid_stream_drops_and_delays_bitwise() {
+    // Transient drops and delays land on relayed sub-chunks: the
+    // fault-aware waits re-arm, each round's late sub-chunks still match
+    // their own posted receives, and no output bit changes.
+    let n = 5;
+    let cfg = SimConfig::new(n)
+        .with_faults(
+            FaultPlan::seeded(29)
+                .with_drops(0.3, Duration::from_micros(300), 4)
+                .with_delays(0.3, Duration::from_micros(400)),
+        )
+        .with_fault_policy(patient_policy());
+    let out = SimWorld::new(cfg).run(move |c| {
+        let mut plan = streamed_allgather_plan(n);
+        let mine = rank_data(c.rank(), 3 * CHUNK + 11);
+        let mut all = vec![0.0f32; n * mine.len()];
+        plan.try_execute_into(c, &mine, &mut all)
+            .expect("transient faults absorbed");
+        (all, plan.stats().retries)
+    });
+    for (rank, (got, _)) in out.results.iter().enumerate() {
+        assert_eq!(got, &gathered(n), "rank {rank}: gathered blocks intact");
+    }
+    assert!(
+        out.results.iter().any(|r| r.1 > 0),
+        "the fault plan must actually force retries"
+    );
+}
+
+#[test]
+fn streamed_allgather_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
+    // A permanently lost sub-chunk closes up its round's stream: the
+    // relay starves on the round's last receive and aborts before it
+    // forwards or lands anything of the block, so no shifted sub-chunk
+    // ever reaches a slot. A rank that finishes, and every rerun after
+    // `reset()`, holds every block.
+    let n = 4;
+    let mut clean_reruns = 0;
+    for seed in 0..48 {
+        let cfg = SimConfig::new(n)
+            .with_faults(FaultPlan::seeded(seed).with_loss(0.03))
+            .with_fault_policy(FaultPolicy::with_timeout(Duration::from_micros(500), 2));
+        let out = SimWorld::new(cfg).run(move |c| {
+            let mut plan = streamed_allgather_plan(n);
+            let mine = rank_data(c.rank(), 3 * CHUNK + 11);
+            let mut first = vec![0.0f32; n * mine.len()];
+            let abort = match plan.try_execute_into(c, &mine, &mut first) {
+                Ok(()) => None,
+                Err(CollectiveError::Comm(e)) => {
+                    assert!(plan.is_poisoned());
+                    plan.reset();
+                    Some(e)
+                }
+                Err(e) => panic!("{e:?}"),
+            };
+            c.barrier();
+            let mut second = vec![0.0f32; n * mine.len()];
+            let rerun = plan.try_execute_into(c, &mine, &mut second).is_ok();
+            (abort, first, rerun, second)
+        });
+        let aborts: Vec<_> = out.results.iter().filter_map(|r| r.0.as_ref()).collect();
+        for (rank, r) in out.results.iter().enumerate() {
+            if r.0.is_none() {
+                assert_eq!(r.1, gathered(n), "seed {seed} rank {rank}: finished rank");
+            }
+            if r.2 {
+                assert_eq!(r.3, gathered(n), "seed {seed} rank {rank}: rerun");
+            }
+        }
+        if !aborts.is_empty() && out.results.iter().all(|r| r.2) {
+            clean_reruns += 1;
+        }
+    }
+    assert!(
+        clean_reruns >= 3,
+        "only {clean_reruns} seeds aborted then reran clean"
+    );
+}
+
 /// Four ranks run an allreduce of `len` values under 3 % permanent loss,
-/// 48 seeds: every abort is clean, a finished rank holds the fault-free
+/// 96 seeds: every abort is clean, a finished rank holds the fault-free
 /// bits, and so does every rerun after `reset()`.
 fn aborts_mid_stream_loss(spec: CodecSpec, opts: PlanOptions, len: usize) {
     let n = 4;
@@ -613,7 +706,7 @@ fn aborts_mid_stream_loss(spec: CodecSpec, opts: PlanOptions, len: usize) {
     });
     let mut clean_reruns = 0;
     let mut mid_stream_aborts = 0;
-    for seed in 0..48 {
+    for seed in 0..96 {
         let cfg = SimConfig::new(n)
             .with_faults(FaultPlan::seeded(seed).with_loss(0.03))
             .with_fault_policy(FaultPolicy::with_timeout(Duration::from_micros(500), 2));

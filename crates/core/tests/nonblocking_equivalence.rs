@@ -307,6 +307,50 @@ fn nonblocking_streamed_bcast_matches_blocking_bits_and_bytes() {
     }
 }
 
+/// The compress-once ring allgather streams every block in sub-chunks
+/// (three and a ragged fourth here), standalone and as the allreduce's
+/// second stage. Suspended after every step — grain 1 ns — it leaves the
+/// same bits and sends the same messages and bytes as the blocking drive:
+/// one message per sub-chunk per round and no size step.
+#[test]
+fn nonblocking_streamed_allgather_matches_blocking_bits_and_bytes() {
+    let chunk = 128usize;
+    let block = 3 * chunk + 37;
+    let pieces = block.div_ceil(chunk) as u64;
+    for n in [3usize, 8] {
+        let run = |nonblocking: bool| {
+            SimWorld::new(SimConfig::new(n))
+                .run(move |c| {
+                    let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, n)
+                        .with_pipeline_values(chunk);
+                    let mut gather = session.plan_allgather(block);
+                    let mut reduce = session.plan_allreduce(n * block, ReduceOp::Sum);
+                    let mine = smooth_data(c.rank(), block, 3);
+                    let data = smooth_data(c.rank(), n * block, 9);
+                    let (mut gathered, mut reduced) =
+                        (vec![0.0f32; n * block], vec![0.0; n * block]);
+                    if nonblocking {
+                        drive_nonblocking!(gather.start(c, &mine, &mut gathered), c, 1u64);
+                        drive_nonblocking!(reduce.start(c, &data, &mut reduced), c, 1u64);
+                    } else {
+                        gather.execute_into(c, &mine, &mut gathered);
+                        reduce.execute_into(c, &data, &mut reduced);
+                    }
+                    let traffic = c.profiler().traffic();
+                    (gathered, reduced, traffic.messages_sent, traffic.bytes_sent)
+                })
+                .results
+        };
+        let blocking = run(false);
+        assert_eq!(run(true), blocking, "world {n}");
+        // The allgather's n − 1 rounds, then the allreduce's n − 1
+        // reduce-scatter and n − 1 allgather rounds, on every rank.
+        for (rank, r) in blocking.iter().enumerate() {
+            assert_eq!(r.2, 3 * (n as u64 - 1) * pieces, "world {n} rank {rank}");
+        }
+    }
+}
+
 /// A recursive doubling on a lossy session runs every round as an
 /// in-place PIPE-SZx exchange (three sub-chunks and a ragged fourth
 /// here). Suspended after every step — grain 1 ns — it leaves the same
