@@ -454,11 +454,9 @@ impl CostModel {
     /// The last, ragged sub-chunk pays all three; the `k − 1` ahead of it
     /// pace the stream at its slowest stage — `max(e, x, f)` one way,
     /// `max(e + f, x)` on an `exchange`, where every rank both encodes
-    /// its own stream and folds its peer's. An exchange the codec paces
-    /// folds its peer's second-to-last sub-chunk after its own last
-    /// encode, while the peer's last one is on the wire: only what of
-    /// that last link the fold does not cover is exposed. At one
-    /// sub-chunk this is the monolithic `e + x + f`.
+    /// its own stream and folds its peer's. Of the last link only what
+    /// [`CostModel::piped_tail`] says is exposed. At one sub-chunk this is
+    /// the monolithic `e + x + f`.
     fn piped_hop(&self, d: f64, net: &NetModel, p: &SchedParams, exchange: bool) -> f64 {
         let alpha = net.latency.as_secs_f64();
         let beta = 1.0 / net.bandwidth;
@@ -476,7 +474,20 @@ impl CostModel {
         enc(last) + self.piped_tail(d, net, p, exchange) + fold(last) + (k - 1.0) * pace
     }
 
-    /// What [`CostModel::piped_hop`] exposes of its last sub-chunk's link.
+    /// What [`CostModel::piped_hop`] exposes of its last sub-chunk's link,
+    /// and so what recursive doubling credits a round whose partner's
+    /// payload is already in. The whole link one way. A codec-paced
+    /// exchange folds its peer's second-to-last sub-chunk after encoding
+    /// its own last one, while the peer's last is on the wire: exposed is
+    /// what that fold does not cover, or the wait for that second-to-last
+    /// sub-chunk when the last encode is the shorter. Pinned on the
+    /// simulator by `piped_exchange_exposes_only_the_unfolded_last_link`
+    /// (one exchange; the whole last link reads 8.5 % high at two full
+    /// sub-chunks), the ring reduce-scatter rounds of
+    /// `compress_once_ring_tracks_the_simulator` (8 ranks × 64 Ki values:
+    /// 5.7 % high) and recursive doubling's credit in
+    /// `compressed_fold_and_unfold_track_the_simulator` (5 ranks × 8 Ki:
+    /// 7.1 % low).
     fn piped_tail(&self, d: f64, net: &NetModel, p: &SchedParams, exchange: bool) -> f64 {
         let link =
             |bytes: f64| net.latency.as_secs_f64() + bytes / p.ratio.max(1.0) / net.bandwidth;
@@ -485,7 +496,9 @@ impl CostModel {
         let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
         let last = d - (k - 1.0) * c;
         if exchange && k > 1.0 && c / p.compress_tput + fold(c) > link(c) {
-            (link(last) - fold(c)).max(0.0)
+            (link(c) - last / p.compress_tput)
+                .max(link(last) - fold(c))
+                .max(0.0)
         } else {
             link(last)
         }
@@ -1618,6 +1631,36 @@ mod tests {
             encode(c, d);
             c.charge(Kernel::BufferMgmt, d, Category::Others);
             c.send(me - 1, 0, squeezed(d, p));
+        }
+    }
+
+    #[test]
+    fn piped_exchange_exposes_only_the_unfolded_last_link() {
+        // Two ranks, one PIPE-SZx exchange (recursive doubling's only
+        // round), codec-paced: from one sub-chunk to thirteen, ragged
+        // tail or not, within 1.5 %. Pricing the whole last link
+        // instead reads 4–9 % high when the last sub-chunk is a full one.
+        let m = CostModel::default();
+        let net = NetModel::default();
+        let one = PIPE_CHUNK_BYTES / 4;
+        for values in [one, one + 1000, 2 * one, 4 * one, 8 * one + 77, 64 << 10] {
+            let d = values * 4;
+            let p = szx_params(2, d);
+            let sim = simulated(2, move |c| butterfly(c, d, &p, false));
+            let price = m
+                .estimate(Schedule::RecursiveDoublingAllreduce, &net, &p)
+                .as_secs_f64();
+            assert!(
+                (price - sim).abs() <= 0.015 * sim,
+                "{values} values: priced {price:e} s, simulated {sim:e} s"
+            );
+            let c = d.min(PIPE_CHUNK_BYTES);
+            let last = (d - (d.div_ceil(c) - 1) * c) as f64;
+            let link = net.latency.as_secs_f64() + last / p.ratio / net.bandwidth;
+            let whole = price - m.piped_tail(d as f64, &net, &p, true) + link;
+            if values == 2 * one || values == 4 * one {
+                assert!(whole > 1.04 * sim, "{values} values: {whole:e} s");
+            }
         }
     }
 

@@ -23,7 +23,11 @@
 //! the wire instead of finishing one after another. Only when that idle
 //! gives up under the fault policy (hop timeout, dead peer) does the
 //! engine drive the oldest operation to completion with fault-aware
-//! blocking waits.
+//! blocking waits. Nor is the oldest operation finished first: a small
+//! one beside a large one waits one step of it per round and queues
+//! behind its messages, so it takes a fraction of the large one's time
+//! rather than its own. An operation that must finish first is driven
+//! alone.
 //!
 //! Concurrency is sound because every operation's wire traffic is
 //! stamped with a per-operation base (plan slot + start generation, see

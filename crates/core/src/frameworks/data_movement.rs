@@ -285,6 +285,33 @@ mod tests {
     }
 
     #[test]
+    fn relay_sub_chunks_never_fall_below_the_default_pipe() {
+        // A pipe tuned below the default for the reduce-scatter's codec
+        // overlap leaves the relay's sub-chunks at the default: at 1280
+        // values an allgather sends what it sends at 5120 — three
+        // messages per block per round — and decodes the same bits.
+        let n = 8;
+        let block = 12_800;
+        let run = |pipe: usize| {
+            SimWorld::new(SimConfig::new(n))
+                .run(move |c| {
+                    let gathered = session(1e-3, n)
+                        .with_pipeline_values(pipe)
+                        .plan_allgather(block)
+                        .execute(c, &rank_data(c.rank(), block));
+                    let bits: Vec<u32> = gathered.into_iter().map(f32::to_bits).collect();
+                    (bits, c.profiler().traffic().messages_sent)
+                })
+                .results
+        };
+        let (small, default) = (run(1280), run(DEFAULT_PIPE_VALUES));
+        for r in 0..n {
+            assert_eq!(small[r], default[r], "rank {r}");
+            assert_eq!(default[r].1, 3 * (n as u64 - 1), "rank {r}");
+        }
+    }
+
+    #[test]
     fn nd_compresses_once_vs_di_many() {
         // Count compression invocations through a counting codec wrapper.
         use std::sync::atomic::{AtomicUsize, Ordering};

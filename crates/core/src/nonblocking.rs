@@ -36,9 +36,10 @@
 //! `Placement::Once` the one `pack` happens at the data's origin and the
 //! one `unpack` at each consumer, straight into the block's place in the
 //! output. The ring allgather (`RingAg`) relays: compress-once in the
-//! session's pipe sub-chunks — round 0 sends each as soon as it is
-//! packed, every later round forwards the last one's and lands them while
-//! they are on the wire, with no size step — and raw in whole blocks. The
+//! session's pipe sub-chunks, never below the default pipe — round 0
+//! sends each as soon as it is packed, every later round forwards the
+//! last one's and lands them while they are on the wire, with no size
+//! step — and raw in whole blocks. The
 //! ordering rules that keep virtual time bit-identical are listed in
 //! `placement.rs`.
 //!
@@ -76,6 +77,7 @@ use ccoll_comm::{Category, Comm, CommView, RecvReq, SendReq, Tag};
 use crate::collectives::baseline::{butterfly_fold, butterfly_pos_to_rank};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{memcpy_in, tags};
+use crate::frameworks::computation::DEFAULT_PIPE_VALUES;
 use crate::partition::chunk_range;
 use crate::pipeline::{
     abort_stream, split_src_dst, Land, Route, StreamCursor, NONBLOCKING_DRAIN_BUDGET, WHOLE,
@@ -354,8 +356,8 @@ enum AgPhase {
 ///
 /// Raw and compress-once (the data-movement framework) relay: every
 /// block travels as `⌈block / pipe⌉` sub-chunks (one for an empty
-/// block), `pipe` being the session's pipe at compress-once and the
-/// whole block raw. Round 0 packs the own block one sub-chunk at a time
+/// block), `pipe` being the session's pipe at compress-once, never below
+/// [`DEFAULT_PIPE_VALUES`], and the whole block raw. Round 0 packs the own block one sub-chunk at a time
 /// and sends each as soon as it is packed; round `k ≥ 1` forwards,
 /// untouched, every payload received in round `k − 1`, one message per
 /// sub-chunk, and lands that block sub-chunk by sub-chunk while the
@@ -379,6 +381,11 @@ pub(crate) struct RingAg {
     place: Placement,
     /// Values per relayed sub-chunk.
     pipe: usize,
+    /// Relay slots in all, and the first slots of the blocks this
+    /// round forwards and receives (see [`RingAg::slot`]).
+    slots: usize,
+    fwd: usize,
+    into: usize,
     /// Relaying placements: land a block while its onward relay is on
     /// the wire (plans) rather than in one sweep after the last round
     /// (the monolithic compress-once ablation baseline).
@@ -395,17 +402,24 @@ pub(crate) struct RingAg {
 }
 
 impl RingAg {
-    /// `pipe` is the compress-once sub-chunk size (values); raw relays
+    /// `pipe` is the session's pipe (values): compress-once relays in
+    /// sub-chunks of it, but of no fewer than [`DEFAULT_PIPE_VALUES`] —
+    /// every relayed sub-chunk pays a message's latency in each of the
+    /// `n − 2` relay rounds, so a pipe tuned smaller for the codec
+    /// overlap of the reduce-scatter must not multiply them. Raw relays
     /// whole blocks and CPR-P2P re-packs them.
     pub(crate) fn new(place: Placement, pipe: usize, overlap: bool) -> Self {
         let place = place.movement(true, "ring allgather");
         RingAg {
             place,
             pipe: if matches!(place, Placement::Once) {
-                pipe
+                pipe.max(DEFAULT_PIPE_VALUES)
             } else {
                 WHOLE
             },
+            slots: 0,
+            fwd: 0,
+            into: 0,
             overlap,
             phase: AgPhase::Init,
             k: 0,
@@ -432,9 +446,20 @@ impl RingAg {
     }
 
     /// The first relay slot of block `b`: slots are laid out block after
-    /// block, one per sub-chunk.
+    /// block, one per sub-chunk. Summed once per operation, at `Init`;
+    /// the rounds then step their bases back one block at a time
+    /// ([`RingAg::prev_slot`]).
     fn slot(&self, ws: &CollWorkspace, b: usize) -> usize {
         ws.counts[..b].iter().map(|&c| self.subs(c)).sum()
+    }
+
+    /// The first relay slot of the block before `b` (ring order), given
+    /// `base`, block `b`'s.
+    fn prev_slot(&self, ws: &CollWorkspace, b: usize, base: usize) -> usize {
+        let n = ws.counts.len();
+        let prev = (b + n - 1) % n;
+        let end = if b == 0 { self.slots } else { base };
+        end - self.subs(ws.counts[prev])
     }
 
     /// The values of sub-chunk `j` of a `len`-value block.
@@ -443,19 +468,19 @@ impl RingAg {
         lo..len.min(lo.saturating_add(self.pipe))
     }
 
-    /// Land sub-chunk `j` of block `b` from its relay slot, if held;
-    /// `false` (the operation aborted) when the payload does not fit.
+    /// Land sub-chunk `j` of block `b`, whose first relay slot is
+    /// `base`, from its slot, if held; `false` (the operation aborted)
+    /// when the payload does not fit.
     fn land<C: Comm>(
         &self,
         comm: &mut C,
         link: Link<'_>,
         out: &mut [f32],
         ws: &mut CollWorkspace,
-        b: usize,
+        (b, base): (usize, usize),
         j: usize,
     ) -> bool {
-        let slot = self.slot(ws, b) + j;
-        let Some(blob) = ws.blobs[slot].take() else {
+        let Some(blob) = ws.blobs[base + j].take() else {
             return true;
         };
         let (at, sub) = (ws.chunk(b), self.sub(j, ws.counts[b]));
@@ -495,9 +520,11 @@ impl RingAg {
                         self.phase = if n > 1 { AgPhase::Round } else { AgPhase::Done };
                     } else {
                         // One relay slot per sub-chunk of every block.
-                        let slots = self.slot(ws, n);
+                        self.slots = self.slot(ws, n);
+                        self.fwd = self.slot(ws, me);
+                        self.into = self.prev_slot(ws, me, self.fwd);
                         ws.blobs.clear();
-                        ws.blobs.resize(slots, None);
+                        ws.blobs.resize(self.slots, None);
                         self.phase = AgPhase::Relay;
                     }
                 }
@@ -512,7 +539,7 @@ impl RingAg {
                     let tag = tags::ALLGATHER + self.place.band() + self.k as Tag;
                     let own = self.subs(ws.counts[send_idx]);
                     let inbound = self.subs(ws.counts[recv_idx]);
-                    let (fwd, into) = (self.slot(ws, send_idx), self.slot(ws, recv_idx));
+                    let (fwd, into) = (self.fwd, self.into);
                     let own_block = ws.chunk(me);
                     if !self.posted {
                         ws.sreqs.clear();
@@ -549,7 +576,7 @@ impl RingAg {
                         NONBLOCKING_DRAIN_BUDGET
                     };
                     while self.landed < relayed && budget > 0 {
-                        if !self.land(comm, link, out, ws, send_idx, self.landed) {
+                        if !self.land(comm, link, out, ws, (send_idx, fwd), self.landed) {
                             return Poll::Pending;
                         }
                         self.landed += 1;
@@ -581,6 +608,8 @@ impl RingAg {
                         }
                     }
                     (self.posted, self.sent, self.landed, self.got) = (false, 0, 0, 0);
+                    // The next round forwards the block this one received.
+                    (self.fwd, self.into) = (into, self.prev_slot(ws, recv_idx, into));
                     self.k += 1;
                 }
                 AgPhase::Round => {
@@ -611,20 +640,22 @@ impl RingAg {
                     } else {
                         NONBLOCKING_DRAIN_BUDGET
                     };
-                    for b in (0..n).filter(|&b| b != me) {
-                        let base = self.slot(ws, b);
-                        for j in 0..self.subs(ws.counts[b]) {
+                    let mut base = 0;
+                    for b in 0..n {
+                        let subs = self.subs(ws.counts[b]);
+                        for j in (0..subs).filter(|_| b != me) {
                             if ws.blobs[base + j].is_none() {
                                 continue;
                             }
                             if budget == 0 {
                                 return Poll::Pending;
                             }
-                            if !self.land(comm, link, out, ws, b, j) {
+                            if !self.land(comm, link, out, ws, (b, base), j) {
                                 return Poll::Pending;
                             }
                             budget -= 1;
                         }
+                        base += subs;
                     }
                     self.phase = AgPhase::Done;
                 }

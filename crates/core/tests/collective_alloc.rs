@@ -100,21 +100,23 @@ fn steady_state_plans_allocate_nothing() {
         let mut reduce_scatter = session.plan_reduce_scatter(len, ReduceOp::Sum);
         let mut auto_allreduce =
             session.plan_allreduce_with(len, ReduceOp::Sum, PlanOptions::new());
-        // The compress-once allgather streams its blocks in the plan's
-        // pipe sub-chunks: at 300 values every block below spans three
-        // or more and a ragged tail — standalone (4000-value blocks), as
-        // the allreduce's second stage (4000-value chunks) and in the
-        // three engine-driven buckets (chunks of 2000, 1333 and 1000
-        // values). Their relay slots grow once, in the first execution.
-        let streamed = session.clone().with_pipeline_values(300);
-        let mut streamed_allreduce = streamed.plan_allreduce(len, ReduceOp::Sum);
-        let mut streamed_allgather = streamed.plan_allgather(len / n);
+        // The compress-once allgather streams its blocks in sub-chunks
+        // of the default pipe: every block below spans three and a
+        // ragged tail — standalone (16 000-value blocks), as the
+        // allreduce's second stage (16 000-value chunks) and in the
+        // three engine-driven buckets (chunks of 16 000, 16 667 and
+        // 18 333 values). Their relay slots grow once, in the first
+        // execution.
+        let big = 96_000;
+        let bucket_lens = [big, 100_000, 110_000];
+        let mut streamed_allreduce = session.plan_allreduce(big, ReduceOp::Sum);
+        let mut streamed_allgather = session.plan_allgather(big / n);
         // Gradient buckets driven concurrently by the session progress
         // engine: its inline slot arena must keep submit/progress/
         // wait_all allocation-free with several ops in flight.
-        let mut bucket_a = streamed.plan_allreduce(len / 2, ReduceOp::Sum);
-        let mut bucket_b = streamed.plan_allreduce(len / 3, ReduceOp::Sum);
-        let mut bucket_c = streamed.plan_allreduce(len / 4, ReduceOp::Sum);
+        let mut bucket_a = session.plan_allreduce(bucket_lens[0], ReduceOp::Sum);
+        let mut bucket_b = session.plan_allreduce(bucket_lens[1], ReduceOp::Sum);
+        let mut bucket_c = session.plan_allreduce(bucket_lens[2], ReduceOp::Sum);
         // The laned hierarchical allreduce on an asymmetric 4 + 2
         // cluster at two lanes: rank 0 is a node leader and lane owner,
         // rank 2 an owner that is not the leader, ranks 1 and 3
@@ -174,12 +176,15 @@ fn steady_state_plans_allocate_nothing() {
         let mut bc_out = vec![0.0f32; len / 2];
         let mut rr_out = vec![0.0f32; if me == 0 { len / 2 } else { 0 }];
         let mut rs_out = vec![0.0f32; reduce_scatter.output_len(me)];
-        let bucket_in_a = rank_data(me, len / 2);
-        let bucket_in_b = rank_data(me, len / 3);
-        let bucket_in_c = rank_data(me, len / 4);
-        let mut bucket_out_a = vec![0.0f32; len / 2];
-        let mut bucket_out_b = vec![0.0f32; len / 3];
-        let mut bucket_out_c = vec![0.0f32; len / 4];
+        let big_input = rank_data(me, big);
+        let big_chunk = rank_data(me, big / n);
+        let mut big_out = vec![0.0f32; big];
+        let bucket_in_a = rank_data(me, bucket_lens[0]);
+        let bucket_in_b = rank_data(me, bucket_lens[1]);
+        let bucket_in_c = rank_data(me, bucket_lens[2]);
+        let mut bucket_out_a = vec![0.0f32; bucket_lens[0]];
+        let mut bucket_out_b = vec![0.0f32; bucket_lens[1]];
+        let mut bucket_out_c = vec![0.0f32; bucket_lens[2]];
 
         // The full nonblocking cycle must uphold the guarantee too:
         // start, several partial progress calls with application
@@ -237,8 +242,8 @@ fn steady_state_plans_allocate_nothing() {
         for _ in 0..8 {
             allreduce.execute_into(c, &input, &mut ar_out);
             allgather.execute_into(c, &chunk, &mut ag_out);
-            streamed_allreduce.execute_into(c, &input, &mut ar_out);
-            streamed_allgather.execute_into(c, &chunk, &mut ag_out);
+            streamed_allreduce.execute_into(c, &big_input, &mut big_out);
+            streamed_allgather.execute_into(c, &big_chunk, &mut big_out);
             bcast.execute_into(c, &bdata, &mut bc_out);
             rd_allreduce.execute_into(c, &input, &mut ar_out);
             raben_allreduce.execute_into(c, &input, &mut ar_out);
@@ -253,8 +258,8 @@ fn steady_state_plans_allocate_nothing() {
             nonblocking_cycle!(hier_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(raw_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
-            nonblocking_cycle!(streamed_allreduce, &input, &mut ar_out);
-            nonblocking_cycle!(streamed_allgather, &chunk, &mut ag_out);
+            nonblocking_cycle!(streamed_allreduce, &big_input, &mut big_out);
+            nonblocking_cycle!(streamed_allgather, &big_chunk, &mut big_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);
             nonblocking_cycle!(rd_allreduce, &input, &mut ar_out);
@@ -272,8 +277,8 @@ fn steady_state_plans_allocate_nothing() {
         for _ in 0..4 {
             allreduce.execute_into(c, &input, &mut ar_out);
             allgather.execute_into(c, &chunk, &mut ag_out);
-            streamed_allreduce.execute_into(c, &input, &mut ar_out);
-            streamed_allgather.execute_into(c, &chunk, &mut ag_out);
+            streamed_allreduce.execute_into(c, &big_input, &mut big_out);
+            streamed_allgather.execute_into(c, &big_chunk, &mut big_out);
             bcast.execute_into(c, &bdata, &mut bc_out);
             rd_allreduce.execute_into(c, &input, &mut ar_out);
             raben_allreduce.execute_into(c, &input, &mut ar_out);
@@ -288,8 +293,8 @@ fn steady_state_plans_allocate_nothing() {
             nonblocking_cycle!(hier_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(raw_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
-            nonblocking_cycle!(streamed_allreduce, &input, &mut ar_out);
-            nonblocking_cycle!(streamed_allgather, &chunk, &mut ag_out);
+            nonblocking_cycle!(streamed_allreduce, &big_input, &mut big_out);
+            nonblocking_cycle!(streamed_allgather, &big_chunk, &mut big_out);
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);
             nonblocking_cycle!(rd_allreduce, &input, &mut ar_out);

@@ -375,22 +375,27 @@ fn mixed_collective_types_run_concurrently() {
     }
 }
 
-/// Per-op fault isolation under a seeded kill: op A (tiny) completes on
-/// the engine before rank 1 dies; op B (large), submitted to the same
-/// engine, is still in flight and must abort with a structured error on
-/// every survivor. A's plan stays unpoisoned with its completed result
-/// intact, B's plan is poisoned, and the engine drains without wedging.
+/// Per-op fault isolation under a seeded kill: op A (tiny) and op B
+/// (large) are in flight on one engine together; A completes before
+/// rank 1 dies, B is still in flight and must abort with a structured
+/// error on every survivor. A's plan stays unpoisoned with its completed
+/// result intact, B's plan is poisoned, and the engine drains without
+/// wedging.
 ///
-/// B is submitted once A has completed: driven side by side, a tiny
-/// ring's every message queues behind the large one's on the FIFO
-/// egress port, so A would finish only with B's last round.
+/// A is a latency-bound recursive doubling (two rounds on four ranks),
+/// B a bandwidth-bound ring (six): driven side by side, A's messages
+/// queue behind B's on the FIFO ports, and A completes in about a third
+/// of B's time (`engine_regressions.rs` pins it), before rank 1 has done
+/// the 36 communicator operations that kill it. A tiny *ring* beside B
+/// would keep pace with B's rounds and finish in B's last, where no kill
+/// point separates the two on every rank.
 #[test]
 fn kill_aborts_in_flight_op_without_poisoning_completed_sibling() {
     let n = 4;
     let small = 16;
     let large = 60_000;
     let cfg = SimConfig::new(n)
-        .with_faults(FaultPlan::seeded(11).with_kill(1, 40))
+        .with_faults(FaultPlan::seeded(11).with_kill(1, 36))
         .with_fault_policy(FaultPolicy::with_timeout(Duration::from_millis(1), 2));
     let out = SimWorld::new(cfg)
         .try_run(move |c| {
@@ -398,7 +403,7 @@ fn kill_aborts_in_flight_op_without_poisoning_completed_sibling() {
             let mut a = session.plan_allreduce_with(
                 small,
                 ReduceOp::Sum,
-                PlanOptions::new().algorithm(Algorithm::Ring),
+                PlanOptions::new().algorithm(Algorithm::RecursiveDoubling),
             );
             let mut b = session.plan_allreduce_with(
                 large,
@@ -412,11 +417,8 @@ fn kill_aborts_in_flight_op_without_poisoning_completed_sibling() {
 
             let mut engine = ProgressEngine::new();
             let ida = engine.submit(a.start(c, &da, &mut oa));
-            let mut errs: Vec<(c_coll::engine::OpId, CollectiveError)> = Vec::new();
-            if let Err(failure) = engine.try_wait_all(c) {
-                errs.push(failure);
-            }
             let idb = engine.submit(b.start(c, &db, &mut ob));
+            let mut errs: Vec<(c_coll::engine::OpId, CollectiveError)> = Vec::new();
             let mut spins = 0u32;
             while engine.live_ops() > 0 {
                 if let Err((id, e)) = engine.try_wait_all(c) {

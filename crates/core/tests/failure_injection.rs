@@ -596,17 +596,19 @@ fn piped_recursive_doubling_aborts_mid_stream_loss_cleanly_and_reruns_after_rese
 /// The sub-chunk size of the mid-stream loss tests.
 const CHUNK: usize = 64;
 
-/// A compress-once ring allgather whose blocks stream three full
-/// sub-chunks and a short tail each; lossless, so "correct" is bitwise.
+/// A compress-once ring allgather block of three full relay sub-chunks
+/// (the default pipe's) and a short tail.
+const RELAY_BLOCK: usize = 3 * c_coll::frameworks::computation::DEFAULT_PIPE_VALUES + 11;
+
+/// A compress-once ring allgather of [`RELAY_BLOCK`]-value blocks;
+/// lossless, so "correct" is bitwise.
 fn streamed_allgather_plan(n: usize) -> c_coll::AllgatherPlan {
-    CCollSession::new(CodecSpec::Lossless, n)
-        .with_pipeline_values(CHUNK)
-        .plan_allgather(3 * CHUNK + 11)
+    CCollSession::new(CodecSpec::Lossless, n).plan_allgather(RELAY_BLOCK)
 }
 
 /// Every rank's block, gathered.
 fn gathered(n: usize) -> Vec<f32> {
-    (0..n).flat_map(|r| rank_data(r, 3 * CHUNK + 11)).collect()
+    (0..n).flat_map(|r| rank_data(r, RELAY_BLOCK)).collect()
 }
 
 #[test]
@@ -624,7 +626,7 @@ fn streamed_allgather_retries_mid_stream_drops_and_delays_bitwise() {
         .with_fault_policy(patient_policy());
     let out = SimWorld::new(cfg).run(move |c| {
         let mut plan = streamed_allgather_plan(n);
-        let mine = rank_data(c.rank(), 3 * CHUNK + 11);
+        let mine = rank_data(c.rank(), RELAY_BLOCK);
         let mut all = vec![0.0f32; n * mine.len()];
         plan.try_execute_into(c, &mine, &mut all)
             .expect("transient faults absorbed");
@@ -654,7 +656,7 @@ fn streamed_allgather_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
             .with_fault_policy(FaultPolicy::with_timeout(Duration::from_micros(500), 2));
         let out = SimWorld::new(cfg).run(move |c| {
             let mut plan = streamed_allgather_plan(n);
-            let mine = rank_data(c.rank(), 3 * CHUNK + 11);
+            let mine = rank_data(c.rank(), RELAY_BLOCK);
             let mut first = vec![0.0f32; n * mine.len()];
             let abort = match plan.try_execute_into(c, &mine, &mut first) {
                 Ok(()) => None,

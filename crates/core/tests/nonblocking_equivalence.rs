@@ -308,21 +308,21 @@ fn nonblocking_streamed_bcast_matches_blocking_bits_and_bytes() {
 }
 
 /// The compress-once ring allgather streams every block in sub-chunks
-/// (three and a ragged fourth here), standalone and as the allreduce's
-/// second stage. Suspended after every step — grain 1 ns — it leaves the
-/// same bits and sends the same messages and bytes as the blocking drive:
-/// one message per sub-chunk per round and no size step.
+/// of the default pipe (three and a ragged fourth here), standalone and
+/// as the allreduce's second stage. Suspended after every step — grain
+/// 1 ns — it leaves the same bits and sends the same messages and bytes
+/// as the blocking drive: one message per sub-chunk per round and no
+/// size step.
 #[test]
 fn nonblocking_streamed_allgather_matches_blocking_bits_and_bytes() {
-    let chunk = 128usize;
+    let chunk = c_coll::frameworks::computation::DEFAULT_PIPE_VALUES;
     let block = 3 * chunk + 37;
     let pieces = block.div_ceil(chunk) as u64;
     for n in [3usize, 8] {
         let run = |nonblocking: bool| {
             SimWorld::new(SimConfig::new(n))
                 .run(move |c| {
-                    let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, n)
-                        .with_pipeline_values(chunk);
+                    let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, n);
                     let mut gather = session.plan_allgather(block);
                     let mut reduce = session.plan_allreduce(n * block, ReduceOp::Sum);
                     let mine = smooth_data(c.rank(), block, 3);
