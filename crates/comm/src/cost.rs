@@ -35,6 +35,10 @@ use crate::sim::NetModel;
 /// what `c_coll`'s default sub-chunk size is derived from.
 pub const PIPE_CHUNK_BYTES: usize = 5120 * 4;
 
+/// Values per SZx block: the boundary [`CostModel::exchange_values`]
+/// cuts an exchange's halves on (`ccoll_compress`'s `DEFAULT_BLOCK`).
+const SZX_BLOCK_VALUES: usize = 128;
+
 /// Kernel classes whose cost the simulator models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
@@ -216,15 +220,12 @@ impl CostModel {
         let raw_hop = |bytes: f64| self.raw_hop(bytes, net);
         // One monolithic CPR-P2P hop of `bytes`, encode to decode: the
         // naive integration pays `BufferMgmt` on both ends.
-        let bm = |bytes: f64| bytes / self.throughput(Kernel::BufferMgmt);
-        let cpr_hop = |bytes: f64| {
-            comp(bytes) + alpha + bytes / p.ratio.max(1.0) * beta + deco(bytes) + 2.0 * bm(bytes)
-        };
+        let cpr_hop = |bytes: f64| self.cpr_hop(bytes, net, p);
         // A reducing hop of `bytes` at the session's placement, one way
         // or as an exchange (both ranks send and fold).
         let reducing_hop = |bytes: f64, exchange: bool| match (raw, p.pipelined) {
             (true, _) => raw_hop(bytes),
-            (false, true) => self.piped_hop(bytes, net, p, exchange),
+            (false, true) => self.piped_hop(bytes, PIPE_CHUNK_BYTES as f64, net, p, exchange),
             (false, false) => cpr_hop(bytes) + reduce(bytes),
         };
         // The butterflies run ⌊log₂n⌋ rounds over the largest power of
@@ -290,26 +291,22 @@ impl CostModel {
             // reduced chunks.
             Schedule::RingAllreduce => ring_rs + once_ag(m),
             Schedule::RecursiveDoublingAllreduce if raw => fold + log2n * raw_hop(d),
+            Schedule::RecursiveDoublingAllreduce if p.pipelined => {
+                let chunk = self.exchange_values(PIPE_CHUNK_BYTES / 4, net, p);
+                self.piped_recursive_doubling((4 * chunk) as f64, net, p)
+            }
             Schedule::RecursiveDoublingAllreduce => {
                 // Every round exchanges and reduces the FULL payload
-                // (latency-optimal, bandwidth-wasteful). The fold leaves
-                // the folded ranks behind: a round whose mask pairs one
-                // with a rank that was not folded (every mask from `rem`
-                // up) finds that partner's payload already in, so what
-                // the round exposes of its last piece's link costs
-                // nothing.
-                let round = reducing_hop(d, true);
-                let ahead = if p.pipelined {
-                    self.piped_tail(d, net, p, true)
-                } else {
-                    alpha + wire * beta
-                };
+                // (latency-optimal, bandwidth-wasteful) in one CPR-P2P
+                // message; a round whose partner's payload is already in
+                // (see `piped_recursive_doubling`) pays no link.
                 let credited = if rem == 0 {
                     0
                 } else {
                     rounds - rem.next_power_of_two().ilog2()
                 };
-                fold + f64::from(rounds) * round - f64::from(credited) * ahead
+                fold + f64::from(rounds) * reducing_hop(d, true)
+                    - f64::from(credited) * (alpha + wire * beta)
             }
             Schedule::RabenseifnerAllreduce if raw => {
                 // Streamed halving rounds over d/2, d/4, …, then the
@@ -447,57 +444,174 @@ impl CostModel {
         alpha + c * beta + reduce(d).max(behind)
     }
 
+    /// The sub-chunk, in values, recursive doubling's PIPE-SZx rounds
+    /// and its fold hop stream in under a `pipe`-value session pipe:
+    /// `pipe`, unless the `p.payload_bytes` exchange carries fewer values
+    /// than two pipes and two halves cut on SZx block boundaries price
+    /// the schedule cheaper (`piped_recursive_doubling`; on a
+    /// power-of-two world that is the exchange's own price,
+    /// `piped_hop`). The own second half then encodes while the
+    /// first is on the wire, and the peer folds the first while that
+    /// encode runs; the halves pay a second message, which on the
+    /// default models outweighs the overlap below ~1 Ki values, or below
+    /// ~1.5 Ki where a fold shares a survivor's port (DESIGN.md,
+    /// "Pricing"). Block-aligned halves encode the same SZx blocks as
+    /// one piece, so the results are the same bits. Plans call it with
+    /// rank-identical inputs (nominal ratio, uncalibrated `net`), as
+    /// [`Self::hier_lanes`], on a flat network only: on a cluster the
+    /// rounds' messages queue on each node's shared NIC one by one,
+    /// which the contended link [`Self::estimate_hier`] prices a
+    /// butterfly on does not see, and halves run slower there (16 ranks
+    /// on 4 nodes × 4 Ki values: 0.204 → 0.212 ms), so a plan on a
+    /// topology keeps the pipe and is priced at it.
+    pub fn exchange_values(&self, pipe: usize, net: &NetModel, p: &SchedParams) -> usize {
+        let values = p.payload_bytes / 4;
+        let half = values.div_ceil(2).next_multiple_of(SZX_BLOCK_VALUES);
+        if !p.pipelined || values >= 2 * pipe || half >= values {
+            return pipe;
+        }
+        let price = |c: usize| self.piped_recursive_doubling((4 * c) as f64, net, p);
+        if price(half) < price(pipe) {
+            half
+        } else {
+            pipe
+        }
+    }
+
+    /// One monolithic CPR-P2P hop of `d` bytes, encode to decode: the
+    /// naive integration pays `BufferMgmt` on both ends.
+    fn cpr_hop(&self, d: f64, net: &NetModel, p: &SchedParams) -> f64 {
+        let bm = d / self.throughput(Kernel::BufferMgmt);
+        let link = net.latency.as_secs_f64() + d / p.ratio.max(1.0) / net.bandwidth;
+        d / p.compress_tput + link + d / p.decompress_tput + 2.0 * bm
+    }
+
+    /// Recursive doubling at the pipelined placement, its fold hop and
+    /// its rounds in `chunk`-byte PIPE-SZx sub-chunks: ⌊log₂n⌋ in-place
+    /// exchanges of the FULL payload (latency-optimal,
+    /// bandwidth-wasteful) and, beyond the largest power of two, the
+    /// `rem` folds before them and a CPR-P2P unfold after.
+    ///
+    /// The fold leaves the folded ranks behind: a round whose mask pairs
+    /// one with a rank that was not folded (every mask from `rem` up)
+    /// finds that partner's payload already in, so what the round
+    /// exposes of its last piece's link costs nothing. A survivor's
+    /// ingress port bounds the rest. With `rem` odd, the last
+    /// survivor's first partner was not folded: its stream shares the
+    /// port with the fold's, one message of each in turn, which delays
+    /// the fold when two links outlast an encode. And every survivor's
+    /// port takes the fold stream and every round's, one message after
+    /// another, before the unfold: with short sub-chunks that chain, not
+    /// the codec, paces it.
+    fn piped_recursive_doubling(&self, chunk: f64, net: &NetModel, p: &SchedParams) -> f64 {
+        let n = p.world.max(1);
+        let d = p.payload_bytes as f64;
+        let rounds = n.ilog2();
+        let rem = n - (1 << rounds);
+        let exchanges = f64::from(rounds) * self.piped_hop(d, chunk, net, p, true);
+        if rem == 0 {
+            return exchanges;
+        }
+        let credited = rounds - rem.next_power_of_two().ilog2();
+        let ahead = f64::from(credited) * self.piped_tail(d, chunk, net, p);
+        let unfold = self.cpr_hop(d, net, p) + d / self.throughput(Kernel::Memcpy);
+        let fold = self.piped_hop(d, chunk, net, p, false);
+        let link =
+            |bytes: f64| net.latency.as_secs_f64() + bytes / p.ratio.max(1.0) / net.bandwidth;
+        let c = d.min(chunk);
+        let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
+        let last = d - (k - 1.0) * c;
+        let stream = (k - 1.0) * link(c) + link(last);
+        let fold_last = last / p.decompress_tput + last / self.throughput(Kernel::Reduce);
+        let enc = c / p.compress_tput;
+        let shared = if rem % 2 == 1 {
+            (enc + (k - 1.0) * link(c) + stream + fold_last - fold).max(0.0)
+        } else {
+            0.0
+        };
+        let chain = enc + f64::from(rounds + 1) * stream + fold_last;
+        (fold + shared + exchanges - ahead + unfold).max(chain + unfold)
+    }
+
     /// One PIPE-SZx reducing hop of `d` bytes over `net`, in `c = min(d,
-    /// PIPE_CHUNK_BYTES)` sub-chunks: the sender encodes sub-chunk `j`
-    /// (`e`), the link carries it (`x = α + wβ`, `w` its wire bytes) and
-    /// the receiver folds it through the fused decompress-reduce (`f`).
-    /// The last, ragged sub-chunk pays all three; the `k − 1` ahead of it
-    /// pace the stream at its slowest stage — `max(e, x, f)` one way,
-    /// `max(e + f, x)` on an `exchange`, where every rank both encodes
-    /// its own stream and folds its peer's. Of the last link only what
-    /// [`CostModel::piped_tail`] says is exposed. At one sub-chunk this is
-    /// the monolithic `e + x + f`.
-    fn piped_hop(&self, d: f64, net: &NetModel, p: &SchedParams, exchange: bool) -> f64 {
+    /// chunk)` sub-chunks: the sender encodes sub-chunk `j` (`e`), the
+    /// link carries it (`x = α + wβ`, `w` its wire bytes) and the
+    /// receiver folds it through the fused decompress-reduce (`f`). At
+    /// one sub-chunk this is the monolithic `e + x + f`.
+    ///
+    /// One way, the three are a flow shop of `k − 1` full sub-chunks and
+    /// a ragged last one, whose makespan is its slowest path: the first
+    /// sub-chunk's encode, the link or the fold of every sub-chunk after
+    /// it, and the last one's fold — or every encode, and then the last
+    /// link and fold. On an `exchange`, where every rank both encodes its
+    /// own stream and folds its peer's, the `k − 1` ahead of the last
+    /// pace the stream at `max(e + f, x)`, the last pays its encode and
+    /// fold, and of its link only what [`CostModel::piped_tail`] says is
+    /// exposed.
+    fn piped_hop(
+        &self,
+        d: f64,
+        chunk: f64,
+        net: &NetModel,
+        p: &SchedParams,
+        exchange: bool,
+    ) -> f64 {
         let alpha = net.latency.as_secs_f64();
         let beta = 1.0 / net.bandwidth;
         let enc = |bytes: f64| bytes / p.compress_tput;
         let link = |bytes: f64| alpha + bytes / p.ratio.max(1.0) * beta;
         let fold = |bytes: f64| bytes / p.decompress_tput + bytes / self.throughput(Kernel::Reduce);
-        let c = d.min(PIPE_CHUNK_BYTES as f64);
+        let c = d.min(chunk);
         let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
         let last = d - (k - 1.0) * c;
-        let pace = if exchange {
-            (enc(c) + fold(c)).max(link(c))
-        } else {
-            enc(c).max(link(c)).max(fold(c))
-        };
-        enc(last) + self.piped_tail(d, net, p, exchange) + fold(last) + (k - 1.0) * pace
+        if exchange {
+            let pace = (enc(c) + fold(c)).max(link(c));
+            return enc(last) + self.piped_tail(d, chunk, net, p) + fold(last) + (k - 1.0) * pace;
+        }
+        if k == 1.0 {
+            return enc(d) + link(d) + fold(d);
+        }
+        let (e, x, f, ahead) = (enc(c), link(c), fold(c), k - 1.0);
+        let tail = f.max(link(last));
+        let through = (e + x + ahead * f)
+            .max((e + ahead * x).max(ahead * e + x) + tail)
+            .max(ahead * e + enc(last) + link(last));
+        through + fold(last)
     }
 
-    /// What [`CostModel::piped_hop`] exposes of its last sub-chunk's link,
-    /// and so what recursive doubling credits a round whose partner's
-    /// payload is already in. The whole link one way. A codec-paced
-    /// exchange folds its peer's second-to-last sub-chunk after encoding
-    /// its own last one, while the peer's last is on the wire: exposed is
-    /// what that fold does not cover, or the wait for that second-to-last
-    /// sub-chunk when the last encode is the shorter. Pinned on the
-    /// simulator by `piped_exchange_exposes_only_the_unfolded_last_link`
-    /// (one exchange; the whole last link reads 8.5 % high at two full
-    /// sub-chunks), the ring reduce-scatter rounds of
+    /// What [`CostModel::piped_hop`]'s exchange exposes of its last
+    /// sub-chunk's link, and so what recursive doubling credits a round
+    /// whose partner's payload is already in: the whole link when the
+    /// link paces the stream. A codec-paced exchange folds its peer's
+    /// second-to-last sub-chunk after encoding its own last one, while
+    /// the peer's last is on the wire: exposed is what that fold does not
+    /// cover, or the wait for that second-to-last sub-chunk when the last
+    /// encode is the shorter — or, when a link outlasts both an encode
+    /// and a fold, what the links in a row add to the first encode and
+    /// the last fold. Pinned on the simulator by
+    /// `piped_exchange_exposes_only_the_unfolded_last_link` (one exchange;
+    /// the whole last link reads 8.5 % high at two full sub-chunks), the
+    /// ring reduce-scatter rounds of
     /// `compress_once_ring_tracks_the_simulator` (8 ranks × 64 Ki values:
-    /// 5.7 % high) and recursive doubling's credit in
+    /// 5.7 % high), recursive doubling's two halves in
+    /// `piped_recursive_doubling_tracks_the_simulator` (1 Ki values: 6.3 %
+    /// low without the links in a row) and its credit in
     /// `compressed_fold_and_unfold_track_the_simulator` (5 ranks × 8 Ki:
     /// 7.1 % low).
-    fn piped_tail(&self, d: f64, net: &NetModel, p: &SchedParams, exchange: bool) -> f64 {
+    fn piped_tail(&self, d: f64, chunk: f64, net: &NetModel, p: &SchedParams) -> f64 {
         let link =
             |bytes: f64| net.latency.as_secs_f64() + bytes / p.ratio.max(1.0) / net.bandwidth;
         let fold = |bytes: f64| bytes / p.decompress_tput + bytes / self.throughput(Kernel::Reduce);
-        let c = d.min(PIPE_CHUNK_BYTES as f64);
+        let enc = |bytes: f64| bytes / p.compress_tput;
+        let c = d.min(chunk);
         let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
         let last = d - (k - 1.0) * c;
-        if exchange && k > 1.0 && c / p.compress_tput + fold(c) > link(c) {
-            (link(c) - last / p.compress_tput)
+        if k > 1.0 && enc(c) + fold(c) > link(c) {
+            let in_a_row =
+                enc(c) - enc(last) + (k - 1.0) * (link(c) - enc(c) - fold(c)) + link(last);
+            (link(c) - enc(last))
                 .max(link(last) - fold(c))
+                .max(in_a_row)
                 .max(0.0)
         } else {
             link(last)
@@ -586,14 +700,14 @@ impl CostModel {
             // Butterfly / tree / alltoall rounds send from every rank
             // at once: the s ranks of a node serialize on one NIC, so
             // the effective inter bandwidth divides by the node size.
-            _ => {
-                let s = node_size.max(1) as f64;
-                let contended = NetModel {
-                    latency: hier.inter.latency,
-                    bandwidth: hier.inter.bandwidth / s,
-                };
-                self.estimate(schedule, &contended, p)
+            // Recursive doubling on a cluster keeps the pipe (see
+            // `CostModel::exchange_values`).
+            Schedule::RecursiveDoublingAllreduce if p.pipelined => {
+                let net = hier.shared_inter(node_size);
+                let pipe = PIPE_CHUNK_BYTES as f64;
+                Duration::from_secs_f64(self.piped_recursive_doubling(pipe, &net, p))
             }
+            _ => self.estimate(schedule, &hier.shared_inter(node_size), p),
         }
     }
 
@@ -1309,7 +1423,11 @@ mod tests {
     /// The `PIPE_CHUNK_BYTES` sub-chunk sizes a `d`-byte raw stream moves
     /// in (one empty message for an empty payload).
     fn pieces(d: usize) -> Vec<usize> {
-        let c = PIPE_CHUNK_BYTES;
+        pieces_of(d, PIPE_CHUNK_BYTES)
+    }
+
+    /// The sizes of a `d`-byte stream cut into `c`-byte sub-chunks.
+    fn pieces_of(d: usize, c: usize) -> Vec<usize> {
         (0..d.div_ceil(c).max(1))
             .map(|j| c.min(d - j * c))
             .collect()
@@ -1528,11 +1646,17 @@ mod tests {
         c.charge(Kernel::Reduce, bytes, crate::profile::Category::Reduction);
     }
 
-    /// The send side of a one-way PIPE-SZx hop: encode and send every
-    /// sub-chunk in turn.
-    fn piped_send<C: crate::comm::Comm>(c: &mut C, to: usize, d: usize, p: &SchedParams) {
+    /// The send side of a one-way PIPE-SZx hop in `chunk`-byte
+    /// sub-chunks: encode and send every sub-chunk in turn.
+    fn piped_send<C: crate::comm::Comm>(
+        c: &mut C,
+        to: usize,
+        d: usize,
+        chunk: usize,
+        p: &SchedParams,
+    ) {
         let mut sends = Vec::new();
-        for bytes in pieces(d) {
+        for bytes in pieces_of(d, chunk) {
             encode(c, bytes);
             sends.push(c.isend(to, 0, squeezed(bytes, p)));
         }
@@ -1540,21 +1664,27 @@ mod tests {
     }
 
     /// The receive side: fold each sub-chunk as it lands.
-    fn piped_recv<C: crate::comm::Comm>(c: &mut C, from: usize, d: usize) {
-        for bytes in pieces(d) {
+    fn piped_recv<C: crate::comm::Comm>(c: &mut C, from: usize, d: usize, chunk: usize) {
+        for bytes in pieces_of(d, chunk) {
             c.recv(from, 0);
             fold_piece(c, bytes);
         }
     }
 
-    /// This rank's half of a PIPE-SZx exchange of `d` bytes with `peer`,
-    /// stepped as the streaming engine blocks on it: every receive posted
-    /// up front; per sub-chunk, encode and send it, then fold the
-    /// arrivals already in — none this rank has yet to encode itself —
-    /// and, after the last one, wait the tail out.
-    fn piped_exchange<C: crate::comm::Comm>(c: &mut C, peer: usize, d: usize, p: &SchedParams) {
+    /// This rank's half of a PIPE-SZx exchange of `d` bytes with `peer`
+    /// in `chunk`-byte sub-chunks, stepped as the streaming engine blocks
+    /// on it: every receive posted up front; per sub-chunk, encode and
+    /// send it, then fold the arrivals already in — none this rank has
+    /// yet to encode itself — and, after the last one, wait the tail out.
+    fn piped_exchange<C: crate::comm::Comm>(
+        c: &mut C,
+        peer: usize,
+        d: usize,
+        chunk: usize,
+        p: &SchedParams,
+    ) {
         use crate::profile::Category;
-        let pieces = pieces(d);
+        let pieces = pieces_of(d, chunk);
         let mut recvs: std::collections::VecDeque<_> =
             pieces.iter().map(|_| c.irecv(peer, 0)).collect();
         let (mut sends, mut landed) = (Vec::new(), 0);
@@ -1588,6 +1718,14 @@ mod tests {
         c.charge(Kernel::Memcpy, d, Category::Memcpy);
     }
 
+    /// The sub-chunk, in bytes, a recursive-doubling plan of `p` streams
+    /// its exchanges and fold in on the default models.
+    fn exchange_chunk(p: &SchedParams) -> usize {
+        let values =
+            CostModel::default().exchange_values(PIPE_CHUNK_BYTES / 4, &NetModel::default(), p);
+        4 * values
+    }
+
     /// This rank's part in an allreduce of `d` bytes by the `Butterfly`
     /// machine at the pipelined placement. A non-power-of-two world folds
     /// its first `2·rem` ranks pairwise over a PIPE-SZx hop and unfolds
@@ -1595,14 +1733,23 @@ mod tests {
     /// recursive doubling exchanges the whole vector every round; with
     /// `halving` (Rabenseifner) the halving rounds exchange the moved
     /// half and the doubling rounds the finalized range, monolithic.
-    fn butterfly<C: crate::comm::Comm>(c: &mut C, d: usize, p: &SchedParams, halving: bool) {
+    /// Recursive doubling's fold and rounds stream `chunk`-byte
+    /// sub-chunks, Rabenseifner's `PIPE_CHUNK_BYTES`.
+    fn butterfly<C: crate::comm::Comm>(
+        c: &mut C,
+        d: usize,
+        chunk: usize,
+        p: &SchedParams,
+        halving: bool,
+    ) {
         use crate::profile::Category;
+        let chunk = if halving { PIPE_CHUNK_BYTES } else { chunk };
         let (me, n) = (c.rank(), c.size());
         let pow2 = 1 << n.ilog2();
         let rem = n - pow2;
         let folded = me < 2 * rem;
         if folded && me % 2 == 0 {
-            piped_send(c, me + 1, d, p);
+            piped_send(c, me + 1, d, chunk, p);
             c.recv(me + 1, 0);
             c.charge(Kernel::SzxDecompress, d, Category::ComDecom);
             c.charge(Kernel::BufferMgmt, d, Category::Others);
@@ -1610,21 +1757,21 @@ mod tests {
             return;
         }
         if folded {
-            piped_recv(c, me - 1, d);
+            piped_recv(c, me - 1, d, chunk);
         }
         let pos = if folded { me / 2 } else { me - rem };
         let rank = |pos: usize| if pos < rem { 2 * pos + 1 } else { pos + rem };
         let rounds = pow2.trailing_zeros() as usize;
         if halving {
             for i in 1..=rounds {
-                piped_exchange(c, rank(pos ^ (pow2 >> i)), d >> i, p);
+                piped_exchange(c, rank(pos ^ (pow2 >> i)), d >> i, chunk, p);
             }
             for i in (1..=rounds).rev() {
                 cpr_exchange(c, rank(pos ^ (pow2 >> i)), d >> i, p);
             }
         } else {
             for i in 0..rounds {
-                piped_exchange(c, rank(pos ^ (1 << i)), d, p);
+                piped_exchange(c, rank(pos ^ (1 << i)), d, chunk, p);
             }
         }
         if folded {
@@ -1646,7 +1793,8 @@ mod tests {
         for values in [one, one + 1000, 2 * one, 4 * one, 8 * one + 77, 64 << 10] {
             let d = values * 4;
             let p = szx_params(2, d);
-            let sim = simulated(2, move |c| butterfly(c, d, &p, false));
+            let chunk = exchange_chunk(&p);
+            let sim = simulated(2, move |c| butterfly(c, d, chunk, &p, false));
             let price = m
                 .estimate(Schedule::RecursiveDoublingAllreduce, &net, &p)
                 .as_secs_f64();
@@ -1654,33 +1802,70 @@ mod tests {
                 (price - sim).abs() <= 0.015 * sim,
                 "{values} values: priced {price:e} s, simulated {sim:e} s"
             );
-            let c = d.min(PIPE_CHUNK_BYTES);
+            let c = d.min(chunk);
             let last = (d - (d.div_ceil(c) - 1) * c) as f64;
             let link = net.latency.as_secs_f64() + last / p.ratio / net.bandwidth;
-            let whole = price - m.piped_tail(d as f64, &net, &p, true) + link;
+            let whole = price - m.piped_tail(d as f64, c as f64, &net, &p) + link;
             if values == 2 * one || values == 4 * one {
                 assert!(whole > 1.04 * sim, "{values} values: {whole:e} s");
             }
         }
     }
 
+    /// The payloads recursive doubling's pins sweep: either side of where
+    /// two halves start to pay (256 to 3000 values), a pipe and a ragged
+    /// tail (6000), and thirteen sub-chunks (64 Ki).
+    const RD_VALUES: [usize; 7] = [256, 512, 1 << 10, 2 << 10, 3000, 6000, 64 << 10];
+
     #[test]
     fn piped_recursive_doubling_tracks_the_simulator() {
-        // Every round a PIPE-SZx exchange of the whole vector: from one
-        // sub-chunk, where it is the monolithic hop, to thirteen.
+        // Every round a PIPE-SZx exchange of the whole vector in the
+        // plan's sub-chunk — one piece, where it is the monolithic hop,
+        // two block-aligned halves, or up to thirteen pipes — and at
+        // five ranks a fold hop and an unfold around them.
         let m = CostModel::default();
         let net = NetModel::default();
-        let n = 8;
-        for values in [512, 2 << 10, PIPE_CHUNK_BYTES / 4, 64 << 10] {
-            let p = szx_params(n, values * 4);
-            let sim = simulated(n, move |c| butterfly(c, values * 4, &p, false));
-            let price = m
-                .estimate(Schedule::RecursiveDoublingAllreduce, &net, &p)
-                .as_secs_f64();
-            assert!(
-                (price - sim).abs() <= 0.02 * sim,
-                "{values} values: priced {price:e} s, simulated {sim:e} s"
-            );
+        for n in [8, 5] {
+            for values in RD_VALUES {
+                let p = szx_params(n, values * 4);
+                let chunk = exchange_chunk(&p);
+                let sim = simulated(n, move |c| butterfly(c, values * 4, chunk, &p, false));
+                let price = m
+                    .estimate(Schedule::RecursiveDoublingAllreduce, &net, &p)
+                    .as_secs_f64();
+                assert!(
+                    (price - sim).abs() <= 0.02 * sim,
+                    "{n} ranks, {values} values in {chunk}-byte sub-chunks: \
+                     priced {price:e} s, simulated {sim:e} s"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exchange_halves_only_where_they_simulate_faster() {
+        // At every pinned payload the plan's sub-chunk is whichever of
+        // the pipe and two block-aligned halves runs faster.
+        let pipe = PIPE_CHUNK_BYTES / 4;
+        for n in [8, 5] {
+            for values in RD_VALUES {
+                let p = szx_params(n, values * 4);
+                let run = |chunk: usize| {
+                    simulated(n, move |c| butterfly(c, values * 4, 4 * chunk, &p, false))
+                };
+                let half = values.div_ceil(2).next_multiple_of(SZX_BLOCK_VALUES);
+                let picked = exchange_chunk(&p) / 4;
+                if values >= 2 * pipe {
+                    assert_eq!(picked, pipe, "{values} values");
+                    continue;
+                }
+                let (whole, halves) = (run(pipe), run(half));
+                let faster = if halves < whole { half } else { pipe };
+                assert_eq!(
+                    picked, faster,
+                    "{n} ranks, {values} values: pipe {whole:e} s, halves {halves:e} s"
+                );
+            }
         }
     }
 
@@ -1794,7 +1979,8 @@ mod tests {
                     (Schedule::RabenseifnerAllreduce, true),
                 ] {
                     let p = szx_params(n, values * 4);
-                    let sim = simulated(n, move |c| butterfly(c, values * 4, &p, halving));
+                    let chunk = exchange_chunk(&p);
+                    let sim = simulated(n, move |c| butterfly(c, values * 4, chunk, &p, halving));
                     let price = m.estimate(schedule, &net, &p).as_secs_f64();
                     assert!(
                         (price - sim).abs() <= 0.05 * sim,

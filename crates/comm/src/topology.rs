@@ -162,6 +162,16 @@ impl HierNet {
         }
     }
 
+    /// The inter-node link as each of `node_size` ranks sending at once
+    /// sees it: their messages serialize on the node's one NIC, so each
+    /// gets `1/node_size` of its bandwidth.
+    pub(crate) fn shared_inter(&self, node_size: usize) -> NetModel {
+        NetModel {
+            latency: self.inter.latency,
+            bandwidth: self.inter.bandwidth / node_size.max(1) as f64,
+        }
+    }
+
     /// A degenerate hierarchy: both levels priced by `net` (useful to
     /// compare hierarchical schedules on a flat fabric).
     pub fn flat(net: NetModel) -> Self {

@@ -38,6 +38,9 @@ pub struct Allreduce {
     /// Whether that schedule streams its group legs as sub-chunk chains
     /// (derived with `lanes`).
     pub(crate) streamed: bool,
+    /// Values per PIPE-SZx sub-chunk of recursive doubling's rounds and
+    /// fold (see [`CCollSession::exchange_values`]).
+    exchange: usize,
 }
 
 impl Allreduce {
@@ -54,6 +57,7 @@ impl Allreduce {
             variant,
             lanes,
             streamed,
+            exchange: session.exchange_values(len),
         }
     }
 
@@ -109,6 +113,17 @@ impl Plan<Allreduce> {
     /// [`hier_lanes`](Self::hier_lanes), never set.
     pub fn hier_streamed(&self) -> Option<bool> {
         (self.core.algorithm == Algorithm::Hierarchical).then_some(self.kind.streamed)
+    }
+
+    /// Values per PIPE-SZx sub-chunk of recursive doubling's rounds and
+    /// fold: the session pipe, or two halves cut on SZx block boundaries
+    /// when the vector is shorter than two pipes and the cost model
+    /// prices the halves cheaper ([`ccoll_comm::CostModel::exchange_values`]);
+    /// `None` unless the plan is [`Algorithm::RecursiveDoubling`] with a
+    /// pipelined codec. Derived at creation, never set.
+    pub fn exchange_values(&self) -> Option<usize> {
+        let piped = self.core.session.pipeline_config().is_some();
+        (self.core.algorithm == Algorithm::RecursiveDoubling && piped).then_some(self.kind.exchange)
     }
 }
 
@@ -210,6 +225,10 @@ impl Kind for Allreduce {
         let (place, pipe) = (core.session.placement(), core.session.pipe_values());
         match core.algorithm {
             Algorithm::RecursiveDoubling => {
+                let place = match place {
+                    Placement::Piped(cfg) => Placement::Piped(cfg.with_chunk_values(self.exchange)),
+                    place => place,
+                };
                 ArMachine::Butterfly(Butterfly::recursive_doubling(place, pipe))
             }
             Algorithm::Rabenseifner => ArMachine::Butterfly(Butterfly::rabenseifner(place, pipe)),

@@ -22,8 +22,8 @@
 //! A machine that cannot run a placement refuses it in its constructor.
 //! The streaming engine reaches the codec through the same `Link`s:
 //! [`Placement::stream`] gives every reducing hop its link and
-//! sub-chunk size: the session's pipe at raw and piped, the whole
-//! message at CPR.
+//! sub-chunk size: the session's pipe at raw and piped (recursive
+//! doubling's piped config excepted, rule 6), the whole message at CPR.
 //!
 //! Orderings the machines keep — virtual time is bit-identical only
 //! while they hold:
@@ -59,7 +59,13 @@
 //!    lands, before its own sends retire; a relaying rank forwards a
 //!    sub-chunk *before* landing it, and a chain member folds *before*
 //!    forwarding the fold; an in-place exchange folds sub-chunk `j` only
-//!    *after* encoding its own `j`; sends are retired lazily (between
+//!    *after* encoding its own `j`. Recursive doubling's piped config
+//!    carries the plan's exchange sub-chunk (its rounds and fold): the
+//!    pipe, or under two pipes two halves cut on SZx block boundaries
+//!    when the cost model prices them cheaper
+//!    (`CostModel::exchange_values`), so the own second half encodes
+//!    while the first is on the wire and the peer folds the first under
+//!    that encode. Sends are retired lazily (between
 //!    sub-chunks only those that have left, the rest at the end); a
 //!    nonblocking step encodes at most one charged sub-chunk — a tree
 //!    root suspends after every one — while a raw source end sends its

@@ -340,8 +340,21 @@ impl CCollSession {
         })
     }
 
+    /// Values per sub-chunk of recursive doubling's PIPE-SZx rounds and
+    /// fold at `len` values ([`CostModel::exchange_values`]), from the
+    /// same rank-identical inputs as [`Self::hier_lanes`]; the pipe on a
+    /// topology, where the cost model prices recursive doubling at it.
+    pub(crate) fn exchange_values(&self, len: usize) -> usize {
+        if self.cluster.is_some() {
+            return self.pipe_values;
+        }
+        let nominal = self.select_ctx().params(len * 4);
+        self.cost
+            .exchange_values(self.pipe_values, &self.net, &nominal)
+    }
+
     /// The PIPE sub-chunk size (values) every streamed schedule of this
-    /// session uses.
+    /// session uses, but recursive doubling's ([`Self::exchange_values`]).
     pub(crate) fn pipe_values(&self) -> usize {
         self.pipe_values
     }

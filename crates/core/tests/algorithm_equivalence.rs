@@ -32,6 +32,7 @@ use c_coll::frameworks::data_movement::c_ring_allgatherv_monolithic_into;
 use c_coll::partition::chunk_lengths;
 use c_coll::{Algorithm, CCollSession, CodecSpec, CollWorkspace, PlanOptions, ReduceOp};
 use ccoll_comm::{Comm, SimConfig, SimWorld};
+use ccoll_compress::{Compressor, SzxCodec};
 use proptest::prelude::*;
 
 /// The codec of `spec` as the free-function baselines take it.
@@ -439,6 +440,75 @@ fn algorithm_plans_are_bit_stable_across_calls() {
         });
         for (r, &stable) in out.results.iter().enumerate() {
             assert!(stable, "{algorithm:?} rank {r}: repeat call diverged");
+        }
+    }
+}
+
+/// Recursive doubling under two pipes streams each round (and the fold)
+/// as two halves cut on SZx block boundaries, and returns exactly the
+/// bits of an oracle that round-trips each round's whole vector through
+/// SZx and folds it: the fold, every round and the CPR-P2P unfold, on a
+/// power-of-two world and one that folds.
+#[test]
+fn short_recursive_doubling_halves_return_whole_vector_bits() {
+    let eb = 1e-3;
+    let szx = SzxCodec::new(eb);
+    let round_trip = |v: &[f32]| {
+        let stream = szx.compress(v).expect("compresses");
+        szx.decompress(&stream).expect("decompresses")
+    };
+    let fold = |acc: &[f32], got: &[f32]| -> Vec<f32> {
+        acc.iter().zip(got).map(|(a, b)| a + b).collect()
+    };
+    for n in [8, 5] {
+        for len in [2048, 3000] {
+            let input: Vec<Vec<f32>> = (0..n).map(|r| smooth_data(r, len, 11)).collect();
+            let pow2 = 1 << n.ilog2();
+            let rem = n - pow2;
+            let mut acc: Vec<Vec<f32>> = (0..pow2)
+                .map(|pos| match pos < rem {
+                    true => fold(&input[2 * pos + 1], &round_trip(&input[2 * pos])),
+                    false => input[pos + rem].clone(),
+                })
+                .collect();
+            let mut mask = 1;
+            while mask < pow2 {
+                let sent: Vec<Vec<f32>> = acc.iter().map(|a| round_trip(a)).collect();
+                acc = (0..pow2)
+                    .map(|pos| fold(&acc[pos], &sent[pos ^ mask]))
+                    .collect();
+                mask <<= 1;
+            }
+            let want: Vec<Vec<f32>> = (0..n)
+                .map(|r| match (r < 2 * rem, r % 2) {
+                    (true, 0) => round_trip(&acc[r / 2]),
+                    (true, _) => acc[r / 2].clone(),
+                    (false, _) => acc[r - rem].clone(),
+                })
+                .collect();
+
+            let world = SimWorld::new(SimConfig::new(n));
+            let out = world.run(move |c| {
+                let session = CCollSession::new(CodecSpec::Szx { error_bound: eb }, n);
+                let rd = PlanOptions::new().algorithm(Algorithm::RecursiveDoubling);
+                let mut plan = session.plan_allreduce_with(len, ReduceOp::Sum, rd);
+                let got = plan.execute(c, &smooth_data(c.rank(), len, 11));
+                (plan.exchange_values(), got)
+            });
+            // Halves end on SZx's 128-value block boundaries.
+            let half = len.div_ceil(2).next_multiple_of(128);
+            for (r, (chunk, got)) in out.results.iter().enumerate() {
+                assert_eq!(
+                    *chunk,
+                    Some(half),
+                    "{n} ranks, {len} values: the case under test"
+                );
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(
+                    bits(got) == bits(&want[r]),
+                    "{n} ranks, {len} values: rank {r} diverged from the oracle"
+                );
+            }
         }
     }
 }

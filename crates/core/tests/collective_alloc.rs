@@ -78,6 +78,19 @@ fn steady_state_plans_allocate_nothing() {
                 ReduceOp::Sum,
                 PlanOptions::new().algorithm(Algorithm::RecursiveDoubling),
             );
+        // Under two pipes its rounds and fold stream as two halves cut
+        // on SZx block boundaries: 2048 values, 1024 a half.
+        let short = 2048;
+        let mut rd_short_allreduce = session.plan_allreduce_with(
+            short,
+            ReduceOp::Sum,
+            PlanOptions::new().algorithm(Algorithm::RecursiveDoubling),
+        );
+        assert_eq!(
+            rd_short_allreduce.exchange_values(),
+            Some(short / 2),
+            "the case under audit"
+        );
         let mut raben_allreduce = session.plan_allreduce_with(
             len,
             ReduceOp::Sum,
@@ -164,6 +177,8 @@ fn steady_state_plans_allocate_nothing() {
         );
 
         let input = rank_data(me, len);
+        let short_input = rank_data(me, short);
+        let mut short_out = vec![0.0f32; short];
         let chunk = rank_data(me, len / n);
         let half = rank_data(me, len / 2);
         let bdata = if me == 0 {
@@ -246,6 +261,7 @@ fn steady_state_plans_allocate_nothing() {
             streamed_allgather.execute_into(c, &big_chunk, &mut big_out);
             bcast.execute_into(c, &bdata, &mut bc_out);
             rd_allreduce.execute_into(c, &input, &mut ar_out);
+            rd_short_allreduce.execute_into(c, &short_input, &mut short_out);
             raben_allreduce.execute_into(c, &input, &mut ar_out);
             bruck_allgather.execute_into(c, &chunk, &mut ag_out);
             tree_reduce.execute_into(c, &half, &mut rr_out);
@@ -263,6 +279,7 @@ fn steady_state_plans_allocate_nothing() {
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);
             nonblocking_cycle!(rd_allreduce, &input, &mut ar_out);
+            nonblocking_cycle!(rd_short_allreduce, &short_input, &mut short_out);
             engine_cycle!();
         }
         c.barrier();
@@ -281,6 +298,7 @@ fn steady_state_plans_allocate_nothing() {
             streamed_allgather.execute_into(c, &big_chunk, &mut big_out);
             bcast.execute_into(c, &bdata, &mut bc_out);
             rd_allreduce.execute_into(c, &input, &mut ar_out);
+            rd_short_allreduce.execute_into(c, &short_input, &mut short_out);
             raben_allreduce.execute_into(c, &input, &mut ar_out);
             bruck_allgather.execute_into(c, &chunk, &mut ag_out);
             tree_reduce.execute_into(c, &half, &mut rr_out);
@@ -298,6 +316,7 @@ fn steady_state_plans_allocate_nothing() {
             nonblocking_cycle!(reduce_scatter, &input, &mut rs_out);
             nonblocking_cycle!(bcast, &bdata, &mut bc_out);
             nonblocking_cycle!(rd_allreduce, &input, &mut ar_out);
+            nonblocking_cycle!(rd_short_allreduce, &short_input, &mut short_out);
             engine_cycle!();
         }
         c.barrier();
