@@ -18,10 +18,10 @@
 //! cargo run --release -p ccoll-bench --bin fig_scale -- --check
 //! ```
 //!
-//! `CCOLL_QUICK=1` shrinks the sweep to its two CI-scale rows. `--check`
-//! recomputes those two rows, writes nothing, and exits non-zero when
-//! any cell differs from the `BENCH_scale.json` checked in at the
-//! repository root.
+//! `CCOLL_QUICK=1` shrinks the sweep to its three CI-scale rows.
+//! `--check` recomputes those three rows, writes nothing, and exits
+//! non-zero when any cell differs from the `BENCH_scale.json` checked in
+//! at the repository root.
 //!
 //! Every run asserts that `hierarchical_ms` on a row the checked-in file
 //! already has did not rise.
@@ -66,15 +66,19 @@ fn main() {
             .unwrap_or(false);
     let cost = cost_model_from_env();
     let hier = HierNet::cluster_default();
-    // (codec, nodes, ranks-per-node, values). Two CI-scale rows, then
-    // worlds of 128–1024 ranks, bracketed by a shallow 8-node cluster
-    // and a deep 128-node one, at 16 Ki values per rank: large enough
-    // that the inter-node β term is real, small enough that the flat
-    // ring's 2(n−1) inter-node α terms dominate at 128+ ranks — the
-    // regime the two-level schedule exists for (per-rank shards shrink
-    // as worlds grow). Two 64 Ki rows show the lane count rising with
-    // the payload.
-    let mut cells = vec![(szx_default(), 4, 4, 4_096), (szx_default(), 8, 4, 4_096)];
+    // (codec, nodes, ranks-per-node, values). Three CI-scale rows (the
+    // raw one runs four lock-step lanes), then worlds of 128–1024 ranks,
+    // bracketed by a shallow 8-node cluster and a deep 128-node one, at
+    // 16 Ki values per rank: large enough that the inter-node β term is
+    // real, small enough that the flat ring's 2(n−1) inter-node α terms
+    // dominate at 128+ ranks — the regime the two-level schedule exists
+    // for (per-rank shards shrink as worlds grow). Two 64 Ki rows show
+    // the lane count rising with the payload.
+    let mut cells = vec![
+        (szx_default(), 4, 4, 4_096),
+        (szx_default(), 8, 4, 4_096),
+        (CodecSpec::None, 4, 4, 16_384),
+    ];
     if !quick {
         let worlds = [(8, 16), (16, 16), (32, 16), (64, 16), (128, 8)];
         for spec in [CodecSpec::None, szx_default()] {

@@ -711,19 +711,11 @@ impl CostModel {
         }
     }
 
-    /// The laned two-level allreduce at its best lane count: the argmin
-    /// of [`Self::laned_allreduce_at`]'s lane price over `L ∈ {1, 2, 4,
-    /// …} ≤ lane_cap` (every node needs `L` owners, so the smallest node
-    /// caps it), its group legs then in whichever shape is cheaper at
-    /// that `L`. Ties go to the smaller `L`.
-    ///
-    /// Streaming picks the legs' shape, never the lane count. A chain
-    /// shortens the group legs most where groups are large, so a joint
-    /// argmin would buy fewer lanes with it — and fewer lanes means a
-    /// longer inter-node leg per lane, which this model prices short:
-    /// on 16×16 ranks at 64 Ki values it rates 2 and 4 streamed lanes
-    /// within 0.2 % of each other, where the simulator runs 2 in 1.02 ms
-    /// and 4 in 0.93 ms (DESIGN.md, "Streamed group legs").
+    /// The laned two-level allreduce at its best shape: the argmin of
+    /// [`Self::laned_allreduce_at`]'s price over `L ∈ {1, 2, 4, …} ≤
+    /// lane_cap` (every node needs `L` owners, so the smallest node caps
+    /// it). Each `L` already carries its cheaper group-leg shape, so the
+    /// argmin is joint over `(L, streamed)`. Ties go to the smaller `L`.
     fn laned_allreduce(
         &self,
         nodes: usize,
@@ -736,7 +728,7 @@ impl CostModel {
         let mut lanes = 2;
         while lanes <= lane_cap {
             let at = self.laned_allreduce_at(lanes, nodes, node_size, hier, p);
-            if at.lane_secs < best.lane_secs {
+            if at.secs < best.secs {
                 best = at;
             }
             lanes *= 2;
@@ -790,28 +782,18 @@ impl CostModel {
     /// at most one sub-chunk always keeps the trees — its chain would
     /// take `g − 1` hops where the tree takes ⌈log₂g⌉, never fewer.
     ///
-    /// The lane count is picked on another price (`lane_secs`): the
-    /// node-local legs as whole-vector hops, the trees' and the owners'
-    /// ring's alike — the shape the shared-NIC term below was fitted
-    /// against. Priced as the streamed hops they are, they move the
-    /// argmin to fewer lanes where the simulator runs more lanes faster:
-    /// on 64×16 ranks at 16 Ki values they pick one lane, which runs in
-    /// 0.513 ms against the 0.449 ms of the two this price picks.
-    /// Fitting the lane term to what runs is ROADMAP item 2's.
-    ///
     /// The `L` concurrent inter-node allreduces share each node's NIC,
     /// which the simulator holds for `α + tx` per *message*: together
     /// they move the same wire bytes as one leader would (β/L each),
-    /// while encode / decompress-reduce run on d/L per lane. In
-    /// lock-step that serialisation costs `L·α` per round. Lanes do not
-    /// stay in lock-step: the NIC ports are FIFO and a sender's egress
-    /// waits for the *receiver's* ingress, so once executions run back
-    /// to back each of the other `L − 1` lanes' messages can hold this
-    /// lane's up once more at either end — `(3L − 2)·α` per round, which
-    /// is `α` at one lane and within the spread the simulator shows
-    /// beyond it (DESIGN.md, "Laned hierarchical allreduce"). That term
-    /// is what caps `L`; the tree legs shrinking by log₂L full-vector
-    /// hops is what raises it.
+    /// while encode / decompress-reduce run on d/L per lane. Raw lanes
+    /// carry identical messages and stay in lock-step, so that
+    /// serialisation costs `L·α` per round. Compressed lanes carry
+    /// data-dependent sizes and codec times and drift apart: the NIC
+    /// ports are FIFO and a sender's egress waits for the *receiver's*
+    /// ingress, so each of the other `L − 1` lanes' messages can hold
+    /// this lane's up once more at either end — `(3L − 2)·α` per round
+    /// (DESIGN.md, "The per-message NIC term"). That term is what caps
+    /// `L`; the group legs shrinking with the group is what raises it.
     fn laned_allreduce_at(
         &self,
         lanes: usize,
@@ -823,7 +805,6 @@ impl CostModel {
         let d = p.payload_bytes as f64;
         let ai = hier.intra.latency.as_secs_f64();
         let bi = 1.0 / hier.intra.bandwidth;
-        let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
         let memcpy = |bytes: f64| bytes / self.throughput(Kernel::Memcpy);
         let lf = lanes as f64;
         let group = node_size.max(1).div_ceil(lanes);
@@ -843,8 +824,13 @@ impl CostModel {
         } else {
             0.0
         };
+        let alphas_per_round = if p.compress_tput.is_infinite() {
+            lf
+        } else {
+            3.0 * lf - 2.0
+        };
         let shared_nic = NetModel {
-            latency: hier.inter.latency.mul_f64(3.0 * lf - 2.0),
+            latency: hier.inter.latency.mul_f64(alphas_per_round),
             bandwidth: hier.inter.bandwidth / lf,
         };
         let lane = SchedParams {
@@ -853,53 +839,11 @@ impl CostModel {
             ..*p
         };
         let inter = self.estimate(Schedule::RabenseifnerAllreduce, &shared_nic, &lane);
-        let rest = ring + inter.as_secs_f64();
-        let fitted_inter = self.fitted_lane_leg(&shared_nic, &lane);
-        let whole = |bytes: f64| ai + bytes * bi;
-        let log2g = (usize::BITS - (group - 1).leading_zeros()) as f64;
-        let whole_legs = log2g * (2.0 * whole(d) + reduce(d));
-        let whole_ring = (lf - 1.0) * (2.0 * whole(c) + reduce(c));
         Laned {
             lanes,
             streamed,
-            secs: if streamed { chain } else { tree } + rest,
-            lane_secs: whole_legs + whole_ring + fitted_inter,
+            secs: if streamed { chain } else { tree } + ring + inter.as_secs_f64(),
         }
-    }
-
-    /// The inter-node leg inside `lane_secs`: the Rabenseifner price the
-    /// shared-NIC term was fitted against, which takes each halving
-    /// round's transfer under its compression and leaves the doubling
-    /// rounds' `BufferMgmt` and `Memcpy` out. [`Self::estimate`] prices
-    /// those legs as they run; both terms scale with d/L, and in
-    /// `lane_secs` they would move `auto_hier_256`'s argmin from four
-    /// lanes to eight, where free-running lanes drift most. Fitting the
-    /// lane term to what runs deletes this form with `lane_secs`.
-    fn fitted_lane_leg(&self, net: &NetModel, p: &SchedParams) -> f64 {
-        let n = p.world.max(1);
-        if n == 1 || p.compress_tput.is_infinite() {
-            return self
-                .estimate(Schedule::RabenseifnerAllreduce, net, p)
-                .as_secs_f64();
-        }
-        let (nf, d) = (n as f64, p.payload_bytes as f64);
-        let (alpha, beta) = (net.latency.as_secs_f64(), 1.0 / net.bandwidth);
-        let xfer = d / p.ratio.max(1.0) * beta;
-        let (comp, deco) = (d / p.compress_tput, d / p.decompress_tput);
-        let reduce = d / self.throughput(Kernel::Reduce);
-        let log2n = (usize::BITS - (n - 1).leading_zeros()) as f64;
-        let fold = if n.is_power_of_two() {
-            0.0
-        } else {
-            2.0 * (alpha + xfer) + comp + deco + reduce
-        };
-        let halving = if p.pipelined {
-            xfer.max(comp)
-        } else {
-            xfer + comp
-        };
-        let rest = (nf - 1.0) / nf;
-        fold + 2.0 * log2n * alpha + rest * (halving + deco + reduce + xfer + comp + deco)
     }
 
     /// Price a hierarchical schedule's legs: raw intra-node fan-in/out
@@ -967,9 +911,6 @@ struct Laned {
     /// The group legs run as sub-chunk chains (else binomial trees).
     streamed: bool,
     secs: f64,
-    /// The price with whole-vector node-local legs, which picks the lane
-    /// count.
-    lane_secs: f64,
 }
 
 /// The collective schedules the cost model can rank (one entry per
@@ -1399,23 +1340,56 @@ mod tests {
         }
     }
 
+    /// One price: `estimate_hier` reports the price of the shape
+    /// `hier_lanes` returns, and no admissible `(L, streamed)` — one lane
+    /// in binomial legs among them — prices lower. The last two shapes
+    /// are szx 128×8 at 16 Ki values and 64×16 at 64 Ki, where a lane
+    /// count picked on another price reported one shape and ran another.
     #[test]
     fn laned_estimate_never_exceeds_its_one_lane_price() {
         let m = CostModel::default();
         let net = crate::topology::HierNet::cluster_default();
-        for (nodes, per_node) in [(4, 8), (16, 16), (128, 8), (16, 1)] {
-            for k in 8..=24 {
-                let p = szx_params(nodes * per_node, 1 << k);
-                let est = m.estimate_hier_sized(
-                    Schedule::HierarchicalAllreduce,
-                    nodes,
-                    per_node,
-                    &net,
-                    &p,
-                );
-                let one = m.laned_allreduce_at(1, nodes, per_node, &net, &p);
-                let one = Duration::from_secs_f64(one.secs);
-                assert!(est <= one, "{nodes}x{per_node} 2^{k}: {est:?} vs {one:?}");
+        let swept = [(4, 8), (16, 16), (128, 8), (16, 1)]
+            .into_iter()
+            .flat_map(|shape| (8..=24).map(move |k| (shape, 1usize << k)));
+        let shapes = swept.chain([((128, 8), 16 << 12), ((64, 16), 64 << 12)]);
+        for ((nodes, per_node), bytes) in shapes {
+            let topo = crate::topology::Topology::uniform(nodes, per_node);
+            let world = nodes * per_node;
+            for p in [
+                szx_params(world, bytes),
+                SchedParams::uncompressed(world, bytes),
+            ] {
+                let est = m.estimate_hier(Schedule::HierarchicalAllreduce, &topo, &net, &p);
+                // `Duration` holds whole nanoseconds.
+                let (est, ns) = (est.as_secs_f64(), 1e-9);
+                // The price of `lanes` lanes with the group legs forced
+                // into one shape.
+                let forced = |lanes: usize, chain: bool| {
+                    let at = m.laned_allreduce_at(lanes, nodes, per_node, &net, &p);
+                    let legs = |chain| {
+                        let group = per_node.div_ceil(lanes);
+                        let (fold, fan) = m.group_legs(group, bytes as f64, &net.intra, chain);
+                        fold + fan
+                    };
+                    at.secs - legs(at.streamed) + legs(chain)
+                };
+                let (lanes, streamed) = m.hier_lanes(&topo, &net, &p);
+                let tag = format!("{nodes}x{per_node} {bytes} B, codec {}", p.ratio);
+                let own = forced(lanes, streamed);
+                assert!((est - own).abs() <= ns, "{tag}: {est} vs {own}");
+                let admissible = (0..)
+                    .map(|i| 1usize << i)
+                    .take_while(|&l| l <= per_node)
+                    .flat_map(|l| [(l, false), (l, true)])
+                    .filter(|&(_, chain)| !chain || bytes > PIPE_CHUNK_BYTES);
+                for (l, chain) in admissible {
+                    let other = forced(l, chain);
+                    assert!(
+                        est <= other + ns,
+                        "{tag}: ({lanes}, {streamed}) at {est} vs ({l}, {chain}) at {other}"
+                    );
+                }
             }
         }
     }

@@ -402,7 +402,7 @@ fn nonblocking_piped_recursive_doubling_matches_blocking_bits_and_bytes() {
 fn nonblocking_laned_hierarchical_matches_blocking_bits_and_bytes() {
     let sizes = [4usize, 3, 5];
     let n: usize = sizes.iter().sum();
-    let len = 40_000;
+    let len = 10_000;
     for spec in [CodecSpec::None, CodecSpec::Szx { error_bound: 1e-3 }] {
         for grain in [0u64, 700, 40_000] {
             let run = |nonblocking: bool| {
