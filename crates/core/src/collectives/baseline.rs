@@ -14,33 +14,8 @@
 //! Each is the `Raw` mode of its schedule machine in
 //! [`crate::nonblocking`], which is what the plans of a
 //! [`CodecSpec::None`](crate::CodecSpec::None) session run — there is no
-//! second, blocking copy. What lives here is the butterfly fold geometry
-//! the machines share, and the tests of the raw placements.
-
-/// The fold geometry every butterfly schedule shares: non-power-of-two
-/// worlds pre-reduce the first `2·rem` ranks pairwise (even → odd) so a
-/// power-of-two subset runs the butterfly, then unfold the result back.
-///
-/// Returns `(pow2, rem)` where `pow2` is the largest power of two not
-/// exceeding `n` and `rem = n - pow2`.
-pub(crate) fn butterfly_fold(n: usize) -> (usize, usize) {
-    let pow2 = if n.is_power_of_two() {
-        n
-    } else {
-        n.next_power_of_two() / 2
-    };
-    (pow2, n - pow2)
-}
-
-/// The rank holding butterfly position `p` after the fold (odd folded
-/// ranks take positions `0..rem`; unpaired ranks shift down by `rem`).
-pub(crate) fn butterfly_pos_to_rank(p: usize, rem: usize) -> usize {
-    if p < rem {
-        2 * p + 1
-    } else {
-        p + rem
-    }
-}
+//! second, blocking copy. What lives here are the tests of the raw
+//! placements.
 
 #[cfg(test)]
 mod tests {

@@ -272,12 +272,8 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
     /// # Panics
     /// Panics if an operation aborts on an unrecoverable fault.
     pub fn progress_with<C: Comm, F: FnMut(OpId)>(&mut self, comm: &mut C, on_done: F) -> usize {
-        match self.try_progress_with(comm, on_done) {
-            Ok(n) => n,
-            Err((id, e)) => {
-                panic!("operation {id:?} aborted: {e}; its plan is poisoned (reset() to reuse)")
-            }
-        }
+        self.try_progress_with(comm, on_done)
+            .unwrap_or_else(|(id, e)| aborted(id, e))
     }
 
     /// Fallible [`Self::progress`]: if an operation aborts on an
@@ -347,12 +343,8 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
     /// Panics if an operation aborts on an unrecoverable fault (use
     /// [`Self::try_wait_all`] under a fault policy).
     pub fn wait_all<C: Comm>(&mut self, comm: &mut C) -> usize {
-        match self.try_wait_all(comm) {
-            Ok(n) => n,
-            Err((id, e)) => {
-                panic!("operation {id:?} aborted: {e}; its plan is poisoned (reset() to reuse)")
-            }
-        }
+        self.try_wait_all(comm)
+            .unwrap_or_else(|(id, e)| aborted(id, e))
     }
 
     /// Fallible [`Self::wait_all`]: stops at the first operation that
@@ -362,16 +354,7 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
         &mut self,
         comm: &mut C,
     ) -> Result<usize, (OpId, CollectiveError)> {
-        let mut completed = 0;
-        while self.live > 0 {
-            let before = Activity::of(comm);
-            let n = self.try_progress(comm)?;
-            completed += n;
-            if n == 0 && self.live > 0 {
-                completed += self.settle(comm, before)?;
-            }
-        }
-        Ok(completed)
+        self.drain(comm, None, Err)
     }
 
     /// Drive until `comm`'s clock reaches `deadline` or every live
@@ -389,19 +372,8 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
     /// Panics if an operation aborts on an unrecoverable fault (use
     /// [`Self::try_progress`]/[`Self::quiesce`] under a fault policy).
     pub fn progress_until<C: Comm>(&mut self, comm: &mut C, deadline: SimTime) -> usize {
-        let mut completed = 0;
-        let fail = |(id, e): (OpId, CollectiveError)| -> usize {
-            panic!("operation {id:?} aborted: {e}; its plan is poisoned (reset() to reuse)")
-        };
-        while self.live > 0 && comm.now() < deadline {
-            let before = Activity::of(comm);
-            let n = self.try_progress(comm).unwrap_or_else(fail);
-            completed += n;
-            if n == 0 && self.live > 0 && comm.now() < deadline {
-                completed += self.settle(comm, before).unwrap_or_else(fail);
-            }
-        }
-        completed
+        self.drain(comm, Some(deadline), Err)
+            .unwrap_or_else(|(id, e)| aborted(id, e))
     }
 
     /// Drain *every* live operation, collecting per-operation failures
@@ -417,24 +389,43 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
     /// The returned `Vec` allocates; quiesce is a recovery action, not
     /// a steady-state one.
     pub fn quiesce<C: Comm>(&mut self, comm: &mut C) -> (usize, Vec<(OpId, CollectiveError)>) {
-        let mut completed = 0;
         let mut failures = Vec::new();
-        while self.live > 0 {
+        let collect = |f| {
+            failures.push(f);
+            Ok(())
+        };
+        let completed = self
+            .drain(comm, None, collect)
+            .expect("every failure is collected");
+        (completed, failures)
+    }
+
+    /// The drain loop behind [`Self::try_wait_all`],
+    /// [`Self::progress_until`] and [`Self::quiesce`]: nonblocking passes
+    /// until no operation is live (or `comm`'s clock reaches `deadline`),
+    /// settling after every pass that completed nothing. Each aborted
+    /// operation goes to `failed`, which either ends the drain with it
+    /// (`Err`) or lets it go on.
+    fn drain<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        deadline: Option<SimTime>,
+        mut failed: impl FnMut((OpId, CollectiveError)) -> Result<(), (OpId, CollectiveError)>,
+    ) -> Result<usize, (OpId, CollectiveError)> {
+        let open = |live: usize, comm: &C| live > 0 && deadline.is_none_or(|d| comm.now() < d);
+        let mut completed = 0;
+        while open(self.live, comm) {
             let before = Activity::of(comm);
             match self.try_progress(comm) {
-                Ok(n) => {
-                    completed += n;
-                    if n == 0 && self.live > 0 {
-                        match self.settle(comm, before) {
-                            Ok(n) => completed += n,
-                            Err(f) => failures.push(f),
-                        }
-                    }
-                }
-                Err(f) => failures.push(f),
+                Ok(0) if open(self.live, comm) => match self.settle(comm, before) {
+                    Ok(n) => completed += n,
+                    Err(f) => failed(f)?,
+                },
+                Ok(n) => completed += n,
+                Err(f) => failed(f)?,
             }
         }
-        (completed, failures)
+        Ok(completed)
     }
 
     /// After a pass that completed nothing: pass again at once if some
@@ -484,4 +475,10 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
             }
         }
     }
+}
+
+/// The panic of the infallible progress and drain calls when an operation
+/// aborts.
+fn aborted(id: OpId, e: CollectiveError) -> ! {
+    panic!("operation {id:?} aborted: {e}; its plan is poisoned (reset() to reuse)")
 }

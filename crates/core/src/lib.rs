@@ -14,10 +14,10 @@
 //! | Session + persistent-plan API (`MPI_Allreduce_init` shape): the `plan_*` constructors of C-Allreduce / C-Scatter / C-Bcast and the rest, with zero steady-state allocations | [`session`] |
 //! | The eight collective kinds, one file each: a kind's schedule table, the workspace each schedule needs, its machine and its shape on a shrunk world | `kinds/` (named through [`plan`]) |
 //! | One plan lifecycle — build, start, progress, complete, poison, reset, re-tune, recover — that every collective kind plugs into | [`plan`] |
-//! | Every schedule, once: resumable state machines that `execute_into` drives to completion and `start`/`progress`/`complete` (`MPI_Iallreduce` shape) suspends | [`nonblocking`] |
+//! | Every schedule, once: resumable state machines, one file per schedule family, that `execute_into` drives to completion and `start`/`progress`/`complete` (`MPI_Iallreduce` shape) suspends | [`nonblocking`] |
 //! | Multi-algorithm schedule layer (recursive doubling, Rabenseifner, Bruck, binomial reduce): the `Algorithm` names and the cost-model pricing `Auto` selects with | [`algorithm`] |
 //! | CPR-P2P baselines (compress every send, decompress every receive) | [`collectives::cpr_p2p`] |
-//! | The butterfly schedules' two index helpers (fold / unfold of a non-power-of-two world); the uncompressed MPI-style collectives themselves are the plans of a [`CodecSpec::None`] session | [`collectives::baseline`] |
+//! | The uncompressed MPI-style collectives, which are the plans of a [`CodecSpec::None`] session: the tests of the raw placements | [`collectives::baseline`] |
 //! | Error-propagation theory: Theorems 1–2 and corollaries (§III-B) | [`theory`] |
 //!
 //! ## Quick start

@@ -54,7 +54,7 @@ use bytes::Bytes;
 use ccoll_comm::{Category, Comm, CommError, PayloadPool, RecvReq, SendReq, Tag};
 use ccoll_compress::CodecScratch;
 
-use crate::nonblocking::Poll;
+use crate::nonblocking::{next_arrival, retire_sends, Poll};
 use crate::placement::Link;
 use crate::reduce::ReduceOp;
 
@@ -155,7 +155,7 @@ impl Fan {
 /// span is a rank's parent bit — its lowest set bit, or the tree's
 /// power-of-two size at the root — and its children sit at `relative + m`
 /// for every power of two `m` below it, largest first.
-fn tree_pos<C: Comm>(comm: &C, root: usize) -> (usize, usize, usize) {
+pub(crate) fn tree_pos<C: Comm>(comm: &C, root: usize) -> (usize, usize, usize) {
     let n = comm.size();
     assert!(root < n, "root {root} out of range");
     let relative = (comm.rank() + n - root) % n;
@@ -388,7 +388,7 @@ impl StreamCursor {
                 _ => inbound,
             };
             while self.landed < landable && (wait || budget > 0) {
-                let Some(got) = next_arrival(comm, bufs.rreqs, wait) else {
+                let Some(got) = next_arrival(comm, bufs.rreqs, wait, Category::Wait) else {
                     break;
                 };
                 let at = route.range(self.landed, dst.len());
@@ -425,7 +425,7 @@ impl StreamCursor {
                 return Poll::Pending;
             }
         }
-        if !retire_sends(comm, bufs.sreqs, block) {
+        if !retire_sends(comm, bufs.sreqs, block, Category::Wait) {
             return Poll::Pending;
         }
         *self = Self::default();
@@ -438,52 +438,7 @@ impl StreamCursor {
 /// the next encode would re-serialize encode and egress.
 fn tick<C: Comm>(comm: &mut C, sreqs: &mut VecDeque<SendReq>) {
     comm.poll();
-    retire_sends(comm, sreqs, false);
-}
-
-/// Complete the front posted sub-chunk receive of `rreqs`: `None` when a
-/// nonblocking caller finds it not yet arrived, or when a blocking wait
-/// under an active fault policy exhausted its retry budget (the abort
-/// reason is then parked on the profiler and the caller suspends).
-/// Blocked time is the pipeline's exposed tail: `Category::Wait`.
-fn next_arrival<C: Comm>(
-    comm: &mut C,
-    rreqs: &mut VecDeque<RecvReq>,
-    block: bool,
-) -> Option<Bytes> {
-    let ready = rreqs.front().map(|r| comm.test_recv(r)).unwrap_or(false);
-    if !ready && !block {
-        return None;
-    }
-    let req = rreqs.pop_front().expect("outstanding receive");
-    if !ready && comm.fault_policy().is_active() {
-        // Fault-aware tail wait: bounded retry, then a clean suspend —
-        // the caller's machine observes Pending with the abort reason
-        // parked on the profiler.
-        return match comm.wait_recv_retry_in(req, Category::Wait) {
-            Ok(blob) => Some(blob),
-            Err(err) => {
-                comm.profiler().note_abort(err);
-                None
-            }
-        };
-    }
-    Some(comm.wait_recv_in(req, Category::Wait))
-}
-
-/// Retire the outstanding sends FIFO: every one when `block`, else only
-/// those whose payload has already left this rank. Returns whether the
-/// queue is empty.
-fn retire_sends<C: Comm>(comm: &mut C, sreqs: &mut VecDeque<SendReq>, block: bool) -> bool {
-    while let Some(req) = sreqs.pop_front() {
-        if block {
-            comm.wait_send_in(req, Category::Wait);
-        } else if let Err(req) = comm.try_send(req, Category::Wait) {
-            sreqs.push_front(req);
-            return false;
-        }
-    }
-    true
+    retire_sends(comm, sreqs, false, Category::Wait);
 }
 
 /// Abort a stream from `src` whose next sub-chunk does not fit its slot,

@@ -28,12 +28,13 @@
 //! Orderings the machines keep — virtual time is bit-identical only
 //! while they hold:
 //!
-//! 1. The rounds still on a `Wire` — the butterflies' unfold,
-//!    Rabenseifner's doubling, the CPR-P2P ring allgather, the all-to-all
-//!    and Bruck rounds — pack first, then post the receive, then send, and
-//!    wait a full-duplex pair out through `Wire::exchange` (receive,
-//!    then send) before they land. Every reducing hop, recursive
-//!    doubling's rounds included, is a route instead (rule 6).
+//! 1. The monolithic rounds — the butterflies' unfold, Rabenseifner's
+//!    doubling, the CPR-P2P ring allgather, the all-to-all and Bruck
+//!    rounds, the scatter and gather edges — pack first, then post the
+//!    receive, then send, and wait a full-duplex pair out through
+//!    `nonblocking::exchange` (receive, then send) before they land.
+//!    Every reducing hop, recursive doubling's rounds included, and every
+//!    CPR-P2P bcast edge is a route instead (rule 6).
 //! 2. Raw `pack` charges nothing and raw `unpack` charges `Memcpy`; CPR
 //!    `unpack` is decompress (`ComDecom` + `BufferMgmt`) + `Memcpy` —
 //!    the naive integration the baselines model; once `pack` / `unpack`
@@ -91,9 +92,7 @@ use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
 use ccoll_compress::{CodecScratch, CompressError, Compressor, SzxCodec};
 
 use crate::collectives::cpr_p2p::CprCodec;
-use crate::collectives::{
-    compress_in, decode_values_in, decompress_in, decompress_reduce_in, memcpy_in, values_payload,
-};
+use crate::collectives::memcpy_in;
 use crate::frameworks::computation::PipelineConfig;
 use crate::pipeline::WHOLE;
 use crate::reduce::ReduceOp;
@@ -222,14 +221,34 @@ impl Link<'_> {
         }
     }
 
-    /// Encode `vals` for the wire. Raw charges nothing; CPR charges the
-    /// compression kernel plus `BufferMgmt`, once and piped the kernel
-    /// alone.
+    /// Encode `vals` for the wire, straight into a recycled pool buffer
+    /// (zero allocations once the pool is warm). Raw charges nothing; a
+    /// codec charges its compression kernel under `ComDecom` and feeds
+    /// the pool's measured-ratio sample (which `Algorithm::Auto` re-ranks
+    /// from); CPR adds `BufferMgmt` under `Others` — the per-call buffer
+    /// allocation and free of a naive integration, which the paper
+    /// measures at 23 % of the 278 MB case (§III-D) and C-Coll's
+    /// preallocated buffers avoid (§III-E2).
     pub(crate) fn pack<C: Comm>(self, comm: &mut C, vals: &[f32], pool: &mut PayloadPool) -> Bytes {
-        match self.codec() {
-            None => values_payload(pool, vals),
-            Some((codec, ck, _, pooled)) => compress_in(comm, codec, ck, vals, pooled, pool),
+        let Some((codec, ck, _, pooled)) = self.codec() else {
+            let encode = |buf: &mut Vec<u8>| {
+                ccoll_compress::encode_f32s_into(vals, buf);
+                Ok::<(), std::convert::Infallible>(())
+            };
+            return match pool.write_with(encode) {
+                Ok(b) => b,
+                Err(e) => match e {},
+            };
+        };
+        let out = comm.run_kernel(ck, vals.len() * 4, Category::ComDecom, || {
+            pool.write_with(|buf| codec.compress_into(vals, buf))
+                .expect("compression cannot fail on f32 input")
+        });
+        pool.note_compression(vals.len() * 4, out.len());
+        if !pooled {
+            comm.charge(Kernel::BufferMgmt, vals.len() * 4, Category::Others);
         }
+        out
     }
 
     /// Land a received payload of `dst.len()` values in `dst`. Raw
@@ -247,9 +266,15 @@ impl Link<'_> {
         scratch: &mut CodecScratch,
     ) {
         match self {
-            Link::Raw => decode_values_in(comm, dst, got),
+            Link::Raw => {
+                let fits = self.fits(got, dst.len());
+                assert!(fits, "payload length disagrees with destination");
+                comm.run_kernel(Kernel::Memcpy, got.len(), Category::Memcpy, || {
+                    decode_values_into(got, dst);
+                });
+            }
             Link::Cpr(c) => {
-                let vals = decompress_in(comm, c.codec.as_ref(), c.dk, got, dst.len(), scratch);
+                let vals = decompress(comm, c.codec.as_ref(), c.dk, got, dst.len(), scratch);
                 memcpy_in(comm, dst, vals);
             }
             Link::Once(_) | Link::Piped(_) => self.land(comm, got, dst, scratch),
@@ -289,7 +314,7 @@ impl Link<'_> {
         match self.codec() {
             None => decode_values_into(got, dst),
             Some((codec, _, dk, false)) => {
-                dst.copy_from_slice(decompress_in(comm, codec, dk, got, dst.len(), scratch))
+                dst.copy_from_slice(decompress(comm, codec, dk, got, dst.len(), scratch))
             }
             Some((codec, _, dk, true)) => {
                 return comm.run_kernel(dk, dst.len() * 4, Category::ComDecom, || {
@@ -325,9 +350,10 @@ impl Link<'_> {
     /// payload)`, which is what copying `from` in and then folding in
     /// place computes. Raw decodes uncharged and charges `Reduce`; a
     /// codec charges the decompression kernel and `Reduce` (fused
-    /// decompress-reduce), CPR `BufferMgmt` on top. No form charges
-    /// `Memcpy`. `Err` — nothing folded, nothing charged — when the
-    /// payload does not hold `dst.len()` values.
+    /// decompress-reduce: one pass, native for SZx, decompress-then-apply
+    /// for other codecs, at the unfused pair's charges), CPR `BufferMgmt`
+    /// on top. No form charges `Memcpy`. `Err` — nothing folded, nothing
+    /// charged — when the payload does not hold `dst.len()` values.
     pub(crate) fn try_reduce<C: Comm>(
         self,
         comm: &mut C,
@@ -340,8 +366,8 @@ impl Link<'_> {
         if !self.fits(got, dst.len()) {
             return Err(CompressError::LengthMismatch);
         }
+        let dec = &mut scratch.dec;
         let Some((codec, _, dk, pooled)) = self.codec() else {
-            let dec = &mut scratch.dec;
             decode_values_vec(got, dec);
             let vals: &[f32] = dec;
             comm.run_kernel(Kernel::Reduce, vals.len() * 4, Category::Reduction, || {
@@ -352,9 +378,43 @@ impl Link<'_> {
             });
             return Ok(());
         };
-        decompress_reduce_in(comm, codec, dk, got, op, from, dst, pooled, scratch);
+        let kind = op.fused_kind();
+        comm.run_kernel(dk, dst.len() * 4, Category::ComDecom, || {
+            match from {
+                Some(src) => codec.decompress_reduce_from(got, kind, src, dst, dec),
+                None => codec.decompress_reduce_into(got, kind, dst, dec),
+            }
+            .expect("decompression of a stream we compressed cannot fail");
+        });
+        comm.charge(Kernel::Reduce, dst.len() * 4, Category::Reduction);
+        if !pooled {
+            comm.charge(Kernel::BufferMgmt, dst.len() * 4, Category::Others);
+        }
         Ok(())
     }
+}
+
+/// Decode an unpooled (CPR-P2P) payload of `len` values into the
+/// scratch, charging the decompression kernel by the uncompressed size
+/// (as the paper's Table I reports decompression throughput) plus
+/// `BufferMgmt`, and lend the values out until the next hop reuses it.
+fn decompress<'s, C: Comm>(
+    comm: &mut C,
+    codec: &dyn Compressor,
+    kernel: Kernel,
+    got: &[u8],
+    len: usize,
+    scratch: &'s mut CodecScratch,
+) -> &'s [f32] {
+    let dec = &mut scratch.dec;
+    comm.run_kernel(kernel, len * 4, Category::ComDecom, || {
+        codec
+            .decompress_into(got, dec)
+            .expect("decompression of a stream we compressed cannot fail");
+    });
+    debug_assert_eq!(dec.len(), len, "decompressed length mismatch");
+    comm.charge(Kernel::BufferMgmt, len * 4, Category::Others);
+    dec
 }
 
 #[cfg(test)]

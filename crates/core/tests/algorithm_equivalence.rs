@@ -541,7 +541,7 @@ fn cpr_data_movement_baselines_keep_their_virtual_time_and_traffic() {
         let (mut out, mut ws) = (vec![0.0f32; 20_000], CollWorkspace::new());
         cpr_binomial_bcast_into(c, &szx(), ROOT, &src, &mut out, &mut ws);
     });
-    assert_pinned(bcast, (424_691, 12, 160_080), "bcast");
+    assert_pinned(bcast, (420_176, 6, 160_056), "bcast");
     let scatter = world().run(move |c| {
         let src = data(ROOT, if c.rank() == ROOT { 20_000 } else { 0 });
         let mut out = vec![0.0f32; chunk_lengths(20_000, N)[c.rank()]];
@@ -555,4 +555,31 @@ fn cpr_data_movement_baselines_keep_their_virtual_time_and_traffic() {
         cpr_pairwise_alltoall_into(c, &szx(), &send, &mut out, &mut ws);
     });
     assert_pinned(alltoall, (159_260, 42, 167_910), "all-to-all");
+}
+
+/// The CPR-P2P bcast sends one message per tree edge, `n − 1` in all: a
+/// payload carries its own length, so no header travels ahead of it.
+#[test]
+fn cpr_bcast_sends_one_message_per_tree_edge() {
+    for n in [1usize, 2, 5, 8] {
+        let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+            let root = n / 2;
+            let len = 3_000;
+            let src = if c.rank() == root {
+                smooth_data(root, len, 5)
+            } else {
+                Vec::new()
+            };
+            let (mut out, mut ws) = (vec![0.0f32; len], CollWorkspace::new());
+            let codec = cpr(CodecSpec::Szx { error_bound: 1e-3 });
+            cpr_binomial_bcast_into(c, &codec, root, &src, &mut out, &mut ws);
+            let want = smooth_data(root, len, 5);
+            out.iter()
+                .zip(&want)
+                .all(|(a, b)| (a - b).abs() <= 2e-3 * n as f32)
+        });
+        let messages: u64 = out.traffics.iter().map(|t| t.messages_sent).sum();
+        assert_eq!(messages, n as u64 - 1, "{n} ranks");
+        assert!(out.results.iter().all(|&ok| ok), "{n} ranks: output");
+    }
 }

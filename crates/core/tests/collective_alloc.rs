@@ -163,6 +163,15 @@ fn steady_state_plans_allocate_nothing() {
             chain_allreduce.hier_streamed(),
         );
         assert_eq!(shape, (Some(1), Some(true)), "the case under audit");
+        // The data-movement plans off the allreduce path: the
+        // compress-once scatter and gather, which relay framed segment
+        // containers down and up the binomial tree, and the pairwise and
+        // Bruck all-to-alls.
+        let mut scatter = session.plan_scatter(0, len);
+        let mut gather = session.plan_gather(0, len);
+        let mut pairwise_alltoall = session.plan_alltoall(len);
+        let mut bruck_alltoall =
+            session.plan_alltoall_with(len, PlanOptions::new().algorithm(Algorithm::Bruck));
         // Raw plans stream every reducing hop in sub-chunks too (at a
         // 1000-value pipe a 4000-value ring chunk spans four of them,
         // a 12 000-value tree edge twelve), and the raw ring allgather
@@ -186,6 +195,10 @@ fn steady_state_plans_allocate_nothing() {
         } else {
             Vec::new()
         };
+        let root_input = if me == 0 { input.clone() } else { Vec::new() };
+        let mut sc_out = vec![0.0f32; scatter.output_len(me)];
+        let mut ga_out = vec![0.0f32; if me == 0 { len } else { 0 }];
+        let mut a2a_out = vec![0.0f32; len];
         let mut ar_out = vec![0.0f32; len];
         let mut ag_out = vec![0.0f32; len];
         let mut bc_out = vec![0.0f32; len / 2];
@@ -271,6 +284,10 @@ fn steady_state_plans_allocate_nothing() {
             chain_allreduce.execute_into(c, &input, &mut ar_out);
             raw_allreduce.execute_into(c, &input, &mut ar_out);
             raw_tree_reduce.execute_into(c, &half, &mut rr_out);
+            scatter.execute_into(c, &root_input, &mut sc_out);
+            gather.execute_into(c, &chunk, &mut ga_out);
+            pairwise_alltoall.execute_into(c, &input, &mut a2a_out);
+            bruck_alltoall.execute_into(c, &input, &mut a2a_out);
             nonblocking_cycle!(hier_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(raw_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
@@ -308,6 +325,10 @@ fn steady_state_plans_allocate_nothing() {
             chain_allreduce.execute_into(c, &input, &mut ar_out);
             raw_allreduce.execute_into(c, &input, &mut ar_out);
             raw_tree_reduce.execute_into(c, &half, &mut rr_out);
+            scatter.execute_into(c, &root_input, &mut sc_out);
+            gather.execute_into(c, &chunk, &mut ga_out);
+            pairwise_alltoall.execute_into(c, &input, &mut a2a_out);
+            bruck_alltoall.execute_into(c, &input, &mut a2a_out);
             nonblocking_cycle!(hier_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(raw_allreduce, &input, &mut ar_out);
             nonblocking_cycle!(allreduce, &input, &mut ar_out);
