@@ -332,6 +332,13 @@ pub enum CommError {
         /// The dead rank.
         peer: usize,
     },
+    /// A communicator shrink past the last epoch the tag field can
+    /// tell apart ([`crate::recover::MAX_EPOCH`]): its stamp would be
+    /// an earlier epoch's, so that epoch's stragglers could match it.
+    EpochsExhausted {
+        /// The epoch the shrink would have entered.
+        epoch: u32,
+    },
 }
 
 impl fmt::Display for CommError {
@@ -343,6 +350,11 @@ impl fmt::Display for CommError {
                 waited.as_secs_f64() * 1e3
             ),
             CommError::PeerDead { peer } => write!(f, "peer rank {peer} is dead"),
+            CommError::EpochsExhausted { epoch } => write!(
+                f,
+                "shrink epoch {epoch} would reuse epoch {}'s tag stamp",
+                epoch - crate::recover::MAX_EPOCH
+            ),
         }
     }
 }

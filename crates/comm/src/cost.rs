@@ -29,6 +29,7 @@
 use std::time::Duration;
 
 use crate::sim::NetModel;
+use crate::taper::Taper;
 
 /// Bytes of one PIPE sub-chunk (5120 `f32` values, the paper's PIPE-SZx
 /// granularity): the unit the streamed schedules are priced in, and
@@ -194,13 +195,27 @@ impl CostModel {
     /// butterflies' unfold and Rabenseifner's doubling rounds always —
     /// pays `BufferMgmt` on each encode and decode. Uncompressed
     /// (`compress_tput` infinite), every reducing hop streams raw
-    /// `PIPE_CHUNK_BYTES` sub-chunks, folding each while the next is on
-    /// the wire, and the ring allgather relays what it received.
+    /// pieces, folding each while the next is on the wire
+    /// (`raw_hop`), and the ring allgather relays what it received
+    /// (`raw_relay`).
     ///
     /// Estimates are *relative* rankings, not wall-clock predictions —
     /// they share the model's idealizations (full-duplex links, no
     /// congestion, uniform ranks).
     pub fn estimate(&self, schedule: Schedule, net: &NetModel, p: &SchedParams) -> Duration {
+        self.estimate_at(schedule, net, p, true)
+    }
+
+    /// [`Self::estimate`] of a plan on a flat network (`flat`), whose
+    /// link-bound raw streams run a [`Taper`] cut, or of a leg of a plan
+    /// on a topology, whose raw streams keep the uniform pipe.
+    fn estimate_at(
+        &self,
+        schedule: Schedule,
+        net: &NetModel,
+        p: &SchedParams,
+        flat: bool,
+    ) -> Duration {
         let n = p.world.max(1);
         if n == 1 {
             return Duration::ZERO;
@@ -215,9 +230,9 @@ impl CostModel {
         let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
         let memcpy = |bytes: f64| bytes / self.throughput(Kernel::Memcpy);
         // Uncompressed: every reducing hop streams (`raw_hop`) and the
-        // ring allgather relays what it received.
+        // ring allgather relays what it received (`raw_relay`).
         let raw = p.compress_tput.is_infinite();
-        let raw_hop = |bytes: f64| self.raw_hop(bytes, net);
+        let raw_hop = |bytes: f64| self.raw_hop(bytes, net, flat);
         // One monolithic CPR-P2P hop of `bytes`, encode to decode: the
         // naive integration pays `BufferMgmt` on both ends.
         let cpr_hop = |bytes: f64| self.cpr_hop(bytes, net, p);
@@ -280,13 +295,8 @@ impl CostModel {
         };
 
         let secs = match schedule {
-            Schedule::RingAllreduce if raw => {
-                // Streamed reduce-scatter rounds, then a relaying
-                // allgather: each chunk's copy into place hides under its
-                // onward transfer, all but the last one's.
-                let ag = (nf - 1.0) * (alpha + ag_hop(m * beta, memcpy(m))) + memcpy(m);
-                ring_rs + ag
-            }
+            // Streamed reduce-scatter rounds, then a relaying allgather.
+            Schedule::RingAllreduce if raw => ring_rs + self.raw_relay(m, n, net, flat),
             // Reduce-scatter, then the compress-once allgather of the
             // reduced chunks.
             Schedule::RingAllreduce => ring_rs + once_ag(m),
@@ -328,12 +338,8 @@ impl CostModel {
                     .map(|i| round(d / f64::from(1u32 << i)))
                     .sum::<f64>()
             }
-            Schedule::RingAllgather if raw => {
-                // Relays what it received, copying each block into place
-                // under its onward transfer; the last block's copy and
-                // the own block's are exposed.
-                (nf - 1.0) * (alpha + ag_hop(d * beta, memcpy(d))) + 2.0 * memcpy(d)
-            }
+            // The relay, then the own block's copy into place.
+            Schedule::RingAllgather if raw => self.raw_relay(d, n, net, flat) + memcpy(d),
             // The own block's copy into place comes first.
             Schedule::RingAllgather => once_ag(d) + memcpy(d),
             Schedule::BruckAllgather => {
@@ -426,22 +432,78 @@ impl CostModel {
         Duration::from_secs_f64(secs)
     }
 
-    /// One raw reducing hop of `d` bytes over `net`, in `c = min(d,
+    /// The cut of a flat plan's link-bound raw reducing hops (`None`:
+    /// they stream in pipe sub-chunks): pieces the receiver folds as they
+    /// land, one latency against the exposed fold.
+    pub fn hop_taper(&self, net: &NetModel) -> Option<Taper> {
+        Taper::new(net, self.throughput(Kernel::Reduce), 1)
+    }
+
+    /// The cut of a flat plan's raw ring allgather over `world` ranks
+    /// (`None`: it relays whole blocks): pieces copied into place as they
+    /// land, each piece's latency paid in all `world − 1` rounds against
+    /// the last round's exposed copy.
+    pub fn relay_taper(&self, net: &NetModel, world: usize) -> Option<Taper> {
+        Taper::new(
+            net,
+            self.throughput(Kernel::Memcpy),
+            world.saturating_sub(1),
+        )
+    }
+
+    /// The `(pieces, tail bytes)` a `d`-byte raw stream of a flat plan
+    /// runs in under `taper`, when it cuts one: past one sub-chunk.
+    fn tapered(taper: Option<Taper>, d: f64) -> Option<(f64, f64)> {
+        let values = (d / 4.0).round() as usize;
+        let taper = taper.filter(|_| values > PIPE_CHUNK_BYTES / 4)?;
+        let k = taper.pieces(values);
+        Some((k as f64, 4.0 * taper.piece(k - 1, values).len() as f64))
+    }
+
+    /// One raw reducing hop of `d` bytes over `net`. On a `flat` plan's
+    /// link-bound net past one sub-chunk it runs the [`Self::hop_taper`]
+    /// cut: every piece's fold hides under the next piece's transfer, so
+    /// the hop is its `k` messages and the tail's fold, `kα + dβ +
+    /// reduce(tail)`. Otherwise it streams in `c = min(d,
     /// PIPE_CHUNK_BYTES)` sub-chunks the receiver folds as they land:
     /// the first sub-chunk's transfer, then the slower of the fold of
     /// everything and the link carrying the `k − 1 = ⌈d/c⌉ − 1` behind it
     /// (a port is held `α + cβ` per message) plus the last one's fold —
     /// `(α + cβ) + max(reduce(d), (k−1)α + (d−c)β + reduce(c_last))`.
     /// At most one sub-chunk is the one message `α + dβ + reduce(d)`.
-    fn raw_hop(&self, d: f64, net: &NetModel) -> f64 {
+    fn raw_hop(&self, d: f64, net: &NetModel, flat: bool) -> f64 {
         let alpha = net.latency.as_secs_f64();
         let beta = 1.0 / net.bandwidth;
         let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
+        let taper = self.hop_taper(net).filter(|_| flat);
+        if let Some((k, tail)) = Self::tapered(taper, d) {
+            return k * alpha + d * beta + reduce(tail);
+        }
         let c = d.min(PIPE_CHUNK_BYTES as f64);
         let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
         let last = d - (k - 1.0) * c;
         let behind = (k - 1.0) * alpha + (d - c) * beta + reduce(last);
         alpha + c * beta + reduce(d).max(behind)
+    }
+
+    /// The raw ring allgather's relay of `m`-byte blocks over `n` ranks:
+    /// every round forwards what the last one received and copies it
+    /// into place under its onward transfer. On a `flat` plan's
+    /// link-bound net past one sub-chunk a block travels in the
+    /// [`Self::relay_taper`] cut and the last round copies its pieces
+    /// as they land — `(n−1)(kα + mβ) + memcpy(tail)`; else it is one
+    /// message a round and the last block's copy is exposed —
+    /// `(n−1)(α + max(mβ, memcpy(m))) + memcpy(m)`.
+    fn raw_relay(&self, m: f64, n: usize, net: &NetModel, flat: bool) -> f64 {
+        let alpha = net.latency.as_secs_f64();
+        let beta = 1.0 / net.bandwidth;
+        let memcpy = |bytes: f64| bytes / self.throughput(Kernel::Memcpy);
+        let rounds = n as f64 - 1.0;
+        let taper = self.relay_taper(net, n).filter(|_| flat);
+        match Self::tapered(taper, m) {
+            Some((k, tail)) => rounds * (k * alpha + m * beta) + memcpy(tail),
+            None => rounds * (alpha + (m * beta).max(memcpy(m))) + memcpy(m),
+        }
     }
 
     /// The sub-chunk, in values, recursive doubling's PIPE-SZx rounds
@@ -695,7 +757,7 @@ impl CostModel {
             // A ring only ever pushes one flow per node boundary, so
             // its inter hops never contend for the shared NIC.
             Schedule::RingAllreduce | Schedule::RingAllgather => {
-                self.estimate(schedule, &hier.inter, p)
+                self.estimate_at(schedule, &hier.inter, p, false)
             }
             // Butterfly / tree / alltoall rounds send from every rank
             // at once: the s ranks of a node serialize on one NIC, so
@@ -707,7 +769,7 @@ impl CostModel {
                 let pipe = PIPE_CHUNK_BYTES as f64;
                 Duration::from_secs_f64(self.piped_recursive_doubling(pipe, &net, p))
             }
-            _ => self.estimate(schedule, &hier.shared_inter(node_size), p),
+            _ => self.estimate_at(schedule, &hier.shared_inter(node_size), p, false),
         }
     }
 
@@ -757,7 +819,7 @@ impl CostModel {
         let reduce = |bytes: f64| bytes / self.throughput(Kernel::Reduce);
         if !chain {
             let log2g = (usize::BITS - (group.max(1) - 1).leading_zeros()) as f64;
-            return (log2g * self.raw_hop(d, intra), log2g * (ai + d * bi));
+            return (log2g * self.raw_hop(d, intra, false), log2g * (ai + d * bi));
         }
         let c = d.min(PIPE_CHUNK_BYTES as f64);
         let k = (d / c).ceil().max(1.0); // 0/0 on an empty payload
@@ -820,7 +882,7 @@ impl CostModel {
         // transfer, all but the last one.
         let ring = if lanes > 1 {
             let relay = ai + (c * bi).max(memcpy(c));
-            (lf - 1.0) * (self.raw_hop(c, &hier.intra) + relay) + memcpy(c)
+            (lf - 1.0) * (self.raw_hop(c, &hier.intra, false) + relay) + memcpy(c)
         } else {
             0.0
         };
@@ -838,7 +900,7 @@ impl CostModel {
             payload_bytes: p.payload_bytes / lanes,
             ..*p
         };
-        let inter = self.estimate(Schedule::RabenseifnerAllreduce, &shared_nic, &lane);
+        let inter = self.estimate_at(Schedule::RabenseifnerAllreduce, &shared_nic, &lane, false);
         Laned {
             lanes,
             streamed,
@@ -886,7 +948,8 @@ impl CostModel {
                     payload_bytes: (p.payload_bytes * n) / nodes.max(1),
                     ..*p
                 };
-                let inter = self.estimate(Schedule::RingAllgather, &hier.inter, &node_block);
+                let inter =
+                    self.estimate_at(Schedule::RingAllgather, &hier.inter, &node_block, false);
                 local_gather + inter.as_secs_f64() + local_bcast
             }
             Schedule::HierarchicalBcast => {
@@ -895,7 +958,8 @@ impl CostModel {
                 // binomial fan-out (raw).
                 let to_leader = ai + d * bi;
                 let local_bcast = log2s * (ai + d * bi);
-                let inter = self.estimate(Schedule::BinomialTreeBcast, &hier.inter, &leaders);
+                let inter =
+                    self.estimate_at(Schedule::BinomialTreeBcast, &hier.inter, &leaders, false);
                 to_leader + inter.as_secs_f64() + local_bcast
             }
             _ => unreachable!("estimate_two_level prices hierarchical schedules only"),
@@ -1004,6 +1068,7 @@ impl SchedParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::taper::Cut;
 
     #[test]
     fn default_ordering_matches_paper() {
@@ -1407,22 +1472,44 @@ mod tests {
             .collect()
     }
 
+    /// The byte sizes of the pieces a `d`-byte stream runs in under
+    /// `cut`, head first (one empty piece for an empty stream).
+    fn cut_pieces(d: usize, cut: Cut) -> Vec<usize> {
+        let values = d / 4;
+        let piece = |j| 4 * cut.range(j, values).len();
+        (0..cut.count(values).max(1)).map(piece).collect()
+    }
+
+    /// The pieces of a `d`-byte raw reducing hop: on a flat plan
+    /// (`flat`) the default net's hop taper past one sub-chunk, else
+    /// pipe sub-chunks.
+    fn hop_pieces(d: usize, flat: bool) -> Vec<usize> {
+        let taper = CostModel::default().hop_taper(&NetModel::default());
+        cut_pieces(
+            d,
+            Cut::tapered(PIPE_CHUNK_BYTES / 4, taper.filter(|_| flat)),
+        )
+    }
+
     fn payload(bytes: usize) -> bytes::Bytes {
         bytes::Bytes::from(vec![0u8; bytes])
     }
 
-    /// A streamed raw hop's send side: every sub-chunk posted at once.
-    fn send_stream<C: crate::comm::Comm>(c: &mut C, to: usize, d: usize) -> Vec<crate::SendReq> {
-        pieces(d)
-            .into_iter()
-            .map(|bytes| c.isend(to, 0, payload(bytes)))
+    /// A streamed raw hop's send side: every piece posted at once.
+    fn send_stream<C: crate::comm::Comm>(
+        c: &mut C,
+        to: usize,
+        pieces: &[usize],
+    ) -> Vec<crate::SendReq> {
+        pieces
+            .iter()
+            .map(|&bytes| c.isend(to, 0, payload(bytes)))
             .collect()
     }
 
-    /// A streamed raw hop's receive side: each sub-chunk folded as it
-    /// lands.
-    fn fold_stream<C: crate::comm::Comm>(c: &mut C, from: usize, d: usize) {
-        for bytes in pieces(d) {
+    /// A streamed raw hop's receive side: each piece folded as it lands.
+    fn fold_stream<C: crate::comm::Comm>(c: &mut C, from: usize, pieces: &[usize]) {
+        for &bytes in pieces {
             c.recv(from, 0);
             c.charge(Kernel::Reduce, bytes, crate::profile::Category::Reduction);
         }
@@ -1478,7 +1565,7 @@ mod tests {
                             }
                         }
                     }
-                    (false, true) => sends = binomial_reduce(c, d),
+                    (false, true) => sends = binomial_reduce(c, d, false),
                     (false, false) => {
                         let parent = if me == 0 {
                             g.next_power_of_two()
@@ -1505,41 +1592,58 @@ mod tests {
     }
 
     /// This rank's part in a raw binomial reduce of `d` bytes to rank 0,
-    /// every edge a streamed hop; returns its outstanding sends.
-    fn binomial_reduce<C: crate::comm::Comm>(c: &mut C, d: usize) -> Vec<crate::SendReq> {
+    /// every edge a streamed hop ([`hop_pieces`]); returns its
+    /// outstanding sends.
+    fn binomial_reduce<C: crate::comm::Comm>(
+        c: &mut C,
+        d: usize,
+        flat: bool,
+    ) -> Vec<crate::SendReq> {
         let (me, n) = (c.rank(), c.size());
+        let pieces = hop_pieces(d, flat);
         let mut mask = 1;
         while mask < n {
             if me & mask != 0 {
-                return send_stream(c, me - mask, d);
+                return send_stream(c, me - mask, &pieces);
             }
             if me + mask < n {
-                fold_stream(c, me + mask, d);
+                fold_stream(c, me + mask, &pieces);
             }
             mask <<= 1;
         }
         Vec::new()
     }
 
-    /// This rank's part in a raw ring allgather of `m`-byte blocks that
-    /// relays what it received: each received block is copied into
-    /// place while its onward copy is on the wire, the last one (and,
-    /// when `own`, the own block) after the last round.
+    /// This rank's part in a flat plan's raw ring allgather of `m`-byte
+    /// blocks that relays what it received, each block in the default
+    /// net's relay taper past one sub-chunk (else whole): each received
+    /// block is copied into place piece by piece while its onward copy
+    /// is on the wire, the last one's pieces as they land (and, when
+    /// `own`, the own block after the last round).
     fn ring_relay<C: crate::comm::Comm>(c: &mut C, m: usize, own: bool) {
         let (me, n) = (c.rank(), c.size());
         let (right, left) = ((me + 1) % n, (me + n - 1) % n);
-        let memcpy = |c: &mut C| c.charge(Kernel::Memcpy, m, crate::profile::Category::Memcpy);
+        let memcpy =
+            |c: &mut C, bytes| c.charge(Kernel::Memcpy, bytes, crate::profile::Category::Memcpy);
+        let pieces = match CostModel::default().relay_taper(&NetModel::default(), n) {
+            None => vec![m],
+            taper => cut_pieces(m, Cut::tapered(PIPE_CHUNK_BYTES / 4, taper)),
+        };
         for k in 0..n - 1 {
-            let send = c.isend(right, 0, payload(m));
-            if k > 0 {
-                memcpy(c);
+            let sends = send_stream(c, right, &pieces);
+            for &bytes in pieces.iter().filter(|_| k > 0) {
+                memcpy(c, bytes);
             }
-            c.recv(left, 0);
-            retire(c, vec![send]);
+            for &bytes in &pieces {
+                c.recv(left, 0);
+                if k == n - 2 {
+                    memcpy(c, bytes);
+                }
+            }
+            retire(c, sends);
         }
-        memcpy(c);
         if own {
-            memcpy(c);
+            memcpy(c, m);
         }
     }
 
@@ -1558,7 +1662,8 @@ mod tests {
         // The raw ring allreduce (streamed reduce-scatter rounds, then a
         // relaying allgather), the raw ring allgather and the raw
         // binomial reduce (streamed edges), against their message and
-        // kernel sequences on the default flat net: within 2 % from one
+        // kernel sequences on the default flat net — every hop and relayed
+        // block in its taper past one sub-chunk: within 2 % from one
         // sub-chunk up to 1 Mi values.
         use crate::comm::Comm;
         let m = CostModel::default();
@@ -1570,16 +1675,17 @@ mod tests {
             let ring = simulated(n, move |c| {
                 let (me, chunk) = (c.rank(), d / n);
                 let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+                let pieces = hop_pieces(chunk, true);
                 for _ in 0..n - 1 {
-                    let sends = send_stream(c, right, chunk);
-                    fold_stream(c, left, chunk);
+                    let sends = send_stream(c, right, &pieces);
+                    fold_stream(c, left, &pieces);
                     retire(c, sends);
                 }
                 ring_relay(c, chunk, false);
             });
             let gather = simulated(n, move |c| ring_relay(c, d, true));
             let reduce = simulated(n, move |c| {
-                let sends = binomial_reduce(c, d);
+                let sends = binomial_reduce(c, d, true);
                 retire(c, sends);
             });
             for (schedule, sim) in [

@@ -44,6 +44,7 @@ pub mod pool;
 pub mod profile;
 pub mod recover;
 pub mod sim;
+pub mod taper;
 pub mod threaded;
 pub mod time;
 pub mod topology;
@@ -55,13 +56,14 @@ pub use cost::{CostModel, Kernel, SchedParams, Schedule, PIPE_CHUNK_BYTES};
 pub use pool::PayloadPool;
 pub use profile::{Category, FaultCounters, Profiler, TimeBreakdown, TrafficStats};
 pub use recover::{
-    agree_on_failures, epoch_stamp, Agreement, DeadSet, EPOCH_FIELD, MAX_RECOVERY_WORLD,
+    agree_on_failures, epoch_stamp, Agreement, DeadSet, EPOCH_FIELD, MAX_EPOCH, MAX_RECOVERY_WORLD,
     OP_TAG_FLOOR,
 };
 pub use sim::{
     DeadlockReport, NetModel, RankOutcome, SimConfig, SimError, SimRunOutput, SimWorld,
     UndeliveredMsg, WaitEdge,
 };
+pub use taper::{Cut, Taper};
 pub use threaded::ThreadWorld;
 pub use time::SimTime;
 pub use topology::{ClusterNet, HierNet, Topology};

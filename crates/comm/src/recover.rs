@@ -99,9 +99,14 @@ const AGREE_TAG_BASE: Tag = 0xE000;
 /// rank-mapped [`crate::CommView`]'s barrier.
 pub(crate) const BARRIER_TAG_BASE: Tag = 0xE800;
 
+/// The last shrink epoch with a stamp of its own: [`epoch_stamp`]'s
+/// 5-bit field holds 31 nonzero stamps, so epoch 32 would reuse epoch
+/// 1's, and [`agree_on_failures`] refuses to enter it.
+pub const MAX_EPOCH: u32 = 31;
+
 /// The tag stamp for shrink `epoch` (≥ 1): a nonzero 5-bit field, so
 /// epoch-stamped traffic can never match never-shrunk (epoch-0)
-/// traffic. Wraps at 31 epochs — by then no epoch-1 message survives.
+/// traffic. Wraps past [`MAX_EPOCH`], which no shrink enters.
 pub fn epoch_stamp(epoch: u32) -> Tag {
     assert!(epoch >= 1, "epoch 0 is the never-shrunk world");
     (((epoch - 1) % 31 + 1) << EPOCH_SHIFT) as Tag
@@ -276,7 +281,9 @@ fn wait_vote<C: Comm>(
 /// `Err(CommError::PeerDead { peer: my_rank })` when the vote decided
 /// this rank is dead (it was silent past every budget — it must not
 /// join the shrunk world). `Err(CommError::Timeout { .. })` when every
-/// candidate coordinator was exhausted without a decision.
+/// candidate coordinator was exhausted without a decision, and
+/// `Err(CommError::EpochsExhausted { .. })`, before any message, when
+/// `epoch` is past [`MAX_EPOCH`].
 ///
 /// # Panics
 /// Panics if the world exceeds [`MAX_RECOVERY_WORLD`] ranks.
@@ -292,6 +299,9 @@ pub fn agree_on_failures<C: Comm>(
         n <= MAX_RECOVERY_WORLD,
         "agreement supports at most {MAX_RECOVERY_WORLD} ranks"
     );
+    if epoch > MAX_EPOCH {
+        return Err(CommError::EpochsExhausted { epoch });
+    }
     // Tag pair for this epoch's vote. The epoch field keeps a second
     // recovery's votes from matching a first recovery's stragglers
     // (composed with the arithmetic epoch%8 field so even an

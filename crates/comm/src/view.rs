@@ -172,6 +172,7 @@ impl<'a, C: Comm> CommView<'a, C> {
                 waited,
             },
             CommError::PeerDead { peer } => CommError::PeerDead { peer: view(peer) },
+            exhausted @ CommError::EpochsExhausted { .. } => exhausted,
         }
     }
 }

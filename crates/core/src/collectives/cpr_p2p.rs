@@ -28,10 +28,10 @@ use ccoll_compress::Compressor;
 
 use crate::codec::CodecSpec;
 use crate::nonblocking::{Alltoall, Bcast, Butterfly, RingAg, RingRs, Scatter, TreeReduce};
-use crate::pipeline::WHOLE;
 use crate::placement::Placement;
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
+use ccoll_comm::Cut;
 
 /// Codec handle plus its cost-model kernels, shared by all CPR-P2P
 /// collectives.
@@ -87,8 +87,14 @@ pub fn cpr_ring_allgatherv_into<C: Comm>(
     ws: &mut CollWorkspace,
 ) {
     ws.set_partition_from_counts(counts);
-    let done =
-        RingAg::new(Placement::Cpr, WHOLE, true).step(comm, Some(cpr), Some(mine), out, ws, true);
+    let done = RingAg::new(Placement::Cpr, Cut::WHOLE, true).step(
+        comm,
+        Some(cpr),
+        Some(mine),
+        out,
+        ws,
+        true,
+    );
     debug_assert!(done.is_ready());
 }
 
@@ -107,7 +113,15 @@ pub fn cpr_ring_reduce_scatter_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let done = RingRs::new(Placement::Cpr, 0).step_chunk(comm, Some(cpr), op, input, out, ws, true);
+    let done = RingRs::new(Placement::Cpr, Cut::WHOLE).step_chunk(
+        comm,
+        Some(cpr),
+        op,
+        input,
+        out,
+        ws,
+        true,
+    );
     debug_assert!(done.is_ready());
 }
 
@@ -127,8 +141,15 @@ pub fn cpr_rabenseifner_allreduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let done =
-        Butterfly::rabenseifner(Placement::Cpr, 0).step(comm, Some(cpr), op, input, out, ws, true);
+    let done = Butterfly::rabenseifner(Placement::Cpr, Cut::WHOLE).step(
+        comm,
+        Some(cpr),
+        op,
+        input,
+        out,
+        ws,
+        true,
+    );
     debug_assert!(done.is_ready());
 }
 
@@ -148,7 +169,7 @@ pub fn cpr_binomial_reduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) -> bool {
-    let mut machine = TreeReduce::new(Placement::Cpr, 0, root);
+    let mut machine = TreeReduce::new(Placement::Cpr, Cut::WHOLE, root);
     let done = machine.step(comm, Some(cpr), op, input, out, ws, true);
     debug_assert!(done.is_ready());
     machine.is_root()

@@ -47,6 +47,7 @@ use crate::frameworks::computation::DEFAULT_PIPE_VALUES;
 use crate::nonblocking::RingAg;
 use crate::placement::Placement;
 use crate::workspace::CollWorkspace;
+use ccoll_comm::Cut;
 
 /// C-Allgather (compress once, relay compressed blocks around the ring)
 /// with the relay/decompress overlap disabled: relay every block, then
@@ -70,7 +71,7 @@ pub fn c_ring_allgatherv_monolithic_into<C: Comm>(
     ws: &mut CollWorkspace,
 ) {
     ws.set_partition_from_counts(counts);
-    let done = RingAg::new(Placement::Once, DEFAULT_PIPE_VALUES, false).step(
+    let done = RingAg::new(Placement::Once, Cut::pipe(DEFAULT_PIPE_VALUES), false).step(
         comm,
         Some(cpr),
         Some(mine),

@@ -147,7 +147,7 @@ impl Kind for Allgather {
                     .expect("hierarchical plans build their groups at start");
                 AgPlanMachine::Hier(HierAg::new(place, pipe, groups.node_counts[groups.node]))
             }
-            _ => AgPlanMachine::Ring(RingAg::new(place, pipe, true)),
+            _ => AgPlanMachine::Ring(RingAg::new(place, core.session.relay_cut(), true)),
         }
     }
 

@@ -223,15 +223,16 @@ impl Kind for Allreduce {
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> ArMachine {
         let (place, pipe) = (core.session.placement(), core.session.pipe_values());
+        let cut = core.session.hop_cut();
         match core.algorithm {
             Algorithm::RecursiveDoubling => {
                 let place = match place {
                     Placement::Piped(cfg) => Placement::Piped(cfg.with_chunk_values(self.exchange)),
                     place => place,
                 };
-                ArMachine::Butterfly(Butterfly::recursive_doubling(place, pipe))
+                ArMachine::Butterfly(Butterfly::recursive_doubling(place, cut))
             }
-            Algorithm::Rabenseifner => ArMachine::Butterfly(Butterfly::rabenseifner(place, pipe)),
+            Algorithm::Rabenseifner => ArMachine::Butterfly(Butterfly::rabenseifner(place, cut)),
             // The hierarchical placement is that of the inter-node leg
             // every lane owner runs on its slice; node-local legs are
             // always raw (intra-node links don't pay for a codec).
@@ -239,8 +240,8 @@ impl Kind for Allreduce {
             _ => {
                 let (rs, ag) = self.ring_places(&core.session);
                 ArMachine::Ring {
-                    rs: RingRs::new(rs, pipe),
-                    ag: RingAg::new(ag, pipe, true),
+                    rs: RingRs::new(rs, cut),
+                    ag: RingAg::new(ag, core.session.relay_cut(), true),
                     in_ag: false,
                 }
             }

@@ -169,14 +169,14 @@ impl Kind for Reduce {
 
     fn machine(&mut self, core: &mut PlanCore, rank: usize) -> ReduceMachine {
         let session = &core.session;
-        let (place, pipe) = (session.placement(), session.pipe_values());
+        let (place, cut) = (session.placement(), session.hop_cut());
         match &mut self.rs {
             Some(stage) => {
                 // `resize` shrinks as well as grows, keeping the buffer
                 // exact without reallocating once its capacity is warm.
                 stage.mine.resize(stage.counts[rank], 0.0);
                 ReduceMachine::RsGather {
-                    rs: RingRs::new(place, pipe),
+                    rs: RingRs::new(place, cut),
                     gather: nb::Gather::new(session.movement_placement(), self.root, self.len),
                     in_gather: false,
                 }
@@ -184,7 +184,7 @@ impl Kind for Reduce {
             // Error-bounded codecs stream every tree hop through the
             // sub-chunk pipeline with fused reduction, raw ones in raw
             // sub-chunks.
-            None => ReduceMachine::Tree(TreeReduce::new(place, pipe, self.root)),
+            None => ReduceMachine::Tree(TreeReduce::new(place, cut, self.root)),
         }
     }
 

@@ -84,7 +84,7 @@ impl Kind for ReduceScatter {
     }
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> RingRs {
-        RingRs::new(core.session.placement(), core.session.pipe_values())
+        RingRs::new(core.session.placement(), core.session.hop_cut())
     }
 
     fn step<C: Comm>(

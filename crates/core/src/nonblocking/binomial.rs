@@ -1,7 +1,7 @@
 //! The binomial trees of the data-movement framework: broadcast,
 //! scatter and gather.
 
-use ccoll_comm::{Category, Comm};
+use ccoll_comm::{Category, Comm, Cut};
 
 use super::{next_arrival, post, retire_sends, Poll};
 use crate::collectives::cpr_p2p::CprCodec;
@@ -83,7 +83,7 @@ impl Bcast {
             return poll;
         }
         let (n, relative, span) = tree_pos(comm, self.root);
-        let stream = (link, WHOLE);
+        let stream = (link, Cut::WHOLE);
         loop {
             let mask = span >> self.edge;
             if mask == 0 {

@@ -4,7 +4,7 @@
 use std::ops::Range;
 
 use bytes::Bytes;
-use ccoll_comm::{Category, Comm, Tag};
+use ccoll_comm::{Category, Comm, Cut, Tag};
 
 use super::{exchange, next_arrival, post, retire_sends, Poll};
 use crate::collectives::cpr_p2p::CprCodec;
@@ -60,7 +60,7 @@ enum BflyPhase {
 /// (`halving = true`, recursive-halving reduce-scatter +
 /// recursive-doubling allgather), in raw / CPR / pipelined placements.
 /// The fold and halving legs are [`Route::hop`] streams and recursive
-/// doubling's rounds [`Route::exchange`]s (`pipe`-value sub-chunks raw,
+/// doubling's rounds [`Route::exchange`]s (the plan's raw cut raw,
 /// PIPE-SZx sub-chunks piped, one whole message at CPR-P2P);
 /// Rabenseifner's doubling and the unfold move finalized data and stay
 /// monolithic rounds.
@@ -72,8 +72,8 @@ enum BflyPhase {
 #[derive(Debug)]
 pub(crate) struct Butterfly {
     place: Placement,
-    /// Raw sub-chunk size (see [`Placement::stream`]).
-    pipe: usize,
+    /// The raw cut (see [`Placement::stream`]).
+    cut: Cut,
     /// Rabenseifner when true, recursive doubling when false.
     halving: bool,
     /// `out` holds this rank's live accumulator range.
@@ -93,18 +93,18 @@ pub(crate) struct Butterfly {
 }
 
 impl Butterfly {
-    pub(crate) fn recursive_doubling(place: Placement, pipe: usize) -> Self {
-        Self::new(place, pipe, false)
+    pub(crate) fn recursive_doubling(place: Placement, cut: Cut) -> Self {
+        Self::new(place, cut, false)
     }
 
-    pub(crate) fn rabenseifner(place: Placement, pipe: usize) -> Self {
-        Self::new(place, pipe, true)
+    pub(crate) fn rabenseifner(place: Placement, cut: Cut) -> Self {
+        Self::new(place, cut, true)
     }
 
-    fn new(place: Placement, pipe: usize, halving: bool) -> Self {
+    fn new(place: Placement, cut: Cut, halving: bool) -> Self {
         Butterfly {
             place,
-            pipe,
+            cut,
             halving,
             born: false,
             phase: BflyPhase::Init,
@@ -140,7 +140,7 @@ impl Butterfly {
         let n = comm.size();
         let me = comm.rank();
         let link = self.place.link(cpr);
-        let stream = self.place.stream(cpr, self.pipe);
+        let stream = self.place.stream(cpr, self.cut);
         loop {
             match self.phase {
                 BflyPhase::Init => {

@@ -1,7 +1,7 @@
 //! The two-level (hierarchical) schedules: every leg an existing
 //! machine stepped over a group view of the communicator.
 
-use ccoll_comm::{Comm, CommView};
+use ccoll_comm::{Comm, CommView, Cut};
 
 use super::{Bcast, Butterfly, Gather, Poll, RingAg, RingRs, TreeReduce};
 use crate::collectives::cpr_p2p::CprCodec;
@@ -203,7 +203,7 @@ impl HierAr {
             leg: LaneLeg::GroupReduce(if streamed {
                 GroupReduce::Chain(StreamCursor::default())
             } else {
-                GroupReduce::Tree(TreeReduce::new(Placement::Raw, pipe, 0))
+                GroupReduce::Tree(TreeReduce::new(Placement::Raw, Cut::pipe(pipe), 0))
             }),
         }
     }
@@ -261,7 +261,7 @@ impl HierAr {
                         }
                     }
                     self.leg = if owner {
-                        LaneLeg::NodeRs(RingRs::new(Placement::Raw, self.pipe))
+                        LaneLeg::NodeRs(RingRs::new(Placement::Raw, Cut::pipe(self.pipe)))
                     } else {
                         LaneLeg::GroupBcast(StreamCursor::default())
                     };
@@ -278,7 +278,8 @@ impl HierAr {
                             return Poll::Pending;
                         }
                     }
-                    self.leg = LaneLeg::Inter(Butterfly::rabenseifner(self.place, self.pipe));
+                    self.leg =
+                        LaneLeg::Inter(Butterfly::rabenseifner(self.place, Cut::pipe(self.pipe)));
                 }
                 LaneLeg::Inter(inter) => {
                     let hier = std::mem::take(&mut ws.hier);
@@ -297,7 +298,8 @@ impl HierAr {
                     if r == Poll::Pending {
                         return Poll::Pending;
                     }
-                    self.leg = LaneLeg::NodeAg(RingAg::new(Placement::Raw, self.pipe, true));
+                    self.leg =
+                        LaneLeg::NodeAg(RingAg::new(Placement::Raw, Cut::pipe(self.pipe), true));
                 }
                 LaneLeg::NodeAg(gather) => {
                     if lanes > 1 {
@@ -350,7 +352,7 @@ impl HierAg {
         HierAg {
             phase: HierPhase::Local,
             local: Gather::new(Placement::Raw, 0, node_block_len),
-            inter: RingAg::new(place, pipe, true),
+            inter: RingAg::new(place, Cut::pipe(pipe), true),
             fanout: StreamCursor::default(),
         }
     }
@@ -475,7 +477,7 @@ impl HierBc {
                         recv = Some((self.root, Land::Store));
                     }
                     let mut hier = std::mem::take(&mut ws.hier);
-                    let route = Route::hop((Link::Raw, WHOLE), tags::HIER, send, recv);
+                    let route = Route::hop((Link::Raw, Cut::WHOLE), tags::HIER, send, recv);
                     let r = self
                         .stream
                         .step(comm, route, &mut hier, &mut ws.pipe(), block);

@@ -4,7 +4,7 @@
 use std::ops::Range;
 
 use bytes::Bytes;
-use ccoll_comm::{Category, Comm, Tag};
+use ccoll_comm::{Category, Comm, Cut, Tag};
 
 use super::{exchange, next_arrival, post, retire_sends, Poll};
 use crate::collectives::cpr_p2p::CprCodec;
@@ -12,7 +12,7 @@ use crate::collectives::{memcpy_in, tags};
 use crate::frameworks::computation::DEFAULT_PIPE_VALUES;
 use crate::partition::chunk_range;
 use crate::pipeline::{
-    abort_stream, split_src_dst, Land, Route, StreamCursor, NONBLOCKING_DRAIN_BUDGET, WHOLE,
+    abort_stream, split_src_dst, Land, Route, StreamCursor, NONBLOCKING_DRAIN_BUDGET,
 };
 use crate::placement::{Link, Placement};
 use crate::reduce::ReduceOp;
@@ -27,8 +27,8 @@ enum RsPhase {
 }
 
 /// Resumable ring reduce-scatter: `n−1` hop rounds over a full-length
-/// accumulator, each one [`Route::hop`] stream — `pipe`-value raw
-/// sub-chunks, PIPE-SZx sub-chunks (piped) or one whole-message
+/// accumulator, each one [`Route::hop`] stream — raw pieces in the
+/// plan's raw cut, PIPE-SZx sub-chunks (piped) or one whole-message
 /// sub-chunk (CPR-P2P) — folding each arrival while the later ones are
 /// still on the wire, and suspending at its first not-yet-ready receive
 /// or send.
@@ -40,18 +40,18 @@ enum RsPhase {
 #[derive(Debug)]
 pub(crate) struct RingRs {
     place: Placement,
-    /// Raw sub-chunk size (see [`Placement::stream`]).
-    pipe: usize,
+    /// The raw cut (see [`Placement::stream`]).
+    cut: Cut,
     phase: RsPhase,
     k: usize,
     hop: StreamCursor,
 }
 
 impl RingRs {
-    pub(crate) fn new(place: Placement, pipe: usize) -> Self {
+    pub(crate) fn new(place: Placement, cut: Cut) -> Self {
         RingRs {
             place,
-            pipe,
+            cut,
             phase: RsPhase::Init,
             k: 0,
             hop: StreamCursor::default(),
@@ -78,7 +78,7 @@ impl RingRs {
         let me = comm.rank();
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
-        let stream = self.place.stream(cpr, self.pipe);
+        let stream = self.place.stream(cpr, self.cut);
         loop {
             match self.phase {
                 RsPhase::Init => {
@@ -174,17 +174,20 @@ enum AgPhase {
 /// Resumable ring allgather over the caller's output buffer.
 ///
 /// Raw and compress-once (the data-movement framework) relay: every
-/// block travels as `⌈block / pipe⌉` sub-chunks (one for an empty
-/// block), `pipe` being the session's pipe at compress-once, never below
-/// [`DEFAULT_PIPE_VALUES`], and the whole block raw. Round 0 packs the own block one sub-chunk at a time
-/// and sends each as soon as it is packed; round `k ≥ 1` forwards,
-/// untouched, every payload received in round `k − 1`, one message per
-/// sub-chunk, and lands that block sub-chunk by sub-chunk while the
-/// payloads are on the wire. So the own block's encode hides all of its
-/// transfer but the last sub-chunk's, and only the last block's decode
-/// is exposed. Every message carries its own length: there is no size
-/// step. CPR-P2P re-packs every round's block from `out` and unpacks
-/// what it receives.
+/// block travels in its relay cut (one sub-chunk for an empty block):
+/// `pipe`-value sub-chunks at compress-once, `pipe` being the session's
+/// pipe but never below [`DEFAULT_PIPE_VALUES`]; raw, a flat plan's
+/// link-bound taper (largest piece first), else the whole block. Round
+/// 0 packs the own block one sub-chunk at a time and sends each as soon
+/// as it is packed; round `k ≥ 1` forwards, untouched, every payload
+/// received in round `k − 1`, one message per sub-chunk, and lands that
+/// block sub-chunk by sub-chunk while the payloads are on the wire. So
+/// the own block's encode hides all of its transfer but the last
+/// sub-chunk's, and only the last block's decode is exposed — of a
+/// tapered raw relay, which lands its last round's pieces as they
+/// arrive, only the tail's copy. Every message carries its own length:
+/// there is no size step. CPR-P2P re-packs every round's block from
+/// `out` and unpacks what it receives.
 ///
 /// The own block either comes from `mine` (standalone allgather plan)
 /// or is already in place in `out` (the allreduce composition, `mine =
@@ -198,8 +201,8 @@ enum AgPhase {
 #[derive(Debug)]
 pub(crate) struct RingAg {
     place: Placement,
-    /// Values per relayed sub-chunk.
-    pipe: usize,
+    /// How a relayed block is cut into sub-chunks.
+    cut: Cut,
     /// Relay slots in all, and the first slots of the blocks this
     /// round forwards and receives (see [`RingAg::slot`]).
     slots: usize,
@@ -222,20 +225,21 @@ pub(crate) struct RingAg {
 }
 
 impl RingAg {
-    /// `pipe` is the session's pipe (values): compress-once relays in
-    /// sub-chunks of it, but of no fewer than [`DEFAULT_PIPE_VALUES`] —
-    /// every relayed sub-chunk pays a message's latency in each of the
-    /// `n − 2` relay rounds, so a pipe tuned smaller for the codec
-    /// overlap of the reduce-scatter must not multiply them. Raw relays
-    /// whole blocks and CPR-P2P re-packs them.
-    pub(crate) fn new(place: Placement, pipe: usize, overlap: bool) -> Self {
+    /// `cut` is the session's pipe, tapered on a flat plan's link-bound
+    /// net: compress-once relays in uniform sub-chunks of the pipe, but of
+    /// no fewer than [`DEFAULT_PIPE_VALUES`] values — every relayed
+    /// sub-chunk pays a message's latency in each of the `n − 2` relay
+    /// rounds, so a pipe tuned smaller for the codec overlap of the
+    /// reduce-scatter must not multiply them. Raw relays in the taper, or
+    /// whole blocks without one; CPR-P2P re-packs whole blocks.
+    pub(crate) fn new(place: Placement, cut: Cut, overlap: bool) -> Self {
         let place = place.movement(true, "ring allgather");
         RingAg {
             place,
-            pipe: if matches!(place, Placement::Once) {
-                pipe.max(DEFAULT_PIPE_VALUES)
-            } else {
-                WHOLE
+            cut: match place {
+                Placement::Once => cut.at_least(DEFAULT_PIPE_VALUES),
+                Placement::Raw if cut.is_tapered() => cut,
+                _ => Cut::WHOLE,
             },
             slots: 0,
             fwd: 0,
@@ -262,7 +266,7 @@ impl RingAg {
 
     /// Sub-chunks a `len`-value block travels as.
     fn subs(&self, len: usize) -> usize {
-        len.div_ceil(self.pipe).max(1)
+        self.cut.count(len).max(1)
     }
 
     /// The first relay slot of block `b`: slots are laid out block after
@@ -284,8 +288,7 @@ impl RingAg {
 
     /// The values of sub-chunk `j` of a `len`-value block.
     fn sub(&self, j: usize, len: usize) -> Range<usize> {
-        let lo = j.saturating_mul(self.pipe).min(len);
-        lo..len.min(lo.saturating_add(self.pipe))
+        self.cut.range(j, len)
     }
 
     /// Land sub-chunk `j` of block `b`, whose first relay slot is
@@ -404,14 +407,21 @@ impl RingAg {
                     }
                     // Take what has arrived; a blocking step, which has
                     // sent and landed everything by now, waits the rest
-                    // out.
-                    while self.got < inbound {
+                    // out. The last round of a tapered relay lands each
+                    // piece as it arrives, so only the tail's copy is
+                    // exposed.
+                    let lands = self.overlap && self.cut.is_tapered() && self.k + 2 == n;
+                    while self.got < inbound && (block || !lands || budget > 0) {
                         // Not here yet (nonblocking), or aborted.
                         let Some(got) = next_arrival(comm, &mut ws.rreqs, block, cat) else {
                             break;
                         };
                         ws.blobs[into + self.got] = Some(got);
+                        if lands && !self.land(comm, link, out, ws, (recv_idx, into), self.got) {
+                            return Poll::Pending;
+                        }
                         self.got += 1;
+                        budget = budget.saturating_sub(usize::from(lands));
                     }
                     if self.sent < own || self.landed < relayed || self.got < inbound {
                         return Poll::Pending;

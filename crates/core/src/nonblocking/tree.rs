@@ -1,6 +1,6 @@
 //! The binomial-tree rooted reduce.
 
-use ccoll_comm::Comm;
+use ccoll_comm::{Comm, Cut};
 
 use super::Poll;
 use crate::collectives::cpr_p2p::CprCodec;
@@ -24,7 +24,7 @@ enum TreePhase {
 /// Resumable binomial-tree rooted reduce. `step` returns
 /// `Poll::Ready`; whether this rank is the root comes from
 /// [`TreeReduce::is_root`] after completion. Every tree edge is one
-/// [`Route::hop`] stream: `pipe`-value sub-chunks raw, PIPE-SZx
+/// [`Route::hop`] stream: the plan's raw cut raw, PIPE-SZx
 /// sub-chunks piped, one whole message at CPR-P2P.
 ///
 /// A rank's accumulator is born from its first child's fold
@@ -34,8 +34,8 @@ enum TreePhase {
 #[derive(Debug)]
 pub(crate) struct TreeReduce {
     place: Placement,
-    /// Raw sub-chunk size (see [`Placement::stream`]).
-    pipe: usize,
+    /// The raw cut (see [`Placement::stream`]).
+    cut: Cut,
     root: usize,
     phase: TreePhase,
     mask: usize,
@@ -45,10 +45,10 @@ pub(crate) struct TreeReduce {
 }
 
 impl TreeReduce {
-    pub(crate) fn new(place: Placement, pipe: usize, root: usize) -> Self {
+    pub(crate) fn new(place: Placement, cut: Cut, root: usize) -> Self {
         TreeReduce {
             place,
-            pipe,
+            cut,
             root,
             phase: TreePhase::Init,
             mask: 1,
@@ -108,7 +108,7 @@ impl TreeReduce {
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
         let tag = tags::TREE_REDUCE + self.place.band();
-        let stream = self.place.stream(cpr, self.pipe);
+        let stream = self.place.stream(cpr, self.cut);
         loop {
             match self.phase {
                 TreePhase::Init => {

@@ -13,17 +13,20 @@
 //!
 //! | route | obtain `j` | forward to | land |
 //! |---|---|---|---|
-//! | [`Route::hop`] (`RingRs`, `Butterfly` fold / halving, `TreeReduce`; `HierBc` hand-off) | encode `send[j]` (its own stream); receive from `from` | `to` | fold into `dst` (first touch: from `input`); the hand-off stores |
-//! | [`Route::exchange`] (recursive doubling's rounds) | encode `input[j]` before the first fold, then `dst[j]`; receive from the peer | the peer | fold into `dst`: first touch from `input`, else in place once `dst[j]` is encoded |
+//! | [`Route::hop`] (`RingRs`, `Butterfly` fold / halving, `TreeReduce`; `HierBc` hand-off); raw: tapered on a flat link-bound plan | encode `send[j]` (its own stream); receive from `from` | `to` | fold into `dst` (first touch: from `input`); the hand-off stores |
+//! | [`Route::exchange`] (recursive doubling's rounds); raw: tapered as a hop | encode `input[j]` before the first fold, then `dst[j]`; receive from the peer | the peer | fold into `dst`: first touch from `input`, else in place once `dst[j]` is encoded |
 //! | [`Route::tree`] (`Bcast` at `Once` and raw; hierarchical fan-outs), root / others | encode `out[j]` / receive from the parent | binomial children, *before* landing | — / decode in place |
 //! | [`Route::chain_fold`] (`HierAr`), far end / others | pack `input[j]` / receive from `i + 1` | `i − 1`, *after* folding | fold, first touch from `input[j]` |
 //! | [`Route::chain_relay`] (`HierAr`), member 0 / others | pack `out[j]` / receive from `i − 1` | `i + 1`, *before* landing | — / store |
 //!
-//! The sub-chunk size comes with the link
+//! The [`Cut`] comes with the link
 //! ([`Placement::stream`](crate::placement::Placement::stream)): PIPE-SZx
-//! sub-chunks (5120 values by default) on a piped hop, the plan's pipe on
-//! a raw hop, the compress-once tree and the hierarchical chains, and the
-//! whole message ([`WHOLE`]) otherwise, sent even when empty. So a hop
+//! sub-chunks (5120 values by default) on a piped hop; on a raw hop the
+//! plan's pipe or, on a flat plan whose link is slower than its fold,
+//! largest-first pieces down to a short tail (a [`ccoll_comm::Taper`]);
+//! the plan's pipe on the compress-once tree and the hierarchical
+//! chains; and the whole message ([`WHOLE`]) otherwise, sent even when
+//! empty. So a hop
 //! encodes `j + 1` while `j` is on the wire and folds arrivals through the
 //! **fused decompress-reduce** kernel while later ones are in flight, a
 //! tree root is `max(encode, fan-out)`-bound, and every codec call goes
@@ -51,7 +54,7 @@ use std::ops::Range;
 use std::time::Duration;
 
 use bytes::Bytes;
-use ccoll_comm::{Category, Comm, CommError, PayloadPool, RecvReq, SendReq, Tag};
+use ccoll_comm::{Category, Comm, CommError, Cut, PayloadPool, RecvReq, SendReq, Tag};
 use ccoll_compress::CodecScratch;
 
 use crate::nonblocking::{next_arrival, retire_sends, Poll};
@@ -179,8 +182,8 @@ fn neighbours<C: Comm>(comm: &C) -> (Option<usize>, Option<usize>) {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Route<'r> {
     link: Link<'r>,
-    /// Values per sub-chunk ([`WHOLE`]: the whole buffer is one).
-    pipe: usize,
+    /// How the buffers are cut into sub-chunks.
+    cut: Cut,
     tag: Tag,
     source: Source<'r>,
     /// The rank the inbound stream comes from, and how it lands.
@@ -197,14 +200,14 @@ impl<'r> Route<'r> {
     /// rank's `send` values go to their peer, and what comes from the
     /// `recv` peer lands in the step's `dst`; either side may be absent.
     pub(crate) fn hop(
-        (link, pipe): (Link<'r>, usize),
+        (link, cut): (Link<'r>, Cut),
         tag: Tag,
         send: Option<(&'r [f32], usize)>,
         recv: Option<(usize, Land<'r>)>,
     ) -> Self {
         let source = send.map_or(Source::None, |(vals, _)| Source::Own(vals));
         let fan = send.map_or(Fan::None, |(_, to)| Fan::One(to));
-        Self::new(link, pipe, tag, source, recv, fan)
+        Self::new(link, cut, tag, source, recv, fan)
     }
 
     /// This rank's half of a symmetric exchange with `peer` over `stream`,
@@ -212,7 +215,7 @@ impl<'r> Route<'r> {
     /// and folds as the first touch `dst = fold(first, ·)`, or — without
     /// `first` — sends `dst` itself and folds in place.
     pub(crate) fn exchange(
-        (link, pipe): (Link<'r>, usize),
+        (link, cut): (Link<'r>, Cut),
         tag: Tag,
         peer: usize,
         op: ReduceOp,
@@ -220,7 +223,7 @@ impl<'r> Route<'r> {
     ) -> Self {
         let (source, fan) = (first.map_or(Source::Dst, Source::Own), Fan::One(peer));
         let sink = Some((peer, Land::Fold(op, first)));
-        Self::new(link, pipe, tag, source, sink, fan)
+        Self::new(link, cut, tag, source, sink, fan)
     }
 
     /// The broadcast down the binomial tree rooted at `root`, every
@@ -242,7 +245,7 @@ impl<'r> Route<'r> {
             _ => (Source::None, Some((relative - span + root) % n)),
         };
         let sink = sink.map(|parent| (parent, Land::Store));
-        Self::new(link, pipe, tag, source, sink, Fan::Tree(root))
+        Self::new(link, Cut::pipe(pipe), tag, source, sink, Fan::Tree(root))
     }
 
     /// Member `i`'s part in a raw reduction of `input` along the path of
@@ -263,7 +266,7 @@ impl<'r> Route<'r> {
             Some(next) => (Source::None, Some((next, Land::Fold(op, Some(input))))),
         };
         let fan = prev.map_or(Fan::None, Fan::One);
-        Self::new(Link::Raw, pipe, tag, source, sink, fan)
+        Self::new(Link::Raw, Cut::pipe(pipe), tag, source, sink, fan)
     }
 
     /// Member 0's `dst` relayed along the path into every other member's
@@ -275,13 +278,13 @@ impl<'r> Route<'r> {
             Some(prev) => (Source::None, Some((prev, Land::Store))),
         };
         let fan = next.map_or(Fan::None, Fan::One);
-        Self::new(Link::Raw, pipe, tag, source, sink, fan)
+        Self::new(Link::Raw, Cut::pipe(pipe), tag, source, sink, fan)
     }
 
     /// A route, field by field.
     fn new(
         link: Link<'r>,
-        pipe: usize,
+        cut: Cut,
         tag: Tag,
         source: Source<'r>,
         sink: Option<(usize, Land<'r>)>,
@@ -289,7 +292,7 @@ impl<'r> Route<'r> {
     ) -> Self {
         Route {
             link,
-            pipe,
+            cut,
             tag,
             source,
             sink,
@@ -304,19 +307,13 @@ impl<'r> Route<'r> {
     /// hop, which sends nothing of it.
     fn counts(&self, dst_len: usize) -> (usize, usize) {
         let least = usize::from(!matches!(self.link, Link::Piped(_)));
-        let count = |len: usize| len.div_ceil(self.pipe).max(least);
+        let count = |len: usize| self.cut.count(len).max(least);
         let own = match self.source {
             Source::None => 0,
             Source::Own(vals) => count(vals.len()),
             Source::Dst => count(dst_len),
         };
         (own, self.sink.map_or(0, |_| count(dst_len)))
-    }
-
-    /// The values of sub-chunk `j` of a `len`-value buffer.
-    fn range(&self, j: usize, len: usize) -> Range<usize> {
-        let lo = j * self.pipe;
-        lo..(lo + self.pipe).min(len)
     }
 
     /// Whether this rank passes on what it receives (the `fan` rule).
@@ -366,7 +363,7 @@ impl StreamCursor {
                     Source::Own(vals) => vals,
                     _ => &*dst,
                 };
-                let at = route.range(self.sent, vals.len());
+                let at = route.cut.range(self.sent, vals.len());
                 let blob = link.pack(comm, &vals[at], bufs.pool);
                 route.fan.send(comm, tag, &blob, bufs.sreqs);
                 self.sent += 1;
@@ -391,7 +388,7 @@ impl StreamCursor {
                 let Some(got) = next_arrival(comm, bufs.rreqs, wait, Category::Wait) else {
                     break;
                 };
-                let at = route.range(self.landed, dst.len());
+                let at = route.cut.range(self.landed, dst.len());
                 let (from, land) = route.sink.expect("an inbound stream has a sink");
                 if route.forwards() && matches!(land, Land::Store) {
                     route.fan.send(comm, tag, &got, bufs.sreqs);
@@ -523,22 +520,27 @@ mod tests {
             let sum = ReduceOp::Sum;
             let route = match shape {
                 Shape::Exchange(place) => {
-                    let stream = place.stream(Some(&cpr), PIPE);
+                    let stream = place.stream(Some(&cpr), Cut::pipe(PIPE));
                     Route::exchange(stream, tag, 1 - me, sum, Some(&input))
                 }
                 Shape::InPlace(place) => {
-                    let stream = place.stream(Some(&cpr), PIPE);
+                    let stream = place.stream(Some(&cpr), Cut::pipe(PIPE));
                     Route::exchange(stream, tag, 1 - me, sum, None)
                 }
                 Shape::OneWay(place, len) if me == 0 => Route::hop(
-                    place.stream(Some(&cpr), PIPE),
+                    place.stream(Some(&cpr), Cut::pipe(PIPE)),
                     tag,
                     Some((&input[..len], 1)),
                     None,
                 ),
                 Shape::OneWay(place, _) => {
                     let land = Land::Fold(sum, None);
-                    Route::hop(place.stream(Some(&cpr), PIPE), tag, None, Some((0, land)))
+                    Route::hop(
+                        place.stream(Some(&cpr), Cut::pipe(PIPE)),
+                        tag,
+                        None,
+                        Some((0, land)),
+                    )
                 }
                 Shape::Tree(place) => {
                     let data: &[f32] = if me == 0 { &input } else { &[] };
@@ -646,6 +648,90 @@ mod tests {
             assert!(
                 whole || in_place || full,
                 "{shape:?}: no step used the whole drain budget"
+            );
+        }
+    }
+
+    /// Every length from empty to four pipes (ragged ones included), on
+    /// a link-bound net (the default: both a fold and a copy outrun the
+    /// link) and a fold-bound one (a link faster than a fold, slower than
+    /// a copy). A raw hop's cut (the fold's) and a ring relay's (a copy's,
+    /// its latencies paid in seven rounds) tile `[0, len)` in order on
+    /// both ends of a stream, keep at most one pipe whole, and compute
+    /// each piece without allocating. A cut that tapers hides every
+    /// piece's work under the next piece's transfer (`α + bytes·β`); a
+    /// fold-bound hop keeps the uniform pipe, whose fold the link never
+    /// waits on.
+    #[test]
+    fn cuts_tile_in_order_and_hide_each_piece_under_the_next() {
+        use ccoll_comm::{CostModel, Kernel, NetModel, Taper};
+
+        use crate::frameworks::computation::DEFAULT_PIPE_VALUES as PIPE;
+        use crate::testing::allocations;
+
+        let cost = CostModel::default();
+        let link_bound = NetModel::default();
+        let fold_bound = NetModel {
+            bandwidth: 4e9,
+            ..link_bound
+        };
+        let link = |cut: Cut| Route::exchange((Link::Raw, cut), 0, 1, ReduceOp::Sum, None);
+        for (net, kernel, rounds) in [
+            (link_bound, Kernel::Reduce, 1),
+            (link_bound, Kernel::Memcpy, 7),
+            (fold_bound, Kernel::Reduce, 1),
+            (fold_bound, Kernel::Memcpy, 7),
+        ] {
+            let work = cost.throughput(kernel);
+            let taper = Taper::new(&net, work, rounds);
+            assert_eq!(
+                taper.is_some(),
+                work > net.bandwidth,
+                "{kernel:?} at {net:?}"
+            );
+            let cut = Cut::tapered(PIPE, taper);
+            let (alpha, secs) = (net.latency.as_secs_f64(), |values: usize, rate: f64| {
+                values as f64 * 4.0 / rate
+            });
+            let before = allocations();
+            for len in 0..=4 * PIPE {
+                let (own, inbound) = link(cut).counts(len);
+                assert_eq!(own, inbound, "{kernel:?} {len}: both ends cut alike");
+                assert_eq!(
+                    own,
+                    cut.count(len).max(1),
+                    "{kernel:?} {len}: an empty message"
+                );
+                if len <= PIPE {
+                    assert_eq!(cut.count(len), usize::from(len > 0), "{kernel:?} {len}");
+                }
+                if taper.is_none() {
+                    assert_eq!(cut.count(len), len.div_ceil(PIPE), "{kernel:?} {len}");
+                }
+                let (mut end, mut prev) = (0, 0);
+                for j in 0..cut.count(len) {
+                    let at = cut.range(j, len);
+                    assert!(
+                        at.start == end && at.end > end,
+                        "{kernel:?} {len}: {j} {at:?}"
+                    );
+                    let lands = alpha + secs(at.len(), net.bandwidth);
+                    if j > 0 && taper.is_some() {
+                        let done = secs(prev, work);
+                        assert!(done <= lands, "{kernel:?} {len}: piece {j} lands first");
+                    }
+                    if j > 0 && taper.is_none() {
+                        let folds = secs(prev, work);
+                        assert!(folds >= lands, "{kernel:?} {len}: the fold waits");
+                    }
+                    (end, prev) = (at.end, at.len());
+                }
+                assert_eq!(end, len, "{kernel:?} {len}: the pieces cover the buffer");
+            }
+            assert_eq!(
+                allocations(),
+                before,
+                "{kernel:?}: computing a piece allocates"
             );
         }
     }

@@ -21,9 +21,10 @@
 //!
 //! A machine that cannot run a placement refuses it in its constructor.
 //! The streaming engine reaches the codec through the same `Link`s:
-//! [`Placement::stream`] gives every reducing hop its link and
-//! sub-chunk size: the session's pipe at raw and piped (recursive
-//! doubling's piped config excepted, rule 6), the whole message at CPR.
+//! [`Placement::stream`] gives every reducing hop its link and cut:
+//! the plan's raw cut at raw (rule 6), the session's pipe piped
+//! (recursive doubling's piped config excepted, rule 6), the whole
+//! message at CPR.
 //!
 //! Orderings the machines keep — virtual time is bit-identical only
 //! while they hold:
@@ -70,9 +71,13 @@
 //!    sub-chunks only those that have left, the rest at the end); a
 //!    nonblocking step encodes at most one charged sub-chunk — a tree
 //!    root suspends after every one — while a raw source end sends its
-//!    whole stream at once. A raw hop streams in the session's pipe sub-chunks and folds
-//!    arrival `j` while `j + 1` is on the wire; a payload of at most one
-//!    sub-chunk is still one message. A whole-message route
+//!    whole stream at once. A raw hop folds arrival `j` while `j + 1`
+//!    is on the wire, in the plan's raw cut: on a flat plan whose link
+//!    is slower than its fold, pieces largest first, each the largest
+//!    whose fold still ends before the next one lands, down to a tail
+//!    priced against one more latency (`ccoll_comm::Taper`); on a
+//!    topology or a fold-bound net, the session's pipe. A payload of at
+//!    most one pipe is one message. A whole-message route
 //!    (`Placement::stream` of CPR, the raw trees: bcast, fan-out,
 //!    hand-off) is one unbounded sub-chunk, sent even when empty — the
 //!    one message of the hop it replaces; a PIPE-SZx hop sends nothing
@@ -84,19 +89,23 @@
 //!    session's pipe sub-chunks, one message each: round 0 sends each
 //!    one as it is packed; a later round posts its receives, forwards
 //!    all of the last round's sub-chunks, then lands them in order. Raw
-//!    relays whole blocks. A round ends when its receives are in and its
-//!    sends have left.
+//!    relays whole blocks, or — on a flat plan whose link is slower than
+//!    a copy — a block longer than one pipe in the copy's taper, and
+//!    lands each piece of its last round as it arrives. A round ends
+//!    when its receives are in and its sends have left.
 
 use bytes::Bytes;
-use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
+use ccoll_comm::{Category, Comm, Cut, Kernel, PayloadPool, Tag};
 use ccoll_compress::{CodecScratch, CompressError, Compressor, SzxCodec};
 
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::memcpy_in;
 use crate::frameworks::computation::PipelineConfig;
-use crate::pipeline::WHOLE;
 use crate::reduce::ReduceOp;
-use crate::wire::{decode_values_into, decode_values_vec};
+use crate::wire::decode_values_into;
+
+/// Values a raw fold decodes onto the stack at a time.
+const RAW_FOLD_VALUES: usize = 1024;
 
 /// Compression placement of a machine.
 #[derive(Debug, Clone, Copy)]
@@ -145,19 +154,19 @@ impl Placement {
     }
 
     /// The stream a reducing hop of this placement runs on the streaming
-    /// engine, as `(link, values per sub-chunk)`: PIPE-SZx sub-chunks at
-    /// `cfg` when piped, raw values in `pipe`-value sub-chunks when raw
-    /// (the session's pipe, so a fold overlaps the sub-chunks still on
-    /// the wire); a CPR-P2P hop — the paper's naive baseline — is a
-    /// stream of one unbounded sub-chunk ([`WHOLE`]).
+    /// engine, as `(link, cut)`: PIPE-SZx sub-chunks at `cfg` when piped,
+    /// raw values in the plan's `raw` cut when raw (the session's pipe,
+    /// or a flat plan's taper, so a fold overlaps the pieces still on the
+    /// wire); a CPR-P2P hop — the paper's naive baseline — is a stream of
+    /// one unbounded sub-chunk ([`Cut::WHOLE`]).
     ///
     /// # Panics
     /// Panics if a compressed placement is stepped without a codec.
-    pub(crate) fn stream(self, cpr: Option<&CprCodec>, pipe: usize) -> (Link<'_>, usize) {
+    pub(crate) fn stream(self, cpr: Option<&CprCodec>, raw: Cut) -> (Link<'_>, Cut) {
         match self {
-            Placement::Raw => (Link::Raw, pipe),
-            Placement::Piped(cfg) => (Link::piped(cfg), cfg.chunk_values),
-            _ => (self.link(cpr), WHOLE),
+            Placement::Raw => (Link::Raw, raw),
+            Placement::Piped(cfg) => (Link::piped(cfg), Cut::pipe(cfg.chunk_values)),
+            _ => (self.link(cpr), Cut::WHOLE),
         }
     }
 
@@ -368,13 +377,21 @@ impl Link<'_> {
         }
         let dec = &mut scratch.dec;
         let Some((codec, _, dk, pooled)) = self.codec() else {
-            decode_values_vec(got, dec);
-            let vals: &[f32] = dec;
-            comm.run_kernel(Kernel::Reduce, vals.len() * 4, Category::Reduction, || {
+            // A block at a time through the stack: however long the
+            // piece, the fold touches no scratch.
+            let mut vals = [0.0f32; RAW_FOLD_VALUES];
+            comm.run_kernel(Kernel::Reduce, got.len(), Category::Reduction, || {
                 if let Some(src) = from {
                     dst.copy_from_slice(src);
                 }
-                op.apply(dst, vals)
+                for (acc, bytes) in dst
+                    .chunks_mut(RAW_FOLD_VALUES)
+                    .zip(got.chunks(4 * RAW_FOLD_VALUES))
+                {
+                    let vals = &mut vals[..acc.len()];
+                    decode_values_into(bytes, vals);
+                    op.apply(acc, vals);
+                }
             });
             return Ok(());
         };
@@ -460,7 +477,7 @@ mod tests {
         let out = SimWorld::new(SimConfig::new(2)).run(move |c| {
             let cpr = CprCodec::from_spec(spec);
             // A piped machine's sub-chunks (its monolithic legs are CPR).
-            let (link, _) = place.stream(cpr.as_ref(), LEN);
+            let (link, _) = place.stream(cpr.as_ref(), Cut::pipe(LEN));
             let mut ws = CollWorkspace::new();
             if c.rank() == 0 {
                 return [1, 2, 3, 4].map(|tag| {

@@ -151,7 +151,14 @@ impl PlanCore {
 /// (the simulator's tag-keyed tables go warm after two executions,
 /// preserving the zero-allocation steady state).
 pub(crate) const fn op_base(slot: u32, op_seq: u32) -> Tag {
-    ((slot % 1023 + 1) << 22) | ((op_seq % 2) << 16)
+    ((wire_slot(slot) + 1) << 22) | ((op_seq % 2) << 16)
+}
+
+/// The slot bits a plan's wire tags carry: plans `k` and `k + 1023`
+/// share them, so [`Plan::start`] refuses to start an operation while
+/// another on its wire slot is in flight.
+pub(crate) const fn wire_slot(slot: u32) -> u32 {
+    slot % 1023
 }
 
 pub(crate) fn check_world<C: Comm>(comm: &C, world_size: usize) {
@@ -540,8 +547,10 @@ impl<K: Kind> Plan<K> {
     ///
     /// # Panics
     /// Panics if the communicator size or buffer lengths disagree with
-    /// the plan, if the plan is poisoned, or if a previous handle was
-    /// leaked mid-operation.
+    /// the plan, if the plan is poisoned, if a previous handle was
+    /// leaked mid-operation, or if an operation of a plan whose tag slot
+    /// is this one's plus or minus a multiple of 1023 (the same wire
+    /// tags) is in flight.
     pub fn start<'p, 'b, C: Comm>(
         &'p mut self,
         comm: &mut C,
@@ -563,6 +572,13 @@ impl<K: Kind> Plan<K> {
             !core.in_flight,
             "a previous nonblocking operation on this plan was dropped without \
              completing; the plan's collective state is undefined"
+        );
+        let wire = wire_slot(core.slot);
+        assert!(
+            core.session.feedback.claim_slot(wire),
+            "plan slot {} starts while another operation on wire slot {wire} is in \
+             flight: plan slots 1023 apart share their wire tags",
+            core.slot
         );
         calibration::retune(core, kind, comm);
         if core.algorithm == Algorithm::Hierarchical && core.groups.is_none() {
@@ -757,6 +773,8 @@ impl<K: Kind> Drop for Handle<'_, '_, K> {
             .feedback
             .live_ops
             .fetch_sub(1, Ordering::Relaxed);
+        let feedback = &self.plan.core.session.feedback;
+        feedback.release_slot(wire_slot(self.plan.core.slot));
         if !self.done && self.plan.core.poisoned.is_none() {
             // Dropped mid-operation: receives may still be posted and
             // peers may be mid-collective, so this plan's exchanged
@@ -781,6 +799,7 @@ mod tests {
     use crate::nonblocking::{RingAg, RingRs};
     use crate::placement::Placement;
     use crate::reduce::ReduceOp;
+    use ccoll_comm::Cut;
 
     /// Fixed-point lane values (×1024) for `rank` of world `n`: lane 0 is
     /// zero on roughly one rank in `2n` (so about half the cases have a
@@ -839,6 +858,37 @@ mod tests {
             min = [min[0].min(v[0]), min[1].min(v[1])];
         }
         min.map(|v| (v > 0).then(|| v as f64 / 1024.0))
+    }
+
+    /// Plans 0 and 1023 of one session: their wire tags share the slot
+    /// bits, so with `together` plan 1023 starts while plan 0's
+    /// operation is still in flight.
+    fn plans_1023_apart(together: bool) {
+        SimWorld::new(SimConfig::new(1)).run(move |c| {
+            let session = crate::CCollSession::new(crate::CodecSpec::None, 1);
+            let mut plans: Vec<_> = (0..1024)
+                .map(|_| session.plan_allreduce(4, ReduceOp::Sum))
+                .collect();
+            let (input, mut a, mut b) = ([1.0; 4], [0.0; 4], [0.0; 4]);
+            let (first, rest) = plans.split_first_mut().expect("1024 plans");
+            let live = first.start(c, &input, &mut a);
+            if !together {
+                live.complete(c);
+            }
+            rest[1022].execute_into(c, &input, &mut b);
+            assert_eq!(b, input, "one rank's sum is its input");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "plan slot 1023 starts while another operation on wire slot 0")]
+    fn plans_sharing_a_wire_slot_cannot_be_in_flight_together() {
+        plans_1023_apart(true);
+    }
+
+    #[test]
+    fn plans_sharing_a_wire_slot_run_one_after_the_other() {
+        plans_1023_apart(false);
     }
 
     #[test]
@@ -914,8 +964,8 @@ mod tests {
             let value = |i: usize| ((i * (which + 2) + rank * 31) % 97) as f32;
             let input: Vec<f32> = (0..1003).map(value).collect();
             let stages = (
-                RingRs::new(Placement::Raw, 64),
-                RingAg::new(Placement::Raw, crate::pipeline::WHOLE, true),
+                RingRs::new(Placement::Raw, Cut::pipe(64)),
+                RingAg::new(Placement::Raw, Cut::WHOLE, true),
                 false,
             );
             (stages, input, vec![0.0f32; 1003], CollWorkspace::new())

@@ -59,6 +59,7 @@ use crate::plan::{
 };
 use crate::reduce::ReduceOp;
 use crate::workspace::CollWorkspace;
+use ccoll_comm::Cut;
 
 mod error;
 mod feedback;
@@ -351,6 +352,28 @@ impl CCollSession {
         let nominal = self.select_ctx().params(len * 4);
         self.cost
             .exchange_values(self.pipe_values, &self.net, &nominal)
+    }
+
+    /// How this session's raw reducing hops cut their payload: in pipe
+    /// sub-chunks, or — on a flat network whose link is slower than the
+    /// fold — past one pipe in [`CostModel::hop_taper`]'s largest-first
+    /// pieces. Derived from rank-identical inputs (the configured net and
+    /// kernel table, never a calibrated scale), so both ends of a hop
+    /// cut alike; a topology keeps the pipe.
+    pub(crate) fn hop_cut(&self) -> Cut {
+        let taper = self
+            .cost
+            .hop_taper(&self.net)
+            .filter(|_| self.cluster.is_none());
+        Cut::tapered(self.pipe_values, taper)
+    }
+
+    /// How this session's raw ring allgather cuts a relayed block past
+    /// one pipe: [`CostModel::relay_taper`]'s pieces on a flat link-bound
+    /// network, whole blocks otherwise (see [`Self::hop_cut`]).
+    pub(crate) fn relay_cut(&self) -> Cut {
+        let taper = self.cost.relay_taper(&self.net, self.world_size);
+        Cut::tapered(self.pipe_values, taper.filter(|_| self.cluster.is_none()))
     }
 
     /// The PIPE sub-chunk size (values) every streamed schedule of this

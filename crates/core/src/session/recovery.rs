@@ -38,8 +38,11 @@ impl CCollSession {
     /// failure.
     ///
     /// Returns the structured error when this rank itself is in the
-    /// agreed dead-set (it must stop participating) or when the
-    /// agreement could not complete inside its timeout budget.
+    /// agreed dead-set (it must stop participating), when the
+    /// agreement could not complete inside its timeout budget, or —
+    /// before any message — when the shrink would pass the last epoch
+    /// the tag field can tell apart
+    /// ([`CommError::EpochsExhausted`]).
     pub fn recover<C: Comm>(
         &self,
         comm: &mut C,

@@ -95,3 +95,44 @@ pub(crate) fn assert_blocks_within(
         assert_eq!(at, got.len(), "{what} rank {r}: output length");
     }
 }
+
+/// The unit tests' allocator: the system's, counting the allocations
+/// each thread makes, so a test can check that a call allocates
+/// nothing while other tests run beside it.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn count_allocation() {
+    // Not at all once the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, which upholds `GlobalAlloc`'s contract; counting touches
+// only a thread-local integer, which allocates nothing.
+unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count_allocation();
+        std::alloc::System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        std::alloc::System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
+        count_allocation();
+        std::alloc::System.realloc(ptr, layout, size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations this thread has made so far.
+pub(crate) fn allocations() -> usize {
+    ALLOCATIONS.with(|n| n.get())
+}

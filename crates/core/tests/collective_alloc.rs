@@ -172,10 +172,15 @@ fn steady_state_plans_allocate_nothing() {
         let mut pairwise_alltoall = session.plan_alltoall(len);
         let mut bruck_alltoall =
             session.plan_alltoall_with(len, PlanOptions::new().algorithm(Algorithm::Bruck));
-        // Raw plans stream every reducing hop in sub-chunks too (at a
-        // 1000-value pipe a 4000-value ring chunk spans four of them,
-        // a 12 000-value tree edge twelve), and the raw ring allgather
-        // relays what it received.
+        // Raw plans stream every reducing hop in pieces too: on the
+        // default (link-bound) net, past one pipe, largest first down to
+        // a short tail (at a 1000-value pipe a 4000-value ring chunk is
+        // two pieces, a 12 000-value tree edge three), and the raw ring
+        // allgather relays what it received, in pieces past one pipe.
+        // At 1 Mi values the ring's chunks, Rabenseifner's halves and
+        // the tree's edges all taper, at the default pipe; their pieces
+        // differ in size, so the pool must hand the same slots the same
+        // pieces call after call.
         let raw = CCollSession::new(CodecSpec::None, n).with_pipeline_values(1000);
         let mut raw_allreduce = raw.plan_allreduce(len, ReduceOp::Sum);
         let mut raw_tree_reduce = raw.plan_reduce_with(
@@ -184,6 +189,14 @@ fn steady_state_plans_allocate_nothing() {
             ReduceOp::Sum,
             PlanOptions::new().algorithm(Algorithm::Binomial),
         );
+        let mi = 1 << 20;
+        let raw = CCollSession::new(CodecSpec::None, n);
+        let pinned = |algorithm| PlanOptions::new().algorithm(algorithm);
+        let mut raw_ring_mi = raw.plan_allreduce_with(mi, ReduceOp::Sum, pinned(Algorithm::Ring));
+        let mut raw_raben_mi =
+            raw.plan_allreduce_with(mi, ReduceOp::Sum, pinned(Algorithm::Rabenseifner));
+        let mut raw_tree_mi =
+            raw.plan_reduce_with(0, mi, ReduceOp::Sum, pinned(Algorithm::Binomial));
 
         let input = rank_data(me, len);
         let short_input = rank_data(me, short);
@@ -213,6 +226,9 @@ fn steady_state_plans_allocate_nothing() {
         let mut bucket_out_a = vec![0.0f32; bucket_lens[0]];
         let mut bucket_out_b = vec![0.0f32; bucket_lens[1]];
         let mut bucket_out_c = vec![0.0f32; bucket_lens[2]];
+        let mi_input = rank_data(me, mi);
+        let mut mi_out = vec![0.0f32; mi];
+        let mut mi_root_out = vec![0.0f32; if me == 0 { mi } else { 0 }];
 
         // The full nonblocking cycle must uphold the guarantee too:
         // start, several partial progress calls with application
@@ -284,6 +300,9 @@ fn steady_state_plans_allocate_nothing() {
             chain_allreduce.execute_into(c, &input, &mut ar_out);
             raw_allreduce.execute_into(c, &input, &mut ar_out);
             raw_tree_reduce.execute_into(c, &half, &mut rr_out);
+            raw_ring_mi.execute_into(c, &mi_input, &mut mi_out);
+            raw_raben_mi.execute_into(c, &mi_input, &mut mi_out);
+            raw_tree_mi.execute_into(c, &mi_input, &mut mi_root_out);
             scatter.execute_into(c, &root_input, &mut sc_out);
             gather.execute_into(c, &chunk, &mut ga_out);
             pairwise_alltoall.execute_into(c, &input, &mut a2a_out);
@@ -325,6 +344,9 @@ fn steady_state_plans_allocate_nothing() {
             chain_allreduce.execute_into(c, &input, &mut ar_out);
             raw_allreduce.execute_into(c, &input, &mut ar_out);
             raw_tree_reduce.execute_into(c, &half, &mut rr_out);
+            raw_ring_mi.execute_into(c, &mi_input, &mut mi_out);
+            raw_raben_mi.execute_into(c, &mi_input, &mut mi_out);
+            raw_tree_mi.execute_into(c, &mi_input, &mut mi_root_out);
             scatter.execute_into(c, &root_input, &mut sc_out);
             gather.execute_into(c, &chunk, &mut ga_out);
             pairwise_alltoall.execute_into(c, &input, &mut a2a_out);

@@ -11,9 +11,12 @@
 
 use std::time::Duration;
 
+use c_coll::frameworks::computation::DEFAULT_PIPE_VALUES;
 use c_coll::partition::chunk_range;
 use c_coll::{Algorithm, CCollSession, CodecSpec, PlanOptions, ReduceOp};
-use ccoll_comm::{Category, Comm, HierNet, Kernel, SimConfig, SimWorld, Topology};
+use ccoll_comm::{
+    Category, Comm, CostModel, HierNet, Kernel, NetModel, SimConfig, SimWorld, Topology,
+};
 
 /// Deliberately divisible by none of the world sizes below.
 const LEN: usize = 40_003;
@@ -66,10 +69,22 @@ fn whole_vector(_n: usize, _me: usize, _lanes: Option<usize>) -> Vec<usize> {
     vec![LEN]
 }
 
-/// The raw ring allgather lands the `n − 1` chunks that are not mine.
+/// The raw ring allgather lands the `n − 1` chunks that are not mine,
+/// each in the pieces it is relayed in: on the default (link-bound) flat
+/// net, the relay taper's past one pipe, else the whole chunk.
 fn raw_ring(n: usize, me: usize, _lanes: Option<usize>) -> Vec<usize> {
+    let taper = CostModel::default().relay_taper(&NetModel::default(), n);
+    let taper = taper.expect("the default net is slower than a copy");
+    let pieces = |len: usize| match len {
+        ..=DEFAULT_PIPE_VALUES => vec![len],
+        _ => (0..taper.pieces(len))
+            .map(|j| taper.piece(j, len).len())
+            .collect(),
+    };
     let others = (0..n).filter(|&r| r != me);
-    others.map(|r| chunk_range(LEN, n, r).len()).collect()
+    others
+        .flat_map(|r| pieces(chunk_range(LEN, n, r).len()))
+        .collect()
 }
 
 /// The monolithic legs of a Rabenseifner allreduce of `len` values: a

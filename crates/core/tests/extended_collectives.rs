@@ -4,7 +4,7 @@
 use c_coll::collectives::cpr_p2p::{cpr_pairwise_alltoall_into, CprCodec};
 use c_coll::partition::{chunk_lengths, chunk_offsets};
 use c_coll::{CCollSession, CodecSpec, CollWorkspace, ReduceOp};
-use ccoll_comm::{Comm, SimConfig, SimWorld};
+use ccoll_comm::{Comm, CostModel, NetModel, SimConfig, SimWorld};
 
 fn session(eb: f32, n: usize) -> CCollSession {
     CCollSession::new(CodecSpec::Szx { error_bound: eb }, n)
@@ -177,15 +177,21 @@ fn traffic_matches_ring_allreduce_formula() {
     });
     let d_bytes = (len * 4) as f64;
     let expect = 2.0 * (n as f64 - 1.0) / n as f64 * d_bytes;
-    // Each reduce-scatter round streams its chunk in pipe sub-chunks;
-    // each allgather round relays one whole block.
-    let pipe = c_coll::frameworks::computation::DEFAULT_PIPE_VALUES;
-    let (rounds, sub_chunks) = (n as u64 - 1, (len / n).div_ceil(pipe) as u64);
+    // Each reduce-scatter round streams its chunk, and each allgather
+    // round relays one block, in the pieces of the flat session's cuts
+    // on the default net (both longer than one pipe).
+    let (cost, net) = (CostModel::default(), NetModel::default());
+    let hop = cost
+        .hop_taper(&net)
+        .expect("the default net is slower than a fold");
+    let relay = cost.relay_taper(&net, n).expect("and slower than a copy");
+    let rounds = n as u64 - 1;
+    let pieces = (hop.pieces(len / n) + relay.pieces(len / n)) as u64;
     for (r, t) in out.traffics.iter().enumerate() {
         let sent = t.bytes_sent as f64;
         let rel = (sent - expect).abs() / expect;
         assert!(rel < 0.01, "rank {r}: sent {sent} vs formula {expect}");
-        assert_eq!(t.messages_sent, rounds * sub_chunks + rounds);
+        assert_eq!(t.messages_sent, rounds * pieces);
     }
 }
 

@@ -570,17 +570,21 @@ fn streamed_bcast_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
 
 #[test]
 fn piped_ring_aborts_mid_stream_loss_cleanly_and_reruns_after_reset() {
-    // A ring allreduce whose reduce-scatter hops stream three full
-    // sub-chunks and a short tail each: piped SZx, and raw. A permanently
-    // lost sub-chunk closes up its hop's FIFO stream: the receiver
-    // starves on its last receive, or the short tail lands in a full
-    // slot — which must abort like the starved receive (a zero-wait
-    // timeout, `Link::fits` refusing it), never panic in the fold. The
-    // codec is deterministic, so a rank that finishes, and every rerun
-    // after `reset()`, holds the fault-free run's exact bits.
-    for spec in [CodecSpec::Szx { error_bound: 1e-3 }, CodecSpec::None] {
-        aborts_mid_stream_loss(spec, ring_opts(), 4 * (3 * CHUNK + 11));
-    }
+    // A ring allreduce whose reduce-scatter hops stream several pieces
+    // each: piped SZx in three full sub-chunks and a short tail, and raw
+    // in the flat net's taper (a hop that short would be one message;
+    // three default pipes and a tail are three pieces, largest first).
+    // A permanently lost sub-chunk closes up its hop's FIFO stream: the
+    // receiver starves on its last receive, or a later, shorter piece
+    // lands in a longer slot — which must abort like the starved
+    // receive (a zero-wait timeout, `Link::fits` refusing it), never
+    // panic in the fold. The codec is deterministic, so a rank that
+    // finishes, and every rerun after `reset()`, holds the fault-free
+    // run's exact bits.
+    let szx = CodecSpec::Szx { error_bound: 1e-3 };
+    aborts_mid_stream_loss(szx, ring_opts(), 4 * (3 * CHUNK + 11));
+    let raw = 3 * c_coll::frameworks::computation::DEFAULT_PIPE_VALUES + 11;
+    aborts_mid_stream_loss(CodecSpec::None, ring_opts(), 4 * raw);
 }
 
 #[test]

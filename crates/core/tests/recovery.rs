@@ -373,6 +373,30 @@ fn recovered_plans_match_fresh_plans_on_the_shrunk_session() {
 }
 
 #[test]
+fn the_shrink_past_the_last_epoch_stamp_is_an_error() {
+    // The epoch field holds 31 stamps: 31 restart-only shrinks enter
+    // epochs 1 to 31, and the 32nd — whose stamp would be epoch 1's —
+    // returns an error on every rank before any vote is sent.
+    let world = 2;
+    let out = SimWorld::new(SimConfig::new(world)).run(move |c| {
+        let mut session = CCollSession::new(CodecSpec::None, world);
+        for epoch in 1..=ccoll_comm::MAX_EPOCH {
+            let r = session.recover(c, &[], true).expect("a stamp of its own");
+            assert_eq!(r.epoch(), epoch);
+            session = r.session().clone();
+        }
+        let sent = c.profiler().traffic().messages_sent;
+        let err = session.recover(c, &[], true).expect_err("no stamp left");
+        (err, c.profiler().traffic().messages_sent - sent)
+    });
+    for (rank, (err, sent)) in out.results.iter().enumerate() {
+        let exhausted = CollectiveError::Comm(CommError::EpochsExhausted { epoch: 32 });
+        assert_eq!(*err, exhausted, "rank {rank}");
+        assert_eq!(*sent, 0, "rank {rank} voted");
+    }
+}
+
+#[test]
 fn forced_second_shrink_nests_epochs() {
     // Two recovery levels: a real kill, then a forced restart-only
     // agreement on the already-shrunk world (dead-set stays empty, the
