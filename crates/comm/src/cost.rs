@@ -799,13 +799,13 @@ impl CostModel {
     }
 
     /// The two raw legs inside one `group`-rank group of the laned
-    /// allreduce, over the whole `d`-byte vector, as `(reduce to the
-    /// owner, fan-out from it)` seconds — in the binomial shape, or
-    /// streamed as a `chain`.
+    /// allreduce, over a `d`-byte lane, as `(reduce to the owner,
+    /// fan-out from it)` seconds — in the binomial shape, or streamed as
+    /// a `chain`.
     ///
-    /// *Binomial*: ⌈log₂g⌉ whole-vector hops each way — on the way in
+    /// *Binomial*: ⌈log₂g⌉ whole-lane hops each way — on the way in
     /// streamed raw hops ([`Self::raw_hop`]), on the way out one message
-    /// each. *Chain*: the vector moves in `c = min(d, PIPE_CHUNK_BYTES)`
+    /// each. *Chain*: the lane moves in `c = min(d, PIPE_CHUNK_BYTES)`
     /// sub-chunks along the group's path, member `i` ↔ `i ± 1`. The first
     /// sub-chunk crosses all `g − 1` hops (folded at every one on the way
     /// in); the `k − 1 = ⌈d/c⌉ − 1` behind it follow at the pace of the
@@ -833,29 +833,35 @@ impl CostModel {
     }
 
     /// The laned two-level allreduce at `lanes` lanes, leg by leg: raw
-    /// reduce inside each ⌈s/L⌉-rank group, raw ring reduce-scatter over
-    /// the node's `L` owners, Rabenseifner over the `nodes` same-lane
-    /// owners on d/L, raw ring allgather over the owners, raw fan-out
-    /// inside the group.
+    /// ring reduce-scatter of the vector over each row (member `r` of
+    /// each of the node's `L` groups), raw reduce of the d/L lane inside
+    /// each ⌊s/L⌋-rank group, Rabenseifner over the `nodes` same-lane
+    /// owners on d/L, raw fan-out of the lane inside the group, raw ring
+    /// allgather over the row. When `L` does not divide `s` the partial
+    /// last row's members fold their input into the row above first (one
+    /// streamed raw hop of d) and get the result back last (one message).
     ///
     /// The two group legs run as binomial trees or as sub-chunk chains
     /// ([`Self::group_legs`]), whichever prices cheaper for the pair: one
-    /// shape for both, so the price is that of what runs. A payload of
-    /// at most one sub-chunk always keeps the trees — its chain would
-    /// take `g − 1` hops where the tree takes ⌈log₂g⌉, never fewer.
+    /// shape for both, so the price is that of what runs. A lane of at
+    /// most one sub-chunk always keeps the trees — its chain would take
+    /// `g − 1` hops where the tree takes ⌈log₂g⌉, never fewer.
     ///
     /// The `L` concurrent inter-node allreduces share each node's NIC,
     /// which the simulator holds for `α + tx` per *message*: together
     /// they move the same wire bytes as one leader would (β/L each),
-    /// while encode / decompress-reduce run on d/L per lane. Raw lanes
-    /// carry identical messages and stay in lock-step, so that
-    /// serialisation costs `L·α` per round. Compressed lanes carry
-    /// data-dependent sizes and codec times and drift apart: the NIC
-    /// ports are FIFO and a sender's egress waits for the *receiver's*
-    /// ingress, so each of the other `L − 1` lanes' messages can hold
-    /// this lane's up once more at either end — `(3L − 2)·α` per round
-    /// (DESIGN.md, "The per-message NIC term"). That term is what caps
-    /// `L`; the group legs shrinking with the group is what raises it.
+    /// while encode / decompress-reduce run on d/L per lane. Lanes in
+    /// lock-step pay that serialisation as `L·α` per round. Compressed
+    /// lanes carry data-dependent sizes and codec times and drift apart:
+    /// the NIC ports are FIFO and a sender's egress waits for the
+    /// *receiver's* ingress, so each of the other `L − 1` lanes' messages
+    /// can hold this lane's up — `2.5α` per round once they run fully
+    /// free. How far they drift grows with the vector's encode time
+    /// `enc(d)`, so the term is `(L + 2.5(L − 1)·min(1, enc(d) / 64α))·α`
+    /// per round: raw lanes (no encode) stay in lock-step, and SZx lanes
+    /// reach the full term from about 60 Ki values (DESIGN.md, "The
+    /// per-message NIC term"). That term is what caps `L`; the group legs
+    /// shrinking with the group is what raises it.
     fn laned_allreduce_at(
         &self,
         lanes: usize,
@@ -869,14 +875,20 @@ impl CostModel {
         let bi = 1.0 / hier.intra.bandwidth;
         let memcpy = |bytes: f64| bytes / self.throughput(Kernel::Memcpy);
         let lf = lanes as f64;
-        let group = node_size.max(1).div_ceil(lanes);
+        let c = d / lf;
+        let group = node_size.max(1) / lanes;
         let legs = |chain| {
-            let (fold, fan) = self.group_legs(group, d, &hier.intra, chain);
+            let (fold, fan) = self.group_legs(group, c, &hier.intra, chain);
             fold + fan
         };
         let (tree, chain) = (legs(false), legs(true));
-        let streamed = d > PIPE_CHUNK_BYTES as f64 && chain < tree;
-        let c = d / lf;
+        let streamed = c > PIPE_CHUNK_BYTES as f64 && chain < tree;
+        // The partial row's fold-in and hand-back.
+        let spare = if node_size.is_multiple_of(lanes) {
+            0.0
+        } else {
+            self.raw_hop(d, &hier.intra, false) + ai + d * bi
+        };
         // The reduce-scatter's rounds are streamed raw hops; the
         // allgather's relay copies each lane into place under its onward
         // transfer, all but the last one.
@@ -886,11 +898,11 @@ impl CostModel {
         } else {
             0.0
         };
-        let alphas_per_round = if p.compress_tput.is_infinite() {
-            lf
-        } else {
-            3.0 * lf - 2.0
-        };
+        // How far the lanes drift apart: by the data-dependent part of
+        // their codec work, which grows with the vector's encode time
+        // until, at 64 inter-node latencies, they run fully free.
+        let drift = (d / p.compress_tput / (64.0 * hier.inter.latency.as_secs_f64())).min(1.0);
+        let alphas_per_round = lf + 2.5 * (lf - 1.0) * drift;
         let shared_nic = NetModel {
             latency: hier.inter.latency.mul_f64(alphas_per_round),
             bandwidth: hier.inter.bandwidth / lf,
@@ -904,7 +916,7 @@ impl CostModel {
         Laned {
             lanes,
             streamed,
-            secs: if streamed { chain } else { tree } + ring + inter.as_secs_f64(),
+            secs: if streamed { chain } else { tree } + spare + ring + inter.as_secs_f64(),
         }
     }
 
@@ -1007,14 +1019,14 @@ pub enum Schedule {
     /// Bruck alltoall: ⌈log₂n⌉ doubling rounds forwarding ~half the
     /// buffer each, between a local rotation and an inverse rotation.
     BruckAlltoall,
-    /// Two-level laned allreduce. Each node's ranks form `L` groups:
-    /// reduce inside the group, ring reduce-scatter over the node's `L`
-    /// group owners, Rabenseifner allreduce of each d/L lane over that
-    /// lane's owners on every node, ring allgather over the owners,
-    /// fan-out inside the group (both group legs binomial trees or
-    /// sub-chunk chains). Priced at the shape it runs
-    /// ([`CostModel::hier_lanes`]); `L = 1` is one leader per node and
-    /// no ring legs.
+    /// Two-level laned allreduce. Each node's ranks form `L` groups,
+    /// and member `r` of every group a row: ring reduce-scatter over the
+    /// row, reduce of the d/L lane inside the group, Rabenseifner
+    /// allreduce of each lane over that lane's owners on every node,
+    /// fan-out of the lane inside the group, ring allgather over the row
+    /// (both group legs binomial trees or sub-chunk chains). Priced at
+    /// the shape it runs ([`CostModel::hier_lanes`]); `L = 1` is one
+    /// leader per node and no ring legs.
     HierarchicalAllreduce,
     /// Two-level allgather: node-local gather into the leader, ring
     /// allgather of node blocks over the leaders, node-local bcast.
@@ -1405,6 +1417,34 @@ mod tests {
         }
     }
 
+    /// The free-running NIC term grows with the vector's encode time, so
+    /// the shapes it derives are those the simulator runs fastest on
+    /// DESIGN.md's lane grid and `fig_scale`'s rows: SZx lanes of 4 Ki
+    /// and 16 Ki values price near lock-step (two lanes on 4×4, four on
+    /// 16×16), a 64 Ki vector takes four streamed lanes on 16×16 but two
+    /// on 64×16, where four run 7 % slower, and raw lanes never drift.
+    #[test]
+    fn lane_picks_follow_the_drift() {
+        let m = CostModel::default();
+        let net = crate::topology::HierNet::cluster_default();
+        let pick = |nodes: usize, per: usize, values: usize, szx: bool| {
+            let topo = crate::topology::Topology::uniform(nodes, per);
+            let (world, bytes) = (nodes * per, values * 4);
+            let p = if szx {
+                szx_params(world, bytes)
+            } else {
+                SchedParams::uncompressed(world, bytes)
+            };
+            m.hier_lanes(&topo, &net, &p)
+        };
+        assert_eq!(pick(4, 4, 4 << 10, true), (2, false));
+        assert_eq!(pick(16, 16, 16 << 10, true), (4, false));
+        assert_eq!(pick(128, 8, 16 << 10, true), (2, false));
+        assert_eq!(pick(16, 16, 64 << 10, true), (4, true));
+        assert_eq!(pick(64, 16, 64 << 10, true), (2, true));
+        assert_eq!(pick(4, 4, 16 << 10, false), (2, false));
+    }
+
     /// One price: `estimate_hier` reports the price of the shape
     /// `hier_lanes` returns, and no admissible `(L, streamed)` — one lane
     /// in binomial legs among them — prices lower. The last two shapes
@@ -1433,8 +1473,8 @@ mod tests {
                 let forced = |lanes: usize, chain: bool| {
                     let at = m.laned_allreduce_at(lanes, nodes, per_node, &net, &p);
                     let legs = |chain| {
-                        let group = per_node.div_ceil(lanes);
-                        let (fold, fan) = m.group_legs(group, bytes as f64, &net.intra, chain);
+                        let lane = bytes as f64 / lanes as f64;
+                        let (fold, fan) = m.group_legs(per_node / lanes, lane, &net.intra, chain);
                         fold + fan
                     };
                     at.secs - legs(at.streamed) + legs(chain)
@@ -1447,7 +1487,7 @@ mod tests {
                     .map(|i| 1usize << i)
                     .take_while(|&l| l <= per_node)
                     .flat_map(|l| [(l, false), (l, true)])
-                    .filter(|&(_, chain)| !chain || bytes > PIPE_CHUNK_BYTES);
+                    .filter(|&(l, chain)| !chain || bytes / l > PIPE_CHUNK_BYTES);
                 for (l, chain) in admissible {
                     let other = forced(l, chain);
                     assert!(

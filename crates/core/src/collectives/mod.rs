@@ -65,7 +65,8 @@ pub(crate) mod tags {
         assert!(raw < cpr && cpr < piped && piped == Placement::ONCE_BAND);
         assert!(piped + 999 < 0x1000);
     };
-    /// Hierarchical glue traffic (root→leader hand-offs); the two-level
+    /// Hierarchical glue traffic (root→leader hand-offs, a partial row's
+    /// fold-in and hand-back); the two-level
     /// phases themselves reuse the per-family spaces above, isolated by
     /// disjoint member sets.
     pub const HIER: Tag = 0xF000;

@@ -20,9 +20,10 @@ use crate::workspace::CollWorkspace;
 /// unspecified.
 ///
 /// An `Auto` allreduce plan re-ranks once after warm-up from the
-/// communicator-agreed measured compression ratio and then keeps
-/// calibrating the session's α–β network scales every few executions
-/// (see [`CCollSession::net_calibration`]).
+/// communicator-agreed measured compression ratio (on a cluster, in its
+/// first calibration round) and then keeps calibrating the session's
+/// α–β network scales every few executions (see
+/// [`CCollSession::net_calibration`]).
 pub type AllreducePlan = Plan<Allreduce>;
 /// An in-flight nonblocking allreduce (see [`Plan::start`]).
 pub type AllreduceHandle<'p, 'b> = Handle<'p, 'b, Allreduce>;
@@ -136,8 +137,8 @@ pub(crate) enum ArMachine {
     Ring { rs: RingRs, ag: RingAg, in_ag: bool },
     /// Recursive doubling or Rabenseifner.
     Butterfly(Butterfly),
-    /// Two-level topology-aware composition (group tree × lane
-    /// reduce-scatter inside the node, per-lane Rabenseifner between
+    /// Two-level topology-aware composition (row reduce-scatter × group
+    /// reduce of a lane inside the node, per-lane Rabenseifner between
     /// nodes, and back out).
     Hier(HierAr),
 }
@@ -175,22 +176,21 @@ impl Kind for Allreduce {
             Algorithm::Rabenseifner if piped => session.pipelined_stream_workspace(len.max(1), len),
             // The hierarchical inter leg is a Rabenseifner per lane: its
             // pipelined halving rounds stream d/L values. On top of
-            // those sub-chunk slots each of the two raw rings over the
-            // node's L owners wants L−1: their sends are eager, so an
-            // owner runs up to L−2 steps ahead of a slow right
-            // neighbour, which holds every one of those payloads until
-            // it reads it. The one-lane shape (a whole-vector stream) is
-            // the floor, so a plan never warms less than it used to —
-            // and that floor is what streamed group legs need: the
-            // source end of a chain has its whole stream, one slot per
-            // sub-chunk, in flight (so does a raw plan's, whose pool is
-            // then warmed the same way). The scratch keeps the full
-            // length: a group owner decodes whole-vector raw tree hops
-            // into it.
+            // those sub-chunk slots each of the two raw rings over a
+            // row wants L−1: their sends are eager, so a member runs up
+            // to L−2 steps ahead of a slow right neighbour, which holds
+            // every one of those payloads until it reads it. The
+            // one-lane shape (a whole-vector stream) is the floor, so a
+            // plan never warms less than it used to — and that floor
+            // covers the streamed group legs: the source end of a chain
+            // has its whole stream, one slot per sub-chunk, in flight
+            // (so does a raw plan's, whose pool is then warmed the same
+            // way). Every leg that decodes into the scratch moves one
+            // lane at most.
             Algorithm::Hierarchical if piped || self.streamed => {
-                let rings = 2 * (self.lanes - 1);
-                let laned = len.div_ceil(self.lanes) + rings * session.pipe_values();
-                session.pipelined_stream_workspace(len.max(1), len.max(laned))
+                let lane = len.div_ceil(self.lanes);
+                let laned = lane + 2 * (self.lanes - 1) * session.pipe_values();
+                session.pipelined_stream_workspace(lane.max(1), len.max(laned))
             }
             Algorithm::Hierarchical => {
                 session.warmed_workspace(len.max(1), 4 + 2 * (self.lanes - 1))
@@ -279,7 +279,7 @@ impl Kind for Allreduce {
                     // and accumulates in `out`: its reduced chunk is
                     // already where the allgather stage wants its own
                     // block (`mine = None`).
-                    match rs.step(comm, cpr, op, input, out, ws, block) {
+                    match rs.step(comm, cpr, op, Some(input), out, ws, block) {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready => *in_ag = true,
                     }

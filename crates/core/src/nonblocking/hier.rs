@@ -20,14 +20,22 @@ use crate::workspace::CollWorkspace;
 ///
 /// Each node's ranks are cut into `lanes` contiguous *groups* (the
 /// balanced partition of the node's rank range); the first rank of a
-/// group is its *owner*. The allgather and bcast schedules run one
-/// lane: the group is the whole node and its owner the node leader.
+/// group is its *owner*. Member `r` of every group forms *row* `r`; the
+/// groups differ by at most one member, so on a node whose size `lanes`
+/// does not divide, the last row is partial. The allgather and bcast
+/// schedules run one lane: the group is the whole node and its owner the
+/// node leader.
 #[derive(Debug, Clone)]
 pub(crate) struct HierGroups {
     /// World ranks of my group, ascending (its owner is the first entry).
     pub(crate) group: Vec<usize>,
     /// The owners of my node's groups, ascending by lane.
     pub(crate) owners: Vec<usize>,
+    /// My row: the member at my index in each of my node's groups,
+    /// ascending by lane (a partial row has fewer than `lanes`).
+    pub(crate) row: Vec<usize>,
+    /// My node's full rows: its smallest group's size.
+    pub(crate) rows: usize,
     /// My lane's owner on every node, ascending by node.
     pub(crate) lane_peers: Vec<usize>,
     /// Per-node *value* counts of the allgather result layout (empty
@@ -65,9 +73,14 @@ impl HierGroups {
         let lane = (0..lanes)
             .find(|&l| group_of(node, l).contains(&rank))
             .expect("the groups tile the node");
+        let at = rank - group_of(node, lane).start;
         HierGroups {
             group: group_of(node, lane).collect(),
             owners: (0..lanes).map(|l| group_of(node, l).start).collect(),
+            row: (0..lanes)
+                .filter_map(|l| group_of(node, l).nth(at))
+                .collect(),
+            rows: topo.node_size(node) / lanes,
             lane_peers: (0..topo.nodes()).map(|a| group_of(a, lane).start).collect(),
             node_counts: if values_per_rank == 0 {
                 Vec::new()
@@ -83,6 +96,20 @@ impl HierGroups {
 
     fn is_owner(&self, rank: usize) -> bool {
         self.group[0] == rank
+    }
+
+    /// On a node with a partial last row, `rank`'s hop partner and
+    /// whether `rank` is the partial row's member (`true`) or the member
+    /// of the row above it in the same group (`false`).
+    fn pair(&self, rank: usize) -> Option<(usize, bool)> {
+        let at = rank - self.group[0];
+        if at == self.rows {
+            Some((self.group[at - 1], true))
+        } else if at + 1 == self.rows {
+            self.group.get(self.rows).map(|&below| (below, false))
+        } else {
+            None
+        }
     }
 }
 
@@ -134,54 +161,51 @@ fn fan_out<C: Comm>(
 /// at a time, built when its leg begins.
 #[derive(Debug)]
 enum LaneLeg {
+    FoldIn(StreamCursor),
+    RowRs(RingRs),
     GroupReduce(GroupReduce),
-    NodeRs(RingRs),
     Inter(Butterfly),
-    NodeAg(RingAg),
     GroupBcast(StreamCursor),
+    RowAg(RingAg),
+    HandBack(StreamCursor),
     Final,
     Done,
 }
 
-/// The group reduce's machine: the binomial tree, or the sub-chunk
-/// chain.
+/// The group reduce's machine: the binomial tree, or the sub-chunk chain.
 #[derive(Debug)]
 enum GroupReduce {
     Tree(TreeReduce),
     Chain(StreamCursor),
 }
 
-/// Laned two-level allreduce over `L = groups.owners.len()` lanes:
+/// Laned two-level allreduce over `L = groups.owners.len()` lanes, rings
+/// across the lanes first:
 ///
-/// 1. raw reduce of the whole vector inside each group, to its owner;
-/// 2. raw ring reduce-scatter over the node's `L` owners — owner `l`
-///    ends with lane `l` (d/L values) of the node's sum;
+/// 1. raw ring reduce-scatter of the vector over each *row* (member `r`
+///    of each of the node's `L` groups), accumulating in `out`: row
+///    member `l` ends with its row's partial of lane `l` (d/L values);
+/// 2. raw reduce of that lane inside each group, to its owner;
 /// 3. a Rabenseifner allreduce of lane `l` over the lane-`l` owners of
-///    every node (where the codec terms and the shared inter-node NIC
-///    live), straight into lane `l` of `out`;
-/// 4. raw ring allgather of the lanes over the node's owners, relaying
-///    each received lane untouched and landing it while the onward copy
-///    is on the wire;
-/// 5. raw fan-out of the result inside each group.
+///    every node (the codec terms and the shared NIC live here), into
+///    lane `l` of `out`;
+/// 4. raw fan-out of the lane inside each group;
+/// 5. raw ring allgather of the lanes over each row.
 ///
-/// Every raw reducing hop (phase 2's rounds, phase 1's tree edges, phase
-/// 3's halving when the session is raw) streams `pipe`-value sub-chunks
-/// and folds each while the next is on the wire. Phases 1 and 5 are
-/// binomial trees ([`TreeReduce`], then the whole-message raw
-/// [`Route::tree`]) or, when the plan's cost model prices it cheaper
-/// (`streamed`: payloads of several sub-chunks), streams along the
-/// group ([`Route::chain_fold`] toward the owner, [`Route::chain_relay`]
-/// away from it). Non-owners fold into `out`, which the fan-out
-/// overwrites.
-///
-/// `L = 1` is the single-leader schedule (phases 2 and 4 have one
-/// member and are skipped); `L =` node size is reduce-scatter-first
-/// (phases 1 and 5 are skipped); every `L` and either group shape moves
-/// the same bytes. Every leg is an existing machine over a
-/// [`CommView::group`] view; tag families stay disjoint (`TREE_REDUCE` /
-/// `REDUCE_SCATTER` / `RABENSEIFNER` / `ALLGATHER` / `BCAST`, a group
-/// leg's chain on its tree's tag) and concurrent groups of one phase
-/// have disjoint member sets.
+/// On a node `L` does not divide, the partial last row's members fold
+/// their input into their group's row above first (one raw
+/// [`Route::hop`] of the vector) and get the result back from it last.
+/// Raw reducing hops stream `pipe`-value sub-chunks, folding each while
+/// the next is on the wire; legs 2 and 4 are binomial trees
+/// ([`TreeReduce`], the whole-message [`Route::tree`]) or, when
+/// `streamed`, chains along the group ([`Route::chain_fold`],
+/// [`Route::chain_relay`]), folding into `ws.hier`, one lane long (a
+/// tree's interior members into `ws.acc`). `L = 1` is the single-leader schedule and `L =` node size
+/// reduce-scatter-first; every `L` moves the same (s−1)·d bytes per node
+/// each way, and no rank folds more than about d. Tag families stay
+/// disjoint (`HIER`, `REDUCE_SCATTER`, `TREE_REDUCE`, `RABENSEIFNER`,
+/// `BCAST`, `ALLGATHER`) and concurrent groups or rows of one leg have
+/// disjoint member sets.
 #[derive(Debug)]
 pub(crate) struct HierAr {
     place: Placement,
@@ -200,11 +224,7 @@ impl HierAr {
             place,
             pipe,
             streamed,
-            leg: LaneLeg::GroupReduce(if streamed {
-                GroupReduce::Chain(StreamCursor::default())
-            } else {
-                GroupReduce::Tree(TreeReduce::new(Placement::Raw, Cut::pipe(pipe), 0))
-            }),
+            leg: LaneLeg::FoldIn(StreamCursor::default()),
         }
     }
 
@@ -225,71 +245,98 @@ impl HierAr {
         let inner = hier_inner(op);
         let d = input.len();
         let lanes = groups.owners.len();
-        let grouped = groups.group.len() > 1;
-        // My lane of `out` (all of it at one lane), and the layout of an
-        // owner's `ws.hier`: the group tree's result when there was a
-        // group to reduce, then the reduce-scatter's chunk when the
-        // node has other lanes. Non-owners keep it empty.
+        // My lane of `out` (all of it at one lane). The group legs run
+        // over the full rows; a partial row's member sits the laned legs
+        // out (`spare`), and its partner runs them on the pair's fold.
         let lane = chunk_range(d, lanes, groups.lane);
-        let tree_len = if grouped { d } else { 0 };
-        let chunk_len = if lanes > 1 { lane.len() } else { 0 };
+        let members = &groups.group[..groups.rows];
+        let pair = groups.pair(me);
+        let spare = pair.is_some_and(|(_, spare)| spare);
         loop {
             match &mut self.leg {
-                LaneLeg::GroupReduce(leg) => {
-                    let owner = groups.is_owner(me);
-                    if owner {
-                        ws.hier.resize(tree_len + chunk_len, 0.0);
-                    }
-                    if grouped {
-                        let mut hier = std::mem::take(&mut ws.hier);
-                        let mut sub = CommView::group(comm, &groups.group);
-                        let r = match leg {
-                            GroupReduce::Tree(tree) => {
-                                let result = if owner { &mut hier[..d] } else { &mut [][..] };
-                                tree.step(&mut sub, None, inner, input, result, ws, block)
-                            }
-                            GroupReduce::Chain(chain) => {
-                                let acc = if owner { &mut hier[..d] } else { &mut *out };
-                                let tag = tags::TREE_REDUCE;
-                                let route = Route::chain_fold(&sub, self.pipe, tag, inner, input);
-                                chain.step(&mut sub, route, acc, &mut ws.pipe(), block)
-                            }
+                LaneLeg::FoldIn(cursor) => {
+                    if let Some((peer, _)) = pair {
+                        let land = Land::Fold(inner, Some(input));
+                        let (send, recv, dst) = if spare {
+                            (Some((input, peer)), None, &mut [][..])
+                        } else {
+                            (None, Some((peer, land)), &mut *out)
                         };
-                        ws.hier = hier;
-                        if r == Poll::Pending {
+                        let route =
+                            Route::hop((Link::Raw, Cut::pipe(self.pipe)), tags::HIER, send, recv);
+                        if cursor.step(comm, route, dst, &mut ws.pipe(), block) == Poll::Pending {
                             return Poll::Pending;
                         }
                     }
+                    self.leg = if spare {
+                        LaneLeg::HandBack(StreamCursor::default())
+                    } else {
+                        LaneLeg::RowRs(RingRs::new(Placement::Raw, Cut::pipe(self.pipe)))
+                    };
+                }
+                LaneLeg::RowRs(scatter) => {
+                    if lanes > 1 {
+                        // A partner's `out` holds the pair's fold.
+                        let src = pair.is_none().then_some(input);
+                        let mut sub = CommView::group(comm, &groups.row);
+                        if scatter.step(&mut sub, None, inner, src, out, ws, block) == Poll::Pending
+                        {
+                            return Poll::Pending;
+                        }
+                    }
+                    self.leg = LaneLeg::GroupReduce(if self.streamed {
+                        GroupReduce::Chain(StreamCursor::default())
+                    } else {
+                        GroupReduce::Tree(TreeReduce::new(Placement::Raw, Cut::pipe(self.pipe), 0))
+                    });
+                }
+                LaneLeg::GroupReduce(leg) => {
+                    let owner = groups.is_owner(me);
+                    // The row's partial of my lane: the reduce-scatter's
+                    // chunk, or the input itself at one lane.
+                    let src: &[f32] = if lanes > 1 { &out[lane.clone()] } else { input };
+                    let mut hier = std::mem::take(&mut ws.hier);
+                    let r = if members.len() == 1 {
+                        // No group to reduce over: the lane is the inter
+                        // leg's source as it stands — the input itself at
+                        // one lane, else copied out of the row's
+                        // accumulator once.
+                        if lanes > 1 {
+                            hier.resize(lane.len(), 0.0);
+                            hier.copy_from_slice(src);
+                        }
+                        Poll::Ready
+                    } else {
+                        hier.resize(lane.len(), 0.0);
+                        let mut sub = CommView::group(comm, members);
+                        match leg {
+                            GroupReduce::Tree(tree) => {
+                                let result = if owner { &mut hier[..] } else { &mut [][..] };
+                                tree.step(&mut sub, None, inner, src, result, ws, block)
+                            }
+                            GroupReduce::Chain(chain) => {
+                                let tag = tags::TREE_REDUCE;
+                                let route = Route::chain_fold(&sub, self.pipe, tag, inner, src);
+                                chain.step(&mut sub, route, &mut hier, &mut ws.pipe(), block)
+                            }
+                        }
+                    };
+                    ws.hier = hier;
+                    if r == Poll::Pending {
+                        return Poll::Pending;
+                    }
                     self.leg = if owner {
-                        LaneLeg::NodeRs(RingRs::new(Placement::Raw, Cut::pipe(self.pipe)))
+                        LaneLeg::Inter(Butterfly::rabenseifner(self.place, Cut::pipe(self.pipe)))
                     } else {
                         LaneLeg::GroupBcast(StreamCursor::default())
                     };
                 }
-                LaneLeg::NodeRs(scatter) => {
-                    if lanes > 1 {
-                        let mut hier = std::mem::take(&mut ws.hier);
-                        let (tree, chunk) = hier.split_at_mut(tree_len);
-                        let src = if grouped { &*tree } else { input };
-                        let mut sub = CommView::group(comm, &groups.owners);
-                        let r = scatter.step_chunk(&mut sub, None, inner, src, chunk, ws, block);
-                        ws.hier = hier;
-                        if r == Poll::Pending {
-                            return Poll::Pending;
-                        }
-                    }
-                    self.leg =
-                        LaneLeg::Inter(Butterfly::rabenseifner(self.place, Cut::pipe(self.pipe)));
-                }
                 LaneLeg::Inter(inter) => {
                     let hier = std::mem::take(&mut ws.hier);
-                    // The last intra-node leg that ran holds the source.
-                    let src = if lanes > 1 {
-                        &hier[tree_len..]
-                    } else if grouped {
-                        &hier[..]
-                    } else {
+                    let src = if members.len() == 1 && lanes == 1 {
                         input
+                    } else {
+                        &hier
                     };
                     let mut sub = CommView::group(comm, &groups.lane_peers);
                     let dst = &mut out[lane.clone()];
@@ -298,26 +345,43 @@ impl HierAr {
                     if r == Poll::Pending {
                         return Poll::Pending;
                     }
-                    self.leg =
-                        LaneLeg::NodeAg(RingAg::new(Placement::Raw, Cut::pipe(self.pipe), true));
-                }
-                LaneLeg::NodeAg(gather) => {
-                    if lanes > 1 {
-                        // The butterfly cached its own partition; the
-                        // allgather reads the lanes' back out.
-                        ws.set_partition(d, lanes);
-                        let mut sub = CommView::group(comm, &groups.owners);
-                        if gather.step(&mut sub, None, None, out, ws, block) == Poll::Pending {
-                            return Poll::Pending;
-                        }
-                    }
                     self.leg = LaneLeg::GroupBcast(StreamCursor::default());
                 }
                 LaneLeg::GroupBcast(cursor) => {
                     let chain = self.streamed.then_some(self.pipe);
-                    let r = fan_out(cursor, comm, &groups.group, chain, out, ws, block);
-                    if r == Poll::Pending {
+                    let dst = &mut out[lane.clone()];
+                    if fan_out(cursor, comm, members, chain, dst, ws, block) == Poll::Pending {
                         return Poll::Pending;
+                    }
+                    self.leg =
+                        LaneLeg::RowAg(RingAg::new(Placement::Raw, Cut::pipe(self.pipe), true));
+                }
+                LaneLeg::RowAg(gather) => {
+                    if lanes > 1 {
+                        // The butterfly cached its own partition; the
+                        // allgather reads the lanes' back out.
+                        ws.set_partition(d, lanes);
+                        let mut sub = CommView::group(comm, &groups.row);
+                        if gather.step(&mut sub, None, None, out, ws, block) == Poll::Pending {
+                            return Poll::Pending;
+                        }
+                    }
+                    self.leg = LaneLeg::HandBack(StreamCursor::default());
+                }
+                LaneLeg::HandBack(cursor) => {
+                    if let Some((peer, _)) = pair {
+                        let whole = (Link::Raw, Cut::WHOLE);
+                        let r = if spare {
+                            let route =
+                                Route::hop(whole, tags::HIER, None, Some((peer, Land::Store)));
+                            cursor.step(comm, route, out, &mut ws.pipe(), block)
+                        } else {
+                            let route = Route::hop(whole, tags::HIER, Some((&*out, peer)), None);
+                            cursor.step(comm, route, &mut [], &mut ws.pipe(), block)
+                        };
+                        if r == Poll::Pending {
+                            return Poll::Pending;
+                        }
                     }
                     self.leg = LaneLeg::Final;
                 }

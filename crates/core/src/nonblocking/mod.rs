@@ -51,8 +51,9 @@
 //! `out[range] = fold(input[range], received)` — and where the caller
 //! has a full-length `out` nothing is copied out either. Only the
 //! callers without one (the reduce-scatter plan, a tree's non-root
-//! interior ranks, the hierarchical node-local reduce-scatter) borrow
-//! `ws.acc`, `mem::take`n around the step and put back. After an
+//! interior ranks) borrow `ws.acc`, `mem::take`n around the step and
+//! put back; the hierarchical allreduce's rows accumulate in `out` (a
+//! partial row's partner reduce-scatters in place there). After an
 //! aborted operation `out` is unspecified.
 //!
 //! *Which operation* a message belongs to is not spelled out either: a

@@ -60,16 +60,17 @@ impl RingRs {
 
     /// Drive the reduce-scatter over `acc`, a full-length accumulator
     /// whose contents on entry do not matter (an allreduce passes its
-    /// output). On `Ready` this rank's chunk of the balanced partition
-    /// is reduced and finalized in place in `acc`; the rest of `acc` is
-    /// unspecified.
+    /// output) — or, without an `input`, that holds the input itself
+    /// (each chunk is then folded in place). On `Ready` this rank's
+    /// chunk of the balanced partition is reduced and finalized in place
+    /// in `acc`; the rest of `acc` is unspecified.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
         comm: &mut C,
         cpr: Option<&CprCodec>,
         op: ReduceOp,
-        input: &[f32],
+        input: Option<&[f32]>,
         acc: &mut [f32],
         ws: &mut CollWorkspace,
         block: bool,
@@ -82,14 +83,18 @@ impl RingRs {
         loop {
             match self.phase {
                 RsPhase::Init => {
-                    ws.set_partition(input.len(), n);
-                    assert_eq!(acc.len(), input.len(), "accumulator size mismatch");
+                    ws.set_partition(acc.len(), n);
+                    if let Some(input) = input {
+                        assert_eq!(acc.len(), input.len(), "accumulator size mismatch");
+                    }
                     self.k = 0;
                     self.phase = if n > 1 {
                         RsPhase::Round
                     } else {
                         // One rank: no fold to be born from.
-                        memcpy_in(comm, acc, input);
+                        if let Some(input) = input {
+                            memcpy_in(comm, acc, input);
+                        }
                         RsPhase::Finish
                     };
                 }
@@ -105,11 +110,10 @@ impl RingRs {
                     } + self.k as Tag;
                     let send = ws.chunk((me + 2 * n - self.k - 1) % n);
                     let recv = ws.chunk((me + 2 * n - self.k - 2) % n);
-                    let land = Land::Fold(op, Some(&input[recv.clone()]));
-                    let (src, dst) = if self.k == 0 {
-                        (&input[send], &mut acc[recv])
-                    } else {
-                        split_src_dst(acc, send, recv)
+                    let land = Land::Fold(op, input.map(|input| &input[recv.clone()]));
+                    let (src, dst) = match input {
+                        Some(input) if self.k == 0 => (&input[send], &mut acc[recv]),
+                        _ => split_src_dst(acc, send, recv),
                     };
                     let route = Route::hop(stream, tag, Some((src, right)), Some((left, land)));
                     let poll = self.hop.step(comm, route, dst, &mut ws.pipe(), block);
@@ -145,7 +149,7 @@ impl RingRs {
         assert_eq!(out_chunk.len(), mine.len(), "output must hold my chunk");
         let mut acc = std::mem::take(&mut ws.acc);
         acc.resize(input.len(), 0.0);
-        let poll = self.step(comm, cpr, op, input, &mut acc, ws, block);
+        let poll = self.step(comm, cpr, op, Some(input), &mut acc, ws, block);
         if poll.is_ready() {
             out_chunk.copy_from_slice(&acc[mine]);
         }

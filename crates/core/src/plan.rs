@@ -69,8 +69,8 @@ pub(crate) struct PlanCore {
     /// The resolved schedule (never [`Algorithm::Auto`]).
     pub(crate) algorithm: Algorithm,
     /// Created with [`Algorithm::Auto`] by a kind that keeps tuning (see
-    /// [`Tuning`]): eligible for the post-warm-up re-rank, and
-    /// re-resolved when the plan recovers.
+    /// [`Tuning`]): eligible for the re-rank, and re-resolved when the
+    /// plan recovers.
     auto: bool,
     reranked: bool,
     /// Per-session tag slot (allocated at plan creation) and start
@@ -213,8 +213,8 @@ pub(crate) enum Tuning {
     /// One re-rank after warm-up, from the communicator-agreed measured
     /// compression ratio.
     Rerank,
-    /// The re-rank, then a continuous α–β calibration round every few
-    /// executions.
+    /// The re-rank (on a cluster, the first calibration round's), then
+    /// a continuous α–β calibration round every few executions.
     Calibrate,
 }
 
@@ -979,7 +979,7 @@ mod tests {
                 let block = stamps.is_none();
                 *in_ag = *in_ag
                     || rs
-                        .step(view, None, ReduceOp::Sum, input, out, ws, block)
+                        .step(view, None, ReduceOp::Sum, Some(input), out, ws, block)
                         .is_ready();
                 done[which] = *in_ag && ag.step(view, None, None, out, ws, block).is_ready();
                 // Let the other ranks run before the next poll.

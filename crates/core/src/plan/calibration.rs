@@ -139,19 +139,26 @@ const CALIB_MAX_SCALE: f64 = 64.0;
 ///
 /// **Continuous calibration**, every [`CALIB_PERIOD`]-th execution
 /// afterwards, for kinds whose [`Kind::TUNING`] asks for it (see
-/// [`calibrate`]).
+/// [`calibrate`]). Its agreement carries the measured ratio too, so on
+/// a cluster its first round is such a kind's re-rank: every blocking
+/// agreement there costs a laned hierarchical plan the overlap its
+/// free-running lanes build up between back-to-back executions, and the
+/// warm-up one would be a second (a flat schedule repeats its first
+/// execution exactly and has no overlap to lose).
 pub(super) fn retune<K: Kind, C: Comm>(core: &mut PlanCore, kind: &mut K, comm: &mut C) {
     if !core.auto || core.stats.executions == 0 {
         return;
     }
-    let picked = if !core.reranked {
+    let calibrates = K::TUNING == Tuning::Calibrate;
+    let rerank_in_calibration = calibrates && core.session.cluster().is_some();
+    let picked = if !(core.reranked || rerank_in_calibration) {
         core.reranked = true;
         let local = [core.session.feedback.ratio().unwrap_or(0.0)];
         let view = &mut CommView::stamped(comm, op_base(core.slot, core.op_seq));
         let topo = core.session.cluster().map(|c| &c.topo);
         let [ratio] = agree_min(view, topo, tags::AGREE_RERANK, local, &mut core.ws.pool);
         ratio.map(|ratio| select(kind, core.session.select_ctx_with_ratio(ratio)))
-    } else if K::TUNING == Tuning::Calibrate && core.stats.executions.is_multiple_of(CALIB_PERIOD) {
+    } else if calibrates && core.stats.executions.is_multiple_of(CALIB_PERIOD) {
         calibrate(core, kind, comm)
     } else {
         None

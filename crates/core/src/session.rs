@@ -1219,27 +1219,70 @@ mod tests {
 
     const SZX: CodecSpec = CodecSpec::Szx { error_bound: 1e-3 };
 
-    /// One lane is the single-leader schedule this machine replaced:
-    /// per-rank (messages, bytes) of two executions on a 4x4 cluster,
-    /// bytes as captured at the last commit that had that schedule
-    /// (ed3c63b). The group tree's raw edges now stream their 10 000
-    /// values in two sub-chunks, so each member's messages up the tree
-    /// double; the fan-out down it stays one message per edge.
+    /// The two ends of the lane range are the shapes the transposed
+    /// order degenerates to, message for message: per-rank (messages,
+    /// bytes) of two executions on a 4x4 cluster. One lane is the
+    /// single-leader schedule this machine replaced, bytes as captured
+    /// at the last commit that had that schedule (ed3c63b); the group
+    /// tree's raw edges now stream their 10 000 values in two
+    /// sub-chunks, so each member's messages up the tree double, and the
+    /// fan-out down it stays one message per edge. Four lanes — groups
+    /// of one, every rank an owner — is the node reduce-scatter first,
+    /// as the group-first order sent it.
     #[test]
     fn one_lane_sends_what_the_single_leader_schedule_sent() {
-        let out = cluster_allreduce(
-            &[4; 4],
-            10_000,
-            SZX,
-            Algorithm::Hierarchical,
-            Some((1, false)),
-            rank_data,
-        );
-        let sent = out.traffics.iter().map(|t| (t.messages_sent, t.bytes_sent));
-        let parent = [209_154, 209_168, 209_100, 209_152]
+        let sent = |lanes| {
+            let shape = Some((lanes, false));
+            let out = cluster_allreduce(
+                &[4; 4],
+                10_000,
+                SZX,
+                Algorithm::Hierarchical,
+                shape,
+                rank_data,
+            );
+            let sent = out.traffics.iter().map(|t| (t.messages_sent, t.bytes_sent));
+            sent.collect::<Vec<_>>()
+        };
+        let leader: Vec<_> = [209_154, 209_168, 209_100, 209_152]
             .into_iter()
-            .flat_map(|leader| [(12, leader), (4, 80_000), (6, 160_000), (4, 80_000)]);
-        assert!(sent.eq(parent), "{:?}", out.traffics);
+            .flat_map(|leader| [(12, leader), (4, 80_000), (6, 160_000), (4, 80_000)])
+            .collect();
+        assert_eq!(sent(1), leader);
+        let owners: Vec<_> = [
+            132_464, 132_466, 132_198, 132_470, 132_468, 132_408, 132_344, 132_480, 132_410,
+            132_210, 132_432, 132_466, 132_540, 132_156, 132_432, 132_496,
+        ]
+        .into_iter()
+        .map(|bytes| (20, bytes))
+        .collect();
+        assert_eq!(sent(4), owners);
+    }
+
+    /// Every lane count and group-leg shape moves the bytes the
+    /// group-first order moved — (s − 1)·d per node each way plus the
+    /// lanes' inter-node legs — on a uniform cluster and on ragged nodes,
+    /// where a partial row folds into the row above and gets the result
+    /// back: raw totals of two executions, as that order sent them.
+    #[test]
+    fn every_lane_count_sends_the_group_first_bytes() {
+        for (sizes, parent) in [(&[4; 4][..], 2_400_000), (&[3, 5, 4][..], 1_760_000)] {
+            for lanes in 1..=*sizes.iter().min().expect("non-empty") {
+                for streamed in [false, true] {
+                    let shape = Some((lanes, streamed));
+                    let out = cluster_allreduce(
+                        sizes,
+                        10_000,
+                        CodecSpec::None,
+                        Algorithm::Hierarchical,
+                        shape,
+                        rank_data,
+                    );
+                    let bytes: u64 = out.traffics.iter().map(|t| t.bytes_sent).sum();
+                    assert_eq!(bytes, parent, "{sizes:?} at (lanes, streamed) {shape:?}");
+                }
+            }
+        }
     }
 
     /// The cost model's shape, run in the simulator it models: never

@@ -40,17 +40,18 @@ pub struct CollWorkspace {
     pub pool: PayloadPool,
     /// Full-length accumulator, lent (`mem::take`n and put back) to the
     /// reductions whose caller has no full-length output to accumulate
-    /// in: the reduce-scatter plan, the non-root interior ranks of a
-    /// tree reduce and the hierarchical allreduce's node-local
-    /// reduce-scatter. A flat allreduce accumulates in the caller's
-    /// `out` and leaves this empty. (The raw Bruck schedules also stage their
-    /// held / packed blocks here.)
+    /// in: the reduce-scatter plan and the non-root interior ranks of a
+    /// tree reduce (the hierarchical group tree's among them, one lane
+    /// long). An allreduce, flat or hierarchical, accumulates in the
+    /// caller's `out` and leaves this empty. (The raw Bruck schedules also
+    /// stage their held / packed blocks here.)
     pub acc: Vec<f32>,
     /// Staging buffer for outgoing value snapshots (pipelined rounds,
     /// scatter/gather subtree spans).
     pub stage: Vec<f32>,
     /// Intermediate buffer for two-level (hierarchical) schedules: the
-    /// node-local phase's result, handed to the inter-node leader leg.
+    /// node-local phase's result, handed to the inter-node leader leg
+    /// (one lane of the hierarchical allreduce, on every rank).
     /// Taken with `mem::take` around sub-machine steps so it can be
     /// borrowed alongside the rest of the workspace.
     pub hier: Vec<f32>,

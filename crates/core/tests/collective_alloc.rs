@@ -428,4 +428,48 @@ fn steady_state_plans_allocate_nothing() {
              saw {recovered_delta} allocator calls after the shrink"
         );
     }
+    // The transposed laned allreduce at four lanes on 4 × 8 ranks: the
+    // rows' raw rings run on the whole vector, the two-member groups'
+    // legs on one lane. On 4 × 9 ranks each node's first group has a
+    // third member, a partial row that folds into the row above and gets
+    // the result back.
+    for sizes in [[8; 4], [9; 4]] {
+        for (r, &delta) in laned_allocations(&sizes, 16_384, 4).iter().enumerate() {
+            assert_eq!(
+                delta, 0,
+                "rank {r} of {sizes:?}: a laned allreduce must not allocate in steady \
+                 state, saw {delta} allocator calls"
+            );
+        }
+    }
+}
+
+/// Allocator calls per rank over four steady-state executions of a raw
+/// hierarchical allreduce of `len` values on a `sizes` cluster, after
+/// eight warm-up ones; the plan must derive `lanes` lanes.
+fn laned_allocations(sizes: &[usize], len: usize, lanes: usize) -> Vec<usize> {
+    let topo = Topology::from_node_sizes(sizes);
+    let n = topo.world();
+    let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+        let session = CCollSession::new(CodecSpec::None, n)
+            .with_topology(topo.clone(), HierNet::cluster_default());
+        let opts = PlanOptions::new().algorithm(Algorithm::Hierarchical);
+        let mut plan = session.plan_allreduce_with(len, ReduceOp::Sum, opts);
+        assert_eq!(plan.hier_lanes(), Some(lanes), "the case under audit");
+        let input = rank_data(c.rank(), len);
+        let mut out = vec![0.0f32; len];
+        for _ in 0..8 {
+            plan.execute_into(c, &input, &mut out);
+        }
+        c.barrier();
+        let before = allocations();
+        for _ in 0..4 {
+            plan.execute_into(c, &input, &mut out);
+        }
+        c.barrier();
+        let delta = allocations() - before;
+        c.barrier();
+        delta
+    });
+    out.results
 }

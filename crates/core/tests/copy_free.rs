@@ -118,16 +118,20 @@ fn rabenseifner(n: usize, me: usize, _lanes: Option<usize>) -> Vec<usize> {
     rabenseifner_legs(LEN, n, me)
 }
 
-/// 4 nodes × 4 ranks: a lane owner runs the inter-node Rabenseifner on
-/// its lane and lands the other lanes from the node's raw ring
-/// allgather; the group tree and fan-out charge no memcpy.
+/// 4 nodes × 4 ranks: every rank lands the other lanes from its row's
+/// raw ring allgather, and a lane owner also runs the inter-node
+/// Rabenseifner on its lane; the group legs charge no memcpy.
 fn hier_4x4(_n: usize, me: usize, lanes: Option<usize>) -> Vec<usize> {
     let lanes = lanes.expect("hierarchical plan");
     let (node, local) = (me / 4, me % 4);
-    let Some(lane) = (0..lanes).find(|&l| chunk_range(4, lanes, l).start == local) else {
-        return Vec::new();
+    let lane = (0..lanes)
+        .find(|&l| chunk_range(4, lanes, l).contains(&local))
+        .expect("the groups tile the node");
+    let mut legs = if chunk_range(4, lanes, lane).start == local {
+        rabenseifner_legs(chunk_range(LEN, lanes, lane).len(), 4, node)
+    } else {
+        Vec::new()
     };
-    let mut legs = rabenseifner_legs(chunk_range(LEN, lanes, lane).len(), 4, node);
     let others = (0..lanes).filter(|&l| l != lane);
     legs.extend(others.map(|l| chunk_range(LEN, lanes, l).len()));
     legs

@@ -393,11 +393,13 @@ fn nonblocking_piped_recursive_doubling_matches_blocking_bits_and_bytes() {
     }
 }
 
-/// The laned hierarchical allreduce at more than one lane — five phases
-/// over three different sub-communicators — suspended at every grain
+/// The laned hierarchical allreduce at more than one lane — seven legs
+/// over four different sub-communicators — suspended at every grain
 /// leaves the same bits and sends the same messages and bytes as the
 /// blocking drive, raw and compressed, on an asymmetric cluster whose
-/// groups include a one-rank group (an owner with nobody to fan out to).
+/// groups include a one-rank group (an owner with nobody to fan out to)
+/// and whose odd nodes have a partial row (a member that folds into the
+/// row above and gets the result back).
 #[test]
 fn nonblocking_laned_hierarchical_matches_blocking_bits_and_bytes() {
     let sizes = [4usize, 3, 5];
@@ -418,7 +420,7 @@ fn nonblocking_laned_hierarchical_matches_blocking_bits_and_bytes() {
                             PlanOptions::new().algorithm(Algorithm::Hierarchical),
                         );
                         assert_eq!(plan.hier_lanes(), Some(2), "the case under test");
-                        assert_eq!(plan.hier_streamed(), Some(true), "the case under test");
+                        assert_eq!(plan.hier_streamed(), Some(false), "the case under test");
                         let data = smooth_data(c.rank(), len, 11);
                         let mut out = vec![0.0f32; len];
                         if nonblocking {
@@ -437,16 +439,17 @@ fn nonblocking_laned_hierarchical_matches_blocking_bits_and_bytes() {
 }
 
 /// A hierarchical allreduce whose group legs stream as sub-chunk chains
-/// (three sub-chunks and a ragged fourth, groups of up to five ranks)
-/// started, progressed without blocking for as long as that does any
-/// work, and completed is the blocking drive exactly: the same bits on
-/// every rank, the same messages and bytes, the same virtual time. Where
-/// the chain cursors suspended cannot show.
+/// (two lanes of six sub-chunks and a ragged seventh, groups of up to
+/// seven ranks, a partial row on the 13-rank node) started, progressed
+/// without blocking for as long as that does any work, and completed is
+/// the blocking drive exactly: the same bits on every rank, the same
+/// messages and bytes, the same virtual time. Where the chain cursors
+/// suspended cannot show.
 #[test]
 fn nonblocking_streamed_hierarchical_matches_blocking_bits_time_and_messages() {
-    let sizes = [5usize, 5, 3];
+    let sizes = [14usize, 13, 12];
     let n: usize = sizes.iter().sum();
-    let len = 3 * 5120 + 700;
+    let len = 2 * (6 * 5120 + 1400);
     for spec in [CodecSpec::None, CodecSpec::Szx { error_bound: 1e-3 }] {
         let run = |nonblocking: bool| {
             SimWorld::new(SimConfig::new(n))
@@ -460,7 +463,8 @@ fn nonblocking_streamed_hierarchical_matches_blocking_bits_time_and_messages() {
                         ReduceOp::Sum,
                         PlanOptions::new().algorithm(Algorithm::Hierarchical),
                     );
-                    assert_eq!(plan.hier_streamed(), Some(true), "the case under test");
+                    let shape = (plan.hier_lanes(), plan.hier_streamed());
+                    assert_eq!(shape, (Some(2), Some(true)), "the case under test");
                     let data = integer_data(c.rank(), len, 3);
                     let mut out = vec![0.0f32; len];
                     if nonblocking {
