@@ -132,12 +132,6 @@ impl Cut {
         Cut { pipe, taper }
     }
 
-    /// Uniform sub-chunks of the pipe, but of no fewer than `least`
-    /// values.
-    pub fn at_least(self, least: usize) -> Self {
-        Cut::pipe(self.pipe.max(least))
-    }
-
     /// Whether a buffer longer than one pipe runs a taper.
     pub fn is_tapered(self) -> bool {
         self.taper.is_some()

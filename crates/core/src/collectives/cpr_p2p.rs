@@ -187,7 +187,8 @@ pub fn cpr_binomial_bcast_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let done = Bcast::new(Placement::Cpr, 0, root).step(comm, Some(cpr), data, out, ws, true);
+    let done =
+        Bcast::new(Placement::Cpr, Cut::WHOLE, root).step(comm, Some(cpr), data, out, ws, true);
     debug_assert!(done.is_ready());
 }
 

@@ -54,14 +54,9 @@ pub(crate) mod tags {
         // and disjoint, and the highest tag any of them reaches — the
         // butterfly's `+ 999` unfold on the top band — stays inside the
         // family's 4096-wide space.
-        use crate::frameworks::computation::PipelineConfig;
         use crate::placement::Placement;
-        let cfg = PipelineConfig {
-            error_bound: 0.0,
-            chunk_values: 1,
-        };
         let (raw, cpr) = (Placement::Raw.band(), Placement::Cpr.band());
-        let piped = Placement::Piped(cfg).band();
+        let piped = Placement::Piped(0.0).band();
         assert!(raw < cpr && cpr < piped && piped == Placement::ONCE_BAND);
         assert!(piped + 999 < 0x1000);
     };

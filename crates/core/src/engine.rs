@@ -11,8 +11,7 @@
 //! one bounded, fair pass over every live operation: one nonblocking
 //! `try_progress` slice each, starting from a slot that rotates every
 //! pass (round-robin), so no operation is permanently first or last.
-//! Completions are observable by polling ([`ProgressEngine::is_done`])
-//! or callback ([`ProgressEngine::progress_with`]).
+//! Completions are observable by polling ([`ProgressEngine::is_done`]).
 //!
 //! The draining calls ([`ProgressEngine::wait_all`],
 //! [`ProgressEngine::progress_until`], [`ProgressEngine::quiesce`]) run
@@ -263,16 +262,7 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
     /// Panics if an operation aborts on an unrecoverable fault (use
     /// [`Self::try_progress`] under a fault policy).
     pub fn progress<C: Comm>(&mut self, comm: &mut C) -> usize {
-        self.progress_with(comm, |_| {})
-    }
-
-    /// [`Self::progress`] with a completion callback: `on_done` is
-    /// invoked once per operation that completes during this pass.
-    ///
-    /// # Panics
-    /// Panics if an operation aborts on an unrecoverable fault.
-    pub fn progress_with<C: Comm, F: FnMut(OpId)>(&mut self, comm: &mut C, on_done: F) -> usize {
-        self.try_progress_with(comm, on_done)
+        self.try_progress(comm)
             .unwrap_or_else(|(id, e)| aborted(id, e))
     }
 
@@ -285,16 +275,6 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
         &mut self,
         comm: &mut C,
     ) -> Result<usize, (OpId, CollectiveError)> {
-        self.try_progress_with(comm, |_| {})
-    }
-
-    /// Fallible [`Self::progress_with`]. See [`Self::try_progress`]
-    /// for the abort contract.
-    pub fn try_progress_with<C: Comm, F: FnMut(OpId)>(
-        &mut self,
-        comm: &mut C,
-        mut on_done: F,
-    ) -> Result<usize, (OpId, CollectiveError)> {
         let origin = self.cursor;
         self.cursor = (self.cursor + 1) % MAX_LIVE_OPS;
         let mut completed = 0;
@@ -306,11 +286,9 @@ impl<'p, 'b> ProgressEngine<'p, 'b> {
             match op.handle.drive(comm, false) {
                 Ok(Poll::Pending) => {}
                 Ok(Poll::Ready) => {
-                    let id = op.id;
                     self.slots[idx] = None;
                     self.live -= 1;
                     completed += 1;
-                    on_done(id);
                 }
                 Err(e) => {
                     let id = op.id;

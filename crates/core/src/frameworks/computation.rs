@@ -29,38 +29,14 @@
 //! session whose codec has an error bound selects that placement
 //! (`plan_reduce_scatter`, `plan_allreduce*`, `plan_reduce*`) and the
 //! sub-chunks are SZx at that bound whatever the codec — a `zfp-abs`
-//! session runs ZFP only on its data-movement hops. This module holds
-//! the framework's configuration and its tests.
+//! session runs ZFP only on its data-movement hops. How many values a
+//! sub-chunk holds is the session's to decide (`CCollSession::cut`;
+//! [`crate::CCollSession::with_pipeline_values`] sets the pipe). This
+//! module holds the default pipe and the framework's tests.
 
 /// Default pipeline sub-chunk in values (the paper's 5120 data points) —
 /// the same unit the cost model prices streamed schedules in.
 pub const DEFAULT_PIPE_VALUES: usize = ccoll_comm::PIPE_CHUNK_BYTES / 4;
-
-/// Configuration of the pipelined computation framework.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineConfig {
-    /// Absolute error bound for the per-sub-chunk SZx compression.
-    pub error_bound: f32,
-    /// Sub-chunk size in values.
-    pub chunk_values: usize,
-}
-
-impl PipelineConfig {
-    /// Config with the paper's 5120-value sub-chunks.
-    pub fn new(error_bound: f32) -> Self {
-        PipelineConfig {
-            error_bound,
-            chunk_values: DEFAULT_PIPE_VALUES,
-        }
-    }
-
-    /// Override the sub-chunk size (used by the chunk-size ablation).
-    pub fn with_chunk_values(mut self, chunk_values: usize) -> Self {
-        assert!(chunk_values > 0, "sub-chunk size must be positive");
-        self.chunk_values = chunk_values;
-        self
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -5,6 +5,7 @@ use ccoll_comm::{Comm, Schedule};
 
 use crate::algorithm::Algorithm;
 use crate::nonblocking::{BruckAg, HierAg, Poll, RingAg};
+use crate::placement::Role;
 use crate::plan::{priced, Completes, Handle, Kind, Plan, PlanCore, Row, Tuning};
 use crate::session::{CCollSession, CollectiveError, Recovery};
 use crate::workspace::CollWorkspace;
@@ -134,10 +135,7 @@ impl Kind for Allgather {
         // The ring machines read the partition from the workspace; the
         // Bruck machine re-caches it from the counts it is handed.
         core.ws.set_partition_from_counts(&self.counts);
-        let (place, pipe) = (
-            core.session.movement_placement(),
-            core.session.pipe_values(),
-        );
+        let (session, place) = (&core.session, core.session.movement_placement());
         match core.algorithm {
             Algorithm::Bruck => AgPlanMachine::Bruck(BruckAg::new(place)),
             Algorithm::Hierarchical => {
@@ -145,9 +143,9 @@ impl Kind for Allgather {
                     .groups
                     .as_ref()
                     .expect("hierarchical plans build their groups at start");
-                AgPlanMachine::Hier(HierAg::new(place, pipe, groups.node_counts[groups.node]))
+                AgPlanMachine::Hier(HierAg::new(session, place, groups.node_counts[groups.node]))
             }
-            _ => AgPlanMachine::Ring(RingAg::new(place, core.session.relay_cut(), true)),
+            _ => AgPlanMachine::Ring(RingAg::new(place, session.cut(place, Role::Relay), true)),
         }
     }
 

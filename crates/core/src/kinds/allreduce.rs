@@ -6,7 +6,7 @@ use ccoll_comm::{Comm, Schedule};
 
 use crate::algorithm::{Algorithm, AllreduceVariant};
 use crate::nonblocking::{Butterfly, HierAr, Poll, RingAg, RingRs};
-use crate::placement::Placement;
+use crate::placement::{Placement, Role};
 use crate::plan::{priced, Completes, Handle, Kind, Plan, PlanCore, Row, Tuning};
 use crate::reduce::ReduceOp;
 use crate::session::{CCollSession, CollectiveError, Recovery};
@@ -39,9 +39,6 @@ pub struct Allreduce {
     /// Whether that schedule streams its group legs as sub-chunk chains
     /// (derived with `lanes`).
     pub(crate) streamed: bool,
-    /// Values per PIPE-SZx sub-chunk of recursive doubling's rounds and
-    /// fold (see [`CCollSession::exchange_values`]).
-    exchange: usize,
 }
 
 impl Allreduce {
@@ -58,7 +55,6 @@ impl Allreduce {
             variant,
             lanes,
             streamed,
-            exchange: session.exchange_values(len),
         }
     }
 
@@ -121,10 +117,12 @@ impl Plan<Allreduce> {
     /// when the vector is shorter than two pipes and the cost model
     /// prices the halves cheaper ([`ccoll_comm::CostModel::exchange_values`]);
     /// `None` unless the plan is [`Algorithm::RecursiveDoubling`] with a
-    /// pipelined codec. Derived at creation, never set.
+    /// pipelined codec. Derived by the session, never set.
     pub fn exchange_values(&self) -> Option<usize> {
-        let piped = self.core.session.pipeline_config().is_some();
-        (self.core.algorithm == Algorithm::RecursiveDoubling && piped).then_some(self.kind.exchange)
+        let session = &self.core.session;
+        let piped = matches!(session.placement(), Placement::Piped(_));
+        (self.core.algorithm == Algorithm::RecursiveDoubling && piped)
+            .then(|| session.exchange_values(self.kind.len))
     }
 }
 
@@ -170,7 +168,7 @@ impl Kind for Allreduce {
 
     fn workspace(&mut self, session: &CCollSession, algorithm: Algorithm) -> CollWorkspace {
         let len = self.len;
-        let piped = session.pipeline_config().is_some();
+        let piped = matches!(session.placement(), Placement::Piped(_));
         match algorithm {
             Algorithm::Ring => session.ring_workspace(len, self.ring_places(session).0),
             Algorithm::Rabenseifner if piped => session.pipelined_stream_workspace(len.max(1), len),
@@ -222,26 +220,26 @@ impl Kind for Allreduce {
     }
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> ArMachine {
-        let (place, pipe) = (core.session.placement(), core.session.pipe_values());
-        let cut = core.session.hop_cut();
+        let session = &core.session;
+        let place = session.placement();
         match core.algorithm {
             Algorithm::RecursiveDoubling => {
-                let place = match place {
-                    Placement::Piped(cfg) => Placement::Piped(cfg.with_chunk_values(self.exchange)),
-                    place => place,
-                };
+                let cut = session.cut(place, Role::Exchange(self.len));
                 ArMachine::Butterfly(Butterfly::recursive_doubling(place, cut))
             }
-            Algorithm::Rabenseifner => ArMachine::Butterfly(Butterfly::rabenseifner(place, cut)),
+            Algorithm::Rabenseifner => {
+                let cut = session.cut(place, Role::Hop);
+                ArMachine::Butterfly(Butterfly::rabenseifner(place, cut))
+            }
             // The hierarchical placement is that of the inter-node leg
             // every lane owner runs on its slice; node-local legs are
             // always raw (intra-node links don't pay for a codec).
-            Algorithm::Hierarchical => ArMachine::Hier(HierAr::new(place, pipe, self.streamed)),
+            Algorithm::Hierarchical => ArMachine::Hier(HierAr::new(session, place, self.streamed)),
             _ => {
-                let (rs, ag) = self.ring_places(&core.session);
+                let (rs, ag) = self.ring_places(session);
                 ArMachine::Ring {
-                    rs: RingRs::new(rs, cut),
-                    ag: RingAg::new(ag, core.session.relay_cut(), true),
+                    rs: RingRs::new(rs, session.cut(rs, Role::Hop)),
+                    ag: RingAg::new(ag, session.cut(ag, Role::Relay), true),
                     in_ag: false,
                 }
             }

@@ -5,6 +5,7 @@ use ccoll_comm::{Comm, Schedule};
 
 use crate::algorithm::Algorithm;
 use crate::nonblocking::{self as nb, HierBc, Poll};
+use crate::placement::Role;
 use crate::plan::{priced, Completes, Handle, Kind, Plan, PlanCore, Row};
 use crate::session::{CCollSession, CollectiveError, Recovery};
 use crate::workspace::CollWorkspace;
@@ -132,15 +133,13 @@ impl Kind for Bcast {
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> BcMachine {
         // A session with a codec streams the payload in its PIPE
         // sub-chunks; without one the tree relays one raw message.
-        let (place, pipe) = (
-            core.session.movement_placement(),
-            core.session.pipe_values(),
-        );
+        let (session, root) = (&core.session, self.root);
+        let place = session.movement_placement();
         match core.algorithm {
             Algorithm::Hierarchical => {
-                BcMachine::Hier(HierBc::new(place, pipe, self.root, self.root_node))
+                BcMachine::Hier(HierBc::new(session, place, root, self.root_node))
             }
-            _ => BcMachine::Flat(nb::Bcast::new(place, pipe, self.root)),
+            _ => BcMachine::Flat(nb::Bcast::new(place, session.cut(place, Role::Tree), root)),
         }
     }
 

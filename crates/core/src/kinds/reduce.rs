@@ -6,6 +6,7 @@ use ccoll_comm::{Comm, Schedule};
 use crate::algorithm::Algorithm;
 use crate::nonblocking::{self as nb, Poll, RingRs, TreeReduce};
 use crate::partition::chunk_lengths;
+use crate::placement::{Placement, Role};
 use crate::plan::{priced, Completes, Handle, Kind, Plan, PlanCore, Row, Tuning};
 use crate::reduce::ReduceOp;
 use crate::session::{CCollSession, CollectiveError, Recovery};
@@ -120,10 +121,10 @@ impl Kind for Reduce {
             // (see `CCollSession::ring_workspace`).
             Algorithm::Binomial => {
                 self.rs = None;
-                match session.pipeline_config() {
-                    Some(_) => session
+                match session.placement() {
+                    Placement::Piped(_) => session
                         .pipelined_stream_workspace(session.pipe_values().min(len.max(1)), len),
-                    None => session.warmed_workspace(len.max(1), 4),
+                    _ => session.warmed_workspace(len.max(1), 4),
                 }
             }
             // Reduce-scatter into `mine`, then gather the reduced chunks
@@ -136,17 +137,6 @@ impl Kind for Reduce {
                 });
                 session.warmed_workspace(len, 4)
             }
-        }
-    }
-
-    /// The reduce-scatter and gather stages each reserve a tag slot
-    /// after the plan's own. Both stages run under the plan's base, so
-    /// the two are unused on the wire.
-    fn reserved_slots(&self, algorithm: Algorithm) -> u32 {
-        if algorithm == Algorithm::Binomial {
-            0
-        } else {
-            2
         }
     }
 
@@ -169,7 +159,8 @@ impl Kind for Reduce {
 
     fn machine(&mut self, core: &mut PlanCore, rank: usize) -> ReduceMachine {
         let session = &core.session;
-        let (place, cut) = (session.placement(), session.hop_cut());
+        let place = session.placement();
+        let cut = session.cut(place, Role::Hop);
         match &mut self.rs {
             Some(stage) => {
                 // `resize` shrinks as well as grows, keeping the buffer

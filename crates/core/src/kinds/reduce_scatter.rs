@@ -5,6 +5,7 @@ use ccoll_comm::Comm;
 use crate::algorithm::Algorithm;
 use crate::nonblocking::{Poll, RingRs};
 use crate::partition::chunk_lengths;
+use crate::placement::Role;
 use crate::plan::{Completes, Handle, Kind, Plan, PlanCore, Row};
 use crate::reduce::ReduceOp;
 use crate::session::{CCollSession, CollectiveError, Recovery};
@@ -84,7 +85,8 @@ impl Kind for ReduceScatter {
     }
 
     fn machine(&mut self, core: &mut PlanCore, _rank: usize) -> RingRs {
-        RingRs::new(core.session.placement(), core.session.hop_cut())
+        let place = core.session.placement();
+        RingRs::new(place, core.session.cut(place, Role::Hop))
     }
 
     fn step<C: Comm>(

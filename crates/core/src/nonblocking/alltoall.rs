@@ -42,7 +42,6 @@ impl Alltoall {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
         comm: &mut C,

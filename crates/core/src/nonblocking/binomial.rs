@@ -6,22 +6,22 @@ use ccoll_comm::{Category, Comm, Cut};
 use super::{next_arrival, post, retire_sends, Poll};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::tags;
-use crate::pipeline::{tree_pos, Land, Route, StreamCursor, WHOLE};
+use crate::pipeline::{tree_pos, Land, Route, StreamCursor};
 use crate::placement::{Link, Placement};
 use crate::workspace::CollWorkspace;
 
-/// Resumable binomial-tree broadcast, in one of three shapes:
+/// Resumable binomial-tree broadcast, in one of three shapes, each in
+/// the cut it is handed (`CCollSession::cut`):
 ///
 /// * **streamed** (`Placement::Once`) — the compress-once C-Bcast. The
-///   payload travels as independent `pipe`-value sub-chunk streams
-///   along one [`Route::tree`] (root: encode ∥ fan-out; interior:
-///   relay, then decode; leaf: decode as chunks arrive), all on one
-///   tag. A payload of at most one sub-chunk is a single whole-payload
-///   message.
+///   payload travels as independent sub-chunk streams along one
+///   [`Route::tree`] (root: encode ∥ fan-out; interior: relay, then
+///   decode; leaf: decode as chunks arrive), all on one tag. A payload
+///   of at most one sub-chunk is a single whole-payload message.
 /// * **raw** — the same [`Route::tree`] with the whole payload as one
-///   uncompressed sub-chunk: one message per tree edge, relayed before
-///   it lands. Deliberately not cut into sub-chunks: its root is
-///   egress-bound either way.
+///   uncompressed sub-chunk ([`Cut::WHOLE`]): one message per tree
+///   edge, relayed before it lands. Deliberately not cut into
+///   sub-chunks: its root is egress-bound either way.
 /// * **CPR-P2P** — every tree edge one whole-message [`Route::hop`]:
 ///   each rank lands what its parent sent and re-compresses it for
 ///   *each* child, `log₂N · (T_comp + T_decomp)` on the critical path
@@ -29,8 +29,9 @@ use crate::workspace::CollWorkspace;
 #[derive(Debug)]
 pub(crate) struct Bcast {
     place: Placement,
-    /// Sub-chunk size of the streamed shape (the others ignore it).
-    pipe: usize,
+    /// How the payload is cut: the streamed shape's sub-chunks, else
+    /// the whole message.
+    cut: Cut,
     root: usize,
     stream: StreamCursor,
     /// The CPR-P2P shape's tree edges done: the receive from the parent
@@ -39,10 +40,10 @@ pub(crate) struct Bcast {
 }
 
 impl Bcast {
-    pub(crate) fn new(place: Placement, pipe: usize, root: usize) -> Self {
+    pub(crate) fn new(place: Placement, cut: Cut, root: usize) -> Self {
         Bcast {
             place: place.movement(true, "binomial bcast"),
-            pipe,
+            cut,
             root,
             stream: StreamCursor::default(),
             edge: 0,
@@ -51,7 +52,6 @@ impl Bcast {
 
     /// Drive the broadcast. On the root an empty `data` means `out` is
     /// already the source; otherwise `data` is copied in.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
         comm: &mut C,
@@ -70,12 +70,7 @@ impl Bcast {
         let link = self.place.link(cpr);
         if !matches!(link, Link::Cpr(_)) {
             // The root streams `data` and takes its bits once it is out.
-            let pipe = if matches!(link, Link::Once(_)) {
-                self.pipe
-            } else {
-                WHOLE
-            };
-            let route = Route::tree(comm, (link, pipe), tag, self.root, data);
+            let route = Route::tree(comm, (link, self.cut), tag, self.root, data);
             let poll = self.stream.step(comm, route, out, &mut ws.pipe(), block);
             if root && !data.is_empty() && poll.is_ready() {
                 out.copy_from_slice(data);
@@ -83,7 +78,7 @@ impl Bcast {
             return poll;
         }
         let (n, relative, span) = tree_pos(comm, self.root);
-        let stream = (link, Cut::WHOLE);
+        let stream = (link, self.cut);
         loop {
             let mask = span >> self.edge;
             if mask == 0 {
@@ -156,7 +151,6 @@ impl Scatter {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
         comm: &mut C,
@@ -331,7 +325,6 @@ impl Gather {
         matches!(self.phase, GaPhase::DoneRoot)
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
         comm: &mut C,

@@ -218,7 +218,6 @@ impl BruckA2a {
         tags::BRUCK + if once { 0x600 } else { 0x400 } + self.round_no
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
         comm: &mut C,

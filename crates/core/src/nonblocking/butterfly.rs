@@ -60,8 +60,8 @@ enum BflyPhase {
 /// (`halving = true`, recursive-halving reduce-scatter +
 /// recursive-doubling allgather), in raw / CPR / pipelined placements.
 /// The fold and halving legs are [`Route::hop`] streams and recursive
-/// doubling's rounds [`Route::exchange`]s (the plan's raw cut raw,
-/// PIPE-SZx sub-chunks piped, one whole message at CPR-P2P);
+/// doubling's rounds [`Route::exchange`]s, in the machine's cut (raw
+/// pieces, PIPE-SZx sub-chunks piped, one whole message at CPR-P2P);
 /// Rabenseifner's doubling and the unfold move finalized data and stay
 /// monolithic rounds.
 ///
@@ -72,7 +72,7 @@ enum BflyPhase {
 #[derive(Debug)]
 pub(crate) struct Butterfly {
     place: Placement,
-    /// The raw cut (see [`Placement::stream`]).
+    /// How its streamed legs are cut (`CCollSession::cut`).
     cut: Cut,
     /// Rabenseifner when true, recursive doubling when false.
     halving: bool,
@@ -140,7 +140,7 @@ impl Butterfly {
         let n = comm.size();
         let me = comm.rank();
         let link = self.place.link(cpr);
-        let stream = self.place.stream(cpr, self.cut);
+        let stream = (self.place.stream(cpr), self.cut);
         loop {
             match self.phase {
                 BflyPhase::Init => {

@@ -7,9 +7,10 @@ use super::{Bcast, Butterfly, Gather, Poll, RingAg, RingRs, TreeReduce};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{memcpy_in, tags};
 use crate::partition::chunk_range;
-use crate::pipeline::{Land, Route, StreamCursor, WHOLE};
-use crate::placement::{Link, Placement};
+use crate::pipeline::{Land, Route, StreamCursor};
+use crate::placement::{Link, Placement, Role};
 use crate::reduce::ReduceOp;
+use crate::session::CCollSession;
 use crate::workspace::CollWorkspace;
 
 /// The communicator split a hierarchical plan runs over. Built once,
@@ -128,20 +129,18 @@ enum HierPhase {
     Local,
     Inter,
     Fanout,
-    Final,
     Done,
 }
 
 /// Step the raw fan-out that ends every hierarchical schedule: the
-/// group owner's `out` into every other member's, as a `pipe`-value
-/// sub-chunk [`Route::chain_relay`] when `chain` gives one, else as the
-/// whole-message binomial [`Route::tree`]. A one-member group has
-/// nothing to fan out.
+/// group owner's `out` into every other member's, in `cut`, as a
+/// [`Route::chain_relay`] when `chain`, else down the binomial
+/// [`Route::tree`]. A one-member group has nothing to fan out.
 fn fan_out<C: Comm>(
     cursor: &mut StreamCursor,
     comm: &mut C,
     group: &[usize],
-    chain: Option<usize>,
+    (cut, chain): (Cut, bool),
     out: &mut [f32],
     ws: &mut CollWorkspace,
     block: bool,
@@ -151,8 +150,8 @@ fn fan_out<C: Comm>(
     }
     let mut sub = CommView::group(comm, group);
     let route = match chain {
-        Some(pipe) => Route::chain_relay(&sub, pipe, tags::BCAST),
-        None => Route::tree(&sub, (Link::Raw, WHOLE), tags::BCAST, 0, &[]),
+        true => Route::chain_relay(&sub, cut, tags::BCAST),
+        false => Route::tree(&sub, (Link::Raw, cut), tags::BCAST, 0, &[]),
     };
     cursor.step(&mut sub, route, out, &mut ws.pipe(), block)
 }
@@ -168,7 +167,6 @@ enum LaneLeg {
     GroupBcast(StreamCursor),
     RowAg(RingAg),
     HandBack(StreamCursor),
-    Final,
     Done,
 }
 
@@ -195,34 +193,41 @@ enum GroupReduce {
 /// On a node `L` does not divide, the partial last row's members fold
 /// their input into their group's row above first (one raw
 /// [`Route::hop`] of the vector) and get the result back from it last.
-/// Raw reducing hops stream `pipe`-value sub-chunks, folding each while
-/// the next is on the wire; legs 2 and 4 are binomial trees
-/// ([`TreeReduce`], the whole-message [`Route::tree`]) or, when
-/// `streamed`, chains along the group ([`Route::chain_fold`],
+/// Every leg streams in the cut the session gives its role: raw reducing
+/// hops fold each sub-chunk while the next is on the wire; legs 2 and 4
+/// are binomial trees ([`TreeReduce`], the whole-message [`Route::tree`])
+/// or, when `streamed`, chains along the group ([`Route::chain_fold`],
 /// [`Route::chain_relay`]), folding into `ws.hier`, one lane long (a
-/// tree's interior members into `ws.acc`). `L = 1` is the single-leader schedule and `L =` node size
-/// reduce-scatter-first; every `L` moves the same (s−1)·d bytes per node
-/// each way, and no rank folds more than about d. Tag families stay
-/// disjoint (`HIER`, `REDUCE_SCATTER`, `TREE_REDUCE`, `RABENSEIFNER`,
-/// `BCAST`, `ALLGATHER`) and concurrent groups or rows of one leg have
-/// disjoint member sets.
+/// tree's interior members into `ws.acc`). `L = 1` is the single-leader
+/// schedule and `L =` node size reduce-scatter-first; every `L` moves
+/// the same (s−1)·d bytes per node each way, and no rank folds more than
+/// about d. Tag families stay disjoint (`HIER`, `REDUCE_SCATTER`,
+/// `TREE_REDUCE`, `RABENSEIFNER`, `BCAST`, `ALLGATHER`) and concurrent
+/// groups or rows of one leg have disjoint member sets.
 #[derive(Debug)]
 pub(crate) struct HierAr {
     place: Placement,
-    /// Sub-chunk size of the raw hops and the streamed group legs.
-    pipe: usize,
+    /// The inter-node hops' cut, and the raw node-local hops', relays'
+    /// and whole-message legs' (`CCollSession::cut`).
+    inter: Cut,
+    hop: Cut,
+    relay: Cut,
+    whole: Cut,
     streamed: bool,
     leg: LaneLeg,
 }
 
 impl HierAr {
     /// `place` is the inter-node leg's placement; the intra-node legs
-    /// are always raw, their hops stream `pipe`-value sub-chunks, and
-    /// the group legs are sub-chunk chains when `streamed`.
-    pub(crate) fn new(place: Placement, pipe: usize, streamed: bool) -> Self {
+    /// are always raw, and the group legs are sub-chunk chains when
+    /// `streamed`.
+    pub(crate) fn new(session: &CCollSession, place: Placement, streamed: bool) -> Self {
         HierAr {
             place,
-            pipe,
+            inter: session.cut(place, Role::Hop),
+            hop: session.cut(Placement::Raw, Role::Hop),
+            relay: session.cut(Placement::Raw, Role::Relay),
+            whole: session.cut(Placement::Raw, Role::Tree),
             streamed,
             leg: LaneLeg::FoldIn(StreamCursor::default()),
         }
@@ -262,8 +267,7 @@ impl HierAr {
                         } else {
                             (None, Some((peer, land)), &mut *out)
                         };
-                        let route =
-                            Route::hop((Link::Raw, Cut::pipe(self.pipe)), tags::HIER, send, recv);
+                        let route = Route::hop((Link::Raw, self.hop), tags::HIER, send, recv);
                         if cursor.step(comm, route, dst, &mut ws.pipe(), block) == Poll::Pending {
                             return Poll::Pending;
                         }
@@ -271,7 +275,7 @@ impl HierAr {
                     self.leg = if spare {
                         LaneLeg::HandBack(StreamCursor::default())
                     } else {
-                        LaneLeg::RowRs(RingRs::new(Placement::Raw, Cut::pipe(self.pipe)))
+                        LaneLeg::RowRs(RingRs::new(Placement::Raw, self.hop))
                     };
                 }
                 LaneLeg::RowRs(scatter) => {
@@ -287,7 +291,7 @@ impl HierAr {
                     self.leg = LaneLeg::GroupReduce(if self.streamed {
                         GroupReduce::Chain(StreamCursor::default())
                     } else {
-                        GroupReduce::Tree(TreeReduce::new(Placement::Raw, Cut::pipe(self.pipe), 0))
+                        GroupReduce::Tree(TreeReduce::new(Placement::Raw, self.hop, 0))
                     });
                 }
                 LaneLeg::GroupReduce(leg) => {
@@ -316,7 +320,7 @@ impl HierAr {
                             }
                             GroupReduce::Chain(chain) => {
                                 let tag = tags::TREE_REDUCE;
-                                let route = Route::chain_fold(&sub, self.pipe, tag, inner, src);
+                                let route = Route::chain_fold(&sub, self.hop, tag, inner, src);
                                 chain.step(&mut sub, route, &mut hier, &mut ws.pipe(), block)
                             }
                         }
@@ -326,7 +330,7 @@ impl HierAr {
                         return Poll::Pending;
                     }
                     self.leg = if owner {
-                        LaneLeg::Inter(Butterfly::rabenseifner(self.place, Cut::pipe(self.pipe)))
+                        LaneLeg::Inter(Butterfly::rabenseifner(self.place, self.inter))
                     } else {
                         LaneLeg::GroupBcast(StreamCursor::default())
                     };
@@ -348,13 +352,15 @@ impl HierAr {
                     self.leg = LaneLeg::GroupBcast(StreamCursor::default());
                 }
                 LaneLeg::GroupBcast(cursor) => {
-                    let chain = self.streamed.then_some(self.pipe);
+                    let fan = (
+                        if self.streamed { self.hop } else { self.whole },
+                        self.streamed,
+                    );
                     let dst = &mut out[lane.clone()];
-                    if fan_out(cursor, comm, members, chain, dst, ws, block) == Poll::Pending {
+                    if fan_out(cursor, comm, members, fan, dst, ws, block) == Poll::Pending {
                         return Poll::Pending;
                     }
-                    self.leg =
-                        LaneLeg::RowAg(RingAg::new(Placement::Raw, Cut::pipe(self.pipe), true));
+                    self.leg = LaneLeg::RowAg(RingAg::new(Placement::Raw, self.relay, true));
                 }
                 LaneLeg::RowAg(gather) => {
                     if lanes > 1 {
@@ -370,22 +376,16 @@ impl HierAr {
                 }
                 LaneLeg::HandBack(cursor) => {
                     if let Some((peer, _)) = pair {
-                        let whole = (Link::Raw, Cut::WHOLE);
-                        let r = if spare {
-                            let route =
-                                Route::hop(whole, tags::HIER, None, Some((peer, Land::Store)));
-                            cursor.step(comm, route, out, &mut ws.pipe(), block)
+                        let (send, recv, dst) = if spare {
+                            (None, Some((peer, Land::Store)), &mut *out)
                         } else {
-                            let route = Route::hop(whole, tags::HIER, Some((&*out, peer)), None);
-                            cursor.step(comm, route, &mut [], &mut ws.pipe(), block)
+                            (Some((&*out, peer)), None, &mut [][..])
                         };
-                        if r == Poll::Pending {
+                        let route = Route::hop((Link::Raw, self.whole), tags::HIER, send, recv);
+                        if cursor.step(comm, route, dst, &mut ws.pipe(), block) == Poll::Pending {
                             return Poll::Pending;
                         }
                     }
-                    self.leg = LaneLeg::Final;
-                }
-                LaneLeg::Final => {
                     // The inner legs reduced with the fused kind; the
                     // one real finalize (Avg's ÷n) uses the full world.
                     op.finalize(out, world);
@@ -407,17 +407,19 @@ pub(crate) struct HierAg {
     local: Gather,
     inter: RingAg,
     fanout: StreamCursor,
+    whole: Cut,
 }
 
 impl HierAg {
     /// `place` is the leader leg's placement; `node_block_len` is *my*
     /// node's total value count (`groups.node_counts[groups.node]`).
-    pub(crate) fn new(place: Placement, pipe: usize, node_block_len: usize) -> Self {
+    pub(crate) fn new(session: &CCollSession, place: Placement, node_block_len: usize) -> Self {
         HierAg {
             phase: HierPhase::Local,
             local: Gather::new(Placement::Raw, 0, node_block_len),
-            inter: RingAg::new(place, Cut::pipe(pipe), true),
+            inter: RingAg::new(place, session.cut(place, Role::Relay), true),
             fanout: StreamCursor::default(),
+            whole: session.cut(Placement::Raw, Role::Tree),
         }
     }
 
@@ -441,19 +443,17 @@ impl HierAg {
                     let mut sub = CommView::group(comm, &groups.group);
                     let r = self.local.step(&mut sub, None, mine, &mut hier, ws, block);
                     ws.hier = hier;
-                    match r {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready => {
-                            if groups.is_owner(me) {
-                                // The leader ring reads the *node block*
-                                // partition out of the workspace.
-                                ws.set_partition_from_counts(&groups.node_counts);
-                                self.phase = HierPhase::Inter;
-                            } else {
-                                self.phase = HierPhase::Fanout;
-                            }
-                        }
+                    if r == Poll::Pending {
+                        return Poll::Pending;
                     }
+                    self.phase = if groups.is_owner(me) {
+                        // The leader ring reads the *node block*
+                        // partition out of the workspace.
+                        ws.set_partition_from_counts(&groups.node_counts);
+                        HierPhase::Inter
+                    } else {
+                        HierPhase::Fanout
+                    };
                 }
                 HierPhase::Inter => {
                     let hier = std::mem::take(&mut ws.hier);
@@ -466,13 +466,13 @@ impl HierAg {
                     }
                 }
                 HierPhase::Fanout => {
-                    let r = fan_out(&mut self.fanout, comm, &groups.group, None, out, ws, block);
+                    let fan = (self.whole, false);
+                    let r = fan_out(&mut self.fanout, comm, &groups.group, fan, out, ws, block);
                     if r == Poll::Pending {
                         return Poll::Pending;
                     }
-                    self.phase = HierPhase::Final;
+                    self.phase = HierPhase::Done;
                 }
-                HierPhase::Final => self.phase = HierPhase::Done,
                 HierPhase::Done => return Poll::Ready,
             }
         }
@@ -495,21 +495,23 @@ pub(crate) struct HierBc {
     /// Leader-group index of the root's node.
     root_node: usize,
     inter: Bcast,
-    /// The hand-off's stream, then the fan-out's.
-    stream: StreamCursor,
+    /// The hand-off's stream, then the fan-out's, and their (whole) cut.
+    cursor: StreamCursor,
+    whole: Cut,
 }
 
 impl HierBc {
     /// `place` is the leader leg's placement; at compress-once the leg
-    /// is a [`Bcast`] streamed in `pipe`-value sub-chunks.
-    pub(crate) fn new(place: Placement, pipe: usize, root: usize, root_node: usize) -> Self {
+    /// is a [`Bcast`] streamed in sub-chunks.
+    pub(crate) fn new(session: &CCollSession, place: Placement, root: usize, node: usize) -> Self {
         HierBc {
             phase: HierPhase::Local,
             place,
             root,
-            root_node,
-            inter: Bcast::new(place, pipe, root_node),
-            stream: StreamCursor::default(),
+            root_node: node,
+            inter: Bcast::new(place, session.cut(place, Role::Tree), node),
+            cursor: StreamCursor::default(),
+            whole: session.cut(Placement::Raw, Role::Tree),
         }
     }
 
@@ -541,9 +543,9 @@ impl HierBc {
                         recv = Some((self.root, Land::Store));
                     }
                     let mut hier = std::mem::take(&mut ws.hier);
-                    let route = Route::hop((Link::Raw, Cut::WHOLE), tags::HIER, send, recv);
+                    let route = Route::hop((Link::Raw, self.whole), tags::HIER, send, recv);
                     let r = self
-                        .stream
+                        .cursor
                         .step(comm, route, &mut hier, &mut ws.pipe(), block);
                     ws.hier = hier;
                     if r == Poll::Pending {
@@ -576,13 +578,11 @@ impl HierBc {
                 // Raw fan-out within the node; the leader's `out` is
                 // pre-filled.
                 HierPhase::Fanout => {
-                    let r = fan_out(&mut self.stream, comm, &groups.group, None, out, ws, block);
+                    let fan = (self.whole, false);
+                    let r = fan_out(&mut self.cursor, comm, &groups.group, fan, out, ws, block);
                     if r == Poll::Pending {
                         return Poll::Pending;
                     }
-                    self.phase = HierPhase::Final;
-                }
-                HierPhase::Final => {
                     // A non-leader root received its node's relayed
                     // decode; restore the exact source bits, as the
                     // flat compressed bcast guarantees for the root.

@@ -9,7 +9,6 @@ use ccoll_comm::{Category, Comm, Cut, Tag};
 use super::{exchange, next_arrival, post, retire_sends, Poll};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{memcpy_in, tags};
-use crate::frameworks::computation::DEFAULT_PIPE_VALUES;
 use crate::partition::chunk_range;
 use crate::pipeline::{
     abort_stream, split_src_dst, Land, Route, StreamCursor, NONBLOCKING_DRAIN_BUDGET,
@@ -27,8 +26,8 @@ enum RsPhase {
 }
 
 /// Resumable ring reduce-scatter: `n−1` hop rounds over a full-length
-/// accumulator, each one [`Route::hop`] stream — raw pieces in the
-/// plan's raw cut, PIPE-SZx sub-chunks (piped) or one whole-message
+/// accumulator, each one [`Route::hop`] stream in the machine's cut —
+/// raw pieces, PIPE-SZx sub-chunks (piped) or one whole-message
 /// sub-chunk (CPR-P2P) — folding each arrival while the later ones are
 /// still on the wire, and suspending at its first not-yet-ready receive
 /// or send.
@@ -40,7 +39,7 @@ enum RsPhase {
 #[derive(Debug)]
 pub(crate) struct RingRs {
     place: Placement,
-    /// The raw cut (see [`Placement::stream`]).
+    /// How a round's stream is cut (`CCollSession::cut`).
     cut: Cut,
     phase: RsPhase,
     k: usize,
@@ -79,7 +78,7 @@ impl RingRs {
         let me = comm.rank();
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
-        let stream = self.place.stream(cpr, self.cut);
+        let stream = (self.place.stream(cpr), self.cut);
         loop {
             match self.phase {
                 RsPhase::Init => {
@@ -178,9 +177,8 @@ enum AgPhase {
 /// Resumable ring allgather over the caller's output buffer.
 ///
 /// Raw and compress-once (the data-movement framework) relay: every
-/// block travels in its relay cut (one sub-chunk for an empty block):
-/// `pipe`-value sub-chunks at compress-once, `pipe` being the session's
-/// pipe but never below [`DEFAULT_PIPE_VALUES`]; raw, a flat plan's
+/// block travels in the machine's cut (one sub-chunk for an empty
+/// block): uniform sub-chunks at compress-once; raw, a flat plan's
 /// link-bound taper (largest piece first), else the whole block. Round
 /// 0 packs the own block one sub-chunk at a time and sends each as soon
 /// as it is packed; round `k ≥ 1` forwards, untouched, every payload
@@ -205,7 +203,8 @@ enum AgPhase {
 #[derive(Debug)]
 pub(crate) struct RingAg {
     place: Placement,
-    /// How a relayed block is cut into sub-chunks.
+    /// How a relayed block is cut into sub-chunks (`CCollSession::cut`;
+    /// whole at CPR-P2P, which re-packs whole blocks).
     cut: Cut,
     /// Relay slots in all, and the first slots of the blocks this
     /// round forwards and receives (see [`RingAg::slot`]).
@@ -229,22 +228,10 @@ pub(crate) struct RingAg {
 }
 
 impl RingAg {
-    /// `cut` is the session's pipe, tapered on a flat plan's link-bound
-    /// net: compress-once relays in uniform sub-chunks of the pipe, but of
-    /// no fewer than [`DEFAULT_PIPE_VALUES`] values — every relayed
-    /// sub-chunk pays a message's latency in each of the `n − 2` relay
-    /// rounds, so a pipe tuned smaller for the codec overlap of the
-    /// reduce-scatter must not multiply them. Raw relays in the taper, or
-    /// whole blocks without one; CPR-P2P re-packs whole blocks.
     pub(crate) fn new(place: Placement, cut: Cut, overlap: bool) -> Self {
-        let place = place.movement(true, "ring allgather");
         RingAg {
-            place,
-            cut: match place {
-                Placement::Once => cut.at_least(DEFAULT_PIPE_VALUES),
-                Placement::Raw if cut.is_tapered() => cut,
-                _ => Cut::WHOLE,
-            },
+            place: place.movement(true, "ring allgather"),
+            cut,
             slots: 0,
             fwd: 0,
             into: 0,
@@ -322,7 +309,6 @@ impl RingAg {
         false
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<C: Comm>(
         &mut self,
         comm: &mut C,

@@ -24,7 +24,7 @@ enum TreePhase {
 /// Resumable binomial-tree rooted reduce. `step` returns
 /// `Poll::Ready`; whether this rank is the root comes from
 /// [`TreeReduce::is_root`] after completion. Every tree edge is one
-/// [`Route::hop`] stream: the plan's raw cut raw, PIPE-SZx
+/// [`Route::hop`] stream in the machine's cut: raw pieces, PIPE-SZx
 /// sub-chunks piped, one whole message at CPR-P2P.
 ///
 /// A rank's accumulator is born from its first child's fold
@@ -34,7 +34,7 @@ enum TreePhase {
 #[derive(Debug)]
 pub(crate) struct TreeReduce {
     place: Placement,
-    /// The raw cut (see [`Placement::stream`]).
+    /// How its streamed legs are cut (`CCollSession::cut`).
     cut: Cut,
     root: usize,
     phase: TreePhase,
@@ -108,7 +108,7 @@ impl TreeReduce {
         let me = comm.rank();
         let relative = (me + n - self.root) % n;
         let tag = tags::TREE_REDUCE + self.place.band();
-        let stream = self.place.stream(cpr, self.cut);
+        let stream = (self.place.stream(cpr), self.cut);
         loop {
             match self.phase {
                 TreePhase::Init => {

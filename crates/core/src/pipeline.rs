@@ -11,22 +11,23 @@
 //! buffer, or receives it from one peer), *forwards* it to a set of peers
 //! and *lands* it. Only the route and the land action differ:
 //!
-//! | route | obtain `j` | forward to | land |
-//! |---|---|---|---|
-//! | [`Route::hop`] (`RingRs`, `Butterfly` fold / halving, `TreeReduce`; `HierBc` hand-off); raw: tapered on a flat link-bound plan | encode `send[j]` (its own stream); receive from `from` | `to` | fold into `dst` (first touch: from `input`); the hand-off stores |
-//! | [`Route::exchange`] (recursive doubling's rounds); raw: tapered as a hop | encode `input[j]` before the first fold, then `dst[j]`; receive from the peer | the peer | fold into `dst`: first touch from `input`, else in place once `dst[j]` is encoded |
-//! | [`Route::tree`] (`Bcast` at `Once` and raw; hierarchical fan-outs), root / others | encode `out[j]` / receive from the parent | binomial children, *before* landing | — / decode in place |
-//! | [`Route::chain_fold`] (`HierAr`), far end / others | pack `input[j]` / receive from `i + 1` | `i − 1`, *after* folding | fold, first touch from `input[j]` |
-//! | [`Route::chain_relay`] (`HierAr`), member 0 / others | pack `out[j]` / receive from `i − 1` | `i + 1`, *before* landing | — / store |
+//! | route | cut: `CCollSession::cut` role | obtain `j` | forward to | land |
+//! |---|---|---|---|---|
+//! | [`Route::hop`] (`RingRs`, `Butterfly` fold / halving, `TreeReduce`; `HierBc` hand-off) | `Hop` (hand-off: `Tree`) | encode `send[j]` (its own stream); receive from `from` | `to` | fold into `dst` (first touch: from `input`); the hand-off stores |
+//! | [`Route::exchange`] (recursive doubling's rounds) | `Exchange` | encode `input[j]` before the first fold, then `dst[j]`; receive from the peer | the peer | fold into `dst`: first touch from `input`, else in place once `dst[j]` is encoded |
+//! | [`Route::tree`] (`Bcast` at `Once` and raw; hierarchical fan-outs), root / others | `Tree` | encode `out[j]` / receive from the parent | binomial children, *before* landing | — / decode in place |
+//! | [`Route::chain_fold`] (`HierAr`), far end / others | raw `Hop` | pack `input[j]` / receive from `i + 1` | `i − 1`, *after* folding | fold, first touch from `input[j]` |
+//! | [`Route::chain_relay`] (`HierAr`), member 0 / others | raw `Hop` | pack `out[j]` / receive from `i − 1` | `i + 1`, *before* landing | — / store |
 //!
-//! The [`Cut`] comes with the link
-//! ([`Placement::stream`](crate::placement::Placement::stream)): PIPE-SZx
-//! sub-chunks (5120 values by default) on a piped hop; on a raw hop the
-//! plan's pipe or, on a flat plan whose link is slower than its fold,
-//! largest-first pieces down to a short tail (a [`ccoll_comm::Taper`]);
-//! the plan's pipe on the compress-once tree and the hierarchical
-//! chains; and the whole message ([`WHOLE`]) otherwise, sent even when
-//! empty. So a hop
+//! The [`Cut`] is the machine's, which the session decided for the
+//! stream's placement and role (`CCollSession::cut`, the one place):
+//! PIPE-SZx sub-chunks (5120 values by default) on a piped hop, the
+//! plan's exchange sub-chunk on recursive doubling's rounds; on a raw
+//! hop the plan's pipe or, on a flat plan whose link is slower than its
+//! fold, largest-first pieces down to a short tail (a
+//! [`ccoll_comm::Taper`]); the plan's pipe on the compress-once tree and
+//! the hierarchical chains; and the whole message ([`Cut::WHOLE`]) on a
+//! CPR-P2P hop and the raw trees, sent even when empty. So a hop
 //! encodes `j + 1` while `j` is on the wire and folds arrivals through the
 //! **fused decompress-reduce** kernel while later ones are in flight, a
 //! tree root is `max(encode, fan-out)`-bound, and every codec call goes
@@ -66,10 +67,6 @@ use crate::reduce::ReduceOp;
 /// backlog in one `progress()` call and starve its siblings on a progress
 /// engine, and four still drain faster than one encode per call fills.
 pub(crate) const NONBLOCKING_DRAIN_BUDGET: usize = 4;
-
-/// The sub-chunk size of a whole-message stream: the buffer is one
-/// unbounded sub-chunk.
-pub(crate) const WHOLE: usize = usize::MAX;
 
 /// The workspace buffers a cursor borrows: payload pool, codec scratch
 /// and the two request queues.
@@ -195,8 +192,9 @@ pub(crate) struct Route<'r> {
 }
 
 impl<'r> Route<'r> {
-    /// A two-rank hop over `stream` (a placement's `(link, sub-chunk)`,
-    /// [`Placement::stream`](crate::placement::Placement::stream)): this
+    /// A two-rank hop over `stream` (a `(link, cut)`: a placement's
+    /// [`Placement::stream`](crate::placement::Placement::stream) and the
+    /// machine's cut): this
     /// rank's `send` values go to their peer, and what comes from the
     /// `recv` peer lands in the step's `dst`; either side may be absent.
     pub(crate) fn hop(
@@ -233,7 +231,7 @@ impl<'r> Route<'r> {
     /// and lands it in `dst`.
     pub(crate) fn tree<C: Comm>(
         comm: &C,
-        (link, pipe): (Link<'r>, usize),
+        (link, cut): (Link<'r>, Cut),
         tag: Tag,
         root: usize,
         data: &'r [f32],
@@ -245,7 +243,7 @@ impl<'r> Route<'r> {
             _ => (Source::None, Some((relative - span + root) % n)),
         };
         let sink = sink.map(|parent| (parent, Land::Store));
-        Self::new(link, Cut::pipe(pipe), tag, source, sink, Fan::Tree(root))
+        Self::new(link, cut, tag, source, sink, Fan::Tree(root))
     }
 
     /// Member `i`'s part in a raw reduction of `input` along the path of
@@ -255,7 +253,7 @@ impl<'r> Route<'r> {
     /// end never touches its own.
     pub(crate) fn chain_fold<C: Comm>(
         comm: &C,
-        pipe: usize,
+        cut: Cut,
         tag: Tag,
         op: ReduceOp,
         input: &'r [f32],
@@ -266,19 +264,19 @@ impl<'r> Route<'r> {
             Some(next) => (Source::None, Some((next, Land::Fold(op, Some(input))))),
         };
         let fan = prev.map_or(Fan::None, Fan::One);
-        Self::new(Link::Raw, Cut::pipe(pipe), tag, source, sink, fan)
+        Self::new(Link::Raw, cut, tag, source, sink, fan)
     }
 
     /// Member 0's `dst` relayed along the path into every other member's
     /// `dst`.
-    pub(crate) fn chain_relay<C: Comm>(comm: &C, pipe: usize, tag: Tag) -> Self {
+    pub(crate) fn chain_relay<C: Comm>(comm: &C, cut: Cut, tag: Tag) -> Self {
         let (prev, next) = neighbours(comm);
         let (source, sink) = match prev {
             None => (Source::Dst, None),
             Some(prev) => (Source::None, Some((prev, Land::Store))),
         };
         let fan = next.map_or(Fan::None, Fan::One);
-        Self::new(Link::Raw, Cut::pipe(pipe), tag, source, sink, fan)
+        Self::new(Link::Raw, cut, tag, source, sink, fan)
     }
 
     /// A route, field by field.
@@ -457,7 +455,6 @@ mod tests {
     use super::*;
     use crate::codec::CodecSpec;
     use crate::collectives::cpr_p2p::CprCodec;
-    use crate::frameworks::computation::PipelineConfig;
     use crate::placement::Placement;
     use crate::workspace::CollWorkspace;
 
@@ -499,6 +496,15 @@ mod tests {
         messages: u64,
     }
 
+    /// The cut a `place` hop streams in: [`PIPE`], or one whole message
+    /// at CPR-P2P.
+    fn hop_cut(place: Placement) -> Cut {
+        match place {
+            Placement::Cpr => Cut::WHOLE,
+            _ => Cut::pipe(PIPE),
+        }
+    }
+
     /// Drive `shape` to `Ready` on this rank. Between nonblocking steps a
     /// rank idles — the odd ranks eight times longer, so arrivals back up
     /// against the drain budget.
@@ -520,39 +526,31 @@ mod tests {
             let sum = ReduceOp::Sum;
             let route = match shape {
                 Shape::Exchange(place) => {
-                    let stream = place.stream(Some(&cpr), Cut::pipe(PIPE));
+                    let stream = (place.stream(Some(&cpr)), hop_cut(place));
                     Route::exchange(stream, tag, 1 - me, sum, Some(&input))
                 }
                 Shape::InPlace(place) => {
-                    let stream = place.stream(Some(&cpr), Cut::pipe(PIPE));
+                    let stream = (place.stream(Some(&cpr)), hop_cut(place));
                     Route::exchange(stream, tag, 1 - me, sum, None)
                 }
-                Shape::OneWay(place, len) if me == 0 => Route::hop(
-                    place.stream(Some(&cpr), Cut::pipe(PIPE)),
-                    tag,
-                    Some((&input[..len], 1)),
-                    None,
-                ),
-                Shape::OneWay(place, _) => {
-                    let land = Land::Fold(sum, None);
-                    Route::hop(
-                        place.stream(Some(&cpr), Cut::pipe(PIPE)),
-                        tag,
-                        None,
-                        Some((0, land)),
-                    )
+                Shape::OneWay(place, len) => {
+                    let stream = (place.stream(Some(&cpr)), hop_cut(place));
+                    match me {
+                        0 => Route::hop(stream, tag, Some((&input[..len], 1)), None),
+                        _ => Route::hop(stream, tag, None, Some((0, Land::Fold(sum, None)))),
+                    }
                 }
                 Shape::Tree(place) => {
                     let data: &[f32] = if me == 0 { &input } else { &[] };
-                    let pipe = if matches!(place, Placement::Once) {
-                        PIPE
+                    let cut = if matches!(place, Placement::Once) {
+                        Cut::pipe(PIPE)
                     } else {
-                        WHOLE
+                        Cut::WHOLE
                     };
-                    Route::tree(c, (place.link(Some(&cpr)), pipe), tag, 0, data)
+                    Route::tree(c, (place.link(Some(&cpr)), cut), tag, 0, data)
                 }
-                Shape::ChainFold => Route::chain_fold(c, PIPE, tag, sum, &input),
-                Shape::ChainRelay => Route::chain_relay(c, PIPE, tag),
+                Shape::ChainFold => Route::chain_fold(c, Cut::pipe(PIPE), tag, sum, &input),
+                Shape::ChainRelay => Route::chain_relay(c, Cut::pipe(PIPE), tag),
             };
             let slot = match shape {
                 Shape::OneWay(..) if me == 0 => &mut [][..],
@@ -588,10 +586,7 @@ mod tests {
 
     #[test]
     fn every_route_steps_within_the_work_bound_to_the_blocking_result() {
-        let piped = Placement::Piped(PipelineConfig {
-            error_bound: 1e-3,
-            chunk_values: PIPE,
-        });
+        let piped = Placement::Piped(1e-3);
         let (raw, cpr) = (Placement::Raw, Placement::Cpr);
         // (shape, ranks, whether encoding a sub-chunk is charged, whether
         // the stream is one whole-message sub-chunk)

@@ -13,18 +13,18 @@
 //!   data's origin, `unpack` at each consumer (straight into its place
 //!   in the output), opaque relays in between;
 //! * **piped** (computation) — SZx at the session's error bound in
-//!   `PipelineConfig::chunk_values` sub-chunks, whatever the session
-//!   codec is: a `zfp-abs` session streams its reducing hops through
-//!   PIPE-SZx and runs ZFP only on its data-movement hops. Its hops are
-//!   [`crate::pipeline::Route::hop`]s and recursive doubling's rounds
-//!   [`crate::pipeline::Route::exchange`]s, over [`Link::piped`], pooled.
+//!   sub-chunks, whatever the session codec is: a `zfp-abs` session
+//!   streams its reducing hops through PIPE-SZx and runs ZFP only on its
+//!   data-movement hops. Its hops are [`crate::pipeline::Route::hop`]s
+//!   and recursive doubling's rounds [`crate::pipeline::Route::exchange`]s,
+//!   over [`Placement::stream`]'s link, pooled.
 //!
 //! A machine that cannot run a placement refuses it in its constructor.
 //! The streaming engine reaches the codec through the same `Link`s:
-//! [`Placement::stream`] gives every reducing hop its link and cut:
-//! the plan's raw cut at raw (rule 6), the session's pipe piped
-//! (recursive doubling's piped config excepted, rule 6), the whole
-//! message at CPR.
+//! [`Placement::stream`] gives every streamed leg its link. How the
+//! stream is cut is not the placement's to say: the session decides it
+//! once per (placement, [`Role`]) — `CCollSession::cut`, rules 6 and 7 —
+//! and every machine applies the [`Cut`](ccoll_comm::Cut) it is handed.
 //!
 //! Orderings the machines keep — virtual time is bit-identical only
 //! while they hold:
@@ -61,32 +61,34 @@
 //!    lands, before its own sends retire; a relaying rank forwards a
 //!    sub-chunk *before* landing it, and a chain member folds *before*
 //!    forwarding the fold; an in-place exchange folds sub-chunk `j` only
-//!    *after* encoding its own `j`. Recursive doubling's piped config
-//!    carries the plan's exchange sub-chunk (its rounds and fold): the
-//!    pipe, or under two pipes two halves cut on SZx block boundaries
-//!    when the cost model prices them cheaper
-//!    (`CostModel::exchange_values`), so the own second half encodes
-//!    while the first is on the wire and the peer folds the first under
-//!    that encode. Sends are retired lazily (between
+//!    *after* encoding its own `j`. Sends are retired lazily (between
 //!    sub-chunks only those that have left, the rest at the end); a
 //!    nonblocking step encodes at most one charged sub-chunk — a tree
 //!    root suspends after every one — while a raw source end sends its
-//!    whole stream at once. A raw hop folds arrival `j` while `j + 1`
-//!    is on the wire, in the plan's raw cut: on a flat plan whose link
-//!    is slower than its fold, pieces largest first, each the largest
-//!    whose fold still ends before the next one lands, down to a tail
-//!    priced against one more latency (`ccoll_comm::Taper`); on a
-//!    topology or a fold-bound net, the session's pipe. A payload of at
-//!    most one pipe is one message. A whole-message route
-//!    (`Placement::stream` of CPR, the raw trees: bcast, fan-out,
-//!    hand-off) is one unbounded sub-chunk, sent even when empty — the
-//!    one message of the hop it replaces; a PIPE-SZx hop sends nothing
-//!    of an empty buffer. Its receive waits are `Wait` time.
+//!    whole stream at once. Every cut is `CCollSession::cut`'s, from the
+//!    stream's placement and [`Role`] alone. A raw hop folds arrival `j`
+//!    while `j + 1` is on the wire: on a flat plan whose link is slower
+//!    than its fold, in pieces largest first, each the largest whose
+//!    fold still ends before the next one lands, down to a tail priced
+//!    against one more latency (`ccoll_comm::Taper`); on a topology or a
+//!    fold-bound net, in the session's pipe. A piped hop streams the
+//!    pipe; recursive doubling's rounds and fold (`Role::Exchange`) the
+//!    plan's exchange sub-chunk — the pipe, or under two pipes two
+//!    halves cut on SZx block boundaries when the cost model prices them
+//!    cheaper (`CostModel::exchange_values`), so the own second half
+//!    encodes while the first is on the wire and the peer folds the
+//!    first under that encode. A payload of at most one pipe is one
+//!    message. A CPR-P2P hop and the raw trees (`Role::Tree`: bcast,
+//!    fan-out, hand-off) are `Cut::WHOLE`, one unbounded sub-chunk,
+//!    sent even when empty — the one message of the hop it replaces; a
+//!    PIPE-SZx hop sends nothing of an empty buffer. Its receive waits
+//!    are `Wait` time.
 //! 7. The raw and compress-once ring allgathers relay the payload they
 //!    received, untouched, and `unpack` it while its onward copy is on
 //!    the wire (raw `unpack` keeps its `Memcpy` charge); only CPR-P2P
 //!    re-packs every round from `out`. Compress-once relays in the
-//!    session's pipe sub-chunks, one message each: round 0 sends each
+//!    session's pipe sub-chunks (never below the default 5120 values),
+//!    one message each: round 0 sends each
 //!    one as it is packed; a later round posts its receives, forwards
 //!    all of the last round's sub-chunks, then lands them in order. Raw
 //!    relays whole blocks, or — on a flat plan whose link is slower than
@@ -95,12 +97,11 @@
 //!    when its receives are in and its sends have left.
 
 use bytes::Bytes;
-use ccoll_comm::{Category, Comm, Cut, Kernel, PayloadPool, Tag};
+use ccoll_comm::{Category, Comm, Kernel, PayloadPool, Tag};
 use ccoll_compress::{CodecScratch, CompressError, Compressor, SzxCodec};
 
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::memcpy_in;
-use crate::frameworks::computation::PipelineConfig;
 use crate::reduce::ReduceOp;
 use crate::wire::decode_values_into;
 
@@ -118,8 +119,25 @@ pub(crate) enum Placement {
     /// once at each consumer (the data-movement framework).
     Once,
     /// Pipelined sub-chunk hops with fused reduction (the computation
-    /// framework).
-    Piped(PipelineConfig),
+    /// framework): SZx at this absolute error bound.
+    Piped(f32),
+}
+
+/// What a stream does, as far as its cut goes (see
+/// `CCollSession::cut`, the one place that maps a placement and a role
+/// to a [`Cut`](ccoll_comm::Cut)).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Role {
+    /// A reducing hop: a ring round, a butterfly fold or halving round,
+    /// a tree-reduce edge, a hierarchical chain or fold-in.
+    Hop,
+    /// Recursive doubling's rounds and fold over a vector of this many
+    /// values.
+    Exchange(usize),
+    /// A ring allgather's relayed block.
+    Relay,
+    /// A broadcast tree, a hierarchical fan-out or hand-off.
+    Tree,
 }
 
 impl Placement {
@@ -153,20 +171,15 @@ impl Placement {
         self
     }
 
-    /// The stream a reducing hop of this placement runs on the streaming
-    /// engine, as `(link, cut)`: PIPE-SZx sub-chunks at `cfg` when piped,
-    /// raw values in the plan's `raw` cut when raw (the session's pipe,
-    /// or a flat plan's taper, so a fold overlaps the pieces still on the
-    /// wire); a CPR-P2P hop — the paper's naive baseline — is a stream of
-    /// one unbounded sub-chunk ([`Cut::WHOLE`]).
+    /// The link a streamed leg of this placement runs on: PIPE-SZx
+    /// sub-chunks when piped, else [`Placement::link`]'s.
     ///
     /// # Panics
     /// Panics if a compressed placement is stepped without a codec.
-    pub(crate) fn stream(self, cpr: Option<&CprCodec>, raw: Cut) -> (Link<'_>, Cut) {
+    pub(crate) fn stream(self, cpr: Option<&CprCodec>) -> Link<'_> {
         match self {
-            Placement::Raw => (Link::Raw, raw),
-            Placement::Piped(cfg) => (Link::piped(cfg), Cut::pipe(cfg.chunk_values)),
-            _ => (self.link(cpr), Cut::WHOLE),
+            Placement::Piped(error_bound) => Link::Piped(SzxCodec::new(error_bound)),
+            _ => self.link(cpr),
         }
     }
 
@@ -197,13 +210,6 @@ pub(crate) enum Link<'a> {
     /// PIPE-SZx sub-chunks of a piped hop, pooled: [`Link::Once`]'s
     /// charges with SZx's kernels, whatever the session codec is.
     Piped(SzxCodec),
-}
-
-impl Link<'static> {
-    /// The link of a piped hop's sub-chunks: SZx at `cfg.error_bound`.
-    pub(crate) fn piped(cfg: PipelineConfig) -> Self {
-        Link::Piped(SzxCodec::new(cfg.error_bound))
-    }
 }
 
 impl Link<'_> {
@@ -477,7 +483,7 @@ mod tests {
         let out = SimWorld::new(SimConfig::new(2)).run(move |c| {
             let cpr = CprCodec::from_spec(spec);
             // A piped machine's sub-chunks (its monolithic legs are CPR).
-            let (link, _) = place.stream(cpr.as_ref(), Cut::pipe(LEN));
+            let link = place.stream(cpr.as_ref());
             let mut ws = CollWorkspace::new();
             if c.rank() == 0 {
                 return [1, 2, 3, 4].map(|tag| {
@@ -570,11 +576,7 @@ mod tests {
             exercise(Placement::Once, spec, tol, once);
             // Piped sub-chunks are SZx whatever the session codec is, at
             // compress-once's charges.
-            let piped = Placement::Piped(PipelineConfig {
-                error_bound: eb,
-                chunk_values: LEN,
-            });
-            exercise(piped, spec, eb, once);
+            exercise(Placement::Piped(eb), spec, eb, once);
         }
     }
 }

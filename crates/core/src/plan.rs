@@ -262,11 +262,6 @@ pub(crate) trait Kind: Completes + Sized {
     /// its own per schedule (reduce's second stage) rebuilds it too.
     fn workspace(&mut self, session: &CCollSession, algorithm: Algorithm) -> CollWorkspace;
 
-    /// Tag slots a fresh plan reserves after its own.
-    fn reserved_slots(&self, _algorithm: Algorithm) -> u32 {
-        0
-    }
-
     /// The same shape on the shrunk world `r` describes.
     fn shrunk(&self, r: &Recovery) -> Result<Self, CollectiveError>;
 
@@ -405,11 +400,6 @@ impl<K: Kind> Plan<K> {
         let ws = kind.workspace(session, algorithm);
         let auto = opts.algorithm == Algorithm::Auto && K::TUNING != Tuning::Fixed;
         let core = PlanCore::new(session, algorithm, auto, ws);
-        // Reserved after the plan's own slot, so plans created later
-        // keep the slots, and therefore the wire tags, they always had.
-        for _ in 0..kind.reserved_slots(algorithm) {
-            session.alloc_slot();
-        }
         Plan { core, kind }
     }
 

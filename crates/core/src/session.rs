@@ -52,8 +52,8 @@ use ccoll_comm::{ClusterNet, CostModel, HierNet, NetModel, PayloadPool, Topology
 use crate::algorithm::{Algorithm, AllreduceVariant, PlanOptions, SelectCtx};
 use crate::codec::CodecSpec;
 use crate::collectives::cpr_p2p::CprCodec;
-use crate::frameworks::computation::{self, PipelineConfig};
-use crate::placement::Placement;
+use crate::frameworks::computation::DEFAULT_PIPE_VALUES;
+use crate::placement::{Placement, Role};
 use crate::plan::{
     Allgather, Allreduce, Alltoall, Bcast, Gather, Plan, Reduce, ReduceScatter, Scatter,
 };
@@ -141,7 +141,7 @@ impl CCollSession {
         assert!(world_size > 0, "session needs at least one rank");
         CCollSession {
             spec,
-            pipe_values: computation::DEFAULT_PIPE_VALUES,
+            pipe_values: DEFAULT_PIPE_VALUES,
             world_size,
             cpr: CprCodec::from_spec(spec),
             cost: CostModel::default(),
@@ -354,37 +354,49 @@ impl CCollSession {
             .exchange_values(self.pipe_values, &self.net, &nominal)
     }
 
-    /// How this session's raw reducing hops cut their payload: in pipe
-    /// sub-chunks, or — on a flat network whose link is slower than the
-    /// fold — past one pipe in [`CostModel::hop_taper`]'s largest-first
-    /// pieces. Derived from rank-identical inputs (the configured net and
-    /// kernel table, never a calibrated scale), so both ends of a hop
-    /// cut alike; a topology keeps the pipe.
-    pub(crate) fn hop_cut(&self) -> Cut {
-        let taper = self
-            .cost
-            .hop_taper(&self.net)
-            .filter(|_| self.cluster.is_none());
-        Cut::tapered(self.pipe_values, taper)
+    /// How a stream of placement `place` cuts its payload in `role` —
+    /// the one place that decides it; every machine applies the cut it
+    /// is handed. Derived from rank-identical inputs (the configured net
+    /// and kernel table, the payload, never a calibrated scale), so both
+    /// ends of a stream cut alike:
+    ///
+    /// * a raw hop or exchange: the pipe, or — on a flat network whose
+    ///   link is slower than the fold — past one pipe
+    ///   [`CostModel::hop_taper`]'s largest-first pieces;
+    /// * a raw relay: [`CostModel::relay_taper`]'s pieces on such a
+    ///   network, whole blocks otherwise;
+    /// * a piped hop: the pipe; recursive doubling's exchange, the plan's
+    ///   [`Self::exchange_values`];
+    /// * a compress-once relay: the pipe, but never below
+    ///   [`DEFAULT_PIPE_VALUES`] — every relayed sub-chunk pays a
+    ///   message's latency in each of the `n − 2` relay rounds, so a pipe
+    ///   tuned smaller for the reduce-scatter's codec overlap must not
+    ///   multiply them; a compress-once tree: the pipe;
+    /// * a CPR-P2P hop (the paper's naive baseline) and a raw tree,
+    ///   fan-out or hand-off: [`Cut::WHOLE`], one unbounded sub-chunk.
+    pub(crate) fn cut(&self, place: Placement, role: Role) -> Cut {
+        let (pipe, flat) = (self.pipe_values, self.cluster.is_none());
+        match (place, role) {
+            (Placement::Raw, Role::Hop | Role::Exchange(_)) => {
+                Cut::tapered(pipe, self.cost.hop_taper(&self.net).filter(|_| flat))
+            }
+            (Placement::Raw, Role::Relay) => {
+                match self.cost.relay_taper(&self.net, self.world_size) {
+                    Some(taper) if flat => Cut::tapered(pipe, Some(taper)),
+                    _ => Cut::WHOLE,
+                }
+            }
+            (Placement::Piped(_), Role::Exchange(len)) => Cut::pipe(self.exchange_values(len)),
+            (Placement::Once, Role::Relay) => Cut::pipe(pipe.max(DEFAULT_PIPE_VALUES)),
+            (Placement::Piped(_) | Placement::Once, _) => Cut::pipe(pipe),
+            (Placement::Cpr, _) | (Placement::Raw, Role::Tree) => Cut::WHOLE,
+        }
     }
 
-    /// How this session's raw ring allgather cuts a relayed block past
-    /// one pipe: [`CostModel::relay_taper`]'s pieces on a flat link-bound
-    /// network, whole blocks otherwise (see [`Self::hop_cut`]).
-    pub(crate) fn relay_cut(&self) -> Cut {
-        let taper = self.cost.relay_taper(&self.net, self.world_size);
-        Cut::tapered(self.pipe_values, taper.filter(|_| self.cluster.is_none()))
-    }
-
-    /// The PIPE sub-chunk size (values) every streamed schedule of this
-    /// session uses, but recursive doubling's ([`Self::exchange_values`]).
+    /// The PIPE sub-chunk size (values) the session's streams are cut
+    /// in, as far as workspace sizing goes (see [`Self::cut`]).
     pub(crate) fn pipe_values(&self) -> usize {
         self.pipe_values
-    }
-
-    pub(crate) fn pipeline_config(&self) -> Option<PipelineConfig> {
-        let eb = self.spec.error_bound()?;
-        Some(PipelineConfig::new(eb).with_chunk_values(self.pipe_values))
     }
 
     /// A workspace pre-warmed for payloads of up to `values` elements:
@@ -666,8 +678,8 @@ impl CCollSession {
     /// (reduce-scatter, Rabenseifner, tree reduce): piped for a codec
     /// with an error bound, monolithic CPR for one without, raw for none.
     pub(crate) fn placement(&self) -> Placement {
-        match (self.pipeline_config(), self.cpr.is_some()) {
-            (Some(cfg), _) => Placement::Piped(cfg),
+        match (self.spec.error_bound(), self.cpr.is_some()) {
+            (Some(error_bound), _) => Placement::Piped(error_bound),
             (None, true) => Placement::Cpr,
             (None, false) => Placement::Raw,
         }
@@ -997,6 +1009,72 @@ mod tests {
     const N: usize = 4;
     const LEN: usize = 6000;
     const EB: f32 = 1e-3;
+
+    /// The one (placement, role) → cut map, on a flat default-net
+    /// session and a 4×4 cluster session, with a raw, an SZx and a
+    /// ZFP-FXR codec (no error bound: CPR-P2P hops), at the default pipe
+    /// and at a pipe shorter than it. A raw flat hop is tapered and no
+    /// piped hop is — a short recursive-doubling vector streams
+    /// `exchange_values`' two block-aligned halves; a compress-once
+    /// relay is never cut below the default pipe; CPR-P2P hops and the
+    /// raw trees are one whole message.
+    #[test]
+    fn the_session_alone_cuts_every_stream() {
+        use ccoll_comm::Cut;
+        use Role::{Exchange, Hop, Relay, Tree};
+        // Recursive doubling's vector: under two default pipes.
+        let short = 2048;
+        let specs = [
+            CodecSpec::None,
+            CodecSpec::Szx { error_bound: 1e-3 },
+            CodecSpec::ZfpFxr { rate: 8 },
+        ];
+        for spec in specs {
+            for (cluster, pipe) in [(false, DEFAULT_PIPE_VALUES), (false, 64), (true, 64)] {
+                let mut s = CCollSession::new(spec, 16).with_pipeline_values(pipe);
+                if cluster {
+                    s = s.with_topology(Topology::uniform(4, 4), HierNet::cluster_default());
+                }
+                let what = format!("{spec} cluster={cluster} pipe={pipe}");
+                assert_eq!(s.cut(Placement::Raw, Tree), Cut::WHOLE, "{what}");
+                match s.placement() {
+                    Placement::Raw => {
+                        let hop = s.cut(Placement::Raw, Hop);
+                        assert_eq!(hop.is_tapered(), !cluster, "{what}: raw hop");
+                        assert_eq!(s.cut(Placement::Raw, Exchange(short)), hop, "{what}");
+                        let relay = s.cut(Placement::Raw, Relay);
+                        assert_eq!(relay.is_tapered(), !cluster, "{what}: raw relay");
+                        if cluster {
+                            assert_eq!((hop, relay), (Cut::pipe(pipe), Cut::WHOLE), "{what}");
+                        }
+                    }
+                    place @ Placement::Piped(_) => {
+                        assert_eq!(s.cut(place, Hop), Cut::pipe(pipe), "{what}: piped hop");
+                        let rd = s.cut(place, Exchange(short));
+                        assert_eq!(rd, Cut::pipe(s.exchange_values(short)), "{what}");
+                        let halves = !cluster && pipe == DEFAULT_PIPE_VALUES;
+                        let first = rd.range(0, short).len();
+                        let count = if halves { 2 } else { short.div_ceil(pipe) };
+                        assert_eq!(rd.count(short), count, "{what}");
+                        assert!(
+                            !halves || first.is_multiple_of(128),
+                            "{what}: halves {first}"
+                        );
+                    }
+                    place => {
+                        assert!(matches!(place, Placement::Cpr), "{what}: {place:?}");
+                        assert_eq!(s.cut(place, Hop), Cut::WHOLE, "{what}: CPR hop");
+                        assert_eq!(s.cut(place, Exchange(short)), Cut::WHOLE, "{what}");
+                    }
+                }
+                if let place @ Placement::Once = s.movement_placement() {
+                    let relay = s.cut(place, Relay);
+                    assert_eq!(relay, Cut::pipe(pipe.max(DEFAULT_PIPE_VALUES)), "{what}");
+                    assert_eq!(s.cut(place, Tree), Cut::pipe(pipe), "{what}: tree");
+                }
+            }
+        }
+    }
 
     fn table_session(cluster: bool) -> CCollSession {
         let session = CCollSession::new(CodecSpec::Szx { error_bound: EB }, N);

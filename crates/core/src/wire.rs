@@ -116,17 +116,6 @@ pub fn decode_values_into(bytes: &[u8], dst: &mut [f32]) {
     ccoll_compress::decode_f32s_into(bytes, dst);
 }
 
-/// Decode a little-endian byte payload into a reusable vector (resized
-/// to fit), for receive loops that reduce out of a scratch buffer.
-/// Single-pass: the vector is **not** zero-initialized before being
-/// overwritten (one memcpy on little-endian targets).
-///
-/// # Panics
-/// Panics if the length is not a multiple of four.
-pub fn decode_values_vec(bytes: &[u8], out: &mut Vec<f32>) {
-    ccoll_compress::decode_f32s_vec(bytes, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
