@@ -75,10 +75,6 @@ pub trait Comm {
     /// Non-blocking completion test for a send.
     fn test_send(&mut self, req: &SendReq) -> bool;
 
-    /// Give the progress engine a chance to run. A semantic no-op; called
-    /// between PIPE-SZx chunks exactly where the paper polls.
-    fn poll(&mut self);
-
     /// Park this rank until its next communication event: the earliest
     /// arrival *after now* on one of its posted receives (a receive no
     /// message has matched yet wakes it when the matching `isend` is

@@ -400,15 +400,15 @@ struct KState {
     /// Ranks parked in [`Comm::idle`]: an `isend` matching one of their
     /// posted receives wakes them at its arrival.
     idle: Vec<bool>,
+    /// When each port's egress / ingress side is next free. Ports
+    /// `0..n` are the ranks' own; with a [`crate::topology::ClusterNet`]
+    /// attached, port `n + k` is node `k`'s shared NIC, used instead of
+    /// the per-rank ports for cross-node messages: all ranks on a node
+    /// contend for one egress/ingress pair, which is what makes
+    /// leader-only hierarchical schedules cheaper than flat butterflies
+    /// at scale.
     egress_free: Vec<u64>,
     ingress_free: Vec<u64>,
-    /// Per-*node* shared NIC ports, used instead of the per-rank ports
-    /// for cross-node messages when a [`crate::topology::ClusterNet`]
-    /// is attached: all ranks on a node contend for one egress/ingress
-    /// pair, which is what makes leader-only hierarchical schedules
-    /// cheaper than flat butterflies at scale. Empty on flat networks.
-    nic_egress_free: Vec<u64>,
-    nic_ingress_free: Vec<u64>,
     barrier: BarrierSt,
     next_req: u64,
     /// Per-rank communicator-operation counters (kill trigger).
@@ -618,19 +618,17 @@ impl SimKernel {
         // rather than the sender's private port — all ranks on a node
         // contend for one egress/ingress pair, exactly the contention
         // that hierarchical leader-only schedules sidestep.
-        let (link, nic) = match &self.cluster {
+        let n = self.size;
+        let (link, sp, dp) = match &self.cluster {
             Some(c) if !c.topo.same_node(me, dst) => {
-                (c.net.inter, Some((c.topo.node_of(me), c.topo.node_of(dst))))
+                (c.net.inter, n + c.topo.node_of(me), n + c.topo.node_of(dst))
             }
-            Some(c) => (c.net.intra, None),
-            None => (self.net, None),
+            Some(c) => (c.net.intra, me, dst),
+            None => (self.net, me, dst),
         };
         let tx = link.tx_time(len).as_nanos() as u64;
         let alpha = link.latency.as_nanos() as u64;
-        let start = match nic {
-            Some((sn, dn)) => g.now.max(g.nic_egress_free[sn]).max(g.nic_ingress_free[dn]),
-            None => g.now.max(g.egress_free[me]).max(g.ingress_free[dst]),
-        };
+        let start = g.now.max(g.egress_free[sp]).max(g.ingress_free[dp]);
         let egress_done = start + tx;
         let mut arrival = start + alpha + tx;
         let mut ingress_busy = arrival;
@@ -661,10 +659,7 @@ impl SimKernel {
                     // never arrives. Eager-send semantics mean the
                     // sender still completes at egress time.
                     deliver = false;
-                    ingress_busy = match nic {
-                        Some((_, dn)) => g.nic_ingress_free[dn],
-                        None => g.ingress_free[dst],
-                    };
+                    ingress_busy = g.ingress_free[dp];
                     g.lost += 1;
                 }
                 MsgFault::Duplicate => {
@@ -675,16 +670,8 @@ impl SimKernel {
                 }
             }
         }
-        match nic {
-            Some((sn, dn)) => {
-                g.nic_egress_free[sn] = egress_done;
-                g.nic_ingress_free[dn] = g.nic_ingress_free[dn].max(ingress_busy);
-            }
-            None => {
-                g.egress_free[me] = egress_done;
-                g.ingress_free[dst] = g.ingress_free[dst].max(ingress_busy);
-            }
-        }
+        g.egress_free[sp] = egress_done;
+        g.ingress_free[dp] = g.ingress_free[dp].max(ingress_busy);
         g.next_req += 1;
         let id = g.next_req;
         g.send_done.insert(id, (me, egress_done));
@@ -1038,6 +1025,7 @@ impl SimWorld {
         F: Fn(&mut SimComm) -> T + Send + Sync + 'static,
     {
         let n = self.config.ranks;
+        let ports = n + self.config.cluster.as_ref().map_or(0, |c| c.topo.nodes());
         let kernel = Arc::new(SimKernel {
             state: Mutex::new(KState {
                 now: 0,
@@ -1062,16 +1050,8 @@ impl SimWorld {
                 send_done: churning(n),
                 blocked_recv: FixedMap::default(),
                 idle: vec![false; n],
-                egress_free: vec![0; n],
-                ingress_free: vec![0; n],
-                nic_egress_free: vec![
-                    0;
-                    self.config.cluster.as_ref().map_or(0, |c| c.topo.nodes())
-                ],
-                nic_ingress_free: vec![
-                    0;
-                    self.config.cluster.as_ref().map_or(0, |c| c.topo.nodes())
-                ],
+                egress_free: vec![0; ports],
+                ingress_free: vec![0; ports],
                 barrier: BarrierSt::default(),
                 next_req: 0,
                 ops: vec![0; n],
@@ -1287,11 +1267,6 @@ impl Comm for SimComm {
 
     fn test_send(&mut self, req: &SendReq) -> bool {
         self.kernel.test_send(req.id)
-    }
-
-    fn poll(&mut self) {
-        // Transfers progress autonomously in the α–β model; the pipelined
-        // collectives interleave test/wait calls instead.
     }
 
     /// One heap event: no quantum, no spin.

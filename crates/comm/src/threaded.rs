@@ -395,10 +395,6 @@ impl Comm for ThreadComm {
         true
     }
 
-    fn poll(&mut self) {
-        // Real threads progress autonomously; nothing to do.
-    }
-
     /// Sends leave at `isend`, so the next event is a message for one of
     /// the posted receives no test has claimed yet: wait on the mailbox
     /// condvar until one is queued.

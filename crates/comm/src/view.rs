@@ -215,10 +215,6 @@ impl<C: Comm> Comm for CommView<'_, C> {
         self.inner.test_send(req)
     }
 
-    fn poll(&mut self) {
-        self.inner.poll();
-    }
-
     /// The inner rank's idle: its next event, whichever view posted it.
     fn idle(&mut self) -> bool {
         self.inner.idle()

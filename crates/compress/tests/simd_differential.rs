@@ -6,10 +6,11 @@
 //! vector kernels are only correct if no input — constant runs, ±0
 //! mixes, NaN/inf spikes, subnormals, unaligned lengths, tail blocks —
 //! can distinguish them. These tests run the same workload through each
-//! level reported by [`ccoll_compress::dispatch::available_levels`] (on
-//! a machine without AVX2/SSE4.1 the list collapses to `[Scalar]` and
-//! the tests degenerate to self-comparison, which is the intended
-//! behavior: the suite is hardware-portable).
+//! level reported by [`ccoll_compress::dispatch::available_levels`]:
+//! `[Scalar, Avx2]` on an x86-64 with AVX2. On a machine without a
+//! vector tier the list collapses to `[Scalar]` and the tests degenerate
+//! to self-comparison, which is the intended behavior: the suite is
+//! hardware-portable.
 
 use ccoll_compress::dispatch::{self, SimdLevel};
 use ccoll_compress::{

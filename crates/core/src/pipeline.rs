@@ -370,7 +370,11 @@ impl StreamCursor {
                 }
                 budget = NONBLOCKING_DRAIN_BUDGET;
                 if self.sent < own {
-                    tick(comm, bufs.sreqs);
+                    // Between two sub-chunks (the paper's progress poll):
+                    // retire the sends that have left. Waiting each out
+                    // before the next encode would re-serialize encode and
+                    // egress.
+                    retire_sends(comm, bufs.sreqs, false, Category::Wait);
                 }
             }
             // Arrivals: only those already here (at most `budget`) while
@@ -410,7 +414,7 @@ impl StreamCursor {
                 self.landed += 1;
                 budget = budget.saturating_sub(1);
                 if self.landed < inbound {
-                    tick(comm, bufs.sreqs);
+                    retire_sends(comm, bufs.sreqs, false, Category::Wait);
                 }
             }
             if self.sent == own && self.landed == inbound {
@@ -426,14 +430,6 @@ impl StreamCursor {
         *self = Self::default();
         Poll::Ready
     }
-}
-
-/// Between two sub-chunks: the PIPE-SZx progress poll, and lazy
-/// retirement of the sends that have left. Waiting each send out before
-/// the next encode would re-serialize encode and egress.
-fn tick<C: Comm>(comm: &mut C, sreqs: &mut VecDeque<SendReq>) {
-    comm.poll();
-    retire_sends(comm, sreqs, false, Category::Wait);
 }
 
 /// Abort a stream from `src` whose next sub-chunk does not fit its slot,

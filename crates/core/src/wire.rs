@@ -14,19 +14,17 @@
 use bytes::Bytes;
 use ccoll_comm::PayloadPool;
 
-/// Frame `blobs` into a single container payload.
-pub fn frame_blobs(blobs: &[Bytes]) -> Bytes {
-    let total: usize = blobs.iter().map(|b| b.len()).sum();
-    let mut out = Vec::with_capacity(4 + blobs.len() * 4 + total);
-    frame_blobs_to(blobs, &mut out);
-    Bytes::from(out)
-}
-
-/// [`frame_blobs`] through a recycled payload buffer (zero allocations
-/// once the pool is warm).
+/// Frame `blobs` into a single container payload, through a recycled
+/// payload buffer (zero allocations once the pool is warm).
 pub fn frame_blobs_pooled(pool: &mut PayloadPool, blobs: &[Bytes]) -> Bytes {
-    match pool.write_with(|buf| {
-        frame_blobs_to(blobs, buf);
+    match pool.write_with(|out| {
+        out.extend_from_slice(&(blobs.len() as u32).to_le_bytes());
+        for b in blobs {
+            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+        }
+        for b in blobs {
+            out.extend_from_slice(b);
+        }
         Ok::<(), std::convert::Infallible>(())
     }) {
         Ok(b) => b,
@@ -34,27 +32,9 @@ pub fn frame_blobs_pooled(pool: &mut PayloadPool, blobs: &[Bytes]) -> Bytes {
     }
 }
 
-fn frame_blobs_to(blobs: &[Bytes], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(blobs.len() as u32).to_le_bytes());
-    for b in blobs {
-        out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    }
-    for b in blobs {
-        out.extend_from_slice(b);
-    }
-}
-
-/// Inverse of [`frame_blobs`]. Returns `None` on malformed input.
-/// Splitting is zero-copy (`Bytes::slice`).
-pub fn unframe_blobs(container: &Bytes) -> Option<Vec<Bytes>> {
-    let mut blobs = Vec::new();
-    unframe_blobs_into(container, &mut blobs)?;
-    Some(blobs)
-}
-
-/// [`unframe_blobs`] into a reusable vector (cleared first). Returns
-/// `None` on malformed input, leaving `blobs` in an unspecified but
-/// valid state.
+/// Inverse of [`frame_blobs_pooled`], into a reusable vector (cleared
+/// first). Splitting is zero-copy (`Bytes::slice`). Returns `None` on
+/// malformed input, leaving `blobs` in an unspecified but valid state.
 pub fn unframe_blobs_into(container: &Bytes, blobs: &mut Vec<Bytes>) -> Option<()> {
     blobs.clear();
     unframe_blobs_append(container, blobs)
@@ -93,22 +73,8 @@ pub fn unframe_blobs_append(container: &Bytes, blobs: &mut Vec<Bytes>) -> Option
     Some(())
 }
 
-/// `f32` slice → byte payload (little-endian).
-pub fn values_to_bytes(values: &[f32]) -> Bytes {
-    Bytes::from(ccoll_compress::f32s_to_bytes(values))
-}
-
-/// Byte payload → `f32` vector.
-///
-/// # Panics
-/// Panics if the length is not a multiple of four.
-pub fn bytes_to_values(bytes: &Bytes) -> Vec<f32> {
-    ccoll_compress::bytes_to_f32s(bytes)
-}
-
-/// Decode a little-endian byte payload straight into an existing slice —
-/// the zero-allocation counterpart of [`bytes_to_values`] used on
-/// collective hot paths.
+/// Decode a little-endian byte payload straight into an existing slice,
+/// allocation-free, as the collective hot paths need.
 ///
 /// # Panics
 /// Panics if `bytes.len() != dst.len() * 4`.
@@ -120,6 +86,11 @@ pub fn decode_values_into(bytes: &[u8], dst: &mut [f32]) {
 mod tests {
     use super::*;
 
+    fn unframe(container: &Bytes) -> Option<Vec<Bytes>> {
+        let mut blobs = vec![Bytes::from_static(b"stale")];
+        unframe_blobs_into(container, &mut blobs).map(|()| blobs)
+    }
+
     #[test]
     fn frame_round_trip() {
         let blobs = vec![
@@ -127,45 +98,50 @@ mod tests {
             Bytes::new(),
             Bytes::from_static(b"z"),
         ];
-        let c = frame_blobs(&blobs);
-        let back = unframe_blobs(&c).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(&back[0][..], b"alpha");
-        assert!(back[1].is_empty());
-        assert_eq!(&back[2][..], b"z");
+        let c = frame_blobs_pooled(&mut PayloadPool::new(), &blobs);
+        let back = unframe(&c).unwrap();
+        assert_eq!(back, blobs);
+        // Appending keeps what the vector already held.
+        let mut held = vec![Bytes::from_static(b"held")];
+        unframe_blobs_append(&c, &mut held).unwrap();
+        assert_eq!(held.len(), 4);
+        assert_eq!(&held[0][..], b"held");
+        assert_eq!(held[1..], blobs[..]);
     }
 
     #[test]
     fn empty_container() {
-        let c = frame_blobs(&[]);
-        assert_eq!(unframe_blobs(&c).unwrap().len(), 0);
+        let c = frame_blobs_pooled(&mut PayloadPool::new(), &[]);
+        assert_eq!(unframe(&c).unwrap().len(), 0);
     }
 
     #[test]
     fn malformed_inputs_rejected() {
-        assert!(unframe_blobs(&Bytes::from_static(b"")).is_none());
-        assert!(unframe_blobs(&Bytes::from_static(b"\x01\x00\x00\x00")).is_none());
+        assert!(unframe(&Bytes::from_static(b"")).is_none());
+        assert!(unframe(&Bytes::from_static(b"\x01\x00\x00\x00")).is_none());
         // Declared size exceeds payload.
         let mut bad = Vec::new();
         bad.extend_from_slice(&1u32.to_le_bytes());
         bad.extend_from_slice(&100u32.to_le_bytes());
         bad.extend_from_slice(b"short");
-        assert!(unframe_blobs(&Bytes::from(bad)).is_none());
+        assert!(unframe(&Bytes::from(bad)).is_none());
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let c = frame_blobs(&[Bytes::from_static(b"ok")]);
+        let c = frame_blobs_pooled(&mut PayloadPool::new(), &[Bytes::from_static(b"ok")]);
         let mut v = c.to_vec();
         v.push(0xFF);
-        assert!(unframe_blobs(&Bytes::from(v)).is_none());
+        assert!(unframe(&Bytes::from(v)).is_none());
     }
 
     #[test]
     fn value_conversion() {
-        let vals = vec![1.5f32, -2.25, 0.0];
-        let b = values_to_bytes(&vals);
+        let vals = [1.5f32, -2.25, 0.0];
+        let b: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
         assert_eq!(b.len(), 12);
-        assert_eq!(bytes_to_values(&b), vals);
+        let mut back = [f32::NAN; 3];
+        decode_values_into(&b, &mut back);
+        assert_eq!(back, vals);
     }
 }
