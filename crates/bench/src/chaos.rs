@@ -46,7 +46,7 @@ pub enum Shape {
     ConcurrentPair,
     /// Kill→agree→shrink→resume on a ring allreduce: after phase 1
     /// every live rank joins the survivor agreement, re-plans for the
-    /// shrunk world, and re-runs the collective on an epoch-stamped
+    /// shrunk world, and re-runs the collective in a new epoch on a
     /// [`CommView::shrunk`](ccoll_comm::CommView::shrunk). Survivors
     /// must complete bitwise-equal to a fault-free reference run *on
     /// the shrunk world* (restart-on-survivors: the dead rank's

@@ -45,7 +45,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use crate::comm::Tag;
+use crate::comm::{Ctx, Tag};
 
 /// SplitMix64: the tiny, high-quality mixer every fault decision is
 /// derived from. Public so harnesses can derive auxiliary per-case
@@ -227,16 +227,20 @@ impl FaultPlan {
             || self.kill.is_some()
     }
 
-    /// The fate of the `seq`-th message on edge `(src, dst, tag)` —
-    /// a pure function of the plan, so the schedule replays exactly.
-    pub fn message_fault(&self, src: usize, dst: usize, tag: Tag, seq: u64) -> MsgFault {
+    /// The fate of the `seq`-th message on edge `(src, dst, ctx, tag)`
+    /// — a pure function of the plan, so the schedule replays exactly.
+    ///
+    /// The draw hashes context and tag as one word laid out as they
+    /// once shared a 32-bit tag — generation bit 16, epoch from bit 17,
+    /// slot + 1 from bit 22 — so the seeded schedules pinned in the
+    /// chaos corpus replay unchanged.
+    pub fn message_fault(&self, src: usize, dst: usize, ctx: Ctx, tag: Tag, seq: u64) -> MsgFault {
         if self.loss <= 0.0 && self.drop <= 0.0 && self.delay <= 0.0 && self.duplicate <= 0.0 {
             return MsgFault::Deliver;
         }
-        let h = mix(
-            self.seed,
-            &[0x004D_5347, src as u64, dst as u64, tag as u64, seq],
-        );
+        let op = u64::from(ctx.op);
+        let key = u64::from(tag) | (op & 1) << 16 | u64::from(ctx.epoch) << 17 | (op >> 1) << 22;
+        let h = mix(self.seed, &[0x004D_5347, src as u64, dst as u64, key, seq]);
         let u = unit(h);
         let aux = splitmix64(h ^ 0xD1B5_4A32_D192_ED03);
         let mut band = self.loss;
@@ -278,8 +282,8 @@ impl FaultPlan {
     }
 
     /// Hash the first `msgs` message decisions of every directed edge
-    /// of an `n`-rank world (on `tag` 0..4) plus the first stall
-    /// decisions into one fingerprint. Two plans with the same seed
+    /// of an `n`-rank world (default context, `tag` 0..4) plus the
+    /// first stall decisions into one fingerprint. Two plans with the same seed
     /// and knobs produce the identical fingerprint — the replay test
     /// pins "same seed → byte-identical fault schedule" with this.
     pub fn fingerprint(&self, n: usize, msgs: u64) -> u64 {
@@ -288,7 +292,7 @@ impl FaultPlan {
             for dst in 0..n {
                 for tag in 0..4 {
                     for seq in 0..msgs {
-                        let f = self.message_fault(src, dst, tag, seq);
+                        let f = self.message_fault(src, dst, Ctx::default(), tag, seq);
                         let code = match f {
                             MsgFault::Deliver => 0,
                             MsgFault::Delay(d) => 1 ^ (d.as_nanos() as u64) << 3,
@@ -332,13 +336,6 @@ pub enum CommError {
         /// The dead rank.
         peer: usize,
     },
-    /// A communicator shrink past the last epoch the tag field can
-    /// tell apart ([`crate::recover::MAX_EPOCH`]): its stamp would be
-    /// an earlier epoch's, so that epoch's stragglers could match it.
-    EpochsExhausted {
-        /// The epoch the shrink would have entered.
-        epoch: u32,
-    },
 }
 
 impl fmt::Display for CommError {
@@ -350,11 +347,6 @@ impl fmt::Display for CommError {
                 waited.as_secs_f64() * 1e3
             ),
             CommError::PeerDead { peer } => write!(f, "peer rank {peer} is dead"),
-            CommError::EpochsExhausted { epoch } => write!(
-                f,
-                "shrink epoch {epoch} would reuse epoch {}'s tag stamp",
-                epoch - crate::recover::MAX_EPOCH
-            ),
         }
     }
 }
@@ -414,7 +406,10 @@ mod tests {
         let p = FaultPlan::none();
         assert!(!p.is_active());
         for seq in 0..100 {
-            assert_eq!(p.message_fault(0, 1, 7, seq), MsgFault::Deliver);
+            assert_eq!(
+                p.message_fault(0, 1, Ctx::default(), 7, seq),
+                MsgFault::Deliver
+            );
             assert_eq!(p.stall_fault(0, seq), None);
         }
     }
@@ -428,7 +423,10 @@ mod tests {
             .with_stalls(0.1, Duration::from_micros(80));
         let b = a;
         for seq in 0..200 {
-            assert_eq!(a.message_fault(1, 2, 9, seq), b.message_fault(1, 2, 9, seq));
+            assert_eq!(
+                a.message_fault(1, 2, Ctx::default(), 9, seq),
+                b.message_fault(1, 2, Ctx::default(), 9, seq)
+            );
             assert_eq!(a.stall_fault(3, seq), b.stall_fault(3, seq));
         }
         assert_eq!(a.fingerprint(4, 16), b.fingerprint(4, 16));
@@ -449,7 +447,12 @@ mod tests {
         let p = FaultPlan::seeded(7).with_drops(0.25, Duration::from_micros(100), 3);
         let n = 4000;
         let dropped = (0..n)
-            .filter(|&s| matches!(p.message_fault(0, 1, 3, s), MsgFault::Retransmit { .. }))
+            .filter(|&s| {
+                matches!(
+                    p.message_fault(0, 1, Ctx::default(), 3, s),
+                    MsgFault::Retransmit { .. }
+                )
+            })
             .count();
         let frac = dropped as f64 / n as f64;
         assert!((0.2..0.3).contains(&frac), "drop fraction {frac}");
@@ -459,7 +462,7 @@ mod tests {
     fn retransmit_attempts_bounded() {
         let p = FaultPlan::seeded(3).with_drops(1.0, Duration::from_micros(100), 4);
         for seq in 0..500 {
-            match p.message_fault(0, 1, 0, seq) {
+            match p.message_fault(0, 1, Ctx::default(), 0, seq) {
                 MsgFault::Retransmit { attempts } => {
                     assert!((1..=4).contains(&attempts), "attempts {attempts}")
                 }

@@ -2,8 +2,8 @@
 //! collective algorithm is written against.
 //!
 //! The API mirrors the MPI subset the paper's algorithms need —
-//! non-blocking point-to-point with `(source, tag)` matching, waits,
-//! tests, a barrier — plus two reproduction-specific extensions:
+//! non-blocking point-to-point with `(source, context, tag)` matching,
+//! waits, tests, a barrier — plus two reproduction-specific extensions:
 //!
 //! * **virtual compute charges** ([`Comm::charge`]): on the simulator
 //!   backend, kernels advance the virtual clock by a modeled duration; on
@@ -31,6 +31,32 @@ use crate::time::SimTime;
 /// rounds cannot cross-match.
 pub type Tag = u32;
 
+/// The context a message travels in beside its tag — which operation
+/// and which shrink epoch it belongs to, as an MPI communicator's
+/// context id keeps its traffic apart. A receive matches on
+/// `(source, ctx, tag)`. [`crate::CommView`] composes it; bare
+/// [`Comm::isend`] / [`Comm::irecv`] use [`Ctx::default`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Ctx {
+    /// The plan operation ([`Ctx::op`]); 0 for control and user
+    /// traffic. [`Comm::abort_cleanup`] purges every nonzero one.
+    pub op: u32,
+    /// The shrink epoch; 0 for the never-shrunk world.
+    pub epoch: u32,
+}
+
+impl Ctx {
+    /// The `op` of a plan operation: the plan's session slot + 1 (so
+    /// never 0) above its start `generation` (bit 0).
+    ///
+    /// # Panics
+    /// Panics on a slot of 2³¹ − 1 or more, whose `op` would wrap.
+    pub const fn op(slot: u32, generation: u32) -> u32 {
+        assert!(slot < u32::MAX >> 1, "plan slots end at 2^31 - 2");
+        ((slot + 1) << 1) | (generation & 1)
+    }
+}
+
 /// Handle for an outstanding non-blocking send.
 #[derive(Debug)]
 pub struct SendReq {
@@ -54,11 +80,23 @@ pub trait Comm {
     /// Number of ranks in the communicator.
     fn size(&self) -> usize;
 
-    /// Start a non-blocking send of `payload` to `dst`.
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendReq;
+    /// Start a non-blocking send of `payload` to `dst` in context `ctx`.
+    fn isend_ctx(&mut self, dst: usize, ctx: Ctx, tag: Tag, payload: Bytes) -> SendReq;
 
-    /// Post a non-blocking receive matching `(src, tag)`.
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvReq;
+    /// Post a non-blocking receive matching `(src, ctx, tag)`.
+    fn irecv_ctx(&mut self, src: usize, ctx: Ctx, tag: Tag) -> RecvReq;
+
+    /// Start a non-blocking send of `payload` to `dst` in the default
+    /// context.
+    fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendReq {
+        self.isend_ctx(dst, Ctx::default(), tag, payload)
+    }
+
+    /// Post a non-blocking receive matching `(src, tag)` in the default
+    /// context.
+    fn irecv(&mut self, src: usize, tag: Tag) -> RecvReq {
+        self.irecv_ctx(src, Ctx::default(), tag)
+    }
 
     /// Block until the send has left this rank, attributing the blocked
     /// time to `cat`.
@@ -154,28 +192,25 @@ pub trait Comm {
         let _ = req;
     }
 
-    /// Drop this rank's posted receives and pending inbound messages
-    /// carrying *collective-operation* tags (tags at or above
-    /// [`crate::recover::OP_TAG_FLOOR`], i.e. with plan-slot bits) —
-    /// called once by the collective layer when an operation aborts, so
-    /// a later operation on the same communicator cannot match the
-    /// aborted operation's stale traffic. Control-plane recovery
-    /// traffic (survivor-agreement votes and decisions, shrunk-world
-    /// barriers — tags below the floor) must survive: a coordinator
-    /// whose own collective aborts *after* its voters' must not wipe
-    /// the votes already in its mailbox. Default: nothing to clean.
+    /// Drop this rank's posted receives and pending inbound messages of
+    /// plan operations (`ctx.op != 0`) — called once by the collective
+    /// layer when an operation aborts, so a later operation on the same
+    /// communicator cannot match the aborted operation's stale traffic.
+    /// Control traffic (`op == 0`: survivor-agreement votes and
+    /// decisions, shrunk-world barriers) survives: a coordinator whose
+    /// own collective aborts *after* its voters' must not wipe the votes
+    /// already in its mailbox. Default: nothing to clean.
     fn abort_cleanup(&mut self) {}
 
     /// Discard this rank's posted receives and undelivered inbound
-    /// messages from a *different shrink epoch* — every entry whose
-    /// tag's epoch field (see [`crate::recover`]) differs from `keep`'s
-    /// — and report how many were discarded. The recovery layer calls
-    /// this when it crosses a shrink epoch: pre-shrink traffic (the
-    /// dead epoch) is purged, while post-shrink messages that faster
-    /// survivors already sent are kept. Default: purges nothing and
-    /// reports zero — correct (a dead-epoch message can never match an
-    /// epoch-stamped receive), just less tidy than a real purge.
-    fn purge_stale(&mut self, keep: Tag) -> u64 {
+    /// messages whose `ctx.epoch` differs from `keep`, and report how
+    /// many were discarded. The recovery layer calls this when it
+    /// crosses into shrink epoch `keep`: pre-shrink traffic is purged,
+    /// while post-shrink messages that faster survivors already sent are
+    /// kept. Default: purges nothing and reports zero — correct (another
+    /// epoch's message never matches a receive of this one), just less
+    /// tidy than a real purge.
+    fn purge_stale(&mut self, keep: u32) -> u64 {
         let _ = keep;
         0
     }

@@ -9,7 +9,8 @@
 //!
 //! * [`threaded::ThreadWorld`] — a *real* multi-threaded runtime: one OS
 //!   thread per rank, mailbox-based point-to-point messaging with MPI-style
-//!   `(source, tag)` matching and non-blocking send/receive handles. Used
+//!   `(source, context, tag)` matching and non-blocking send/receive
+//!   handles. Used
 //!   for correctness tests and small-scale wall-clock experiments.
 //! * [`sim::SimWorld`] — a *deterministic virtual-time cluster simulator*.
 //!   Ranks still run as threads executing the same algorithm code and
@@ -51,14 +52,11 @@ pub mod topology;
 pub mod view;
 
 pub use chaos::{CommError, FaultPlan, FaultPolicy, KillSpec, MsgFault};
-pub use comm::{Comm, RecvReq, SendReq, Tag};
+pub use comm::{Comm, Ctx, RecvReq, SendReq, Tag};
 pub use cost::{CostModel, Kernel, SchedParams, Schedule, PIPE_CHUNK_BYTES};
 pub use pool::PayloadPool;
 pub use profile::{Category, FaultCounters, Profiler, TimeBreakdown, TrafficStats};
-pub use recover::{
-    agree_on_failures, epoch_stamp, Agreement, DeadSet, EPOCH_FIELD, MAX_EPOCH, MAX_RECOVERY_WORLD,
-    OP_TAG_FLOOR,
-};
+pub use recover::{agree_on_failures, Agreement, DeadSet, MAX_RECOVERY_WORLD};
 pub use sim::{
     DeadlockReport, NetModel, RankOutcome, SimConfig, SimError, SimRunOutput, SimWorld,
     UndeliveredMsg, WaitEdge,

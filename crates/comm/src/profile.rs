@@ -100,13 +100,6 @@ impl TimeBreakdown {
         Duration::from_nanos(self.nanos.iter().sum())
     }
 
-    /// Merge another breakdown into this one (summing categories).
-    pub fn merge(&mut self, other: &TimeBreakdown) {
-        for (a, b) in self.nanos.iter_mut().zip(&other.nanos) {
-            *a = a.saturating_add(*b);
-        }
-    }
-
     /// Element-wise maximum — useful to summarize "slowest rank" behaviour
     /// across a communicator, which is what determines collective latency.
     pub fn max_with(&mut self, other: &TimeBreakdown) {
@@ -264,15 +257,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_max() {
+    fn max_with_keeps_each_category_maximum() {
         let mut a = TimeBreakdown::new();
         a.add(Category::Memcpy, Duration::from_millis(4));
         let mut b = TimeBreakdown::new();
         b.add(Category::Memcpy, Duration::from_millis(6));
         b.add(Category::Reduction, Duration::from_millis(1));
-        let mut m = a.clone();
-        m.merge(&b);
-        assert_eq!(m.get(Category::Memcpy), Duration::from_millis(10));
         a.max_with(&b);
         assert_eq!(a.get(Category::Memcpy), Duration::from_millis(6));
         assert_eq!(a.get(Category::Reduction), Duration::from_millis(1));

@@ -12,9 +12,9 @@
 //!   shared restart flag), even when ranks enter with different local
 //!   suspicions and even when further ranks die *during* the vote.
 //! * [`CommView::shrunk`](crate::CommView::shrunk) — the communicator view that re-forms the
-//!   world over the survivors with **dense re-ranking** and stamps a
-//!   shrink **epoch** into every tag, so stale pre-shrink messages can
-//!   never match post-shrink traffic.
+//!   world over the survivors with **dense re-ranking** and puts every
+//!   message in the shrink **epoch**'s context, so stale pre-shrink
+//!   messages can never match post-shrink traffic.
 //!
 //! ## The agreement protocol
 //!
@@ -43,24 +43,24 @@
 //! `Err(CommError::PeerDead { peer: self })` and must not enter the
 //! shrunk world.
 //!
-//! ## Tag layout under shrink
+//! ## Contexts under shrink
 //!
-//! ```text
-//! bit 31..22   per-plan slot   (op_base, PR 8)
-//! bit 21..17   shrink epoch    (this module: (epoch-1) % 31 + 1; 0 = never shrunk)
-//! bit 16       op start generation (op_base, PR 8)
-//! bit 15..0    schedule tag (0x1000..0xD000 collective streams,
-//!              0xE000..0xEFFF reserved for agreement votes,
-//!              0xE800.. for the shrunk barrier)
-//! ```
+//! A message matches on `(source, ctx, tag)` ([`crate::Ctx`]); the tag
+//! is the schedule's own. A plan operation's messages carry `ctx.op`
+//! (plan slot and start generation), control traffic — agreement votes
+//! and decisions, the shrunk barrier — carries `op == 0`, and every
+//! message posted through a shrunk view carries its `ctx.epoch` (0 =
+//! never shrunk; a nested shrink's epoch replaces the one it wraps).
+//! The agreement runs in the context of the communicator it is handed,
+//! i.e. the epoch it leaves.
 //!
-//! The epoch field is what makes "discard stale messages" free: a
-//! pre-shrink payload still in flight carries the old epoch bits and
-//! simply never matches a post-shrink receive.
-//! [`CommView::shrunk`](crate::CommView::shrunk) additionally purges what is already queued for this rank *from the
-//! dead epoch* — and only from the dead epoch: survivors cross the
-//! shrink at different times, so new-epoch messages from faster peers
-//! may already be queued and must survive ([`Comm::purge_stale`]).
+//! The epoch is what makes "discard stale messages" free: a pre-shrink
+//! payload still in flight carries the old epoch and simply never
+//! matches a post-shrink receive.
+//! [`CommView::shrunk`](crate::CommView::shrunk) additionally purges what is already queued for this rank *from
+//! other epochs* — and only from them: survivors cross the shrink at
+//! different times, so new-epoch messages from faster peers may already
+//! be queued and must survive ([`Comm::purge_stale`]).
 
 use std::fmt;
 use std::time::Duration;
@@ -75,42 +75,13 @@ use crate::profile::Category;
 /// fixed-width 128-bit mask — the paper's full node count).
 pub const MAX_RECOVERY_WORLD: usize = 128;
 
-/// Epoch stamp field: bits 17..22 of the tag space (between `op_base`'s
-/// start-generation bit 16 and slot bits 22..32).
-const EPOCH_SHIFT: u32 = 17;
-/// The tag bits holding the shrink-epoch stamp. Backends use this to
-/// purge dead-epoch traffic ([`Comm::purge_stale`]): a message is stale
-/// exactly when its epoch field differs from the current epoch's.
-pub const EPOCH_FIELD: Tag = 0x1F << EPOCH_SHIFT;
-
-/// The lowest tag carrying plan-slot bits: every collective-operation
-/// tag is at or above this (the session's `op_base` always sets a
-/// nonzero slot in bits 22..32), and every control-plane recovery tag
-/// (agreement votes/decisions, shrunk barriers) is below it. This is
-/// the boundary [`Comm::abort_cleanup`] purges against — op traffic is
-/// dropped, in-flight recovery traffic survives the abort.
-pub const OP_TAG_FLOOR: Tag = 1 << 22;
-
-/// Reserved schedule-tag range for the agreement vote. Never composed
-/// with a plan's `op_base`, and disambiguated across repeated
-/// recoveries by the epoch field of the tag.
-const AGREE_TAG_BASE: Tag = 0xE000;
+/// The agreement's vote and decision tags: control traffic, so never
+/// in a plan operation's context.
+const VOTE_TAG: Tag = 0xE000;
+const DECIDE_TAG: Tag = 0xE001;
 /// Reserved schedule-tag base for the point-to-point check-in of a
 /// rank-mapped [`crate::CommView`]'s barrier.
 pub(crate) const BARRIER_TAG_BASE: Tag = 0xE800;
-
-/// The last shrink epoch with a stamp of its own: [`epoch_stamp`]'s
-/// 5-bit field holds 31 nonzero stamps, so epoch 32 would reuse epoch
-/// 1's, and [`agree_on_failures`] refuses to enter it.
-pub const MAX_EPOCH: u32 = 31;
-
-/// The tag stamp for shrink `epoch` (≥ 1): a nonzero 5-bit field, so
-/// epoch-stamped traffic can never match never-shrunk (epoch-0)
-/// traffic. Wraps past [`MAX_EPOCH`], which no shrink enters.
-pub fn epoch_stamp(epoch: u32) -> Tag {
-    assert!(epoch >= 1, "epoch 0 is the never-shrunk world");
-    (((epoch - 1) % 31 + 1) << EPOCH_SHIFT) as Tag
-}
 
 /// A set of dead ranks, in the rank space of the communicator the
 /// agreement ran on. Fixed-width bitmask; worlds up to
@@ -159,7 +130,7 @@ impl DeadSet {
     }
 
     /// Union with another set.
-    pub fn union(self, other: DeadSet) -> DeadSet {
+    fn union(self, other: DeadSet) -> DeadSet {
         DeadSet(self.0 | other.0)
     }
 
@@ -273,23 +244,20 @@ fn wait_vote<C: Comm>(
 /// (`restart`). Every rank that returns `Ok` holds an identical
 /// [`Agreement`].
 ///
-/// `epoch` is the shrink epoch this agreement is deciding **for** (1
-/// for the first recovery on a communicator) — it keeps repeated
-/// recoveries' votes from cross-matching.
+/// The votes travel in `comm`'s own context, the epoch the agreement
+/// leaves: the shrink that follows purges whatever of them is left, and
+/// the next recovery runs on the shrunk communicator, in the next.
 ///
 /// # Errors
 /// `Err(CommError::PeerDead { peer: my_rank })` when the vote decided
 /// this rank is dead (it was silent past every budget — it must not
-/// join the shrunk world). `Err(CommError::Timeout { .. })` when every
-/// candidate coordinator was exhausted without a decision, and
-/// `Err(CommError::EpochsExhausted { .. })`, before any message, when
-/// `epoch` is past [`MAX_EPOCH`].
+/// join the shrunk world), and `Err(CommError::Timeout { .. })` when
+/// every candidate coordinator was exhausted without a decision.
 ///
 /// # Panics
 /// Panics if the world exceeds [`MAX_RECOVERY_WORLD`] ranks.
 pub fn agree_on_failures<C: Comm>(
     comm: &mut C,
-    epoch: u32,
     suspects: DeadSet,
     restart: bool,
 ) -> Result<Agreement, CommError> {
@@ -299,16 +267,6 @@ pub fn agree_on_failures<C: Comm>(
         n <= MAX_RECOVERY_WORLD,
         "agreement supports at most {MAX_RECOVERY_WORLD} ranks"
     );
-    if epoch > MAX_EPOCH {
-        return Err(CommError::EpochsExhausted { epoch });
-    }
-    // Tag pair for this epoch's vote. The epoch field keeps a second
-    // recovery's votes from matching a first recovery's stragglers
-    // (composed with the arithmetic epoch%8 field so even an
-    // already-epoch-stamped communicator stays unambiguous).
-    let vote_tag: Tag = AGREE_TAG_BASE + (epoch % 8) * 4;
-    let decide_tag: Tag = vote_tag + 1;
-
     let policy = effective_policy(comm);
     let per_hop = policy.hop_timeout.expect("effective policy is active");
     // A silent *live* rank is at worst stuck in a prior collective's
@@ -349,7 +307,7 @@ pub fn agree_on_failures<C: Comm>(
                 if dead.contains(r) {
                     continue;
                 }
-                let req = comm.irecv(r, vote_tag);
+                let req = comm.irecv(r, VOTE_TAG);
                 match wait_vote(comm, req, per_hop, vote_attempts) {
                     Ok(payload) => {
                         if let Some((mask, rs)) = decode_vote(&payload) {
@@ -365,7 +323,7 @@ pub fn agree_on_failures<C: Comm>(
             restart |= !dead.is_empty();
             let decision = encode_vote(dead, restart);
             for r in (0..n).filter(|&r| r != me && !dead.contains(r)) {
-                comm.isend(r, decide_tag, decision.clone());
+                comm.isend(r, DECIDE_TAG, decision.clone());
             }
             return Ok(Agreement {
                 dead,
@@ -374,14 +332,14 @@ pub fn agree_on_failures<C: Comm>(
             });
         }
         // Voter: send my state to the coordinator, await its decision.
-        comm.isend(coord, vote_tag, encode_vote(dead, restart));
-        let req = comm.irecv(coord, decide_tag);
+        comm.isend(coord, VOTE_TAG, encode_vote(dead, restart));
+        let req = comm.irecv(coord, DECIDE_TAG);
         match wait_vote(comm, req, per_hop, decide_attempts) {
             Ok(payload) => {
                 let Some((mask, rs)) = decode_vote(&payload) else {
                     return Err(CommError::Timeout {
                         src: coord,
-                        tag: decide_tag,
+                        tag: DECIDE_TAG,
                         waited: Duration::ZERO,
                     });
                 };
@@ -405,7 +363,7 @@ pub fn agree_on_failures<C: Comm>(
     }
     Err(last_err.unwrap_or(CommError::Timeout {
         src: me,
-        tag: decide_tag,
+        tag: DECIDE_TAG,
         waited: Duration::ZERO,
     }))
 }
@@ -440,20 +398,10 @@ mod tests {
     }
 
     #[test]
-    fn epoch_stamp_is_nonzero_and_wraps() {
-        assert_eq!(epoch_stamp(1), 1 << EPOCH_SHIFT);
-        assert_eq!(epoch_stamp(31), 31 << EPOCH_SHIFT);
-        assert_eq!(epoch_stamp(32), 1 << EPOCH_SHIFT);
-        for e in 1..=64 {
-            let s = epoch_stamp(e);
-            assert_ne!(s, 0, "epoch {e} must be distinguishable from epoch 0");
-            assert_eq!(s & !EPOCH_FIELD, 0, "stamp stays in its field");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "epoch 0")]
     fn epoch_zero_rejected() {
-        let _ = epoch_stamp(0);
+        crate::SimWorld::with_ranks(1).run(|c| {
+            let _ = crate::CommView::shrunk(c, DeadSet::EMPTY, 0);
+        });
     }
 }

@@ -59,7 +59,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use crate::chaos::{CommError, FaultPlan, FaultPolicy, MsgFault};
-use crate::comm::{Comm, RecvReq, SendReq, Tag};
+use crate::comm::{Comm, Ctx, RecvReq, SendReq, Tag};
 use crate::cost::{CostModel, Kernel};
 use crate::profile::{Category, Profiler, TimeBreakdown, TrafficStats};
 use crate::time::SimTime;
@@ -168,13 +168,15 @@ impl SimConfig {
 // ---------------------------------------------------------------------------
 
 /// One edge of the deadlock wait graph: `rank` is blocked receiving
-/// from `src` on `tag`.
+/// from `src` in `ctx` on `tag`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitEdge {
     /// The blocked rank.
     pub rank: usize,
     /// The source rank its outstanding receive is matching.
     pub src: usize,
+    /// The context its outstanding receive is matching.
+    pub ctx: Ctx,
     /// The tag its outstanding receive is matching.
     pub tag: Tag,
 }
@@ -211,8 +213,8 @@ impl fmt::Display for DeadlockReport {
         for e in &self.waiting {
             write!(
                 f,
-                "\n  rank {}: blocked on recv from rank {} tag {}",
-                e.rank, e.src, e.tag
+                "\n  rank {}: blocked on recv from rank {} tag {} (op {}, epoch {})",
+                e.rank, e.src, e.tag, e.ctx.op, e.ctx.epoch
             )?;
         }
         for r in &self.barrier_waiters {
@@ -276,7 +278,7 @@ impl<T> RankOutcome<T> {
     }
 }
 
-/// Count of messages on one `(src, dst, tag)` edge still undelivered
+/// Count of messages on one `(src, dst, ctx, tag)` edge still undelivered
 /// when the world exited (posted-but-unmatched sends plus matched
 /// receives never waited on) — the `unmatched_isend` leak audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,6 +287,8 @@ pub struct UndeliveredMsg {
     pub src: usize,
     /// Destination rank.
     pub dst: usize,
+    /// Message context.
+    pub ctx: Ctx,
     /// Message tag.
     pub tag: Tag,
     /// Number of leaked messages on this edge.
@@ -320,7 +324,7 @@ impl Default for MatchQueue {
     /// cross-rank timing, so a lazily grown side could see its first
     /// push, and allocate, arbitrarily late; an edge's *existence* is a
     /// property of the schedule, settled within a plan's first two
-    /// executions (one per tag generation).
+    /// executions (one per start generation).
     fn default() -> Self {
         MatchQueue {
             msgs: VecDeque::with_capacity(4),
@@ -341,8 +345,12 @@ struct Assignment {
 struct ReqMeta {
     src: usize,
     dst: usize,
+    ctx: Ctx,
     tag: Tag,
 }
+
+/// A match table's key: `(src, dst, ctx, tag)`.
+type Edge = (usize, usize, Ctx, Tag);
 
 /// A table whose entries come and go with every message. Sized so the
 /// rehash that accumulated tombstones force happens in place (live
@@ -390,7 +398,7 @@ struct KState {
     /// rank mid-charge at the wrong virtual time.
     epoch: Vec<u64>,
     heap: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
-    queues: FixedMap<(usize, usize, Tag), MatchQueue>,
+    queues: FixedMap<Edge, MatchQueue>,
     assignments: FixedMap<u64, Assignment>,
     req_meta: FixedMap<u64, ReqMeta>,
     /// Send request → (sending rank, egress time).
@@ -418,7 +426,7 @@ struct KState {
     /// Ranks crashed by the fault plan.
     killed: Vec<bool>,
     /// Per-edge message counters (fault schedule index).
-    edge_seq: FixedMap<(usize, usize, Tag), u64>,
+    edge_seq: FixedMap<Edge, u64>,
     /// Messages permanently lost by the fault plan.
     lost: u64,
     breakdowns: Vec<TimeBreakdown>,
@@ -485,6 +493,7 @@ impl SimKernel {
                             WaitEdge {
                                 rank,
                                 src: m.map(|m| m.src).unwrap_or(usize::MAX),
+                                ctx: m.map(|m| m.ctx).unwrap_or_default(),
                                 tag: m.map(|m| m.tag).unwrap_or(0),
                             }
                         })
@@ -608,7 +617,7 @@ impl SimKernel {
         self.park(&mut g, me);
     }
 
-    fn isend(&self, me: usize, dst: usize, tag: Tag, payload: Bytes) -> (u64, Duration) {
+    fn isend(&self, me: usize, dst: usize, ctx: Ctx, tag: Tag, payload: Bytes) -> (u64, Duration) {
         let mut g = self.state.lock();
         self.maybe_kill(&mut g, me);
         let len = payload.len();
@@ -635,12 +644,12 @@ impl SimKernel {
         let mut deliver = true;
         if self.faults.is_active() {
             let seq = {
-                let c = g.edge_seq.entry((me, dst, tag)).or_insert(0);
+                let c = g.edge_seq.entry((me, dst, ctx, tag)).or_insert(0);
                 let s = *c;
                 *c += 1;
                 s
             };
-            match self.faults.message_fault(me, dst, tag, seq) {
+            match self.faults.message_fault(me, dst, ctx, tag, seq) {
                 MsgFault::Deliver => {}
                 MsgFault::Delay(d) => {
                     arrival += d.as_nanos() as u64;
@@ -676,7 +685,7 @@ impl SimKernel {
         let id = g.next_req;
         g.send_done.insert(id, (me, egress_done));
         if deliver {
-            let q = g.queues.entry((me, dst, tag)).or_default();
+            let q = g.queues.entry((me, dst, ctx, tag)).or_default();
             if let Some(rid) = q.recvs.pop_front() {
                 g.assignments.insert(rid, Assignment { arrival, payload });
                 // Wake the receiver if it is parked on this very request,
@@ -696,13 +705,19 @@ impl SimKernel {
         (id, Duration::ZERO)
     }
 
-    fn irecv(&self, me: usize, src: usize, tag: Tag) -> u64 {
+    fn irecv(&self, me: usize, src: usize, ctx: Ctx, tag: Tag) -> u64 {
         let mut g = self.state.lock();
         self.maybe_kill(&mut g, me);
         g.next_req += 1;
         let id = g.next_req;
-        g.req_meta.insert(id, ReqMeta { src, dst: me, tag });
-        let q = g.queues.entry((src, me, tag)).or_default();
+        let meta = ReqMeta {
+            src,
+            dst: me,
+            ctx,
+            tag,
+        };
+        g.req_meta.insert(id, meta);
+        let q = g.queues.entry((src, me, ctx, tag)).or_default();
         if let Some((arrival, payload)) = q.msgs.pop_front() {
             g.assignments.insert(id, Assignment { arrival, payload });
         } else {
@@ -714,7 +729,7 @@ impl SimKernel {
     /// Remove every trace of an outstanding receive.
     fn deregister_recv(g: &mut KState, req: u64) {
         if let Some(m) = g.req_meta.remove(&req) {
-            if let Some(q) = g.queues.get_mut(&(m.src, m.dst, m.tag)) {
+            if let Some(q) = g.queues.get_mut(&(m.src, m.dst, m.ctx, m.tag)) {
                 q.recvs.retain(|&r| r != req);
             }
             if g.blocked_recv.get(&m.dst) == Some(&req) {
@@ -816,27 +831,23 @@ impl SimKernel {
     }
 
     /// Drop `me`'s posted receives and pending inbound messages whose
-    /// tag the `stale` predicate condemns. The collective abort path
-    /// condemns op-tagged traffic (a later operation must not match
-    /// the aborted operation's messages) while sparing control-plane
-    /// recovery traffic; the shrink path condemns dead-epoch tags
-    /// while sparing new-epoch messages faster survivors already sent.
-    /// Returns how many posted receives and undelivered messages were
-    /// discarded.
-    fn purge_rank<F: Fn(Tag) -> bool>(&self, me: usize, stale: F) -> u64 {
+    /// context the `stale` predicate condemns (see [`Comm::abort_cleanup`]
+    /// and [`Comm::purge_stale`]). Returns how many posted receives and
+    /// undelivered messages were discarded.
+    fn purge_rank<F: Fn(Ctx) -> bool>(&self, me: usize, stale: F) -> u64 {
         let mut g = self.state.lock();
         let mine: Vec<u64> = g
             .req_meta
             .iter()
-            .filter(|(_, m)| m.dst == me && stale(m.tag))
+            .filter(|(_, m)| m.dst == me && stale(m.ctx))
             .map(|(&r, _)| r)
             .collect();
         let mut purged = mine.len() as u64;
         for req in mine {
             Self::deregister_recv(&mut g, req);
         }
-        for ((_, dst, tag), q) in g.queues.iter_mut() {
-            if *dst == me && stale(*tag) {
+        for ((_, dst, ctx, _), q) in g.queues.iter_mut() {
+            if *dst == me && stale(*ctx) {
                 purged += q.msgs.len() as u64;
                 q.msgs.clear();
             }
@@ -1113,27 +1124,28 @@ impl SimWorld {
     /// Assemble the run output from the kernel's final state.
     fn collect_output<T>(kernel: &SimKernel, results: Vec<T>) -> SimRunOutput<T> {
         let g = kernel.state.lock();
-        let mut counts: HashMap<(usize, usize, Tag), usize> = HashMap::new();
-        for (&(src, dst, tag), q) in &g.queues {
+        let mut counts: HashMap<Edge, usize> = HashMap::new();
+        for (&edge, q) in &g.queues {
             if !q.msgs.is_empty() {
-                *counts.entry((src, dst, tag)).or_insert(0) += q.msgs.len();
+                *counts.entry(edge).or_insert(0) += q.msgs.len();
             }
         }
         for req in g.assignments.keys() {
             if let Some(m) = g.req_meta.get(req) {
-                *counts.entry((m.src, m.dst, m.tag)).or_insert(0) += 1;
+                *counts.entry((m.src, m.dst, m.ctx, m.tag)).or_insert(0) += 1;
             }
         }
         let mut undelivered: Vec<UndeliveredMsg> = counts
             .into_iter()
-            .map(|((src, dst, tag), count)| UndeliveredMsg {
+            .map(|((src, dst, ctx, tag), count)| UndeliveredMsg {
                 src,
                 dst,
+                ctx,
                 tag,
                 count,
             })
             .collect();
-        undelivered.sort_by_key(|u| (u.src, u.dst, u.tag));
+        undelivered.sort_by_key(|u| (u.src, u.dst, u.ctx, u.tag));
         SimRunOutput {
             results,
             breakdowns: g.breakdowns.clone(),
@@ -1236,17 +1248,17 @@ impl Comm for SimComm {
         self.kernel.size
     }
 
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendReq {
+    fn isend_ctx(&mut self, dst: usize, ctx: Ctx, tag: Tag, payload: Bytes) -> SendReq {
         assert!(dst < self.kernel.size, "bad destination rank {dst}");
         self.profiler.record_send(payload.len());
-        let (id, _) = self.kernel.isend(self.rank, dst, tag, payload);
+        let (id, _) = self.kernel.isend(self.rank, dst, ctx, tag, payload);
         SendReq { id }
     }
 
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvReq {
+    fn irecv_ctx(&mut self, src: usize, ctx: Ctx, tag: Tag) -> RecvReq {
         assert!(src < self.kernel.size, "bad source rank {src}");
         RecvReq {
-            id: self.kernel.irecv(self.rank, src, tag),
+            id: self.kernel.irecv(self.rank, src, ctx, tag),
         }
     }
 
@@ -1337,15 +1349,11 @@ impl Comm for SimComm {
     }
 
     fn abort_cleanup(&mut self) {
-        self.kernel
-            .purge_rank(self.rank, |tag| tag >= crate::recover::OP_TAG_FLOOR);
+        self.kernel.purge_rank(self.rank, |ctx| ctx.op != 0);
     }
 
-    fn purge_stale(&mut self, keep: Tag) -> u64 {
-        let keep = keep & crate::recover::EPOCH_FIELD;
-        self.kernel.purge_rank(self.rank, move |tag| {
-            tag & crate::recover::EPOCH_FIELD != keep
-        })
+    fn purge_stale(&mut self, keep: u32) -> u64 {
+        self.kernel.purge_rank(self.rank, |ctx| ctx.epoch != keep)
     }
 }
 #[cfg(test)]
@@ -1709,11 +1717,13 @@ mod tests {
                 WaitEdge {
                     rank: 0,
                     src: 1,
+                    ctx: Ctx::default(),
                     tag: 5
                 },
                 WaitEdge {
                     rank: 1,
                     src: 0,
+                    ctx: Ctx::default(),
                     tag: 5
                 },
             ]
@@ -1743,6 +1753,7 @@ mod tests {
             vec![UndeliveredMsg {
                 src: 0,
                 dst: 1,
+                ctx: Ctx::default(),
                 tag: 7,
                 count: 2
             }]

@@ -1,5 +1,5 @@
 //! Real multi-threaded backend: one OS thread per rank, mailbox-based
-//! message passing with MPI-style `(source, tag)` matching.
+//! message passing with MPI-style `(source, ctx, tag)` matching.
 //!
 //! Used for correctness testing (the collectives run with genuine
 //! concurrency and real blocking) and small-scale wall-clock experiments.
@@ -7,10 +7,10 @@
 //! is deposited in the destination mailbox), which matches MPI's behaviour
 //! for the compressed message sizes our collectives produce.
 //!
-//! Matching semantics: messages from the same `(source, tag)` are received
-//! in FIFO order. Multiple *outstanding* receives posted by one rank for
-//! the same `(source, tag)` complete in posting order. These are the MPI
-//! ordering guarantees the collectives rely on.
+//! Matching semantics: messages from the same `(source, ctx, tag)` are
+//! received in FIFO order. Multiple *outstanding* receives posted by one
+//! rank for the same `(source, ctx, tag)` complete in posting order.
+//! These are the MPI ordering guarantees the collectives rely on.
 //!
 //! ## Fault path
 //!
@@ -33,15 +33,18 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use crate::chaos::{CommError, FaultPolicy};
-use crate::comm::{Comm, RecvReq, SendReq, Tag};
+use crate::comm::{Comm, Ctx, RecvReq, SendReq, Tag};
 use crate::cost::Kernel;
 use crate::profile::{Category, Profiler, TimeBreakdown, TrafficStats};
 use crate::time::SimTime;
 
-/// One rank's mailbox: per-`(src, tag)` FIFO queues.
+/// What a receive matches: `(src, ctx, tag)`.
+type Key = (usize, Ctx, Tag);
+
+/// One rank's mailbox: per-[`Key`] FIFO queues.
 #[derive(Default)]
 struct Mailbox {
-    queues: Mutex<FixedMap<(usize, Tag), std::collections::VecDeque<Bytes>>>,
+    queues: Mutex<FixedMap<Key, std::collections::VecDeque<Bytes>>>,
     signal: Condvar,
 }
 
@@ -200,28 +203,29 @@ pub struct ThreadComm {
     shared: Arc<Shared>,
     profiler: Profiler,
     next_req: u64,
-    /// Outstanding receives: request id → (src, tag), and an optional
-    /// already-claimed payload (claimed by a successful `test_recv`).
+    /// Outstanding receives: request id → what it matches, and an
+    /// optional already-claimed payload (claimed by a successful
+    /// `test_recv`).
     pending_recvs: FixedMap<u64, PendingRecv>,
 }
 
 struct PendingRecv {
-    src: usize,
-    tag: Tag,
+    key: Key,
     claimed: Option<Bytes>,
 }
 
 impl ThreadComm {
-    fn try_pop(&self, src: usize, tag: Tag) -> Option<Bytes> {
+    fn try_pop(&self, key: Key) -> Option<Bytes> {
         let mut q = self.shared.mailboxes[self.rank].queues.lock();
-        q.get_mut(&(src, tag)).and_then(|v| v.pop_front())
+        q.get_mut(&key).and_then(|v| v.pop_front())
     }
 
-    fn blocking_pop(&self, src: usize, tag: Tag) -> Bytes {
+    fn blocking_pop(&self, key: Key) -> Bytes {
         let mb = &self.shared.mailboxes[self.rank];
+        let (src, _, tag) = key;
         let mut q = mb.queues.lock();
         loop {
-            if let Some(msg) = q.get_mut(&(src, tag)).and_then(|v| v.pop_front()) {
+            if let Some(msg) = q.get_mut(&key).and_then(|v| v.pop_front()) {
                 return msg;
             }
             // An infallible wait on a crashed peer can never complete;
@@ -241,17 +245,13 @@ impl ThreadComm {
     /// Blocking pop with an optional wall-clock deadline and dead-peer
     /// detection. Returns the structured reason when the wait cannot
     /// (or did not in time) complete.
-    fn deadline_pop(
-        &self,
-        src: usize,
-        tag: Tag,
-        timeout: Option<Duration>,
-    ) -> Result<Bytes, CommError> {
+    fn deadline_pop(&self, key: Key, timeout: Option<Duration>) -> Result<Bytes, CommError> {
         let mb = &self.shared.mailboxes[self.rank];
+        let (src, _, tag) = key;
         let t0 = Instant::now();
         let mut q = mb.queues.lock();
         loop {
-            if let Some(msg) = q.get_mut(&(src, tag)).and_then(|v| v.pop_front()) {
+            if let Some(msg) = q.get_mut(&key).and_then(|v| v.pop_front()) {
                 return Ok(msg);
             }
             // Check death *after* draining: a message delivered before
@@ -296,17 +296,17 @@ impl ThreadComm {
     }
 
     /// Drop every posted receive and every undelivered inbound message
-    /// whose tag the predicate marks stale, returning how many of each
-    /// were discarded (summed). Entries with non-stale tags survive —
-    /// recovery control traffic must outlive a collective's abort, and
+    /// whose context the predicate marks stale, returning how many of
+    /// each were discarded (summed). Entries with other contexts survive
+    /// — recovery control traffic must outlive a collective's abort, and
     /// new-epoch traffic must outlive an epoch crossing.
-    fn purge<F: Fn(Tag) -> bool>(&mut self, stale: F) -> u64 {
+    fn purge<F: Fn(Ctx) -> bool>(&mut self, stale: F) -> u64 {
         let before = self.pending_recvs.len();
-        self.pending_recvs.retain(|_, p| !stale(p.tag));
+        self.pending_recvs.retain(|_, p| !stale(p.key.1));
         let mut discarded = (before - self.pending_recvs.len()) as u64;
         let mut q = self.shared.mailboxes[self.rank].queues.lock();
-        q.retain(|(_, tag), v| {
-            if stale(*tag) {
+        q.retain(|&(_, ctx, _), v| {
+            if stale(ctx) {
                 discarded += v.len() as u64;
                 false
             } else {
@@ -326,31 +326,28 @@ impl Comm for ThreadComm {
         self.shared.size
     }
 
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendReq {
+    fn isend_ctx(&mut self, dst: usize, ctx: Ctx, tag: Tag, payload: Bytes) -> SendReq {
         assert!(dst < self.shared.size, "bad destination rank {dst}");
         self.profiler.record_send(payload.len());
         let mb = &self.shared.mailboxes[dst];
         {
             let mut q = mb.queues.lock();
-            q.entry((self.rank, tag)).or_default().push_back(payload);
+            q.entry((self.rank, ctx, tag))
+                .or_default()
+                .push_back(payload);
         }
         mb.signal.notify_all();
         self.next_req += 1;
         SendReq { id: self.next_req }
     }
 
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvReq {
+    fn irecv_ctx(&mut self, src: usize, ctx: Ctx, tag: Tag) -> RecvReq {
         assert!(src < self.shared.size, "bad source rank {src}");
         self.next_req += 1;
         let id = self.next_req;
-        self.pending_recvs.insert(
-            id,
-            PendingRecv {
-                src,
-                tag,
-                claimed: None,
-            },
-        );
+        let key = (src, ctx, tag);
+        self.pending_recvs
+            .insert(id, PendingRecv { key, claimed: None });
         RecvReq { id }
     }
 
@@ -367,7 +364,7 @@ impl Comm for ThreadComm {
             return msg;
         }
         let t0 = Instant::now();
-        let msg = self.blocking_pop(pending.src, pending.tag);
+        let msg = self.blocking_pop(pending.key);
         self.profiler.add(cat, t0.elapsed());
         msg
     }
@@ -379,8 +376,7 @@ impl Comm for ThreadComm {
         if pending.claimed.is_some() {
             return true;
         }
-        let (src, tag) = (pending.src, pending.tag);
-        if let Some(msg) = self.try_pop(src, tag) {
+        if let Some(msg) = self.try_pop(pending.key) {
             self.pending_recvs
                 .get_mut(&req.id)
                 .expect("checked above")
@@ -407,9 +403,9 @@ impl Comm for ThreadComm {
             let mut dead = false;
             let mut landed = false;
             for p in self.pending_recvs.values().filter(|p| p.claimed.is_none()) {
-                if q.get(&(p.src, p.tag)).is_some_and(|v| !v.is_empty()) {
+                if q.get(&p.key).is_some_and(|v| !v.is_empty()) {
                     landed = true;
-                } else if self.shared.killed[p.src].load(Ordering::SeqCst) {
+                } else if self.shared.killed[p.key.0].load(Ordering::SeqCst) {
                     dead = true;
                 }
             }
@@ -477,9 +473,9 @@ impl Comm for ThreadComm {
         if let Some(msg) = pending.claimed {
             return Ok(msg);
         }
-        let (src, tag) = (pending.src, pending.tag);
+        let key = pending.key;
         let t0 = Instant::now();
-        let outcome = self.deadline_pop(src, tag, timeout);
+        let outcome = self.deadline_pop(key, timeout);
         self.profiler.add(cat, t0.elapsed());
         match outcome {
             Ok(msg) => Ok(msg),
@@ -487,14 +483,8 @@ impl Comm for ThreadComm {
                 // Hand the request back still posted: a message that
                 // arrives later (or was in flight) can complete it on a
                 // retry.
-                self.pending_recvs.insert(
-                    req.id,
-                    PendingRecv {
-                        src,
-                        tag,
-                        claimed: None,
-                    },
-                );
+                self.pending_recvs
+                    .insert(req.id, PendingRecv { key, claimed: None });
                 Err((req, err))
             }
         }
@@ -513,12 +503,11 @@ impl Comm for ThreadComm {
     }
 
     fn abort_cleanup(&mut self) {
-        self.purge(|tag| tag >= crate::recover::OP_TAG_FLOOR);
+        self.purge(|ctx| ctx.op != 0);
     }
 
-    fn purge_stale(&mut self, keep: Tag) -> u64 {
-        let keep = keep & crate::recover::EPOCH_FIELD;
-        self.purge(move |tag| tag & crate::recover::EPOCH_FIELD != keep)
+    fn purge_stale(&mut self, keep: u32) -> u64 {
+        self.purge(|ctx| ctx.epoch != keep)
     }
 }
 
@@ -809,9 +798,9 @@ mod tests {
             let _ = c.recv(0, 1);
             let _r1 = c.irecv(0, 7);
             let _r2 = c.irecv(0, 7);
-            // Tags 7 and 9 carry no epoch stamp (field 0), so purging
-            // relative to epoch 1 discards all five entries.
-            c.purge_stale(crate::recover::epoch_stamp(1))
+            // All five entries are in epoch 0, so keeping epoch 1
+            // discards them.
+            c.purge_stale(1)
         });
         assert_eq!(out.results[1], 2 + 3);
     }

@@ -118,11 +118,6 @@ impl Topology {
         self.starts[node]
     }
 
-    /// Whether `rank` is its node's leader.
-    pub fn is_leader(&self, rank: usize) -> bool {
-        self.starts[self.node_of[rank]] == rank
-    }
-
     /// Whether two ranks share a node.
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of[a] == self.node_of[b]
@@ -222,7 +217,6 @@ mod tests {
         assert_eq!(t.node_of(11), 3);
         assert_eq!(t.members_of(2), 6..9);
         assert_eq!(t.leader_of(2), 6);
-        assert!(t.is_leader(6) && !t.is_leader(7));
         assert!(t.same_node(6, 8) && !t.same_node(5, 6));
         assert_eq!(t.leaders(), vec![0, 3, 6, 9]);
         assert_eq!(t.max_node_size(), 3);
@@ -237,7 +231,6 @@ mod tests {
         assert_eq!(t.node_size(1), 4);
         assert_eq!(t.max_node_size(), 4);
         assert_eq!(t.min_node_size(), 1);
-        assert!(t.is_leader(0) && t.is_leader(1) && t.is_leader(5));
         assert_eq!(t.members_of(1), 1..5);
     }
 
@@ -245,7 +238,7 @@ mod tests {
     fn flat_topology_is_all_leaders() {
         let t = Topology::flat(5);
         assert_eq!(t.nodes(), 5);
-        assert!((0..5).all(|r| t.is_leader(r)));
+        assert_eq!(t.leaders(), (0..5).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,39 +1,37 @@
-//! [`CommView`]: the one communicator wrapper — a rank map plus a tag
-//! stamp over any [`Comm`].
+//! [`CommView`]: the one communicator wrapper — a rank map plus a
+//! message context over any [`Comm`].
 //!
 //! Which operation, which group and which shrink epoch a message
 //! belongs to is a property of the communicator a schedule is handed,
-//! not of the schedule. A schedule posts bare schedule tags
-//! (`< 0x10000`) to ranks `0..size()`; the view it runs on maps the rank
-//! and ORs its stamp into the tag. Three constructors cover every use:
+//! not of the schedule. A schedule posts bare schedule tags to ranks
+//! `0..size()`; the view it runs on maps the rank and fills in the
+//! message's [`Ctx`]. Three constructors cover every use:
 //!
-//! * [`CommView::stamped`] — identity ranks, every tag stamped: the
-//!   per-operation view a plan handle steps its machine through (the
-//!   stamp is the operation's tag base — plan slot and start
-//!   generation).
-//! * [`CommView::group`] — a borrowed member table, no stamp: the
-//!   node-local / lane-owner groups of the hierarchical schedules.
-//!   Groups need no tag bits: concurrent groups of one phase have
-//!   disjoint member sets and distinct phases use distinct tag families.
+//! * [`CommView::stamped`] — identity ranks, every message in one
+//!   operation's context (`ctx.op`, plan slot and start generation): the
+//!   per-operation view a plan handle steps its machine through.
+//! * [`CommView::group`] — a borrowed member table, context untouched:
+//!   the node-local / lane-owner groups of the hierarchical schedules.
+//!   Groups need no context of their own: concurrent groups of one phase
+//!   have disjoint member sets and distinct phases use distinct tag
+//!   families.
 //! * [`CommView::shrunk`] — the survivors of a [`DeadSet`], densely
-//!   re-ranked, every tag stamped with the shrink epoch (layout in
-//!   [`crate::recover`]), dead-epoch traffic purged at construction.
+//!   re-ranked, every message in the shrink epoch (`ctx.epoch`),
+//!   other epochs' traffic purged at construction.
 //!
 //! Views nest (`group(stamped(shrunk(c)))` is what a hierarchical leg
 //! of a post-recovery operation runs on) and compose in either order:
-//! stamps are OR'd and rank maps chain. What every view keeps:
+//! contexts compose field by field and rank maps chain. What every view
+//! keeps:
 //!
-//! 1. **Stamps are OR'd.** Operation bits (16, 22..32), epoch bits
-//!    (17..22) and schedule tags (0..16) are disjoint, so OR is `+`. On
-//!    an identity-map view a tag that overlaps the stamp is a layout
-//!    bug and fails a debug assertion; a mapped view does not check,
-//!    because nested shrinks legitimately overlap in the epoch field.
-//! 2. **Errors come back in view terms, per shape.** A mapped view
-//!    translates the ranks of a [`CommError`]; a shrunk view also
-//!    strips [`EPOCH_FIELD`] from a reported tag; a stamped view passes
-//!    errors through, so a timeout names the full wire tag.
-//! 3. **[`Comm::purge_stale`] composes**: the inner communicator sees
-//!    `keep | stamp`.
+//! 1. **The outer view's context wins.** A view fills in the context
+//!    fields it owns that an outer view (or the caller) left 0: a nested
+//!    shrink's epoch replaces the one it wraps, and the tag is never
+//!    touched.
+//! 2. **Errors come back in view ranks.** A mapped view translates the
+//!    ranks of a [`CommError`]; the tag it reports is the schedule tag.
+//! 3. **[`Comm::purge_stale`] composes** like a message: an epoch the
+//!    caller left 0 is the view's.
 //! 4. **[`Comm::barrier`]** is the inner barrier on an identity map and
 //!    a point-to-point check-in with view rank 0 on a mapped one — the
 //!    inner barrier would wait on non-members (or the dead) forever.
@@ -46,13 +44,13 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use crate::chaos::{CommError, FaultPolicy};
-use crate::comm::{Comm, RecvReq, SendReq, Tag};
+use crate::comm::{Comm, Ctx, RecvReq, SendReq, Tag};
 use crate::cost::Kernel;
 use crate::profile::{Category, Profiler};
-use crate::recover::{epoch_stamp, DeadSet, BARRIER_TAG_BASE, EPOCH_FIELD};
+use crate::recover::{DeadSet, BARRIER_TAG_BASE};
 use crate::time::SimTime;
 
-/// A rank-mapped, tag-stamped view of another communicator (see the
+/// A rank-mapped, context-filling view of another communicator (see the
 /// [module docs](self) for the three shapes and what they guarantee).
 /// Wraps by mutable borrow; all [`Comm`] methods speak view ranks.
 pub struct CommView<'a, C: Comm> {
@@ -61,16 +59,14 @@ pub struct CommView<'a, C: Comm> {
     members: Option<Cow<'a, [usize]>>,
     /// My rank in the view.
     rank: usize,
-    /// OR'd into every tag the view posts.
-    stamp: Tag,
-    /// The shrink epoch (0 unless built by [`CommView::shrunk`]).
-    epoch: u32,
-    /// Dead-epoch messages discarded by [`CommView::shrunk`].
+    /// Fills the fields of every message's context left 0.
+    ctx: Ctx,
+    /// Other epochs' messages discarded by [`CommView::shrunk`].
     purged: u64,
 }
 
 impl<'a, C: Comm> CommView<'a, C> {
-    fn new(inner: &'a mut C, members: Option<Cow<'a, [usize]>>, stamp: Tag) -> Self {
+    fn new(inner: &'a mut C, members: Option<Cow<'a, [usize]>>, ctx: Ctx) -> Self {
         let me = inner.rank();
         let rank = members.as_deref().map_or(me, |m| {
             m.binary_search(&me).expect("calling rank must be a member")
@@ -79,84 +75,86 @@ impl<'a, C: Comm> CommView<'a, C> {
             inner,
             members,
             rank,
-            stamp,
-            epoch: 0,
+            ctx,
             purged: 0,
         }
     }
 
-    /// `inner` with `stamp` OR'd into every tag; ranks unchanged.
-    pub fn stamped(inner: &'a mut C, stamp: Tag) -> Self {
-        Self::new(inner, None, stamp)
+    /// `inner` with every message in operation `op`'s context
+    /// ([`Ctx::op`]); ranks unchanged.
+    pub fn stamped(inner: &'a mut C, op: u32) -> Self {
+        Self::new(inner, None, Ctx { op, epoch: 0 })
     }
 
     /// The group `members` (inner ranks, strictly ascending) of `inner`;
-    /// tags pass through unstamped.
+    /// contexts pass through untouched.
     ///
     /// # Panics
     /// Panics when the calling rank is not in `members`.
     pub fn group(inner: &'a mut C, members: &'a [usize]) -> Self {
-        Self::new(inner, Some(Cow::Borrowed(members)), 0)
+        Self::new(inner, Some(Cow::Borrowed(members)), Ctx::default())
     }
 
     /// Re-form `inner`'s world over the survivors of `dead` (survivor
     /// `i` in ascending inner-rank order becomes rank `i`), entering
     /// shrink epoch `epoch` — 1 for a first shrink; a nested shrink of
-    /// an epoch-`e` world passes `e + 1`. Purges this rank's
-    /// *dead-epoch* traffic (entries whose epoch field differs from the
-    /// new stamp; what a faster survivor already sent into the new
-    /// epoch is kept) and records the count
+    /// an epoch-`e` world passes `e + 1`. Purges this rank's traffic of
+    /// every other epoch (what a faster survivor already sent into the
+    /// new epoch is kept) and records the count
     /// ([`CommView::stale_discarded`]).
     ///
     /// # Errors
     /// `Err(CommError::PeerDead { peer })` when this rank is itself in
     /// `dead` (an excluded rank must not enter the shrunk world).
+    ///
+    /// # Panics
+    /// Panics on epoch 0, the never-shrunk world's.
     pub fn shrunk(inner: &'a mut C, dead: DeadSet, epoch: u32) -> Result<Self, CommError> {
+        assert!(epoch >= 1, "epoch 0 is the never-shrunk world");
         let me = inner.rank();
         if dead.contains(me) {
             return Err(CommError::PeerDead { peer: me });
         }
         let members = (0..inner.size()).filter(|r| !dead.contains(*r)).collect();
-        let stamp = epoch_stamp(epoch);
-        let purged = inner.purge_stale(stamp);
+        let purged = inner.purge_stale(epoch);
         Ok(CommView {
-            epoch,
             purged,
-            ..Self::new(inner, Some(Cow::Owned(members)), stamp)
+            ..Self::new(inner, Some(Cow::Owned(members)), Ctx { op: 0, epoch })
         })
     }
 
-    /// The shrink epoch this view stamps into tags (0 for a view not
-    /// built by [`CommView::shrunk`]).
+    /// The shrink epoch this view puts its messages in (0 for a view
+    /// not built by [`CommView::shrunk`]).
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.ctx.epoch
     }
 
-    /// How many stale pre-shrink messages (posted receives and queued
-    /// undelivered payloads) were discarded when this rank crossed the
-    /// epoch.
+    /// How many stale messages of other epochs (posted receives and
+    /// queued undelivered payloads) were discarded when this rank
+    /// crossed into the epoch.
     pub fn stale_discarded(&self) -> u64 {
         self.purged
     }
 
-    /// The inner communicator (inner rank space, unstamped). The
+    /// The inner communicator (inner rank space, its own context). The
     /// recovery layer runs a *nested* agreement on it when another rank
     /// dies after a shrink.
     pub fn inner_mut(&mut self) -> &mut C {
         self.inner
     }
 
-    /// The inner rank and wire tag of view `rank` and schedule `tag`.
-    fn wire(&self, rank: usize, tag: Tag) -> (usize, Tag) {
-        let inner = match &self.members {
-            Some(members) => members[rank],
-            None => {
-                let stamp = self.stamp;
-                debug_assert_eq!(tag & stamp, 0, "tag {tag:#x} overlaps stamp {stamp:#x}");
-                rank
-            }
-        };
-        (inner, tag | self.stamp)
+    /// The inner rank of view `rank`.
+    fn inner_rank(&self, rank: usize) -> usize {
+        self.members.as_ref().map_or(rank, |members| members[rank])
+    }
+
+    /// `ctx` with the fields it left 0 filled in from the view's.
+    fn fill(&self, ctx: Ctx) -> Ctx {
+        let or = |mine: u32, outer: u32| if outer != 0 { outer } else { mine };
+        Ctx {
+            op: or(self.ctx.op, ctx.op),
+            epoch: or(self.ctx.epoch, ctx.epoch),
+        }
     }
 
     fn translate_err(&self, err: CommError) -> CommError {
@@ -164,15 +162,13 @@ impl<'a, C: Comm> CommView<'a, C> {
             return err;
         };
         let view = |inner: usize| members.binary_search(&inner).unwrap_or(inner);
-        let strip = if self.epoch > 0 { EPOCH_FIELD } else { 0 };
         match err {
             CommError::Timeout { src, tag, waited } => CommError::Timeout {
                 src: view(src),
-                tag: tag & !strip,
+                tag,
                 waited,
             },
             CommError::PeerDead { peer } => CommError::PeerDead { peer: view(peer) },
-            exhausted @ CommError::EpochsExhausted { .. } => exhausted,
         }
     }
 }
@@ -189,14 +185,14 @@ impl<C: Comm> Comm for CommView<'_, C> {
         }
     }
 
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendReq {
-        let (dst, tag) = self.wire(dst, tag);
-        self.inner.isend(dst, tag, payload)
+    fn isend_ctx(&mut self, dst: usize, ctx: Ctx, tag: Tag, payload: Bytes) -> SendReq {
+        let (dst, ctx) = (self.inner_rank(dst), self.fill(ctx));
+        self.inner.isend_ctx(dst, ctx, tag, payload)
     }
 
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvReq {
-        let (src, tag) = self.wire(src, tag);
-        self.inner.irecv(src, tag)
+    fn irecv_ctx(&mut self, src: usize, ctx: Ctx, tag: Tag) -> RecvReq {
+        let (src, ctx) = (self.inner_rank(src), self.fill(ctx));
+        self.inner.irecv_ctx(src, ctx, tag)
     }
 
     fn wait_send_in(&mut self, req: SendReq, cat: Category) {
@@ -270,7 +266,7 @@ impl<C: Comm> Comm for CommView<'_, C> {
     }
 
     fn peer_alive(&mut self, rank: usize) -> bool {
-        let (inner, _) = self.wire(rank, 0);
+        let inner = self.inner_rank(rank);
         self.inner.peer_alive(inner)
     }
 
@@ -286,7 +282,8 @@ impl<C: Comm> Comm for CommView<'_, C> {
         self.inner.abort_cleanup();
     }
 
-    fn purge_stale(&mut self, keep: Tag) -> u64 {
-        self.inner.purge_stale(keep | self.stamp)
+    fn purge_stale(&mut self, keep: u32) -> u64 {
+        let keep = self.fill(Ctx { op: 0, epoch: keep }).epoch;
+        self.inner.purge_stale(keep)
     }
 }

@@ -4,8 +4,8 @@
 
 use bytes::Bytes;
 use ccoll_comm::{
-    Category, Comm, CommError, FaultPlan, FaultPolicy, RankOutcome, SimConfig, SimError, SimWorld,
-    UndeliveredMsg,
+    Category, Comm, CommError, Ctx, FaultPlan, FaultPolicy, RankOutcome, SimConfig, SimError,
+    SimWorld, UndeliveredMsg,
 };
 use std::time::Duration;
 
@@ -136,12 +136,14 @@ fn undelivered_report_pins_leaked_messages() {
             UndeliveredMsg {
                 src: 0,
                 dst: 1,
+                ctx: Ctx::default(),
                 tag: 42,
                 count: 1
             },
             UndeliveredMsg {
                 src: 0,
                 dst: 2,
+                ctx: Ctx::default(),
                 tag: 43,
                 count: 2
             },

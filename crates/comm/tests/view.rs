@@ -1,12 +1,12 @@
-//! [`CommView`] on both backends: what a stamp isolates, what a rank map
-//! translates (and what it leaves alone), and that the three shapes
+//! [`CommView`] on both backends: what a context isolates, what a rank
+//! map translates (and what it leaves alone), and that the three shapes
 //! compose.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 use ccoll_comm::{
-    epoch_stamp, Category, Comm, CommError, CommView, DeadSet, FaultPlan, SimConfig, SimWorld, Tag,
+    Category, Comm, CommError, CommView, Ctx, DeadSet, FaultPlan, SimConfig, SimWorld, Tag,
     ThreadWorld,
 };
 
@@ -21,9 +21,9 @@ macro_rules! on_both {
     }};
 }
 
-/// Two operation-shaped stamps: slot bits 22.., generation bit 16.
-const A: Tag = 1 << 22;
-const B: Tag = (2 << 22) | (1 << 16);
+/// Two plan operations: slot 0's first start, slot 1's second.
+const A: u32 = Ctx::op(0, 0);
+const B: u32 = Ctx::op(1, 1);
 
 fn text(s: &'static str) -> Bytes {
     Bytes::from_static(s.as_bytes())
@@ -32,6 +32,13 @@ fn text(s: &'static str) -> Bytes {
 fn timeout(src: usize, tag: Tag) -> CommError {
     let waited = Duration::ZERO;
     CommError::Timeout { src, tag, waited }
+}
+
+/// The message from `src` in context `ctx` on `tag`, received on the
+/// bare communicator.
+fn on_wire<C: Comm>(c: &mut C, src: usize, ctx: Ctx, tag: Tag) -> Bytes {
+    let req = c.irecv_ctx(src, ctx, tag);
+    c.wait_recv(req)
 }
 
 /// Wait out a receive nobody answers: the error `view` reports (less
@@ -53,7 +60,7 @@ fn stamps_never_cross_match_and_commute_with_a_group() {
     const MEMBERS: [usize; 2] = [1, 3];
     let got = on_both!(4, |c| match c.rank() {
         1 => {
-            // Same (src, dst, tag) under two stamps, A first.
+            // Same (src, dst, tag) in two operations, A first.
             CommView::stamped(c, A).isend(3, 5, text("a"));
             CommView::stamped(c, B).isend(3, 5, text("b"));
             let mut g = CommView::group(c, &MEMBERS);
@@ -67,24 +74,15 @@ fn stamps_never_cross_match_and_commute_with_a_group() {
             // order would hand over "a" here.
             let b = CommView::stamped(c, B).recv(1, 5);
             let a = CommView::stamped(c, A).recv(1, 5);
-            // On the wire a stamp is `tag | stamp` on the mapped rank,
-            // whichever way round the views nest.
-            vec![b, a, c.recv(1, 6 | A), c.recv(1, 7 | A)]
+            // On the wire: the mapped rank, A's context and the bare
+            // tag, whichever way round the views nest.
+            let ctx = Ctx { op: A, epoch: 0 };
+            vec![b, a, on_wire(c, 1, ctx, 6), on_wire(c, 1, ctx, 7)]
         }
         _ => Vec::new(),
     });
     let want = ["b", "a", "stamped(group)", "group(stamped)"].map(text);
     assert_eq!(got[3], want);
-}
-
-#[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "overlaps stamp")]
-fn a_tag_that_reaches_into_the_stamp_is_caught() {
-    SimWorld::with_ranks(1).run(|c| {
-        // A schedule tag >= 0x10000 would alias the generation bit.
-        CommView::stamped(c, 1 << 16).isend(0, 0x1_0005, Bytes::new());
-    });
 }
 
 #[test]
@@ -165,7 +163,7 @@ fn shrunk_reranks_strips_the_epoch_and_purges_only_the_dead_epoch() {
             // Left over from before the shrink, then what a faster
             // survivor already sent into epoch 1, then a marker.
             c.isend(2, 7, text("stale"));
-            c.isend(2, 7 | epoch_stamp(1), text("fresh"));
+            c.isend_ctx(2, Ctx { op: 0, epoch: 1 }, 7, text("fresh"));
             c.send(2, 1, text("sent"));
         }
         if me == 2 {
@@ -182,7 +180,7 @@ fn shrunk_reranks_strips_the_epoch_and_purges_only_the_dead_epoch() {
     });
     assert_eq!(got[1].0, CommError::PeerDead { peer: 1 });
     for (shrunk, inner) in [0, 2, 3].into_iter().enumerate() {
-        // Named by shrunk rank, the epoch stripped from the tag.
+        // Named by shrunk rank and the bare schedule tag.
         assert_eq!(got[inner].0, timeout((shrunk + 1) % 3, 0x55));
     }
     assert_eq!((got[2].1, &got[2].2), (1, &text("fresh")));
@@ -213,8 +211,31 @@ fn shrinks_nest_and_their_stamps_compose() {
             return Some(Bytes::new());
         }
         assert_eq!(unanswered(&mut second, 0, 0x33), timeout(0, 0x33));
-        // Both epochs are on the wire, and it came from inner rank 0.
-        Some(c.recv(0, 9 | epoch_stamp(1) | epoch_stamp(2)))
+        // The outer epoch replaced the inner one on the wire, and it
+        // came from inner rank 0.
+        Some(on_wire(c, 0, Ctx { op: 0, epoch: 2 }, 9))
     });
     assert_eq!(got, [Some(Bytes::new()), None, None, Some(text("nested"))]);
+}
+
+#[test]
+fn three_nested_shrinks_keep_their_epochs_apart() {
+    // Epochs 1, 2 and 3 on the same two ranks; level 2's message on tag
+    // 5 arrives first, after every purge. The level-3 receive must skip
+    // it — OR'd epoch stamps could not tell the two apart (1|2 == 1|2|3).
+    let got = on_both!(2, |c| {
+        let none = DeadSet::EMPTY;
+        let mut first = CommView::shrunk(c, none, 1).expect("survivor");
+        let mut second = CommView::shrunk(&mut first, none, 2).expect("survivor");
+        let mut third = CommView::shrunk(&mut second, none, 3).expect("survivor");
+        third.inner_mut().inner_mut().inner_mut().barrier();
+        if third.rank() == 0 {
+            third.inner_mut().isend(1, 5, text("level 2"));
+            third.isend(1, 5, text("level 3"));
+            return Vec::new();
+        }
+        let newest = third.recv(0, 5);
+        vec![newest, third.inner_mut().recv(0, 5)]
+    });
+    assert_eq!(got[1], [text("level 3"), text("level 2")]);
 }

@@ -19,9 +19,8 @@
 //! * [`BitReader`] refills a 64-bit window from the buffer with a single
 //!   unaligned little-endian load per `read_bits`, borrowing one extra
 //!   byte when a value straddles the window.
-//! * Byte-aligned bulk paths ([`BitWriter::write_bytes`] /
-//!   [`BitReader::read_bytes`], used by verbatim blocks and the PIPE-SZx
-//!   chunk containers) degenerate to `extend_from_slice` / subslicing.
+//! * The byte-aligned bulk append ([`BitWriter::write_bytes`])
+//!   degenerates to `extend_from_slice`.
 //!
 //! Because an LSB-first stream is position-independent of the chunk size
 //! used to produce it, the word-level writer emits **byte-identical
@@ -140,9 +139,8 @@ impl BitWriter {
         }
     }
 
-    /// Append raw bytes. The stream is aligned to a byte boundary first.
-    /// This is the bulk path used by verbatim blocks: after the
-    /// alignment it is a straight `extend_from_slice`.
+    /// Append raw bytes. The stream is aligned to a byte boundary first;
+    /// after the alignment it is a straight `extend_from_slice`.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.align();
         self.drain_acc_bytes();
@@ -309,24 +307,6 @@ impl<'a> BitReader<'a> {
         }
         self.pos += n as usize;
         Ok(())
-    }
-
-    /// Skip forward to the next byte boundary.
-    pub fn align(&mut self) {
-        self.pos = (self.pos + 7) & !7;
-    }
-
-    /// Read `n` raw bytes after aligning to a byte boundary — the bulk
-    /// path: a bounds check plus a subslice, no bit manipulation.
-    pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], BitstreamExhausted> {
-        self.align();
-        let start = self.pos / 8;
-        let end = start.checked_add(n).ok_or(BitstreamExhausted)?;
-        if end > self.buf.len() {
-            return Err(BitstreamExhausted);
-        }
-        self.pos = end * 8;
-        Ok(&self.buf[start..end])
     }
 
     /// Current absolute bit position.
@@ -529,7 +509,8 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(3).unwrap(), 0b101);
-        assert_eq!(r.read_bytes(2).unwrap(), &[0xAB, 0xCD]);
+        assert_eq!(r.read_bits(5).unwrap(), 0, "zero pad to the byte boundary");
+        assert_eq!(r.read_bits(16).unwrap(), 0xCDAB);
         assert_eq!(r.read_bit().unwrap(), 1);
     }
 

@@ -70,11 +70,6 @@ impl<'a> ByteReader<'a> {
         Ok(f32::from_bits(self.read_u32()?))
     }
 
-    /// Read a little-endian `f64`.
-    pub fn read_f64(&mut self) -> Result<f64, CompressError> {
-        Ok(f64::from_bits(self.read_u64()?))
-    }
-
     /// Read `n` raw bytes.
     pub fn read_slice(&mut self, n: usize) -> Result<&'a [u8], CompressError> {
         self.take(n)
@@ -101,11 +96,6 @@ pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
     put_u32(buf, v.to_bits());
 }
 
-/// Append a little-endian `f64`.
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
 /// Overwrite a previously reserved little-endian `u32` at `offset`.
 ///
 /// Used by [`PipeSzx`](crate::pipe::PipeSzx) to patch the chunk-size index
@@ -127,13 +117,11 @@ mod tests {
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, 0x0123_4567_89AB_CDEF);
         put_f32(&mut buf, -1.25);
-        put_f64(&mut buf, std::f64::consts::PI);
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.read_u16().unwrap(), 0xBEEF);
         assert_eq!(r.read_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.read_u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.read_f32().unwrap(), -1.25);
-        assert_eq!(r.read_f64().unwrap(), std::f64::consts::PI);
         assert!(r.remaining().is_empty());
     }
 

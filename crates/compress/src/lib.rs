@@ -117,7 +117,7 @@ pub use zfp::{ZfpCodec, ZfpMode};
 /// Convert a slice of `f32` values into little-endian bytes.
 ///
 /// Collectives move opaque byte payloads; this helper (together with
-/// [`bytes_to_f32s`]) is the canonical boundary between typed data and the
+/// [`decode_f32s_vec`]) is the canonical boundary between typed data and the
 /// wire representation used throughout the workspace.
 pub fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 4);
@@ -147,18 +147,8 @@ pub fn encode_f32s_into(values: &[f32], out: &mut Vec<u8>) {
     }
 }
 
-/// Convert little-endian bytes back into `f32` values.
-///
-/// # Panics
-/// Panics if `bytes.len()` is not a multiple of four.
-pub fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
-    let mut out = Vec::new();
-    decode_f32s_vec(bytes, &mut out);
-    out
-}
-
 /// Decode little-endian bytes into an existing `f32` slice — the
-/// zero-allocation counterpart of [`bytes_to_f32s`]. On little-endian
+/// fixed-length counterpart of [`decode_f32s_vec`]. On little-endian
 /// targets this is a single memcpy; every `u32` bit pattern is a valid
 /// `f32`, so no per-element conversion is needed.
 ///
@@ -232,19 +222,22 @@ mod tests {
         let vals = vec![0.0f32, -1.5, f32::MAX, f32::MIN_POSITIVE, 3.25e-9];
         let bytes = f32s_to_bytes(&vals);
         assert_eq!(bytes.len(), vals.len() * 4);
-        let back = bytes_to_f32s(&bytes);
+        let mut back = Vec::new();
+        decode_f32s_vec(&bytes, &mut back);
         assert_eq!(vals, back);
     }
 
     #[test]
     fn empty_round_trip() {
         assert!(f32s_to_bytes(&[]).is_empty());
-        assert!(bytes_to_f32s(&[]).is_empty());
+        let mut back = vec![1.0];
+        decode_f32s_vec(&[], &mut back);
+        assert!(back.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "multiple of 4")]
     fn odd_byte_buffer_panics() {
-        bytes_to_f32s(&[1, 2, 3]);
+        decode_f32s_vec(&[1, 2, 3], &mut Vec::new());
     }
 }

@@ -82,8 +82,8 @@ impl SzxCodec {
     ///
     /// # Panics
     /// Panics if `error_bound` is not finite and positive, or if
-    /// `block_size` is zero or exceeds `u16::MAX`.
-    pub fn with_block_size(error_bound: f32, block_size: usize) -> Self {
+    /// `block_size` is zero or exceeds [`MAX_BLOCK`].
+    fn with_block_size(error_bound: f32, block_size: usize) -> Self {
         assert!(
             error_bound.is_finite() && error_bound > 0.0,
             "error bound must be finite and positive, got {error_bound}"

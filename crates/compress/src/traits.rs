@@ -46,11 +46,6 @@ impl CodecKind {
         }
     }
 
-    /// True for modes that guarantee a pointwise absolute error bound.
-    pub fn is_error_bounded(&self) -> bool {
-        !matches!(self, CodecKind::ZfpFxr { .. } | CodecKind::None)
-    }
-
     /// The absolute error bound, if this mode has one.
     pub fn error_bound(&self) -> Option<f32> {
         match self {
@@ -408,8 +403,6 @@ mod tests {
             "SZx(ABS=1e-3)"
         );
         assert_eq!(CodecKind::ZfpFxr { rate: 4 }.label(), "ZFP(FXR=4)");
-        assert!(CodecKind::Szx { error_bound: 1e-3 }.is_error_bounded());
-        assert!(!CodecKind::ZfpFxr { rate: 4 }.is_error_bounded());
         assert_eq!(CodecKind::None.error_bound(), None);
     }
 

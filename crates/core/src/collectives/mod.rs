@@ -42,12 +42,9 @@ pub(crate) mod tags {
     pub const AGREE_EXCHANGE: Tag = AGREE_ROUNDS;
     pub const AGREE_BCAST: Tag = 2 * AGREE_ROUNDS;
     const _: () = {
-        // Three phases of at least ⌈log₂ 1024⌉ rounds fit one sub-band,
-        // and the band ends below the recovery control tags
-        // (`ccoll_comm::recover`, 0xE000 upwards).
+        // Three phases of at least ⌈log₂ 1024⌉ rounds fit one sub-band.
         assert!(AGREE_ROUNDS >= 10);
         assert!(AGREE_BCAST + AGREE_ROUNDS <= 0x400);
-        assert!(AGREE_CALIB + 0x400 <= 0xE000);
     };
     const _: () = {
         // A family's placement sub-bands (`Placement::band`) are ordered
@@ -65,23 +62,6 @@ pub(crate) mod tags {
     /// phases themselves reuse the per-family spaces above, isolated by
     /// disjoint member sets.
     pub const HIER: Tag = 0xF000;
-    const _: () = {
-        // The wire-tag layout, whole: schedule tags end with bit 15 (the
-        // top family sits above `ccoll_comm`'s recovery control band,
-        // 0xE000..0xF000), and every per-operation base stays clear of
-        // them and of the shrink-epoch field, at or above the floor
-        // `abort_cleanup` purges from. The views OR the three together;
-        // disjoint bits are what make that an addition.
-        use crate::plan::op_base;
-        assert!(HIER >= 0xF000 && HIER + 0xFFF < 1 << 16);
-        let (mut bits, mut slot) = (0, 0);
-        while slot < 1023 {
-            bits |= op_base(slot, 0) | op_base(slot, 1);
-            slot += 1;
-        }
-        assert!(bits & (ccoll_comm::EPOCH_FIELD | 0xFFFF) == 0);
-        assert!(op_base(0, 0) >= ccoll_comm::OP_TAG_FLOOR);
-    };
 }
 
 /// Copy values with `Memcpy` accounting.

@@ -28,11 +28,11 @@
 //! rather than its own. An operation that must finish first is driven
 //! alone.
 //!
-//! Concurrency is sound because every operation's wire traffic is
-//! stamped with a per-operation base (plan slot + start generation, see
-//! `op_base` in `plan.rs`) by the `CommView::stamped` view its handle
-//! steps it through, so two live operations on the same communicator
-//! can never capture each other's messages — as long as
+//! Concurrency is sound because every operation's messages travel in a
+//! context of their own (plan slot + start generation, see
+//! [`ccoll_comm::Ctx::op`]) set by the `CommView::stamped` view its
+//! handle steps it through, so two live operations on the same
+//! communicator can never capture each other's messages — as long as
 //! every rank creates its plans, and starts operations on them, in the
 //! same order (the usual collective-call discipline, now applied to
 //! `plan_*` and `start` instead of the collective itself).

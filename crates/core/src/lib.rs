@@ -101,7 +101,7 @@
 //! buckets become ready one after another, and each wants its
 //! allreduce started immediately while later buckets are still being
 //! computed. Handles on *different* plans can be live simultaneously
-//! (each operation's traffic is isolated by a per-operation tag base),
+//! (each operation's traffic travels in a context of its own),
 //! and the [`engine::ProgressEngine`] drives them all from one place:
 //! each [`progress`](engine::ProgressEngine::progress) call is one
 //! bounded, fair pass — every live operation gets one nonblocking work
@@ -316,7 +316,7 @@
 //! dead, the survivors can agree on who died
 //! ([`CCollSession::recover`] runs a coordinator-based survivor
 //! agreement), shrink the world (a [`Recovery`] densely re-ranks the
-//! survivors and stamps a new epoch into every tag), re-plan their
+//! survivors and puts every message in a new epoch), re-plan their
 //! collectives in place ([`AllreducePlan::recover`](session::AllreducePlan::recover)
 //! reuses the plan's buffers), and resume on the shrunk communicator.
 //! The dead rank's contribution is gone — survivors re-contribute and

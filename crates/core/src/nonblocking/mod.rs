@@ -59,11 +59,12 @@
 //! *Which operation* a message belongs to is not spelled out either: a
 //! machine posts bare schedule tags (`tags::` family + placement band +
 //! round, all below `0x10000`) to ranks `0..size()` of whatever it is
-//! stepped on. The per-operation tag base, the hierarchical groups and
+//! stepped on. The operation's context, the hierarchical groups and
 //! the shrink epoch are [`CommView`](ccoll_comm::CommView)s around the communicator: a plan
-//! handle steps its machine through `CommView::stamped(comm, op_base)`,
+//! handle steps its machine through `CommView::stamped(comm, op)`,
 //! a two-level machine steps each leg through `CommView::group`, and a
-//! machine driven bare (ablation baselines, tests) runs at base 0.
+//! machine driven bare (ablation baselines, tests) runs in the default
+//! context.
 //!
 //! The machines hold **no heap data**: phase tags, round counters and
 //! stream cursors only; requests wait in the workspace's queues. All buffers are borrowed from the caller and the

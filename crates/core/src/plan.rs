@@ -22,10 +22,10 @@
 //!   fields `K`.
 //! * [`Handle<'p, 'b, K>`](Handle) is one in-flight operation: it
 //!   borrows its plan exclusively (one outstanding operation per plan)
-//!   and owns the kind's machine, stepping it through a view that
-//!   stamps the operation's tag base (`op_base`) on its bare schedule
-//!   tags. Its single `Drop` poisons a plan whose operation was
-//!   abandoned mid-flight.
+//!   and owns the kind's machine, stepping it through a view that puts
+//!   every message in the operation's context (`ctx.op`: plan slot and
+//!   start generation) beside its bare schedule tag. Its single `Drop`
+//!   poisons a plan whose operation was abandoned mid-flight.
 //! * A collective kind ([`Allreduce`] … [`Reduce`], one file each under
 //!   `kinds/`) supplies only what is specific to it, through a
 //!   crate-internal trait: the table of schedules it has, the workspace
@@ -48,7 +48,7 @@
 
 use std::sync::atomic::Ordering;
 
-use ccoll_comm::{Comm, CommView, FaultCounters, Schedule, SimTime, Tag};
+use ccoll_comm::{Comm, CommView, Ctx, FaultCounters, Schedule, SimTime};
 
 use crate::algorithm::{reject_unsupported, Algorithm, PlanOptions, SelectCtx};
 use crate::nonblocking::{HierGroups, Poll};
@@ -73,9 +73,8 @@ pub(crate) struct PlanCore {
     /// plan recovers.
     auto: bool,
     reranked: bool,
-    /// Per-session tag slot (allocated at plan creation) and start
-    /// counter, folded into every wire tag so concurrent operations'
-    /// traffic stays disjoint (see [`op_base`]).
+    /// Per-session slot (allocated at plan creation) and start counter:
+    /// together the operation's context ([`PlanCore::op`]).
     slot: u32,
     op_seq: u32,
     stats: PlanStats,
@@ -95,7 +94,7 @@ pub(crate) struct PlanCore {
 }
 
 impl PlanCore {
-    /// The shared fields of a fresh plan; allocates the plan's tag slot.
+    /// The shared fields of a fresh plan; allocates the plan's slot.
     fn new(session: &CCollSession, algorithm: Algorithm, auto: bool, ws: CollWorkspace) -> Self {
         PlanCore {
             session: session.clone(),
@@ -110,6 +109,28 @@ impl PlanCore {
             groups: None,
             ws,
         }
+    }
+
+    /// The context `op` of the plan's current operation ([`Ctx::op`]).
+    /// No machine sees it: [`Handle::drive`] steps the machine through
+    /// `CommView::stamped(comm, op)`, so two live operations' messages
+    /// never match each other when their (slot, generation) pairs
+    /// differ.
+    ///
+    /// Slots separate *different* plans, whose operations may be
+    /// simultaneously in flight under a progress engine. The generation
+    /// bit separates *adjacent* operations of the same plan: a rank can
+    /// run `start()` for operation N+1 while a peer is still
+    /// mid-operation N (a handle completes locally once its own receives
+    /// land), and the alternating bit keeps N+1's eager sends out of N's
+    /// posted receives. Deeper skew cannot occur — the exclusive plan
+    /// borrow means this rank finished N before starting N+1, and no
+    /// rank can finish N+1 without every rank having started it — so one
+    /// bit is exactly enough, and the context working set stays at two
+    /// generations per plan (the simulator's match tables go warm after
+    /// two executions, preserving the zero-allocation steady state).
+    pub(crate) fn op(&self) -> u32 {
+        Ctx::op(self.slot, self.op_seq)
     }
 
     /// Fold a completed execution into the plan's and the session's
@@ -127,38 +148,6 @@ impl PlanCore {
         self.session.feedback.record_faults(faults);
         self.in_flight = false;
     }
-}
-
-/// The per-operation tag base: plan slot bits (22..32, `% 1023 + 1` so a
-/// plan's traffic never lands on the base-0 space the free-function
-/// baselines use) OR'd with a generation bit (16, the plan's start
-/// counter `% 2`). No machine sees it: [`Handle::drive`] steps the
-/// machine through `CommView::stamped(comm, base)`, which ORs the base
-/// into every schedule tag (`< 0x10000`; disjoint bits, asserted in
-/// `collectives::tags`), so two live operations' wire tags differ when
-/// their (slot, generation) pairs do.
-///
-/// Slots separate *different* plans, whose operations may be
-/// simultaneously in flight under a progress engine. The generation
-/// bit separates *adjacent* operations of the same plan: a rank can
-/// run `start()` for operation N+1 while a peer is still mid-operation
-/// N (a handle completes locally once its own receives land), and the
-/// alternating bit keeps N+1's eager sends out of N's posted receives.
-/// Deeper skew cannot occur — the exclusive plan borrow means this
-/// rank finished N before starting N+1, and no rank can finish N+1
-/// without every rank having started it — so one bit is exactly
-/// enough, and the tag working set stays at two generations per plan
-/// (the simulator's tag-keyed tables go warm after two executions,
-/// preserving the zero-allocation steady state).
-pub(crate) const fn op_base(slot: u32, op_seq: u32) -> Tag {
-    ((wire_slot(slot) + 1) << 22) | ((op_seq % 2) << 16)
-}
-
-/// The slot bits a plan's wire tags carry: plans `k` and `k + 1023`
-/// share them, so [`Plan::start`] refuses to start an operation while
-/// another on its wire slot is in flight.
-pub(crate) const fn wire_slot(slot: u32) -> u32 {
-    slot % 1023
 }
 
 pub(crate) fn check_world<C: Comm>(comm: &C, world_size: usize) {
@@ -285,7 +274,8 @@ pub(crate) trait Kind: Completes + Sized {
     }
 
     /// The resolved schedule's machine for one operation on `rank` (its
-    /// tags are bare: the handle stamps them, see [`op_base`]); also
+    /// tags are bare: the handle puts them in the operation's context,
+    /// see [`PlanCore::op`]); also
     /// readies whatever per-operation state the machine reads out of the
     /// workspace.
     fn machine(&mut self, core: &mut PlanCore, rank: usize) -> Self::Machine;
@@ -376,8 +366,9 @@ pub struct Handle<'p, 'b, K: Kind> {
     out: &'b mut [f32],
     t0: SimTime,
     c0: FaultCounters,
-    /// The operation's [`op_base`]; `drive` stamps it onto every message.
-    stamp: Tag,
+    /// The operation's context ([`PlanCore::op`]); `drive` puts every
+    /// message in it.
+    op: u32,
     machine: K::Machine,
     done: bool,
 }
@@ -386,7 +377,7 @@ impl<K: Kind> Plan<K> {
     /// Plan `kind` on `session`: resolve `opts` against the kind's
     /// schedule table ([`Algorithm::Auto`] by the cost model, anything
     /// else by membership), warm the workspace that schedule needs and
-    /// take the next tag slot. Every `plan_*` constructor and
+    /// take the next slot. Every `plan_*` constructor and
     /// [`Self::recover`] come through here.
     ///
     /// # Panics
@@ -533,7 +524,7 @@ impl<K: Kind> Plan<K> {
     /// Everything that can reject the call is checked before anything
     /// is sent: world size, buffer shapes, poison, an outstanding
     /// operation. Only then may an `Auto` plan run its re-rank agreement
-    /// (on the previous operation's tag generation).
+    /// (in the previous operation's context).
     ///
     /// # Panics
     /// Panics if the communicator size or buffer lengths disagree with
@@ -563,13 +554,6 @@ impl<K: Kind> Plan<K> {
             "a previous nonblocking operation on this plan was dropped without \
              completing; the plan's collective state is undefined"
         );
-        let wire = wire_slot(core.slot);
-        assert!(
-            core.session.feedback.claim_slot(wire),
-            "plan slot {} starts while another operation on wire slot {wire} is in \
-             flight: plan slots 1023 apart share their wire tags",
-            core.slot
-        );
         calibration::retune(core, kind, comm);
         if core.algorithm == Algorithm::Hierarchical && core.groups.is_none() {
             let cl = core
@@ -592,10 +576,10 @@ impl<K: Kind> Plan<K> {
             .fetch_add(1, Ordering::Relaxed);
         let t0 = comm.now();
         let c0 = comm.profiler().fault_counters();
-        let stamp = op_base(core.slot, core.op_seq);
+        let op = core.op();
         let machine = kind.machine(core, rank);
         Handle {
-            stamp,
+            op,
             machine,
             plan: self,
             input,
@@ -699,7 +683,7 @@ impl<K: Kind> Handle<'_, '_, K> {
         if self.done {
             return Ok(Poll::Ready);
         }
-        let view = &mut CommView::stamped(comm, self.stamp);
+        let view = &mut CommView::stamped(comm, self.op);
         match kind.step(core, &mut self.machine, view, self.input, self.out, block) {
             Poll::Ready => {
                 core.finish(comm, self.t0, self.c0);
@@ -763,13 +747,11 @@ impl<K: Kind> Drop for Handle<'_, '_, K> {
             .feedback
             .live_ops
             .fetch_sub(1, Ordering::Relaxed);
-        let feedback = &self.plan.core.session.feedback;
-        feedback.release_slot(wire_slot(self.plan.core.slot));
         if !self.done && self.plan.core.poisoned.is_none() {
             // Dropped mid-operation: receives may still be posted and
             // peers may be mid-collective, so this plan's exchanged
             // state is undefined. Poison *only* this plan; sibling
-            // operations use disjoint tag bases and are unaffected.
+            // operations run in contexts of their own and are unaffected.
             self.plan.quiesce(Some(CollectiveError::Abandoned));
         }
     }
@@ -850,37 +832,6 @@ mod tests {
         min.map(|v| (v > 0).then(|| v as f64 / 1024.0))
     }
 
-    /// Plans 0 and 1023 of one session: their wire tags share the slot
-    /// bits, so with `together` plan 1023 starts while plan 0's
-    /// operation is still in flight.
-    fn plans_1023_apart(together: bool) {
-        SimWorld::new(SimConfig::new(1)).run(move |c| {
-            let session = crate::CCollSession::new(crate::CodecSpec::None, 1);
-            let mut plans: Vec<_> = (0..1024)
-                .map(|_| session.plan_allreduce(4, ReduceOp::Sum))
-                .collect();
-            let (input, mut a, mut b) = ([1.0; 4], [0.0; 4], [0.0; 4]);
-            let (first, rest) = plans.split_first_mut().expect("1024 plans");
-            let live = first.start(c, &input, &mut a);
-            if !together {
-                live.complete(c);
-            }
-            rest[1022].execute_into(c, &input, &mut b);
-            assert_eq!(b, input, "one rank's sum is its input");
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "plan slot 1023 starts while another operation on wire slot 0")]
-    fn plans_sharing_a_wire_slot_cannot_be_in_flight_together() {
-        plans_1023_apart(true);
-    }
-
-    #[test]
-    fn plans_sharing_a_wire_slot_run_one_after_the_other() {
-        plans_1023_apart(false);
-    }
-
     #[test]
     fn every_rank_agrees_on_the_lanewise_minimum() {
         let mut empty_lanes = 0;
@@ -947,7 +898,7 @@ mod tests {
     /// with them, stepped turn and turn about, each through its own
     /// stamped view — odd ranks in reverse order, so equal stamps would
     /// cross-match.
-    fn two_ring_allreduces<C: Comm>(comm: &mut C, stamps: Option<[Tag; 2]>) -> [Vec<f32>; 2] {
+    fn two_ring_allreduces<C: Comm>(comm: &mut C, stamps: Option<[u32; 2]>) -> [Vec<f32>; 2] {
         let rank = comm.rank();
         let mut ops = [0, 1].map(|which| {
             // Integer-valued, so the sums are exact.
@@ -983,7 +934,7 @@ mod tests {
     /// without a plan.
     #[test]
     fn stamped_views_isolate_bare_machines_on_one_communicator() {
-        let stamps = Some([op_base(0, 1), op_base(1, 0)]);
+        let stamps = Some([Ctx::op(0, 1), Ctx::op(1, 0)]);
         for n in [4, 5] {
             let world = SimWorld::new(SimConfig::new(n));
             let apart = world.run(|c| two_ring_allreduces(c, None)).results;

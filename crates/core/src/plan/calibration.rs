@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use ccoll_comm::{Category, Comm, CommView, PayloadPool, Schedule, Tag, Topology};
 
-use super::{op_base, select, Kind, PlanCore, Tuning};
+use super::{select, Kind, PlanCore, Tuning};
 use crate::algorithm::Algorithm;
 use crate::collectives::tags;
 
@@ -154,7 +154,7 @@ pub(super) fn retune<K: Kind, C: Comm>(core: &mut PlanCore, kind: &mut K, comm: 
     let picked = if !(core.reranked || rerank_in_calibration) {
         core.reranked = true;
         let local = [core.session.feedback.ratio().unwrap_or(0.0)];
-        let view = &mut CommView::stamped(comm, op_base(core.slot, core.op_seq));
+        let view = &mut CommView::stamped(comm, core.op());
         let topo = core.session.cluster().map(|c| &c.topo);
         let [ratio] = agree_min(view, topo, tags::AGREE_RERANK, local, &mut core.ws.pool);
         ratio.map(|ratio| select(kind, core.session.select_ctx_with_ratio(ratio)))
@@ -205,7 +205,7 @@ fn calibrate<K: Kind, C: Comm>(core: &mut PlanCore, kind: &K, comm: &mut C) -> O
     let measured = core.stats.ewma_makespan.as_secs_f64();
     let r_local = ((measured - floor) / (pred - floor)).max(0.0);
     let local_ratio = core.session.feedback.ratio().unwrap_or(0.0);
-    let view = &mut CommView::stamped(comm, op_base(core.slot, core.op_seq));
+    let view = &mut CommView::stamped(comm, core.op());
     let topo = core.session.cluster().map(|c| &c.topo);
     let local = [r_local, local_ratio];
     let [r, ratio] = agree_min(view, topo, tags::AGREE_CALIB, local, &mut core.ws.pool);

@@ -9,7 +9,7 @@
 //!
 //! 1. **[`CCollSession`]** — a per-rank handle created *once* from a
 //!    [`CodecSpec`] and the world size. It builds the codec exactly once
-//!    and stamps every plan it creates.
+//!    and numbers every plan it creates.
 //! 2. **Persistent plans** — [`CCollSession::plan_allreduce`] (and the
 //!    other `plan_*` constructors) precompute the chunk partition, the
 //!    pipeline configuration and the worst-case compressed sizes, and
@@ -114,18 +114,19 @@ pub struct CCollSession {
     /// two-level hierarchical schedules join the candidate race.
     pub(crate) cluster: Option<Arc<ClusterNet>>,
     pub(crate) feedback: Arc<SessionFeedback>,
-    /// Next per-plan tag-space slot (see `op_base` in [`crate::plan`]).
+    /// Next per-plan slot (a plan operation's context, see
+    /// [`ccoll_comm::Ctx::op`]).
     /// Deliberately a `Cell`, not a shared atomic: a clone *copies* the counter, so a
     /// session cloned into per-rank closures hands out identical slot
     /// sequences on every rank — which is exactly the cross-rank
-    /// agreement concurrent tag spaces need. Plans meant to run
+    /// agreement concurrent contexts need. Plans meant to run
     /// concurrently must therefore be created in the same order on
     /// every rank (the same rule collective calls already obey).
     next_slot: Cell<u32>,
     /// Shrink epoch: 0 for a freshly created session, incremented by
-    /// each [`CCollSession::recover`]. Stamped into every wire tag by
-    /// the [`CommView::shrunk`] view the recovery hands out, so pre-shrink traffic
-    /// can never match post-shrink receives.
+    /// each [`CCollSession::recover`]. The context of every message
+    /// posted through the [`CommView::shrunk`] view the recovery hands
+    /// out, so pre-shrink traffic can never match post-shrink receives.
     epoch: u32,
 }
 
@@ -153,11 +154,11 @@ impl CCollSession {
         }
     }
 
-    /// Allocate the next per-operation tag slot. Slots are handed out
-    /// in plan-creation order from a session-local counter, so every
-    /// rank that creates its plans in the same order (the usual
-    /// collective discipline) assigns matching slots — which is what
-    /// keeps two concurrently-running operations' wire tags disjoint.
+    /// Allocate the next plan slot. Slots are handed out in
+    /// plan-creation order from a session-local counter, so every rank
+    /// that creates its plans in the same order (the usual collective
+    /// discipline) assigns matching slots — which is what keeps two
+    /// concurrently-running operations' contexts apart.
     pub(crate) fn alloc_slot(&self) -> u32 {
         let s = self.next_slot.get();
         self.next_slot.set(s.wrapping_add(1));

@@ -40,10 +40,6 @@ pub(crate) struct SessionFeedback {
     /// decremented when the operation's handle is dropped (whether it
     /// completed, aborted, or was abandoned mid-operation).
     pub(crate) live_ops: AtomicU64,
-    /// The wire slots (`plan::wire_slot`) of those operations, one bit
-    /// each: plans whose slots are 1023 apart share their wire tags, so
-    /// two of them must never be in flight at once.
-    live_slots: [AtomicU64; 16],
     /// Communicator shrinks performed through [`CCollSession::recover`]
     /// (each successful survivor agreement counts once, even when the
     /// agreed dead-set turned out empty — the epoch still advanced).
@@ -109,21 +105,6 @@ impl SessionFeedback {
             .store(alpha.to_bits(), Ordering::Relaxed);
         self.beta_scale_bits
             .store(beta.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Mark wire slot `wire` in flight; `false` when it already is.
-    /// Relaxed: the bit publishes no other data, and a rank claims and
-    /// releases its plans' slots on its own thread.
-    pub(crate) fn claim_slot(&self, wire: u32) -> bool {
-        let bit = 1 << (wire % 64);
-        let word = &self.live_slots[wire as usize / 64];
-        word.fetch_or(bit, Ordering::Relaxed) & bit == 0
-    }
-
-    /// Mark wire slot `wire` idle again.
-    pub(crate) fn release_slot(&self, wire: u32) {
-        let word = &self.live_slots[wire as usize / 64];
-        word.fetch_and(!(1 << (wire % 64)), Ordering::Relaxed);
     }
 
     pub(crate) fn record_faults(&self, delta: FaultCounters) {

@@ -38,11 +38,8 @@ impl CCollSession {
     /// failure.
     ///
     /// Returns the structured error when this rank itself is in the
-    /// agreed dead-set (it must stop participating), when the
-    /// agreement could not complete inside its timeout budget, or —
-    /// before any message — when the shrink would pass the last epoch
-    /// the tag field can tell apart
-    /// ([`CommError::EpochsExhausted`]).
+    /// agreed dead-set (it must stop participating) or when the
+    /// agreement could not complete inside its timeout budget.
     pub fn recover<C: Comm>(
         &self,
         comm: &mut C,
@@ -59,7 +56,7 @@ impl CCollSession {
             }
         }
         let agreement =
-            agree_on_failures(comm, epoch, suspect_set, restart).map_err(CollectiveError::Comm)?;
+            agree_on_failures(comm, suspect_set, restart).map_err(CollectiveError::Comm)?;
         let members: Vec<usize> = (0..self.world_size)
             .filter(|&r| !agreement.dead.contains(r))
             .collect();
@@ -155,14 +152,6 @@ impl Recovery {
         self.members.binary_search(&old).ok()
     }
 
-    /// Translate a post-shrink rank back to its pre-shrink rank.
-    ///
-    /// # Panics
-    /// Panics if `new` is out of range for the shrunk world.
-    pub fn old_rank_of(&self, new: usize) -> usize {
-        self.members[new]
-    }
-
     /// Project per-rank counts (indexed by pre-shrink rank) onto the
     /// survivors, in post-shrink rank order — how an allgatherv's
     /// layout shrinks when dead ranks' contributions are dropped.
@@ -182,7 +171,7 @@ impl Recovery {
     }
 
     /// Wrap the pre-shrink communicator as the shrunk world: survivors
-    /// get dense ranks, every wire tag carries the new epoch, and all
+    /// get dense ranks, every message travels in the new epoch, and all
     /// stale pre-shrink traffic is purged (counted into the session's
     /// recovery statistics). Build one wrapper per recovery and run all
     /// post-shrink operations through it.

@@ -249,7 +249,7 @@ fn steady_state_plans_allocate_nothing() {
 
         // Three ops concurrently in flight through the progress
         // engine, interleaved with bounded fair passes — the engine's
-        // inline arena and the per-op tag bases must add nothing to
+        // inline arena and the per-op contexts must add nothing to
         // the allocation profile.
         macro_rules! engine_cycle {
             () => {{
@@ -273,9 +273,9 @@ fn steady_state_plans_allocate_nothing() {
         // on cross-rank timing and settles one call later; for the
         // Auto plan's one-shot re-rank (it may switch schedules after
         // its first execution and re-warm its workspace once); and for
-        // the per-op tag space: each start() alternates between two
-        // tag generations (see `op_base`), so the simulator's
-        // tag-keyed tables only reach their high-water mark after a
+        // the per-op contexts: each start() alternates between two
+        // generations (see `Ctx::op`), so the simulator's
+        // context-keyed tables only reach their high-water mark after a
         // plan has executed under BOTH generations. Eight rounds also
         // run the Auto plan's continuous α–β calibration once (it fires
         // every `CALIB_PERIOD` = 4th execution and uses its own tag
@@ -377,7 +377,7 @@ fn steady_state_plans_allocate_nothing() {
 
         // Recovery re-establishes the steady state: a restart-only
         // shrink (empty dead-set — agreement, epoch bump, re-planned
-        // schedules, epoch-stamped tags) re-warms once, then measured
+        // schedules, a new epoch's contexts) re-warms once, then measured
         // rounds on the shrunk communicator allocate nothing again.
         let recovery = session
             .recover(c, &[], true)

@@ -14,7 +14,7 @@
 //! * **Tag isolation** — operations with *identical* shape (same
 //!   length, algorithm and codec, so every message is
 //!   size-indistinguishable) never capture each other's traffic: only
-//!   the per-operation tag base separates them, and each op's result
+//!   the per-operation context separates them, and each op's result
 //!   is exactly its own reduction.
 //! * **Backend-independence** — the same concurrent schedule holds on
 //!   the threaded backend, with real parallelism instead of virtual

@@ -3,9 +3,11 @@
 //! reset` must behave the same whichever schedule machine is plugged in.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
+use c_coll::engine::{ProgressEngine, MAX_LIVE_OPS};
 use c_coll::{Algorithm, CCollSession, CodecSpec, CollectiveError, PlanOptions, Poll, ReduceOp};
-use ccoll_comm::{ClusterNet, Comm, HierNet, SimConfig, SimWorld, Topology};
+use ccoll_comm::{Category, ClusterNet, Comm, HierNet, SimConfig, SimWorld, ThreadWorld, Topology};
 
 const WORLD: usize = 4;
 const LEN: usize = 4 * 1500;
@@ -208,5 +210,100 @@ fn auto_control_plane_costs_under_one_percent_on_a_cluster() {
         "Auto {:?} vs pinned hierarchical {:?}",
         auto.makespan,
         pinned.makespan
+    );
+}
+
+/// Every plan of a 2,048-plan session is started before any completes,
+/// then one engine drains them [`MAX_LIVE_OPS`] at a time: no slot is
+/// shared, and each operation gets exactly its own sum.
+#[test]
+fn two_thousand_forty_eight_plans_are_in_flight_together() {
+    const PLANS: usize = 2048;
+    let out = SimWorld::new(SimConfig::new(2)).run(|c| {
+        let session = CCollSession::new(CodecSpec::None, 2);
+        let mut plans: Vec<_> = (0..PLANS)
+            .map(|_| session.plan_allreduce(4, ReduceOp::Sum))
+            .collect();
+        let inputs: Vec<[f32; 4]> = (0..PLANS).map(|i| [(i + c.rank()) as f32; 4]).collect();
+        let mut outs = vec![[0.0f32; 4]; PLANS];
+        {
+            let mut handles: Vec<_> = plans
+                .iter_mut()
+                .zip(&inputs)
+                .zip(&mut outs)
+                .map(|((plan, input), out)| plan.start(c, input, out))
+                .collect();
+            assert_eq!(session.live_ops(), PLANS as u64);
+            let mut engine = ProgressEngine::new();
+            while !handles.is_empty() {
+                let wave = handles.len().saturating_sub(MAX_LIVE_OPS);
+                for handle in handles.drain(wave..) {
+                    engine.submit(handle);
+                }
+                engine.wait_all(c);
+            }
+        }
+        (0..PLANS).all(|i| outs[i] == [(2 * i + 1) as f32; 4])
+    });
+    assert_eq!(out.results, [true, true]);
+    assert_eq!(out.undelivered_total(), 0);
+}
+
+/// Plans 0 and 1023 of one session, ring allreduces of one shape: each
+/// message of one has a twin in the other with the same source,
+/// destination and schedule tag. Stepped turn about, the odd ranks
+/// stepping the second plan first, each still gets exactly its own sum.
+fn twin_allreduces<C: Comm>(c: &mut C) -> [Vec<u32>; 2] {
+    let session = CCollSession::new(CodecSpec::None, WORLD);
+    let ring = || PlanOptions::new().algorithm(Algorithm::Ring);
+    let mut first = session.plan_allreduce_with(LEN, ReduceOp::Sum, ring());
+    let _between: Vec<_> = (1..1023)
+        .map(|_| session.plan_allreduce(4, ReduceOp::Sum))
+        .collect();
+    let mut last = session.plan_allreduce_with(LEN, ReduceOp::Sum, ring());
+    let rank = c.rank();
+    let inputs = [rank_data(rank, LEN), rank_data(rank + WORLD, LEN)];
+    let mut outs = [vec![0.0f32; LEN], vec![0.0f32; LEN]];
+    let [out_first, out_last] = &mut outs;
+    let mut handles = [
+        first.start(c, &inputs[0], out_first),
+        last.start(c, &inputs[1], out_last),
+    ];
+    if rank % 2 == 1 {
+        handles.reverse();
+    }
+    while !handles.iter().all(|h| h.is_complete()) {
+        for handle in &mut handles {
+            handle.progress(c);
+        }
+        c.charge_duration(Duration::from_micros(1), Category::Others);
+    }
+    for handle in handles {
+        handle.complete(c);
+    }
+    outs.map(|out| bits(&out))
+}
+
+#[test]
+fn two_plans_with_equal_schedule_tags_never_cross_match() {
+    let want = SimWorld::new(SimConfig::new(WORLD))
+        .run(|c| {
+            let session = CCollSession::new(CodecSpec::None, WORLD);
+            let ring = PlanOptions::new().algorithm(Algorithm::Ring);
+            let mut plan = session.plan_allreduce_with(LEN, ReduceOp::Sum, ring);
+            [0, WORLD].map(|shift| {
+                let mut out = vec![0.0f32; LEN];
+                plan.execute_into(c, &rank_data(c.rank() + shift, LEN), &mut out);
+                bits(&out)
+            })
+        })
+        .results;
+    let sim = SimWorld::new(SimConfig::new(WORLD)).run(twin_allreduces);
+    assert_eq!(sim.undelivered_total(), 0);
+    assert_eq!(sim.results, want, "sim");
+    assert_eq!(
+        ThreadWorld::new(WORLD).run(twin_allreduces).results,
+        want,
+        "threaded"
     );
 }

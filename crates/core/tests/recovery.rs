@@ -373,35 +373,38 @@ fn recovered_plans_match_fresh_plans_on_the_shrunk_session() {
 }
 
 #[test]
-fn the_shrink_past_the_last_epoch_stamp_is_an_error() {
-    // The epoch field holds 31 stamps: 31 restart-only shrinks enter
-    // epochs 1 to 31, and the 32nd — whose stamp would be epoch 1's —
-    // returns an error on every rank before any vote is sent.
-    let world = 2;
+fn sixty_four_restart_only_shrinks_each_enter_a_fresh_epoch() {
+    // No epoch limit: each of 64 restart-only shrinks of one session
+    // enters the next epoch, and an allreduce on its shrunk world
+    // completes exactly.
+    let world = 4;
+    let len = 24;
+    let want = shrunk_reference(&[0, 1, 2, 3], len);
     let out = SimWorld::new(SimConfig::new(world)).run(move |c| {
         let mut session = CCollSession::new(CodecSpec::None, world);
-        for epoch in 1..=ccoll_comm::MAX_EPOCH {
-            let r = session.recover(c, &[], true).expect("a stamp of its own");
-            assert_eq!(r.epoch(), epoch);
+        for epoch in 1..=64 {
+            let r = session.recover(c, &[], true).expect("a fresh epoch");
+            assert_eq!((r.epoch(), r.survivors()), (epoch, world));
+            let sc = &mut r.comm(c).expect("survivor");
+            let mut plan = r.session().plan_allreduce_with(len, ReduceOp::Sum, ring());
+            let mut out = vec![0.0f32; len];
+            plan.execute_into(sc, &rank_data(sc.rank(), len), &mut out);
+            assert_eq!(out, want[sc.rank()], "epoch {epoch}");
             session = r.session().clone();
         }
-        let sent = c.profiler().traffic().messages_sent;
-        let err = session.recover(c, &[], true).expect_err("no stamp left");
-        (err, c.profiler().traffic().messages_sent - sent)
+        session.stats().shrinks
     });
-    for (rank, (err, sent)) in out.results.iter().enumerate() {
-        let exhausted = CollectiveError::Comm(CommError::EpochsExhausted { epoch: 32 });
-        assert_eq!(*err, exhausted, "rank {rank}");
-        assert_eq!(*sent, 0, "rank {rank} voted");
-    }
+    assert!(out.results.iter().all(|&shrinks| shrinks == 64));
+    assert_eq!(out.undelivered_total(), 0);
 }
 
 #[test]
 fn forced_second_shrink_nests_epochs() {
     // Two recovery levels: a real kill, then a forced restart-only
     // agreement on the already-shrunk world (dead-set stays empty, the
-    // epoch advances again). The nested `CommView<CommView<_>>`
-    // composes epoch stamps, so the final run must still be exact.
+    // epoch advances again). The nested `CommView<CommView<_>>` puts
+    // its messages in the second epoch, so the final run must still be
+    // exact.
     let world = 5;
     let len = 40;
     let victim = 1usize;

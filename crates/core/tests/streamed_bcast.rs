@@ -7,7 +7,7 @@
 //!   independently and divide the sub-chunk) bitwise the *monolithic*
 //!   round-trip too, so streaming changes no reconstructed value;
 //! * two streamed broadcasts in flight at once stay apart (per-operation
-//!   tag bases isolate their FIFO sub-chunk streams);
+//!   contexts isolate their FIFO sub-chunk streams);
 //! * the cost model prices the schedule that runs.
 
 use c_coll::engine::ProgressEngine;
