@@ -55,7 +55,7 @@ use std::sync::OnceLock;
 
 /// Quantization codes must stay strictly below this magnitude (half the
 /// [`MAX_QUANT_BITS`]-bit zigzag range) for a block to stay quantized.
-const QUANT_LIMIT: f64 = (1i64 << (MAX_QUANT_BITS - 1)) as f64;
+pub(crate) const QUANT_LIMIT: f64 = (1i64 << (MAX_QUANT_BITS - 1)) as f64;
 
 /// Zig-zag map a signed quantization code to an unsigned packing code.
 /// Wrapping shift: in the branch-free encode pass a doomed block (one

@@ -11,15 +11,15 @@
 //! SZx). Each block is classified:
 //!
 //! * **Constant block** — if every value lies within the error bound of the
-//!   block midpoint, only the midpoint is stored (4 bytes for up to 128
-//!   values). Smooth scientific fields are dominated by constant blocks,
-//!   which is where SZx gets both its speed and its ratio.
+//!   block midpoint, only a base is stored (one base for up to 128 values).
+//!   Smooth scientific fields are dominated by constant blocks, which is
+//!   where SZx gets both its speed and its ratio.
 //! * **Quantized block** — otherwise the values are encoded by
-//!   block-floating-point quantization: `q = round((x − mid) / eb)` packed
-//!   at the block-wide minimal bit width. Reconstruction is
-//!   `x̂ = mid + q·eb`, so the pointwise error is at most `eb/2` plus one
+//!   block-floating-point quantization: `q = round((x − base) / eb)`
+//!   packed at the block-wide minimal bit width. Reconstruction is
+//!   `x̂ = base + q·eb`, so the pointwise error is at most `eb/2` plus one
 //!   `f32` rounding step. (The reference SZx truncates IEEE mantissas to a
-//!   block-wide required bit count; midpoint-relative quantization has the
+//!   block-wide required bit count; base-relative quantization has the
 //!   same block-adaptive precision behaviour while being branch-free in
 //!   Rust. The deviation is documented in DESIGN.md.)
 //! * **Verbatim block** — if the block contains non-finite values, if the
@@ -31,14 +31,42 @@
 //! The classification guarantees the contract checked by this module's
 //! property tests: **every finite value is reconstructed within `eb`**.
 //!
+//! ## Grid-anchored bases
+//!
+//! A constant or quantized block's base is, whenever that costs the
+//! block nothing, a point of the error-bound grid, `(k as f64 * eb as
+//! f64) as f32`, and only `k` is stored: as the zigzag delta from the
+//! previous base's `k`, Elias-gamma coded (a block's base sits a few grid
+//! steps from its neighbour's on smooth data, so this takes a handful of
+//! bits where a raw `f32` takes 32). The encoder tries the grid point
+//! that centres the block — for a quantized block, the one that centres
+//! its codes in the zigzag range, which can also save a code bit — then
+//! the one nearest its midpoint, and keeps the first that keeps the
+//! block's class (every value within `eb` of a constant base) and code
+//! width; a block of one value only takes a grid point equal to it, so
+//! it still round-trips exactly. A 1-bit escape stores an exact `f32` instead: the midpoint
+//! when neither grid point qualifies or `|k|` exceeds 2⁵⁰,
+//! the grid point's own value when its delta's code would be longer than
+//! the escape. So a block never grows by more than that one bit, and its
+//! base never depends on the blocks before it: a block reconstructs to
+//! the same bits however a vector is cut into streams. Escaped bases
+//! move the delta reference too, to the grid point nearest them. The
+//! reference restarts at `k = 0` at the start of every stream and every
+//! PIPE-SZx chunk, so each still decodes on its own.
+//!
 //! ## Stream layout
 //!
 //! ```text
-//! magic  u32  "SZX1"
+//! magic  u32  "SZX2"
 //! count  u64  number of f32 values
 //! bsize  u16  block size in values
 //! eb     f32  absolute error bound
-//! body   bitstream of blocks (see [`encode_blocks`])
+//! body   bitstream of blocks, LSB first:
+//!   constant   tag 0 (2 bits)  base
+//!   quantized  tag 1 (2 bits)  base  width−1 (5 bits)  zigzag codes (width bits each)
+//!   verbatim   tag 2 (2 bits)  IEEE words (32 bits each)
+//! base  0 (1 bit)  Elias-gamma of zigzag(k − previous k) + 1 (at most 31 bits)
+//!     | 1 (1 bit)  the exact f32 base (32 bits)
 //! ```
 
 use crate::bitstream::{BitReader, BitWriter};
@@ -46,8 +74,9 @@ use crate::bytecodec::{put_f32, put_u16, put_u32, put_u64, ByteReader};
 use crate::dispatch::{self, Kernels, SimdLevel};
 use crate::traits::{CodecKind, CompressError, Compressor, ReduceKind};
 
-/// Stream magic: `"SZX1"` little-endian.
-pub const SZX_MAGIC: u32 = 0x3158_5A53;
+/// Stream magic: `"SZX2"` little-endian (grid-anchored bases; `"SZX1"`
+/// stored every base as a raw `f32`).
+pub const SZX_MAGIC: u32 = 0x3258_5A53;
 
 /// Default block size in values, matching the SZx reference implementation.
 pub const DEFAULT_BLOCK: usize = 128;
@@ -59,6 +88,192 @@ pub const MAX_QUANT_BITS: u32 = 28;
 const TAG_CONSTANT: u32 = 0;
 const TAG_QUANTIZED: u32 = 1;
 const TAG_VERBATIM: u32 = 2;
+
+/// Largest grid index `|k|` a base is stored as; a base more than 2⁵⁰
+/// error bounds from zero is escaped (`k` stays an exact `f64` integer,
+/// and the encoder's rounding of `k` estimates stays exact).
+const GRID_LIMIT: i64 = 1 << 50;
+
+/// Bit length of the longest Elias-gamma code a grid base may use: a
+/// gamma code of `n < 2¹⁶` is at most 31 bits, so flag plus code never
+/// exceed the 33-bit escape.
+const GAMMA_MAX_LEN: u32 = 16;
+
+/// Bits of an escaped base: the flag and the raw `f32`.
+const ESCAPE_BITS: u32 = 33;
+
+/// A constant or quantized block's base as stored: a grid point or the
+/// escaped exact value.
+#[derive(Clone, Copy)]
+enum Base {
+    Grid(i64),
+    Exact(f32),
+}
+
+#[inline]
+fn zigzag64(d: i64) -> u64 {
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+#[inline]
+fn unzigzag64(z: u64) -> i64 {
+    ((z >> 1) as i64) ^ -((z & 1) as i64)
+}
+
+/// `x.round_ties_even()` for `|x| < 2⁵¹`, in two additions: the FPU's
+/// round-to-nearest-even does the rounding. The `f64` method is a libm
+/// call on baseline x86-64, and the encoder rounds a few times per block.
+#[inline]
+fn round_even(x: f64) -> f64 {
+    const SHIFT: f64 = (3u64 << 51) as f64;
+    (x + SHIFT) - SHIFT
+}
+
+/// `|x|` below which [`round_even`] is exact.
+const ROUND_EVEN_LIMIT: f64 = (1u64 << 51) as f64;
+
+/// Bit length of `n ≥ 1`: its Elias-gamma code is `2·len − 1` bits.
+#[inline]
+fn gamma_len(n: u64) -> u32 {
+    64 - n.leading_zeros()
+}
+
+/// The grid-anchored bases of one stream (or PIPE-SZx chunk): the
+/// error-bound grid and the index of the last base written or read,
+/// which the next grid base is delta-coded against.
+struct Bases {
+    eb: f64,
+    /// `1 / eb`, the quantize kernel's own reciprocal.
+    inv_eb: f64,
+    prev: i64,
+}
+
+impl Bases {
+    fn new(eb: f32) -> Self {
+        let eb = eb as f64;
+        Bases {
+            eb,
+            inv_eb: 1.0 / eb,
+            prev: 0,
+        }
+    }
+
+    /// The value of grid point `k`, computed identically by encoder and
+    /// decoder.
+    #[inline]
+    fn grid(&self, k: i64) -> f32 {
+        (k as f64 * self.eb) as f32
+    }
+
+    /// The value the decoder reconstructs a block around.
+    #[inline]
+    fn value(&self, base: Base) -> f32 {
+        match base {
+            Base::Grid(k) => self.grid(k),
+            Base::Exact(v) => v,
+        }
+    }
+
+    /// The base the encoder stores for a block centred on `mid`: a grid
+    /// point whose value `keeps` accepts (the block keeps its class and
+    /// width around it), or else the escaped `mid`. Candidates, in
+    /// order: the index nearest `centre` (in units of `eb`, the middle of
+    /// the indices `keeps` accepts), then the one nearest `mid`. Neither
+    /// depends on the previous base, so a block is reconstructed the same
+    /// however a stream is cut into sub-streams.
+    #[inline]
+    fn snap(&self, mid: f32, centre: f64, keeps: impl Fn(f32) -> bool) -> Base {
+        let near = mid as f64 * self.inv_eb;
+        let limit = GRID_LIMIT as f64;
+        // `!(a <= b)` also rejects a NaN.
+        if !(near.abs() <= limit && centre.abs() <= limit) {
+            return Base::Exact(mid);
+        }
+        let (centre, near) = (round_even(centre) as i64, round_even(near) as i64);
+        if keeps(self.grid(centre)) {
+            Base::Grid(centre)
+        } else if near != centre && keeps(self.grid(near)) {
+            Base::Grid(near)
+        } else {
+            Base::Exact(mid)
+        }
+    }
+
+    /// The grid index an escaped base moves the delta reference to.
+    #[inline]
+    fn anchor(&self, v: f32) -> i64 {
+        let k = (v as f64 * self.inv_eb).round_ties_even();
+        k.clamp(-(GRID_LIMIT as f64), GRID_LIMIT as f64) as i64
+    }
+
+    /// The code of `base` (its bits, LSB first, and their count), and
+    /// move the delta reference past it. A grid point whose delta has no
+    /// short code is escaped as its own value, which the block was
+    /// checked around.
+    #[inline]
+    fn code(&mut self, base: Base) -> (u64, u32) {
+        let v = match base {
+            Base::Grid(k) => {
+                let n = zigzag64(k - self.prev) + 1;
+                let len = gamma_len(n);
+                if len <= GAMMA_MAX_LEN {
+                    // Flag 0, then gamma(n): `len − 1` zeros, a one, and
+                    // the low `len − 1` bits of `n`.
+                    let low = n & ((1 << (len - 1)) - 1);
+                    self.prev = k;
+                    return ((1 << len) | (low << (len + 1)), 2 * len);
+                }
+                self.grid(k)
+            }
+            Base::Exact(v) => v,
+        };
+        self.prev = self.anchor(v);
+        (1 | ((v.to_bits() as u64) << 1), ESCAPE_BITS)
+    }
+
+    /// Parse a base coded by [`Bases::code`] from the low bits of
+    /// `head`, move the delta reference past it, and return its value
+    /// and bit length. `None`: a gamma code longer than any encoder
+    /// writes.
+    #[inline]
+    fn read(&mut self, head: u64) -> Option<(f32, u32)> {
+        if head & 1 == 1 {
+            let v = f32::from_bits((head >> 1) as u32);
+            self.prev = self.anchor(v);
+            return Some((v, ESCAPE_BITS));
+        }
+        let gamma = head >> 1;
+        let len = gamma.trailing_zeros() + 1;
+        if len > GAMMA_MAX_LEN {
+            return None;
+        }
+        let n = (1 << (len - 1)) | ((gamma >> len) & ((1 << (len - 1)) - 1));
+        self.prev = self.prev.wrapping_add(unzigzag64(n - 1));
+        Some((self.grid(self.prev), 2 * len))
+    }
+
+    /// Code width the quantize kernel picks for a block spanning
+    /// `[min, max]` around `base`, or `None` if a code would overflow
+    /// it. Quantization is monotone in `x`, so the extremes carry the
+    /// widest codes; the arithmetic is the kernel's own.
+    #[inline]
+    fn quant_width(&self, min: f32, max: f32, base: f32) -> Option<u32> {
+        let base = base as f64;
+        let (lo, hi) = (
+            (min as f64 - base) * self.inv_eb,
+            (max as f64 - base) * self.inv_eb,
+        );
+        if !(lo.abs() < ROUND_EVEN_LIMIT && hi.abs() < ROUND_EVEN_LIMIT) {
+            return None;
+        }
+        let (lo, hi) = (round_even(lo), round_even(hi));
+        if !(lo.abs() < dispatch::QUANT_LIMIT && hi.abs() < dispatch::QUANT_LIMIT) {
+            return None;
+        }
+        let z = dispatch::zigzag(lo as i32).max(dispatch::zigzag(hi as i32));
+        Some((32 - z.leading_zeros()).max(1))
+    }
+}
 
 /// SZx-style codec configured with an absolute error bound.
 #[derive(Debug, Clone, Copy)]
@@ -165,7 +380,8 @@ fn open(stream: &[u8]) -> Result<(usize, usize, f32, BitReader<'_>), CompressErr
 /// Worst-case encoded size of `len` values at `block_size`, excluding any
 /// container header. Every block is bounded by the larger of its verbatim
 /// form (2-bit tag + 32 bits/value) and its widest quantized form (2-bit
-/// tag + 32-bit midpoint + 5-bit width + [`MAX_QUANT_BITS`] bits/value).
+/// tag + 33-bit base, the escape being the longest base code + 5-bit
+/// width + [`MAX_QUANT_BITS`] bits/value).
 pub(crate) fn worst_case_body_bytes(len: usize, block_size: usize) -> usize {
     let full = len / block_size;
     let rem = len % block_size;
@@ -173,7 +389,7 @@ pub(crate) fn worst_case_body_bytes(len: usize, block_size: usize) -> usize {
         if b == 0 {
             0
         } else {
-            (2 + 32 * b).max(2 + 32 + 5 + MAX_QUANT_BITS as usize * b)
+            (2 + 32 * b).max(2 + ESCAPE_BITS as usize + 5 + MAX_QUANT_BITS as usize * b)
         }
     };
     (full * block_bits(block_size) + block_bits(rem)).div_ceil(8)
@@ -298,7 +514,8 @@ impl BlockScratch {
 }
 
 /// Encode `data` as a sequence of blocks into `w`. This is the header-less
-/// core shared with [`PipeSzx`](crate::pipe::PipeSzx).
+/// core shared with [`PipeSzx`](crate::pipe::PipeSzx); the grid bases'
+/// delta reference starts at `k = 0` on every call.
 pub(crate) fn encode_blocks(
     data: &[f32],
     eb: f32,
@@ -309,18 +526,27 @@ pub(crate) fn encode_blocks(
     // One stack scratch shared by every block (the MAX_BLOCK cap is
     // enforced by `with_block_size`).
     let mut codes = [0u32; MAX_BLOCK];
+    let mut bases = Bases::new(eb);
     for block in data.chunks(block_size) {
-        encode_block(block, eb, k, w, &mut codes[..block.len()]);
+        encode_block(block, eb, k, w, &mut codes[..block.len()], &mut bases);
     }
 }
 
 /// Classify and encode one block. `codes` is caller-provided scratch of
-/// exactly `block.len()` entries.
+/// exactly `block.len()` entries; `bases` is the stream's base state
+/// (see the module docs).
 ///
 /// The analysis passes live in [`crate::dispatch`] (SIMD with a scalar
 /// fallback, both branch-free accumulator-style loops); classification
 /// decisions happen here, between passes.
-fn encode_block(block: &[f32], eb: f32, k: &Kernels, w: &mut BitWriter, codes: &mut [u32]) {
+fn encode_block(
+    block: &[f32],
+    eb: f32,
+    k: &Kernels,
+    w: &mut BitWriter,
+    codes: &mut [u32],
+    bases: &mut Bases,
+) {
     let eb64 = eb as f64;
     // Pass 1: block min/max + finiteness.
     let (mut min, mut max, finite) = k.minmax_finite(block);
@@ -331,41 +557,71 @@ fn encode_block(block: &[f32], eb: f32, k: &Kernels, w: &mut BitWriter, codes: &
     if min == 0.0 && max == 0.0 {
         // All-zero block. The kernels leave the *sign* of a ±0 min/max
         // unspecified (lane order changes which zero survives a tie), and
-        // the sign would leak into the stored midpoint when both extremes
+        // the sign would leak into an escaped midpoint when both extremes
         // are -0.0. Pin it to the first element so every dispatch level
         // emits the same stream.
         min = block[0];
         max = block[0];
     }
-    let (min, max) = (min as f64, max as f64);
-    // Midpoint as the value actually stored (an f32), so the radius check
-    // accounts for the f32 rounding of the midpoint itself.
-    let mid = (0.5 * (min + max)) as f32;
-    let mid64 = mid as f64;
-    let radius = (max - mid64).abs().max((min - mid64).abs());
-    if radius <= eb64 {
-        w.write_bits(TAG_CONSTANT as u64, 2);
-        w.write_bits(mid.to_bits() as u64, 32);
+    let (min64, max64) = (min as f64, max as f64);
+    // Midpoint as an f32 base, so the radius check accounts for the f32
+    // rounding of the midpoint itself.
+    let mid = (0.5 * (min64 + max64)) as f32;
+    let radius = |base: f32| {
+        let b = base as f64;
+        (max64 - b).abs().max((min64 - b).abs())
+    };
+    if radius(mid) <= eb64 {
+        // Every base in [max − eb, min + eb] keeps the block constant:
+        // that span is centred on the midpoint. A block of one value keeps
+        // it exactly, as a raw base did; a grid point holds it only if it
+        // is that value (zero always is).
+        let centre = mid as f64 * bases.inv_eb;
+        let keeps = |b: f32| match min == max {
+            true => b.to_bits() == mid.to_bits(),
+            false => radius(b) <= eb64,
+        };
+        let base = bases.snap(mid, centre, keeps);
+        // Tag and base in one write: at most 2 + 33 bits.
+        let (code, len) = bases.code(base);
+        w.write_bits(TAG_CONSTANT as u64 | code << 2, 2 + len);
         return;
     }
-    // Quantized block: q = round((x - mid)/eb), error ≤ eb/2 (+ f32 cast).
-    let needed = radius / eb64 + 1.0;
+    // Quantized block: q = round((x - base)/eb), error ≤ eb/2 (+ f32 cast).
+    let needed = radius(mid) / eb64 + 1.0;
     let bits_estimate = needed.log2().ceil() as i64 + 2; // sign + headroom
     if bits_estimate > MAX_QUANT_BITS as i64 {
         write_verbatim(block, w);
         return;
     }
+    let Some(width) = bases.quant_width(min, max, mid) else {
+        write_verbatim(block, w);
+        return;
+    };
+    // Width-m codes hold q in [−h − 1, h], and q = round(x/eb − k): the
+    // width holds for k in (max/eb − h − 0.5, min/eb + h + 1.5). The
+    // middle of that span, mid/eb + 0.5, centres the codes in the zigzag
+    // range, which can take a code bit off the midpoint's width.
+    let centre = mid as f64 * bases.inv_eb + 0.5;
+    let keeps = |b: f32| bases.quant_width(min, max, b).is_some_and(|m| m <= width);
+    let mut base = bases.snap(mid, centre, keeps);
     // Pass 2: quantize + zigzag (see `dispatch` for the kernel contract;
     // `ok` clears on code overflow or a reconstruction outside the bound).
-    let (z_or, ok) = k.quantize(block, mid, eb, codes);
+    let (mut z_or, mut ok) = k.quantize(block, bases.value(base), eb, codes);
+    if !ok && matches!(base, Base::Grid(_)) {
+        base = Base::Exact(mid);
+        (z_or, ok) = k.quantize(block, mid, eb, codes);
+    }
     if !ok {
         write_verbatim(block, w);
         return;
     }
     let m = (32 - z_or.leading_zeros()).max(1);
-    w.write_bits(TAG_QUANTIZED as u64, 2);
-    w.write_bits(mid.to_bits() as u64, 32);
-    w.write_bits((m - 1) as u64, 5);
+    debug_assert!(m <= width, "the base widened the block: {m} > {width}");
+    // Tag, base and width in one write: at most 2 + 33 + 5 bits.
+    let (code, len) = bases.code(base);
+    let head = TAG_QUANTIZED as u64 | code << 2 | ((m - 1) as u64) << (2 + len);
+    w.write_bits(head, 2 + len + 5);
     // Pass 3: pack. Pairing halves the `write_bits` calls; 2m ≤ 56 bits
     // always fits one staging word.
     let mut pairs = codes.chunks_exact(2);
@@ -427,30 +683,66 @@ pub(crate) fn decode_blocks_into(
 ) -> Result<(), CompressError> {
     debug_assert!(block_size <= MAX_BLOCK);
     let end = out.len() + count;
+    let mut bases = Bases::new(eb);
     while out.len() < end {
         let len = block_size.min(end - out.len());
-        let tag = r.read_bits(2).map_err(|_| CompressError::Truncated)? as u32;
-        match tag {
-            TAG_CONSTANT => {
-                let mid = read_f32(r)?;
-                // `resize` lowers to a memset-style fill.
-                out.resize(out.len() + len, mid);
-            }
-            TAG_QUANTIZED => {
-                let mid = read_f32(r)?;
-                let m = (r.read_bits(5).map_err(|_| CompressError::Truncated)? as u32) + 1;
+        match read_head(r, &mut bases)? {
+            // `resize` lowers to a memset-style fill.
+            Head::Constant(base) => out.resize(out.len() + len, base),
+            Head::Quantized(base, m) => {
                 read_codes(r, m, &mut scratch.codes[..len])?;
-                k.dequantize(&scratch.codes[..len], mid, eb, &mut scratch.vals[..len]);
+                k.dequantize(&scratch.codes[..len], base, eb, &mut scratch.vals[..len]);
                 out.extend_from_slice(&scratch.vals[..len]);
             }
-            TAG_VERBATIM => {
+            Head::Verbatim => {
                 read_verbatim(r, &mut scratch.vals[..len])?;
                 out.extend_from_slice(&scratch.vals[..len]);
             }
-            _ => return Err(CompressError::CorruptHeader),
         }
     }
     Ok(())
+}
+
+/// A block's tag and base, as [`read_head`] parsed them.
+enum Head {
+    Constant(f32),
+    /// The base and the code width.
+    Quantized(f32, u32),
+    Verbatim,
+}
+
+/// Parse a block's tag, its base and (quantized) its code width, all
+/// from one peek: at most 2 + 33 + 5 bits.
+#[inline]
+fn read_head(r: &mut BitReader<'_>, bases: &mut Bases) -> Result<Head, CompressError> {
+    let bits = r.peek_bits_padded(2 + ESCAPE_BITS + 5);
+    let tag = (bits & 3) as u32;
+    let (head, used) = match tag {
+        TAG_VERBATIM => (Head::Verbatim, 2),
+        TAG_CONSTANT | TAG_QUANTIZED => {
+            let Some((base, len)) = bases.read(bits >> 2) else {
+                // Past the end the peek reads zeros, which look like an
+                // overlong code.
+                return Err(if r.remaining_bits() < (2 + ESCAPE_BITS) as usize {
+                    CompressError::Truncated
+                } else {
+                    CompressError::CorruptHeader
+                });
+            };
+            if tag == TAG_CONSTANT {
+                (Head::Constant(base), 2 + len)
+            } else {
+                let m = ((bits >> (2 + len)) & 31) as u32 + 1;
+                (Head::Quantized(base, m), 2 + len + 5)
+            }
+        }
+        _ => {
+            r.skip_bits(2).map_err(|_| CompressError::Truncated)?;
+            return Err(CompressError::CorruptHeader);
+        }
+    };
+    r.skip_bits(used).map_err(|_| CompressError::Truncated)?;
+    Ok(head)
 }
 
 /// What a slice decode ([`decode_blocks`]) does with each reconstructed
@@ -506,7 +798,7 @@ fn read_verbatim(r: &mut BitReader<'_>, vals: &mut [f32]) -> Result<(), Compress
 /// straight into `dst`, stored or folded as `land` says. In the folds
 /// every reconstructed value is folded into `dst` as it is decoded, so
 /// the quantized blocks never materialize outside a single-block
-/// scratch. The reconstruction arithmetic (`x̂ = (mid + q·eb) as f32`,
+/// scratch. The reconstruction arithmetic (`x̂ = (base + q·eb) as f32`,
 /// then [`ReduceKind::fold`]) is identical to decode-then-apply, keeping
 /// fused and unfused results bitwise equal.
 pub(crate) fn decode_blocks(
@@ -524,34 +816,29 @@ pub(crate) fn decode_blocks(
         Land::Fold(op) | Land::FoldFrom(op, _) => Some(op),
     };
     let mut at = 0usize;
+    let mut bases = Bases::new(eb);
     while at < dst.len() {
         let len = block_size.min(dst.len() - at);
         let block = &mut dst[at..at + len];
         if let Land::FoldFrom(_, src) = land {
             block.copy_from_slice(&src[at..at + len]);
         }
-        let tag = r.read_bits(2).map_err(|_| CompressError::Truncated)? as u32;
-        match tag {
-            TAG_CONSTANT => {
-                let mid = read_f32(r)?;
-                match fold {
-                    Some(op) => k.fold_splat(op, block, mid),
-                    None => block.fill(mid),
-                }
-            }
-            TAG_QUANTIZED => {
-                let mid = read_f32(r)?;
-                let m = (r.read_bits(5).map_err(|_| CompressError::Truncated)? as u32) + 1;
+        match read_head(r, &mut bases)? {
+            Head::Constant(base) => match fold {
+                Some(op) => k.fold_splat(op, block, base),
+                None => block.fill(base),
+            },
+            Head::Quantized(base, m) => {
                 let codes = &mut scratch.codes[..len];
                 read_codes(r, m, codes)?;
                 match fold {
                     // Fused kernel: reconstruct and fold straight into
                     // the accumulator slice, no intermediate values.
-                    Some(op) => k.dequantize_fold(codes, mid, eb, op, block),
-                    None => k.dequantize(codes, mid, eb, block),
+                    Some(op) => k.dequantize_fold(codes, base, eb, op, block),
+                    None => k.dequantize(codes, base, eb, block),
                 }
             }
-            TAG_VERBATIM => match fold {
+            Head::Verbatim => match fold {
                 // Unpack into scratch, then fold with the same
                 // dispatched kernel the unfused path uses.
                 Some(op) => {
@@ -561,7 +848,6 @@ pub(crate) fn decode_blocks(
                 }
                 None => read_verbatim(r, block)?,
             },
-            _ => return Err(CompressError::CorruptHeader),
         }
         at += len;
     }
@@ -644,15 +930,107 @@ mod tests {
 
     #[test]
     fn constant_block_is_tiny() {
-        let data = vec![std::f32::consts::PI; 1280];
         let codec = SzxCodec::new(1e-3);
+        // Ten blocks of zeros: grid point 0 holds the value exactly, so
+        // each block is its tag, the grid flag and the 1-bit code of a
+        // zero delta: 40 bits.
+        let c = codec.compress(&[0.0f32; 1280]).unwrap();
+        assert_eq!(c.len(), SZX_HEADER_BYTES + 5);
+        // Ten blocks of π: no grid point is exactly π, and a block of
+        // one value keeps it exactly, so each base escapes: 35 bits.
+        let data = vec![std::f32::consts::PI; 1280];
         let c = codec.compress(&data).unwrap();
-        // 10 blocks * (2 bits tag + 32 bits mean) + 18-byte header ≈ 61 B.
-        assert!(
-            c.len() < 80,
-            "constant data should be ~34 bits/block, got {}",
-            c.len()
+        assert_eq!(c.len(), SZX_HEADER_BYTES + (10 * 35usize).div_ceil(8));
+        assert_eq!(codec.decompress(&c).unwrap(), data);
+        // Within eb of π but not one value: grid point 3142, the one
+        // nearest π, codes in tag + flag + a 25-bit gamma code of
+        // zigzag(3142) + 1 = 6285; the nine blocks after it repeat it in
+        // tag + flag + the 1-bit code of a zero delta. 64 bits in all.
+        let near: Vec<f32> = (0..1280)
+            .map(|i| std::f32::consts::PI + (i % 3) as f32 * 1e-4)
+            .collect();
+        let c = codec.compress(&near).unwrap();
+        assert_eq!(c.len(), SZX_HEADER_BYTES + 8);
+        assert_bounded(&near, 1e-3);
+    }
+
+    #[test]
+    fn escaped_bases_cost_one_bit_more_than_a_raw_f32() {
+        // Constant blocks whose base jumps by 2⁴⁰·eb every block: no delta
+        // has a short code, so each escapes: tag + flag + f32 = 35 bits.
+        let eb = 1e-3f32;
+        let far = (1u64 << 40) as f32 * eb;
+        let data: Vec<f32> = (0..16 * 128)
+            .map(|i| if (i / 128) % 2 == 0 { far } else { -far })
+            .collect();
+        let c = SzxCodec::new(eb).compress(&data).unwrap();
+        assert_eq!(c.len(), SZX_HEADER_BYTES + (16 * 35usize).div_ceil(8));
+        assert_bounded(&data, eb);
+    }
+
+    #[test]
+    fn an_escape_moves_the_delta_reference() {
+        // The first block sits 10¹² grid steps from 0 and escapes; the
+        // second repeats it and codes a zero delta from the escaped base's
+        // grid point: 35 + 4 bits.
+        let data = vec![1e9f32; 256];
+        let c = SzxCodec::new(1e-3).compress(&data).unwrap();
+        assert_eq!(c.len(), SZX_HEADER_BYTES + (35usize + 4).div_ceil(8));
+        assert_bounded(&data, 1e-3);
+    }
+
+    #[test]
+    fn a_grid_base_never_widens_a_quantized_block() {
+        // Blocks spanning just over a power-of-two number of steps: the
+        // grid point nearest the midpoint can need one more code bit, so
+        // the encoder takes another grid point or escapes.
+        let eb = 1e-3f32;
+        for span in [1.01f32, 2.99, 3.01, 6.99, 7.49, 15.3] {
+            for offset in [0.0f32, 0.25, 0.5, 0.499, 7.77] {
+                let data: Vec<f32> = (0..512)
+                    .map(|i| (offset + span * (i % 128) as f32 / 127.0 + (i / 128) as f32) * eb)
+                    .collect();
+                assert_bounded(&data, eb);
+                let c = SzxCodec::new(eb).compress(&data).unwrap();
+                assert!(c.len() <= SzxCodec::new(eb).max_compressed_bytes(data.len()));
+            }
+        }
+    }
+
+    #[test]
+    fn sub_streams_reconstruct_the_monolithic_values() {
+        // A block's base never depends on the block before it, only its
+        // code does: cut at block boundaries, each sub-stream restarts
+        // the delta reference and decodes to the same bits.
+        let data: Vec<f32> = (0..5000)
+            .map(|i| (i as f32 * 2e-3).sin() * 3.0 + if i % 700 < 200 { 1e3 } else { 0.0 })
+            .collect();
+        let codec = SzxCodec::new(1e-3);
+        let whole = codec.decompress(&codec.compress(&data).unwrap()).unwrap();
+        for cut in [128, 384, 1280] {
+            let pieces: Vec<f32> = data
+                .chunks(cut)
+                .flat_map(|c| codec.decompress(&codec.compress(c).unwrap()).unwrap())
+                .collect();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&pieces), bits(&whole), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn an_overlong_base_code_is_rejected() {
+        let codec = SzxCodec::new(1e-3);
+        let mut c = codec.compress(&[1.0f32; 128]).unwrap();
+        // Constant tag, grid flag, then zeros: a gamma code longer than
+        // any encoder writes.
+        c.truncate(SZX_HEADER_BYTES);
+        c.extend([0u8; 8]);
+        assert_eq!(
+            codec.decompress(&c).unwrap_err(),
+            CompressError::CorruptHeader
         );
+        c.truncate(SZX_HEADER_BYTES + 2);
+        assert_eq!(codec.decompress(&c).unwrap_err(), CompressError::Truncated);
     }
 
     #[test]

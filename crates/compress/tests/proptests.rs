@@ -10,6 +10,7 @@
 
 use ccoll_compress::bitstream::reference::{ScalarBitReader, ScalarBitWriter};
 use ccoll_compress::bitstream::{BitReader, BitWriter};
+use ccoll_compress::dispatch;
 use ccoll_compress::lossless::LosslessCodec;
 use ccoll_compress::{CodecScratch, Compressor, PipeSzx, SzxCodec, ZfpCodec};
 use proptest::prelude::*;
@@ -39,6 +40,105 @@ fn error_bound() -> impl Strategy<Value = f32> {
         Just(1e-4),
         Just(1e-6)
     ]
+}
+
+/// One 128-value SZx block of the shapes that stress the grid-anchored
+/// bases: `(shape, level, spread)` with `level` and `spread` in units of
+/// the error bound.
+fn base_block() -> impl Strategy<Value = (u8, i64, f64)> {
+    (
+        0u8..6,
+        prop_oneof![
+            -40i64..40,
+            -100_000i64..100_000,
+            Just(1i64 << 40),
+            Just(-(1i64 << 40)),
+            Just(1i64 << 60),
+        ],
+        0.0f64..3.0,
+    )
+}
+
+/// Build the data of a run of [`base_block`]s at error bound `eb`:
+/// 0 constant (RTM-like), 1 a spread in (eb, 2eb], 2 a smooth ramp,
+/// 3 a base alternating by ±2⁴⁰·eb with the block index, 4 a NaN/inf
+/// block, 5 a block far from zero whatever the block before it.
+fn base_blocks(blocks: &[(u8, i64, f64)], eb: f32) -> Vec<f32> {
+    let eb64 = eb as f64;
+    let mut out = Vec::with_capacity(blocks.len() * 128);
+    for (i, &(shape, level, spread)) in blocks.iter().enumerate() {
+        let at = level as f64 * eb64;
+        let block = (0..128).map(|j| {
+            let t = j as f64 / 127.0;
+            match shape {
+                0 => at + spread.min(1.0) * 0.5 * eb64,
+                1 => at + (1.0 + t * spread / 3.0) * eb64 * if j % 2 == 0 { 1.0 } else { 0.0 },
+                2 => at + t * spread * 40.0 * eb64,
+                3 => (if i % 2 == 0 { 1.0 } else { -1.0 }) * (1u64 << 40) as f64 * eb64 + t * eb64,
+                4 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, at][j % 4],
+                _ => 1e30f64.min(1e7 * eb64 * (1.0 + spread)) + t * eb64,
+            }
+        });
+        out.extend(block.map(|v| v as f32));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Every stream fits `max_compressed_bytes`, bounds its error and is
+    // the same bytes at every dispatch level, on the inputs where a
+    // grid base is hardest to find: escapes (bases far from zero or
+    // from the previous one), blocks whose spread leaves little room for
+    // a grid point, constant runs, non-finite blocks and partial tails.
+    #[test]
+    fn szx_grid_bases_fit_the_worst_case_and_the_bound(
+        blocks in prop::collection::vec(base_block(), 1..24),
+        eb in error_bound(),
+        tail in 0usize..128,
+    ) {
+        let mut data = base_blocks(&blocks, eb);
+        data.truncate(data.len() - tail.min(data.len() - 1));
+        let reference = SzxCodec::new(eb)
+            .with_dispatch(dispatch::SimdLevel::Scalar)
+            .compress(&data)
+            .expect("compress");
+        for level in dispatch::available_levels() {
+            let codec = SzxCodec::new(eb).with_dispatch(level);
+            let stream = codec.compress(&data).expect("compress");
+            prop_assert_eq!(&stream, &reference, "{:?} diverged from scalar", level);
+            prop_assert!(stream.len() <= codec.max_compressed_bytes(data.len()),
+                "{} B > worst case {} B", stream.len(), codec.max_compressed_bytes(data.len()));
+            let restored = codec.decompress(&stream).expect("decompress");
+            prop_assert_eq!(restored.len(), data.len());
+            for (a, b) in data.iter().zip(&restored) {
+                if a.is_finite() {
+                    prop_assert!((*a as f64 - *b as f64).abs() <= eb as f64,
+                        "|{} - {}| > {}", a, b, eb);
+                } else {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "non-finite must be exact");
+                }
+            }
+        }
+        let pipe = PipeSzx::with_chunk(eb, 384);
+        let stream = pipe.compress(&data).expect("compress");
+        prop_assert!(stream.len() <= pipe.worst_case_stream_bytes(data.len()));
+        prop_assert_eq!(pipe.decompress(&stream).expect("decompress").len(), data.len());
+    }
+
+    #[test]
+    fn corrupted_szx_never_panics(
+        blocks in prop::collection::vec(base_block(), 1..6),
+        flip_byte in any::<usize>(),
+        flip_bits in 1u8..=255,
+    ) {
+        let codec = SzxCodec::new(1e-3);
+        let mut stream = codec.compress(&base_blocks(&blocks, 1e-3)).expect("compress");
+        let at = 18 + flip_byte % (stream.len() - 18);
+        stream[at] ^= flip_bits;
+        let _ = codec.decompress(&stream); // must not panic
+    }
 }
 
 proptest! {

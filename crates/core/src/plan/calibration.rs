@@ -10,7 +10,7 @@ use crate::algorithm::Algorithm;
 use crate::collectives::tags;
 
 /// Agree on the communicator-wide lane-wise minimum of `L` non-negative
-/// measurements (fixed-point scaled by 1024; 0 encodes "no sample") in
+/// measurements (fixed-point scaled by 1024; `None` is "no sample") in
 /// `⌈log₂ s⌉ + ⌈log₂ m⌉ + ⌈log₂ s⌉` message latencies for `m` nodes of
 /// at most `s` ranks:
 ///
@@ -28,14 +28,16 @@ use crate::collectives::tags;
 /// dissemination phase runs. Peers are computed from the contiguous
 /// node ranges of `topo`; nothing is allocated or cached.
 ///
-/// A lane is `None` unless every rank contributed a sample to it —
-/// conservative: with partial information the nominal selection stands.
-/// Every rank returns the identical array.
+/// A rank with no sample for a lane abstains from it (it enters the
+/// minimum as `u32::MAX`, above every sample): on a laned hierarchical
+/// plan only the ranks that own a lane compress, and the others' empty
+/// ratio lanes must not veto the owners' measurement. A lane is `None`
+/// only if every rank abstained. Every rank returns the identical array.
 pub(super) fn agree_min<const L: usize, C: Comm>(
     comm: &mut C,
     topo: Option<&Topology>,
     tag: Tag,
-    local: [f64; L],
+    local: [Option<f64>; L],
     pool: &mut PayloadPool,
 ) -> [Option<f64>; L] {
     fn payload<const L: usize>(pool: &mut PayloadPool, lanes: [u32; L]) -> Bytes {
@@ -53,7 +55,9 @@ pub(super) fn agree_min<const L: usize, C: Comm>(
     }
 
     let me = comm.rank();
-    let mut cur = local.map(|x| (x.clamp(0.0, 4.0e6) * 1024.0).round() as u32);
+    // 4·10⁶ × 1024 < u32::MAX, so no sample collides with an abstention.
+    let mut cur =
+        local.map(|x| x.map_or(u32::MAX, |x| (x.clamp(0.0, 4.0e6) * 1024.0).round() as u32));
     let (node, nodes) = topo.map_or((me, comm.size()), |t| (t.node_of(me), t.nodes()));
     let members = topo.map_or(me..me + 1, |t| t.members_of(node));
     let leader = |node: usize| topo.map_or(node, |t| t.leader_of(node));
@@ -101,7 +105,7 @@ pub(super) fn agree_min<const L: usize, C: Comm>(
             );
         }
     }
-    cur.map(|v| (v > 0).then(|| v as f64 / 1024.0))
+    cur.map(|v| (v < u32::MAX).then(|| v as f64 / 1024.0))
 }
 
 /// Executions between continuous-calibration rounds on an `Auto`
@@ -133,9 +137,8 @@ const CALIB_MAX_SCALE: f64 = 64.0;
 /// communicator-wide **minimum** measured ratio through a one-lane
 /// [`agree_min`] (minimum = the most conservative wire-size estimate;
 /// `min` is order-independent, so every rank lands on the identical
-/// value and therefore the identical schedule). If any rank has no
-/// sample yet, the agreement yields none and the nominal selection
-/// stands.
+/// value and therefore the identical schedule). Ranks with no sample
+/// yet abstain; if none has one, the nominal selection stands.
 ///
 /// **Continuous calibration**, every [`CALIB_PERIOD`]-th execution
 /// afterwards, for kinds whose [`Kind::TUNING`] asks for it (see
@@ -153,10 +156,11 @@ pub(super) fn retune<K: Kind, C: Comm>(core: &mut PlanCore, kind: &mut K, comm: 
     let rerank_in_calibration = calibrates && core.session.cluster().is_some();
     let picked = if !(core.reranked || rerank_in_calibration) {
         core.reranked = true;
-        let local = [core.session.feedback.ratio().unwrap_or(0.0)];
+        let local = [core.session.feedback.ratio()];
         let view = &mut CommView::stamped(comm, core.op());
         let topo = core.session.cluster().map(|c| &c.topo);
         let [ratio] = agree_min(view, topo, tags::AGREE_RERANK, local, &mut core.ws.pool);
+        core.stats.agreed_ratio = ratio;
         ratio.map(|ratio| select(kind, core.session.select_ctx_with_ratio(ratio)))
     } else if calibrates && core.stats.executions.is_multiple_of(CALIB_PERIOD) {
         calibrate(core, kind, comm)
@@ -185,9 +189,9 @@ pub(super) fn retune<K: Kind, C: Comm>(core: &mut PlanCore, kind: &mut K, comm: 
 /// same exchange carries the measured compression ratio the closing
 /// re-rank selects with as a second lane — one two-lane [`agree_min`]
 /// per round, over a tag band disjoint from the one-shot re-rank's: a
-/// round with no network signal (lane 0 empty) returns before touching
-/// the scales, one with no ratio sample (lane 1 empty) re-ranks at the
-/// nominal ratio. The correction splits
+/// round with no network signal (a rank's lane 0 at zero) returns before
+/// touching the scales, one where no rank has a ratio sample (lane 1
+/// empty) re-ranks at the nominal ratio. The correction splits
 /// between α and β by the model's own finite-difference sensitivities
 /// and is damped (square root per round) and clamped to `[1/64, 64]`, so
 /// one noisy window cannot fling selection across the schedule space; a
@@ -204,14 +208,14 @@ fn calibrate<K: Kind, C: Comm>(core: &mut PlanCore, kind: &K, comm: &mut C) -> O
     }
     let measured = core.stats.ewma_makespan.as_secs_f64();
     let r_local = ((measured - floor) / (pred - floor)).max(0.0);
-    let local_ratio = core.session.feedback.ratio().unwrap_or(0.0);
     let view = &mut CommView::stamped(comm, core.op());
     let topo = core.session.cluster().map(|c| &c.topo);
-    let local = [r_local, local_ratio];
+    let local = [Some(r_local), core.session.feedback.ratio()];
     let [r, ratio] = agree_min(view, topo, tags::AGREE_CALIB, local, &mut core.ws.pool);
-    // `None`: some rank's measured makespan sits below its compute
-    // floor — no trustworthy network signal this round.
-    let r = r?;
+    core.stats.agreed_ratio = ratio;
+    // Zero: some rank's measured makespan sits below its compute floor —
+    // no trustworthy network signal this round.
+    let r = r.filter(|&r| r > 0.0)?;
     if (r - 1.0).abs() >= CALIB_DEADBAND {
         let share = ctx.alpha_share(schedule, len);
         let clamp = |s: f64| s.clamp(1.0 / CALIB_MAX_SCALE, CALIB_MAX_SCALE);

@@ -1301,8 +1301,9 @@ mod tests {
     /// The two ends of the lane range are the shapes the transposed
     /// order degenerates to, message for message: per-rank (messages,
     /// bytes) of two executions on a 4x4 cluster. One lane is the
-    /// single-leader schedule this machine replaced, bytes as captured
-    /// at the last commit that had that schedule (ed3c63b); the group
+    /// single-leader schedule this machine replaced, messages as captured
+    /// at the last commit that had that schedule (ed3c63b), SZx bytes
+    /// re-pinned for grid-anchored block bases; the group
     /// tree's raw edges now stream their 10 000 values in two
     /// sub-chunks, so each member's messages up the tree double, and the
     /// fan-out down it stays one message per edge. Four lanes — groups
@@ -1323,14 +1324,14 @@ mod tests {
             let sent = out.traffics.iter().map(|t| (t.messages_sent, t.bytes_sent));
             sent.collect::<Vec<_>>()
         };
-        let leader: Vec<_> = [209_154, 209_168, 209_100, 209_152]
+        let leader: Vec<_> = [209_022, 209_032, 208_966, 209_018]
             .into_iter()
             .flat_map(|leader| [(12, leader), (4, 80_000), (6, 160_000), (4, 80_000)])
             .collect();
         assert_eq!(sent(1), leader);
         let owners: Vec<_> = [
-            132_464, 132_466, 132_198, 132_470, 132_468, 132_408, 132_344, 132_480, 132_410,
-            132_210, 132_432, 132_466, 132_540, 132_156, 132_432, 132_496,
+            132_432, 132_436, 132_166, 132_436, 132_436, 132_374, 132_314, 132_442, 132_376,
+            132_180, 132_402, 132_436, 132_500, 132_124, 132_402, 132_466,
         ]
         .into_iter()
         .map(|bytes| (20, bytes))
