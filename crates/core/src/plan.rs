@@ -905,6 +905,52 @@ mod tests {
         assert!(out.results.iter().all(|got| *got == expected(256, 1)));
     }
 
+    /// On a laned hierarchical SZx `Auto` plan only the lane owners
+    /// compress, so most ranks never measure a ratio. Agreed over the
+    /// samples such a plan leaves behind, the ratio lane carries the
+    /// least the owners measured instead of the empty ranks' veto.
+    #[test]
+    fn laned_szx_auto_agrees_on_the_owners_ratio() {
+        let (nodes, per_node, len) = (4, 4, 1 << 13);
+        let world = nodes * per_node;
+        let topo = Topology::uniform(nodes, per_node);
+        let cluster = ClusterNet::new(topo.clone(), HierNet::cluster_default());
+        let out = SimWorld::new(SimConfig::new(world).with_cluster(cluster)).run(move |c| {
+            let session = CCollSession::new(crate::CodecSpec::Szx { error_bound: 1e-3 }, world)
+                .with_topology(topo.clone(), HierNet::cluster_default());
+            let mut plan = session.plan_allreduce_with(len, ReduceOp::Sum, PlanOptions::new());
+            let input: Vec<f32> = (0..len)
+                .map(|i| ((i * 7 + c.rank() * 131) as f32 * 1e-3).sin() * 4.0)
+                .collect();
+            let mut out = vec![0.0f32; len];
+            // Past the first agreement, which runs at the fifth start.
+            for _ in 0..5 {
+                plan.execute_into(c, &input, &mut out);
+            }
+            let measured = session.measured_ratio();
+            let mut pool = PayloadPool::new();
+            let agreed = agree_min(c, Some(&topo), tags::AGREE_RERANK, [measured], &mut pool);
+            (plan.hier_lanes(), measured, agreed[0])
+        });
+        let (lanes, _, agreed) = out.results[0];
+        assert!(lanes.is_some_and(|l| l > 1), "not a laned plan: {lanes:?}");
+        let measured: Vec<f64> = out.results.iter().filter_map(|r| r.1).collect();
+        assert!(
+            !measured.is_empty() && measured.len() < world,
+            "{} of {world} ranks measured a ratio",
+            measured.len()
+        );
+        let least = measured.iter().copied().fold(f64::INFINITY, f64::min);
+        let agreed = agreed.expect("the owners' ratio was agreed");
+        assert!(
+            (agreed - least).abs() <= 1.0 / 1024.0,
+            "agreed {agreed}, least {least}"
+        );
+        for (rank, r) in out.results.iter().enumerate() {
+            assert_eq!(r.2, Some(agreed), "rank {rank}");
+        }
+    }
+
     /// Two raw ring allreduces (a bare `RingRs` + `RingAg` each) on one
     /// communicator: one blocking run after the other without `stamps`;
     /// with them, stepped turn and turn about, each through its own

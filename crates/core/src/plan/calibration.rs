@@ -160,7 +160,6 @@ pub(super) fn retune<K: Kind, C: Comm>(core: &mut PlanCore, kind: &mut K, comm: 
         let view = &mut CommView::stamped(comm, core.op());
         let topo = core.session.cluster().map(|c| &c.topo);
         let [ratio] = agree_min(view, topo, tags::AGREE_RERANK, local, &mut core.ws.pool);
-        core.stats.agreed_ratio = ratio;
         ratio.map(|ratio| select(kind, core.session.select_ctx_with_ratio(ratio)))
     } else if calibrates && core.stats.executions.is_multiple_of(CALIB_PERIOD) {
         calibrate(core, kind, comm)
@@ -212,7 +211,6 @@ fn calibrate<K: Kind, C: Comm>(core: &mut PlanCore, kind: &K, comm: &mut C) -> O
     let topo = core.session.cluster().map(|c| &c.topo);
     let local = [Some(r_local), core.session.feedback.ratio()];
     let [r, ratio] = agree_min(view, topo, tags::AGREE_CALIB, local, &mut core.ws.pool);
-    core.stats.agreed_ratio = ratio;
     // Zero: some rank's measured makespan sits below its compute floor —
     // no trustworthy network signal this round.
     let r = r.filter(|&r| r > 0.0)?;

@@ -173,11 +173,6 @@ pub struct PlanStats {
     /// Compression ratio measured during the most recent execution, if
     /// the plan's codec compressed anything.
     pub observed_ratio: Option<f64>,
-    /// Compression ratio the last `Auto` agreement settled on (the
-    /// communicator-wide minimum over the ranks that measured one), the
-    /// ratio the plan's re-rank selected with. `None` before the first
-    /// agreement, or when no rank had measured a ratio.
-    pub agreed_ratio: Option<f64>,
     /// Wait timeouts this plan's executions absorbed with a re-armed
     /// retry (zero unless a fault policy is active on the `Comm`).
     pub retries: u64,

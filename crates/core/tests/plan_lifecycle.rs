@@ -213,53 +213,6 @@ fn auto_control_plane_costs_under_one_percent_on_a_cluster() {
     );
 }
 
-/// On a laned hierarchical SZx plan only the lane owners compress, so
-/// most ranks never measure a compression ratio. They abstain from the
-/// `Auto` agreement instead of vetoing it: every rank re-ranks with the
-/// same agreed ratio, the least the owners measured.
-#[test]
-fn laned_szx_auto_agrees_on_the_owners_ratio() {
-    let (nodes, per_node, len) = (4, 4, 1 << 13);
-    let world = nodes * per_node;
-    let cluster = ClusterNet::new(
-        Topology::uniform(nodes, per_node),
-        HierNet::cluster_default(),
-    );
-    let out = SimWorld::new(SimConfig::new(world).with_cluster(cluster.clone())).run(move |c| {
-        let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-3 }, world)
-            .with_topology(cluster.topo.clone(), cluster.net);
-        let mut plan = session.plan_allreduce_with(len, ReduceOp::Sum, PlanOptions::new());
-        let input = rank_data(c.rank(), len);
-        let mut out = vec![0.0f32; len];
-        // The first agreement runs at the start after the fourth.
-        for _ in 0..5 {
-            plan.execute_into(c, &input, &mut out);
-        }
-        (
-            plan.hier_lanes(),
-            session.measured_ratio(),
-            plan.stats().agreed_ratio,
-        )
-    });
-    let (lanes, _, agreed) = out.results[0];
-    assert!(lanes.is_some_and(|l| l > 1), "not a laned plan: {lanes:?}");
-    let agreed = agreed.expect("the owners' ratio was agreed");
-    let measured: Vec<f64> = out.results.iter().filter_map(|r| r.1).collect();
-    assert!(
-        !measured.is_empty() && measured.len() < world,
-        "{} of {world} ranks measured a ratio",
-        measured.len()
-    );
-    let least = measured.iter().copied().fold(f64::INFINITY, f64::min);
-    assert!(
-        (agreed - least).abs() <= 1.0 / 1024.0,
-        "agreed {agreed}, least {least}"
-    );
-    for (rank, r) in out.results.iter().enumerate() {
-        assert_eq!(r.2, Some(agreed), "rank {rank}");
-    }
-}
-
 /// Every plan of a 2,048-plan session is started before any completes,
 /// then one engine drains them [`MAX_LIVE_OPS`] at a time: no slot is
 /// shared, and each operation gets exactly its own sum.
