@@ -11,16 +11,25 @@
 //!
 //! ## Network model
 //!
-//! Transfers follow an α–β model with endpoint serialization:
+//! Transfers follow an α–β model with endpoint serialization. Every
+//! port carries one message at a time:
 //!
-//! * a message of `n` bytes from `s` to `d` starts when `s`'s egress port
-//!   and `d`'s ingress port are both free (ports are FIFO — this is what
-//!   makes a binomial-tree root's successive sends serialize, as they do
-//!   on a real NIC);
-//! * the sender's egress is busy for `n·β` (β = 1/bandwidth) — a
-//!   non-blocking send *completes* at that point (buffered/eager
-//!   semantics);
-//! * the payload arrives at `start + α + n·β` (cut-through, latency α).
+//! * a message of `n` bytes occupies its sender's egress for `n·β`
+//!   (β = 1/bandwidth) — a non-blocking send *completes* then
+//!   (buffered/eager semantics) — and its receiver's ingress from
+//!   `start`, the first instant that ingress is free, until the payload
+//!   arrives at `start + α + n·β` (cut-through, latency α);
+//! * a rank's private port has nothing between its ends: its message
+//!   leaves at `start`, once the far ingress is free too, and its egress
+//!   queue is FIFO (this is what makes a binomial-tree root's successive
+//!   sends serialize, as they do on a real NIC);
+//! * a node's shared NIC (with a [`crate::topology::ClusterNet`]
+//!   attached, every cross-node message) sends into a switch that holds
+//!   the bytes until the far NIC's ingress takes them at `start`. The NIC
+//!   sends its messages back to back, each as soon as it is free, so one
+//!   lane's message to a busy node does not hold back another lane's
+//!   message to an idle one; and since a message's `start` is never
+//!   before its edge's last arrival, every `(src, dst)` edge stays FIFO.
 //!
 //! Compute kernels run for real (producing real bytes) but charge modeled
 //! durations from a [`CostModel`] via [`Comm::charge_duration`].
@@ -628,17 +637,24 @@ impl SimKernel {
         // contend for one egress/ingress pair, exactly the contention
         // that hierarchical leader-only schedules sidestep.
         let n = self.size;
-        let (link, sp, dp) = match &self.cluster {
-            Some(c) if !c.topo.same_node(me, dst) => {
-                (c.net.inter, n + c.topo.node_of(me), n + c.topo.node_of(dst))
-            }
-            Some(c) => (c.net.intra, me, dst),
-            None => (self.net, me, dst),
+        let (link, sp, dp, nic) = match &self.cluster {
+            Some(c) if !c.topo.same_node(me, dst) => (
+                c.net.inter,
+                n + c.topo.node_of(me),
+                n + c.topo.node_of(dst),
+                true,
+            ),
+            Some(c) => (c.net.intra, me, dst, false),
+            None => (self.net, me, dst, false),
         };
         let tx = link.tx_time(len).as_nanos() as u64;
         let alpha = link.latency.as_nanos() as u64;
-        let start = g.now.max(g.egress_free[sp]).max(g.ingress_free[dp]);
-        let egress_done = start + tx;
+        let egress_start = g.now.max(g.egress_free[sp]);
+        let start = egress_start.max(g.ingress_free[dp]);
+        // A private port sends from `start`, once the far ingress is free.
+        // A node NIC sends from `egress_start` into the switch, which
+        // holds the bytes until the far ingress takes them at `start`.
+        let egress_done = if nic { egress_start } else { start } + tx;
         let mut arrival = start + alpha + tx;
         let mut ingress_busy = arrival;
         let mut deliver = true;
@@ -1448,6 +1464,88 @@ mod tests {
         });
         assert_eq!(out.results[1], 1_000_000);
         assert_eq!(out.results[2], 2_000_000);
+    }
+
+    #[test]
+    fn a_busy_far_ingress_does_not_block_the_shared_nic() {
+        // Three nodes of two ranks, α = 10 µs and 1 byte = 1 ns across
+        // nodes. Node 2 keeps node 1's ingress busy until 1.010 ms. Rank 0
+        // then sends 1 MB and 1 KB to node 1, and rank 1, on the same NIC,
+        // 1 MB to the idle node 2: rank 1's message leaves once rank 0's
+        // have left the NIC (1.002 ms), not once they have crossed node
+        // 1's ingress, and node 1 still receives rank 0's two in order.
+        use crate::topology::{ClusterNet, HierNet, Topology};
+        const ALPHA: u64 = 10_000;
+        let link = NetModel {
+            latency: Duration::from_nanos(ALPHA),
+            bandwidth: 1e9,
+        };
+        let net = HierNet {
+            intra: link,
+            inter: link,
+        };
+        let cfg = SimConfig::new(6).with_cluster(ClusterNet::new(Topology::uniform(3, 2), net));
+        let out = SimWorld::new(cfg).run(|c| {
+            // (bytes, when the send completed) per message, in order.
+            let sent = |c: &mut SimComm, dsts: &[(usize, usize)]| -> Vec<(usize, u64)> {
+                let reqs: Vec<_> = dsts
+                    .iter()
+                    .map(|&(d, n)| (n, c.isend(d, 1, Bytes::from(vec![0u8; n]))))
+                    .collect();
+                reqs.into_iter()
+                    .map(|(n, r)| {
+                        c.wait_send(r);
+                        (n, c.now().as_nanos())
+                    })
+                    .collect()
+            };
+            // (bytes, arrival) per message, in order.
+            let recvd = |c: &mut SimComm, src, k| -> Vec<(usize, u64)> {
+                (0..k)
+                    .map(|_| (c.recv(src, 1).len(), c.now().as_nanos()))
+                    .collect()
+            };
+            match c.rank() {
+                4 => sent(c, &[(2, 1_000_000)]),
+                0 => {
+                    c.charge_duration(Duration::from_micros(1), Category::Others);
+                    sent(c, &[(3, 1_000_000), (3, 1_000)])
+                }
+                1 => {
+                    c.charge_duration(Duration::from_micros(2), Category::Others);
+                    sent(c, &[(5, 1_000_000)])
+                }
+                2 => recvd(c, 4, 1),
+                3 => recvd(c, 0, 2),
+                _ => recvd(c, 1, 1),
+            }
+        });
+        let r = &out.results;
+        assert_eq!(r[4], [(1_000_000, 1_000_000)]);
+        assert_eq!(r[0], [(1_000_000, 1_001_000), (1_000, 1_002_000)]);
+        assert_eq!(r[1], [(1_000_000, 2_002_000)]);
+        assert_eq!(r[2], [(1_000_000, 1_010_000)]);
+        assert_eq!(r[3], [(1_000_000, 2_020_000), (1_000, 2_031_000)]);
+        assert_eq!(r[5], [(1_000_000, 2_012_000)]);
+        // Neither port carries two messages at once: node 0's NIC sends
+        // each message in the `n` ns before its send completes, node 1's
+        // ingress takes each in the `α + n` ns before it arrives.
+        let disjoint = |spans: Vec<(u64, u64)>| {
+            let mut v = spans;
+            v.sort();
+            v.windows(2).all(|w| w[0].1 <= w[1].0)
+        };
+        let span = |lead: u64| move |&(n, end): &(usize, u64)| (end - lead - n as u64, end);
+        assert!(disjoint(r[0].iter().chain(&r[1]).map(span(0)).collect()));
+        assert!(disjoint(
+            r[2].iter().chain(&r[3]).map(span(ALPHA)).collect()
+        ));
+        // No message arrives sooner than α after its last byte left.
+        for (s, d) in [(4, 2), (0, 3), (1, 5)] {
+            for (tx, rx) in r[s].iter().zip(&r[d]) {
+                assert!(rx.1 >= tx.1 + ALPHA, "{s}->{d}: {tx:?} then {rx:?}");
+            }
+        }
     }
 
     #[test]
