@@ -21,8 +21,9 @@ const GATE_SEED: u64 = 1;
 
 /// SZx stream bytes of the gate's field at each error bound. Storing
 /// every block base as a raw `f32` (the `"SZX1"` stream) took 36 629,
-/// 439 009 and 840 066 bytes.
-const PINNED: [(f32, usize); 3] = [(1e-2, 6_256), (1e-3, 392_925), (1e-4, 814_040)];
+/// 439 009 and 840 066 bytes; grid bases with plain quantized blocks only
+/// (`"SZX2"`) 6 256, 392 925 and 814 040.
+const PINNED: [(f32, usize); 3] = [(1e-2, 6_256), (1e-3, 278_441), (1e-4, 454_012)];
 
 fn ratio(d: &[f32], eb: f32) -> f64 {
     (d.len() * 4) as f64 / SzxCodec::new(eb).compress(d).expect("compress").len() as f64

@@ -150,8 +150,9 @@ pub fn available_levels() -> Vec<SimdLevel> {
         .collect()
 }
 
-/// Signature of the quantize kernel: `(block, mid, eb, codes) -> (z_or, ok)`.
-type QuantizeFn = fn(&[f32], f32, f32, &mut [u32]) -> (u32, bool);
+/// Signature of the quantize kernel:
+/// `(block, mid, eb, codes, deltas) -> (z_or, d_or, ok)`.
+type QuantizeFn = fn(&[f32], f32, f32, &mut [u32], &mut [u32]) -> (u32, u32, bool);
 
 /// A resolved table of hot-loop kernels for one [`SimdLevel`].
 ///
@@ -164,8 +165,8 @@ pub struct Kernels {
     level: SimdLevel,
     minmax_finite: fn(&[f32]) -> (f32, f32, bool),
     quantize: QuantizeFn,
-    dequantize: fn(&[u32], f32, f32, &mut [f32]),
-    dequantize_fold: fn(&[u32], f32, f32, ReduceKind, &mut [f32]),
+    dequantize: fn(&[u32], f32, f32, bool, &mut [f32]),
+    dequantize_fold: fn(&[u32], f32, f32, bool, ReduceKind, &mut [f32]),
     fold_slice: fn(ReduceKind, &mut [f32], &[f32]),
     fold_splat: fn(ReduceKind, &mut [f32], f32),
 }
@@ -186,25 +187,39 @@ impl Kernels {
         (self.minmax_finite)(block)
     }
 
-    /// SZx encode pass 2: quantize `block` against `(mid, eb)` into
-    /// zigzag codes, returning `(z_or, ok)` where `z_or` ORs every code
-    /// (for the width computation) and `ok` clears if any code overflows
+    /// SZx encode pass 2: quantize `block` against `(mid, eb)` into the
+    /// zigzag codes `codes[i] = zigzag(q[i])` and their first
+    /// differences `deltas[i] = zigzag(q[i] − q[i−1])`, with `q[−1] = 0`
+    /// (so `deltas[0] = codes[0]`). Returns `(z_or, d_or, ok)`: `z_or`
+    /// ORs every code and `d_or` every difference but the first (for the
+    /// plain and the delta width), and `ok` clears if any code overflows
     /// [`MAX_QUANT_BITS`] or any reconstruction misses the bound. When
-    /// `ok` is false the contents of `codes` are unspecified (the caller
-    /// falls back to a verbatim block).
+    /// `ok` is false the outputs are unspecified (the caller falls back to
+    /// a verbatim block).
     #[inline]
-    pub fn quantize(&self, block: &[f32], mid: f32, eb: f32, codes: &mut [u32]) -> (u32, bool) {
+    pub fn quantize(
+        &self,
+        block: &[f32],
+        mid: f32,
+        eb: f32,
+        codes: &mut [u32],
+        deltas: &mut [u32],
+    ) -> (u32, u32, bool) {
         debug_assert_eq!(block.len(), codes.len());
-        (self.quantize)(block, mid, eb, codes)
+        debug_assert_eq!(block.len(), deltas.len());
+        (self.quantize)(block, mid, eb, codes, deltas)
     }
 
-    /// SZx decode: reconstruct `dst[i] = (mid + unzigzag(codes[i])·eb) as f32`
+    /// SZx decode: reconstruct `dst[i] = (mid + q[i]·eb) as f32`
     /// (arithmetic in f64, one final rounding — identical to the scalar
-    /// decode loop).
+    /// decode loop), where `q[i]` is `unzigzag(codes[i])`, or with
+    /// `delta` the prefix sum of the `unzigzag(codes[..=i])` (the
+    /// `deltas` [`Kernels::quantize`] writes; wrapping, so a corrupt
+    /// stream reconstructs garbage but never panics).
     #[inline]
-    pub fn dequantize(&self, codes: &[u32], mid: f32, eb: f32, dst: &mut [f32]) {
+    pub fn dequantize(&self, codes: &[u32], mid: f32, eb: f32, delta: bool, dst: &mut [f32]) {
         debug_assert_eq!(codes.len(), dst.len());
-        (self.dequantize)(codes, mid, eb, dst)
+        (self.dequantize)(codes, mid, eb, delta, dst)
     }
 
     /// Fused decompress-reduce: like [`Kernels::dequantize`] but each
@@ -216,11 +231,12 @@ impl Kernels {
         codes: &[u32],
         mid: f32,
         eb: f32,
+        delta: bool,
         op: ReduceKind,
         dst: &mut [f32],
     ) {
         debug_assert_eq!(codes.len(), dst.len());
-        (self.dequantize_fold)(codes, mid, eb, op, dst)
+        (self.dequantize_fold)(codes, mid, eb, delta, op, dst)
     }
 
     /// Fold `src` into `dst` element-wise with `op` ([`ReduceKind::fold`]
@@ -343,19 +359,49 @@ pub(crate) mod scalar {
         (min, max, finite)
     }
 
-    pub(crate) fn quantize(block: &[f32], mid: f32, eb: f32, codes: &mut [u32]) -> (u32, bool) {
+    pub(crate) fn quantize(
+        block: &[f32],
+        mid: f32,
+        eb: f32,
+        codes: &mut [u32],
+        deltas: &mut [u32],
+    ) -> (u32, u32, bool) {
+        let out = quantize_after(block, mid, eb, codes, deltas, None);
+        if let (Some(d), Some(&c)) = (deltas.first_mut(), codes.first()) {
+            *d = c;
+        }
+        out
+    }
+
+    /// [`quantize`] of a run of values whose first difference is taken
+    /// from `prev` (a vector kernel's last code), or from the first code
+    /// itself (0, left out of `d_or`; the caller stores `deltas[0]`).
+    pub(crate) fn quantize_after(
+        block: &[f32],
+        mid: f32,
+        eb: f32,
+        codes: &mut [u32],
+        deltas: &mut [u32],
+        prev: Option<i32>,
+    ) -> (u32, u32, bool) {
         let mid64 = mid as f64;
         let eb64 = eb as f64;
         let inv_eb = 1.0 / eb64;
+        // Ties-to-even so the vector units' native rounding matches (see
+        // the module docs); the bound-check below is rounding-rule-
+        // agnostic either way.
+        let quant = |x: f32| ((x as f64 - mid64) * inv_eb).round_ties_even();
+        let mut prev = prev.unwrap_or_else(|| block.first().map_or(0, |&x| quant(x) as i32));
         let mut z_or = 0u32;
+        let mut d_or = 0u32;
         let mut ok = true;
-        for (c, &x) in codes.iter_mut().zip(block) {
-            // Ties-to-even so the vector units' native rounding matches
-            // (see the module docs); the bound-check below is rounding-
-            // rule-agnostic either way.
-            let qf = ((x as f64 - mid64) * inv_eb).round_ties_even();
+        for ((c, dz), &x) in codes.iter_mut().zip(deltas.iter_mut()).zip(block) {
+            let qf = quant(x);
             ok &= qf.abs() < QUANT_LIMIT;
             let q = qf as i32;
+            *dz = zigzag(q.wrapping_sub(prev));
+            d_or |= *dz;
+            prev = q;
             // Paranoid reconstruction check: guarantees the invariant even
             // in exponent ranges where f32 rounding of x̂ is comparable to
             // eb.
@@ -367,14 +413,63 @@ pub(crate) mod scalar {
             // width computation needs — cheaper than a max reduction.
             z_or |= z;
         }
-        (z_or, ok)
+        (z_or, d_or, ok)
     }
 
-    pub(crate) fn dequantize(codes: &[u32], mid: f32, eb: f32, dst: &mut [f32]) {
+    /// Values per pass of a delta run's decode. Its prefix sum is a
+    /// serial chain of adds, so it runs as its own pass into a stack
+    /// buffer, and the convert / fold loop after it vectorizes as the
+    /// plain form's does.
+    const RUN: usize = 64;
+
+    /// Call `emit` on each run of at most [`RUN`] values of `dst` with
+    /// the signed codes of the matching `codes`, a delta run whose prefix
+    /// sum continues from `q` (a vector kernel's last lane).
+    #[inline(always)]
+    fn prefix_runs(
+        codes: &[u32],
+        mut q: i32,
+        dst: &mut [f32],
+        mut emit: impl FnMut(&mut [f32], &[i32]),
+    ) {
+        let mut run = [0i32; RUN];
+        for (c, d) in codes.chunks(RUN).zip(dst.chunks_mut(RUN)) {
+            let run = &mut run[..c.len()];
+            for (s, &z) in run.iter_mut().zip(c) {
+                q = q.wrapping_add(unzigzag(z));
+                *s = q;
+            }
+            emit(d, run);
+        }
+    }
+
+    pub(crate) fn dequantize(codes: &[u32], mid: f32, eb: f32, delta: bool, dst: &mut [f32]) {
+        dequantize_after(codes, mid, eb, delta, 0, dst);
+    }
+
+    /// [`dequantize`] of a run whose prefix sum starts at `q` (ignored
+    /// unless `delta`).
+    pub(crate) fn dequantize_after(
+        codes: &[u32],
+        mid: f32,
+        eb: f32,
+        delta: bool,
+        q: i32,
+        dst: &mut [f32],
+    ) {
         let mid64 = mid as f64;
         let eb64 = eb as f64;
-        for (d, &z) in dst.iter_mut().zip(codes) {
-            *d = (mid64 + unzigzag(z) as f64 * eb64) as f32;
+        let value = |q: i32| (mid64 + q as f64 * eb64) as f32;
+        if delta {
+            prefix_runs(codes, q, dst, |dst, qs| {
+                for (d, &q) in dst.iter_mut().zip(qs) {
+                    *d = value(q);
+                }
+            });
+        } else {
+            for (d, &z) in dst.iter_mut().zip(codes) {
+                *d = value(unzigzag(z));
+            }
         }
     }
 
@@ -382,13 +477,37 @@ pub(crate) mod scalar {
         codes: &[u32],
         mid: f32,
         eb: f32,
+        delta: bool,
+        op: ReduceKind,
+        dst: &mut [f32],
+    ) {
+        dequantize_fold_after(codes, mid, eb, delta, 0, op, dst);
+    }
+
+    /// [`dequantize_fold`] of a run whose prefix sum starts at `q`
+    /// (ignored unless `delta`).
+    pub(crate) fn dequantize_fold_after(
+        codes: &[u32],
+        mid: f32,
+        eb: f32,
+        delta: bool,
+        q: i32,
         op: ReduceKind,
         dst: &mut [f32],
     ) {
         let mid64 = mid as f64;
         let eb64 = eb as f64;
-        for (d, &z) in dst.iter_mut().zip(codes) {
-            *d = op.fold(*d, (mid64 + unzigzag(z) as f64 * eb64) as f32);
+        let value = |q: i32| (mid64 + q as f64 * eb64) as f32;
+        if delta {
+            prefix_runs(codes, q, dst, |dst, qs| {
+                for (d, &q) in dst.iter_mut().zip(qs) {
+                    *d = op.fold(*d, value(q));
+                }
+            });
+        } else {
+            for (d, &z) in dst.iter_mut().zip(codes) {
+                *d = op.fold(*d, value(unzigzag(z)));
+            }
         }
     }
 
@@ -458,9 +577,9 @@ mod x86 {
     }
 
     entry!(minmax_finite_avx2 => minmax_finite_avx2_imp, fn(block: &[f32]) -> (f32, f32, bool));
-    entry!(quantize_avx2 => quantize_avx2_imp, fn(block: &[f32], mid: f32, eb: f32, codes: &mut [u32]) -> (u32, bool));
-    entry!(dequantize_avx2 => dequantize_avx2_imp, fn(codes: &[u32], mid: f32, eb: f32, dst: &mut [f32]));
-    entry!(dequantize_fold_avx2 => dequantize_fold_avx2_imp, fn(codes: &[u32], mid: f32, eb: f32, op: ReduceKind, dst: &mut [f32]));
+    entry!(quantize_avx2 => quantize_avx2_imp, fn(block: &[f32], mid: f32, eb: f32, codes: &mut [u32], deltas: &mut [u32]) -> (u32, u32, bool));
+    entry!(dequantize_avx2 => dequantize_avx2_imp, fn(codes: &[u32], mid: f32, eb: f32, delta: bool, dst: &mut [f32]));
+    entry!(dequantize_fold_avx2 => dequantize_fold_avx2_imp, fn(codes: &[u32], mid: f32, eb: f32, delta: bool, op: ReduceKind, dst: &mut [f32]));
     entry!(fold_slice_avx2 => fold_slice_avx2_imp, fn(op: ReduceKind, dst: &mut [f32], src: &[f32]));
     entry!(fold_splat_avx2 => fold_splat_avx2_imp, fn(op: ReduceKind, dst: &mut [f32], v: f32));
 
@@ -510,8 +629,9 @@ mod x86 {
         mid: f32,
         eb: f32,
         codes: &mut [u32],
-    ) -> (u32, bool) {
-        let n = block.len().min(codes.len());
+        deltas: &mut [u32],
+    ) -> (u32, u32, bool) {
+        let n = block.len().min(codes.len()).min(deltas.len());
         let mid_v = _mm256_set1_pd(mid as f64);
         let eb_v = _mm256_set1_pd(eb as f64);
         let inv_v = _mm256_set1_pd(1.0 / (eb as f64));
@@ -519,6 +639,11 @@ mod x86 {
         let absmask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFF_FFFF_FFFF_FFFF));
         let mut ok_v = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
         let mut zor_v = _mm_setzero_si128();
+        let mut dor_v = _mm_setzero_si128();
+        // Lane 3 holds the code before the current four. The first code's
+        // predecessor is itself (difference 0, out of `d_or`), and
+        // `deltas[0]` is stored last.
+        let mut prev_v = _mm_setzero_si128();
         let mut i = 0;
         while i + 4 <= n {
             let xd = _mm256_cvtps_pd(_mm_loadu_ps(block.as_ptr().add(i)));
@@ -541,35 +666,85 @@ mod x86 {
             )));
             let diff = _mm256_and_pd(_mm256_sub_pd(xd, xhat), absmask);
             ok_v = _mm256_and_pd(ok_v, _mm256_cmp_pd::<_CMP_LE_OQ>(diff, eb_v));
-            let z = _mm_xor_si128(_mm_slli_epi32::<1>(q), _mm_srai_epi32::<31>(q));
+            let z = zigzag4(q);
             _mm_storeu_si128(codes.as_mut_ptr().add(i).cast(), z);
             zor_v = _mm_or_si128(zor_v, z);
+            if i == 0 {
+                prev_v = _mm_shuffle_epi32::<0>(q);
+            }
+            let d = zigzag4(_mm_sub_epi32(q, _mm_alignr_epi8::<12>(q, prev_v)));
+            _mm_storeu_si128(deltas.as_mut_ptr().add(i).cast(), d);
+            dor_v = _mm_or_si128(dor_v, d);
+            prev_v = q;
             i += 4;
         }
         let mut z_or = horizontal_or_u32(zor_v);
+        let mut d_or = horizontal_or_u32(dor_v);
         let mut ok = _mm256_movemask_pd(ok_v) == 0xF;
-        let (tz, tok) = scalar::quantize(&block[i..n], mid, eb, &mut codes[i..n]);
+        let prev = (i > 0).then(|| _mm_extract_epi32::<3>(prev_v));
+        let (tz, td, tok) = scalar::quantize_after(
+            &block[i..n],
+            mid,
+            eb,
+            &mut codes[i..n],
+            &mut deltas[i..n],
+            prev,
+        );
         z_or |= tz;
+        d_or |= td;
         ok &= tok;
-        (z_or, ok)
+        if n > 0 {
+            deltas[0] = codes[0];
+        }
+        (z_or, d_or, ok)
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn dequantize_avx2_imp(codes: &[u32], mid: f32, eb: f32, dst: &mut [f32]) {
+    unsafe fn zigzag4(q: __m128i) -> __m128i {
+        _mm_xor_si128(_mm_slli_epi32::<1>(q), _mm_srai_epi32::<31>(q))
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn dequantize_avx2_imp(codes: &[u32], mid: f32, eb: f32, delta: bool, dst: &mut [f32]) {
+        match delta {
+            true => dequantize_run::<true>(codes, mid, eb, dst),
+            false => dequantize_run::<false>(codes, mid, eb, dst),
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn dequantize_run<const DELTA: bool>(codes: &[u32], mid: f32, eb: f32, dst: &mut [f32]) {
         let n = codes.len().min(dst.len());
         let mid_v = _mm256_set1_pd(mid as f64);
         let eb_v = _mm256_set1_pd(eb as f64);
+        let mut carry = _mm_setzero_si128();
         let mut i = 0;
         while i + 8 <= n {
-            let x = dequant8(codes.as_ptr().add(i), mid_v, eb_v);
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), x);
+            let q = signed8::<DELTA>(codes.as_ptr().add(i), &mut carry);
+            _mm256_storeu_ps(dst.as_mut_ptr().add(i), dequant8(q, mid_v, eb_v));
             i += 8;
         }
-        scalar::dequantize(&codes[i..n], mid, eb, &mut dst[i..n]);
+        let q = _mm_cvtsi128_si32(carry);
+        scalar::dequantize_after(&codes[i..n], mid, eb, DELTA, q, &mut dst[i..n]);
     }
 
     #[target_feature(enable = "avx2")]
     unsafe fn dequantize_fold_avx2_imp(
+        codes: &[u32],
+        mid: f32,
+        eb: f32,
+        delta: bool,
+        op: ReduceKind,
+        dst: &mut [f32],
+    ) {
+        match delta {
+            true => dequantize_fold_run::<true>(codes, mid, eb, op, dst),
+            false => dequantize_fold_run::<false>(codes, mid, eb, op, dst),
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn dequantize_fold_run<const DELTA: bool>(
         codes: &[u32],
         mid: f32,
         eb: f32,
@@ -579,36 +754,65 @@ mod x86 {
         let n = codes.len().min(dst.len());
         let mid_v = _mm256_set1_pd(mid as f64);
         let eb_v = _mm256_set1_pd(eb as f64);
+        let mut carry = _mm_setzero_si128();
         let mut i = 0;
         while i + 8 <= n {
-            let v = dequant8(codes.as_ptr().add(i), mid_v, eb_v);
+            let v = dequant8(
+                signed8::<DELTA>(codes.as_ptr().add(i), &mut carry),
+                mid_v,
+                eb_v,
+            );
             let d = _mm256_loadu_ps(dst.as_ptr().add(i));
             _mm256_storeu_ps(dst.as_mut_ptr().add(i), fold8(op, d, v));
             i += 8;
         }
-        scalar::dequantize_fold(&codes[i..n], mid, eb, op, &mut dst[i..n]);
+        let (q, rest) = (_mm_cvtsi128_si32(carry), &mut dst[i..n]);
+        scalar::dequantize_fold_after(&codes[i..n], mid, eb, DELTA, q, op, rest);
     }
 
-    /// Reconstruct eight values: unzigzag in epi32, widen each half to
-    /// f64×4, `mid + q·eb`, narrow back to f32 — the exact op sequence of
-    /// the scalar expression `(mid64 + q as f64 * eb64) as f32`.
+    /// The signed codes of eight zigzag codes, as two halves:
+    /// unzigzagged, or (`DELTA`) their prefix sum from `carry`, which
+    /// then holds the last one in every lane. The run's own sums are
+    /// scanned in registers (within each half, then the low half's total
+    /// into the high half) off the carried path: from step to step only
+    /// the one add into `carry` is carried.
     #[target_feature(enable = "avx2")]
-    unsafe fn dequant8(codes: *const u32, mid_v: __m256d, eb_v: __m256d) -> __m256 {
+    unsafe fn signed8<const DELTA: bool>(codes: *const u32, carry: &mut __m128i) -> [__m128i; 2] {
         let z = _mm256_loadu_si256(codes.cast());
-        let q = _mm256_xor_si256(
+        let mut q = _mm256_xor_si256(
             _mm256_srli_epi32::<1>(z),
             _mm256_sub_epi32(
                 _mm256_setzero_si256(),
                 _mm256_and_si256(z, _mm256_set1_epi32(1)),
             ),
         );
+        if DELTA {
+            q = _mm256_add_epi32(q, _mm256_slli_si256::<4>(q));
+            q = _mm256_add_epi32(q, _mm256_slli_si256::<8>(q));
+        }
+        let (lo, hi) = (_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+        if !DELTA {
+            return [lo, hi];
+        }
+        let hi = _mm_add_epi32(hi, _mm_shuffle_epi32::<0xFF>(lo));
+        let total = _mm_shuffle_epi32::<0xFF>(hi);
+        let run = [_mm_add_epi32(lo, *carry), _mm_add_epi32(hi, *carry)];
+        *carry = _mm_add_epi32(*carry, total);
+        run
+    }
+
+    /// Reconstruct eight values from their signed codes: widen each half
+    /// to f64×4, `mid + q·eb`, narrow back to f32 — the exact op sequence
+    /// of the scalar expression `(mid64 + q as f64 * eb64) as f32`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn dequant8([lo, hi]: [__m128i; 2], mid_v: __m256d, eb_v: __m256d) -> __m256 {
         let lo = _mm256_cvtpd_ps(_mm256_add_pd(
             mid_v,
-            _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(q)), eb_v),
+            _mm256_mul_pd(_mm256_cvtepi32_pd(lo), eb_v),
         ));
         let hi = _mm256_cvtpd_ps(_mm256_add_pd(
             mid_v,
-            _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(q)), eb_v),
+            _mm256_mul_pd(_mm256_cvtepi32_pd(hi), eb_v),
         ));
         _mm256_set_m128(hi, lo)
     }

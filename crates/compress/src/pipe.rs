@@ -26,7 +26,7 @@
 //! ## Stream layout
 //!
 //! ```text
-//! magic   u32  "SZXQ"
+//! magic   u32  "SZXR"
 //! count   u64  number of f32 values
 //! chunk   u32  chunk size in values
 //! bsize   u16  SZx block size in values
@@ -47,10 +47,10 @@ use crate::szx::{
 };
 use crate::traits::{CodecKind, CompressError, Compressor, ReduceKind};
 
-/// Stream magic: `"SZXQ"` little-endian (chunk bodies carry the
-/// grid-anchored block bases of `"SZX2"`; `"SZXP"` streams carried raw
-/// `f32` bases and are rejected).
-pub const PIPE_MAGIC: u32 = 0x5158_5A53;
+/// Stream magic: `"SZXR"` little-endian (chunk bodies carry the
+/// delta-coded blocks of `"SZX3"`; `"SZXQ"` streams, plain quantized
+/// blocks only, and `"SZXP"` streams, raw `f32` bases, are rejected).
+pub const PIPE_MAGIC: u32 = 0x5258_5A53;
 
 /// Default pipeline chunk size in values — the paper's 5120 data points.
 pub const DEFAULT_CHUNK: usize = 5120;
@@ -516,10 +516,19 @@ mod tests {
     #[test]
     fn raw_base_stream_magic_rejected() {
         // A stream of the raw-`f32`-base layout ("SZXP") is refused by its
-        // magic, not misread as grid-coded chunk bodies.
+        // magic, not misread as delta-coded chunk bodies.
         let codec = PipeSzx::new(1e-3);
         let mut c = codec.compress(&wave(6000)).unwrap();
         c[..4].copy_from_slice(b"SZXP");
+        assert_eq!(codec.decompress(&c).unwrap_err(), CompressError::BadMagic);
+    }
+
+    #[test]
+    fn plain_block_stream_magic_rejected() {
+        // Chunk bodies of plain quantized blocks only ("SZXQ") likewise.
+        let codec = PipeSzx::new(1e-3);
+        let mut c = codec.compress(&wave(6000)).unwrap();
+        c[..4].copy_from_slice(b"SZXQ");
         assert_eq!(codec.decompress(&c).unwrap_err(), CompressError::BadMagic);
     }
 

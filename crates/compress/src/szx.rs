@@ -16,7 +16,8 @@
 //!   where SZx gets both its speed and its ratio.
 //! * **Quantized block** — otherwise the values are encoded by
 //!   block-floating-point quantization: `q = round((x − base) / eb)`
-//!   packed at the block-wide minimal bit width. Reconstruction is
+//!   packed at the block-wide minimal bit width, or, when that is
+//!   shorter, delta-coded (see below). Reconstruction is
 //!   `x̂ = base + q·eb`, so the pointwise error is at most `eb/2` plus one
 //!   `f32` rounding step. (The reference SZx truncates IEEE mantissas to a
 //!   block-wide required bit count; base-relative quantization has the
@@ -54,17 +55,32 @@
 //! reference restarts at `k = 0` at the start of every stream and every
 //! PIPE-SZx chunk, so each still decodes on its own.
 //!
+//! ## Delta-coded blocks
+//!
+//! On smooth data neighbouring codes differ by far less than the block's
+//! range, so a quantized block may instead store `q_0` at the block's
+//! width `m` and then `zigzag(q_i − q_{i−1})`, `i ≥ 1`, at their own
+//! block-wide width `md` (cuSZ's dual-quantization, cuSZp's per-block
+//! 1-D Lorenzo). The encoder takes this form only when its body is
+//! strictly shorter, `5 + (n−1)·md < (n−1)·m` for a block of `n` values,
+//! so no block grows. The codes `q_i` are the plain form's, so every
+//! value reconstructs to the same bits: the quantize kernel writes both
+//! the codes and their differences, and the dequantize kernels
+//! prefix-sum the differences back in registers.
+//!
 //! ## Stream layout
 //!
 //! ```text
-//! magic  u32  "SZX2"
+//! magic  u32  "SZX3"
 //! count  u64  number of f32 values
 //! bsize  u16  block size in values
 //! eb     f32  absolute error bound
 //! body   bitstream of blocks, LSB first:
 //!   constant   tag 0 (2 bits)  base
-//!   quantized  tag 1 (2 bits)  base  width−1 (5 bits)  zigzag codes (width bits each)
+//!   quantized  tag 1 (2 bits)  base  m−1 (5 bits)  zigzag codes (m bits each)
 //!   verbatim   tag 2 (2 bits)  IEEE words (32 bits each)
+//!   delta      tag 3 (2 bits)  base  m−1 (5 bits)  md−1 (5 bits)
+//!              zigzag(q_0) (m bits)  zigzag(q_i − q_{i−1}) (md bits each)
 //! base  0 (1 bit)  Elias-gamma of zigzag(k − previous k) + 1 (at most 31 bits)
 //!     | 1 (1 bit)  the exact f32 base (32 bits)
 //! ```
@@ -74,9 +90,10 @@ use crate::bytecodec::{put_f32, put_u16, put_u32, put_u64, ByteReader};
 use crate::dispatch::{self, Kernels, SimdLevel};
 use crate::traits::{CodecKind, CompressError, Compressor, ReduceKind};
 
-/// Stream magic: `"SZX2"` little-endian (grid-anchored bases; `"SZX1"`
+/// Stream magic: `"SZX3"` little-endian (delta-coded blocks; `"SZX2"`
+/// had grid-anchored bases but only plain quantized blocks, and `"SZX1"`
 /// stored every base as a raw `f32`).
-pub const SZX_MAGIC: u32 = 0x3258_5A53;
+pub const SZX_MAGIC: u32 = 0x3358_5A53;
 
 /// Default block size in values, matching the SZx reference implementation.
 pub const DEFAULT_BLOCK: usize = 128;
@@ -88,6 +105,7 @@ pub const MAX_QUANT_BITS: u32 = 28;
 const TAG_CONSTANT: u32 = 0;
 const TAG_QUANTIZED: u32 = 1;
 const TAG_VERBATIM: u32 = 2;
+const TAG_DELTA: u32 = 3;
 
 /// Largest grid index `|k|` a base is stored as; a base more than 2⁵⁰
 /// error bounds from zero is escaped (`k` stays an exact `f64` integer,
@@ -523,18 +541,35 @@ pub(crate) fn encode_blocks(
     k: &Kernels,
     w: &mut BitWriter,
 ) {
-    // One stack scratch shared by every block (the MAX_BLOCK cap is
-    // enforced by `with_block_size`).
+    encode_blocks_as(data, eb, block_size, k, w, true);
+}
+
+/// [`encode_blocks`], with the delta form allowed or not: the plain
+/// stream is the tests' oracle for the delta form's reconstruction.
+fn encode_blocks_as(
+    data: &[f32],
+    eb: f32,
+    block_size: usize,
+    k: &Kernels,
+    w: &mut BitWriter,
+    delta: bool,
+) {
+    // One stack scratch of codes and of their differences shared by
+    // every block (the MAX_BLOCK cap is enforced by `with_block_size`).
     let mut codes = [0u32; MAX_BLOCK];
+    let mut deltas = [0u32; MAX_BLOCK];
     let mut bases = Bases::new(eb);
     for block in data.chunks(block_size) {
-        encode_block(block, eb, k, w, &mut codes[..block.len()], &mut bases);
+        let n = block.len();
+        let scratch = (&mut codes[..n], &mut deltas[..n]);
+        encode_block(block, eb, k, w, scratch, &mut bases, delta);
     }
 }
 
-/// Classify and encode one block. `codes` is caller-provided scratch of
-/// exactly `block.len()` entries; `bases` is the stream's base state
-/// (see the module docs).
+/// Classify and encode one block. `(codes, deltas)` is caller-provided
+/// scratch of exactly `block.len()` entries each; `bases` is the
+/// stream's base state (see the module docs); `delta` allows the delta
+/// form.
 ///
 /// The analysis passes live in [`crate::dispatch`] (SIMD with a scalar
 /// fallback, both branch-free accumulator-style loops); classification
@@ -544,8 +579,9 @@ fn encode_block(
     eb: f32,
     k: &Kernels,
     w: &mut BitWriter,
-    codes: &mut [u32],
+    (codes, deltas): (&mut [u32], &mut [u32]),
     bases: &mut Bases,
+    delta: bool,
 ) {
     let eb64 = eb as f64;
     // Pass 1: block min/max + finiteness.
@@ -605,32 +641,70 @@ fn encode_block(
     let centre = mid as f64 * bases.inv_eb + 0.5;
     let keeps = |b: f32| bases.quant_width(min, max, b).is_some_and(|m| m <= width);
     let mut base = bases.snap(mid, centre, keeps);
-    // Pass 2: quantize + zigzag (see `dispatch` for the kernel contract;
-    // `ok` clears on code overflow or a reconstruction outside the bound).
-    let (mut z_or, mut ok) = k.quantize(block, bases.value(base), eb, codes);
+    // Pass 2: quantize + zigzag, codes and first differences (see
+    // `dispatch` for the kernel contract; `ok` clears on code overflow
+    // or a reconstruction outside the bound).
+    let (mut z_or, mut d_or, mut ok) = k.quantize(block, bases.value(base), eb, codes, deltas);
     if !ok && matches!(base, Base::Grid(_)) {
         base = Base::Exact(mid);
-        (z_or, ok) = k.quantize(block, mid, eb, codes);
+        (z_or, d_or, ok) = k.quantize(block, mid, eb, codes, deltas);
     }
     if !ok {
         write_verbatim(block, w);
         return;
     }
-    let m = (32 - z_or.leading_zeros()).max(1);
+    let m = code_width(z_or);
     debug_assert!(m <= width, "the base widened the block: {m} > {width}");
-    // Tag, base and width in one write: at most 2 + 33 + 5 bits.
     let (code, len) = bases.code(base);
+    // The delta form stores `q_0` at width m and the n − 1 differences at
+    // their own width md, behind a second width field: taken only when
+    // that is strictly shorter, so no block grows.
+    let (md, rest) = (code_width(d_or), block.len() - 1);
+    if delta && 5 + rest * (md as usize) < rest * (m as usize) {
+        // Tag, base and both widths in one write: at most 2 + 33 + 10 bits.
+        let head = TAG_DELTA as u64
+            | code << 2
+            | ((m - 1) as u64) << (2 + len)
+            | ((md - 1) as u64) << (2 + len + 5);
+        w.write_bits(head, 2 + len + 10);
+        // `deltas[0]` is `q_0`'s own code.
+        w.write_bits(deltas[0] as u64, m);
+        write_codes(&deltas[1..], md, w);
+        return;
+    }
+    // Tag, base and width in one write: at most 2 + 33 + 5 bits.
     let head = TAG_QUANTIZED as u64 | code << 2 | ((m - 1) as u64) << (2 + len);
     w.write_bits(head, 2 + len + 5);
-    // Pass 3: pack. Pairing halves the `write_bits` calls; 2m ≤ 56 bits
-    // always fits one staging word.
-    let mut pairs = codes.chunks_exact(2);
-    for pair in &mut pairs {
-        let packed = pair[0] as u64 | ((pair[1] as u64) << m);
-        w.write_bits(packed, 2 * m);
+    write_codes(codes, m, w);
+}
+
+/// Bits of the widest of the codes whose OR is `or`.
+#[inline]
+fn code_width(or: u32) -> u32 {
+    (32 - or.leading_zeros()).max(1)
+}
+
+/// Pass 3: pack codes of width `m`, LSB first, as many to a
+/// `write_bits` call as one 64-bit staging word holds: four when
+/// `m ≤ 16` (the delta form's differences and most smooth blocks), else
+/// two (2m ≤ 56).
+#[inline]
+fn write_codes(codes: &[u32], m: u32, w: &mut BitWriter) {
+    match m {
+        ..=16 => write_groups::<4>(codes, m, w),
+        _ => write_groups::<2>(codes, m, w),
     }
-    if let [last] = pairs.remainder() {
-        w.write_bits(*last as u64, m);
+}
+
+#[inline]
+fn write_groups<const K: usize>(codes: &[u32], m: u32, w: &mut BitWriter) {
+    let mut groups = codes.chunks_exact(K);
+    for group in &mut groups {
+        let packed = group.iter().rev().fold(0, |acc, &c| acc << m | c as u64);
+        w.write_bits(packed, K as u32 * m);
+    }
+    for &c in groups.remainder() {
+        w.write_bits(c as u64, m);
     }
 }
 
@@ -648,20 +722,53 @@ fn write_verbatim(block: &[f32], w: &mut BitWriter) {
     }
 }
 
-/// Unpack the pair-packed zigzag codes of one quantized block into
-/// `codes`. Mirror of the paired pack loop: one `read_bits` per two
-/// values.
+/// Unpack the codes of one quantized block into `codes`: the zigzag
+/// codes (`md` is `None`), or `q_0`'s code then the first differences at
+/// width `md`, which `dequantize*` prefix-sum back.
+#[inline]
+fn read_block(
+    r: &mut BitReader<'_>,
+    m: u32,
+    md: Option<u32>,
+    codes: &mut [u32],
+) -> Result<(), CompressError> {
+    let Some(md) = md else {
+        return read_codes(r, m, codes);
+    };
+    codes[0] = r.read_bits(m).map_err(|_| CompressError::Truncated)? as u32;
+    read_codes(r, md, &mut codes[1..])
+}
+
+/// Unpack codes of width `m` into `codes`. Mirror of [`write_codes`]:
+/// one `read_bits` per four values when `m ≤ 16`, else per two (a
+/// corrupt width reads at most 2·32 bits).
 #[inline]
 fn read_codes(r: &mut BitReader<'_>, m: u32, codes: &mut [u32]) -> Result<(), CompressError> {
-    let mask = (1u64 << m) - 1;
-    let mut pairs = codes.chunks_exact_mut(2);
-    for pair in &mut pairs {
-        let packed = r.read_bits(2 * m).map_err(|_| CompressError::Truncated)?;
-        pair[0] = (packed & mask) as u32;
-        pair[1] = (packed >> m) as u32;
+    match m {
+        ..=16 => read_groups::<4>(r, m, codes),
+        _ => read_groups::<2>(r, m, codes),
     }
-    if let [last] = pairs.into_remainder() {
-        *last = r.read_bits(m).map_err(|_| CompressError::Truncated)? as u32;
+}
+
+#[inline]
+fn read_groups<const K: usize>(
+    r: &mut BitReader<'_>,
+    m: u32,
+    codes: &mut [u32],
+) -> Result<(), CompressError> {
+    let mask = (1u64 << m) - 1;
+    let mut groups = codes.chunks_exact_mut(K);
+    for group in &mut groups {
+        let mut packed = r
+            .read_bits(K as u32 * m)
+            .map_err(|_| CompressError::Truncated)?;
+        for c in group {
+            *c = (packed & mask) as u32;
+            packed >>= m;
+        }
+    }
+    for c in groups.into_remainder() {
+        *c = r.read_bits(m).map_err(|_| CompressError::Truncated)? as u32;
     }
     Ok(())
 }
@@ -689,9 +796,10 @@ pub(crate) fn decode_blocks_into(
         match read_head(r, &mut bases)? {
             // `resize` lowers to a memset-style fill.
             Head::Constant(base) => out.resize(out.len() + len, base),
-            Head::Quantized(base, m) => {
-                read_codes(r, m, &mut scratch.codes[..len])?;
-                k.dequantize(&scratch.codes[..len], base, eb, &mut scratch.vals[..len]);
+            Head::Quantized(base, m, md) => {
+                let codes = &mut scratch.codes[..len];
+                read_block(r, m, md, codes)?;
+                k.dequantize(codes, base, eb, md.is_some(), &mut scratch.vals[..len]);
                 out.extend_from_slice(&scratch.vals[..len]);
             }
             Head::Verbatim => {
@@ -706,20 +814,22 @@ pub(crate) fn decode_blocks_into(
 /// A block's tag and base, as [`read_head`] parsed them.
 enum Head {
     Constant(f32),
-    /// The base and the code width.
-    Quantized(f32, u32),
+    /// The base, the code width and, in the delta form, the width of the
+    /// differences.
+    Quantized(f32, u32, Option<u32>),
     Verbatim,
 }
 
-/// Parse a block's tag, its base and (quantized) its code width, all
-/// from one peek: at most 2 + 33 + 5 bits.
+/// Parse a block's tag, its base and (quantized) its code widths, all
+/// from one peek: at most 2 + 33 + 10 bits.
 #[inline]
 fn read_head(r: &mut BitReader<'_>, bases: &mut Bases) -> Result<Head, CompressError> {
-    let bits = r.peek_bits_padded(2 + ESCAPE_BITS + 5);
+    let bits = r.peek_bits_padded(2 + ESCAPE_BITS + 10);
     let tag = (bits & 3) as u32;
+    let width = |at: u32| ((bits >> at) & 31) as u32 + 1;
     let (head, used) = match tag {
         TAG_VERBATIM => (Head::Verbatim, 2),
-        TAG_CONSTANT | TAG_QUANTIZED => {
+        _ => {
             let Some((base, len)) = bases.read(bits >> 2) else {
                 // Past the end the peek reads zeros, which look like an
                 // overlong code.
@@ -729,16 +839,14 @@ fn read_head(r: &mut BitReader<'_>, bases: &mut Bases) -> Result<Head, CompressE
                     CompressError::CorruptHeader
                 });
             };
-            if tag == TAG_CONSTANT {
-                (Head::Constant(base), 2 + len)
-            } else {
-                let m = ((bits >> (2 + len)) & 31) as u32 + 1;
-                (Head::Quantized(base, m), 2 + len + 5)
+            match tag {
+                TAG_CONSTANT => (Head::Constant(base), 2 + len),
+                TAG_QUANTIZED => (Head::Quantized(base, width(2 + len), None), 2 + len + 5),
+                _ => (
+                    Head::Quantized(base, width(2 + len), Some(width(2 + len + 5))),
+                    2 + len + 10,
+                ),
             }
-        }
-        _ => {
-            r.skip_bits(2).map_err(|_| CompressError::Truncated)?;
-            return Err(CompressError::CorruptHeader);
         }
     };
     r.skip_bits(used).map_err(|_| CompressError::Truncated)?;
@@ -828,14 +936,15 @@ pub(crate) fn decode_blocks(
                 Some(op) => k.fold_splat(op, block, base),
                 None => block.fill(base),
             },
-            Head::Quantized(base, m) => {
+            Head::Quantized(base, m, md) => {
                 let codes = &mut scratch.codes[..len];
-                read_codes(r, m, codes)?;
+                read_block(r, m, md, codes)?;
+                let delta = md.is_some();
                 match fold {
                     // Fused kernel: reconstruct and fold straight into
                     // the accumulator slice, no intermediate values.
-                    Some(op) => k.dequantize_fold(codes, base, eb, op, block),
-                    None => k.dequantize(codes, base, eb, block),
+                    Some(op) => k.dequantize_fold(codes, base, eb, delta, op, block),
+                    None => k.dequantize(codes, base, eb, delta, block),
                 }
             }
             Head::Verbatim => match fold {
@@ -858,6 +967,7 @@ pub(crate) fn decode_blocks(
 mod tests {
     use super::*;
     use crate::traits::RoundTripStats;
+    use proptest::prelude::*;
 
     fn assert_bounded(data: &[f32], eb: f32) -> RoundTripStats {
         let codec = SzxCodec::new(eb);
@@ -1031,6 +1141,162 @@ mod tests {
         );
         c.truncate(SZX_HEADER_BYTES + 2);
         assert_eq!(codec.decompress(&c).unwrap_err(), CompressError::Truncated);
+    }
+
+    /// The stream `codec` writes for `data` without the delta form: the
+    /// oracle for what a delta-coded stream must reconstruct.
+    fn plain_stream(codec: &SzxCodec, data: &[f32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, SZX_MAGIC);
+        put_u64(&mut out, data.len() as u64);
+        put_u16(&mut out, codec.block_size as u16);
+        put_f32(&mut out, codec.error_bound);
+        let mut w = BitWriter::from_vec(out);
+        let k = dispatch::kernels(SimdLevel::Scalar);
+        encode_blocks_as(data, codec.error_bound, codec.block_size, k, &mut w, false);
+        w.into_bytes()
+    }
+
+    /// At every dispatch level: the stream is the scalar one, no longer
+    /// than the plain stream nor than `max_compressed_bytes`, and it
+    /// decodes (stored and folded) to the plain stream's bits. Returns
+    /// the delta and the plain stream lengths.
+    fn assert_reconstructs_plain(codec: SzxCodec, data: &[f32]) -> (usize, usize) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let plain = plain_stream(&codec, data);
+        let want = codec.decompress(&plain).unwrap();
+        let scalar = codec
+            .with_dispatch(SimdLevel::Scalar)
+            .compress(data)
+            .unwrap();
+        assert!(scalar.len() <= plain.len());
+        assert!(scalar.len() <= codec.max_compressed_bytes(data.len()));
+        for level in dispatch::available_levels() {
+            let codec = codec.with_dispatch(level);
+            assert_eq!(codec.compress(data).unwrap(), scalar, "{level:?} stream");
+            assert_eq!(
+                bits(&codec.decompress(&scalar).unwrap()),
+                bits(&want),
+                "{level:?}"
+            );
+            let (mut got, mut expect) = (vec![1.5f32; data.len()], vec![1.5f32; data.len()]);
+            codec
+                .decompress_reduce_into(&scalar, ReduceKind::Sum, &mut got, &mut Vec::new())
+                .unwrap();
+            for (e, &v) in expect.iter_mut().zip(&want) {
+                *e = ReduceKind::Sum.fold(*e, v);
+            }
+            assert_eq!(bits(&got), bits(&expect), "{level:?} fold");
+        }
+        (scalar.len(), plain.len())
+    }
+
+    #[test]
+    fn delta_blocks_reconstruct_the_plain_bits() {
+        let eb = 1e-3f32;
+        // Smooth waves at 1 to 4096 values per block, with tails of one
+        // and two values.
+        let wave: Vec<f32> = (0..2 * 128 + 2).map(|i| (i as f32 * 0.05).sin()).collect();
+        for bs in [1usize, 2, 3, 7, 128, 4096] {
+            let (delta, plain) =
+                assert_reconstructs_plain(SzxCodec::with_block_size(eb, bs), &wave);
+            // A block of one value has no difference to code; two values
+            // need 5 + md < m.
+            if bs == 1 {
+                assert_eq!(delta, plain);
+            }
+            if bs >= 128 {
+                assert!(delta < plain, "block size {bs}: {delta} >= {plain}");
+            }
+        }
+        for tail in [129, 130] {
+            assert_reconstructs_plain(SzxCodec::new(eb), &wave[..tail]);
+        }
+        // NaN/inf blocks stay verbatim beside delta-coded ones.
+        let mut mixed = wave.clone();
+        mixed[5] = f32::NAN;
+        mixed[200] = f32::NEG_INFINITY;
+        assert_reconstructs_plain(SzxCodec::new(eb), &mixed);
+    }
+
+    #[test]
+    fn delta_form_is_taken_only_when_shorter() {
+        let codec = SzxCodec::new(1.0);
+        // A staircase down one step a value, 0 to −127: around grid point
+        // −63 (a 14-bit base code) the codes 63…−64 need 7 bits plain,
+        // and every difference is −1, 1 bit. Plain: tag, base, width and
+        // 128·7 bits. Delta: tag, base, two widths, q₀'s 7 bits and 127
+        // one-bit steps.
+        let stair: Vec<f32> = (0..128).map(|i| -(i as f32)).collect();
+        let (delta, plain) = assert_reconstructs_plain(codec, &stair);
+        let head = 2 + 14 + 5;
+        assert_eq!(plain, SZX_HEADER_BYTES + (head + 128 * 7usize).div_ceil(8));
+        assert_eq!(
+            delta,
+            SZX_HEADER_BYTES + (head + 5 + 7 + 127usize).div_ceil(8)
+        );
+        // Alternating extremes: codes near ±2²⁶, the widest the classifier
+        // keeps (27 bits), whose differences need 29 bits. The delta form
+        // must lose, so the stream is the plain one.
+        let far = ((1 << 26) - 8) as f32;
+        let alternating: Vec<f32> = (0..128)
+            .map(|i| if i % 2 == 0 { far } else { -far })
+            .collect();
+        let plain = plain_stream(&codec, &alternating);
+        assert_eq!(
+            plain.len(),
+            SZX_HEADER_BYTES + (2 + 2 + 5 + 128 * 27usize).div_ceil(8)
+        );
+        assert_eq!(codec.compress(&alternating).unwrap(), plain);
+        assert_reconstructs_plain(codec, &alternating);
+        // A ramp across that whole range: 27-bit codes, 21-bit steps.
+        let ramp: Vec<f32> = (0..128).map(|i| -far + (i * (1 << 20)) as f32).collect();
+        let (delta, plain) = assert_reconstructs_plain(codec, &ramp);
+        assert!(delta < plain, "{delta} >= {plain}");
+    }
+
+    #[test]
+    fn older_stream_magics_rejected() {
+        // Plain-block ("SZX2") and raw-base ("SZX1") streams are refused
+        // by their magic, not misread as delta-coded blocks.
+        let codec = SzxCodec::new(1e-3);
+        let mut c = codec.compress(&[1.0, 2.0]).unwrap();
+        for old in [b"SZX2", b"SZX1"] {
+            c[..4].copy_from_slice(old);
+            assert_eq!(codec.decompress(&c).unwrap_err(), CompressError::BadMagic);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Random walks with jumps: the delta stream decodes to the plain
+        // stream's bits at every level and block size.
+        #[test]
+        fn delta_streams_reconstruct_the_plain_bits(
+            steps in prop::collection::vec(-64i32..64, 1..700),
+            jumps in prop::collection::vec(0usize..700, 0..4),
+            bs in prop_oneof![1usize..9, 120usize..136],
+            eb in prop_oneof![
+                Just(1e-1f32),
+                Just(1e-3f32),
+                Just(1e-5f32),
+            ],
+        ) {
+            let mut x = 0.0f64;
+            let data: Vec<f32> = steps
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| {
+                    x += s as f64 * 0.3 * eb as f64;
+                    if jumps.contains(&i) {
+                        x = -x * 1e3 - 7.0;
+                    }
+                    x as f32
+                })
+                .collect();
+            assert_reconstructs_plain(SzxCodec::with_block_size(eb, bs), &data);
+        }
     }
 
     #[test]

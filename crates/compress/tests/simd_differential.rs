@@ -281,9 +281,28 @@ fn check_block_kernels(block: &[f32], eb: f32) {
     let (smin, smax, sfinite) = scalar.minmax_finite(block);
     let mid = ((smin as f64 + smax as f64) / 2.0) as f32;
     let mut scodes = vec![0u32; block.len()];
-    let (s_zor, s_ok) = scalar.quantize(block, mid, eb, &mut scodes);
+    let mut sdeltas = vec![0u32; block.len()];
+    let (s_zor, s_dor, s_ok) = scalar.quantize(block, mid, eb, &mut scodes, &mut sdeltas);
     let mut sdeq = vec![0.0f32; block.len()];
-    scalar.dequantize(&scodes, mid, eb, &mut sdeq);
+    scalar.dequantize(&scodes, mid, eb, false, &mut sdeq);
+    if s_ok {
+        // The differences are those of the codes, `q[−1] = 0`, and the
+        // delta dequantize of them rebuilds the same values.
+        let q = |z: u32| ((z >> 1) as i32) ^ -((z & 1) as i32);
+        let zz = |d: i32| ((d << 1) ^ (d >> 31)) as u32;
+        let want: Vec<u32> = (0..block.len())
+            .map(|i| zz(q(scodes[i]).wrapping_sub(if i == 0 { 0 } else { q(scodes[i - 1]) })))
+            .collect();
+        assert_eq!(
+            sdeltas, want,
+            "scalar deltas are not the codes' differences"
+        );
+        let dor = want.iter().skip(1).fold(0, |or, &d| or | d);
+        assert_eq!(s_dor, dor, "scalar d_or is not the later differences' OR");
+        let mut from_deltas = vec![0.0f32; block.len()];
+        scalar.dequantize(&sdeltas, mid, eb, true, &mut from_deltas);
+        assert_bits_eq(&from_deltas, &sdeq, "scalar delta dequantize");
+    }
     for level in dispatch::available_levels() {
         let k = dispatch::kernels(level);
         let (vmin, vmax, vfinite) = k.minmax_finite(block);
@@ -299,15 +318,42 @@ fn check_block_kernels(block: &[f32], eb: f32) {
             level.label()
         );
         let mut vcodes = vec![0u32; block.len()];
-        let (v_zor, v_ok) = k.quantize(block, mid, eb, &mut vcodes);
+        let mut vdeltas = vec![0u32; block.len()];
+        let (v_zor, v_dor, v_ok) = k.quantize(block, mid, eb, &mut vcodes, &mut vdeltas);
         assert_eq!(v_ok, s_ok, "quantize ok diverged at {}", level.label());
         if s_ok {
             assert_eq!(v_zor, s_zor, "z_or diverged at {}", level.label());
+            assert_eq!(v_dor, s_dor, "d_or diverged at {}", level.label());
             assert_eq!(vcodes, scodes, "codes diverged at {}", level.label());
+            assert_eq!(vdeltas, sdeltas, "deltas diverged at {}", level.label());
         }
         let mut vdeq = vec![0.0f32; block.len()];
-        k.dequantize(&scodes, mid, eb, &mut vdeq);
+        k.dequantize(&scodes, mid, eb, false, &mut vdeq);
         assert_bits_eq(&vdeq, &sdeq, &format!("dequantize {}", level.label()));
+    }
+}
+
+/// The delta form of the decode kernels on arbitrary codes, wrapping
+/// prefix sums included: every level reconstructs and folds the scalar
+/// bits.
+fn check_delta_dequantize(codes: &[u32], mid: f32, eb: f32, acc: &[f32]) {
+    let scalar = dispatch::kernels(SimdLevel::Scalar);
+    let acc: Vec<f32> = acc.iter().copied().cycle().take(codes.len()).collect();
+    let mut sdeq = vec![0.0f32; codes.len()];
+    scalar.dequantize(codes, mid, eb, true, &mut sdeq);
+    for level in dispatch::available_levels() {
+        let k = dispatch::kernels(level);
+        let mut vdeq = vec![0.0f32; codes.len()];
+        k.dequantize(codes, mid, eb, true, &mut vdeq);
+        assert_bits_eq(&vdeq, &sdeq, &format!("delta dequantize {}", level.label()));
+        for op in ops() {
+            let mut fused = acc.clone();
+            k.dequantize_fold(codes, mid, eb, true, op, &mut fused);
+            let mut want = acc.clone();
+            scalar.fold_slice(op, &mut want, &sdeq);
+            let what = format!("delta dequantize_fold {op:?}/{}", level.label());
+            assert_fold_eq(&fused, &want, op, &what);
+        }
     }
 }
 
@@ -383,6 +429,19 @@ proptest! {
         eb in error_bound(),
     ) {
         check_block_kernels(&block, eb);
+    }
+
+    // The delta decode kernels on small differences (smooth blocks) and
+    // on full-range ones (wrapping prefix sums), at every block length.
+    #[test]
+    fn delta_dequantize_matches_scalar(
+        small in prop::collection::vec(0u32..64, 0..300),
+        wide in prop::collection::vec(any::<u32>(), 0..300),
+        acc in prop::collection::vec(special_f32(), 1..64),
+        eb in error_bound(),
+    ) {
+        check_delta_dequantize(&small, 0.5, eb, &acc);
+        check_delta_dequantize(&wide, -3.0, eb, &acc);
     }
 
     // Wire byte paths: encode→decode is the identity on bits for every

@@ -1303,7 +1303,8 @@ mod tests {
     /// bytes) of two executions on a 4x4 cluster. One lane is the
     /// single-leader schedule this machine replaced, messages as captured
     /// at the last commit that had that schedule (ed3c63b), SZx bytes
-    /// re-pinned for grid-anchored block bases; the group
+    /// re-pinned for grid-anchored block bases and again for delta-coded
+    /// blocks; the group
     /// tree's raw edges now stream their 10 000 values in two
     /// sub-chunks, so each member's messages up the tree double, and the
     /// fan-out down it stays one message per edge. Four lanes — groups
@@ -1324,14 +1325,14 @@ mod tests {
             let sent = out.traffics.iter().map(|t| (t.messages_sent, t.bytes_sent));
             sent.collect::<Vec<_>>()
         };
-        let leader: Vec<_> = [209_022, 209_032, 208_966, 209_018]
+        let leader: Vec<_> = [188_776, 188_800, 188_942, 188_894]
             .into_iter()
             .flat_map(|leader| [(12, leader), (4, 80_000), (6, 160_000), (4, 80_000)])
             .collect();
         assert_eq!(sent(1), leader);
         let owners: Vec<_> = [
-            132_432, 132_436, 132_166, 132_436, 132_436, 132_374, 132_314, 132_442, 132_376,
-            132_180, 132_402, 132_436, 132_500, 132_124, 132_402, 132_466,
+            127_326, 127_302, 127_202, 127_380, 127_358, 127_244, 127_264, 127_382, 127_444,
+            127_244, 127_272, 127_328, 127_376, 127_218, 127_328, 127_334,
         ]
         .into_iter()
         .map(|bytes| (20, bytes))

@@ -541,20 +541,20 @@ fn cpr_data_movement_baselines_keep_their_virtual_time_and_traffic() {
         let (mut out, mut ws) = (vec![0.0f32; 20_000], CollWorkspace::new());
         cpr_binomial_bcast_into(c, &szx(), ROOT, &src, &mut out, &mut ws);
     });
-    assert_pinned(bcast, (419_483, 6, 158_946), "bcast");
+    assert_pinned(bcast, (367_523, 6, 75_810), "bcast");
     let scatter = world().run(move |c| {
         let src = data(ROOT, if c.rank() == ROOT { 20_000 } else { 0 });
         let mut out = vec![0.0f32; chunk_lengths(20_000, N)[c.rank()]];
         let mut ws = CollWorkspace::new();
         cpr_binomial_scatter_into(c, &szx(), ROOT, &src, 20_000, &mut out, &mut ws);
     });
-    assert_pinned(scatter, (115_126, 6, 34_129), "scatter");
+    assert_pinned(scatter, (100_344, 6, 16_408), "scatter");
     let alltoall = world().run(move |c| {
         let send = data(c.rank(), N * 3_000);
         let (mut out, mut ws) = (vec![0.0f32; N * 3_000], CollWorkspace::new());
         cpr_pairwise_alltoall_into(c, &szx(), &send, &mut out, &mut ws);
     });
-    assert_pinned(alltoall, (159_062, 42, 166_776), "all-to-all");
+    assert_pinned(alltoall, (143_666, 42, 80_592), "all-to-all");
 }
 
 /// The CPR-P2P bcast sends one message per tree edge, `n − 1` in all: a

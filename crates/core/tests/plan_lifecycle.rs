@@ -47,6 +47,11 @@ macro_rules! lifecycle_conformance {
                 assert_eq!(session.live_ops(), 0);
 
                 // InFlight → Poisoned(Abandoned): dropped mid-operation.
+                // Every rank starts at once, so no rank finds its whole
+                // operation already delivered: a root that finished the
+                // clean run last would otherwise meet its leaves' (small,
+                // compressed) messages already landed.
+                c.barrier();
                 {
                     let mut handle = plan.start(c, &input, &mut out);
                     assert_eq!(session.live_ops(), 1);
