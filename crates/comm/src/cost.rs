@@ -190,10 +190,14 @@ impl CostModel {
     /// `pipelined`, every reducing hop — ring reduce-scatter rounds,
     /// butterfly rounds and folds — is priced as the PIPE-SZx stream it
     /// runs (`CostModel::piped_hop`): the paper's pipelining credit
-    /// (§III-A2), sub-chunk `j + 1` encoding while `j` is on the wire. A
-    /// leg at CPR-P2P — every reducing hop without the pipeline, the
-    /// butterflies' unfold and Rabenseifner's doubling rounds always —
-    /// pays `BufferMgmt` on each encode and decode. Uncompressed
+    /// (§III-A2), sub-chunk `j + 1` encoding while `j` is on the wire,
+    /// and the legs that move finalized data — Rabenseifner's doubling
+    /// rounds, the butterflies' unfold — as pooled compress-once hops
+    /// that decode straight into place; on a flat network Rabenseifner's
+    /// allgather relays each range's one blob instead of re-encoding
+    /// (`rabenseifner_allgather`). A leg at CPR-P2P — every leg without
+    /// the pipeline — pays `BufferMgmt` on each encode and decode and a
+    /// `Memcpy` on each landing. Uncompressed
     /// (`compress_tput` infinite), every reducing hop streams raw
     /// pieces, folding each while the next is on the wire
     /// (`raw_hop`), and the ring allgather relays what it received
@@ -247,7 +251,8 @@ impl CostModel {
         // two `2^rounds ≤ n`: the `rem` ranks beyond it first fold into a
         // neighbour, which unfolds the result back at the end (see
         // `baseline.rs`) — compressed, a fold hop at the placement and a
-        // monolithic CPR-P2P unfold.
+        // monolithic CPR-P2P unfold (pipelined schedules price their
+        // pooled unfold themselves).
         let log2n = (usize::BITS - (n - 1).leading_zeros()) as f64;
         let rounds = n.ilog2();
         let rem = n - (1 << rounds);
@@ -324,15 +329,39 @@ impl CostModel {
                 let rs: f64 = (1..=log2n as i32).map(|i| raw_hop(d / 2f64.powi(i))).sum();
                 fold + rs + log2n * alpha + rest * wire * beta
             }
-            Schedule::RabenseifnerAllreduce => {
+            Schedule::RabenseifnerAllreduce if p.pipelined => {
                 // Recursive-halving reduce-scatter + recursive-doubling
                 // allgather: ring's bytes at tree latency. The halving
-                // rounds are reducing hops (PIPE-SZx exchanges of d/2,
-                // d/4, … when pipelined); the doubling rounds move the
-                // finalized ranges back as monolithic CPR-P2P exchanges,
-                // each landed with a `Memcpy`. A folded rank's lag earns
-                // no credit here: the doubling rounds revisit the halving
-                // partners in reverse, which by then have waited for it.
+                // rounds are PIPE-SZx exchanges of d/2, d/4, …; the
+                // allgather moves the finalized ranges back through the
+                // pooled link. A folded rank's lag earns no credit here:
+                // the doubling rounds revisit the halving partners in
+                // reverse, which by then have waited for it. Nor does its
+                // fold run alone: when the first halving partner of
+                // position 0 was not folded, that partner's first
+                // sub-chunk takes the survivor's port before the fold's,
+                // one message after the other.
+                let halving = (1..=rounds)
+                    .map(|i| reducing_hop(d / f64::from(1u32 << i), true))
+                    .sum::<f64>();
+                let fold = if rem == 0 {
+                    0.0
+                } else {
+                    let pipe = PIPE_CHUNK_BYTES as f64;
+                    let (first, theirs) = (d.min(pipe), (d / 2.0).min(pipe));
+                    let link = alpha + theirs / p.ratio.max(1.0) * beta;
+                    let shared = if 2 * rem <= 1 << rounds {
+                        (comp(theirs) + link - comp(first)).max(0.0)
+                    } else {
+                        0.0
+                    };
+                    reducing_hop(d, false) + shared
+                };
+                fold + halving + self.rabenseifner_allgather(d, n, net, p, flat)
+            }
+            Schedule::RabenseifnerAllreduce => {
+                // The same at CPR-P2P: the doubling rounds are monolithic
+                // CPR-P2P exchanges, each landed with a `Memcpy`.
                 let round = |s: f64| reducing_hop(s, true) + cpr_hop(s) + memcpy(s);
                 fold + (1..=rounds)
                     .map(|i| round(d / f64::from(1u32 << i)))
@@ -540,6 +569,74 @@ impl CostModel {
         }
     }
 
+    /// One monolithic pooled hop of `d` bytes, encode to decode straight
+    /// into place: compress-once's link, with no buffer management and no
+    /// copy.
+    fn once_hop(&self, d: f64, net: &NetModel, p: &SchedParams) -> f64 {
+        let link = net.latency.as_secs_f64() + d / p.ratio.max(1.0) / net.bandwidth;
+        d / p.compress_tput + link + d / p.decompress_tput
+    }
+
+    /// The pipelined Rabenseifner's allgather of a `d`-byte vector over
+    /// `n` ranks, its unfold included, after the halving left each of the
+    /// `2^rounds` survivors one `m = d/2^rounds` chunk.
+    ///
+    /// On a `flat` network it is compress-once: each survivor encodes
+    /// its own chunk once, and round `i` sends the `2^(i−1)` blobs it
+    /// holds as one container while it decodes the `2^(i−2)` the last
+    /// round brought, as the Bruck allgather does — `max(α + wβ,
+    /// decode)` a round; the last round's `d/2` decode stays exposed. A
+    /// non-power-of-two world's survivor then relays the whole blob set
+    /// to its folded partner, which decodes all of it after it lands;
+    /// there the fold has left the survivors out of step, and from the
+    /// second round on a lagging rank's port takes its early partner's
+    /// next container before its late partner's current one, one
+    /// container's link more. On
+    /// a cluster each round re-encodes the range it sends, a pooled hop
+    /// of `d/2, d/4, …` ([`Self::once_hop`]), and so does the unfold,
+    /// of `d`: the relayed blobs' headers and frame lengths add bytes to
+    /// a leg bound by the bytes through each node's NIC.
+    fn rabenseifner_allgather(
+        &self,
+        d: f64,
+        n: usize,
+        net: &NetModel,
+        p: &SchedParams,
+        flat: bool,
+    ) -> f64 {
+        let rounds = n.ilog2();
+        let unfold = n > 1 << rounds;
+        if !flat {
+            let doubling = (1..=rounds)
+                .map(|i| self.once_hop(d / f64::from(1u32 << i), net, p))
+                .sum::<f64>();
+            return doubling
+                + if unfold {
+                    self.once_hop(d, net, p)
+                } else {
+                    0.0
+                };
+        }
+        let alpha = net.latency.as_secs_f64();
+        let link = |bytes: f64| alpha + bytes / p.ratio.max(1.0) / net.bandwidth;
+        let deco = |bytes: f64| bytes / p.decompress_tput;
+        let m = d / f64::from(1u32 << rounds);
+        let relay = (1..=rounds)
+            .map(|i| {
+                let sent = m * f64::from(1u32 << (i - 1));
+                let held = if i > 1 { sent / 2.0 } else { 0.0 };
+                link(sent).max(deco(held))
+            })
+            .sum::<f64>();
+        let last = if unfold {
+            let lag = if rounds > 1 { link(m) } else { 0.0 };
+            lag + link(d) + deco(d)
+        } else {
+            deco(d / 2.0)
+        };
+        m / p.compress_tput + relay + last
+    }
+
     /// One monolithic CPR-P2P hop of `d` bytes, encode to decode: the
     /// naive integration pays `BufferMgmt` on both ends.
     fn cpr_hop(&self, d: f64, net: &NetModel, p: &SchedParams) -> f64 {
@@ -552,7 +649,7 @@ impl CostModel {
     /// its rounds in `chunk`-byte PIPE-SZx sub-chunks: ⌊log₂n⌋ in-place
     /// exchanges of the FULL payload (latency-optimal,
     /// bandwidth-wasteful) and, beyond the largest power of two, the
-    /// `rem` folds before them and a CPR-P2P unfold after.
+    /// `rem` folds before them and a pooled unfold after.
     ///
     /// The fold leaves the folded ranks behind: a round whose mask pairs
     /// one with a rank that was not folded (every mask from `rem` up)
@@ -576,7 +673,7 @@ impl CostModel {
         }
         let credited = rounds - rem.next_power_of_two().ilog2();
         let ahead = f64::from(credited) * self.piped_tail(d, chunk, net, p);
-        let unfold = self.cpr_hop(d, net, p) + d / self.throughput(Kernel::Memcpy);
+        let unfold = self.once_hop(d, net, p);
         let fold = self.piped_hop(d, chunk, net, p, false);
         let link =
             |bytes: f64| net.latency.as_secs_f64() + bytes / p.ratio.max(1.0) / net.bandwidth;
@@ -850,18 +947,12 @@ impl CostModel {
     /// The `L` concurrent inter-node allreduces share each node's NIC,
     /// which the simulator holds for `α + tx` per *message*: together
     /// they move the same wire bytes as one leader would (β/L each),
-    /// while encode / decompress-reduce run on d/L per lane. Lanes in
-    /// lock-step pay that serialisation as `L·α` per round. Compressed
-    /// lanes carry data-dependent sizes and codec times and drift apart:
-    /// the NIC ports are FIFO and a sender's egress waits for the
-    /// *receiver's* ingress, so each of the other `L − 1` lanes' messages
-    /// can hold this lane's up — `2.5α` per round once they run fully
-    /// free. How far they drift grows with the vector's encode time
-    /// `enc(d)`, so the term is `(L + 2.5(L − 1)·min(1, enc(d) / 64α))·α`
-    /// per round: raw lanes (no encode) stay in lock-step, and SZx lanes
-    /// reach the full term from about 60 Ki values (DESIGN.md, "The
-    /// per-message NIC term"). That term is what caps `L`; the group legs
-    /// shrinking with the group is what raises it.
+    /// while encode / decompress-reduce run on d/L per lane. The lanes
+    /// pay that serialisation as `L·α` per round, drifted apart or not:
+    /// a node NIC's egress no longer waits for a busy far ingress, so a
+    /// free-running lane's messages do not hold the others' up (DESIGN.md,
+    /// "The per-message NIC term"). That term is what caps `L`; the group
+    /// legs shrinking with the group is what raises it.
     fn laned_allreduce_at(
         &self,
         lanes: usize,
@@ -898,13 +989,8 @@ impl CostModel {
         } else {
             0.0
         };
-        // How far the lanes drift apart: by the data-dependent part of
-        // their codec work, which grows with the vector's encode time
-        // until, at 64 inter-node latencies, they run fully free.
-        let drift = (d / p.compress_tput / (64.0 * hier.inter.latency.as_secs_f64())).min(1.0);
-        let alphas_per_round = lf + 2.5 * (lf - 1.0) * drift;
         let shared_nic = NetModel {
-            latency: hier.inter.latency.mul_f64(alphas_per_round),
+            latency: hier.inter.latency.mul_f64(lf),
             bandwidth: hier.inter.bandwidth / lf,
         };
         let lane = SchedParams {
@@ -1191,11 +1277,12 @@ mod tests {
     #[test]
     fn eight_rank_crossovers_match_measured_argmin() {
         // The BENCH_algo.json crossover sequence at nodes=8 under the
-        // default SZx profile: recursive doubling at 64 and 512 values
-        // (its rounds are PIPE-SZx exchanges, with no `BufferMgmt`), ring
-        // from 4096 up (its compress-once allgather has no size step; at
-        // 16 and 32 nodes Rabenseifner's pipelined halving still wins
-        // there).
+        // default SZx profile: recursive doubling at 64 values (its
+        // rounds are PIPE-SZx exchanges, with no `BufferMgmt`),
+        // Rabenseifner from 512 to 32 Ki (its allgather relays each
+        // range's one blob), ring at 2 Mi (its compress-once allgather
+        // streams in sub-chunks, where Rabenseifner's decodes its last
+        // round's half of the vector after it lands).
         let m = CostModel::default();
         let net = NetModel::default();
         let candidates = [
@@ -1211,9 +1298,9 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(argmin(64), Schedule::RecursiveDoublingAllreduce);
-        assert_eq!(argmin(512), Schedule::RecursiveDoublingAllreduce);
-        assert_eq!(argmin(4096), Schedule::RingAllreduce);
-        assert_eq!(argmin(32768), Schedule::RingAllreduce);
+        assert_eq!(argmin(512), Schedule::RabenseifnerAllreduce);
+        assert_eq!(argmin(4096), Schedule::RabenseifnerAllreduce);
+        assert_eq!(argmin(32768), Schedule::RabenseifnerAllreduce);
         assert_eq!(argmin(2_097_152), Schedule::RingAllreduce);
     }
 
@@ -1368,7 +1455,9 @@ mod tests {
     #[test]
     fn hierarchical_on_flat_net_degenerates_to_inter_leg() {
         // One rank per node ⇒ the local phases vanish and the estimate
-        // must equal the leader-leg schedule priced on the whole world.
+        // must equal the leader-leg schedule priced on the whole world —
+        // as a leg of a plan on a topology, whose Rabenseifner allgather
+        // re-encodes rather than relays.
         let m = CostModel::default();
         let net = NetModel::default();
         let c = crate::topology::ClusterNet::new(
@@ -1376,14 +1465,12 @@ mod tests {
             crate::topology::HierNet::flat(net),
         );
         let p = szx_params(16, 1 << 20);
+        let leg = m.estimate_at(Schedule::RabenseifnerAllreduce, &net, &p, false);
         assert_eq!(
             m.estimate_hier(Schedule::HierarchicalAllreduce, &c.topo, &c.net, &p),
-            m.estimate(Schedule::RabenseifnerAllreduce, &net, &p)
+            leg
         );
-        assert_eq!(
-            m.estimate(Schedule::HierarchicalAllreduce, &net, &p),
-            m.estimate(Schedule::RabenseifnerAllreduce, &net, &p)
-        );
+        assert_eq!(m.estimate(Schedule::HierarchicalAllreduce, &net, &p), leg);
         assert_eq!(
             m.estimate_hier(Schedule::HierarchicalBcast, &c.topo, &c.net, &p),
             m.estimate(Schedule::BinomialTreeBcast, &net, &p)
@@ -1417,12 +1504,11 @@ mod tests {
         }
     }
 
-    /// The free-running NIC term grows with the vector's encode time, so
-    /// the shapes it derives are those the simulator runs fastest on
-    /// DESIGN.md's lane grid and `fig_scale`'s rows: SZx lanes of 4 Ki
-    /// and 16 Ki values price near lock-step (two lanes on 4×4, four on
-    /// 16×16), a 64 Ki vector takes four streamed lanes on 16×16 but two
-    /// on 64×16, where four run 7 % slower, and raw lanes never drift.
+    /// The shapes the per-message NIC term derives are those the
+    /// simulator runs fastest on `fig_scale`'s rows: two lanes on 4×4 at
+    /// 4 Ki values, four on 16×16 at 16 Ki (two run 3.6 % slower), two on
+    /// 128×8, where four run within 0.5 %, and four streamed lanes at
+    /// 64 Ki values on 16×16 and on 64×16 (two run 15 % slower there).
     #[test]
     fn lane_picks_follow_the_drift() {
         let m = CostModel::default();
@@ -1441,7 +1527,7 @@ mod tests {
         assert_eq!(pick(16, 16, 16 << 10, true), (4, false));
         assert_eq!(pick(128, 8, 16 << 10, true), (2, false));
         assert_eq!(pick(16, 16, 64 << 10, true), (4, true));
-        assert_eq!(pick(64, 16, 64 << 10, true), (2, true));
+        assert_eq!(pick(64, 16, 64 << 10, true), (4, true));
         assert_eq!(pick(4, 4, 16 << 10, false), (2, false));
     }
 
@@ -1822,20 +1908,22 @@ mod tests {
         retire(c, sends);
     }
 
-    /// A monolithic CPR-P2P exchange of `d` bytes with `peer` that lands
-    /// (`unpack`s) what it receives: every encode and decode pays
-    /// `BufferMgmt`, the landing a `Memcpy`.
-    fn cpr_exchange<C: crate::comm::Comm>(c: &mut C, peer: usize, d: usize, p: &SchedParams) {
+    /// One relayed doubling round of Rabenseifner's compress-once
+    /// allgather with `peer`: send the `sent` bytes of blobs held as one
+    /// container and decode the `held` bytes the last round brought while
+    /// it is in flight.
+    fn relay_exchange<C: crate::comm::Comm>(
+        c: &mut C,
+        peer: usize,
+        (sent, held): (usize, usize),
+        p: &SchedParams,
+    ) {
         use crate::profile::Category;
-        encode(c, d);
-        c.charge(Kernel::BufferMgmt, d, Category::Others);
         let recv = c.irecv(peer, 0);
-        let send = c.isend(peer, 0, squeezed(d, p));
+        let send = c.isend(peer, 0, squeezed(sent, p));
+        c.charge(Kernel::SzxDecompress, held, Category::ComDecom);
         c.wait_recv_in(recv, Category::Wait);
         retire(c, vec![send]);
-        c.charge(Kernel::SzxDecompress, d, Category::ComDecom);
-        c.charge(Kernel::BufferMgmt, d, Category::Others);
-        c.charge(Kernel::Memcpy, d, Category::Memcpy);
     }
 
     /// The sub-chunk, in bytes, a recursive-doubling plan of `p` streams
@@ -1847,13 +1935,14 @@ mod tests {
     }
 
     /// This rank's part in an allreduce of `d` bytes by the `Butterfly`
-    /// machine at the pipelined placement. A non-power-of-two world folds
-    /// its first `2·rem` ranks pairwise over a PIPE-SZx hop and unfolds
-    /// the result at the end in one CPR-P2P message. In between,
-    /// recursive doubling exchanges the whole vector every round; with
-    /// `halving` (Rabenseifner) the halving rounds exchange the moved
-    /// half and the doubling rounds the finalized range, monolithic.
-    /// Recursive doubling's fold and rounds stream `chunk`-byte
+    /// machine at the pipelined placement on a flat network. A
+    /// non-power-of-two world folds its first `2·rem` ranks pairwise over
+    /// a PIPE-SZx hop and unfolds the result at the end in one pooled
+    /// message. In between, recursive doubling exchanges the whole vector
+    /// every round; with `halving` (Rabenseifner) the halving rounds
+    /// exchange the moved half, then each survivor encodes its own chunk
+    /// once and the doubling rounds relay the blobs held, the unfold all
+    /// of them. Recursive doubling's fold and rounds stream `chunk`-byte
     /// sub-chunks, Rabenseifner's `PIPE_CHUNK_BYTES`.
     fn butterfly<C: crate::comm::Comm>(
         c: &mut C,
@@ -1872,8 +1961,6 @@ mod tests {
             piped_send(c, me + 1, d, chunk, p);
             c.recv(me + 1, 0);
             c.charge(Kernel::SzxDecompress, d, Category::ComDecom);
-            c.charge(Kernel::BufferMgmt, d, Category::Others);
-            c.charge(Kernel::Memcpy, d, Category::Memcpy);
             return;
         }
         if folded {
@@ -1886,17 +1973,26 @@ mod tests {
             for i in 1..=rounds {
                 piped_exchange(c, rank(pos ^ (pow2 >> i)), d >> i, chunk, p);
             }
+            encode(c, d >> rounds);
             for i in (1..=rounds).rev() {
-                cpr_exchange(c, rank(pos ^ (pow2 >> i)), d >> i, p);
+                let held = if i < rounds { d >> (i + 1) } else { 0 };
+                relay_exchange(c, rank(pos ^ (pow2 >> i)), (d >> i, held), p);
             }
-        } else {
-            for i in 0..rounds {
-                piped_exchange(c, rank(pos ^ (1 << i)), d, chunk, p);
+            let last = d >> 1;
+            if folded {
+                let send = c.isend(me - 1, 0, squeezed(d, p));
+                c.charge(Kernel::SzxDecompress, last, Category::ComDecom);
+                retire(c, vec![send]);
+            } else {
+                c.charge(Kernel::SzxDecompress, last, Category::ComDecom);
             }
+            return;
+        }
+        for i in 0..rounds {
+            piped_exchange(c, rank(pos ^ (1 << i)), d, chunk, p);
         }
         if folded {
             encode(c, d);
-            c.charge(Kernel::BufferMgmt, d, Category::Others);
             c.send(me - 1, 0, squeezed(d, p));
         }
     }

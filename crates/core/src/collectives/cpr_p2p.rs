@@ -141,7 +141,7 @@ pub fn cpr_rabenseifner_allreduce_into<C: Comm>(
     out: &mut [f32],
     ws: &mut CollWorkspace,
 ) {
-    let done = Butterfly::rabenseifner(Placement::Cpr, Cut::WHOLE).step(
+    let done = Butterfly::rabenseifner(Placement::Cpr, Cut::WHOLE, false).step(
         comm,
         Some(cpr),
         op,

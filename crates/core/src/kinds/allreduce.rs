@@ -229,7 +229,8 @@ impl Kind for Allreduce {
             }
             Algorithm::Rabenseifner => {
                 let cut = session.cut(place, Role::Hop);
-                ArMachine::Butterfly(Butterfly::rabenseifner(place, cut))
+                let relay = session.relays(place);
+                ArMachine::Butterfly(Butterfly::rabenseifner(place, cut, relay))
             }
             // The hierarchical placement is that of the inter-node leg
             // every lane owner runs on its slice; node-local legs are
@@ -288,4 +289,170 @@ impl Kind for Allreduce {
     }
 
     fn output(_: &ArMachine) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use ccoll_comm::{Cut, Kernel, SimConfig, SimWorld};
+    use ccoll_compress::{CodecKind, CompressError, Compressor, ReduceKind, SzxCodec};
+
+    use super::*;
+    use crate::collectives::cpr_p2p::CprCodec;
+    use crate::frameworks::computation::DEFAULT_PIPE_VALUES;
+    use crate::partition::chunk_range;
+    use crate::testing::assert_within;
+
+    /// Deliberately divisible by no power of two above one.
+    const LEN: usize = 3001;
+    const EB: f32 = 1e-3;
+
+    /// The session codec, counting the encodes it runs: the halving
+    /// streams PIPE-SZx through a codec of its own, so what this counts
+    /// are the finalized legs' encodes, as `(calls, values)`.
+    struct Counting {
+        szx: SzxCodec,
+        calls: AtomicUsize,
+        values: AtomicUsize,
+    }
+
+    impl Counting {
+        fn take(&self) -> (usize, usize) {
+            let calls = self.calls.swap(0, Ordering::Relaxed);
+            (calls, self.values.swap(0, Ordering::Relaxed))
+        }
+    }
+
+    impl Compressor for Counting {
+        fn compress(&self, data: &[f32]) -> Result<Vec<u8>, CompressError> {
+            let mut out = Vec::new();
+            self.compress_into(data, &mut out)?;
+            Ok(out)
+        }
+
+        fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
+            self.szx.decompress(stream)
+        }
+
+        fn compress_into(&self, data: &[f32], out: &mut Vec<u8>) -> Result<(), CompressError> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.values.fetch_add(data.len(), Ordering::Relaxed);
+            self.szx.compress_into(data, out)
+        }
+
+        fn decompress_into(&self, stream: &[u8], out: &mut Vec<f32>) -> Result<(), CompressError> {
+            self.szx.decompress_into(stream, out)
+        }
+
+        fn decompress_reduce_into(
+            &self,
+            stream: &[u8],
+            op: ReduceKind,
+            dst: &mut [f32],
+            scratch: &mut Vec<f32>,
+        ) -> Result<(), CompressError> {
+            self.szx.decompress_reduce_into(stream, op, dst, scratch)
+        }
+
+        fn decompress_to(
+            &self,
+            stream: &[u8],
+            dst: &mut [f32],
+            scratch: &mut Vec<f32>,
+        ) -> Result<(), CompressError> {
+            self.szx.decompress_to(stream, dst, scratch)
+        }
+
+        fn max_compressed_bytes(&self, values: usize) -> usize {
+            self.szx.max_compressed_bytes(values)
+        }
+
+        fn kind(&self) -> CodecKind {
+            self.szx.kind()
+        }
+    }
+
+    fn rank_data(rank: usize) -> Vec<f32> {
+        (0..LEN)
+            .map(|i| ((i * 7 + rank * 131) as f32 * 1e-3).sin() * 2.0)
+            .collect()
+    }
+
+    /// A relaying Rabenseifner on 2–9 ranks, two executions on one
+    /// workspace: each rank that survives the fold encodes its own
+    /// reduced chunk and nothing else, once per execution (a folded-away
+    /// rank encodes nothing), and every rank but a range's owner lands
+    /// the same bits of it — the owner's one blob, decoded — within the
+    /// sum's error bound.
+    #[test]
+    fn a_relayed_allgather_encodes_each_range_once_and_lands_the_same_bits() {
+        for n in 2..=9 {
+            let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
+                let counting = Arc::new(Counting {
+                    szx: SzxCodec::new(EB),
+                    calls: AtomicUsize::new(0),
+                    values: AtomicUsize::new(0),
+                });
+                let (ck, dk) = (Kernel::SzxCompress, Kernel::SzxDecompress);
+                let cpr = CprCodec::new(counting.clone(), ck, dk);
+                let input = rank_data(c.rank());
+                let (mut ws, mut out) = (CollWorkspace::new(), vec![0.0f32; LEN]);
+                let mut encodes = Vec::new();
+                for _ in 0..2 {
+                    let cut = Cut::pipe(DEFAULT_PIPE_VALUES);
+                    let mut machine = Butterfly::rabenseifner(Placement::Piped(EB), cut, true);
+                    let poll = machine.step(
+                        c,
+                        Some(&cpr),
+                        ReduceOp::Sum,
+                        &input,
+                        &mut out,
+                        &mut ws,
+                        true,
+                    );
+                    assert_eq!(poll, Poll::Ready);
+                    encodes.push(counting.take());
+                }
+                (encodes, out)
+            });
+            let pow2 = 1 << n.ilog2();
+            let rem = n - pow2;
+            let mut exact = vec![0.0f32; LEN];
+            for r in 0..n {
+                ReduceOp::Sum.apply(&mut exact, &rank_data(r));
+            }
+            for (rank, (encodes, got)) in out.results.iter().enumerate() {
+                let own = match rank {
+                    r if r < 2 * rem && r % 2 == 0 => (0, 0),
+                    r => {
+                        let pos = if r < 2 * rem { r / 2 } else { r - rem };
+                        (1, chunk_range(LEN, pow2, pos).len())
+                    }
+                };
+                assert_eq!(encodes, &[own, own], "{n} ranks: rank {rank}'s encodes");
+                assert_within(
+                    got,
+                    &exact,
+                    n as f32 * EB,
+                    &format!("{n} ranks: rank {rank}"),
+                );
+            }
+            for p in 0..pow2 {
+                let range = chunk_range(LEN, pow2, p);
+                let owner = if p < rem { 2 * p + 1 } else { p + rem };
+                let bits = |r: usize| -> Vec<u32> {
+                    out.results[r].1[range.clone()]
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect()
+                };
+                let first = (0..n).find(|&r| r != owner).expect("two ranks at least");
+                for r in (0..n).filter(|&r| r != owner) {
+                    assert_eq!(bits(r), bits(first), "{n} ranks: chunk {p} on rank {r}");
+                }
+            }
+        }
+    }
 }

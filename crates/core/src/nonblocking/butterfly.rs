@@ -10,8 +10,9 @@ use super::{exchange, next_arrival, post, retire_sends, Poll};
 use crate::collectives::cpr_p2p::CprCodec;
 use crate::collectives::{memcpy_in, tags};
 use crate::pipeline::{split_src_dst, Land, Route, StreamCursor};
-use crate::placement::Placement;
+use crate::placement::{Link, Placement};
 use crate::reduce::ReduceOp;
+use crate::wire::{frame_blobs_pooled, unframe_blobs_into};
 use crate::workspace::CollWorkspace;
 
 /// The fold geometry every butterfly schedule shares: non-power-of-two
@@ -61,9 +62,19 @@ enum BflyPhase {
 /// recursive-doubling allgather), in raw / CPR / pipelined placements.
 /// The fold and halving legs are [`Route::hop`] streams and recursive
 /// doubling's rounds [`Route::exchange`]s, in the machine's cut (raw
-/// pieces, PIPE-SZx sub-chunks piped, one whole message at CPR-P2P);
-/// Rabenseifner's doubling and the unfold move finalized data and stay
-/// monolithic rounds.
+/// pieces, PIPE-SZx sub-chunks piped, one whole message at CPR-P2P).
+///
+/// Rabenseifner's doubling and the unfold move finalized data in
+/// monolithic rounds through [`Placement::link`]: raw, CPR-P2P, or —
+/// piped and compress-once — the pooled link, which decodes straight
+/// into `out` with no buffer management and no copy. A machine that
+/// `relay`s (`CCollSession::relays`: a pooled placement on a flat
+/// network) encodes only its own reduced chunk, once; every doubling
+/// round sends the blobs it holds as one framed container (held per
+/// chunk in `ws.blobs`) and decodes the last round's while it is in
+/// flight, and the unfold relays the whole blob set. So no value is
+/// encoded twice, and every rank but a range's owner holds the same
+/// bits of it. Otherwise each round re-encodes the range it sends.
 ///
 /// The accumulator is the caller's `out`, *born* from this rank's first
 /// fold (`out[range] = fold(input[range], received)`); until then sends
@@ -76,10 +87,14 @@ pub(crate) struct Butterfly {
     cut: Cut,
     /// Rabenseifner when true, recursive doubling when false.
     halving: bool,
+    /// Rabenseifner's finalized legs relay each range's one blob.
+    relay: bool,
     /// `out` holds this rank's live accumulator range.
     born: bool,
     phase: BflyPhase,
     pos: usize,
+    /// Halving: the chunk indices `[lo, hi)` still being reduced.
+    /// Relayed doubling and unfold: the held blobs not yet decoded.
     lo: usize,
     hi: usize,
     mask: usize,
@@ -94,18 +109,21 @@ pub(crate) struct Butterfly {
 
 impl Butterfly {
     pub(crate) fn recursive_doubling(place: Placement, cut: Cut) -> Self {
-        Self::new(place, cut, false)
+        Self::new(place, cut, false, false)
     }
 
-    pub(crate) fn rabenseifner(place: Placement, cut: Cut) -> Self {
-        Self::new(place, cut, true)
+    /// `relay`: the finalized legs relay each range's one blob
+    /// (`CCollSession::relays`).
+    pub(crate) fn rabenseifner(place: Placement, cut: Cut, relay: bool) -> Self {
+        Self::new(place, cut, true, relay)
     }
 
-    fn new(place: Placement, cut: Cut, halving: bool) -> Self {
+    fn new(place: Placement, cut: Cut, halving: bool, relay: bool) -> Self {
         Butterfly {
             place,
             cut,
             halving,
+            relay,
             born: false,
             phase: BflyPhase::Init,
             pos: 0,
@@ -200,6 +218,16 @@ impl Butterfly {
                     if self.mask < 1 {
                         self.mask = 1;
                         self.round = 0x100;
+                        (self.lo, self.hi) = (self.pos, self.pos);
+                        if self.relay && self.pow2 > 1 {
+                            // The one encode of this rank's reduced chunk.
+                            assert!(matches!(link, Link::Once(_)), "relayed blobs are pooled");
+                            ws.blobs.clear();
+                            ws.blobs.resize(self.pow2, None);
+                            let own = Self::range(ws, self.pos, self.pos + 1);
+                            let blob = link.pack(comm, &out[own], &mut ws.pool);
+                            ws.blobs[self.pos] = Some(blob);
+                        }
                         self.phase = BflyPhase::Doubling;
                         continue;
                     }
@@ -239,7 +267,8 @@ impl Butterfly {
                     self.round += 1;
                 }
                 // Rabenseifner's recursive-doubling allgather: finalized
-                // aligned ranges move, monolithic in every placement.
+                // aligned ranges move, one monolithic exchange a round —
+                // re-encoded from `out`, or the blobs held, relayed.
                 BflyPhase::Doubling => {
                     if self.mask >= self.pow2 {
                         self.phase = BflyPhase::Unfold;
@@ -247,9 +276,16 @@ impl Butterfly {
                     }
                     let peer = butterfly_pos_to_rank(self.pos ^ self.mask, self.rem);
                     let tag = self.tag + self.round;
-                    let (send, _) = self.doubling_ranges(ws);
-                    let payload = link.pack(comm, &out[send], &mut ws.pool);
+                    let payload = if self.relay {
+                        frame_held(ws, self.doubling_chunks().0)
+                    } else {
+                        let (send, _) = self.doubling_ranges(ws);
+                        link.pack(comm, &out[send], &mut ws.pool)
+                    };
                     post(comm, ws, tag, Some(peer), Some((peer, payload)));
+                    // Decode the last round's blobs while this round's
+                    // container is in flight.
+                    self.decode_held(comm, link, out, ws);
                     self.phase = BflyPhase::DoublingExchange;
                 }
                 BflyPhase::DoublingExchange => {
@@ -257,22 +293,34 @@ impl Butterfly {
                     let Some(got) = exchange(comm, ws, &mut self.stash, block, cats) else {
                         return Poll::Pending;
                     };
-                    let (_, peer) = self.doubling_ranges(ws);
-                    link.unpack(comm, &got, &mut out[peer], &mut ws.scratch);
+                    if self.relay {
+                        let (_, theirs) = self.doubling_chunks();
+                        hold(ws, &got, theirs.clone());
+                        (self.lo, self.hi) = (theirs.start, theirs.end);
+                    } else {
+                        let (_, peer) = self.doubling_ranges(ws);
+                        link.unpack(comm, &got, &mut out[peer], &mut ws.scratch);
+                    }
                     self.mask <<= 1;
                     self.round += 1;
                     self.phase = BflyPhase::Doubling;
                 }
-                // Unfold: ship the final buffer back to the folded-away
-                // rank.
+                // Unfold: ship the final buffer — or every range's blob —
+                // back to the folded-away rank.
                 BflyPhase::Unfold => {
                     if me >= 2 * self.rem {
+                        self.decode_held(comm, link, out, ws);
                         self.phase = BflyPhase::Final;
                         continue;
                     }
                     if me % 2 == 1 {
-                        let payload = link.pack(comm, out, &mut ws.pool);
+                        let payload = if self.relay {
+                            frame_held(ws, 0..self.pow2)
+                        } else {
+                            link.pack(comm, out, &mut ws.pool)
+                        };
                         post(comm, ws, self.tag + 999, None, Some((me - 1, payload)));
+                        self.decode_held(comm, link, out, ws);
                         self.phase = BflyPhase::UnfoldSendWait;
                     } else {
                         post(comm, ws, self.tag + 999, Some(me + 1), None);
@@ -286,14 +334,26 @@ impl Butterfly {
                     self.phase = BflyPhase::Final;
                 }
                 BflyPhase::UnfoldRecvWait => {
-                    let Some(got) = next_arrival(comm, &mut ws.rreqs, block, Category::Others)
-                    else {
+                    let Some(got) = next_arrival(comm, &mut ws.rreqs, block, Category::Wait) else {
                         return Poll::Pending;
                     };
-                    link.unpack(comm, &got, out, &mut ws.scratch);
+                    if self.relay {
+                        ws.blobs.clear();
+                        ws.blobs.resize(self.pow2, None);
+                        hold(ws, &got, 0..self.pow2);
+                        (self.lo, self.hi) = (0, self.pow2);
+                        self.decode_held(comm, link, out, ws);
+                    } else {
+                        link.unpack(comm, &got, out, &mut ws.scratch);
+                    }
                     self.phase = BflyPhase::Final;
                 }
                 BflyPhase::Final => {
+                    if self.relay {
+                        // Let go of the peers' containers before their
+                        // next call reuses the pool slots.
+                        ws.blobs.clear();
+                    }
                     op.finalize(out, n);
                     self.phase = BflyPhase::Done;
                 }
@@ -342,18 +402,81 @@ impl Butterfly {
         self.phase = BflyPhase::Halving;
     }
 
-    /// `(send, peer)` value ranges of the current Rabenseifner doubling
+    /// `(send, peer)` chunk indices of the current Rabenseifner doubling
     /// round.
-    fn doubling_ranges(&self, ws: &CollWorkspace) -> (Range<usize>, Range<usize>) {
+    fn doubling_chunks(&self) -> (Range<usize>, Range<usize>) {
         let base = self.pos & !(2 * self.mask - 1);
         let (low, high) = (
-            Self::range(ws, base, base + self.mask),
-            Self::range(ws, base + self.mask, base + 2 * self.mask),
+            base..base + self.mask,
+            base + self.mask..base + 2 * self.mask,
         );
         if self.pos & self.mask == 0 {
             (low, high)
         } else {
             (high, low)
         }
+    }
+
+    /// `(send, peer)` value ranges of the current Rabenseifner doubling
+    /// round.
+    fn doubling_ranges(&self, ws: &CollWorkspace) -> (Range<usize>, Range<usize>) {
+        let (send, peer) = self.doubling_chunks();
+        (
+            Self::range(ws, send.start, send.end),
+            Self::range(ws, peer.start, peer.end),
+        )
+    }
+
+    /// Decode the held blobs not yet landed (`[lo, hi)`) straight into
+    /// their ranges of `out`.
+    fn decode_held<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        link: Link<'_>,
+        out: &mut [f32],
+        ws: &mut CollWorkspace,
+    ) {
+        for i in self.lo..self.hi {
+            let at = Self::range(ws, i, i + 1);
+            let CollWorkspace { blobs, scratch, .. } = ws;
+            let blob = blobs[i].as_ref().expect("a held chunk has its blob");
+            link.land(comm, blob, &mut out[at], scratch);
+        }
+        self.lo = self.hi;
+    }
+}
+
+/// One container of the held blobs of `chunks`, in chunk order.
+fn frame_held(ws: &mut CollWorkspace, chunks: Range<usize>) -> Bytes {
+    let CollWorkspace {
+        pool,
+        blobs,
+        blob_list,
+        ..
+    } = ws;
+    blob_list.clear();
+    let held = blobs[chunks].iter().map(|b| b.clone().expect("held blob"));
+    blob_list.extend(held);
+    let container = frame_blobs_pooled(pool, blob_list);
+    blob_list.clear();
+    container
+}
+
+/// Hold the blobs of a received container as those of `chunks`.
+///
+/// # Panics
+/// Panics on a container that is malformed or holds another count.
+fn hold(ws: &mut CollWorkspace, got: &Bytes, chunks: Range<usize>) {
+    let CollWorkspace {
+        blobs, blob_list, ..
+    } = ws;
+    unframe_blobs_into(got, blob_list).expect("well-formed Rabenseifner container");
+    assert_eq!(
+        blob_list.len(),
+        chunks.len(),
+        "Rabenseifner container count"
+    );
+    for (slot, blob) in blobs[chunks].iter_mut().zip(blob_list.drain(..)) {
+        *slot = Some(blob);
     }
 }

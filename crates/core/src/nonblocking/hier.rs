@@ -330,7 +330,8 @@ impl HierAr {
                         return Poll::Pending;
                     }
                     self.leg = if owner {
-                        LaneLeg::Inter(Butterfly::rabenseifner(self.place, self.inter))
+                        // On a cluster: re-encode (`CCollSession::relays`).
+                        LaneLeg::Inter(Butterfly::rabenseifner(self.place, self.inter, false))
                     } else {
                         LaneLeg::GroupBcast(StreamCursor::default())
                     };

@@ -41,7 +41,11 @@
 //! session's pipe sub-chunks, never below the default pipe — round 0
 //! sends each as soon as it is packed, every later round forwards the
 //! last one's and lands them while they are on the wire, with no size
-//! step — and raw in whole blocks. The
+//! step — and raw in whole blocks. Rabenseifner's allgather and unfold
+//! run at the pooled link whenever the placement is piped or
+//! compress-once, and on a flat network relay each range's one blob in
+//! framed containers, decoding the last round's while the next is in
+//! flight (`CCollSession::relays`). The
 //! ordering rules that keep virtual time bit-identical are listed in
 //! `placement.rs`.
 //!

@@ -33,9 +33,13 @@
 //!    doubling, the CPR-P2P ring allgather, the all-to-all and Bruck
 //!    rounds, the scatter and gather edges — pack first, then post the
 //!    receive, then send, and wait a full-duplex pair out through
-//!    `nonblocking::exchange` (receive, then send) before they land.
-//!    Every reducing hop, recursive doubling's rounds included, and every
-//!    CPR-P2P bcast edge is a route instead (rule 6).
+//!    `nonblocking::exchange` (receive, then send) before they land. A
+//!    round that relays compress-once blobs — the Bruck allgather's,
+//!    Rabenseifner's doubling and unfold on a flat network — frames the
+//!    blobs it holds instead of packing, and decodes the ones the last
+//!    round brought between posting and waiting. Every reducing hop,
+//!    recursive doubling's rounds included, and every CPR-P2P bcast edge
+//!    is a route instead (rule 6).
 //! 2. Raw `pack` charges nothing and raw `unpack` charges `Memcpy`; CPR
 //!    `unpack` is decompress (`ComDecom` + `BufferMgmt`) + `Memcpy` —
 //!    the naive integration the baselines model; once `pack` / `unpack`
@@ -45,9 +49,14 @@
 //!    receives, which a tree relays onwards, land through it.
 //! 3. Piped `RingRs` rounds live in the `tags::PIPELINE` family, not in
 //!    `REDUCE_SCATTER + band`.
-//! 4. Legs of a piped machine that move finalized data (Rabenseifner
-//!    doubling, unfold) stay monolithic CPR: `Piped(..).link(cpr)` is
-//!    [`Link::Cpr`].
+//! 4. Legs of a piped machine that move finalized data (Rabenseifner's
+//!    doubling, the unfold) are monolithic rounds at the pooled link:
+//!    `Piped(..).link(cpr)` is [`Link::Once`], as `Once`'s is — each
+//!    payload is written into a pool slot and decoded straight into
+//!    place, with no `BufferMgmt` and no `Memcpy`. On a flat network
+//!    Rabenseifner's relay each range's one blob, encoded by its owner
+//!    (`CCollSession::relays`); on a cluster each round re-encodes the
+//!    range it sends.
 //! 5. The accumulator is born from the first fold and lives in the
 //!    caller's output: a reducing machine never copies its input in.
 //!    The first send of a range reads `input`, the first fold of a
@@ -183,7 +192,9 @@ impl Placement {
         }
     }
 
-    /// Bind the placement to the session codec for one `step`.
+    /// Bind the placement to the session codec for one `step`. A piped
+    /// machine's monolithic legs move finalized data, so they run at
+    /// compress-once's pooled link, as a `Once` machine's do.
     ///
     /// # Panics
     /// Panics if a compressed placement is stepped without a codec.
@@ -191,8 +202,8 @@ impl Placement {
         let codec = || cpr.expect("compressed mode needs a codec");
         match self {
             Placement::Raw => Link::Raw,
-            Placement::Once => Link::Once(codec()),
-            Placement::Cpr | Placement::Piped(_) => Link::Cpr(codec()),
+            Placement::Cpr => Link::Cpr(codec()),
+            Placement::Once | Placement::Piped(_) => Link::Once(codec()),
         }
     }
 }
@@ -482,7 +493,8 @@ mod tests {
         let [pack, unpack, land, reduce] = charges;
         let out = SimWorld::new(SimConfig::new(2)).run(move |c| {
             let cpr = CprCodec::from_spec(spec);
-            // A piped machine's sub-chunks (its monolithic legs are CPR).
+            // A piped machine's sub-chunks (its monolithic legs are
+            // compress-once).
             let link = place.stream(cpr.as_ref());
             let mut ws = CollWorkspace::new();
             if c.rank() == 0 {

@@ -911,7 +911,7 @@ mod tests {
     /// least the owners measured instead of the empty ranks' veto.
     #[test]
     fn laned_szx_auto_agrees_on_the_owners_ratio() {
-        let (nodes, per_node, len) = (4, 4, 1 << 13);
+        let (nodes, per_node, len) = (4, 4, 1 << 12);
         let world = nodes * per_node;
         let topo = Topology::uniform(nodes, per_node);
         let cluster = ClusterNet::new(topo.clone(), HierNet::cluster_default());

@@ -394,6 +394,18 @@ impl CCollSession {
         }
     }
 
+    /// Whether a Rabenseifner allgather at `place` relays each finalized
+    /// range's one blob — encoded once by its owner, forwarded in framed
+    /// containers, decoded once at each consumer — rather than
+    /// re-encoding the ranges it holds every round: at a pooled placement
+    /// on a flat network. On a cluster the inter-node leg is bound by the
+    /// bytes through each node's NIC, and the relayed blobs' own headers
+    /// and frame lengths (about 0.9 % more) cost more there than the
+    /// re-encodes save (DESIGN.md, "Compress-once Rabenseifner").
+    pub(crate) fn relays(&self, place: Placement) -> bool {
+        matches!(place, Placement::Piped(_) | Placement::Once) && self.cluster.is_none()
+    }
+
     /// The PIPE sub-chunk size (values) the session's streams are cut
     /// in, as far as workspace sizing goes (see [`Self::cut`]).
     pub(crate) fn pipe_values(&self) -> usize {
@@ -917,7 +929,7 @@ mod tests {
     #[test]
     fn auto_plan_reranks_consistently_from_agreed_ratio() {
         // Rough data compresses far below the nominal planning ratio of
-        // 8: at 512 values over 8 ranks the nominal selection says
+        // 8: at 384 values over 8 ranks the nominal selection says
         // recursive doubling, but at the measured (~1.4) ratio the wire
         // terms grow and Rabenseifner, which moves each value across
         // the wire a bounded number of times instead of log₂ n, wins.
@@ -934,7 +946,7 @@ mod tests {
                 .collect()
         }
         let n = 8;
-        let len = 512;
+        let len = 384;
         let world = SimWorld::new(SimConfig::new(n));
         let out = world.run(move |c| {
             let session = CCollSession::new(CodecSpec::Szx { error_bound: 1e-4 }, n);
@@ -1370,9 +1382,8 @@ mod tests {
     /// slower than the one-lane binomial schedule, and within a few
     /// percent of the best shape — lane count, group-leg shape — the
     /// simulator can find: 10 % on 8×4 from 64 Ki values up, 2 % on 4×4
-    /// at 16 Ki, raw (lock-step lanes) and SZx. (Below 64 Ki on 8×4 the
-    /// model prices free-running NIC queueing the simulation of a
-    /// 4-node cluster does not show, and stays on one lane.)
+    /// at 16 Ki, raw (lock-step lanes) and SZx. (Below 64 Ki on 8×4 only
+    /// the one-lane bound holds.)
     #[test]
     fn derived_lane_count_is_near_the_best_simulated_one() {
         let wide = [4 << 10, 64 << 10, 1 << 20].map(|len| {

@@ -87,54 +87,17 @@ fn raw_ring(n: usize, me: usize, _lanes: Option<usize>) -> Vec<usize> {
         .collect()
 }
 
-/// The monolithic legs of a Rabenseifner allreduce of `len` values: a
-/// rank the fold folded away lands the unfold (the whole vector), every
-/// other rank the peer's aligned range of each doubling round.
-fn rabenseifner_legs(len: usize, n: usize, me: usize) -> Vec<usize> {
-    let pow2 = 1 << n.ilog2();
-    let rem = n - pow2;
-    if me < 2 * rem && me.is_multiple_of(2) {
-        return vec![len];
-    }
-    let pos = if me < 2 * rem { me / 2 } else { me - rem };
-    let span = |lo: usize, hi: usize| {
-        chunk_range(len, pow2, hi - 1).end - chunk_range(len, pow2, lo).start
-    };
-    let mut legs = Vec::new();
-    let mut m = 1;
-    while m < pow2 {
-        let base = pos & !(2 * m - 1);
-        legs.push(if pos & m == 0 {
-            span(base + m, base + 2 * m)
-        } else {
-            span(base, base + m)
-        });
-        m *= 2;
-    }
-    legs
-}
-
-fn rabenseifner(n: usize, me: usize, _lanes: Option<usize>) -> Vec<usize> {
-    rabenseifner_legs(LEN, n, me)
-}
-
 /// 4 nodes × 4 ranks: every rank lands the other lanes from its row's
-/// raw ring allgather, and a lane owner also runs the inter-node
-/// Rabenseifner on its lane; the group legs charge no memcpy.
+/// raw ring allgather; the group legs and a lane owner's inter-node
+/// Rabenseifner charge no memcpy.
 fn hier_4x4(_n: usize, me: usize, lanes: Option<usize>) -> Vec<usize> {
     let lanes = lanes.expect("hierarchical plan");
-    let (node, local) = (me / 4, me % 4);
+    let local = me % 4;
     let lane = (0..lanes)
         .find(|&l| chunk_range(4, lanes, l).contains(&local))
         .expect("the groups tile the node");
-    let mut legs = if chunk_range(4, lanes, lane).start == local {
-        rabenseifner_legs(chunk_range(LEN, lanes, lane).len(), 4, node)
-    } else {
-        Vec::new()
-    };
     let others = (0..lanes).filter(|&l| l != lane);
-    legs.extend(others.map(|l| chunk_range(LEN, lanes, l).len()));
-    legs
+    others.map(|l| chunk_range(LEN, lanes, l).len()).collect()
 }
 
 #[test]
@@ -144,23 +107,41 @@ fn a_c_allreduce_charges_no_memcpy() {
     }
 }
 
-/// Recursive doubling on an error-bounded session runs the computation
-/// framework: every round is a pooled PIPE-SZx exchange folded in place,
-/// so it charges neither a copy nor the naive integration's buffer
-/// management (`BufferMgmt`, the `Others` bucket).
+/// Recursive doubling and Rabenseifner on an error-bounded session run
+/// the computation framework, and their legs that move finalized data
+/// (Rabenseifner's doubling rounds, either unfold) the pooled link:
+/// every round is a pooled PIPE-SZx exchange folded in place or a pooled
+/// payload decoded straight into place, so neither charges a copy nor
+/// the naive integration's buffer management (`BufferMgmt`, the
+/// `Others` bucket) — Rabenseifner on a flat network (relaying each
+/// range's blob) and on a 4×4 cluster (re-encoding each round), folds
+/// and unfolds included.
 #[test]
 fn piped_recursive_doubling_charges_no_memcpy_and_no_buffer_management() {
-    for n in [2, 8] {
+    let cases = [
+        (Algorithm::RecursiveDoubling, 2, None),
+        (Algorithm::RecursiveDoubling, 8, None),
+        (Algorithm::Rabenseifner, 3, None),
+        (Algorithm::Rabenseifner, 6, None),
+        (Algorithm::Rabenseifner, 8, None),
+        (Algorithm::Rabenseifner, 16, Some(Topology::uniform(4, 4))),
+    ];
+    for (algorithm, n, topo) in cases {
         let out = SimWorld::new(SimConfig::new(n)).run(move |c| {
-            let opts = PlanOptions::new().algorithm(Algorithm::RecursiveDoubling);
-            let mut plan = CCollSession::new(SZX, n).plan_allreduce_with(LEN, ReduceOp::Sum, opts);
+            let mut session = CCollSession::new(SZX, n);
+            if let Some(topo) = topo.clone() {
+                session = session.with_topology(topo, HierNet::cluster_default());
+            }
+            let opts = PlanOptions::new().algorithm(algorithm);
+            let mut plan = session.plan_allreduce_with(LEN, ReduceOp::Sum, opts);
             let mut result = vec![0.0f32; LEN];
             plan.execute_into(c, &rank_data(c.rank()), &mut result);
         });
         for (rank, breakdown) in out.breakdowns.iter().enumerate() {
             for bucket in [Category::Memcpy, Category::Others] {
                 let got = breakdown.get(bucket);
-                assert_eq!(got, Duration::ZERO, "{n} ranks: rank {rank}'s {bucket:?}");
+                let what = format!("{algorithm:?} on {n} ranks: rank {rank}'s {bucket:?}");
+                assert_eq!(got, Duration::ZERO, "{what}");
             }
         }
     }
@@ -170,10 +151,6 @@ fn piped_recursive_doubling_charges_no_memcpy_and_no_buffer_management() {
 fn what_memcpy_is_left_is_exactly_the_documented_unpacks() {
     for n in [2, 3, 8] {
         assert_memcpy_is(n, CodecSpec::None, Algorithm::Ring, None, raw_ring);
-    }
-    // Doubling legs (8), and fold + unfold around them (3, 6).
-    for n in [3, 6, 8] {
-        assert_memcpy_is(n, SZX, Algorithm::Rabenseifner, None, rabenseifner);
     }
     let topo = Some(Topology::uniform(4, 4));
     assert_memcpy_is(16, SZX, Algorithm::Hierarchical, topo, hier_4x4);

@@ -440,14 +440,15 @@ fn nonblocking_laned_hierarchical_matches_blocking_bits_and_bytes() {
 
 /// A hierarchical allreduce whose group legs stream as sub-chunk chains
 /// (two lanes of six sub-chunks and a ragged seventh, groups of up to
-/// seven ranks, a partial row on the 13-rank node) started, progressed
+/// seven ranks, a partial row on the 13-rank node, a three-rank node
+/// capping the lanes at two) started, progressed
 /// without blocking for as long as that does any work, and completed is
 /// the blocking drive exactly: the same bits on every rank, the same
 /// messages and bytes, the same virtual time. Where the chain cursors
 /// suspended cannot show.
 #[test]
 fn nonblocking_streamed_hierarchical_matches_blocking_bits_time_and_messages() {
-    let sizes = [14usize, 13, 12];
+    let sizes = [14usize, 13, 3];
     let n: usize = sizes.iter().sum();
     let len = 2 * (6 * 5120 + 1400);
     for spec in [CodecSpec::None, CodecSpec::Szx { error_bound: 1e-3 }] {
